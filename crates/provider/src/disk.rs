@@ -44,9 +44,10 @@ use atomio_types::stamp::mix64;
 use atomio_types::{BackendConfig, ByteRange, ChunkId, Error, FsyncPolicy, ProviderId, Result};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -128,10 +129,10 @@ impl Slot {
         Ok(at)
     }
 
-    fn read_exact_at(&mut self, offset: u64, buf: &mut [u8], context: &str) -> Result<()> {
+    /// One `pread`: no seek, and the append position is left alone.
+    fn read_exact_at(&self, offset: u64, buf: &mut [u8], context: &str) -> Result<()> {
         self.file
-            .seek(SeekFrom::Start(offset))
-            .and_then(|_| self.file.read_exact(buf))
+            .read_exact_at(buf, offset)
             .map_err(|e| Error::io(context, e))
     }
 }
@@ -329,49 +330,109 @@ impl DiskProvider {
         (mix64(chunk.raw() ^ 0xD15C_51A7) % self.slots.len() as u64) as usize
     }
 
-    /// Appends the chunk's PUT record and indexes it. Shared zero-time
-    /// half of both put paths (cost is booked by the callers).
-    fn install(&self, chunk: ChunkId, data: &Bytes) -> Result<()> {
-        let checksum = chunk_checksum(data);
-        let s = self.slot_of(chunk);
-        let mut body = Vec::with_capacity(24);
-        body.extend_from_slice(&chunk.raw().to_be_bytes());
-        body.extend_from_slice(&checksum.to_be_bytes());
-        body.extend_from_slice(&(data.len() as u64).to_be_bytes());
-        // One buffer, one write: framed metadata record, then the raw
-        // payload out-of-frame (see the module docs for why).
-        let mut framed = Vec::with_capacity(RECORD_HEADER_BYTES + 24 + data.len());
-        append_record(&mut framed, REC_PUT, &body);
-        framed.extend_from_slice(data);
+    /// Appends the PUT records of a batch and indexes them — the shared
+    /// zero-time half of every put path (cost is booked by the callers).
+    /// All records bound for one slot are framed into one buffer and
+    /// appended with one write (and, when the fsync policy says so, one
+    /// sync): a batch costs one append per touched slot however many
+    /// chunks it carries. One outcome per item, in order: a reused chunk
+    /// id — chunk ids are never reused, so a caller bug — is refused
+    /// alone, and a failed append fails the records of that slot only.
+    fn install_batch<'a>(
+        &self,
+        items: impl Iterator<Item = (ChunkId, &'a Bytes)> + Clone,
+    ) -> Vec<Result<()>> {
+        /// One framed record awaiting its slot's append.
+        struct Framed {
+            item: usize,
+            chunk: ChunkId,
+            /// Offset of the payload inside the slot's buffer.
+            payload_at: u64,
+            len: u64,
+            checksum: u64,
+        }
+        // Each slot's buffer is sized once, for exactly its records.
+        let mut sizes = vec![0usize; self.slots.len()];
+        for (chunk, data) in items.clone() {
+            sizes[self.slot_of(chunk)] += PUT_FRAME_BYTES as usize + data.len();
+        }
+        let mut buffers: Vec<Vec<u8>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        let mut framed: Vec<Vec<Framed>> = (0..self.slots.len()).map(|_| Vec::new()).collect();
+        let mut outcomes = Vec::new();
+        let mut batch_ids = HashSet::new();
 
         let mut index = self.index.write();
-        if index.contains_key(&chunk) {
-            return Err(Error::Internal(format!(
-                "chunk id {chunk} reused on {}",
-                self.id
-            )));
-        }
-        let record_offset = {
-            let mut slot = self.slots[s].lock();
-            let at = slot.append(&framed, self.fsync, "part append")?;
-            slot.live_bytes += framed.len() as u64;
-            at
-        };
-        index.insert(
-            chunk,
-            IndexEntry {
-                slot: s as u32,
-                payload_offset: record_offset + PUT_FRAME_BYTES,
+        for (item, (chunk, data)) in items.enumerate() {
+            if index.contains_key(&chunk) || !batch_ids.insert(chunk) {
+                outcomes.push(Err(Error::Internal(format!(
+                    "chunk id {chunk} reused on {}",
+                    self.id
+                ))));
+                continue;
+            }
+            outcomes.push(Ok(()));
+            let checksum = chunk_checksum(data);
+            let mut body = [0u8; 24];
+            body[..8].copy_from_slice(&chunk.raw().to_be_bytes());
+            body[8..16].copy_from_slice(&checksum.to_be_bytes());
+            body[16..].copy_from_slice(&(data.len() as u64).to_be_bytes());
+            // Framed metadata record, then the raw payload out-of-frame
+            // (see the module docs for why).
+            let s = self.slot_of(chunk);
+            append_record(&mut buffers[s], REC_PUT, &body);
+            framed[s].push(Framed {
+                item,
+                chunk,
+                payload_at: buffers[s].len() as u64,
                 len: data.len() as u64,
                 checksum,
-            },
-        );
-        drop(index);
-        self.bytes_stored
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.max_chunk_seen
-            .fetch_max(chunk.raw() + 1, Ordering::Relaxed);
-        Ok(())
+            });
+            buffers[s].extend_from_slice(data);
+        }
+        for (s, (buffer, framed)) in buffers.iter().zip(framed).enumerate() {
+            if framed.is_empty() {
+                continue;
+            }
+            let appended = {
+                let mut slot = self.slots[s].lock();
+                let appended = slot.append(buffer, self.fsync, "part append");
+                if appended.is_ok() {
+                    slot.live_bytes += buffer.len() as u64;
+                }
+                appended
+            };
+            match appended {
+                Ok(at) => {
+                    for record in framed {
+                        index.insert(
+                            record.chunk,
+                            IndexEntry {
+                                slot: s as u32,
+                                payload_offset: at + record.payload_at,
+                                len: record.len,
+                                checksum: record.checksum,
+                            },
+                        );
+                        self.bytes_stored.fetch_add(record.len, Ordering::Relaxed);
+                        self.max_chunk_seen
+                            .fetch_max(record.chunk.raw() + 1, Ordering::Relaxed);
+                    }
+                }
+                Err(e) => {
+                    for record in framed {
+                        outcomes[record.item] = Err(e.clone());
+                    }
+                }
+            }
+        }
+        outcomes
+    }
+
+    /// [`Self::install_batch`] of one chunk.
+    fn install(&self, chunk: ChunkId, data: &Bytes) -> Result<()> {
+        self.install_batch(std::iter::once((chunk, data)))
+            .pop()
+            .expect("one item in, one outcome out")
     }
 
     fn lookup(&self, chunk: ChunkId) -> Result<IndexEntry> {
@@ -432,6 +493,14 @@ impl DiskProvider {
     ) -> Result<(Bytes, SimTime)> {
         self.check_alive()?;
         let entry = self.lookup(chunk)?;
+        let sent = self.book_get(entry, arrival, range)?;
+        Ok((self.read_payload(entry, range)?, sent))
+    }
+
+    /// Bounds-checks a ranged get against its chunk and books the disk
+    /// read, then the NIC send-out, from `arrival`; returns the instant
+    /// the last byte leaves. An out-of-bounds range books nothing.
+    fn book_get(&self, entry: IndexEntry, arrival: SimTime, range: ByteRange) -> Result<SimTime> {
         if range.end() > entry.len {
             return Err(Error::OutOfBounds {
                 requested_end: range.end(),
@@ -441,10 +510,86 @@ impl DiskProvider {
         let disk_done = self
             .disk
             .reserve(arrival, self.cost.disk_transfer(range.len));
-        let nic_done = self
+        Ok(self
             .nic
-            .reserve(disk_done, self.cost.net_transfer(range.len));
-        Ok((self.read_payload(entry, range)?, nic_done))
+            .reserve(disk_done, self.cost.net_transfer(range.len)))
+    }
+
+    /// Reservation-based put of a batch: every item is booked exactly as
+    /// [`Self::put_chunk_at`] books it, in order, and the records reach
+    /// the part files with one append — and at most one sync — per
+    /// touched slot, however many chunks the batch carries.
+    pub fn put_batch_at(&self, items: &[(SimTime, ChunkId, Bytes)]) -> Vec<Result<SimTime>> {
+        if let Err(e) = self.check_alive() {
+            return vec![Err(e); items.len()];
+        }
+        let booked: Vec<SimTime> = items
+            .iter()
+            .map(|(arrival, _, data)| {
+                let len = data.len() as u64;
+                let nic_done = self.nic.reserve(*arrival, self.cost.net_transfer(len));
+                self.disk.reserve(nic_done, self.cost.disk_transfer(len))
+            })
+            .collect();
+        self.install_batch(items.iter().map(|(_, chunk, data)| (*chunk, data)))
+            .into_iter()
+            .zip(booked)
+            .map(|(installed, done)| installed.map(|()| done))
+            .collect()
+    }
+
+    /// Reservation-based ranged get of a batch: lookups, bounds checks
+    /// and bookings are those of [`Self::get_chunk_range_at`], item by
+    /// item in order; the payloads are then `pread` straight into one
+    /// buffer the returned slices share. The index is held (shared) for
+    /// the whole batch, so a compaction cannot move a payload between
+    /// its lookup and its read.
+    pub fn get_range_batch_at(
+        &self,
+        items: &[(SimTime, ChunkId, ByteRange)],
+    ) -> Vec<Result<(Bytes, SimTime)>> {
+        if let Err(e) = self.check_alive() {
+            return vec![Err(e); items.len()];
+        }
+        let index = self.index.read();
+        // Per item: where its payload sits on disk, where it goes in the
+        // shared buffer, and when its last byte leaves.
+        let mut total = 0usize;
+        let mut planned: Vec<Result<(IndexEntry, usize, SimTime)>> = items
+            .iter()
+            .map(|&(arrival, chunk, range)| {
+                let entry = index.get(&chunk).copied().ok_or(Error::ChunkNotFound {
+                    provider: self.id,
+                    chunk,
+                })?;
+                let sent = self.book_get(entry, arrival, range)?;
+                let at = total;
+                total += range.len as usize;
+                Ok((entry, at, sent))
+            })
+            .collect();
+        let mut buf = vec![0u8; total];
+        for (plan, &(_, _, range)) in planned.iter_mut().zip(items) {
+            if let Ok((entry, at, _)) = *plan {
+                let read = self.slots[entry.slot as usize].lock().read_exact_at(
+                    entry.payload_offset + range.offset,
+                    &mut buf[at..at + range.len as usize],
+                    "part read",
+                );
+                if let Err(e) = read {
+                    *plan = Err(e);
+                }
+            }
+        }
+        drop(index);
+        let buf = Bytes::from(buf);
+        planned
+            .into_iter()
+            .zip(items)
+            .map(|(plan, &(_, _, range))| {
+                plan.map(|(_, at, sent)| (buf.slice(at..at + range.len as usize), sent))
+            })
+            .collect()
     }
 
     /// Fetches a whole chunk.
@@ -781,6 +926,17 @@ impl ChunkStore for DiskProvider {
         range: ByteRange,
     ) -> Result<(Bytes, SimTime)> {
         DiskProvider::get_chunk_range_at(self, arrival, chunk, range)
+    }
+
+    fn put_batch_at(&self, items: &[(SimTime, ChunkId, Bytes)]) -> Vec<Result<SimTime>> {
+        DiskProvider::put_batch_at(self, items)
+    }
+
+    fn get_range_batch_at(
+        &self,
+        items: &[(SimTime, ChunkId, ByteRange)],
+    ) -> Vec<Result<(Bytes, SimTime)>> {
+        DiskProvider::get_range_batch_at(self, items)
     }
 
     fn has_chunk(&self, chunk: ChunkId) -> bool {
@@ -1131,6 +1287,222 @@ mod tests {
         assert_eq!(prov.dead_bytes(), 0);
         let (res, _) = run_actors(1, |_, p| prov.get_chunk(p, ChunkId::new(15)));
         assert_eq!(res[0].as_ref().unwrap().as_ref(), &[15u8; 256][..]);
+    }
+
+    /// `n` chunks of `len` bytes, ids from `first`, chunk `i` filled with `i`.
+    fn batch(first: u64, n: u64, len: usize) -> Vec<(SimTime, ChunkId, Bytes)> {
+        (first..first + n)
+            .map(|i| (0, ChunkId::new(i), Bytes::from(vec![i as u8; len])))
+            .collect()
+    }
+
+    fn open_with(dir: &Path, cost: CostModel, fsync: FsyncPolicy) -> DiskProvider {
+        DiskProvider::open(
+            dir,
+            ProviderId::new(0),
+            cost,
+            Arc::new(FaultInjector::default()),
+            fsync,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn batch_put_reports_per_item_and_survives_reopen() {
+        let tmp = TempDir::new("atomio-diskprov");
+        {
+            let prov = open(tmp.path());
+            assert!(prov
+                .put_batch_at(&batch(0, 66, 2048))
+                .iter()
+                .all(|r| r.is_ok()));
+            // A reused id — already stored, or repeated inside the batch
+            // — is refused alone; its neighbours land.
+            let mut second = batch(64, 4, 2048); // 64, 65 exist; 66, 67 new
+            second.push(second[3].clone()); // 67 again
+            let outcomes = prov.put_batch_at(&second);
+            assert!(matches!(outcomes[0], Err(Error::Internal(_))));
+            assert!(matches!(outcomes[1], Err(Error::Internal(_))));
+            assert_eq!(outcomes[2], Ok(0));
+            assert_eq!(outcomes[3], Ok(0));
+            assert!(matches!(outcomes[4], Err(Error::Internal(_))));
+            assert_eq!(prov.chunk_count(), 68);
+            assert_eq!(prov.bytes_stored(), 68 * 2048);
+            // Hard drop: no flush, no close protocol.
+        }
+        let prov = open(tmp.path());
+        assert_eq!(prov.chunk_count(), 68);
+        assert_eq!(prov.bytes_stored(), 68 * 2048);
+        assert_eq!(prov.max_chunk_id(), Some(ChunkId::new(67)));
+        assert_eq!(prov.dead_bytes(), 0, "refused items wrote nothing");
+        // First write won: the stored 64 is the first batch's.
+        let gets = prov.get_range_batch_at(&[
+            (0, ChunkId::new(64), ByteRange::new(0, 2048)),
+            (0, ChunkId::new(67), ByteRange::new(2040, 8)),
+        ]);
+        assert_eq!(gets[0].as_ref().unwrap().0.as_ref(), &[64u8; 2048][..]);
+        assert_eq!(gets[1].as_ref().unwrap().0.as_ref(), &[67u8; 8][..]);
+    }
+
+    #[test]
+    fn batch_get_matches_per_item_gets() {
+        let tmp = TempDir::new("atomio-diskprov");
+        let prov = open(tmp.path());
+        prov.put_batch_at(&batch(0, 8, 100));
+        let items = [
+            (0, ChunkId::new(3), ByteRange::new(10, 50)),
+            (0, ChunkId::new(99), ByteRange::new(0, 1)), // missing
+            (0, ChunkId::new(5), ByteRange::new(90, 20)), // out of bounds
+            (0, ChunkId::new(7), ByteRange::new(0, 100)),
+            (0, ChunkId::new(3), ByteRange::new(0, 0)), // empty
+        ];
+        let batched = prov.get_range_batch_at(&items);
+        let single: Vec<_> = items
+            .iter()
+            .map(|&(arrival, chunk, range)| prov.get_chunk_range_at(arrival, chunk, range))
+            .collect();
+        assert_eq!(batched, single);
+        assert!(matches!(batched[1], Err(Error::ChunkNotFound { .. })));
+        assert!(matches!(batched[2], Err(Error::OutOfBounds { .. })));
+    }
+
+    #[test]
+    fn batch_booking_matches_per_item_booking() {
+        // The override must book exactly what the default per-item loop
+        // books: same completion instants, same device busy times.
+        let (tmp_a, tmp_b) = (
+            TempDir::new("atomio-diskprov"),
+            TempDir::new("atomio-diskprov"),
+        );
+        let open_costed = |dir: &Path| open_with(dir, CostModel::grid5000(), FsyncPolicy::Deferred);
+        let (batched, looped) = (open_costed(tmp_a.path()), open_costed(tmp_b.path()));
+        let puts: Vec<_> = (0..20u64)
+            .map(|i| {
+                let data = Bytes::from(vec![i as u8; 1000 + 300 * i as usize]);
+                (i * 7_000, ChunkId::new(i % 18), data) // two reused ids
+            })
+            .collect();
+        let gets: Vec<_> = (0..20u64)
+            .map(|i| (1_000_000 + i * 500, ChunkId::new(i), ByteRange::new(i, 900)))
+            .collect();
+        let put_a = batched.put_batch_at(&puts);
+        let put_b: Vec<_> = puts
+            .iter()
+            .map(|(arrival, chunk, data)| looped.put_chunk_at(*arrival, *chunk, data.clone()))
+            .collect();
+        assert_eq!(put_a, put_b);
+        let get_a = batched.get_range_batch_at(&gets);
+        let get_b: Vec<_> = gets
+            .iter()
+            .map(|&(arrival, chunk, range)| looped.get_chunk_range_at(arrival, chunk, range))
+            .collect();
+        assert_eq!(get_a, get_b);
+        assert_eq!(batched.disk().busy_time(), looped.disk().busy_time());
+        assert_eq!(batched.nic().busy_time(), looped.nic().busy_time());
+        assert_eq!(batched.slot_usage(), looped.slot_usage());
+    }
+
+    #[test]
+    fn batch_put_appends_and_syncs_once_per_touched_slot() {
+        let unsynced = |prov: &DiskProvider| -> Vec<u32> {
+            prov.slots.iter().map(|s| s.lock().unsynced).collect()
+        };
+        // Deferred never syncs, so the counter counts appends: a
+        // 66-chunk batch is one append per touched slot, where the same
+        // chunks put one by one are 66.
+        let tmp = TempDir::new("atomio-diskprov");
+        let prov = open_with(tmp.path(), CostModel::zero(), FsyncPolicy::Deferred);
+        prov.put_batch_at(&batch(0, 66, 2048));
+        let appends = unsynced(&prov);
+        assert!(appends.iter().all(|&n| n <= 1), "{appends:?}");
+        assert!(appends.iter().sum::<u32>() <= DEFAULT_SLOTS);
+        for (arrival, chunk, data) in batch(100, 66, 2048) {
+            prov.put_chunk_at(arrival, chunk, data).unwrap();
+        }
+        assert_eq!(
+            unsynced(&prov).iter().sum::<u32>() - appends.iter().sum::<u32>(),
+            66
+        );
+        // PerPublish syncs every append — so at most one sync per
+        // touched slot per batch — and leaves nothing unsynced behind.
+        let tmp = TempDir::new("atomio-diskprov");
+        let prov = open_with(tmp.path(), CostModel::zero(), FsyncPolicy::PerPublish);
+        prov.put_batch_at(&batch(0, 66, 2048));
+        assert!(unsynced(&prov).iter().all(|&n| n == 0));
+    }
+
+    #[test]
+    fn torn_batch_append_truncates_to_the_last_whole_record() {
+        let tmp = TempDir::new("atomio-diskprov");
+        let acked = batch(0, 24, 512);
+        let torn = batch(100, 48, 512);
+        let (slot, keep, part) = {
+            let prov = open_with(tmp.path(), CostModel::zero(), FsyncPolicy::Deferred);
+            assert!(prov.put_batch_at(&acked).iter().all(|r| r.is_ok()));
+            let before = prov.slot_usage();
+            assert!(prov.put_batch_at(&torn).iter().all(|r| r.is_ok()));
+            // Tear the slot that got the most records of the second
+            // batch, in the middle of that batch's single write: one
+            // whole record survives, the second loses its last byte.
+            let slot = (0..prov.slots.len())
+                .max_by_key(|&s| prov.slot_usage()[s].file_bytes - before[s].file_bytes)
+                .unwrap();
+            let record = PUT_FRAME_BYTES + 512;
+            assert!(prov.slot_usage()[slot].file_bytes - before[slot].file_bytes >= 2 * record);
+            let keep = before[slot].file_bytes + 2 * record - 1;
+            let part = tmp
+                .path()
+                .join("slots")
+                .join(format!("{slot:03}"))
+                .join("000.part");
+            (slot, keep, part)
+        };
+        OpenOptions::new()
+            .write(true)
+            .open(&part)
+            .unwrap()
+            .set_len(keep)
+            .unwrap();
+
+        let prov = open(tmp.path());
+        // Every chunk of the acknowledged batch is back, whole.
+        for (_, chunk, data) in &acked {
+            let (got, _) = prov
+                .get_chunk_range_at(0, *chunk, ByteRange::new(0, 512))
+                .unwrap();
+            assert_eq!(&got, data);
+        }
+        // Of the torn batch the torn slot keeps exactly its first
+        // record; the other slots' writes were whole and keep theirs.
+        let survivors: Vec<ChunkId> = torn
+            .iter()
+            .map(|(_, chunk, _)| *chunk)
+            .filter(|chunk| prov.has_chunk(*chunk))
+            .collect();
+        let in_torn_slot = |chunk: &&ChunkId| prov.slot_of(**chunk) == slot;
+        assert_eq!(survivors.iter().filter(in_torn_slot).count(), 1);
+        let lost = torn.len() - survivors.len();
+        assert_eq!(
+            lost,
+            torn.iter()
+                .filter(|(_, c, _)| prov.slot_of(*c) == slot)
+                .count()
+                - 1
+        );
+        // The accounting is what a rescan of the truncated files finds:
+        // no dead bytes, and a second reopen changes nothing.
+        let live = (acked.len() + survivors.len()) as u64;
+        assert_eq!(prov.chunk_count() as u64, live);
+        assert_eq!(prov.bytes_stored(), live * 512);
+        assert_eq!(prov.dead_bytes(), 0);
+        assert_eq!(
+            prov.slot_usage()[slot].file_bytes,
+            keep - (PUT_FRAME_BYTES + 512 - 1),
+            "the torn record is truncated away"
+        );
+        let usage = prov.slot_usage();
+        drop(prov);
+        assert_eq!(open(tmp.path()).slot_usage(), usage);
     }
 
     #[test]

@@ -168,6 +168,14 @@ impl ProviderManager {
 
     /// Chooses a home provider for one new chunk.
     pub fn allocate_one(&self) -> ProviderId {
+        self.allocate_one_planned(&[])
+    }
+
+    /// [`Self::allocate_one`] while a batch is being planned: `planned[i]`
+    /// bytes are already assigned to provider `i` by earlier items of the
+    /// batch and count as stored, so `LeastLoaded` spreads a batch the way
+    /// it spreads the same puts issued one by one.
+    fn allocate_one_planned(&self, planned: &[u64]) -> ProviderId {
         match self.strategy {
             AllocationStrategy::RoundRobin => {
                 let i = self.rr_cursor.fetch_add(1, Ordering::Relaxed);
@@ -176,8 +184,9 @@ impl ProviderManager {
             AllocationStrategy::LeastLoaded => self
                 .providers
                 .iter()
-                .min_by_key(|p| p.bytes_stored())
-                .map(|p| p.id())
+                .zip(planned.iter().chain(std::iter::repeat(&0)))
+                .min_by_key(|(p, planned)| p.bytes_stored() + **planned)
+                .map(|(p, _)| p.id())
                 .expect("fleet is non-empty"),
             AllocationStrategy::Random => {
                 ProviderId::new(self.rng.next_below(self.providers.len() as u64))
@@ -189,9 +198,13 @@ impl ProviderManager {
     /// first. Falls back to fewer when the fleet is smaller than the
     /// requested replication factor.
     pub fn allocate_replicas(&self, replicas: usize) -> Vec<ProviderId> {
+        self.allocate_replicas_planned(replicas, &[])
+    }
+
+    fn allocate_replicas_planned(&self, replicas: usize, planned: &[u64]) -> Vec<ProviderId> {
         let n = self.providers.len();
         let want = replicas.max(1).min(n);
-        let primary = self.allocate_one();
+        let primary = self.allocate_one_planned(planned);
         let mut out = Vec::with_capacity(want);
         out.push(primary);
         let mut next = primary.raw();
@@ -299,20 +312,31 @@ impl ProviderManager {
 
     /// Stores a batch of chunks with replication, pipelined.
     ///
-    /// Every replica copy of every chunk is *booked* up front through the
-    /// reservation API and the calling client sleeps exactly once, to the
-    /// latest completion in the batch. The cost model: the RPC round
-    /// trips of the whole batch overlap (the List-I/O effect — requests
-    /// are issued back to back, so one round-trip latency offsets them
-    /// all); each copy then serializes through the client's own NIC
-    /// (injection order = batch order) and cuts through to the target
-    /// provider's NIC and disk. Placement and quorum semantics are those
-    /// of [`Self::put_replicated`], evaluated independently per chunk.
+    /// The batch is the unit of the data plane, end to end:
     ///
-    /// Returns one outcome per input chunk, in order: the surviving homes
-    /// on success, [`Error::InsufficientReplicas`] when fault injection
-    /// left a chunk under quorum. Homes that are already failed when the
-    /// batch is issued cost nothing, as in the serial path.
+    /// 1. **Plan** — every chunk is allocated its homes and every replica
+    ///    copy is *booked* on the calling client's NIC, in batch order.
+    ///    The cost model: the RPC round trips of the whole batch overlap
+    ///    (the List-I/O effect — requests are issued back to back, so one
+    ///    round-trip latency offsets them all); each copy then serializes
+    ///    through the client's own NIC and cuts through to the target
+    ///    provider's NIC and disk. Homes that are already failed when the
+    ///    batch is issued book nothing.
+    /// 2. **Group** — the copies are grouped by target provider, keeping
+    ///    batch order inside each group (a provider books its devices in
+    ///    the order a per-chunk loop would).
+    /// 3. **Batch** — one [`ChunkStore::put_batch_at`] per provider: one
+    ///    frame per remote provider, not one round trip per chunk.
+    /// 4. **Scatter** — the per-copy outcomes go back to their chunks.
+    ///    Placement and quorum semantics are those of
+    ///    [`Self::put_replicated`], evaluated independently per chunk: a
+    ///    dead or unreachable home costs that copy only.
+    ///
+    /// The caller sleeps exactly once, to the latest completion in the
+    /// batch. Returns one outcome per input chunk, in order: the
+    /// surviving homes (allocation order, primary first) on success,
+    /// [`Error::InsufficientReplicas`] when fewer than `max(min_ok, 1)`
+    /// copies landed.
     pub fn put_batch_replicated(
         &self,
         p: &Participant,
@@ -322,113 +346,199 @@ impl ProviderManager {
     ) -> Vec<Result<Vec<ProviderId>>> {
         let client_nic = self.client_nic(p);
         let now = p.now_ns();
-        let mut latest = now;
-        let mut outcomes = Vec::with_capacity(items.len());
-        for (chunk, data) in items {
-            let homes = self.allocate_replicas(replicas);
-            let mut placed = Vec::new();
-            let mut fatal = None;
-            for &home in &homes {
-                let prov = match self.provider(home) {
-                    Ok(prov) => prov,
-                    Err(e) => {
-                        fatal = Some(e);
-                        break;
-                    }
-                };
+        let fleet = self.providers.len();
+
+        /// One replica copy on its way to a provider: which chunk of the
+        /// batch, which of that chunk's homes, and when its last byte
+        /// leaves the client.
+        struct Copy {
+            item: usize,
+            rank: usize,
+            inj_done: u64,
+        }
+        // Per chunk: its homes in allocation order, each with whether
+        // its copy landed.
+        let mut homes: Vec<Vec<(ProviderId, bool)>> = Vec::with_capacity(items.len());
+        let mut planned = vec![0u64; fleet];
+        let mut groups: Vec<Vec<(u64, ChunkId, Bytes)>> = vec![Vec::new(); fleet];
+        let mut copies: Vec<Vec<Copy>> = (0..fleet).map(|_| Vec::new()).collect();
+        for (item, (chunk, data)) in items.iter().enumerate() {
+            let chunk_homes = self.allocate_replicas_planned(replicas, &planned);
+            for (rank, &home) in chunk_homes.iter().enumerate() {
                 // A home that is already down books nothing, mirroring
                 // the serial path's up-front liveness check.
                 if self.faults.is_failed(home) {
                     continue;
                 }
-                let net_ns = prov.cost().net_transfer(data.len() as u64).as_nanos() as u64;
-                let arrival = now + prov.cost().rpc_round_trip().as_nanos() as u64;
+                let h = home.raw() as usize;
+                let cost = self.providers[h].cost();
+                let net_ns = cost.net_transfer(data.len() as u64).as_nanos() as u64;
+                let arrival = now + cost.rpc_round_trip().as_nanos() as u64;
                 let inj_done = client_nic.reserve_ns(arrival, net_ns);
                 // Cut-through: the provider starts receiving when the
                 // first byte leaves the client, not when the last does.
-                let inj_start = inj_done - net_ns;
-                match prov.put_chunk_at(inj_start, *chunk, data.clone()) {
+                groups[h].push((inj_done - net_ns, *chunk, data.clone()));
+                copies[h].push(Copy {
+                    item,
+                    rank,
+                    inj_done,
+                });
+                planned[h] += data.len() as u64;
+            }
+            homes.push(chunk_homes.into_iter().map(|home| (home, false)).collect());
+        }
+
+        let mut latest = now;
+        let mut fatal: Vec<Option<Error>> = vec![None; items.len()];
+        for ((store, group), copies) in self.providers.iter().zip(&groups).zip(&copies) {
+            if group.is_empty() {
+                continue;
+            }
+            for (copy, result) in copies.iter().zip(store.put_batch_at(group)) {
+                match result {
                     Ok(done) => {
-                        placed.push(home);
-                        latest = latest.max(done).max(inj_done);
+                        homes[copy.item][copy.rank].1 = true;
+                        latest = latest.max(done).max(copy.inj_done);
                     }
-                    Err(Error::ProviderFailed(_) | Error::Transport { .. }) => continue,
+                    // A dead home or an unreachable one (transport failure
+                    // on the remote path) costs this copy only — the
+                    // chunk's other homes may still make quorum.
+                    Err(Error::ProviderFailed(_) | Error::Transport { .. }) => {}
                     Err(e) => {
-                        fatal = Some(e);
-                        break;
+                        fatal[copy.item].get_or_insert(e);
                     }
                 }
             }
-            outcomes.push(match fatal {
-                Some(e) => Err(e),
-                None if placed.len() < min_ok.max(1) => Err(Error::InsufficientReplicas {
-                    wanted: min_ok.max(1),
-                    placed: placed.len(),
-                }),
-                None => Ok(placed),
-            });
         }
         p.sleep_until_ns(latest);
-        outcomes
+
+        let wanted = min_ok.max(1);
+        homes
+            .into_iter()
+            .zip(fatal)
+            .map(|(homes, fatal)| {
+                if let Some(e) = fatal {
+                    return Err(e);
+                }
+                let placed: Vec<ProviderId> = homes
+                    .into_iter()
+                    .filter_map(|(home, landed)| landed.then_some(home))
+                    .collect();
+                if placed.len() < wanted {
+                    return Err(Error::InsufficientReplicas {
+                        wanted,
+                        placed: placed.len(),
+                    });
+                }
+                Ok(placed)
+            })
+            .collect()
     }
 
     /// Reads a batch of chunk ranges, pipelined, failing over across each
     /// request's replica homes in order.
     ///
-    /// The mirror image of [`Self::put_batch_replicated`]: all requests
-    /// share one overlapped RPC offset, each provider books its disk and
-    /// NIC through the reservation API, and the payload cuts through to
-    /// the client's reception NIC, which serializes arrivals. The caller
-    /// sleeps once, to the latest reception. Returns one outcome per
-    /// request, in order; per-request errors are those of
+    /// The mirror image of [`Self::put_batch_replicated`]: every request
+    /// is planned onto its first home, the requests are grouped by
+    /// provider (request order kept inside a group) and each provider
+    /// serves its group in one [`ChunkStore::get_range_batch_at`]. All
+    /// requests share one overlapped RPC offset; each provider books its
+    /// disk and NIC through the reservation API. Requests whose home
+    /// turned out down, unreachable or without the chunk regroup onto
+    /// their next home in a further round — one more batch call per
+    /// provider still involved, never one per request. Once every request
+    /// is settled the payloads cut through to the client's reception NIC,
+    /// which serializes arrivals in request order, and the caller sleeps
+    /// once, to the latest reception. Returns one outcome per request, in
+    /// order; per-request errors are those of
     /// [`Self::get_with_failover`], and failed lookups book nothing.
     pub fn get_batch_with_failover(
         &self,
         p: &Participant,
         requests: &[GetRequest],
     ) -> Vec<Result<Bytes>> {
-        let client_nic = self.client_nic(p);
         let now = p.now_ns();
-        let mut latest = now;
-        let mut outcomes = Vec::with_capacity(requests.len());
-        for req in requests {
-            let mut verdict = None;
-            let mut last_err = Error::Internal(format!("no homes recorded for {}", req.chunk));
-            for &home in &req.homes {
-                let prov = match self.provider(home) {
-                    Ok(prov) => prov,
-                    Err(e) => {
-                        verdict = Some(Err(e));
-                        break;
-                    }
+        let fleet = self.providers.len();
+        // Settled requests: the payload, when its last byte left the
+        // provider, and which provider's link it crosses.
+        let mut verdicts: Vec<Option<Result<(Bytes, u64, usize)>>> = vec![None; requests.len()];
+        let mut last_err: Vec<Option<Error>> = vec![None; requests.len()];
+        let mut open: Vec<usize> = (0..requests.len()).collect();
+        let mut round = 0;
+        while !open.is_empty() {
+            let mut groups: Vec<Vec<(u64, ChunkId, ByteRange)>> = vec![Vec::new(); fleet];
+            let mut members: Vec<Vec<usize>> = vec![Vec::new(); fleet];
+            for &i in &open {
+                let req = &requests[i];
+                let Some(&home) = req.homes.get(round) else {
+                    let e = last_err[i].take().unwrap_or_else(|| {
+                        Error::Internal(format!("no homes recorded for {}", req.chunk))
+                    });
+                    verdicts[i] = Some(Err(e));
+                    continue;
                 };
-                let arrival = now + prov.cost().rpc_round_trip().as_nanos() as u64;
-                match prov.get_chunk_range_at(arrival, req.chunk, req.range) {
-                    Ok((data, sent)) => {
-                        let net_ns = prov.cost().net_transfer(req.range.len).as_nanos() as u64;
-                        // Reception occupies the client NIC for the
-                        // transfer time, ending no earlier than the last
-                        // byte leaves the provider.
-                        let recv_done = client_nic.reserve_ns(sent.saturating_sub(net_ns), net_ns);
-                        latest = latest.max(recv_done);
-                        verdict = Some(Ok(data));
-                        break;
+                match self.provider(home) {
+                    Ok(store) => {
+                        let h = home.raw() as usize;
+                        let arrival = now + store.cost().rpc_round_trip().as_nanos() as u64;
+                        groups[h].push((arrival, req.chunk, req.range));
+                        members[h].push(i);
                     }
-                    Err(
-                        e @ (Error::ProviderFailed(_)
-                        | Error::ChunkNotFound { .. }
-                        | Error::Transport { .. }),
-                    ) => {
-                        last_err = e;
-                    }
-                    Err(e) => {
-                        verdict = Some(Err(e));
-                        break;
+                    Err(e) => verdicts[i] = Some(Err(e)),
+                }
+            }
+            open.clear();
+            for (h, (group, members)) in groups.iter().zip(&members).enumerate() {
+                if group.is_empty() {
+                    continue;
+                }
+                let results = self.providers[h].get_range_batch_at(group);
+                for (&i, result) in members.iter().zip(results) {
+                    match result {
+                        Ok((data, sent)) => verdicts[i] = Some(Ok((data, sent, h))),
+                        // Retriable per-home outcomes: the replica is
+                        // down, lost the chunk, or is unreachable over the
+                        // transport (the typed kind — timeout vs refused
+                        // vs injected loss — is preserved for the caller's
+                        // retry policy if no later home answers).
+                        Err(
+                            e @ (Error::ProviderFailed(_)
+                            | Error::ChunkNotFound { .. }
+                            | Error::Transport { .. }),
+                        ) => {
+                            last_err[i] = Some(e);
+                            open.push(i);
+                        }
+                        Err(e) => verdicts[i] = Some(Err(e)),
                     }
                 }
             }
-            outcomes.push(verdict.unwrap_or(Err(last_err)));
+            // Groups were served provider by provider; the next round
+            // plans in request order again.
+            open.sort_unstable();
+            round += 1;
         }
+
+        let client_nic = self.client_nic(p);
+        let mut latest = now;
+        let outcomes = verdicts
+            .into_iter()
+            .zip(requests)
+            .map(|(verdict, req)| {
+                let (data, sent, h) =
+                    verdict.expect("every request settles before the loop ends")?;
+                let net_ns = self.providers[h]
+                    .cost()
+                    .net_transfer(req.range.len)
+                    .as_nanos() as u64;
+                // Reception occupies the client NIC for the transfer
+                // time, ending no earlier than the last byte leaves the
+                // provider.
+                let recv_done = client_nic.reserve_ns(sent.saturating_sub(net_ns), net_ns);
+                latest = latest.max(recv_done);
+                Ok(data)
+            })
+            .collect();
         p.sleep_until_ns(latest);
         outcomes
     }
@@ -443,7 +553,6 @@ impl ProviderManager {
 mod tests {
     use super::*;
     use atomio_simgrid::clock::run_actors;
-    use atomio_types::ByteRange;
 
     fn mgr(n: usize, strategy: AllocationStrategy) -> ProviderManager {
         ProviderManager::new(
@@ -701,6 +810,158 @@ mod tests {
         for (i, outcome) in res[0].iter().enumerate() {
             assert_eq!(outcome.as_ref().unwrap().as_ref(), &[i as u8 + 1; 8][..]);
         }
+    }
+
+    #[test]
+    fn batch_put_reports_homes_in_allocation_order() {
+        // Chunk 3's primary is the last provider and its replica wraps
+        // to provider 0: the outcome lists primary first (reads fail
+        // over in that order), not fleet order.
+        let m = mgr(4, AllocationStrategy::RoundRobin);
+        let items: Vec<(ChunkId, Bytes)> = (0..4)
+            .map(|i| (ChunkId::new(i), Bytes::from(vec![0u8; 8])))
+            .collect();
+        let (res, _) = run_actors(1, |_, p| m.put_batch_replicated(p, &items, 2, 2));
+        assert_eq!(res[0][3], Ok(vec![ProviderId::new(3), ProviderId::new(0)]));
+    }
+
+    #[test]
+    fn least_loaded_plans_a_batch_like_single_puts() {
+        // All homes of a batch are chosen before any byte lands; the
+        // plan must still count what it has already assigned.
+        let sizes = [900usize, 100, 500, 300, 700, 200, 400];
+        let single = mgr(3, AllocationStrategy::LeastLoaded);
+        let batched = mgr(3, AllocationStrategy::LeastLoaded);
+        let items: Vec<(ChunkId, Bytes)> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| (ChunkId::new(i as u64), Bytes::from(vec![0u8; len])))
+            .collect();
+        let (one_by_one, _) = run_actors(1, |_, p| {
+            items
+                .iter()
+                .map(|(chunk, data)| single.put_replicated(p, *chunk, data, 2, 2))
+                .collect::<Vec<_>>()
+        });
+        let (in_one_batch, _) = run_actors(1, |_, p| batched.put_batch_replicated(p, &items, 2, 2));
+        assert_eq!(one_by_one[0], in_one_batch[0]);
+    }
+
+    /// Forwards to a [`DataProvider`], counting the batch calls.
+    #[derive(Debug)]
+    struct CountingStore {
+        inner: DataProvider,
+        get_batches: AtomicU64,
+    }
+
+    impl ChunkStore for CountingStore {
+        fn get_range_batch_at(
+            &self,
+            items: &[(u64, ChunkId, ByteRange)],
+        ) -> Vec<Result<(Bytes, u64)>> {
+            self.get_batches.fetch_add(1, Ordering::Relaxed);
+            self.inner.get_range_batch_at(items)
+        }
+        fn id(&self) -> ProviderId {
+            self.inner.id()
+        }
+        fn put_chunk(&self, p: &Participant, chunk: ChunkId, data: Bytes) -> Result<()> {
+            self.inner.put_chunk(p, chunk, data)
+        }
+        fn put_chunk_at(&self, arrival: u64, chunk: ChunkId, data: Bytes) -> Result<u64> {
+            self.inner.put_chunk_at(arrival, chunk, data)
+        }
+        fn get_chunk(&self, p: &Participant, chunk: ChunkId) -> Result<Bytes> {
+            self.inner.get_chunk(p, chunk)
+        }
+        fn get_chunk_range(&self, p: &Participant, c: ChunkId, r: ByteRange) -> Result<Bytes> {
+            self.inner.get_chunk_range(p, c, r)
+        }
+        fn get_chunk_range_at(&self, a: u64, c: ChunkId, r: ByteRange) -> Result<(Bytes, u64)> {
+            self.inner.get_chunk_range_at(a, c, r)
+        }
+        fn has_chunk(&self, chunk: ChunkId) -> bool {
+            self.inner.has_chunk(chunk)
+        }
+        fn chunk_count(&self) -> usize {
+            self.inner.chunk_count()
+        }
+        fn bytes_stored(&self) -> u64 {
+            self.inner.bytes_stored()
+        }
+        fn evict_chunk(&self, chunk: ChunkId) -> u64 {
+            self.inner.evict_chunk(chunk)
+        }
+        fn checksum_of(&self, chunk: ChunkId) -> Option<u64> {
+            self.inner.checksum_of(chunk)
+        }
+        fn corrupt_chunk(&self, chunk: ChunkId, byte: usize) {
+            self.inner.corrupt_chunk(chunk, byte)
+        }
+        fn disk(&self) -> &Resource {
+            self.inner.disk()
+        }
+        fn nic(&self) -> &Resource {
+            self.inner.nic()
+        }
+        fn cost(&self) -> &CostModel {
+            self.inner.cost()
+        }
+    }
+
+    #[test]
+    fn batch_get_fails_over_in_rounds_not_per_request() {
+        let faults = Arc::new(FaultInjector::default());
+        let stores: Vec<Arc<CountingStore>> = (0..3)
+            .map(|i| {
+                Arc::new(CountingStore {
+                    inner: DataProvider::new(
+                        ProviderId::new(i),
+                        CostModel::zero(),
+                        Arc::clone(&faults),
+                    ),
+                    get_batches: AtomicU64::new(0),
+                })
+            })
+            .collect();
+        let m = ProviderManager::from_stores(
+            stores
+                .iter()
+                .map(|s| Arc::clone(s) as Arc<dyn ChunkStore>)
+                .collect(),
+            AllocationStrategy::RoundRobin,
+            faults,
+            1,
+        );
+        let (res, _) = run_actors(1, |_, p| {
+            let items: Vec<(ChunkId, Bytes)> = (0..30)
+                .map(|i| (ChunkId::new(i), Bytes::from(vec![i as u8; 8])))
+                .collect();
+            let requests: Vec<GetRequest> = m
+                .put_batch_replicated(p, &items, 2, 2)
+                .into_iter()
+                .zip(&items)
+                .map(|(homes, (chunk, _))| GetRequest {
+                    chunk: *chunk,
+                    homes: homes.unwrap(),
+                    range: ByteRange::new(0, 8),
+                })
+                .collect();
+            // Provider 1 loses every chunk it is primary for: those ten
+            // reads settle on provider 2 in a second round.
+            for req in requests.iter().filter(|r| r.homes[0] == ProviderId::new(1)) {
+                stores[1].evict_chunk(req.chunk);
+            }
+            m.get_batch_with_failover(p, &requests)
+        });
+        for (i, outcome) in res[0].iter().enumerate() {
+            assert_eq!(outcome.as_ref().unwrap().as_ref(), &[i as u8; 8][..]);
+        }
+        let calls: Vec<u64> = stores
+            .iter()
+            .map(|s| s.get_batches.load(Ordering::Relaxed))
+            .collect();
+        assert_eq!(calls, vec![1, 1, 2], "one call per provider per round");
     }
 
     #[test]

@@ -43,6 +43,35 @@ pub trait ChunkStore: Send + Sync + std::fmt::Debug {
         range: ByteRange,
     ) -> Result<(Bytes, SimTime)>;
 
+    /// Reservation-based put of a whole batch — the unit the provider
+    /// manager hands a store. One `(arrival, chunk, data)` per item, one
+    /// outcome per item in the same order: an item that fails (a reused
+    /// chunk id, say) never fails its neighbours. The default books the
+    /// items one by one through [`Self::put_chunk_at`], which *is* the
+    /// semantics; stores override it only to do the same work cheaper
+    /// (remote proxies: one frame; the disk backend: one append per
+    /// touched slot).
+    fn put_batch_at(&self, items: &[(SimTime, ChunkId, Bytes)]) -> Vec<Result<SimTime>> {
+        items
+            .iter()
+            .map(|(arrival, chunk, data)| self.put_chunk_at(*arrival, *chunk, data.clone()))
+            .collect()
+    }
+
+    /// Reservation-based ranged get of a whole batch: one `(arrival,
+    /// chunk, range)` per item, one `(payload, sent)` outcome per item in
+    /// the same order. The default loops over
+    /// [`Self::get_chunk_range_at`]; overrides keep its per-item results.
+    fn get_range_batch_at(
+        &self,
+        items: &[(SimTime, ChunkId, ByteRange)],
+    ) -> Vec<Result<(Bytes, SimTime)>> {
+        items
+            .iter()
+            .map(|&(arrival, chunk, range)| self.get_chunk_range_at(arrival, chunk, range))
+            .collect()
+    }
+
     /// True if the chunk is present (no cost charged).
     fn has_chunk(&self, chunk: ChunkId) -> bool;
 

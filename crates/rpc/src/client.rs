@@ -14,17 +14,18 @@
 //! real transport, latency is real, so simulated device charging would
 //! double-count. Infallible interface methods (`has_chunk`, counters)
 //! degrade to neutral values on transport failure — the fallible data
-//! path is where typed [`Error::Transport`] values surface and drive the
-//! provider manager's failover.
+//! path is where typed [`Error::Transport`](atomio_types::Error::Transport)
+//! values surface and drive the provider manager's failover.
 
 use crate::proto::{Request, Response};
 use crate::transport::{unexpected, Transport};
+use crate::wire::PayloadCursor;
 use atomio_meta::{Node, NodeKey, NodeStore, VersionHistory};
 use atomio_provider::ChunkStore;
 use atomio_simgrid::clock::SimTime;
 use atomio_simgrid::{CostModel, Participant, Resource};
 use atomio_types::{
-    ByteRange, ChunkId, Error, ExtentList, ProviderId, Result, RetentionPolicy, VersionId,
+    ByteRange, ChunkId, ExtentList, ProviderId, Result, RetentionPolicy, VersionId,
 };
 use atomio_version::{GcFloor, LeaseGrant, SnapshotRecord, Ticket, VersionOracle};
 use bytes::Bytes;
@@ -57,74 +58,51 @@ impl RemoteProvider {
     fn call(&self, request: &Request, payload: &[u8]) -> Result<(Response, Bytes)> {
         self.transport.call(request, payload)
     }
+}
 
-    /// Stores a batch of chunks in one frame; one completion instant per
-    /// item, in order.
-    pub fn put_chunk_batch(
-        &self,
-        arrival: SimTime,
-        items: Vec<(ChunkId, Bytes)>,
-    ) -> Result<Vec<Result<SimTime>>> {
-        let mut payload = Vec::new();
-        let lens = items
-            .iter()
-            .map(|(chunk, data)| {
-                payload.extend_from_slice(data);
-                (*chunk, data.len() as u64)
-            })
-            .collect();
-        let request = Request::PutChunkBatch {
-            provider: self.id,
-            arrival,
-            items: lens,
-        };
-        match self.call(&request, &payload)? {
-            (Response::PutBatch { results }, _) => Ok(results),
-            (other, _) => Err(unexpected("PutBatch", other)),
+/// Payload bytes one batched data-plane frame carries at most (a single
+/// larger chunk still travels, alone). A constant, not a tuning knob:
+/// it has to stay far below [`MAX_PAYLOAD_BYTES`](crate::wire::MAX_PAYLOAD_BYTES)
+/// whatever a caller batches, and every frame occupies the one mux
+/// connection until its last byte is out, so it bounds how long a small
+/// call (a ticket, a publish) queued behind a batch can wait.
+pub const BATCH_FRAME_BYTES: usize = 1 << 20;
+
+/// Items one batched frame carries at most: bounds the *header* of a
+/// batch of tiny items the way [`BATCH_FRAME_BYTES`] bounds the payload
+/// (the frame header limit is 16 MiB; an item encodes to tens of bytes).
+const BATCH_FRAME_ITEMS: usize = 4096;
+
+/// Cuts `items` into consecutive runs that each fit one batched frame.
+fn frames<T>(items: &[T], payload_len: impl Fn(&T) -> u64) -> impl Iterator<Item = &[T]> {
+    let mut rest = items;
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
         }
-    }
-
-    /// Fetches a batch of chunk ranges in one frame; one `(payload,
-    /// sent)` outcome per item, in order.
-    pub fn get_chunk_range_batch(
-        &self,
-        arrival: SimTime,
-        items: &[(ChunkId, ByteRange)],
-    ) -> Result<Vec<Result<(Bytes, SimTime)>>> {
-        let request = Request::GetChunkRangeBatch {
-            provider: self.id,
-            arrival,
-            items: items.to_vec(),
-        };
-        match self.call(&request, &[])? {
-            (Response::ChunkBatch { results }, payload) => {
-                let mut offset = 0usize;
-                let total: u64 = results
-                    .iter()
-                    .filter_map(|r| r.as_ref().ok().map(|&(len, _)| len))
-                    .sum();
-                if total != payload.len() as u64 {
-                    return Err(Error::Transport {
-                        kind: atomio_types::TransportErrorKind::Protocol,
-                        detail: format!(
-                            "batch declares {total} payload bytes, frame carries {}",
-                            payload.len()
-                        ),
-                    });
-                }
-                Ok(results
-                    .into_iter()
-                    .map(|r| {
-                        r.map(|(len, sent)| {
-                            let data = payload.slice(offset..offset + len as usize);
-                            offset += len as usize;
-                            (data, sent)
-                        })
-                    })
-                    .collect())
+        let mut bytes = 0u64;
+        let mut take = 0;
+        while take < rest.len().min(BATCH_FRAME_ITEMS) {
+            bytes = bytes.saturating_add(payload_len(&rest[take]));
+            if take > 0 && bytes > BATCH_FRAME_BYTES as u64 {
+                break;
             }
-            (other, _) => Err(unexpected("ChunkBatch", other)),
+            take += 1;
         }
+        let (frame, tail) = rest.split_at(take);
+        rest = tail;
+        Some(frame)
+    })
+}
+
+/// The per-item outcomes of one frame of a batch: the service's own on
+/// success; a frame-level failure (transport error, refusal, a reply of
+/// the wrong shape) fans out as one cloned error per item, so callers
+/// keep their one-outcome-per-input invariant.
+fn fan_out<T: Clone>(items: usize, outcome: Result<Vec<Result<T>>>) -> Vec<Result<T>> {
+    match outcome {
+        Ok(results) => results,
+        Err(e) => vec![Err(e); items],
     }
 }
 
@@ -182,6 +160,70 @@ impl ChunkStore for RemoteProvider {
             (Response::ChunkData { sent }, data) => Ok((data, sent)),
             (other, _) => Err(unexpected("ChunkData", other)),
         }
+    }
+
+    /// One `PutChunkBatch` frame per [`BATCH_FRAME_BYTES`] of payload;
+    /// the chunks leave through [`Transport::call_vectored`], never
+    /// joined into one buffer.
+    fn put_batch_at(&self, items: &[(SimTime, ChunkId, Bytes)]) -> Vec<Result<SimTime>> {
+        let mut outcomes = Vec::with_capacity(items.len());
+        for frame in frames(items, |(_, _, data)| data.len() as u64) {
+            let request = Request::PutChunkBatch {
+                provider: self.id,
+                items: frame
+                    .iter()
+                    .map(|(arrival, chunk, data)| (*arrival, *chunk, data.len() as u64))
+                    .collect(),
+            };
+            let parts: Vec<Bytes> = frame.iter().map(|(_, _, data)| data.clone()).collect();
+            let reply = self.transport.call_vectored(&request, &parts);
+            outcomes.extend(fan_out(
+                frame.len(),
+                reply.and_then(|reply| match reply {
+                    (Response::PutBatch { results }, _) if results.len() == frame.len() => {
+                        Ok(results)
+                    }
+                    (other, _) => Err(unexpected("PutBatch", other)),
+                }),
+            ));
+        }
+        outcomes
+    }
+
+    /// One `GetChunkRangeBatch` frame per [`BATCH_FRAME_BYTES`] of
+    /// requested payload; the items come back as zero-copy slices of the
+    /// response frame.
+    fn get_range_batch_at(
+        &self,
+        items: &[(SimTime, ChunkId, ByteRange)],
+    ) -> Vec<Result<(Bytes, SimTime)>> {
+        let mut outcomes = Vec::with_capacity(items.len());
+        for frame in frames(items, |(_, _, range)| range.len) {
+            let request = Request::GetChunkRangeBatch {
+                provider: self.id,
+                items: frame.to_vec(),
+            };
+            let reply = self.call(&request, &[]);
+            outcomes.extend(fan_out(
+                frame.len(),
+                reply.and_then(|reply| match reply {
+                    (Response::ChunkBatch { results }, payload) if results.len() == frame.len() => {
+                        let mut cursor = PayloadCursor::new(&payload);
+                        let items = results
+                            .into_iter()
+                            .map(|item| match item {
+                                Ok((len, sent)) => Ok(Ok((cursor.take(len)?, sent))),
+                                Err(e) => Ok(Err(e)),
+                            })
+                            .collect::<Result<Vec<_>>>()?;
+                        cursor.finish()?;
+                        Ok(items)
+                    }
+                    (other, _) => Err(unexpected("ChunkBatch", other)),
+                }),
+            ));
+        }
+        outcomes
     }
 
     fn has_chunk(&self, chunk: ChunkId) -> bool {

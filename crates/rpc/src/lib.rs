@@ -29,7 +29,10 @@
 //!   thin wrappers over these.
 //! * [`client`] — [`RemoteProvider`], [`RemoteMetaStore`], and
 //!   [`RemoteVersionManager`]: drop-in proxies implementing the
-//!   workspace seams over any [`Transport`].
+//!   workspace seams over any [`Transport`]. `RemoteProvider` carries a
+//!   provider's share of a `write_list` / `read_list` as one
+//!   `PutChunkBatch` / `GetChunkRangeBatch` frame (per
+//!   [`client::BATCH_FRAME_BYTES`] of payload), not one per chunk.
 //! * [`routed`] — [`SlotRoutedTransport`], a [`Transport`] that fans
 //!   version-manager calls out across `--shard i/N` version servers by
 //!   hash slot, chasing `WrongShard` redirects through map refreshes;
@@ -113,26 +116,125 @@ mod tests {
         let provider = RemoteProvider::new(ProviderId::new(0), Arc::clone(&transport));
 
         let items = vec![
-            (ChunkId::new(1), Bytes::from_static(b"aaaa")),
-            (ChunkId::new(2), Bytes::from_static(b"bb")),
+            (3, ChunkId::new(1), Bytes::from_static(b"aaaa")),
+            (5, ChunkId::new(2), Bytes::from_static(b"bb")),
         ];
-        let puts = provider.put_chunk_batch(3, items).unwrap();
-        assert_eq!(puts.len(), 2);
-        assert!(puts.iter().all(|r| r == &Ok(3)));
+        // Zero-cost server: every item echoes its own arrival instant.
+        assert_eq!(provider.put_batch_at(&items), vec![Ok(3), Ok(5)]);
 
-        let gets = provider
-            .get_chunk_range_batch(
-                0,
-                &[
-                    (ChunkId::new(2), ByteRange::new(0, 2)),
-                    (ChunkId::new(9), ByteRange::new(0, 1)), // missing
-                    (ChunkId::new(1), ByteRange::new(1, 2)),
-                ],
-            )
-            .unwrap();
-        assert_eq!(gets[0].as_ref().unwrap().0.as_ref(), b"bb");
+        let gets = provider.get_range_batch_at(&[
+            (7, ChunkId::new(2), ByteRange::new(0, 2)),
+            (8, ChunkId::new(9), ByteRange::new(0, 1)), // missing
+            (9, ChunkId::new(1), ByteRange::new(1, 2)),
+        ]);
+        assert_eq!(gets[0], Ok((Bytes::from_static(b"bb"), 7)));
         assert!(matches!(gets[1], Err(Error::ChunkNotFound { .. })));
-        assert_eq!(gets[2].as_ref().unwrap().0.as_ref(), b"aa");
+        assert_eq!(gets[2], Ok((Bytes::from_static(b"aa"), 9)));
+    }
+
+    fn is_protocol_error(response: &Response) -> bool {
+        matches!(
+            response,
+            Response::Fail {
+                error: Error::Transport {
+                    kind: TransportErrorKind::Protocol,
+                    ..
+                }
+            }
+        )
+    }
+
+    #[test]
+    fn put_batch_lengths_that_overflow_are_refused_not_sliced() {
+        // Declared lengths whose sum wraps to the 1-byte payload: an
+        // unchecked sum passes the total check and slices out of bounds.
+        let service = ProviderService::new(1);
+        let request = Request::PutChunkBatch {
+            provider: ProviderId::new(0),
+            items: vec![(0, ChunkId::new(1), u64::MAX), (0, ChunkId::new(2), 2)],
+        };
+        let (response, out) = service.handle(request, Bytes::from_static(b"x"));
+        assert!(is_protocol_error(&response), "got {response:?}");
+        assert!(out.is_empty());
+        // Lengths that leave payload bytes unclaimed are refused too,
+        // and nothing of a refused batch is stored.
+        let request = Request::PutChunkBatch {
+            provider: ProviderId::new(0),
+            items: vec![(0, ChunkId::new(1), 1)],
+        };
+        let (response, _) = service.handle(request, Bytes::from_static(b"xy"));
+        assert!(is_protocol_error(&response), "got {response:?}");
+        assert_eq!(service.providers()[0].chunk_count(), 0);
+    }
+
+    #[test]
+    fn get_batch_over_the_frame_payload_limit_is_refused_up_front() {
+        let service = ProviderService::new(1);
+        let chunk = ChunkId::new(1);
+        const LEN: u64 = 4 << 20;
+        service.providers()[0]
+            .put_chunk_at(0, chunk, Bytes::from(vec![7u8; LEN as usize]))
+            .unwrap();
+        // 65 × 4 MiB = 260 MiB of answers, past the 256 MiB frame limit:
+        // a typed refusal, not an ever-growing response buffer.
+        let request = Request::GetChunkRangeBatch {
+            provider: ProviderId::new(0),
+            items: vec![(0, chunk, ByteRange::new(0, LEN)); 65],
+        };
+        let (response, out) = service.handle(request, Bytes::new());
+        assert!(is_protocol_error(&response), "got {response:?}");
+        assert!(out.is_empty());
+        // So is a batch whose declared lengths overflow the sum.
+        let request = Request::GetChunkRangeBatch {
+            provider: ProviderId::new(0),
+            items: vec![(0, chunk, ByteRange::new(0, u64::MAX)); 2],
+        };
+        let (response, _) = service.handle(request, Bytes::new());
+        assert!(is_protocol_error(&response), "got {response:?}");
+    }
+
+    /// A transport that answers every call with one canned reply.
+    #[derive(Debug)]
+    struct Canned(Response, Bytes);
+
+    impl Transport for Canned {
+        fn call(&self, _request: &Request, _payload: &[u8]) -> Result<(Response, Bytes), Error> {
+            Ok((self.0.clone(), self.1.clone()))
+        }
+    }
+
+    #[test]
+    fn chunk_batch_reply_lengths_are_checked_by_the_client() {
+        let items = [
+            (0, ChunkId::new(1), ByteRange::new(0, 1)),
+            (0, ChunkId::new(2), ByteRange::new(0, 1)),
+        ];
+        // Lengths that wrap to the payload size, lengths that overrun
+        // it, and lengths that leave bytes unclaimed: each is a typed
+        // per-item protocol error, never a slice panic.
+        for lens in [[u64::MAX, 2], [1, 5], [0, 0]] {
+            let reply = Response::ChunkBatch {
+                results: lens.iter().map(|&len| Ok((len, 0))).collect(),
+            };
+            let provider = RemoteProvider::new(
+                ProviderId::new(0),
+                Arc::new(Canned(reply, Bytes::from_static(b"x"))),
+            );
+            let outcomes = provider.get_range_batch_at(&items);
+            assert_eq!(outcomes.len(), 2);
+            for outcome in outcomes {
+                assert!(
+                    matches!(
+                        outcome,
+                        Err(Error::Transport {
+                            kind: TransportErrorKind::Protocol,
+                            ..
+                        })
+                    ),
+                    "lens {lens:?}: got {outcome:?}"
+                );
+            }
+        }
     }
 
     #[test]

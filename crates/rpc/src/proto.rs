@@ -25,10 +25,14 @@ use serde::{DeError, Deserialize, Serialize, Value};
 ///   leading version byte so skewed peers are rejected with a typed
 ///   `TransportErrorKind::VersionMismatch` error instead of decoding
 ///   garbage.
+/// * **v3** — same frame layout; the items of
+///   [`Request::PutChunkBatch`] and [`Request::GetChunkRangeBatch`]
+///   carry their own `arrival` (the provider manager books every copy of
+///   a batch at its own instant), replacing the one batch-wide field.
 ///
 /// Peers must match exactly: the frame reader rejects any other value
 /// before decoding a single header byte.
-pub const PROTOCOL_VERSION: u8 = 2;
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// One RPC request. Data-provider ops carry the target provider id so a
 /// single server process can host a whole fleet; `arrival` carries the
@@ -54,10 +58,9 @@ pub enum Request {
     PutChunkBatch {
         /// Target provider.
         provider: ProviderId,
-        /// Virtual-time arrival of the batch.
-        arrival: u64,
-        /// `(chunk id, payload length)` per item, in payload order.
-        items: Vec<(ChunkId, u64)>,
+        /// `(arrival instant, chunk id, payload length)` per item, in
+        /// payload order.
+        items: Vec<(u64, ChunkId, u64)>,
     },
     /// Fetch a whole chunk.
     GetChunk {
@@ -83,10 +86,8 @@ pub enum Request {
     GetChunkRangeBatch {
         /// Target provider.
         provider: ProviderId,
-        /// Virtual-time arrival of the batch.
-        arrival: u64,
-        /// `(chunk, range)` per item.
-        items: Vec<(ChunkId, ByteRange)>,
+        /// `(arrival instant, chunk, range)` per item.
+        items: Vec<(u64, ChunkId, ByteRange)>,
     },
     /// Presence probe (no cost charged).
     ProviderHasChunk {
@@ -506,17 +507,9 @@ impl Serialize for Request {
                     field("chunk", chunk),
                 ],
             ),
-            PutChunkBatch {
-                provider,
-                arrival,
-                items,
-            } => tagged(
+            PutChunkBatch { provider, items } => tagged(
                 "PutChunkBatch",
-                vec![
-                    field("provider", provider),
-                    field("arrival", arrival),
-                    field("items", items),
-                ],
+                vec![field("provider", provider), field("items", items)],
             ),
             GetChunk {
                 provider,
@@ -544,17 +537,9 @@ impl Serialize for Request {
                     field("range", range),
                 ],
             ),
-            GetChunkRangeBatch {
-                provider,
-                arrival,
-                items,
-            } => tagged(
+            GetChunkRangeBatch { provider, items } => tagged(
                 "GetChunkRangeBatch",
-                vec![
-                    field("provider", provider),
-                    field("arrival", arrival),
-                    field("items", items),
-                ],
+                vec![field("provider", provider), field("items", items)],
             ),
             ProviderHasChunk { provider, chunk } => tagged(
                 "ProviderHasChunk",
@@ -695,7 +680,6 @@ impl Deserialize for Request {
             },
             "PutChunkBatch" => PutChunkBatch {
                 provider: get(v, "provider")?,
-                arrival: get(v, "arrival")?,
                 items: get(v, "items")?,
             },
             "GetChunk" => GetChunk {
@@ -711,7 +695,6 @@ impl Deserialize for Request {
             },
             "GetChunkRangeBatch" => GetChunkRangeBatch {
                 provider: get(v, "provider")?,
-                arrival: get(v, "arrival")?,
                 items: get(v, "items")?,
             },
             "ProviderHasChunk" => ProviderHasChunk {
@@ -973,8 +956,7 @@ mod tests {
         });
         roundtrip_req(&Request::PutChunkBatch {
             provider: ProviderId::new(0),
-            arrival: 7,
-            items: vec![(ChunkId::new(1), 16), (ChunkId::new(2), 64)],
+            items: vec![(7, ChunkId::new(1), 16), (9, ChunkId::new(2), 64)],
         });
         roundtrip_req(&Request::GetChunkRange {
             provider: ProviderId::new(1),
@@ -984,8 +966,7 @@ mod tests {
         });
         roundtrip_req(&Request::GetChunkRangeBatch {
             provider: ProviderId::new(1),
-            arrival: 0,
-            items: vec![(ChunkId::new(5), ByteRange::new(0, 8))],
+            items: vec![(3, ChunkId::new(5), ByteRange::new(0, 8))],
         });
         roundtrip_req(&Request::MetaNodeCount);
         roundtrip_req(&Request::ProviderEvictBatch {

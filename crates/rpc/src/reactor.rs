@@ -15,7 +15,7 @@
 //!              eventfd wake ◄───────────────────┘
 //!                   │
 //!                   ▼
-//!  wbuf ─► write() to WouldBlock ─► EPOLLOUT drains the rest
+//!  wq ─► writev() to WouldBlock ─► EPOLLOUT drains the rest
 //! ```
 //!
 //! Workers never touch reactor sockets: each batch's encoded response
@@ -43,7 +43,7 @@ use atomio_simgrid::Metrics;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use serde::{Serialize, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
@@ -153,7 +153,7 @@ pub(crate) struct ReactorShared {
 #[derive(Debug)]
 struct Completion {
     token: u64,
-    frames: Vec<u8>,
+    frames: Vec<Bytes>,
     responses: usize,
     /// A response failed to encode: nothing sane to send, close the
     /// connection instead (mirrors the Threads-mode severing).
@@ -174,7 +174,7 @@ impl ReactorShared {
 
     /// Queues one batch's encoded responses for connection `token` and
     /// wakes the reactor.
-    pub(crate) fn complete(&self, token: u64, frames: Vec<u8>, responses: usize, sever: bool) {
+    pub(crate) fn complete(&self, token: u64, frames: Vec<Bytes>, responses: usize, sever: bool) {
         self.completions.lock().push(Completion {
             token,
             frames,
@@ -201,8 +201,14 @@ impl ReactorShared {
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKE: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
+/// Buffers of the write queue handed to one `writev` (Linux's
+/// `IOV_MAX`): a batch answer is one slice per item.
+const MAX_WRITE_SLICES: usize = 1024;
 /// Per-readiness read granularity (a stack buffer, appended to `rbuf`).
 const READ_CHUNK: usize = 64 * 1024;
+/// Largest announced frame the read buffer is sized for up front: twice
+/// the client's batch frame budget, so every batch frame qualifies.
+const EXACT_RESERVE_BYTES: usize = 2 * crate::client::BATCH_FRAME_BYTES;
 
 /// One accepted connection's state machine.
 #[derive(Debug)]
@@ -210,9 +216,11 @@ struct Conn {
     stream: TcpStream,
     /// Inbound bytes not yet parsed into frames.
     rbuf: Vec<u8>,
-    /// Encoded response frames not yet fully on the wire.
-    wbuf: Vec<u8>,
-    /// How far `wbuf` has been written.
+    /// Encoded response bytes not yet fully on the wire, in order: whole
+    /// small frames coalesced into one buffer, and the head and payload
+    /// buffers of large ones (queued by reference, never copied).
+    wq: VecDeque<Bytes>,
+    /// How far the front of `wq` has been written.
     wpos: usize,
     /// Requests in dispatch whose responses have not been queued yet.
     inflight: usize,
@@ -221,7 +229,7 @@ struct Conn {
     /// Admission-rejected at accept: answer the first frame with a
     /// typed Busy, then close. Never counts toward the open gauge.
     rejecting: bool,
-    /// Close once `wbuf` drains (set by the Busy answer).
+    /// Close once `wq` drains (set by the Busy answer).
     closing: bool,
     /// Peer sent EOF / RDHUP: no more requests are coming, close once
     /// the in-flight responses drain.
@@ -230,7 +238,28 @@ struct Conn {
 
 impl Conn {
     fn flushed(&self) -> bool {
-        self.wpos >= self.wbuf.len()
+        self.wq.is_empty()
+    }
+
+    /// Once the prefix of the frame at the head of `rbuf` is in, sizes
+    /// the buffer for that whole frame in one step: a batch frame is far
+    /// larger than one read, and doubling towards it overshoots by up to
+    /// the frame's own size. Only up to [`EXACT_RESERVE_BYTES`] — a peer
+    /// must not make the server reserve what it merely announces — and
+    /// only for a prefix `pump` will accept.
+    fn reserve_for_head_frame(&mut self) {
+        let Some(prefix) = self.rbuf.get(..wire::FRAME_PREFIX_BYTES as usize) else {
+            return;
+        };
+        let head_len = u32::from_be_bytes(prefix[9..13].try_into().unwrap()) as usize;
+        let payload_len = u32::from_be_bytes(prefix[13..17].try_into().unwrap()) as usize;
+        let total = prefix.len() + head_len + payload_len;
+        if prefix[0] == PROTOCOL_VERSION
+            && total <= EXACT_RESERVE_BYTES
+            && total > self.rbuf.capacity()
+        {
+            self.rbuf.reserve_exact(total - self.rbuf.len());
+        }
     }
 }
 
@@ -362,7 +391,7 @@ impl Reactor {
                         Conn {
                             stream,
                             rbuf: Vec::new(),
-                            wbuf: Vec::new(),
+                            wq: VecDeque::new(),
                             wpos: 0,
                             inflight: 0,
                             interest,
@@ -408,7 +437,10 @@ impl Reactor {
                         conn.read_closed = true;
                         break;
                     }
-                    Ok(n) => conn.rbuf.extend_from_slice(&chunk[..n]),
+                    Ok(n) => {
+                        conn.rbuf.extend_from_slice(&chunk[..n]);
+                        conn.reserve_for_head_frame();
+                    }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(_) => {
@@ -472,10 +504,11 @@ impl Reactor {
                         consumed += total;
                         if conn.rejecting {
                             let busy = Response::Busy { active, max_conns };
-                            if wire::write_frame(&mut conn.wbuf, id, &busy.to_value(), &[]).is_err()
-                            {
+                            let mut frame = Vec::new();
+                            if wire::append_frame(&mut frame, id, &busy.to_value(), &[]).is_err() {
                                 action = PumpAction::Close;
                             } else {
+                                conn.wq.push_back(Bytes::from(frame));
                                 conn.closing = true;
                                 action = PumpAction::Reject;
                             }
@@ -490,6 +523,11 @@ impl Reactor {
                 }
             }
             conn.rbuf.drain(..consumed);
+            // A batch frame is far larger than a read: do not keep its
+            // buffer around between frames.
+            if conn.rbuf.is_empty() && conn.rbuf.capacity() > READ_CHUNK {
+                conn.rbuf = Vec::new();
+            }
             conn.inflight += burst.len();
             (burst, action)
         };
@@ -535,13 +573,37 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            while conn.wpos < conn.wbuf.len() {
-                match (&conn.stream).write(&conn.wbuf[conn.wpos..]) {
+            while !conn.wq.is_empty() {
+                // One gathered write over the head of the queue; the
+                // front buffer resumes where the last write stopped.
+                let front = &conn.wq[0][conn.wpos..];
+                let wrote = if conn.wq.len() == 1 {
+                    (&conn.stream).write(front)
+                } else {
+                    let slices: Vec<io::IoSlice<'_>> = std::iter::once(front)
+                        .chain(conn.wq.iter().skip(1).map(|chunk| chunk.as_ref()))
+                        .take(MAX_WRITE_SLICES)
+                        .map(io::IoSlice::new)
+                        .collect();
+                    (&conn.stream).write_vectored(&slices)
+                };
+                match wrote {
                     Ok(0) => {
                         dead = true;
                         break;
                     }
-                    Ok(n) => conn.wpos += n,
+                    Ok(mut n) => {
+                        while let Some(front) = conn.wq.front() {
+                            let left = front.len() - conn.wpos;
+                            if n < left {
+                                conn.wpos += n;
+                                break;
+                            }
+                            n -= left;
+                            conn.wpos = 0;
+                            conn.wq.pop_front();
+                        }
+                    }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(_) => {
@@ -549,10 +611,6 @@ impl Reactor {
                         break;
                     }
                 }
-            }
-            if conn.flushed() {
-                conn.wbuf.clear();
-                conn.wpos = 0;
             }
         }
         if dead {
@@ -621,7 +679,9 @@ impl Reactor {
                 continue;
             };
             conn.inflight = conn.inflight.saturating_sub(c.responses);
-            conn.wbuf.extend_from_slice(&c.frames);
+            // An empty buffer at the front would read as "wrote 0".
+            conn.wq
+                .extend(c.frames.into_iter().filter(|chunk| !chunk.is_empty()));
             self.flush(c.token);
             self.pump(c.token);
         }

@@ -37,13 +37,13 @@
 use crate::proto::{BlobExport, Request, Response};
 use crate::reactor::{run_reactor, ReactorShared};
 use crate::transport::{counters, RpcConfig, ServerMode};
-use crate::wire;
+use crate::wire::{self, as_slices, PayloadCursor};
 use atomio_core::{slot_for_blob, SlotMap};
 use atomio_meta::{node_store_for, LocalNodeStore, TreeConfig, VersionHistory};
 use atomio_provider::{chunk_store_for, ChunkStore, DataProvider};
 use atomio_simgrid::{ClientNics, CostModel, FaultInjector, Metrics};
 use atomio_types::{
-    BackendConfig, ByteRange, Error, FsyncPolicy, ProviderId, Result, RetentionPolicy,
+    BackendConfig, ByteRange, ChunkId, Error, FsyncPolicy, ProviderId, Result, RetentionPolicy,
     TransportErrorKind,
 };
 use atomio_version::{TicketMode, VersionManager};
@@ -65,6 +65,26 @@ use std::time::Duration;
 pub trait Service: Send + Sync + std::fmt::Debug {
     /// Handles one request.
     fn handle(&self, request: Request, payload: Bytes) -> (Response, Bytes);
+
+    /// [`Self::handle`] for a front-end that frames the response payload
+    /// from parts: the payload is the parts' concatenation. The default
+    /// is the one part `handle` returns; a service whose answer is a
+    /// batch of buffers overrides it so they are copied once, into the
+    /// response frame, not joined first.
+    fn handle_vectored(&self, request: Request, payload: Bytes) -> (Response, Vec<Bytes>) {
+        let (response, out) = self.handle(request, payload);
+        (response, one_part(out))
+    }
+}
+
+/// A response payload as a list of parts (none when it is empty, which
+/// allocates nothing — most responses carry no payload).
+fn one_part(out: Bytes) -> Vec<Bytes> {
+    if out.is_empty() {
+        Vec::new()
+    } else {
+        vec![out]
+    }
 }
 
 fn fail(error: Error) -> (Response, Bytes) {
@@ -150,9 +170,64 @@ impl ProviderService {
             .find(|p| p.id() == id)
             .ok_or(Error::ProviderNotFound(id))
     }
+
+    /// Serves one `GetChunkRangeBatch`: per-item results, plus the
+    /// successful items' payloads in request order.
+    fn get_range_batch(
+        &self,
+        provider: ProviderId,
+        items: &[(u64, ChunkId, ByteRange)],
+    ) -> (Response, Vec<Bytes>) {
+        let store = match self.provider(provider) {
+            Ok(s) => s,
+            Err(error) => return (Response::Fail { error }, Vec::new()),
+        };
+        // Refuse a batch whose answer could not fit one frame before a
+        // single byte is read for it.
+        let fits = items
+            .iter()
+            .try_fold(0u64, |sum, (_, _, range)| sum.checked_add(range.len))
+            .is_some_and(|sum| sum <= wire::MAX_PAYLOAD_BYTES as u64);
+        if !fits {
+            let error = Error::Transport {
+                kind: TransportErrorKind::Protocol,
+                detail: format!(
+                    "batch of {} ranges asks for more than the {}-byte frame payload limit",
+                    items.len(),
+                    wire::MAX_PAYLOAD_BYTES
+                ),
+            };
+            return (Response::Fail { error }, Vec::new());
+        }
+        let mut parts = Vec::with_capacity(items.len());
+        let results = store
+            .get_range_batch_at(items)
+            .into_iter()
+            .map(|item| {
+                item.map(|(data, sent)| {
+                    let len = data.len() as u64;
+                    parts.push(data);
+                    (len, sent)
+                })
+            })
+            .collect();
+        (Response::ChunkBatch { results }, parts)
+    }
 }
 
 impl Service for ProviderService {
+    fn handle_vectored(&self, request: Request, payload: Bytes) -> (Response, Vec<Bytes>) {
+        match request {
+            Request::GetChunkRangeBatch { provider, items } => {
+                self.get_range_batch(provider, &items)
+            }
+            other => {
+                let (response, out) = self.handle(other, payload);
+                (response, one_part(out))
+            }
+        }
+    }
+
     fn handle(&self, request: Request, payload: Bytes) -> (Response, Bytes) {
         use Request::*;
         match request {
@@ -168,35 +243,25 @@ impl Service for ProviderService {
                 Ok(done) => ok(Response::Done { done }),
                 Err(e) => fail(e),
             },
-            PutChunkBatch {
-                provider,
-                arrival,
-                items,
-            } => {
+            PutChunkBatch { provider, items } => {
                 let store = match self.provider(provider) {
                     Ok(s) => s,
                     Err(e) => return fail(e),
                 };
-                let total: u64 = items.iter().map(|&(_, len)| len).sum();
-                if total != payload.len() as u64 {
-                    return fail(Error::Transport {
-                        kind: TransportErrorKind::Protocol,
-                        detail: format!(
-                            "batch declares {total} payload bytes, frame carries {}",
-                            payload.len()
-                        ),
-                    });
-                }
-                let mut offset = 0usize;
-                let results = items
+                // The lengths are network input: the cursor refuses any
+                // that overrun or overflow the payload.
+                let mut cursor = PayloadCursor::new(&payload);
+                let batch = items
                     .into_iter()
-                    .map(|(chunk, len)| {
-                        let data = payload.slice(offset..offset + len as usize);
-                        offset += len as usize;
-                        store.put_chunk_at(arrival, chunk, data)
-                    })
-                    .collect();
-                ok(Response::PutBatch { results })
+                    .map(|(arrival, chunk, len)| Ok((arrival, chunk, cursor.take(len)?)))
+                    .collect::<Result<Vec<_>>>()
+                    .and_then(|batch| cursor.finish().map(|()| batch));
+                match batch {
+                    Ok(batch) => ok(Response::PutBatch {
+                        results: store.put_batch_at(&batch),
+                    }),
+                    Err(e) => fail(e),
+                }
             }
             GetChunk {
                 provider,
@@ -226,29 +291,9 @@ impl Service for ProviderService {
                 Ok((data, sent)) => (Response::ChunkData { sent }, data),
                 Err(e) => fail(e),
             },
-            GetChunkRangeBatch {
-                provider,
-                arrival,
-                items,
-            } => {
-                let store = match self.provider(provider) {
-                    Ok(s) => s,
-                    Err(e) => return fail(e),
-                };
-                let mut out = Vec::new();
-                let results = items
-                    .into_iter()
-                    .map(|(chunk, range)| {
-                        store
-                            .get_chunk_range_at(arrival, chunk, range)
-                            .map(|(data, sent)| {
-                                let len = data.len() as u64;
-                                out.extend_from_slice(&data);
-                                (len, sent)
-                            })
-                    })
-                    .collect();
-                (Response::ChunkBatch { results }, Bytes::from(out))
+            GetChunkRangeBatch { provider, items } => {
+                let (response, parts) = self.get_range_batch(provider, &items);
+                (response, Bytes::from(parts.concat()))
             }
             ProviderHasChunk { provider, chunk } => match self.provider(provider) {
                 Ok(s) => ok(Response::Flag {
@@ -1184,30 +1229,54 @@ fn dispatch_worker(rx: Arc<Mutex<mpsc::Receiver<DispatchJob>>>, service: Arc<dyn
             // Every sender hung up: the server stopped, drain is done.
             return;
         };
-        // Encode every response of the batch into one buffer and
-        // deliver it with a single write (Threads) or one completion
-        // handoff (Reactor).
+        // Encode the responses of the batch into one run of wire bytes
+        // and deliver it with a single gathered write (Threads) or one
+        // completion handoff (Reactor). Small frames are coalesced into
+        // one buffer; a large payload is queued by reference — the
+        // buffers the service returned go to the socket uncopied.
         let responses = batch.len();
-        let mut frames = Vec::new();
+        let mut wire_bytes: Vec<Bytes> = Vec::new();
+        let mut coalesced = Vec::new();
         let mut poisoned = false;
         for (id, header, payload) in batch {
             let (response, out) = match Request::from_value(&header) {
-                Ok(request) => service.handle(request, payload),
-                Err(e) => fail(Error::Transport {
-                    kind: TransportErrorKind::Protocol,
-                    detail: format!("undecodable request: {e}"),
-                }),
+                Ok(request) => service.handle_vectored(request, payload),
+                Err(e) => (
+                    Response::Fail {
+                        error: Error::Transport {
+                            kind: TransportErrorKind::Protocol,
+                            detail: format!("undecodable request: {e}"),
+                        },
+                    },
+                    Vec::new(),
+                ),
             };
-            if wire::write_frame(&mut frames, id, &response.to_value(), &out).is_err() {
+            let payload_len: usize = out.iter().map(|part| part.len()).sum();
+            let encoded = if payload_len <= RESPONSE_COALESCE_BYTES {
+                wire::append_frame(&mut coalesced, id, &response.to_value(), &as_slices(&out))
+                    .map(drop)
+            } else {
+                wire::append_frame_head(&mut coalesced, id, &response.to_value(), payload_len).map(
+                    |_| {
+                        wire_bytes.push(Bytes::from(std::mem::take(&mut coalesced)));
+                        wire_bytes.extend(out);
+                    },
+                )
+            };
+            if encoded.is_err() {
                 // Oversized response — nothing sane to send back.
                 poisoned = true;
                 break;
             }
         }
+        if !coalesced.is_empty() {
+            wire_bytes.push(Bytes::from(coalesced));
+        }
         match sink {
             ResponseSink::Direct(writer) => {
                 let mut w = writer.lock();
-                if poisoned || io::Write::write_all(&mut *w, &frames).is_err() {
+                let parts = as_slices(&wire_bytes);
+                if poisoned || wire::write_all_gathered(&mut *w, &[], &parts).is_err() {
                     // Writes are dead: sever the socket so the
                     // connection's reader (blocked in read_frame)
                     // exits too.
@@ -1215,11 +1284,18 @@ fn dispatch_worker(rx: Arc<Mutex<mpsc::Receiver<DispatchJob>>>, service: Arc<dyn
                 }
             }
             ResponseSink::Reactor { token, shared } => {
-                shared.complete(token, frames, responses, poisoned);
+                shared.complete(token, wire_bytes, responses, poisoned);
             }
         }
     }
 }
+
+/// Response payloads up to this size are copied into the burst's one
+/// write buffer; larger ones are written from where they are. Lower than
+/// the request side's threshold: a large response payload is a buffer
+/// the store has just filled, and a second copy of it per in-flight
+/// batch is what a small server's resident set is made of.
+const RESPONSE_COALESCE_BYTES: usize = 64 * 1024;
 
 /// Serves one connection: a reader loop on this thread feeds the
 /// server's shared dispatch pool over a capacity-limited channel

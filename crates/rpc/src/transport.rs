@@ -1,7 +1,9 @@
 //! Pluggable client-side transports.
 //!
 //! A [`Transport`] moves one encoded request to a service and brings the
-//! response back. Three implementations:
+//! response back — its payload one buffer ([`Transport::call`]) or a
+//! batch of them written straight out, never joined
+//! ([`Transport::call_vectored`]). Three implementations:
 //!
 //! * [`Loopback`] — in-process: the frame is encoded and decoded through
 //!   the full wire codec, then handed to the [`Service`] directly. No
@@ -16,8 +18,9 @@
 //!   frames on a pool member; one reader thread per connection
 //!   demultiplexes responses by request id into per-call wakeups, so
 //!   any number of concurrent callers share the pool with no
-//!   head-of-line blocking. The default for socket deployments
-//!   ([`RpcMode::Mux`]).
+//!   head-of-line blocking. A frame too large to be worth copying into
+//!   the queue is gathered onto the socket by its caller instead. The
+//!   default for socket deployments ([`RpcMode::Mux`]).
 //!
 //! Mid-call failures are **not** silently retried (the ops are not all
 //! idempotent); they surface as typed [`Error::Transport`] values so the
@@ -28,7 +31,7 @@
 
 use crate::proto::{Request, Response};
 use crate::server::Service;
-use crate::wire;
+use crate::wire::{self, as_slices};
 use atomio_simgrid::Metrics;
 use atomio_types::{Error, Result, TransportErrorKind};
 use bytes::Bytes;
@@ -45,6 +48,15 @@ use std::time::{Duration, Instant};
 pub trait Transport: Send + Sync + std::fmt::Debug {
     /// Performs one RPC round trip.
     fn call(&self, request: &Request, payload: &[u8]) -> Result<(Response, Bytes)>;
+
+    /// One round trip whose payload is the concatenation of `parts` — a
+    /// batch of chunks, each still in its own buffer. The default joins
+    /// them and calls [`Self::call`]; the transports of this crate write
+    /// header and parts straight out instead, so batching chunks into
+    /// one frame copies no payload byte that a frame per chunk did not.
+    fn call_vectored(&self, request: &Request, parts: &[Bytes]) -> Result<(Response, Bytes)> {
+        self.call(request, &parts.concat())
+    }
 }
 
 /// Counter names the transports publish into a [`Metrics`] registry.
@@ -310,25 +322,23 @@ impl Loopback {
         self.metrics = Some(metrics);
         self
     }
-}
 
-impl Transport for Loopback {
-    fn call(&self, request: &Request, payload: &[u8]) -> Result<(Response, Bytes)> {
+    fn round_trip(&self, request: &Request, parts: &[&[u8]]) -> Result<(Response, Bytes)> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         // Encode → decode the request through the real codec.
         let mut frame = Vec::new();
-        let tx = wire::write_frame(&mut frame, id, &request.to_value(), payload)
+        let tx = wire::append_frame(&mut frame, id, &request.to_value(), parts)
             .map_err(|e| protocol_error("encode request", &e))?;
         let (id_back, header, body, _) = wire::read_frame(&mut frame.as_slice())
             .map_err(|e| protocol_error("decode request", &e))?;
         let request = Request::from_value(&header)
             .map_err(|e| protocol_error("parse request", &io::Error::other(e.to_string())))?;
 
-        let (response, out) = self.service.handle(request, body);
+        let (response, out) = self.service.handle_vectored(request, body);
 
         // And the response back out the same way, tagged with the same id.
         let mut frame = Vec::new();
-        let rx = wire::write_frame(&mut frame, id_back, &response.to_value(), &out)
+        let rx = wire::append_frame(&mut frame, id_back, &response.to_value(), &as_slices(&out))
             .map_err(|e| protocol_error("encode response", &e))?;
         let (_, header, body, _) = wire::read_frame(&mut frame.as_slice())
             .map_err(|e| protocol_error("decode response", &e))?;
@@ -336,6 +346,16 @@ impl Transport for Loopback {
             .map_err(|e| protocol_error("parse response", &io::Error::other(e.to_string())))?;
         record(&self.metrics, tx, rx);
         Ok((response, body))
+    }
+}
+
+impl Transport for Loopback {
+    fn call(&self, request: &Request, payload: &[u8]) -> Result<(Response, Bytes)> {
+        self.round_trip(request, &[payload])
+    }
+
+    fn call_vectored(&self, request: &Request, parts: &[Bytes]) -> Result<(Response, Bytes)> {
+        self.round_trip(request, &as_slices(parts))
     }
 }
 
@@ -425,10 +445,8 @@ impl TcpTransport {
             .map_err(|e| transport_error("configure socket", &e))?;
         Ok(stream)
     }
-}
 
-impl Transport for TcpTransport {
-    fn call(&self, request: &Request, payload: &[u8]) -> Result<(Response, Bytes)> {
+    fn round_trip(&self, request: &Request, parts: &[&[u8]]) -> Result<(Response, Bytes)> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         let mut guard = self.conn.lock();
         if guard.is_none() {
@@ -437,7 +455,7 @@ impl Transport for TcpTransport {
         let stream = guard.as_mut().expect("connection established above");
 
         let round_trip = (|| -> io::Result<(Response, Bytes, u64, u64)> {
-            let tx = wire::write_frame(stream, id, &request.to_value(), payload)?;
+            let tx = wire::write_frame_parts(stream, id, &request.to_value(), parts)?;
             let (id_back, header, body, rx) = wire::read_frame(stream)?;
             if id_back != id {
                 return Err(io::Error::new(
@@ -461,6 +479,16 @@ impl Transport for TcpTransport {
                 Err(transport_error(&format!("rpc to {}", self.addr), &e))
             }
         }
+    }
+}
+
+impl Transport for TcpTransport {
+    fn call(&self, request: &Request, payload: &[u8]) -> Result<(Response, Bytes)> {
+        self.round_trip(request, &[payload])
+    }
+
+    fn call_vectored(&self, request: &Request, parts: &[Bytes]) -> Result<(Response, Bytes)> {
+        self.round_trip(request, &as_slices(parts))
     }
 }
 
@@ -519,6 +547,12 @@ impl MuxConn {
     /// frame enqueued in the race window is never stranded.
     fn enqueue_and_flush(&self, frame: &[u8]) -> io::Result<()> {
         self.wqueue.lock().extend_from_slice(frame);
+        self.flush_queue()
+    }
+
+    /// Flushes the write queue unless a current leader will (see
+    /// [`Self::enqueue_and_flush`]).
+    fn flush_queue(&self) -> io::Result<()> {
         loop {
             let Some(mut w) = self.writer.try_lock() else {
                 return Ok(());
@@ -533,6 +567,21 @@ impl MuxConn {
             // Loop: a frame may have been enqueued while we held the
             // lock, and its caller bounced off try_lock relying on us.
         }
+    }
+
+    /// Transmits one large frame without copying it into the write
+    /// queue: waits for the socket, sends whatever small frames queued
+    /// up first, then gathers `head` and `parts` straight off the
+    /// caller's buffers. Holding the writer lock makes this caller the
+    /// leader, with a leader's duty to re-check the queue on release.
+    fn write_through(&self, head: &[u8], parts: &[&[u8]]) -> io::Result<()> {
+        let mut w = self.writer.lock();
+        let queued = std::mem::take(&mut *self.wqueue.lock());
+        let result = io::Write::write_all(&mut *w, &queued)
+            .and_then(|()| wire::write_all_gathered(&mut *w, head, parts));
+        drop(w);
+        result?;
+        self.flush_queue()
     }
 }
 
@@ -706,10 +755,8 @@ impl MuxTransport {
         *slot = Some(Arc::clone(&conn));
         Ok(conn)
     }
-}
 
-impl Transport for MuxTransport {
-    fn call(&self, request: &Request, payload: &[u8]) -> Result<(Response, Bytes)> {
+    fn round_trip(&self, request: &Request, parts: &[&[u8]]) -> Result<(Response, Bytes)> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         let slot_idx = self.reserve_slot();
         let conn = match self.conn_at(slot_idx) {
@@ -732,12 +779,23 @@ impl Transport for MuxTransport {
             this.slot_inflight[slot_idx].fetch_sub(1, Ordering::AcqRel);
         };
 
-        // Encode off-lock, then enqueue on the pool member's write queue
-        // (the flush leader puts a whole burst on the wire at once).
+        // Encode off-lock. A small frame is enqueued whole on the pool
+        // member's write queue (the flush leader puts a burst of them on
+        // the wire at once); a large one goes out as a gathered write of
+        // the caller's buffers, its payload never copied.
         let enqueued = Instant::now();
-        let mut frame = Vec::with_capacity(64 + payload.len());
-        let wrote = wire::write_frame(&mut frame, id, &request.to_value(), payload)
-            .and_then(|tx| conn.enqueue_and_flush(&frame).map(|()| tx));
+        let payload_len: usize = parts.iter().map(|part| part.len()).sum();
+        let header = request.to_value();
+        let mut frame = Vec::new();
+        let wrote = if payload_len <= wire::COALESCE_PAYLOAD_BYTES {
+            wire::append_frame(&mut frame, id, &header, parts)
+                .and_then(|tx| conn.enqueue_and_flush(&frame).map(|()| tx))
+        } else {
+            wire::append_frame_head(&mut frame, id, &header, payload_len).and_then(|head| {
+                conn.write_through(&frame, parts)
+                    .map(|()| head + payload_len as u64)
+            })
+        };
         if let Some(m) = &self.metrics {
             m.counter(counters::MUX_QUEUE_TIME)
                 .add(enqueued.elapsed().as_nanos() as u64);
@@ -792,6 +850,16 @@ impl Transport for MuxTransport {
                 .expect("call slot poisoned");
             outcome = guard;
         }
+    }
+}
+
+impl Transport for MuxTransport {
+    fn call(&self, request: &Request, payload: &[u8]) -> Result<(Response, Bytes)> {
+        self.round_trip(request, &[payload])
+    }
+
+    fn call_vectored(&self, request: &Request, parts: &[Bytes]) -> Result<(Response, Bytes)> {
+        self.round_trip(request, &as_slices(parts))
     }
 }
 

@@ -1,6 +1,6 @@
 //! Frame format and the binary [`Value`] codec.
 //!
-//! Every RPC message is one frame (protocol v2):
+//! Every RPC message is one frame (the layout protocol v2 introduced):
 //!
 //! ```text
 //! +---------+-------------+-------------+--------------+------------------+------------------+
@@ -42,7 +42,7 @@
 use crate::proto::PROTOCOL_VERSION;
 use bytes::Bytes;
 use serde::Value;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Upper bound on an encoded header (a request/response tree).
 pub const MAX_HEADER_BYTES: u32 = 16 << 20;
@@ -195,8 +195,9 @@ fn version_mismatch(peer: u8) -> io::Error {
 /// Payloads up to this size are coalesced into the prefix+header buffer
 /// so the whole frame leaves in ONE `write` call — with `TCP_NODELAY`
 /// every write is a packet, and per-syscall cost dominates small frames.
-/// Larger payloads are written separately to avoid the copy.
-const COALESCE_PAYLOAD_BYTES: usize = 256 * 1024;
+/// Larger payloads leave as one gathered write of the caller's own
+/// buffers, to avoid the copy.
+pub(crate) const COALESCE_PAYLOAD_BYTES: usize = 256 * 1024;
 
 /// Writes one frame tagged with `request_id`. Returns the number of
 /// bytes put on the wire. Small frames are emitted in a single `write`
@@ -207,32 +208,157 @@ pub fn write_frame(
     header: &Value,
     payload: &[u8],
 ) -> io::Result<u64> {
-    if payload.len() as u64 > MAX_PAYLOAD_BYTES as u64 {
+    write_frame_parts(w, request_id, header, &[payload])
+}
+
+/// [`write_frame`] for a payload that is the concatenation of `parts` —
+/// a batch of chunks, each in its own buffer. The parts are never joined
+/// into an intermediate payload: a small frame copies them once into the
+/// single write buffer, a large one gathers them straight off the
+/// caller's buffers.
+pub fn write_frame_parts(
+    w: &mut impl Write,
+    request_id: u64,
+    header: &Value,
+    parts: &[&[u8]],
+) -> io::Result<u64> {
+    let payload_len: usize = parts.iter().map(|p| p.len()).sum();
+    let mut buf = Vec::new();
+    let wire_bytes = if payload_len <= COALESCE_PAYLOAD_BYTES {
+        let wire_bytes = append_frame(&mut buf, request_id, header, parts)?;
+        w.write_all(&buf)?;
+        wire_bytes
+    } else {
+        let head_bytes = append_frame_head(&mut buf, request_id, header, payload_len)?;
+        write_all_gathered(w, &buf, parts)?;
+        head_bytes + payload_len as u64
+    };
+    w.flush()?;
+    Ok(wire_bytes)
+}
+
+/// Appends one whole frame to `out` — what a writer whose sink *is* a
+/// byte buffer (a response burst, a write queue, the loopback) calls, so
+/// the frame is encoded in place instead of built aside and copied in.
+/// Returns the frame's wire size; `out` is left as it was on error.
+pub(crate) fn append_frame(
+    out: &mut Vec<u8>,
+    request_id: u64,
+    header: &Value,
+    parts: &[&[u8]],
+) -> io::Result<u64> {
+    let payload_len: usize = parts.iter().map(|p| p.len()).sum();
+    let head_bytes = append_frame_head(out, request_id, header, payload_len)?;
+    out.reserve(payload_len);
+    for part in parts {
+        out.extend_from_slice(part);
+    }
+    Ok(head_bytes + payload_len as u64)
+}
+
+/// Appends the prefix and header of a frame whose payload will be
+/// `payload_len` bytes, enforcing both size limits. Returns the bytes
+/// appended; `out` is left as it was on error.
+pub(crate) fn append_frame_head(
+    out: &mut Vec<u8>,
+    request_id: u64,
+    header: &Value,
+    payload_len: usize,
+) -> io::Result<u64> {
+    if payload_len as u64 > MAX_PAYLOAD_BYTES as u64 {
         return Err(malformed("payload too large"));
     }
-    let coalesce = payload.len() <= COALESCE_PAYLOAD_BYTES;
-    let mut buf = Vec::with_capacity(
-        FRAME_PREFIX_BYTES as usize + 128 + if coalesce { payload.len() } else { 0 },
-    );
-    buf.push(PROTOCOL_VERSION);
-    buf.extend_from_slice(&request_id.to_be_bytes());
-    buf.extend_from_slice(&[0u8; 8]); // head_len + payload_len, patched below
-    encode_value(header, &mut buf);
-    let head_len = buf.len() - FRAME_PREFIX_BYTES as usize;
+    let start = out.len();
+    out.reserve(FRAME_PREFIX_BYTES as usize + 128);
+    out.push(PROTOCOL_VERSION);
+    out.extend_from_slice(&request_id.to_be_bytes());
+    out.extend_from_slice(&[0u8; 8]); // head_len + payload_len, patched below
+    encode_value(header, out);
+    let head_len = out.len() - start - FRAME_PREFIX_BYTES as usize;
     if head_len as u64 > MAX_HEADER_BYTES as u64 {
+        out.truncate(start);
         return Err(malformed("header too large"));
     }
-    buf[9..13].copy_from_slice(&(head_len as u32).to_be_bytes());
-    buf[13..17].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-    if coalesce {
-        buf.extend_from_slice(payload);
-        w.write_all(&buf)?;
-    } else {
-        w.write_all(&buf)?;
-        w.write_all(payload)?;
+    out[start + 9..start + 13].copy_from_slice(&(head_len as u32).to_be_bytes());
+    out[start + 13..start + 17].copy_from_slice(&(payload_len as u32).to_be_bytes());
+    Ok(FRAME_PREFIX_BYTES + head_len as u64)
+}
+
+/// A payload held in parts, as the plain slices the frame writers take.
+pub(crate) fn as_slices(parts: &[Bytes]) -> Vec<&[u8]> {
+    parts.iter().map(|part| part.as_ref()).collect()
+}
+
+/// `write_all` over `head` followed by every part, as gathered writes
+/// (`writev` on a socket): no buffer is copied, and a short write
+/// resumes where it stopped.
+pub(crate) fn write_all_gathered(
+    w: &mut impl Write,
+    head: &[u8],
+    parts: &[&[u8]],
+) -> io::Result<()> {
+    let mut slices: Vec<IoSlice<'_>> = std::iter::once(head)
+        .chain(parts.iter().copied())
+        .filter(|part| !part.is_empty())
+        .map(IoSlice::new)
+        .collect();
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
-    w.flush()?;
-    Ok(FRAME_PREFIX_BYTES + head_len as u64 + payload.len() as u64)
+    Ok(())
+}
+
+/// Walks the payload of a batch frame item by item. The lengths come
+/// off the wire, so every step is checked: lengths that overrun (or
+/// overflow past) the payload, or leave bytes unclaimed, are a typed
+/// protocol error — never a slice panic.
+pub(crate) struct PayloadCursor<'a> {
+    payload: &'a Bytes,
+    offset: usize,
+}
+
+impl<'a> PayloadCursor<'a> {
+    pub(crate) fn new(payload: &'a Bytes) -> Self {
+        PayloadCursor { payload, offset: 0 }
+    }
+
+    /// The next `len` payload bytes (a zero-copy slice).
+    pub(crate) fn take(&mut self, len: u64) -> atomio_types::Result<Bytes> {
+        let end = usize::try_from(len)
+            .ok()
+            .and_then(|len| self.offset.checked_add(len))
+            .filter(|&end| end <= self.payload.len())
+            .ok_or_else(|| self.mismatch(format!("an item of {len} bytes")))?;
+        let part = self.payload.slice(self.offset..end);
+        self.offset = end;
+        Ok(part)
+    }
+
+    /// Succeeds when the items claimed the payload exactly.
+    pub(crate) fn finish(self) -> atomio_types::Result<()> {
+        if self.offset == self.payload.len() {
+            Ok(())
+        } else {
+            Err(self.mismatch("nothing more".to_string()))
+        }
+    }
+
+    fn mismatch(&self, declared: String) -> atomio_types::Error {
+        atomio_types::Error::Transport {
+            kind: atomio_types::TransportErrorKind::Protocol,
+            detail: format!(
+                "batch declares {declared} at payload offset {}, frame carries {} bytes",
+                self.offset,
+                self.payload.len()
+            ),
+        }
+    }
 }
 
 /// Reads one frame. Returns `(request_id, header, payload, bytes_read)`.

@@ -26,6 +26,12 @@
 #                                    # three-service suite against a
 #                                    # 4-shard slot-routed version fleet
 #                                    # (ATOMIO_SHARDS=4)
+#   VERIFY_BENCH=1 scripts/verify.sh  # also build the wall-clock
+#                                    # benchmark (wallbench/, its own
+#                                    # workspace) against this tree and
+#                                    # run its unit tests plus the suite
+#                                    # at 1/40 of the ops with every
+#                                    # correctness gate
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -120,6 +126,17 @@ if [[ "${VERIFY_SHARDS:-0}" == "1" ]]; then
 
     echo "== shards: three-service distributed atomicity on a 4-shard fleet with disk-backed version services (ATOMIO_SHARDS=4 ATOMIO_DISK=1) =="
     ATOMIO_SHARDS=4 ATOMIO_DISK=1 cargo test -q --offline --test distributed_atomicity
+fi
+
+if [[ "${VERIFY_BENCH:-0}" == "1" ]]; then
+    # wallbench/ is its own cargo workspace, so `cargo test --workspace`
+    # never compiles it: a trait or protocol change in crates/* can break
+    # the benchmark unnoticed. The smoke run builds it and the three
+    # server binaries against this tree, runs its unit tests, and drives
+    # all four workloads (SIGKILL → restart → replay equality included)
+    # at 1/40 of the ops — a sanity gate, not a measurement.
+    echo "== bench: wallbench unit tests + smoke suite on the real three-service stack =="
+    bash wallbench/run.sh --smoke
 fi
 
 echo "verify: all gates passed"

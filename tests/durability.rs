@@ -16,7 +16,7 @@ use atomio::simgrid::SimClock;
 use atomio::types::tempdir::TempDir;
 use atomio::types::{BackendConfig, ByteRange, Error, ExtentList, VersionId};
 use bytes::Bytes;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 const CHUNK: u64 = 4096;
 
@@ -217,6 +217,92 @@ fn torn_publish_log_tail_rolls_back_to_the_last_complete_version() {
         v2_state,
         "the store serves exactly the pre-tear v2 bytes"
     );
+}
+
+#[test]
+fn torn_batch_appends_lose_only_the_unacknowledged_write() {
+    let tmp = TempDir::new("atomio-durability-batch");
+    let clock = SimClock::new();
+
+    let store = Store::new(config_on(BackendConfig::disk(tmp.path())));
+    let blob = apply_writes(&store, &clock);
+    let v3_state = read_all(&blob, &clock, ReadVersion::Latest);
+    let accounting = |store: &Store| -> Vec<(usize, u64)> {
+        let fleet = store.providers().providers();
+        fleet
+            .iter()
+            .map(|s| (s.chunk_count(), s.bytes_stored()))
+            .collect()
+    };
+    let chunks = |accounting: &[(usize, u64)]| accounting.iter().map(|a| a.0).sum::<usize>();
+    let acknowledged = chunks(&accounting(&store));
+    let parts = part_files(tmp.path());
+    let len_of = |path: &PathBuf| std::fs::metadata(path).expect("part file").len();
+    let before: Vec<u64> = parts.iter().map(len_of).collect();
+
+    // v4 is one 24-chunk write: each provider takes its share as one
+    // batch and appends it with one write per touched slot.
+    let blob_ref = &blob;
+    run_actors_on(&clock, 1, move |_, p| {
+        blob_ref
+            .write(p, 0, Bytes::from(vec![0xD4; 24 * CHUNK as usize]))
+            .unwrap();
+    });
+    drop(blob);
+    drop(store);
+
+    // The crash caught v4 in flight: its publish record is torn, and
+    // every part-file append of its batches stopped half way through.
+    tear_one_byte(
+        &tmp.path()
+            .join("version")
+            .join("blob-0")
+            .join("publish.log"),
+    );
+    let mut torn = 0;
+    for (path, before) in parts.iter().zip(before) {
+        let after = len_of(path);
+        if after > before {
+            let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+            file.set_len(before + (after - before) / 2).unwrap();
+            torn += 1;
+        }
+    }
+    assert!(torn >= 4, "every provider appended for v4");
+
+    // Recovery truncates each torn append to its last whole record and
+    // serves exactly the acknowledged state.
+    let reopened = Store::new(config_on(BackendConfig::disk(tmp.path())));
+    let blob = reopened.create_blob();
+    let blob_ref = &blob;
+    run_actors_on(&clock, 1, move |_, p| {
+        assert_eq!(blob_ref.latest(p).unwrap().version, VersionId::new(3));
+    });
+    assert_eq!(read_all(&blob, &clock, ReadVersion::Latest), v3_state);
+    // What the providers account is what a rescan of the truncated
+    // files finds: a second recovery agrees with the first.
+    let recovered = accounting(&reopened);
+    assert!(
+        (acknowledged..acknowledged + 24).contains(&chunks(&recovered)),
+        "all of v1..v3 and only whole records of v4: {recovered:?}"
+    );
+    drop(blob);
+    drop(reopened);
+    let again = Store::new(config_on(BackendConfig::disk(tmp.path())));
+    assert_eq!(accounting(&again), recovered);
+}
+
+/// Every slot part file of every data provider under `dir`.
+fn part_files(dir: &Path) -> Vec<PathBuf> {
+    let mut parts = Vec::new();
+    for provider in 0..4 {
+        let slots = dir.join(format!("provider-{provider}")).join("slots");
+        for slot in std::fs::read_dir(slots).expect("slot directories") {
+            parts.push(slot.unwrap().path().join("000.part"));
+        }
+    }
+    parts.sort();
+    parts
 }
 
 fn tear_one_byte(path: &Path) {

@@ -3,16 +3,40 @@
 //! the same scenario under `TransferMode::Serial` and
 //! `TransferMode::Pipelined` and demands the same observable outcome —
 //! bytes, version counts, verifier verdicts, and fault semantics.
+//!
+//! The second half holds the *batched data plane* to the same standard:
+//! the provider manager hands every store one batch per provider, and a
+//! store may serve it with one frame (`RemoteProvider`) or one append per
+//! slot (`DiskProvider`) — or, by default, item by item. Both must yield
+//! bit-identical bytes, version chains, metadata nodes (leaf `homes`
+//! included) and virtual completion times, and a round-trip pin keeps
+//! the per-chunk loop from silently coming back.
 
 use atomio::core::{Blob, ReadVersion, Store, StoreConfig, TransferMode};
+use atomio::meta::{MetaStore, Node};
 use atomio::mpiio::adio::AdioDriver;
 use atomio::mpiio::drivers::VersioningDriver;
+use atomio::provider::{
+    AllocationStrategy, ChunkStore, DiskProvider, ProviderManager, ScrubReport,
+};
+use atomio::rpc::{
+    client::BATCH_FRAME_BYTES, counters, dial, Loopback, ProviderService, RemoteProvider,
+    RpcConfig, RpcMode, RpcServer, Transport,
+};
 use atomio::simgrid::clock::run_actors_on;
-use atomio::simgrid::SimClock;
-use atomio::types::{Error, ExtentList, ProviderId};
-use atomio::workloads::{run_write_round, OverlapWorkload};
+use atomio::simgrid::{
+    CostModel, FaultInjector, Metrics, Participant, Resource, SimClock, SimTime,
+};
+use atomio::types::stamp::WriteStamp;
+use atomio::types::tempdir::TempDir;
+use atomio::types::{
+    ByteRange, ChunkId, ClientId, Error, ExtentList, FsyncPolicy, ProviderId, Result, VersionId,
+};
+use atomio::workloads::{run_write_round, CheckpointWorkload, OverlapWorkload, TileWorkload};
 use bytes::Bytes;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 const MODES: [TransferMode; 2] = [TransferMode::Serial, TransferMode::Pipelined];
 
@@ -191,4 +215,459 @@ fn under_quorum_writes_fail_identically_in_both_modes() {
             assert_eq!(got, vec![1u8; 512], "{mode:?}: retry lost data");
         });
     }
+}
+
+// ---------------------------------------------------------------------
+// The batched data plane against its per-item reference
+// ---------------------------------------------------------------------
+
+/// Forwards every method of a chunk store except the two batch ones, so
+/// the provider manager's batch calls fall through to the trait's
+/// per-item defaults: the reference every batching override must match.
+#[derive(Debug)]
+struct PerItem(Arc<dyn ChunkStore>);
+
+impl ChunkStore for PerItem {
+    fn id(&self) -> ProviderId {
+        self.0.id()
+    }
+    fn put_chunk(&self, p: &Participant, chunk: ChunkId, data: Bytes) -> Result<()> {
+        self.0.put_chunk(p, chunk, data)
+    }
+    fn put_chunk_at(&self, arrival: SimTime, chunk: ChunkId, data: Bytes) -> Result<SimTime> {
+        self.0.put_chunk_at(arrival, chunk, data)
+    }
+    fn get_chunk(&self, p: &Participant, chunk: ChunkId) -> Result<Bytes> {
+        self.0.get_chunk(p, chunk)
+    }
+    fn get_chunk_range(&self, p: &Participant, chunk: ChunkId, range: ByteRange) -> Result<Bytes> {
+        self.0.get_chunk_range(p, chunk, range)
+    }
+    fn get_chunk_range_at(
+        &self,
+        arrival: SimTime,
+        chunk: ChunkId,
+        range: ByteRange,
+    ) -> Result<(Bytes, SimTime)> {
+        self.0.get_chunk_range_at(arrival, chunk, range)
+    }
+    fn has_chunk(&self, chunk: ChunkId) -> bool {
+        self.0.has_chunk(chunk)
+    }
+    fn chunk_count(&self) -> usize {
+        self.0.chunk_count()
+    }
+    fn bytes_stored(&self) -> u64 {
+        self.0.bytes_stored()
+    }
+    fn evict_chunk(&self, chunk: ChunkId) -> u64 {
+        self.0.evict_chunk(chunk)
+    }
+    fn checksum_of(&self, chunk: ChunkId) -> Option<u64> {
+        self.0.checksum_of(chunk)
+    }
+    fn corrupt_chunk(&self, chunk: ChunkId, byte: usize) {
+        self.0.corrupt_chunk(chunk, byte)
+    }
+    fn scrub(&self, p: &Participant) -> ScrubReport {
+        self.0.scrub(p)
+    }
+    fn chunk_len(&self, chunk: ChunkId) -> Option<u64> {
+        self.0.chunk_len(chunk)
+    }
+    fn max_chunk_id(&self) -> Option<ChunkId> {
+        self.0.max_chunk_id()
+    }
+    fn disk(&self) -> &Resource {
+        self.0.disk()
+    }
+    fn nic(&self) -> &Resource {
+        self.0.nic()
+    }
+    fn cost(&self) -> &CostModel {
+        self.0.cost()
+    }
+}
+
+/// Where the chunk stores of a deployment live.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Plane {
+    /// `DiskProvider`s in process, on the grid5000 cost model: the arm
+    /// on which virtual completion times mean something.
+    Disk,
+    /// `RemoteProvider` → `Loopback` → `ProviderService` → `DiskProvider`.
+    Loopback,
+    /// The same over localhost TCP (mux transport, one server per provider).
+    Tcp,
+}
+
+const PLANES: [Plane; 3] = [Plane::Disk, Plane::Loopback, Plane::Tcp];
+const FLEET: usize = 4;
+
+struct Deployment {
+    store: Store,
+    /// The fault plane of the hosted `DiskProvider`s — the server side's,
+    /// which the client-side provider manager cannot see.
+    hosted_faults: Arc<FaultInjector>,
+    servers: Mutex<Vec<RpcServer>>,
+    /// Client-side counters of the data-plane transports.
+    rpc: Metrics,
+    _tmp: TempDir,
+}
+
+impl Deployment {
+    /// Takes provider `i` down behind the manager's back: its server is
+    /// stopped where there is one, its store refuses service otherwise.
+    fn kill_provider(&self, i: usize) {
+        match self.servers.lock().unwrap().get_mut(i) {
+            Some(server) => server.stop(),
+            None => self.hosted_faults.fail_provider(ProviderId::new(i as u64)),
+        }
+    }
+
+    fn round_trips(&self) -> u64 {
+        self.rpc.counter(counters::MESSAGES).get()
+    }
+}
+
+/// A `FLEET`-provider deployment on `plane` writing `replicas` copies
+/// with a quorum of `min_ok`; `per_item` wraps every store in
+/// [`PerItem`]. Metadata and versions stay in process, so the transport
+/// counters see data-plane round trips only.
+fn deploy(
+    plane: Plane,
+    (replicas, min_ok): (usize, usize),
+    per_item: bool,
+    chunk_size: u64,
+) -> Deployment {
+    let tmp = TempDir::new("atomio-batch-plane");
+    let rpc = Metrics::new();
+    let hosted_faults = Arc::new(FaultInjector::new(0));
+    let config = StoreConfig::default()
+        .with_chunk_size(chunk_size)
+        .with_data_providers(FLEET)
+        .with_replication(replicas, min_ok)
+        .with_seed(0xBA7C);
+    let (config, cost) = match plane {
+        Plane::Disk => (config, CostModel::grid5000()),
+        _ => (config.with_zero_cost(), CostModel::zero()),
+    };
+    let mut servers = Vec::new();
+    let stores: Vec<Arc<dyn ChunkStore>> = (0..FLEET)
+        .map(|i| {
+            let id = ProviderId::new(i as u64);
+            let disk: Arc<dyn ChunkStore> = Arc::new(
+                DiskProvider::open(
+                    tmp.path().join(format!("provider-{i}")),
+                    id,
+                    cost,
+                    Arc::clone(&hosted_faults),
+                    FsyncPolicy::Deferred,
+                )
+                .expect("open disk provider"),
+            );
+            let hosted = |disk| Arc::new(ProviderService::from_stores(vec![disk]));
+            let store: Arc<dyn ChunkStore> = match plane {
+                Plane::Disk => disk,
+                Plane::Loopback => {
+                    let transport: Arc<dyn Transport> =
+                        Arc::new(Loopback::new(hosted(disk)).with_metrics(rpc.clone()));
+                    Arc::new(RemoteProvider::new(id, transport))
+                }
+                Plane::Tcp => {
+                    let server = RpcServer::start("127.0.0.1:0", hosted(disk))
+                        .expect("bind provider server");
+                    // No redial: a killed server answers every call with
+                    // an immediate refusal, the per-item reference's too.
+                    let cfg = RpcConfig {
+                        connect_retries: 0,
+                        ..RpcConfig::default()
+                    };
+                    let transport = dial(server.local_addr(), RpcMode::Mux, cfg, Some(rpc.clone()));
+                    servers.push(server);
+                    Arc::new(RemoteProvider::new(id, transport))
+                }
+            };
+            if per_item {
+                Arc::new(PerItem(store))
+            } else {
+                store
+            }
+        })
+        .collect();
+    let manager = Arc::new(ProviderManager::from_stores(
+        stores,
+        AllocationStrategy::RoundRobin,
+        Arc::new(FaultInjector::new(config.seed ^ 0xFA17)),
+        config.seed,
+    ));
+    let meta = Arc::new(MetaStore::with_client_nics(
+        config.meta_shards,
+        config.cost,
+        Arc::clone(manager.client_nic_registry()),
+    ));
+    Deployment {
+        store: Store::with_substrates(config, manager, meta),
+        hosted_faults,
+        servers: Mutex::new(servers),
+        rpc,
+        _tmp: tmp,
+    }
+}
+
+const SMALL_CHUNK: u64 = 4096;
+
+/// The two paper workloads at test size: overlapping ghost-cell tiles
+/// (64 extents of 512 B per rank) and halo-overlapped checkpoint slabs
+/// (one contiguous 17 KiB extent per rank).
+fn workloads() -> Vec<(&'static str, Vec<ExtentList>)> {
+    let tile = TileWorkload::new(2, 2, 64, 64, 8, 4, 4);
+    let checkpoint = CheckpointWorkload::new(4, 1024, 16, 32);
+    vec![
+        ("tile", (0..4).map(|r| tile.extents_for(r)).collect()),
+        (
+            "checkpoint",
+            (0..4).map(|r| checkpoint.extents_for(r)).collect(),
+        ),
+    ]
+}
+
+fn stamped(rank: usize, extents: &ExtentList) -> Bytes {
+    Bytes::from(WriteStamp::new(ClientId::new(rank as u64), 0).payload_for(extents))
+}
+
+/// Everything one run leaves behind that a reader, a restart or a
+/// timing model could tell apart.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    /// Per write: the version it got, or its error.
+    versions: Vec<Result<VersionId>>,
+    latest: VersionId,
+    /// Each rank's extents read back at every version, then the whole
+    /// file at the latest.
+    reads: Vec<Result<Vec<u8>>>,
+    /// Every metadata node, by key: tree shape, chunk ids, leaf `homes`.
+    nodes: Vec<Node>,
+    /// Virtual time the whole run took.
+    elapsed: Duration,
+}
+
+/// Writes every rank's extents in rank order, calls `between` (fault
+/// injection), then reads everything back.
+fn run(d: &Deployment, ranks: &[ExtentList], between: impl Fn() + Sync) -> Observed {
+    let blob = d.store.create_blob();
+    let clock = SimClock::new();
+    let blob_ref = &blob;
+    let (versions, latest, reads) = run_actors_on(&clock, 1, move |_, p| {
+        let versions: Vec<Result<VersionId>> = ranks
+            .iter()
+            .enumerate()
+            .map(|(rank, extents)| blob_ref.write_list(p, extents, stamped(rank, extents)))
+            .collect();
+        between();
+        let latest = blob_ref.latest(p).unwrap();
+        let mut reads = Vec::new();
+        for v in 1..=latest.version.raw() {
+            for extents in ranks {
+                reads.push(blob_ref.read_at(p, VersionId::new(v), extents));
+            }
+        }
+        reads.push(blob_ref.read(p, 0, latest.size));
+        (versions, latest.version, reads)
+    })
+    .pop()
+    .unwrap();
+    let mut keys = d.store.meta().list_keys();
+    keys.sort_by_key(|k| (k.blob, k.version, k.range.offset, k.range.len));
+    let nodes = run_actors_on(&SimClock::new(), 1, |_, p| {
+        d.store
+            .meta()
+            .get_batch(p, &keys)
+            .into_iter()
+            .map(|node| (*node.unwrap()).clone())
+            .collect()
+    })
+    .pop()
+    .unwrap();
+    Observed {
+        versions,
+        latest,
+        reads,
+        nodes,
+        elapsed: clock.now(),
+    }
+}
+
+#[test]
+fn batched_data_plane_matches_the_per_item_reference() {
+    for plane in PLANES {
+        for replication in [(1, 1), (2, 2)] {
+            for (name, ranks) in workloads() {
+                let observe = |per_item| {
+                    run(
+                        &deploy(plane, replication, per_item, SMALL_CHUNK),
+                        &ranks,
+                        || {},
+                    )
+                };
+                let (batched, reference) = (observe(false), observe(true));
+                let arm = format!("{plane:?} replication {replication:?} {name}");
+                assert!(batched.versions.iter().all(|v| v.is_ok()), "{arm}");
+                // Reads below a version's size fail alike on both sides;
+                // the latest reads everything back.
+                assert!(batched.reads.last().unwrap().is_ok(), "{arm}");
+                if plane == Plane::Disk {
+                    assert!(batched.elapsed > Duration::ZERO, "{arm}: costs are booked");
+                }
+                assert_eq!(
+                    batched, reference,
+                    "{arm}: batched and per-item runs differ"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_provider_down_before_the_batch_costs_its_copies_only() {
+    // Provider 1 is failed on the manager's fault plane from the start:
+    // its copies are never booked, every chunk still lands on its other
+    // home (quorum 1 of 2), and batched and per-item runs agree on every
+    // byte and every shortened `homes` list.
+    for plane in PLANES {
+        for (name, ranks) in workloads() {
+            let observe = |per_item| {
+                let d = deploy(plane, (2, 1), per_item, SMALL_CHUNK);
+                d.store.faults().fail_provider(ProviderId::new(1));
+                run(&d, &ranks, || {})
+            };
+            let (batched, reference) = (observe(false), observe(true));
+            assert!(
+                batched.versions.iter().all(|v| v.is_ok()),
+                "{plane:?} {name}"
+            );
+            assert!(batched.reads.last().unwrap().is_ok(), "{plane:?} {name}");
+            assert_eq!(batched, reference, "{plane:?} {name}");
+        }
+    }
+}
+
+#[test]
+fn a_provider_killed_between_put_and_get_fails_reads_over_in_a_second_round() {
+    for plane in PLANES {
+        for (name, ranks) in workloads() {
+            let observe = |per_item| {
+                let d = deploy(plane, (2, 2), per_item, SMALL_CHUNK);
+                let before_reads = AtomicU64::new(0);
+                let observed = run(&d, &ranks, || {
+                    d.kill_provider(2);
+                    before_reads.store(d.round_trips(), Ordering::Relaxed);
+                });
+                (observed, d.round_trips() - before_reads.into_inner())
+            };
+            let ((batched, batched_trips), (reference, reference_trips)) =
+                (observe(false), observe(true));
+            let arm = format!("{plane:?} {name}");
+            assert!(
+                batched.reads.last().unwrap().is_ok(),
+                "{arm}: every chunk has a surviving replica"
+            );
+            assert_eq!(batched, reference, "{arm}");
+            if plane != Plane::Disk {
+                assert!(
+                    batched_trips < reference_trips,
+                    "{arm}: failover regroups into batches ({batched_trips} round trips \
+                     against {reference_trips} per item)"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_rejected_item_fails_alone_in_its_batch() {
+    for plane in PLANES {
+        let outcomes = |per_item| {
+            let d = deploy(plane, (2, 2), per_item, SMALL_CHUNK);
+            let chunk = |i: u64| (ChunkId::new(i), Bytes::from(vec![i as u8; 700]));
+            run_actors_on(&SimClock::new(), 1, |_, p| {
+                let manager = d.store.providers();
+                let first = manager.put_batch_replicated(p, &[chunk(5)], 2, 2);
+                // Chunk 5 again, in the middle of eight new ones.
+                let batch: Vec<_> = [1, 2, 3, 4, 5, 6, 7, 8, 9].map(chunk).to_vec();
+                let second = manager.put_batch_replicated(p, &batch, 2, 2);
+                (first, second)
+            })
+            .pop()
+            .unwrap()
+        };
+        let (batched, reference) = (outcomes(false), outcomes(true));
+        assert_eq!(batched, reference, "{plane:?}");
+        let (first, second) = batched;
+        assert!(first[0].is_ok());
+        for (i, outcome) in second.iter().enumerate() {
+            if i == 4 {
+                assert!(
+                    matches!(outcome, Err(Error::Internal(_))),
+                    "{plane:?}: the reused id is refused, got {outcome:?}"
+                );
+            } else {
+                assert_eq!(outcome.as_ref().map(Vec::len), Ok(2), "{plane:?} item {i}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_tile_write_and_its_read_cost_one_round_trip_per_provider() {
+    // The paper's §VI tile: 256 extents of 2 KiB, ghost-extended, which
+    // the 64 KiB leaf geometry cuts into some 264 chunks. However many,
+    // the data plane pays per provider, not per chunk.
+    let tile = TileWorkload::new(3, 3, 256, 256, 8, 8, 8).extents_for(4);
+    assert_eq!(tile.range_count(), 256);
+    for replication in [1, 2] {
+        let d = deploy(
+            Plane::Loopback,
+            (replication, replication),
+            false,
+            64 * 1024,
+        );
+        let blob = d.store.create_blob();
+        let payload = stamped(4, &tile);
+        run_actors_on(&SimClock::new(), 1, |_, p| {
+            blob.write_list(p, &tile, payload.clone()).unwrap();
+            let after_write = d.round_trips();
+            assert!(
+                (1..=(FLEET * replication) as u64).contains(&after_write),
+                "write_list of a tile cost {after_write} data-plane round trips"
+            );
+            let back = blob.read_list(p, ReadVersion::Latest, &tile).unwrap();
+            assert_eq!(back, payload.as_ref());
+            let read = d.round_trips() - after_write;
+            assert!(
+                (1..=FLEET as u64).contains(&read),
+                "read_list of a tile cost {read} data-plane round trips"
+            );
+        });
+    }
+}
+
+#[test]
+fn a_write_past_the_frame_budget_splits_into_whole_frames_per_provider() {
+    // 2.5 frame budgets of 64 KiB chunks per provider: ⌈2.5⌉ = 3 frames
+    // each way, per provider — and the bytes still come back.
+    const CHUNK: u64 = 64 * 1024;
+    let per_provider = BATCH_FRAME_BYTES as u64 * 5 / 2;
+    let extents = ExtentList::single(ByteRange::new(0, per_provider * FLEET as u64));
+    let frames = per_provider.div_ceil(BATCH_FRAME_BYTES as u64);
+    let d = deploy(Plane::Loopback, (1, 1), false, CHUNK);
+    let blob = d.store.create_blob();
+    let payload = stamped(0, &extents);
+    run_actors_on(&SimClock::new(), 1, |_, p| {
+        blob.write_list(p, &extents, payload.clone()).unwrap();
+        assert_eq!(d.round_trips(), FLEET as u64 * frames);
+        let back = blob.read_list(p, ReadVersion::Latest, &extents).unwrap();
+        assert_eq!(back, payload.as_ref());
+        assert_eq!(d.round_trips(), 2 * FLEET as u64 * frames);
+    });
 }
