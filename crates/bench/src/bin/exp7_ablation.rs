@@ -7,13 +7,6 @@
 //!   waiting* principle);
 //! * **Allocation strategy** — round-robin vs. least-loaded vs. random
 //!   chunk placement;
-//! * **Transfer engine** — pipelined batched chunk transfers vs. one
-//!   chunk at a time (the reservation engine of `DESIGN.md` §4);
-//! * **Metadata commit engine** — batched shard-parallel node commits
-//!   vs. one node put at a time (`DESIGN.md` §4);
-//! * **Metadata read path** — one batched fetch per tree level vs. a
-//!   per-node walk, plus wire-transport accounting of the same workload
-//!   through the RPC codec;
 //! * **Socket transport** — multiplexed connection-pool transport vs.
 //!   strict per-call framing over real localhost TCP (`DESIGN.md` §5).
 //!   E7g is the one arm measured in **wall-clock** time on real sockets
@@ -26,16 +19,12 @@
 //! Run: `cargo run -p atomio-bench --release --bin exp7_ablation`
 
 use atomio_bench::{Backend, BenchConfig, ExperimentReport, Row};
-use atomio_core::{MetaCommitMode, MetaReadMode, ReadVersion, Store, StoreConfig, TransferMode};
+use atomio_core::{Store, StoreConfig};
 use atomio_mpiio::adio::AdioDriver;
 use atomio_mpiio::drivers::VersioningDriver;
-use atomio_provider::{AllocationStrategy, ChunkStore, ProviderManager};
-use atomio_rpc::{
-    dial, Loopback, MetaService, ProviderService, RemoteMetaStore, RemoteProvider, RpcConfig,
-    RpcMode, RpcServer,
-};
-use atomio_simgrid::clock::run_actors_on;
-use atomio_simgrid::{FaultInjector, Metrics, SimClock};
+use atomio_provider::{AllocationStrategy, ChunkStore};
+use atomio_rpc::{dial, ProviderService, RemoteProvider, RpcConfig, RpcMode, RpcServer};
+use atomio_simgrid::{Metrics, SimClock};
 use atomio_types::{ChunkId, ExtentList, ProviderId};
 use atomio_version::TicketMode;
 use atomio_workloads::{run_write_round, OverlapWorkload};
@@ -184,322 +173,13 @@ fn main() {
     println!("{}", alloc.render_table());
     alloc.save_json(atomio_bench::report::results_dir()).ok();
 
-    // --- Transfer engine --------------------------------------------------
-    // Single client, 64 KiB chunks: data-transfer throughput vs. striping
-    // factor, serial vs. pipelined chunk transfers. Serial pays
-    // (rpc + net + disk) per chunk regardless of fleet size; pipelined
-    // overlaps the RPCs and drains provider disks in parallel, so
-    // per-client bandwidth climbs with the striping factor until the
-    // client's own NIC saturates. Throughput is measured over the
-    // transfer stage (`core.transfer_time`) — the stage the
-    // `TransferMode` knob controls; the metadata build/publish cost is
-    // mode-independent and reported in the notes.
-    let mut transfer = ExperimentReport::new(
-        "E7d",
-        "ablation: pipelined vs. serial chunk transfers (1 client, 64 KiB chunks)",
-        "providers",
-    );
-    const XFER_CHUNK: u64 = 64 * 1024;
-    const XFER_CHUNKS: u64 = 128;
-    let total_bytes = XFER_CHUNK * XFER_CHUNKS;
-    for &servers in &[1usize, 2, 4, 8, 16, 32] {
-        for (label, mode) in [
-            ("serial", TransferMode::Serial),
-            ("pipelined", TransferMode::Pipelined),
-        ] {
-            let store = Store::new(
-                StoreConfig::default()
-                    .with_cost(cfg.cost)
-                    .with_chunk_size(XFER_CHUNK)
-                    .with_data_providers(servers)
-                    .with_meta_shards(cfg.meta_shards)
-                    .with_transfer_mode(mode)
-                    .with_seed(cfg.seed),
-            );
-            let blob = store.create_blob();
-            let clock = SimClock::new();
-            let ext = ExtentList::from_pairs([(0u64, total_bytes)]);
-            let blob_ref = &blob;
-            let ext_ref = &ext;
-            let xfer_stat = store.metrics().time_stat("core.transfer_time");
-            let stat_ref = &xfer_stat;
-            let times = run_actors_on(&clock, 1, move |_, p| {
-                let (s0, t0) = (stat_ref.sum(), p.now());
-                blob_ref
-                    .write_list(p, ext_ref, Bytes::from(vec![0xA5u8; total_bytes as usize]))
-                    .unwrap();
-                let (wrote_xfer, wrote) = (stat_ref.sum() - s0, p.now() - t0);
-                let (s1, t1) = (stat_ref.sum(), p.now());
-                blob_ref.read_list(p, ReadVersion::Latest, ext_ref).unwrap();
-                (wrote_xfer, wrote, stat_ref.sum() - s1, p.now() - t1)
-            });
-            let (wrote_xfer, wrote, read_xfer, read) = times[0];
-            for (phase, xfer, e2e) in [("write", wrote_xfer, wrote), ("read", read_xfer, read)] {
-                transfer.push(Row {
-                    x: servers as u64,
-                    backend: format!("{label}-{phase}"),
-                    throughput_mib_s: total_bytes as f64 / (1 << 20) as f64 / xfer.as_secs_f64(),
-                    elapsed_s: xfer.as_secs_f64(),
-                    bytes: total_bytes,
-                    atomic_ok: None,
-                });
-                if servers == 16 {
-                    transfer.note(format!(
-                        "end-to-end {label}-{phase} at 16 providers: {:.1} ms \
-                         (transfer {:.1} ms + metadata)",
-                        e2e.as_secs_f64() * 1e3,
-                        xfer.as_secs_f64() * 1e3,
-                    ));
-                }
-            }
-            // Where the virtual time went in the headline configuration.
-            if servers == 16 && mode == TransferMode::Pipelined {
-                transfer.resources =
-                    atomio_bench::report::provider_resource_usage(store.providers());
-            }
-            eprintln!("  ... transfer {label} {servers} providers done");
-        }
-    }
-    for x in transfer.xs() {
-        if let Some(s) = transfer.speedup_at(x, "pipelined-write", "serial-write") {
-            transfer.note(format!(
-                "pipelining write gain at {x:>3} providers: {s:.2}x"
-            ));
-        }
-        if let Some(s) = transfer.speedup_at(x, "pipelined-read", "serial-read") {
-            transfer.note(format!("pipelining read gain at {x:>3} providers: {s:.2}x"));
-        }
-    }
-    println!("{}", transfer.render_table());
-    transfer.save_json(atomio_bench::report::results_dir()).ok();
-
-    // --- Metadata commit engine -------------------------------------------
-    // Single client, one 128-leaf write (255 tree nodes): virtual time of
-    // the metadata commit stage (`core.meta_commit_time`) vs. shard
-    // count, serial vs. batched commits. Serial pays (rpc + wire +
-    // meta_op) per node regardless of shard count; batched overlaps the
-    // RPCs, serializes node payloads on the client NIC, and lands one
-    // list-request per shard, so commit time shrinks with the shard
-    // count. The throughput column is **nodes committed per simulated
-    // second** for this experiment.
-    let mut meta_commit = ExperimentReport::new(
-        "E7e",
-        "ablation: batched shard-parallel vs. serial metadata commits (1 client, 128 x 64 KiB)",
-        "meta_shards",
-    );
-    meta_commit.note("throughput column = metadata nodes committed per simulated second");
-    for &shards in &[1usize, 2, 4, 8, 16] {
-        for (label, mode) in [
-            ("serial", MetaCommitMode::Serial),
-            ("batched", MetaCommitMode::Batched),
-        ] {
-            let run_once = || {
-                let store = Store::new(
-                    StoreConfig::default()
-                        .with_cost(cfg.cost)
-                        .with_chunk_size(XFER_CHUNK)
-                        .with_data_providers(16)
-                        .with_meta_shards(shards)
-                        .with_meta_commit_mode(mode)
-                        .with_seed(cfg.seed),
-                );
-                let blob = store.create_blob();
-                let clock = SimClock::new();
-                let ext = ExtentList::from_pairs([(0u64, total_bytes)]);
-                let commit_stat = store.metrics().time_stat("core.meta_commit_time");
-                let depth_stat = store.metrics().value_stat("core.meta_commit_depth");
-                let blob_ref = &blob;
-                let ext_ref = &ext;
-                let stat_ref = &commit_stat;
-                let times = run_actors_on(&clock, 1, move |_, p| {
-                    let t0 = p.now();
-                    blob_ref
-                        .write_list(p, ext_ref, Bytes::from(vec![0x5Au8; total_bytes as usize]))
-                        .unwrap();
-                    (stat_ref.sum(), p.now() - t0)
-                });
-                (times[0].0, times[0].1, depth_stat.max())
-            };
-            let (commit, e2e, depth) = run_once();
-            let (commit2, e2e2, _) = run_once();
-            assert_eq!(
-                (commit, e2e),
-                (commit2, e2e2),
-                "meta commit must be bit-reproducible"
-            );
-            meta_commit.push(Row {
-                x: shards as u64,
-                backend: label.into(),
-                throughput_mib_s: depth as f64 / commit.as_secs_f64(),
-                elapsed_s: commit.as_secs_f64(),
-                bytes: total_bytes,
-                atomic_ok: None,
-            });
-            if shards == 4 {
-                meta_commit.note(format!(
-                    "{label} at 4 shards: commit {:.2} ms of {:.2} ms end-to-end, \
-                     {depth} nodes/commit",
-                    commit.as_secs_f64() * 1e3,
-                    e2e.as_secs_f64() * 1e3,
-                ));
-            }
-            eprintln!("  ... meta commit {label} {shards} shards done");
-        }
-    }
-    for x in meta_commit.xs() {
-        if let Some(s) = meta_commit.speedup_at(x, "batched", "serial") {
-            meta_commit.note(format!("batched commit gain at {x:>2} shards: {s:.2}x"));
-        }
-    }
-    println!("{}", meta_commit.render_table());
-    meta_commit
-        .save_json(atomio_bench::report::results_dir())
-        .ok();
-
-    // --- Metadata read path -----------------------------------------------
-    // The read-side mirror of E7e: the single client reads the 128-leaf
-    // write back, and we time the tree-resolve stage
-    // (`core.meta_resolve_time`) vs. shard count. A per-node walk pays
-    // (rpc + wire + meta_op) for every node on the root-to-leaf paths;
-    // the batched reader issues one list-request per tree level, so the
-    // per-node round trips collapse and shards serve a level in
-    // parallel. The throughput column is **nodes resolved per simulated
-    // second**.
-    let mut meta_read = ExperimentReport::new(
-        "E7f",
-        "ablation: batched per-level vs. per-node metadata reads (1 client, 128 x 64 KiB)",
-        "meta_shards",
-    );
-    meta_read.note("throughput column = metadata nodes resolved per simulated second");
-    for &shards in &[1usize, 2, 4, 8, 16] {
-        for (label, mode) in [
-            ("per-node", MetaReadMode::PerNode),
-            ("batched", MetaReadMode::Batched),
-        ] {
-            let run_once = || {
-                let store = Store::new(
-                    StoreConfig::default()
-                        .with_cost(cfg.cost)
-                        .with_chunk_size(XFER_CHUNK)
-                        .with_data_providers(16)
-                        .with_meta_shards(shards)
-                        .with_meta_read_mode(mode)
-                        .with_seed(cfg.seed),
-                );
-                let blob = store.create_blob();
-                let clock = SimClock::new();
-                let ext = ExtentList::from_pairs([(0u64, total_bytes)]);
-                let resolve_stat = store.metrics().time_stat("core.meta_resolve_time");
-                let blob_ref = &blob;
-                let ext_ref = &ext;
-                let stat_ref = &resolve_stat;
-                let times = run_actors_on(&clock, 1, move |_, p| {
-                    blob_ref
-                        .write_list(p, ext_ref, Bytes::from(vec![0xC3u8; total_bytes as usize]))
-                        .unwrap();
-                    let (s0, t0) = (stat_ref.sum(), p.now());
-                    blob_ref.read_list(p, ReadVersion::Latest, ext_ref).unwrap();
-                    (stat_ref.sum() - s0, p.now() - t0)
-                });
-                (times[0].0, times[0].1, store.meta().node_count() as u64)
-            };
-            let (resolve, read, nodes) = run_once();
-            let (resolve2, read2, _) = run_once();
-            assert_eq!(
-                (resolve, read),
-                (resolve2, read2),
-                "meta read must be bit-reproducible"
-            );
-            meta_read.push(Row {
-                x: shards as u64,
-                backend: label.into(),
-                throughput_mib_s: nodes as f64 / resolve.as_secs_f64(),
-                elapsed_s: resolve.as_secs_f64(),
-                bytes: total_bytes,
-                atomic_ok: None,
-            });
-            if shards == 4 {
-                meta_read.note(format!(
-                    "{label} at 4 shards: resolve {:.2} ms of {:.2} ms read end-to-end, \
-                     {nodes} tree nodes",
-                    resolve.as_secs_f64() * 1e3,
-                    read.as_secs_f64() * 1e3,
-                ));
-            }
-            eprintln!("  ... meta read {label} {shards} shards done");
-        }
-    }
-    for x in meta_read.xs() {
-        if let Some(s) = meta_read.speedup_at(x, "batched", "per-node") {
-            meta_read.note(format!("batched read gain at {x:>2} shards: {s:.2}x"));
-        }
-    }
-
-    // Wire-transport accounting: the same write + read through the RPC
-    // codec (`Loopback` transport, zero-cost services), counting the
-    // messages and bytes the workload actually puts on the wire. The
-    // counters land in the report's `stats` block.
-    {
-        let metrics = Metrics::new();
-        let providers = 16usize;
-        let provider_transport = Arc::new(
-            Loopback::new(Arc::new(ProviderService::new(providers))).with_metrics(metrics.clone()),
-        );
-        let stores: Vec<Arc<dyn ChunkStore>> = (0..providers)
-            .map(|i| {
-                Arc::new(RemoteProvider::new(
-                    ProviderId::new(i as u64),
-                    provider_transport.clone() as _,
-                )) as Arc<dyn ChunkStore>
-            })
-            .collect();
-        let config = StoreConfig::default()
-            .with_zero_cost()
-            .with_chunk_size(XFER_CHUNK)
-            .with_data_providers(providers)
-            .with_meta_shards(4)
-            .with_seed(cfg.seed);
-        let manager = Arc::new(ProviderManager::from_stores(
-            stores,
-            config.allocation,
-            Arc::new(FaultInjector::new(config.seed)),
-            config.seed,
-        ));
-        let meta_transport = Arc::new(
-            Loopback::new(Arc::new(MetaService::new(4, XFER_CHUNK))).with_metrics(metrics.clone()),
-        );
-        let meta = Arc::new(RemoteMetaStore::new(meta_transport as _));
-        let store = Store::with_substrates(config, manager, meta);
-
-        let blob = store.create_blob();
-        let clock = SimClock::new();
-        let ext = ExtentList::from_pairs([(0u64, total_bytes)]);
-        let blob_ref = &blob;
-        let ext_ref = &ext;
-        run_actors_on(&clock, 1, move |_, p| {
-            blob_ref
-                .write_list(p, ext_ref, Bytes::from(vec![0xC3u8; total_bytes as usize]))
-                .unwrap();
-            blob_ref.read_list(p, ReadVersion::Latest, ext_ref).unwrap();
-        });
-        meta_read.stats = atomio_bench::report::rpc_counter_stats(&metrics);
-        meta_read.note(
-            "stats = RPC messages/bytes for the same workload over the wire codec \
-             (Loopback transport, 16 providers + 4 meta shards)",
-        );
-    }
-    println!("{}", meta_read.render_table());
-    meta_read
-        .save_json(atomio_bench::report::results_dir())
-        .ok();
-
     // --- Socket transport: per-call vs. multiplexed -----------------------
     // Aggregated RPC throughput of N concurrent clients sharing ONE
     // transport handle to one provider server over real localhost TCP.
     // Per-call serializes every round trip behind a single connection's
     // mutex; mux keeps one request per caller in flight across a pool of
     // 4 connections, demultiplexed by request id, against the server's
-    // concurrent per-connection dispatch. Unlike E7a–f this arm runs on
+    // concurrent per-connection dispatch. Unlike E7a–c this arm runs on
     // real sockets in wall-clock time: absolute numbers vary with the
     // host, the mux/per-call ratio is the result.
     let mut mux = ExperimentReport::new(
@@ -602,6 +282,7 @@ fn main() {
          localhost TCP; all writers share one version manager (one blob)",
     );
     const VM_OPS_PER_WRITER: u64 = 256;
+    const VM_CHUNK: u64 = 64 * 1024;
     let vm_root = |version: atomio_types::VersionId, capacity: u64| {
         atomio_meta::NodeKey::new(
             atomio_types::BlobId::new(1),
@@ -616,7 +297,7 @@ fn main() {
         // server dispatches to, minus the server.
         let vm = Arc::new(atomio_version::VersionManager::new(
             Arc::new(atomio_meta::VersionHistory::new()),
-            atomio_meta::TreeConfig::new(XFER_CHUNK),
+            atomio_meta::TreeConfig::new(VM_CHUNK),
             atomio_simgrid::CostModel::zero(),
             TicketMode::Pipelined,
         ));
@@ -647,7 +328,7 @@ fn main() {
         // Remote arm: the third service behind real sockets.
         let mut server = RpcServer::start_with_config(
             "127.0.0.1:0",
-            Arc::new(atomio_rpc::VersionService::new(XFER_CHUNK)),
+            Arc::new(atomio_rpc::VersionService::new(VM_CHUNK)),
             RpcConfig::default(),
         )
         .expect("bind E7h version server");

@@ -5,7 +5,6 @@
 //! table and dumped as JSON under `results/` so `EXPERIMENTS.md` can
 //! reference machine-readable outputs.
 
-use atomio_provider::ProviderManager;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -252,32 +251,6 @@ impl ExperimentReport {
         )?;
         Ok(path)
     }
-}
-
-/// Collects [`ResourceUsage`] for every provider NIC and disk in a
-/// fleet, plus the per-client NICs of the pipelined transfer engine,
-/// skipping devices that never served a request.
-pub fn provider_resource_usage(providers: &ProviderManager) -> Vec<ResourceUsage> {
-    let usage_of = |dev: &atomio_simgrid::Resource| ResourceUsage {
-        name: dev.name().to_owned(),
-        busy_s: dev.busy_time().as_secs_f64(),
-        queue_s: dev.total_queue_delay().as_secs_f64(),
-        requests: dev.request_count(),
-    };
-    let mut out = Vec::new();
-    for prov in providers.providers() {
-        for dev in [prov.nic(), prov.disk()] {
-            if dev.request_count() > 0 {
-                out.push(usage_of(dev));
-            }
-        }
-    }
-    for nic in providers.client_nics() {
-        if nic.request_count() > 0 {
-            out.push(usage_of(&nic));
-        }
-    }
-    out
 }
 
 /// Extracts the wire-transport counters (`rpc.*` namespace — messages,

@@ -16,7 +16,7 @@
 //!    its own version, which preserves MPI semantics ("when the call
 //!    returns, the data is visible").
 
-use crate::config::{CommitMode, TransferMode};
+use crate::config::CommitMode;
 use crate::wal::WriteAheadLog;
 use atomio_meta::{
     LeafEntry, NodeCache, NodeStore, TreeBuilder, TreeConfig, TreeReader, VersionHistory,
@@ -239,15 +239,13 @@ impl Blob {
             &inner.history,
             TreeConfig::new(inner.geometry.chunk_size()),
         )
-        .with_mode(inner.config.meta_commit_mode)
         .with_metrics(inner.metrics.clone());
 
         let attempt = || -> Result<atomio_meta::NodeKey> {
             // 2. Data transfer: one immutable chunk per leaf-aligned
             //    piece. The piece list is assembled first (pre-sized from
             //    the extent/leaf count, so nothing reallocates
-            //    mid-transfer), then either pushed one chunk at a time
-            //    (Serial) or booked as one batch (Pipelined).
+            //    mid-transfer), then booked as one batch.
             let transfer_start = p.now();
             let leaf_count: usize = extents
                 .with_buffer_offsets()
@@ -275,46 +273,24 @@ impl Blob {
                 }
                 cursor += range.len;
             }
-            let depth = inner.metrics.value_stat("core.transfer_depth");
+            inner
+                .metrics
+                .value_stat("core.transfer_depth")
+                .record(puts.len() as u64);
+            let outcomes = inner.providers.put_batch_replicated(
+                p,
+                &puts,
+                inner.config.replication,
+                inner.config.min_replicas,
+            );
             let mut entries = Vec::with_capacity(puts.len());
-            match inner.config.transfer_mode {
-                TransferMode::Serial => {
-                    for ((chunk, slice), &span) in puts.iter().zip(&spans) {
-                        depth.record(1);
-                        let homes = inner.providers.put_replicated(
-                            p,
-                            *chunk,
-                            slice,
-                            inner.config.replication,
-                            inner.config.min_replicas,
-                        )?;
-                        entries.push(LeafEntry {
-                            file_range: span,
-                            chunk: *chunk,
-                            chunk_offset: 0,
-                            homes,
-                        });
-                    }
-                }
-                TransferMode::Pipelined => {
-                    depth.record(puts.len() as u64);
-                    let outcomes = inner.providers.put_batch_replicated(
-                        p,
-                        &puts,
-                        inner.config.replication,
-                        inner.config.min_replicas,
-                    );
-                    for ((outcome, (chunk, _)), &span) in
-                        outcomes.into_iter().zip(&puts).zip(&spans)
-                    {
-                        entries.push(LeafEntry {
-                            file_range: span,
-                            chunk: *chunk,
-                            chunk_offset: 0,
-                            homes: outcome?,
-                        });
-                    }
-                }
+            for ((outcome, (chunk, _)), &span) in outcomes.into_iter().zip(&puts).zip(&spans) {
+                entries.push(LeafEntry {
+                    file_range: span,
+                    chunk: *chunk,
+                    chunk_offset: 0,
+                    homes: outcome?,
+                });
             }
             inner
                 .metrics
@@ -550,8 +526,7 @@ impl Blob {
         let reader = match &inner.node_cache {
             Some(cache) => TreeReader::with_cache(inner.meta.as_ref(), cache),
             None => TreeReader::new(inner.meta.as_ref()),
-        }
-        .with_read_mode(inner.config.meta_read_mode);
+        };
         let resolve_start = p.now();
         let pieces = reader.resolve(p, snap.root, extents)?;
         inner
@@ -587,26 +562,15 @@ impl Blob {
             });
             targets.push(dst_of(piece.file_range));
         }
-        let depth = inner.metrics.value_stat("core.transfer_depth");
+        inner
+            .metrics
+            .value_stat("core.transfer_depth")
+            .record(requests.len() as u64);
         let transfer_start = p.now();
-        match inner.config.transfer_mode {
-            TransferMode::Serial => {
-                for (req, &dst) in requests.iter().zip(&targets) {
-                    depth.record(1);
-                    let data = inner
-                        .providers
-                        .get_with_failover(p, req.chunk, &req.homes, req.range)?;
-                    out[dst..dst + data.len()].copy_from_slice(&data);
-                }
-            }
-            TransferMode::Pipelined => {
-                depth.record(requests.len() as u64);
-                let results = inner.providers.get_batch_with_failover(p, &requests);
-                for (result, &dst) in results.into_iter().zip(&targets) {
-                    let data = result?;
-                    out[dst..dst + data.len()].copy_from_slice(&data);
-                }
-            }
+        let results = inner.providers.get_batch_with_failover(p, &requests);
+        for (result, &dst) in results.into_iter().zip(&targets) {
+            let data = result?;
+            out[dst..dst + data.len()].copy_from_slice(&data);
         }
         inner
             .metrics
@@ -774,7 +738,6 @@ impl Blob {
             &inner.history,
             TreeConfig::new(inner.geometry.chunk_size()),
         )
-        .with_mode(inner.config.meta_commit_mode)
         .with_metrics(inner.metrics.clone());
         let root = builder.build_update(p, ticket.version, ticket.capacity, &entries)?;
         inner.vm.publish(p, ticket, root)?;

@@ -5,8 +5,6 @@ use atomio_simgrid::CostModel;
 use atomio_types::{BackendConfig, RetentionPolicy};
 use atomio_version::TicketMode;
 
-pub use atomio_meta::{MetaCommitMode, MetaReadMode};
-
 /// How clients reach the provider and metadata services.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportMode {
@@ -22,21 +20,6 @@ pub enum TransportMode {
     /// dial); `dial` the remote handles with `atomio-rpc` and pass them
     /// to [`crate::Store::with_substrates`].
     Tcp,
-}
-
-/// How the client data path issues chunk transfers (E7 ablation knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransferMode {
-    /// One chunk at a time: each transfer completes before the next is
-    /// issued. The pre-pipelining data path, kept as the ablation
-    /// baseline.
-    Serial,
-    /// Batched reservations: all chunk requests of a write or read are
-    /// booked up front (replica copies concurrently), injections
-    /// serialize on the client's own NIC, and the client sleeps once to
-    /// the latest completion — BlobSeer-style overlapped striping.
-    #[default]
-    Pipelined,
 }
 
 /// How [`crate::Blob::write_list`] acknowledges a write (E8 ablation
@@ -78,12 +61,6 @@ pub struct StoreConfig {
     pub cost: CostModel,
     /// Publication pipeline mode (E7 ablation knob).
     pub ticket_mode: TicketMode,
-    /// Chunk transfer engine mode (E7 ablation knob).
-    pub transfer_mode: TransferMode,
-    /// Metadata commit engine mode (E7 ablation knob).
-    pub meta_commit_mode: MetaCommitMode,
-    /// Metadata read engine mode (E7 ablation knob).
-    pub meta_read_mode: MetaReadMode,
     /// How clients reach the provider and metadata services.
     pub transport_mode: TransportMode,
     /// Client-side metadata cache size in nodes (0 disables caching).
@@ -124,9 +101,6 @@ impl Default for StoreConfig {
             allocation: AllocationStrategy::RoundRobin,
             cost: CostModel::grid5000(),
             ticket_mode: TicketMode::Pipelined,
-            transfer_mode: TransferMode::Pipelined,
-            meta_commit_mode: MetaCommitMode::Batched,
-            meta_read_mode: MetaReadMode::Batched,
             transport_mode: TransportMode::Loopback,
             meta_cache_nodes: 4096,
             commit_mode: CommitMode::Direct,
@@ -188,24 +162,6 @@ impl StoreConfig {
         self
     }
 
-    /// Sets the chunk transfer engine mode.
-    pub fn with_transfer_mode(mut self, mode: TransferMode) -> Self {
-        self.transfer_mode = mode;
-        self
-    }
-
-    /// Sets the metadata commit engine mode.
-    pub fn with_meta_commit_mode(mut self, mode: MetaCommitMode) -> Self {
-        self.meta_commit_mode = mode;
-        self
-    }
-
-    /// Sets the metadata read engine mode.
-    pub fn with_meta_read_mode(mut self, mode: MetaReadMode) -> Self {
-        self.meta_read_mode = mode;
-        self
-    }
-
     /// Sets the transport mode.
     pub fn with_transport_mode(mut self, mode: TransportMode) -> Self {
         self.transport_mode = mode;
@@ -264,9 +220,6 @@ mod tests {
         assert_eq!(c.data_providers, 16);
         assert_eq!(c.replication, 1);
         assert_eq!(c.ticket_mode, TicketMode::Pipelined);
-        assert_eq!(c.transfer_mode, TransferMode::Pipelined);
-        assert_eq!(c.meta_commit_mode, MetaCommitMode::Batched);
-        assert_eq!(c.meta_read_mode, MetaReadMode::Batched);
         assert_eq!(c.transport_mode, TransportMode::Loopback);
         assert_eq!(c.meta_cache_nodes, 4096);
         assert_eq!(c.commit_mode, CommitMode::Direct);
@@ -285,9 +238,6 @@ mod tests {
             .with_replication(3, 2)
             .with_allocation(AllocationStrategy::LeastLoaded)
             .with_ticket_mode(TicketMode::SerializedBuild)
-            .with_transfer_mode(TransferMode::Serial)
-            .with_meta_commit_mode(MetaCommitMode::Serial)
-            .with_meta_read_mode(MetaReadMode::PerNode)
             .with_transport_mode(TransportMode::Tcp)
             .with_meta_cache(0)
             .with_commit_mode(CommitMode::Logged)
@@ -302,9 +252,6 @@ mod tests {
         assert_eq!((c.replication, c.min_replicas), (3, 2));
         assert_eq!(c.allocation, AllocationStrategy::LeastLoaded);
         assert_eq!(c.ticket_mode, TicketMode::SerializedBuild);
-        assert_eq!(c.transfer_mode, TransferMode::Serial);
-        assert_eq!(c.meta_commit_mode, MetaCommitMode::Serial);
-        assert_eq!(c.meta_read_mode, MetaReadMode::PerNode);
         assert_eq!(c.transport_mode, TransportMode::Tcp);
         assert_eq!(c.meta_cache_nodes, 0);
         assert_eq!(c.commit_mode, CommitMode::Logged);

@@ -50,9 +50,7 @@ pub mod store;
 pub mod wal;
 
 pub use blob::{Blob, ReadVersion};
-pub use config::{
-    CommitMode, MetaCommitMode, MetaReadMode, StoreConfig, TransferMode, TransportMode,
-};
+pub use config::{CommitMode, StoreConfig, TransportMode};
 pub use gc::{collect_below, GcCoordinator, GcPassReport, GcReport};
 pub use routing::{slot_for_blob, slot_for_name, SlotMap, SlotRange, SLOT_COUNT};
 pub use store::{Store, VersionOracleFactory};

@@ -188,7 +188,6 @@ fn compress(owner: &[Option<usize>]) -> Vec<SlotRange> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Deserialize as _;
 
     #[test]
     fn name_hashing_is_stable_and_in_range() {

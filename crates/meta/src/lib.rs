@@ -52,4 +52,4 @@ pub use disk::{node_store_for, DiskNodeStore};
 pub use history::{VersionHistory, WriteSummary};
 pub use node::{LeafEntry, Node, NodeBody, NodeKey};
 pub use store::{LocalNodeStore, MetaStore, NodeStore};
-pub use tree::{MetaCommitMode, MetaReadMode, ResolvedPiece, TreeBuilder, TreeConfig, TreeReader};
+pub use tree::{ResolvedPiece, TreeBuilder, TreeConfig, TreeReader};

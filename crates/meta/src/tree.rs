@@ -9,10 +9,8 @@
 //!
 //! Construction is pure (zero virtual time): the builder stages the new
 //! version's nodes children-before-parents, then **commits them in one
-//! flush** — shard-parallel through [`MetaStore::put_batch`] under the
-//! default [`MetaCommitMode::Batched`], or as a per-node put loop under
-//! [`MetaCommitMode::Serial`] (the pre-batching baseline kept for
-//! ablation).
+//! flush**, shard-parallel through [`NodeStore::put_batch`]. Reads are
+//! the mirror image: one [`NodeStore::get_batch`] per tree level.
 
 use crate::history::VersionHistory;
 use crate::node::{LeafEntry, Node, NodeBody, NodeKey};
@@ -21,18 +19,6 @@ use atomio_simgrid::{Metrics, Participant};
 use atomio_types::{BlobId, ByteRange, ChunkId, Error, ExtentList, ProviderId, Result, VersionId};
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
-
-/// How a built tree's nodes are committed to the [`MetaStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MetaCommitMode {
-    /// One RPC + one shard booking per node, in build order. The
-    /// pre-batching baseline, kept for the E7e ablation.
-    Serial,
-    /// All staged nodes go through [`MetaStore::put_batch`]: one
-    /// overlapped RPC, one list-request booking per shard, one wait.
-    #[default]
-    Batched,
-}
 
 /// Static geometry of a blob's tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,18 +49,6 @@ impl TreeConfig {
     }
 }
 
-/// How a tree read traverses node levels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MetaReadMode {
-    /// One [`NodeStore::get`] per visited node, in depth-first order.
-    /// The pre-batching baseline, kept for the E7f ablation.
-    PerNode,
-    /// One [`NodeStore::get_batch`] per traversal level: all pending
-    /// node fetches of a level ship as a single list-request.
-    #[default]
-    Batched,
-}
-
 /// Writer-side tree construction.
 #[derive(Debug)]
 pub struct TreeBuilder<'a> {
@@ -82,13 +56,12 @@ pub struct TreeBuilder<'a> {
     store: &'a dyn NodeStore,
     history: &'a VersionHistory,
     config: TreeConfig,
-    mode: MetaCommitMode,
     metrics: Option<Metrics>,
 }
 
 impl<'a> TreeBuilder<'a> {
     /// Creates a builder for one blob over a store and that blob's
-    /// write history, committing in the default [`MetaCommitMode`].
+    /// write history.
     pub fn new(
         blob: BlobId,
         store: &'a dyn NodeStore,
@@ -100,15 +73,8 @@ impl<'a> TreeBuilder<'a> {
             store,
             history,
             config,
-            mode: MetaCommitMode::default(),
             metrics: None,
         }
-    }
-
-    /// Sets how staged nodes are flushed to the store.
-    pub fn with_mode(mut self, mode: MetaCommitMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Attaches a metrics registry; each flush then records
@@ -119,18 +85,13 @@ impl<'a> TreeBuilder<'a> {
         self
     }
 
-    /// Commits the staged node set: the only place tree construction
-    /// spends virtual time.
+    /// Commits the staged node set through one [`NodeStore::put_batch`]
+    /// (one overlapped RPC, one list-request booking per shard, one
+    /// wait): the only place tree construction spends virtual time.
     fn flush(&self, p: &Participant, staged: Vec<Node>) -> Result<()> {
         let depth = staged.len() as u64;
         let start = p.now_ns();
-        let outcomes = match self.mode {
-            MetaCommitMode::Batched => self.store.put_batch(p, staged),
-            MetaCommitMode::Serial => staged
-                .into_iter()
-                .map(|node| self.store.put(p, node))
-                .collect(),
-        };
+        let outcomes = self.store.put_batch(p, staged);
         if let Some(m) = &self.metrics {
             m.value_stat("core.meta_commit_depth").record(depth);
             m.time_stat("core.meta_commit_time")
@@ -358,17 +319,12 @@ pub struct ResolvedPiece {
 pub struct TreeReader<'a> {
     store: &'a dyn NodeStore,
     cache: Option<&'a crate::cache::NodeCache>,
-    read_mode: MetaReadMode,
 }
 
 impl<'a> TreeReader<'a> {
     /// Creates a reader over a store.
     pub fn new(store: &'a dyn NodeStore) -> Self {
-        TreeReader {
-            store,
-            cache: None,
-            read_mode: MetaReadMode::default(),
-        }
+        TreeReader { store, cache: None }
     }
 
     /// Creates a reader that consults a client-side node cache first.
@@ -378,14 +334,7 @@ impl<'a> TreeReader<'a> {
         TreeReader {
             store,
             cache: Some(cache),
-            read_mode: MetaReadMode::default(),
         }
-    }
-
-    /// Sets how traversal levels are fetched.
-    pub fn with_read_mode(mut self, mode: MetaReadMode) -> Self {
-        self.read_mode = mode;
-        self
     }
 
     fn fetch(&self, p: &Participant, key: NodeKey) -> Result<std::sync::Arc<Node>> {
@@ -447,10 +396,7 @@ impl<'a> TreeReader<'a> {
                 let outside = extents.subtract(&inside);
                 push_holes(&mut out, &outside);
                 if !inside.is_empty() {
-                    match self.read_mode {
-                        MetaReadMode::PerNode => self.walk(p, root, &inside, &mut out)?,
-                        MetaReadMode::Batched => self.walk_levels(p, root, inside, &mut out)?,
-                    }
+                    self.walk_levels(p, root, inside, &mut out)?;
                 }
             }
         }
@@ -460,8 +406,8 @@ impl<'a> TreeReader<'a> {
 
     /// Level-order traversal: every pending node of a level — tree
     /// children *and* backlink hops alike — is fetched in a single
-    /// batched list-request, applying the E7e batching win to reads.
-    /// Output (after the final sort) is identical to [`Self::walk`].
+    /// batched list-request, applying the commit side's batching win
+    /// to reads.
     fn walk_levels(
         &self,
         p: &Participant,
@@ -519,43 +465,6 @@ impl<'a> TreeReader<'a> {
                 }
             }
         }
-    }
-
-    fn walk(
-        &self,
-        p: &Participant,
-        key: NodeKey,
-        want: &ExtentList,
-        out: &mut Vec<ResolvedPiece>,
-    ) -> Result<()> {
-        debug_assert!(!want.is_empty());
-        let node = self.fetch(p, key)?;
-        match &node.body {
-            NodeBody::Inner { left, right } => {
-                let mid = key.range.offset + key.range.len / 2;
-                let (lo, hi) = key.range.split_at(mid);
-                for (half, link) in [(lo, left), (hi, right)] {
-                    let sub = want.clip(half);
-                    if sub.is_empty() {
-                        continue;
-                    }
-                    match link {
-                        Some(child) => self.walk(p, *child, &sub, out)?,
-                        None => push_holes(out, &sub),
-                    }
-                }
-            }
-            NodeBody::Leaf { entries, backlink } => {
-                let remaining = resolve_leaf(entries, want, out);
-                if !remaining.is_empty() {
-                    match backlink {
-                        Some(older) => self.walk(p, *older, &remaining, out)?,
-                        None => push_holes(out, &remaining),
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Every chunk reachable from `root` (through subtree sharing and
@@ -740,54 +649,43 @@ mod tests {
     }
 
     #[test]
-    fn commit_modes_store_same_nodes_batched_faster() {
-        let build = |mode: MetaCommitMode| {
-            let store = MetaStore::new(4, CostModel::grid5000());
-            let history = VersionHistory::new();
-            let config = TreeConfig::new(LEAF);
-            let extents = ExtentList::from_pairs([(0u64, LEAF * 8)]);
-            history.append(WriteSummary {
-                version: VersionId::new(1),
-                extents: Arc::new(extents.clone()),
-                capacity: LEAF * 8,
-            });
-            let geo = atomio_types::ChunkGeometry::new(LEAF);
-            let entries: Vec<LeafEntry> = geo
-                .split_extents(&extents)
-                .into_iter()
-                .enumerate()
-                .map(|(i, span)| LeafEntry {
-                    file_range: span.absolute,
-                    chunk: ChunkId::new(i as u64),
-                    chunk_offset: 0,
-                    homes: vec![ProviderId::new(0)],
-                })
-                .collect();
-            let metrics = Metrics::new();
-            let (_, total) = run_actors(1, |_, p| {
-                TreeBuilder::new(BlobId::new(0), &store, &history, config)
-                    .with_mode(mode)
-                    .with_metrics(metrics.clone())
-                    .build_update(p, VersionId::new(1), LEAF * 8, &entries)
-                    .unwrap();
-            });
-            (store, metrics, total)
-        };
-        let (s_store, s_metrics, s_total) = build(MetaCommitMode::Serial);
-        let (b_store, b_metrics, b_total) = build(MetaCommitMode::Batched);
-        // 8 leaves + 7 inners, identical under both modes.
-        assert_eq!(s_store.node_count(), 15);
-        assert_eq!(b_store.node_count(), 15);
-        assert_eq!(s_metrics.value_stat("core.meta_commit_depth").sum(), 15);
-        assert_eq!(b_metrics.value_stat("core.meta_commit_depth").sum(), 15);
-        assert!(
-            b_total < s_total,
-            "batched commit ({b_total:?}) should beat serial ({s_total:?})"
-        );
-        assert!(
-            b_metrics.time_stat("core.meta_commit_time").sum()
-                < s_metrics.time_stat("core.meta_commit_time").sum()
-        );
+    fn a_tree_commits_in_one_flush() {
+        let store = MetaStore::new(4, CostModel::grid5000());
+        let history = VersionHistory::new();
+        let config = TreeConfig::new(LEAF);
+        let extents = ExtentList::from_pairs([(0u64, LEAF * 8)]);
+        history.append(WriteSummary {
+            version: VersionId::new(1),
+            extents: Arc::new(extents.clone()),
+            capacity: LEAF * 8,
+        });
+        let geo = atomio_types::ChunkGeometry::new(LEAF);
+        let entries: Vec<LeafEntry> = geo
+            .split_extents(&extents)
+            .into_iter()
+            .enumerate()
+            .map(|(i, span)| LeafEntry {
+                file_range: span.absolute,
+                chunk: ChunkId::new(i as u64),
+                chunk_offset: 0,
+                homes: vec![ProviderId::new(0)],
+            })
+            .collect();
+        let metrics = Metrics::new();
+        let (_, total) = run_actors(1, |_, p| {
+            TreeBuilder::new(BlobId::new(0), &store, &history, config)
+                .with_metrics(metrics.clone())
+                .build_update(p, VersionId::new(1), LEAF * 8, &entries)
+                .unwrap();
+        });
+        // 8 leaves + 7 inners, all in the one flush — which is where
+        // every nanosecond of the build went.
+        assert_eq!(store.node_count(), 15);
+        let depth = metrics.value_stat("core.meta_commit_depth");
+        assert_eq!((depth.count(), depth.sum()), (1, 15));
+        let commit = metrics.time_stat("core.meta_commit_time");
+        assert!(commit.sum() > Duration::ZERO);
+        assert_eq!(commit.sum(), total);
     }
 
     #[test]
@@ -1086,61 +984,6 @@ mod tests {
             let pieces = fx.resolve(p, root, &[(0, 64)]);
             assert!(pieces.iter().all(|pc| pc.source.is_none()));
         });
-    }
-
-    #[test]
-    fn read_modes_resolve_identically() {
-        let fx = Fixture::new();
-        run_actors(1, |_, p| {
-            fx.write(p, &[(0, 256)]); // v1: full 4 leaves
-            fx.write(p, &[(16, 16)]); // v2: partial leaf with backlink
-            let (_, root3) = fx.write(p, &[(128, 32), (300, 20)]); // v3: expansion
-            for pairs in [
-                vec![(0u64, 512u64)],
-                vec![(0, 16), (40, 100), (290, 40)],
-                vec![(8, 4)],
-            ] {
-                let ext = ExtentList::from_pairs(pairs.iter().copied());
-                let batched = TreeReader::new(&fx.store)
-                    .resolve(p, Some(root3), &ext)
-                    .unwrap();
-                let per_node = TreeReader::new(&fx.store)
-                    .with_read_mode(MetaReadMode::PerNode)
-                    .resolve(p, Some(root3), &ext)
-                    .unwrap();
-                assert_eq!(batched, per_node, "extents {pairs:?}");
-            }
-        });
-    }
-
-    #[test]
-    fn batched_reads_beat_per_node_reads() {
-        let build = || {
-            let fx = Fixture {
-                store: MetaStore::new(4, CostModel::grid5000()),
-                history: VersionHistory::new(),
-                config: TreeConfig::new(LEAF),
-                next_chunk: std::sync::atomic::AtomicU64::new(0),
-            };
-            let (roots, _) = run_actors(1, |_, p| fx.write(p, &[(0, LEAF * 16)]));
-            (fx, roots[0].1)
-        };
-        let time_mode = |mode: MetaReadMode| {
-            let (fx, root) = build();
-            let (_, total) = run_actors(1, move |_, p| {
-                TreeReader::new(&fx.store)
-                    .with_read_mode(mode)
-                    .resolve(p, Some(root), &ExtentList::from_pairs([(0u64, LEAF * 16)]))
-                    .unwrap();
-            });
-            total
-        };
-        let per_node = time_mode(MetaReadMode::PerNode);
-        let batched = time_mode(MetaReadMode::Batched);
-        assert!(
-            batched < per_node,
-            "batched resolve ({batched:?}) should beat per-node ({per_node:?})"
-        );
     }
 
     #[test]

@@ -3,10 +3,7 @@
 //! ```text
 //! atomio-provider-server <listen-addr> [--providers N]
 //!     [--data-dir PATH] [--fsync per-publish|group:N|deferred]
-//!     [--workers N] [--read-timeout-ms N] [--write-timeout-ms N]
-//!     [--connect-timeout-ms N] [--connect-retries N] [--backoff-ms N]
-//!     [--pool-conns N] [--mux-streams-per-conn N]
-//!     [--server-mode threads|reactor] [--max-conns N]
+//!     [--workers N] [--server-mode reactor] [--max-conns N]
 //!     [--max-inflight-per-conn N]
 //! ```
 //!
@@ -14,10 +11,12 @@
 //! process; with it each provider keeps slot-sharded part files under
 //! `PATH/provider-<id>` and recovers them on restart.
 //!
-//! `--server-mode reactor` swaps the thread-per-connection front-end
-//! for one epoll thread multiplexing every connection; `--max-conns`
-//! caps admitted connections (extras receive a typed busy rejection)
-//! and `--max-inflight-per-conn` bounds per-connection pipelining.
+//! One epoll reactor thread multiplexes every connection onto
+//! `--workers` dispatch threads; `--max-conns` caps admitted
+//! connections (extras receive a typed busy rejection) and
+//! `--max-inflight-per-conn` bounds per-connection pipelining.
+//! `--server-mode reactor` names the only front-end there is and is
+//! accepted as a no-op.
 //!
 //! Example: `atomio-provider-server 127.0.0.1:7420 --providers 4 --data-dir /var/lib/atomio`
 

@@ -6,10 +6,7 @@
 //!     [--retention keep-all|keep-last:N|keep-above:V] [--lease-ttl-ms N]
 //!     [--shard I/N]
 //!     [--data-dir PATH] [--fsync per-publish|group:N|deferred]
-//!     [--workers N] [--read-timeout-ms N] [--write-timeout-ms N]
-//!     [--connect-timeout-ms N] [--connect-retries N] [--backoff-ms N]
-//!     [--pool-conns N] [--mux-streams-per-conn N]
-//!     [--server-mode threads|reactor] [--max-conns N]
+//!     [--workers N] [--server-mode reactor] [--max-conns N]
 //!     [--max-inflight-per-conn N]
 //! ```
 //!
@@ -18,10 +15,12 @@
 //! `PATH/version/blob-<id>` and replays it on restart, so published
 //! snapshots survive and granted-but-unpublished tickets roll back.
 //!
-//! `--server-mode reactor` swaps the thread-per-connection front-end
-//! for one epoll thread multiplexing every connection; `--max-conns`
-//! caps admitted connections (extras receive a typed busy rejection)
-//! and `--max-inflight-per-conn` bounds per-connection pipelining.
+//! One epoll reactor thread multiplexes every connection onto
+//! `--workers` dispatch threads; `--max-conns` caps admitted
+//! connections (extras receive a typed busy rejection) and
+//! `--max-inflight-per-conn` bounds per-connection pipelining.
+//! `--server-mode reactor` names the only front-end there is and is
+//! accepted as a no-op.
 //!
 //! `--shard I/N` pins this server to shard `I` of an `N`-way hash-slot
 //! map: it serves only blobs whose slot it owns and refuses the rest

@@ -20,13 +20,15 @@
 //!   (the socket default, [`RpcMode::Mux`]). All three share the
 //!   serde-able [`RpcConfig`] tuning knobs and report identical byte
 //!   counters for identical workloads.
-//! * [`server`] — [`RpcServer`] hosting a [`ProviderService`] or
-//!   [`MetaService`] behind one of two [`ServerMode`] front-ends
-//!   (per-connection reader threads, or a single epoll reactor thread
-//!   multiplexing every socket), both feeding one bounded worker pool
-//!   and both enforcing `max_conns` admission control; the
-//!   `atomio-provider-server` and `atomio-meta-server` binaries are
-//!   thin wrappers over these.
+//! * [`services`] — what a hosted role does with one request: the
+//!   [`Service`] trait and [`ProviderService`], [`MetaService`],
+//!   [`VersionService`].
+//! * [`server`] — [`RpcServer`], hosting a service behind a single
+//!   epoll reactor thread that multiplexes every socket, feeds one
+//!   bounded worker pool and enforces `max_conns` admission control.
+//! * [`cli`] — [`ServerArgs`] and [`run_server_binary`]: the flag
+//!   parser and `main` the `atomio-provider-server`,
+//!   `atomio-meta-server` and `atomio-version-server` binaries share.
 //! * [`client`] — [`RemoteProvider`], [`RemoteMetaStore`], and
 //!   [`RemoteVersionManager`]: drop-in proxies implementing the
 //!   workspace seams over any [`Transport`]. `RemoteProvider` carries a
@@ -46,23 +48,24 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod client;
 pub mod proto;
 mod reactor;
 pub mod routed;
 pub mod server;
+pub mod services;
 pub mod transport;
 pub mod wire;
 
+pub use cli::{run_server_binary, serve_forever, server_usage, ServerArgs};
 pub use client::{RemoteMetaStore, RemoteProvider, RemoteVersionManager};
 pub use proto::{BlobExport, Request, Response, PROTOCOL_VERSION};
 pub use routed::{handoff_slots, handoff_slots_with_budget, SlotRoutedTransport};
-pub use server::{
-    run_server_binary, serve_forever, server_usage, MetaService, ProviderService, RpcServer,
-    ServerArgs, Service, VersionService,
-};
+pub use server::RpcServer;
+pub use services::{MetaService, ProviderService, Service, VersionService};
 pub use transport::{
-    counters, dial, Loopback, MuxTransport, RpcConfig, RpcMode, ServerMode, TcpTransport, Transport,
+    counters, dial, Loopback, MuxTransport, RpcConfig, RpcMode, TcpTransport, Transport,
 };
 
 #[cfg(test)]
@@ -495,18 +498,12 @@ mod tests {
                 "4",
                 "--workers",
                 "8",
-                "--pool-conns",
-                "2",
-                "--read-timeout-ms",
-                "500",
-                "--write-timeout-ms",
-                "250",
-                "--connect-timeout-ms",
-                "100",
-                "--connect-retries",
-                "5",
-                "--backoff-ms",
-                "7",
+                "--server-mode",
+                "reactor",
+                "--max-conns",
+                "64",
+                "--max-inflight-per-conn",
+                "16",
                 "--data-dir",
                 "/tmp/atomio-data",
                 "--fsync",
@@ -529,26 +526,29 @@ mod tests {
             atomio_types::BackendConfig::disk("/tmp/atomio-data")
                 .with_fsync(atomio_types::FsyncPolicy::Group(8))
         );
-        assert_eq!(args.cfg.server_workers, 8);
-        assert_eq!(args.cfg.pool_conns, 2);
-        assert_eq!(args.cfg.read_timeout, std::time::Duration::from_millis(500));
+        // `--server-mode reactor` is a no-op: nothing but the three
+        // server-side fields moves off the defaults.
         assert_eq!(
-            args.cfg.write_timeout,
-            std::time::Duration::from_millis(250)
+            args.cfg,
+            RpcConfig {
+                server_workers: 8,
+                max_conns: 64,
+                max_inflight_per_conn: 16,
+                ..RpcConfig::default()
+            }
         );
-        assert_eq!(
-            args.cfg.connect_timeout,
-            std::time::Duration::from_millis(100)
-        );
-        assert_eq!(args.cfg.connect_retries, 5);
-        assert_eq!(args.cfg.backoff, std::time::Duration::from_millis(7));
-        assert!(ServerArgs::parse(
-            ["127.0.0.1:7420", "--bogus", "1"].map(String::from),
-            "--providers",
-            1,
-            false,
-        )
-        .is_err());
+        let provider_role = |flag: &str, value: &str| {
+            ServerArgs::parse(
+                ["127.0.0.1:7420", flag, value].map(String::from),
+                "--providers",
+                1,
+                false,
+            )
+        };
+        assert!(provider_role("--bogus", "1").is_err());
+        // The deleted front-end is refused by name, not silently mapped.
+        let err = provider_role("--server-mode", "threads").unwrap_err();
+        assert!(err.contains("PR 17"), "got {err}");
     }
 
     #[test]
@@ -583,7 +583,10 @@ mod tests {
         // them. For every flag the codebase has ever known, the parser
         // accepts it if and only if the role's usage line advertises it
         // — so a flag added to one without the other fails here.
-        let roles: [(&str, Option<(&str, usize)>, bool); 3] = [
+        /// Binary name, fleet-size flag with its default, and whether
+        /// the role carries chunk geometry.
+        type Role = (&'static str, Option<(&'static str, usize)>, bool);
+        let roles: [Role; 3] = [
             ("atomio-provider-server", Some(("--providers", 1)), false),
             ("atomio-meta-server", Some(("--shards", 1)), true),
             ("atomio-version-server", None, true),
@@ -601,6 +604,11 @@ mod tests {
             ("--lease-ttl-ms", "60000"),
             ("--shard", "0/4"),
             ("--workers", "1"),
+            ("--server-mode", "reactor"),
+            ("--max-conns", "1"),
+            ("--max-inflight-per-conn", "1"),
+            // Deleted in PR 17 (client-dial fields and timeouts no
+            // server reads): neither accepted nor advertised, by any role.
             ("--pool-conns", "1"),
             ("--mux-streams-per-conn", "1"),
             ("--connect-retries", "1"),
@@ -608,9 +616,6 @@ mod tests {
             ("--read-timeout-ms", "1"),
             ("--write-timeout-ms", "1"),
             ("--backoff-ms", "1"),
-            ("--server-mode", "reactor"),
-            ("--max-conns", "1"),
-            ("--max-inflight-per-conn", "1"),
         ];
         for (name, count_flag, chunk) in roles {
             let usage = server_usage(name, count_flag.map(|(f, _)| f), chunk);
@@ -648,7 +653,6 @@ mod tests {
         let cfg = RpcConfig {
             pool_conns: 7,
             server_workers: 3,
-            server_mode: ServerMode::Reactor,
             max_conns: 2048,
             max_inflight_per_conn: 17,
             ..RpcConfig::default()
@@ -657,149 +661,67 @@ mod tests {
         assert_eq!(back, cfg);
     }
 
-    /// Both front-end modes, for tests that must hold on each.
-    const BOTH_MODES: [ServerMode; 2] = [ServerMode::Threads, ServerMode::Reactor];
-
-    fn cfg_for(mode: ServerMode) -> RpcConfig {
-        RpcConfig {
-            server_mode: mode,
+    #[test]
+    fn over_max_conns_clients_get_a_typed_busy() {
+        // max_conns = 0: every connection is over the cap.
+        let cfg = RpcConfig {
+            max_conns: 0,
             ..RpcConfig::default()
-        }
-    }
-
-    #[test]
-    fn reactor_round_trips_and_reports_parity_byte_counters() {
-        // The same two-op workload over both front-ends: identical
-        // responses and identical client-side wire totals.
-        let mut totals = Vec::new();
-        for mode in BOTH_MODES {
-            let mut server = RpcServer::start_with_config(
-                "127.0.0.1:0",
-                Arc::new(ProviderService::new(1)),
-                cfg_for(mode),
-            )
-            .unwrap();
-            let metrics = atomio_simgrid::Metrics::new();
-            let transport: Arc<dyn Transport> =
-                Arc::new(TcpTransport::new(server.local_addr()).with_metrics(metrics.clone()));
-            let provider = RemoteProvider::new(ProviderId::new(0), Arc::clone(&transport));
-
-            let chunk = ChunkId::new(1);
-            provider
-                .put_chunk_at(0, chunk, Bytes::from_static(b"mode parity"))
+        };
+        let mut server =
+            RpcServer::start_with_config("127.0.0.1:0", Arc::new(ProviderService::new(1)), cfg)
                 .unwrap();
-            let (data, _) = provider
-                .get_chunk_range_at(0, chunk, ByteRange::new(5, 6))
-                .unwrap();
-            assert_eq!(data.as_ref(), b"parity", "{mode}: payload bytes");
 
-            let counters: std::collections::HashMap<_, _> =
-                metrics.counter_snapshot().into_iter().collect();
-            totals.push((counters["rpc.bytes_tx"], counters["rpc.bytes_rx"]));
-            server.stop();
+        // The proxies funnel the Busy response into the typed
+        // admission error — for per-call and mux clients alike.
+        for transport in [
+            Arc::new(TcpTransport::new(server.local_addr())) as Arc<dyn Transport>,
+            Arc::new(MuxTransport::new(server.local_addr())) as Arc<dyn Transport>,
+        ] {
+            let provider = RemoteProvider::new(ProviderId::new(0), transport);
+            let err = provider
+                .put_chunk_at(0, ChunkId::new(1), Bytes::from_static(b"x"))
+                .unwrap_err();
+            assert!(
+                matches!(err, Error::AdmissionRejected { max_conns: 0, .. }),
+                "client got {err:?}"
+            );
         }
-        assert_eq!(
-            totals[0], totals[1],
-            "threads and reactor front-ends must move identical bytes"
-        );
-    }
-
-    #[test]
-    fn reactor_serves_concurrent_mux_callers() {
-        let mut server = RpcServer::start_with_config(
-            "127.0.0.1:0",
-            Arc::new(ProviderService::new(1)),
-            cfg_for(ServerMode::Reactor),
-        )
-        .unwrap();
-        let transport: Arc<dyn Transport> = Arc::new(MuxTransport::new(server.local_addr()));
-        std::thread::scope(|s| {
-            for t in 0u64..8 {
-                let transport = Arc::clone(&transport);
-                s.spawn(move || {
-                    let provider = RemoteProvider::new(ProviderId::new(0), transport);
-                    for i in 0..8 {
-                        let chunk = ChunkId::new(t * 100 + i);
-                        let body = format!("reactor thread {t} chunk {i}");
-                        provider
-                            .put_chunk_at(0, chunk, Bytes::from(body.clone().into_bytes()))
-                            .unwrap();
-                        let (data, _) = provider
-                            .get_chunk_range_at(0, chunk, ByteRange::new(0, body.len() as u64))
-                            .unwrap();
-                        assert_eq!(data.as_ref(), body.as_bytes());
-                    }
-                });
-            }
-        });
         server.stop();
     }
 
     #[test]
-    fn over_max_conns_clients_get_a_typed_busy_in_both_modes() {
-        for mode in BOTH_MODES {
-            // max_conns = 0: every connection is over the cap.
-            let cfg = RpcConfig {
-                max_conns: 0,
-                ..cfg_for(mode)
-            };
-            let mut server =
-                RpcServer::start_with_config("127.0.0.1:0", Arc::new(ProviderService::new(1)), cfg)
-                    .unwrap();
-
-            // The proxies funnel the Busy response into the typed
-            // admission error — for per-call and mux clients alike.
-            for transport in [
-                Arc::new(TcpTransport::new(server.local_addr())) as Arc<dyn Transport>,
-                Arc::new(MuxTransport::new(server.local_addr())) as Arc<dyn Transport>,
-            ] {
-                let provider = RemoteProvider::new(ProviderId::new(0), transport);
-                let err = provider
-                    .put_chunk_at(0, ChunkId::new(1), Bytes::from_static(b"x"))
-                    .unwrap_err();
-                assert!(
-                    matches!(err, Error::AdmissionRejected { max_conns: 0, .. }),
-                    "{mode}: client got {err:?}"
-                );
-            }
-            server.stop();
-        }
-    }
-
-    #[test]
     fn admitted_conns_survive_a_rejected_newcomer() {
-        for mode in BOTH_MODES {
-            let cfg = RpcConfig {
-                max_conns: 1,
-                ..cfg_for(mode)
-            };
-            let mut server =
-                RpcServer::start_with_config("127.0.0.1:0", Arc::new(ProviderService::new(1)), cfg)
-                    .unwrap();
+        let cfg = RpcConfig {
+            max_conns: 1,
+            ..RpcConfig::default()
+        };
+        let mut server =
+            RpcServer::start_with_config("127.0.0.1:0", Arc::new(ProviderService::new(1)), cfg)
+                .unwrap();
 
-            // One admitted long-lived connection…
-            let admitted = MuxTransport::with_config(
-                server.local_addr(),
-                RpcConfig {
-                    pool_conns: 1,
-                    ..RpcConfig::default()
-                },
-            );
-            let (r, _) = admitted.call(&Request::Ping, &[]).unwrap();
-            assert!(matches!(r, Response::Pong));
+        // One admitted long-lived connection…
+        let admitted = MuxTransport::with_config(
+            server.local_addr(),
+            RpcConfig {
+                pool_conns: 1,
+                ..RpcConfig::default()
+            },
+        );
+        let (r, _) = admitted.call(&Request::Ping, &[]).unwrap();
+        assert!(matches!(r, Response::Pong));
 
-            // …pushes the newcomer over the cap: typed Busy for it,
-            // uninterrupted service for the admitted one.
-            let newcomer = TcpTransport::new(server.local_addr());
-            let (r, _) = newcomer.call(&Request::Ping, &[]).unwrap();
-            assert!(
-                matches!(r, Response::Busy { max_conns: 1, .. }),
-                "{mode}: got {r:?}"
-            );
-            let (r, _) = admitted.call(&Request::Ping, &[]).unwrap();
-            assert!(matches!(r, Response::Pong), "{mode}: admitted conn died");
-            server.stop();
-        }
+        // …pushes the newcomer over the cap: typed Busy for it,
+        // uninterrupted service for the admitted one.
+        let newcomer = TcpTransport::new(server.local_addr());
+        let (r, _) = newcomer.call(&Request::Ping, &[]).unwrap();
+        assert!(
+            matches!(r, Response::Busy { max_conns: 1, .. }),
+            "got {r:?}"
+        );
+        let (r, _) = admitted.call(&Request::Ping, &[]).unwrap();
+        assert!(matches!(r, Response::Pong), "admitted conn died");
+        server.stop();
     }
 
     /// A service whose handlers block on a shared gate, counting how
@@ -847,7 +769,7 @@ mod tests {
             max_inflight_per_conn: cap,
             server_workers: 8,
             read_timeout: std::time::Duration::from_secs(10),
-            ..cfg_for(ServerMode::Reactor)
+            ..RpcConfig::default()
         };
         let mut server = RpcServer::start_with_config(
             "127.0.0.1:0",
@@ -896,85 +818,152 @@ mod tests {
         server.stop();
     }
 
+    fn open_fds() -> usize {
+        std::fs::read_dir("/proc/self/fd").map_or(0, |d| d.count())
+    }
+
+    /// Reaping is asynchronous (hangup/EOF handling on the reactor
+    /// thread): polls the open-connections gauge down to `want`.
+    fn await_open_conns(server: &RpcServer, want: usize) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while server.open_conns() != want && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        assert_eq!(server.open_conns(), want, "conns not reaped");
+    }
+
     #[test]
     fn finished_conns_are_reaped_not_pinned_until_stop() {
-        fn open_fds() -> usize {
-            std::fs::read_dir("/proc/self/fd").map_or(0, |d| d.count())
+        let mut server =
+            RpcServer::start("127.0.0.1:0", Arc::new(ProviderService::new(1))).unwrap();
+        let baseline = open_fds();
+        // 200 connect/dispatch/disconnect churn cycles: the per-call
+        // transport dials a fresh connection for every request.
+        for _ in 0..200 {
+            let t = TcpTransport::new(server.local_addr());
+            let (r, _) = t.call(&Request::Ping, &[]).unwrap();
+            assert!(matches!(r, Response::Pong));
         }
-        for mode in BOTH_MODES {
-            let mut server = RpcServer::start_with_config(
-                "127.0.0.1:0",
-                Arc::new(ProviderService::new(1)),
-                cfg_for(mode),
-            )
-            .unwrap();
-            let baseline = open_fds();
-            // 200 connect/dispatch/disconnect churn cycles: the per-call
-            // transport dials a fresh connection for every request.
-            for _ in 0..200 {
-                let t = TcpTransport::new(server.local_addr());
-                let (r, _) = t.call(&Request::Ping, &[]).unwrap();
-                assert!(matches!(r, Response::Pong));
+        await_open_conns(&server, 0);
+        let after = open_fds();
+        assert!(
+            after <= baseline + 20,
+            "fd usage grew from {baseline} to {after} over 200 churn cycles"
+        );
+        server.stop();
+    }
+
+    #[test]
+    fn malformed_frames_close_only_the_offending_connection() {
+        use serde::Serialize as _;
+        use std::io::{Read as _, Write as _};
+        let mut server =
+            RpcServer::start("127.0.0.1:0", Arc::new(ProviderService::new(1))).unwrap();
+        // The bystander: one pooled connection that must keep serving.
+        let bystander = MuxTransport::with_config(
+            server.local_addr(),
+            RpcConfig {
+                pool_conns: 1,
+                ..RpcConfig::default()
+            },
+        );
+        let ping = || {
+            let (r, _) = bystander.call(&Request::Ping, &[]).unwrap();
+            assert!(matches!(r, Response::Pong));
+        };
+        ping();
+        await_open_conns(&server, 1);
+        let baseline = open_fds();
+
+        // A well-formed frame, cut up three ways.
+        let mut good = Vec::new();
+        wire::write_frame(&mut good, 1, &Request::Ping.to_value(), &[]).unwrap();
+        let prefix = wire::FRAME_PREFIX_BYTES as usize;
+        let mut bad_version = good.clone();
+        bad_version[0] = PROTOCOL_VERSION + 1;
+        let mut over_limit = good[..prefix].to_vec();
+        over_limit[13..17].copy_from_slice(&(wire::MAX_PAYLOAD_BYTES + 1).to_be_bytes());
+        let truncated = good[..good.len() - 1].to_vec();
+
+        // Enough rounds that a leaked socket per bad frame would show
+        // through the fd slack below.
+        for _ in 0..20 {
+            for (what, bytes, then_eof) in [
+                ("bad version byte", &bad_version, false),
+                ("over-limit declared length", &over_limit, false),
+                ("truncated frame then EOF", &truncated, true),
+            ] {
+                let mut conn = std::net::TcpStream::connect(server.local_addr()).unwrap();
+                conn.write_all(bytes).unwrap();
+                if then_eof {
+                    conn.shutdown(std::net::Shutdown::Write).unwrap();
+                }
+                // No answer, just a close: EOF (or a reset), never bytes
+                // and never a hang.
+                conn.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+                    .unwrap();
+                match conn.read(&mut [0u8; 64]) {
+                    Ok(0) => {}
+                    Ok(n) => panic!("{what}: server answered {n} bytes"),
+                    Err(e) => assert!(
+                        !matches!(
+                            e.kind(),
+                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                        ),
+                        "{what}: server kept the connection open"
+                    ),
+                }
+                ping();
+                await_open_conns(&server, 1);
             }
-            // Reaping is asynchronous (connection-thread exit / EPOLLHUP
-            // handling); poll the gauge down to zero.
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-            while server.open_conns() > 0 && std::time::Instant::now() < deadline {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-            assert_eq!(server.open_conns(), 0, "{mode}: conns not reaped");
-            let after = open_fds();
-            assert!(
-                after <= baseline + 20,
-                "{mode}: fd usage grew from {baseline} to {after} over 200 churn cycles"
-            );
-            server.stop();
         }
+        let after = open_fds();
+        assert!(
+            after <= baseline + 20,
+            "fd usage grew from {baseline} to {after} over 60 malformed connections"
+        );
+        server.stop();
     }
 
     #[test]
     fn server_metrics_report_connection_counters() {
-        for mode in BOTH_MODES {
-            let metrics = atomio_simgrid::Metrics::new();
-            let mut server = RpcServer::start_with_metrics(
-                "127.0.0.1:0",
-                Arc::new(ProviderService::new(1)),
-                RpcConfig {
-                    max_conns: 1,
-                    ..cfg_for(mode)
-                },
-                Some(metrics.clone()),
-            )
-            .unwrap();
-            // One admitted pooled connection fills the cap…
-            let admitted = MuxTransport::with_config(
-                server.local_addr(),
-                RpcConfig {
-                    pool_conns: 1,
-                    ..RpcConfig::default()
-                },
-            );
-            admitted.call(&Request::Ping, &[]).unwrap();
-            // …so the per-call newcomer is admission-rejected.
-            let newcomer = TcpTransport::new(server.local_addr());
-            let _ = newcomer.call(&Request::Ping, &[]);
-            drop(admitted);
-            // Reaping (and its gauge update) is asynchronous: poll.
-            let gauge = metrics.counter(counters::CONNS_OPEN);
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-            while gauge.get() > 0 && std::time::Instant::now() < deadline {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-            server.stop();
-            let snapshot: std::collections::HashMap<_, _> =
-                metrics.counter_snapshot().into_iter().collect();
-            assert!(snapshot["rpc.accepts"] >= 2, "{mode}");
-            assert!(snapshot["rpc.admission_rejects"] >= 1, "{mode}");
-            assert!(snapshot["rpc.conns_peak"] >= 1, "{mode}");
-            assert_eq!(snapshot["rpc.conns_open"], 0, "{mode}");
-            if mode == ServerMode::Reactor {
-                assert!(snapshot["rpc.reactor_wakeups"] >= 1, "{mode}");
-            }
+        let metrics = atomio_simgrid::Metrics::new();
+        let mut server = RpcServer::start_with_metrics(
+            "127.0.0.1:0",
+            Arc::new(ProviderService::new(1)),
+            RpcConfig {
+                max_conns: 1,
+                ..RpcConfig::default()
+            },
+            Some(metrics.clone()),
+        )
+        .unwrap();
+        // One admitted pooled connection fills the cap…
+        let admitted = MuxTransport::with_config(
+            server.local_addr(),
+            RpcConfig {
+                pool_conns: 1,
+                ..RpcConfig::default()
+            },
+        );
+        admitted.call(&Request::Ping, &[]).unwrap();
+        // …so the per-call newcomer is admission-rejected.
+        let newcomer = TcpTransport::new(server.local_addr());
+        let _ = newcomer.call(&Request::Ping, &[]);
+        drop(admitted);
+        // Reaping (and its gauge update) is asynchronous: poll.
+        let gauge = metrics.counter(counters::CONNS_OPEN);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while gauge.get() > 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(5));
         }
+        server.stop();
+        let snapshot: std::collections::HashMap<_, _> =
+            metrics.counter_snapshot().into_iter().collect();
+        assert!(snapshot["rpc.accepts"] >= 2);
+        assert!(snapshot["rpc.admission_rejects"] >= 1);
+        assert!(snapshot["rpc.conns_peak"] >= 1);
+        assert_eq!(snapshot["rpc.conns_open"], 0);
+        assert!(snapshot["rpc.reactor_wakeups"] >= 1);
     }
 }

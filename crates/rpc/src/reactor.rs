@@ -1,4 +1,5 @@
-//! Readiness-driven server front-end (the `ServerMode::Reactor` arm).
+//! Readiness-driven server front-end: how an
+//! [`RpcServer`](crate::RpcServer) turns sockets into dispatch jobs.
 //!
 //! One reactor thread owns the nonblocking listener and every accepted
 //! socket through a thin, std-only epoll binding: direct `extern "C"`
@@ -156,7 +157,7 @@ struct Completion {
     frames: Vec<Bytes>,
     responses: usize,
     /// A response failed to encode: nothing sane to send, close the
-    /// connection instead (mirrors the Threads-mode severing).
+    /// connection instead.
     sever: bool,
 }
 
@@ -337,8 +338,7 @@ impl Reactor {
             }
             if self.shutdown.load(Ordering::Relaxed) {
                 // Dropping the sockets severs them: in-flight client
-                // calls surface connection-reset transport errors,
-                // exactly like Threads-mode stop().
+                // calls surface connection-reset transport errors.
                 self.conns.clear();
                 self.open.store(0, Ordering::Relaxed);
                 if let Some(m) = &self.metrics {
@@ -545,15 +545,16 @@ impl Reactor {
             PumpAction::None => {}
         }
 
-        // Hand off in Threads-sized batches: one worker wakeup and one
-        // response write per burst, not per request.
+        // Hand off in batches of at most `MAX_DISPATCH_BATCH`: one
+        // worker wakeup and one response write per burst, not per
+        // request.
         let mut iter = burst.into_iter();
         loop {
             let chunk: Vec<_> = iter.by_ref().take(MAX_DISPATCH_BATCH).collect();
             if chunk.is_empty() {
                 break;
             }
-            let sink = ResponseSink::Reactor {
+            let sink = ResponseSink {
                 token,
                 shared: Arc::clone(&self.shared),
             };

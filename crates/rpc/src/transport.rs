@@ -30,7 +30,7 @@
 //! on next use.
 
 use crate::proto::{Request, Response};
-use crate::server::Service;
+use crate::services::Service;
 use crate::wire::{self, as_slices};
 use atomio_simgrid::Metrics;
 use atomio_types::{Error, Result, TransportErrorKind};
@@ -108,86 +108,11 @@ fn record(metrics: &Option<Metrics>, tx: u64, rx: u64) {
     }
 }
 
-/// How the server front-end turns sockets into dispatch jobs (the E11
-/// ablation knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServerMode {
-    /// One OS reader thread per accepted connection plus a polling
-    /// accept loop — simple, but at N connections it costs N mostly-idle
-    /// threads. The historical default; every committed `results/` file
-    /// was produced on it.
-    #[default]
-    Threads,
-    /// One epoll-driven reactor thread owns the listener and every
-    /// accepted socket, feeding the same shared dispatch pool
-    /// ([`RpcConfig::server_workers`]); server thread count stays
-    /// constant regardless of connection count.
-    Reactor,
-}
-
-impl ServerMode {
-    fn as_str(self) -> &'static str {
-        match self {
-            ServerMode::Threads => "threads",
-            ServerMode::Reactor => "reactor",
-        }
-    }
-
-    /// Parses the `--server-mode` flag spelling.
-    ///
-    /// # Errors
-    /// A message naming the accepted spellings.
-    pub fn parse(s: &str) -> std::result::Result<Self, String> {
-        match s {
-            "threads" => Ok(ServerMode::Threads),
-            "reactor" => Ok(ServerMode::Reactor),
-            other => Err(format!("unknown server mode {other:?} (threads|reactor)")),
-        }
-    }
-
-    /// The deployment default, honoring the `ATOMIO_REACTOR=1`
-    /// environment switch (same pattern as `ATOMIO_DISK=1` for storage
-    /// backends): the equivalence suites rerun their full workloads on
-    /// the reactor front-end without editing any `RpcServer::start`
-    /// call site.
-    pub fn from_env() -> Self {
-        match std::env::var("ATOMIO_REACTOR") {
-            Ok(v) if v == "1" => ServerMode::Reactor,
-            _ => ServerMode::Threads,
-        }
-    }
-}
-
-impl std::fmt::Display for ServerMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-// The vendored derive handles only named-field structs, so the enum's
-// wire form (its flag spelling) is hand-written.
-impl Serialize for ServerMode {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.as_str().to_string())
-    }
-}
-
-impl Deserialize for ServerMode {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        match v {
-            serde::Value::Str(s) => Self::parse(s).map_err(serde::DeError::new),
-            // Configs serialized before the reactor existed carry no
-            // mode field; they keep the historical front-end.
-            serde::Value::Null => Ok(ServerMode::Threads),
-            other => Err(serde::DeError::expected("server mode string", other)),
-        }
-    }
-}
-
-/// Tuning knobs for the socket transports and the server-side
-/// dispatcher, shared by [`TcpTransport`] and [`MuxTransport`] and
-/// plumbed through the server binaries' CLI flags. Serde-able so a
-/// deployment can ship it inside a config file.
+/// Tuning knobs for the socket transports ([`TcpTransport`] and
+/// [`MuxTransport`] read the dial, timeout and pool fields) and the
+/// server-side dispatcher (`server_workers`, `max_conns` and
+/// `max_inflight_per_conn`, which the server binaries' CLI flags set).
+/// Serde-able so a deployment can ship it inside a config file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RpcConfig {
     /// Per-attempt connect timeout.
@@ -195,7 +120,7 @@ pub struct RpcConfig {
     /// Per-call response deadline: the socket read timeout for the
     /// per-call transport, the completion-wait deadline for mux calls.
     pub read_timeout: Duration,
-    /// Socket write timeout (clients and server response writers).
+    /// Socket write timeout of the client transports.
     pub write_timeout: Duration,
     /// Connect attempts beyond the first before giving up.
     pub connect_retries: u32,
@@ -210,17 +135,13 @@ pub struct RpcConfig {
     pub mux_streams_per_conn: usize,
     /// Size of the server's shared dispatch worker pool.
     pub server_workers: usize,
-    /// Socket front-end strategy ([`ServerMode::Threads`] per-connection
-    /// reader threads, or one [`ServerMode::Reactor`] epoll thread).
-    pub server_mode: ServerMode,
     /// Admission cap: connections beyond this are accepted, answered
     /// with a typed [`crate::proto::Response::Busy`], and closed —
     /// instead of hanging in the backlog or resetting.
     pub max_conns: usize,
     /// Backpressure cap: requests one connection may have in dispatch
-    /// at once. A connection at the cap has its reads parked (reactor:
-    /// `EPOLLIN` unregistered; threads: the reader blocks on the
-    /// bounded dispatch channel) until responses drain.
+    /// at once. A connection at the cap has its reads parked (`EPOLLIN`
+    /// unregistered) until responses drain.
     pub max_inflight_per_conn: usize,
 }
 
@@ -235,7 +156,6 @@ impl Default for RpcConfig {
             pool_conns: 4,
             mux_streams_per_conn: 8,
             server_workers: 4,
-            server_mode: ServerMode::from_env(),
             max_conns: 1024,
             max_inflight_per_conn: 64,
         }

@@ -59,8 +59,8 @@ fn base_config(providers: usize) -> StoreConfig {
 
 /// The storage backend the hosted services run on: in-memory by
 /// default, or the durable disk backend rooted in `tmp` when
-/// `ATOMIO_DISK=1` (the `VERIFY_DISK=1` rerun in `scripts/verify.sh`),
-/// proving deployment equivalence holds over real part files too.
+/// `ATOMIO_DISK=1` (a re-run row of `scripts/verify.sh`), proving
+/// deployment equivalence holds over real part files too.
 fn env_backend(tmp: &TempDir) -> BackendConfig {
     if std::env::var("ATOMIO_DISK").ok().as_deref() == Some("1") {
         BackendConfig::disk(tmp.path())
@@ -71,9 +71,9 @@ fn env_backend(tmp: &TempDir) -> BackendConfig {
 
 /// How many version-service shards the deployment runs: 1 by default
 /// (the single-oracle deployment this suite has always tested), or N
-/// under `ATOMIO_SHARDS=N` (the `VERIFY_SHARDS=1` rerun in
-/// `scripts/verify.sh`) — every assertion must hold bit for bit when
-/// version traffic is hash-slot-routed across N `--shard i/N` servers.
+/// under `ATOMIO_SHARDS=N` (a re-run row of `scripts/verify.sh`) —
+/// every assertion must hold bit for bit when version traffic is
+/// hash-slot-routed across N `--shard i/N` servers.
 fn env_shards() -> usize {
     std::env::var("ATOMIO_SHARDS")
         .ok()

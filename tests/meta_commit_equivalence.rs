@@ -1,106 +1,25 @@
-//! Equivalence of the two metadata commit engines: the batched
-//! shard-parallel path must be an optimization, not a behavior change.
-//! Every test runs the same scenario under `MetaCommitMode::Serial` and
-//! `MetaCommitMode::Batched` and demands the same observable outcome —
-//! bytes, version counts, node sets, verifier verdicts, and fault
-//! semantics — plus run-to-run bit-reproducibility of the virtual clock.
+//! Equivalence of the metadata commit pipeline's two ticket modes:
+//! `TicketMode::Pipelined` (the paper's design — trees are built without
+//! waiting and only publication is ordered) and
+//! `TicketMode::SerializedBuild` (its principle-3 ablation, E7b). The
+//! modes differ only in *when* concurrent writers may build, so every
+//! scenario here is one where that can matter: concurrent rounds must
+//! stay atomic and bit-reproducible on the virtual clock, and a failed
+//! write must still publish its tombstone — under `SerializedBuild` the
+//! next ticket is not even granted until it has.
 
-use atomio::core::{Blob, MetaCommitMode, ReadVersion, Store, StoreConfig};
+use atomio::core::{Store, StoreConfig};
 use atomio::mpiio::adio::AdioDriver;
 use atomio::mpiio::drivers::VersioningDriver;
 use atomio::simgrid::clock::run_actors_on;
 use atomio::simgrid::SimClock;
 use atomio::types::{Error, ExtentList, ProviderId};
+use atomio::version::TicketMode;
 use atomio::workloads::{run_write_round, OverlapWorkload};
 use bytes::Bytes;
 use std::sync::Arc;
 
-const MODES: [MetaCommitMode; 2] = [MetaCommitMode::Serial, MetaCommitMode::Batched];
-
-fn store_with(mode: MetaCommitMode) -> Store {
-    Store::new(
-        StoreConfig::default()
-            .with_chunk_size(4 * 1024)
-            .with_data_providers(8)
-            .with_meta_commit_mode(mode)
-            .with_seed(0xD1CE),
-    )
-}
-
-/// A deterministic single-writer history: overlapping extent lists,
-/// partial chunks, a hole, and an append-ish tail write.
-fn apply_history(blob: &Blob, p: &atomio::simgrid::Participant) {
-    let w = |pairs: &[(u64, u64)], fill: u8| {
-        let ext = ExtentList::from_pairs(pairs.iter().copied());
-        let payload = Bytes::from(vec![fill; ext.total_len() as usize]);
-        blob.write_list(p, &ext, payload).unwrap();
-    };
-    w(&[(0, 64 * 1024)], 0x11); // base
-    w(&[(10_000, 5_000), (40_000, 12_345)], 0x22); // partial chunks
-    w(&[(3_000, 1), (8_191, 2), (16_384, 4_096)], 0x33); // tiny + aligned
-    w(&[(96 * 1024, 8 * 1024)], 0x44); // leaves a hole after 64 KiB
-    w(&[(0, 30_000), (20_000, 30_000)], 0x55); // self-overlapping list
-}
-
-#[test]
-fn modes_produce_byte_identical_contents_and_node_sets() {
-    let full = ExtentList::from_pairs([(0u64, 104 * 1024u64)]);
-    let mut images = Vec::new();
-    for mode in MODES {
-        let store = store_with(mode);
-        let blob = store.create_blob();
-        let clock = SimClock::new();
-        let full = &full;
-        let blob_ref = &blob;
-        let mut out = run_actors_on(&clock, 1, move |_, p| {
-            apply_history(blob_ref, p);
-            let latest = blob_ref.latest(p).unwrap();
-            (
-                latest.version,
-                blob_ref.read_list(p, ReadVersion::Latest, full).unwrap(),
-            )
-        });
-        let (version, bytes) = out.pop().unwrap();
-        images.push((version, bytes, store.meta().node_count()));
-    }
-    let (serial_version, serial_bytes, serial_nodes) = &images[0];
-    let (batched_version, batched_bytes, batched_nodes) = &images[1];
-    assert_eq!(serial_version, batched_version, "version histories differ");
-    assert_eq!(serial_bytes, batched_bytes, "blob contents differ");
-    assert_eq!(serial_nodes, batched_nodes, "stored node sets differ");
-}
-
-#[test]
-fn every_published_version_matches_across_modes() {
-    // Not just the final state: each intermediate snapshot must agree.
-    // The base write makes every version at least 64 KiB, so that
-    // prefix is readable at each snapshot.
-    let full = ExtentList::from_pairs([(0u64, 64 * 1024u64)]);
-    let mut per_mode = Vec::new();
-    for mode in MODES {
-        let store = store_with(mode);
-        let blob = store.create_blob();
-        let clock = SimClock::new();
-        let full = &full;
-        let blob_ref = &blob;
-        let mut out = run_actors_on(&clock, 1, move |_, p| {
-            apply_history(blob_ref, p);
-            let last = blob_ref.latest(p).unwrap().version;
-            (1..=last.raw())
-                .map(|v| {
-                    blob_ref
-                        .read_at(p, atomio::types::VersionId::new(v), full)
-                        .unwrap()
-                })
-                .collect::<Vec<_>>()
-        });
-        per_mode.push(out.pop().unwrap());
-    }
-    assert_eq!(per_mode[0].len(), per_mode[1].len());
-    for (v, (s, b)) in per_mode[0].iter().zip(&per_mode[1]).enumerate() {
-        assert_eq!(s, b, "snapshot {} differs between modes", v + 1);
-    }
-}
+const MODES: [TicketMode; 2] = [TicketMode::SerializedBuild, TicketMode::Pipelined];
 
 #[test]
 fn concurrent_atomic_writes_serialize_in_both_modes() {
@@ -111,7 +30,7 @@ fn concurrent_atomic_writes_serialize_in_both_modes() {
             StoreConfig::default()
                 .with_chunk_size(16 * 1024)
                 .with_data_providers(8)
-                .with_meta_commit_mode(mode)
+                .with_ticket_mode(mode)
                 .with_seed(0xD1CE),
         );
         let driver: Arc<dyn AdioDriver> = Arc::new(VersioningDriver::new(store.create_blob()));
@@ -129,7 +48,8 @@ fn concurrent_atomic_writes_serialize_in_both_modes() {
 fn concurrent_rounds_are_bit_reproducible_per_mode() {
     // The deterministic clock sequencer releases same-instant wake-ups
     // in participant-id order, so two identical concurrent runs must
-    // agree on virtual time to the nanosecond — in either commit mode.
+    // agree on virtual time to the nanosecond — in either ticket mode
+    // (`results/e7b.json` is byte-reproducible only because they do).
     let workload = OverlapWorkload::new(6, 8, 16 * 1024, 1, 2);
     let extents: Vec<ExtentList> = (0..6).map(|c| workload.extents_for(c)).collect();
     for mode in MODES {
@@ -138,7 +58,7 @@ fn concurrent_rounds_are_bit_reproducible_per_mode() {
                 StoreConfig::default()
                     .with_chunk_size(16 * 1024)
                     .with_data_providers(8)
-                    .with_meta_commit_mode(mode)
+                    .with_ticket_mode(mode)
                     .with_seed(0xD1CE),
             );
             let driver: Arc<dyn AdioDriver> = Arc::new(VersioningDriver::new(store.create_blob()));
@@ -159,7 +79,7 @@ fn under_quorum_writes_tombstone_identically_in_both_modes() {
                 .with_chunk_size(1024)
                 .with_data_providers(2)
                 .with_replication(2, 2)
-                .with_meta_commit_mode(mode),
+                .with_ticket_mode(mode),
         );
         let blob = s.create_blob();
         let clock = SimClock::new();
@@ -171,7 +91,7 @@ fn under_quorum_writes_tombstone_identically_in_both_modes() {
                 "{mode:?}: got {err}"
             );
             // The failed write must publish an invisible tombstone and
-            // leave the pipeline retryable — same contract as serial.
+            // leave the pipeline retryable.
             let latest = blob.latest(p).unwrap().version;
             let zeros = blob
                 .read_at(p, latest, &ExtentList::from_pairs([(0u64, 512u64)]))

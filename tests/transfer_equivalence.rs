@@ -1,18 +1,13 @@
-//! Equivalence of the two chunk-transfer engines: the pipelined batch
-//! path must be an optimization, not a behavior change. Every test runs
-//! the same scenario under `TransferMode::Serial` and
-//! `TransferMode::Pipelined` and demands the same observable outcome —
-//! bytes, version counts, verifier verdicts, and fault semantics.
-//!
-//! The second half holds the *batched data plane* to the same standard:
-//! the provider manager hands every store one batch per provider, and a
-//! store may serve it with one frame (`RemoteProvider`) or one append per
-//! slot (`DiskProvider`) — or, by default, item by item. Both must yield
+//! The batched data plane against its per-item reference. The provider
+//! manager hands every store one batch per provider, and a store may
+//! serve it with one frame (`RemoteProvider`) or one append per slot
+//! (`DiskProvider`) — or, by default, item by item. Both must yield
 //! bit-identical bytes, version chains, metadata nodes (leaf `homes`
-//! included) and virtual completion times, and a round-trip pin keeps
-//! the per-chunk loop from silently coming back.
+//! included) and virtual completion times, the same verifier verdicts
+//! under concurrent writers and the same fault semantics, and a
+//! round-trip pin keeps the per-chunk loop from silently coming back.
 
-use atomio::core::{Blob, ReadVersion, Store, StoreConfig, TransferMode};
+use atomio::core::{ReadVersion, Store, StoreConfig};
 use atomio::meta::{MetaStore, Node};
 use atomio::mpiio::adio::AdioDriver;
 use atomio::mpiio::drivers::VersioningDriver;
@@ -37,189 +32,6 @@ use bytes::Bytes;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-const MODES: [TransferMode; 2] = [TransferMode::Serial, TransferMode::Pipelined];
-
-fn store_with(mode: TransferMode) -> Store {
-    Store::new(
-        StoreConfig::default()
-            .with_chunk_size(4 * 1024)
-            .with_data_providers(8)
-            .with_transfer_mode(mode)
-            .with_seed(0xD1CE),
-    )
-}
-
-/// A deterministic single-writer history: overlapping extent lists,
-/// partial chunks, a hole, and an append-ish tail write.
-fn apply_history(blob: &Blob, p: &atomio::simgrid::Participant) {
-    let w = |pairs: &[(u64, u64)], fill: u8| {
-        let ext = ExtentList::from_pairs(pairs.iter().copied());
-        let payload = Bytes::from(vec![fill; ext.total_len() as usize]);
-        blob.write_list(p, &ext, payload).unwrap();
-    };
-    w(&[(0, 64 * 1024)], 0x11); // base
-    w(&[(10_000, 5_000), (40_000, 12_345)], 0x22); // partial chunks
-    w(&[(3_000, 1), (8_191, 2), (16_384, 4_096)], 0x33); // tiny + aligned
-    w(&[(96 * 1024, 8 * 1024)], 0x44); // leaves a hole after 64 KiB
-    w(&[(0, 30_000), (20_000, 30_000)], 0x55); // self-overlapping list
-}
-
-#[test]
-fn modes_produce_byte_identical_contents() {
-    let full = ExtentList::from_pairs([(0u64, 104 * 1024u64)]);
-    let mut images = Vec::new();
-    for mode in MODES {
-        let store = store_with(mode);
-        let blob = store.create_blob();
-        let clock = SimClock::new();
-        let full = &full;
-        let blob_ref = &blob;
-        let mut out = run_actors_on(&clock, 1, move |_, p| {
-            apply_history(blob_ref, p);
-            let latest = blob_ref.latest(p).unwrap();
-            (
-                latest.version,
-                blob_ref.read_list(p, ReadVersion::Latest, full).unwrap(),
-            )
-        });
-        images.push(out.pop().unwrap());
-    }
-    let (serial_version, serial_bytes) = &images[0];
-    let (pipelined_version, pipelined_bytes) = &images[1];
-    assert_eq!(
-        serial_version, pipelined_version,
-        "version histories differ"
-    );
-    assert_eq!(serial_bytes, pipelined_bytes, "blob contents differ");
-}
-
-#[test]
-fn every_published_version_matches_across_modes() {
-    // Not just the final state: each intermediate snapshot must agree.
-    // The base write makes every version at least 64 KiB, so that
-    // prefix is readable at each snapshot.
-    let full = ExtentList::from_pairs([(0u64, 64 * 1024u64)]);
-    let mut per_mode = Vec::new();
-    for mode in MODES {
-        let store = store_with(mode);
-        let blob = store.create_blob();
-        let clock = SimClock::new();
-        let full = &full;
-        let blob_ref = &blob;
-        let mut out = run_actors_on(&clock, 1, move |_, p| {
-            apply_history(blob_ref, p);
-            let last = blob_ref.latest(p).unwrap().version;
-            (1..=last.raw())
-                .map(|v| {
-                    blob_ref
-                        .read_at(p, atomio::types::VersionId::new(v), full)
-                        .unwrap()
-                })
-                .collect::<Vec<_>>()
-        });
-        per_mode.push(out.pop().unwrap());
-    }
-    assert_eq!(per_mode[0].len(), per_mode[1].len());
-    for (v, (s, q)) in per_mode[0].iter().zip(&per_mode[1]).enumerate() {
-        assert_eq!(s, q, "snapshot {} differs between modes", v + 1);
-    }
-}
-
-#[test]
-fn concurrent_atomic_writes_serialize_in_both_modes() {
-    let workload = OverlapWorkload::new(6, 8, 16 * 1024, 1, 2);
-    let extents: Vec<ExtentList> = (0..6).map(|c| workload.extents_for(c)).collect();
-    for mode in MODES {
-        let store = Store::new(
-            StoreConfig::default()
-                .with_chunk_size(16 * 1024)
-                .with_data_providers(8)
-                .with_transfer_mode(mode)
-                .with_seed(0xD1CE),
-        );
-        let driver: Arc<dyn AdioDriver> = Arc::new(VersioningDriver::new(store.create_blob()));
-        let clock = SimClock::new();
-        let out = run_write_round(&clock, &driver, &extents, true, 9, true);
-        assert!(
-            out.is_atomic_ok(),
-            "{mode:?} violated atomicity: {:?}",
-            out.violation
-        );
-    }
-}
-
-#[test]
-fn replication_masks_provider_loss_in_both_modes() {
-    for mode in MODES {
-        let s = Store::new(
-            StoreConfig::default()
-                .with_zero_cost()
-                .with_chunk_size(1024)
-                .with_data_providers(5)
-                .with_replication(2, 2)
-                .with_transfer_mode(mode),
-        );
-        let blob = s.create_blob();
-        let clock = SimClock::new();
-        let ext = ExtentList::from_pairs([(0u64, 10_240u64)]);
-        run_actors_on(&clock, 1, |_, p| {
-            blob.write_list(p, &ext, Bytes::from(vec![0x42u8; 10_240]))
-                .unwrap();
-            for victim in 0..5u64 {
-                s.faults().fail_provider(ProviderId::new(victim));
-                let got = blob
-                    .read_list(p, ReadVersion::Latest, &ext)
-                    .unwrap_or_else(|e| {
-                        panic!("{mode:?}: lost data when provider {victim} died: {e}")
-                    });
-                assert_eq!(got, vec![0x42u8; 10_240]);
-                s.faults().heal_provider(ProviderId::new(victim));
-            }
-        });
-    }
-}
-
-#[test]
-fn under_quorum_writes_fail_identically_in_both_modes() {
-    for mode in MODES {
-        let s = Store::new(
-            StoreConfig::default()
-                .with_zero_cost()
-                .with_chunk_size(1024)
-                .with_data_providers(2)
-                .with_replication(2, 2)
-                .with_transfer_mode(mode),
-        );
-        let blob = s.create_blob();
-        let clock = SimClock::new();
-        run_actors_on(&clock, 1, |_, p| {
-            s.faults().fail_provider(ProviderId::new(0));
-            let err = blob.write(p, 0, Bytes::from(vec![1u8; 512])).unwrap_err();
-            assert!(
-                matches!(err, Error::InsufficientReplicas { .. }),
-                "{mode:?}: got {err}"
-            );
-            // The failed write must publish an invisible tombstone and
-            // leave the pipeline retryable — same contract as serial.
-            let latest = blob.latest(p).unwrap().version;
-            let zeros = blob
-                .read_at(p, latest, &ExtentList::from_pairs([(0u64, 512u64)]))
-                .unwrap();
-            assert_eq!(zeros, vec![0u8; 512], "{mode:?}: failed write visible");
-            s.faults().heal_provider(ProviderId::new(0));
-            let v = blob.write(p, 0, Bytes::from(vec![1u8; 512])).unwrap();
-            let got = blob
-                .read_at(p, v, &ExtentList::from_pairs([(0u64, 512u64)]))
-                .unwrap();
-            assert_eq!(got, vec![1u8; 512], "{mode:?}: retry lost data");
-        });
-    }
-}
-
-// ---------------------------------------------------------------------
-// The batched data plane against its per-item reference
-// ---------------------------------------------------------------------
 
 /// Forwards every method of a chunk store except the two batch ones, so
 /// the provider manager's batch calls fall through to the trait's
@@ -670,4 +482,88 @@ fn a_write_past_the_frame_budget_splits_into_whole_frames_per_provider() {
         assert_eq!(back, payload.as_ref());
         assert_eq!(d.round_trips(), 2 * FLEET as u64 * frames);
     });
+}
+
+/// The two arms of a scenario: the data plane as shipped (`false`) and
+/// the same stores behind [`PerItem`] (`true`).
+const MODES: [bool; 2] = [false, true];
+
+#[test]
+fn concurrent_atomic_writes_serialize_in_both_modes() {
+    // The suite above writes rank by rank; here six writers overlap in
+    // time, so the stores' batch methods run concurrently.
+    let workload = OverlapWorkload::new(6, 8, 16 * 1024, 1, 2);
+    let extents: Vec<ExtentList> = (0..6).map(|c| workload.extents_for(c)).collect();
+    for plane in PLANES {
+        for per_item in MODES {
+            let d = deploy(plane, (1, 1), per_item, 16 * 1024);
+            let driver: Arc<dyn AdioDriver> =
+                Arc::new(VersioningDriver::new(d.store.create_blob()));
+            let out = run_write_round(&SimClock::new(), &driver, &extents, true, 9, true);
+            assert!(
+                out.is_atomic_ok(),
+                "{plane:?} per_item={per_item} violated atomicity: {:?}",
+                out.violation
+            );
+        }
+    }
+}
+
+#[test]
+fn replication_masks_provider_loss_in_both_modes() {
+    let ext = ExtentList::from_pairs([(0u64, 10_240u64)]); // 10 chunks
+    for per_item in MODES {
+        let d = deploy(Plane::Disk, (2, 2), per_item, 1024);
+        let blob = d.store.create_blob();
+        run_actors_on(&SimClock::new(), 1, |_, p| {
+            blob.write_list(p, &ext, Bytes::from(vec![0x42u8; 10_240]))
+                .unwrap();
+            // Each provider in turn, not one fixed victim as above.
+            for victim in (0..FLEET as u64).map(ProviderId::new) {
+                d.hosted_faults.fail_provider(victim);
+                let got = blob
+                    .read_list(p, ReadVersion::Latest, &ext)
+                    .unwrap_or_else(|e| {
+                        panic!("per_item={per_item}: lost data when {victim} died: {e}")
+                    });
+                assert_eq!(got, vec![0x42u8; 10_240]);
+                d.hosted_faults.heal_provider(victim);
+            }
+        });
+    }
+}
+
+#[test]
+fn under_quorum_writes_fail_identically_in_both_modes() {
+    let first = ExtentList::from_pairs([(0u64, 512u64)]);
+    let outcomes = MODES.map(|per_item| {
+        // Every provider must take a copy, and provider 0 is down.
+        let d = deploy(Plane::Disk, (FLEET, FLEET), per_item, 1024);
+        let blob = d.store.create_blob();
+        run_actors_on(&SimClock::new(), 1, |_, p| {
+            d.store.faults().fail_provider(ProviderId::new(0));
+            let err = blob.write(p, 0, Bytes::from(vec![1u8; 512])).unwrap_err();
+            assert!(
+                matches!(err, Error::InsufficientReplicas { .. }),
+                "per_item={per_item}: got {err}"
+            );
+            // The failed write must publish an invisible tombstone and
+            // leave the pipeline retryable.
+            let tombstone = blob.latest(p).unwrap().version;
+            let zeros = blob.read_at(p, tombstone, &first).unwrap();
+            assert_eq!(
+                zeros,
+                vec![0u8; 512],
+                "per_item={per_item}: failed write visible"
+            );
+            d.store.faults().heal_provider(ProviderId::new(0));
+            let retry = blob.write(p, 0, Bytes::from(vec![1u8; 512])).unwrap();
+            let got = blob.read_at(p, retry, &first).unwrap();
+            assert_eq!(got, vec![1u8; 512], "per_item={per_item}: retry lost data");
+            (err, tombstone, retry)
+        })
+        .pop()
+        .unwrap()
+    });
+    assert_eq!(outcomes[0], outcomes[1]);
 }

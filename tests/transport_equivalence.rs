@@ -18,8 +18,8 @@ use atomio::meta::{LeafEntry, Node, NodeBody, NodeKey};
 use atomio::provider::{chunk_store_for, ChunkStore, ProviderManager};
 use atomio::rpc::{
     dial, Loopback, MetaService, MuxTransport, ProviderService, RemoteMetaStore, RemoteProvider,
-    RemoteVersionManager, Request, Response, RpcConfig, RpcMode, RpcServer, ServerMode, Service,
-    TcpTransport, Transport, VersionService,
+    RemoteVersionManager, Request, Response, RpcConfig, RpcMode, RpcServer, Service, TcpTransport,
+    Transport, VersionService,
 };
 use atomio::simgrid::clock::run_actors_on;
 use atomio::simgrid::{CostModel, FaultInjector, Metrics, SimClock};
@@ -86,34 +86,18 @@ fn remote_store_with(
     mode: RpcMode,
     metrics: Option<Metrics>,
 ) -> RemoteDeployment {
-    // The default server mode honors ATOMIO_REACTOR=1, so the whole
-    // suite reruns on the reactor front-end under that switch.
-    remote_store_on(providers, mode, metrics, RpcConfig::default().server_mode)
-}
-
-fn remote_store_on(
-    providers: usize,
-    mode: RpcMode,
-    metrics: Option<Metrics>,
-    server_mode: ServerMode,
-) -> RemoteDeployment {
     let config = base_config(providers).with_transport_mode(TransportMode::Tcp);
     let tmp = TempDir::new("atomio-transport");
     let backend = env_backend(&tmp);
-    let server_cfg = RpcConfig {
-        server_mode,
-        ..RpcConfig::default()
-    };
 
     let mut provider_servers = Vec::new();
     let mut stores: Vec<Arc<dyn ChunkStore>> = Vec::new();
     for i in 0..providers {
-        let server = RpcServer::start_with_config(
+        let server = RpcServer::start(
             "127.0.0.1:0",
             Arc::new(ProviderService::from_stores(vec![hosted_store(
                 i, &backend,
             )])),
-            server_cfg,
         )
         .expect("bind provider server");
         let transport = dial(
@@ -129,13 +113,12 @@ fn remote_store_on(
         provider_servers.push(server);
     }
 
-    let meta_server = RpcServer::start_with_config(
+    let meta_server = RpcServer::start(
         "127.0.0.1:0",
         Arc::new(
             MetaService::with_backend(config.meta_shards, CHUNK, &backend)
                 .expect("open meta service"),
         ),
-        server_cfg,
     )
     .expect("bind meta server");
     let meta_transport = dial(
@@ -588,32 +571,6 @@ fn mux_stress_matches_loopback_bit_for_bit() {
     );
     tcp_server.stop();
     mux_server.stop();
-}
-
-#[test]
-fn threads_and_reactor_front_ends_are_bit_identical() {
-    // The full atomic-write workload against explicitly-pinned server
-    // front-ends: the epoll reactor must reproduce the thread-per-
-    // connection results bit for bit — stored bytes, version chain,
-    // node-key set — and account identical wire totals.
-    let mut observed = Vec::new();
-    let mut totals = Vec::new();
-    for server_mode in [ServerMode::Threads, ServerMode::Reactor] {
-        let metrics = Metrics::new();
-        let remote = remote_store_on(4, RpcMode::Mux, Some(metrics.clone()), server_mode);
-        observed.push(observe(&remote.store));
-        totals.push(wire_totals(&metrics));
-        drop(remote);
-    }
-    assert_eq!(
-        observed[0], observed[1],
-        "reactor front-end must be bit-identical to threads"
-    );
-    assert_eq!(
-        totals[0], totals[1],
-        "both front-ends must account identical bytes_tx/bytes_rx"
-    );
-    assert!(totals[0].0 > 0, "workload produced RPC traffic");
 }
 
 /// A service that answers slowly, so the fault test can guarantee calls
