@@ -3,12 +3,12 @@
 use crate::blob::Blob;
 use crate::config::StoreConfig;
 use crate::namespace::Namespace;
-use atomio_meta::{MetaStore, NodeStore, TreeConfig, VersionHistory};
+use atomio_meta::{NodeStore, TreeConfig};
 use atomio_provider::ProviderManager;
 use atomio_simgrid::{CostModel, FaultInjector, Metrics};
 use atomio_types::ids::IdAllocator;
 use atomio_types::{BlobId, ChunkGeometry};
-use atomio_version::{VersionManager, VersionOracle};
+use atomio_version::{version_manager_for, VersionOracle};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -89,23 +89,13 @@ impl Store {
         );
         // Metadata and data traffic of one client contend for the same
         // simulated NIC: the meta store books on the provider registry.
-        let meta: Arc<dyn NodeStore> = match &config.backend {
-            atomio_types::BackendConfig::Memory => Arc::new(MetaStore::with_client_nics(
-                config.meta_shards,
-                config.cost,
-                Arc::clone(providers.client_nic_registry()),
-            )),
-            atomio_types::BackendConfig::Disk { dir, fsync } => Arc::new(
-                atomio_meta::DiskNodeStore::open_with_client_nics(
-                    dir.join("meta"),
-                    config.meta_shards,
-                    config.cost,
-                    Arc::clone(providers.client_nic_registry()),
-                    *fsync,
-                )
-                .expect("open metadata backend"),
-            ),
-        };
+        let meta: Arc<dyn NodeStore> = atomio_meta::node_store_for(
+            &config.backend,
+            config.meta_shards,
+            config.cost,
+            Arc::clone(providers.client_nic_registry()),
+        )
+        .expect("open metadata backend");
         Self::with_substrates(config, providers, meta)
     }
 
@@ -125,40 +115,12 @@ impl Store {
         // blob, exactly the pre-RPC behavior — durable when the backend
         // is, so publish decisions survive crashes with the data. A
         // remote deployment swaps this out with `with_version_oracles`.
-        let (chunk_size, cost, ticket_mode) = (config.chunk_size, config.cost, config.ticket_mode);
-        let backend = config.backend.clone();
-        let retention = config.retention;
+        let (backend, tree) = (config.backend.clone(), TreeConfig::new(config.chunk_size));
+        let (cost, ticket_mode, retention) = (config.cost, config.ticket_mode, config.retention);
         let oracles: VersionOracleFactory = Arc::new(move |blob| {
-            let vm = match &backend {
-                atomio_types::BackendConfig::Memory => Arc::new(VersionManager::new(
-                    Arc::new(VersionHistory::new()),
-                    TreeConfig::new(chunk_size),
-                    cost,
-                    ticket_mode,
-                )),
-                atomio_types::BackendConfig::Disk { dir, fsync } => Arc::new(
-                    VersionManager::durable(
-                        dir.join("version").join(format!("blob-{}", blob.raw())),
-                        Arc::new(VersionHistory::new()),
-                        TreeConfig::new(chunk_size),
-                        cost,
-                        ticket_mode,
-                        *fsync,
-                    )
-                    .expect("open publish log"),
-                ),
-            };
-            // Stamp the deployment's default retention policy, but never
-            // clobber a per-blob policy recovered from the publish log —
-            // the same precedence the version server applies for its
-            // `--retention` flag.
-            if retention != atomio_types::RetentionPolicy::default()
-                && vm.retention() == atomio_types::RetentionPolicy::default()
-            {
-                vm.set_retention_local(retention)
-                    .expect("record default retention policy");
-            }
-            vm as Arc<dyn VersionOracle>
+            let vm = version_manager_for(&backend, blob, tree, cost, ticket_mode, retention)
+                .expect("open publish log");
+            Arc::new(vm) as Arc<dyn VersionOracle>
         });
         // A reopened disk deployment resumes its chunk allocator past
         // every id already on any provider's media — chunk ids, like

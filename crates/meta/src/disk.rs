@@ -2,8 +2,8 @@
 //!
 //! `DiskNodeStore` wraps the in-memory [`MetaStore`] — which keeps doing
 //! all virtual-time cost booking and serving every read, so lookup
-//! latency is backend-invariant — and mirrors each accepted node into an
-//! append-only log on disk:
+//! latency is backend-invariant — and mirrors each accepted node into a
+//! [`RecordLog`] on disk:
 //!
 //! ```text
 //! <dir>/superblock            format version, shard count, role tag
@@ -13,21 +13,22 @@
 //!
 //! A node's log file is chosen by the **same hash** that picks its
 //! in-memory shard, so every record affecting one key lands in one file
-//! in operation order. Nodes are immutable (idempotent re-puts are
-//! filtered by a logged-key set, conflicts never reach the log), so the
-//! log needs no updates-in-place and recovery is a pure replay:
-//! truncate any torn tail, then feed surviving `NODE` records back
-//! through [`MetaStore::put_batch_local`] and apply `EVICT`s in order.
+//! in operation order; a batch frames everything bound for one shard
+//! into one buffer and appends it once. Nodes are immutable (idempotent
+//! re-puts are filtered by a logged-key set, conflicts never reach the
+//! log), so recovery is a pure replay: feed surviving `NODE` records
+//! back through [`MetaStore::put_batch_local`] and apply `EVICT`s in
+//! order.
 
 use crate::node::{LeafEntry, Node, NodeBody, NodeKey};
 use crate::store::{LocalNodeStore, MetaStore, NodeStore};
 use atomio_simgrid::{ClientNics, CostModel, Participant};
-use atomio_types::record::{append_record, load_or_init_superblock, scan_records, ByteReader};
-use atomio_types::{BlobId, ByteRange, ChunkId, Error, FsyncPolicy, ProviderId, Result, VersionId};
+use atomio_types::record::{
+    encode_record, load_or_init_superblock, scan_records, ByteReader, RecordLog,
+};
+use atomio_types::{BlobId, ChunkId, Error, FsyncPolicy, ProviderId, Result, VersionId};
 use parking_lot::Mutex;
 use std::collections::HashSet;
-use std::fs::OpenOptions;
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -40,41 +41,47 @@ const REC_EVICT: u8 = 2;
 /// count is carried in the superblock's slot-count field.
 const META_TAG: u64 = 0x6D65_7461; // "meta"
 
-#[derive(Debug)]
-struct LogFile {
-    file: std::fs::File,
-    len: u64,
-    unsynced: u32,
-}
-
-impl LogFile {
-    fn append(&mut self, bytes: &[u8], policy: FsyncPolicy) -> Result<()> {
-        self.file
-            .seek(SeekFrom::Start(self.len))
-            .and_then(|_| self.file.write_all(bytes))
-            .map_err(|e| Error::io("node log append", e))?;
-        self.len += bytes.len() as u64;
-        self.unsynced += 1;
-        if policy.due(self.unsynced) {
-            self.file
-                .sync_data()
-                .map_err(|e| Error::io("node log sync", e))?;
-            self.unsynced = 0;
-        }
-        Ok(())
-    }
-}
-
 /// A [`MetaStore`] whose accepted nodes survive crashes: every put is
 /// mirrored into a per-shard append-only log and replayed on reopen.
 #[derive(Debug)]
 pub struct DiskNodeStore {
     inner: MetaStore,
-    fsync: FsyncPolicy,
-    logs: Vec<Mutex<LogFile>>,
+    logs: Vec<Mutex<RecordLog>>,
     /// Keys already in the log — idempotent re-puts of an immutable node
     /// must not append a second record.
     logged: Mutex<HashSet<NodeKey>>,
+}
+
+/// Replays one shard log into `store`, returning the length of its
+/// whole-record prefix. Fails only on a whole, checksum-valid record it
+/// cannot read or apply.
+fn replay_shard(bytes: &[u8], store: &MetaStore, logged: &mut HashSet<NodeKey>) -> Result<u64> {
+    let malformed = |what: &str| Error::Internal(format!("meta store: {what}"));
+    let scan = scan_records(bytes);
+    for rec in &scan.records {
+        match rec.kind {
+            REC_NODE => {
+                let node =
+                    decode_node(&rec.body).ok_or_else(|| malformed("malformed node record"))?;
+                let key = node.key;
+                store
+                    .put_batch_local(vec![node])
+                    .pop()
+                    .expect("one outcome per node")?;
+                logged.insert(key);
+            }
+            REC_EVICT => {
+                let mut r = ByteReader::new(&rec.body);
+                let key = decode_key(&mut r)
+                    .filter(|_| r.done())
+                    .ok_or_else(|| malformed("malformed evict record"))?;
+                store.evict(key);
+                logged.remove(&key);
+            }
+            other => return Err(malformed(&format!("unknown record kind {other}"))),
+        }
+    }
+    Ok(scan.valid_len)
 }
 
 impl DiskNodeStore {
@@ -106,8 +113,6 @@ impl DiskNodeStore {
     ) -> Result<Self> {
         assert!(shards > 0, "need at least one metadata shard");
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| Error::io(format!("meta store dir {}", dir.display()), e))?;
         let disk_shards = load_or_init_superblock(
             &dir.join("superblock"),
             shards as u32,
@@ -120,74 +125,19 @@ impl DiskNodeStore {
             )));
         }
 
-        let store = DiskNodeStore {
-            inner: MetaStore::with_client_nics(shards, cost, nics),
-            fsync,
-            logs: Vec::with_capacity(shards),
-            logged: Mutex::new(HashSet::new()),
-        };
-        let mut logs = Vec::with_capacity(shards);
+        let inner = MetaStore::with_client_nics(shards, cost, nics);
         let mut logged = HashSet::new();
+        let mut logs = Vec::with_capacity(shards);
         for s in 0..shards {
-            let shard_dir = dir.join("shards").join(format!("{s:03}"));
-            std::fs::create_dir_all(&shard_dir)
-                .map_err(|e| Error::io("meta store create shard", e))?;
-            let path = shard_dir.join("000.log");
-            let mut file = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(false)
-                .open(&path)
-                .map_err(|e| Error::io("meta store open log", e))?;
-            let mut contents = Vec::new();
-            file.read_to_end(&mut contents)
-                .map_err(|e| Error::io("meta store scan log", e))?;
-            let scan = scan_records(&contents);
-            if scan.truncated {
-                file.set_len(scan.valid_len)
-                    .and_then(|_| file.sync_data())
-                    .map_err(|e| Error::io("meta store truncate torn tail", e))?;
-            }
-            for rec in &scan.records {
-                match rec.kind {
-                    REC_NODE => {
-                        let node = decode_node(&rec.body).ok_or_else(|| {
-                            Error::Internal("meta store: malformed node record".into())
-                        })?;
-                        let key = node.key;
-                        store
-                            .inner
-                            .put_batch_local(vec![node])
-                            .pop()
-                            .expect("one outcome per node")?;
-                        logged.insert(key);
-                    }
-                    REC_EVICT => {
-                        let mut r = ByteReader::new(&rec.body);
-                        let key = decode_key(&mut r).filter(|_| r.done()).ok_or_else(|| {
-                            Error::Internal("meta store: malformed evict record".into())
-                        })?;
-                        store.inner.evict(key);
-                        logged.remove(&key);
-                    }
-                    other => {
-                        return Err(Error::Internal(format!(
-                            "meta store: unknown record kind {other}"
-                        )));
-                    }
-                }
-            }
-            logs.push(Mutex::new(LogFile {
-                file,
-                len: scan.valid_len,
-                unsynced: 0,
-            }));
+            let log = RecordLog::open(meta_log_path(&dir, s), fsync, |bytes| {
+                replay_shard(bytes, &inner, &mut logged)
+            })?;
+            logs.push(Mutex::new(log));
         }
         Ok(DiskNodeStore {
+            inner,
             logs,
             logged: Mutex::new(logged),
-            ..store
         })
     }
 
@@ -201,64 +151,73 @@ impl DiskNodeStore {
         self.inner.client_nics()
     }
 
-    /// Appends log records for every node the in-memory store newly
-    /// accepted (conflicts and already-logged keys are skipped).
-    fn log_accepted(&self, encoded: &[(NodeKey, Vec<u8>)], outcomes: &[Result<()>]) -> Result<()> {
-        let mut logged = self.logged.lock();
-        for ((key, framed), outcome) in encoded.iter().zip(outcomes) {
-            if outcome.is_ok() && logged.insert(*key) {
-                let s = self.inner.shard_index(*key);
-                if let Err(e) = self.logs[s].lock().append(framed, self.fsync) {
-                    // The node is in RAM but not durable: forget it was
-                    // logged so a retry re-appends, and surface the error.
-                    logged.remove(key);
-                    return Err(e);
-                }
+    /// Appends `records` — `(key, framed record)` pairs — to their
+    /// shards' logs: everything bound for one shard goes into one buffer
+    /// and one append, so a batch costs one write (and at most one sync)
+    /// per touched shard however many records it carries. On failure
+    /// returns the error with the keys whose shard's append failed.
+    fn append_per_shard(
+        &self,
+        records: &[(NodeKey, Vec<u8>)],
+    ) -> std::result::Result<(), (Error, Vec<NodeKey>)> {
+        let mut buffers: Vec<(Vec<u8>, Vec<NodeKey>)> = vec![Default::default(); self.logs.len()];
+        for (key, framed) in records {
+            let (buffer, keys) = &mut buffers[self.inner.shard_index(*key)];
+            buffer.extend_from_slice(framed);
+            keys.push(*key);
+        }
+        let mut failed: Option<(Error, Vec<NodeKey>)> = None;
+        for (log, (buffer, keys)) in self.logs.iter().zip(buffers) {
+            if buffer.is_empty() {
+                continue;
+            }
+            if let Err(e) = log.lock().append(&buffer) {
+                failed.get_or_insert((e, Vec::new())).1.extend(keys);
             }
         }
-        Ok(())
+        failed.map_or(Ok(()), Err)
     }
 
-    /// Runs a put through the in-memory store, then logs what it
-    /// accepted. A log I/O failure downgrades accepted slots to errors:
-    /// a node that is not durable was not stored.
+    /// Runs a put through the in-memory store, then logs what it newly
+    /// accepted (conflicts and already-logged keys are skipped). A log
+    /// I/O failure downgrades accepted slots to errors: a node that is
+    /// not durable was not stored.
     fn put_and_log(
         &self,
         nodes: Vec<Node>,
         put: impl FnOnce(&MetaStore, Vec<Node>) -> Vec<Result<()>>,
     ) -> Vec<Result<()>> {
-        let encoded: Vec<(NodeKey, Vec<u8>)> = nodes
+        let records: Vec<(NodeKey, Vec<u8>)> = nodes
             .iter()
-            .map(|n| {
-                let mut framed = Vec::new();
-                append_record(&mut framed, REC_NODE, &encode_node(n));
-                (n.key, framed)
-            })
+            .map(|n| (n.key, encode_record(REC_NODE, &encode_node(n))))
             .collect();
         let outcomes = put(&self.inner, nodes);
-        if let Err(e) = self.log_accepted(&encoded, &outcomes) {
-            let msg = format!("node log write failed: {e}");
-            return outcomes
-                .into_iter()
-                .map(|o| o.and_then(|()| Err(Error::Internal(msg.clone()))))
-                .collect();
+        let mut logged = self.logged.lock();
+        let accepted: Vec<(NodeKey, Vec<u8>)> = records
+            .into_iter()
+            .zip(&outcomes)
+            .filter(|((key, _), outcome)| outcome.is_ok() && logged.insert(*key))
+            .map(|(record, _)| record)
+            .collect();
+        let Err((e, lost)) = self.append_per_shard(&accepted) else {
+            return outcomes;
+        };
+        // The nodes are in RAM but not durable: forget they were logged
+        // so a retry re-appends, and surface the error.
+        for key in lost {
+            logged.remove(&key);
         }
+        let msg = format!("node log write failed: {e}");
         outcomes
+            .into_iter()
+            .map(|o| o.and_then(|()| Err(Error::Internal(msg.clone()))))
+            .collect()
     }
 
     /// Forces every shard log's outstanding appends to stable storage
     /// (graceful shutdown under `Group`/`Deferred` fsync policies).
     pub fn flush(&self) -> Result<()> {
-        for log in &self.logs {
-            let mut log = log.lock();
-            if log.unsynced > 0 {
-                log.file
-                    .sync_data()
-                    .map_err(|e| Error::io("node log flush", e))?;
-                log.unsynced = 0;
-            }
-        }
-        Ok(())
+        self.logs.iter().try_for_each(|log| log.lock().flush())
     }
 }
 
@@ -280,19 +239,27 @@ impl NodeStore for DiskNodeStore {
     }
 
     fn evict(&self, key: NodeKey) {
-        if !self.inner.contains(key) {
-            return;
-        }
-        let mut framed = Vec::new();
-        append_record(&mut framed, REC_EVICT, &encode_key(key));
-        let s = self.inner.shard_index(key);
+        self.evict_batch(&[key]);
+    }
+
+    fn evict_batch(&self, keys: &[NodeKey]) -> u64 {
+        let mut logged = self.logged.lock();
+        let mut present = HashSet::new();
+        let records: Vec<(NodeKey, Vec<u8>)> = keys
+            .iter()
+            .filter(|key| self.inner.contains(**key) && present.insert(**key))
+            .map(|key| (*key, encode_record(REC_EVICT, &encode_key(*key))))
+            .collect();
         // An eviction that cannot reach disk must not drop the node from
         // RAM — it would resurrect on replay.
-        if self.logs[s].lock().append(&framed, self.fsync).is_err() {
-            return;
+        if let Err((_, lost)) = self.append_per_shard(&records) {
+            present.retain(|key| !lost.contains(key));
         }
-        self.logged.lock().remove(&key);
-        self.inner.evict(key);
+        for key in &present {
+            logged.remove(key);
+            self.inner.evict(*key);
+        }
+        present.len() as u64
     }
 
     fn list_keys(&self) -> Vec<NodeKey> {
@@ -375,7 +342,7 @@ pub fn decode_key(r: &mut ByteReader<'_>) -> Option<NodeKey> {
     Some(NodeKey::new(
         BlobId::new(r.u64()?),
         VersionId::new(r.u64()?),
-        ByteRange::new(r.u64()?, r.u64()?),
+        r.range()?,
     ))
 }
 
@@ -398,14 +365,15 @@ fn decode_node(body: &[u8]) -> Option<Node> {
         },
         1 => {
             let backlink = decode_opt_key(&mut r)?;
-            let count = r.u32()?;
-            let mut entries = Vec::with_capacity(count as usize);
+            // An entry is at least its five fixed fields, a home 8 bytes.
+            let count = r.count(36)?;
+            let mut entries = Vec::with_capacity(count);
             for _ in 0..count {
-                let file_range = ByteRange::new(r.u64()?, r.u64()?);
+                let file_range = r.range()?;
                 let chunk = ChunkId::new(r.u64()?);
                 let chunk_offset = r.u64()?;
-                let home_count = r.u32()?;
-                let mut homes = Vec::with_capacity(home_count as usize);
+                let home_count = r.count(8)?;
+                let mut homes = Vec::with_capacity(home_count);
                 for _ in 0..home_count {
                     homes.push(ProviderId::new(r.u64()?));
                 }
@@ -449,8 +417,8 @@ pub fn node_store_for(
     })
 }
 
-/// Access to the superblock path of a store rooted at `dir` (tests poke
-/// torn tails and foreign tags through this).
+/// Path of shard `shard`'s node log under a store rooted at `dir`
+/// (tests tear tails through this).
 pub fn meta_log_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join("shards")
         .join(format!("{shard:03}"))
@@ -461,7 +429,11 @@ pub fn meta_log_path(dir: &Path, shard: usize) -> PathBuf {
 mod tests {
     use super::*;
     use atomio_simgrid::clock::run_actors;
+    use atomio_types::record::append_record;
     use atomio_types::tempdir::TempDir;
+    use atomio_types::ByteRange;
+    use std::fs::OpenOptions;
+    use std::io::Write;
 
     fn leaf(v: u64, off: u64) -> Node {
         Node {
@@ -578,6 +550,54 @@ mod tests {
     }
 
     #[test]
+    fn batch_appends_and_syncs_once_per_touched_shard() {
+        // One tile write's worth of nodes: 54 in one batch, two shards.
+        let nodes: Vec<Node> = (1..=54).map(|v| leaf(v, 0)).collect();
+        let keys: Vec<NodeKey> = nodes.iter().map(|n| n.key).collect();
+        let tmp = TempDir::new("atomio-diskmeta");
+        let open =
+            || DiskNodeStore::open(tmp.path(), 2, CostModel::zero(), FsyncPolicy::PerPublish);
+        let totals = |store: &DiskNodeStore| {
+            let stats = store.logs.iter().map(|log| log.lock().stats());
+            stats.fold((0, 0), |(a, s), st| (a + st.appends, s + st.syncs))
+        };
+        {
+            let store = open().unwrap();
+            let outcomes = store.put_batch_local(nodes.clone());
+            assert!(outcomes.iter().all(|o| o.is_ok()));
+            let (appends, syncs) = totals(&store);
+            assert!(
+                appends <= 2 && syncs <= 2,
+                "{appends} appends, {syncs} syncs"
+            );
+            // An idempotent re-put appends nothing.
+            store.put_batch_local(nodes.clone());
+            assert_eq!(totals(&store), (appends, syncs));
+            // Hard drop, no flush.
+        }
+        let store = open().unwrap();
+        assert_eq!(store.node_count(), 54);
+        for (got, want) in store.get_batch_local(&keys).into_iter().zip(&nodes) {
+            assert_eq!(*got.unwrap(), *want);
+        }
+        // Evictions batch the same way, count what was present once, and
+        // survive a reopen.
+        let mut victims = keys[..30].to_vec();
+        victims.push(keys[0]);
+        victims.push(leaf(99, 0).key);
+        assert_eq!(store.evict_batch(&victims), 30);
+        let (appends, syncs) = totals(&store);
+        assert!(
+            appends <= 2 && syncs <= 2,
+            "{appends} appends, {syncs} syncs"
+        );
+        drop(store);
+        let store = open().unwrap();
+        assert_eq!(store.node_count(), 24);
+        assert!(!store.contains(keys[29]) && store.contains(keys[30]));
+    }
+
+    #[test]
     fn shard_count_is_pinned_by_the_superblock() {
         let tmp = TempDir::new("atomio-diskmeta");
         drop(DiskNodeStore::open(
@@ -634,5 +654,109 @@ mod tests {
             .for_each(|r| r.unwrap());
         assert!(tmp.path().join("meta").join("superblock").exists());
         assert_eq!(disk.node_count(), 1);
+    }
+
+    mod replay_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn arb_bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
+            proptest::collection::vec(any::<u8>(), 0..max)
+        }
+
+        /// Replays `bytes` into a fresh store: a typed error, or a
+        /// whole-record prefix that replays to the same store again.
+        fn check(bytes: &[u8]) -> std::result::Result<(), TestCaseError> {
+            let replay = |bytes: &[u8]| {
+                let (store, mut logged) = (MetaStore::new(2, CostModel::zero()), HashSet::new());
+                let valid = replay_shard(bytes, &store, &mut logged)?;
+                let keys: HashSet<NodeKey> = store.list_keys().into_iter().collect();
+                Ok::<_, Error>((valid, keys, logged))
+            };
+            let Ok((valid, keys, logged)) = replay(bytes) else {
+                return Ok(());
+            };
+            prop_assert!(valid as usize <= bytes.len());
+            prop_assert_eq!(&logged, &keys);
+            prop_assert_eq!(replay(&bytes[..valid as usize]), Ok((valid, keys, logged)));
+            Ok(())
+        }
+
+        /// A NODE body laid out like a leaf, its lengths and counts
+        /// whatever `fields` say: ranges that overflow, counts no file
+        /// could hold.
+        fn leaf_like(fields: &[u64], tail: &[u8]) -> Vec<u8> {
+            let mut body = Vec::new();
+            for field in &fields[..4] {
+                body.extend_from_slice(&field.to_be_bytes());
+            }
+            body.extend_from_slice(&[1, 0]); // leaf, no backlink
+            body.extend_from_slice(&(fields[4] as u32).to_be_bytes());
+            for field in &fields[5..] {
+                body.extend_from_slice(&field.to_be_bytes());
+            }
+            body.extend_from_slice(tail);
+            body
+        }
+
+        fn edgy_u64() -> impl Strategy<Value = u64> {
+            (any::<u64>(), 0u64..4).prop_map(|(x, k)| match x % 4 {
+                0 => k,
+                1 => u64::MAX - k,
+                2 => u32::MAX as u64 - k,
+                _ => x,
+            })
+        }
+
+        proptest! {
+            #[test]
+            fn arbitrary_bytes_replay_without_panicking(bytes in arb_bytes(256)) {
+                check(&bytes)?;
+            }
+
+            #[test]
+            fn checksum_valid_garbage_reaches_the_body_decoders(
+                fields in proptest::collection::vec(edgy_u64(), 9..10),
+                tail in arb_bytes(24),
+                records in proptest::collection::vec((0u8..4, arb_bytes(80)), 0..4),
+            ) {
+                let mut log = Vec::new();
+                append_record(&mut log, REC_NODE, &leaf_like(&fields, &tail));
+                check(&log)?;
+                append_record(&mut log, REC_EVICT, &leaf_like(&fields, &[])[..32]);
+                check(&log)?;
+                for (kind, body) in &records {
+                    append_record(&mut log, *kind, body);
+                }
+                check(&log)?;
+            }
+
+            #[test]
+            fn cut_or_mutated_shard_logs_replay_to_a_whole_prefix(
+                ops in proptest::collection::vec((1u64..5, 0u64..3, any::<bool>()), 1..8),
+                flip in (any::<usize>(), 1u16..256),
+            ) {
+                let mut log = Vec::new();
+                for (v, slot, put) in ops {
+                    let node = if slot == 2 { inner_node(v) } else { leaf(v, slot * 64) };
+                    if put {
+                        append_record(&mut log, REC_NODE, &encode_node(&node));
+                    } else {
+                        append_record(&mut log, REC_EVICT, &encode_key(node.key));
+                    }
+                }
+                let store = MetaStore::new(2, CostModel::zero());
+                let whole = replay_shard(&log, &store, &mut HashSet::new());
+                prop_assert_eq!(whole, Ok(log.len() as u64));
+                for cut in 0..log.len() {
+                    let store = MetaStore::new(2, CostModel::zero());
+                    let valid = replay_shard(&log[..cut], &store, &mut HashSet::new());
+                    prop_assert!(valid.is_ok_and(|valid| valid as usize <= cut));
+                }
+                let at = flip.0 % log.len();
+                log[at] ^= flip.1 as u8;
+                check(&log)?;
+            }
+        }
     }
 }

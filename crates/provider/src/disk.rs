@@ -1,9 +1,7 @@
-//! The on-disk data provider: slot-sharded append-only part files.
+//! The on-disk chunk table: slot-sharded append-only part files.
 //!
-//! `DiskProvider` implements the same [`ChunkStore`] surface as the
-//! in-memory [`DataProvider`] — **identical virtual-time cost booking**,
-//! so the simulation's timing is backend-invariant — but keeps every
-//! chunk payload on disk:
+//! [`DiskProvider`] is the one provider front ([`Provider`]) over a
+//! [`SlotTable`], which keeps every chunk payload on disk:
 //!
 //! ```text
 //! <dir>/superblock            one framed record: format version,
@@ -12,42 +10,36 @@
 //! <dir>/slots/001/000.part    …
 //! ```
 //!
-//! Chunks are hash-routed to a slot (`mix64(chunk) % slots`, the
-//! AmberBlob pre-sharded layout) and appended to that slot's part file
-//! as a framed `PUT` record (chunk id, ingest checksum, payload length)
-//! followed by the raw payload bytes **outside** the record frame;
-//! [`ChunkStore::evict_chunk`] appends a `TOMBSTONE` record — payloads
-//! are immutable and never rewritten, so crash atomicity needs no
-//! in-place updates at all. A RAM index (chunk → slot, offset, length,
-//! checksum) makes lookups O(1); reads seek straight to the payload.
+//! Each part file is a [`RecordLog`] — create, recovery, append, sync,
+//! flush and the compaction rewrite are its. What is the table's own:
+//! chunks are hash-routed to a slot (`mix64(chunk) % slots`, the
+//! AmberBlob pre-sharded layout) and logged as a framed `PUT` record
+//! (chunk id, ingest checksum, payload length) followed by the raw
+//! payload bytes **outside** the record frame; an eviction appends a
+//! `TOMBSTONE` record — payloads are immutable and never rewritten. A
+//! RAM index (chunk → slot, offset, length, checksum), rebuilt on open by
+//! replaying every slot, makes lookups O(1); reads `pread` straight at
+//! the payload. A crash inside a payload is a torn tail like any other.
 //!
-//! On open the provider replays every slot log to rebuild the index. A
-//! torn tail — the crash landed mid-append, leaving a broken record or
-//! a short payload — is truncated away instead of failing the open,
-//! which is the whole recovery story: everything before the tear is
-//! whole, everything after was never acknowledged durable. Keeping the
-//! payload out of the record frame keeps the two integrity layers
-//! separate: frame checksums catch *torn appends* at recovery time,
-//! while payload *bit-rot* is deliberately left to [`scrub`]'s ingest
-//! checksums — mid-file rot must not masquerade as a torn tail and
-//! truncate away good chunks logged after it.
-//!
-//! [`scrub`]: DiskProvider::scrub
+//! Keeping the payload out of the record frame keeps the two integrity
+//! layers separate: frame checksums catch *torn appends* at recovery
+//! time, while payload *bit-rot* is deliberately left to
+//! [`scrub`](ChunkStore::scrub)'s ingest checksums — mid-file rot must
+//! not masquerade as a torn tail and truncate away good chunks logged
+//! after it.
 
-use crate::integrity::{chunk_checksum, ScrubReport};
-use crate::store::ChunkStore;
-use atomio_simgrid::{CostModel, FaultInjector, Participant, Resource, SimTime};
+use crate::store::{ChunkStore, ChunkTable, DataProvider, Provider};
+use atomio_simgrid::{CostModel, FaultInjector};
 use atomio_types::record::{
-    append_record, load_or_init_superblock, read_record_at, ByteReader, RECORD_HEADER_BYTES,
+    append_record, load_or_init_superblock, read_record_at, ByteReader, RecordLog,
+    RECORD_HEADER_BYTES,
 };
 use atomio_types::stamp::mix64;
 use atomio_types::{BackendConfig, ByteRange, ChunkId, Error, FsyncPolicy, ProviderId, Result};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -66,8 +58,8 @@ const REC_TOMBSTONE: u8 = 2;
 /// 24-byte body (chunk id, checksum, payload length).
 const PUT_FRAME_BYTES: u64 = (RECORD_HEADER_BYTES + 24) as u64;
 
-/// Dead fraction at which [`DiskProvider::evict_chunk_batch`] compacts
-/// a slot's part file (see [`DiskProvider::compact`]).
+/// Dead fraction at which a sweep's eviction batch compacts a slot's
+/// part file (see [`DiskProvider::compact`]).
 pub const COMPACT_DEAD_FRACTION: f64 = 0.5;
 
 /// Live-record bytes vs total file bytes of one slot — the accounting
@@ -88,7 +80,7 @@ impl SlotUsage {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct IndexEntry {
     slot: u32,
     /// Absolute offset of the payload bytes inside the slot's part file.
@@ -103,60 +95,376 @@ type SlotEvictBatch = (Vec<u8>, Vec<(ChunkId, IndexEntry)>);
 
 #[derive(Debug)]
 struct Slot {
-    file: File,
-    /// Current end of the part file (all appends land here).
-    len: u64,
-    /// Appends since the last fsync (the group-commit counter).
-    unsynced: u32,
+    log: RecordLog,
     /// File bytes occupied by live PUT records (frame + payload); the
-    /// rest of `len` is dead weight reclaimable by compaction.
+    /// rest of the log is dead weight reclaimable by compaction.
     live_bytes: u64,
 }
 
-impl Slot {
-    fn append(&mut self, bytes: &[u8], policy: FsyncPolicy, context: &str) -> Result<u64> {
-        let at = self.len;
-        self.file
-            .seek(SeekFrom::Start(at))
-            .and_then(|_| self.file.write_all(bytes))
-            .map_err(|e| Error::io(context, e))?;
-        self.len += bytes.len() as u64;
-        self.unsynced += 1;
-        if policy.due(self.unsynced) {
-            self.file.sync_data().map_err(|e| Error::io(context, e))?;
-            self.unsynced = 0;
-        }
-        Ok(at)
-    }
-
-    /// One `pread`: no seek, and the append position is left alone.
-    fn read_exact_at(&self, offset: u64, buf: &mut [u8], context: &str) -> Result<()> {
-        self.file
-            .read_exact_at(buf, offset)
-            .map_err(|e| Error::io(context, e))
-    }
+/// Appends one PUT record frame (the payload follows it, unframed).
+fn append_put(buf: &mut Vec<u8>, chunk: ChunkId, checksum: u64, len: u64) {
+    let mut body = [0u8; 24];
+    body[..8].copy_from_slice(&chunk.raw().to_be_bytes());
+    body[8..16].copy_from_slice(&checksum.to_be_bytes());
+    body[16..].copy_from_slice(&len.to_be_bytes());
+    append_record(buf, REC_PUT, &body);
 }
 
-/// One durable storage server: same cost model and request semantics as
-/// [`DataProvider`], payloads in slot-sharded append-only part files.
-///
-/// [`DataProvider`]: crate::store::DataProvider
+/// What replaying one part file finds.
+#[derive(Debug, Default, PartialEq)]
+struct PartReplay {
+    /// The slot's live chunks.
+    index: HashMap<ChunkId, IndexEntry>,
+    /// Length of the whole-record prefix (a PUT counts with its payload).
+    valid: u64,
+    /// Bytes of `valid` belonging to live PUT records.
+    live: u64,
+    /// `raw + 1` of the highest chunk id logged, tombstoned ones too.
+    max_seen: u64,
+}
+
+/// Replays the part file of slot `slot`. Records are walked by hand: a
+/// PUT is followed by its out-of-frame payload, which a generic record
+/// scan cannot step over. The walk stops at the first torn record — or
+/// payload the file ends inside — and fails only on a whole,
+/// checksum-valid record it cannot read.
+fn replay_part(bytes: &[u8], slot: u32) -> Result<PartReplay> {
+    let malformed = |what: &str| Error::Internal(format!("part file of slot {slot}: {what}"));
+    let mut replay = PartReplay::default();
+    let mut pos = 0usize;
+    while let Some((rec, next)) = read_record_at(bytes, pos) {
+        let mut r = ByteReader::new(&rec.body);
+        let id = r.u64().ok_or_else(|| malformed("short record"))?;
+        let seen = id
+            .checked_add(1)
+            .ok_or_else(|| malformed("chunk id out of range"))?;
+        match rec.kind {
+            REC_PUT => {
+                let (Some(checksum), Some(len), true) = (r.u64(), r.u64(), r.done()) else {
+                    return Err(malformed("malformed put record"));
+                };
+                // The declared length is input: a payload the file does
+                // not hold whole is where the crash landed.
+                let end = usize::try_from(len).ok().and_then(|l| next.checked_add(l));
+                let Some(end) = end.filter(|&end| end <= bytes.len()) else {
+                    break;
+                };
+                // First write wins, matching the live path's
+                // duplicate-id rejection.
+                if let Entry::Vacant(e) = replay.index.entry(ChunkId::new(id)) {
+                    e.insert(IndexEntry {
+                        slot,
+                        payload_offset: next as u64,
+                        len,
+                        checksum,
+                    });
+                    replay.live += PUT_FRAME_BYTES + len;
+                }
+                pos = end;
+            }
+            REC_TOMBSTONE if r.done() => {
+                if let Some(old) = replay.index.remove(&ChunkId::new(id)) {
+                    replay.live -= PUT_FRAME_BYTES + old.len;
+                }
+                pos = next;
+            }
+            REC_TOMBSTONE => return Err(malformed("malformed tombstone")),
+            other => return Err(malformed(&format!("unknown record kind {other}"))),
+        }
+        replay.max_seen = replay.max_seen.max(seen);
+        replay.valid = pos as u64;
+    }
+    Ok(replay)
+}
+
+/// The durable chunk table: one [`RecordLog`] part file per slot and the
+/// RAM index over them.
 #[derive(Debug)]
-pub struct DiskProvider {
-    id: ProviderId,
+pub struct SlotTable {
     dir: PathBuf,
-    cost: CostModel,
-    nic: Resource,
-    disk: Resource,
-    faults: Arc<FaultInjector>,
-    fsync: FsyncPolicy,
     slots: Vec<Mutex<Slot>>,
     index: RwLock<HashMap<ChunkId, IndexEntry>>,
-    bytes_stored: AtomicU64,
     /// `raw + 1` of the highest chunk id ever logged (0 = none), counting
     /// tombstoned chunks too: ids are never reused, even across restarts.
     max_chunk_seen: AtomicU64,
 }
+
+impl SlotTable {
+    /// Opens (creating or recovering) the table of provider `id` under
+    /// `dir`; `slot_count` applies to a new directory only.
+    fn open(dir: PathBuf, id: ProviderId, fsync: FsyncPolicy, slot_count: u32) -> Result<Self> {
+        assert!(slot_count > 0, "need at least one slot");
+        let slot_count = load_or_init_superblock(
+            &dir.join("superblock"),
+            slot_count,
+            id.raw(),
+            &format!("provider {id}"),
+        )?;
+        let mut slots = Vec::with_capacity(slot_count as usize);
+        let mut index = HashMap::new();
+        let mut max_seen = 0u64;
+        for s in 0..slot_count {
+            let part = dir.join("slots").join(format!("{s:03}")).join("000.part");
+            let mut replay = PartReplay::default();
+            let log = RecordLog::open(part, fsync, |bytes| {
+                replay = replay_part(bytes, s)?;
+                Ok(replay.valid)
+            })?;
+            index.extend(replay.index);
+            max_seen = max_seen.max(replay.max_seen);
+            slots.push(Mutex::new(Slot {
+                log,
+                live_bytes: replay.live,
+            }));
+        }
+        Ok(SlotTable {
+            dir,
+            slots,
+            index: RwLock::new(index),
+            max_chunk_seen: AtomicU64::new(max_seen),
+        })
+    }
+
+    fn slot_of(&self, chunk: ChunkId) -> usize {
+        (mix64(chunk.raw() ^ 0xD15C_51A7) % self.slots.len() as u64) as usize
+    }
+
+    fn compact(&self, threshold: f64) -> Result<u64> {
+        let mut shed = 0u64;
+        for s in 0..self.slots.len() {
+            shed += self.compact_slot(s, threshold)?;
+        }
+        Ok(shed)
+    }
+
+    fn compact_slot(&self, s: usize, threshold: f64) -> Result<u64> {
+        let mut index = self.index.write();
+        let mut slot = self.slots[s].lock();
+        let old_len = slot.log.len();
+        let dead = old_len - slot.live_bytes;
+        if dead == 0 || (dead as f64) < threshold * (old_len as f64) {
+            return Ok(0);
+        }
+        // Rebuild the slot's log from its live chunks, in file order.
+        let mut live: Vec<(ChunkId, IndexEntry)> = index
+            .iter()
+            .filter(|(_, e)| e.slot as usize == s)
+            .map(|(&c, &e)| (c, e))
+            .collect();
+        live.sort_unstable_by_key(|(_, e)| e.payload_offset);
+        let mut contents = Vec::with_capacity(slot.live_bytes as usize);
+        let mut moved: Vec<(ChunkId, u64)> = Vec::with_capacity(live.len());
+        for (chunk, entry) in &live {
+            append_put(&mut contents, *chunk, entry.checksum, entry.len);
+            let at = contents.len();
+            moved.push((*chunk, at as u64));
+            contents.resize(at + entry.len as usize, 0);
+            slot.log
+                .read_exact_at(entry.payload_offset, &mut contents[at..])?;
+        }
+        slot.log.replace(&contents)?;
+        slot.live_bytes = contents.len() as u64;
+        for (chunk, offset) in moved {
+            if let Some(e) = index.get_mut(&chunk) {
+                e.payload_offset = offset;
+            }
+        }
+        Ok(old_len - contents.len() as u64)
+    }
+}
+
+impl ChunkTable for SlotTable {
+    /// All records bound for one slot are framed into one buffer and
+    /// appended with one write (and, when the fsync policy says so, one
+    /// sync): a batch costs one append per touched slot however many
+    /// chunks it carries, and a failed append fails the records of that
+    /// slot only.
+    fn install_batch(&self, items: &[(ChunkId, &Bytes, u64)]) -> Vec<Result<bool>> {
+        // Each slot's buffer is sized once, for exactly its records.
+        let mut sizes = vec![0usize; self.slots.len()];
+        for (chunk, data, _) in items {
+            sizes[self.slot_of(*chunk)] += PUT_FRAME_BYTES as usize + data.len();
+        }
+        let mut buffers: Vec<Vec<u8>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        // Per slot: (item, index entry with its offset still relative to
+        // the slot's buffer).
+        let mut framed: Vec<Vec<(usize, ChunkId, IndexEntry)>> = vec![Vec::new(); self.slots.len()];
+        let mut outcomes = Vec::with_capacity(items.len());
+        let mut batch_ids = HashSet::new();
+
+        let mut index = self.index.write();
+        for (item, &(chunk, data, checksum)) in items.iter().enumerate() {
+            let fresh = !index.contains_key(&chunk) && batch_ids.insert(chunk);
+            outcomes.push(Ok(fresh));
+            if !fresh {
+                continue;
+            }
+            // Framed metadata record, then the raw payload out-of-frame
+            // (see the module docs for why).
+            let s = self.slot_of(chunk);
+            append_put(&mut buffers[s], chunk, checksum, data.len() as u64);
+            let entry = IndexEntry {
+                slot: s as u32,
+                payload_offset: buffers[s].len() as u64,
+                len: data.len() as u64,
+                checksum,
+            };
+            framed[s].push((item, chunk, entry));
+            buffers[s].extend_from_slice(data);
+        }
+        for (s, (buffer, framed)) in buffers.iter().zip(framed).enumerate() {
+            if framed.is_empty() {
+                continue;
+            }
+            let appended = {
+                let mut slot = self.slots[s].lock();
+                let appended = slot.log.append(buffer);
+                if appended.is_ok() {
+                    slot.live_bytes += buffer.len() as u64;
+                }
+                appended
+            };
+            match appended {
+                Ok(at) => {
+                    for (_, chunk, mut entry) in framed {
+                        entry.payload_offset += at;
+                        index.insert(chunk, entry);
+                        self.max_chunk_seen
+                            .fetch_max(chunk.raw() + 1, Ordering::Relaxed);
+                    }
+                }
+                Err(e) => {
+                    for (item, ..) in framed {
+                        outcomes[item] = Err(e.clone());
+                    }
+                }
+            }
+        }
+        outcomes
+    }
+
+    fn lookup(&self, chunk: ChunkId) -> Option<(u64, u64)> {
+        let index = self.index.read();
+        index.get(&chunk).map(|e| (e.len, e.checksum))
+    }
+
+    /// The admitted payloads are `pread` straight into one buffer the
+    /// returned slices share. The index is held (shared) for the whole
+    /// batch, so a compaction cannot move a payload between its lookup
+    /// and its read.
+    fn read_batch(
+        &self,
+        chunks: impl Iterator<Item = ChunkId>,
+        mut admit: impl FnMut(usize, Option<u64>) -> Result<ByteRange>,
+    ) -> Vec<Result<Bytes>> {
+        let index = self.index.read();
+        // Per item: the slot and file offset to read at, and where the
+        // bytes go in the shared buffer.
+        let mut total = 0usize;
+        let mut planned: Vec<Result<(u32, u64, std::ops::Range<usize>)>> = chunks
+            .enumerate()
+            .map(|(item, chunk)| {
+                let entry = index.get(&chunk);
+                let range = admit(item, entry.map(|e| e.len))?;
+                let entry = entry.expect("admitted, so held");
+                let at = total;
+                total += range.len as usize;
+                Ok((entry.slot, entry.payload_offset + range.offset, at..total))
+            })
+            .collect();
+        let mut buf = vec![0u8; total];
+        for plan in &mut planned {
+            let Ok((slot, offset, at)) = plan else {
+                continue;
+            };
+            let slot = self.slots[*slot as usize].lock();
+            let read = slot.log.read_exact_at(*offset, &mut buf[at.clone()]);
+            if let Err(e) = read {
+                *plan = Err(e);
+            }
+        }
+        drop(index);
+        let buf = Bytes::from(buf);
+        planned
+            .into_iter()
+            .map(|plan| plan.map(|(_, _, at)| buf.slice(at)))
+            .collect()
+    }
+
+    /// Tombstones are grouped per slot, so the whole batch costs one
+    /// append (and at most one fsync) per touched slot instead of one per
+    /// chunk. The part-file bytes stay behind as *dead* (recovery replays
+    /// the tombstones too) until a compaction rewrites the slot.
+    fn evict_batch(&self, chunks: &[ChunkId]) -> u64 {
+        let mut index = self.index.write();
+        let mut per_slot: HashMap<u32, SlotEvictBatch> = HashMap::new();
+        for &chunk in chunks {
+            let Some(entry) = index.remove(&chunk) else {
+                continue;
+            };
+            let (framed, removed) = per_slot.entry(entry.slot).or_default();
+            append_record(framed, REC_TOMBSTONE, &chunk.raw().to_be_bytes());
+            removed.push((chunk, entry));
+        }
+        let mut reclaimed = 0u64;
+        for (s, (framed, removed)) in per_slot {
+            let mut slot = self.slots[s as usize].lock();
+            if slot.log.append(&framed).is_err() {
+                // An eviction that cannot reach disk must not pretend
+                // the chunks are gone: put this slot's entries back and
+                // report nothing reclaimed for them.
+                index.extend(removed);
+                continue;
+            }
+            for (_, entry) in &removed {
+                slot.live_bytes -= PUT_FRAME_BYTES + entry.len;
+                reclaimed += entry.len;
+            }
+        }
+        reclaimed
+    }
+
+    /// A compaction failure leaves the slot valid, just uncompacted.
+    fn shed_dead(&self) {
+        let _ = self.compact(COMPACT_DEAD_FRACTION);
+    }
+
+    /// Flips the byte **on disk**: the bit-rot injection exercises real
+    /// media.
+    fn flip_byte(&self, chunk: ChunkId, byte: usize) {
+        let index = self.index.read();
+        let Some(entry) = index.get(&chunk).filter(|e| (byte as u64) < e.len) else {
+            return;
+        };
+        let slot = self.slots[entry.slot as usize].lock();
+        let at = entry.payload_offset + byte as u64;
+        let mut b = [0u8; 1];
+        if slot.log.read_exact_at(at, &mut b).is_ok() {
+            let _ = slot.log.overwrite_at(at, &[b[0] ^ 0xFF]);
+        }
+    }
+
+    fn entries(&self) -> Vec<(ChunkId, u64, u64)> {
+        let index = self.index.read();
+        index.iter().map(|(&c, e)| (c, e.len, e.checksum)).collect()
+    }
+
+    fn count(&self) -> usize {
+        self.index.read().len()
+    }
+
+    fn max_chunk_id(&self) -> Option<ChunkId> {
+        match self.max_chunk_seen.load(Ordering::Relaxed) {
+            0 => None,
+            n => Some(ChunkId::new(n - 1)),
+        }
+    }
+}
+
+/// One durable storage server: the same front, cost model and request
+/// semantics as [`DataProvider`], payloads in slot-sharded append-only
+/// part files.
+pub type DiskProvider = Provider<SlotTable>;
 
 impl DiskProvider {
     /// Opens (creating or recovering) a provider rooted at `dir` with the
@@ -186,552 +494,22 @@ impl DiskProvider {
         fsync: FsyncPolicy,
         slot_count: u32,
     ) -> Result<Self> {
-        assert!(slot_count > 0, "need at least one slot");
-        let dir = dir.into();
-        let shown = dir.display().to_string();
-        let ctx = move |what: &str| format!("provider {id} {what} under {shown}");
-        std::fs::create_dir_all(&dir).map_err(|e| Error::io(ctx("create dir"), e))?;
-        let slot_count = load_or_init_superblock(
-            &dir.join("superblock"),
-            slot_count,
-            id.raw(),
-            &format!("provider {id}"),
-        )?;
-
-        let mut provider = DiskProvider {
-            id,
-            cost,
-            nic: Resource::new(format!("{id}/nic")),
-            disk: Resource::new(format!("{id}/disk")),
-            faults,
-            fsync,
-            slots: Vec::with_capacity(slot_count as usize),
-            index: RwLock::new(HashMap::new()),
-            bytes_stored: AtomicU64::new(0),
-            max_chunk_seen: AtomicU64::new(0),
-            dir,
-        };
-
-        let mut index = HashMap::new();
-        let mut bytes = 0u64;
-        let mut max_seen = 0u64;
-        for s in 0..slot_count {
-            let slot_dir = provider.dir.join("slots").join(format!("{s:03}"));
-            std::fs::create_dir_all(&slot_dir).map_err(|e| Error::io(ctx("create slot"), e))?;
-            let path = slot_dir.join("000.part");
-            let mut file = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(false)
-                .open(&path)
-                .map_err(|e| Error::io(ctx("open part file"), e))?;
-            let mut contents = Vec::new();
-            file.read_to_end(&mut contents)
-                .map_err(|e| Error::io(ctx("scan part file"), e))?;
-
-            // Walk records by hand: PUT records are followed by their
-            // out-of-frame payload, which a generic record scan cannot
-            // step over.
-            let mut pos = 0usize;
-            let mut valid = 0u64;
-            let mut live = 0u64;
-            let mut torn = false;
-            while pos < contents.len() {
-                let Some((rec, next)) = read_record_at(&contents, pos) else {
-                    torn = true;
-                    break;
-                };
-                let mut r = ByteReader::new(&rec.body);
-                match rec.kind {
-                    REC_PUT => {
-                        let (Some(raw), Some(checksum), Some(len)) = (r.u64(), r.u64(), r.u64())
-                        else {
-                            return Err(Error::Internal(ctx("malformed put record")));
-                        };
-                        if contents.len() < next + len as usize {
-                            // Crash landed inside the payload bytes.
-                            torn = true;
-                            break;
-                        }
-                        let chunk = ChunkId::new(raw);
-                        max_seen = max_seen.max(raw + 1);
-                        // First write wins, matching the live path's
-                        // duplicate-id rejection.
-                        if let std::collections::hash_map::Entry::Vacant(e) = index.entry(chunk) {
-                            e.insert(IndexEntry {
-                                slot: s,
-                                payload_offset: next as u64,
-                                len,
-                                checksum,
-                            });
-                            bytes += len;
-                            live += (next - pos) as u64 + len;
-                        }
-                        pos = next + len as usize;
-                    }
-                    REC_TOMBSTONE => {
-                        let Some(raw) = r.u64() else {
-                            return Err(Error::Internal(ctx("malformed tombstone")));
-                        };
-                        max_seen = max_seen.max(raw + 1);
-                        if let Some(old) = index.remove(&ChunkId::new(raw)) {
-                            bytes -= old.len;
-                            live -= PUT_FRAME_BYTES + old.len;
-                        }
-                        pos = next;
-                    }
-                    other => {
-                        return Err(Error::Internal(ctx(&format!(
-                            "unknown record kind {other}"
-                        ))));
-                    }
-                }
-                valid = pos as u64;
-            }
-            if torn {
-                file.set_len(valid)
-                    .map_err(|e| Error::io(ctx("truncate torn tail"), e))?;
-                file.sync_data()
-                    .map_err(|e| Error::io(ctx("sync truncation"), e))?;
-            }
-            provider.slots.push(Mutex::new(Slot {
-                file,
-                len: valid,
-                unsynced: 0,
-                live_bytes: live,
-            }));
-        }
-        provider.index = RwLock::new(index);
-        provider.bytes_stored = AtomicU64::new(bytes);
-        provider.max_chunk_seen = AtomicU64::new(max_seen);
-        Ok(provider)
-    }
-
-    /// This provider's id.
-    pub fn id(&self) -> ProviderId {
-        self.id
+        let table = SlotTable::open(dir.into(), id, fsync, slot_count)?;
+        Ok(Provider::over(table, id, cost, faults))
     }
 
     /// Root directory of this provider's state.
     pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    fn check_alive(&self) -> Result<()> {
-        if self.faults.is_failed(self.id) {
-            Err(Error::ProviderFailed(self.id))
-        } else {
-            Ok(())
-        }
-    }
-
-    fn slot_of(&self, chunk: ChunkId) -> usize {
-        (mix64(chunk.raw() ^ 0xD15C_51A7) % self.slots.len() as u64) as usize
-    }
-
-    /// Appends the PUT records of a batch and indexes them — the shared
-    /// zero-time half of every put path (cost is booked by the callers).
-    /// All records bound for one slot are framed into one buffer and
-    /// appended with one write (and, when the fsync policy says so, one
-    /// sync): a batch costs one append per touched slot however many
-    /// chunks it carries. One outcome per item, in order: a reused chunk
-    /// id — chunk ids are never reused, so a caller bug — is refused
-    /// alone, and a failed append fails the records of that slot only.
-    fn install_batch<'a>(
-        &self,
-        items: impl Iterator<Item = (ChunkId, &'a Bytes)> + Clone,
-    ) -> Vec<Result<()>> {
-        /// One framed record awaiting its slot's append.
-        struct Framed {
-            item: usize,
-            chunk: ChunkId,
-            /// Offset of the payload inside the slot's buffer.
-            payload_at: u64,
-            len: u64,
-            checksum: u64,
-        }
-        // Each slot's buffer is sized once, for exactly its records.
-        let mut sizes = vec![0usize; self.slots.len()];
-        for (chunk, data) in items.clone() {
-            sizes[self.slot_of(chunk)] += PUT_FRAME_BYTES as usize + data.len();
-        }
-        let mut buffers: Vec<Vec<u8>> = sizes.into_iter().map(Vec::with_capacity).collect();
-        let mut framed: Vec<Vec<Framed>> = (0..self.slots.len()).map(|_| Vec::new()).collect();
-        let mut outcomes = Vec::new();
-        let mut batch_ids = HashSet::new();
-
-        let mut index = self.index.write();
-        for (item, (chunk, data)) in items.enumerate() {
-            if index.contains_key(&chunk) || !batch_ids.insert(chunk) {
-                outcomes.push(Err(Error::Internal(format!(
-                    "chunk id {chunk} reused on {}",
-                    self.id
-                ))));
-                continue;
-            }
-            outcomes.push(Ok(()));
-            let checksum = chunk_checksum(data);
-            let mut body = [0u8; 24];
-            body[..8].copy_from_slice(&chunk.raw().to_be_bytes());
-            body[8..16].copy_from_slice(&checksum.to_be_bytes());
-            body[16..].copy_from_slice(&(data.len() as u64).to_be_bytes());
-            // Framed metadata record, then the raw payload out-of-frame
-            // (see the module docs for why).
-            let s = self.slot_of(chunk);
-            append_record(&mut buffers[s], REC_PUT, &body);
-            framed[s].push(Framed {
-                item,
-                chunk,
-                payload_at: buffers[s].len() as u64,
-                len: data.len() as u64,
-                checksum,
-            });
-            buffers[s].extend_from_slice(data);
-        }
-        for (s, (buffer, framed)) in buffers.iter().zip(framed).enumerate() {
-            if framed.is_empty() {
-                continue;
-            }
-            let appended = {
-                let mut slot = self.slots[s].lock();
-                let appended = slot.append(buffer, self.fsync, "part append");
-                if appended.is_ok() {
-                    slot.live_bytes += buffer.len() as u64;
-                }
-                appended
-            };
-            match appended {
-                Ok(at) => {
-                    for record in framed {
-                        index.insert(
-                            record.chunk,
-                            IndexEntry {
-                                slot: s as u32,
-                                payload_offset: at + record.payload_at,
-                                len: record.len,
-                                checksum: record.checksum,
-                            },
-                        );
-                        self.bytes_stored.fetch_add(record.len, Ordering::Relaxed);
-                        self.max_chunk_seen
-                            .fetch_max(record.chunk.raw() + 1, Ordering::Relaxed);
-                    }
-                }
-                Err(e) => {
-                    for record in framed {
-                        outcomes[record.item] = Err(e.clone());
-                    }
-                }
-            }
-        }
-        outcomes
-    }
-
-    /// [`Self::install_batch`] of one chunk.
-    fn install(&self, chunk: ChunkId, data: &Bytes) -> Result<()> {
-        self.install_batch(std::iter::once((chunk, data)))
-            .pop()
-            .expect("one item in, one outcome out")
-    }
-
-    fn lookup(&self, chunk: ChunkId) -> Result<IndexEntry> {
-        self.index
-            .read()
-            .get(&chunk)
-            .copied()
-            .ok_or(Error::ChunkNotFound {
-                provider: self.id,
-                chunk,
-            })
-    }
-
-    /// Reads `range` of the chunk's payload straight off the part file.
-    fn read_payload(&self, entry: IndexEntry, range: ByteRange) -> Result<Bytes> {
-        let mut buf = vec![0u8; range.len as usize];
-        self.slots[entry.slot as usize].lock().read_exact_at(
-            entry.payload_offset + range.offset,
-            &mut buf,
-            "part read",
-        )?;
-        Ok(Bytes::from(buf))
-    }
-
-    /// Stores an immutable chunk. Cost booking is byte-for-byte the
-    /// in-memory provider's: RPC round trip, NIC transfer, disk transfer.
-    ///
-    /// # Errors
-    /// As `DataProvider::put_chunk`, plus [`Error::Internal`] on I/O
-    /// failure.
-    pub fn put_chunk(&self, p: &Participant, chunk: ChunkId, data: Bytes) -> Result<()> {
-        self.check_alive()?;
-        p.sleep(self.cost.rpc_round_trip());
-        let len = data.len() as u64;
-        self.nic.serve(p, self.cost.net_transfer(len));
-        self.disk.serve(p, self.cost.disk_transfer(len));
-        self.check_alive()?; // may have failed during the transfer
-        self.install(chunk, &data)
-    }
-
-    /// Reservation-based put (see `DataProvider::put_chunk_at`).
-    pub fn put_chunk_at(&self, arrival: SimTime, chunk: ChunkId, data: Bytes) -> Result<SimTime> {
-        self.check_alive()?;
-        let len = data.len() as u64;
-        let nic_done = self.nic.reserve(arrival, self.cost.net_transfer(len));
-        let disk_done = self.disk.reserve(nic_done, self.cost.disk_transfer(len));
-        self.install(chunk, &data)?;
-        Ok(disk_done)
-    }
-
-    /// Reservation-based ranged get (see
-    /// `DataProvider::get_chunk_range_at`). Error paths book nothing.
-    pub fn get_chunk_range_at(
-        &self,
-        arrival: SimTime,
-        chunk: ChunkId,
-        range: ByteRange,
-    ) -> Result<(Bytes, SimTime)> {
-        self.check_alive()?;
-        let entry = self.lookup(chunk)?;
-        let sent = self.book_get(entry, arrival, range)?;
-        Ok((self.read_payload(entry, range)?, sent))
-    }
-
-    /// Bounds-checks a ranged get against its chunk and books the disk
-    /// read, then the NIC send-out, from `arrival`; returns the instant
-    /// the last byte leaves. An out-of-bounds range books nothing.
-    fn book_get(&self, entry: IndexEntry, arrival: SimTime, range: ByteRange) -> Result<SimTime> {
-        if range.end() > entry.len {
-            return Err(Error::OutOfBounds {
-                requested_end: range.end(),
-                snapshot_size: entry.len,
-            });
-        }
-        let disk_done = self
-            .disk
-            .reserve(arrival, self.cost.disk_transfer(range.len));
-        Ok(self
-            .nic
-            .reserve(disk_done, self.cost.net_transfer(range.len)))
-    }
-
-    /// Reservation-based put of a batch: every item is booked exactly as
-    /// [`Self::put_chunk_at`] books it, in order, and the records reach
-    /// the part files with one append — and at most one sync — per
-    /// touched slot, however many chunks the batch carries.
-    pub fn put_batch_at(&self, items: &[(SimTime, ChunkId, Bytes)]) -> Vec<Result<SimTime>> {
-        if let Err(e) = self.check_alive() {
-            return vec![Err(e); items.len()];
-        }
-        let booked: Vec<SimTime> = items
-            .iter()
-            .map(|(arrival, _, data)| {
-                let len = data.len() as u64;
-                let nic_done = self.nic.reserve(*arrival, self.cost.net_transfer(len));
-                self.disk.reserve(nic_done, self.cost.disk_transfer(len))
-            })
-            .collect();
-        self.install_batch(items.iter().map(|(_, chunk, data)| (*chunk, data)))
-            .into_iter()
-            .zip(booked)
-            .map(|(installed, done)| installed.map(|()| done))
-            .collect()
-    }
-
-    /// Reservation-based ranged get of a batch: lookups, bounds checks
-    /// and bookings are those of [`Self::get_chunk_range_at`], item by
-    /// item in order; the payloads are then `pread` straight into one
-    /// buffer the returned slices share. The index is held (shared) for
-    /// the whole batch, so a compaction cannot move a payload between
-    /// its lookup and its read.
-    pub fn get_range_batch_at(
-        &self,
-        items: &[(SimTime, ChunkId, ByteRange)],
-    ) -> Vec<Result<(Bytes, SimTime)>> {
-        if let Err(e) = self.check_alive() {
-            return vec![Err(e); items.len()];
-        }
-        let index = self.index.read();
-        // Per item: where its payload sits on disk, where it goes in the
-        // shared buffer, and when its last byte leaves.
-        let mut total = 0usize;
-        let mut planned: Vec<Result<(IndexEntry, usize, SimTime)>> = items
-            .iter()
-            .map(|&(arrival, chunk, range)| {
-                let entry = index.get(&chunk).copied().ok_or(Error::ChunkNotFound {
-                    provider: self.id,
-                    chunk,
-                })?;
-                let sent = self.book_get(entry, arrival, range)?;
-                let at = total;
-                total += range.len as usize;
-                Ok((entry, at, sent))
-            })
-            .collect();
-        let mut buf = vec![0u8; total];
-        for (plan, &(_, _, range)) in planned.iter_mut().zip(items) {
-            if let Ok((entry, at, _)) = *plan {
-                let read = self.slots[entry.slot as usize].lock().read_exact_at(
-                    entry.payload_offset + range.offset,
-                    &mut buf[at..at + range.len as usize],
-                    "part read",
-                );
-                if let Err(e) = read {
-                    *plan = Err(e);
-                }
-            }
-        }
-        drop(index);
-        let buf = Bytes::from(buf);
-        planned
-            .into_iter()
-            .zip(items)
-            .map(|(plan, &(_, _, range))| {
-                plan.map(|(_, at, sent)| (buf.slice(at..at + range.len as usize), sent))
-            })
-            .collect()
-    }
-
-    /// Fetches a whole chunk.
-    pub fn get_chunk(&self, p: &Participant, chunk: ChunkId) -> Result<Bytes> {
-        self.check_alive()?;
-        p.sleep(self.cost.rpc_round_trip());
-        let entry = self.lookup(chunk)?;
-        self.disk.serve(p, self.cost.disk_transfer(entry.len));
-        self.nic.serve(p, self.cost.net_transfer(entry.len));
-        self.read_payload(entry, ByteRange::new(0, entry.len))
-    }
-
-    /// Fetches a sub-range of a chunk.
-    pub fn get_chunk_range(
-        &self,
-        p: &Participant,
-        chunk: ChunkId,
-        range: ByteRange,
-    ) -> Result<Bytes> {
-        self.check_alive()?;
-        p.sleep(self.cost.rpc_round_trip());
-        let entry = self.lookup(chunk)?;
-        if range.end() > entry.len {
-            return Err(Error::OutOfBounds {
-                requested_end: range.end(),
-                snapshot_size: entry.len,
-            });
-        }
-        self.disk.serve(p, self.cost.disk_transfer(range.len));
-        self.nic.serve(p, self.cost.net_transfer(range.len));
-        self.read_payload(entry, range)
-    }
-
-    /// True if the chunk is live (present and not tombstoned).
-    pub fn has_chunk(&self, chunk: ChunkId) -> bool {
-        self.index.read().contains_key(&chunk)
-    }
-
-    /// Number of live chunks.
-    pub fn chunk_count(&self) -> usize {
-        self.index.read().len()
-    }
-
-    /// Total live payload bytes.
-    pub fn bytes_stored(&self) -> u64 {
-        self.bytes_stored.load(Ordering::Relaxed)
-    }
-
-    /// The stored payload length of a live chunk.
-    pub fn chunk_len(&self, chunk: ChunkId) -> Option<u64> {
-        self.index.read().get(&chunk).map(|e| e.len)
-    }
-
-    /// The ingest-time checksum of a live chunk.
-    pub fn checksum_of(&self, chunk: ChunkId) -> Option<u64> {
-        self.index.read().get(&chunk).map(|e| e.checksum)
-    }
-
-    /// Appends a tombstone and drops the chunk from the index, returning
-    /// the payload bytes logically reclaimed. The part-file bytes stay
-    /// behind as *dead* (recovery replays the tombstone too) until
-    /// [`DiskProvider::compact`] — or a batch eviction — rewrites the
-    /// slot.
-    pub fn evict_chunk(&self, chunk: ChunkId) -> u64 {
-        let mut index = self.index.write();
-        let Some(entry) = index.remove(&chunk) else {
-            return 0;
-        };
-        let mut framed = Vec::with_capacity(32 + 8);
-        append_record(&mut framed, REC_TOMBSTONE, &chunk.raw().to_be_bytes());
-        // An eviction that cannot reach disk must not pretend the chunk
-        // is gone — put it back and report nothing reclaimed.
-        {
-            let mut slot = self.slots[entry.slot as usize].lock();
-            if slot
-                .append(&framed, self.fsync, "tombstone append")
-                .is_err()
-            {
-                index.insert(chunk, entry);
-                return 0;
-            }
-            slot.live_bytes -= PUT_FRAME_BYTES + entry.len;
-        }
-        drop(index);
-        self.bytes_stored.fetch_sub(entry.len, Ordering::Relaxed);
-        entry.len
-    }
-
-    /// Batched eviction — the collector's sweep path. Tombstones are
-    /// grouped per slot, so the whole batch costs one append (and at
-    /// most one fsync) per touched slot instead of one per chunk; any
-    /// slot the batch leaves more than [`COMPACT_DEAD_FRACTION`] dead is
-    /// then compacted. Returns the payload bytes logically reclaimed.
-    pub fn evict_chunk_batch(&self, chunks: &[ChunkId]) -> u64 {
-        let mut reclaimed = 0u64;
-        {
-            let mut index = self.index.write();
-            let mut per_slot: HashMap<usize, SlotEvictBatch> = HashMap::new();
-            for &chunk in chunks {
-                let Some(entry) = index.remove(&chunk) else {
-                    continue;
-                };
-                let (framed, removed) = per_slot.entry(entry.slot as usize).or_default();
-                append_record(framed, REC_TOMBSTONE, &chunk.raw().to_be_bytes());
-                removed.push((chunk, entry));
-            }
-            for (s, (framed, removed)) in per_slot {
-                let mut slot = self.slots[s].lock();
-                if slot
-                    .append(&framed, self.fsync, "tombstone append")
-                    .is_err()
-                {
-                    // Media unreachable: resurrect this slot's entries
-                    // and report nothing reclaimed for them.
-                    for (chunk, entry) in removed {
-                        index.insert(chunk, entry);
-                    }
-                    continue;
-                }
-                for (_, entry) in &removed {
-                    slot.live_bytes -= PUT_FRAME_BYTES + entry.len;
-                    reclaimed += entry.len;
-                    self.bytes_stored.fetch_sub(entry.len, Ordering::Relaxed);
-                }
-            }
-        }
-        // Shed the newly dead part-file bytes where it pays off. A
-        // compaction failure leaves the slot valid, just uncompacted.
-        let _ = self.compact(COMPACT_DEAD_FRACTION);
-        reclaimed
+        &self.table.dir
     }
 
     /// Per-slot live-vs-file byte accounting.
     pub fn slot_usage(&self) -> Vec<SlotUsage> {
-        self.slots
-            .iter()
-            .map(|s| {
-                let s = s.lock();
-                SlotUsage {
-                    file_bytes: s.len,
-                    live_bytes: s.live_bytes,
-                }
+        let slots = self.table.slots.iter().map(|s| s.lock());
+        slots
+            .map(|s| SlotUsage {
+                file_bytes: s.log.len(),
+                live_bytes: s.live_bytes,
             })
             .collect()
     }
@@ -744,251 +522,17 @@ impl DiskProvider {
 
     /// Rewrites every slot whose dead fraction is at least `threshold`
     /// (`0.0..=1.0`), dropping tombstoned and superseded records from
-    /// the part file. The replacement is written aside, synced, and
-    /// atomically renamed over the old file, so a crash at any point
-    /// leaves one complete, replayable log. Returns file bytes shed.
+    /// the part file ([`RecordLog::replace`]: a crash at any point leaves
+    /// one complete, replayable log). Returns file bytes shed.
     pub fn compact(&self, threshold: f64) -> Result<u64> {
-        let mut shed = 0u64;
-        for s in 0..self.slots.len() {
-            shed += self.compact_slot(s, threshold)?;
-        }
-        Ok(shed)
-    }
-
-    fn compact_slot(&self, s: usize, threshold: f64) -> Result<u64> {
-        let mut index = self.index.write();
-        let mut slot = self.slots[s].lock();
-        let dead = slot.len - slot.live_bytes;
-        if dead == 0 || (dead as f64) < threshold * (slot.len as f64) {
-            return Ok(0);
-        }
-        // Rebuild the slot's log from its live chunks, in file order.
-        let mut live: Vec<(ChunkId, IndexEntry)> = index
-            .iter()
-            .filter(|(_, e)| e.slot as usize == s)
-            .map(|(&c, &e)| (c, e))
-            .collect();
-        live.sort_unstable_by_key(|(_, e)| e.payload_offset);
-        let mut contents = Vec::with_capacity(slot.live_bytes as usize);
-        let mut moved: Vec<(ChunkId, u64)> = Vec::with_capacity(live.len());
-        for (chunk, entry) in &live {
-            let mut payload = vec![0u8; entry.len as usize];
-            slot.read_exact_at(entry.payload_offset, &mut payload, "compact read")?;
-            let mut body = Vec::with_capacity(24);
-            body.extend_from_slice(&chunk.raw().to_be_bytes());
-            body.extend_from_slice(&entry.checksum.to_be_bytes());
-            body.extend_from_slice(&entry.len.to_be_bytes());
-            append_record(&mut contents, REC_PUT, &body);
-            moved.push((*chunk, contents.len() as u64));
-            contents.extend_from_slice(&payload);
-        }
-        let slot_dir = self.dir.join("slots").join(format!("{s:03}"));
-        let part = slot_dir.join("000.part");
-        let staged = slot_dir.join("000.part.compact");
-        let mut f = File::create(&staged).map_err(|e| Error::io("compact create", e))?;
-        f.write_all(&contents)
-            .and_then(|_| f.sync_data())
-            .map_err(|e| Error::io("compact write", e))?;
-        std::fs::rename(&staged, &part).map_err(|e| Error::io("compact rename", e))?;
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&part)
-            .map_err(|e| Error::io("compact reopen", e))?;
-        let old_len = slot.len;
-        slot.file = file;
-        slot.len = contents.len() as u64;
-        slot.live_bytes = contents.len() as u64;
-        slot.unsynced = 0;
-        for (chunk, offset) in moved {
-            if let Some(e) = index.get_mut(&chunk) {
-                e.payload_offset = offset;
-            }
-        }
-        Ok(old_len - contents.len() as u64)
-    }
-
-    /// Flips one payload byte **on disk**, leaving the logged checksum
-    /// stale — the bit-rot injection hook, now exercising real media
-    /// instead of a `HashMap`.
-    pub fn corrupt_chunk(&self, chunk: ChunkId, byte: usize) {
-        let Some(entry) = self.index.read().get(&chunk).copied() else {
-            return;
-        };
-        if byte as u64 >= entry.len {
-            return;
-        }
-        let mut slot = self.slots[entry.slot as usize].lock();
-        let mut b = [0u8; 1];
-        if slot
-            .read_exact_at(entry.payload_offset + byte as u64, &mut b, "corrupt read")
-            .is_err()
-        {
-            return;
-        }
-        b[0] ^= 0xFF;
-        let _ = slot
-            .file
-            .seek(SeekFrom::Start(entry.payload_offset + byte as u64))
-            .and_then(|_| slot.file.write_all(&b));
-    }
-
-    /// Re-reads every live chunk **from its part file** and verifies the
-    /// ingest checksums, charging disk time for the full scan — the real
-    /// bit-rot detector the in-memory provider only models.
-    pub fn scrub(&self, p: &Participant) -> ScrubReport {
-        let mut entries: Vec<(ChunkId, IndexEntry)> =
-            self.index.read().iter().map(|(&c, &e)| (c, e)).collect();
-        entries.sort_unstable_by_key(|(c, _)| *c);
-        let mut report = ScrubReport::default();
-        for (chunk, entry) in entries {
-            self.disk.serve(p, self.cost.disk_transfer(entry.len));
-            let healthy = self
-                .read_payload(entry, ByteRange::new(0, entry.len))
-                .map(|data| chunk_checksum(&data) == entry.checksum)
-                .unwrap_or(false);
-            if healthy {
-                report.healthy += 1;
-            } else {
-                report.corrupted.push(chunk);
-            }
-        }
-        report.corrupted.sort_unstable();
-        report
+        self.table.compact(threshold)
     }
 
     /// Forces every slot's outstanding appends to stable storage
     /// (graceful shutdown under `Group`/`Deferred` fsync policies).
     pub fn flush(&self) -> Result<()> {
-        for slot in &self.slots {
-            let mut slot = slot.lock();
-            if slot.unsynced > 0 {
-                slot.file
-                    .sync_data()
-                    .map_err(|e| Error::io("part flush", e))?;
-                slot.unsynced = 0;
-            }
-        }
-        Ok(())
-    }
-
-    /// Highest chunk id ever logged here (live or tombstoned). A
-    /// reopening deployment resumes its id allocator past this so ids
-    /// are never reused across restarts.
-    pub fn max_chunk_id(&self) -> Option<ChunkId> {
-        match self.max_chunk_seen.load(Ordering::Relaxed) {
-            0 => None,
-            n => Some(ChunkId::new(n - 1)),
-        }
-    }
-
-    /// The provider's disk resource.
-    pub fn disk(&self) -> &Resource {
-        &self.disk
-    }
-
-    /// The provider's NIC resource.
-    pub fn nic(&self) -> &Resource {
-        &self.nic
-    }
-
-    /// The cost model this provider charges.
-    pub fn cost(&self) -> &CostModel {
-        &self.cost
-    }
-}
-
-impl ChunkStore for DiskProvider {
-    fn id(&self) -> ProviderId {
-        DiskProvider::id(self)
-    }
-
-    fn put_chunk(&self, p: &Participant, chunk: ChunkId, data: Bytes) -> Result<()> {
-        DiskProvider::put_chunk(self, p, chunk, data)
-    }
-
-    fn put_chunk_at(&self, arrival: SimTime, chunk: ChunkId, data: Bytes) -> Result<SimTime> {
-        DiskProvider::put_chunk_at(self, arrival, chunk, data)
-    }
-
-    fn get_chunk(&self, p: &Participant, chunk: ChunkId) -> Result<Bytes> {
-        DiskProvider::get_chunk(self, p, chunk)
-    }
-
-    fn get_chunk_range(&self, p: &Participant, chunk: ChunkId, range: ByteRange) -> Result<Bytes> {
-        DiskProvider::get_chunk_range(self, p, chunk, range)
-    }
-
-    fn get_chunk_range_at(
-        &self,
-        arrival: SimTime,
-        chunk: ChunkId,
-        range: ByteRange,
-    ) -> Result<(Bytes, SimTime)> {
-        DiskProvider::get_chunk_range_at(self, arrival, chunk, range)
-    }
-
-    fn put_batch_at(&self, items: &[(SimTime, ChunkId, Bytes)]) -> Vec<Result<SimTime>> {
-        DiskProvider::put_batch_at(self, items)
-    }
-
-    fn get_range_batch_at(
-        &self,
-        items: &[(SimTime, ChunkId, ByteRange)],
-    ) -> Vec<Result<(Bytes, SimTime)>> {
-        DiskProvider::get_range_batch_at(self, items)
-    }
-
-    fn has_chunk(&self, chunk: ChunkId) -> bool {
-        DiskProvider::has_chunk(self, chunk)
-    }
-
-    fn chunk_count(&self) -> usize {
-        DiskProvider::chunk_count(self)
-    }
-
-    fn bytes_stored(&self) -> u64 {
-        DiskProvider::bytes_stored(self)
-    }
-
-    fn evict_chunk(&self, chunk: ChunkId) -> u64 {
-        DiskProvider::evict_chunk(self, chunk)
-    }
-
-    fn evict_chunk_batch(&self, chunks: &[ChunkId]) -> u64 {
-        DiskProvider::evict_chunk_batch(self, chunks)
-    }
-
-    fn checksum_of(&self, chunk: ChunkId) -> Option<u64> {
-        DiskProvider::checksum_of(self, chunk)
-    }
-
-    fn corrupt_chunk(&self, chunk: ChunkId, byte: usize) {
-        DiskProvider::corrupt_chunk(self, chunk, byte)
-    }
-
-    fn scrub(&self, p: &Participant) -> ScrubReport {
-        DiskProvider::scrub(self, p)
-    }
-
-    fn chunk_len(&self, chunk: ChunkId) -> Option<u64> {
-        DiskProvider::chunk_len(self, chunk)
-    }
-
-    fn max_chunk_id(&self) -> Option<ChunkId> {
-        DiskProvider::max_chunk_id(self)
-    }
-
-    fn disk(&self) -> &Resource {
-        DiskProvider::disk(self)
-    }
-
-    fn nic(&self) -> &Resource {
-        DiskProvider::nic(self)
-    }
-
-    fn cost(&self) -> &CostModel {
-        DiskProvider::cost(self)
+        let mut slots = self.table.slots.iter();
+        slots.try_for_each(|s| s.lock().log.flush())
     }
 }
 
@@ -997,25 +541,20 @@ impl ChunkStore for DiskProvider {
 /// `<dir>/provider-<id>` for [`BackendConfig::Disk`] — **the** factory
 /// harnesses and server binaries select backends through, replacing
 /// scattered direct `DataProvider::new` calls.
-///
-/// [`DataProvider`]: crate::store::DataProvider
 pub fn chunk_store_for(
     backend: &BackendConfig,
     id: ProviderId,
     cost: CostModel,
     faults: &Arc<FaultInjector>,
 ) -> Result<Arc<dyn ChunkStore>> {
+    let faults = Arc::clone(faults);
     Ok(match backend {
-        BackendConfig::Memory => Arc::new(crate::store::DataProvider::new(
-            id,
-            cost,
-            Arc::clone(faults),
-        )),
+        BackendConfig::Memory => Arc::new(DataProvider::new(id, cost, faults)),
         BackendConfig::Disk { dir, fsync } => Arc::new(DiskProvider::open(
             dir.join(format!("provider-{}", id.raw())),
             id,
             cost,
-            Arc::clone(faults),
+            faults,
             *fsync,
         )?),
     })
@@ -1024,8 +563,12 @@ pub fn chunk_store_for(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::integrity::chunk_checksum;
     use atomio_simgrid::clock::run_actors;
+    use atomio_simgrid::SimTime;
+    use atomio_types::record::LogStats;
     use atomio_types::tempdir::TempDir;
+    use std::fs::OpenOptions;
 
     fn open(dir: &Path) -> Arc<DiskProvider> {
         Arc::new(
@@ -1100,7 +643,7 @@ mod tests {
                 prov.put_chunk(p, ChunkId::new(1), Bytes::from(vec![9u8; 64]))
                     .unwrap();
             });
-            let s = prov.slot_of(ChunkId::new(2));
+            let s = prov.table.slot_of(ChunkId::new(2));
             tmp.path()
                 .join("slots")
                 .join(format!("{s:03}"))
@@ -1404,31 +947,31 @@ mod tests {
 
     #[test]
     fn batch_put_appends_and_syncs_once_per_touched_slot() {
-        let unsynced = |prov: &DiskProvider| -> Vec<u32> {
-            prov.slots.iter().map(|s| s.lock().unsynced).collect()
+        let stats = |prov: &DiskProvider| -> Vec<LogStats> {
+            let slots = prov.table.slots.iter();
+            slots.map(|s| s.lock().log.stats()).collect()
         };
-        // Deferred never syncs, so the counter counts appends: a
-        // 66-chunk batch is one append per touched slot, where the same
-        // chunks put one by one are 66.
+        // Deferred never syncs: a 66-chunk batch is one append per
+        // touched slot, where the same chunks put one by one are 66.
         let tmp = TempDir::new("atomio-diskprov");
         let prov = open_with(tmp.path(), CostModel::zero(), FsyncPolicy::Deferred);
         prov.put_batch_at(&batch(0, 66, 2048));
-        let appends = unsynced(&prov);
-        assert!(appends.iter().all(|&n| n <= 1), "{appends:?}");
-        assert!(appends.iter().sum::<u32>() <= DEFAULT_SLOTS);
+        let batched = stats(&prov);
+        assert!(batched.iter().all(|s| s.appends <= 1), "{batched:?}");
+        assert!(batched.iter().all(|s| s.syncs == 0), "{batched:?}");
         for (arrival, chunk, data) in batch(100, 66, 2048) {
             prov.put_chunk_at(arrival, chunk, data).unwrap();
         }
-        assert_eq!(
-            unsynced(&prov).iter().sum::<u32>() - appends.iter().sum::<u32>(),
-            66
-        );
+        let appends = |stats: &[LogStats]| stats.iter().map(|s| s.appends).sum::<u64>();
+        assert_eq!(appends(&stats(&prov)) - appends(&batched), 66);
         // PerPublish syncs every append — so at most one sync per
         // touched slot per batch — and leaves nothing unsynced behind.
         let tmp = TempDir::new("atomio-diskprov");
         let prov = open_with(tmp.path(), CostModel::zero(), FsyncPolicy::PerPublish);
         prov.put_batch_at(&batch(0, 66, 2048));
-        assert!(unsynced(&prov).iter().all(|&n| n == 0));
+        let synced = stats(&prov);
+        assert!(synced.iter().all(|s| s.syncs <= 1), "{synced:?}");
+        assert!(synced.iter().all(|s| s.unsynced == 0), "{synced:?}");
     }
 
     #[test]
@@ -1444,7 +987,7 @@ mod tests {
             // Tear the slot that got the most records of the second
             // batch, in the middle of that batch's single write: one
             // whole record survives, the second loses its last byte.
-            let slot = (0..prov.slots.len())
+            let slot = (0..prov.table.slots.len())
                 .max_by_key(|&s| prov.slot_usage()[s].file_bytes - before[s].file_bytes)
                 .unwrap();
             let record = PUT_FRAME_BYTES + 512;
@@ -1479,13 +1022,13 @@ mod tests {
             .map(|(_, chunk, _)| *chunk)
             .filter(|chunk| prov.has_chunk(*chunk))
             .collect();
-        let in_torn_slot = |chunk: &&ChunkId| prov.slot_of(**chunk) == slot;
+        let in_torn_slot = |chunk: &&ChunkId| prov.table.slot_of(**chunk) == slot;
         assert_eq!(survivors.iter().filter(in_torn_slot).count(), 1);
         let lost = torn.len() - survivors.len();
         assert_eq!(
             lost,
             torn.iter()
-                .filter(|(_, c, _)| prov.slot_of(*c) == slot)
+                .filter(|(_, c, _)| prov.table.slot_of(*c) == slot)
                 .count()
                 - 1
         );
@@ -1531,5 +1074,162 @@ mod tests {
             PUT_FRAME_BYTES + 64 + (RECORD_HEADER_BYTES as u64 + 8),
             "one dead PUT frame+payload plus its tombstone record"
         );
+    }
+
+    #[test]
+    fn truncated_staged_compaction_file_leaves_the_part_file_unchanged() {
+        let tmp = TempDir::new("atomio-diskprov");
+        let open_one_slot = || {
+            let faults = Arc::new(FaultInjector::default());
+            let (id, cost) = (ProviderId::new(0), CostModel::zero());
+            DiskProvider::open_with_slots(tmp.path(), id, cost, faults, FsyncPolicy::PerPublish, 1)
+                .unwrap()
+        };
+        let part = tmp.path().join("slots").join("000").join("000.part");
+        {
+            let prov = open_one_slot();
+            prov.put_batch_at(&batch(0, 6, 100));
+            prov.evict_chunk(ChunkId::new(2));
+        }
+        // A compaction killed between staging and rename: half a
+        // compacted log sits beside the live part file.
+        let before = std::fs::read(&part).unwrap();
+        let staged = part.with_extension("part.staged");
+        std::fs::write(&staged, &before[..before.len() / 3]).unwrap();
+
+        let prov = open_one_slot();
+        assert_eq!(std::fs::read(&part).unwrap(), before);
+        assert_eq!(prov.chunk_count(), 5);
+        assert!(prov.dead_bytes() > 0);
+        let (got, _) = prov
+            .get_chunk_range_at(0, ChunkId::new(5), ByteRange::new(0, 100))
+            .unwrap();
+        assert_eq!(got.as_ref(), &[5u8; 100][..]);
+        // The next compaction overwrites the leftover and completes.
+        assert!(prov.compact(0.0).unwrap() > 0);
+        assert!(!staged.exists());
+        drop(prov);
+        assert_eq!(open_one_slot().chunk_count(), 5);
+    }
+
+    #[test]
+    fn huge_declared_payload_length_is_a_torn_tail_not_an_overflow() {
+        let mut part = Vec::new();
+        append_put(&mut part, ChunkId::new(1), 0, 4);
+        part.extend_from_slice(b"data");
+        let whole = part.len() as u64;
+        for len in [u64::MAX, u64::MAX - whole, 1 << 40, 5] {
+            let mut torn = part.clone();
+            append_put(&mut torn, ChunkId::new(2), 0, len);
+            torn.extend_from_slice(b"data");
+            let replay = replay_part(&torn, 0).unwrap();
+            assert_eq!(replay.valid, whole, "declared {len}");
+            assert_eq!(replay.index.len(), 1);
+        }
+        // An id whose successor does not exist cannot be tracked.
+        let mut bad = Vec::new();
+        append_put(&mut bad, ChunkId::new(u64::MAX), 0, 0);
+        assert!(matches!(replay_part(&bad, 0), Err(Error::Internal(_))));
+    }
+
+    mod replay_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn arb_bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
+            proptest::collection::vec(any::<u8>(), 0..max)
+        }
+
+        /// A `u64` that is often small or within a few dozen of a power
+        /// of two's edge, where length arithmetic overflows.
+        fn edgy_u64() -> impl Strategy<Value = u64> {
+            (any::<u64>(), 0u64..32).prop_map(|(x, k)| match x % 4 {
+                0 => k,
+                1 => u64::MAX - k,
+                2 => (1 << 63) + k,
+                _ => x,
+            })
+        }
+
+        /// A part file as the live path writes it: puts with payloads
+        /// (ids may repeat: first wins) and tombstones.
+        fn arb_part() -> impl Strategy<Value = Vec<u8>> {
+            let op = (0u64..6, any::<bool>(), arb_bytes(24));
+            proptest::collection::vec(op, 1..8).prop_map(|ops| {
+                let mut part = Vec::new();
+                for (id, put, payload) in ops {
+                    if put {
+                        let sum = chunk_checksum(&payload);
+                        append_put(&mut part, ChunkId::new(id), sum, payload.len() as u64);
+                        part.extend_from_slice(&payload);
+                    } else {
+                        append_record(&mut part, REC_TOMBSTONE, &id.to_be_bytes());
+                    }
+                }
+                part
+            })
+        }
+
+        /// Whatever the bytes: a typed error, or a replay whose prefix,
+        /// accounting and index all lie inside the file.
+        fn check(bytes: &[u8]) -> std::result::Result<Option<PartReplay>, TestCaseError> {
+            let Ok(replay) = replay_part(bytes, 0) else {
+                return Ok(None);
+            };
+            prop_assert!(replay.valid as usize <= bytes.len());
+            prop_assert!(replay.live <= replay.valid);
+            let mut live = 0;
+            for entry in replay.index.values() {
+                prop_assert!(entry.payload_offset + entry.len <= replay.valid);
+                live += PUT_FRAME_BYTES + entry.len;
+            }
+            prop_assert_eq!(live, replay.live);
+            // The prefix is whole: replaying it alone changes nothing.
+            let again = replay_part(&bytes[..replay.valid as usize], 0);
+            prop_assert_eq!(again.as_ref(), Ok(&replay));
+            Ok(Some(replay))
+        }
+
+        proptest! {
+            #[test]
+            fn arbitrary_bytes_replay_without_panicking(bytes in arb_bytes(256)) {
+                check(&bytes)?;
+            }
+
+            #[test]
+            fn checksum_valid_garbage_reaches_the_body_decoders(
+                records in proptest::collection::vec((0u8..4, arb_bytes(40), arb_bytes(16)), 1..6),
+                puts in proptest::collection::vec((edgy_u64(), edgy_u64(), arb_bytes(16)), 0..4),
+            ) {
+                // Well-formed PUT bodies declaring whatever they like,
+                // then records of any kind and body.
+                let mut part = Vec::new();
+                for (id, len, payload) in &puts {
+                    append_put(&mut part, ChunkId::new(*id), 0, *len);
+                    part.extend_from_slice(payload);
+                }
+                for (kind, body, payload) in &records {
+                    append_record(&mut part, *kind, body);
+                    part.extend_from_slice(payload);
+                }
+                check(&part)?;
+            }
+
+            #[test]
+            fn cut_or_mutated_part_files_replay_to_a_whole_prefix(
+                part in arb_part(),
+                flip in (any::<usize>(), 1u16..256),
+            ) {
+                let whole = check(&part)?.expect("a live-path log replays");
+                prop_assert_eq!(whole.valid as usize, part.len());
+                for cut in 0..part.len() {
+                    let torn = check(&part[..cut])?.expect("a cut is a torn tail, never an error");
+                    prop_assert!(torn.valid as usize <= cut);
+                }
+                let mut mutated = part.clone();
+                mutated[flip.0 % part.len()] ^= flip.1 as u8;
+                check(&mutated)?;
+            }
+        }
     }
 }

@@ -3,13 +3,12 @@
 //! Every stored chunk carries a checksum computed at ingest. A *scrub*
 //! pass re-reads a provider's chunks and reports mismatches (bit rot,
 //! torn media writes — injected in tests via
-//! [`DataProvider::corrupt_chunk`]). Because chunks are immutable and
-//! replicated, repair is trivial: fetch any healthy replica and
-//! re-ingest — no quiescence, no locks, no version bumps. Another quiet
-//! payoff of the immutable-data design.
+//! [`ChunkStore::corrupt_chunk`](crate::ChunkStore::corrupt_chunk)).
+//! Because chunks are immutable and replicated, repair is trivial: fetch
+//! any healthy replica and re-ingest — no quiescence, no locks, no
+//! version bumps. Another quiet payoff of the immutable-data design.
 
 use crate::manager::ProviderManager;
-use crate::store::DataProvider;
 use atomio_simgrid::Participant;
 use atomio_types::stamp::mix64;
 use atomio_types::{ByteRange, ChunkId, Error, ProviderId, Result};
@@ -49,24 +48,6 @@ pub struct ScrubReport {
     pub healthy: u64,
     /// Chunks whose payload did not match (with ids).
     pub corrupted: Vec<ChunkId>,
-}
-
-impl DataProvider {
-    /// Re-reads every chunk on this provider and verifies checksums.
-    /// Charges disk time for the full scan (scrubbing is not free).
-    pub fn scrub(&self, p: &Participant) -> ScrubReport {
-        let mut report = ScrubReport::default();
-        for (chunk, data, stored_sum) in self.chunk_snapshot() {
-            self.charge_disk_scan(p, data.len() as u64);
-            if chunk_checksum(&data) == stored_sum {
-                report.healthy += 1;
-            } else {
-                report.corrupted.push(chunk);
-            }
-        }
-        report.corrupted.sort_unstable();
-        report
-    }
 }
 
 impl ProviderManager {

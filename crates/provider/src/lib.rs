@@ -11,10 +11,12 @@
 //! never observe a torn write, because the bytes they reference are never
 //! touched again.
 //!
-//! [`DataProvider`] models one storage server: a NIC and a disk (both
-//! serialized virtual-time resources from `atomio-simgrid`) in front of an
-//! in-memory chunk table; [`DiskProvider`] is its durable twin, keeping
-//! payloads in slot-sharded append-only part files with crash recovery.
+//! [`Provider`] models one storage server: a NIC and a disk (both
+//! serialized virtual-time resources from `atomio-simgrid`), a fault
+//! gate and the booking of every request, in front of a [`ChunkTable`].
+//! [`DataProvider`] is that front over an in-memory table;
+//! [`DiskProvider`] is the same front over slot-sharded append-only part
+//! files with crash recovery.
 //! Pick between them with [`chunk_store_for`] and a
 //! [`BackendConfig`](atomio_types::BackendConfig). [`ProviderManager`]
 //! routes chunk placements using a pluggable [`AllocationStrategy`] and
@@ -34,4 +36,4 @@ pub mod store;
 pub use disk::{chunk_store_for, DiskProvider};
 pub use integrity::{chunk_checksum, ScrubReport};
 pub use manager::{AllocationStrategy, GetRequest, ProviderManager};
-pub use store::{ChunkStore, DataProvider};
+pub use store::{ChunkStore, ChunkTable, DataProvider, Provider};

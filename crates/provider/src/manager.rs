@@ -8,7 +8,7 @@
 //! [`AllocationStrategy::LeastLoaded`] and [`AllocationStrategy::Random`]
 //! are the obvious alternatives and are compared in the E7 ablation.
 
-use crate::store::{ChunkStore, DataProvider};
+use crate::store::ChunkStore;
 use atomio_simgrid::{ClientNics, CostModel, DetRng, FaultInjector, Participant, Resource};
 use atomio_types::{ByteRange, ChunkId, Error, ProviderId, Result};
 use bytes::Bytes;
@@ -75,23 +75,18 @@ impl ProviderManager {
         faults: Arc<FaultInjector>,
         seed: u64,
     ) -> Self {
-        assert!(!costs.is_empty(), "need at least one data provider");
-        let stores = costs
-            .into_iter()
-            .enumerate()
-            .map(|(i, cost)| {
-                Arc::new(DataProvider::new(
-                    ProviderId::new(i as u64),
-                    cost,
-                    Arc::clone(&faults),
-                )) as Arc<dyn ChunkStore>
-            })
-            .collect();
-        Self::from_stores(stores, strategy, faults, seed)
+        Self::with_backend(
+            &atomio_types::BackendConfig::Memory,
+            costs,
+            strategy,
+            faults,
+            seed,
+        )
+        .expect("the memory backend opens nothing that can fail")
     }
 
     /// Builds a fleet whose storage substrate is chosen by `backend`:
-    /// in-memory [`DataProvider`]s for `Memory`, recovered
+    /// in-memory [`DataProvider`](crate::DataProvider)s for `Memory`, recovered
     /// [`DiskProvider`](crate::disk::DiskProvider)s under
     /// `<dir>/provider-<i>` for `Disk` — one `with_backend` call per
     /// deployment replaces per-provider constructor scatter.
@@ -552,6 +547,7 @@ impl ProviderManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::DataProvider;
     use atomio_simgrid::clock::run_actors;
 
     fn mgr(n: usize, strategy: AllocationStrategy) -> ProviderManager {

@@ -1,41 +1,92 @@
 //! A single data provider: one storage server holding immutable chunks.
+//!
+//! There is one provider, [`Provider`]: the front that owns everything a
+//! request costs and everything that can refuse it — id, cost model,
+//! fault gate, the NIC and disk [`Resource`]s, byte accounting, the
+//! booking of every data method and the scrub loop. What it *holds* sits
+//! behind the zero-time [`ChunkTable`] interface, which has two
+//! implementations: [`MemTable`] (a `HashMap`; [`DataProvider`]) and the
+//! slot files of [`crate::disk`] ([`DiskProvider`](crate::DiskProvider)).
+//! Virtual time is therefore backend-invariant by construction.
 
-use crate::integrity::ScrubReport;
+use crate::integrity::{chunk_checksum, ScrubReport};
 use atomio_simgrid::{CostModel, FaultInjector, Participant, Resource, SimTime};
 use atomio_types::{ByteRange, ChunkId, Error, ProviderId, Result};
 use bytes::Bytes;
 use parking_lot::RwLock;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The chunk-storage surface the provider manager routes against.
 ///
-/// [`DataProvider`] is the in-process implementation (the `Loopback`
+/// [`Provider`] is the in-process implementation (the `Loopback`
 /// transport); `atomio-rpc`'s `RemoteProvider` speaks the same interface
 /// over a socket. Keeping the manager generic over this trait is what
 /// lets one placement/replication/failover policy drive both deployments.
+///
+/// Every data request pays the NIC transfer and the disk transfer of the
+/// bytes moved (the blocking variants also one RPC round trip). NIC and
+/// disk are serialized virtual-time resources, so a provider saturates
+/// under load — which is exactly why striping across providers raises
+/// aggregate throughput.
 pub trait ChunkStore: Send + Sync + std::fmt::Debug {
     /// This store's provider id (its slot in the manager's fleet).
     fn id(&self) -> ProviderId;
 
-    /// Stores an immutable chunk, blocking the participant for the
-    /// transfer. See [`DataProvider::put_chunk`].
+    /// Stores an immutable chunk, blocking the participant for the RPC
+    /// round trip, the NIC transfer and the disk transfer.
+    ///
+    /// # Errors
+    /// * [`Error::ProviderFailed`] if the provider is failed (checked
+    ///   again after the transfer: it may fail while the bytes move).
+    /// * [`Error::Internal`] if the chunk id already exists — chunk ids
+    ///   are never reused, so a duplicate indicates a caller bug — or on
+    ///   a media failure.
     fn put_chunk(&self, p: &Participant, chunk: ChunkId, data: Bytes) -> Result<()>;
 
-    /// Reservation-based put for the pipelined transfer engine. See
-    /// [`DataProvider::put_chunk_at`].
+    /// Reservation-based put for the pipelined transfer engine.
+    ///
+    /// `arrival` is the absolute virtual instant the first payload byte
+    /// reaches this provider (the caller has already accounted the RPC
+    /// offset and its own injection NIC). The provider books its NIC and
+    /// then its disk from there and returns the completion instant
+    /// **without blocking** — the caller sleeps once, to the max
+    /// completion over its whole batch. Booked this way, replica copies
+    /// on distinct providers overlap while each provider's own devices
+    /// still serialize.
+    ///
+    /// The chunk is recorded at booking time: a provider that fails
+    /// mid-transfer keeps the payload but refuses all subsequent access,
+    /// which is indistinguishable to clients from the blocking path's
+    /// abort-on-failure. A refused duplicate id has booked its transfer
+    /// all the same — the bytes did cross the wire.
+    ///
+    /// # Errors
+    /// Same as [`Self::put_chunk`].
     fn put_chunk_at(&self, arrival: SimTime, chunk: ChunkId, data: Bytes) -> Result<SimTime>;
 
-    /// Fetches a whole chunk. See [`DataProvider::get_chunk`].
+    /// Fetches a whole chunk, blocking the participant for the RPC round
+    /// trip, the disk read and the NIC send-out.
     fn get_chunk(&self, p: &Participant, chunk: ChunkId) -> Result<Bytes>;
 
-    /// Fetches a sub-range of a chunk. See
-    /// [`DataProvider::get_chunk_range`].
+    /// Fetches a sub-range of a chunk (fine-grain access: only the
+    /// requested bytes cross the disk and network).
+    ///
+    /// # Errors
+    /// [`Error::OutOfBounds`] if the range exceeds the stored chunk.
     fn get_chunk_range(&self, p: &Participant, chunk: ChunkId, range: ByteRange) -> Result<Bytes>;
 
-    /// Reservation-based ranged get. See
-    /// [`DataProvider::get_chunk_range_at`].
+    /// Reservation-based ranged get: books the disk read and then the
+    /// NIC send-out starting at `arrival` and returns `(payload, instant
+    /// the last byte leaves this provider's NIC)` without blocking. The
+    /// caller books its own reception NIC against that instant and
+    /// sleeps to the batch max.
+    ///
+    /// # Errors
+    /// Same as [`Self::get_chunk_range`]. All error paths cost nothing:
+    /// nothing is booked before the payload is known to be servable.
     fn get_chunk_range_at(
         &self,
         arrival: SimTime,
@@ -49,8 +100,8 @@ pub trait ChunkStore: Send + Sync + std::fmt::Debug {
     /// chunk id, say) never fails its neighbours. The default books the
     /// items one by one through [`Self::put_chunk_at`], which *is* the
     /// semantics; stores override it only to do the same work cheaper
-    /// (remote proxies: one frame; the disk backend: one append per
-    /// touched slot).
+    /// (remote proxies: one frame; [`Provider`]: one table update — on
+    /// disk, one append per touched slot).
     fn put_batch_at(&self, items: &[(SimTime, ChunkId, Bytes)]) -> Vec<Result<SimTime>> {
         items
             .iter()
@@ -81,13 +132,15 @@ pub trait ChunkStore: Send + Sync + std::fmt::Debug {
     /// Total payload bytes held (drives the `LeastLoaded` strategy).
     fn bytes_stored(&self) -> u64;
 
-    /// Deletes a chunk, returning the payload bytes reclaimed.
+    /// Deletes a chunk (version garbage collection), returning the
+    /// payload bytes reclaimed. Missing chunks are ignored.
     fn evict_chunk(&self, chunk: ChunkId) -> u64;
 
     /// Deletes a batch of chunks, returning the total payload bytes
     /// reclaimed — the GC sweep's unit of work. The default loops over
     /// [`Self::evict_chunk`]; remote proxies override it with a single
-    /// batched RPC.
+    /// batched RPC, [`Provider`] with one table update after which the
+    /// table sheds what the sweep left dead.
     fn evict_chunk_batch(&self, chunks: &[ChunkId]) -> u64 {
         chunks.iter().map(|&c| self.evict_chunk(c)).sum()
     }
@@ -95,17 +148,21 @@ pub trait ChunkStore: Send + Sync + std::fmt::Debug {
     /// The ingest-time checksum of a chunk, if present.
     fn checksum_of(&self, chunk: ChunkId) -> Option<u64>;
 
-    /// Bit-rot injection hook for integrity tests.
+    /// Flips one byte of a stored chunk in place, leaving the stored
+    /// checksum stale — the bit-rot injection hook for integrity tests.
+    /// No-op when the chunk or offset is missing.
     fn corrupt_chunk(&self, chunk: ChunkId, byte: usize);
 
-    /// Re-reads every chunk and verifies checksums. Backends that cannot
+    /// Re-reads every chunk and verifies checksums, charging disk time
+    /// for the full scan (scrubbing is not free). Backends that cannot
     /// scan in place (e.g. remote proxies) may report an empty pass.
     fn scrub(&self, _p: &Participant) -> ScrubReport {
         ScrubReport::default()
     }
 
     /// Stored payload length of a chunk, if this store can answer
-    /// locally (no cost charged). Remote proxies return `None`.
+    /// locally (no cost charged; lets whole-chunk reads go through the
+    /// range-read path). Remote proxies return `None`.
     fn chunk_len(&self, _chunk: ChunkId) -> Option<u64> {
         None
     }
@@ -130,42 +187,190 @@ pub trait ChunkStore: Send + Sync + std::fmt::Debug {
     fn cost(&self) -> &CostModel;
 }
 
-/// One simulated storage server.
-///
-/// Every request pays: one RPC round trip, the NIC transfer of the bytes
-/// moved, and the disk transfer of the bytes moved. NIC and disk are
-/// serialized virtual-time resources, so a provider saturates under load —
-/// which is exactly why striping across providers raises aggregate
-/// throughput.
+/// What a [`Provider`] holds: a table of immutable chunks with their
+/// ingest checksums. Every method is zero-time — cost, faults and typed
+/// request errors are the front's — and a batch is the unit, so a table
+/// can take its lock (and reach its media) once per batch.
+pub trait ChunkTable: Send + Sync + std::fmt::Debug {
+    /// Installs `(chunk, payload, ingest checksum)` items under one
+    /// exclusive lock. One outcome per item, in order: `Ok(false)`
+    /// refuses an id the table already holds or the batch repeats,
+    /// `Err` is a media failure of that item alone.
+    fn install_batch(&self, items: &[(ChunkId, &Bytes, u64)]) -> Vec<Result<bool>>;
+
+    /// `(payload length, ingest checksum)` of a held chunk.
+    fn lookup(&self, chunk: ChunkId) -> Option<(u64, u64)>;
+
+    /// Reads one range of each of `chunks` under one shared lock, so no
+    /// eviction or compaction can come between an item's lookup and its
+    /// read. Per item, in order: `admit(item, stored length)` — `None`
+    /// for a chunk not held — decides the range to read or refuses the
+    /// item with the error to report; every admitted range is then read.
+    fn read_batch(
+        &self,
+        chunks: impl Iterator<Item = ChunkId>,
+        admit: impl FnMut(usize, Option<u64>) -> Result<ByteRange>,
+    ) -> Vec<Result<Bytes>>;
+
+    /// Drops the held chunks among `chunks`, returning the payload bytes
+    /// reclaimed. A chunk whose eviction cannot be made durable stays.
+    fn evict_batch(&self, chunks: &[ChunkId]) -> u64;
+
+    /// Called after a sweep's eviction batch: give back whatever storage
+    /// the evicted chunks still occupy, where that pays off.
+    fn shed_dead(&self) {}
+
+    /// Flips byte `byte` of a held chunk's payload where it is stored.
+    fn flip_byte(&self, chunk: ChunkId, byte: usize);
+
+    /// `(chunk, payload length, ingest checksum)` of every held chunk.
+    fn entries(&self) -> Vec<(ChunkId, u64, u64)>;
+
+    /// Number of chunks held.
+    fn count(&self) -> usize;
+
+    /// See [`ChunkStore::max_chunk_id`].
+    fn max_chunk_id(&self) -> Option<ChunkId>;
+}
+
+/// The in-memory chunk table: payloads held (and handed out) by
+/// reference count, never copied.
+#[derive(Debug, Default)]
+pub struct MemTable(RwLock<HashMap<ChunkId, (Bytes, u64)>>);
+
+impl ChunkTable for MemTable {
+    fn install_batch(&self, items: &[(ChunkId, &Bytes, u64)]) -> Vec<Result<bool>> {
+        let mut chunks = self.0.write();
+        items
+            .iter()
+            .map(|&(chunk, data, checksum)| match chunks.entry(chunk) {
+                Entry::Occupied(_) => Ok(false),
+                Entry::Vacant(slot) => {
+                    slot.insert((data.clone(), checksum));
+                    Ok(true)
+                }
+            })
+            .collect()
+    }
+
+    fn lookup(&self, chunk: ChunkId) -> Option<(u64, u64)> {
+        let chunks = self.0.read();
+        chunks.get(&chunk).map(|(d, sum)| (d.len() as u64, *sum))
+    }
+
+    fn read_batch(
+        &self,
+        chunks: impl Iterator<Item = ChunkId>,
+        mut admit: impl FnMut(usize, Option<u64>) -> Result<ByteRange>,
+    ) -> Vec<Result<Bytes>> {
+        let held = self.0.read();
+        chunks
+            .enumerate()
+            .map(|(item, chunk)| {
+                let data = held.get(&chunk).map(|(d, _)| d);
+                let range = admit(item, data.map(|d| d.len() as u64))?;
+                let data = data.expect("admitted, so held");
+                Ok(data.slice(range.offset as usize..range.end() as usize))
+            })
+            .collect()
+    }
+
+    fn evict_batch(&self, chunks: &[ChunkId]) -> u64 {
+        let mut held = self.0.write();
+        chunks
+            .iter()
+            .filter_map(|chunk| held.remove(chunk))
+            .map(|(data, _)| data.len() as u64)
+            .sum()
+    }
+
+    fn flip_byte(&self, chunk: ChunkId, byte: usize) {
+        if let Some((data, _)) = self.0.write().get_mut(&chunk) {
+            if byte < data.len() {
+                let mut owned = data.to_vec();
+                owned[byte] ^= 0xFF;
+                *data = Bytes::from(owned);
+            }
+        }
+    }
+
+    fn entries(&self) -> Vec<(ChunkId, u64, u64)> {
+        let held = self.0.read();
+        held.iter()
+            .map(|(&chunk, (data, sum))| (chunk, data.len() as u64, *sum))
+            .collect()
+    }
+
+    fn count(&self) -> usize {
+        self.0.read().len()
+    }
+
+    fn max_chunk_id(&self) -> Option<ChunkId> {
+        self.0.read().keys().max().copied()
+    }
+}
+
+/// One storage server: the front every request goes through, over the
+/// [`ChunkTable`] that holds the chunks.
 #[derive(Debug)]
-pub struct DataProvider {
+pub struct Provider<T> {
     id: ProviderId,
     cost: CostModel,
     nic: Resource,
     disk: Resource,
-    /// Chunk payloads with their ingest-time checksums.
-    chunks: RwLock<HashMap<ChunkId, (Bytes, u64)>>,
-    bytes_stored: AtomicU64,
     faults: Arc<FaultInjector>,
+    bytes_stored: AtomicU64,
+    pub(crate) table: T,
 }
+
+/// One simulated storage server holding its chunks in memory.
+pub type DataProvider = Provider<MemTable>;
 
 impl DataProvider {
     /// Creates a provider with the given id, cost model, and fault plane.
     pub fn new(id: ProviderId, cost: CostModel, faults: Arc<FaultInjector>) -> Self {
-        DataProvider {
+        Provider::over(MemTable::default(), id, cost, faults)
+    }
+}
+
+impl<T: ChunkTable> Provider<T> {
+    /// Puts the front over `table`, accounting what it already holds.
+    pub(crate) fn over(
+        table: T,
+        id: ProviderId,
+        cost: CostModel,
+        faults: Arc<FaultInjector>,
+    ) -> Self {
+        Provider {
             id,
             cost,
             nic: Resource::new(format!("{id}/nic")),
             disk: Resource::new(format!("{id}/disk")),
-            chunks: RwLock::new(HashMap::new()),
-            bytes_stored: AtomicU64::new(0),
-            faults: Arc::clone(&faults),
+            faults,
+            bytes_stored: AtomicU64::new(table.entries().iter().map(|e| e.1).sum()),
+            table,
         }
     }
 
     /// This provider's id.
     pub fn id(&self) -> ProviderId {
         self.id
+    }
+
+    /// [`ChunkStore::put_chunk_at`], callable without the trait in scope.
+    pub fn put_chunk_at(&self, arrival: SimTime, chunk: ChunkId, data: Bytes) -> Result<SimTime> {
+        ChunkStore::put_chunk_at(self, arrival, chunk, data)
+    }
+
+    /// [`ChunkStore::get_chunk_range_at`], callable without the trait in
+    /// scope.
+    pub fn get_chunk_range_at(
+        &self,
+        arrival: SimTime,
+        chunk: ChunkId,
+        range: ByteRange,
+    ) -> Result<(Bytes, SimTime)> {
+        ChunkStore::get_chunk_range_at(self, arrival, chunk, range)
     }
 
     fn check_alive(&self) -> Result<()> {
@@ -176,268 +381,117 @@ impl DataProvider {
         }
     }
 
-    /// Stores an immutable chunk.
-    ///
-    /// # Errors
-    /// * [`Error::ProviderFailed`] if the provider is failed.
-    /// * [`Error::Internal`] if the chunk id already exists — chunk ids
-    ///   are never reused, so a duplicate indicates a caller bug.
-    pub fn put_chunk(&self, p: &Participant, chunk: ChunkId, data: Bytes) -> Result<()> {
+    /// Checksums and installs a batch — the zero-time half of every put
+    /// (the callers have booked its cost) — and accounts what landed.
+    fn install<'a>(&self, items: impl Iterator<Item = (ChunkId, &'a Bytes)>) -> Vec<Result<()>> {
+        let items: Vec<(ChunkId, &Bytes, u64)> = items
+            .map(|(chunk, data)| (chunk, data, chunk_checksum(data)))
+            .collect();
+        let installed = self.table.install_batch(&items);
+        installed
+            .into_iter()
+            .zip(items)
+            .map(|(installed, (chunk, data, _))| {
+                if !installed? {
+                    let id = self.id;
+                    return Err(Error::Internal(format!("chunk id {chunk} reused on {id}")));
+                }
+                self.bytes_stored
+                    .fetch_add(data.len() as u64, Ordering::Relaxed);
+                Ok(())
+            })
+            .collect()
+    }
+
+    /// Decides a get against the chunk's stored length (`None`: not
+    /// held): the range to read — the whole chunk when none is asked for
+    /// — or the typed refusal.
+    fn admit(
+        &self,
+        chunk: ChunkId,
+        len: Option<u64>,
+        range: Option<ByteRange>,
+    ) -> Result<ByteRange> {
+        let len = len.ok_or(Error::ChunkNotFound {
+            provider: self.id,
+            chunk,
+        })?;
+        let range = range.unwrap_or(ByteRange::new(0, len));
+        if range.end() > len {
+            return Err(Error::OutOfBounds {
+                requested_end: range.end(),
+                snapshot_size: len,
+            });
+        }
+        Ok(range)
+    }
+
+    /// Reads `range` of one chunk (the whole chunk when `None`), booking
+    /// nothing.
+    fn read(&self, chunk: ChunkId, range: Option<ByteRange>) -> Result<Bytes> {
+        self.table
+            .read_batch(std::iter::once(chunk), |_, len| {
+                self.admit(chunk, len, range)
+            })
+            .pop()
+            .expect("one item in, one outcome out")
+    }
+
+    /// The blocking get: RPC round trip, then the disk read and the NIC
+    /// send-out of exactly the bytes asked for. Error paths serve
+    /// nothing. The table is not locked while the participant sleeps, so
+    /// the read looks the chunk up afresh.
+    fn get_blocking(
+        &self,
+        p: &Participant,
+        chunk: ChunkId,
+        range: Option<ByteRange>,
+    ) -> Result<Bytes> {
+        self.check_alive()?;
+        p.sleep(self.cost.rpc_round_trip());
+        let len = self.table.lookup(chunk).map(|(len, _)| len);
+        let range = self.admit(chunk, len, range)?;
+        self.disk.serve(p, self.cost.disk_transfer(range.len));
+        self.nic.serve(p, self.cost.net_transfer(range.len));
+        self.read(chunk, Some(range))
+    }
+
+    fn evict(&self, chunks: &[ChunkId]) -> u64 {
+        let reclaimed = self.table.evict_batch(chunks);
+        self.bytes_stored.fetch_sub(reclaimed, Ordering::Relaxed);
+        reclaimed
+    }
+}
+
+impl<T: ChunkTable> ChunkStore for Provider<T> {
+    fn id(&self) -> ProviderId {
+        self.id
+    }
+
+    fn put_chunk(&self, p: &Participant, chunk: ChunkId, data: Bytes) -> Result<()> {
         self.check_alive()?;
         p.sleep(self.cost.rpc_round_trip());
         let len = data.len() as u64;
         self.nic.serve(p, self.cost.net_transfer(len));
         self.disk.serve(p, self.cost.disk_transfer(len));
         self.check_alive()?; // may have failed during the transfer
-        let checksum = crate::integrity::chunk_checksum(&data);
-        let mut chunks = self.chunks.write();
-        if chunks.contains_key(&chunk) {
-            return Err(Error::Internal(format!(
-                "chunk id {chunk} reused on {}",
-                self.id
-            )));
-        }
-        chunks.insert(chunk, (data, checksum));
-        self.bytes_stored.fetch_add(len, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Reservation-based variant of [`Self::put_chunk`] for the pipelined
-    /// transfer engine.
-    ///
-    /// `arrival` is the absolute virtual instant the first payload byte
-    /// reaches this provider (the caller has already accounted the RPC
-    /// offset and its own injection NIC). The provider books its NIC and
-    /// then its disk from there and returns the completion instant
-    /// **without blocking** — the caller sleeps once, to the max
-    /// completion over its whole batch. Booked this way, replica copies
-    /// on distinct providers overlap while each provider's own devices
-    /// still serialize.
-    ///
-    /// The chunk is recorded at booking time: a provider that fails
-    /// mid-transfer keeps the payload but refuses all subsequent access,
-    /// which is indistinguishable to clients from the serial path's
-    /// abort-on-failure.
-    ///
-    /// # Errors
-    /// Same as [`Self::put_chunk`].
-    pub fn put_chunk_at(&self, arrival: SimTime, chunk: ChunkId, data: Bytes) -> Result<SimTime> {
-        self.check_alive()?;
-        let len = data.len() as u64;
-        let nic_done = self.nic.reserve(arrival, self.cost.net_transfer(len));
-        let disk_done = self.disk.reserve(nic_done, self.cost.disk_transfer(len));
-        let checksum = crate::integrity::chunk_checksum(&data);
-        let mut chunks = self.chunks.write();
-        if chunks.contains_key(&chunk) {
-            return Err(Error::Internal(format!(
-                "chunk id {chunk} reused on {}",
-                self.id
-            )));
-        }
-        chunks.insert(chunk, (data, checksum));
-        self.bytes_stored.fetch_add(len, Ordering::Relaxed);
-        Ok(disk_done)
-    }
-
-    /// Reservation-based variant of [`Self::get_chunk_range`]: books the
-    /// disk read and then the NIC send-out starting at `arrival` and
-    /// returns `(payload, instant the last byte leaves this provider's
-    /// NIC)` without blocking. The caller books its own reception NIC
-    /// against that instant and sleeps to the batch max.
-    ///
-    /// # Errors
-    /// Same as [`Self::get_chunk_range`]. All error paths cost nothing:
-    /// nothing is booked before the payload is known to be servable.
-    pub fn get_chunk_range_at(
-        &self,
-        arrival: SimTime,
-        chunk: ChunkId,
-        range: ByteRange,
-    ) -> Result<(Bytes, SimTime)> {
-        self.check_alive()?;
-        let data = self
-            .chunks
-            .read()
-            .get(&chunk)
-            .map(|(d, _)| d.clone())
-            .ok_or(Error::ChunkNotFound {
-                provider: self.id,
-                chunk,
-            })?;
-        if range.end() > data.len() as u64 {
-            return Err(Error::OutOfBounds {
-                requested_end: range.end(),
-                snapshot_size: data.len() as u64,
-            });
-        }
-        let disk_done = self
-            .disk
-            .reserve(arrival, self.cost.disk_transfer(range.len));
-        let nic_done = self
-            .nic
-            .reserve(disk_done, self.cost.net_transfer(range.len));
-        Ok((
-            data.slice(range.offset as usize..range.end() as usize),
-            nic_done,
-        ))
-    }
-
-    /// Fetches a whole chunk.
-    pub fn get_chunk(&self, p: &Participant, chunk: ChunkId) -> Result<Bytes> {
-        self.check_alive()?;
-        p.sleep(self.cost.rpc_round_trip());
-        let data = self
-            .chunks
-            .read()
-            .get(&chunk)
-            .map(|(d, _)| d.clone())
-            .ok_or(Error::ChunkNotFound {
-                provider: self.id,
-                chunk,
-            })?;
-        let len = data.len() as u64;
-        self.disk.serve(p, self.cost.disk_transfer(len));
-        self.nic.serve(p, self.cost.net_transfer(len));
-        Ok(data)
-    }
-
-    /// Fetches a sub-range of a chunk (fine-grain access: only the
-    /// requested bytes cross the disk and network).
-    ///
-    /// # Errors
-    /// [`Error::OutOfBounds`] if the range exceeds the stored chunk.
-    pub fn get_chunk_range(
-        &self,
-        p: &Participant,
-        chunk: ChunkId,
-        range: ByteRange,
-    ) -> Result<Bytes> {
-        self.check_alive()?;
-        p.sleep(self.cost.rpc_round_trip());
-        let data = self
-            .chunks
-            .read()
-            .get(&chunk)
-            .map(|(d, _)| d.clone())
-            .ok_or(Error::ChunkNotFound {
-                provider: self.id,
-                chunk,
-            })?;
-        if range.end() > data.len() as u64 {
-            return Err(Error::OutOfBounds {
-                requested_end: range.end(),
-                snapshot_size: data.len() as u64,
-            });
-        }
-        self.disk.serve(p, self.cost.disk_transfer(range.len));
-        self.nic.serve(p, self.cost.net_transfer(range.len));
-        Ok(data.slice(range.offset as usize..range.end() as usize))
-    }
-
-    /// True if the chunk is present (no cost charged; used by tests and
-    /// repair logic).
-    pub fn has_chunk(&self, chunk: ChunkId) -> bool {
-        self.chunks.read().contains_key(&chunk)
-    }
-
-    /// Number of chunks held.
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.read().len()
-    }
-
-    /// Total payload bytes held.
-    pub fn bytes_stored(&self) -> u64 {
-        self.bytes_stored.load(Ordering::Relaxed)
-    }
-
-    /// Deletes a chunk (used by version garbage collection), returning
-    /// the number of payload bytes reclaimed. Missing chunks are ignored.
-    pub fn evict_chunk(&self, chunk: ChunkId) -> u64 {
-        match self.chunks.write().remove(&chunk) {
-            Some((data, _)) => {
-                self.bytes_stored
-                    .fetch_sub(data.len() as u64, Ordering::Relaxed);
-                data.len() as u64
-            }
-            None => 0,
-        }
-    }
-
-    /// The stored payload length of a chunk, if present (no cost
-    /// charged; lets whole-chunk reads go through the range-read path).
-    pub fn chunk_len(&self, chunk: ChunkId) -> Option<u64> {
-        self.chunks.read().get(&chunk).map(|(d, _)| d.len() as u64)
-    }
-
-    /// The ingest-time checksum of a chunk, if present.
-    pub fn checksum_of(&self, chunk: ChunkId) -> Option<u64> {
-        self.chunks.read().get(&chunk).map(|&(_, sum)| sum)
-    }
-
-    /// Flips one byte of a stored chunk in place — the bit-rot injection
-    /// hook for integrity tests. No-op when the chunk or offset is
-    /// missing. (Stored checksum is deliberately left stale.)
-    pub fn corrupt_chunk(&self, chunk: ChunkId, byte: usize) {
-        let mut chunks = self.chunks.write();
-        if let Some((data, _)) = chunks.get_mut(&chunk) {
-            if byte < data.len() {
-                let mut owned = data.to_vec();
-                owned[byte] ^= 0xFF;
-                *data = Bytes::from(owned);
-            }
-        }
-    }
-
-    /// Snapshot of `(chunk, payload, stored checksum)` for scrubbing.
-    pub(crate) fn chunk_snapshot(&self) -> Vec<(ChunkId, Bytes, u64)> {
-        self.chunks
-            .read()
-            .iter()
-            .map(|(&id, (data, sum))| (id, data.clone(), *sum))
-            .collect()
-    }
-
-    /// Charges disk time for scanning `len` bytes (scrub accounting).
-    pub(crate) fn charge_disk_scan(&self, p: &Participant, len: u64) {
-        self.disk.serve(p, self.cost.disk_transfer(len));
-    }
-
-    /// The provider's disk resource (for utilization accounting).
-    pub fn disk(&self) -> &Resource {
-        &self.disk
-    }
-
-    /// The provider's NIC resource (for utilization accounting).
-    pub fn nic(&self) -> &Resource {
-        &self.nic
-    }
-
-    /// The cost model this provider charges (callers of the reservation
-    /// API need it to book their own side of a transfer).
-    pub fn cost(&self) -> &CostModel {
-        &self.cost
-    }
-}
-
-impl ChunkStore for DataProvider {
-    fn id(&self) -> ProviderId {
-        DataProvider::id(self)
-    }
-
-    fn put_chunk(&self, p: &Participant, chunk: ChunkId, data: Bytes) -> Result<()> {
-        DataProvider::put_chunk(self, p, chunk, data)
+        self.install(std::iter::once((chunk, &data)))
+            .pop()
+            .expect("one item in, one outcome out")
     }
 
     fn put_chunk_at(&self, arrival: SimTime, chunk: ChunkId, data: Bytes) -> Result<SimTime> {
-        DataProvider::put_chunk_at(self, arrival, chunk, data)
+        self.put_batch_at(&[(arrival, chunk, data)])
+            .pop()
+            .expect("one item in, one outcome out")
     }
 
     fn get_chunk(&self, p: &Participant, chunk: ChunkId) -> Result<Bytes> {
-        DataProvider::get_chunk(self, p, chunk)
+        self.get_blocking(p, chunk, None)
     }
 
     fn get_chunk_range(&self, p: &Participant, chunk: ChunkId, range: ByteRange) -> Result<Bytes> {
-        DataProvider::get_chunk_range(self, p, chunk, range)
+        self.get_blocking(p, chunk, Some(range))
     }
 
     fn get_chunk_range_at(
@@ -446,55 +500,129 @@ impl ChunkStore for DataProvider {
         chunk: ChunkId,
         range: ByteRange,
     ) -> Result<(Bytes, SimTime)> {
-        DataProvider::get_chunk_range_at(self, arrival, chunk, range)
+        self.get_range_batch_at(&[(arrival, chunk, range)])
+            .pop()
+            .expect("one item in, one outcome out")
+    }
+
+    /// Every item books its NIC and then its disk transfer from its
+    /// `arrival`, in item order, before anything is installed — so a
+    /// refused duplicate has booked, as on the wire it would have.
+    fn put_batch_at(&self, items: &[(SimTime, ChunkId, Bytes)]) -> Vec<Result<SimTime>> {
+        if let Err(e) = self.check_alive() {
+            return vec![Err(e); items.len()];
+        }
+        let booked: Vec<SimTime> = items
+            .iter()
+            .map(|(arrival, _, data)| {
+                let len = data.len() as u64;
+                let nic_done = self.nic.reserve(*arrival, self.cost.net_transfer(len));
+                self.disk.reserve(nic_done, self.cost.disk_transfer(len))
+            })
+            .collect();
+        self.install(items.iter().map(|(_, chunk, data)| (*chunk, data)))
+            .into_iter()
+            .zip(booked)
+            .map(|(installed, done)| installed.map(|()| done))
+            .collect()
+    }
+
+    /// Item by item, in order: lookup, bounds check, then the disk read
+    /// and the NIC send-out booked from the item's `arrival` — a refused
+    /// item books nothing — and only then the reads, all under the
+    /// table's one shared lock.
+    fn get_range_batch_at(
+        &self,
+        items: &[(SimTime, ChunkId, ByteRange)],
+    ) -> Vec<Result<(Bytes, SimTime)>> {
+        if let Err(e) = self.check_alive() {
+            return vec![Err(e); items.len()];
+        }
+        let mut sent: Vec<SimTime> = vec![0; items.len()];
+        let payloads = self
+            .table
+            .read_batch(items.iter().map(|item| item.1), |i, len| {
+                let (arrival, chunk, range) = items[i];
+                let range = self.admit(chunk, len, Some(range))?;
+                let disk_done = self
+                    .disk
+                    .reserve(arrival, self.cost.disk_transfer(range.len));
+                sent[i] = self
+                    .nic
+                    .reserve(disk_done, self.cost.net_transfer(range.len));
+                Ok(range)
+            });
+        payloads
+            .into_iter()
+            .zip(sent)
+            .map(|(payload, sent)| payload.map(|data| (data, sent)))
+            .collect()
     }
 
     fn has_chunk(&self, chunk: ChunkId) -> bool {
-        DataProvider::has_chunk(self, chunk)
+        self.table.lookup(chunk).is_some()
     }
 
     fn chunk_count(&self) -> usize {
-        DataProvider::chunk_count(self)
+        self.table.count()
     }
 
     fn bytes_stored(&self) -> u64 {
-        DataProvider::bytes_stored(self)
+        self.bytes_stored.load(Ordering::Relaxed)
     }
 
     fn evict_chunk(&self, chunk: ChunkId) -> u64 {
-        DataProvider::evict_chunk(self, chunk)
+        self.evict(&[chunk])
+    }
+
+    fn evict_chunk_batch(&self, chunks: &[ChunkId]) -> u64 {
+        let reclaimed = self.evict(chunks);
+        self.table.shed_dead();
+        reclaimed
     }
 
     fn checksum_of(&self, chunk: ChunkId) -> Option<u64> {
-        DataProvider::checksum_of(self, chunk)
+        self.table.lookup(chunk).map(|(_, sum)| sum)
     }
 
     fn corrupt_chunk(&self, chunk: ChunkId, byte: usize) {
-        DataProvider::corrupt_chunk(self, chunk, byte)
+        self.table.flip_byte(chunk, byte)
     }
 
     fn scrub(&self, p: &Participant) -> ScrubReport {
-        DataProvider::scrub(self, p)
+        let mut entries = self.table.entries();
+        entries.sort_unstable_by_key(|&(chunk, ..)| chunk);
+        let mut report = ScrubReport::default();
+        for (chunk, len, checksum) in entries {
+            self.disk.serve(p, self.cost.disk_transfer(len));
+            match self.read(chunk, None) {
+                Ok(data) if chunk_checksum(&data) == checksum => report.healthy += 1,
+                // Evicted since the listing: nothing left to verify.
+                Err(Error::ChunkNotFound { .. }) => {}
+                _ => report.corrupted.push(chunk),
+            }
+        }
+        report
     }
 
     fn chunk_len(&self, chunk: ChunkId) -> Option<u64> {
-        DataProvider::chunk_len(self, chunk)
+        self.table.lookup(chunk).map(|(len, _)| len)
     }
 
     fn max_chunk_id(&self) -> Option<ChunkId> {
-        self.chunks.read().keys().max().copied()
+        self.table.max_chunk_id()
     }
 
     fn disk(&self) -> &Resource {
-        DataProvider::disk(self)
+        &self.disk
     }
 
     fn nic(&self) -> &Resource {
-        DataProvider::nic(self)
+        &self.nic
     }
 
     fn cost(&self) -> &CostModel {
-        DataProvider::cost(self)
+        &self.cost
     }
 }
 

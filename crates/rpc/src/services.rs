@@ -18,14 +18,14 @@
 use crate::proto::{BlobExport, Request, Response};
 use crate::wire::{self, PayloadCursor};
 use atomio_core::{slot_for_blob, SlotMap};
-use atomio_meta::{node_store_for, LocalNodeStore, TreeConfig, VersionHistory};
+use atomio_meta::{node_store_for, LocalNodeStore, TreeConfig};
 use atomio_provider::{chunk_store_for, ChunkStore, DataProvider};
 use atomio_simgrid::{ClientNics, CostModel, FaultInjector};
 use atomio_types::{
-    BackendConfig, ByteRange, ChunkId, Error, ProviderId, Result, RetentionPolicy,
+    BackendConfig, BlobId, ByteRange, ChunkId, Error, ProviderId, Result, RetentionPolicy,
     TransportErrorKind,
 };
-use atomio_version::{TicketMode, VersionManager};
+use atomio_version::{version_manager_for, TicketMode, VersionManager};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -521,29 +521,14 @@ impl VersionService {
         if let Some(vm) = vms.get(&blob) {
             return Ok(Arc::clone(vm));
         }
-        let vm = Arc::new(match &self.backend {
-            BackendConfig::Memory => VersionManager::new(
-                Arc::new(VersionHistory::new()),
-                TreeConfig::new(self.chunk_size),
-                CostModel::zero(),
-                TicketMode::Pipelined,
-            ),
-            BackendConfig::Disk { dir, fsync } => VersionManager::durable(
-                dir.join("version").join(format!("blob-{blob}")),
-                Arc::new(VersionHistory::new()),
-                TreeConfig::new(self.chunk_size),
-                CostModel::zero(),
-                TicketMode::Pipelined,
-                *fsync,
-            )?,
-        });
-        // The deployment default applies only where no per-blob policy
-        // exists (freshly created, or recovered with none logged).
-        if self.retention != RetentionPolicy::default()
-            && vm.retention() == RetentionPolicy::default()
-        {
-            vm.set_retention_local(self.retention)?;
-        }
+        let vm = Arc::new(version_manager_for(
+            &self.backend,
+            BlobId::new(blob),
+            TreeConfig::new(self.chunk_size),
+            CostModel::zero(),
+            TicketMode::Pipelined,
+            self.retention,
+        )?);
         vms.insert(blob, Arc::clone(&vm));
         Ok(vm)
     }

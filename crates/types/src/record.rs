@@ -14,8 +14,20 @@
 //! [`scan_records`] stops there and reports the valid prefix length, so
 //! recovery truncates the file back to the last whole record instead of
 //! failing — the SPDK-BlobStore-style load path.
+//!
+//! [`RecordLog`] is the one place such a file is created, recovered,
+//! appended to, synced and rewritten; [`load_or_init_superblock`] sits
+//! beside it. No other module opens, truncates, syncs or renames
+//! durable state, so the crash-safety argument (DESIGN §4, "Durable
+//! substrate") is made here once.
 
+use crate::backend::FsyncPolicy;
 use crate::stamp::mix64;
+use crate::{ByteRange, Error, Result};
+use std::fs::{File, OpenOptions};
+use std::io::{Read, Write};
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
 
 /// Bytes of the fixed record header (`magic + kind + body_len + checksum`).
 pub const RECORD_HEADER_BYTES: usize = 4 + 1 + 4 + 8;
@@ -174,51 +186,232 @@ pub const FORMAT_VERSION: u32 = 1;
 /// interleaving foreign logs.
 ///
 /// # Errors
-/// [`Error`](crate::Error)`::Internal` on I/O failure, a corrupt or
+/// [`Error::Internal`] on I/O failure, a corrupt or
 /// foreign superblock, or a format-version mismatch.
-pub fn load_or_init_superblock(
-    path: &std::path::Path,
-    slot_count: u32,
-    tag: u64,
-    role: &str,
-) -> crate::Result<u32> {
-    use crate::Error;
-    if path.exists() {
-        let contents =
-            std::fs::read(path).map_err(|e| Error::io(format!("{role} read superblock"), e))?;
-        let scan = scan_records(&contents);
-        let rec = scan
-            .records
-            .first()
-            .filter(|r| r.kind == SUPERBLOCK_KIND && !scan.truncated)
-            .ok_or_else(|| Error::Internal(format!("{role}: corrupt superblock")))?;
-        let (format, slots, disk_tag) = decode_superblock(&rec.body)
-            .ok_or_else(|| Error::Internal(format!("{role}: malformed superblock")))?;
-        if format != FORMAT_VERSION {
-            return Err(Error::Internal(format!(
-                "{role}: on-disk format v{format}, this build speaks v{FORMAT_VERSION}"
-            )));
+pub fn load_or_init_superblock(path: &Path, slot_count: u32, tag: u64, role: &str) -> Result<u32> {
+    if !path.exists() {
+        let body = encode_superblock(FORMAT_VERSION, slot_count, tag);
+        install(path, &encode_record(SUPERBLOCK_KIND, &body))?;
+        return Ok(slot_count);
+    }
+    let contents =
+        std::fs::read(path).map_err(|e| Error::io(format!("{role} read superblock"), e))?;
+    let scan = scan_records(&contents);
+    let rec = scan
+        .records
+        .first()
+        .filter(|r| r.kind == SUPERBLOCK_KIND && !scan.truncated)
+        .ok_or_else(|| Error::Internal(format!("{role}: corrupt superblock")))?;
+    let (format, slots, disk_tag) = decode_superblock(&rec.body)
+        .ok_or_else(|| Error::Internal(format!("{role}: malformed superblock")))?;
+    if format != FORMAT_VERSION {
+        return Err(Error::Internal(format!(
+            "{role}: on-disk format v{format}, this build speaks v{FORMAT_VERSION}"
+        )));
+    }
+    if disk_tag != tag {
+        return Err(Error::Internal(format!(
+            "{role}: directory belongs to a different instance (tag {disk_tag}, expected {tag})"
+        )));
+    }
+    Ok(slots)
+}
+
+/// Makes `path` hold exactly `contents`, atomically and durably: the
+/// bytes are written aside (in `path`'s directory, created if need be)
+/// and synced, renamed over `path`, and the directory is synced so the
+/// new name survives a power loss. A crash at any step leaves either the
+/// old file (or none) or the new one, never a partial one; a leftover
+/// staged file is ignored by every reader and overwritten by the next
+/// call.
+fn install(path: &Path, contents: &[u8]) -> Result<()> {
+    let ctx = |what: &str| format!("{what} {}", path.display());
+    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
+    let dir = dir.unwrap_or(Path::new("."));
+    std::fs::create_dir_all(dir).map_err(|e| Error::io(ctx("create directory of"), e))?;
+    let mut staged = path.as_os_str().to_owned();
+    staged.push(".staged");
+    let staged = PathBuf::from(staged);
+    let mut file = File::create(&staged).map_err(|e| Error::io(ctx("stage"), e))?;
+    file.write_all(contents)
+        .and_then(|_| file.sync_data())
+        .map_err(|e| Error::io(ctx("write staged"), e))?;
+    std::fs::rename(&staged, path).map_err(|e| Error::io(ctx("rename staged over"), e))?;
+    File::open(dir)
+        .and_then(|dir| dir.sync_all())
+        .map_err(|e| Error::io(ctx("sync directory of"), e))
+}
+
+fn open_rw(path: &Path) -> Result<File> {
+    OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(path)
+        .map_err(|e| Error::io(format!("open {}", path.display()), e))
+}
+
+/// Append and sync counters of one [`RecordLog`] since it was opened —
+/// the E9d ablation reads the publish log's to relate ack latency to
+/// the durability window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LogStats {
+    /// Appends issued (one per [`RecordLog::append`] call, however many
+    /// records the buffer framed).
+    pub appends: u64,
+    /// `fdatasync` calls issued by appends and flushes.
+    pub syncs: u64,
+    /// Appends not yet synced.
+    pub unsynced: u32,
+    /// Largest number of appended-but-unsynced appends ever outstanding
+    /// — the worst-case count of acknowledged appends a crash at the
+    /// wrong moment would roll back.
+    pub unsynced_peak: u32,
+}
+
+/// One crash-safe append-only file of records: the durable substrate
+/// under the provider part files, the meta node logs and the publish
+/// log. The log owns the file's whole lifecycle — create, read, replay,
+/// truncate the torn tail, append at the end, sync per
+/// [`FsyncPolicy`], flush, rewrite — and knows nothing of what the
+/// records mean: kinds, body codecs and replay rules stay with the
+/// backend, which sees the bytes once, in [`RecordLog::open`].
+#[derive(Debug)]
+pub struct RecordLog {
+    path: PathBuf,
+    file: File,
+    /// Current end of the file (every append lands here).
+    len: u64,
+    policy: FsyncPolicy,
+    stats: LogStats,
+}
+
+impl RecordLog {
+    /// Opens the log at `path`, creating it (staged, and its directory
+    /// with it) when absent. `replay` is handed the file's bytes and returns the
+    /// length of the prefix made of whole records; anything past it is a
+    /// torn tail — an append the crash cut short, never acknowledged as
+    /// durable — and is truncated away and the truncation synced.
+    ///
+    /// # Errors
+    /// [`Error::Internal`] on I/O failure; whatever `replay` returns
+    /// (a malformed but checksum-valid record is corruption, not a torn
+    /// tail, and fails the open).
+    pub fn open(
+        path: impl Into<PathBuf>,
+        policy: FsyncPolicy,
+        replay: impl FnOnce(&[u8]) -> Result<u64>,
+    ) -> Result<Self> {
+        let path = path.into();
+        if !path.exists() {
+            install(&path, &[])?;
         }
-        if disk_tag != tag {
-            return Err(Error::Internal(format!(
-                "{role}: directory belongs to a different instance (tag {disk_tag}, expected {tag})"
-            )));
-        }
-        Ok(slots)
-    } else {
-        use std::io::Write as _;
-        let mut framed = Vec::new();
-        append_record(
-            &mut framed,
-            SUPERBLOCK_KIND,
-            &encode_superblock(FORMAT_VERSION, slot_count, tag),
+        let mut log = RecordLog {
+            file: open_rw(&path)?,
+            path,
+            len: 0,
+            policy,
+            stats: LogStats::default(),
+        };
+        let mut contents = Vec::new();
+        let read = log.file.read_to_end(&mut contents);
+        read.map_err(|e| log.io("read", e))?;
+        log.len = replay(&contents)?;
+        assert!(
+            log.len <= contents.len() as u64,
+            "replay claimed more bytes than the log holds"
         );
-        let mut file = std::fs::File::create(path)
-            .map_err(|e| Error::io(format!("{role} create superblock"), e))?;
-        file.write_all(&framed)
-            .and_then(|_| file.sync_data())
-            .map_err(|e| Error::io(format!("{role} write superblock"), e))?;
-        Ok(slot_count)
+        if log.len < contents.len() as u64 {
+            log.file
+                .set_len(log.len)
+                .and_then(|_| log.file.sync_data())
+                .map_err(|e| log.io("truncate torn tail of", e))?;
+        }
+        Ok(log)
+    }
+
+    fn io(&self, what: &str, err: std::io::Error) -> Error {
+        Error::io(format!("{what} {}", self.path.display()), err)
+    }
+
+    /// Appends `bytes` — one framed record or a whole batch of them —
+    /// with one positional write at the end of the log, then at most one
+    /// `fdatasync`, when the policy says one is due. Returns the offset
+    /// the bytes landed at.
+    pub fn append(&mut self, bytes: &[u8]) -> Result<u64> {
+        let at = self.len;
+        self.file
+            .write_all_at(bytes, at)
+            .map_err(|e| self.io("append to", e))?;
+        self.len += bytes.len() as u64;
+        self.stats.appends += 1;
+        self.stats.unsynced += 1;
+        self.stats.unsynced_peak = self.stats.unsynced_peak.max(self.stats.unsynced);
+        if self.policy.due(self.stats.unsynced) {
+            self.sync()?;
+        }
+        Ok(at)
+    }
+
+    fn sync(&mut self) -> Result<()> {
+        self.file.sync_data().map_err(|e| self.io("sync", e))?;
+        self.stats.unsynced = 0;
+        self.stats.syncs += 1;
+        Ok(())
+    }
+
+    /// Forces outstanding appends to stable storage (graceful shutdown
+    /// under `Group`/`Deferred` policies); free when there are none.
+    pub fn flush(&mut self) -> Result<()> {
+        if self.stats.unsynced > 0 {
+            self.sync()?;
+        }
+        Ok(())
+    }
+
+    /// One `pread`: the append position is left alone.
+    pub fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        self.file
+            .read_exact_at(buf, offset)
+            .map_err(|e| self.io("read", e))
+    }
+
+    /// Overwrites bytes in place — the one breach of append-only, and
+    /// only for the bit-rot injection hooks: nothing is synced and no
+    /// checksum is touched, which is the point.
+    pub fn overwrite_at(&self, offset: u64, bytes: &[u8]) -> Result<()> {
+        assert!(
+            offset + bytes.len() as u64 <= self.len,
+            "overwrite past the end of the log"
+        );
+        self.file
+            .write_all_at(bytes, offset)
+            .map_err(|e| self.io("overwrite", e))
+    }
+
+    /// Replaces the whole log with `contents` (compaction), durably and
+    /// atomically: a crash at any step leaves one complete log, the old
+    /// or the new.
+    pub fn replace(&mut self, contents: &[u8]) -> Result<()> {
+        install(&self.path, contents)?;
+        self.file = open_rw(&self.path)?;
+        self.len = contents.len() as u64;
+        self.stats.unsynced = 0;
+        Ok(())
+    }
+
+    /// Bytes in the log.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// True when the log holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Append/sync counters since open.
+    pub fn stats(&self) -> LogStats {
+        self.stats
     }
 }
 
@@ -237,32 +430,43 @@ impl<'a> ByteReader<'a> {
         ByteReader { buf, pos: 0 }
     }
 
+    /// Reads `n` raw bytes.
+    pub fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+        let bytes = self.buf.get(self.pos..self.pos.checked_add(n)?)?;
+        self.pos += n;
+        Some(bytes)
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self) -> Option<u8> {
-        let b = *self.buf.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
+        Some(self.bytes(1)?[0])
     }
 
     /// Reads a big-endian `u32`.
     pub fn u32(&mut self) -> Option<u32> {
-        let bytes = self.buf.get(self.pos..self.pos + 4)?;
-        self.pos += 4;
-        Some(u32::from_be_bytes(bytes.try_into().unwrap()))
+        Some(u32::from_be_bytes(self.bytes(4)?.try_into().unwrap()))
     }
 
     /// Reads a big-endian `u64`.
     pub fn u64(&mut self) -> Option<u64> {
-        let bytes = self.buf.get(self.pos..self.pos + 8)?;
-        self.pos += 8;
-        Some(u64::from_be_bytes(bytes.try_into().unwrap()))
+        Some(u64::from_be_bytes(self.bytes(8)?.try_into().unwrap()))
     }
 
-    /// Reads `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        let bytes = self.buf.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        Some(bytes)
+    /// Reads an `offset | len` pair as a range, refusing one whose end
+    /// overflows (which [`ByteRange::new`] would panic on).
+    pub fn range(&mut self) -> Option<ByteRange> {
+        let (offset, len) = (self.u64()?, self.u64()?);
+        offset.checked_add(len)?;
+        Some(ByteRange::new(offset, len))
+    }
+
+    /// Reads a `u32` element count, refusing one the rest of the buffer
+    /// cannot hold at `item_bytes` (the smallest encoding of one
+    /// element) each — so a corrupted count can never size an allocation
+    /// beyond the bytes actually on disk.
+    pub fn count(&mut self, item_bytes: usize) -> Option<usize> {
+        let count = self.u32()? as usize;
+        (count <= (self.buf.len() - self.pos) / item_bytes).then_some(count)
     }
 
     /// True when the whole buffer has been consumed — decoders check
@@ -357,5 +561,248 @@ mod tests {
         assert_eq!(r.u64(), Some(3));
         assert!(r.done());
         assert_eq!(r.u8(), None);
+        assert_eq!(r.bytes(usize::MAX), None);
+    }
+
+    #[test]
+    fn byte_reader_refuses_overflowing_ranges_and_impossible_counts() {
+        let mut body = Vec::new();
+        body.extend_from_slice(&u64::MAX.to_be_bytes());
+        body.extend_from_slice(&1u64.to_be_bytes());
+        assert_eq!(ByteReader::new(&body).range(), None);
+        body[..8].copy_from_slice(&7u64.to_be_bytes());
+        assert_eq!(ByteReader::new(&body).range(), Some(ByteRange::new(7, 1)));
+        // Three 8-byte items declared, two present.
+        let mut counted = 3u32.to_be_bytes().to_vec();
+        counted.extend_from_slice(&[0; 16]);
+        assert_eq!(ByteReader::new(&counted).count(8), None);
+        counted[3] = 2;
+        assert_eq!(ByteReader::new(&counted).count(8), Some(2));
+    }
+
+    use crate::tempdir::TempDir;
+
+    /// The replay of a log of plain framed records.
+    fn whole_records(bytes: &[u8]) -> Result<u64> {
+        Ok(scan_records(bytes).valid_len)
+    }
+
+    #[test]
+    fn record_log_appends_at_the_end_and_recovers_the_whole_prefix() {
+        let tmp = TempDir::new("atomio-recordlog");
+        let path = tmp.path().join("x.log");
+        let (first, second) = (encode_record(1, b"first"), encode_record(2, b"second"));
+        {
+            let mut log = RecordLog::open(&path, FsyncPolicy::PerPublish, whole_records).unwrap();
+            assert!(log.is_empty());
+            assert_eq!(log.append(&first).unwrap(), 0);
+            assert_eq!(log.append(&second).unwrap(), first.len() as u64);
+            let mut back = vec![0u8; second.len()];
+            log.read_exact_at(first.len() as u64, &mut back).unwrap();
+            assert_eq!(back, second);
+            // Hard drop, then a crash mid-append: half a record.
+        }
+        let mut torn = std::fs::read(&path).unwrap();
+        torn.extend_from_slice(&encode_record(1, b"torn")[..9]);
+        std::fs::write(&path, &torn).unwrap();
+
+        let mut seen = 0;
+        let mut log = RecordLog::open(&path, FsyncPolicy::PerPublish, |bytes| {
+            seen = bytes.len();
+            whole_records(bytes)
+        })
+        .unwrap();
+        assert_eq!(seen, torn.len(), "replay sees the torn bytes too");
+        assert_eq!(log.len(), (first.len() + second.len()) as u64);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), log.len());
+        // The tail is gone: the next append lands on a record boundary.
+        log.append(&first).unwrap();
+        drop(log);
+        assert_eq!(
+            scan_records(&std::fs::read(&path).unwrap()).records.len(),
+            3
+        );
+    }
+
+    #[test]
+    fn record_log_syncs_by_policy_and_counts_it() {
+        let tmp = TempDir::new("atomio-recordlog");
+        let record = encode_record(1, b"r");
+        let open = |name: &str, policy| {
+            RecordLog::open(tmp.path().join(name), policy, whole_records).unwrap()
+        };
+        let mut group = open("group", FsyncPolicy::Group(4));
+        for _ in 0..10 {
+            group.append(&record).unwrap();
+        }
+        let expect = LogStats {
+            appends: 10,
+            syncs: 2,
+            unsynced: 2,
+            unsynced_peak: 4,
+        };
+        assert_eq!(group.stats(), expect, "4 + 4 synced, 2 pending");
+        group.flush().unwrap();
+        group.flush().unwrap(); // free when clean
+        assert_eq!((group.stats().syncs, group.stats().unsynced), (3, 0));
+
+        let mut deferred = open("deferred", FsyncPolicy::Deferred);
+        let mut per_append = open("per-append", FsyncPolicy::PerPublish);
+        for _ in 0..10 {
+            deferred.append(&record).unwrap();
+            per_append.append(&record).unwrap();
+        }
+        assert_eq!(
+            (deferred.stats().syncs, deferred.stats().unsynced_peak),
+            (0, 10)
+        );
+        assert_eq!(
+            (per_append.stats().syncs, per_append.stats().unsynced_peak),
+            (10, 1)
+        );
+    }
+
+    #[test]
+    fn replace_swaps_the_whole_log_and_a_leftover_staged_file_is_ignored() {
+        let tmp = TempDir::new("atomio-recordlog");
+        let path = tmp.path().join("x.log");
+        let (old, new) = (encode_record(1, &[7; 100]), encode_record(1, b"compacted"));
+        let mut log = RecordLog::open(&path, FsyncPolicy::Deferred, whole_records).unwrap();
+        log.append(&old).unwrap();
+        log.append(&old).unwrap();
+        log.replace(&new).unwrap();
+        assert_eq!((log.len(), log.stats().unsynced), (new.len() as u64, 0));
+        assert_eq!(log.append(&old).unwrap(), new.len() as u64);
+        drop(log);
+        let rewritten = std::fs::read(&path).unwrap();
+        assert_eq!(rewritten, [new.clone(), old].concat());
+
+        // A crash between staging and rename: a truncated staged file
+        // beside the live log. The log opens unchanged; the next
+        // replacement overwrites the leftover.
+        let staged = tmp.path().join("x.log.staged");
+        std::fs::write(&staged, &new[..5]).unwrap();
+        let mut log = RecordLog::open(&path, FsyncPolicy::Deferred, whole_records).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), rewritten);
+        log.replace(&new).unwrap();
+        assert!(!staged.exists());
+        assert_eq!(std::fs::read(&path).unwrap(), new);
+    }
+
+    #[test]
+    fn torn_staged_superblock_opens_as_a_new_store() {
+        // A kill during the very first open: the superblock was being
+        // staged and never renamed into place.
+        let tmp = TempDir::new("atomio-recordlog");
+        let path = tmp.path().join("superblock");
+        let framed = encode_record(SUPERBLOCK_KIND, &encode_superblock(FORMAT_VERSION, 8, 42));
+        for torn in [&framed[..0], &framed[..framed.len() / 2]] {
+            std::fs::write(tmp.path().join("superblock.staged"), torn).unwrap();
+            assert_eq!(load_or_init_superblock(&path, 8, 42, "test"), Ok(8));
+            assert_eq!(std::fs::read(&path).unwrap(), framed);
+            // Reopened: validated, not rewritten; the stored count wins.
+            assert_eq!(load_or_init_superblock(&path, 4, 42, "test"), Ok(8));
+            assert!(load_or_init_superblock(&path, 8, 43, "test").is_err());
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    use proptest::prelude::*;
+
+    /// A valid log of `bodies`, one record each (kinds cycle 0..4).
+    fn log_of(bodies: &[Vec<u8>]) -> Vec<u8> {
+        let mut log = Vec::new();
+        for (i, body) in bodies.iter().enumerate() {
+            append_record(&mut log, (i % 4) as u8, body);
+        }
+        log
+    }
+
+    fn arb_bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(any::<u8>(), 0..max)
+    }
+
+    /// What every scan must satisfy whatever the bytes: the valid prefix
+    /// is a prefix, it is exactly the records found, and scanning it
+    /// alone finds the same records and no tear.
+    fn check_scan(bytes: &[u8]) -> std::result::Result<(), TestCaseError> {
+        let scan = scan_records(bytes);
+        prop_assert!(scan.valid_len as usize <= bytes.len());
+        prop_assert_eq!(scan.truncated, (scan.valid_len as usize) < bytes.len());
+        let framed: usize = scan
+            .records
+            .iter()
+            .map(|r| RECORD_HEADER_BYTES + r.body.len())
+            .sum();
+        prop_assert_eq!(framed as u64, scan.valid_len);
+        let again = scan_records(&bytes[..scan.valid_len as usize]);
+        prop_assert!(!again.truncated);
+        prop_assert_eq!(again.records, scan.records);
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic_the_decoders(bytes in arb_bytes(512), pos in any::<usize>()) {
+            check_scan(&bytes)?;
+            let _ = read_record_at(&bytes, pos);
+            let _ = read_record_at(&bytes, pos % (bytes.len() + 1));
+            if let Some((format, slots, tag)) = decode_superblock(&bytes) {
+                prop_assert_eq!(encode_superblock(format, slots, tag), bytes.clone());
+            }
+            let mut r = ByteReader::new(&bytes);
+            let _ = (r.count(pos % 64 + 1), r.range(), r.bytes(pos), r.u8(), r.u32(), r.u64());
+        }
+
+        #[test]
+        fn truncated_and_mutated_logs_scan_to_a_whole_record_prefix(
+            bodies in proptest::collection::vec(arb_bytes(40), 1..6),
+            flip in (any::<usize>(), 1u16..256),
+        ) {
+            let log = log_of(&bodies);
+            // How many records end at or before byte `at`.
+            let whole_before = |at: usize| (0..=bodies.len())
+                .take_while(|&n| log_of(&bodies[..n]).len() <= at)
+                .count() - 1;
+            for cut in 0..=log.len() {
+                check_scan(&log[..cut])?;
+                // A cut loses exactly the records it reaches into.
+                let found: Vec<Vec<u8>> =
+                    scan_records(&log[..cut]).records.into_iter().map(|r| r.body).collect();
+                prop_assert_eq!(&found[..], &bodies[..whole_before(cut)]);
+            }
+            let at = flip.0 % log.len();
+            let mut mutated = log.clone();
+            mutated[at] ^= flip.1 as u8;
+            check_scan(&mutated)?;
+            // Damage never reaches back past the record it hit.
+            let found: Vec<Vec<u8>> =
+                scan_records(&mutated).records.into_iter().map(|r| r.body).collect();
+            let intact = whole_before(at);
+            prop_assert!(found.len() >= intact);
+            prop_assert_eq!(&found[..intact], &bodies[..intact]);
+        }
+
+        #[test]
+        fn record_log_opens_any_file_as_its_whole_record_prefix(
+            bodies in proptest::collection::vec(arb_bytes(40), 0..4),
+            garbage in arb_bytes(64),
+        ) {
+            let tmp = TempDir::new("atomio-recordlog-prop");
+            let path = tmp.path().join("x.log");
+            let valid = log_of(&bodies);
+            std::fs::write(&path, [valid.clone(), garbage].concat()).unwrap();
+            let mut log = RecordLog::open(&path, FsyncPolicy::Deferred, whole_records).unwrap();
+            // Garbage can, rarely, begin with whole records of its own.
+            prop_assert!(log.len() >= valid.len() as u64);
+            let kept = std::fs::read(&path).unwrap();
+            prop_assert_eq!(kept.len() as u64, log.len());
+            prop_assert!(!scan_records(&kept).truncated);
+            log.append(&encode_record(9, b"next")).unwrap();
+            drop(log);
+            let scan = scan_records(&std::fs::read(&path).unwrap());
+            prop_assert!(!scan.truncated);
+            prop_assert_eq!(scan.records.last().map(|r| r.kind), Some(9));
+        }
     }
 }

@@ -31,6 +31,7 @@ pub mod oracle;
 pub use lease::{LeaseGrant, LeaseManager};
 pub use log::{LogReplay, LogStats, PublishLog, PublishRecord};
 pub use manager::{
-    GcFloor, PublicationStats, SnapshotRecord, Ticket, TicketMode, VersionExport, VersionManager,
+    version_manager_for, GcFloor, PublicationStats, SnapshotRecord, Ticket, TicketMode,
+    VersionExport, VersionManager,
 };
 pub use oracle::VersionOracle;

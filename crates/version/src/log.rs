@@ -13,16 +13,18 @@
 //! Each record carries everything a fresh manager needs to resume:
 //! version, tree root, blob size, tree capacity, and the write's extent
 //! list (rebuilding the [`VersionHistory`](atomio_meta::VersionHistory)
-//! that later writers link their shadow trees against).
+//! that later writers link their shadow trees against). The file itself
+//! — create, recovery, append, fsync, flush — is a [`RecordLog`].
 
 use crate::lease::LeaseGrant;
 use atomio_meta::disk::{decode_opt_key, push_opt_key};
 use atomio_meta::NodeKey;
-use atomio_types::record::{append_record, load_or_init_superblock, scan_records, ByteReader};
+pub use atomio_types::record::LogStats;
+use atomio_types::record::{
+    encode_record, load_or_init_superblock, scan_records, ByteReader, RecordLog,
+};
 use atomio_types::{Error, ExtentList, FsyncPolicy, Result, RetentionPolicy, VersionId};
 use parking_lot::Mutex;
-use std::fs::OpenOptions;
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 
 /// Log record: one published snapshot.
@@ -78,10 +80,10 @@ fn decode_publish(body: &[u8]) -> Option<PublishRecord> {
     let root = decode_opt_key(&mut r)?;
     let size = r.u64()?;
     let capacity = r.u64()?;
-    let count = r.u32()?;
-    let mut pairs = Vec::with_capacity(count as usize);
+    let count = r.count(16)?;
+    let mut ranges = Vec::with_capacity(count);
     for _ in 0..count {
-        pairs.push((r.u64()?, r.u64()?));
+        ranges.push(r.range()?);
     }
     if !r.done() {
         return None;
@@ -91,7 +93,7 @@ fn decode_publish(body: &[u8]) -> Option<PublishRecord> {
         root,
         size,
         capacity,
-        extents: ExtentList::from_pairs(pairs),
+        extents: ExtentList::from_ranges(ranges),
     })
 }
 
@@ -160,33 +162,70 @@ pub struct LogReplay {
     pub max_lease_id: u64,
 }
 
-/// Counters describing a log's fsync behaviour — the E9d ablation reads
-/// these to relate ack latency to the durability window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LogStats {
-    /// Records appended.
-    pub appends: u64,
-    /// `fsync` calls issued.
-    pub syncs: u64,
-    /// Largest number of appended-but-unsynced records ever outstanding
-    /// — the worst-case count of acknowledged publishes a crash at the
-    /// wrong moment would roll back.
-    pub unsynced_peak: u32,
-}
-
-#[derive(Debug)]
-struct LogState {
-    file: std::fs::File,
-    len: u64,
-    unsynced: u32,
-    stats: LogStats,
+/// Replays the log's bytes, returning what they hold and the length of
+/// their whole-record prefix. Fails only on a whole, checksum-valid
+/// record it cannot read or that breaks the dense publish order.
+fn replay_log(bytes: &[u8]) -> Result<(LogReplay, u64)> {
+    let scan = scan_records(bytes);
+    let mut replay = LogReplay::default();
+    let malformed = || Error::Internal("publish log: malformed record".into());
+    let mut live: std::collections::BTreeMap<u64, LeaseGrant> = Default::default();
+    for rec in &scan.records {
+        match rec.kind {
+            REC_PUBLISH => {
+                let rec = decode_publish(&rec.body).ok_or_else(malformed)?;
+                // The dense-ordering invariant applies to publishes
+                // only: reclamation records interleave freely.
+                if rec.version.raw() != replay.publishes.len() as u64 + 1 {
+                    return Err(Error::Internal(format!(
+                        "publish log: record {} out of order (expected v{})",
+                        rec.version,
+                        replay.publishes.len() + 1
+                    )));
+                }
+                // Tree capacity only ever grows; the history the
+                // recovering manager rebuilds asserts as much.
+                if replay
+                    .publishes
+                    .last()
+                    .is_some_and(|prev| prev.capacity > rec.capacity)
+                {
+                    return Err(Error::Internal(format!(
+                        "publish log: capacity shrinks at {}",
+                        rec.version
+                    )));
+                }
+                replay.publishes.push(rec);
+            }
+            REC_RETENTION => {
+                replay.retention = Some(decode_retention(&rec.body).ok_or_else(malformed)?);
+            }
+            REC_LEASE => {
+                let grant = decode_lease(&rec.body).ok_or_else(malformed)?;
+                replay.max_lease_id = replay.max_lease_id.max(grant.lease);
+                live.insert(grant.lease, grant);
+            }
+            REC_LEASE_RELEASE => {
+                let mut r = ByteReader::new(&rec.body);
+                let lease = r.u64().filter(|_| r.done()).ok_or_else(malformed)?;
+                replay.max_lease_id = replay.max_lease_id.max(lease);
+                live.remove(&lease);
+            }
+            other => {
+                return Err(Error::Internal(format!(
+                    "publish log: unknown record kind {other}"
+                )));
+            }
+        }
+    }
+    replay.leases = live.into_values().collect();
+    Ok((replay, scan.valid_len))
 }
 
 /// An append-only log of publish records with policy-driven fsync.
 #[derive(Debug)]
 pub struct PublishLog {
-    state: Mutex<LogState>,
-    policy: FsyncPolicy,
+    log: Mutex<RecordLog>,
 }
 
 impl PublishLog {
@@ -202,74 +241,16 @@ impl PublishLog {
     /// superblock, or a malformed (non-torn) record.
     pub fn open(dir: impl Into<PathBuf>, policy: FsyncPolicy) -> Result<(Self, LogReplay)> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| Error::io(format!("publish log dir {}", dir.display()), e))?;
         load_or_init_superblock(&dir.join("superblock"), 1, VERSION_TAG, "publish log")?;
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(dir.join("publish.log"))
-            .map_err(|e| Error::io("publish log open", e))?;
-        let mut contents = Vec::new();
-        file.read_to_end(&mut contents)
-            .map_err(|e| Error::io("publish log scan", e))?;
-        let scan = scan_records(&contents);
-        if scan.truncated {
-            file.set_len(scan.valid_len)
-                .and_then(|_| file.sync_data())
-                .map_err(|e| Error::io("publish log truncate torn tail", e))?;
-        }
         let mut replay = LogReplay::default();
-        let malformed = || Error::Internal("publish log: malformed record".into());
-        let mut live: std::collections::BTreeMap<u64, LeaseGrant> = Default::default();
-        for rec in &scan.records {
-            match rec.kind {
-                REC_PUBLISH => {
-                    let rec = decode_publish(&rec.body).ok_or_else(malformed)?;
-                    // The dense-ordering invariant applies to publishes
-                    // only: reclamation records interleave freely.
-                    if rec.version.raw() != replay.publishes.len() as u64 + 1 {
-                        return Err(Error::Internal(format!(
-                            "publish log: record {} out of order (expected v{})",
-                            rec.version,
-                            replay.publishes.len() + 1
-                        )));
-                    }
-                    replay.publishes.push(rec);
-                }
-                REC_RETENTION => {
-                    replay.retention = Some(decode_retention(&rec.body).ok_or_else(malformed)?);
-                }
-                REC_LEASE => {
-                    let grant = decode_lease(&rec.body).ok_or_else(malformed)?;
-                    replay.max_lease_id = replay.max_lease_id.max(grant.lease);
-                    live.insert(grant.lease, grant);
-                }
-                REC_LEASE_RELEASE => {
-                    let mut r = ByteReader::new(&rec.body);
-                    let lease = r.u64().filter(|_| r.done()).ok_or_else(malformed)?;
-                    replay.max_lease_id = replay.max_lease_id.max(lease);
-                    live.remove(&lease);
-                }
-                other => {
-                    return Err(Error::Internal(format!(
-                        "publish log: unknown record kind {other}"
-                    )));
-                }
-            }
-        }
-        replay.leases = live.into_values().collect();
+        let log = RecordLog::open(dir.join("publish.log"), policy, |bytes| {
+            let (state, valid_len) = replay_log(bytes)?;
+            replay = state;
+            Ok(valid_len)
+        })?;
         Ok((
             PublishLog {
-                state: Mutex::new(LogState {
-                    file,
-                    len: scan.valid_len,
-                    unsynced: 0,
-                    stats: LogStats::default(),
-                }),
-                policy,
+                log: Mutex::new(log),
             },
             replay,
         ))
@@ -296,53 +277,30 @@ impl PublishLog {
     }
 
     fn append_framed(&self, kind: u8, body: &[u8]) -> Result<()> {
-        let mut framed = Vec::new();
-        append_record(&mut framed, kind, body);
-        let mut st = self.state.lock();
-        let at = st.len;
-        st.file
-            .seek(SeekFrom::Start(at))
-            .and_then(|_| st.file.write_all(&framed))
-            .map_err(|e| Error::io("publish log append", e))?;
-        st.len += framed.len() as u64;
-        st.unsynced += 1;
-        st.stats.appends += 1;
-        st.stats.unsynced_peak = st.stats.unsynced_peak.max(st.unsynced);
-        if self.policy.due(st.unsynced) {
-            st.file
-                .sync_data()
-                .map_err(|e| Error::io("publish log sync", e))?;
-            st.unsynced = 0;
-            st.stats.syncs += 1;
-        }
-        Ok(())
+        let framed = encode_record(kind, body);
+        self.log.lock().append(&framed).map(|_| ())
     }
 
     /// Forces outstanding appends to stable storage (graceful shutdown
     /// under `Group`/`Deferred` policies).
     pub fn flush(&self) -> Result<()> {
-        let mut st = self.state.lock();
-        if st.unsynced > 0 {
-            st.file
-                .sync_data()
-                .map_err(|e| Error::io("publish log flush", e))?;
-            st.unsynced = 0;
-            st.stats.syncs += 1;
-        }
-        Ok(())
+        self.log.lock().flush()
     }
 
     /// Append/sync counters since open.
     pub fn stats(&self) -> LogStats {
-        self.state.lock().stats
+        self.log.lock().stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atomio_types::record::append_record;
     use atomio_types::tempdir::TempDir;
     use atomio_types::{BlobId, ByteRange};
+    use std::fs::OpenOptions;
+    use std::io::Write;
 
     fn rec(v: u64) -> PublishRecord {
         PublishRecord {
@@ -507,5 +465,153 @@ mod tests {
             PublishLog::open(tmp.path(), FsyncPolicy::PerPublish),
             Err(Error::Internal(_))
         ));
+    }
+
+    mod replay_props {
+        use super::*;
+        use crate::{TicketMode, VersionManager};
+        use atomio_meta::{TreeConfig, VersionHistory};
+        use atomio_simgrid::CostModel;
+        use proptest::prelude::*;
+        use std::sync::Arc;
+
+        fn arb_bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
+            proptest::collection::vec(any::<u8>(), 0..max)
+        }
+
+        fn edgy_u64() -> impl Strategy<Value = u64> {
+            (any::<u64>(), 0u64..4).prop_map(|(x, k)| match x % 4 {
+                0 => k,
+                1 => u64::MAX - k,
+                2 => u32::MAX as u64 - k,
+                _ => x,
+            })
+        }
+
+        /// A typed error, or a whole-record prefix that replays to the
+        /// same state again — and that a manager can be recovered from.
+        fn check(bytes: &[u8]) -> std::result::Result<(), TestCaseError> {
+            let Ok((replay, valid)) = replay_log(bytes) else {
+                return Ok(());
+            };
+            prop_assert!(valid as usize <= bytes.len());
+            let (again, valid_again) = replay_log(&bytes[..valid as usize]).unwrap();
+            prop_assert_eq!(valid_again, valid);
+            prop_assert_eq!(&again.publishes, &replay.publishes);
+            prop_assert_eq!(
+                (again.retention, &again.leases),
+                (replay.retention, &replay.leases)
+            );
+
+            let tmp = TempDir::new("atomio-publog-prop");
+            drop(PublishLog::open(tmp.path(), FsyncPolicy::Deferred).unwrap());
+            std::fs::write(tmp.path().join("publish.log"), bytes).unwrap();
+            let vm = VersionManager::durable(
+                tmp.path(),
+                Arc::new(VersionHistory::new()),
+                TreeConfig::new(64),
+                CostModel::zero(),
+                TicketMode::Pipelined,
+                FsyncPolicy::Deferred,
+            )
+            .unwrap();
+            prop_assert_eq!(
+                vm.latest_local().version.raw(),
+                replay.publishes.len() as u64
+            );
+            Ok(())
+        }
+
+        /// A PUBLISH body of version `version` whose key, sizes, extent
+        /// count and extents are whatever `fields` say.
+        fn publish_like(version: u64, fields: &[u64]) -> Vec<u8> {
+            let mut body = version.to_be_bytes().to_vec();
+            body.push(1);
+            for field in &fields[..6] {
+                body.extend_from_slice(&field.to_be_bytes());
+            }
+            body.extend_from_slice(&(fields[6] as u32).to_be_bytes());
+            for field in &fields[7..] {
+                body.extend_from_slice(&field.to_be_bytes());
+            }
+            body
+        }
+
+        proptest! {
+            #[test]
+            fn arbitrary_bytes_replay_without_panicking(bytes in arb_bytes(256)) {
+                check(&bytes)?;
+            }
+
+            #[test]
+            fn checksum_valid_garbage_reaches_the_body_decoders(
+                publishes in proptest::collection::vec(
+                    (any::<bool>(), proptest::collection::vec(edgy_u64(), 7..12)), 1..4),
+                records in proptest::collection::vec((0u8..6, arb_bytes(40)), 0..4),
+                lease in (edgy_u64(), edgy_u64(), edgy_u64()),
+            ) {
+                let mut log = Vec::new();
+                for (i, (well_formed, fields)) in publishes.iter().enumerate() {
+                    // Either a record that decodes, with sizes the live
+                    // path would never log, or one that may not decode.
+                    let body = if *well_formed {
+                        let (size, capacity) = (fields[4], fields[5]);
+                        encode_publish(&PublishRecord { size, capacity, ..rec(i as u64 + 1) })
+                    } else {
+                        publish_like(i as u64 + 1, fields)
+                    };
+                    append_record(&mut log, REC_PUBLISH, &body);
+                    check(&log)?;
+                }
+                let grant = LeaseGrant {
+                    lease: lease.0,
+                    version: VersionId::new(lease.1),
+                    expires_at_ms: lease.2,
+                };
+                append_record(&mut log, REC_LEASE, &encode_lease(&grant));
+                check(&log)?;
+                for (kind, body) in &records {
+                    append_record(&mut log, *kind, body);
+                }
+                check(&log)?;
+            }
+
+            #[test]
+            fn cut_or_mutated_publish_logs_replay_to_a_whole_prefix(
+                ops in proptest::collection::vec(0u8..4, 1..8),
+                flip in (any::<usize>(), 1u16..256),
+            ) {
+                let (mut log, mut version) = (Vec::new(), 0);
+                for (i, op) in ops.into_iter().enumerate() {
+                    let grant = LeaseGrant {
+                        lease: i as u64 % 3,
+                        version: VersionId::new(version),
+                        expires_at_ms: 1_000 * i as u64,
+                    };
+                    match op {
+                        0 => {
+                            version += 1;
+                            append_record(&mut log, REC_PUBLISH, &encode_publish(&rec(version)))
+                        }
+                        1 => append_record(
+                            &mut log,
+                            REC_RETENTION,
+                            &encode_retention(RetentionPolicy::KeepLast(i as u64 + 1)),
+                        ),
+                        2 => append_record(&mut log, REC_LEASE, &encode_lease(&grant)),
+                        _ => append_record(&mut log, REC_LEASE_RELEASE, &grant.lease.to_be_bytes()),
+                    }
+                }
+                let whole = replay_log(&log).map(|(_, valid)| valid);
+                prop_assert_eq!(whole, Ok(log.len() as u64));
+                for cut in 0..log.len() {
+                    let torn = replay_log(&log[..cut]).map(|(_, valid)| valid);
+                    prop_assert!(torn.is_ok_and(|valid| valid as usize <= cut));
+                }
+                let at = flip.0 % log.len();
+                log[at] ^= flip.1 as u8;
+                check(&log)?;
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@ use crate::lease::{LeaseGrant, LeaseManager};
 use atomio_meta::history::WriteSummary;
 use atomio_meta::{NodeKey, TreeConfig, VersionHistory};
 use atomio_simgrid::{CostModel, Participant, Resource};
-use atomio_types::{Error, ExtentList, Result, RetentionPolicy, VersionId};
+use atomio_types::{BackendConfig, BlobId, Error, ExtentList, Result, RetentionPolicy, VersionId};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -744,6 +744,41 @@ pub struct PublicationStats {
     pub published: u64,
     /// Builds completed but waiting for a predecessor.
     pub parked: usize,
+}
+
+/// Builds the version manager of `blob` for `backend`: in memory for
+/// `Memory`, recovered from its publish log under
+/// `<dir>/version/blob-<id>` for `Disk` — the one factory in-process
+/// stores and the version service create managers through.
+/// `default_retention` is the deployment's default policy: it is stamped
+/// on a manager that has none of its own, and never clobbers a per-blob
+/// policy recovered from the publish log.
+///
+/// # Errors
+/// [`Error::Internal`] when a disk backend's publish log cannot be
+/// opened, recovered, or appended to.
+pub fn version_manager_for(
+    backend: &BackendConfig,
+    blob: BlobId,
+    tree: TreeConfig,
+    cost: CostModel,
+    mode: TicketMode,
+    default_retention: RetentionPolicy,
+) -> Result<VersionManager> {
+    let history = Arc::new(VersionHistory::new());
+    let vm = match backend {
+        BackendConfig::Memory => VersionManager::new(history, tree, cost, mode),
+        BackendConfig::Disk { dir, fsync } => {
+            let dir = dir.join("version").join(format!("blob-{}", blob.raw()));
+            VersionManager::durable(dir, history, tree, cost, mode, *fsync)?
+        }
+    };
+    if default_retention != RetentionPolicy::default()
+        && vm.retention() == RetentionPolicy::default()
+    {
+        vm.set_retention_local(default_retention)?;
+    }
+    Ok(vm)
 }
 
 #[cfg(test)]

@@ -12,7 +12,10 @@
 #                                     # workspace, minutes) against this
 #                                     # tree and run its unit tests plus
 #                                     # the suite at 1/40 of the ops with
-#                                     # every correctness gate
+#                                     # every correctness gate, then
+#                                     # regenerate the quick virtual-time
+#                                     # experiments and compare them with
+#                                     # results/ (scripts/check_results.sh)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,6 +67,10 @@ if [[ "${VERIFY_BENCH:-0}" == "1" ]]; then
     # at 1/40 of the ops — a sanity gate, not a measurement.
     echo "== bench: wallbench unit tests + smoke suite on the real three-service stack =="
     bash wallbench/run.sh --smoke
+    # The virtual-time results are bit-reproducible, so a regeneration
+    # that differs from the committed files is a behaviour change.
+    echo "== bench: regenerate the quick virtual-time experiments and compare with results/ =="
+    scripts/check_results.sh
 fi
 
 echo "verify: all gates passed"
