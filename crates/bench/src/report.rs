@@ -253,21 +253,6 @@ impl ExperimentReport {
     }
 }
 
-/// Extracts the wire-transport counters (`rpc.*` namespace — messages,
-/// bytes on the wire in each direction, connect retries) from a metrics
-/// registry, sorted by name. Empty when the run never touched an RPC
-/// transport (the in-process fast path doesn't count messages).
-pub fn rpc_counter_stats(metrics: &atomio_simgrid::Metrics) -> Vec<StatEntry> {
-    let mut out: Vec<StatEntry> = metrics
-        .counter_snapshot()
-        .into_iter()
-        .filter(|(name, _)| name.starts_with("rpc."))
-        .map(|(name, value)| StatEntry { name, value })
-        .collect();
-    out.sort_by(|a, b| a.name.cmp(&b.name));
-    out
-}
-
 /// Extracts the write-ahead-log statistics (`wal.*` namespace) from a
 /// metrics registry as flat entries, sorted by name. Counters pass
 /// through; duration stats flatten to `_mean_us`/`_max_us` microsecond
@@ -446,18 +431,6 @@ mod tests {
                 .map(|s| s.value),
             Some(12)
         );
-    }
-
-    #[test]
-    fn rpc_counter_stats_filters_and_sorts() {
-        let metrics = atomio_simgrid::Metrics::new();
-        metrics.counter("rpc.messages").add(3);
-        metrics.counter("rpc.bytes_tx").add(100);
-        metrics.counter("core.unrelated").add(9);
-        let stats = rpc_counter_stats(&metrics);
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].name, "rpc.bytes_tx");
-        assert_eq!(stats[1].name, "rpc.messages");
     }
 
     #[test]

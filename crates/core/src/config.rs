@@ -13,12 +13,11 @@ pub enum TransportMode {
     #[default]
     Loopback,
     /// Real sockets: services are hosted by the `atomio-provider-server`
-    /// and `atomio-meta-server` binaries and reached through the
-    /// `atomio-rpc` socket transports (multiplexed `RpcMode::Mux` by
-    /// default; per-call as the ablation arm). [`crate::Store::new`]
-    /// cannot assemble this mode by itself (it has no addresses to
-    /// dial); `dial` the remote handles with `atomio-rpc` and pass them
-    /// to [`crate::Store::with_substrates`].
+    /// and `atomio-meta-server` binaries and reached through
+    /// `atomio-rpc`'s socket transport (the multiplexed `MuxTransport`).
+    /// [`crate::Store::new`] cannot assemble this mode by itself (it has
+    /// no addresses to dial); `dial` the remote handles with
+    /// `atomio-rpc` and pass them to [`crate::Store::with_substrates`].
     Tcp,
 }
 

@@ -1,7 +1,7 @@
 //! Segment-tree node representation.
 
 use atomio_types::{BlobId, ByteRange, ChunkId, ProviderId, VersionId};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Deterministic address of a tree node: the version that created it and
@@ -67,7 +67,7 @@ impl LeafEntry {
 }
 
 /// Node payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum NodeBody {
     /// Interior node: links to the subtrees covering each half of the
     /// range. `None` means the half has never been written (reads as
@@ -87,41 +87,6 @@ pub enum NodeBody {
         /// Leaf of the latest earlier toucher of this leaf range, if any.
         backlink: Option<NodeKey>,
     },
-}
-
-// The vendored serde derive handles only named-field structs, so the
-// body enum gets a hand-written tagged-object encoding.
-impl Serialize for NodeBody {
-    fn to_value(&self) -> Value {
-        match self {
-            NodeBody::Inner { left, right } => Value::Object(vec![
-                ("t".to_string(), Value::Str("Inner".to_string())),
-                ("left".to_string(), left.to_value()),
-                ("right".to_string(), right.to_value()),
-            ]),
-            NodeBody::Leaf { entries, backlink } => Value::Object(vec![
-                ("t".to_string(), Value::Str("Leaf".to_string())),
-                ("entries".to_string(), entries.to_value()),
-                ("backlink".to_string(), backlink.to_value()),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for NodeBody {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v.get("t") {
-            Some(Value::Str(s)) if s == "Inner" => Ok(NodeBody::Inner {
-                left: Option::<NodeKey>::from_value(v.get_or_null("left"))?,
-                right: Option::<NodeKey>::from_value(v.get_or_null("right"))?,
-            }),
-            Some(Value::Str(s)) if s == "Leaf" => Ok(NodeBody::Leaf {
-                entries: Vec::<LeafEntry>::from_value(v.get_or_null("entries"))?,
-                backlink: Option::<NodeKey>::from_value(v.get_or_null("backlink"))?,
-            }),
-            _ => Err(DeError::expected("tagged node body", v)),
-        }
-    }
 }
 
 /// An immutable segment-tree node.

@@ -6,20 +6,20 @@
 //! [`NodeStore`](atomio_meta::NodeStore) for tree metadata. This crate
 //! supplies the other side of those seams:
 //!
-//! * [`proto`] — the request/response vocabulary, one tagged enum each,
-//!   plus the negotiated [`proto::PROTOCOL_VERSION`].
+//! * [`proto`] — the request/response vocabulary, one tagged enum each
+//!   whose derived serde impls *are* the message encoding, plus the
+//!   negotiated [`proto::PROTOCOL_VERSION`].
 //! * [`wire`] — versioned, request-id-tagged, length-prefixed framing
 //!   and a compact binary encoding of the serde value model; chunk
-//!   payloads travel out of band.
+//!   payloads travel out of band. The decoder bounds what bytes from a
+//!   peer can cost: lengths, nesting depth and pre-allocation.
 //! * [`transport`] — how frames move: [`Loopback`] runs the full codec
 //!   in process (the default deployment; zero behavioral drift from the
-//!   pre-RPC stack); [`TcpTransport`] speaks real `std::net` sockets
-//!   with strict per-call framing (the [`RpcMode::PerCall`] ablation
-//!   arm); [`MuxTransport`] multiplexes concurrent callers over a pool
-//!   of persistent connections, demultiplexing responses by request id
-//!   (the socket default, [`RpcMode::Mux`]). All three share the
-//!   serde-able [`RpcConfig`] tuning knobs and report identical byte
-//!   counters for identical workloads.
+//!   pre-RPC stack); [`MuxTransport`], the socket transport, multiplexes
+//!   concurrent callers over a pool of persistent `std::net`
+//!   connections, demultiplexing responses by request id. Both report
+//!   identical byte counters for identical workloads; the serde-able
+//!   [`RpcConfig`] holds the socket side's tuning knobs.
 //! * [`services`] — what a hosted role does with one request: the
 //!   [`Service`] trait and [`ProviderService`], [`MetaService`],
 //!   [`VersionService`].
@@ -64,9 +64,12 @@ pub use proto::{BlobExport, Request, Response, PROTOCOL_VERSION};
 pub use routed::{handoff_slots, handoff_slots_with_budget, SlotRoutedTransport};
 pub use server::RpcServer;
 pub use services::{MetaService, ProviderService, Service, VersionService};
-pub use transport::{
-    counters, dial, Loopback, MuxTransport, RpcConfig, RpcMode, TcpTransport, Transport,
-};
+pub use transport::{counters, dial, Loopback, MuxTransport, RpcConfig, RpcMode, Transport};
+
+#[cfg(test)]
+mod fuzz;
+#[cfg(test)]
+mod samples;
 
 #[cfg(test)]
 mod tests {
@@ -313,46 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn tcp_transport_round_trips_and_counts() {
-        let mut server =
-            RpcServer::start("127.0.0.1:0", Arc::new(ProviderService::new(1))).unwrap();
-        let metrics = atomio_simgrid::Metrics::new();
-        let transport: Arc<dyn Transport> =
-            Arc::new(TcpTransport::new(server.local_addr()).with_metrics(metrics.clone()));
-        let provider = RemoteProvider::new(ProviderId::new(0), Arc::clone(&transport));
-
-        let chunk = ChunkId::new(1);
-        provider
-            .put_chunk_at(0, chunk, Bytes::from_static(b"over the wire"))
-            .unwrap();
-        let (data, _) = provider
-            .get_chunk_range_at(0, chunk, ByteRange::new(5, 3))
-            .unwrap();
-        assert_eq!(data.as_ref(), b"the");
-
-        let counters: std::collections::HashMap<_, _> =
-            metrics.counter_snapshot().into_iter().collect();
-        assert_eq!(counters["rpc.messages"], 2);
-        assert!(counters["rpc.bytes_tx"] > 0);
-        assert!(counters["rpc.bytes_rx"] > 0);
-
-        server.stop();
-        // A severed server surfaces a typed transport error, not a hang.
-        let err = provider
-            .put_chunk_at(0, ChunkId::new(2), Bytes::from_static(b"x"))
-            .unwrap_err();
-        match err {
-            Error::Transport { kind, .. } => assert!(matches!(
-                kind,
-                TransportErrorKind::ConnectionReset
-                    | TransportErrorKind::ConnectionRefused
-                    | TransportErrorKind::Timeout
-            )),
-            other => panic!("expected transport error, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn connect_refused_is_typed_and_counts_retries() {
         // Bind-then-drop guarantees a dead port.
         let dead = {
@@ -365,7 +328,7 @@ mod tests {
             backoff: std::time::Duration::from_millis(1),
             ..RpcConfig::default()
         };
-        let transport = TcpTransport::with_config(dead, cfg).with_metrics(metrics.clone());
+        let transport = MuxTransport::with_config(dead, cfg).with_metrics(metrics.clone());
         let err = transport.call(&Request::Ping, &[]).unwrap_err();
         assert!(matches!(
             err,
@@ -408,6 +371,19 @@ mod tests {
         assert!(counters["rpc.inflight_peak"] >= 1);
 
         server.stop();
+        // A severed server surfaces a typed transport error, not a hang.
+        let err = provider
+            .put_chunk_at(0, ChunkId::new(2), Bytes::from_static(b"x"))
+            .unwrap_err();
+        match err {
+            Error::Transport { kind, .. } => assert!(matches!(
+                kind,
+                TransportErrorKind::ConnectionReset
+                    | TransportErrorKind::ConnectionRefused
+                    | TransportErrorKind::Timeout
+            )),
+            other => panic!("expected transport error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -673,20 +649,16 @@ mod tests {
                 .unwrap();
 
         // The proxies funnel the Busy response into the typed
-        // admission error — for per-call and mux clients alike.
-        for transport in [
-            Arc::new(TcpTransport::new(server.local_addr())) as Arc<dyn Transport>,
-            Arc::new(MuxTransport::new(server.local_addr())) as Arc<dyn Transport>,
-        ] {
-            let provider = RemoteProvider::new(ProviderId::new(0), transport);
-            let err = provider
-                .put_chunk_at(0, ChunkId::new(1), Bytes::from_static(b"x"))
-                .unwrap_err();
-            assert!(
-                matches!(err, Error::AdmissionRejected { max_conns: 0, .. }),
-                "client got {err:?}"
-            );
-        }
+        // admission error.
+        let transport = Arc::new(MuxTransport::new(server.local_addr()));
+        let provider = RemoteProvider::new(ProviderId::new(0), transport);
+        let err = provider
+            .put_chunk_at(0, ChunkId::new(1), Bytes::from_static(b"x"))
+            .unwrap_err();
+        assert!(
+            matches!(err, Error::AdmissionRejected { max_conns: 0, .. }),
+            "client got {err:?}"
+        );
         server.stop();
     }
 
@@ -713,7 +685,7 @@ mod tests {
 
         // …pushes the newcomer over the cap: typed Busy for it,
         // uninterrupted service for the admitted one.
-        let newcomer = TcpTransport::new(server.local_addr());
+        let newcomer = MuxTransport::new(server.local_addr());
         let (r, _) = newcomer.call(&Request::Ping, &[]).unwrap();
         assert!(
             matches!(r, Response::Busy { max_conns: 1, .. }),
@@ -837,10 +809,10 @@ mod tests {
         let mut server =
             RpcServer::start("127.0.0.1:0", Arc::new(ProviderService::new(1))).unwrap();
         let baseline = open_fds();
-        // 200 connect/dispatch/disconnect churn cycles: the per-call
-        // transport dials a fresh connection for every request.
+        // 200 connect/dispatch/disconnect churn cycles: each transport
+        // dials one pool connection and closes it when dropped.
         for _ in 0..200 {
-            let t = TcpTransport::new(server.local_addr());
+            let t = MuxTransport::new(server.local_addr());
             let (r, _) = t.call(&Request::Ping, &[]).unwrap();
             assert!(matches!(r, Response::Pong));
         }
@@ -884,6 +856,13 @@ mod tests {
         let mut over_limit = good[..prefix].to_vec();
         over_limit[13..17].copy_from_slice(&(wire::MAX_PAYLOAD_BYTES + 1).to_be_bytes());
         let truncated = good[..good.len() - 1].to_vec();
+        // And a whole frame every length check passes, whose 100 001-byte
+        // header nests 20 000 arrays: decoded by unbounded recursion it
+        // overflows the reactor thread's stack and aborts the process.
+        let header = samples::nested_arrays(20_000);
+        let mut nested = good[..prefix].to_vec();
+        nested[9..13].copy_from_slice(&(header.len() as u32).to_be_bytes());
+        nested.extend_from_slice(&header);
 
         // Enough rounds that a leaked socket per bad frame would show
         // through the fd slack below.
@@ -892,6 +871,7 @@ mod tests {
                 ("bad version byte", &bad_version, false),
                 ("over-limit declared length", &over_limit, false),
                 ("truncated frame then EOF", &truncated, true),
+                ("header nested 20 000 deep", &nested, false),
             ] {
                 let mut conn = std::net::TcpStream::connect(server.local_addr()).unwrap();
                 conn.write_all(bytes).unwrap();
@@ -920,7 +900,7 @@ mod tests {
         let after = open_fds();
         assert!(
             after <= baseline + 20,
-            "fd usage grew from {baseline} to {after} over 60 malformed connections"
+            "fd usage grew from {baseline} to {after} over 80 malformed connections"
         );
         server.stop();
     }
@@ -947,8 +927,8 @@ mod tests {
             },
         );
         admitted.call(&Request::Ping, &[]).unwrap();
-        // …so the per-call newcomer is admission-rejected.
-        let newcomer = TcpTransport::new(server.local_addr());
+        // …so the newcomer is admission-rejected.
+        let newcomer = MuxTransport::new(server.local_addr());
         let _ = newcomer.call(&Request::Ping, &[]);
         drop(admitted);
         // Reaping (and its gauge update) is asynchronous: poll.

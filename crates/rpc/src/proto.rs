@@ -1,18 +1,20 @@
 //! The wire protocol: request and response headers.
 //!
 //! Every message is encoded as a tagged object — `{"t": "VariantName",
-//! ...fields}` — in the frame header; chunk payloads ride the frame's
-//! out-of-band payload section (see [`crate::wire`]). The vendored serde
-//! derive cannot express enums, so both enums carry hand-written
-//! [`Serialize`]/[`Deserialize`] impls; unknown tags decode to an error
-//! instead of panicking, so protocol skew fails a single call, not the
-//! process.
+//! ...fields}`, the fields in declaration order — in the frame header;
+//! chunk payloads ride the frame's out-of-band payload section (see
+//! [`crate::wire`]). The encoding *is* the enum declaration: both enums
+//! derive [`Serialize`]/[`Deserialize`], so a variant's name, its field
+//! names and their order below are the wire format (reordering fields
+//! moves bytes; the golden table in this module's tests says so). Unknown
+//! tags decode to an error instead of panicking, so protocol skew fails
+//! a single call, not the process.
 
 use atomio_core::SlotMap;
 use atomio_meta::{Node, NodeKey, WriteSummary};
 use atomio_types::{ByteRange, ChunkId, Error, ProviderId, Result, RetentionPolicy, VersionId};
 use atomio_version::{GcFloor, LeaseGrant, SnapshotRecord, Ticket, VersionExport};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Version tag carried by every frame (see [`crate::wire`]).
 ///
@@ -39,7 +41,7 @@ pub const PROTOCOL_VERSION: u8 = 3;
 /// client's virtual-time booking instant through to the server's
 /// reservation API (servers run a zero-cost model, so it echoes back
 /// unchanged and real sockets supply the real latency).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
     /// Liveness probe.
     Ping,
@@ -340,7 +342,7 @@ impl Request {
 
 /// One RPC response. `Fail` carries a full [`Error`] so the remote and
 /// in-process call sites surface identical error values.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Response {
     /// Liveness ack.
     Pong,
@@ -450,600 +452,172 @@ pub enum Response {
     },
 }
 
-fn tagged(tag: &str, mut fields: Vec<(String, Value)>) -> Value {
-    let mut all = vec![("t".to_string(), Value::Str(tag.to_string()))];
-    all.append(&mut fields);
-    Value::Object(all)
-}
-
-fn field<T: Serialize>(name: &str, v: &T) -> (String, Value) {
-    (name.to_string(), v.to_value())
-}
-
-fn get<T: Deserialize>(v: &Value, name: &str) -> std::result::Result<T, DeError> {
-    T::from_value(v.get_or_null(name))
-}
-
-fn result_to_value<T: Serialize>(r: &Result<T>) -> Value {
-    match r {
-        Ok(v) => tagged("Ok", vec![field("v", v)]),
-        Err(e) => tagged("Err", vec![field("e", e)]),
-    }
-}
-
-fn result_from_value<T: Deserialize>(v: &Value) -> std::result::Result<Result<T>, DeError> {
-    match get::<String>(v, "t")?.as_str() {
-        "Ok" => Ok(Ok(get(v, "v")?)),
-        "Err" => Ok(Err(get(v, "e")?)),
-        other => Err(DeError::new(format!("unknown result tag {other:?}"))),
-    }
-}
-
-fn results_to_value<T: Serialize>(rs: &[Result<T>]) -> Value {
-    Value::Array(rs.iter().map(result_to_value).collect())
-}
-
-fn results_from_value<T: Deserialize>(v: &Value) -> std::result::Result<Vec<Result<T>>, DeError> {
-    match v {
-        Value::Array(items) => items.iter().map(result_from_value).collect(),
-        other => Err(DeError::expected("array of results", other)),
-    }
-}
-
-impl Serialize for Request {
-    fn to_value(&self) -> Value {
-        use Request::*;
-        match self {
-            Ping => tagged("Ping", vec![]),
-            PutChunk {
-                provider,
-                arrival,
-                chunk,
-            } => tagged(
-                "PutChunk",
-                vec![
-                    field("provider", provider),
-                    field("arrival", arrival),
-                    field("chunk", chunk),
-                ],
-            ),
-            PutChunkBatch { provider, items } => tagged(
-                "PutChunkBatch",
-                vec![field("provider", provider), field("items", items)],
-            ),
-            GetChunk {
-                provider,
-                arrival,
-                chunk,
-            } => tagged(
-                "GetChunk",
-                vec![
-                    field("provider", provider),
-                    field("arrival", arrival),
-                    field("chunk", chunk),
-                ],
-            ),
-            GetChunkRange {
-                provider,
-                arrival,
-                chunk,
-                range,
-            } => tagged(
-                "GetChunkRange",
-                vec![
-                    field("provider", provider),
-                    field("arrival", arrival),
-                    field("chunk", chunk),
-                    field("range", range),
-                ],
-            ),
-            GetChunkRangeBatch { provider, items } => tagged(
-                "GetChunkRangeBatch",
-                vec![field("provider", provider), field("items", items)],
-            ),
-            ProviderHasChunk { provider, chunk } => tagged(
-                "ProviderHasChunk",
-                vec![field("provider", provider), field("chunk", chunk)],
-            ),
-            ProviderChunkCount { provider } => {
-                tagged("ProviderChunkCount", vec![field("provider", provider)])
-            }
-            ProviderBytesStored { provider } => {
-                tagged("ProviderBytesStored", vec![field("provider", provider)])
-            }
-            ProviderEvictChunk { provider, chunk } => tagged(
-                "ProviderEvictChunk",
-                vec![field("provider", provider), field("chunk", chunk)],
-            ),
-            ProviderEvictBatch { provider, chunks } => tagged(
-                "ProviderEvictBatch",
-                vec![field("provider", provider), field("chunks", chunks)],
-            ),
-            ProviderChecksumOf { provider, chunk } => tagged(
-                "ProviderChecksumOf",
-                vec![field("provider", provider), field("chunk", chunk)],
-            ),
-            ProviderCorruptChunk {
-                provider,
-                chunk,
-                byte,
-            } => tagged(
-                "ProviderCorruptChunk",
-                vec![
-                    field("provider", provider),
-                    field("chunk", chunk),
-                    field("byte", byte),
-                ],
-            ),
-            MetaPutBatch { nodes } => tagged("MetaPutBatch", vec![field("nodes", nodes)]),
-            MetaGetBatch { keys } => tagged("MetaGetBatch", vec![field("keys", keys)]),
-            MetaContains { key } => tagged("MetaContains", vec![field("key", key)]),
-            MetaNodeCount => tagged("MetaNodeCount", vec![]),
-            MetaEvict { key } => tagged("MetaEvict", vec![field("key", key)]),
-            MetaEvictBatch { keys } => tagged("MetaEvictBatch", vec![field("keys", keys)]),
-            MetaListKeys => tagged("MetaListKeys", vec![]),
-            VmTicket {
-                blob,
-                extents,
-                known,
-            } => tagged(
-                "VmTicket",
-                vec![
-                    field("blob", blob),
-                    field("extents", extents),
-                    field("known", known),
-                ],
-            ),
-            VmTicketAppend { blob, len, known } => tagged(
-                "VmTicketAppend",
-                vec![
-                    field("blob", blob),
-                    field("len", len),
-                    field("known", known),
-                ],
-            ),
-            VmPublish { blob, ticket, root } => tagged(
-                "VmPublish",
-                vec![
-                    field("blob", blob),
-                    field("ticket", ticket),
-                    field("root", root),
-                ],
-            ),
-            VmIsPublished { blob, version } => tagged(
-                "VmIsPublished",
-                vec![field("blob", blob), field("version", version)],
-            ),
-            VmLatest { blob } => tagged("VmLatest", vec![field("blob", blob)]),
-            VmSnapshot { blob, version } => tagged(
-                "VmSnapshot",
-                vec![field("blob", blob), field("version", version)],
-            ),
-            VmSetRetention { blob, policy } => tagged(
-                "VmSetRetention",
-                vec![field("blob", blob), field("policy", policy)],
-            ),
-            VmLeaseAcquire {
-                blob,
-                version,
-                ttl_ms,
-            } => tagged(
-                "VmLeaseAcquire",
-                vec![
-                    field("blob", blob),
-                    field("version", version),
-                    field("ttl_ms", ttl_ms),
-                ],
-            ),
-            VmLeaseRenew {
-                blob,
-                lease,
-                ttl_ms,
-            } => tagged(
-                "VmLeaseRenew",
-                vec![
-                    field("blob", blob),
-                    field("lease", lease),
-                    field("ttl_ms", ttl_ms),
-                ],
-            ),
-            VmLeaseRelease { blob, lease } => tagged(
-                "VmLeaseRelease",
-                vec![field("blob", blob), field("lease", lease)],
-            ),
-            VmGcFloor { blob } => tagged("VmGcFloor", vec![field("blob", blob)]),
-            SlotMapGet => tagged("SlotMapGet", vec![]),
-            SlotMapInstall { map } => tagged("SlotMapInstall", vec![field("map", map)]),
-            VmFreezeSlots { slots, epoch } => tagged(
-                "VmFreezeSlots",
-                vec![field("slots", slots), field("epoch", epoch)],
-            ),
-            VmSealSlots { slots, epoch } => tagged(
-                "VmSealSlots",
-                vec![field("slots", slots), field("epoch", epoch)],
-            ),
-            VmExportSlots { slots } => tagged("VmExportSlots", vec![field("slots", slots)]),
-            VmImportBlobs { blobs } => tagged("VmImportBlobs", vec![field("blobs", blobs)]),
-        }
-    }
-}
-
-impl Deserialize for Request {
-    fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
-        use Request::*;
-        Ok(match get::<String>(v, "t")?.as_str() {
-            "Ping" => Ping,
-            "PutChunk" => PutChunk {
-                provider: get(v, "provider")?,
-                arrival: get(v, "arrival")?,
-                chunk: get(v, "chunk")?,
-            },
-            "PutChunkBatch" => PutChunkBatch {
-                provider: get(v, "provider")?,
-                items: get(v, "items")?,
-            },
-            "GetChunk" => GetChunk {
-                provider: get(v, "provider")?,
-                arrival: get(v, "arrival")?,
-                chunk: get(v, "chunk")?,
-            },
-            "GetChunkRange" => GetChunkRange {
-                provider: get(v, "provider")?,
-                arrival: get(v, "arrival")?,
-                chunk: get(v, "chunk")?,
-                range: get(v, "range")?,
-            },
-            "GetChunkRangeBatch" => GetChunkRangeBatch {
-                provider: get(v, "provider")?,
-                items: get(v, "items")?,
-            },
-            "ProviderHasChunk" => ProviderHasChunk {
-                provider: get(v, "provider")?,
-                chunk: get(v, "chunk")?,
-            },
-            "ProviderChunkCount" => ProviderChunkCount {
-                provider: get(v, "provider")?,
-            },
-            "ProviderBytesStored" => ProviderBytesStored {
-                provider: get(v, "provider")?,
-            },
-            "ProviderEvictChunk" => ProviderEvictChunk {
-                provider: get(v, "provider")?,
-                chunk: get(v, "chunk")?,
-            },
-            "ProviderEvictBatch" => ProviderEvictBatch {
-                provider: get(v, "provider")?,
-                chunks: get(v, "chunks")?,
-            },
-            "ProviderChecksumOf" => ProviderChecksumOf {
-                provider: get(v, "provider")?,
-                chunk: get(v, "chunk")?,
-            },
-            "ProviderCorruptChunk" => ProviderCorruptChunk {
-                provider: get(v, "provider")?,
-                chunk: get(v, "chunk")?,
-                byte: get(v, "byte")?,
-            },
-            "MetaPutBatch" => MetaPutBatch {
-                nodes: get(v, "nodes")?,
-            },
-            "MetaGetBatch" => MetaGetBatch {
-                keys: get(v, "keys")?,
-            },
-            "MetaContains" => MetaContains {
-                key: get(v, "key")?,
-            },
-            "MetaNodeCount" => MetaNodeCount,
-            "MetaEvict" => MetaEvict {
-                key: get(v, "key")?,
-            },
-            "MetaEvictBatch" => MetaEvictBatch {
-                keys: get(v, "keys")?,
-            },
-            "MetaListKeys" => MetaListKeys,
-            "VmTicket" => VmTicket {
-                blob: get(v, "blob")?,
-                extents: get(v, "extents")?,
-                known: get(v, "known")?,
-            },
-            "VmTicketAppend" => VmTicketAppend {
-                blob: get(v, "blob")?,
-                len: get(v, "len")?,
-                known: get(v, "known")?,
-            },
-            "VmPublish" => VmPublish {
-                blob: get(v, "blob")?,
-                ticket: get(v, "ticket")?,
-                root: get(v, "root")?,
-            },
-            "VmIsPublished" => VmIsPublished {
-                blob: get(v, "blob")?,
-                version: get(v, "version")?,
-            },
-            "VmLatest" => VmLatest {
-                blob: get(v, "blob")?,
-            },
-            "VmSnapshot" => VmSnapshot {
-                blob: get(v, "blob")?,
-                version: get(v, "version")?,
-            },
-            "VmSetRetention" => VmSetRetention {
-                blob: get(v, "blob")?,
-                policy: get(v, "policy")?,
-            },
-            "VmLeaseAcquire" => VmLeaseAcquire {
-                blob: get(v, "blob")?,
-                version: get(v, "version")?,
-                ttl_ms: get(v, "ttl_ms")?,
-            },
-            "VmLeaseRenew" => VmLeaseRenew {
-                blob: get(v, "blob")?,
-                lease: get(v, "lease")?,
-                ttl_ms: get(v, "ttl_ms")?,
-            },
-            "VmLeaseRelease" => VmLeaseRelease {
-                blob: get(v, "blob")?,
-                lease: get(v, "lease")?,
-            },
-            "VmGcFloor" => VmGcFloor {
-                blob: get(v, "blob")?,
-            },
-            "SlotMapGet" => SlotMapGet,
-            "SlotMapInstall" => SlotMapInstall {
-                map: get(v, "map")?,
-            },
-            "VmFreezeSlots" => VmFreezeSlots {
-                slots: get(v, "slots")?,
-                epoch: get(v, "epoch")?,
-            },
-            "VmSealSlots" => VmSealSlots {
-                slots: get(v, "slots")?,
-                epoch: get(v, "epoch")?,
-            },
-            "VmExportSlots" => VmExportSlots {
-                slots: get(v, "slots")?,
-            },
-            "VmImportBlobs" => VmImportBlobs {
-                blobs: get(v, "blobs")?,
-            },
-            other => return Err(DeError::new(format!("unknown request tag {other:?}"))),
-        })
-    }
-}
-
-impl Serialize for Response {
-    fn to_value(&self) -> Value {
-        use Response::*;
-        match self {
-            Pong => tagged("Pong", vec![]),
-            Unit => tagged("Unit", vec![]),
-            Done { done } => tagged("Done", vec![field("done", done)]),
-            PutBatch { results } => tagged(
-                "PutBatch",
-                vec![("results".to_string(), results_to_value(results))],
-            ),
-            ChunkData { sent } => tagged("ChunkData", vec![field("sent", sent)]),
-            ChunkBatch { results } => tagged(
-                "ChunkBatch",
-                vec![("results".to_string(), results_to_value(results))],
-            ),
-            Flag { value } => tagged("Flag", vec![field("value", value)]),
-            Count { value } => tagged("Count", vec![field("value", value)]),
-            Checksum { value } => tagged("Checksum", vec![field("value", value)]),
-            NodePuts { results } => tagged(
-                "NodePuts",
-                vec![("results".to_string(), results_to_value(results))],
-            ),
-            NodeGets { results } => tagged(
-                "NodeGets",
-                vec![("results".to_string(), results_to_value(results))],
-            ),
-            Keys { keys } => tagged("Keys", vec![field("keys", keys)]),
-            TicketGrant {
-                ticket,
-                extents,
-                delta,
-            } => tagged(
-                "TicketGrant",
-                vec![
-                    field("ticket", ticket),
-                    field("extents", extents),
-                    field("delta", delta),
-                ],
-            ),
-            Snapshot { record } => tagged("Snapshot", vec![field("record", record)]),
-            Lease { grant } => tagged("Lease", vec![field("grant", grant)]),
-            GcFloor { info } => tagged("GcFloor", vec![field("info", info)]),
-            SlotMapInfo { map } => tagged("SlotMapInfo", vec![field("map", map)]),
-            SlotExport { blobs } => tagged("SlotExport", vec![field("blobs", blobs)]),
-            Busy { active, max_conns } => tagged(
-                "Busy",
-                vec![field("active", active), field("max_conns", max_conns)],
-            ),
-            Fail { error } => tagged("Fail", vec![field("error", error)]),
-        }
-    }
-}
-
-impl Deserialize for Response {
-    fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
-        use Response::*;
-        Ok(match get::<String>(v, "t")?.as_str() {
-            "Pong" => Pong,
-            "Unit" => Unit,
-            "Done" => Done {
-                done: get(v, "done")?,
-            },
-            "PutBatch" => PutBatch {
-                results: results_from_value(v.get_or_null("results"))?,
-            },
-            "ChunkData" => ChunkData {
-                sent: get(v, "sent")?,
-            },
-            "ChunkBatch" => ChunkBatch {
-                results: results_from_value(v.get_or_null("results"))?,
-            },
-            "Flag" => Flag {
-                value: get(v, "value")?,
-            },
-            "Count" => Count {
-                value: get(v, "value")?,
-            },
-            "Checksum" => Checksum {
-                value: get(v, "value")?,
-            },
-            "NodePuts" => NodePuts {
-                results: results_from_value(v.get_or_null("results"))?,
-            },
-            "NodeGets" => NodeGets {
-                results: results_from_value(v.get_or_null("results"))?,
-            },
-            "Keys" => Keys {
-                keys: get(v, "keys")?,
-            },
-            "TicketGrant" => TicketGrant {
-                ticket: get(v, "ticket")?,
-                extents: get(v, "extents")?,
-                delta: get(v, "delta")?,
-            },
-            "Snapshot" => Snapshot {
-                record: get(v, "record")?,
-            },
-            "Lease" => Lease {
-                grant: get(v, "grant")?,
-            },
-            "GcFloor" => GcFloor {
-                info: get(v, "info")?,
-            },
-            "SlotMapInfo" => SlotMapInfo {
-                map: get(v, "map")?,
-            },
-            "SlotExport" => SlotExport {
-                blobs: get(v, "blobs")?,
-            },
-            "Busy" => Busy {
-                active: get(v, "active")?,
-                max_conns: get(v, "max_conns")?,
-            },
-            "Fail" => Fail {
-                error: get(v, "error")?,
-            },
-            other => return Err(DeError::new(format!("unknown response tag {other:?}"))),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomio_types::ExtentList;
+    use crate::{samples, wire};
+    use atomio_provider::chunk_checksum;
+    use serde::Value;
+    use std::collections::BTreeSet;
 
-    fn roundtrip_req(r: &Request) {
-        assert_eq!(&Request::from_value(&r.to_value()).unwrap(), r);
-    }
-
-    fn roundtrip_resp(r: &Response) {
-        assert_eq!(&Response::from_value(&r.to_value()).unwrap(), r);
+    /// Value-level round trip of every sample; returns how many distinct
+    /// variants the samples covered.
+    fn roundtrip_all<T>(samples: &[T]) -> usize
+    where
+        T: Serialize + Deserialize + PartialEq + std::fmt::Debug,
+    {
+        let mut variants = BTreeSet::new();
+        for sample in samples {
+            let value = sample.to_value();
+            assert_eq!(&T::from_value(&value).unwrap(), sample);
+            variants.insert(value.variant_tag("sample").unwrap().to_owned());
+        }
+        variants.len()
     }
 
     #[test]
     fn requests_roundtrip() {
-        roundtrip_req(&Request::Ping);
-        roundtrip_req(&Request::PutChunk {
-            provider: ProviderId::new(3),
-            arrival: 42,
-            chunk: ChunkId::new(9),
-        });
-        roundtrip_req(&Request::PutChunkBatch {
-            provider: ProviderId::new(0),
-            items: vec![(7, ChunkId::new(1), 16), (9, ChunkId::new(2), 64)],
-        });
-        roundtrip_req(&Request::GetChunkRange {
-            provider: ProviderId::new(1),
-            arrival: 0,
-            chunk: ChunkId::new(5),
-            range: ByteRange::new(8, 24),
-        });
-        roundtrip_req(&Request::GetChunkRangeBatch {
-            provider: ProviderId::new(1),
-            items: vec![(3, ChunkId::new(5), ByteRange::new(0, 8))],
-        });
-        roundtrip_req(&Request::MetaNodeCount);
-        roundtrip_req(&Request::ProviderEvictBatch {
-            provider: ProviderId::new(2),
-            chunks: vec![ChunkId::new(3), ChunkId::new(8)],
-        });
-        roundtrip_req(&Request::MetaEvictBatch {
-            keys: vec![NodeKey {
-                blob: atomio_types::BlobId::new(1),
-                version: VersionId::new(2),
-                range: ByteRange::new(0, 64),
-            }],
-        });
-        roundtrip_req(&Request::VmSetRetention {
-            blob: 1,
-            policy: RetentionPolicy::KeepLast(2),
-        });
-        roundtrip_req(&Request::VmLeaseAcquire {
-            blob: 1,
-            version: VersionId::new(4),
-            ttl_ms: 5_000,
-        });
-        roundtrip_req(&Request::VmLeaseRenew {
-            blob: 1,
-            lease: 9,
-            ttl_ms: 5_000,
-        });
-        roundtrip_req(&Request::VmLeaseRelease { blob: 1, lease: 9 });
-        roundtrip_req(&Request::VmGcFloor { blob: 1 });
-        roundtrip_req(&Request::VmTicket {
-            blob: 4,
-            extents: ExtentList::from_pairs([(0u64, 64u64), (128, 64)]),
-            known: 2,
-        });
-        roundtrip_req(&Request::VmPublish {
-            blob: 4,
-            ticket: Ticket {
-                version: VersionId::new(3),
-                capacity: 256,
-                size: 192,
-            },
-            root: NodeKey {
-                blob: atomio_types::BlobId::new(4),
-                version: VersionId::new(3),
-                range: ByteRange::new(0, 256),
-            },
-        });
-        roundtrip_req(&Request::SlotMapGet);
-        roundtrip_req(&Request::SlotMapInstall {
-            map: SlotMap::uniform(4),
-        });
-        roundtrip_req(&Request::VmFreezeSlots {
-            slots: vec![0, 7, 1023],
-            epoch: 2,
-        });
-        roundtrip_req(&Request::VmSealSlots {
-            slots: vec![0, 7],
-            epoch: 2,
-        });
-        roundtrip_req(&Request::VmExportSlots { slots: vec![5, 6] });
-        roundtrip_req(&Request::VmImportBlobs {
-            blobs: vec![BlobExport {
-                blob: 9,
-                versions: vec![VersionExport {
-                    version: VersionId::new(1),
-                    root: Some(NodeKey {
-                        blob: atomio_types::BlobId::new(9),
-                        version: VersionId::new(1),
-                        range: ByteRange::new(0, 64),
-                    }),
-                    size: 64,
-                    capacity: 64,
-                    extents: ExtentList::from_pairs([(0u64, 64u64)]),
-                }],
-                retention: RetentionPolicy::KeepLast(3),
-            }],
-        });
+        assert_eq!(
+            roundtrip_all(&samples::requests()),
+            37,
+            "a variant has no sample"
+        );
+    }
+
+    #[test]
+    fn responses_roundtrip() {
+        assert_eq!(
+            roundtrip_all(&samples::responses()),
+            20,
+            "a variant has no sample"
+        );
+    }
+
+    /// `(variant, encoded length, chunk_checksum of the encoding)` of
+    /// every sample in [`samples`], requests then responses, as the
+    /// hand-written codec of commit 2c5dc40 (the last tree that had one)
+    /// encoded them. A row that fails means bytes moved on the wire:
+    /// that is a `PROTOCOL_VERSION` bump, not a table refresh.
+    const GOLDEN: &[(&str, usize, u64)] = &[
+        ("Ping", 19, 0x88e7c498f047ab99),
+        ("PutChunk", 82, 0x0c7203b253fb020f),
+        ("PutChunkBatch", 127, 0x9e3ccb62febd51f6),
+        ("GetChunk", 82, 0xc96e5bf5d728c676),
+        ("GetChunkRange", 136, 0x8207d27a4ef19f86),
+        ("GetChunkRangeBatch", 131, 0xefff51a224b0c770),
+        ("ProviderHasChunk", 70, 0x20c2bcd4e62718d5),
+        ("ProviderChunkCount", 54, 0x7e2bd64899ff73bd),
+        ("ProviderBytesStored", 55, 0x87743234d487f7f5),
+        ("ProviderEvictChunk", 72, 0x9d374e02d9d35f4d),
+        ("ProviderChecksumOf", 72, 0x2bbcb7a707c4d8d1),
+        ("ProviderEvictBatch", 87, 0x631d086889ab94df),
+        ("ProviderCorruptChunk", 91, 0x04341ff4d4628eb1),
+        ("MetaPutBatch", 789, 0xad9b212a8b6cf6c5),
+        ("MetaGetBatch", 222, 0xde18d0d970b368dd),
+        ("MetaContains", 125, 0x335b06f9517bb830),
+        ("MetaNodeCount", 28, 0x221e28bb191384be),
+        ("MetaEvict", 122, 0xac39da793c95cf4b),
+        ("MetaEvictBatch", 133, 0x704e848f9151f29d),
+        ("MetaListKeys", 27, 0x6a9011c098fc2acc),
+        ("VmTicket", 169, 0x104d92f7fcab0329),
+        ("VmTicketAppend", 80, 0x5444b3bce81434de),
+        ("VmPublish", 213, 0x962c4d46382619b7),
+        ("VmIsPublished", 65, 0x039a8ce52aa28a10),
+        ("VmLatest", 40, 0x8a3d5a37fc5d5da7),
+        ("VmSnapshot", 62, 0x9f762a2b3a10b859),
+        ("VmSetRetention", 93, 0xdc8737c5d74fa246),
+        ("VmLeaseAcquire", 85, 0xf708b381b2b5cd45),
+        ("VmLeaseRenew", 81, 0xb7c9c0fb85633bf9),
+        ("VmLeaseRelease", 64, 0x5ef90f5591b6dfc7),
+        ("VmGcFloor", 41, 0x69ada603135ab975),
+        ("SlotMapGet", 25, 0x10a6cdd3eb836fda),
+        ("SlotMapInstall", 321, 0xa28cd9ce989f8aeb),
+        ("VmFreezeSlots", 87, 0x19009e6e0cf9dc1b),
+        ("VmSealSlots", 76, 0x2e2308ff449009f4),
+        ("VmExportSlots", 60, 0x0e7cd651c6b3b409),
+        ("VmImportBlobs", 364, 0xeefdb89aa4d56fce),
+        ("Pong", 19, 0x8c2ce09656154662),
+        ("Unit", 19, 0xa1dc40b40f6f2f60),
+        ("Done", 36, 0x86bd19aeda9f1397),
+        ("PutBatch", 143, 0x8ffcb91a37ab5e2d),
+        ("ChunkData", 41, 0x159caf4860b42483),
+        ("ChunkBatch", 176, 0x7e1bc636dae365a7),
+        ("Flag", 30, 0xe1ec9efc27fe066e),
+        ("Count", 38, 0x494ef08b93122ef7),
+        ("Checksum", 33, 0x67a638c7307fa1e8),
+        ("Checksum", 41, 0xbf51139c23bcbe27),
+        ("NodePuts", 134, 0x1600b80f99f2efb1),
+        ("NodeGets", 903, 0x2abc60f846a33006),
+        ("Keys", 123, 0x9e90fd5e37188c4f),
+        ("TicketGrant", 301, 0xff7394c1f63c7db4),
+        ("Snapshot", 195, 0xbf7b8e6f26280e66),
+        ("Lease", 98, 0xb83d0f2a334f6b7a),
+        ("GcFloor", 109, 0xd5fe454b26b1f10d),
+        ("SlotMapInfo", 432, 0x2d52a2b7011028a1),
+        ("SlotExport", 361, 0x6d5513dc290282b5),
+        ("SlotExport", 39, 0xe16f27cad141f3b4),
+        ("Busy", 60, 0x928e58bec75fc582),
+        ("Fail", 88, 0x7d1da4434c68547b),
+        ("Fail", 101, 0x0723149c33e15c8d),
+    ];
+
+    /// Three of those encodings in full, same provenance.
+    const GOLDEN_HEX: &[(&str, &str)] = &[
+        ("Ping", "07010000000100000074050400000050696e67"),
+        (
+            "PutChunk",
+            concat!(
+                "0704000000010000007405080000005075744368756e6b0800000070726f7669",
+                "646572020300000000000000070000006172726976616c022a00000000000000",
+                "050000006368756e6b020900000000000000",
+            ),
+        ),
+        (
+            "PutBatch",
+            concat!(
+                "070200000001000000740508000000507574426174636807000000726573756c",
+                "747306020000000702000000010000007405020000004f6b0100000076020500",
+                "0000000000000702000000010000007405030000004572720100000065070200",
+                "00000100000074050e00000050726f76696465724661696c6564080000007072",
+                "6f7669646572020100000000000000",
+            ),
+        ),
+    ];
+
+    /// The derived codec writes the pinned bytes for `sample`, and reads
+    /// them back to `sample`.
+    fn check_golden<T>(sample: &T, &(variant, len, checksum): &(&str, usize, u64))
+    where
+        T: Serialize + Deserialize + PartialEq + std::fmt::Debug,
+    {
+        let value = sample.to_value();
+        assert_eq!(value.variant_tag("sample"), Ok(variant));
+        let mut bytes = Vec::new();
+        wire::encode_value(&value, &mut bytes);
+        assert_eq!(
+            (bytes.len(), chunk_checksum(&bytes)),
+            (len, checksum),
+            "the encoding of {variant} moved: {sample:?}"
+        );
+        if let Some((_, hex)) = GOLDEN_HEX.iter().find(|(v, _)| *v == variant) {
+            let written: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(&written, hex, "the encoding of {variant} moved");
+        }
+        let decoded = wire::decode_value(&bytes).unwrap();
+        assert_eq!(&T::from_value(&decoded).unwrap(), sample);
+    }
+
+    #[test]
+    fn the_derived_codec_writes_the_bytes_the_hand_written_one_wrote() {
+        let (requests, responses) = (samples::requests(), samples::responses());
+        assert_eq!(requests.len() + responses.len(), GOLDEN.len());
+        let (request_rows, response_rows) = GOLDEN.split_at(requests.len());
+        for (sample, row) in requests.iter().zip(request_rows) {
+            check_golden(sample, row);
+        }
+        for (sample, row) in responses.iter().zip(response_rows) {
+            check_golden(sample, row);
+        }
     }
 
     #[test]
@@ -1064,65 +638,16 @@ mod tests {
     }
 
     #[test]
-    fn responses_roundtrip() {
-        roundtrip_resp(&Response::Pong);
-        roundtrip_resp(&Response::Done { done: 77 });
-        roundtrip_resp(&Response::PutBatch {
-            results: vec![Ok(5), Err(Error::ProviderFailed(ProviderId::new(1)))],
-        });
-        roundtrip_resp(&Response::ChunkBatch {
-            results: vec![
-                Ok((16, 99)),
-                Err(Error::ChunkNotFound {
-                    provider: ProviderId::new(0),
-                    chunk: ChunkId::new(2),
-                }),
-            ],
-        });
-        roundtrip_resp(&Response::Checksum { value: None });
-        roundtrip_resp(&Response::Lease {
-            grant: LeaseGrant {
-                lease: 7,
-                version: VersionId::new(3),
-                expires_at_ms: 12_345,
-            },
-        });
-        roundtrip_resp(&Response::GcFloor {
-            info: GcFloor {
-                floor: VersionId::new(5),
-                leases_active: 2,
-                lease_expirations: 1,
-            },
-        });
-        roundtrip_resp(&Response::Checksum {
-            value: Some(0xDEAD),
-        });
-        roundtrip_resp(&Response::NodePuts {
-            results: vec![Ok(()), Err(Error::MetadataNodeMissing(3))],
-        });
-        roundtrip_resp(&Response::Busy {
-            active: 1024,
-            max_conns: 1024,
-        });
-        roundtrip_resp(&Response::SlotMapInfo {
-            map: SlotMap::uniform(4).reassign(&[1, 2, 900], 3),
-        });
-        roundtrip_resp(&Response::SlotExport { blobs: vec![] });
-        roundtrip_resp(&Response::Fail {
-            error: Error::WrongShard { epoch: 3, slot: 77 },
-        });
-        roundtrip_resp(&Response::Fail {
-            error: Error::Transport {
-                kind: atomio_types::TransportErrorKind::Timeout,
-                detail: "read timed out".into(),
-            },
-        });
-    }
-
-    #[test]
     fn unknown_tags_fail_cleanly() {
         let v = Value::Object(vec![("t".into(), Value::Str("Nonsense".into()))]);
         assert!(Request::from_value(&v).is_err());
         assert!(Response::from_value(&v).is_err());
+        // So does a batch outcome that is neither `Ok` nor `Err`.
+        let v = Value::Object(vec![
+            ("t".into(), Value::Str("PutBatch".into())),
+            ("results".into(), Value::Array(vec![v])),
+        ]);
+        let e = Response::from_value(&v).unwrap_err().to_string();
+        assert_eq!(e, "unknown Result tag \"Nonsense\"");
     }
 }

@@ -32,7 +32,7 @@
 //! unboundedly. And past `max_conns` open connections, a new connection
 //! is still accepted and read, but its first complete frame is answered
 //! with a typed `Response::Busy` (tagged with that frame's request id,
-//! so both the per-call and mux clients route it) and the socket is
+//! so the client's demultiplexer routes it to the call) and the socket is
 //! closed once the answer is on the wire — a typed error, not a hang or
 //! a reset.
 

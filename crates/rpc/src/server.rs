@@ -152,8 +152,8 @@ impl Drop for RpcServer {
 
 /// Largest number of request frames handed to one dispatch worker at a
 /// time. Batches only form when a pipelining client has a backlog of
-/// fully-buffered frames; a strict per-call client always produces
-/// batches of one.
+/// fully-buffered frames; a client with one call in flight always
+/// produces batches of one.
 pub(crate) const MAX_DISPATCH_BATCH: usize = 16;
 
 /// Where a dispatch worker delivers one batch's encoded response

@@ -3,31 +3,27 @@
 //! A [`Transport`] moves one encoded request to a service and brings the
 //! response back — its payload one buffer ([`Transport::call`]) or a
 //! batch of them written straight out, never joined
-//! ([`Transport::call_vectored`]). Three implementations:
+//! ([`Transport::call_vectored`]). Two implementations, one in process
+//! and one over sockets:
 //!
 //! * [`Loopback`] — in-process: the frame is encoded and decoded through
 //!   the full wire codec, then handed to the [`Service`] directly. No
 //!   sockets, no real latency — the default deployment, and the one every
 //!   committed benchmark result was produced on.
-//! * [`TcpTransport`] — real `std::net` sockets with strict per-call
-//!   framing: one connection, one request in flight, guarded by a mutex.
-//!   Kept as the [`RpcMode::PerCall`] ablation arm — it is exactly the
-//!   head-of-line blocking the mux transport removes.
-//! * [`MuxTransport`] — a pool of persistent connections per endpoint
-//!   ([`RpcConfig::pool_conns`], default 4). Writers enqueue encoded
-//!   frames on a pool member; one reader thread per connection
-//!   demultiplexes responses by request id into per-call wakeups, so
-//!   any number of concurrent callers share the pool with no
-//!   head-of-line blocking. A frame too large to be worth copying into
-//!   the queue is gathered onto the socket by its caller instead. The
-//!   default for socket deployments ([`RpcMode::Mux`]).
+//! * [`MuxTransport`] — *the* socket transport: a pool of persistent
+//!   `std::net` connections per endpoint ([`RpcConfig::pool_conns`],
+//!   default 4). Writers enqueue encoded frames on a pool member; one
+//!   reader thread per connection demultiplexes responses by request id
+//!   into per-call wakeups, so any number of concurrent callers share
+//!   the pool with no head-of-line blocking. A frame too large to be
+//!   worth copying into the queue is gathered onto the socket by its
+//!   caller instead.
 //!
 //! Mid-call failures are **not** silently retried (the ops are not all
 //! idempotent); they surface as typed [`Error::Transport`] values so the
-//! provider manager's failover policy decides. On the mux transport a
-//! connection failure fails only the calls in flight on that connection;
-//! the surviving pool members are unaffected and the dead slot redials
-//! on next use.
+//! provider manager's failover policy decides. A connection failure
+//! fails only the calls in flight on that connection; the surviving pool
+//! members are unaffected and the dead slot redials on next use.
 
 use crate::proto::{Request, Response};
 use crate::services::Service;
@@ -97,9 +93,9 @@ pub mod counters {
 
 /// Counts one round trip. Every transport funnels through this with the
 /// byte totals returned by the frame codec — request and response frames
-/// both include their out-of-band payload bytes — so [`Loopback`],
-/// [`TcpTransport`], and [`MuxTransport`] report identical totals for
-/// identical workloads (pinned by `tests/transport_equivalence.rs`).
+/// both include their out-of-band payload bytes — so [`Loopback`] and
+/// [`MuxTransport`] report identical totals for identical workloads
+/// (pinned by `tests/transport_equivalence.rs`).
 fn record(metrics: &Option<Metrics>, tx: u64, rx: u64) {
     if let Some(m) = metrics {
         m.counter(counters::MESSAGES).inc();
@@ -108,19 +104,20 @@ fn record(metrics: &Option<Metrics>, tx: u64, rx: u64) {
     }
 }
 
-/// Tuning knobs for the socket transports ([`TcpTransport`] and
-/// [`MuxTransport`] read the dial, timeout and pool fields) and the
-/// server-side dispatcher (`server_workers`, `max_conns` and
-/// `max_inflight_per_conn`, which the server binaries' CLI flags set).
+/// Tuning knobs for the socket transport ([`MuxTransport`] reads the
+/// dial, timeout and pool fields) and the server-side dispatcher
+/// (`server_workers`, `max_conns` and `max_inflight_per_conn`, which the
+/// server binaries' CLI flags set).
 /// Serde-able so a deployment can ship it inside a config file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RpcConfig {
     /// Per-attempt connect timeout.
     pub connect_timeout: Duration,
-    /// Per-call response deadline: the socket read timeout for the
-    /// per-call transport, the completion-wait deadline for mux calls.
+    /// Per-call response deadline: how long a call waits for the pool
+    /// member's reader thread to deliver its response (the sockets
+    /// themselves carry no read timeout).
     pub read_timeout: Duration,
-    /// Socket write timeout of the client transports.
+    /// Socket write timeout of the pool connections.
     pub write_timeout: Duration,
     /// Connect attempts beyond the first before giving up.
     pub connect_retries: u32,
@@ -162,53 +159,38 @@ impl Default for RpcConfig {
     }
 }
 
-/// Which socket transport strategy a deployment uses (the E7g ablation
-/// knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The socket transport [`dial`] builds. One variant, and no choice: it
+/// exists only because the frozen benchmark sources
+/// (`wallbench/src/{deploy,probes}.rs`) call
+/// `dial(addr, RpcMode::Mux, cfg, metrics)`; the next benchmark PR
+/// deletes the enum and the parameter together.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RpcMode {
-    /// One connection per transport handle, strict one-call-per-round-trip
-    /// framing: concurrent calls on a shared handle serialize behind a
-    /// mutex. The pre-mux behavior, kept as the ablation baseline.
-    PerCall,
-    /// Multiplexed pool: [`RpcConfig::pool_conns`] persistent
-    /// connections, request-id demultiplexing, concurrent callers share
-    /// the pool with no head-of-line blocking. The default for socket
-    /// deployments.
-    #[default]
+    /// [`MuxTransport`].
     Mux,
 }
 
-/// Builds the socket transport for `addr` in the given mode, publishing
-/// per-RPC counters into `metrics` when provided.
+/// Builds the socket transport for `addr` — a [`MuxTransport`] —
+/// publishing per-RPC counters into `metrics` when provided. `_mode` is
+/// the frozen benchmark's argument (see [`RpcMode`]) and selects nothing.
 pub fn dial(
     addr: SocketAddr,
-    mode: RpcMode,
+    _mode: RpcMode,
     cfg: RpcConfig,
     metrics: Option<Metrics>,
 ) -> Arc<dyn Transport> {
-    match mode {
-        RpcMode::PerCall => {
-            let t = TcpTransport::with_config(addr, cfg);
-            Arc::new(match metrics {
-                Some(m) => t.with_metrics(m),
-                None => t,
-            })
-        }
-        RpcMode::Mux => {
-            let t = MuxTransport::with_config(addr, cfg);
-            Arc::new(match metrics {
-                Some(m) => t.with_metrics(m),
-                None => t,
-            })
-        }
-    }
+    let transport = MuxTransport::with_config(addr, cfg);
+    Arc::new(match metrics {
+        Some(metrics) => transport.with_metrics(metrics),
+        None => transport,
+    })
 }
 
 /// In-process transport that still exercises the full wire codec: every
 /// call encodes the request to bytes, decodes it back, dispatches to the
 /// service, and round-trips the response the same way. Anything that
 /// works over [`Loopback`] is wire-representable by construction, and
-/// the byte counters it publishes match the socket transports exactly
+/// the byte counters it publishes match the socket transport's exactly
 /// (request ids are fixed-width, so the totals are id-independent).
 #[derive(Debug)]
 pub struct Loopback {
@@ -311,105 +293,6 @@ fn dial_socket(addr: SocketAddr, cfg: &RpcConfig, metrics: &Option<Metrics>) -> 
         ),
         &e,
     ))
-}
-
-/// A framed RPC connection to one server over real TCP with strict
-/// per-call framing.
-///
-/// One stream per transport, guarded by a mutex: calls on the same handle
-/// serialize — exactly the head-of-line blocking [`MuxTransport`]
-/// removes, kept as the [`RpcMode::PerCall`] ablation arm. A failed call
-/// drops the connection; the next call redials.
-#[derive(Debug)]
-pub struct TcpTransport {
-    addr: SocketAddr,
-    cfg: RpcConfig,
-    conn: Mutex<Option<TcpStream>>,
-    next_id: AtomicU64,
-    metrics: Option<Metrics>,
-}
-
-impl TcpTransport {
-    /// Creates a lazy connection to `addr` (dialed on first call).
-    pub fn new(addr: SocketAddr) -> Self {
-        Self::with_config(addr, RpcConfig::default())
-    }
-
-    /// Creates a lazy connection with explicit tuning.
-    pub fn with_config(addr: SocketAddr, cfg: RpcConfig) -> Self {
-        TcpTransport {
-            addr,
-            cfg,
-            conn: Mutex::new(None),
-            next_id: AtomicU64::new(0),
-            metrics: None,
-        }
-    }
-
-    /// Publishes per-RPC counters into `metrics`.
-    pub fn with_metrics(mut self, metrics: Metrics) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// The server address this transport dials.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    fn connect(&self) -> Result<TcpStream> {
-        let stream = dial_socket(self.addr, &self.cfg, &self.metrics)?;
-        stream
-            .set_read_timeout(Some(self.cfg.read_timeout))
-            .and_then(|()| stream.set_write_timeout(Some(self.cfg.write_timeout)))
-            .map_err(|e| transport_error("configure socket", &e))?;
-        Ok(stream)
-    }
-
-    fn round_trip(&self, request: &Request, parts: &[&[u8]]) -> Result<(Response, Bytes)> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut guard = self.conn.lock();
-        if guard.is_none() {
-            *guard = Some(self.connect()?);
-        }
-        let stream = guard.as_mut().expect("connection established above");
-
-        let round_trip = (|| -> io::Result<(Response, Bytes, u64, u64)> {
-            let tx = wire::write_frame_parts(stream, id, &request.to_value(), parts)?;
-            let (id_back, header, body, rx) = wire::read_frame(stream)?;
-            if id_back != id {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("response for request {id_back} on a call awaiting {id}"),
-                ));
-            }
-            let response = Response::from_value(&header)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            Ok((response, body, tx, rx))
-        })();
-
-        match round_trip {
-            Ok((response, body, tx, rx)) => {
-                record(&self.metrics, tx, rx);
-                Ok((response, body))
-            }
-            Err(e) => {
-                // Drop the stream: a half-consumed frame poisons framing.
-                *guard = None;
-                Err(transport_error(&format!("rpc to {}", self.addr), &e))
-            }
-        }
-    }
-}
-
-impl Transport for TcpTransport {
-    fn call(&self, request: &Request, payload: &[u8]) -> Result<(Response, Bytes)> {
-        self.round_trip(request, &[payload])
-    }
-
-    fn call_vectored(&self, request: &Request, parts: &[Bytes]) -> Result<(Response, Bytes)> {
-        self.round_trip(request, &as_slices(parts))
-    }
 }
 
 /// The slot one in-flight mux call waits on. `std` primitives rather
@@ -769,6 +652,17 @@ impl MuxTransport {
                 .wait_timeout(outcome, deadline - now)
                 .expect("call slot poisoned");
             outcome = guard;
+        }
+    }
+}
+
+impl Drop for MuxTransport {
+    /// Closes the pool. Every member's reader thread holds its own
+    /// handle on the socket, so without the shutdown a dropped transport
+    /// would leave its connections open and its readers parked for good.
+    fn drop(&mut self) {
+        for i in 0..self.slots.len() {
+            self.sever_conn(i);
         }
     }
 }

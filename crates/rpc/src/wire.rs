@@ -38,6 +38,19 @@
 //! | 5   | Str     | u32 LE len + UTF-8 bytes                 |
 //! | 6   | Array   | u32 LE count + encoded items             |
 //! | 7   | Object  | u32 LE count + (Str key, value) pairs    |
+//!
+//! ## What a peer's bytes can cost
+//!
+//! Every number in a frame is the peer's claim, so the reader bounds each
+//! one before acting on it: the two section lengths
+//! ([`MAX_HEADER_BYTES`], [`MAX_PAYLOAD_BYTES`]), the container nesting
+//! of the header (`MAX_DEPTH` levels — recursion is per level, and the
+//! decode runs on a server's one reactor thread), and memory — a
+//! container or a frame section reserves room for at most
+//! `MAX_PREALLOC_ITEMS` items / `MAX_PREALLOC_BYTES` bytes ahead of the
+//! bytes that have actually arrived, and grows with them from there. A
+//! violation is the typed `malformed frame` error, which closes the
+//! offending connection and nothing else.
 
 use crate::proto::PROTOCOL_VERSION;
 use bytes::Bytes;
@@ -50,6 +63,20 @@ pub const MAX_HEADER_BYTES: u32 = 16 << 20;
 pub const MAX_PAYLOAD_BYTES: u32 = 256 << 20;
 /// Fixed frame prefix: version (1) + request id (8) + two lengths (4+4).
 pub const FRAME_PREFIX_BYTES: u64 = 17;
+/// Deepest container nesting [`decode_value`] follows. The deepest
+/// messages of the protocol — `NodeGets` → results → result → node →
+/// body → entries → entry → range — nest 8 containers (a test holds
+/// every sample message to a quarter of the cap); 32 levels of this
+/// recursion are a few KiB of stack.
+const MAX_DEPTH: usize = 32;
+/// Most items a container reserves room for on its declared count alone;
+/// past that it grows as items actually decode.
+const MAX_PREALLOC_ITEMS: usize = 4096;
+/// Most bytes [`read_frame`] reserves for a section on its declared
+/// length alone; past that the buffer doubles as bytes actually arrive.
+/// The data plane's own frame budget, so every frame its batching forms
+/// is still read into one exact allocation.
+const MAX_PREALLOC_BYTES: usize = crate::client::BATCH_FRAME_BYTES;
 
 /// Encodes a value tree into `out`.
 pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
@@ -98,7 +125,7 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
 /// Decodes one value tree from `buf` (must consume it exactly).
 pub fn decode_value(buf: &[u8]) -> io::Result<Value> {
     let mut cursor = Cursor { buf, pos: 0 };
-    let v = cursor.value()?;
+    let v = cursor.value(MAX_DEPTH)?;
     if cursor.pos != buf.len() {
         return Err(malformed("trailing bytes after value"));
     }
@@ -143,7 +170,22 @@ impl Cursor<'_> {
         String::from_utf8(bytes.to_vec()).map_err(|_| malformed("invalid utf-8"))
     }
 
-    fn value(&mut self) -> io::Result<Value> {
+    /// The declared item count of a container that may nest `depth` more
+    /// levels, and the capacity to start it with. Every item is at least
+    /// one byte, so a count past the bytes left is a lie.
+    fn container(&mut self, depth: usize) -> io::Result<(usize, usize)> {
+        if depth == 0 {
+            return Err(malformed("nested too deep"));
+        }
+        let count = self.u32()? as usize;
+        if count > self.buf.len() - self.pos {
+            return Err(malformed("container count exceeds frame"));
+        }
+        Ok((count, count.min(MAX_PREALLOC_ITEMS)))
+    }
+
+    /// Decodes one value whose containers may nest `depth` levels.
+    fn value(&mut self, depth: usize) -> io::Result<Value> {
         match self.take(1)?[0] {
             0 => Ok(Value::Null),
             1 => Ok(Value::Bool(self.take(1)?[0] != 0)),
@@ -152,25 +194,19 @@ impl Cursor<'_> {
             4 => Ok(Value::Float(f64::from_bits(self.u64()?))),
             5 => Ok(Value::Str(self.string()?)),
             6 => {
-                let count = self.u32()? as usize;
-                if count > self.buf.len() - self.pos {
-                    return Err(malformed("array count exceeds frame"));
-                }
-                let mut items = Vec::with_capacity(count);
+                let (count, reserve) = self.container(depth)?;
+                let mut items = Vec::with_capacity(reserve);
                 for _ in 0..count {
-                    items.push(self.value()?);
+                    items.push(self.value(depth - 1)?);
                 }
                 Ok(Value::Array(items))
             }
             7 => {
-                let count = self.u32()? as usize;
-                if count > self.buf.len() - self.pos {
-                    return Err(malformed("object count exceeds frame"));
-                }
-                let mut fields = Vec::with_capacity(count);
+                let (count, reserve) = self.container(depth)?;
+                let mut fields = Vec::with_capacity(reserve);
                 for _ in 0..count {
                     let key = self.string()?;
-                    let val = self.value()?;
+                    let val = self.value(depth - 1)?;
                     fields.push((key, val));
                 }
                 Ok(Value::Object(fields))
@@ -361,6 +397,21 @@ impl<'a> PayloadCursor<'a> {
     }
 }
 
+/// Reads the `len` bytes of a frame section. A section of up to
+/// [`MAX_PREALLOC_BYTES`] is one exact allocation; a longer one doubles
+/// as its bytes arrive, so a prefix declaring 256 MiB and then going
+/// silent holds 1 MiB, not 256.
+fn read_section(r: &mut impl Read, len: usize) -> io::Result<Vec<u8>> {
+    let mut section = vec![0u8; len.min(MAX_PREALLOC_BYTES)];
+    r.read_exact(&mut section)?;
+    while section.len() < len {
+        let filled = section.len();
+        section.resize(len.min(2 * filled), 0);
+        r.read_exact(&mut section[filled..])?;
+    }
+    Ok(section)
+}
+
 /// Reads one frame. Returns `(request_id, header, payload, bytes_read)`.
 pub fn read_frame(r: &mut impl Read) -> io::Result<(u64, Value, Bytes, u64)> {
     let mut prefix = [0u8; FRAME_PREFIX_BYTES as usize];
@@ -377,10 +428,8 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<(u64, Value, Bytes, u64)> {
     if payload_len > MAX_PAYLOAD_BYTES {
         return Err(malformed("payload length exceeds limit"));
     }
-    let mut head = vec![0u8; head_len as usize];
-    r.read_exact(&mut head)?;
-    let mut payload = vec![0u8; payload_len as usize];
-    r.read_exact(&mut payload)?;
+    let head = read_section(r, head_len as usize)?;
+    let payload = read_section(r, payload_len as usize)?;
     let header = decode_value(&head)?;
     Ok((
         request_id,
@@ -446,12 +495,32 @@ mod tests {
         assert!(decode_value(&[0, 0]).is_err());
         // Absurd container count.
         assert!(decode_value(&[6, 255, 255, 255, 255]).is_err());
+        // Nesting no message has — at any depth past the cap, including
+        // one that would overflow the stack of an unbounded recursion.
+        for depth in [MAX_DEPTH + 1, 20_000, 1_000_000] {
+            let err = decode_value(&crate::samples::nested_arrays(depth)).unwrap_err();
+            assert!(err.to_string().contains("malformed frame: nested too deep"));
+        }
+        assert!(decode_value(&crate::samples::nested_arrays(MAX_DEPTH)).is_ok());
         // Oversized declared header length.
         let mut wire = vec![PROTOCOL_VERSION];
         wire.extend_from_slice(&0u64.to_be_bytes());
         wire.extend_from_slice(&u32::MAX.to_be_bytes());
         wire.extend_from_slice(&0u32.to_be_bytes());
         assert!(read_frame(&mut wire.as_slice()).is_err());
+    }
+
+    #[test]
+    fn every_message_nests_well_under_the_depth_cap() {
+        fn depth(v: &Value) -> usize {
+            match v {
+                Value::Array(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+                Value::Object(fields) => 1 + fields.iter().map(|f| depth(&f.1)).max().unwrap_or(0),
+                _ => 0,
+            }
+        }
+        let deepest = crate::samples::headers().iter().map(depth).max();
+        assert_eq!(deepest, Some(MAX_DEPTH / 4), "revisit MAX_DEPTH's slack");
     }
 
     #[test]

@@ -218,9 +218,10 @@ impl fmt::Display for Error {
 impl std::error::Error for Error {}
 
 // ---------------------------------------------------------------------
-// Wire encoding. Errors cross the RPC boundary, so the whole enum gets a
-// tagged-object encoding by hand (the vendored derive handles only
-// named-field structs).
+// Wire encoding: the tagged object the enum derive writes, but by hand —
+// the tuple variants travel under key names the type does not spell
+// (`"blob"`, `"provider"`, `"id"`, `"msg"`) and the `&'static str`
+// payloads can only decode lossily, into `Error::Internal`.
 // ---------------------------------------------------------------------
 
 fn tagged(tag: &str, mut fields: Vec<(String, Value)>) -> Value {
@@ -346,12 +347,8 @@ impl Serialize for Error {
 
 impl Deserialize for Error {
     fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
-        let tag = match v.get("t") {
-            Some(Value::Str(s)) => s.as_str(),
-            _ => return Err(DeError::expected("tagged error object", v)),
-        };
         let field = |name: &str| v.get_or_null(name);
-        Ok(match tag {
+        Ok(match v.variant_tag("Error")? {
             "BlobNotFound" => Error::BlobNotFound(BlobId::from_value(field("blob"))?),
             "VersionNotFound" => Error::VersionNotFound {
                 blob: BlobId::from_value(field("blob"))?,
@@ -420,7 +417,7 @@ impl Deserialize for Error {
                 detail: String::from_value(field("detail"))?,
             },
             "Internal" => Error::Internal(String::from_value(field("msg"))?),
-            other => return Err(DeError::new(format!("unknown error tag {other:?}"))),
+            other => return Err(DeError::unknown_tag("Error", other)),
         })
     }
 }

@@ -77,9 +77,9 @@ impl fmt::Display for RetentionPolicy {
 }
 
 // ---------------------------------------------------------------------
-// Wire encoding: retention crosses the RPC boundary (the client sets a
-// blob's policy on the version service), so the enum gets the same
-// tagged-object encoding by hand as `Error`.
+// Wire encoding (the client sets a blob's policy on the version service):
+// the tagged object the enum derive writes, but by hand — the tuple
+// variants travel under key names the type does not spell (`"n"`, `"v"`).
 // ---------------------------------------------------------------------
 
 impl Serialize for RetentionPolicy {
@@ -99,15 +99,11 @@ impl Serialize for RetentionPolicy {
 
 impl Deserialize for RetentionPolicy {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        let tag = match v.get("t") {
-            Some(Value::Str(s)) => s.as_str(),
-            _ => return Err(DeError::expected("tagged retention object", v)),
-        };
-        Ok(match tag {
+        Ok(match v.variant_tag("RetentionPolicy")? {
             "KeepAll" => RetentionPolicy::KeepAll,
             "KeepLast" => RetentionPolicy::KeepLast(u64::from_value(v.get_or_null("n"))?),
             "KeepAbove" => RetentionPolicy::KeepAbove(VersionId::from_value(v.get_or_null("v"))?),
-            other => return Err(DeError::new(format!("unknown retention tag {other:?}"))),
+            other => return Err(DeError::unknown_tag("RetentionPolicy", other)),
         })
     }
 }

@@ -125,14 +125,14 @@ fn hosted_version_service(i: usize, of: usize, backend: &BackendConfig) -> Arc<V
 
 /// The client-side version transport for a shard fleet: the plain
 /// transport for one server, a slot-routed fan-out for several.
-fn version_transport_for(addrs: &[SocketAddr], mode: RpcMode) -> Arc<dyn Transport> {
+fn version_transport_for(addrs: &[SocketAddr]) -> Arc<dyn Transport> {
     if addrs.len() == 1 {
-        dial(addrs[0], mode, RpcConfig::default(), None)
+        dial(addrs[0], RpcMode::Mux, RpcConfig::default(), None)
     } else {
         Arc::new(SlotRoutedTransport::new(
             addrs
                 .iter()
-                .map(|a| dial(*a, mode, RpcConfig::default(), None))
+                .map(|a| dial(*a, RpcMode::Mux, RpcConfig::default(), None))
                 .collect(),
         ))
     }
@@ -173,8 +173,8 @@ impl ThreeServiceDeployment {
     /// A fresh client transport to the version fleet (slot-routed when
     /// the deployment is sharded), for tests that talk to the version
     /// service outside the store's oracle seam.
-    fn dial_version(&self, mode: RpcMode) -> Arc<dyn Transport> {
-        version_transport_for(&self.version_addrs, mode)
+    fn dial_version(&self) -> Arc<dyn Transport> {
+        version_transport_for(&self.version_addrs)
     }
 
     /// Rebuilds *fresh* service instances from the backend's directories
@@ -211,15 +211,14 @@ impl ThreeServiceDeployment {
     }
 }
 
-fn three_service_store(providers: usize, mode: RpcMode) -> ThreeServiceDeployment {
+fn three_service_store(providers: usize) -> ThreeServiceDeployment {
     let tmp = TempDir::new("atomio-dist");
     let backend = env_backend(&tmp);
-    three_service_store_on(providers, mode, backend, tmp)
+    three_service_store_on(providers, backend, tmp)
 }
 
 fn three_service_store_on(
     providers: usize,
-    mode: RpcMode,
     backend: BackendConfig,
     tmp: TempDir,
 ) -> ThreeServiceDeployment {
@@ -236,7 +235,12 @@ fn three_service_store_on(
             )])),
         )
         .expect("bind provider server");
-        let transport = dial(server.local_addr(), mode, RpcConfig::default(), None);
+        let transport = dial(
+            server.local_addr(),
+            RpcMode::Mux,
+            RpcConfig::default(),
+            None,
+        );
         stores.push(Arc::new(RemoteProvider::new(
             ProviderId::new(i as u64),
             transport,
@@ -254,7 +258,7 @@ fn three_service_store_on(
     )
     .expect("bind meta server");
     let meta_addr = meta_server.local_addr();
-    let meta_transport = dial(meta_addr, mode, RpcConfig::default(), None);
+    let meta_transport = dial(meta_addr, RpcMode::Mux, RpcConfig::default(), None);
 
     let fleet = env_shards();
     let mut version_services = Vec::new();
@@ -268,7 +272,7 @@ fn three_service_store_on(
         version_services.push(service);
         version_servers.push(server);
     }
-    let version_transport = version_transport_for(&version_addrs, mode);
+    let version_transport = version_transport_for(&version_addrs);
 
     let manager = Arc::new(ProviderManager::from_stores(
         stores,
@@ -376,29 +380,23 @@ fn overlapping_writers_serialize_identically_across_deployments() {
     );
     assert_eq!(v_loop, VersionId::new(workload.processes() as u64));
 
-    for mode in [RpcMode::PerCall, RpcMode::Mux] {
-        let remote = three_service_store(4, mode);
-        let (v_tcp, state_tcp, keys_tcp, count_tcp, writes_tcp) =
-            run_overlapping_writers(&remote.store, &workload);
+    let remote = three_service_store(4);
+    let (v_tcp, state_tcp, keys_tcp, count_tcp, writes_tcp) =
+        run_overlapping_writers(&remote.store, &workload);
 
-        let order = check_serializable(&state_tcp, &writes_tcp)
-            .unwrap_or_else(|v| panic!("{mode:?} three-service run violates atomicity: {v:?}"));
-        assert_eq!(replay(state_tcp.len(), &writes_tcp, &order), state_tcp);
+    let order = check_serializable(&state_tcp, &writes_tcp)
+        .unwrap_or_else(|v| panic!("three-service run violates atomicity: {v:?}"));
+    assert_eq!(replay(state_tcp.len(), &writes_tcp, &order), state_tcp);
 
-        assert_eq!(v_loop, v_tcp, "{mode:?}: same version sequence");
-        assert_eq!(state_loop, state_tcp, "{mode:?}: bit-identical dataset");
-        assert_eq!(
-            keys_loop, keys_tcp,
-            "{mode:?}: identical metadata node sets"
-        );
-        assert_eq!(count_loop, count_tcp);
-        drop(remote);
-    }
+    assert_eq!(v_loop, v_tcp, "same version sequence");
+    assert_eq!(state_loop, state_tcp, "bit-identical dataset");
+    assert_eq!(keys_loop, keys_tcp, "identical metadata node sets");
+    assert_eq!(count_loop, count_tcp);
 }
 
 #[test]
 fn killing_the_version_server_fails_writes_typed_then_recovers_on_restart() {
-    let mut d = three_service_store(2, RpcMode::PerCall);
+    let mut d = three_service_store(2);
     let blob = d.store.create_blob();
     let clock = SimClock::new();
     let blob_ref = &blob;
@@ -465,7 +463,7 @@ fn a_granted_but_unpublished_ticket_is_never_readable_across_restart() {
         7,
         dial(
             server.local_addr(),
-            RpcMode::PerCall,
+            RpcMode::Mux,
             RpcConfig::default(),
             None,
         ),
@@ -498,7 +496,7 @@ fn a_granted_but_unpublished_ticket_is_never_readable_across_restart() {
         7,
         dial(
             server2.local_addr(),
-            RpcMode::PerCall,
+            RpcMode::Mux,
             RpcConfig::default(),
             None,
         ),
@@ -532,7 +530,7 @@ fn disk_backed_deployment_recovers_fresh_services_with_published_versions_intact
     // ticket must be invisible after recovery.
     let tmp = TempDir::new("atomio-dist-disk");
     let backend = BackendConfig::disk(tmp.path());
-    let mut d = three_service_store_on(2, RpcMode::Mux, backend, tmp);
+    let mut d = three_service_store_on(2, backend, tmp);
 
     let blob = d.store.create_blob();
     let clock = SimClock::new();
@@ -560,7 +558,7 @@ fn disk_backed_deployment_recovers_fresh_services_with_published_versions_intact
     // A doomed writer grabs v3 and dies before publishing. Nothing
     // reaches the publish log until publication, so the grant must not
     // survive the crash.
-    let doomed = RemoteVersionManager::new(blob.id().raw(), d.dial_version(RpcMode::PerCall));
+    let doomed = RemoteVersionManager::new(blob.id().raw(), d.dial_version());
     let (t3, _) = doomed.ticket_append(CHUNK).unwrap();
     assert_eq!(t3.version, VersionId::new(3));
 
@@ -589,7 +587,7 @@ fn disk_backed_deployment_recovers_fresh_services_with_published_versions_intact
 
     // Snapshot isolation across the crash: the torn v3 is invisible in
     // every read path of the recovered version service.
-    let reader = RemoteVersionManager::new(blob.id().raw(), d.dial_version(RpcMode::PerCall));
+    let reader = RemoteVersionManager::new(blob.id().raw(), d.dial_version());
     assert_eq!(reader.latest().unwrap().version, VersionId::new(2));
     assert!(!reader.is_published(t3.version).unwrap());
     assert!(matches!(

@@ -77,7 +77,7 @@ struct Deployment {
     store: Store,
 }
 
-fn three_service_store(providers: usize, mode: RpcMode, backend_of: BackendConfig) -> Deployment {
+fn three_service_store(providers: usize, backend_of: BackendConfig) -> Deployment {
     let tmp = TempDir::new("atomio-gc-dist");
     let backend = match backend_of {
         BackendConfig::Disk { .. } => BackendConfig::disk(tmp.path()),
@@ -95,7 +95,12 @@ fn three_service_store(providers: usize, mode: RpcMode, backend_of: BackendConfi
             )])),
         )
         .expect("bind provider server");
-        let transport = dial(server.local_addr(), mode, RpcConfig::default(), None);
+        let transport = dial(
+            server.local_addr(),
+            RpcMode::Mux,
+            RpcConfig::default(),
+            None,
+        );
         stores.push(Arc::new(RemoteProvider::new(
             ProviderId::new(i as u64),
             transport,
@@ -111,7 +116,12 @@ fn three_service_store(providers: usize, mode: RpcMode, backend_of: BackendConfi
         ),
     )
     .expect("bind meta server");
-    let meta_transport = dial(meta_server.local_addr(), mode, RpcConfig::default(), None);
+    let meta_transport = dial(
+        meta_server.local_addr(),
+        RpcMode::Mux,
+        RpcConfig::default(),
+        None,
+    );
 
     // The server carries the deployment-default retention, exactly as
     // `atomio-version-server --retention keep-last:2` would.
@@ -122,7 +132,7 @@ fn three_service_store(providers: usize, mode: RpcMode, backend_of: BackendConfi
     let version_server =
         RpcServer::start("127.0.0.1:0", version_service).expect("bind version server");
     let version_addr = version_server.local_addr();
-    let version_transport = dial(version_addr, mode, RpcConfig::default(), None);
+    let version_transport = dial(version_addr, RpcMode::Mux, RpcConfig::default(), None);
 
     let manager = Arc::new(ProviderManager::from_stores(
         stores,
@@ -285,7 +295,7 @@ fn gc_runs_beside_nine_overlapping_writers_loopback() {
 
 #[test]
 fn gc_runs_beside_nine_overlapping_writers_tcp_mux() {
-    let d = three_service_store(4, RpcMode::Mux, BackendConfig::Memory);
+    let d = three_service_store(4, BackendConfig::Memory);
     gc_beside_nine_writers(&d.store);
 }
 
@@ -293,7 +303,7 @@ fn gc_runs_beside_nine_overlapping_writers_tcp_mux() {
 fn lease_expiry_mid_read_is_a_typed_error_over_tcp() {
     // Server-clock leases: a 20 ms TTL lapses in wall time while the
     // collector (correctly) treats the pin as gone and reclaims.
-    let d = three_service_store(2, RpcMode::PerCall, BackendConfig::Memory);
+    let d = three_service_store(2, BackendConfig::Memory);
     let blob = d.store.create_blob();
     let clock = SimClock::new();
     let blob_ref = &blob;
@@ -331,7 +341,7 @@ fn lease_expiry_mid_read_is_a_typed_error_over_tcp() {
 
 #[test]
 fn version_server_restart_preserves_leases_and_retention_on_disk() {
-    let mut d = three_service_store(2, RpcMode::PerCall, BackendConfig::disk("unused"));
+    let mut d = three_service_store(2, BackendConfig::disk("unused"));
     let blob = d.store.create_blob();
     let clock = SimClock::new();
     let blob_ref = &blob;

@@ -91,7 +91,7 @@ fn loopback_fleet(n: usize) -> VersionFleet {
     }
 }
 
-fn tcp_fleet(n: usize, mode: RpcMode, backend: &BackendConfig) -> VersionFleet {
+fn tcp_fleet(n: usize, backend: &BackendConfig) -> VersionFleet {
     let services: Vec<Arc<VersionService>> = (0..n)
         .map(|i| {
             let mut s = VersionService::with_backend(CHUNK, backend.clone());
@@ -110,7 +110,7 @@ fn tcp_fleet(n: usize, mode: RpcMode, backend: &BackendConfig) -> VersionFleet {
         .collect();
     let transports: Vec<Arc<dyn Transport>> = servers
         .iter()
-        .map(|srv| dial(srv.local_addr(), mode, RpcConfig::default(), None))
+        .map(|srv| dial(srv.local_addr(), RpcMode::Mux, RpcConfig::default(), None))
         .collect();
     let transport = routed_over(transports);
     VersionFleet {
@@ -233,14 +233,8 @@ fn multi_tenant_namespace_is_bit_identical_across_shard_counts_and_transports() 
 
     for (label, fleet) in [
         ("loopback/4-shard", loopback_fleet(4)),
-        (
-            "tcp-mux/1-shard",
-            tcp_fleet(1, RpcMode::Mux, &BackendConfig::Memory),
-        ),
-        (
-            "tcp-mux/4-shard",
-            tcp_fleet(4, RpcMode::Mux, &BackendConfig::Memory),
-        ),
+        ("tcp-mux/1-shard", tcp_fleet(1, &BackendConfig::Memory)),
+        ("tcp-mux/4-shard", tcp_fleet(4, &BackendConfig::Memory)),
     ] {
         let got = run_multi_tenant(&store_over(&fleet));
         assert_eq!(
@@ -268,7 +262,7 @@ fn publish_once(vm: &RemoteVersionManager, blob: u64) -> VersionId {
 fn killing_one_shard_fails_only_its_slots_and_recovers_on_the_same_port() {
     let tmp = TempDir::new("atomio-shard-kill");
     let backend = BackendConfig::disk(tmp.path());
-    let mut fleet = tcp_fleet(4, RpcMode::PerCall, &backend);
+    let mut fleet = tcp_fleet(4, &backend);
     let map = SlotMap::uniform(4);
 
     // Two published versions on each of 32 blobs, slot-routed.

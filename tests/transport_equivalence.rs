@@ -1,7 +1,7 @@
 //! Transport equivalence: the same atomic-write workload must produce
 //! identical observable state whether the store runs over the in-process
-//! `Loopback` transport or real localhost TCP sockets — per-call or
-//! multiplexed.
+//! `Loopback` transport or real localhost TCP sockets (the multiplexed
+//! `MuxTransport`, the one socket transport).
 //!
 //! The remote deployment spawns the RPC servers **in process** (same API
 //! the `atomio-provider-server` / `atomio-meta-server` binaries wrap) on
@@ -10,16 +10,16 @@
 //! `Store::with_substrates` — the exact seam a real multi-host
 //! deployment uses. Compared observables: read-back bytes, version
 //! numbers, the full metadata node-key set, and the `rpc.*` byte
-//! counters (all three transports must account identical wire totals
-//! for identical workloads).
+//! counters (both transports must account identical wire totals for
+//! identical workloads).
 
 use atomio::core::{ReadVersion, Store, StoreConfig, TransportMode};
 use atomio::meta::{LeafEntry, Node, NodeBody, NodeKey};
 use atomio::provider::{chunk_store_for, ChunkStore, ProviderManager};
 use atomio::rpc::{
     dial, Loopback, MetaService, MuxTransport, ProviderService, RemoteMetaStore, RemoteProvider,
-    RemoteVersionManager, Request, Response, RpcConfig, RpcMode, RpcServer, Service, TcpTransport,
-    Transport, VersionService,
+    RemoteVersionManager, Request, Response, RpcConfig, RpcMode, RpcServer, Service, Transport,
+    VersionService,
 };
 use atomio::simgrid::clock::run_actors_on;
 use atomio::simgrid::{CostModel, FaultInjector, Metrics, SimClock};
@@ -78,14 +78,10 @@ struct RemoteDeployment {
 }
 
 fn remote_store(providers: usize) -> RemoteDeployment {
-    remote_store_with(providers, RpcMode::PerCall, None)
+    remote_store_with(providers, None)
 }
 
-fn remote_store_with(
-    providers: usize,
-    mode: RpcMode,
-    metrics: Option<Metrics>,
-) -> RemoteDeployment {
+fn remote_store_with(providers: usize, metrics: Option<Metrics>) -> RemoteDeployment {
     let config = base_config(providers).with_transport_mode(TransportMode::Tcp);
     let tmp = TempDir::new("atomio-transport");
     let backend = env_backend(&tmp);
@@ -102,7 +98,7 @@ fn remote_store_with(
         .expect("bind provider server");
         let transport = dial(
             server.local_addr(),
-            mode,
+            RpcMode::Mux,
             RpcConfig::default(),
             metrics.clone(),
         );
@@ -123,7 +119,7 @@ fn remote_store_with(
     .expect("bind meta server");
     let meta_transport = dial(
         meta_server.local_addr(),
-        mode,
+        RpcMode::Mux,
         RpcConfig::default(),
         metrics,
     );
@@ -228,22 +224,6 @@ fn observe(store: &Store) -> (VersionId, Vec<u8>, Vec<NodeKey>, usize) {
 }
 
 #[test]
-fn loopback_and_tcp_produce_identical_state() {
-    let loopback = Store::new(base_config(4));
-    let remote = remote_store(4);
-
-    let (v_loop, bytes_loop, keys_loop, count_loop) = observe(&loopback);
-    let (v_tcp, bytes_tcp, keys_tcp, count_tcp) = observe(&remote.store);
-
-    assert_eq!(v_loop, v_tcp, "same version sequence");
-    assert_eq!(bytes_loop, bytes_tcp, "bit-identical stored bytes");
-    assert_eq!(keys_loop, keys_tcp, "identical metadata node sets");
-    assert_eq!(count_loop, count_tcp);
-    assert_eq!(v_loop, VersionId::new(5));
-    drop(remote);
-}
-
-#[test]
 fn replicated_reads_survive_a_killed_server() {
     // Two providers, one per server, replication 2: every chunk lives on
     // both, so any single server death leaves a full copy.
@@ -277,7 +257,7 @@ fn replicated_reads_survive_a_killed_server() {
     // The dead endpoint surfaces a *typed* transport error — the signal
     // the failover policy branches on.
     let dead: Arc<dyn Transport> =
-        Arc::new(TcpTransport::new(remote.provider_servers[1].local_addr()));
+        Arc::new(MuxTransport::new(remote.provider_servers[1].local_addr()));
     let proxy = RemoteProvider::new(ProviderId::new(1), dead);
     let err = proxy
         .get_chunk_range_at(0, ChunkId::new(0), ByteRange::new(0, 1))
@@ -297,7 +277,7 @@ fn replicated_reads_survive_a_killed_server() {
 #[test]
 fn loopback_and_mux_produce_identical_state() {
     let loopback = Store::new(base_config(4));
-    let remote = remote_store_with(4, RpcMode::Mux, None);
+    let remote = remote_store(4);
 
     let (v_loop, bytes_loop, keys_loop, count_loop) = observe(&loopback);
     let (v_mux, bytes_mux, keys_mux, count_mux) = observe(&remote.store);
@@ -322,33 +302,23 @@ fn wire_totals(metrics: &Metrics) -> (u64, u64, u64) {
 #[test]
 fn transports_report_identical_byte_counters() {
     let m_loop = Metrics::new();
-    let m_tcp = Metrics::new();
     let m_mux = Metrics::new();
 
     let loopback = loopback_rpc_store(4, m_loop.clone());
-    let tcp = remote_store_with(4, RpcMode::PerCall, Some(m_tcp.clone()));
-    let mux = remote_store_with(4, RpcMode::Mux, Some(m_mux.clone()));
+    let mux = remote_store_with(4, Some(m_mux.clone()));
 
     let state_loop = observe(&loopback);
-    let state_tcp = observe(&tcp.store);
     let state_mux = observe(&mux.store);
-    assert_eq!(state_loop, state_tcp);
     assert_eq!(state_loop, state_mux);
 
     let totals_loop = wire_totals(&m_loop);
     assert!(totals_loop.0 > 0, "workload produced RPC traffic");
     assert_eq!(
         totals_loop,
-        wire_totals(&m_tcp),
-        "per-call TCP must account the same messages and bytes as Loopback"
-    );
-    assert_eq!(
-        totals_loop,
         wire_totals(&m_mux),
         "mux must account the same messages and bytes as Loopback"
     );
     assert_eq!(m_loop.counter("rpc.retries").get(), 0);
-    assert_eq!(m_tcp.counter("rpc.retries").get(), 0);
     assert_eq!(m_mux.counter("rpc.retries").get(), 0);
 }
 
@@ -528,48 +498,31 @@ fn mux_stress_state(
 #[test]
 fn mux_stress_matches_loopback_bit_for_bit() {
     let m_loop = Metrics::new();
-    let m_tcp = Metrics::new();
     let m_mux = Metrics::new();
 
     let loopback: Arc<dyn Transport> =
         Arc::new(Loopback::new(tri_service()).with_metrics(m_loop.clone()));
     let state_loop = mux_stress_state(&loopback);
 
-    // Each socket arm gets its own fresh tri-service: the stress mutates
+    // The socket arm gets its own fresh tri-service: the stress mutates
     // server state, so the arms must not share a deployment.
-    let mut tcp_server = RpcServer::start("127.0.0.1:0", tri_service()).expect("bind tri server");
-    let tcp = dial(
-        tcp_server.local_addr(),
-        RpcMode::PerCall,
-        RpcConfig::default(),
-        Some(m_tcp.clone()),
-    );
-    let state_tcp = mux_stress_state(&tcp);
-
     let mut mux_server = RpcServer::start("127.0.0.1:0", tri_service()).expect("bind tri server");
     let mux: Arc<dyn Transport> =
         Arc::new(MuxTransport::new(mux_server.local_addr()).with_metrics(m_mux.clone()));
     let state_mux = mux_stress_state(&mux);
 
-    for (label, state) in [("per-call", &state_tcp), ("mux", &state_mux)] {
-        assert_eq!(state_loop.0, state.0, "{label}: identical node-key sets");
-        assert_eq!(state_loop.1, state.1, "{label}: identical node counts");
-        assert_eq!(
-            state_loop.2, state.2,
-            "{label}: identical version sequences"
-        );
-        assert_eq!(state_loop.3, state.3, "{label}: bit-identical chunk bytes");
-    }
+    assert_eq!(state_loop.0, state_mux.0, "identical node-key sets");
+    assert_eq!(state_loop.1, state_mux.1, "identical node counts");
+    assert_eq!(state_loop.2, state_mux.2, "identical version sequences");
+    assert_eq!(state_loop.3, state_mux.3, "bit-identical chunk bytes");
 
     // And the byte accounting agrees even under 16-way interleaving of
     // chunk, metadata, and ticket-grant traffic.
-    assert_eq!(wire_totals(&m_loop), wire_totals(&m_tcp));
     assert_eq!(wire_totals(&m_loop), wire_totals(&m_mux));
     assert!(
         m_mux.counter("rpc.inflight_peak").get() >= 2,
         "stress actually ran concurrent in-flight calls"
     );
-    tcp_server.stop();
     mux_server.stop();
 }
 

@@ -68,11 +68,7 @@ fn env_backend(tmp: &TempDir) -> BackendConfig {
     }
 }
 
-fn three_service_store(
-    providers: usize,
-    mode: RpcMode,
-    commit: CommitMode,
-) -> ThreeServiceDeployment {
+fn three_service_store(providers: usize, commit: CommitMode) -> ThreeServiceDeployment {
     let config = base_config(providers)
         .with_transport_mode(TransportMode::Tcp)
         .with_commit_mode(commit);
@@ -94,7 +90,12 @@ fn three_service_store(
             Arc::new(ProviderService::from_stores(vec![hosted])),
         )
         .expect("bind provider server");
-        let transport = dial(server.local_addr(), mode, RpcConfig::default(), None);
+        let transport = dial(
+            server.local_addr(),
+            RpcMode::Mux,
+            RpcConfig::default(),
+            None,
+        );
         stores.push(Arc::new(RemoteProvider::new(
             ProviderId::new(i as u64),
             transport,
@@ -110,7 +111,12 @@ fn three_service_store(
         ),
     )
     .expect("bind meta server");
-    let meta_transport = dial(meta_server.local_addr(), mode, RpcConfig::default(), None);
+    let meta_transport = dial(
+        meta_server.local_addr(),
+        RpcMode::Mux,
+        RpcConfig::default(),
+        None,
+    );
 
     let version_service = Arc::new(VersionService::with_backend(CHUNK, backend.clone()));
     let version_server = RpcServer::start(
@@ -119,7 +125,7 @@ fn three_service_store(
     )
     .expect("bind version server");
     let version_addr = version_server.local_addr();
-    let version_transport = dial(version_addr, mode, RpcConfig::default(), None);
+    let version_transport = dial(version_addr, RpcMode::Mux, RpcConfig::default(), None);
 
     let manager = Arc::new(ProviderManager::from_stores(
         stores,
@@ -297,25 +303,22 @@ fn logged_drains_bit_identical_to_direct_loopback() {
 
 #[test]
 fn logged_drains_bit_identical_over_tcp_mux() {
-    for mode in [RpcMode::PerCall, RpcMode::Mux] {
-        let (per_rank, bytes) = checkpoint_writes(2);
-        let remote = three_service_store(4, mode, CommitMode::Logged);
-        let (logged_obs, witness) = run_logged(&remote.store, &per_rank, bytes);
+    let (per_rank, bytes) = checkpoint_writes(2);
+    let remote = three_service_store(4, CommitMode::Logged);
+    let (logged_obs, witness) = run_logged(&remote.store, &per_rank, bytes);
 
-        let direct_store = Store::new(base_config(4));
-        let direct_obs = run_direct_serial(&direct_store, &witness, bytes);
+    let direct_store = Store::new(base_config(4));
+    let direct_obs = run_direct_serial(&direct_store, &witness, bytes);
 
-        assert_eq!(
-            logged_obs, direct_obs,
-            "{mode:?}: TCP Logged drain must match the Loopback Direct replay"
-        );
-        drop(remote);
-    }
+    assert_eq!(
+        logged_obs, direct_obs,
+        "TCP Logged drain must match the Loopback Direct replay"
+    );
 }
 
 #[test]
 fn mid_drain_version_server_kill_leaves_no_hole() {
-    let mut d = three_service_store(2, RpcMode::PerCall, CommitMode::Logged);
+    let mut d = three_service_store(2, CommitMode::Logged);
     let blob = d.store.create_blob();
     let clock = SimClock::new();
     let blob_ref = &blob;
