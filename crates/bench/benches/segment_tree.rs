@@ -3,7 +3,7 @@
 
 use atomio_meta::history::WriteSummary;
 use atomio_meta::{
-    LeafEntry, MetaStore, NodeKey, TreeBuilder, TreeConfig, TreeReader, VersionHistory,
+    LeafEntry, MetaStore, NodeKey, NodeStore, TreeBuilder, TreeConfig, TreeReader, VersionHistory,
 };
 use atomio_simgrid::{CostModel, SimClock};
 use atomio_types::{BlobId, ByteRange, ChunkGeometry, ChunkId, ExtentList, ProviderId, VersionId};
@@ -46,6 +46,7 @@ impl Fixture {
         let cap = self
             .config
             .capacity_for(extents.covering_range().end())
+            .expect("generated sizes have a capacity")
             .max(self.history.capacity_of(VersionId::new(v.raw() - 1)));
         self.history.append(WriteSummary {
             version: v,

@@ -30,7 +30,9 @@ use atomio_meta::NodeKey;
 use atomio_rpc::{
     Loopback, RemoteVersionManager, Service, SlotRoutedTransport, Transport, VersionService,
 };
+use atomio_simgrid::SimClock;
 use atomio_types::{BlobId, ByteRange};
+use atomio_version::VersionOracle;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -71,19 +73,20 @@ fn run_workload(transport: &Arc<dyn Transport>) -> (f64, u64) {
             let transport = Arc::clone(transport);
             s.spawn(move || {
                 let lo = tenant * BLOBS_PER_TENANT;
+                let p = SimClock::new().register();
                 for blob in lo..lo + BLOBS_PER_TENANT {
                     let vm = RemoteVersionManager::new(blob, Arc::clone(&transport));
                     for _ in 0..ROUNDS {
-                        let (ticket, _) = vm.ticket_append(CHUNK).expect("grant");
+                        let (ticket, _) = vm.ticket_append(&p, CHUNK).expect("grant");
                         let root = NodeKey::new(
                             BlobId::new(blob),
                             ticket.version,
                             ByteRange::new(0, ticket.capacity),
                         );
-                        vm.publish(ticket, root).expect("publish");
+                        vm.publish(&p, ticket, root).expect("publish");
                     }
                     if blob % 8 == 0 {
-                        vm.latest().expect("read latest");
+                        vm.latest(&p).expect("read latest");
                     }
                 }
             });
@@ -98,9 +101,10 @@ fn run_workload(transport: &Arc<dyn Transport>) -> (f64, u64) {
             digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
+    let p = SimClock::new().register();
     for blob in 0..BLOBS {
         let vm = RemoteVersionManager::new(blob, Arc::clone(transport));
-        let latest = vm.latest().expect("digest read");
+        let latest = vm.latest(&p).expect("digest read");
         fold(blob);
         fold(latest.version.raw());
         fold(latest.size);

@@ -2,15 +2,14 @@
 //!
 //! * **Striping factor** — aggregated throughput vs. number of data
 //!   providers (the paper's *data striping* principle);
-//! * **Publication pipeline** — BlobSeer-style pipelined ticket/publish
-//!   vs. naive serialized metadata builds (the *versioning without
-//!   waiting* principle);
 //! * **Allocation strategy** — round-robin vs. least-loaded vs. random
 //!   chunk placement.
 //!
-//! All three arms run in virtual time, so `results/e7{a,b,c}.json` are
-//! byte-reproducible. (The two wall-clock socket arms this binary used to
-//! carry, E7g and E7h, are frozen tables in EXPERIMENTS.md.)
+//! Both arms run in virtual time, so `results/e7{a,c}.json` are
+//! byte-reproducible. (The arms this binary used to carry — E7b, the
+//! publication-pipeline ablation whose losing mode is deleted, and the
+//! wall-clock socket arms E7g and E7h — are frozen tables in
+//! EXPERIMENTS.md.)
 //!
 //! Run: `cargo run -p atomio-bench --release --bin exp7_ablation`
 
@@ -21,7 +20,6 @@ use atomio_mpiio::drivers::VersioningDriver;
 use atomio_provider::AllocationStrategy;
 use atomio_simgrid::SimClock;
 use atomio_types::ExtentList;
-use atomio_version::TicketMode;
 use atomio_workloads::{run_write_round, OverlapWorkload};
 use std::sync::Arc;
 
@@ -67,44 +65,6 @@ fn main() {
     }
     println!("{}", striping.render_table());
     striping.save_json(atomio_bench::report::results_dir()).ok();
-
-    // --- Publication pipeline --------------------------------------------
-    let mut pipeline = ExperimentReport::new(
-        "E7b",
-        "ablation: pipelined vs. serialized metadata publication (versioning)",
-        "clients",
-    );
-    for &clients in &[4usize, 8, 16, 32] {
-        let w = OverlapWorkload::new(clients, 32, 256 * 1024, 1, 2);
-        let ext: Vec<ExtentList> = (0..clients).map(|c| w.extents_for(c)).collect();
-        for (label, mode) in [
-            ("pipelined", TicketMode::Pipelined),
-            ("serialized-build", TicketMode::SerializedBuild),
-        ] {
-            let (driver, _) = BenchConfig {
-                ticket_mode: mode,
-                ..cfg
-            }
-            .build(Backend::Versioning);
-            let (tput, elapsed, bytes) = measure(driver, &ext);
-            pipeline.push(Row {
-                x: clients as u64,
-                backend: label.into(),
-                throughput_mib_s: tput,
-                elapsed_s: elapsed,
-                bytes,
-                atomic_ok: None,
-            });
-        }
-        eprintln!("  ... pipeline ablation {clients} clients done");
-    }
-    for x in pipeline.xs() {
-        if let Some(s) = pipeline.speedup_at(x, "pipelined", "serialized-build") {
-            pipeline.note(format!("pipelining gain at {x:>3} clients: {s:.2}x"));
-        }
-    }
-    println!("{}", pipeline.render_table());
-    pipeline.save_json(atomio_bench::report::results_dir()).ok();
 
     // --- Allocation strategy ----------------------------------------------
     let mut alloc = ExperimentReport::new(

@@ -172,7 +172,7 @@ fn tcp_store(providers: usize, commit: CommitMode) -> TcpDeployment {
 
     let meta_server = RpcServer::start(
         "127.0.0.1:0",
-        Arc::new(MetaService::new(config.meta_shards, TCP_CHUNK)),
+        Arc::new(MetaService::new(config.meta_shards)),
     )
     .expect("bind E8b meta server");
     let meta_transport = dial(

@@ -35,7 +35,7 @@ use atomio_simgrid::{CostModel, SimClock};
 use atomio_types::stamp::WriteStamp;
 use atomio_types::tempdir::TempDir;
 use atomio_types::{BackendConfig, BlobId, ByteRange, ClientId, FsyncPolicy};
-use atomio_version::{TicketMode, VersionManager};
+use atomio_version::{TicketMode, VersionManager, VersionOracle};
 use bytes::Bytes;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -149,9 +149,10 @@ fn publish_burst(fsync: FsyncPolicy) -> (Duration, Duration, u64, u64, u32) {
     // No crash happened, so even unsynced appends are in the page
     // cache and the full chain replays; `unsynced_peak` is what a
     // crash at the worst moment would have rolled back.
-    let latest = run_actors_on(&clock, 1, |_, p| reopened.latest(p).version)
+    let latest = run_actors_on(&clock, 1, |_, p| reopened.latest(p).map(|s| s.version))
         .pop()
-        .unwrap();
+        .unwrap()
+        .expect("in-process oracle");
     assert_eq!(latest.raw(), PUBLISHES, "replay recovered the full chain");
     (ack, replay, stats.appends, stats.syncs, stats.unsynced_peak)
 }

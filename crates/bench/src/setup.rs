@@ -11,7 +11,6 @@ use atomio_mpiio::drivers::{
 };
 use atomio_pfs::ParallelFs;
 use atomio_simgrid::{CostModel, Metrics};
-use atomio_version::TicketMode;
 use std::sync::Arc;
 
 /// The storage strategies under comparison.
@@ -75,8 +74,6 @@ pub struct BenchConfig {
     pub chunk_size: u64,
     /// Hardware prices.
     pub cost: CostModel,
-    /// Publication mode (E7 ablation knob; versioning backend only).
-    pub ticket_mode: TicketMode,
     /// Seed for placement randomness.
     pub seed: u64,
 }
@@ -90,7 +87,6 @@ impl Default for BenchConfig {
             meta_shards: 4,
             chunk_size: 256 * 1024,
             cost: CostModel::grid5000(),
-            ticket_mode: TicketMode::Pipelined,
             seed: 0xBE7C,
         }
     }
@@ -109,7 +105,6 @@ impl BenchConfig {
                         .with_chunk_size(self.chunk_size)
                         .with_data_providers(self.servers)
                         .with_meta_shards(self.meta_shards)
-                        .with_ticket_mode(self.ticket_mode)
                         .with_seed(self.seed),
                 );
                 let metrics = store.metrics().clone();

@@ -3,7 +3,6 @@
 use atomio_provider::AllocationStrategy;
 use atomio_simgrid::CostModel;
 use atomio_types::{BackendConfig, RetentionPolicy};
-use atomio_version::TicketMode;
 
 /// How clients reach the provider and metadata services.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -58,8 +57,6 @@ pub struct StoreConfig {
     pub allocation: AllocationStrategy,
     /// Simulated hardware prices.
     pub cost: CostModel,
-    /// Publication pipeline mode (E7 ablation knob).
-    pub ticket_mode: TicketMode,
     /// How clients reach the provider and metadata services.
     pub transport_mode: TransportMode,
     /// Client-side metadata cache size in nodes (0 disables caching).
@@ -99,7 +96,6 @@ impl Default for StoreConfig {
             min_replicas: 1,
             allocation: AllocationStrategy::RoundRobin,
             cost: CostModel::grid5000(),
-            ticket_mode: TicketMode::Pipelined,
             transport_mode: TransportMode::Loopback,
             meta_cache_nodes: 4096,
             commit_mode: CommitMode::Direct,
@@ -152,12 +148,6 @@ impl StoreConfig {
     /// Sets the cost model.
     pub fn with_cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Sets the ticket mode.
-    pub fn with_ticket_mode(mut self, mode: TicketMode) -> Self {
-        self.ticket_mode = mode;
         self
     }
 
@@ -218,7 +208,6 @@ mod tests {
         assert!(c.chunk_size.is_power_of_two());
         assert_eq!(c.data_providers, 16);
         assert_eq!(c.replication, 1);
-        assert_eq!(c.ticket_mode, TicketMode::Pipelined);
         assert_eq!(c.transport_mode, TransportMode::Loopback);
         assert_eq!(c.meta_cache_nodes, 4096);
         assert_eq!(c.commit_mode, CommitMode::Direct);
@@ -236,7 +225,6 @@ mod tests {
             .with_meta_shards(2)
             .with_replication(3, 2)
             .with_allocation(AllocationStrategy::LeastLoaded)
-            .with_ticket_mode(TicketMode::SerializedBuild)
             .with_transport_mode(TransportMode::Tcp)
             .with_meta_cache(0)
             .with_commit_mode(CommitMode::Logged)
@@ -250,7 +238,6 @@ mod tests {
         assert_eq!(c.meta_shards, 2);
         assert_eq!((c.replication, c.min_replicas), (3, 2));
         assert_eq!(c.allocation, AllocationStrategy::LeastLoaded);
-        assert_eq!(c.ticket_mode, TicketMode::SerializedBuild);
         assert_eq!(c.transport_mode, TransportMode::Tcp);
         assert_eq!(c.meta_cache_nodes, 0);
         assert_eq!(c.commit_mode, CommitMode::Logged);

@@ -116,9 +116,9 @@ impl Store {
         // is, so publish decisions survive crashes with the data. A
         // remote deployment swaps this out with `with_version_oracles`.
         let (backend, tree) = (config.backend.clone(), TreeConfig::new(config.chunk_size));
-        let (cost, ticket_mode, retention) = (config.cost, config.ticket_mode, config.retention);
+        let (cost, retention) = (config.cost, config.retention);
         let oracles: VersionOracleFactory = Arc::new(move |blob| {
-            let vm = version_manager_for(&backend, blob, tree, cost, ticket_mode, retention)
+            let vm = version_manager_for(&backend, blob, tree, cost, retention)
                 .expect("open publish log");
             Arc::new(vm) as Arc<dyn VersionOracle>
         });

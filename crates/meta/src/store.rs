@@ -8,9 +8,10 @@
 //!
 //! **The API is batch-first**, mirroring the provider side
 //! (`ProviderManager::put_batch_replicated` / `get_batch_with_failover`):
-//! [`MetaStore::put_batch`] and [`MetaStore::get_batch`] are the canonical
-//! entry points; single-node [`MetaStore::put`] / [`MetaStore::get`] are
-//! thin one-element wrappers. A batch pays **one** overlapped RPC offset,
+//! [`NodeStore::put_batch`] and [`NodeStore::get_batch`] are the canonical
+//! entry points; single-node [`NodeStore::put`] / [`NodeStore::get`] are
+//! the trait's one-element wrappers. [`MetaStore`] spells each of them
+//! once, in its trait impls. A batch pays **one** overlapped RPC offset,
 //! serializes node payloads through the calling client's NIC, and lands
 //! on each shard as a **single list-request booking** via
 //! [`Resource::reserve_ns`] — the List-I/O lesson applied to metadata.
@@ -170,8 +171,15 @@ impl MetaStore {
         Ok(())
     }
 
+    /// Per-shard node counts (for distribution tests).
+    pub fn shard_loads(&self) -> Vec<usize> {
+        self.shards.iter().map(|s| s.nodes.read().len()).collect()
+    }
+}
+
+impl NodeStore for MetaStore {
     /// Stores a batch of nodes, shard-parallel — **the canonical node
-    /// write path** (single-node [`Self::put`] delegates here).
+    /// write path** (single-node [`NodeStore::put`] delegates here).
     ///
     /// Cost model, mirroring `ProviderManager::put_batch_replicated`: the
     /// RPC round trips of the whole batch overlap (one latency offset for
@@ -187,7 +195,7 @@ impl MetaStore {
     /// twice is idempotent; publishing a *different* node under an
     /// existing key indicates a broken determinism invariant and fails
     /// for that slot.
-    pub fn put_batch(&self, p: &Participant, nodes: Vec<Node>) -> Vec<Result<()>> {
+    fn put_batch(&self, p: &Participant, nodes: Vec<Node>) -> Vec<Result<()>> {
         if nodes.is_empty() {
             return Vec::new();
         }
@@ -229,7 +237,7 @@ impl MetaStore {
     }
 
     /// Fetches a batch of nodes, shard-parallel — the canonical node
-    /// read path (single-node [`Self::get`] delegates here).
+    /// read path (single-node [`NodeStore::get`] delegates here).
     ///
     /// The mirror image of [`Self::put_batch`]: all requests share one
     /// overlapped RPC offset, each shard serves its group as a single
@@ -237,7 +245,7 @@ impl MetaStore {
     /// through the client's NIC. The caller sleeps once, to the latest
     /// reception. Returns one outcome per key, in order; missing keys
     /// yield [`Error::MetadataNodeMissing`] and ship no payload.
-    pub fn get_batch(&self, p: &Participant, keys: &[NodeKey]) -> Vec<Result<Arc<Node>>> {
+    fn get_batch(&self, p: &Participant, keys: &[NodeKey]) -> Vec<Result<Arc<Node>>> {
         if keys.is_empty() {
             return Vec::new();
         }
@@ -287,62 +295,34 @@ impl MetaStore {
         outcomes
     }
 
-    /// Stores one node: a one-element [`Self::put_batch`].
-    pub fn put(&self, p: &Participant, node: Node) -> Result<()> {
-        self.put_batch(p, vec![node])
-            .pop()
-            .expect("one outcome per node")
-    }
-
-    /// Fetches one node: a one-element [`Self::get_batch`].
-    pub fn get(&self, p: &Participant, key: NodeKey) -> Result<Arc<Node>> {
-        self.get_batch(p, &[key])
-            .pop()
-            .expect("one outcome per key")
-    }
-
-    /// True if the node exists (free of simulated cost; for tests/GC).
-    pub fn contains(&self, key: NodeKey) -> bool {
+    fn contains(&self, key: NodeKey) -> bool {
         self.shard_for(key).nodes.read().contains_key(&key)
     }
 
-    /// Total nodes stored across all shards.
-    pub fn node_count(&self) -> usize {
+    fn node_count(&self) -> usize {
         self.shards.iter().map(|s| s.nodes.read().len()).sum()
     }
 
-    /// Removes a node (version GC). Missing keys are ignored.
-    pub fn evict(&self, key: NodeKey) {
+    fn evict(&self, key: NodeKey) {
         self.shard_for(key).nodes.write().remove(&key);
     }
 
-    /// Per-shard node counts (for distribution tests).
-    pub fn shard_loads(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.nodes.read().len()).collect()
-    }
-
-    /// Every stored key, in unspecified order.
-    pub fn list_keys(&self) -> Vec<NodeKey> {
+    fn list_keys(&self) -> Vec<NodeKey> {
         self.shards
             .iter()
             .flat_map(|s| s.nodes.read().keys().copied().collect::<Vec<_>>())
             .collect()
     }
+}
 
-    // -----------------------------------------------------------------
-    // Participant-free entry points for network servers. A TCP server
-    // thread has no simulated clock; the wire itself is the cost model.
-    // -----------------------------------------------------------------
-
-    /// Stores a batch without booking any simulated cost (server-side
-    /// half of a remote put).
-    pub fn put_batch_local(&self, nodes: Vec<Node>) -> Vec<Result<()>> {
+/// Participant-free entry points for network servers: a server thread
+/// has no simulated clock; the wire itself is the cost model.
+impl LocalNodeStore for MetaStore {
+    fn put_batch_local(&self, nodes: Vec<Node>) -> Vec<Result<()>> {
         nodes.into_iter().map(|n| self.install(n)).collect()
     }
 
-    /// Fetches a batch without booking any simulated cost (server-side
-    /// half of a remote get).
-    pub fn get_batch_local(&self, keys: &[NodeKey]) -> Vec<Result<Arc<Node>>> {
+    fn get_batch_local(&self, keys: &[NodeKey]) -> Vec<Result<Arc<Node>>> {
         keys.iter()
             .map(|&key| {
                 self.shard_for(key).nodes.read().get(&key).cloned().ok_or(
@@ -350,42 +330,6 @@ impl MetaStore {
                 )
             })
             .collect()
-    }
-}
-
-impl LocalNodeStore for MetaStore {
-    fn put_batch_local(&self, nodes: Vec<Node>) -> Vec<Result<()>> {
-        MetaStore::put_batch_local(self, nodes)
-    }
-
-    fn get_batch_local(&self, keys: &[NodeKey]) -> Vec<Result<Arc<Node>>> {
-        MetaStore::get_batch_local(self, keys)
-    }
-}
-
-impl NodeStore for MetaStore {
-    fn put_batch(&self, p: &Participant, nodes: Vec<Node>) -> Vec<Result<()>> {
-        MetaStore::put_batch(self, p, nodes)
-    }
-
-    fn get_batch(&self, p: &Participant, keys: &[NodeKey]) -> Vec<Result<Arc<Node>>> {
-        MetaStore::get_batch(self, p, keys)
-    }
-
-    fn contains(&self, key: NodeKey) -> bool {
-        MetaStore::contains(self, key)
-    }
-
-    fn node_count(&self) -> usize {
-        MetaStore::node_count(self)
-    }
-
-    fn evict(&self, key: NodeKey) {
-        MetaStore::evict(self, key)
-    }
-
-    fn list_keys(&self) -> Vec<NodeKey> {
-        MetaStore::list_keys(self)
     }
 }
 

@@ -42,10 +42,14 @@ impl TreeConfig {
     }
 
     /// Smallest valid tree capacity covering byte `end`: a power-of-two
-    /// multiple of the leaf size, at least one leaf.
-    pub fn capacity_for(&self, end: u64) -> u64 {
+    /// multiple of the leaf size, at least one leaf. `None` when no
+    /// `u64` capacity covers `end` (it lies past `2^63`) — `end` can be
+    /// a size a peer sent, so this must not wrap.
+    pub fn capacity_for(&self, end: u64) -> Option<u64> {
         let leaves = end.div_ceil(self.leaf_size).max(1);
-        leaves.next_power_of_two() * self.leaf_size
+        leaves
+            .checked_next_power_of_two()?
+            .checked_mul(self.leaf_size)
     }
 }
 
@@ -603,6 +607,7 @@ mod tests {
             let capacity = self
                 .config
                 .capacity_for(end)
+                .expect("test sizes have a capacity")
                 .max(self.history.capacity_of(VersionId::new(v.raw() - 1)));
             self.history.append(WriteSummary {
                 version: v,
@@ -691,12 +696,18 @@ mod tests {
     #[test]
     fn capacity_for_rounds_to_pow2_leaves() {
         let c = TreeConfig::new(64);
-        assert_eq!(c.capacity_for(0), 64);
-        assert_eq!(c.capacity_for(1), 64);
-        assert_eq!(c.capacity_for(64), 64);
-        assert_eq!(c.capacity_for(65), 128);
-        assert_eq!(c.capacity_for(129), 256);
-        assert_eq!(c.capacity_for(64 * 5), 64 * 8);
+        assert_eq!(c.capacity_for(0), Some(64));
+        assert_eq!(c.capacity_for(1), Some(64));
+        assert_eq!(c.capacity_for(64), Some(64));
+        assert_eq!(c.capacity_for(65), Some(128));
+        assert_eq!(c.capacity_for(129), Some(256));
+        assert_eq!(c.capacity_for(64 * 5), Some(64 * 8));
+        // 2^63 is the largest capacity there is; past it nothing covers
+        // `end`, whichever of the two steps would have wrapped.
+        assert_eq!(c.capacity_for(1 << 63), Some(1 << 63));
+        assert_eq!(c.capacity_for((1 << 63) + 1), None);
+        assert_eq!(c.capacity_for(u64::MAX), None);
+        assert_eq!(TreeConfig::new(1).capacity_for(u64::MAX), None);
     }
 
     #[test]

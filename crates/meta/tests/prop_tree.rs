@@ -79,6 +79,7 @@ impl Harness {
             let capacity = self
                 .config
                 .capacity_for(extents.covering_range().end())
+                .expect("generated sizes have a capacity")
                 .max(self.history.capacity_of(VersionId::new(v.raw() - 1)));
             self.history.append(WriteSummary {
                 version: v,

@@ -1,10 +1,7 @@
-//! Hosts metadata shards (plus nested version managers for two-server
-//! deployments) behind the atomio RPC protocol.
+//! Hosts metadata shards behind the atomio RPC protocol.
 //!
 //! ```text
 //! atomio-meta-server <listen-addr> [--shards N] [--chunk-size BYTES]
-//!     [--retention keep-all|keep-last:N|keep-above:V] [--lease-ttl-ms N]
-//!     [--shard I/N]
 //!     [--data-dir PATH] [--fsync per-publish|group:N|deferred]
 //!     [--workers N] [--server-mode reactor] [--max-conns N]
 //!     [--max-inflight-per-conn N]
@@ -12,15 +9,17 @@
 //!
 //! Without `--data-dir` tree nodes live in memory and vanish with the
 //! process; with it each shard appends to a node log under `PATH/meta`
-//! (and nested version managers log publishes under `PATH/version`) and
-//! recovers on restart.
+//! and recovers on restart. The server hosts metadata shards and
+//! nothing else: version requests belong to `atomio-version-server` and
+//! draw a typed refusal here.
 //!
 //! One epoll reactor thread multiplexes every connection onto
 //! `--workers` dispatch threads; `--max-conns` caps admitted
 //! connections (extras receive a typed busy rejection) and
 //! `--max-inflight-per-conn` bounds per-connection pipelining.
 //! `--server-mode reactor` names the only front-end there is and is
-//! accepted as a no-op.
+//! accepted as a no-op; so is `--chunk-size`, which configured the
+//! version managers this role no longer hosts.
 //!
 //! Example: `atomio-meta-server 127.0.0.1:7421 --shards 4 --data-dir /var/lib/atomio`
 
@@ -28,17 +27,22 @@ use atomio_rpc::{run_server_binary, MetaService};
 use std::sync::Arc;
 
 fn main() {
-    run_server_binary("atomio-meta-server", Some(("--shards", 1)), true, |args| {
-        let mut service = MetaService::with_backend(args.count, args.chunk_size, &args.backend())
-            .unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            })
-            .with_retention(args.retention)
-            .with_lease_ttl_cap(args.lease_ttl_cap_ms);
-        if let Some((shard, of)) = args.shard {
-            service = service.with_shard(shard, of);
-        }
-        Arc::new(service)
-    });
+    // `--chunk-size` parses and is not read: the frozen wall-clock
+    // benchmark (`wallbench/src/deploy.rs`) still starts this server
+    // with it. See `ServerArgs::parse`.
+    let (accepts_chunk_size, hosts_versions) = (true, false);
+    run_server_binary(
+        "atomio-meta-server",
+        Some(("--shards", 1)),
+        accepts_chunk_size,
+        hosts_versions,
+        |args| {
+            Arc::new(
+                MetaService::with_backend(args.count, &args.backend()).unwrap_or_else(|e| {
+                    eprintln!("error: {e}");
+                    std::process::exit(1);
+                }),
+            )
+        },
+    );
 }

@@ -28,6 +28,7 @@ fn main() {
         "atomio-provider-server",
         Some(("--providers", 1)),
         false,
+        false,
         |args| {
             Arc::new(
                 ProviderService::with_backend(args.count, &args.backend()).unwrap_or_else(|e| {

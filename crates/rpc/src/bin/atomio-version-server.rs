@@ -34,7 +34,7 @@ use atomio_rpc::{run_server_binary, VersionService};
 use std::sync::Arc;
 
 fn main() {
-    run_server_binary("atomio-version-server", None, true, |args| {
+    run_server_binary("atomio-version-server", None, true, true, |args| {
         let mut service = VersionService::with_backend(args.chunk_size, args.backend())
             .with_retention(args.retention)
             .with_lease_ttl_cap(args.lease_ttl_cap_ms);

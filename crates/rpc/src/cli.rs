@@ -12,16 +12,17 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Everything a server binary needs from one `--flag value` style
-/// argument list: kept here so both binaries share the parsing and the
-/// unit tests cover it.
+/// argument list: kept here so the three binaries share the parsing and
+/// the unit tests cover it.
 #[derive(Debug, PartialEq, Eq)]
 pub struct ServerArgs {
     /// Listen address, e.g. `127.0.0.1:7420`.
     pub addr: String,
     /// `--providers N` / `--shards N` style count (role-specific).
     pub count: usize,
-    /// `--chunk-size BYTES` (meta and version servers, which carry the
-    /// tree geometry; the provider role rejects it).
+    /// `--chunk-size BYTES`: the tree geometry of the version server's
+    /// managers. The meta server parses and ignores it (see
+    /// [`ServerArgs::parse`]); the provider role rejects it.
     pub chunk_size: u64,
     /// `--data-dir PATH`: root of this role's durable state. `None`
     /// (the default) keeps the in-memory backend.
@@ -30,15 +31,15 @@ pub struct ServerArgs {
     /// disk backend (ignored without `--data-dir`).
     pub fsync: FsyncPolicy,
     /// `--retention keep-all|keep-last:N|keep-above:V`: the default
-    /// per-blob retention policy (version-capable roles only; the
-    /// provider role rejects it).
+    /// per-blob retention policy (version server only; the other roles
+    /// host no version managers and reject it).
     pub retention: RetentionPolicy,
-    /// `--lease-ttl-ms N`: cap on granted snapshot-lease TTLs
-    /// (version-capable roles only).
+    /// `--lease-ttl-ms N`: cap on granted snapshot-lease TTLs (version
+    /// server only).
     pub lease_ttl_cap_ms: u64,
-    /// `--shard I/N`: pin the hosted version service to shard `I` of an
-    /// `N`-way slot map (version-capable roles only). `None` (the
-    /// default) serves every slot unchecked.
+    /// `--shard I/N`: pin the version service to shard `I` of an
+    /// `N`-way slot map (version server only). `None` (the default)
+    /// serves every slot unchecked.
     pub shard: Option<(usize, usize)>,
     /// Dispatcher and admission tuning assembled from the `--workers`,
     /// `--max-conns`, and `--max-inflight-per-conn` flags (defaults
@@ -55,16 +56,23 @@ impl ServerArgs {
     /// `--max-conns n`, `--max-inflight-per-conn n` — plus
     /// `--server-mode reactor`, accepted as a no-op.
     ///
-    /// `--chunk-size`, `--retention`, and `--lease-ttl-ms` are
-    /// role-gated: roles without version-manager state (the provider
-    /// server) pass `accepts_chunk_size = false` and the flags are
-    /// rejected instead of silently ignored —
-    /// [`server_usage`] must advertise exactly what parses.
+    /// The version-manager flags are role-gated: `--retention`,
+    /// `--lease-ttl-ms` and `--shard` parse only with `hosts_versions`
+    /// (the version server) and are rejected elsewhere instead of
+    /// silently ignored — [`server_usage`] must advertise exactly what
+    /// parses. `--chunk-size` parses with `accepts_chunk_size`: the
+    /// version server, whose managers it configures, and the meta
+    /// server, where it is a no-op — that role has had no use for it
+    /// since it stopped hosting version managers, but the wall-clock
+    /// benchmark (`wallbench/src/deploy.rs`, frozen) starts it with the
+    /// flag; the benchmark PR that stops passing it merges the two
+    /// parameters into one.
     pub fn parse(
         args: impl IntoIterator<Item = String>,
         count_flag: &str,
         default_count: usize,
         accepts_chunk_size: bool,
+        hosts_versions: bool,
     ) -> std::result::Result<Self, String> {
         let mut args = args.into_iter();
         let addr = args.next().ok_or("missing listen address")?;
@@ -89,21 +97,16 @@ impl ServerArgs {
                     return Err("--chunk-size: this role has no chunk geometry".into());
                 }
                 parsed.chunk_size = value.parse().map_err(|_| bad())?;
+            } else if ["--retention", "--lease-ttl-ms", "--shard"].contains(&flag.as_str())
+                && !hosts_versions
+            {
+                return Err(format!("{flag}: this role hosts no version managers"));
             } else if flag == "--retention" {
-                if !accepts_chunk_size {
-                    return Err("--retention: this role hosts no version managers".into());
-                }
                 parsed.retention =
                     RetentionPolicy::parse(&value).map_err(|e| format!("bad {flag}: {e}"))?;
             } else if flag == "--lease-ttl-ms" {
-                if !accepts_chunk_size {
-                    return Err("--lease-ttl-ms: this role hosts no version managers".into());
-                }
                 parsed.lease_ttl_cap_ms = value.parse().map_err(|_| bad())?;
             } else if flag == "--shard" {
-                if !accepts_chunk_size {
-                    return Err("--shard: this role hosts no version managers".into());
-                }
                 let (i, n) = value.split_once('/').ok_or_else(bad)?;
                 let (i, n): (usize, usize) =
                     (i.parse().map_err(|_| bad())?, n.parse().map_err(|_| bad())?);
@@ -175,15 +178,22 @@ const SHARED_FLAGS: [(&str, &str); 4] = [
 
 /// Renders the one-line usage string of a server binary: exactly the
 /// flags [`ServerArgs::parse`] accepts for that role — the role-specific
-/// fleet-size flag (if any), `--chunk-size` only for roles that carry
-/// chunk geometry, and the shared [`RpcConfig`] flags.
-pub fn server_usage(name: &str, count_flag: Option<&str>, accepts_chunk_size: bool) -> String {
+/// fleet-size flag (if any), `--chunk-size` and the version-manager
+/// flags under the same two gates, and the shared [`RpcConfig`] flags.
+pub fn server_usage(
+    name: &str,
+    count_flag: Option<&str>,
+    accepts_chunk_size: bool,
+    hosts_versions: bool,
+) -> String {
     let mut usage = format!("usage: {name} <listen-addr>");
     if let Some(flag) = count_flag {
         usage.push_str(&format!(" [{flag} N]"));
     }
     if accepts_chunk_size {
         usage.push_str(" [--chunk-size BYTES]");
+    }
+    if hosts_versions {
         usage.push_str(" [--retention keep-all|keep-last:N|keep-above:V]");
         usage.push_str(" [--lease-ttl-ms N]");
         usage.push_str(" [--shard I/N]");
@@ -199,22 +209,30 @@ pub fn server_usage(name: &str, count_flag: Option<&str>, accepts_chunk_size: bo
 /// list through [`ServerArgs`], builds the role's service, and serves
 /// forever. `count_flag` is the role-specific fleet-size flag
 /// (`--providers` / `--shards`) with its default, or `None` for roles
-/// without one (the version server); `accepts_chunk_size` gates the
-/// `--chunk-size` flag to the roles that carry chunk geometry. Exits
-/// the process with status 2 on bad flags and 1 on a bind failure.
+/// without one (the version server); `accepts_chunk_size` and
+/// `hosts_versions` gate the role's flags as [`ServerArgs::parse`]
+/// describes. Exits the process with status 2 on bad flags and 1 on a
+/// bind failure.
 pub fn run_server_binary(
     name: &str,
     count_flag: Option<(&str, usize)>,
     accepts_chunk_size: bool,
+    hosts_versions: bool,
     build: impl FnOnce(&ServerArgs) -> Arc<dyn Service>,
 ) {
     let (flag, default_count) = count_flag.unwrap_or(("", 0));
-    let usage = server_usage(name, count_flag.map(|(f, _)| f), accepts_chunk_size);
+    let usage = server_usage(
+        name,
+        count_flag.map(|(f, _)| f),
+        accepts_chunk_size,
+        hosts_versions,
+    );
     let args = match ServerArgs::parse(
         std::env::args().skip(1),
         flag,
         default_count,
         accepts_chunk_size,
+        hosts_versions,
     ) {
         Ok(args) => args,
         Err(e) => {

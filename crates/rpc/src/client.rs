@@ -5,10 +5,11 @@
 //!   through a [`Transport`] instead of in-process providers.
 //! * [`RemoteMetaStore`] implements [`NodeStore`] for the tree builder
 //!   and reader.
-//! * [`RemoteVersionManager`] fronts a server-hosted version manager and
-//!   keeps a local [`VersionHistory`] mirror fed by the grant deltas, so
-//!   metadata building proceeds from local history exactly like the
-//!   in-process pipelined ticket path.
+//! * [`RemoteVersionManager`] implements [`VersionOracle`] — and spells
+//!   its calls nowhere else — in front of a server-hosted version
+//!   manager, keeping a local [`VersionHistory`] mirror fed by the grant
+//!   deltas, so metadata building proceeds from local history exactly as
+//!   it does against the in-process manager.
 //!
 //! Proxies carry a **zero** cost model and idle device resources: over a
 //! real transport, latency is real, so simulated device charging would
@@ -386,10 +387,11 @@ impl NodeStore for RemoteMetaStore {
 
 /// A client handle on a server-hosted version manager.
 ///
-/// Mirrors the pipelined ticket contract: every grant carries the write
-/// summaries the client has not seen, the mirror absorbs them, and the
-/// caller builds its metadata tree from the mirror — one round trip per
-/// write, exactly like the in-process `TicketMode::Pipelined` path.
+/// Mirrors the ticket contract of the in-process manager: every grant
+/// carries the write summaries the client has not seen, the mirror
+/// absorbs them, and the caller builds its metadata tree from the mirror
+/// — one round trip per write. Its calls are spelled once, in its
+/// [`VersionOracle`] impl.
 #[derive(Debug)]
 pub struct RemoteVersionManager {
     blob: u64,
@@ -413,143 +415,48 @@ impl RemoteVersionManager {
         &self.mirror
     }
 
+    /// One control-plane round trip (no payload either way).
+    fn call(&self, request: Request) -> Result<Response> {
+        self.transport
+            .call(&request, &[])
+            .map(|(response, _)| response)
+    }
+
+    /// A ticket request; the mirror absorbs the returned history delta
+    /// before this returns.
     fn grant(&self, request: Request) -> Result<(Ticket, ExtentList)> {
-        match self.transport.call(&request, &[])? {
-            (
-                Response::TicketGrant {
-                    ticket,
-                    extents,
-                    delta,
-                },
-                _,
-            ) => {
+        match self.call(request)? {
+            Response::TicketGrant {
+                ticket,
+                extents,
+                delta,
+            } => {
                 self.mirror.absorb(delta);
                 Ok((ticket, extents))
             }
-            (other, _) => Err(unexpected("TicketGrant", other)),
+            other => Err(unexpected("TicketGrant", other)),
         }
     }
 
-    /// Requests a write ticket for explicit extents; the mirror absorbs
-    /// the returned history delta before this returns.
-    pub fn ticket(&self, extents: &ExtentList) -> Result<(Ticket, ExtentList)> {
-        self.grant(Request::VmTicket {
-            blob: self.blob,
-            extents: extents.clone(),
-            known: self.mirror.len() as u64,
-        })
-    }
-
-    /// Requests an append ticket for `len` bytes at end-of-blob.
-    pub fn ticket_append(&self, len: u64) -> Result<(Ticket, ExtentList)> {
-        self.grant(Request::VmTicketAppend {
-            blob: self.blob,
-            len,
-            known: self.mirror.len() as u64,
-        })
-    }
-
-    /// Publishes a built snapshot.
-    pub fn publish(&self, ticket: Ticket, root: NodeKey) -> Result<()> {
-        let request = Request::VmPublish {
-            blob: self.blob,
-            ticket,
-            root,
-        };
-        match self.transport.call(&request, &[])? {
-            (Response::Unit, _) => Ok(()),
-            (other, _) => Err(unexpected("Unit", other)),
+    fn unit(&self, request: Request) -> Result<()> {
+        match self.call(request)? {
+            Response::Unit => Ok(()),
+            other => Err(unexpected("Unit", other)),
         }
     }
 
-    /// True once `version` is published.
-    pub fn is_published(&self, version: VersionId) -> Result<bool> {
-        let request = Request::VmIsPublished {
-            blob: self.blob,
-            version,
-        };
-        match self.transport.call(&request, &[])? {
-            (Response::Flag { value }, _) => Ok(value),
-            (other, _) => Err(unexpected("Flag", other)),
+    fn snapshot_call(&self, request: Request) -> Result<SnapshotRecord> {
+        match self.call(request)? {
+            Response::Snapshot { record } => Ok(record),
+            other => Err(unexpected("Snapshot", other)),
         }
     }
 
-    /// The latest published snapshot record.
-    pub fn latest(&self) -> Result<SnapshotRecord> {
-        let request = Request::VmLatest { blob: self.blob };
-        match self.transport.call(&request, &[])? {
-            (Response::Snapshot { record }, _) => Ok(record),
-            (other, _) => Err(unexpected("Snapshot", other)),
-        }
-    }
-
-    /// A specific published snapshot record.
-    pub fn snapshot(&self, version: VersionId) -> Result<SnapshotRecord> {
-        let request = Request::VmSnapshot {
-            blob: self.blob,
-            version,
-        };
-        match self.transport.call(&request, &[])? {
-            (Response::Snapshot { record }, _) => Ok(record),
-            (other, _) => Err(unexpected("Snapshot", other)),
-        }
-    }
-
-    /// Sets the blob's retention policy on the server.
-    pub fn set_retention(&self, policy: RetentionPolicy) -> Result<()> {
-        let request = Request::VmSetRetention {
-            blob: self.blob,
-            policy,
-        };
-        match self.transport.call(&request, &[])? {
-            (Response::Unit, _) => Ok(()),
-            (other, _) => Err(unexpected("Unit", other)),
-        }
-    }
-
+    /// A lease request (the server may clamp the TTL).
     fn lease_call(&self, request: Request) -> Result<LeaseGrant> {
-        match self.transport.call(&request, &[])? {
-            (Response::Lease { grant }, _) => Ok(grant),
-            (other, _) => Err(unexpected("Lease", other)),
-        }
-    }
-
-    /// Acquires a snapshot lease (TTL may be clamped by the server).
-    pub fn lease_acquire(&self, version: VersionId, ttl_ms: u64) -> Result<LeaseGrant> {
-        self.lease_call(Request::VmLeaseAcquire {
-            blob: self.blob,
-            version,
-            ttl_ms,
-        })
-    }
-
-    /// Extends a live lease.
-    pub fn lease_renew(&self, lease: u64, ttl_ms: u64) -> Result<LeaseGrant> {
-        self.lease_call(Request::VmLeaseRenew {
-            blob: self.blob,
-            lease,
-            ttl_ms,
-        })
-    }
-
-    /// Releases a lease (idempotent).
-    pub fn lease_release(&self, lease: u64) -> Result<()> {
-        let request = Request::VmLeaseRelease {
-            blob: self.blob,
-            lease,
-        };
-        match self.transport.call(&request, &[])? {
-            (Response::Unit, _) => Ok(()),
-            (other, _) => Err(unexpected("Unit", other)),
-        }
-    }
-
-    /// The server-side reclamation floor plus lease gauges.
-    pub fn gc_floor(&self) -> Result<GcFloor> {
-        let request = Request::VmGcFloor { blob: self.blob };
-        match self.transport.call(&request, &[])? {
-            (Response::GcFloor { info }, _) => Ok(info),
-            (other, _) => Err(unexpected("GcFloor", other)),
+        match self.call(request)? {
+            Response::Lease { grant } => Ok(grant),
+            other => Err(unexpected("Lease", other)),
         }
     }
 }
@@ -563,27 +470,47 @@ impl RemoteVersionManager {
 /// publication poll in [`VersionOracle::wait_published`].
 impl VersionOracle for RemoteVersionManager {
     fn history(&self) -> &Arc<VersionHistory> {
-        RemoteVersionManager::history(self)
+        &self.mirror
     }
 
     fn ticket(&self, _p: &Participant, extents: &ExtentList) -> Result<Ticket> {
-        RemoteVersionManager::ticket(self, extents).map(|(ticket, _)| ticket)
+        let request = Request::VmTicket {
+            blob: self.blob,
+            extents: extents.clone(),
+            known: self.mirror.len() as u64,
+        };
+        self.grant(request).map(|(ticket, _)| ticket)
     }
 
     fn ticket_append(&self, _p: &Participant, len: u64) -> Result<(Ticket, ExtentList)> {
-        RemoteVersionManager::ticket_append(self, len)
+        self.grant(Request::VmTicketAppend {
+            blob: self.blob,
+            len,
+            known: self.mirror.len() as u64,
+        })
     }
 
     fn publish(&self, _p: &Participant, ticket: Ticket, root: NodeKey) -> Result<()> {
-        RemoteVersionManager::publish(self, ticket, root)
+        self.unit(Request::VmPublish {
+            blob: self.blob,
+            ticket,
+            root,
+        })
     }
 
     fn is_published(&self, version: VersionId) -> Result<bool> {
-        RemoteVersionManager::is_published(self, version)
+        let request = Request::VmIsPublished {
+            blob: self.blob,
+            version,
+        };
+        match self.call(request)? {
+            Response::Flag { value } => Ok(value),
+            other => Err(unexpected("Flag", other)),
+        }
     }
 
     fn wait_published(&self, p: &Participant, version: VersionId) -> Result<()> {
-        p.poll_until(|| match RemoteVersionManager::is_published(self, version) {
+        p.poll_until(|| match self.is_published(version) {
             Ok(true) => Some(Ok(())),
             Ok(false) => None,
             Err(error) => Some(Err(error)),
@@ -591,15 +518,21 @@ impl VersionOracle for RemoteVersionManager {
     }
 
     fn latest(&self, _p: &Participant) -> Result<SnapshotRecord> {
-        RemoteVersionManager::latest(self)
+        self.snapshot_call(Request::VmLatest { blob: self.blob })
     }
 
     fn snapshot(&self, _p: &Participant, version: VersionId) -> Result<SnapshotRecord> {
-        RemoteVersionManager::snapshot(self, version)
+        self.snapshot_call(Request::VmSnapshot {
+            blob: self.blob,
+            version,
+        })
     }
 
     fn set_retention(&self, _p: &Participant, policy: RetentionPolicy) -> Result<()> {
-        RemoteVersionManager::set_retention(self, policy)
+        self.unit(Request::VmSetRetention {
+            blob: self.blob,
+            policy,
+        })
     }
 
     fn lease_acquire(
@@ -608,18 +541,32 @@ impl VersionOracle for RemoteVersionManager {
         version: VersionId,
         ttl_ms: u64,
     ) -> Result<LeaseGrant> {
-        RemoteVersionManager::lease_acquire(self, version, ttl_ms)
+        self.lease_call(Request::VmLeaseAcquire {
+            blob: self.blob,
+            version,
+            ttl_ms,
+        })
     }
 
     fn lease_renew(&self, _p: &Participant, lease: u64, ttl_ms: u64) -> Result<LeaseGrant> {
-        RemoteVersionManager::lease_renew(self, lease, ttl_ms)
+        self.lease_call(Request::VmLeaseRenew {
+            blob: self.blob,
+            lease,
+            ttl_ms,
+        })
     }
 
     fn lease_release(&self, _p: &Participant, lease: u64) -> Result<()> {
-        RemoteVersionManager::lease_release(self, lease)
+        self.unit(Request::VmLeaseRelease {
+            blob: self.blob,
+            lease,
+        })
     }
 
     fn gc_floor(&self, _p: &Participant) -> Result<GcFloor> {
-        RemoteVersionManager::gc_floor(self)
+        match self.call(Request::VmGcFloor { blob: self.blob })? {
+            Response::GcFloor { info } => Ok(info),
+            other => Err(unexpected("GcFloor", other)),
+        }
     }
 }

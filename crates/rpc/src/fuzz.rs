@@ -9,12 +9,14 @@
 //! mutated frame that still parses does reach the derived decoders. Each
 //! step must end in a typed error or in a value that encodes again, with
 //! the thread's peak heap use — counted by this test binary's allocator —
-//! inside a budget ([`metered`]).
+//! inside a budget ([`metered`]). And a range or an extent list that
+//! decodes at all is one its constructors would have built
+//! ([`assert_ranges_are_valid`]): the services do arithmetic on them.
 
 use crate::proto::{Request, Response};
 use crate::samples;
 use crate::wire::{self, PayloadCursor};
-use atomio_types::{Error, TransportErrorKind};
+use atomio_types::{ByteRange, ChunkId, Error, ExtentList, ProviderId, TransportErrorKind};
 use bytes::Bytes;
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize, Value};
@@ -111,15 +113,35 @@ fn assert_reencodes(value: &Value) {
 }
 
 /// A header that parsed as a message yields a message that survives its
-/// own round trip; one that did not is a `DeError`, which is all
-/// `from_value` can return besides.
-fn assert_message_reencodes<T>(header: &Value)
+/// own round trip (and is returned); one that did not is a `DeError`,
+/// which is all `from_value` can return besides.
+fn assert_message_reencodes<T>(header: &Value) -> Option<T>
 where
     T: Serialize + Deserialize + PartialEq + std::fmt::Debug,
 {
-    if let Ok(message) = T::from_value(header) {
-        let again = wire::decode_value(&encode(&message.to_value())).unwrap();
-        assert_eq!(T::from_value(&again).as_ref(), Ok(&message));
+    let message = T::from_value(header).ok()?;
+    let again = wire::decode_value(&encode(&message.to_value())).unwrap();
+    assert_eq!(T::from_value(&again).as_ref(), Ok(&message));
+    Some(message)
+}
+
+/// The ranges of a request that decoded hold what `ByteRange::new` and
+/// `ExtentList::from_ranges` guarantee — no frame gets past their
+/// hand-written `Deserialize` impls with an end that overflows or a list
+/// that is not normalized.
+fn assert_ranges_are_valid(request: &Request) {
+    let fits = |range: &ByteRange| range.offset.checked_add(range.len).is_some();
+    match request {
+        Request::VmTicket { extents, .. } => {
+            assert!(extents.ranges().iter().all(fits), "{extents:?}");
+            let rebuilt = ExtentList::from_ranges(extents.ranges().iter().copied());
+            assert_eq!(&rebuilt, extents);
+        }
+        Request::GetChunkRange { range, .. } => assert!(fits(range), "{range:?}"),
+        Request::GetChunkRangeBatch { items, .. } => {
+            assert!(items.iter().all(|(_, _, range)| fits(range)), "{items:?}")
+        }
+        _ => {}
     }
 }
 
@@ -135,7 +157,9 @@ fn read_as_a_peer_would(bytes: &[u8]) {
         if let Ok((_, header, payload, read)) = wire::read_frame(&mut &bytes[..]) {
             assert!(read as usize <= bytes.len() && payload.len() <= bytes.len());
             assert_reencodes(&header);
-            assert_message_reencodes::<Request>(&header);
+            if let Some(request) = assert_message_reencodes::<Request>(&header) {
+                assert_ranges_are_valid(&request);
+            }
             assert_message_reencodes::<Response>(&header);
         }
     });
@@ -204,8 +228,57 @@ fn a_declared_count_reserves_no_more_than_the_cap() {
     read_as_a_peer_would(&prefix);
 }
 
+/// `any::<u64>()`, bent toward the values sums overflow at.
+fn edgy_u64() -> impl Strategy<Value = u64> {
+    (any::<u64>(), 0u64..4).prop_map(|(x, k)| match x % 4 {
+        0 => k,
+        1 => u64::MAX - k,
+        2 => x >> 32,
+        _ => x,
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn ranges_decode_exactly_when_a_constructor_would_have_built_them(
+        pairs in proptest::collection::vec((edgy_u64(), edgy_u64()), 0..5),
+        sort in any::<bool>(),
+    ) {
+        // `(offset, len)` pairs as a peer may send them, built past the
+        // constructors.
+        let mut pairs = pairs;
+        if sort {
+            pairs.sort_unstable();
+        }
+        let raw: Vec<ByteRange> = pairs
+            .iter()
+            .map(|&(offset, len)| ByteRange { offset, len })
+            .collect();
+        let fit = pairs.iter().all(|&(offset, len)| offset.checked_add(len).is_some());
+        let normalized = fit && ExtentList::from_pairs(pairs.iter().copied()).ranges() == raw;
+
+        // Through the provider's door, where each range stands alone…
+        let items = raw.iter().map(|&range| (0, ChunkId::new(1), range)).collect();
+        let batch = Request::GetChunkRangeBatch { provider: ProviderId::new(0), items };
+        prop_assert_eq!(Request::from_value(&batch.to_value()).is_ok(), fit);
+
+        // …and the version server's, where they form a list: the sample
+        // ticket request with its `ranges` swapped for these.
+        let ticket = Request::VmTicket { blob: 4, extents: ExtentList::new(), known: 2 };
+        let mut header = ticket.to_value();
+        let Value::Object(fields) = &mut header else {
+            panic!("a request encodes as an object");
+        };
+        let extents = fields.iter_mut().find(|(name, _)| name == "extents").unwrap();
+        extents.1 = Value::Object(vec![("ranges".into(), raw.to_value())]);
+        let decoded = Request::from_value(&header);
+        prop_assert_eq!(decoded.is_ok(), normalized, "{:?}", decoded);
+        if let Ok(request) = decoded {
+            assert_ranges_are_valid(&request);
+        }
+    }
 
     #[test]
     fn arbitrary_bytes_never_panic_a_reader(

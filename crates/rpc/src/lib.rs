@@ -76,8 +76,14 @@ mod tests {
     use super::*;
     use atomio_provider::ChunkStore;
     use atomio_types::{ByteRange, ChunkId, Error, ProviderId, TransportErrorKind, VersionId};
+    use atomio_version::VersionOracle;
     use bytes::Bytes;
+    use serde::Serialize as _;
     use std::sync::Arc;
+
+    fn loopback(service: impl Service + 'static) -> Arc<dyn Transport> {
+        Arc::new(Loopback::new(Arc::new(service)))
+    }
 
     fn remote_fleet(transport: &Arc<dyn Transport>, count: usize) -> Vec<RemoteProvider> {
         (0..count)
@@ -245,17 +251,20 @@ mod tests {
 
     #[test]
     fn loopback_serves_meta_and_version_ops() {
-        let transport: Arc<dyn Transport> =
-            Arc::new(Loopback::new(Arc::new(MetaService::new(2, 64))));
-        let meta = RemoteMetaStore::new(Arc::clone(&transport));
-        let vm = RemoteVersionManager::new(1, Arc::clone(&transport));
+        // Each half dials the one service that answers it.
+        let meta = RemoteMetaStore::new(loopback(MetaService::new(2)));
+        let vm = RemoteVersionManager::new(1, loopback(VersionService::new(64)));
+        let p = atomio_simgrid::SimClock::new().register();
 
         // Ticket for a 2-chunk write; grant carries the history delta.
         let extents = atomio_types::ExtentList::single(ByteRange::new(0, 128));
-        let (ticket, assigned) = vm.ticket(&extents).unwrap();
+        let ticket = vm.ticket(&p, &extents).unwrap();
         assert_eq!(ticket.version, VersionId::new(1));
-        assert_eq!(assigned, extents);
         assert_eq!(vm.history().len(), 1, "mirror absorbed the grant delta");
+        assert_eq!(
+            *vm.history().summary(ticket.version).unwrap().extents,
+            extents
+        );
 
         // Build the write's tree against the remote store, from the
         // mirrored history — the client-side flow of a remote deployment.
@@ -284,10 +293,10 @@ mod tests {
             let root = builder
                 .build_update(p, ticket.version, ticket.capacity, &entries)
                 .unwrap();
-            vm.publish(ticket, root).unwrap();
+            vm.publish(p, ticket, root).unwrap();
             assert!(vm.is_published(ticket.version).unwrap());
-            assert_eq!(vm.latest().unwrap().version, ticket.version);
-            assert_eq!(vm.snapshot(ticket.version).unwrap().root, Some(root));
+            assert_eq!(vm.latest(p).unwrap().version, ticket.version);
+            assert_eq!(vm.snapshot(p, ticket.version).unwrap().root, Some(root));
 
             // The published tree resolves back through the same store.
             let reader = atomio_meta::TreeReader::new(&meta);
@@ -296,23 +305,124 @@ mod tests {
         });
     }
 
-    #[test]
-    fn wrong_role_requests_fail_without_panicking() {
-        let provider: Arc<dyn Transport> =
-            Arc::new(Loopback::new(Arc::new(ProviderService::new(1))));
-        let (response, _) = provider.call(&Request::MetaNodeCount, &[]).unwrap();
-        assert!(matches!(response, Response::Fail { .. }));
+    /// `Error::Unsupported` carries a `&'static str`, so through the
+    /// codec it arrives as the `Internal` its decoder maps it to.
+    fn is_unsupported(response: &Response) -> bool {
+        matches!(
+            response,
+            Response::Fail { error: Error::Internal(msg) } if msg.starts_with("remote Unsupported")
+        )
+    }
 
-        let meta: Arc<dyn Transport> = Arc::new(Loopback::new(Arc::new(MetaService::new(1, 64))));
-        let (response, _) = meta
-            .call(
-                &Request::ProviderChunkCount {
-                    provider: ProviderId::new(0),
-                },
-                &[],
-            )
-            .unwrap();
-        assert!(matches!(response, Response::Fail { .. }));
+    #[test]
+    fn every_request_has_exactly_one_home() {
+        // What the services' hand-kept lists of each other's variants
+        // used to hold at compile time: a request is answered (with
+        // anything but `Unsupported` — a refusal of *this* request by
+        // its own role counts) by exactly the role its name says, and
+        // draws the typed `Unsupported` from the other two.
+        let roles: [(&str, Arc<dyn Transport>); 3] = [
+            ("provider", loopback(ProviderService::new(4))),
+            ("meta", loopback(MetaService::new(2))),
+            ("version", loopback(VersionService::new(64))),
+        ];
+        for request in samples::requests() {
+            let homes: Vec<&str> = roles
+                .iter()
+                .filter(|(_, role)| !is_unsupported(&role.call(&request, b"payload").unwrap().0))
+                .map(|(name, _)| *name)
+                .collect();
+            let value = request.to_value();
+            let expected: &[&str] = match value.variant_tag("Request").unwrap() {
+                "Ping" => &["provider", "meta", "version"],
+                tag if tag.starts_with("Meta") => &["meta"],
+                tag if tag.starts_with("Vm") || tag.starts_with("SlotMap") => &["version"],
+                _ => &["provider"],
+            };
+            assert_eq!(homes, expected, "{request:?}");
+        }
+    }
+
+    #[test]
+    fn a_grant_no_tree_can_hold_is_refused_and_the_server_keeps_serving() {
+        // Three well-formed requests that used to leave a version server
+        // listening and dead: the first was *granted* (capacity wrapped
+        // to 0, size u64::MAX), the next two each panicked a dispatch
+        // worker on the append tail, and two workers were all it had.
+        let service = Arc::new(VersionService::new(64 * 1024));
+        let cfg = RpcConfig {
+            server_workers: 2,
+            ..RpcConfig::default()
+        };
+        let mut server = RpcServer::start_with_config(
+            "127.0.0.1:0",
+            Arc::clone(&service) as Arc<dyn Service>,
+            cfg,
+        )
+        .unwrap();
+        let client = MuxTransport::new(server.local_addr());
+        let append = Request::VmTicketAppend {
+            blob: 7,
+            len: u64::MAX,
+            known: 0,
+        };
+        // The same wrap through the explicit-extents door.
+        let explicit = Request::VmTicket {
+            blob: 7,
+            extents: atomio_types::ExtentList::single(ByteRange::new(u64::MAX - 8, 8)),
+            known: 0,
+        };
+        for request in [&append, &append, &append, &explicit] {
+            let (response, _) = client.call(request, &[]).unwrap();
+            assert!(
+                matches!(response, Response::Fail { .. }),
+                "got {response:?}"
+            );
+        }
+        let vm = service.vm(7).unwrap();
+        assert_eq!((vm.stats().issued, vm.history().len()), (0, 0));
+        let fresh = MuxTransport::new(server.local_addr());
+        let (response, _) = fresh.call(&Request::Ping, &[]).unwrap();
+        assert!(matches!(response, Response::Pong));
+        server.stop();
+    }
+
+    /// Serves a `Ping`, unless it carries a payload: then it panics.
+    #[derive(Debug)]
+    struct PanicsOnPayload;
+
+    impl Service for PanicsOnPayload {
+        fn handle(&self, _request: Request, payload: Bytes) -> (Response, Bytes) {
+            assert!(payload.is_empty(), "a ping with a payload");
+            (Response::Pong, Bytes::new())
+        }
+    }
+
+    #[test]
+    fn a_panicking_handler_costs_one_request_not_one_worker() {
+        let workers = 2;
+        let cfg = RpcConfig {
+            server_workers: workers,
+            ..RpcConfig::default()
+        };
+        let mut server =
+            RpcServer::start_with_config("127.0.0.1:0", Arc::new(PanicsOnPayload), cfg).unwrap();
+        let client = MuxTransport::new(server.local_addr());
+        // One more than there are workers: were a panic to take its
+        // worker with it, the last of these would never be answered.
+        for _ in 0..workers + 1 {
+            let (response, _) = client.call(&Request::Ping, b"boom").unwrap();
+            assert!(
+                matches!(
+                    &response,
+                    Response::Fail { error: Error::Internal(msg) } if msg.contains("a ping with a payload")
+                ),
+                "got {response:?}"
+            );
+        }
+        let (response, _) = client.call(&Request::Ping, &[]).unwrap();
+        assert!(matches!(response, Response::Pong));
+        server.stop();
     }
 
     #[test]
@@ -489,6 +599,7 @@ mod tests {
             "--providers",
             1,
             false,
+            false,
         )
         .unwrap();
         assert_eq!(args.count, 4);
@@ -513,60 +624,64 @@ mod tests {
                 ..RpcConfig::default()
             }
         );
-        let provider_role = |flag: &str, value: &str| {
-            ServerArgs::parse(
-                ["127.0.0.1:7420", flag, value].map(String::from),
-                "--providers",
-                1,
-                false,
-            )
-        };
-        assert!(provider_role("--bogus", "1").is_err());
+        assert!(parse_as(PROVIDER, "--bogus", "1").is_err());
         // The deleted front-end is refused by name, not silently mapped.
-        let err = provider_role("--server-mode", "threads").unwrap_err();
+        let err = parse_as(PROVIDER, "--server-mode", "threads").unwrap_err();
         assert!(err.contains("PR 17"), "got {err}");
+    }
+
+    /// Binary name, fleet-size flag with its default, whether
+    /// `--chunk-size` parses, and whether the role hosts version
+    /// managers: the three deployed roles, exactly as their binaries
+    /// configure them.
+    type Role = (&'static str, Option<(&'static str, usize)>, bool, bool);
+    const PROVIDER: Role = (
+        "atomio-provider-server",
+        Some(("--providers", 1)),
+        false,
+        false,
+    );
+    const META: Role = ("atomio-meta-server", Some(("--shards", 1)), true, false);
+    const VERSION: Role = ("atomio-version-server", None, true, true);
+
+    fn parse_as(role: Role, flag: &str, value: &str) -> Result<ServerArgs, String> {
+        let (_, count_flag, chunk, versions) = role;
+        let (count_flag, default_count) = count_flag.unwrap_or(("", 0));
+        ServerArgs::parse(
+            ["127.0.0.1:0", flag, value].map(String::from),
+            count_flag,
+            default_count,
+            chunk,
+            versions,
+        )
     }
 
     #[test]
     fn server_args_parse_shard_flag() {
-        let version_role = |shard: &str| {
-            ServerArgs::parse(
-                ["127.0.0.1:0", "--shard", shard].map(String::from),
-                "",
-                0,
-                true,
-            )
-        };
-        assert_eq!(version_role("2/4").unwrap().shard, Some((2, 4)));
-        assert_eq!(version_role("0/1").unwrap().shard, Some((0, 1)));
+        let shard = |value: &str| parse_as(VERSION, "--shard", value).map(|args| args.shard);
+        assert_eq!(shard("2/4"), Ok(Some((2, 4))));
+        assert_eq!(shard("0/1"), Ok(Some((0, 1))));
         // Index must be in range, and the spelling is strictly I/N.
-        assert!(version_role("4/4").is_err());
-        assert!(version_role("2").is_err());
-        assert!(version_role("a/b").is_err());
-        // The provider role hosts no version managers.
-        assert!(ServerArgs::parse(
-            ["127.0.0.1:0", "--shard", "0/4"].map(String::from),
-            "--providers",
-            1,
-            false,
-        )
-        .is_err());
+        assert!(shard("4/4").is_err());
+        assert!(shard("2").is_err());
+        assert!(shard("a/b").is_err());
+        // Only the version server hosts version managers.
+        for role in [PROVIDER, META] {
+            let err = parse_as(role, "--shard", "0/4").unwrap_err();
+            assert!(
+                err.contains("hosts no version managers"),
+                "{}: {err}",
+                role.0
+            );
+        }
     }
 
     #[test]
     fn usage_strings_cannot_drift_from_the_parser() {
-        // The three deployed roles, exactly as their binaries configure
-        // them. For every flag the codebase has ever known, the parser
-        // accepts it if and only if the role's usage line advertises it
-        // — so a flag added to one without the other fails here.
-        /// Binary name, fleet-size flag with its default, and whether
-        /// the role carries chunk geometry.
-        type Role = (&'static str, Option<(&'static str, usize)>, bool);
-        let roles: [Role; 3] = [
-            ("atomio-provider-server", Some(("--providers", 1)), false),
-            ("atomio-meta-server", Some(("--shards", 1)), true),
-            ("atomio-version-server", None, true),
-        ];
+        // For every flag the codebase has ever known, the parser accepts
+        // it if and only if the role's usage line advertises it — so a
+        // flag added to one without the other fails here.
+        //
         // Each flag with a value its parser accepts — "1" fits the
         // numeric flags, but `--fsync` needs a policy spelling and
         // `--data-dir` takes a path.
@@ -574,11 +689,11 @@ mod tests {
             ("--providers", "1"),
             ("--shards", "1"),
             ("--chunk-size", "1"),
-            ("--data-dir", "/tmp/atomio-data"),
-            ("--fsync", "per-publish"),
             ("--retention", "keep-last:2"),
             ("--lease-ttl-ms", "60000"),
             ("--shard", "0/4"),
+            ("--data-dir", "/tmp/atomio-data"),
+            ("--fsync", "per-publish"),
             ("--workers", "1"),
             ("--server-mode", "reactor"),
             ("--max-conns", "1"),
@@ -593,39 +708,51 @@ mod tests {
             ("--write-timeout-ms", "1"),
             ("--backoff-ms", "1"),
         ];
-        for (name, count_flag, chunk) in roles {
-            let usage = server_usage(name, count_flag.map(|(f, _)| f), chunk);
-            let (cf, dc) = count_flag.unwrap_or(("", 0));
+        let accepted_by = |role: Role| -> Vec<&str> {
+            let (name, count_flag, chunk, versions) = role;
+            let usage = server_usage(name, count_flag.map(|(f, _)| f), chunk, versions);
+            let mut accepted = Vec::new();
             for (flag, sample) in all_flags {
-                let accepted = ServerArgs::parse(
-                    ["127.0.0.1:0", flag, sample].map(String::from),
-                    cf,
-                    dc,
-                    chunk,
-                )
-                .is_ok();
+                let parses = parse_as(role, flag, sample).is_ok();
                 let advertised = usage.contains(&format!("[{flag} "));
                 assert_eq!(
-                    accepted, advertised,
-                    "{name}: {flag} accepted={accepted} but advertised={advertised}\n{usage}"
+                    parses, advertised,
+                    "{name}: {flag} accepted={parses} but advertised={advertised}\n{usage}"
                 );
+                if parses {
+                    accepted.push(flag);
+                }
             }
-        }
-        // The drift this test was written for: the provider server has
-        // no chunk geometry, so it must reject --chunk-size instead of
-        // silently ignoring it.
-        assert!(ServerArgs::parse(
-            ["127.0.0.1:0", "--chunk-size", "4096"].map(String::from),
-            "--providers",
-            1,
-            false,
-        )
-        .is_err());
+            accepted
+        };
+        // And each role's flag set is the one its service can use. The
+        // provider server has no chunk geometry and the meta server no
+        // version managers: both reject the flags instead of silently
+        // ignoring them — save `--chunk-size` on the meta server, which
+        // the frozen benchmark passes (see `ServerArgs::parse`).
+        let shared = [
+            "--data-dir",
+            "--fsync",
+            "--workers",
+            "--server-mode",
+            "--max-conns",
+            "--max-inflight-per-conn",
+        ];
+        let with_shared = |own: &[&'static str]| [own, &shared[..]].concat();
+        assert_eq!(accepted_by(PROVIDER), with_shared(&["--providers"]));
+        assert_eq!(
+            accepted_by(META),
+            with_shared(&["--shards", "--chunk-size"])
+        );
+        assert_eq!(
+            accepted_by(VERSION),
+            with_shared(&["--chunk-size", "--retention", "--lease-ttl-ms", "--shard"])
+        );
     }
 
     #[test]
     fn rpc_config_roundtrips_through_serde() {
-        use serde::{Deserialize as _, Serialize as _};
+        use serde::Deserialize as _;
         let cfg = RpcConfig {
             pool_conns: 7,
             server_workers: 3,
@@ -827,7 +954,6 @@ mod tests {
 
     #[test]
     fn malformed_frames_close_only_the_offending_connection() {
-        use serde::Serialize as _;
         use std::io::{Read as _, Write as _};
         let mut server =
             RpcServer::start("127.0.0.1:0", Arc::new(ProviderService::new(1))).unwrap();

@@ -13,7 +13,7 @@
 use atomio_core::SlotMap;
 use atomio_meta::{Node, NodeKey, WriteSummary};
 use atomio_types::{ByteRange, ChunkId, Error, ProviderId, Result, RetentionPolicy, VersionId};
-use atomio_version::{GcFloor, LeaseGrant, SnapshotRecord, Ticket, VersionExport};
+use atomio_version::{GcFloor, LeaseGrant, PublishRecord, SnapshotRecord, Ticket};
 use serde::{Deserialize, Serialize};
 
 /// Version tag carried by every frame (see [`crate::wire`]).
@@ -311,7 +311,7 @@ pub struct BlobExport {
     /// The blob's raw id.
     pub blob: u64,
     /// The published prefix, dense from version 1.
-    pub versions: Vec<VersionExport>,
+    pub versions: Vec<PublishRecord>,
     /// The blob's retention policy.
     pub retention: RetentionPolicy,
 }

@@ -14,7 +14,7 @@ use atomio_types::{
     BlobId, ByteRange, ChunkId, Error, ExtentList, ProviderId, RetentionPolicy, TransportErrorKind,
     VersionId,
 };
-use atomio_version::{GcFloor, LeaseGrant, SnapshotRecord, Ticket, VersionExport};
+use atomio_version::{GcFloor, LeaseGrant, PublishRecord, SnapshotRecord, Ticket};
 use serde::{Serialize, Value};
 use std::sync::Arc;
 
@@ -65,7 +65,7 @@ fn nodes() -> Vec<Node> {
 fn blob_exports() -> Vec<BlobExport> {
     vec![BlobExport {
         blob: 9,
-        versions: vec![VersionExport {
+        versions: vec![PublishRecord {
             version: VersionId::new(1),
             root: Some(key(9, 1, 64)),
             size: 64,

@@ -32,6 +32,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize, Value};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -176,8 +177,9 @@ pub(crate) type DispatchJob = (ResponseSink, Vec<(u64, Value, Bytes)>);
 /// batches from any connection and routes each batch's responses —
 /// tagged with the request ids — back through the batch's sink in a
 /// single delivery. Responses leave in completion order; clients match
-/// them by id. A dead connection only gets severed; the worker lives on
-/// to serve the other connections.
+/// them by id. A dead connection only gets severed, and a handler that
+/// panics fails its one request ([`handle_contained`]); either way the
+/// worker lives on to serve the other connections.
 fn dispatch_worker(rx: Arc<Mutex<mpsc::Receiver<DispatchJob>>>, service: Arc<dyn Service>) {
     loop {
         // Take the receiver lock only to pull one job; holding it
@@ -198,7 +200,7 @@ fn dispatch_worker(rx: Arc<Mutex<mpsc::Receiver<DispatchJob>>>, service: Arc<dyn
         let mut poisoned = false;
         for (id, header, payload) in batch {
             let (response, out) = match Request::from_value(&header) {
-                Ok(request) => service.handle_vectored(request, payload),
+                Ok(request) => handle_contained(service.as_ref(), id, request, payload),
                 Err(e) => (
                     Response::Fail {
                         error: Error::Transport {
@@ -233,6 +235,32 @@ fn dispatch_worker(rx: Arc<Mutex<mpsc::Receiver<DispatchJob>>>, service: Arc<dyn
         sink.shared
             .complete(sink.token, wire_bytes, responses, poisoned);
     }
+}
+
+/// [`Service::handle_vectored`] with a panic contained to the request
+/// that caused it: the caller gets a typed failure, stderr gets one
+/// `key=value` line (beside the panic hook's own message and location),
+/// and the worker lives on — a pool of `server_workers` threads must not
+/// be something `server_workers` bad requests can use up. Nothing is
+/// poisoned by the unwind (the services' locks are `parking_lot`), which
+/// is what `AssertUnwindSafe` asserts here.
+fn handle_contained(
+    service: &dyn Service,
+    id: u64,
+    request: Request,
+    payload: Bytes,
+) -> (Response, Vec<Bytes>) {
+    let handler = AssertUnwindSafe(|| service.handle_vectored(request, payload));
+    catch_unwind(handler).unwrap_or_else(|panic| {
+        let message = panic
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_owned());
+        eprintln!("atomio-rpc: event=handler_panic request_id={id} message={message:?}");
+        let error = Error::Internal(format!("request handler panicked: {message}"));
+        (Response::Fail { error }, Vec::new())
+    })
 }
 
 /// Response payloads up to this size are copied into the burst's one

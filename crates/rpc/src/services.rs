@@ -2,13 +2,17 @@
 //! decoded request.
 //!
 //! A [`Service`] maps one decoded request to one response; the three
-//! concrete services mirror the deployment's three server roles:
+//! concrete services mirror the deployment's three server roles, and
+//! every request variant has exactly one of them as its home:
 //!
 //! * [`ProviderService`] hosts a fleet of chunk stores (chunk ops).
+//! * [`MetaService`] hosts metadata shards (node ops) and nothing else.
 //! * [`VersionService`] hosts one lazily-created [`VersionManager`] per
-//!   blob (ticket, publish, snapshot, lease and slot-handoff ops).
-//! * [`MetaService`] hosts metadata shards (node ops) and, for
-//!   two-server deployments, a nested [`VersionService`].
+//!   blob (ticket, publish, snapshot, lease and slot-handoff ops) and is
+//!   the only service that answers them.
+//!
+//! `Ping` is answered by all three; any other request sent to a role
+//! that is not its home draws a typed [`Error::Unsupported`].
 //!
 //! Servers run **zero-cost** device models: a real deployment's latency
 //! comes from the real sockets, not from the simulation. The virtual
@@ -18,14 +22,14 @@
 use crate::proto::{BlobExport, Request, Response};
 use crate::wire::{self, PayloadCursor};
 use atomio_core::{slot_for_blob, SlotMap};
-use atomio_meta::{node_store_for, LocalNodeStore, TreeConfig};
+use atomio_meta::{node_store_for, LocalNodeStore, TreeConfig, WriteSummary};
 use atomio_provider::{chunk_store_for, ChunkStore, DataProvider};
 use atomio_simgrid::{ClientNics, CostModel, FaultInjector};
 use atomio_types::{
-    BackendConfig, BlobId, ByteRange, ChunkId, Error, ProviderId, Result, RetentionPolicy,
-    TransportErrorKind,
+    BackendConfig, BlobId, ByteRange, ChunkId, Error, ExtentList, ProviderId, Result,
+    RetentionPolicy, TransportErrorKind,
 };
-use atomio_version::{version_manager_for, TicketMode, VersionManager};
+use atomio_version::{version_manager_for, Ticket, VersionManager};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -314,39 +318,15 @@ impl Service for ProviderService {
                 }),
                 Err(e) => fail(e),
             },
-            MetaPutBatch { .. }
-            | MetaGetBatch { .. }
-            | MetaContains { .. }
-            | MetaNodeCount
-            | MetaEvict { .. }
-            | MetaEvictBatch { .. }
-            | MetaListKeys
-            | VmTicket { .. }
-            | VmTicketAppend { .. }
-            | VmPublish { .. }
-            | VmIsPublished { .. }
-            | VmLatest { .. }
-            | VmSnapshot { .. }
-            | VmSetRetention { .. }
-            | VmLeaseAcquire { .. }
-            | VmLeaseRenew { .. }
-            | VmLeaseRelease { .. }
-            | VmGcFloor { .. }
-            | SlotMapGet
-            | SlotMapInstall { .. }
-            | VmFreezeSlots { .. }
-            | VmSealSlots { .. }
-            | VmExportSlots { .. }
-            | VmImportBlobs { .. } => unsupported("metadata/version op sent to a provider server"),
+            _ => unsupported("metadata/version op sent to a provider server"),
         }
     }
 }
 
 /// Hosts per-blob version managers behind the version RPCs — the third
-/// server role, mirroring BlobSeer's standalone version manager. The
-/// `atomio-version-server` binary wraps exactly this service; it also
-/// nests inside [`MetaService`] so a two-server deployment (meta +
-/// providers) keeps working unchanged.
+/// server role, mirroring BlobSeer's standalone version manager, and the
+/// only service that answers a `Vm*` or slot-map request. The
+/// `atomio-version-server` binary wraps exactly this service.
 #[derive(Debug)]
 pub struct VersionService {
     chunk_size: u64,
@@ -526,11 +506,22 @@ impl VersionService {
             BlobId::new(blob),
             TreeConfig::new(self.chunk_size),
             CostModel::zero(),
-            TicketMode::Pipelined,
             self.retention,
         )?);
         vms.insert(blob, Arc::clone(&vm));
         Ok(vm)
+    }
+}
+
+/// The reply to either ticket request.
+fn granted(grant: Result<(Ticket, ExtentList, Vec<WriteSummary>)>) -> (Response, Bytes) {
+    match grant {
+        Ok((ticket, extents, delta)) => ok(Response::TicketGrant {
+            ticket,
+            extents,
+            delta,
+        }),
+        Err(e) => fail(e),
     }
 }
 
@@ -543,30 +534,14 @@ impl Service for VersionService {
                 blob,
                 extents,
                 known,
-            } => match self
-                .vm_ticket(blob)
-                .and_then(|vm| vm.ticket_local(&extents, known as usize))
-            {
-                Ok((ticket, extents, delta)) => ok(Response::TicketGrant {
-                    ticket,
-                    extents,
-                    delta,
-                }),
-                Err(e) => fail(e),
-            },
-            VmTicketAppend { blob, len, known } => {
-                match self
-                    .vm_ticket(blob)
-                    .and_then(|vm| vm.ticket_append_local(len, known as usize))
-                {
-                    Ok((ticket, extents, delta)) => ok(Response::TicketGrant {
-                        ticket,
-                        extents,
-                        delta,
-                    }),
-                    Err(e) => fail(e),
-                }
-            }
+            } => granted(
+                self.vm_ticket(blob)
+                    .and_then(|vm| vm.ticket_local(&extents, known as usize)),
+            ),
+            VmTicketAppend { blob, len, known } => granted(
+                self.vm_ticket(blob)
+                    .and_then(|vm| vm.ticket_append_local(len, known as usize)),
+            ),
             VmPublish { blob, ticket, root } => {
                 // The freeze read-guard is held across the publish so a
                 // concurrent `VmSealSlots` (which takes the write lock)
@@ -773,33 +748,29 @@ impl Service for VersionService {
     }
 }
 
-/// Hosts metadata shards plus per-blob version managers behind the
-/// metadata and version RPCs.
+/// Hosts metadata shards behind the metadata RPCs.
 #[derive(Debug)]
 pub struct MetaService {
     store: Arc<dyn LocalNodeStore>,
-    versions: VersionService,
 }
 
 impl MetaService {
-    /// Creates `shards` zero-cost in-memory metadata shards; version
-    /// managers use `chunk_size` for their tree geometry — shorthand for
-    /// [`Self::with_backend`]`(shards, chunk_size, &BackendConfig::Memory)`.
-    pub fn new(shards: usize, chunk_size: u64) -> Self {
-        Self::with_backend(shards, chunk_size, &BackendConfig::Memory)
+    /// Creates `shards` zero-cost in-memory metadata shards — shorthand
+    /// for [`Self::with_backend`]`(shards, &BackendConfig::Memory)`.
+    pub fn new(shards: usize) -> Self {
+        Self::with_backend(shards, &BackendConfig::Memory)
             .expect("the memory backend cannot fail to open")
     }
 
     /// Creates the service over the chosen backend — what the
     /// `atomio-meta-server` binary calls with its
     /// `--data-dir`/`--fsync` flags. A disk backend recovers the shard
-    /// node logs under `<dir>/meta` and keeps the nested version
-    /// managers' publish logs under `<dir>/version`.
+    /// node logs under `<dir>/meta`.
     ///
     /// # Errors
     /// [`Error::Internal`] when a disk backend's directory cannot be
     /// opened or recovered.
-    pub fn with_backend(shards: usize, chunk_size: u64, backend: &BackendConfig) -> Result<Self> {
+    pub fn with_backend(shards: usize, backend: &BackendConfig) -> Result<Self> {
         Ok(MetaService {
             store: node_store_for(
                 backend,
@@ -807,7 +778,6 @@ impl MetaService {
                 CostModel::zero(),
                 Arc::new(ClientNics::new()),
             )?,
-            versions: VersionService::with_backend(chunk_size, backend.clone()),
         })
     }
 
@@ -815,37 +785,10 @@ impl MetaService {
     pub fn store(&self) -> &Arc<dyn LocalNodeStore> {
         &self.store
     }
-
-    /// The nested version service (kept for two-server deployments; a
-    /// three-server deployment runs a standalone [`VersionService`]).
-    pub fn version_service(&self) -> &VersionService {
-        &self.versions
-    }
-
-    /// Sets the default retention policy of the nested version service
-    /// (see [`VersionService::with_retention`]).
-    pub fn with_retention(mut self, retention: RetentionPolicy) -> Self {
-        self.versions = self.versions.with_retention(retention);
-        self
-    }
-
-    /// Pins the nested version service to shard `shard` of `of` (see
-    /// [`VersionService::with_shard`]).
-    pub fn with_shard(mut self, shard: usize, of: usize) -> Self {
-        self.versions = self.versions.with_shard(shard, of);
-        self
-    }
-
-    /// Caps lease TTLs of the nested version service (see
-    /// [`VersionService::with_lease_ttl_cap`]).
-    pub fn with_lease_ttl_cap(mut self, cap_ms: u64) -> Self {
-        self.versions = self.versions.with_lease_ttl_cap(cap_ms);
-        self
-    }
 }
 
 impl Service for MetaService {
-    fn handle(&self, request: Request, payload: Bytes) -> (Response, Bytes) {
+    fn handle(&self, request: Request, _payload: Bytes) -> (Response, Bytes) {
         use Request::*;
         match request {
             Ping => ok(Response::Pong),
@@ -876,35 +819,7 @@ impl Service for MetaService {
             MetaListKeys => ok(Response::Keys {
                 keys: self.store.list_keys(),
             }),
-            VmTicket { .. }
-            | VmTicketAppend { .. }
-            | VmPublish { .. }
-            | VmIsPublished { .. }
-            | VmLatest { .. }
-            | VmSnapshot { .. }
-            | VmSetRetention { .. }
-            | VmLeaseAcquire { .. }
-            | VmLeaseRenew { .. }
-            | VmLeaseRelease { .. }
-            | VmGcFloor { .. }
-            | SlotMapGet
-            | SlotMapInstall { .. }
-            | VmFreezeSlots { .. }
-            | VmSealSlots { .. }
-            | VmExportSlots { .. }
-            | VmImportBlobs { .. } => self.versions.handle(request, payload),
-            PutChunk { .. }
-            | PutChunkBatch { .. }
-            | GetChunk { .. }
-            | GetChunkRange { .. }
-            | GetChunkRangeBatch { .. }
-            | ProviderHasChunk { .. }
-            | ProviderChunkCount { .. }
-            | ProviderBytesStored { .. }
-            | ProviderEvictChunk { .. }
-            | ProviderEvictBatch { .. }
-            | ProviderChecksumOf { .. }
-            | ProviderCorruptChunk { .. } => unsupported("chunk op sent to a metadata server"),
+            _ => unsupported("chunk/version op sent to a metadata server"),
         }
     }
 }

@@ -14,7 +14,7 @@
 //! * the verifier subtracts and intersects them to attribute bytes.
 
 use crate::range::ByteRange;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 
 /// A normalized (sorted, coalesced, disjoint) set of byte ranges.
@@ -38,9 +38,27 @@ use std::fmt;
 /// assert_eq!(a.covering_range(), ByteRange::new(0, 35));
 /// assert_eq!(a.gap_len(), 10);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize)]
 pub struct ExtentList {
     ranges: Vec<ByteRange>,
+}
+
+// By hand: the derive would take the ranges as they come, and every set
+// operation here assumes the invariant the constructors establish — so
+// a list from a peer must already be what `from_ranges` of it would be.
+impl Deserialize for ExtentList {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let ranges = Vec::<ByteRange>::from_value(v.get_or_null("ranges"))?;
+        let normalized = ranges.iter().all(|r| !r.is_empty())
+            && ranges.windows(2).all(|w| w[0].end() < w[1].offset);
+        if !normalized {
+            return Err(DeError::new(
+                "extent list is not normalized: ranges must be non-empty, sorted, disjoint \
+                 and non-adjacent",
+            ));
+        }
+        Ok(ExtentList { ranges })
+    }
 }
 
 impl ExtentList {
@@ -370,6 +388,30 @@ mod tests {
         assert_eq!(list.ranges(), &[r(0, 8), r(10, 25)]);
         assert_eq!(list.range_count(), 2);
         assert_eq!(list.total_len(), 8 + 15);
+    }
+
+    #[test]
+    fn deserialize_refuses_a_list_no_constructor_builds() {
+        let list = el(&[(0, 8), (10, 25)]);
+        assert_eq!(ExtentList::from_value(&list.to_value()), Ok(list));
+        assert_eq!(
+            ExtentList::from_value(&ExtentList::new().to_value()),
+            Ok(ExtentList::new())
+        );
+        // Built past the constructors, as a peer's frame can: unsorted,
+        // overlapping, adjacent, holding an empty range.
+        for ranges in [
+            vec![r(10, 25), r(0, 8)],
+            vec![r(0, 8), r(4, 12)],
+            vec![r(0, 8), r(8, 12)],
+            vec![r(0, 8), r(9, 9)],
+            vec![r(3, 3)],
+        ] {
+            let raw = ExtentList { ranges };
+            assert_ne!(ExtentList::from_ranges(raw.ranges.iter().copied()), raw);
+            let refusal = ExtentList::from_value(&raw.to_value()).unwrap_err();
+            assert!(refusal.to_string().contains("not normalized"), "{raw:?}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! baseline file system's distributed lock manager, and of chunk-relative
 //! addressing in the data providers.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -16,12 +16,27 @@ use std::fmt;
 /// ranges constructed through [`ByteRange::new`], which panics on overflow
 /// (offsets and lengths come from file geometry, so overflow is a logic
 /// error, not an I/O error).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct ByteRange {
     /// First byte covered by the range.
     pub offset: u64,
     /// Number of bytes covered.
     pub len: u64,
+}
+
+// By hand: the derive would take any two numbers, and a range from a
+// peer must hold what `ByteRange::new` guarantees — an `end()` that fits.
+impl Deserialize for ByteRange {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let offset = u64::from_value(v.get_or_null("offset"))?;
+        let len = u64::from_value(v.get_or_null("len"))?;
+        if offset.checked_add(len).is_none() {
+            return Err(DeError::new(format!(
+                "byte range [{offset}, +{len}) overflows u64"
+            )));
+        }
+        Ok(ByteRange { offset, len })
+    }
 }
 
 impl ByteRange {
@@ -258,6 +273,20 @@ mod tests {
     #[should_panic(expected = "overflows")]
     fn new_rejects_overflow() {
         let _ = ByteRange::new(u64::MAX, 1);
+    }
+
+    #[test]
+    fn deserialize_refuses_what_new_refuses() {
+        let whole = ByteRange::new(u64::MAX - 8, 8);
+        assert_eq!(ByteRange::from_value(&whole.to_value()), Ok(whole));
+        // One byte longer has no `end()`: built past the constructor, as
+        // a peer's frame can.
+        let overflowing = ByteRange {
+            offset: u64::MAX - 8,
+            len: 9,
+        };
+        let refusal = ByteRange::from_value(&overflowing.to_value()).unwrap_err();
+        assert!(refusal.to_string().contains("overflows u64"), "{refusal}");
     }
 
     #[test]

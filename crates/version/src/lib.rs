@@ -19,6 +19,14 @@
 //! MPI atomicity falls out of this design: one `write_list` = one ticket
 //! = one snapshot, and every reader sees a prefix of the publication
 //! order — never a torn interleaving.
+//!
+//! Each of those steps is spelled once. [`VersionManager`]'s own methods
+//! are the state machine, participant-free: network servers call them
+//! directly. [`VersionOracle`] is the participant-taking surface the
+//! blob path is written against; the manager's impl of it adds the
+//! simulated cost of an in-process call, in one place. A published
+//! version is one record type, [`PublishRecord`], on the publish log
+//! and on the wire alike.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -32,6 +40,6 @@ pub use lease::{LeaseGrant, LeaseManager};
 pub use log::{LogReplay, LogStats, PublishLog, PublishRecord};
 pub use manager::{
     version_manager_for, GcFloor, PublicationStats, SnapshotRecord, Ticket, TicketMode,
-    VersionExport, VersionManager,
+    VersionManager,
 };
 pub use oracle::VersionOracle;

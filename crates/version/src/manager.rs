@@ -1,10 +1,31 @@
-//! Version manager implementation.
+//! The version manager: the ticket → publish → snapshot state machine,
+//! spelled once.
+//!
+//! [`VersionManager`]'s inherent methods *are* the state machine. They
+//! take no [`Participant`] and charge no simulated cost (the `_local`
+//! in most of their names): a network server calls them directly — the
+//! wire is the cost there — and lease bookkeeping takes `now_ms` from
+//! whichever clock the deployment runs on. What reaching the manager
+//! costs *in process* lives in exactly one place, the
+//! `impl VersionOracle for VersionManager` at the bottom of this module:
+//! each method is one private `charge` (an RPC round trip plus a
+//! meta-op of manager CPU) followed by the participant-free call.
+//!
+//! A published version is described by one record type on the log and
+//! on the wire, [`PublishRecord`]; one function assembles it from
+//! manager state (for the log append and for a handoff export) and one
+//! function installs it into manager state (for log replay and for a
+//! handoff import).
 
 use crate::lease::{LeaseGrant, LeaseManager};
+use crate::log::{PublishLog, PublishRecord};
+use crate::oracle::VersionOracle;
 use atomio_meta::history::WriteSummary;
 use atomio_meta::{NodeKey, TreeConfig, VersionHistory};
 use atomio_simgrid::{CostModel, Participant, Resource};
-use atomio_types::{BackendConfig, BlobId, Error, ExtentList, Result, RetentionPolicy, VersionId};
+use atomio_types::{
+    BackendConfig, BlobId, ByteRange, Error, ExtentList, Result, RetentionPolicy, VersionId,
+};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -24,6 +45,16 @@ pub struct SnapshotRecord {
     pub capacity: u64,
 }
 
+impl SnapshotRecord {
+    /// The empty snapshot every blob starts from.
+    const INITIAL: SnapshotRecord = SnapshotRecord {
+        version: VersionId::INITIAL,
+        root: None,
+        size: 0,
+        capacity: 0,
+    };
+}
+
 /// A write ticket: permission to build and publish one snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Ticket {
@@ -35,24 +66,37 @@ pub struct Ticket {
     pub size: u64,
 }
 
-/// How tickets are issued — the E7 publication-pipeline ablation knob.
+/// How tickets are issued. There is one way — BlobSeer's: a ticket is
+/// issued immediately, metadata builds of concurrent writers overlap,
+/// and only the publication flip is ordered.
+///
+/// The enum, and the parameter of [`VersionManager::new`] /
+/// [`VersionManager::durable`] that takes it, exist *only* because the
+/// frozen wall-clock benchmark (`wallbench/src/{probes,workloads}.rs`)
+/// passes `TicketMode::Pipelined`; nothing reads the value. The next
+/// benchmark PR that stops passing it deletes both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TicketMode {
-    /// BlobSeer-style: tickets are issued immediately; metadata builds of
-    /// concurrent writers overlap, and only the publication flip is
-    /// ordered.
+    /// The only mode.
     #[default]
     Pipelined,
-    /// Naive: a ticket for version `v` is only issued once `v - 1` has
-    /// published, serializing the whole metadata phase (data transfers
-    /// still overlap). Used to quantify the value of pipelining.
-    SerializedBuild,
 }
 
+#[derive(Clone, Copy)]
 enum TicketShape<'a> {
     Explicit(&'a ExtentList),
     Append(u64),
 }
+
+/// What a grant whose sizes do not fit the tree geometry is refused
+/// with: the largest capacity is the largest power-of-two multiple of
+/// the leaf size a `u64` holds.
+const BLOB_TOO_LARGE: Error =
+    Error::Unsupported("write would grow the blob past the largest tree capacity");
+
+/// `known` for a caller that shares the manager's own history and so
+/// needs no delta back from a grant.
+const KNOWS_EVERY_ROW: usize = usize::MAX;
 
 #[derive(Debug, Default)]
 struct VmState {
@@ -80,10 +124,9 @@ pub struct VersionManager {
     config: TreeConfig,
     cost: CostModel,
     cpu: Resource,
-    mode: TicketMode,
     state: Mutex<VmState>,
     /// Durable publish log — `None` for the in-memory deployment.
-    log: Option<crate::log::PublishLog>,
+    log: Option<PublishLog>,
 }
 
 impl VersionManager {
@@ -92,14 +135,13 @@ impl VersionManager {
         history: Arc<VersionHistory>,
         config: TreeConfig,
         cost: CostModel,
-        mode: TicketMode,
+        _mode: TicketMode,
     ) -> Self {
         VersionManager {
             history,
             config,
             cost,
             cpu: Resource::new("version-manager/cpu"),
-            mode,
             state: Mutex::new(VmState::default()),
             log: None,
         }
@@ -118,8 +160,9 @@ impl VersionManager {
     /// `history` must be empty: recovery rebuilds it from the log.
     ///
     /// # Errors
-    /// [`Error::Internal`] on I/O failure or a corrupt/foreign log
-    /// directory.
+    /// [`Error::Internal`] on I/O failure, a corrupt/foreign log
+    /// directory, or logged records that do not form a history (a gap
+    /// in the versions, a shrinking capacity).
     pub fn durable(
         dir: impl Into<std::path::PathBuf>,
         history: Arc<VersionHistory>,
@@ -132,7 +175,7 @@ impl VersionManager {
             history.is_empty(),
             "durable recovery rebuilds the history from the log"
         );
-        let (log, replay) = crate::log::PublishLog::open(dir, fsync)?;
+        let (log, replay) = PublishLog::open(dir, fsync)?;
         let mut st = VmState {
             retention: replay.retention.unwrap_or_default(),
             ..Default::default()
@@ -143,29 +186,13 @@ impl VersionManager {
         }
         st.leases.reserve_ids(replay.max_lease_id);
         for rec in replay.publishes {
-            history.append(WriteSummary {
-                version: rec.version,
-                extents: Arc::new(rec.extents.clone()),
-                capacity: rec.capacity,
-            });
-            st.next += 1;
-            st.published += 1;
-            st.ticket_sizes.push(rec.size);
-            st.snapshots.push(SnapshotRecord {
-                version: rec.version,
-                root: rec.root,
-                size: rec.size,
-                capacity: rec.capacity,
-            });
+            // Already on the log it came from: nothing to append.
+            Self::install(&history, &mut st, None, rec)?;
         }
         Ok(VersionManager {
-            history,
-            config,
-            cost,
-            cpu: Resource::new("version-manager/cpu"),
-            mode,
             state: Mutex::new(st),
             log: Some(log),
+            ..Self::new(history, config, cost, mode)
         })
     }
 
@@ -174,108 +201,99 @@ impl VersionManager {
         &self.history
     }
 
-    /// Issues a write ticket for `extents` and records the write summary.
-    ///
-    /// In [`TicketMode::SerializedBuild`] this blocks (in virtual time)
-    /// until every earlier version has published.
+    /// Issues a write ticket for `extents` and records the write summary
+    /// in the history before returning. Returns the ticket, the assigned
+    /// extents, and the history delta since the caller's `known` row
+    /// count (so a remote client can mirror the write-summary history).
     ///
     /// **Grant-order invariant:** versions are granted densely, in the
-    /// order ticket requests reach the manager. A caller that serializes
-    /// its ticket calls therefore knows each grant in advance — the
-    /// property `atomio-core`'s write-ahead-log drainer relies on to
-    /// replay logged writes under their predicted versions.
-    pub fn ticket(&self, p: &Participant, extents: &ExtentList) -> Result<Ticket> {
+    /// order ticket requests reach the manager, however far publication
+    /// lags. A caller that serializes its ticket calls therefore knows
+    /// each grant in advance — the property `atomio-core`'s
+    /// write-ahead-log drainer relies on to replay logged writes under
+    /// their predicted versions.
+    ///
+    /// # Errors
+    /// [`Error::EmptyAccess`] for an empty extent list;
+    /// [`Error::Unsupported`] when the write ends past the largest tree
+    /// capacity. Nothing is granted and no state changes either way.
+    pub fn ticket_local(
+        &self,
+        extents: &ExtentList,
+        known: usize,
+    ) -> Result<(Ticket, ExtentList, Vec<WriteSummary>)> {
         if extents.is_empty() {
             return Err(Error::EmptyAccess);
         }
-        self.ticket_inner(p, TicketShape::Explicit(extents))
-            .map(|(t, _)| t)
+        self.grant(TicketShape::Explicit(extents), known)
     }
 
     /// Issues an **append** ticket for `len` bytes: the write's extents
     /// are `[tail, tail + len)` where `tail` is the blob size at ticket
     /// time — assigned atomically with the version number, so concurrent
     /// appenders receive disjoint, back-to-back regions (BlobSeer's
-    /// APPEND primitive).
-    ///
-    /// Returns the ticket and the assigned extents.
-    pub fn ticket_append(&self, p: &Participant, len: u64) -> Result<(Ticket, ExtentList)> {
+    /// APPEND primitive). Returns as [`Self::ticket_local`] does, and
+    /// refuses what it refuses (an append whose end overflows included).
+    pub fn ticket_append_local(
+        &self,
+        len: u64,
+        known: usize,
+    ) -> Result<(Ticket, ExtentList, Vec<WriteSummary>)> {
         if len == 0 {
             return Err(Error::EmptyAccess);
         }
-        self.ticket_inner(p, TicketShape::Append(len))
+        self.grant(TicketShape::Append(len), known)
     }
 
-    fn ticket_inner(
+    /// The one grant path: a single lock-held step that nothing but its
+    /// input can refuse. The sizes may come straight off the wire, so
+    /// the append tail, the covering end and the capacity are computed
+    /// checked, all before any state or history row changes.
+    fn grant(
         &self,
-        p: &Participant,
         shape: TicketShape<'_>,
-    ) -> Result<(Ticket, ExtentList)> {
-        p.sleep(self.cost.rpc_round_trip());
-        self.cpu.serve(p, self.cost.meta_op);
-        loop {
-            if let Some(issued) = self.try_issue(&shape) {
-                return Ok(issued);
-            }
-            p.sleep_ns(atomio_simgrid::clock::POLL_INTERVAL_NS);
-        }
-    }
-
-    /// One lock-held ticket-issue attempt; `None` when the mode gates
-    /// issuance behind publication progress.
-    fn try_issue(&self, shape: &TicketShape<'_>) -> Option<(Ticket, ExtentList)> {
+        known: usize,
+    ) -> Result<(Ticket, ExtentList, Vec<WriteSummary>)> {
         let mut st = self.state.lock();
-        let can_issue = match self.mode {
-            TicketMode::Pipelined => true,
-            TicketMode::SerializedBuild => st.next == st.published,
-        };
-        if !can_issue {
-            return None;
-        }
-        let v = VersionId::new(st.next + 1);
-        st.next += 1;
         let prev_size = st.ticket_sizes.last().copied().unwrap_or(0);
-        let extents = match shape {
-            TicketShape::Explicit(e) => (*e).clone(),
-            TicketShape::Append(len) => {
-                ExtentList::single(atomio_types::ByteRange::new(prev_size, *len))
-            }
-        };
+        let end = match shape {
+            TicketShape::Explicit(e) => e.ranges().last().and_then(|r| r.offset.checked_add(r.len)),
+            TicketShape::Append(len) => prev_size.checked_add(len),
+        }
+        .ok_or(BLOB_TOO_LARGE)?;
+        let v = VersionId::new(st.next + 1);
         let prev_cap = self
             .history
             .capacity_of(v.predecessor().unwrap_or_default());
         let capacity = self
             .config
-            .capacity_for(extents.covering_range().end())
+            .capacity_for(end)
+            .ok_or(BLOB_TOO_LARGE)?
             .max(prev_cap);
-        let size = prev_size.max(extents.covering_range().end());
+        let extents = match shape {
+            TicketShape::Explicit(e) => e.clone(),
+            TicketShape::Append(_) => ExtentList::single(ByteRange::from_bounds(prev_size, end)),
+        };
+        let size = prev_size.max(end);
+        st.next += 1;
         st.ticket_sizes.push(size);
         self.history.append(WriteSummary {
             version: v,
             extents: Arc::new(extents.clone()),
             capacity,
         });
-        Some((
-            Ticket {
-                version: v,
-                capacity,
-                size,
-            },
-            extents,
-        ))
+        drop(st);
+        let ticket = Ticket {
+            version: v,
+            capacity,
+            size,
+        };
+        Ok((ticket, extents, self.history.summaries_since(known)))
     }
 
     /// Reports the completed tree build of `ticket`'s version. The
     /// snapshot becomes visible once every predecessor has published;
-    /// this call does not wait (use [`Self::wait_published`]).
-    pub fn publish(&self, p: &Participant, ticket: Ticket, root: NodeKey) -> Result<()> {
-        p.sleep(self.cost.rpc_round_trip());
-        self.cpu.serve(p, self.cost.meta_op);
-        self.publish_local(ticket, root)
-    }
-
-    /// [`Self::publish`] without simulated cost — the server-side half of
-    /// a remote publish (the wire itself is the cost there).
+    /// this call does not wait (see [`VersionOracle::wait_published`]).
     pub fn publish_local(&self, ticket: Ticket, root: NodeKey) -> Result<()> {
         let mut st = self.state.lock();
         let v = ticket.version.raw();
@@ -301,39 +319,105 @@ impl VersionManager {
                 break;
             };
             let v = VersionId::new(next);
-            let record = SnapshotRecord {
+            let snapshot = SnapshotRecord {
                 version: v,
                 root,
                 size: st.ticket_sizes[next as usize - 1],
                 capacity: self.history.capacity_of(v),
             };
-            if let Some(log) = &self.log {
-                let extents = self
-                    .history
-                    .summary(v)
-                    .map(|s| (*s.extents).clone())
-                    .unwrap_or_default();
-                log.append(&crate::log::PublishRecord {
-                    version: v,
-                    root,
-                    size: record.size,
-                    capacity: record.capacity,
-                    extents,
-                })?;
-            }
+            self.logged(|log| log.append(&self.record_of(snapshot)))?;
             st.published += 1;
-            st.snapshots.push(record);
+            st.snapshots.push(snapshot);
         }
+        Ok(())
+    }
+
+    /// The record of a published (or publishing) version: its snapshot
+    /// plus the extents of its history row. The only place one is
+    /// assembled from manager state — for the log and for an export.
+    fn record_of(&self, snapshot: SnapshotRecord) -> PublishRecord {
+        PublishRecord {
+            version: snapshot.version,
+            root: snapshot.root,
+            size: snapshot.size,
+            capacity: snapshot.capacity,
+            extents: self
+                .history
+                .summary(snapshot.version)
+                .map(|s| (*s.extents).clone())
+                .unwrap_or_default(),
+        }
+    }
+
+    /// Installs one published version into manager state — history row,
+    /// ticket size, snapshot, `next` / `published` — and is the only
+    /// code that does, for log replay and for a handoff import alike.
+    /// With a `log`, the record is appended to it after the checks and
+    /// before it becomes visible (the invariant [`Self::publish_local`]
+    /// keeps).
+    ///
+    /// # Errors
+    /// [`Error::Internal`], with nothing changed, unless `rec` is the
+    /// version right after a published prefix with no grant outstanding
+    /// and its tree capacity is no smaller than its predecessor's (what
+    /// [`VersionHistory::append`] asserts).
+    fn install(
+        history: &VersionHistory,
+        st: &mut VmState,
+        log: Option<&PublishLog>,
+        rec: PublishRecord,
+    ) -> Result<()> {
+        if st.next > st.published {
+            return Err(Error::Internal(format!(
+                "install of {} into a manager with outstanding grants",
+                rec.version
+            )));
+        }
+        if rec.version.raw() != st.published + 1 {
+            return Err(Error::Internal(format!(
+                "published prefix ends at v{}, next record is {}",
+                st.published, rec.version
+            )));
+        }
+        if st
+            .snapshots
+            .last()
+            .is_some_and(|s| s.capacity > rec.capacity)
+        {
+            return Err(Error::Internal(format!(
+                "capacity shrinks at {}",
+                rec.version
+            )));
+        }
+        if let Some(log) = log {
+            log.append(&rec)?;
+        }
+        history.append(WriteSummary {
+            version: rec.version,
+            extents: Arc::new(rec.extents),
+            capacity: rec.capacity,
+        });
+        st.next += 1;
+        st.published += 1;
+        st.ticket_sizes.push(rec.size);
+        st.snapshots.push(SnapshotRecord {
+            version: rec.version,
+            root: rec.root,
+            size: rec.size,
+            capacity: rec.capacity,
+        });
         Ok(())
     }
 
     /// Forces the publish log's outstanding appends to stable storage
     /// (no-op for in-memory managers).
     pub fn flush(&self) -> Result<()> {
-        match &self.log {
-            Some(log) => log.flush(),
-            None => Ok(()),
-        }
+        self.logged(PublishLog::flush)
+    }
+
+    /// Runs `append` on the publish log, if this manager has one.
+    fn logged(&self, append: impl FnOnce(&PublishLog) -> Result<()>) -> Result<()> {
+        self.log.as_ref().map_or(Ok(()), append)
     }
 
     /// Fsync counters of the publish log, if this manager is durable.
@@ -346,48 +430,20 @@ impl VersionManager {
         self.state.lock().published >= version.raw()
     }
 
-    /// Blocks (in virtual time) until `version` is visible.
-    pub fn wait_published(&self, p: &Participant, version: VersionId) {
-        p.poll_until(|| self.is_published(version).then_some(()));
-    }
-
     /// The latest published snapshot (the empty initial snapshot if no
     /// write has published yet).
-    pub fn latest(&self, p: &Participant) -> SnapshotRecord {
-        p.sleep(self.cost.rpc_round_trip());
-        self.cpu.serve(p, self.cost.meta_op);
-        self.latest_local()
-    }
-
-    /// [`Self::latest`] without simulated cost (server-side half of a
-    /// remote query).
     pub fn latest_local(&self) -> SnapshotRecord {
         let st = self.state.lock();
-        st.snapshots.last().copied().unwrap_or(SnapshotRecord {
-            version: VersionId::INITIAL,
-            root: None,
-            size: 0,
-            capacity: 0,
-        })
+        st.snapshots
+            .last()
+            .copied()
+            .unwrap_or(SnapshotRecord::INITIAL)
     }
 
     /// Looks up a specific published snapshot.
-    pub fn snapshot(&self, p: &Participant, version: VersionId) -> Result<SnapshotRecord> {
-        p.sleep(self.cost.rpc_round_trip());
-        self.cpu.serve(p, self.cost.meta_op);
-        self.snapshot_local(version)
-    }
-
-    /// [`Self::snapshot`] without simulated cost (server-side half of a
-    /// remote query).
     pub fn snapshot_local(&self, version: VersionId) -> Result<SnapshotRecord> {
         if version.is_initial() {
-            return Ok(SnapshotRecord {
-                version,
-                root: None,
-                size: 0,
-                capacity: 0,
-            });
+            return Ok(SnapshotRecord::INITIAL);
         }
         let st = self.state.lock();
         st.snapshots
@@ -397,48 +453,6 @@ impl VersionManager {
                 blob: atomio_types::BlobId::new(0),
                 version,
             })
-    }
-
-    /// Participant-free ticket issue for network servers: spins on the
-    /// wall clock instead of virtual time when [`TicketMode`] gates
-    /// issuance. Returns the ticket, the assigned extents, and the
-    /// history delta since the caller's `known` row count (so a remote
-    /// client can mirror the write-summary history).
-    pub fn ticket_local(
-        &self,
-        extents: &ExtentList,
-        known: usize,
-    ) -> Result<(Ticket, ExtentList, Vec<WriteSummary>)> {
-        if extents.is_empty() {
-            return Err(Error::EmptyAccess);
-        }
-        self.ticket_local_inner(TicketShape::Explicit(extents), known)
-    }
-
-    /// Participant-free append-ticket issue (see [`Self::ticket_local`]).
-    pub fn ticket_append_local(
-        &self,
-        len: u64,
-        known: usize,
-    ) -> Result<(Ticket, ExtentList, Vec<WriteSummary>)> {
-        if len == 0 {
-            return Err(Error::EmptyAccess);
-        }
-        self.ticket_local_inner(TicketShape::Append(len), known)
-    }
-
-    fn ticket_local_inner(
-        &self,
-        shape: TicketShape<'_>,
-        known: usize,
-    ) -> Result<(Ticket, ExtentList, Vec<WriteSummary>)> {
-        loop {
-            if let Some((ticket, extents)) = self.try_issue(&shape) {
-                let delta = self.history.summaries_since(known);
-                return Ok((ticket, extents, delta));
-            }
-            std::thread::sleep(std::time::Duration::from_micros(50));
-        }
     }
 
     /// Publication statistics for the harness.
@@ -463,24 +477,10 @@ impl VersionManager {
     /// slot handoff. Leases deliberately stay behind: they are pins held
     /// against *this* manager and lapse by TTL; readers re-acquire on
     /// the new owner.
-    pub fn export_published(&self) -> (Vec<VersionExport>, RetentionPolicy) {
+    pub fn export_published(&self) -> (Vec<PublishRecord>, RetentionPolicy) {
         let st = self.state.lock();
-        let mut out = Vec::with_capacity(st.snapshots.len());
-        for rec in &st.snapshots {
-            let extents = self
-                .history
-                .summary(rec.version)
-                .map(|s| (*s.extents).clone())
-                .unwrap_or_default();
-            out.push(VersionExport {
-                version: rec.version,
-                root: rec.root,
-                size: rec.size,
-                capacity: rec.capacity,
-                extents,
-            });
-        }
-        (out, st.retention)
+        let records = st.snapshots.iter().map(|s| self.record_of(*s)).collect();
+        (records, st.retention)
     }
 
     /// Installs an exported published prefix verbatim (the receiving
@@ -493,97 +493,43 @@ impl VersionManager {
     ///
     /// # Errors
     /// [`Error::Internal`] when the records leave a gap above the
-    /// current prefix, or when this manager already handed out grants
-    /// (imports only target a manager that has never ticketed — the
-    /// coordinator installs the map on the new owner before any client
-    /// can route writes at it).
+    /// current prefix or shrink the tree capacity, or when this manager
+    /// already handed out grants (imports only target a manager that has
+    /// never ticketed — the coordinator installs the map on the new
+    /// owner before any client can route writes at it).
     pub fn import_published(
         &self,
-        records: &[VersionExport],
+        records: &[PublishRecord],
         retention: RetentionPolicy,
     ) -> Result<u64> {
         let mut st = self.state.lock();
         let prefix_was_empty = st.published == 0;
         let mut applied = 0u64;
         for rec in records {
-            let v = rec.version.raw();
-            if v <= st.published {
+            if rec.version.raw() <= st.published {
                 continue; // double-replay idempotence
             }
-            if st.next > st.published {
-                return Err(Error::Internal(
-                    "import into a manager with outstanding grants".into(),
-                ));
-            }
-            if v != st.published + 1 {
-                return Err(Error::Internal(format!(
-                    "import gap: prefix ends at v{}, next record is {}",
-                    st.published, rec.version
-                )));
-            }
-            self.history.append(WriteSummary {
-                version: rec.version,
-                extents: Arc::new(rec.extents.clone()),
-                capacity: rec.capacity,
-            });
-            if let Some(log) = &self.log {
-                log.append(&crate::log::PublishRecord {
-                    version: rec.version,
-                    root: rec.root,
-                    size: rec.size,
-                    capacity: rec.capacity,
-                    extents: rec.extents.clone(),
-                })?;
-            }
-            st.next += 1;
-            st.published += 1;
-            st.ticket_sizes.push(rec.size);
-            st.snapshots.push(SnapshotRecord {
-                version: rec.version,
-                root: rec.root,
-                size: rec.size,
-                capacity: rec.capacity,
-            });
+            Self::install(&self.history, &mut st, self.log.as_ref(), rec.clone())?;
             applied += 1;
         }
         if applied > 0 || prefix_was_empty {
             st.retention = retention;
-            if let Some(log) = &self.log {
-                log.append_retention(retention)?;
-            }
+            self.logged(|log| log.append_retention(retention))?;
         }
         Ok(applied)
     }
 
     // -----------------------------------------------------------------
     // Reclamation surface: retention policy, snapshot leases, GC floor.
-    // Participant-carrying wrappers charge one RPC round plus a
-    // meta-op of manager CPU (same as every other client-facing call);
-    // `_local` variants are the participant-free server-side halves,
-    // taking `now_ms` from whichever clock the deployment runs on
+    // `now_ms` comes from whichever clock the deployment runs on
     // (virtual in-process, wall clock on a network server).
     // -----------------------------------------------------------------
 
-    /// Virtual-clock milliseconds for the in-process wrappers.
-    fn vnow_ms(p: &Participant) -> u64 {
-        p.now_ns() / 1_000_000
-    }
-
     /// Sets the blob's retention policy (durably, when logged).
-    pub fn set_retention(&self, p: &Participant, policy: RetentionPolicy) -> Result<()> {
-        p.sleep(self.cost.rpc_round_trip());
-        self.cpu.serve(p, self.cost.meta_op);
-        self.set_retention_local(policy)
-    }
-
-    /// [`Self::set_retention`] without simulated cost.
     pub fn set_retention_local(&self, policy: RetentionPolicy) -> Result<()> {
         let mut st = self.state.lock();
         st.retention = policy;
-        if let Some(log) = &self.log {
-            log.append_retention(policy)?;
-        }
-        Ok(())
+        self.logged(|log| log.append_retention(policy))
     }
 
     /// The blob's current retention policy.
@@ -593,18 +539,6 @@ impl VersionManager {
 
     /// Grants a snapshot lease on a **published** version, pinning it
     /// (and everything below it) against collection for `ttl_ms`.
-    pub fn lease_acquire(
-        &self,
-        p: &Participant,
-        version: VersionId,
-        ttl_ms: u64,
-    ) -> Result<LeaseGrant> {
-        p.sleep(self.cost.rpc_round_trip());
-        self.cpu.serve(p, self.cost.meta_op);
-        self.lease_acquire_local(version, ttl_ms, Self::vnow_ms(p))
-    }
-
-    /// [`Self::lease_acquire`] without simulated cost.
     ///
     /// # Errors
     /// [`Error::VersionNotFound`] when `version` is not a published
@@ -624,21 +558,12 @@ impl VersionManager {
             });
         }
         let grant = st.leases.acquire(version, ttl_ms, now_ms);
-        if let Some(log) = &self.log {
-            log.append_lease(&grant)?;
-        }
+        self.logged(|log| log.append_lease(&grant))?;
         Ok(grant)
     }
 
     /// Extends a live lease's TTL; refuses with a typed error once it
     /// has lapsed (the snapshot may already be reclaimed).
-    pub fn lease_renew(&self, p: &Participant, lease: u64, ttl_ms: u64) -> Result<LeaseGrant> {
-        p.sleep(self.cost.rpc_round_trip());
-        self.cpu.serve(p, self.cost.meta_op);
-        self.lease_renew_local(lease, ttl_ms, Self::vnow_ms(p))
-    }
-
-    /// [`Self::lease_renew`] without simulated cost.
     ///
     /// # Errors
     /// [`Error::LeaseExpired`] when the lease lapsed or never existed
@@ -653,27 +578,16 @@ impl VersionManager {
                 lease,
                 version: VersionId::INITIAL,
             })?;
-        if let Some(log) = &self.log {
-            log.append_lease(&grant)?;
-        }
+        self.logged(|log| log.append_lease(&grant))?;
         Ok(grant)
     }
 
     /// Releases a lease. Idempotent: releasing an expired or unknown
     /// lease succeeds — the pin is gone either way.
-    pub fn lease_release(&self, p: &Participant, lease: u64) -> Result<()> {
-        p.sleep(self.cost.rpc_round_trip());
-        self.cpu.serve(p, self.cost.meta_op);
-        self.lease_release_local(lease, Self::vnow_ms(p))
-    }
-
-    /// [`Self::lease_release`] without simulated cost.
     pub fn lease_release_local(&self, lease: u64, now_ms: u64) -> Result<()> {
         let mut st = self.state.lock();
         if st.leases.release(lease, now_ms).is_some() {
-            if let Some(log) = &self.log {
-                log.append_lease_release(lease)?;
-            }
+            self.logged(|log| log.append_lease_release(lease))?;
         }
         Ok(())
     }
@@ -683,13 +597,6 @@ impl VersionManager {
     /// and the oldest live lease. The collector may retire versions
     /// strictly below it; the caller must still clamp by any WAL base
     /// version it holds — the manager cannot see host-side logs.
-    pub fn gc_floor(&self, p: &Participant) -> Result<GcFloor> {
-        p.sleep(self.cost.rpc_round_trip());
-        self.cpu.serve(p, self.cost.meta_op);
-        Ok(self.gc_floor_local(Self::vnow_ms(p)))
-    }
-
-    /// [`Self::gc_floor`] without simulated cost.
     pub fn gc_floor_local(&self, now_ms: u64) -> GcFloor {
         let mut st = self.state.lock();
         let latest = VersionId::new(st.published);
@@ -703,6 +610,100 @@ impl VersionManager {
             lease_expirations: st.leases.expirations(),
         }
     }
+
+    /// What reaching the manager costs a simulated client, on every
+    /// charged call: one RPC round trip plus a meta-op of manager CPU.
+    fn charge(&self, p: &Participant) {
+        p.sleep(self.cost.rpc_round_trip());
+        self.cpu.serve(p, self.cost.meta_op);
+    }
+}
+
+/// Virtual-clock milliseconds: the lease clock of an in-process manager.
+fn vnow_ms(p: &Participant) -> u64 {
+    p.now_ns() / 1_000_000
+}
+
+/// The charged, in-process path — the only spelling of it: `charge`,
+/// then the participant-free call.
+impl VersionOracle for VersionManager {
+    fn history(&self) -> &Arc<VersionHistory> {
+        &self.history
+    }
+
+    fn ticket(&self, p: &Participant, extents: &ExtentList) -> Result<Ticket> {
+        // Refused before the round trip is paid, as it always was.
+        if extents.is_empty() {
+            return Err(Error::EmptyAccess);
+        }
+        self.charge(p);
+        let (ticket, _, _) = self.ticket_local(extents, KNOWS_EVERY_ROW)?;
+        Ok(ticket)
+    }
+
+    fn ticket_append(&self, p: &Participant, len: u64) -> Result<(Ticket, ExtentList)> {
+        if len == 0 {
+            return Err(Error::EmptyAccess);
+        }
+        self.charge(p);
+        let (ticket, extents, _) = self.ticket_append_local(len, KNOWS_EVERY_ROW)?;
+        Ok((ticket, extents))
+    }
+
+    fn publish(&self, p: &Participant, ticket: Ticket, root: NodeKey) -> Result<()> {
+        self.charge(p);
+        self.publish_local(ticket, root)
+    }
+
+    fn is_published(&self, version: VersionId) -> Result<bool> {
+        Ok(VersionManager::is_published(self, version))
+    }
+
+    /// Blocks in virtual time; polling the manager is not charged.
+    fn wait_published(&self, p: &Participant, version: VersionId) -> Result<()> {
+        p.poll_until(|| VersionManager::is_published(self, version).then_some(()));
+        Ok(())
+    }
+
+    fn latest(&self, p: &Participant) -> Result<SnapshotRecord> {
+        self.charge(p);
+        Ok(self.latest_local())
+    }
+
+    fn snapshot(&self, p: &Participant, version: VersionId) -> Result<SnapshotRecord> {
+        self.charge(p);
+        self.snapshot_local(version)
+    }
+
+    fn set_retention(&self, p: &Participant, policy: RetentionPolicy) -> Result<()> {
+        self.charge(p);
+        self.set_retention_local(policy)
+    }
+
+    fn lease_acquire(
+        &self,
+        p: &Participant,
+        version: VersionId,
+        ttl_ms: u64,
+    ) -> Result<LeaseGrant> {
+        self.charge(p);
+        self.lease_acquire_local(version, ttl_ms, vnow_ms(p))
+    }
+
+    fn lease_renew(&self, p: &Participant, lease: u64, ttl_ms: u64) -> Result<LeaseGrant> {
+        self.charge(p);
+        self.lease_renew_local(lease, ttl_ms, vnow_ms(p))
+    }
+
+    fn lease_release(&self, p: &Participant, lease: u64) -> Result<()> {
+        self.charge(p);
+        self.lease_release_local(lease, vnow_ms(p))
+    }
+
+    fn gc_floor(&self, p: &Participant) -> Result<GcFloor> {
+        self.charge(p);
+        Ok(self.gc_floor_local(vnow_ms(p)))
+    }
 }
 
 /// The manager's contribution to the reclamation floor, plus the lease
@@ -715,24 +716,6 @@ pub struct GcFloor {
     pub leases_active: u64,
     /// Leases that lapsed (TTL passed without release) since creation.
     pub lease_expirations: u64,
-}
-
-/// One published version in a slot-handoff export: the snapshot record
-/// plus the write summary needed to rebuild the history row. Everything
-/// a new owner installs verbatim via
-/// [`VersionManager::import_published`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VersionExport {
-    /// The exported version.
-    pub version: VersionId,
-    /// Tree root (`None` only for degenerate empty snapshots).
-    pub root: Option<NodeKey>,
-    /// Blob size at this version.
-    pub size: u64,
-    /// Tree capacity at this version.
-    pub capacity: u64,
-    /// The write's extent footprint (the history row).
-    pub extents: ExtentList,
 }
 
 /// Counters describing the publication pipeline's state.
@@ -762,10 +745,10 @@ pub fn version_manager_for(
     blob: BlobId,
     tree: TreeConfig,
     cost: CostModel,
-    mode: TicketMode,
     default_retention: RetentionPolicy,
 ) -> Result<VersionManager> {
     let history = Arc::new(VersionHistory::new());
+    let mode = TicketMode::Pipelined;
     let vm = match backend {
         BackendConfig::Memory => VersionManager::new(history, tree, cost, mode),
         BackendConfig::Disk { dir, fsync } => {
@@ -785,15 +768,14 @@ pub fn version_manager_for(
 mod tests {
     use super::*;
     use atomio_simgrid::clock::run_actors;
-    use atomio_types::ByteRange;
     use std::time::Duration;
 
-    fn vm(mode: TicketMode) -> VersionManager {
+    fn vm() -> VersionManager {
         VersionManager::new(
             Arc::new(VersionHistory::new()),
             TreeConfig::new(64),
             CostModel::zero(),
-            mode,
+            TicketMode::Pipelined,
         )
     }
 
@@ -811,7 +793,7 @@ mod tests {
 
     #[test]
     fn tickets_are_dense_and_capacity_monotonic() {
-        let m = vm(TicketMode::Pipelined);
+        let m = vm();
         run_actors(1, |_, p| {
             let t1 = m.ticket(p, &extents(&[(0, 64)])).unwrap();
             let t2 = m.ticket(p, &extents(&[(0, 32)])).unwrap();
@@ -832,41 +814,30 @@ mod tests {
     fn serialized_ticket_calls_are_granted_in_call_order() {
         // The WAL-drainer contract: a single caller issuing tickets one
         // at a time can predict every grant as `history.len() + k`,
-        // regardless of ticket mode and of how far publication lags.
-        for mode in [TicketMode::Pipelined, TicketMode::SerializedBuild] {
-            let m = vm(mode);
-            run_actors(1, |_, p| {
-                let mut publish_backlog = Vec::new();
-                for k in 1..=6u64 {
-                    let base = m.history().len() as u64;
-                    let t = m.ticket(p, &extents(&[(k * 8, 8)])).unwrap();
-                    assert_eq!(
-                        t.version,
-                        VersionId::new(base.max(k - 1) + 1),
-                        "grant order must equal call order ({mode:?})"
-                    );
-                    assert_eq!(t.version, VersionId::new(k));
-                    publish_backlog.push(t);
-                    // In SerializedBuild each version must publish before
-                    // the next ticket is granted; in Pipelined the
-                    // publication can lag arbitrarily without perturbing
-                    // grant order.
-                    if mode == TicketMode::SerializedBuild {
-                        for t in publish_backlog.drain(..) {
-                            m.publish(p, t, root_for(t)).unwrap();
-                        }
-                    }
-                }
-                for t in publish_backlog.drain(..) {
-                    m.publish(p, t, root_for(t)).unwrap();
-                }
-            });
-        }
+        // however far publication lags.
+        let m = vm();
+        run_actors(1, |_, p| {
+            let mut publish_backlog = Vec::new();
+            for k in 1..=6u64 {
+                let base = m.history().len() as u64;
+                let t = m.ticket(p, &extents(&[(k * 8, 8)])).unwrap();
+                assert_eq!(
+                    t.version,
+                    VersionId::new(base.max(k - 1) + 1),
+                    "grant order must equal call order"
+                );
+                assert_eq!(t.version, VersionId::new(k));
+                publish_backlog.push(t);
+            }
+            for t in publish_backlog.drain(..) {
+                m.publish(p, t, root_for(t)).unwrap();
+            }
+        });
     }
 
     #[test]
     fn empty_extents_rejected() {
-        let m = vm(TicketMode::Pipelined);
+        let m = vm();
         run_actors(1, |_, p| {
             assert_eq!(
                 m.ticket(p, &ExtentList::new()).unwrap_err(),
@@ -877,7 +848,7 @@ mod tests {
 
     #[test]
     fn out_of_order_publish_becomes_visible_in_order() {
-        let m = vm(TicketMode::Pipelined);
+        let m = vm();
         run_actors(1, |_, p| {
             let t1 = m.ticket(p, &extents(&[(0, 64)])).unwrap();
             let t2 = m.ticket(p, &extents(&[(64, 64)])).unwrap();
@@ -893,13 +864,13 @@ mod tests {
             m.publish(p, t1, root_for(t1)).unwrap();
             assert!(m.is_published(t3.version));
             assert_eq!(m.stats().parked, 0);
-            assert_eq!(m.latest(p).version, t3.version);
+            assert_eq!(m.latest(p).unwrap().version, t3.version);
         });
     }
 
     #[test]
     fn double_publish_rejected() {
-        let m = vm(TicketMode::Pipelined);
+        let m = vm();
         run_actors(1, |_, p| {
             let t1 = m.ticket(p, &extents(&[(0, 64)])).unwrap();
             m.publish(p, t1, root_for(t1)).unwrap();
@@ -922,7 +893,7 @@ mod tests {
 
     #[test]
     fn snapshot_lookup() {
-        let m = vm(TicketMode::Pipelined);
+        let m = vm();
         run_actors(1, |_, p| {
             let initial = m.snapshot(p, VersionId::INITIAL).unwrap();
             assert_eq!(initial.size, 0);
@@ -936,13 +907,13 @@ mod tests {
             let snap = m.snapshot(p, t1.version).unwrap();
             assert_eq!(snap.size, 100);
             assert_eq!(snap.root, Some(root_for(t1)));
-            assert_eq!(m.latest(p), snap);
+            assert_eq!(m.latest(p).unwrap(), snap);
         });
     }
 
     #[test]
     fn wait_published_unblocks_when_predecessors_land() {
-        let m = Arc::new(vm(TicketMode::Pipelined));
+        let m = Arc::new(vm());
         let tickets = Mutex::new(Vec::new());
         let (_, _) = run_actors(3, |i, p| {
             // Everyone takes a ticket "simultaneously".
@@ -954,7 +925,7 @@ mod tests {
                 (3 - t.version.raw()) * 100, // v1 sleeps longest
             ));
             m.publish(p, t, root_for(t)).unwrap();
-            m.wait_published(p, t.version);
+            m.wait_published(p, t.version).unwrap();
             assert!(m.is_published(t.version));
         });
         assert_eq!(m.stats().published, 3);
@@ -962,7 +933,7 @@ mod tests {
 
     #[test]
     fn append_tickets_are_disjoint_and_dense() {
-        let m = Arc::new(vm(TicketMode::Pipelined));
+        let m = Arc::new(vm());
         let (results, _) = run_actors(8, |_, p| {
             let (t, ext) = m.ticket_append(p, 100).unwrap();
             (t.version.raw(), ext.covering_range().offset)
@@ -977,7 +948,7 @@ mod tests {
 
     #[test]
     fn append_after_explicit_write_starts_at_tail() {
-        let m = vm(TicketMode::Pipelined);
+        let m = vm();
         run_actors(1, |_, p| {
             let t = m.ticket(p, &extents(&[(0, 130)])).unwrap();
             m.publish(p, t, root_for(t)).unwrap();
@@ -990,7 +961,7 @@ mod tests {
 
     #[test]
     fn concurrent_tickets_are_unique() {
-        let m = Arc::new(vm(TicketMode::Pipelined));
+        let m = Arc::new(vm());
         let (versions, _) = run_actors(16, |i, p| {
             m.ticket(p, &extents(&[(i as u64 * 64, 64)]))
                 .unwrap()
@@ -1000,22 +971,6 @@ mod tests {
         let mut sorted = versions.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (1..=16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn serialized_mode_orders_tickets_behind_publication() {
-        let m = Arc::new(vm(TicketMode::SerializedBuild));
-        // Each actor: take ticket, hold it for 1ms of "build", publish.
-        // In serialized mode the whole (ticket..publish) sections cannot
-        // overlap, so total virtual time ≥ 4ms.
-        let (_, total) = run_actors(4, |i, p| {
-            let t = m.ticket(p, &extents(&[(i as u64 * 64, 64)])).unwrap();
-            p.sleep(Duration::from_millis(1));
-            m.publish(p, t, root_for(t)).unwrap();
-            m.wait_published(p, t.version);
-        });
-        assert!(total >= Duration::from_millis(4), "total {total:?}");
-        assert_eq!(m.stats().published, 4);
     }
 
     fn durable_vm(dir: &std::path::Path, fsync: atomio_types::FsyncPolicy) -> VersionManager {
@@ -1051,8 +1006,8 @@ mod tests {
         assert_eq!(m.stats().issued, 4, "unpublished grant rolled back");
         assert_eq!(m.history().len(), 4);
         run_actors(1, |_, p| {
-            assert_eq!(m.latest(p).version, VersionId::new(4));
-            assert_eq!(m.latest(p).size, 4 * 64);
+            assert_eq!(m.latest(p).unwrap().version, VersionId::new(4));
+            assert_eq!(m.latest(p).unwrap().size, 4 * 64);
             let snap = m.snapshot(p, VersionId::new(2)).unwrap();
             assert_eq!(
                 snap.root,
@@ -1071,7 +1026,7 @@ mod tests {
             let t = m.ticket(p, &extents(&[(256, 64)])).unwrap();
             assert_eq!(t.version, granted_unpublished);
             m.publish(p, t, root_for(t)).unwrap();
-            assert_eq!(m.latest(p).version, granted_unpublished);
+            assert_eq!(m.latest(p).unwrap().version, granted_unpublished);
         });
     }
 
@@ -1106,7 +1061,7 @@ mod tests {
 
     #[test]
     fn gc_floor_is_min_of_retention_and_oldest_lease() {
-        let m = vm(TicketMode::Pipelined);
+        let m = vm();
         run_actors(1, |_, p| {
             for k in 0..6u64 {
                 let t = m.ticket(p, &extents(&[(k * 64, 64)])).unwrap();
@@ -1183,7 +1138,7 @@ mod tests {
 
     #[test]
     fn export_import_replays_the_published_prefix_verbatim() {
-        let src = vm(TicketMode::Pipelined);
+        let src = vm();
         run_actors(1, |_, p| {
             for k in 0..4u64 {
                 let t = src.ticket(p, &extents(&[(k * 64, 64)])).unwrap();
@@ -1197,7 +1152,7 @@ mod tests {
         let (records, retention) = src.export_published();
         assert_eq!(records.len(), 4);
 
-        let dst = vm(TicketMode::Pipelined);
+        let dst = vm();
         assert_eq!(dst.import_published(&records, retention).unwrap(), 4);
         assert_eq!(dst.retention(), RetentionPolicy::KeepLast(2));
         assert_eq!(dst.stats().published, 4);
@@ -1225,24 +1180,73 @@ mod tests {
             assert_eq!(ext.covering_range().offset, 4 * 64);
         });
         // Gapped records are refused.
-        let fresh = vm(TicketMode::Pipelined);
+        let fresh = vm();
         assert!(fresh.import_published(&records[1..], retention).is_err());
         // A manager with its own grants refuses imports outright.
         run_actors(1, |_, p| {
-            let busy = vm(TicketMode::Pipelined);
+            let busy = vm();
             busy.ticket(p, &extents(&[(0, 64)])).unwrap();
             assert!(busy.import_published(&records, retention).is_err());
         });
     }
 
     #[test]
+    fn import_refuses_a_shrinking_capacity() {
+        // What a `VmImportBlobs` frame can carry: dense versions whose
+        // capacity goes down. Refused typed, at the offending record,
+        // with the records before it installed and nothing after.
+        let record = |v: u64, capacity: u64| PublishRecord {
+            version: VersionId::new(v),
+            root: None,
+            size: 64,
+            capacity,
+            extents: extents(&[(0, 64)]),
+        };
+        let dst = vm();
+        let outcome = dst.import_published(
+            &[record(1, 128), record(2, 64), record(3, 128)],
+            RetentionPolicy::KeepAll,
+        );
+        assert!(matches!(outcome, Err(Error::Internal(_))), "{outcome:?}");
+        assert_eq!(dst.stats().published, 1);
+        assert_eq!(dst.history().len(), 1);
+        // The manager still serves: the next grant follows the prefix.
+        let (t, _, _) = dst.ticket_append_local(8, 0).unwrap();
+        assert_eq!((t.version, t.capacity), (VersionId::new(2), 128));
+    }
+
+    #[test]
+    fn a_write_past_the_largest_capacity_is_refused_with_nothing_granted() {
+        let m = vm();
+        // 2^63 is the largest capacity; one byte more has none.
+        let past = extents(&[((1 << 63) - 8, 9)]);
+        assert!(matches!(
+            m.ticket_local(&past, 0),
+            Err(Error::Unsupported(_))
+        ));
+        assert!(matches!(
+            m.ticket_append_local(u64::MAX, 0),
+            Err(Error::Unsupported(_))
+        ));
+        assert_eq!((m.stats().issued, m.history().len()), (0, 0));
+        // The largest blob there is, is granted; appending to it is not.
+        let (t, _, _) = m.ticket_local(&extents(&[((1 << 63) - 8, 8)]), 0).unwrap();
+        assert_eq!((t.capacity, t.size), (1 << 63, 1 << 63));
+        assert!(matches!(
+            m.ticket_append_local(u64::MAX, 0),
+            Err(Error::Unsupported(_))
+        ));
+        assert_eq!(m.stats().issued, 1);
+    }
+
+    #[test]
     fn pipelined_mode_overlaps_builds() {
-        let m = Arc::new(vm(TicketMode::Pipelined));
+        let m = Arc::new(vm());
         let (_, total) = run_actors(4, |i, p| {
             let t = m.ticket(p, &extents(&[(i as u64 * 64, 64)])).unwrap();
             p.sleep(Duration::from_millis(1)); // "build"
             m.publish(p, t, root_for(t)).unwrap();
-            m.wait_published(p, t.version);
+            m.wait_published(p, t.version).unwrap();
         });
         // Builds overlap: well under the serialized 4ms.
         assert!(total < Duration::from_millis(2), "total {total:?}");

@@ -1,16 +1,23 @@
 //! The version-oracle seam: one trait covering the ticket-grant,
 //! publication, and snapshot-lookup surface of the version manager, so
 //! the blob write path works identically against the in-process
-//! [`VersionManager`] and a server-hosted remote proxy.
+//! [`VersionManager`](crate::VersionManager) and a server-hosted remote
+//! proxy.
 //!
 //! Every method is fallible: over a real transport any of these calls
 //! can surface a typed [`atomio_types::Error::Transport`], and the
 //! in-process implementation simply never produces one. This is the
 //! contract `Blob::commit_write` is written against — the third
 //! independently deployable service plugs in here.
+//!
+//! The trait is also the *only* participant-taking spelling of these
+//! calls. `VersionManager`'s own methods are the participant-free state
+//! machine; its impl of this trait (in [`crate::manager`], beside the
+//! state it charges for) adds the simulated cost of an in-process call,
+//! and the remote proxy's impl holds the RPC bodies.
 
 use crate::lease::LeaseGrant;
-use crate::manager::{GcFloor, SnapshotRecord, Ticket, VersionManager};
+use crate::manager::{GcFloor, SnapshotRecord, Ticket};
 use atomio_meta::{NodeKey, VersionHistory};
 use atomio_simgrid::Participant;
 use atomio_types::{ExtentList, Result, RetentionPolicy, VersionId};
@@ -18,9 +25,10 @@ use std::sync::Arc;
 
 /// The version-manager surface the blob write/read path depends on.
 ///
-/// Implementations: [`VersionManager`] (in-process, the Loopback
-/// deployment) and `atomio_rpc::RemoteVersionManager` (a proxy speaking
-/// the wire protocol to an `atomio-version-server`).
+/// Implementations: [`VersionManager`](crate::VersionManager)
+/// (in-process, the Loopback deployment) and
+/// `atomio_rpc::RemoteVersionManager` (a proxy speaking the wire
+/// protocol to an `atomio-version-server`).
 pub trait VersionOracle: Send + Sync + std::fmt::Debug {
     /// The write-summary history the metadata builder reads. For a
     /// remote oracle this is the client-side mirror fed by grant deltas.
@@ -72,69 +80,10 @@ pub trait VersionOracle: Send + Sync + std::fmt::Debug {
     fn gc_floor(&self, p: &Participant) -> Result<GcFloor>;
 }
 
-impl VersionOracle for VersionManager {
-    fn history(&self) -> &Arc<VersionHistory> {
-        VersionManager::history(self)
-    }
-
-    fn ticket(&self, p: &Participant, extents: &ExtentList) -> Result<Ticket> {
-        VersionManager::ticket(self, p, extents)
-    }
-
-    fn ticket_append(&self, p: &Participant, len: u64) -> Result<(Ticket, ExtentList)> {
-        VersionManager::ticket_append(self, p, len)
-    }
-
-    fn publish(&self, p: &Participant, ticket: Ticket, root: NodeKey) -> Result<()> {
-        VersionManager::publish(self, p, ticket, root)
-    }
-
-    fn is_published(&self, version: VersionId) -> Result<bool> {
-        Ok(VersionManager::is_published(self, version))
-    }
-
-    fn wait_published(&self, p: &Participant, version: VersionId) -> Result<()> {
-        VersionManager::wait_published(self, p, version);
-        Ok(())
-    }
-
-    fn latest(&self, p: &Participant) -> Result<SnapshotRecord> {
-        Ok(VersionManager::latest(self, p))
-    }
-
-    fn snapshot(&self, p: &Participant, version: VersionId) -> Result<SnapshotRecord> {
-        VersionManager::snapshot(self, p, version)
-    }
-
-    fn set_retention(&self, p: &Participant, policy: RetentionPolicy) -> Result<()> {
-        VersionManager::set_retention(self, p, policy)
-    }
-
-    fn lease_acquire(
-        &self,
-        p: &Participant,
-        version: VersionId,
-        ttl_ms: u64,
-    ) -> Result<LeaseGrant> {
-        VersionManager::lease_acquire(self, p, version, ttl_ms)
-    }
-
-    fn lease_renew(&self, p: &Participant, lease: u64, ttl_ms: u64) -> Result<LeaseGrant> {
-        VersionManager::lease_renew(self, p, lease, ttl_ms)
-    }
-
-    fn lease_release(&self, p: &Participant, lease: u64) -> Result<()> {
-        VersionManager::lease_release(self, p, lease)
-    }
-
-    fn gc_floor(&self, p: &Participant) -> Result<GcFloor> {
-        VersionManager::gc_floor(self, p)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::VersionManager;
     use atomio_meta::TreeConfig;
     use atomio_simgrid::clock::run_actors;
     use atomio_simgrid::CostModel;

@@ -29,7 +29,7 @@ quick=(
 # The same, but minutes each: only with --all.
 slow=(
     "exp1_scalability|e1"
-    "exp7_ablation|e7a e7b e7c"
+    "exp7_ablation|e7a e7c"
     "exp9_two_phase|e9"
 )
 # Committed but never compared, one row each: file | why.

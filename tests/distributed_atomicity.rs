@@ -37,6 +37,7 @@ use atomio::types::{
     BackendConfig, BlobId, ByteRange, ClientId, Error, ExtentList, ProviderId, TransportErrorKind,
     VersionId,
 };
+use atomio::version::VersionOracle;
 use atomio::workloads::verify::{check_serializable, replay, WriteRecord};
 use atomio::workloads::TileWorkload;
 use bytes::Bytes;
@@ -194,8 +195,7 @@ impl ThreeServiceDeployment {
         self.meta_server = RpcServer::start(
             self.meta_addr,
             Arc::new(
-                MetaService::with_backend(shards, CHUNK, &self.backend)
-                    .expect("recover meta service"),
+                MetaService::with_backend(shards, &self.backend).expect("recover meta service"),
             ),
         )
         .expect("rebind meta server");
@@ -252,8 +252,7 @@ fn three_service_store_on(
     let meta_server = RpcServer::start(
         "127.0.0.1:0",
         Arc::new(
-            MetaService::with_backend(config.meta_shards, CHUNK, &backend)
-                .expect("open meta service"),
+            MetaService::with_backend(config.meta_shards, &backend).expect("open meta service"),
         ),
     )
     .expect("bind meta server");
@@ -456,6 +455,7 @@ fn killing_the_version_server_fails_writes_typed_then_recovers_on_restart() {
 
 #[test]
 fn a_granted_but_unpublished_ticket_is_never_readable_across_restart() {
+    let p = SimClock::new().register();
     let service = Arc::new(VersionService::new(CHUNK));
     let mut server = RpcServer::start("127.0.0.1:0", Arc::clone(&service) as Arc<dyn Service>)
         .expect("bind version server");
@@ -472,16 +472,16 @@ fn a_granted_but_unpublished_ticket_is_never_readable_across_restart() {
         |v: VersionId, capacity: u64| NodeKey::new(BlobId::new(7), v, ByteRange::new(0, capacity));
 
     // v1 commits normally.
-    let (t1, _) = writer.ticket_append(CHUNK).unwrap();
+    let (t1, _) = writer.ticket_append(&p, CHUNK).unwrap();
     let r1 = root_for(t1.version, t1.capacity);
-    writer.publish(t1, r1).unwrap();
-    assert_eq!(writer.latest().unwrap().version, VersionId::new(1));
+    writer.publish(&p, t1, r1).unwrap();
+    assert_eq!(writer.latest(&p).unwrap().version, VersionId::new(1));
 
     // v2 is granted — then the server dies before the writer publishes.
-    let (t2, _) = writer.ticket_append(CHUNK).unwrap();
+    let (t2, _) = writer.ticket_append(&p, CHUNK).unwrap();
     server.stop();
     let err = writer
-        .publish(t2, root_for(t2.version, t2.capacity))
+        .publish(&p, t2, root_for(t2.version, t2.capacity))
         .unwrap_err();
     assert!(
         matches!(err, Error::Transport { .. }),
@@ -502,26 +502,27 @@ fn a_granted_but_unpublished_ticket_is_never_readable_across_restart() {
         ),
     );
     assert_eq!(
-        reader.latest().unwrap().version,
+        reader.latest(&p).unwrap().version,
         VersionId::new(1),
         "latest never advances past the torn version"
     );
     assert!(!reader.is_published(t2.version).unwrap());
     assert!(
         matches!(
-            reader.snapshot(t2.version).unwrap_err(),
+            reader.snapshot(&p, t2.version).unwrap_err(),
             Error::VersionNotFound { .. }
         ),
         "pinned read of the torn version is a typed VersionNotFound"
     );
     // v1 still reads back exactly as published.
-    let snap = reader.snapshot(t1.version).unwrap();
+    let snap = reader.snapshot(&p, t1.version).unwrap();
     assert_eq!(snap.root, Some(r1));
     assert_eq!(snap.size, CHUNK);
 }
 
 #[test]
 fn disk_backed_deployment_recovers_fresh_services_with_published_versions_intact() {
+    let p = SimClock::new().register();
     // The hard crash arm the durable backend exists for: every service
     // of all three roles is killed and rebuilt FRESH from its data
     // directory — part files, node logs, publish logs — while the
@@ -559,7 +560,7 @@ fn disk_backed_deployment_recovers_fresh_services_with_published_versions_intact
     // reaches the publish log until publication, so the grant must not
     // survive the crash.
     let doomed = RemoteVersionManager::new(blob.id().raw(), d.dial_version());
-    let (t3, _) = doomed.ticket_append(CHUNK).unwrap();
+    let (t3, _) = doomed.ticket_append(&p, CHUNK).unwrap();
     assert_eq!(t3.version, VersionId::new(3));
 
     d.kill_all();
@@ -588,10 +589,10 @@ fn disk_backed_deployment_recovers_fresh_services_with_published_versions_intact
     // Snapshot isolation across the crash: the torn v3 is invisible in
     // every read path of the recovered version service.
     let reader = RemoteVersionManager::new(blob.id().raw(), d.dial_version());
-    assert_eq!(reader.latest().unwrap().version, VersionId::new(2));
+    assert_eq!(reader.latest(&p).unwrap().version, VersionId::new(2));
     assert!(!reader.is_published(t3.version).unwrap());
     assert!(matches!(
-        reader.snapshot(t3.version).unwrap_err(),
+        reader.snapshot(&p, t3.version).unwrap_err(),
         Error::VersionNotFound { .. }
     ));
 
@@ -627,6 +628,7 @@ impl Service for SlowVersionService {
 
 #[test]
 fn severing_a_pool_member_loses_one_grant_and_publication_stops_at_the_hole() {
+    let p = SimClock::new().register();
     let service = Arc::new(SlowVersionService {
         inner: VersionService::new(CHUNK),
         delay: Duration::from_millis(120),
@@ -648,7 +650,7 @@ fn severing_a_pool_member_loses_one_grant_and_publication_stops_at_the_hole() {
                 let mux = Arc::clone(&mux);
                 s.spawn(move || {
                     RemoteVersionManager::new(1, mux as Arc<dyn atomio::rpc::Transport>)
-                        .ticket_append(64)
+                        .ticket_append(&SimClock::new().register(), 64)
                 })
             })
             .collect();
@@ -691,6 +693,7 @@ fn severing_a_pool_member_loses_one_grant_and_publication_stops_at_the_hole() {
     // severed slot redials transparently)...
     for t in &granted {
         vm.publish(
+            &p,
             *t,
             NodeKey::new(BlobId::new(1), t.version, ByteRange::new(0, t.capacity)),
         )
@@ -698,7 +701,7 @@ fn severing_a_pool_member_loses_one_grant_and_publication_stops_at_the_hole() {
     }
     // ...and ordered publication stops exactly at the hole the severed
     // grant left: readers never observe a version past it, torn or not.
-    assert_eq!(vm.latest().unwrap().version.raw(), lost[0] - 1);
+    assert_eq!(vm.latest(&p).unwrap().version.raw(), lost[0] - 1);
     assert!(!vm.is_published(VersionId::new(lost[0])).unwrap());
     server.stop();
 }

@@ -111,8 +111,7 @@ fn three_service_store(providers: usize, backend_of: BackendConfig) -> Deploymen
     let meta_server = RpcServer::start(
         "127.0.0.1:0",
         Arc::new(
-            MetaService::with_backend(config.meta_shards, CHUNK, &backend)
-                .expect("open meta service"),
+            MetaService::with_backend(config.meta_shards, &backend).expect("open meta service"),
         ),
     )
     .expect("bind meta server");

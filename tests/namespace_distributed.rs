@@ -33,6 +33,7 @@ use atomio::simgrid::clock::run_actors_on;
 use atomio::simgrid::SimClock;
 use atomio::types::tempdir::TempDir;
 use atomio::types::{BackendConfig, BlobId, ByteRange, Error, ExtentList, VersionId};
+use atomio::version::VersionOracle;
 use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -247,19 +248,21 @@ fn multi_tenant_namespace_is_bit_identical_across_shard_counts_and_transports() 
 /// Grants one published version on blob `b` through `vm`, rooted at a
 /// deterministic node key.
 fn publish_once(vm: &RemoteVersionManager, blob: u64) -> VersionId {
-    let (ticket, _) = vm.ticket_append(CHUNK).unwrap();
+    let p = SimClock::new().register();
+    let (ticket, _) = vm.ticket_append(&p, CHUNK).unwrap();
     let version = ticket.version;
     let root = NodeKey::new(
         BlobId::new(blob),
         version,
         ByteRange::new(0, ticket.capacity),
     );
-    vm.publish(ticket, root).unwrap();
+    vm.publish(&p, ticket, root).unwrap();
     version
 }
 
 #[test]
 fn killing_one_shard_fails_only_its_slots_and_recovers_on_the_same_port() {
+    let p = SimClock::new().register();
     let tmp = TempDir::new("atomio-shard-kill");
     let backend = BackendConfig::disk(tmp.path());
     let mut fleet = tcp_fleet(4, &backend);
@@ -284,12 +287,13 @@ fn killing_one_shard_fails_only_its_slots_and_recovers_on_the_same_port() {
     // ticket when its shard dies; the publish fails typed.
     let doomed_blob = victims[0];
     let doomed = RemoteVersionManager::new(doomed_blob, Arc::clone(&fleet.transport));
-    let (t3, _) = doomed.ticket_append(CHUNK).unwrap();
+    let (t3, _) = doomed.ticket_append(&p, CHUNK).unwrap();
     assert_eq!(t3.version, VersionId::new(3));
     let addr = fleet.servers[1].local_addr();
     fleet.servers[1].stop();
     let err = doomed
         .publish(
+            &p,
             t3,
             NodeKey::new(
                 BlobId::new(doomed_blob),
@@ -308,13 +312,13 @@ fn killing_one_shard_fails_only_its_slots_and_recovers_on_the_same_port() {
     for &b in &victims {
         let vm = RemoteVersionManager::new(b, Arc::clone(&fleet.transport));
         assert!(
-            matches!(vm.latest(), Err(Error::Transport { .. })),
+            matches!(vm.latest(&p), Err(Error::Transport { .. })),
             "blob {b} lives on the dead shard"
         );
     }
     for &b in &survivors {
         let vm = RemoteVersionManager::new(b, Arc::clone(&fleet.transport));
-        assert_eq!(vm.latest().unwrap().version, VersionId::new(2));
+        assert_eq!(vm.latest(&p).unwrap().version, VersionId::new(2));
         assert_eq!(publish_once(&vm, b), VersionId::new(3));
     }
 
@@ -327,7 +331,7 @@ fn killing_one_shard_fails_only_its_slots_and_recovers_on_the_same_port() {
     for &b in &victims {
         let vm = RemoteVersionManager::new(b, Arc::clone(&fleet.transport));
         assert_eq!(
-            vm.latest().unwrap().version,
+            vm.latest(&p).unwrap().version,
             VersionId::new(2),
             "blob {b}: published prefix recovered"
         );
@@ -340,6 +344,7 @@ fn killing_one_shard_fails_only_its_slots_and_recovers_on_the_same_port() {
 
 #[test]
 fn stale_client_maps_self_heal_through_wrong_shard_redirects() {
+    let p = SimClock::new().register();
     let fleet = loopback_fleet(2);
     let map = SlotMap::uniform(2);
     let routed = Arc::new(SlotRoutedTransport::new(vec![
@@ -386,13 +391,14 @@ fn stale_client_maps_self_heal_through_wrong_shard_redirects() {
         )) as Arc<dyn Transport>,
     );
     assert!(
-        matches!(direct.latest(), Err(Error::WrongShard { epoch: 2, .. })),
+        matches!(direct.latest(&p), Err(Error::WrongShard { epoch: 2, .. })),
         "a drained shard refuses with its installed epoch"
     );
 }
 
 #[test]
 fn online_handoff_drains_grants_and_double_replay_is_idempotent() {
+    let p = SimClock::new().register();
     let fleet = loopback_fleet(2);
     let transports: Vec<Arc<dyn Transport>> = fleet
         .services
@@ -414,7 +420,7 @@ fn online_handoff_drains_grants_and_double_replay_is_idempotent() {
     }
     let straggler_blob = moving_blobs[0];
     let straggler = RemoteVersionManager::new(straggler_blob, Arc::clone(&fleet.transport));
-    let (t3, _) = straggler.ticket_append(CHUNK).unwrap();
+    let (t3, _) = straggler.ticket_append(&p, CHUNK).unwrap();
 
     // The in-flight writer publishes while the coordinator is freezing
     // and draining — the freeze blocks new tickets, not this publish.
@@ -426,7 +432,8 @@ fn online_handoff_drains_grants_and_double_replay_is_idempotent() {
         );
         move || {
             std::thread::sleep(std::time::Duration::from_millis(20));
-            straggler.publish(t3, root).unwrap();
+            let p = SimClock::new().register();
+            straggler.publish(&p, t3, root).unwrap();
         }
     });
     let moving = map.slots_of(1);
@@ -440,7 +447,7 @@ fn online_handoff_drains_grants_and_double_replay_is_idempotent() {
     for &b in &moving_blobs {
         let vm = RemoteVersionManager::new(b, Arc::clone(&fleet.transport));
         let want = if b == straggler_blob { 3 } else { 2 };
-        assert_eq!(vm.latest().unwrap().version, VersionId::new(want));
+        assert_eq!(vm.latest(&p).unwrap().version, VersionId::new(want));
         // And the chain keeps growing on the new owner.
         assert_eq!(publish_once(&vm, b), VersionId::new(want + 1));
     }
@@ -477,6 +484,7 @@ fn online_handoff_drains_grants_and_double_replay_is_idempotent() {
 /// version is absent everywhere — never acked-then-vanished.
 #[test]
 fn handoff_seals_slots_so_an_abandoned_straggler_fails_typed_not_silently() {
+    let p = SimClock::new().register();
     let fleet = loopback_fleet(2);
     let transports: Vec<Arc<dyn Transport>> = fleet
         .services
@@ -493,7 +501,7 @@ fn handoff_seals_slots_so_an_abandoned_straggler_fails_typed_not_silently() {
     publish_once(&vm, blob);
     // The straggler: granted before the handoff, never published while
     // it runs, held far past the (tiny) drain budget.
-    let (t3, _) = vm.ticket_append(CHUNK).unwrap();
+    let (t3, _) = vm.ticket_append(&p, CHUNK).unwrap();
 
     let moving = map.slots_of(1);
     let next = handoff_slots_with_budget(
@@ -510,6 +518,7 @@ fn handoff_seals_slots_so_an_abandoned_straggler_fails_typed_not_silently() {
     // granted it — and v3 exists nowhere.
     let err = vm
         .publish(
+            &p,
             t3,
             NodeKey::new(
                 BlobId::new(blob),
@@ -522,7 +531,7 @@ fn handoff_seals_slots_so_an_abandoned_straggler_fails_typed_not_silently() {
         matches!(err, Error::Internal(_)),
         "abandoned straggler fails typed, got {err:?}"
     );
-    assert_eq!(vm.latest().unwrap().version, VersionId::new(2));
+    assert_eq!(vm.latest(&p).unwrap().version, VersionId::new(2));
     assert!(!vm.is_published(VersionId::new(3)).unwrap());
     // The chain resumes cleanly on the new owner, reissuing v3.
     assert_eq!(publish_once(&vm, blob), VersionId::new(3));
@@ -533,6 +542,7 @@ fn handoff_seals_slots_so_an_abandoned_straggler_fails_typed_not_silently() {
 /// final snapshot of the moving slots.
 #[test]
 fn sealed_slots_refuse_publishes_with_wrong_shard() {
+    let p = SimClock::new().register();
     let fleet = loopback_fleet(2);
     let shard1: Arc<dyn Transport> = Arc::new(Loopback::new(
         Arc::clone(&fleet.services[1]) as Arc<dyn Service>
@@ -543,7 +553,7 @@ fn sealed_slots_refuse_publishes_with_wrong_shard() {
         .unwrap();
     let vm = RemoteVersionManager::new(blob, Arc::clone(&fleet.transport));
     publish_once(&vm, blob);
-    let (t2, _) = vm.ticket_append(CHUNK).unwrap();
+    let (t2, _) = vm.ticket_append(&p, CHUNK).unwrap();
 
     let slot = slot_for_blob(blob);
     let sealed = shard1
@@ -567,6 +577,7 @@ fn sealed_slots_refuse_publishes_with_wrong_shard() {
     let direct = RemoteVersionManager::new(blob, Arc::clone(&shard1));
     let err = direct
         .publish(
+            &p,
             t2,
             NodeKey::new(
                 BlobId::new(blob),
@@ -580,12 +591,12 @@ fn sealed_slots_refuse_publishes_with_wrong_shard() {
         "publish into a sealed slot draws WrongShard, got {err:?}"
     );
     assert!(matches!(
-        direct.ticket_append(CHUNK),
+        direct.ticket_append(&p, CHUNK),
         Err(Error::WrongShard { epoch: 2, .. })
     ));
     // Reads still serve (the seal freezes mutation, not visibility) and
     // the sealed state exports exactly the published prefix.
-    assert_eq!(direct.latest().unwrap().version, VersionId::new(1));
+    assert_eq!(direct.latest(&p).unwrap().version, VersionId::new(1));
 
     // Installing the reassigned map thaws the seal.
     let next = map.reassign(&[slot], 0);
@@ -601,6 +612,7 @@ fn sealed_slots_refuse_publishes_with_wrong_shard() {
 /// (the old all-or-nothing freeze state clobbered them).
 #[test]
 fn disjoint_concurrent_freezes_merge_instead_of_clobbering() {
+    let p = SimClock::new().register();
     let fleet = loopback_fleet(2);
     let shard1: Arc<dyn Transport> = Arc::new(Loopback::new(
         Arc::clone(&fleet.services[1]) as Arc<dyn Service>
@@ -624,7 +636,7 @@ fn disjoint_concurrent_freezes_merge_instead_of_clobbering() {
         let direct = RemoteVersionManager::new(blob, Arc::clone(&shard1));
         assert!(
             matches!(
-                direct.ticket_append(CHUNK),
+                direct.ticket_append(&p, CHUNK),
                 Err(Error::WrongShard { epoch: 2, .. })
             ),
             "slot {slot} must remain frozen"
@@ -644,7 +656,7 @@ fn disjoint_concurrent_freezes_merge_instead_of_clobbering() {
     let blob_a = (0..u64::MAX).find(|b| slot_for_blob(*b) == slot_a).unwrap();
     let direct = RemoteVersionManager::new(blob_a, Arc::clone(&shard1));
     direct
-        .ticket_append(CHUNK)
+        .ticket_append(&p, CHUNK)
         .expect("thawed slot grants again");
     drop(fleet.servers);
 }
@@ -655,6 +667,7 @@ fn disjoint_concurrent_freezes_merge_instead_of_clobbering() {
 /// redirect-retry budget on a misleading "unassigned" message.
 #[test]
 fn slot_routed_to_an_undialed_shard_fails_fast_with_a_named_shard() {
+    let p = SimClock::new().register();
     let fleet = loopback_fleet(2);
     let routed = Arc::new(SlotRoutedTransport::new(
         fleet
@@ -672,7 +685,7 @@ fn slot_routed_to_an_undialed_shard_fails_fast_with_a_named_shard() {
 
     let vm = RemoteVersionManager::new(blob, routed.clone() as Arc<dyn Transport>);
     let started = std::time::Instant::now();
-    let err = vm.latest().unwrap_err();
+    let err = vm.latest(&p).unwrap_err();
     let Error::Internal(msg) = &err else {
         panic!("expected a typed Internal error, got {err:?}");
     };

@@ -28,6 +28,7 @@ use atomio::types::{
     BackendConfig, BlobId, ByteRange, ChunkId, Error, ExtentList, ProviderId, TransportErrorKind,
     VersionId,
 };
+use atomio::version::VersionOracle;
 use bytes::Bytes;
 use std::sync::Arc;
 use std::time::Duration;
@@ -112,8 +113,7 @@ fn remote_store_with(providers: usize, metrics: Option<Metrics>) -> RemoteDeploy
     let meta_server = RpcServer::start(
         "127.0.0.1:0",
         Arc::new(
-            MetaService::with_backend(config.meta_shards, CHUNK, &backend)
-                .expect("open meta service"),
+            MetaService::with_backend(config.meta_shards, &backend).expect("open meta service"),
         ),
     )
     .expect("bind meta server");
@@ -162,8 +162,7 @@ fn loopback_rpc_store(providers: usize, metrics: Metrics) -> Store {
         )));
     }
     let meta_transport: Arc<dyn Transport> = Arc::new(
-        Loopback::new(Arc::new(MetaService::new(config.meta_shards, CHUNK)))
-            .with_metrics(metrics.clone()),
+        Loopback::new(Arc::new(MetaService::new(config.meta_shards))).with_metrics(metrics.clone()),
     );
     let manager = Arc::new(ProviderManager::from_stores(
         stores,
@@ -374,7 +373,7 @@ impl Service for TriService {
 fn tri_service() -> Arc<TriService> {
     Arc::new(TriService {
         provider: ProviderService::new(1),
-        meta: MetaService::new(2, CHUNK),
+        meta: MetaService::new(2),
         versions: VersionService::new(CHUNK),
     })
 }
@@ -422,6 +421,7 @@ fn mux_stress_state(
             s.spawn(move || {
                 let provider = RemoteProvider::new(ProviderId::new(0), Arc::clone(&transport));
                 let vm = RemoteVersionManager::new(t + 1, Arc::clone(&transport));
+                let p = SimClock::new().register();
                 for i in 0..STRESS_OPS {
                     let (chunk, body) = stress_chunk(t, i);
                     provider
@@ -458,10 +458,10 @@ fn mux_stress_state(
                         (other, _) => panic!("expected NodeGets, got {other:?}"),
                     }
 
-                    let (ticket, _) = vm.ticket_append(64).unwrap();
-                    vm.publish(ticket, key).unwrap();
+                    let (ticket, _) = vm.ticket_append(&p, 64).unwrap();
+                    vm.publish(&p, ticket, key).unwrap();
                 }
-                assert_eq!(vm.latest().unwrap().version, VersionId::new(STRESS_OPS));
+                assert_eq!(vm.latest(&p).unwrap().version, VersionId::new(STRESS_OPS));
             });
         }
     });
@@ -475,12 +475,13 @@ fn mux_stress_state(
         (other, _) => panic!("expected Count, got {other:?}"),
     };
     let provider = RemoteProvider::new(ProviderId::new(0), Arc::clone(transport));
+    let p = SimClock::new().register();
     let mut latest = Vec::new();
     let mut chunks = Vec::new();
     for t in 0..STRESS_THREADS {
         latest.push(
             RemoteVersionManager::new(t + 1, Arc::clone(transport))
-                .latest()
+                .latest(&p)
                 .unwrap()
                 .version,
         );
