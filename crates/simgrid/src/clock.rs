@@ -28,7 +28,7 @@
 
 use parking_lot::{Condvar, Mutex};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Duration;
@@ -67,6 +67,9 @@ struct ClockState {
     /// or deregistered), which is what serializes same-instant actors in
     /// participant-id order.
     released: Option<u64>,
+    /// Each registered participant's own wake slot, so a release wakes
+    /// exactly the thread it released.
+    wake_slots: HashMap<u64, Arc<Condvar>>,
 }
 
 /// A shared virtual clock. Cheap to clone (it is an `Arc` internally).
@@ -91,7 +94,6 @@ pub struct SimClock {
 
 struct ClockInner {
     state: Mutex<ClockState>,
-    cv: Condvar,
 }
 
 impl Default for SimClock {
@@ -118,8 +120,8 @@ impl SimClock {
                     horizon: horizon.as_nanos() as SimTime,
                     next_ticket: 0,
                     released: None,
+                    wake_slots: HashMap::new(),
                 }),
-                cv: Condvar::new(),
             }),
         }
     }
@@ -134,9 +136,12 @@ impl SimClock {
         st.registered += 1;
         let ticket = st.next_ticket;
         st.next_ticket += 1;
+        let wake = Arc::new(Condvar::new());
+        st.wake_slots.insert(ticket, Arc::clone(&wake));
         Participant {
             clock: Arc::clone(&self.inner),
             _ticket: ticket,
+            wake,
             _not_sync: PhantomData,
         }
     }
@@ -164,6 +169,8 @@ impl std::fmt::Debug for SimClock {
 pub struct Participant {
     clock: Arc<ClockInner>,
     _ticket: u64,
+    /// This participant's wake slot (also in `ClockState::wake_slots`).
+    wake: Arc<Condvar>,
     /// Participants must not be shared across threads: sleeping from two
     /// threads through one registration would corrupt the runnable count.
     _not_sync: PhantomData<std::cell::Cell<()>>,
@@ -233,13 +240,13 @@ impl Participant {
         );
         st.sleepers.push(Reverse((wake, self._ticket)));
         st.runnable -= 1;
-        Self::try_advance(&mut st, &self.clock.cv);
+        Self::try_advance(&mut st);
         // Waking requires an explicit release (not merely `now` reaching
         // `wake`): releases are handed out one at a time in (wake time,
         // participant id) order, which keeps same-instant actors
         // deterministic.
         while st.released != Some(self._ticket) {
-            self.clock.cv.wait(&mut st);
+            self.wake.wait(&mut st);
         }
         st.released = None;
         debug_assert!(st.now >= wake);
@@ -287,8 +294,9 @@ impl Participant {
     /// Releases the earliest sleeper if every registered participant is
     /// asleep and no release is already outstanding. Exactly one sleeper
     /// is released per call — ties at one instant resolve by participant
-    /// id because the heap orders on `(wake, ticket)`.
-    fn try_advance(st: &mut ClockState, cv: &Condvar) {
+    /// id because the heap orders on `(wake, ticket)` — and exactly one
+    /// thread is woken, through the released participant's own slot.
+    fn try_advance(st: &mut ClockState) {
         if st.runnable > 0 || st.released.is_some() {
             return;
         }
@@ -308,7 +316,7 @@ impl Participant {
         st.now = wake;
         st.runnable += 1;
         st.released = Some(ticket);
-        cv.notify_all();
+        st.wake_slots[&ticket].notify_one();
     }
 }
 
@@ -317,8 +325,9 @@ impl Drop for Participant {
         let mut st = self.clock.state.lock();
         st.runnable -= 1;
         st.registered -= 1;
+        st.wake_slots.remove(&self._ticket);
         // Our departure may unblock time for the remaining sleepers.
-        Participant::try_advance(&mut st, &self.clock.cv);
+        Participant::try_advance(&mut st);
     }
 }
 
