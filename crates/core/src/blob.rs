@@ -380,7 +380,7 @@ impl Blob {
             })
         };
         let seq = if block {
-            p.poll_until(|| match attempt() {
+            p.wait_until(wal.changed(), || match attempt() {
                 Ok(seq) => Some(Ok(seq)),
                 Err(Error::Busy { .. }) => None,
                 Err(e) => Some(Err(e)),
@@ -443,6 +443,11 @@ impl Blob {
     /// backend is unreachable. Transport errors are retried — counted in
     /// `wal.drain_retries` — so a killed-and-restarted service resumes
     /// the drain with no hole. Returns the number of entries drained.
+    ///
+    /// This back-off stays a timed wait, not an [`atomio_simgrid::Event`]:
+    /// besides appends it waits on server restarts and on
+    /// [`WriteAheadLog::pause`] / `resume` calls from test threads that
+    /// are not participants, none of which notify.
     pub fn wal_drain(&self, p: &Participant) -> Result<u64> {
         const BACKOFF_MIN: Duration = Duration::from_micros(10);
         const BACKOFF_MAX: Duration = Duration::from_millis(10);
@@ -482,7 +487,7 @@ impl Blob {
             return Ok(());
         };
         let target = wal.appended_seq();
-        p.poll_until(|| wal.drained_through(target).then_some(()));
+        p.wait_until(wal.changed(), || wal.drained_through(target).then_some(()));
         match wal.first_drain_error() {
             Some(e) => Err(e),
             None => Ok(()),

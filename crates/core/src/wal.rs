@@ -16,11 +16,11 @@
 //! The log is **bounded**: once `bytes_pending` exceeds the configured
 //! capacity, appends backpressure — [`WriteAheadLog::try_append`]
 //! returns a typed [`Error::Busy`] and the blocking path in
-//! `write_list` polls (virtual time) until the drainer falls below the
+//! `write_list` waits (virtual time) until the drainer falls below the
 //! low-water mark (half the capacity). The hysteresis keeps a stalled
 //! burst from thrashing admission one entry at a time.
 
-use atomio_simgrid::Metrics;
+use atomio_simgrid::{Event, Metrics};
 use atomio_types::{Error, ExtentList, Result};
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -73,6 +73,9 @@ pub struct WriteAheadLog {
     low_water: u64,
     state: Mutex<WalState>,
     metrics: Metrics,
+    /// Notified when an entry leaves the queue or the log closes: what
+    /// blocked appenders and durability barriers wait on.
+    changed: Event,
 }
 
 impl WriteAheadLog {
@@ -94,6 +97,7 @@ impl WriteAheadLog {
                 first_drain_error: None,
             }),
             metrics,
+            changed: Event::new(),
         }
     }
 
@@ -178,18 +182,23 @@ impl WriteAheadLog {
             .record(std::time::Duration::from_nanos(
                 now_ns.saturating_sub(entry.appended_at_ns),
             ));
+        drop(st);
+        self.changed.notify_all();
     }
 
     /// Pops the front entry after a replay failure that still consumed
     /// its version (the commit pipeline tombstoned it). The error is
     /// recorded sticky and surfaced by [`crate::Blob::wal_sync`].
     pub fn fail_front(&self, seq: u64, error: Error, now_ns: u64) {
-        self.complete_front(seq, now_ns);
-        let mut st = self.state.lock();
-        self.metrics.counter("wal.drain_errors").inc();
-        if st.first_drain_error.is_none() {
-            st.first_drain_error = Some(error);
+        {
+            let mut st = self.state.lock();
+            self.metrics.counter("wal.drain_errors").inc();
+            if st.first_drain_error.is_none() {
+                st.first_drain_error = Some(error);
+            }
         }
+        // Recorded before the pop wakes a durability barrier.
+        self.complete_front(seq, now_ns);
     }
 
     /// Version the drainer must be granted for entry `seq` — the log
@@ -237,6 +246,7 @@ impl WriteAheadLog {
     /// drainer returns once the queue empties.
     pub fn close(&self) {
         self.state.lock().closed = true;
+        self.changed.notify_all();
     }
 
     /// True once [`WriteAheadLog::close`] was called.
@@ -254,6 +264,11 @@ impl WriteAheadLog {
     /// Resumes draining after [`WriteAheadLog::pause`].
     pub fn resume(&self) {
         self.state.lock().paused = false;
+    }
+
+    /// What to wait on for the queue to shrink or the log to close.
+    pub(crate) fn changed(&self) -> &Event {
+        &self.changed
     }
 
     /// The first replay failure, if any (the log stays usable; the

@@ -1,7 +1,7 @@
 //! A simulated MPI communicator: barriers and small collectives for a
 //! fixed group of ranks (threads registered on the virtual clock).
 
-use atomio_simgrid::{CostModel, Participant};
+use atomio_simgrid::{CostModel, Event, Participant};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -22,6 +22,8 @@ struct CommInner {
     barrier: Mutex<BarrierState>,
     gather: Mutex<GatherState>,
     exchange: Mutex<ExchangeState>,
+    /// Notified when the last rank arrives at any collective round.
+    round_done: Event,
 }
 
 /// One payload per peer.
@@ -73,6 +75,7 @@ impl Communicator {
                     slots: vec![None; size],
                     ..ExchangeState::default()
                 }),
+                round_done: Event::new(),
             }),
         }
     }
@@ -95,10 +98,13 @@ impl Communicator {
             if st.arrived == self.inner.size {
                 st.arrived = 0;
                 st.generation += 1;
+                self.inner.round_done.notify_all();
             }
             gen
         };
-        p.poll_until(|| (self.inner.barrier.lock().generation > my_gen).then_some(()));
+        p.wait_until(&self.inner.round_done, || {
+            (self.inner.barrier.lock().generation > my_gen).then_some(())
+        });
     }
 
     /// Gathers one byte payload from every rank onto every rank
@@ -129,10 +135,11 @@ impl Communicator {
                 st.results.insert(gen, (Arc::new(gathered), 0));
                 st.arrived = 0;
                 st.generation += 1;
+                self.inner.round_done.notify_all();
             }
             gen
         };
-        let shared = p.poll_until(|| {
+        let shared = p.wait_until(&self.inner.round_done, || {
             self.inner
                 .gather
                 .lock()
@@ -197,10 +204,11 @@ impl Communicator {
                 st.results.insert(gen, (Arc::new(inboxes), 0));
                 st.arrived = 0;
                 st.generation += 1;
+                self.inner.round_done.notify_all();
             }
             gen
         };
-        let shared = p.poll_until(|| {
+        let shared = p.wait_until(&self.inner.round_done, || {
             self.inner
                 .exchange
                 .lock()
@@ -305,10 +313,9 @@ mod tests {
     fn barrier_costs_time() {
         let comm = Communicator::new(8, CostModel::grid5000());
         let (_, total) = run_actors(8, |_, p| comm.barrier(p));
-        // 3 rounds × 200µs, plus at most one poll interval of skew for
-        // the ranks that were already waiting when the last one arrived.
-        assert!(total >= Duration::from_micros(600));
-        assert!(total <= Duration::from_micros(600) + Duration::from_micros(25));
+        // 3 rounds × 200µs: the ranks already waiting resume at the
+        // instant the last one arrives.
+        assert_eq!(total, Duration::from_micros(600));
     }
 
     #[test]

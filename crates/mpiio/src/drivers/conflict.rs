@@ -13,7 +13,7 @@
 
 use crate::adio::AdioDriver;
 use atomio_pfs::{LockKind, PfsFile};
-use atomio_simgrid::{CostModel, Participant, Resource};
+use atomio_simgrid::{CostModel, Event, Participant, Resource};
 use atomio_types::{ClientId, ExtentList, Result};
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -38,6 +38,8 @@ pub struct ConflictDetectDriver {
 struct Coordinator {
     cpu: Resource,
     active: Mutex<Vec<ActiveWrite>>,
+    /// Notified when a write deregisters from `active`.
+    retired: Event,
     next_id: AtomicU64,
     lock_free_writes: AtomicU64,
     locked_writes: AtomicU64,
@@ -52,6 +54,7 @@ impl ConflictDetectDriver {
             coordinator: Arc::new(Coordinator {
                 cpu: Resource::new("conflict-coordinator/cpu"),
                 active: Mutex::new(Vec::new()),
+                retired: Event::new(),
                 next_id: AtomicU64::new(1),
                 lock_free_writes: AtomicU64::new(0),
                 locked_writes: AtomicU64::new(0),
@@ -112,7 +115,7 @@ impl AdioDriver for ConflictDetectDriver {
             self.coordinator
                 .locked_writes
                 .fetch_add(1, Ordering::Relaxed);
-            p.poll_until(|| {
+            p.wait_until(&self.coordinator.retired, || {
                 let active = self.coordinator.active.lock();
                 conflicting
                     .iter()
@@ -130,6 +133,7 @@ impl AdioDriver for ConflictDetectDriver {
 
         // Deregister.
         self.coordinator.active.lock().retain(|w| w.id != my_id);
+        self.coordinator.retired.notify_all();
         result
     }
 

@@ -6,11 +6,12 @@
 //! earlier request — so writers cannot be starved by a stream of
 //! readers).
 //!
-//! Waiting is expressed in virtual time (polling), but order is decided
-//! by the explicit queue, so fairness does not depend on poll timing.
+//! A queued requester waits in virtual time on an event the service
+//! notifies when a release grants queued requests; order is decided by
+//! the explicit queue, so fairness does not depend on wake-up order.
 
 use crate::interval::IntervalTree;
-use atomio_simgrid::{CostModel, Metrics, Participant, Resource};
+use atomio_simgrid::{CostModel, Event, Metrics, Participant, Resource};
 use atomio_types::{ByteRange, ClientId};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -79,9 +80,11 @@ impl LockTable {
 
     /// Grants every queued request that conflicts with no granted lock
     /// and no earlier-queued request (fair, no overtaking on conflict).
-    fn promote(&mut self, newly_granted: &mut Vec<u64>) {
+    /// Returns whether anything was granted.
+    fn promote(&mut self) -> bool {
         let mut blocked: Vec<LockReq> = Vec::new();
         let mut still_waiting = VecDeque::new();
+        let mut granted_any = false;
         for req in std::mem::take(&mut self.queue) {
             let conflict_granted = self.conflicts_with_granted(&req);
             let conflict_earlier = blocked.iter().any(|w| conflicts(w, &req));
@@ -89,12 +92,13 @@ impl LockTable {
                 blocked.push(req.clone());
                 still_waiting.push_back(req);
             } else {
-                newly_granted.push(req.id);
+                granted_any = true;
                 self.index_of(req.kind).insert(req.range, req.id);
                 self.granted.push(req);
             }
         }
         self.queue = still_waiting;
+        granted_any
     }
 
     fn is_granted(&self, id: u64) -> bool {
@@ -127,6 +131,8 @@ pub struct LockManager {
     table: Mutex<LockTable>,
     next_id: AtomicU64,
     metrics: Metrics,
+    /// Notified when an unlock grants queued requests.
+    grants: Event,
 }
 
 /// A granted lock; release it with [`LockManager::unlock`].
@@ -152,6 +158,7 @@ impl LockManager {
             table: Mutex::new(LockTable::default()),
             next_id: AtomicU64::new(1),
             metrics,
+            grants: Event::new(),
         }
     }
 
@@ -176,77 +183,18 @@ impl LockManager {
                 range,
                 kind,
             });
-            let mut granted = Vec::new();
-            table.promote(&mut granted);
+            // A request joining the tail can grant only itself, which
+            // the wait below sees without a notify.
+            table.promote();
         }
-        p.poll_until(|| self.table.lock().is_granted(id).then_some(()));
+        p.wait_until(&self.grants, || {
+            self.table.lock().is_granted(id).then_some(())
+        });
         self.metrics.counter("dlm.locks_granted").inc();
         self.metrics
             .time_stat("dlm.lock_wait")
             .record(p.now() - started);
         LockHandle { id, range, kind }
-    }
-
-    /// Like [`Self::lock`] but gives up after `timeout` of virtual time,
-    /// removing the queued request so it can never be granted later.
-    pub fn lock_timeout(
-        &self,
-        p: &Participant,
-        owner: ClientId,
-        range: ByteRange,
-        kind: LockKind,
-        timeout: std::time::Duration,
-    ) -> atomio_types::Result<LockHandle> {
-        assert!(!range.is_empty(), "cannot lock an empty range");
-        p.sleep(self.cost.rpc_round_trip());
-        self.cpu.serve(p, self.cost.meta_op);
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut table = self.table.lock();
-            table.queue.push_back(LockReq {
-                id,
-                owner,
-                range,
-                kind,
-            });
-            let mut granted = Vec::new();
-            table.promote(&mut granted);
-        }
-        let granted = p
-            .poll_until_timeout(timeout, || self.table.lock().is_granted(id).then_some(()))
-            .is_some();
-        if !granted {
-            let mut table = self.table.lock();
-            // Between the timeout and this cancellation the grant may
-            // have raced in; honour it if so.
-            if table.is_granted(id) {
-                drop(table);
-            } else {
-                let holder = table
-                    .granted
-                    .iter()
-                    .find(|g| {
-                        conflicts(
-                            g,
-                            &LockReq {
-                                id,
-                                owner,
-                                range,
-                                kind,
-                            },
-                        )
-                    })
-                    .map(|g| atomio_types::error::ClientHint(g.owner.raw()));
-                table.queue.retain(|r| r.id != id);
-                let mut woken = Vec::new();
-                table.promote(&mut woken);
-                return Err(atomio_types::Error::LockTimeout {
-                    holder_hint: holder,
-                });
-            }
-        }
-        self.metrics.counter("dlm.locks_granted").inc();
-        Ok(LockHandle { id, range, kind })
     }
 
     /// Releases a granted lock.
@@ -265,8 +213,10 @@ impl LockManager {
         );
         let removed = table.index_of(handle.kind).remove(handle.range, handle.id);
         debug_assert!(removed, "grant table and interval index diverged");
-        let mut granted = Vec::new();
-        table.promote(&mut granted);
+        if table.promote() {
+            drop(table);
+            self.grants.notify_all();
+        }
     }
 
     /// Number of currently granted locks.
@@ -481,76 +431,6 @@ mod tests {
         let clock = atomio_simgrid::SimClock::new();
         let p = clock.register();
         let _ = m.lock(&p, ClientId::new(0), ByteRange::empty(), LockKind::Shared);
-    }
-
-    #[test]
-    fn lock_timeout_expires_and_unblocks_queue() {
-        let m = mgr();
-        run_actors(2, |i, p| {
-            if i == 0 {
-                let h = m.lock(
-                    p,
-                    ClientId::new(0),
-                    ByteRange::new(0, 100),
-                    LockKind::Exclusive,
-                );
-                p.sleep(Duration::from_millis(10));
-                m.unlock(p, h);
-            } else {
-                p.sleep(Duration::from_millis(1));
-                // Times out long before the holder releases.
-                let err = m
-                    .lock_timeout(
-                        p,
-                        ClientId::new(1),
-                        ByteRange::new(50, 10),
-                        LockKind::Exclusive,
-                        Duration::from_millis(2),
-                    )
-                    .unwrap_err();
-                assert!(matches!(
-                    err,
-                    atomio_types::Error::LockTimeout {
-                        holder_hint: Some(_)
-                    }
-                ));
-                // A later retry (after the holder is gone) succeeds.
-                p.sleep(Duration::from_millis(10));
-                let h = m
-                    .lock_timeout(
-                        p,
-                        ClientId::new(1),
-                        ByteRange::new(50, 10),
-                        LockKind::Exclusive,
-                        Duration::from_millis(2),
-                    )
-                    .unwrap();
-                m.unlock(p, h);
-            }
-        });
-        assert_eq!(m.granted_count(), 0);
-        assert_eq!(
-            m.waiting_count(),
-            0,
-            "timed-out request must leave the queue"
-        );
-    }
-
-    #[test]
-    fn lock_timeout_grants_immediately_when_free() {
-        let m = mgr();
-        run_actors(1, |_, p| {
-            let h = m
-                .lock_timeout(
-                    p,
-                    ClientId::new(0),
-                    ByteRange::new(0, 10),
-                    LockKind::Shared,
-                    Duration::from_millis(1),
-                )
-                .unwrap();
-            m.unlock(p, h);
-        });
     }
 
     #[test]

@@ -467,7 +467,7 @@ impl RemoteVersionManager {
 ///
 /// The `Participant` is unused on the RPC legs themselves (network cost
 /// is carried by the transport's blocking calls); it only paces the
-/// publication poll in [`VersionOracle::wait_published`].
+/// timed publication poll in [`VersionOracle::wait_published`].
 impl VersionOracle for RemoteVersionManager {
     fn history(&self) -> &Arc<VersionHistory> {
         &self.mirror
@@ -509,12 +509,22 @@ impl VersionOracle for RemoteVersionManager {
         }
     }
 
+    /// A timed poll, not an [`atomio_simgrid::Event`] wait: the state it
+    /// waits on lives across a socket, where nothing can notify a local
+    /// participant. (ROADMAP item 4a deletes this loop by parking
+    /// `VmPublish` server-side.) The virtual back-off schedule is the one
+    /// every wait in the workspace used before waits became
+    /// notifications; keep it, it sets the `VmIsPublished` cadence the
+    /// wall-clock benchmark measures.
     fn wait_published(&self, p: &Participant, version: VersionId) -> Result<()> {
-        p.poll_until(|| match self.is_published(version) {
-            Ok(true) => Some(Ok(())),
-            Ok(false) => None,
-            Err(error) => Some(Err(error)),
-        })
+        const FIRST_NS: u64 = 20_000;
+        const CAP_NS: u64 = 2_000_000;
+        let mut interval = FIRST_NS;
+        while !self.is_published(version)? {
+            p.sleep_ns(interval);
+            interval = (interval + interval / 2).min(CAP_NS);
+        }
+        Ok(())
     }
 
     fn latest(&self, _p: &Participant) -> Result<SnapshotRecord> {

@@ -1,15 +1,18 @@
 //! The virtual clock that coordinates all simulated actors.
 //!
 //! Invariant: virtual time advances to the earliest pending wake-up only
-//! when **all** registered participants are blocked in [`Participant::sleep`].
-//! A participant that is executing CPU work holds time still, so no actor
+//! when **all** registered participants are blocked — in
+//! [`Participant::sleep`] or in [`Participant::wait_until`]. A
+//! participant that is executing CPU work holds time still, so no actor
 //! ever observes time it has not lived through.
 //!
-//! All blocking in the workspace is expressed as virtual sleeping —
-//! services that need to wait for a condition (a lock grant, a publication
-//! turn) poll it with a small virtual interval. With virtual time this
-//! costs no wall-clock waiting, and explicit FIFO queues inside the
-//! services preserve fairness.
+//! There are two ways to block. Sleeping waits for virtual time to pass.
+//! Waiting for a condition owned by another actor (a lock grant, a
+//! barrier, a publication turn) is [`Participant::wait_until`] on an
+//! [`Event`] the owner notifies whenever that state changes: the waiter
+//! leaves the sleeper heap and costs nothing until a notify re-queues it
+//! at the notifier's instant. Explicit FIFO queues inside the services
+//! decide fairness.
 //!
 //! ## Deterministic execution
 //!
@@ -24,7 +27,9 @@
 //! inserts — lands in participant-id order regardless of how the OS
 //! schedules the underlying threads. Simulations are therefore
 //! bit-reproducible run-to-run; virtual timing is unchanged (sequencing
-//! costs zero virtual time).
+//! costs zero virtual time). A notified waiter re-enters the same order
+//! as `(its clock's now, participant id)`, so waiters woken at one
+//! instant resume in id order too.
 
 use parking_lot::{Condvar, Mutex};
 use std::cmp::Reverse;
@@ -36,26 +41,17 @@ use std::time::Duration;
 /// Virtual nanoseconds since simulation start.
 pub type SimTime = u64;
 
-/// Initial polling interval for condition waits, in virtual nanoseconds.
-///
-/// 20µs: two orders of magnitude below typical simulated transfer times
-/// (hundreds of µs to ms), so polling skew is negligible for short
-/// waits. Long waits back off exponentially to [`POLL_CAP_NS`] so a
-/// multi-second lock queue does not generate millions of clock events.
-pub const POLL_INTERVAL_NS: u64 = 20_000;
-
-/// Upper bound of the poll back-off (2 ms): the worst-case discovery
-/// skew for a long wait, small against the 100 ms+ transfer times such
-/// waits sit behind.
-pub const POLL_CAP_NS: u64 = 2_000_000;
-
 #[derive(Debug)]
 struct ClockState {
     now: SimTime,
     /// Pending wake-ups: (wake time, participant ticket).
     sleepers: BinaryHeap<Reverse<(SimTime, u64)>>,
-    /// Registered participants currently *not* blocked in `sleep`.
+    /// Registered participants currently *not* blocked.
     runnable: usize,
+    /// Participants enlisted on an [`Event`] and not yet notified: off
+    /// the sleeper heap, waiting for a notify that may come from outside
+    /// this clock.
+    waiting: usize,
     /// Total registered participants.
     registered: usize,
     /// Hard ceiling on virtual time; exceeded => livelock, panic.
@@ -116,6 +112,7 @@ impl SimClock {
                     now: 0,
                     sleepers: BinaryHeap::new(),
                     runnable: 0,
+                    waiting: 0,
                     registered: 0,
                     horizon: horizon.as_nanos() as SimTime,
                     next_ticket: 0,
@@ -160,6 +157,7 @@ impl std::fmt::Debug for SimClock {
             .field("now_ns", &st.now)
             .field("registered", &st.registered)
             .field("runnable", &st.runnable)
+            .field("waiting", &st.waiting)
             .field("sleepers", &st.sleepers.len())
             .finish()
     }
@@ -239,60 +237,57 @@ impl Participant {
             "virtual time horizon exceeded (wake at {wake} ns): livelock or runaway simulation"
         );
         st.sleepers.push(Reverse((wake, self._ticket)));
+        self.park(st);
+        debug_assert!(self.now_ns() >= wake);
+    }
+
+    /// Blocks until the clock releases this participant. Waking requires
+    /// an explicit release (not merely `now` reaching a wake time):
+    /// releases are handed out one at a time in (wake time, participant
+    /// id) order, which keeps same-instant actors deterministic.
+    fn park(&self, mut st: parking_lot::MutexGuard<'_, ClockState>) {
         st.runnable -= 1;
         Self::try_advance(&mut st);
-        // Waking requires an explicit release (not merely `now` reaching
-        // `wake`): releases are handed out one at a time in (wake time,
-        // participant id) order, which keeps same-instant actors
-        // deterministic.
         while st.released != Some(self._ticket) {
             self.wake.wait(&mut st);
         }
         st.released = None;
-        debug_assert!(st.now >= wake);
     }
 
-    /// Repeatedly evaluates `cond` until it returns `Some`, then yields
-    /// the value. Polls start at [`POLL_INTERVAL_NS`] and back off
-    /// exponentially to [`POLL_CAP_NS`].
+    /// Blocks until `cond` returns `Some` and yields the value; `cond` is
+    /// re-evaluated each time `event` is notified. The one way to wait
+    /// for a condition owned by another actor (a lock grant, a barrier, a
+    /// publication turn): whoever changes that state calls
+    /// [`Event::notify_all`].
     ///
-    /// This is the building block for every "wait for a condition owned by
-    /// another actor" interaction (lock grants, publication turns).
-    pub fn poll_until<T>(&self, mut cond: impl FnMut() -> Option<T>) -> T {
-        let mut interval = POLL_INTERVAL_NS;
+    /// An already-true condition returns at once, at zero virtual time.
+    /// Otherwise the waiter leaves the runnable count without a wake-up
+    /// of its own, and a notify re-queues it at its clock's current
+    /// instant — it resumes at exactly the notifier's time, in
+    /// participant-id order with everyone else due then.
+    pub fn wait_until<T>(&self, event: &Event, mut cond: impl FnMut() -> Option<T>) -> T {
         loop {
             if let Some(v) = cond() {
                 return v;
             }
-            self.sleep_ns(interval);
-            interval = (interval + interval / 2).min(POLL_CAP_NS);
-        }
-    }
-
-    /// Like [`Self::poll_until`] but gives up after `timeout` of virtual
-    /// time, returning `None`.
-    pub fn poll_until_timeout<T>(
-        &self,
-        timeout: Duration,
-        mut cond: impl FnMut() -> Option<T>,
-    ) -> Option<T> {
-        let deadline = self.now_ns() + timeout.as_nanos() as u64;
-        let mut interval = POLL_INTERVAL_NS;
-        loop {
-            if let Some(v) = cond() {
-                return Some(v);
+            // Enlisted before the re-check, so a notify that lands after
+            // the check cannot be lost — the notifier need not be a
+            // participant of this clock.
+            event.enlist(self);
+            let ready = cond();
+            if ready.is_none() || !event.withdraw(self) {
+                // Not ready, or ready but a notify already re-queued us:
+                // consume that release (zero virtual time) either way.
+                self.park(self.clock.state.lock());
             }
-            let now = self.now_ns();
-            if now >= deadline {
-                return None;
+            if let Some(v) = ready {
+                return v;
             }
-            self.sleep_ns(interval.min(deadline - now));
-            interval = (interval + interval / 2).min(POLL_CAP_NS);
         }
     }
 
     /// Releases the earliest sleeper if every registered participant is
-    /// asleep and no release is already outstanding. Exactly one sleeper
+    /// blocked and no release is already outstanding. Exactly one sleeper
     /// is released per call — ties at one instant resolve by participant
     /// id because the heap orders on `(wake, ticket)` — and exactly one
     /// thread is woken, through the released participant's own slot.
@@ -301,9 +296,11 @@ impl Participant {
             return;
         }
         let Some(&Reverse((wake, ticket))) = st.sleepers.peek() else {
-            if st.registered > 0 {
-                // Every live participant is deregistered-or-sleeping and
-                // nobody posted a wake-up: nothing can ever run again.
+            if st.registered > 0 && st.waiting == 0 {
+                // Every live participant is deregistered-or-sleeping,
+                // nobody posted a wake-up and nobody waits for a notify
+                // (which could come from outside): nothing can ever run
+                // again. With event waiters the clock idles instead.
                 panic!(
                     "virtual-time deadlock: {} participants registered, none runnable, no pending wake-ups",
                     st.registered
@@ -335,6 +332,81 @@ impl std::fmt::Debug for Participant {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Participant")
             .field("ticket", &self._ticket)
+            .finish()
+    }
+}
+
+/// Something actors wait on with [`Participant::wait_until`]: the owner
+/// of some state calls [`Event::notify_all`] after changing it.
+///
+/// An event belongs to no clock. Its waiters may come from several
+/// clocks, and the notifier may be a participant of any of them or of
+/// none (a plain thread).
+#[derive(Default)]
+pub struct Event {
+    waiters: Mutex<Vec<Waiter>>,
+}
+
+struct Waiter {
+    clock: Arc<ClockInner>,
+    ticket: u64,
+}
+
+impl Event {
+    /// Creates an event nobody waits on.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Wakes every current waiter: each is re-queued at its own clock's
+    /// current instant and re-checks its condition when released. With
+    /// no waiters this is one uncontended lock and no allocation.
+    pub fn notify_all(&self) {
+        let mut waiters = self.waiters.lock();
+        if waiters.is_empty() {
+            return;
+        }
+        // Queue them all before releasing any, so waiters of one clock
+        // resume in participant-id order even when the clock is idle.
+        for w in waiters.iter() {
+            let mut st = w.clock.state.lock();
+            st.waiting -= 1;
+            let now = st.now;
+            st.sleepers.push(Reverse((now, w.ticket)));
+        }
+        for w in waiters.drain(..) {
+            Participant::try_advance(&mut w.clock.state.lock());
+        }
+    }
+
+    fn enlist(&self, p: &Participant) {
+        let mut waiters = self.waiters.lock();
+        p.clock.state.lock().waiting += 1;
+        waiters.push(Waiter {
+            clock: Arc::clone(&p.clock),
+            ticket: p._ticket,
+        });
+    }
+
+    /// Takes `p` off the list; false when a notify already re-queued it.
+    fn withdraw(&self, p: &Participant) -> bool {
+        let mut waiters = self.waiters.lock();
+        let Some(i) = waiters
+            .iter()
+            .position(|w| w.ticket == p._ticket && Arc::ptr_eq(&w.clock, &p.clock))
+        else {
+            return false;
+        };
+        waiters.swap_remove(i);
+        p.clock.state.lock().waiting -= 1;
+        true
+    }
+}
+
+impl std::fmt::Debug for Event {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Event")
+            .field("waiters", &self.waiters.lock().len())
             .finish()
     }
 }
@@ -440,33 +512,109 @@ mod tests {
     }
 
     #[test]
-    fn poll_until_sees_other_actors_progress() {
+    fn waiter_resumes_at_the_notifiers_instant() {
         let flag = AtomicU64::new(0);
+        let event = Event::new();
         let (results, total) = run_actors(2, |i, p| {
             if i == 0 {
                 p.sleep(Duration::from_millis(3));
                 flag.store(42, Ordering::SeqCst);
-                0
+                event.notify_all();
+                (0, p.now())
             } else {
-                p.poll_until(|| {
+                let v = p.wait_until(&event, || {
                     let v = flag.load(Ordering::SeqCst);
                     (v != 0).then_some(v)
-                })
+                });
+                (v, p.now())
             }
         });
-        assert_eq!(results[1], 42);
-        // Poller observed the flag within one poll interval of 3ms.
-        assert!(total >= Duration::from_millis(3));
-        assert!(total < Duration::from_millis(4));
+        assert_eq!(results[1], (42, Duration::from_millis(3)));
+        assert_eq!(total, Duration::from_millis(3));
     }
 
     #[test]
-    fn poll_timeout_expires() {
-        let (res, total) = run_actors(1, |_, p| {
-            p.poll_until_timeout(Duration::from_millis(1), || None::<()>)
+    fn waiters_notified_at_one_instant_resume_in_id_order() {
+        let run = || {
+            let go = AtomicU64::new(0);
+            let event = Event::new();
+            let order = parking_lot::Mutex::new(Vec::new());
+            run_actors(9, |i, p| {
+                if i == 8 {
+                    p.sleep(Duration::from_millis(1));
+                    go.store(1, Ordering::SeqCst);
+                    event.notify_all();
+                } else {
+                    // Enlist in reverse id order.
+                    p.sleep_ns(100 * (8 - i as u64));
+                    p.wait_until(&event, || (go.load(Ordering::SeqCst) == 1).then_some(()));
+                    order.lock().push((i, p.now()));
+                }
+            });
+            order.into_inner()
+        };
+        let got = run();
+        let expect: Vec<_> = (0..8).map(|i| (i, Duration::from_millis(1))).collect();
+        assert_eq!(got, expect);
+        assert_eq!(got, run(), "and identically on every run");
+    }
+
+    /// A lone waiter on its own clock counts to `steps`, each step
+    /// published by `notifier(step)` from another thread once the waiter
+    /// acknowledged the previous one — so every notify races the waiter's
+    /// enlist-and-recheck. A lost wake-up hangs the test.
+    fn count_across_threads(steps: u64, notifier: impl Fn(&dyn Fn(u64)) + Send + Sync) {
+        let counter = AtomicU64::new(0);
+        let acked = AtomicU64::new(0);
+        let event = Event::new();
+        let publish = |k: u64| {
+            while acked.load(Ordering::SeqCst) < k - 1 {
+                std::thread::yield_now();
+            }
+            counter.store(k, Ordering::SeqCst);
+            event.notify_all();
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| notifier(&publish));
+            let clock = SimClock::new();
+            let p = clock.register();
+            for k in 1..=steps {
+                p.wait_until(&event, || {
+                    (counter.load(Ordering::SeqCst) >= k).then_some(())
+                });
+                acked.store(k, Ordering::SeqCst);
+            }
+            assert_eq!(p.now(), Duration::ZERO, "waiting costs no virtual time");
         });
-        assert_eq!(res[0], None);
-        assert!(total >= Duration::from_millis(1));
+    }
+
+    #[test]
+    fn notify_from_a_plain_thread_is_never_lost() {
+        count_across_threads(2_000, |publish| (1..=2_000).for_each(publish));
+    }
+
+    #[test]
+    fn notify_from_another_clocks_participant_is_never_lost() {
+        count_across_threads(2_000, |publish| {
+            let other = SimClock::new();
+            let p = other.register();
+            for k in 1..=2_000 {
+                p.sleep_ns(1_000);
+                publish(k);
+            }
+        });
+    }
+
+    #[test]
+    fn wait_until_on_a_true_condition_does_not_block() {
+        let clock = SimClock::new();
+        let p = clock.register();
+        let event = Event::new();
+        // Blocking here would hang: p is the clock's only participant
+        // and nobody notifies.
+        assert_eq!(p.wait_until(&event, || Some(7)), 7);
+        assert_eq!(clock.now(), Duration::ZERO);
+        assert_eq!(format!("{event:?}"), "Event { waiters: 0 }");
     }
 
     #[test]

@@ -9,12 +9,15 @@
 //!
 //! [`SimClock`] keeps a shared virtual clock. Every simulated actor
 //! registers a [`Participant`]; instead of `thread::sleep`, actors call
-//! [`Participant::sleep`], which posts a virtual wake-up and blocks. The
-//! clock advances to the earliest posted wake-up only when *every*
-//! registered participant is blocked, so virtual time never outruns any
-//! actor. CPU work between sleeps costs zero virtual time, which is the
-//! behaviour we want: the phenomena under study (lock serialization
-//! vs. versioned isolation) are I/O-dominated.
+//! [`Participant::sleep`], which posts a virtual wake-up and blocks. An
+//! actor waiting for another's state (a lock grant, a barrier) calls
+//! [`Participant::wait_until`] on an [`Event`] that state's owner
+//! notifies; it resumes at exactly the notifier's instant. The clock
+//! advances to the earliest posted wake-up only when *every* registered
+//! participant is blocked, so virtual time never outruns any actor. CPU
+//! work between blocks costs zero virtual time, which is the behaviour
+//! we want: the phenomena under study (lock serialization vs. versioned
+//! isolation) are I/O-dominated.
 //!
 //! ## Devices as queueing resources
 //!
@@ -42,7 +45,7 @@ pub mod metrics;
 pub mod resource;
 pub mod rng;
 
-pub use clock::{Participant, SimClock, SimTime};
+pub use clock::{Event, Participant, SimClock, SimTime};
 pub use cost::CostModel;
 pub use fault::FaultInjector;
 pub use metrics::Metrics;

@@ -40,8 +40,6 @@ pub enum Error {
     BufferSizeMismatch { expected: u64, actual: u64 },
     /// An empty extent list was passed where data is required.
     EmptyAccess,
-    /// The lock manager rejected or timed out a lock request.
-    LockTimeout { holder_hint: Option<ClientHint> },
     /// Metadata store is missing a tree node — indicates corruption or a
     /// read of an unpublished version.
     MetadataNodeMissing(u64),
@@ -149,10 +147,6 @@ impl fmt::Display for TransportErrorKind {
     }
 }
 
-/// A small hint identifying which client held a contended resource.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClientHint(pub u64);
-
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -177,10 +171,6 @@ impl fmt::Display for Error {
                 "buffer holds {actual} bytes but extent list covers {expected}"
             ),
             Error::EmptyAccess => write!(f, "empty extent list"),
-            Error::LockTimeout { holder_hint } => match holder_hint {
-                Some(h) => write!(f, "lock wait timed out (held by client {})", h.0),
-                None => write!(f, "lock wait timed out"),
-            },
             Error::MetadataNodeMissing(id) => write!(f, "metadata node {id} missing"),
             Error::InvalidMode(m) => write!(f, "file handle not opened for {m}"),
             Error::InvalidDatatype(msg) => write!(f, "invalid datatype: {msg}"),
@@ -272,10 +262,6 @@ impl Serialize for Error {
                 ],
             ),
             Error::EmptyAccess => tagged("EmptyAccess", vec![]),
-            Error::LockTimeout { holder_hint } => tagged(
-                "LockTimeout",
-                vec![("holder".into(), holder_hint.map(|h| h.0).to_value())],
-            ),
             Error::MetadataNodeMissing(id) => {
                 tagged("MetadataNodeMissing", vec![("id".into(), id.to_value())])
             }
@@ -371,9 +357,6 @@ impl Deserialize for Error {
                 actual: u64::from_value(field("actual"))?,
             },
             "EmptyAccess" => Error::EmptyAccess,
-            "LockTimeout" => Error::LockTimeout {
-                holder_hint: Option::<u64>::from_value(field("holder"))?.map(ClientHint),
-            },
             "MetadataNodeMissing" => Error::MetadataNodeMissing(u64::from_value(field("id"))?),
             // `&'static str` payloads cannot round-trip through the wire;
             // decode them into the closest owning variant.
@@ -440,13 +423,6 @@ mod tests {
         };
         assert!(e.to_string().contains("100"));
         assert!(e.to_string().contains("64"));
-
-        let e = Error::LockTimeout {
-            holder_hint: Some(ClientHint(3)),
-        };
-        assert!(e.to_string().contains("client 3"));
-        let e = Error::LockTimeout { holder_hint: None };
-        assert!(!e.to_string().contains("client"));
     }
 
     #[test]
@@ -478,10 +454,6 @@ mod tests {
                 actual: 6,
             },
             Error::EmptyAccess,
-            Error::LockTimeout {
-                holder_hint: Some(ClientHint(3)),
-            },
-            Error::LockTimeout { holder_hint: None },
             Error::MetadataNodeMissing(0xDEAD),
             Error::InvalidDatatype("bad".into()),
             Error::CollectiveMismatch("skew".into()),

@@ -22,7 +22,7 @@ use crate::log::{PublishLog, PublishRecord};
 use crate::oracle::VersionOracle;
 use atomio_meta::history::WriteSummary;
 use atomio_meta::{NodeKey, TreeConfig, VersionHistory};
-use atomio_simgrid::{CostModel, Participant, Resource};
+use atomio_simgrid::{CostModel, Event, Participant, Resource};
 use atomio_types::{
     BackendConfig, BlobId, ByteRange, Error, ExtentList, Result, RetentionPolicy, VersionId,
 };
@@ -127,6 +127,8 @@ pub struct VersionManager {
     state: Mutex<VmState>,
     /// Durable publish log — `None` for the in-memory deployment.
     log: Option<PublishLog>,
+    /// Notified whenever the published prefix advances.
+    published: Event,
 }
 
 impl VersionManager {
@@ -144,6 +146,7 @@ impl VersionManager {
             cpu: Resource::new("version-manager/cpu"),
             state: Mutex::new(VmState::default()),
             log: None,
+            published: Event::new(),
         }
     }
 
@@ -328,6 +331,7 @@ impl VersionManager {
             self.logged(|log| log.append(&self.record_of(snapshot)))?;
             st.published += 1;
             st.snapshots.push(snapshot);
+            self.published.notify_all();
         }
         Ok(())
     }
@@ -510,6 +514,7 @@ impl VersionManager {
                 continue; // double-replay idempotence
             }
             Self::install(&self.history, &mut st, self.log.as_ref(), rec.clone())?;
+            self.published.notify_all();
             applied += 1;
         }
         if applied > 0 || prefix_was_empty {
@@ -659,9 +664,11 @@ impl VersionOracle for VersionManager {
         Ok(VersionManager::is_published(self, version))
     }
 
-    /// Blocks in virtual time; polling the manager is not charged.
+    /// Blocks in virtual time until `version` is visible; not charged.
     fn wait_published(&self, p: &Participant, version: VersionId) -> Result<()> {
-        p.poll_until(|| VersionManager::is_published(self, version).then_some(()));
+        p.wait_until(&self.published, || {
+            VersionManager::is_published(self, version).then_some(())
+        });
         Ok(())
     }
 

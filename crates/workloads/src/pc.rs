@@ -15,7 +15,7 @@
 use atomio_core::Blob;
 use atomio_pfs::{LockKind, PfsFile};
 use atomio_simgrid::clock::run_actors_on;
-use atomio_simgrid::SimClock;
+use atomio_simgrid::{Event, SimClock};
 use atomio_types::stamp::WriteStamp;
 use atomio_types::{ByteRange, ClientId, ExtentList, VersionId};
 use bytes::Bytes;
@@ -94,6 +94,7 @@ pub fn run_locked(clock: &SimClock, file: &Arc<PfsFile>, cfg: PcConfig) -> PcOut
     let producer_done = parking_lot::Mutex::new(None::<Duration>);
     let verified = std::sync::atomic::AtomicU64::new(0);
     let published = std::sync::atomic::AtomicU64::new(0);
+    let produced = Event::new();
 
     let n = cfg.consumers + 1;
     run_actors_on(clock, n, |actor, p| {
@@ -109,6 +110,7 @@ pub fn run_locked(clock: &SimClock, file: &Arc<PfsFile>, cfg: PcConfig) -> PcOut
                 file.pwrite(p, 0, &payload).expect("write");
                 file.locks().unlock(p, h);
                 published.store(iter + 1, std::sync::atomic::Ordering::SeqCst);
+                produced.notify_all();
             }
             *producer_done.lock() = Some(clock.now() - start);
         } else {
@@ -116,7 +118,7 @@ pub fn run_locked(clock: &SimClock, file: &Arc<PfsFile>, cfg: PcConfig) -> PcOut
                 // Wait until iteration `iter` has been produced, then
                 // read under a shared lock. Unlike snapshots, the reader
                 // may observe a *later* iteration — the data raced away.
-                p.poll_until(|| {
+                p.wait_until(&produced, || {
                     (published.load(std::sync::atomic::Ordering::SeqCst) > iter).then_some(())
                 });
                 let h = file.locks().lock(
