@@ -253,6 +253,49 @@ impl ExperimentReport {
     }
 }
 
+/// E3, the paper's headline claim (§VI): versioning's aggregated
+/// throughput is "3.5 times to 10 times higher" than locking's.
+pub const PAPER_BAND: std::ops::RangeInclusive<f64> = 3.5..=10.0;
+
+/// Versioning's speedup over lustre-lock at every multi-client sweep
+/// point of a set of reports (E1 and E2), and the band they span.
+#[derive(Debug, Clone)]
+pub struct SpeedupBand {
+    /// `(experiment id, clients, speedup)`, in report and sweep order.
+    pub points: Vec<(String, u64, f64)>,
+    /// Smallest speedup.
+    pub min: f64,
+    /// Largest speedup.
+    pub max: f64,
+}
+
+impl SpeedupBand {
+    /// The band over `reports`, or `None` when no report has a
+    /// multi-client point with both backends. Single-client points are
+    /// not a concurrency comparison and are skipped.
+    pub fn of(reports: &[ExperimentReport]) -> Option<SpeedupBand> {
+        let points: Vec<(String, u64, f64)> = reports
+            .iter()
+            .flat_map(|r| {
+                r.xs().into_iter().filter(|&x| x > 1).filter_map(move |x| {
+                    r.speedup_at(x, "versioning", "lustre-lock")
+                        .map(|s| (r.id.clone(), x, s))
+                })
+            })
+            .collect();
+        let speedups = || points.iter().map(|p| p.2);
+        let min = speedups().reduce(f64::min)?;
+        let max = speedups().reduce(f64::max)?;
+        Some(SpeedupBand { points, min, max })
+    }
+
+    /// Whether the measured band overlaps [`PAPER_BAND`] — the claim
+    /// reproduces.
+    pub fn overlaps_paper(&self) -> bool {
+        self.min <= *PAPER_BAND.end() && self.max >= *PAPER_BAND.start()
+    }
+}
+
 /// Extracts the write-ahead-log statistics (`wal.*` namespace) from a
 /// metrics registry as flat entries, sorted by name. Counters pass
 /// through; duration stats flatten to `_mean_us`/`_max_us` microsecond

@@ -444,7 +444,7 @@ impl Blob {
     /// `wal.drain_retries` — so a killed-and-restarted service resumes
     /// the drain with no hole. Returns the number of entries drained.
     ///
-    /// This back-off stays a timed wait, not an [`atomio_simgrid::Event`]:
+    /// This back-off is a timed wait, not an [`atomio_simgrid::Event`]:
     /// besides appends it waits on server restarts and on
     /// [`WriteAheadLog::pause`] / `resume` calls from test threads that
     /// are not participants, none of which notify.

@@ -512,10 +512,9 @@ impl VersionOracle for RemoteVersionManager {
     /// A timed poll, not an [`atomio_simgrid::Event`] wait: the state it
     /// waits on lives across a socket, where nothing can notify a local
     /// participant. (ROADMAP item 4a deletes this loop by parking
-    /// `VmPublish` server-side.) The virtual back-off schedule is the one
-    /// every wait in the workspace used before waits became
-    /// notifications; keep it, it sets the `VmIsPublished` cadence the
-    /// wall-clock benchmark measures.
+    /// `VmPublish` server-side.) The virtual back-off (20 µs, growing
+    /// 1.5× per miss to 2 ms) sets the `VmIsPublished` cadence the
+    /// wall-clock benchmark measures: keep it.
     fn wait_published(&self, p: &Participant, version: VersionId) -> Result<()> {
         const FIRST_NS: u64 = 20_000;
         const CAP_NS: u64 = 2_000_000;

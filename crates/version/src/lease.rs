@@ -103,12 +103,6 @@ impl LeaseManager {
         self.live.remove(&lease).map(|row| row.version)
     }
 
-    /// The version pinned by `lease`, if still live at `now_ms`.
-    pub fn pinned(&mut self, lease: u64, now_ms: u64) -> Option<VersionId> {
-        self.expire(now_ms);
-        self.live.get(&lease).map(|row| row.version)
-    }
-
     /// The oldest version any live lease pins — the lease contribution
     /// to the GC floor. `None` when no lease is live.
     pub fn oldest_live(&mut self, now_ms: u64) -> Option<VersionId> {
@@ -142,32 +136,10 @@ impl LeaseManager {
         );
     }
 
-    /// Forgets a recovered lease during durable replay (a logged
-    /// release). No expiration is counted: the reader let go cleanly.
-    pub fn restore_release(&mut self, lease: u64) {
-        self.live.remove(&lease);
-    }
-
     /// Keeps the id allocator past every id the log ever issued, even
     /// ones released before the crash.
     pub fn reserve_ids(&mut self, max_id: u64) {
         self.next = self.next.max(max_id);
-    }
-
-    /// Every live lease at `now_ms`, for checkpointing into a log.
-    pub fn live_rows(&mut self, now_ms: u64) -> Vec<LeaseGrant> {
-        self.expire(now_ms);
-        let mut rows: Vec<LeaseGrant> = self
-            .live
-            .iter()
-            .map(|(&lease, row)| LeaseGrant {
-                lease,
-                version: row.version,
-                expires_at_ms: row.expires_at_ms,
-            })
-            .collect();
-        rows.sort_by_key(|g| g.lease);
-        rows
     }
 }
 
@@ -221,13 +193,12 @@ mod tests {
     fn restore_replays_live_rows_and_reissues_past_recovered_ids() {
         let mut lm = LeaseManager::new();
         lm.restore(4, VersionId::new(6), 2_000);
-        lm.restore(2, VersionId::new(3), 2_000);
-        lm.restore_release(2);
-        assert_eq!(lm.oldest_live(1_000), Some(VersionId::new(6)));
+        lm.restore(2, VersionId::new(3), 1_500);
+        assert_eq!(lm.oldest_live(1_000), Some(VersionId::new(3)));
         let g = lm.acquire(VersionId::new(8), 10, 1_000);
         assert!(g.lease > 4, "allocator resumed past recovered ids");
-        let rows = lm.live_rows(1_000);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].lease, 4);
+        assert_eq!(lm.active(1_000), 3);
+        // A recovered row still expires on its own TTL.
+        assert_eq!(lm.oldest_live(1_500), Some(VersionId::new(6)));
     }
 }

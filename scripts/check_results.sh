@@ -1,52 +1,40 @@
 #!/usr/bin/env bash
-# Regenerates the virtual-time experiment results into a temp directory
-# and compares them byte for byte with the committed results/*.json.
+# Regenerates every virtual-time experiment result into a temp directory
+# and compares it byte for byte with the committed results/*.json.
 # Every arm is bit-reproducible (the sequenced virtual clock), so any
 # difference means behaviour changed; results/ itself is never written.
+# It then fails if a results/*.json is accounted for by neither table
+# below: a result file cannot sit in the repo unverified and unlisted.
 #
-# Usage: scripts/check_results.sh         the experiments that take under
-#                                         a minute each (~1.5 min in all)
-#        scripts/check_results.sh --all   + exp1, exp7_ablation, exp9_two_phase
-#                                         (~12 min more)
-#
-# Either way it then fails if a results/*.json is accounted for by
-# neither table below: a result file cannot sit in the repo unverified
-# and unlisted.
+# Usage: scripts/check_results.sh   (no arguments; ~1 min once built)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # One row per experiment: binary | the virtual-time files it writes.
-quick=(
+runs=(
+    "exp1_scalability|e1"
+    "exp2_tile_io|e2"
     "exp4_regions_sweep|e4"
     "exp5_overlap_sweep|e5"
     "exp6_read_scalability|e6a e6b"
+    "exp7_ablation|e7a e7c"
     "exp8_producer_consumer|e8"
     "exp8_wal|e8a"
+    "exp9_two_phase|e9"
     "exp10_gc|e10"
     "exp10_meta_cache|e10mc"
     "exp12_stragglers|e12st"
 )
-# The same, but minutes each: only with --all.
-slow=(
-    "exp1_scalability|e1"
-    "exp7_ablation|e7a e7c"
-    "exp9_two_phase|e9"
-)
 # Committed but never compared, one row each: file | why.
 never=(
-    "e2|exp2_tile_io runs > 6 min"
     "e8b|wall-clock arm of exp8_wal (real sockets): moves with the host on every run"
     "e9d|wall-clock arm of exp9_durability (real fsyncs): moves with the host on every run"
     "e12|wall-clock arm of exp12_namespace (real sockets): moves with the host on every run"
 )
-case "${1:-}" in
-"") runs=("${quick[@]}") ;;
---all) runs=("${quick[@]}" "${slow[@]}") ;;
-*)
-    echo "usage: $0 [--all]" >&2
+if (($# > 0)); then
+    echo "usage: $0" >&2
     exit 2
-    ;;
-esac
+fi
 
 cargo build --release --offline -p atomio-bench --bins
 target="${CARGO_TARGET_DIR:-target}"
@@ -72,10 +60,10 @@ for row in "${runs[@]}"; do
     done
 done
 
-# Every committed file is written by a row (run this time or not) or is
-# on the never-compared list — and that list names no file that is gone.
+# Every committed file is written by a row or is on the never-compared
+# list — and that list names no file that is gone.
 accounted=" "
-for row in "${quick[@]}" "${slow[@]}"; do
+for row in "${runs[@]}"; do
     accounted+="${row#*|} "
 done
 unaccounted=0

@@ -5,6 +5,8 @@
 #   3. re-runs of the socket suites under the environments in the table
 #      below (thread contention, disk backend, sharded version fleet)
 #   4. formatting, and lints on every target the gate compiles
+#   5. every virtual-time experiment regenerated and compared byte for
+#      byte with results/ (scripts/check_results.sh)
 #
 # Usage: scripts/verify.sh
 #   VERIFY_BENCH=1 scripts/verify.sh  # also build the wall-clock
@@ -12,10 +14,7 @@
 #                                     # workspace, minutes) against this
 #                                     # tree and run its unit tests plus
 #                                     # the suite at 1/40 of the ops with
-#                                     # every correctness gate, then
-#                                     # regenerate the quick virtual-time
-#                                     # experiments and compare them with
-#                                     # results/ (scripts/check_results.sh)
+#                                     # every correctness gate
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -67,10 +66,11 @@ if [[ "${VERIFY_BENCH:-0}" == "1" ]]; then
     # at 1/40 of the ops — a sanity gate, not a measurement.
     echo "== bench: wallbench unit tests + smoke suite on the real three-service stack =="
     bash wallbench/run.sh --smoke
-    # The virtual-time results are bit-reproducible, so a regeneration
-    # that differs from the committed files is a behaviour change.
-    echo "== bench: regenerate the quick virtual-time experiments and compare with results/ =="
-    scripts/check_results.sh
 fi
+
+# The virtual-time results are bit-reproducible, so a regeneration that
+# differs from the committed files is a behaviour change.
+echo "== results: regenerate every virtual-time experiment and compare with results/ =="
+scripts/check_results.sh
 
 echo "verify: all gates passed"
