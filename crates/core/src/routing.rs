@@ -15,7 +15,7 @@
 //! deployment owns 256 slots each, so growing to 8 shards moves slot
 //! ranges without rehashing any blob.
 
-use serde::{Deserialize, Serialize};
+use serde::{Decode, Deserialize, Encode, Serialize};
 use std::collections::BTreeSet;
 
 /// Total number of hash slots. Every blob maps to exactly one slot.
@@ -48,7 +48,7 @@ pub fn slot_for_blob(blob: u64) -> u16 {
 }
 
 /// A contiguous, inclusive slot interval owned by one group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Encode, Decode)]
 pub struct SlotRange {
     /// First slot in the range (inclusive).
     pub start: u16,
@@ -64,7 +64,7 @@ pub struct SlotRange {
 /// is right. Membership changes bump the epoch and move ranges; slots
 /// may also be *unassigned* (mid-handoff), in which case
 /// [`SlotMap::group_of`] returns `None` and routed calls fail typed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Encode, Decode)]
 pub struct SlotMap {
     /// Monotonic configuration version.
     pub epoch: u64,

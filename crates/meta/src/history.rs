@@ -7,14 +7,14 @@
 //! summary table is the simulation analogue of BlobSeer's version manager
 //! handing each writer the descriptors of concurrent in-flight updates.
 
-use atomio_types::{ByteRange, ExtentList, VersionId};
+use atomio_types::{ByteRange, Error, ExtentList, Result, TransportErrorKind, VersionId};
 use parking_lot::RwLock;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Decode, Encode};
 use std::sync::Arc;
 
 /// Summary of one write: which bytes it touched and the tree capacity its
-/// version was published with.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// version was published with. Summaries ride ticket grants over the wire.
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub struct WriteSummary {
     /// The write's assigned version.
     pub version: VersionId,
@@ -24,28 +24,6 @@ pub struct WriteSummary {
     /// multiple of the leaf size, monotonically non-decreasing across
     /// versions.
     pub capacity: u64,
-}
-
-// Hand-written: the derive cannot see through the `Arc` around the
-// extent list (summaries ride ticket responses over the wire).
-impl Serialize for WriteSummary {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("version".to_string(), self.version.to_value()),
-            ("extents".to_string(), self.extents.to_value()),
-            ("capacity".to_string(), self.capacity.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for WriteSummary {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(WriteSummary {
-            version: VersionId::from_value(v.get_or_null("version"))?,
-            extents: Arc::new(ExtentList::from_value(v.get_or_null("extents"))?),
-            capacity: u64::from_value(v.get_or_null("capacity"))?,
-        })
-    }
 }
 
 /// Append-only, shared history of write summaries for one blob.
@@ -94,18 +72,41 @@ impl VersionHistory {
             .map_or_else(Vec::new, |tail| tail.to_vec())
     }
 
-    /// Merges a delta obtained from [`Self::summaries_since`] into this
-    /// history: already-known versions are skipped, new ones appended in
-    /// order. Panics (via [`Self::append`]) on a gap, which would mean the
-    /// server skipped rows.
-    pub fn absorb(&self, delta: impl IntoIterator<Item = WriteSummary>) {
-        for summary in delta {
-            let known = self.rows.read().len() as u64;
-            if summary.version.raw() <= known {
-                continue;
+    /// Merges a delta obtained from [`Self::summaries_since`] — on a
+    /// client, a server's reply — into this history: already-known
+    /// versions are skipped, new ones appended in order.
+    ///
+    /// # Errors
+    /// A typed [`TransportErrorKind::Protocol`] error when the new rows
+    /// are not dense or their capacity shrinks — what [`Self::append`]
+    /// would panic on. The delta is checked whole first, so a refused one
+    /// leaves the history unchanged.
+    pub fn absorb(&self, delta: Vec<WriteSummary>) -> Result<()> {
+        let mut rows = self.rows.write();
+        let known = rows.len() as u64;
+        let fresh = delta.into_iter().filter(|s| s.version.raw() > known);
+        let mut last = rows.last().map_or(0, |s| s.capacity);
+        let mut accepted = Vec::new();
+        let refused = |detail: String| Error::Transport {
+            kind: TransportErrorKind::Protocol,
+            detail: format!("history delta refused: {detail}"),
+        };
+        for (i, summary) in fresh.enumerate() {
+            let due = known + 1 + i as u64;
+            if summary.version.raw() != due {
+                return Err(refused(format!("{} where v{due} was due", summary.version)));
             }
-            self.append(summary);
+            if summary.capacity < last {
+                return Err(refused(format!(
+                    "capacity {} below {last}",
+                    summary.capacity
+                )));
+            }
+            last = summary.capacity;
+            accepted.push(summary);
         }
+        rows.extend(accepted);
+        Ok(())
     }
 
     /// Number of versions recorded (excluding the implicit version 0).
@@ -228,7 +229,6 @@ mod tests {
 
     #[test]
     fn summaries_roundtrip_and_mirror() {
-        use serde::{Deserialize, Serialize};
         let h = VersionHistory::new();
         h.append(summary(1, &[(0, 10)], 64));
         h.append(summary(2, &[(100, 10), (200, 4)], 128));
@@ -236,16 +236,15 @@ mod tests {
 
         // Wire roundtrip preserves every field.
         for s in h.summaries_since(0) {
-            let back = WriteSummary::from_value(&s.to_value()).unwrap();
-            assert_eq!(back.version, s.version);
-            assert_eq!(*back.extents, *s.extents);
-            assert_eq!(back.capacity, s.capacity);
+            let mut bytes = Vec::new();
+            s.encode(&mut bytes);
+            assert_eq!(serde::decode_exact(&bytes), Ok(s));
         }
 
         // A mirror absorbing overlapping deltas converges without gaps.
         let mirror = VersionHistory::new();
-        mirror.absorb(h.summaries_since(0));
-        mirror.absorb(h.summaries_since(1)); // overlap: v2, v3 already known
+        mirror.absorb(h.summaries_since(0)).unwrap();
+        mirror.absorb(h.summaries_since(1)).unwrap(); // overlap: v2, v3 already known
         assert_eq!(mirror.len(), 3);
         assert_eq!(
             mirror.latest_toucher(VersionId::new(4), ByteRange::new(55, 1)),
@@ -253,6 +252,33 @@ mod tests {
         );
         assert!(h.summaries_since(3).is_empty());
         assert!(h.summaries_since(99).is_empty());
+    }
+
+    #[test]
+    fn absorb_refuses_a_gap_or_a_shrinking_capacity_whole() {
+        let mirror = VersionHistory::new();
+        mirror.absorb(vec![summary(1, &[(0, 10)], 128)]).unwrap();
+        for delta in [
+            // v2 is missing.
+            vec![summary(2, &[(0, 1)], 128), summary(4, &[(0, 1)], 128)],
+            vec![summary(3, &[(0, 1)], 128)],
+            // v3's capacity regresses below v2's (and v2's below v1's).
+            vec![summary(2, &[(0, 1)], 256), summary(3, &[(0, 1)], 128)],
+            vec![summary(2, &[(0, 1)], 64)],
+        ] {
+            let err = mirror.absorb(delta).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    Error::Transport {
+                        kind: TransportErrorKind::Protocol,
+                        ..
+                    }
+                ),
+                "{err:?}"
+            );
+            assert_eq!(mirror.len(), 1, "a refused delta left rows behind");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Segment-tree node representation.
 
 use atomio_types::{BlobId, ByteRange, ChunkId, ProviderId, VersionId};
-use serde::{Deserialize, Serialize};
+use serde::{Decode, Deserialize, Encode, Serialize};
 use std::fmt;
 
 /// Deterministic address of a tree node: the version that created it and
@@ -10,7 +10,7 @@ use std::fmt;
 /// Determinism is what allows concurrent writers to link to each other's
 /// nodes *before those nodes exist*: a writer computes the key of the
 /// latest toucher of a range from write summaries alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Encode, Decode)]
 pub struct NodeKey {
     /// Owning blob (trees of different blobs share one node store, as
     /// BlobSeer's DHT does, so the blob id is part of the key).
@@ -40,7 +40,7 @@ impl fmt::Display for NodeKey {
 
 /// One leaf descriptor: a sub-range of the leaf's file space whose bytes
 /// live in a stored chunk.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Encode, Decode)]
 pub struct LeafEntry {
     /// Absolute file range the entry covers (contained in the leaf range).
     pub file_range: ByteRange,
@@ -67,7 +67,7 @@ impl LeafEntry {
 }
 
 /// Node payload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Encode, Decode)]
 pub enum NodeBody {
     /// Interior node: links to the subtrees covering each half of the
     /// range. `None` means the half has never been written (reads as
@@ -90,7 +90,7 @@ pub enum NodeBody {
 }
 
 /// An immutable segment-tree node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Encode, Decode)]
 pub struct Node {
     /// The node's deterministic address.
     pub key: NodeKey,
@@ -232,7 +232,6 @@ mod tests {
                 right: None,
             },
         };
-        assert_eq!(Node::from_value(&inner.to_value()).unwrap(), inner);
         let leaf = Node {
             key,
             body: NodeBody::Leaf {
@@ -240,7 +239,12 @@ mod tests {
                 backlink: Some(key),
             },
         };
-        assert_eq!(Node::from_value(&leaf.to_value()).unwrap(), leaf);
+        for node in [inner, leaf] {
+            assert_eq!(Node::from_value(&node.to_value()).unwrap(), node);
+            let mut bytes = Vec::new();
+            node.encode(&mut bytes);
+            assert_eq!(serde::decode_exact(&bytes), Ok(node));
+        }
     }
 
     #[test]

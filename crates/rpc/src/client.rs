@@ -26,7 +26,8 @@ use atomio_provider::ChunkStore;
 use atomio_simgrid::clock::SimTime;
 use atomio_simgrid::{CostModel, Participant, Resource};
 use atomio_types::{
-    ByteRange, ChunkId, ExtentList, ProviderId, Result, RetentionPolicy, VersionId,
+    ByteRange, ChunkId, Error, ExtentList, ProviderId, Result, RetentionPolicy, TransportErrorKind,
+    VersionId,
 };
 use atomio_version::{GcFloor, LeaseGrant, SnapshotRecord, Ticket, VersionOracle};
 use bytes::Bytes;
@@ -423,19 +424,31 @@ impl RemoteVersionManager {
     }
 
     /// A ticket request; the mirror absorbs the returned history delta
-    /// before this returns.
-    fn grant(&self, request: Request) -> Result<(Ticket, ExtentList)> {
-        match self.call(request)? {
-            Response::TicketGrant {
-                ticket,
-                extents,
-                delta,
-            } => {
-                self.mirror.absorb(delta);
-                Ok((ticket, extents))
+    /// before this returns. The delta ends with the grantee's own row,
+    /// which carries the extents the write was assigned. A delta that
+    /// does not — or that the mirror refuses (a gap, a shrinking
+    /// capacity) — is a typed protocol error, never a panic, and leaves
+    /// the mirror as it was.
+    fn grant(&self, request: Request) -> Result<(Ticket, Arc<ExtentList>)> {
+        let (ticket, delta) = match self.call(request)? {
+            Response::TicketGrant { ticket, delta } => (ticket, delta),
+            other => return Err(unexpected("TicketGrant", other)),
+        };
+        let extents = match delta.last() {
+            Some(own) if own.version == ticket.version => Arc::clone(&own.extents),
+            last => {
+                return Err(Error::Transport {
+                    kind: TransportErrorKind::Protocol,
+                    detail: format!(
+                        "grant of {} ends its delta with {:?}, not the grantee's row",
+                        ticket.version,
+                        last.map(|row| row.version)
+                    ),
+                })
             }
-            other => Err(unexpected("TicketGrant", other)),
-        }
+        };
+        self.mirror.absorb(delta)?;
+        Ok((ticket, extents))
     }
 
     fn unit(&self, request: Request) -> Result<()> {
@@ -483,11 +496,13 @@ impl VersionOracle for RemoteVersionManager {
     }
 
     fn ticket_append(&self, _p: &Participant, len: u64) -> Result<(Ticket, ExtentList)> {
-        self.grant(Request::VmTicketAppend {
+        let request = Request::VmTicketAppend {
             blob: self.blob,
             len,
             known: self.mirror.len() as u64,
-        })
+        };
+        let (ticket, extents) = self.grant(request)?;
+        Ok((ticket, ExtentList::clone(&extents)))
     }
 
     fn publish(&self, _p: &Participant, ticket: Ticket, root: NodeKey) -> Result<()> {

@@ -6,13 +6,13 @@
 //! [`NodeStore`](atomio_meta::NodeStore) for tree metadata. This crate
 //! supplies the other side of those seams:
 //!
-//! * [`proto`] — the request/response vocabulary, one tagged enum each
-//!   whose derived serde impls *are* the message encoding, plus the
-//!   negotiated [`proto::PROTOCOL_VERSION`].
+//! * [`proto`] — the request/response vocabulary, one enum each whose
+//!   derived positional `Encode`/`Decode` impls *are* the message
+//!   encoding, plus the negotiated [`proto::PROTOCOL_VERSION`].
 //! * [`wire`] — versioned, request-id-tagged, length-prefixed framing
-//!   and a compact binary encoding of the serde value model; chunk
-//!   payloads travel out of band. The decoder bounds what bytes from a
-//!   peer can cost: lengths, nesting depth and pre-allocation.
+//!   around that header encoding; chunk payloads travel out of band. The
+//!   reader bounds what bytes from a peer can cost: lengths, declared
+//!   counts and pre-allocation.
 //! * [`transport`] — how frames move: [`Loopback`] runs the full codec
 //!   in process (the default deployment; zero behavioral drift from the
 //!   pre-RPC stack); [`MuxTransport`], the socket transport, multiplexes
@@ -78,7 +78,6 @@ mod tests {
     use atomio_types::{ByteRange, ChunkId, Error, ProviderId, TransportErrorKind, VersionId};
     use atomio_version::VersionOracle;
     use bytes::Bytes;
-    use serde::Serialize as _;
     use std::sync::Arc;
 
     fn loopback(service: impl Service + 'static) -> Arc<dyn Transport> {
@@ -332,8 +331,7 @@ mod tests {
                 .filter(|(_, role)| !is_unsupported(&role.call(&request, b"payload").unwrap().0))
                 .map(|(name, _)| *name)
                 .collect();
-            let value = request.to_value();
-            let expected: &[&str] = match value.variant_tag("Request").unwrap() {
+            let expected: &[&str] = match format!("{request:?}").as_str() {
                 "Ping" => &["provider", "meta", "version"],
                 tag if tag.starts_with("Meta") => &["meta"],
                 tag if tag.starts_with("Vm") || tag.starts_with("SlotMap") => &["version"],
@@ -752,7 +750,7 @@ mod tests {
 
     #[test]
     fn rpc_config_roundtrips_through_serde() {
-        use serde::Deserialize as _;
+        use serde::{Deserialize as _, Serialize as _};
         let cfg = RpcConfig {
             pool_conns: 7,
             server_workers: 3,
@@ -975,20 +973,13 @@ mod tests {
 
         // A well-formed frame, cut up three ways.
         let mut good = Vec::new();
-        wire::write_frame(&mut good, 1, &Request::Ping.to_value(), &[]).unwrap();
+        wire::append_frame(&mut good, 1, &Request::Ping, &[]).unwrap();
         let prefix = wire::FRAME_PREFIX_BYTES as usize;
         let mut bad_version = good.clone();
         bad_version[0] = PROTOCOL_VERSION + 1;
         let mut over_limit = good[..prefix].to_vec();
         over_limit[13..17].copy_from_slice(&(wire::MAX_PAYLOAD_BYTES + 1).to_be_bytes());
         let truncated = good[..good.len() - 1].to_vec();
-        // And a whole frame every length check passes, whose 100 001-byte
-        // header nests 20 000 arrays: decoded by unbounded recursion it
-        // overflows the reactor thread's stack and aborts the process.
-        let header = samples::nested_arrays(20_000);
-        let mut nested = good[..prefix].to_vec();
-        nested[9..13].copy_from_slice(&(header.len() as u32).to_be_bytes());
-        nested.extend_from_slice(&header);
 
         // Enough rounds that a leaked socket per bad frame would show
         // through the fd slack below.
@@ -997,7 +988,6 @@ mod tests {
                 ("bad version byte", &bad_version, false),
                 ("over-limit declared length", &over_limit, false),
                 ("truncated frame then EOF", &truncated, true),
-                ("header nested 20 000 deep", &nested, false),
             ] {
                 let mut conn = std::net::TcpStream::connect(server.local_addr()).unwrap();
                 conn.write_all(bytes).unwrap();
@@ -1026,9 +1016,86 @@ mod tests {
         let after = open_fds();
         assert!(
             after <= baseline + 20,
-            "fd usage grew from {baseline} to {after} over 80 malformed connections"
+            "fd usage grew from {baseline} to {after} over 60 malformed connections"
         );
         server.stop();
+    }
+
+    #[test]
+    fn an_undecodable_header_fails_its_call_not_its_connection() {
+        use std::io::Write as _;
+        let mut server =
+            RpcServer::start("127.0.0.1:0", Arc::new(ProviderService::new(1))).unwrap();
+        let mut conn = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        conn.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        // Well framed, but the header names no request (tag 200), then a
+        // ping on the same connection.
+        let mut frames = Vec::new();
+        wire::append_frame(&mut frames, 1, &200u8, &[]).unwrap();
+        wire::append_frame(&mut frames, 2, &Request::Ping, &[]).unwrap();
+        conn.write_all(&frames).unwrap();
+        let mut answers = Vec::new();
+        for _ in 0..2 {
+            let frame = wire::read_frame_bytes(&mut conn).unwrap();
+            let response: Response = wire::decode_header(&frame.header).unwrap();
+            answers.push((frame.id, response));
+        }
+        answers.sort_by_key(|(id, _)| *id);
+        assert!(is_protocol_error(&answers[0].1), "got {:?}", answers[0]);
+        assert!(matches!(answers[1], (2, Response::Pong)), "{answers:?}");
+        server.stop();
+    }
+
+    /// A version service that answers every grant with one canned delta.
+    #[derive(Debug)]
+    struct GrantsWith(Vec<atomio_meta::WriteSummary>);
+
+    impl Service for GrantsWith {
+        fn handle(&self, _request: Request, _payload: Bytes) -> (Response, Bytes) {
+            let ticket = atomio_version::Ticket {
+                version: self.0.last().map_or(VersionId::new(1), |row| row.version),
+                capacity: 256,
+                size: 64,
+            };
+            let delta = self.0.clone();
+            (Response::TicketGrant { ticket, delta }, Bytes::new())
+        }
+    }
+
+    #[test]
+    fn a_malformed_grant_fails_typed_and_leaves_the_mirror_alone() {
+        let row = |version: u64, capacity: u64| atomio_meta::WriteSummary {
+            version: VersionId::new(version),
+            extents: Arc::new(atomio_types::ExtentList::single(ByteRange::new(0, 64))),
+            capacity,
+        };
+        let p = atomio_simgrid::SimClock::new().register();
+        let extents = atomio_types::ExtentList::single(ByteRange::new(0, 64));
+        for (what, delta) in [
+            ("a gap: v2 is missing", vec![row(1, 128), row(3, 128)]),
+            ("a capacity that regresses", vec![row(1, 256), row(2, 128)]),
+            ("no row for the grantee", vec![]),
+        ] {
+            let vm = RemoteVersionManager::new(1, loopback(GrantsWith(delta)));
+            let outcomes = [
+                vm.ticket(&p, &extents).map(drop),
+                vm.ticket_append(&p, 64).map(drop),
+            ];
+            for outcome in outcomes {
+                assert!(
+                    matches!(
+                        outcome,
+                        Err(Error::Transport {
+                            kind: TransportErrorKind::Protocol,
+                            ..
+                        })
+                    ),
+                    "{what}: got {outcome:?}"
+                );
+            }
+            assert_eq!(vm.history().len(), 0, "{what}: the mirror moved");
+        }
     }
 
     #[test]

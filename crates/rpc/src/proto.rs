@@ -1,20 +1,20 @@
 //! The wire protocol: request and response headers.
 //!
-//! Every message is encoded as a tagged object — `{"t": "VariantName",
-//! ...fields}`, the fields in declaration order — in the frame header;
+//! Every message is encoded positionally — its variant's index as one
+//! byte, then its fields in declaration order — in the frame header;
 //! chunk payloads ride the frame's out-of-band payload section (see
-//! [`crate::wire`]). The encoding *is* the enum declaration: both enums
-//! derive [`Serialize`]/[`Deserialize`], so a variant's name, its field
-//! names and their order below are the wire format (reordering fields
-//! moves bytes; the golden table in this module's tests says so). Unknown
-//! tags decode to an error instead of panicking, so protocol skew fails
-//! a single call, not the process.
+//! [`crate::wire`] for the layout). The encoding *is* the enum
+//! declaration: both enums derive [`Encode`]/[`Decode`], so the order of
+//! the variants and of their fields below is the wire format (reordering
+//! either moves bytes; the golden table in this module's tests says so).
+//! Unknown tags decode to an error instead of panicking, so protocol skew
+//! fails a single call, not the process.
 
 use atomio_core::SlotMap;
 use atomio_meta::{Node, NodeKey, WriteSummary};
 use atomio_types::{ByteRange, ChunkId, Error, ProviderId, Result, RetentionPolicy, VersionId};
 use atomio_version::{GcFloor, LeaseGrant, PublishRecord, SnapshotRecord, Ticket};
-use serde::{Deserialize, Serialize};
+use serde::{Decode, Deserialize, Encode, Serialize};
 
 /// Version tag carried by every frame (see [`crate::wire`]).
 ///
@@ -31,17 +31,25 @@ use serde::{Deserialize, Serialize};
 ///   [`Request::PutChunkBatch`] and [`Request::GetChunkRangeBatch`]
 ///   carry their own `arrival` (the provider manager books every copy of
 ///   a batch at its own instant), replacing the one batch-wide field.
+/// * **v4** — same frame layout; the header is the positional binary
+///   encoding (variant index, fields in order, fixed-width integers,
+///   `u32` counts) instead of a self-describing value tree with string
+///   keys, about a third of the bytes. [`Response::TicketGrant`] drops
+///   its `extents`: the grantee's own history row, which always ends the
+///   delta, carries them.
 ///
 /// Peers must match exactly: the frame reader rejects any other value
 /// before decoding a single header byte.
-pub const PROTOCOL_VERSION: u8 = 3;
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// One RPC request. Data-provider ops carry the target provider id so a
 /// single server process can host a whole fleet; `arrival` carries the
 /// client's virtual-time booking instant through to the server's
 /// reservation API (servers run a zero-cost model, so it echoes back
 /// unchanged and real sockets supply the real latency).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// `Serialize`/`Deserialize` only serve the frozen benchmark's probes (ROADMAP item 1c).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Encode, Decode)]
 pub enum Request {
     /// Liveness probe.
     Ping,
@@ -306,7 +314,7 @@ pub enum Request {
 /// One blob's state in a slot-handoff export: its published prefix and
 /// retention policy, replayed verbatim on the new owner. Leases do not
 /// migrate — they lapse by TTL and readers re-acquire on the new shard.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Encode, Decode)]
 pub struct BlobExport {
     /// The blob's raw id.
     pub blob: u64,
@@ -342,7 +350,7 @@ impl Request {
 
 /// One RPC response. `Fail` carries a full [`Error`] so the remote and
 /// in-process call sites surface identical error values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Encode, Decode)]
 pub enum Response {
     /// Liveness ack.
     Pong,
@@ -404,9 +412,8 @@ pub enum Response {
     TicketGrant {
         /// The issued ticket.
         ticket: Ticket,
-        /// The extents assigned to the write.
-        extents: atomio_types::ExtentList,
-        /// Write summaries the client has not seen yet.
+        /// Write summaries the client has not seen yet. The grantee's own
+        /// row — its version, its assigned extents — is always the last.
         delta: Vec<WriteSummary>,
     },
     /// A snapshot record.
@@ -455,22 +462,35 @@ pub enum Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{samples, wire};
+    use crate::samples;
     use atomio_provider::chunk_checksum;
-    use serde::Value;
     use std::collections::BTreeSet;
 
-    /// Value-level round trip of every sample; returns how many distinct
-    /// variants the samples covered.
+    fn encoded(sample: &impl Encode) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        sample.encode(&mut bytes);
+        bytes
+    }
+
+    /// The variant a sample is, by the name its `Debug` form starts with.
+    fn variant(sample: &impl std::fmt::Debug) -> String {
+        let debug = format!("{sample:?}");
+        let end = debug.find(|c: char| !c.is_alphanumeric());
+        debug[..end.unwrap_or(debug.len())].to_owned()
+    }
+
+    /// Round trip of every sample through the positional codec; returns
+    /// how many distinct variants the samples covered.
     fn roundtrip_all<T>(samples: &[T]) -> usize
     where
-        T: Serialize + Deserialize + PartialEq + std::fmt::Debug,
+        T: Encode + Decode + PartialEq + std::fmt::Debug,
     {
         let mut variants = BTreeSet::new();
         for sample in samples {
-            let value = sample.to_value();
-            assert_eq!(&T::from_value(&value).unwrap(), sample);
-            variants.insert(value.variant_tag("sample").unwrap().to_owned());
+            let bytes = encoded(sample);
+            assert!(bytes.len() >= T::MIN_BYTES, "{sample:?} under MIN_BYTES");
+            assert_eq!(&serde::decode_exact::<T>(&bytes).unwrap(), sample);
+            variants.insert(variant(sample));
         }
         variants.len()
     }
@@ -493,122 +513,115 @@ mod tests {
         );
     }
 
+    #[test]
+    fn requests_roundtrip_through_the_value_tree_the_benchmark_probes() {
+        for request in samples::requests() {
+            assert_eq!(Request::from_value(&request.to_value()), Ok(request));
+        }
+    }
+
     /// `(variant, encoded length, chunk_checksum of the encoding)` of
-    /// every sample in [`samples`], requests then responses, as the
-    /// hand-written codec of commit 2c5dc40 (the last tree that had one)
-    /// encoded them. A row that fails means bytes moved on the wire:
-    /// that is a `PROTOCOL_VERSION` bump, not a table refresh.
+    /// every sample in [`samples`], requests then responses, as protocol
+    /// v4 first encoded them. A row that fails means bytes moved on the
+    /// wire: that is a `PROTOCOL_VERSION` bump, not a table refresh.
     const GOLDEN: &[(&str, usize, u64)] = &[
-        ("Ping", 19, 0x88e7c498f047ab99),
-        ("PutChunk", 82, 0x0c7203b253fb020f),
-        ("PutChunkBatch", 127, 0x9e3ccb62febd51f6),
-        ("GetChunk", 82, 0xc96e5bf5d728c676),
-        ("GetChunkRange", 136, 0x8207d27a4ef19f86),
-        ("GetChunkRangeBatch", 131, 0xefff51a224b0c770),
-        ("ProviderHasChunk", 70, 0x20c2bcd4e62718d5),
-        ("ProviderChunkCount", 54, 0x7e2bd64899ff73bd),
-        ("ProviderBytesStored", 55, 0x87743234d487f7f5),
-        ("ProviderEvictChunk", 72, 0x9d374e02d9d35f4d),
-        ("ProviderChecksumOf", 72, 0x2bbcb7a707c4d8d1),
-        ("ProviderEvictBatch", 87, 0x631d086889ab94df),
-        ("ProviderCorruptChunk", 91, 0x04341ff4d4628eb1),
-        ("MetaPutBatch", 789, 0xad9b212a8b6cf6c5),
-        ("MetaGetBatch", 222, 0xde18d0d970b368dd),
-        ("MetaContains", 125, 0x335b06f9517bb830),
-        ("MetaNodeCount", 28, 0x221e28bb191384be),
-        ("MetaEvict", 122, 0xac39da793c95cf4b),
-        ("MetaEvictBatch", 133, 0x704e848f9151f29d),
-        ("MetaListKeys", 27, 0x6a9011c098fc2acc),
-        ("VmTicket", 169, 0x104d92f7fcab0329),
-        ("VmTicketAppend", 80, 0x5444b3bce81434de),
-        ("VmPublish", 213, 0x962c4d46382619b7),
-        ("VmIsPublished", 65, 0x039a8ce52aa28a10),
-        ("VmLatest", 40, 0x8a3d5a37fc5d5da7),
-        ("VmSnapshot", 62, 0x9f762a2b3a10b859),
-        ("VmSetRetention", 93, 0xdc8737c5d74fa246),
-        ("VmLeaseAcquire", 85, 0xf708b381b2b5cd45),
-        ("VmLeaseRenew", 81, 0xb7c9c0fb85633bf9),
-        ("VmLeaseRelease", 64, 0x5ef90f5591b6dfc7),
-        ("VmGcFloor", 41, 0x69ada603135ab975),
-        ("SlotMapGet", 25, 0x10a6cdd3eb836fda),
-        ("SlotMapInstall", 321, 0xa28cd9ce989f8aeb),
-        ("VmFreezeSlots", 87, 0x19009e6e0cf9dc1b),
-        ("VmSealSlots", 76, 0x2e2308ff449009f4),
-        ("VmExportSlots", 60, 0x0e7cd651c6b3b409),
-        ("VmImportBlobs", 364, 0xeefdb89aa4d56fce),
-        ("Pong", 19, 0x8c2ce09656154662),
-        ("Unit", 19, 0xa1dc40b40f6f2f60),
-        ("Done", 36, 0x86bd19aeda9f1397),
-        ("PutBatch", 143, 0x8ffcb91a37ab5e2d),
-        ("ChunkData", 41, 0x159caf4860b42483),
-        ("ChunkBatch", 176, 0x7e1bc636dae365a7),
-        ("Flag", 30, 0xe1ec9efc27fe066e),
-        ("Count", 38, 0x494ef08b93122ef7),
-        ("Checksum", 33, 0x67a638c7307fa1e8),
-        ("Checksum", 41, 0xbf51139c23bcbe27),
-        ("NodePuts", 134, 0x1600b80f99f2efb1),
-        ("NodeGets", 903, 0x2abc60f846a33006),
-        ("Keys", 123, 0x9e90fd5e37188c4f),
-        ("TicketGrant", 301, 0xff7394c1f63c7db4),
-        ("Snapshot", 195, 0xbf7b8e6f26280e66),
-        ("Lease", 98, 0xb83d0f2a334f6b7a),
-        ("GcFloor", 109, 0xd5fe454b26b1f10d),
-        ("SlotMapInfo", 432, 0x2d52a2b7011028a1),
-        ("SlotExport", 361, 0x6d5513dc290282b5),
-        ("SlotExport", 39, 0xe16f27cad141f3b4),
-        ("Busy", 60, 0x928e58bec75fc582),
-        ("Fail", 88, 0x7d1da4434c68547b),
-        ("Fail", 101, 0x0723149c33e15c8d),
+        ("Ping", 1, 0x30eb33fab282f8e7),
+        ("PutChunk", 25, 0x2ec2947a0ccaf214),
+        ("PutChunkBatch", 61, 0xfff078310789b2fa),
+        ("GetChunk", 25, 0x47b04c8ea5116855),
+        ("GetChunkRange", 41, 0x3abd4ac31cbc75a0),
+        ("GetChunkRangeBatch", 45, 0x4bd991ab85f77e75),
+        ("ProviderHasChunk", 17, 0xa0cb528765d2fce5),
+        ("ProviderChunkCount", 9, 0x27419e59955353f3),
+        ("ProviderBytesStored", 9, 0xf7cb87a0dfd46cd0),
+        ("ProviderEvictChunk", 17, 0x582051c944ca7b24),
+        ("ProviderChecksumOf", 17, 0xe887c969655ee673),
+        ("ProviderEvictBatch", 29, 0x39db591af621a40c),
+        ("ProviderCorruptChunk", 25, 0xad7a6bae392c0f03),
+        ("MetaPutBatch", 238, 0xa7560be38e7a71b4),
+        ("MetaGetBatch", 69, 0x68997d41bacabd9c),
+        ("MetaContains", 33, 0x6b244487c7e2921a),
+        ("MetaNodeCount", 1, 0x9ccd6040f4bd85e2),
+        ("MetaEvict", 33, 0x4fca8bc1417ce535),
+        ("MetaEvictBatch", 37, 0xb957422577092ceb),
+        ("MetaListKeys", 1, 0xdda906abcabbde95),
+        ("VmTicket", 53, 0x87952856c48e857f),
+        ("VmTicketAppend", 25, 0x25ad69b753377f79),
+        ("VmPublish", 65, 0x5758990a56bda134),
+        ("VmIsPublished", 17, 0xb89de7dc5a45c4e0),
+        ("VmLatest", 9, 0x9161413917e2e865),
+        ("VmSnapshot", 17, 0x60044e09dedbb342),
+        ("VmSetRetention", 18, 0x7f17912f283d7635),
+        ("VmLeaseAcquire", 25, 0x1a0bb9439aaa4720),
+        ("VmLeaseRenew", 25, 0x544217aac22afc32),
+        ("VmLeaseRelease", 17, 0x72b1cc165a6c9f6a),
+        ("VmGcFloor", 9, 0x81535e736e2215b0),
+        ("SlotMapGet", 1, 0xac7449e06fe4f19c),
+        ("SlotMapInstall", 69, 0x3ad1acee625ceff9),
+        ("VmFreezeSlots", 19, 0x855655cb8e7e2c8a),
+        ("VmSealSlots", 17, 0x1a7c8af64a9fbd92),
+        ("VmExportSlots", 9, 0xae3b7e3bdee38c23),
+        ("VmImportBlobs", 103, 0x0b62836caa8c2136),
+        ("Pong", 1, 0x30eb33fab282f8e7),
+        ("Unit", 1, 0x7bfd9893c82002b2),
+        ("Done", 9, 0xf0d6ff8791865062),
+        ("PutBatch", 24, 0xcfd9b5d3872f3061),
+        ("ChunkData", 9, 0x777bb7a817f6afd3),
+        ("ChunkBatch", 40, 0x9f77839e41e5caad),
+        ("Flag", 2, 0x0d3961b92bcc2866),
+        ("Count", 9, 0x9b07456a6bbc17e2),
+        ("Checksum", 2, 0x40a62ee787b2d4a2),
+        ("Checksum", 10, 0x5aaa8d78a5345678),
+        ("NodePuts", 16, 0x9131ef8fea004ee3),
+        ("NodeGets", 250, 0x624f1bd17a006c5d),
+        ("Keys", 37, 0xaeb57e848d7666a5),
+        ("TicketGrant", 101, 0xef036401c23294da),
+        ("Snapshot", 58, 0x7fa991e65a6bb746),
+        ("Lease", 25, 0xf825f1a8195d9f34),
+        ("GcFloor", 25, 0x50babe45c3d24931),
+        ("SlotMapInfo", 93, 0x7ef06f621c91803f),
+        ("SlotExport", 103, 0xbec8a286958d3c02),
+        ("SlotExport", 5, 0xbc36c265c3d38536),
+        ("Busy", 17, 0x16834f236c338874),
+        ("Fail", 12, 0x73691157ce5a2a40),
+        ("Fail", 21, 0x0dc018c437207e28),
     ];
 
     /// Three of those encodings in full, same provenance.
     const GOLDEN_HEX: &[(&str, &str)] = &[
-        ("Ping", "07010000000100000074050400000050696e67"),
+        ("Ping", "00"),
         (
             "PutChunk",
-            concat!(
-                "0704000000010000007405080000005075744368756e6b0800000070726f7669",
-                "646572020300000000000000070000006172726976616c022a00000000000000",
-                "050000006368756e6b020900000000000000",
-            ),
+            "0103000000000000002a000000000000000900000000000000",
         ),
         (
             "PutBatch",
-            concat!(
-                "070200000001000000740508000000507574426174636807000000726573756c",
-                "747306020000000702000000010000007405020000004f6b0100000076020500",
-                "0000000000000702000000010000007405030000004572720100000065070200",
-                "00000100000074050e00000050726f76696465724661696c6564080000007072",
-                "6f7669646572020100000000000000",
-            ),
+            "030200000000050000000000000001040100000000000000",
         ),
     ];
 
     /// The derived codec writes the pinned bytes for `sample`, and reads
     /// them back to `sample`.
-    fn check_golden<T>(sample: &T, &(variant, len, checksum): &(&str, usize, u64))
+    fn check_golden<T>(sample: &T, &(name, len, checksum): &(&str, usize, u64))
     where
-        T: Serialize + Deserialize + PartialEq + std::fmt::Debug,
+        T: Encode + Decode + PartialEq + std::fmt::Debug,
     {
-        let value = sample.to_value();
-        assert_eq!(value.variant_tag("sample"), Ok(variant));
-        let mut bytes = Vec::new();
-        wire::encode_value(&value, &mut bytes);
+        assert_eq!(variant(sample), name);
+        let bytes = encoded(sample);
         assert_eq!(
             (bytes.len(), chunk_checksum(&bytes)),
             (len, checksum),
-            "the encoding of {variant} moved: {sample:?}"
+            "the encoding of {name} moved: {sample:?}"
         );
-        if let Some((_, hex)) = GOLDEN_HEX.iter().find(|(v, _)| *v == variant) {
+        if let Some((_, hex)) = GOLDEN_HEX.iter().find(|(v, _)| *v == name) {
             let written: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
-            assert_eq!(&written, hex, "the encoding of {variant} moved");
+            assert_eq!(&written, hex, "the encoding of {name} moved");
         }
-        let decoded = wire::decode_value(&bytes).unwrap();
-        assert_eq!(&T::from_value(&decoded).unwrap(), sample);
+        assert_eq!(&serde::decode_exact::<T>(&bytes).unwrap(), sample);
     }
 
     #[test]
-    fn the_derived_codec_writes_the_bytes_the_hand_written_one_wrote() {
+    fn the_derived_codec_writes_the_pinned_bytes() {
         let (requests, responses) = (samples::requests(), samples::responses());
         assert_eq!(requests.len() + responses.len(), GOLDEN.len());
         let (request_rows, response_rows) = GOLDEN.split_at(requests.len());
@@ -639,15 +652,18 @@ mod tests {
 
     #[test]
     fn unknown_tags_fail_cleanly() {
-        let v = Value::Object(vec![("t".into(), Value::Str("Nonsense".into()))]);
-        assert!(Request::from_value(&v).is_err());
-        assert!(Response::from_value(&v).is_err());
-        // So does a batch outcome that is neither `Ok` nor `Err`.
-        let v = Value::Object(vec![
-            ("t".into(), Value::Str("PutBatch".into())),
-            ("results".into(), Value::Array(vec![v])),
-        ]);
-        let e = Response::from_value(&v).unwrap_err().to_string();
-        assert_eq!(e, "unknown Result tag \"Nonsense\"");
+        // One past the last variant of each message.
+        let e = serde::decode_exact::<Request>(&[37]).unwrap_err();
+        assert_eq!(e.to_string(), "unknown Request tag 37");
+        let e = serde::decode_exact::<Response>(&[20]).unwrap_err();
+        assert_eq!(e.to_string(), "unknown Response tag 20");
+        // So does a batch outcome that is neither `Ok` (0) nor `Err` (1).
+        let put_batch = encoded(&Response::PutBatch {
+            results: vec![Ok(5)],
+        });
+        let mut bad = put_batch.clone();
+        bad[5] = 2;
+        let e = serde::decode_exact::<Response>(&bad).unwrap_err();
+        assert_eq!(e.to_string(), "unknown Result tag 2");
     }
 }

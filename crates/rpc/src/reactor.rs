@@ -19,6 +19,10 @@
 //!  wq ─► writev() to WouldBlock ─► EPOLLOUT drains the rest
 //! ```
 //!
+//! The reactor only frames: it checks each prefix and hands workers the
+//! whole frames, whose headers they decode themselves — so decoding
+//! spreads over the pool instead of queueing on this one thread.
+//!
 //! Workers never touch reactor sockets: each batch's encoded response
 //! frames go through [`ReactorShared::complete`] and an eventfd write;
 //! the reactor is the **single writer** of every socket it owns, so
@@ -43,7 +47,6 @@ use crate::wire;
 use atomio_simgrid::Metrics;
 use bytes::Bytes;
 use parking_lot::Mutex;
-use serde::{Serialize, Value};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -267,8 +270,9 @@ impl Conn {
 /// What a parse pass decided beyond dispatching frames.
 enum PumpAction {
     None,
-    /// Framing is broken (bad version byte, oversized declared lengths,
-    /// undecodable frame): nothing on the stream can be trusted.
+    /// Framing is broken (bad version byte, oversized declared lengths):
+    /// nothing on the stream can be trusted. A header that does not
+    /// decode is not this: its worker answers it with a typed failure.
     Close,
     /// First frame of an over-cap connection was answered with Busy.
     Reject,
@@ -472,7 +476,7 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            let mut burst: Vec<(u64, Value, Bytes)> = Vec::new();
+            let mut burst: Vec<wire::Frame> = Vec::new();
             let mut consumed = 0usize;
             let mut action = PumpAction::None;
             while !conn.closing {
@@ -485,36 +489,30 @@ impl Reactor {
                 }
                 // Validate the prefix before waiting for the body, so a
                 // garbage prefix cannot demand gigabytes of buffering.
-                if b[0] != PROTOCOL_VERSION {
+                let Ok((_, head_len, payload_len)) = wire::parse_prefix(&b[..prefix]) else {
                     action = PumpAction::Close;
                     break;
-                }
-                let head_len = u32::from_be_bytes(b[9..13].try_into().unwrap());
-                let payload_len = u32::from_be_bytes(b[13..17].try_into().unwrap());
-                if head_len > wire::MAX_HEADER_BYTES || payload_len > wire::MAX_PAYLOAD_BYTES {
-                    action = PumpAction::Close;
-                    break;
-                }
-                let total = prefix + head_len as usize + payload_len as usize;
+                };
+                let total = prefix + head_len + payload_len;
                 if b.len() < total {
                     break;
                 }
-                match wire::read_frame(&mut &b[..total]) {
-                    Ok((id, header, payload, _)) => {
+                match wire::split_frame(Bytes::copy_from_slice(&b[..total])) {
+                    Ok(frame) => {
                         consumed += total;
                         if conn.rejecting {
                             let busy = Response::Busy { active, max_conns };
-                            let mut frame = Vec::new();
-                            if wire::append_frame(&mut frame, id, &busy.to_value(), &[]).is_err() {
+                            let mut reply = Vec::new();
+                            if wire::append_frame(&mut reply, frame.id, &busy, &[]).is_err() {
                                 action = PumpAction::Close;
                             } else {
-                                conn.wq.push_back(Bytes::from(frame));
+                                conn.wq.push_back(Bytes::from(reply));
                                 conn.closing = true;
                                 action = PumpAction::Reject;
                             }
                             break;
                         }
-                        burst.push((id, header, payload));
+                        burst.push(frame);
                     }
                     Err(_) => {
                         action = PumpAction::Close;

@@ -1,8 +1,9 @@
 //! Test support: at least one sample of every wire message, all 37
-//! [`Request`] and 20 [`Response`] variants in declaration order. The
-//! round-trip tests and the golden byte table in [`crate::proto`] and the
-//! decoder properties in [`crate::fuzz`] all walk these two lists, so a
-//! new variant is covered by all three once it has a sample here.
+//! [`Request`] and 20 [`Response`] variants in declaration order (60
+//! samples). The round-trip tests and the golden byte table in
+//! [`crate::proto`] and the decoder properties in [`crate::fuzz`] all
+//! walk these two lists, so a new variant is covered by all three once it
+//! has a sample here.
 //!
 //! The golden table pins the *encoding* of exactly these values: changing
 //! a sample changes its row, so add samples rather than editing them.
@@ -15,12 +16,11 @@ use atomio_types::{
     VersionId,
 };
 use atomio_version::{GcFloor, LeaseGrant, PublishRecord, SnapshotRecord, Ticket};
-use serde::{Serialize, Value};
 use std::sync::Arc;
 
-/// The encoding of a null inside `depth` one-element arrays: five bytes
-/// per level, so a header far under the length limits can nest deeper
-/// than any stack follows.
+/// The value-tree encoding of a null inside `depth` one-element arrays:
+/// five bytes per level, so a header far under the length limits can
+/// nest deeper than any stack follows.
 pub(crate) fn nested_arrays(depth: usize) -> Vec<u8> {
     let mut bytes = [6u8, 1, 0, 0, 0].repeat(depth);
     bytes.push(0);
@@ -74,13 +74,6 @@ fn blob_exports() -> Vec<BlobExport> {
         }],
         retention: RetentionPolicy::KeepLast(3),
     }]
-}
-
-/// The header of every sample message, requests then responses.
-pub(crate) fn headers() -> Vec<Value> {
-    let requests = requests().into_iter().map(|r| r.to_value());
-    let responses = responses().into_iter().map(|r| r.to_value());
-    requests.chain(responses).collect()
 }
 
 pub(crate) fn requests() -> Vec<Request> {
@@ -243,12 +236,18 @@ pub(crate) fn responses() -> Vec<Response> {
                 capacity: 256,
                 size: 192,
             },
-            extents: ExtentList::from_pairs([(128u64, 64u64)]),
-            delta: vec![WriteSummary {
-                version: VersionId::new(2),
-                extents: Arc::new(ExtentList::from_pairs([(0u64, 64u64)])),
-                capacity: 128,
-            }],
+            delta: vec![
+                WriteSummary {
+                    version: VersionId::new(2),
+                    extents: Arc::new(ExtentList::from_pairs([(0u64, 64u64)])),
+                    capacity: 128,
+                },
+                WriteSummary {
+                    version: VersionId::new(3),
+                    extents: Arc::new(ExtentList::from_pairs([(128u64, 64u64)])),
+                    capacity: 256,
+                },
+            ],
         },
         Response::Snapshot {
             record: SnapshotRecord {

@@ -24,12 +24,11 @@ use crate::proto::{Request, Response};
 use crate::reactor::{run_reactor, ReactorShared};
 use crate::services::Service;
 use crate::transport::RpcConfig;
-use crate::wire::{self, as_slices};
+use crate::wire::{self, as_slices, Frame};
 use atomio_simgrid::Metrics;
 use atomio_types::{Error, TransportErrorKind};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize, Value};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -170,8 +169,9 @@ pub(crate) struct ResponseSink {
 }
 
 /// One unit of dispatch work: where the responses go, plus a batch of
-/// decoded request frames read back-to-back from one connection.
-pub(crate) type DispatchJob = (ResponseSink, Vec<(u64, Value, Bytes)>);
+/// request frames read back-to-back from one connection. Their headers
+/// are decoded by the worker, off the one reactor thread.
+pub(crate) type DispatchJob = (ResponseSink, Vec<Frame>);
 
 /// A member of the server's shared dispatch pool: executes request
 /// batches from any connection and routes each batch's responses —
@@ -198,8 +198,14 @@ fn dispatch_worker(rx: Arc<Mutex<mpsc::Receiver<DispatchJob>>>, service: Arc<dyn
         let mut wire_bytes: Vec<Bytes> = Vec::new();
         let mut coalesced = Vec::new();
         let mut poisoned = false;
-        for (id, header, payload) in batch {
-            let (response, out) = match Request::from_value(&header) {
+        for Frame {
+            id,
+            header,
+            payload,
+            ..
+        } in batch
+        {
+            let (response, out) = match wire::decode_header::<Request>(&header) {
                 Ok(request) => handle_contained(service.as_ref(), id, request, payload),
                 Err(e) => (
                     Response::Fail {
@@ -213,15 +219,12 @@ fn dispatch_worker(rx: Arc<Mutex<mpsc::Receiver<DispatchJob>>>, service: Arc<dyn
             };
             let payload_len: usize = out.iter().map(|part| part.len()).sum();
             let encoded = if payload_len <= RESPONSE_COALESCE_BYTES {
-                wire::append_frame(&mut coalesced, id, &response.to_value(), &as_slices(&out))
-                    .map(drop)
+                wire::append_frame(&mut coalesced, id, &response, &as_slices(&out)).map(drop)
             } else {
-                wire::append_frame_head(&mut coalesced, id, &response.to_value(), payload_len).map(
-                    |_| {
-                        wire_bytes.push(Bytes::from(std::mem::take(&mut coalesced)));
-                        wire_bytes.extend(out);
-                    },
-                )
+                wire::append_frame_head(&mut coalesced, id, &response, payload_len).map(|_| {
+                    wire_bytes.push(Bytes::from(std::mem::take(&mut coalesced)));
+                    wire_bytes.extend(out);
+                })
             };
             if encoded.is_err() {
                 // Oversized response — nothing sane to send back.
@@ -279,7 +282,7 @@ const RESPONSE_COALESCE_BYTES: usize = 64 * 1024;
 pub(crate) fn dispatch_burst(
     jobs: &mpsc::SyncSender<DispatchJob>,
     sink: &ResponseSink,
-    burst: Vec<(u64, Value, Bytes)>,
+    burst: Vec<Frame>,
 ) -> std::result::Result<(), ()> {
     let mut overflow = Vec::new();
     for request in burst {

@@ -63,12 +63,19 @@ fn one_part(out: Bytes) -> Vec<Bytes> {
     }
 }
 
+/// A payload-free answer: the response, or the error as a
+/// [`Response::Fail`].
+fn reply(result: Result<Response>) -> (Response, Bytes) {
+    let response = result.unwrap_or_else(|error| Response::Fail { error });
+    (response, Bytes::new())
+}
+
 fn fail(error: Error) -> (Response, Bytes) {
-    (Response::Fail { error }, Bytes::new())
+    reply(Err(error))
 }
 
 fn ok(response: Response) -> (Response, Bytes) {
-    (response, Bytes::new())
+    reply(Ok(response))
 }
 
 fn unsupported(role: &'static str) -> (Response, Bytes) {
@@ -212,13 +219,11 @@ impl Service for ProviderService {
                 provider,
                 arrival,
                 chunk,
-            } => match self
-                .provider(provider)
-                .and_then(|s| s.put_chunk_at(arrival, chunk, payload))
-            {
-                Ok(done) => ok(Response::Done { done }),
-                Err(e) => fail(e),
-            },
+            } => reply(
+                self.provider(provider)
+                    .and_then(|s| s.put_chunk_at(arrival, chunk, payload))
+                    .map(|done| Response::Done { done }),
+            ),
             PutChunkBatch { provider, items } => {
                 let store = match self.provider(provider) {
                     Ok(s) => s,
@@ -232,12 +237,9 @@ impl Service for ProviderService {
                     .map(|(arrival, chunk, len)| Ok((arrival, chunk, cursor.take(len)?)))
                     .collect::<Result<Vec<_>>>()
                     .and_then(|batch| cursor.finish().map(|()| batch));
-                match batch {
-                    Ok(batch) => ok(Response::PutBatch {
-                        results: store.put_batch_at(&batch),
-                    }),
-                    Err(e) => fail(e),
-                }
+                reply(batch.map(|batch| Response::PutBatch {
+                    results: store.put_batch_at(&batch),
+                }))
             }
             GetChunk {
                 provider,
@@ -271,53 +273,44 @@ impl Service for ProviderService {
                 let (response, parts) = self.get_range_batch(provider, &items);
                 (response, Bytes::from(parts.concat()))
             }
-            ProviderHasChunk { provider, chunk } => match self.provider(provider) {
-                Ok(s) => ok(Response::Flag {
+            ProviderHasChunk { provider, chunk } => {
+                reply(self.provider(provider).map(|s| Response::Flag {
                     value: s.has_chunk(chunk),
-                }),
-                Err(e) => fail(e),
-            },
-            ProviderChunkCount { provider } => match self.provider(provider) {
-                Ok(s) => ok(Response::Count {
+                }))
+            }
+            ProviderChunkCount { provider } => {
+                reply(self.provider(provider).map(|s| Response::Count {
                     value: s.chunk_count() as u64,
-                }),
-                Err(e) => fail(e),
-            },
-            ProviderBytesStored { provider } => match self.provider(provider) {
-                Ok(s) => ok(Response::Count {
+                }))
+            }
+            ProviderBytesStored { provider } => {
+                reply(self.provider(provider).map(|s| Response::Count {
                     value: s.bytes_stored(),
-                }),
-                Err(e) => fail(e),
-            },
-            ProviderEvictChunk { provider, chunk } => match self.provider(provider) {
-                Ok(s) => ok(Response::Count {
+                }))
+            }
+            ProviderEvictChunk { provider, chunk } => {
+                reply(self.provider(provider).map(|s| Response::Count {
                     value: s.evict_chunk(chunk),
-                }),
-                Err(e) => fail(e),
-            },
-            ProviderChecksumOf { provider, chunk } => match self.provider(provider) {
-                Ok(s) => ok(Response::Checksum {
+                }))
+            }
+            ProviderChecksumOf { provider, chunk } => {
+                reply(self.provider(provider).map(|s| Response::Checksum {
                     value: s.checksum_of(chunk),
-                }),
-                Err(e) => fail(e),
-            },
+                }))
+            }
             ProviderCorruptChunk {
                 provider,
                 chunk,
                 byte,
-            } => match self.provider(provider) {
-                Ok(s) => {
-                    s.corrupt_chunk(chunk, byte as usize);
-                    ok(Response::Unit)
-                }
-                Err(e) => fail(e),
-            },
-            ProviderEvictBatch { provider, chunks } => match self.provider(provider) {
-                Ok(s) => ok(Response::Count {
+            } => reply(self.provider(provider).map(|s| {
+                s.corrupt_chunk(chunk, byte as usize);
+                Response::Unit
+            })),
+            ProviderEvictBatch { provider, chunks } => {
+                reply(self.provider(provider).map(|s| Response::Count {
                     value: s.evict_chunk_batch(&chunks),
-                }),
-                Err(e) => fail(e),
-            },
+                }))
+            }
             _ => unsupported("metadata/version op sent to a provider server"),
         }
     }
@@ -513,16 +506,10 @@ impl VersionService {
     }
 }
 
-/// The reply to either ticket request.
+/// The reply to either ticket request. The assigned extents stay home:
+/// they travel as the delta's last row, the grantee's own.
 fn granted(grant: Result<(Ticket, ExtentList, Vec<WriteSummary>)>) -> (Response, Bytes) {
-    match grant {
-        Ok((ticket, extents, delta)) => ok(Response::TicketGrant {
-            ticket,
-            extents,
-            delta,
-        }),
-        Err(e) => fail(e),
-    }
+    reply(grant.map(|(ticket, _, delta)| Response::TicketGrant { ticket, delta }))
 }
 
 impl Service for VersionService {
@@ -562,54 +549,37 @@ impl Service for VersionService {
                         .vm_owned(blob)
                         .and_then(|vm| vm.publish_local(ticket, root)),
                 };
-                match result {
-                    Ok(()) => ok(Response::Unit),
-                    Err(e) => fail(e),
-                }
+                reply(result.map(|()| Response::Unit))
             }
-            VmIsPublished { blob, version } => match self.vm_owned(blob) {
-                Ok(vm) => ok(Response::Flag {
+            VmIsPublished { blob, version } => {
+                reply(self.vm_owned(blob).map(|vm| Response::Flag {
                     value: vm.is_published(version),
-                }),
-                Err(e) => fail(e),
-            },
-            VmLatest { blob } => match self.vm_owned(blob) {
-                Ok(vm) => ok(Response::Snapshot {
-                    record: vm.latest_local(),
-                }),
-                Err(e) => fail(e),
-            },
-            VmSnapshot { blob, version } => {
-                match self
-                    .vm_owned(blob)
+                }))
+            }
+            VmLatest { blob } => reply(self.vm_owned(blob).map(|vm| Response::Snapshot {
+                record: vm.latest_local(),
+            })),
+            VmSnapshot { blob, version } => reply(
+                self.vm_owned(blob)
                     .and_then(|vm| vm.snapshot_local(version))
-                {
-                    Ok(record) => ok(Response::Snapshot { record }),
-                    Err(e) => fail(e),
-                }
-            }
-            VmSetRetention { blob, policy } => {
-                match self
-                    .vm_ticket(blob)
+                    .map(|record| Response::Snapshot { record }),
+            ),
+            VmSetRetention { blob, policy } => reply(
+                self.vm_ticket(blob)
                     .and_then(|vm| vm.set_retention_local(policy))
-                {
-                    Ok(()) => ok(Response::Unit),
-                    Err(e) => fail(e),
-                }
-            }
+                    .map(|()| Response::Unit),
+            ),
             VmLeaseAcquire {
                 blob,
                 version,
                 ttl_ms,
             } => {
                 let ttl = ttl_ms.min(self.lease_ttl_cap_ms);
-                match self
-                    .vm_owned(blob)
-                    .and_then(|vm| vm.lease_acquire_local(version, ttl, Self::now_ms()))
-                {
-                    Ok(grant) => ok(Response::Lease { grant }),
-                    Err(e) => fail(e),
-                }
+                reply(
+                    self.vm_owned(blob)
+                        .and_then(|vm| vm.lease_acquire_local(version, ttl, Self::now_ms()))
+                        .map(|grant| Response::Lease { grant }),
+                )
             }
             VmLeaseRenew {
                 blob,
@@ -617,29 +587,20 @@ impl Service for VersionService {
                 ttl_ms,
             } => {
                 let ttl = ttl_ms.min(self.lease_ttl_cap_ms);
-                match self
-                    .vm_owned(blob)
-                    .and_then(|vm| vm.lease_renew_local(lease, ttl, Self::now_ms()))
-                {
-                    Ok(grant) => ok(Response::Lease { grant }),
-                    Err(e) => fail(e),
-                }
+                reply(
+                    self.vm_owned(blob)
+                        .and_then(|vm| vm.lease_renew_local(lease, ttl, Self::now_ms()))
+                        .map(|grant| Response::Lease { grant }),
+                )
             }
-            VmLeaseRelease { blob, lease } => {
-                match self
-                    .vm_owned(blob)
+            VmLeaseRelease { blob, lease } => reply(
+                self.vm_owned(blob)
                     .and_then(|vm| vm.lease_release_local(lease, Self::now_ms()))
-                {
-                    Ok(()) => ok(Response::Unit),
-                    Err(e) => fail(e),
-                }
-            }
-            VmGcFloor { blob } => match self.vm_owned(blob) {
-                Ok(vm) => ok(Response::GcFloor {
-                    info: vm.gc_floor_local(Self::now_ms()),
-                }),
-                Err(e) => fail(e),
-            },
+                    .map(|()| Response::Unit),
+            ),
+            VmGcFloor { blob } => reply(self.vm_owned(blob).map(|vm| Response::GcFloor {
+                info: vm.gc_floor_local(Self::now_ms()),
+            })),
             SlotMapGet => ok(Response::SlotMapInfo {
                 map: self.map.read().clone(),
             }),
@@ -731,17 +692,11 @@ impl Service for VersionService {
                 ok(Response::SlotExport { blobs })
             }
             VmImportBlobs { blobs } => {
-                let mut applied = 0u64;
-                for b in blobs {
-                    match self
-                        .vm(b.blob)
-                        .and_then(|vm| vm.import_published(&b.versions, b.retention))
-                    {
-                        Ok(n) => applied += n,
-                        Err(e) => return fail(e),
-                    }
-                }
-                ok(Response::Count { value: applied })
+                let applied = blobs.iter().try_fold(0u64, |applied, b| {
+                    let vm = self.vm(b.blob)?;
+                    Ok(applied + vm.import_published(&b.versions, b.retention)?)
+                });
+                reply(applied.map(|value| Response::Count { value }))
             }
             _ => unsupported("chunk/metadata op sent to a version server"),
         }

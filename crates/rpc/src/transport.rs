@@ -27,12 +27,12 @@
 
 use crate::proto::{Request, Response};
 use crate::services::Service;
-use crate::wire::{self, as_slices};
+use crate::wire::{self, as_slices, Frame};
 use atomio_simgrid::Metrics;
 use atomio_types::{Error, Result, TransportErrorKind};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::{Decode, Deserialize, Encode, Serialize};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -227,28 +227,32 @@ impl Loopback {
 
     fn round_trip(&self, request: &Request, parts: &[&[u8]]) -> Result<(Response, Bytes)> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        // Encode → decode the request through the real codec.
-        let mut frame = Vec::new();
-        let tx = wire::append_frame(&mut frame, id, &request.to_value(), parts)
-            .map_err(|e| protocol_error("encode request", &e))?;
-        let (id_back, header, body, _) = wire::read_frame(&mut frame.as_slice())
-            .map_err(|e| protocol_error("decode request", &e))?;
-        let request = Request::from_value(&header)
-            .map_err(|e| protocol_error("parse request", &io::Error::other(e.to_string())))?;
-
+        let (request, body, tx) =
+            through_a_frame(id, request, parts).map_err(|e| protocol_error("request", &e))?;
         let (response, out) = self.service.handle_vectored(request, body);
-
-        // And the response back out the same way, tagged with the same id.
-        let mut frame = Vec::new();
-        let rx = wire::append_frame(&mut frame, id_back, &response.to_value(), &as_slices(&out))
-            .map_err(|e| protocol_error("encode response", &e))?;
-        let (_, header, body, _) = wire::read_frame(&mut frame.as_slice())
-            .map_err(|e| protocol_error("decode response", &e))?;
-        let response = Response::from_value(&header)
-            .map_err(|e| protocol_error("parse response", &io::Error::other(e.to_string())))?;
+        let (response, body, rx) = through_a_frame(id, &response, &as_slices(&out))
+            .map_err(|e| protocol_error("response", &e))?;
         record(&self.metrics, tx, rx);
         Ok((response, body))
     }
+}
+
+/// Encodes `message` and `parts` into one frame tagged `id`, then reads
+/// the frame back as its receiver would. Returns the decoded message,
+/// the payload and the frame's wire size.
+fn through_a_frame<T: Encode + Decode>(
+    id: u64,
+    message: &T,
+    parts: &[&[u8]],
+) -> io::Result<(T, Bytes, u64)> {
+    let mut frame = Vec::new();
+    let wire_bytes = wire::append_frame(&mut frame, id, message, parts)?;
+    let frame = wire::split_frame(Bytes::from(frame))?;
+    Ok((
+        wire::decode_header(&frame.header)?,
+        frame.payload,
+        wire_bytes,
+    ))
 }
 
 impl Transport for Loopback {
@@ -299,13 +303,14 @@ fn dial_socket(addr: SocketAddr, cfg: &RpcConfig, metrics: &Option<Metrics>) -> 
 /// than `parking_lot` because the waiter needs a timed wait.
 #[derive(Debug, Default)]
 struct CallSlot {
-    /// `(response, body, response frame bytes)` or the typed failure.
-    outcome: std::sync::Mutex<Option<Result<(Response, Bytes, u64)>>>,
+    /// The response frame — decoded by the caller, off the reader
+    /// thread — or the typed failure.
+    outcome: std::sync::Mutex<Option<Result<Frame>>>,
     ready: std::sync::Condvar,
 }
 
 impl CallSlot {
-    fn fill(&self, outcome: Result<(Response, Bytes, u64)>) {
+    fn fill(&self, outcome: Result<Frame>) {
         let mut guard = self.outcome.lock().expect("call slot poisoned");
         *guard = Some(outcome);
         self.ready.notify_all();
@@ -396,22 +401,12 @@ fn mux_reader_loop(stream: TcpStream, conn: Arc<MuxConn>, addr: SocketAddr) {
     // back-to-back and one read syscall drains many of them.
     let mut stream = std::io::BufReader::with_capacity(128 * 1024, stream);
     loop {
-        match wire::read_frame(&mut stream) {
-            Ok((id, header, body, rx)) => {
+        match wire::read_frame_bytes(&mut stream) {
+            Ok(frame) => {
                 // A missing entry is a call that timed out and left; the
                 // late response is dropped on the floor.
-                if let Some(slot) = conn.pending.lock().remove(&id) {
-                    let outcome = match Response::from_value(&header) {
-                        Ok(response) => Ok((response, body, rx)),
-                        // The frame was well-formed, only the header did
-                        // not parse as a response: fail this call, keep
-                        // the connection (framing is intact).
-                        Err(e) => Err(Error::Transport {
-                            kind: TransportErrorKind::Protocol,
-                            detail: format!("rpc to {addr}: undecodable response: {e}"),
-                        }),
-                    };
-                    slot.fill(outcome);
+                if let Some(slot) = conn.pending.lock().remove(&frame.id) {
+                    slot.fill(Ok(frame));
                 }
             }
             Err(e) => {
@@ -588,13 +583,12 @@ impl MuxTransport {
         // the caller's buffers, its payload never copied.
         let enqueued = Instant::now();
         let payload_len: usize = parts.iter().map(|part| part.len()).sum();
-        let header = request.to_value();
         let mut frame = Vec::new();
         let wrote = if payload_len <= wire::COALESCE_PAYLOAD_BYTES {
-            wire::append_frame(&mut frame, id, &header, parts)
+            wire::append_frame(&mut frame, id, request, parts)
                 .and_then(|tx| conn.enqueue_and_flush(&frame).map(|()| tx))
         } else {
-            wire::append_frame_head(&mut frame, id, &header, payload_len).and_then(|head| {
+            wire::append_frame_head(&mut frame, id, request, payload_len).and_then(|head| {
                 conn.write_through(&frame, parts)
                     .map(|()| head + payload_len as u64)
             })
@@ -612,7 +606,8 @@ impl MuxTransport {
                 // mismatch. Prefer that over the secondary write error.
                 if let Some(result) = call.outcome.lock().expect("call slot poisoned").take() {
                     release(self);
-                    return result.map(|(response, body, _)| (response, body));
+                    return result
+                        .and_then(|frame| self.response_of(&frame).map(|r| (r, frame.payload)));
                 }
                 conn.pending.lock().remove(&id);
                 let error = transport_error(&format!("rpc to {}", self.addr), &e);
@@ -629,11 +624,12 @@ impl MuxTransport {
         let mut outcome = call.outcome.lock().expect("call slot poisoned");
         loop {
             if let Some(result) = outcome.take() {
+                drop(outcome);
                 release(self);
-                return result.map(|(response, body, rx)| {
-                    record(&self.metrics, tx, rx);
-                    (response, body)
-                });
+                let frame = result?;
+                let response = self.response_of(&frame)?;
+                record(&self.metrics, tx, frame.wire_bytes);
+                return Ok((response, frame.payload));
             }
             let now = Instant::now();
             if now >= deadline {
@@ -653,6 +649,16 @@ impl MuxTransport {
                 .expect("call slot poisoned");
             outcome = guard;
         }
+    }
+
+    /// Decodes a response frame. A header that does not decode fails
+    /// this call only: the framing around it was intact, so the
+    /// connection lives on.
+    fn response_of(&self, frame: &Frame) -> Result<Response> {
+        wire::decode_header(&frame.header).map_err(|e| Error::Transport {
+            kind: TransportErrorKind::Protocol,
+            detail: format!("rpc to {}: undecodable response: {e}", self.addr),
+        })
     }
 }
 

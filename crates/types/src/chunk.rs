@@ -9,10 +9,9 @@
 use crate::extent::ExtentList;
 use crate::ids::{BlobId, ChunkId, VersionId};
 use crate::range::ByteRange;
-use serde::{Deserialize, Serialize};
 
 /// Fixed-size striping geometry of a blob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkGeometry {
     chunk_size: u64,
 }
@@ -105,7 +104,7 @@ impl ChunkGeometry {
 }
 
 /// The part of a byte range that falls inside a single chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkSpan {
     /// Index of the chunk within the blob.
     pub index: u64,
@@ -120,7 +119,7 @@ pub struct ChunkSpan {
 /// Because data is immutable, a `(blob, version, index)` triple written by
 /// one writer is never overwritten; the `chunk` id is the provider-level
 /// storage handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChunkKey {
     /// Owning blob.
     pub blob: BlobId,

@@ -5,14 +5,14 @@
 //! services, the baseline file system, and the MPI-I/O layer.
 
 use crate::ids::{BlobId, ChunkId, ProviderId, VersionId};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Decode, Encode, Reader};
 use std::fmt;
 
 /// Convenience alias used across the workspace.
 pub type Result<T> = std::result::Result<T, Error>;
 
 /// Any failure produced by the atomio stack.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode)]
 #[non_exhaustive]
 #[allow(missing_docs)] // variant payload fields are self-describing
 pub enum Error {
@@ -101,7 +101,7 @@ impl Error {
 }
 
 /// Why a transport operation failed (see [`Error::Transport`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Encode, Decode)]
 #[non_exhaustive]
 pub enum TransportErrorKind {
     /// A read or write deadline elapsed with the peer still silent.
@@ -127,17 +127,6 @@ impl TransportErrorKind {
             TransportErrorKind::Protocol => "protocol",
             TransportErrorKind::VersionMismatch => "version-mismatch",
         }
-    }
-
-    fn from_str(s: &str) -> Option<Self> {
-        Some(match s {
-            "timeout" => TransportErrorKind::Timeout,
-            "connection-refused" => TransportErrorKind::ConnectionRefused,
-            "connection-reset" => TransportErrorKind::ConnectionReset,
-            "protocol" => TransportErrorKind::Protocol,
-            "version-mismatch" => TransportErrorKind::VersionMismatch,
-            _ => return None,
-        })
     }
 }
 
@@ -207,200 +196,70 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-// ---------------------------------------------------------------------
-// Wire encoding: the tagged object the enum derive writes, but by hand —
-// the tuple variants travel under key names the type does not spell
-// (`"blob"`, `"provider"`, `"id"`, `"msg"`) and the `&'static str`
-// payloads can only decode lossily, into `Error::Internal`.
-// ---------------------------------------------------------------------
+// Wire decoding. `Encode` is derived, so the tag of a variant is its
+// position above; this reads the same layout back by hand, because the
+// `&'static str` payloads can only decode lossily, into `Error::Internal`.
+impl Decode for Error {
+    /// `EmptyAccess`: the tag alone.
+    const MIN_BYTES: usize = 1;
 
-fn tagged(tag: &str, mut fields: Vec<(String, Value)>) -> Value {
-    let mut obj = vec![("t".to_string(), Value::Str(tag.to_string()))];
-    obj.append(&mut fields);
-    Value::Object(obj)
-}
-
-impl Serialize for Error {
-    fn to_value(&self) -> Value {
-        match self {
-            Error::BlobNotFound(b) => tagged("BlobNotFound", vec![("blob".into(), b.to_value())]),
-            Error::VersionNotFound { blob, version } => tagged(
-                "VersionNotFound",
-                vec![
-                    ("blob".into(), blob.to_value()),
-                    ("version".into(), version.to_value()),
-                ],
-            ),
-            Error::ChunkNotFound { provider, chunk } => tagged(
-                "ChunkNotFound",
-                vec![
-                    ("provider".into(), provider.to_value()),
-                    ("chunk".into(), chunk.to_value()),
-                ],
-            ),
-            Error::ProviderNotFound(p) => {
-                tagged("ProviderNotFound", vec![("provider".into(), p.to_value())])
-            }
-            Error::ProviderFailed(p) => {
-                tagged("ProviderFailed", vec![("provider".into(), p.to_value())])
-            }
-            Error::OutOfBounds {
-                requested_end,
-                snapshot_size,
-            } => tagged(
-                "OutOfBounds",
-                vec![
-                    ("requested_end".into(), requested_end.to_value()),
-                    ("snapshot_size".into(), snapshot_size.to_value()),
-                ],
-            ),
-            Error::BufferSizeMismatch { expected, actual } => tagged(
-                "BufferSizeMismatch",
-                vec![
-                    ("expected".into(), expected.to_value()),
-                    ("actual".into(), actual.to_value()),
-                ],
-            ),
-            Error::EmptyAccess => tagged("EmptyAccess", vec![]),
-            Error::MetadataNodeMissing(id) => {
-                tagged("MetadataNodeMissing", vec![("id".into(), id.to_value())])
-            }
-            Error::InvalidMode(m) => tagged(
-                "InvalidMode",
-                vec![("mode".into(), Value::Str((*m).to_string()))],
-            ),
-            Error::InvalidDatatype(msg) => {
-                tagged("InvalidDatatype", vec![("msg".into(), msg.to_value())])
-            }
-            Error::CollectiveMismatch(msg) => {
-                tagged("CollectiveMismatch", vec![("msg".into(), msg.to_value())])
-            }
-            Error::Unsupported(what) => tagged(
-                "Unsupported",
-                vec![("what".into(), Value::Str((*what).to_string()))],
-            ),
-            Error::InsufficientReplicas { wanted, placed } => tagged(
-                "InsufficientReplicas",
-                vec![
-                    ("wanted".into(), wanted.to_value()),
-                    ("placed".into(), placed.to_value()),
-                ],
-            ),
-            Error::Busy {
-                resource,
-                pending_bytes,
-                capacity,
-            } => tagged(
-                "Busy",
-                vec![
-                    ("resource".into(), resource.to_value()),
-                    ("pending_bytes".into(), pending_bytes.to_value()),
-                    ("capacity".into(), capacity.to_value()),
-                ],
-            ),
-            Error::AdmissionRejected { active, max_conns } => tagged(
-                "AdmissionRejected",
-                vec![
-                    ("active".into(), active.to_value()),
-                    ("max_conns".into(), max_conns.to_value()),
-                ],
-            ),
-            Error::LeaseExpired { lease, version } => tagged(
-                "LeaseExpired",
-                vec![
-                    ("lease".into(), lease.to_value()),
-                    ("version".into(), version.to_value()),
-                ],
-            ),
-            Error::WrongShard { epoch, slot } => tagged(
-                "WrongShard",
-                vec![
-                    ("epoch".into(), epoch.to_value()),
-                    ("slot".into(), slot.to_value()),
-                ],
-            ),
-            Error::Transport { kind, detail } => tagged(
-                "Transport",
-                vec![
-                    ("kind".into(), Value::Str(kind.as_str().to_string())),
-                    ("detail".into(), detail.to_value()),
-                ],
-            ),
-            Error::Internal(msg) => tagged("Internal", vec![("msg".into(), msg.to_value())]),
+    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, DeError> {
+        fn d<T: Decode>(r: &mut Reader<'_>) -> std::result::Result<T, DeError> {
+            T::decode(r)
         }
-    }
-}
-
-impl Deserialize for Error {
-    fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
-        let field = |name: &str| v.get_or_null(name);
-        Ok(match v.variant_tag("Error")? {
-            "BlobNotFound" => Error::BlobNotFound(BlobId::from_value(field("blob"))?),
-            "VersionNotFound" => Error::VersionNotFound {
-                blob: BlobId::from_value(field("blob"))?,
-                version: VersionId::from_value(field("version"))?,
+        Ok(match r.u8()? {
+            0 => Error::BlobNotFound(d(r)?),
+            1 => Error::VersionNotFound {
+                blob: d(r)?,
+                version: d(r)?,
             },
-            "ChunkNotFound" => Error::ChunkNotFound {
-                provider: ProviderId::from_value(field("provider"))?,
-                chunk: ChunkId::from_value(field("chunk"))?,
+            2 => Error::ChunkNotFound {
+                provider: d(r)?,
+                chunk: d(r)?,
             },
-            "ProviderNotFound" => {
-                Error::ProviderNotFound(ProviderId::from_value(field("provider"))?)
-            }
-            "ProviderFailed" => Error::ProviderFailed(ProviderId::from_value(field("provider"))?),
-            "OutOfBounds" => Error::OutOfBounds {
-                requested_end: u64::from_value(field("requested_end"))?,
-                snapshot_size: u64::from_value(field("snapshot_size"))?,
+            3 => Error::ProviderNotFound(d(r)?),
+            4 => Error::ProviderFailed(d(r)?),
+            5 => Error::OutOfBounds {
+                requested_end: d(r)?,
+                snapshot_size: d(r)?,
             },
-            "BufferSizeMismatch" => Error::BufferSizeMismatch {
-                expected: u64::from_value(field("expected"))?,
-                actual: u64::from_value(field("actual"))?,
+            6 => Error::BufferSizeMismatch {
+                expected: d(r)?,
+                actual: d(r)?,
             },
-            "EmptyAccess" => Error::EmptyAccess,
-            "MetadataNodeMissing" => Error::MetadataNodeMissing(u64::from_value(field("id"))?),
-            // `&'static str` payloads cannot round-trip through the wire;
-            // decode them into the closest owning variant.
-            "InvalidMode" => Error::Internal(format!(
-                "remote InvalidMode: {}",
-                String::from_value(field("mode"))?
-            )),
-            "InvalidDatatype" => Error::InvalidDatatype(String::from_value(field("msg"))?),
-            "CollectiveMismatch" => Error::CollectiveMismatch(String::from_value(field("msg"))?),
-            "Unsupported" => Error::Internal(format!(
-                "remote Unsupported: {}",
-                String::from_value(field("what"))?
-            )),
-            "InsufficientReplicas" => Error::InsufficientReplicas {
-                wanted: usize::from_value(field("wanted"))?,
-                placed: usize::from_value(field("placed"))?,
+            7 => Error::EmptyAccess,
+            8 => Error::MetadataNodeMissing(d(r)?),
+            9 => Error::Internal(format!("remote InvalidMode: {}", d::<String>(r)?)),
+            10 => Error::InvalidDatatype(d::<String>(r)?),
+            11 => Error::CollectiveMismatch(d::<String>(r)?),
+            12 => Error::Internal(format!("remote Unsupported: {}", d::<String>(r)?)),
+            13 => Error::InsufficientReplicas {
+                wanted: d(r)?,
+                placed: d(r)?,
             },
-            "Busy" => Error::Busy {
-                resource: String::from_value(field("resource"))?,
-                pending_bytes: u64::from_value(field("pending_bytes"))?,
-                capacity: u64::from_value(field("capacity"))?,
+            14 => Error::Busy {
+                resource: d::<String>(r)?,
+                pending_bytes: d(r)?,
+                capacity: d(r)?,
             },
-            "AdmissionRejected" => Error::AdmissionRejected {
-                active: u64::from_value(field("active"))?,
-                max_conns: u64::from_value(field("max_conns"))?,
+            15 => Error::AdmissionRejected {
+                active: d(r)?,
+                max_conns: d(r)?,
             },
-            "LeaseExpired" => Error::LeaseExpired {
-                lease: u64::from_value(field("lease"))?,
-                version: VersionId::from_value(field("version"))?,
+            16 => Error::LeaseExpired {
+                lease: d(r)?,
+                version: d(r)?,
             },
-            "WrongShard" => Error::WrongShard {
-                epoch: u64::from_value(field("epoch"))?,
-                slot: u16::from_value(field("slot"))?,
+            17 => Error::WrongShard {
+                epoch: d(r)?,
+                slot: d(r)?,
             },
-            "Transport" => Error::Transport {
-                kind: {
-                    let s = String::from_value(field("kind"))?;
-                    TransportErrorKind::from_str(&s)
-                        .ok_or_else(|| DeError::new(format!("unknown transport kind {s:?}")))?
-                },
-                detail: String::from_value(field("detail"))?,
+            18 => Error::Transport {
+                kind: d(r)?,
+                detail: d::<String>(r)?,
             },
-            "Internal" => Error::Internal(String::from_value(field("msg"))?),
-            other => return Err(DeError::unknown_tag("Error", other)),
+            19 => Error::Internal(d::<String>(r)?),
+            tag => return Err(DeError::unknown_variant("Error", tag)),
         })
     }
 }
@@ -481,18 +340,12 @@ mod tests {
             },
             Error::Internal("boom".into()),
         ];
-        for e in samples {
-            let back = Error::from_value(&e.to_value()).unwrap();
-            assert_eq!(back, e, "roundtrip of {e:?}");
-        }
-        // `&'static str` variants decode into owning stand-ins.
-        let e = Error::Unsupported("resize");
-        let back = Error::from_value(&e.to_value()).unwrap();
-        assert!(matches!(back, Error::Internal(ref m) if m.contains("resize")));
-    }
-
-    #[test]
-    fn transport_kind_display_and_parse() {
+        let roundtrip = |e: &Error| {
+            let mut bytes = Vec::new();
+            e.encode(&mut bytes);
+            assert!(bytes.len() >= Error::MIN_BYTES);
+            serde::decode_exact::<Error>(&bytes).unwrap()
+        };
         for kind in [
             TransportErrorKind::Timeout,
             TransportErrorKind::ConnectionRefused,
@@ -500,9 +353,26 @@ mod tests {
             TransportErrorKind::Protocol,
             TransportErrorKind::VersionMismatch,
         ] {
-            assert_eq!(TransportErrorKind::from_str(&kind.to_string()), Some(kind));
+            let e = Error::Transport {
+                kind,
+                detail: kind.to_string(),
+            };
+            assert_eq!(roundtrip(&e), e);
         }
-        assert_eq!(TransportErrorKind::from_str("gremlins"), None);
+        for e in samples {
+            assert_eq!(roundtrip(&e), e, "roundtrip of {e:?}");
+        }
+        // `&'static str` variants decode into owning stand-ins.
+        assert_eq!(
+            roundtrip(&Error::InvalidMode("write")),
+            Error::Internal("remote InvalidMode: write".into())
+        );
+        assert_eq!(
+            roundtrip(&Error::Unsupported("resize")),
+            Error::Internal("remote Unsupported: resize".into())
+        );
+        // Past the last variant.
+        assert!(serde::decode_exact::<Error>(&[20]).is_err());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * the verifier subtracts and intersects them to attribute bytes.
 
 use crate::range::ByteRange;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Decode, Deserialize, Encode, Reader, Serialize, Value};
 use std::fmt;
 
 /// A normalized (sorted, coalesced, disjoint) set of byte ranges.
@@ -38,17 +38,16 @@ use std::fmt;
 /// assert_eq!(a.covering_range(), ByteRange::new(0, 35));
 /// assert_eq!(a.gap_len(), 10);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Encode)]
 pub struct ExtentList {
     ranges: Vec<ByteRange>,
 }
 
-// By hand: the derive would take the ranges as they come, and every set
+// By hand: the derives would take the ranges as they come, and every set
 // operation here assumes the invariant the constructors establish — so
 // a list from a peer must already be what `from_ranges` of it would be.
-impl Deserialize for ExtentList {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let ranges = Vec::<ByteRange>::from_value(v.get_or_null("ranges"))?;
+impl ExtentList {
+    fn checked(ranges: Vec<ByteRange>) -> Result<Self, DeError> {
         let normalized = ranges.iter().all(|r| !r.is_empty())
             && ranges.windows(2).all(|w| w[0].end() < w[1].offset);
         if !normalized {
@@ -58,6 +57,19 @@ impl Deserialize for ExtentList {
             ));
         }
         Ok(ExtentList { ranges })
+    }
+}
+
+impl Deserialize for ExtentList {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        ExtentList::checked(Vec::from_value(v.get_or_null("ranges"))?)
+    }
+}
+
+impl Decode for ExtentList {
+    const MIN_BYTES: usize = <Vec<ByteRange>>::MIN_BYTES;
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        ExtentList::checked(Vec::decode(r)?)
     }
 }
 
@@ -392,7 +404,8 @@ mod tests {
 
     #[test]
     fn deserialize_refuses_a_list_no_constructor_builds() {
-        let list = el(&[(0, 8), (10, 25)]);
+        let list_of_two = || el(&[(0, 8), (10, 25)]);
+        let list = list_of_two();
         assert_eq!(ExtentList::from_value(&list.to_value()), Ok(list));
         assert_eq!(
             ExtentList::from_value(&ExtentList::new().to_value()),
@@ -411,7 +424,14 @@ mod tests {
             assert_ne!(ExtentList::from_ranges(raw.ranges.iter().copied()), raw);
             let refusal = ExtentList::from_value(&raw.to_value()).unwrap_err();
             assert!(refusal.to_string().contains("not normalized"), "{raw:?}");
+            let mut bytes = Vec::new();
+            raw.encode(&mut bytes);
+            let refusal = serde::decode_exact::<ExtentList>(&bytes).unwrap_err();
+            assert!(refusal.to_string().contains("not normalized"), "{raw:?}");
         }
+        let mut bytes = Vec::new();
+        list_of_two().encode(&mut bytes);
+        assert_eq!(serde::decode_exact(&bytes), Ok(list_of_two()));
     }
 
     #[test]

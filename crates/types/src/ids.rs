@@ -4,7 +4,7 @@
 //! around, hash fast (they feed hash-partitioned metadata stores), and keep
 //! function signatures self-documenting.
 
-use serde::{Deserialize, Serialize};
+use serde::{Decode, Deserialize, Encode, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -12,7 +12,8 @@ macro_rules! id_newtype {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
         #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
+            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
+            Serialize, Deserialize, Encode, Decode,
         )]
         pub struct $name(pub u64);
 
@@ -85,7 +86,20 @@ id_newtype!(
 /// Versions are dense and totally ordered: version `v` is the state of the
 /// blob after the first `v` writes in publication order have been applied.
 /// Version 0 is the empty initial snapshot created by `blob create`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(
+    Clone,
+    Copy,
+    PartialEq,
+    Eq,
+    PartialOrd,
+    Ord,
+    Hash,
+    Default,
+    Serialize,
+    Deserialize,
+    Encode,
+    Decode,
+)]
 pub struct VersionId(pub u64);
 
 impl VersionId {

@@ -5,7 +5,7 @@
 //! baseline file system's distributed lock manager, and of chunk-relative
 //! addressing in the data providers.
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Decode, Deserialize, Encode, Reader, Serialize, Value};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -16,7 +16,7 @@ use std::fmt;
 /// ranges constructed through [`ByteRange::new`], which panics on overflow
 /// (offsets and lengths come from file geometry, so overflow is a logic
 /// error, not an I/O error).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Encode)]
 pub struct ByteRange {
     /// First byte covered by the range.
     pub offset: u64,
@@ -24,18 +24,30 @@ pub struct ByteRange {
     pub len: u64,
 }
 
-// By hand: the derive would take any two numbers, and a range from a
+// By hand: the derives would take any two numbers, and a range from a
 // peer must hold what `ByteRange::new` guarantees — an `end()` that fits.
-impl Deserialize for ByteRange {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let offset = u64::from_value(v.get_or_null("offset"))?;
-        let len = u64::from_value(v.get_or_null("len"))?;
+impl ByteRange {
+    fn checked(offset: u64, len: u64) -> Result<Self, DeError> {
         if offset.checked_add(len).is_none() {
             return Err(DeError::new(format!(
                 "byte range [{offset}, +{len}) overflows u64"
             )));
         }
         Ok(ByteRange { offset, len })
+    }
+}
+
+impl Deserialize for ByteRange {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let offset = u64::from_value(v.get_or_null("offset"))?;
+        ByteRange::checked(offset, u64::from_value(v.get_or_null("len"))?)
+    }
+}
+
+impl Decode for ByteRange {
+    const MIN_BYTES: usize = 16;
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        ByteRange::checked(u64::decode(r)?, u64::decode(r)?)
     }
 }
 
@@ -286,6 +298,15 @@ mod tests {
             len: 9,
         };
         let refusal = ByteRange::from_value(&overflowing.to_value()).unwrap_err();
+        assert!(refusal.to_string().contains("overflows u64"), "{refusal}");
+        // The same through the positional codec.
+        let bytes = |range: ByteRange| {
+            let mut out = Vec::new();
+            range.encode(&mut out);
+            out
+        };
+        assert_eq!(serde::decode_exact(&bytes(whole)), Ok(whole));
+        let refusal = serde::decode_exact::<ByteRange>(&bytes(overflowing)).unwrap_err();
         assert!(refusal.to_string().contains("overflows u64"), "{refusal}");
     }
 

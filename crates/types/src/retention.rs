@@ -8,11 +8,11 @@
 //! POLICY` on the version-capable server binaries.
 
 use crate::ids::VersionId;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Decode, Deserialize, Encode, Serialize, Value};
 use std::fmt;
 
 /// How many published snapshots of a blob must survive collection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Encode, Decode)]
 pub enum RetentionPolicy {
     /// Keep every published version — reclamation is disabled and the
     /// GC floor never rises. The default: versioning semantics are
@@ -77,9 +77,10 @@ impl fmt::Display for RetentionPolicy {
 }
 
 // ---------------------------------------------------------------------
-// Wire encoding (the client sets a blob's policy on the version service):
-// the tagged object the enum derive writes, but by hand — the tuple
-// variants travel under key names the type does not spell (`"n"`, `"v"`).
+// Value tree (JSON, and the `Request` value impls the wall-clock benchmark
+// probes): the tagged object the enum derive writes, but by hand — the
+// tuple variants travel under key names the type does not spell (`"n"`,
+// `"v"`). The wire uses the derived positional codec.
 // ---------------------------------------------------------------------
 
 impl Serialize for RetentionPolicy {
@@ -171,6 +172,9 @@ mod tests {
                 RetentionPolicy::from_value(&policy.to_value()).unwrap(),
                 policy
             );
+            let mut bytes = Vec::new();
+            policy.encode(&mut bytes);
+            assert_eq!(serde::decode_exact(&bytes), Ok(policy));
         }
     }
 }

@@ -13,10 +13,9 @@
 
 use crate::extent::ExtentList;
 use crate::ids::ClientId;
-use serde::{Deserialize, Serialize};
 
 /// Identity of one write operation for verification purposes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WriteStamp {
     /// The writing client (MPI rank).
     pub writer: ClientId,

@@ -17,11 +17,11 @@
 //! whenever the table is consulted, not by a background timer.
 
 use atomio_types::VersionId;
-use serde::{Deserialize, Serialize};
+use serde::{Decode, Encode};
 use std::collections::HashMap;
 
 /// One granted snapshot lease, as returned to the reader.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Encode, Decode)]
 pub struct LeaseGrant {
     /// Opaque lease id; quote it on renew/release.
     pub lease: u64,

@@ -25,7 +25,7 @@ use atomio_types::record::{
 };
 use atomio_types::{Error, ExtentList, FsyncPolicy, Result, RetentionPolicy, VersionId};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::{Decode, Deserialize, Encode, Serialize};
 use std::path::PathBuf;
 
 /// Log record: one published snapshot.
@@ -48,9 +48,8 @@ const VERSION_TAG: u64 = 0x7665_7273;
 /// history row — everything a manager needs to resume serving it. *The*
 /// record of a published version: the publish log stores it (in the
 /// binary form below) and a slot handoff carries it on the wire (through
-/// the derived serde impls, so the field names and their order are wire
-/// format).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// the derived positional codec, so the field order is wire format).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Encode, Decode)]
 pub struct PublishRecord {
     /// The snapshot's version.
     pub version: VersionId,

@@ -27,12 +27,12 @@ use atomio_types::{
     BackendConfig, BlobId, ByteRange, Error, ExtentList, Result, RetentionPolicy, VersionId,
 };
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::{Decode, Deserialize, Encode, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A published snapshot: what a reader needs to run a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Encode, Decode)]
 pub struct SnapshotRecord {
     /// The snapshot's version.
     pub version: VersionId,
@@ -56,7 +56,7 @@ impl SnapshotRecord {
 }
 
 /// A write ticket: permission to build and publish one snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Encode, Decode)]
 pub struct Ticket {
     /// Version assigned to the write.
     pub version: VersionId,
@@ -95,7 +95,7 @@ const BLOB_TOO_LARGE: Error =
     Error::Unsupported("write would grow the blob past the largest tree capacity");
 
 /// `known` for a caller that shares the manager's own history and so
-/// needs no delta back from a grant.
+/// needs no delta back from a grant beyond its own row.
 const KNOWS_EVERY_ROW: usize = usize::MAX;
 
 #[derive(Debug, Default)]
@@ -207,7 +207,9 @@ impl VersionManager {
     /// Issues a write ticket for `extents` and records the write summary
     /// in the history before returning. Returns the ticket, the assigned
     /// extents, and the history delta since the caller's `known` row
-    /// count (so a remote client can mirror the write-summary history).
+    /// count (so a remote client can mirror the write-summary history) —
+    /// always ending with the grantee's own row, which is how a remote
+    /// client learns its extents.
     ///
     /// **Grant-order invariant:** versions are granted densely, in the
     /// order ticket requests reach the manager, however far publication
@@ -291,7 +293,11 @@ impl VersionManager {
             capacity,
             size,
         };
-        Ok((ticket, extents, self.history.summaries_since(known)))
+        // From the grantee's row at the latest: a client whose mirror ran
+        // past it (its grant of `v` abandoned by a slot handoff, `v`
+        // granted again by the new owner) must still find its row last.
+        let since = known.min(v.raw() as usize - 1);
+        Ok((ticket, extents, self.history.summaries_since(since)))
     }
 
     /// Reports the completed tree build of `ticket`'s version. The
@@ -715,7 +721,7 @@ impl VersionOracle for VersionManager {
 
 /// The manager's contribution to the reclamation floor, plus the lease
 /// gauges the GC stats block reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Encode, Decode)]
 pub struct GcFloor {
     /// Collection may retire versions strictly below this.
     pub floor: VersionId,
@@ -726,7 +732,7 @@ pub struct GcFloor {
 }
 
 /// Counters describing the publication pipeline's state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PublicationStats {
     /// Tickets issued so far.
     pub issued: u64,
