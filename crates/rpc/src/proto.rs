@@ -454,7 +454,7 @@ pub enum Response {
     },
     /// Operation-level failure.
     Fail {
-        /// The error, round-tripped losslessly.
+        /// The error (its `&'static str` variants arrive as `Internal`).
         error: Error,
     },
 }
