@@ -62,17 +62,18 @@ impl VersionHistory {
         rows.push(summary);
     }
 
-    /// All summaries of versions strictly greater than `known` (a row
-    /// count from a previous call). Used by remote clients to mirror the
-    /// server-side history incrementally: a ticket response carries the
-    /// delta since the client's last known row.
-    pub fn summaries_since(&self, known: usize) -> Vec<WriteSummary> {
+    /// The summaries of versions strictly greater than `known` (a row
+    /// count from a previous call) and at most `upto`. Used by remote
+    /// clients to mirror the server-side history incrementally: a ticket
+    /// response carries the delta from the client's last known row up to
+    /// its own — never a row appended by a later grant meanwhile.
+    pub fn summaries_between(&self, known: usize, upto: usize) -> Vec<WriteSummary> {
         let rows = self.rows.read();
-        rows.get(known.min(rows.len())..)
-            .map_or_else(Vec::new, |tail| tail.to_vec())
+        let upto = upto.min(rows.len());
+        rows[known.min(upto)..upto].to_vec()
     }
 
-    /// Merges a delta obtained from [`Self::summaries_since`] — on a
+    /// Merges a delta obtained from [`Self::summaries_between`] — on a
     /// client, a server's reply — into this history: already-known
     /// versions are skipped, new ones appended in order.
     ///
@@ -235,7 +236,7 @@ mod tests {
         h.append(summary(3, &[(50, 10)], 128));
 
         // Wire roundtrip preserves every field.
-        for s in h.summaries_since(0) {
+        for s in h.summaries_between(0, 3) {
             let mut bytes = Vec::new();
             s.encode(&mut bytes);
             assert_eq!(serde::decode_exact(&bytes), Ok(s));
@@ -243,15 +244,30 @@ mod tests {
 
         // A mirror absorbing overlapping deltas converges without gaps.
         let mirror = VersionHistory::new();
-        mirror.absorb(h.summaries_since(0)).unwrap();
-        mirror.absorb(h.summaries_since(1)).unwrap(); // overlap: v2, v3 already known
+        mirror.absorb(h.summaries_between(0, 2)).unwrap();
+        mirror.absorb(h.summaries_between(1, 99)).unwrap(); // overlap: v2 already known
         assert_eq!(mirror.len(), 3);
         assert_eq!(
             mirror.latest_toucher(VersionId::new(4), ByteRange::new(55, 1)),
             Some((VersionId::new(3), 128))
         );
-        assert!(h.summaries_since(3).is_empty());
-        assert!(h.summaries_since(99).is_empty());
+        assert!(h.summaries_between(3, 99).is_empty());
+        assert!(h.summaries_between(99, 99).is_empty());
+        assert!(h.summaries_between(99, 1).is_empty());
+    }
+
+    #[test]
+    fn a_delta_stops_at_its_upper_row_whatever_was_appended_after() {
+        // v3 lands after v2's grant but before v2's delta is read: the
+        // delta still ends with v2.
+        let h = VersionHistory::new();
+        h.append(summary(1, &[(0, 10)], 64));
+        h.append(summary(2, &[(10, 10)], 64));
+        h.append(summary(3, &[(20, 10)], 64));
+        let delta = h.summaries_between(0, 2);
+        let versions: Vec<u64> = delta.iter().map(|s| s.version.raw()).collect();
+        assert_eq!(versions, [1, 2]);
+        assert_eq!(h.summaries_between(1, 2).len(), 1);
     }
 
     #[test]

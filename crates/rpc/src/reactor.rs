@@ -489,7 +489,7 @@ impl Reactor {
                 }
                 // Validate the prefix before waiting for the body, so a
                 // garbage prefix cannot demand gigabytes of buffering.
-                let Ok((_, head_len, payload_len)) = wire::parse_prefix(&b[..prefix]) else {
+                let Ok((id, head_len, payload_len)) = wire::parse_prefix(&b[..prefix]) else {
                     action = PumpAction::Close;
                     break;
                 };
@@ -497,28 +497,22 @@ impl Reactor {
                 if b.len() < total {
                     break;
                 }
-                match wire::split_frame(Bytes::copy_from_slice(&b[..total])) {
-                    Ok(frame) => {
-                        consumed += total;
-                        if conn.rejecting {
-                            let busy = Response::Busy { active, max_conns };
-                            let mut reply = Vec::new();
-                            if wire::append_frame(&mut reply, frame.id, &busy, &[]).is_err() {
-                                action = PumpAction::Close;
-                            } else {
-                                conn.wq.push_back(Bytes::from(reply));
-                                conn.closing = true;
-                                action = PumpAction::Reject;
-                            }
-                            break;
-                        }
-                        burst.push(frame);
-                    }
-                    Err(_) => {
+                if conn.rejecting {
+                    consumed += total;
+                    let busy = Response::Busy { active, max_conns };
+                    let mut reply = Vec::new();
+                    if wire::append_frame(&mut reply, id, &busy, &[]).is_err() {
                         action = PumpAction::Close;
-                        break;
+                    } else {
+                        conn.wq.push_back(Bytes::from(reply));
+                        conn.closing = true;
+                        action = PumpAction::Reject;
                     }
+                    break;
                 }
+                let frame = Bytes::copy_from_slice(&b[..total]);
+                consumed += total;
+                burst.push(wire::Frame::from_parts(frame, id, head_len));
             }
             conn.rbuf.drain(..consumed);
             // A batch frame is far larger than a read: do not keep its

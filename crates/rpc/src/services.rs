@@ -70,16 +70,8 @@ fn reply(result: Result<Response>) -> (Response, Bytes) {
     (response, Bytes::new())
 }
 
-fn fail(error: Error) -> (Response, Bytes) {
-    reply(Err(error))
-}
-
-fn ok(response: Response) -> (Response, Bytes) {
-    reply(Ok(response))
-}
-
 fn unsupported(role: &'static str) -> (Response, Bytes) {
-    fail(Error::Unsupported(role))
+    reply(Err(Error::Unsupported(role)))
 }
 
 /// Hosts a fleet of chunk stores behind the chunk RPCs. The stores are
@@ -214,7 +206,7 @@ impl Service for ProviderService {
     fn handle(&self, request: Request, payload: Bytes) -> (Response, Bytes) {
         use Request::*;
         match request {
-            Ping => ok(Response::Pong),
+            Ping => reply(Ok(Response::Pong)),
             PutChunk {
                 provider,
                 arrival,
@@ -227,7 +219,7 @@ impl Service for ProviderService {
             PutChunkBatch { provider, items } => {
                 let store = match self.provider(provider) {
                     Ok(s) => s,
-                    Err(e) => return fail(e),
+                    Err(e) => return reply(Err(e)),
                 };
                 // The lengths are network input: the cursor refuses any
                 // that overrun or overflow the payload.
@@ -254,7 +246,7 @@ impl Service for ProviderService {
                 });
                 match outcome {
                     Ok((data, sent)) => (Response::ChunkData { sent }, data),
-                    Err(e) => fail(e),
+                    Err(e) => reply(Err(e)),
                 }
             }
             GetChunkRange {
@@ -267,7 +259,7 @@ impl Service for ProviderService {
                 .and_then(|s| s.get_chunk_range_at(arrival, chunk, range))
             {
                 Ok((data, sent)) => (Response::ChunkData { sent }, data),
-                Err(e) => fail(e),
+                Err(e) => reply(Err(e)),
             },
             GetChunkRangeBatch { provider, items } => {
                 let (response, parts) = self.get_range_batch(provider, &items);
@@ -516,7 +508,7 @@ impl Service for VersionService {
     fn handle(&self, request: Request, _payload: Bytes) -> (Response, Bytes) {
         use Request::*;
         match request {
-            Ping => ok(Response::Pong),
+            Ping => reply(Ok(Response::Pong)),
             VmTicket {
                 blob,
                 extents,
@@ -601,9 +593,9 @@ impl Service for VersionService {
             VmGcFloor { blob } => reply(self.vm_owned(blob).map(|vm| Response::GcFloor {
                 info: vm.gc_floor_local(Self::now_ms()),
             })),
-            SlotMapGet => ok(Response::SlotMapInfo {
+            SlotMapGet => reply(Ok(Response::SlotMapInfo {
                 map: self.map.read().clone(),
-            }),
+            })),
             SlotMapInstall { map } => {
                 // The map write-guard is released before touching the
                 // freeze state: publishes take `frozen` then `map` (read
@@ -612,10 +604,10 @@ impl Service for VersionService {
                 let installed_epoch = {
                     let mut cur = self.map.write();
                     if map.epoch < cur.epoch {
-                        return fail(Error::Internal(format!(
+                        return reply(Err(Error::Internal(format!(
                             "slot map epoch regressed: have {}, offered {}",
                             cur.epoch, map.epoch
-                        )));
+                        ))));
                     }
                     *cur = map;
                     cur.epoch
@@ -623,7 +615,7 @@ impl Service for VersionService {
                 // Thaw every per-slot freeze the new map supersedes;
                 // freezes for a yet-higher epoch stay in force.
                 self.frozen.write().retain(|_, f| f.epoch > installed_epoch);
-                ok(Response::Unit)
+                reply(Ok(Response::Unit))
             }
             VmFreezeSlots { slots, epoch } => {
                 let set: BTreeSet<u16> = slots.into_iter().collect();
@@ -642,7 +634,7 @@ impl Service for VersionService {
                     f.epoch = f.epoch.max(epoch);
                 }
                 drop(frozen);
-                ok(Response::Count { value: pending })
+                reply(Ok(Response::Count { value: pending }))
             }
             VmSealSlots { slots, epoch } => {
                 let set: BTreeSet<u16> = slots.into_iter().collect();
@@ -665,9 +657,9 @@ impl Service for VersionService {
                 // Grants still outstanding are abandoned: their eventual
                 // publishes draw `WrongShard` and fail typed on the new
                 // owner, which never granted the ticket.
-                ok(Response::Count {
+                reply(Ok(Response::Count {
                     value: self.pending_grants_in(&set),
-                })
+                }))
             }
             VmExportSlots { slots } => {
                 let set: BTreeSet<u16> = slots.into_iter().collect();
@@ -689,7 +681,7 @@ impl Service for VersionService {
                         }
                     })
                     .collect();
-                ok(Response::SlotExport { blobs })
+                reply(Ok(Response::SlotExport { blobs }))
             }
             VmImportBlobs { blobs } => {
                 let applied = blobs.iter().try_fold(0u64, |applied, b| {
@@ -746,34 +738,34 @@ impl Service for MetaService {
     fn handle(&self, request: Request, _payload: Bytes) -> (Response, Bytes) {
         use Request::*;
         match request {
-            Ping => ok(Response::Pong),
-            MetaPutBatch { nodes } => ok(Response::NodePuts {
+            Ping => reply(Ok(Response::Pong)),
+            MetaPutBatch { nodes } => reply(Ok(Response::NodePuts {
                 results: self.store.put_batch_local(nodes),
-            }),
-            MetaGetBatch { keys } => ok(Response::NodeGets {
+            })),
+            MetaGetBatch { keys } => reply(Ok(Response::NodeGets {
                 results: self
                     .store
                     .get_batch_local(&keys)
                     .into_iter()
                     .map(|r| r.map(|node| (*node).clone()))
                     .collect(),
-            }),
-            MetaContains { key } => ok(Response::Flag {
+            })),
+            MetaContains { key } => reply(Ok(Response::Flag {
                 value: self.store.contains(key),
-            }),
-            MetaNodeCount => ok(Response::Count {
+            })),
+            MetaNodeCount => reply(Ok(Response::Count {
                 value: self.store.node_count() as u64,
-            }),
+            })),
             MetaEvict { key } => {
                 self.store.evict(key);
-                ok(Response::Unit)
+                reply(Ok(Response::Unit))
             }
-            MetaEvictBatch { keys } => ok(Response::Count {
+            MetaEvictBatch { keys } => reply(Ok(Response::Count {
                 value: self.store.evict_batch(&keys),
-            }),
-            MetaListKeys => ok(Response::Keys {
+            })),
+            MetaListKeys => reply(Ok(Response::Keys {
                 keys: self.store.list_keys(),
-            }),
+            })),
             _ => unsupported("chunk/version op sent to a metadata server"),
         }
     }

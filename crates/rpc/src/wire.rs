@@ -262,6 +262,21 @@ pub(crate) struct Frame {
     pub(crate) wire_bytes: u64,
 }
 
+impl Frame {
+    /// The sections of `frame`, one whole frame whose prefix
+    /// [`parse_prefix`] already read as `id` and a `head_len`-byte header
+    /// (zero-copy).
+    pub(crate) fn from_parts(frame: Bytes, id: u64, head_len: usize) -> Frame {
+        let prefix = FRAME_PREFIX_BYTES as usize;
+        Frame {
+            id,
+            header: frame.slice(prefix..prefix + head_len),
+            payload: frame.slice(prefix + head_len..),
+            wire_bytes: frame.len() as u64,
+        }
+    }
+}
+
 /// The request id and section lengths of a frame prefix, refused when
 /// the version is not this build's or a length passes its limit.
 pub(crate) fn parse_prefix(prefix: &[u8]) -> io::Result<(u64, usize, usize)> {
@@ -291,12 +306,7 @@ pub(crate) fn split_frame(frame: Bytes) -> io::Result<Frame> {
     if frame.len() != prefix + head_len + payload_len {
         return Err(malformed("frame length disagrees with its prefix"));
     }
-    Ok(Frame {
-        id,
-        header: frame.slice(prefix..prefix + head_len),
-        payload: frame.slice(prefix + head_len..),
-        wire_bytes: frame.len() as u64,
-    })
+    Ok(Frame::from_parts(frame, id, head_len))
 }
 
 /// Reads `len` bytes. Up to [`MAX_PREALLOC_BYTES`] is one exact
@@ -586,6 +596,23 @@ mod tests {
         wire.extend_from_slice(&u32::MAX.to_be_bytes());
         wire.extend_from_slice(&0u32.to_be_bytes());
         assert!(read_frame_bytes(&mut wire.as_slice()).is_err());
+    }
+
+    #[test]
+    fn every_request_tree_nests_well_under_the_depth_cap() {
+        use serde::Serialize;
+        fn depth(v: &Value) -> usize {
+            match v {
+                Value::Array(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+                Value::Object(fields) => 1 + fields.iter().map(|f| depth(&f.1)).max().unwrap_or(0),
+                _ => 0,
+            }
+        }
+        let deepest = crate::samples::requests()
+            .iter()
+            .map(|r| depth(&r.to_value()))
+            .max();
+        assert_eq!(deepest, Some(MAX_DEPTH / 4), "revisit MAX_DEPTH's slack");
     }
 
     #[test]

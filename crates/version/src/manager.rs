@@ -95,7 +95,7 @@ const BLOB_TOO_LARGE: Error =
     Error::Unsupported("write would grow the blob past the largest tree capacity");
 
 /// `known` for a caller that shares the manager's own history and so
-/// needs no delta back from a grant beyond its own row.
+/// needs no delta back from a grant.
 const KNOWS_EVERY_ROW: usize = usize::MAX;
 
 #[derive(Debug, Default)]
@@ -293,11 +293,21 @@ impl VersionManager {
             capacity,
             size,
         };
-        // From the grantee's row at the latest: a client whose mirror ran
-        // past it (its grant of `v` abandoned by a slot handoff, `v`
-        // granted again by the new owner) must still find its row last.
-        let since = known.min(v.raw() as usize - 1);
-        Ok((ticket, extents, self.history.summaries_since(since)))
+        Ok((ticket, extents, self.grant_delta(known, v)))
+    }
+
+    /// The history delta a grant of `v` returns: the rows after `known`,
+    /// ending with `v`'s own. It starts at that row at the latest — a
+    /// client whose mirror ran past it (its grant of `v` abandoned by a
+    /// slot handoff, `v` granted again by the new owner) must still find
+    /// its row last — and stops there, whatever later grants appended
+    /// since the state lock was released.
+    fn grant_delta(&self, known: usize, v: VersionId) -> Vec<WriteSummary> {
+        if known == KNOWS_EVERY_ROW {
+            return Vec::new();
+        }
+        let own = v.raw() as usize;
+        self.history.summaries_between(known.min(own - 1), own)
     }
 
     /// Reports the completed tree build of `ticket`'s version. The
@@ -984,6 +994,45 @@ mod tests {
         let mut sorted = versions.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (1..=16).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_grant_delta_ends_with_the_grantees_row_when_later_rows_landed() {
+        // v3 is appended after v2's grant, before v2's delta is read.
+        let m = vm();
+        for k in 0..3u64 {
+            m.ticket_local(&extents(&[(k * 64, 64)]), 0).unwrap();
+        }
+        let v2 = VersionId::new(2);
+        let rows = |delta: Vec<WriteSummary>| -> Vec<u64> {
+            delta.iter().map(|s| s.version.raw()).collect()
+        };
+        assert_eq!(rows(m.grant_delta(0, v2)), [1, 2]);
+        // A mirror already past v2 still gets v2's row, and only it.
+        assert_eq!(rows(m.grant_delta(3, v2)), [2]);
+        assert!(m.grant_delta(KNOWS_EVERY_ROW, v2).is_empty());
+    }
+
+    #[test]
+    fn concurrent_grants_each_end_their_delta_with_their_own_row() {
+        let m = vm();
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let m = &m;
+                s.spawn(move || {
+                    let mut known = 0;
+                    for k in 0..200u64 {
+                        let at = (t * 200 + k) * 64;
+                        let (ticket, _, delta) =
+                            m.ticket_local(&extents(&[(at, 64)]), known).unwrap();
+                        let last = delta.last().map(|s| s.version);
+                        assert_eq!(last, Some(ticket.version));
+                        known = ticket.version.raw() as usize;
+                    }
+                });
+            }
+        });
+        assert_eq!(m.history().len(), 800);
     }
 
     fn durable_vm(dir: &std::path::Path, fsync: atomio_types::FsyncPolicy) -> VersionManager {
