@@ -32,7 +32,28 @@ pub struct WriteSummary {
 /// empty snapshot.
 #[derive(Debug, Default)]
 pub struct VersionHistory {
-    rows: RwLock<Vec<WriteSummary>>,
+    rows: RwLock<Rows>,
+}
+
+#[derive(Debug, Default)]
+struct Rows {
+    summaries: Vec<WriteSummary>,
+    /// The highest byte end of any row: no row touches a range that
+    /// starts at or past it.
+    written_end: u64,
+}
+
+impl Rows {
+    fn push(&mut self, summary: WriteSummary) {
+        let end = summary.extents.covering_range().end();
+        self.written_end = self.written_end.max(end);
+        self.summaries.push(summary);
+    }
+
+    fn get(&self, v: VersionId) -> Option<&WriteSummary> {
+        let index = (v.raw() as usize).checked_sub(1)?;
+        self.summaries.get(index)
+    }
 }
 
 impl VersionHistory {
@@ -48,12 +69,12 @@ impl VersionHistory {
     /// recorded version — tickets are issued densely and in order.
     pub fn append(&self, summary: WriteSummary) {
         let mut rows = self.rows.write();
-        let expected = VersionId::new(rows.len() as u64 + 1);
+        let expected = VersionId::new(rows.summaries.len() as u64 + 1);
         assert_eq!(
             summary.version, expected,
             "history rows must be appended densely"
         );
-        if let Some(prev) = rows.last() {
+        if let Some(prev) = rows.summaries.last() {
             assert!(
                 summary.capacity >= prev.capacity,
                 "capacity must be monotonic"
@@ -68,7 +89,7 @@ impl VersionHistory {
     /// response carries the delta from the client's last known row up to
     /// its own — never a row appended by a later grant meanwhile.
     pub fn summaries_between(&self, known: usize, upto: usize) -> Vec<WriteSummary> {
-        let rows = self.rows.read();
+        let rows = &self.rows.read().summaries;
         let upto = upto.min(rows.len());
         rows[known.min(upto)..upto].to_vec()
     }
@@ -84,9 +105,9 @@ impl VersionHistory {
     /// leaves the history unchanged.
     pub fn absorb(&self, delta: Vec<WriteSummary>) -> Result<()> {
         let mut rows = self.rows.write();
-        let known = rows.len() as u64;
+        let known = rows.summaries.len() as u64;
         let fresh = delta.into_iter().filter(|s| s.version.raw() > known);
-        let mut last = rows.last().map_or(0, |s| s.capacity);
+        let mut last = rows.summaries.last().map_or(0, |s| s.capacity);
         let mut accepted = Vec::new();
         let refused = |detail: String| Error::Transport {
             kind: TransportErrorKind::Protocol,
@@ -106,31 +127,30 @@ impl VersionHistory {
             last = summary.capacity;
             accepted.push(summary);
         }
-        rows.extend(accepted);
+        for summary in accepted {
+            rows.push(summary);
+        }
         Ok(())
     }
 
     /// Number of versions recorded (excluding the implicit version 0).
     pub fn len(&self) -> usize {
-        self.rows.read().len()
+        self.rows.read().summaries.len()
     }
 
     /// True when no write has ever been recorded.
     pub fn is_empty(&self) -> bool {
-        self.rows.read().is_empty()
+        self.rows.read().summaries.is_empty()
     }
 
     /// The summary of `v`, if recorded.
     pub fn summary(&self, v: VersionId) -> Option<WriteSummary> {
-        if v.is_initial() {
-            return None;
-        }
-        self.rows.read().get(v.raw() as usize - 1).cloned()
+        self.rows.read().get(v).cloned()
     }
 
     /// Tree capacity of version `v` (0 for the initial empty version).
     pub fn capacity_of(&self, v: VersionId) -> u64 {
-        self.summary(v).map_or(0, |s| s.capacity)
+        self.rows.read().get(v).map_or(0, |s| s.capacity)
     }
 
     /// The latest version **strictly below** `below` whose write touched
@@ -139,16 +159,22 @@ impl VersionHistory {
     /// This is the deterministic link-target computation: the returned
     /// version's tree contains (or will contain) a node for every dyadic
     /// range it touched.
+    ///
+    /// Cost: `O(1)` for a range at or past the highest byte any row
+    /// wrote; otherwise one `O(log extents)` test per row, newest first,
+    /// back to the latest toucher.
     pub fn latest_toucher(&self, below: VersionId, range: ByteRange) -> Option<(VersionId, u64)> {
-        if range.is_empty() {
+        let rows = self.rows.read();
+        if range.is_empty() || range.offset >= rows.written_end {
             return None;
         }
-        let rows = self.rows.read();
-        let upper = (below.raw() as usize).saturating_sub(1).min(rows.len());
-        rows[..upper]
+        let upper = (below.raw() as usize)
+            .saturating_sub(1)
+            .min(rows.summaries.len());
+        rows.summaries[..upper]
             .iter()
             .rev()
-            .find(|s| s.extents.overlaps(&ExtentList::single(range)))
+            .find(|s| s.extents.overlaps_range(range))
             .map(|s| (s.version, s.capacity))
     }
 }
@@ -294,6 +320,36 @@ mod tests {
                 "{err:?}"
             );
             assert_eq!(mirror.len(), 1, "a refused delta left rows behind");
+        }
+    }
+
+    #[test]
+    fn both_kinds_of_history_know_their_written_end() {
+        let rows = [
+            summary(1, &[(0, 10), (40, 10)], 64),
+            summary(2, &[(100, 28)], 128),
+            summary(3, &[(20, 4)], 128),
+        ];
+        let appended = VersionHistory::new();
+        for row in rows.clone() {
+            appended.append(row);
+        }
+        let mirror = VersionHistory::new();
+        mirror.absorb(rows[..2].to_vec()).unwrap();
+        mirror.absorb(rows[1..].to_vec()).unwrap();
+        for h in [&appended, &mirror] {
+            assert_eq!(h.rows.read().written_end, 128);
+            let below = VersionId::new(4);
+            assert_eq!(h.latest_toucher(below, ByteRange::new(128, 64)), None);
+            assert_eq!(h.latest_toucher(below, ByteRange::new(10, 10)), None);
+            assert_eq!(
+                h.latest_toucher(below, ByteRange::new(0, 64)),
+                Some((VersionId::new(3), 128))
+            );
+            assert_eq!(
+                h.latest_toucher(VersionId::new(3), ByteRange::new(64, 64)),
+                Some((VersionId::new(2), 128))
+            );
         }
     }
 

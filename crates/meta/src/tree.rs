@@ -197,7 +197,7 @@ impl<'a> TreeBuilder<'a> {
         } else {
             let (lo, hi) = range.split_at(range.offset + range.len / 2);
             let link = |half: ByteRange, staged: &mut Vec<Node>| -> Option<NodeKey> {
-                if extents.clip(half).is_empty() {
+                if !extents.overlaps_range(half) {
                     self.link_for(v, half, staged)
                 } else {
                     Some(self.build_tombstone_node(v, half, extents, staged))
@@ -227,10 +227,14 @@ impl<'a> TreeBuilder<'a> {
         debug_assert!(!entries.is_empty());
         let key = NodeKey::new(self.blob, v, range);
         let body = if range.len == self.config.leaf_size {
-            let covered = ExtentList::from_ranges(entries.iter().map(|e| e.file_range));
+            // `build_update` checked the entries sorted and disjoint, so
+            // they cover the leaf iff each starts where the last ended.
+            let covered_to = entries.iter().try_fold(range.offset, |end, e| {
+                (e.file_range.offset == end).then(|| e.file_range.end())
+            });
             // A fully-overwritten leaf cuts the backlink chain: readers
             // never need older content for this range.
-            let backlink = if covered == ExtentList::single(range) {
+            let backlink = if covered_to == Some(range.end()) {
                 None
             } else {
                 self.history

@@ -526,10 +526,13 @@ impl VersionOracle for RemoteVersionManager {
 
     /// A timed poll, not an [`atomio_simgrid::Event`] wait: the state it
     /// waits on lives across a socket, where nothing can notify a local
-    /// participant. (ROADMAP item 4a deletes this loop by parking
-    /// `VmPublish` server-side.) The virtual back-off (20 µs, growing
-    /// 1.5× per miss to 2 ms) sets the `VmIsPublished` cadence the
-    /// wall-clock benchmark measures: keep it.
+    /// participant. The back-off (20 µs, growing 1.5× per miss to 2 ms)
+    /// is virtual time, so it paces the loop only against other
+    /// participants of the same clock. On a one-participant clock (one
+    /// clock per client, as a socket deployment runs) every sleep returns
+    /// at once and the loop sends `VmIsPublished` back to back until the
+    /// version is visible. ROADMAP item 4a deletes the loop by parking
+    /// `VmPublish` server-side.
     fn wait_published(&self, p: &Participant, version: VersionId) -> Result<()> {
         const FIRST_NS: u64 = 20_000;
         const CAP_NS: u64 = 2_000_000;

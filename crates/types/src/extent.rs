@@ -285,14 +285,33 @@ impl ExtentList {
         false
     }
 
+    /// True if the set shares at least one byte with `range`. `O(log n)`,
+    /// allocation-free: only the first extent ending after `range.offset`
+    /// can be the one that starts before `range.end()`.
+    pub fn overlaps_range(&self, range: ByteRange) -> bool {
+        if range.is_empty() {
+            return false;
+        }
+        let i = self.ranges.partition_point(|r| r.end() <= range.offset);
+        self.ranges.get(i).is_some_and(|r| r.offset < range.end())
+    }
+
     /// True if every byte of `other` is covered by `self`.
     pub fn contains_all(&self, other: &ExtentList) -> bool {
         other.subtract(self).is_empty()
     }
 
-    /// Restricts the set to a window.
+    /// Restricts the set to a window. `O(log n + k)`: two binary searches
+    /// bound the `k` extents the window meets.
     pub fn clip(&self, window: ByteRange) -> ExtentList {
-        self.intersection(&ExtentList::single(window))
+        let lo = self.ranges.partition_point(|r| r.end() <= window.offset);
+        let hi = self.ranges.partition_point(|r| r.offset < window.end());
+        ExtentList {
+            ranges: self.ranges[lo..hi]
+                .iter()
+                .filter_map(|r| r.intersect(window))
+                .collect(),
+        }
     }
 
     /// Shifts every extent right by `delta`.
@@ -521,10 +540,25 @@ mod tests {
     }
 
     #[test]
+    fn overlaps_range_edges() {
+        let a = el(&[(0, 10), (20, 30)]);
+        for hit in [r(9, 12), r(15, 21), r(0, 100), r(29, 30)] {
+            assert!(a.overlaps_range(hit), "{hit}");
+        }
+        // Adjacent, in a hole, past the end, empty (even inside an extent).
+        for miss in [r(10, 20), r(12, 18), r(30, 40), r(5, 5)] {
+            assert!(!a.overlaps_range(miss), "{miss}");
+        }
+        assert!(!ExtentList::new().overlaps_range(r(0, 10)));
+    }
+
+    #[test]
     fn clip_window() {
         let a = el(&[(0, 10), (20, 30)]);
         assert_eq!(a.clip(r(5, 25)), el(&[(5, 10), (20, 25)]));
+        assert_eq!(a.clip(r(0, 30)), a);
         assert!(a.clip(r(12, 18)).is_empty());
+        assert!(a.clip(r(5, 5)).is_empty());
     }
 
     #[test]

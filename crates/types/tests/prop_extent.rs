@@ -126,6 +126,25 @@ proptest! {
     }
 
     #[test]
+    fn overlaps_range_is_overlaps_with_single(
+        e in arb_extents(),
+        r in arb_range(),
+        len in 0..32u64,
+    ) {
+        // Besides the random range: ranges ending or starting exactly on
+        // an extent boundary, and empty ranges inside an extent.
+        let mut probes = vec![r];
+        for x in &e {
+            probes.push(ByteRange::new(x.end(), len));
+            probes.push(ByteRange::from_bounds(x.offset.saturating_sub(len), x.offset));
+            probes.push(ByteRange::new(x.offset + x.len / 2, 0));
+        }
+        for p in probes {
+            prop_assert_eq!(e.overlaps_range(p), e.overlaps(&ExtentList::single(p)), "{}", p);
+        }
+    }
+
+    #[test]
     fn covering_range_contains_everything(e in arb_extents()) {
         let cover = e.covering_range();
         for r in &e {
