@@ -24,8 +24,9 @@
 //!   [`Service`] trait and [`ProviderService`], [`MetaService`],
 //!   [`VersionService`].
 //! * [`server`] — [`RpcServer`], hosting a service behind a single
-//!   epoll reactor thread that multiplexes every socket, feeds one
-//!   bounded worker pool and enforces `max_conns` admission control.
+//!   epoll reactor thread that reads every socket, feeds one worker pool
+//!   whose members write their own replies, and enforces `max_conns`
+//!   admission control.
 //! * [`cli`] — [`ServerArgs`] and [`run_server_binary`]: the flag
 //!   parser and `main` the `atomio-provider-server`,
 //!   `atomio-meta-server` and `atomio-version-server` binaries share.
@@ -916,6 +917,264 @@ mod tests {
         server.stop();
     }
 
+    /// The two tests that count this process's open fds hold this
+    /// exclusively ([`counting_fds`]); the tests that keep many sockets
+    /// open for a while hold it shared ([`holding_sockets`]), so their
+    /// sockets cannot read as a leak in another test's count.
+    static FD_COUNT: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+    fn counting_fds() -> std::sync::RwLockWriteGuard<'static, ()> {
+        FD_COUNT
+            .write()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn holding_sockets() -> std::sync::RwLockReadGuard<'static, ()> {
+        FD_COUNT
+            .read()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Opens the gate when dropped, so a failing assertion cannot leave
+    /// workers stuck behind it (and the test joining them forever).
+    struct OpensOnDrop<'a>(&'a GatedService);
+
+    impl Drop for OpensOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.open();
+        }
+    }
+
+    /// One mux connection carrying many concurrent callers, with room
+    /// for slow answers.
+    fn one_mux_conn(addr: std::net::SocketAddr) -> Arc<dyn Transport> {
+        Arc::new(MuxTransport::with_config(
+            addr,
+            RpcConfig {
+                pool_conns: 1,
+                mux_streams_per_conn: 64,
+                read_timeout: std::time::Duration::from_secs(10),
+                ..RpcConfig::default()
+            },
+        ))
+    }
+
+    /// Waits for `want` requests to have entered the gated service.
+    fn await_entered(service: &GatedService, want: usize) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while service.entered.load(std::sync::atomic::Ordering::SeqCst) < want
+            && std::time::Instant::now() < deadline
+        {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        assert_eq!(
+            service.entered.load(std::sync::atomic::Ordering::SeqCst),
+            want
+        );
+    }
+
+    #[test]
+    fn the_reactor_keeps_accepting_while_every_worker_is_stuck() {
+        let _sockets = holding_sockets();
+        let service = GatedService::new();
+        let cfg = RpcConfig {
+            server_workers: 1,
+            ..RpcConfig::default()
+        };
+        let mut server = RpcServer::start_with_config(
+            "127.0.0.1:0",
+            Arc::clone(&service) as Arc<dyn Service>,
+            cfg,
+        )
+        .unwrap();
+        let transport = one_mux_conn(server.local_addr());
+        std::thread::scope(|s| {
+            let _gate = OpensOnDrop(&service);
+            for _ in 0..8 {
+                let transport = Arc::clone(&transport);
+                s.spawn(move || {
+                    let (r, _) = transport.call(&Request::Ping, &[]).unwrap();
+                    assert!(matches!(r, Response::Pong));
+                });
+            }
+            // The one worker is stuck in the gate; give the other seven
+            // pings time to reach the reactor and queue up behind it.
+            await_entered(&service, 1);
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            let started = std::time::Instant::now();
+            let _second = std::net::TcpStream::connect(server.local_addr()).unwrap();
+            await_open_conns(&server, 2);
+            assert!(
+                started.elapsed() < std::time::Duration::from_secs(1),
+                "accepting took {:?} behind a stuck pool",
+                started.elapsed()
+            );
+        });
+        assert_eq!(service.entered.load(std::sync::atomic::Ordering::SeqCst), 8);
+        server.stop();
+    }
+
+    #[test]
+    fn a_parked_connection_is_always_resumed() {
+        let _sockets = holding_sockets();
+        let cfg = RpcConfig {
+            max_inflight_per_conn: 1,
+            ..RpcConfig::default()
+        };
+        let mut server =
+            RpcServer::start_with_config("127.0.0.1:0", Arc::new(ProviderService::new(1)), cfg)
+                .unwrap();
+        let transport = one_mux_conn(server.local_addr());
+        // Every answer races the reactor's parking of the next request:
+        // a lost un-park leaves the connection parked with nothing in
+        // dispatch, and its callers time out.
+        let started = std::time::Instant::now();
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                let transport = Arc::clone(&transport);
+                s.spawn(move || {
+                    for _ in 0..2_000 {
+                        let (r, _) = transport.call(&Request::Ping, &[]).unwrap();
+                        assert!(matches!(r, Response::Pong));
+                    }
+                });
+            }
+        });
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(60),
+            "16 000 pings took {:?}",
+            started.elapsed()
+        );
+        server.stop();
+    }
+
+    #[test]
+    fn a_reply_larger_than_the_send_buffer_arrives_whole_between_pings() {
+        let _sockets = holding_sockets();
+        use std::io::Write as _;
+        let mut server =
+            RpcServer::start("127.0.0.1:0", Arc::new(ProviderService::new(1))).unwrap();
+        let provider = RemoteProvider::new(
+            ProviderId::new(0),
+            Arc::new(MuxTransport::new(server.local_addr())),
+        );
+        // 8 MiB of answer in one frame, each MiB its own pattern, so a
+        // ping reply cut into it (or a slice of it lost) shows.
+        const MIB: u64 = 1 << 20;
+        let chunks: Vec<Bytes> = (0..8u8)
+            .map(|i| {
+                Bytes::from(
+                    (0..MIB)
+                        .map(|b| (b as u8) ^ i.wrapping_mul(37))
+                        .collect::<Vec<_>>(),
+                )
+            })
+            .collect();
+        for (i, data) in chunks.iter().enumerate() {
+            provider
+                .put_chunk_at(0, ChunkId::new(i as u64), data.clone())
+                .unwrap();
+        }
+        let batch = Request::GetChunkRangeBatch {
+            provider: ProviderId::new(0),
+            items: (0..8)
+                .map(|i| (0, ChunkId::new(i), ByteRange::new(0, MIB)))
+                .collect(),
+        };
+        // A peer that does not read: the batch reply fills the socket and
+        // its remainder waits in the write queue while the pings sent
+        // next are answered by other workers.
+        let mut conn = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        conn.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let mut frames = Vec::new();
+        wire::append_frame(&mut frames, 1, &batch, &[]).unwrap();
+        conn.write_all(&frames).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        let pings = 2..34u64;
+        for id in pings.clone() {
+            let mut ping = Vec::new();
+            wire::append_frame(&mut ping, id, &Request::Ping, &[]).unwrap();
+            conn.write_all(&ping).unwrap();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        let first = wire::read_frame_bytes(&mut conn).unwrap();
+        let response: Response = wire::decode_header(&first.header).unwrap();
+        assert_eq!(first.id, 1);
+        assert!(
+            matches!(&response, Response::ChunkBatch { results } if results.len() == 8),
+            "got {response:?}"
+        );
+        assert!(
+            first.payload.as_ref() == chunks.concat().as_slice(),
+            "the batch reply came back mangled"
+        );
+        let mut ids = Vec::new();
+        for _ in pings.clone() {
+            let frame = wire::read_frame_bytes(&mut conn).unwrap();
+            let response: Response = wire::decode_header(&frame.header).unwrap();
+            assert!(matches!(response, Response::Pong), "got {response:?}");
+            ids.push(frame.id);
+        }
+        ids.sort_unstable();
+        assert_eq!(ids, pings.collect::<Vec<_>>());
+        server.stop();
+    }
+
+    #[test]
+    fn stop_fails_queued_and_inflight_calls_and_the_workers_exit() {
+        let _sockets = holding_sockets();
+        let service = GatedService::new();
+        let cfg = RpcConfig {
+            server_workers: 2,
+            ..RpcConfig::default()
+        };
+        let mut server = RpcServer::start_with_config(
+            "127.0.0.1:0",
+            Arc::clone(&service) as Arc<dyn Service>,
+            cfg,
+        )
+        .unwrap();
+        let transport = one_mux_conn(server.local_addr());
+        let (outcomes, outcome) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let _gate = OpensOnDrop(&service);
+            for _ in 0..8 {
+                let (transport, outcomes) = (Arc::clone(&transport), outcomes.clone());
+                s.spawn(move || outcomes.send(transport.call(&Request::Ping, &[])));
+            }
+            // Two calls in flight (both workers in the gate), six queued.
+            await_entered(&service, 2);
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            let server = &mut server;
+            s.spawn(move || server.stop());
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+            for call in 0..8 {
+                let left = deadline.saturating_duration_since(std::time::Instant::now());
+                let result = outcome
+                    .recv_timeout(left)
+                    .unwrap_or_else(|_| panic!("call {call} still pending after stop"));
+                assert!(
+                    matches!(
+                        result,
+                        Err(Error::Transport {
+                            kind: TransportErrorKind::ConnectionReset,
+                            ..
+                        })
+                    ),
+                    "got {result:?}"
+                );
+            }
+        });
+        // The gate is open: the workers finish, drain the closed queue
+        // and exit, each dropping its handle on the service.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while Arc::strong_count(&service) > 1 && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        assert_eq!(Arc::strong_count(&service), 1, "a worker outlived stop");
+    }
+
     fn open_fds() -> usize {
         std::fs::read_dir("/proc/self/fd").map_or(0, |d| d.count())
     }
@@ -932,6 +1191,7 @@ mod tests {
 
     #[test]
     fn finished_conns_are_reaped_not_pinned_until_stop() {
+        let _fds = counting_fds();
         let mut server =
             RpcServer::start("127.0.0.1:0", Arc::new(ProviderService::new(1))).unwrap();
         let baseline = open_fds();
@@ -953,6 +1213,7 @@ mod tests {
 
     #[test]
     fn malformed_frames_close_only_the_offending_connection() {
+        let _fds = counting_fds();
         use std::io::{Read as _, Write as _};
         let mut server =
             RpcServer::start("127.0.0.1:0", Arc::new(ProviderService::new(1))).unwrap();

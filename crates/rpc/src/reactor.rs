@@ -1,33 +1,40 @@
 //! Readiness-driven server front-end: how an
 //! [`RpcServer`](crate::RpcServer) turns sockets into dispatch jobs.
 //!
-//! One reactor thread owns the nonblocking listener and every accepted
-//! socket through a thin, std-only epoll binding: direct `extern "C"`
-//! declarations of `epoll_create1`/`epoll_ctl`/`epoll_wait`/`eventfd`
-//! over `std::os::fd` — no external crates, no async runtime. Per
-//! connection the reactor runs a small state machine:
+//! One reactor thread owns the nonblocking listener and reads every
+//! accepted socket through a thin, std-only epoll binding: direct
+//! `extern "C"` declarations of `epoll_create1`/`epoll_ctl`/`epoll_wait`/
+//! `eventfd`/`read` over `std::os::fd` — no external crates, no async
+//! runtime. Per connection the reactor runs a small state machine:
 //!
 //! ```text
-//!  EPOLLIN ─► read() to WouldBlock ─► rbuf ─► complete frames?
-//!     ▲                                         │  batched handoff
-//!     │ unpark when responses drain             ▼
-//!  parked ◄─── in-flight cap hit ───── shared dispatch pool (workers)
-//!                                               │  encoded frames
-//!              eventfd wake ◄───────────────────┘
-//!                   │
-//!                   ▼
-//!  wq ─► writev() to WouldBlock ─► EPOLLOUT drains the rest
+//!  EPOLLIN ─► read() into rbuf ─► complete frames? ─► job queue
+//!     ▲                                                   │ one wake
+//!     │                                                   ▼
+//!  parked ◄── in-flight cap hit          dispatch worker: handle, then
+//!     │                                  writev() the replies itself
+//!     └── un-park ◄── eventfd ring ◄──── (rings only for: un-park, a
+//!                        │                remainder, EOF drained, sever)
+//!                        ▼
+//!         EPOLLOUT ─► writev() the queued remainder
 //! ```
 //!
 //! The reactor only frames: it checks each prefix and hands workers the
 //! whole frames, whose headers they decode themselves — so decoding
 //! spreads over the pool instead of queueing on this one thread.
 //!
-//! Workers never touch reactor sockets: each batch's encoded response
-//! frames go through [`ReactorShared::complete`] and an eventfd write;
-//! the reactor is the **single writer** of every socket it owns, so
-//! response frames can never interleave. The same eventfd wakes the
-//! reactor for shutdown.
+//! Each connection's write side is a [`ConnOut`] shared by the reactor
+//! and the workers: the socket, its write queue under one mutex, the
+//! in-flight count and two flags. A worker takes the lock and, if
+//! nothing is queued, writes its batch of response frames at once —
+//! nonblocking — queueing only what the socket did not take; behind a
+//! queue it appends. Every write happens under that lock, so response
+//! frames never interleave. The reactor hears from a worker (a token in
+//! its mailbox and an eventfd write) only when there is something only
+//! it can do: arm `EPOLLOUT` for a remainder, resume a parked
+//! connection, close an EOF'd one that has drained, or sever one whose
+//! response failed to encode. The same eventfd wakes the reactor for
+//! shutdown.
 //!
 //! Backpressure is explicit at two levels. A connection with
 //! `max_inflight_per_conn` requests in dispatch has its reads *parked*
@@ -39,24 +46,29 @@
 //! so the client's demultiplexer routes it to the call) and the socket is
 //! closed once the answer is on the wire — a typed error, not a hang or
 //! a reset.
+//!
+//! Closing is the reactor's alone: it deregisters the socket, shuts it
+//! down both ways (a worker may still hold the write side) and marks the
+//! write side closed, so a later delivery is dropped.
 
-use crate::proto::{Response, PROTOCOL_VERSION};
-use crate::server::{dispatch_burst, DispatchJob, ResponseSink, MAX_DISPATCH_BATCH};
+use crate::proto::Response;
+use crate::server::JobFeed;
 use crate::transport::{counters, RpcConfig};
 use crate::wire;
+use atomio_simgrid::metrics::Counter;
 use atomio_simgrid::Metrics;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
-/// Raw Linux epoll/eventfd bindings — just the five entry points the
-/// reactor needs, declared over `std::os::fd` instead of pulling a
-/// bindings crate into the vendored dependency set.
+/// Raw Linux epoll/eventfd bindings — just the entry points the reactor
+/// needs, declared over `std::os::fd` instead of pulling a bindings crate
+/// into the vendored dependency set.
 mod sys {
     // Interest/event bits (include/uapi/linux/eventpoll.h).
     pub const EPOLLIN: u32 = 0x001;
@@ -65,6 +77,7 @@ mod sys {
     pub const EPOLLHUP: u32 = 0x010;
     pub const EPOLLRDHUP: u32 = 0x2000;
     pub const EPOLL_CTL_ADD: i32 = 1;
+    pub const EPOLL_CTL_DEL: i32 = 2;
     pub const EPOLL_CTL_MOD: i32 = 3;
     pub const EPOLL_CLOEXEC: i32 = 0x80000;
     pub const EFD_CLOEXEC: i32 = 0x80000;
@@ -86,11 +99,11 @@ mod sys {
         pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
         pub fn eventfd(initval: u32, flags: i32) -> i32;
+        pub fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     }
 }
 
-/// An owned epoll instance. Registered fds deregister themselves when
-/// their sockets close, and the epoll fd itself closes on drop.
+/// An owned epoll instance; the epoll fd closes on drop.
 #[derive(Debug)]
 struct Epoll(OwnedFd);
 
@@ -123,6 +136,12 @@ impl Epoll {
         self.ctl(sys::EPOLL_CTL_MOD, fd, token, mask)
     }
 
+    /// Deregisters `fd`. Closing the fd would not do it while a worker
+    /// still holds the connection's write side open.
+    fn delete(&self, fd: RawFd) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_DEL, fd, 0, 0)
+    }
+
     /// Blocks until at least one registered fd is ready; retries EINTR.
     fn wait(&self, events: &mut [sys::EpollEvent]) -> io::Result<usize> {
         loop {
@@ -145,22 +164,36 @@ impl Epoll {
     }
 }
 
-/// The reactor's cross-thread mailbox: dispatch workers park encoded
-/// response frames here and ring the eventfd; `RpcServer::stop` rings
-/// the same eventfd after raising the shutdown flag.
+/// One `read(2)` from `fd` into the spare capacity of `buf`, which grows
+/// by the bytes read: no bounce buffer, no copy.
+fn read_into_spare(fd: RawFd, buf: &mut Vec<u8>) -> io::Result<usize> {
+    let spare = buf.spare_capacity_mut();
+    // SAFETY: the pointer and length describe `buf`'s spare capacity,
+    // writable memory the kernel fills with at most that many bytes.
+    let n = unsafe { sys::read(fd, spare.as_mut_ptr().cast(), spare.len()) };
+    if n < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    let n = n as usize;
+    // SAFETY: the kernel initialized the first `n` spare bytes.
+    unsafe { buf.set_len(buf.len() + n) };
+    Ok(n)
+}
+
+/// The reactor's cross-thread mailbox: dispatch workers leave connection
+/// tokens here and ring the eventfd; `RpcServer::stop` rings the same
+/// eventfd after raising the shutdown flag.
 #[derive(Debug)]
 pub(crate) struct ReactorShared {
-    completions: Mutex<Vec<Completion>>,
+    rings: Mutex<Vec<Ring>>,
     wake: std::fs::File,
 }
 
 #[derive(Debug)]
-struct Completion {
+struct Ring {
     token: u64,
-    frames: Vec<Bytes>,
-    responses: usize,
-    /// A response failed to encode: nothing sane to send, close the
-    /// connection instead.
+    /// A response failed to encode or the socket failed under a worker:
+    /// close the connection.
     sever: bool,
 }
 
@@ -171,21 +204,23 @@ impl ReactorShared {
             return Err(io::Error::last_os_error());
         }
         Ok(Arc::new(ReactorShared {
-            completions: Mutex::new(Vec::new()),
+            rings: Mutex::new(Vec::new()),
             wake: unsafe { std::fs::File::from_raw_fd(fd) },
         }))
     }
 
-    /// Queues one batch's encoded responses for connection `token` and
-    /// wakes the reactor.
-    pub(crate) fn complete(&self, token: u64, frames: Vec<Bytes>, responses: usize, sever: bool) {
-        self.completions.lock().push(Completion {
-            token,
-            frames,
-            responses,
-            sever,
-        });
-        self.wake();
+    /// Asks the reactor to look at connection `token`. Only the ring
+    /// that finds the mailbox empty writes the eventfd: the reactor
+    /// takes the whole mailbox per wake-up.
+    fn ring(&self, token: u64, sever: bool) {
+        let first = {
+            let mut rings = self.rings.lock();
+            rings.push(Ring { token, sever });
+            rings.len() == 1
+        };
+        if first {
+            self.wake();
+        }
     }
 
     /// Wakes the reactor thread out of `epoll_wait`.
@@ -202,49 +237,170 @@ impl ReactorShared {
     }
 }
 
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKE: u64 = 1;
-const FIRST_CONN_TOKEN: u64 = 2;
+/// One connection's write side, shared by the reactor (which also reads
+/// the socket and alone closes it) and the dispatch workers (which write
+/// their responses straight to it).
+#[derive(Debug)]
+pub(crate) struct ConnOut {
+    /// The reactor's key for the connection.
+    token: u64,
+    stream: TcpStream,
+    reactor: Arc<ReactorShared>,
+    write: Mutex<WriteQueue>,
+    /// Requests in dispatch whose responses are not yet written or
+    /// queued. Raised by the reactor before it hands frames over, cut by
+    /// the worker after it wrote their responses.
+    inflight: AtomicUsize,
+    /// The reactor stopped reading at the in-flight cap. Park protocol:
+    /// the reactor stores this, then re-reads `inflight`; a worker cuts
+    /// `inflight`, then takes this — all `SeqCst`, so at least one of
+    /// them sees the other and the connection cannot stay parked with
+    /// nothing in dispatch.
+    parked: AtomicBool,
+    /// The peer sent EOF: close once the in-flight responses drain
+    /// (the same store-then-load handshake as `parked`).
+    read_closed: AtomicBool,
+}
+
+/// Encoded response bytes not yet on the wire, in order: whole small
+/// frames coalesced into one buffer, and the head and payload buffers of
+/// large ones (queued by reference, never copied).
+#[derive(Debug, Default)]
+struct WriteQueue {
+    wq: VecDeque<Bytes>,
+    /// How far the front of `wq` has been written.
+    wpos: usize,
+    /// The reactor closed the connection: deliveries are dropped.
+    closed: bool,
+}
+
 /// Buffers of the write queue handed to one `writev` (Linux's
 /// `IOV_MAX`): a batch answer is one slice per item.
 const MAX_WRITE_SLICES: usize = 1024;
-/// Per-readiness read granularity (a stack buffer, appended to `rbuf`).
-const READ_CHUNK: usize = 64 * 1024;
+
+impl WriteQueue {
+    /// Writes as much of the queue as the nonblocking socket accepts.
+    /// An error means the connection is dead.
+    fn flush(&mut self, stream: &TcpStream) -> io::Result<()> {
+        while !self.wq.is_empty() {
+            // One gathered write over the head of the queue; the front
+            // buffer resumes where the last write stopped.
+            let front = &self.wq[0][self.wpos..];
+            let wrote = if self.wq.len() == 1 {
+                (&*stream).write(front)
+            } else {
+                let slices: Vec<io::IoSlice<'_>> = std::iter::once(front)
+                    .chain(self.wq.iter().skip(1).map(|chunk| chunk.as_ref()))
+                    .take(MAX_WRITE_SLICES)
+                    .map(io::IoSlice::new)
+                    .collect();
+                (&*stream).write_vectored(&slices)
+            };
+            match wrote {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(mut n) => {
+                    while let Some(front) = self.wq.front() {
+                        let left = front.len() - self.wpos;
+                        if n < left {
+                            self.wpos += n;
+                            break;
+                        }
+                        n -= left;
+                        self.wpos = 0;
+                        self.wq.pop_front();
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Appends `frames`, skipping empty buffers (one at the front would
+    /// read as "wrote 0").
+    fn push(&mut self, frames: impl IntoIterator<Item = Bytes>) {
+        self.wq
+            .extend(frames.into_iter().filter(|chunk| !chunk.is_empty()));
+    }
+}
+
+impl ConnOut {
+    /// Delivers one dispatched batch: `frames` are the encoded responses
+    /// of its `responses` requests, or `sever` says one failed to encode.
+    /// Writes them now if nothing is queued ahead, else queues them
+    /// behind the rest; then rings the reactor if — and only if — it has
+    /// something to do (see the module docs).
+    pub(crate) fn deliver(&self, frames: Vec<Bytes>, responses: usize, sever: bool) {
+        if sever {
+            self.reactor.ring(self.token, true);
+            return;
+        }
+        let mut ring = false;
+        {
+            let mut queue = self.write.lock();
+            if queue.closed {
+                return;
+            }
+            let idle = queue.wq.is_empty();
+            queue.push(frames);
+            if idle {
+                if queue.flush(&self.stream).is_err() {
+                    drop(queue);
+                    self.reactor.ring(self.token, true);
+                    return;
+                }
+                // A remainder needs `EPOLLOUT`.
+                ring = !queue.wq.is_empty();
+            }
+        }
+        let left = self.inflight.fetch_sub(responses, Ordering::SeqCst) - responses;
+        if self.parked.swap(false, Ordering::SeqCst)
+            || (left == 0 && self.read_closed.load(Ordering::SeqCst))
+        {
+            ring = true;
+        }
+        if ring {
+            self.reactor.ring(self.token, false);
+        }
+    }
+
+    fn flushed(&self) -> bool {
+        self.write.lock().wq.is_empty()
+    }
+}
+
+const TOKEN_LISTENER: u64 = 0;
+const TOKEN_WAKE: u64 = 1;
+const FIRST_CONN_TOKEN: u64 = 2;
+/// What a full read buffer grows by at least, and so what an empty one
+/// first reserves: a few requests' worth. Once a frame's prefix is in,
+/// `reserve_for_head_frame` sizes the buffer for all of it, and the
+/// buffer doubles past that.
+const READ_RESERVE: usize = 4 * 1024;
+/// Largest read buffer a connection keeps between frames.
+const KEPT_READ_BYTES: usize = 64 * 1024;
 /// Largest announced frame the read buffer is sized for up front: twice
 /// the client's batch frame budget, so every batch frame qualifies.
 const EXACT_RESERVE_BYTES: usize = 2 * crate::client::BATCH_FRAME_BYTES;
 
-/// One accepted connection's state machine.
+/// One accepted connection's read side and bookkeeping.
 #[derive(Debug)]
 struct Conn {
-    stream: TcpStream,
+    out: Arc<ConnOut>,
     /// Inbound bytes not yet parsed into frames.
     rbuf: Vec<u8>,
-    /// Encoded response bytes not yet fully on the wire, in order: whole
-    /// small frames coalesced into one buffer, and the head and payload
-    /// buffers of large ones (queued by reference, never copied).
-    wq: VecDeque<Bytes>,
-    /// How far the front of `wq` has been written.
-    wpos: usize,
-    /// Requests in dispatch whose responses have not been queued yet.
-    inflight: usize,
     /// Current epoll interest mask.
     interest: u32,
     /// Admission-rejected at accept: answer the first frame with a
     /// typed Busy, then close. Never counts toward the open gauge.
     rejecting: bool,
-    /// Close once `wq` drains (set by the Busy answer).
+    /// Close once the write queue drains (set by the Busy answer).
     closing: bool,
-    /// Peer sent EOF / RDHUP: no more requests are coming, close once
-    /// the in-flight responses drain.
-    read_closed: bool,
 }
 
 impl Conn {
-    fn flushed(&self) -> bool {
-        self.wq.is_empty()
-    }
-
     /// Once the prefix of the frame at the head of `rbuf` is in, sizes
     /// the buffer for that whole frame in one step: a batch frame is far
     /// larger than one read, and doubling towards it overshoots by up to
@@ -252,18 +408,30 @@ impl Conn {
     /// must not make the server reserve what it merely announces — and
     /// only for a prefix `pump` will accept.
     fn reserve_for_head_frame(&mut self) {
-        let Some(prefix) = self.rbuf.get(..wire::FRAME_PREFIX_BYTES as usize) else {
-            return;
-        };
-        let head_len = u32::from_be_bytes(prefix[9..13].try_into().unwrap()) as usize;
-        let payload_len = u32::from_be_bytes(prefix[13..17].try_into().unwrap()) as usize;
-        let total = prefix.len() + head_len + payload_len;
-        if prefix[0] == PROTOCOL_VERSION
-            && total <= EXACT_RESERVE_BYTES
-            && total > self.rbuf.capacity()
-        {
-            self.rbuf.reserve_exact(total - self.rbuf.len());
+        if let Some(Ok(total)) = self.head_frame_len() {
+            if total <= EXACT_RESERVE_BYTES && total > self.rbuf.capacity() {
+                self.rbuf.reserve_exact(total - self.rbuf.len());
+            }
         }
+    }
+
+    /// Whether `pump` can act on `rbuf` as it is: the frame at its head
+    /// is whole, or its prefix is one `pump` refuses.
+    fn head_frame_decidable(&self) -> bool {
+        self.head_frame_len()
+            .is_some_and(|len| len.map_or(true, |total| total <= self.rbuf.len()))
+    }
+
+    /// The whole length the frame at the head of `rbuf` announces:
+    /// `None` until its prefix is in, an error for a prefix `pump`
+    /// refuses.
+    fn head_frame_len(&self) -> Option<io::Result<usize>> {
+        let prefix = wire::FRAME_PREFIX_BYTES as usize;
+        let head = self.rbuf.get(..prefix)?;
+        Some(
+            wire::parse_prefix(head)
+                .map(|(_, head_len, payload_len)| prefix + head_len + payload_len),
+        )
     }
 }
 
@@ -278,13 +446,14 @@ enum PumpAction {
     Reject,
 }
 
-/// Runs the reactor event loop until shutdown. Owns the listener, every
-/// accepted socket, and the epoll instance; feeds the shared dispatch
-/// pool through `jobs` and maintains the `open` connection gauge that
+/// Runs the reactor event loop until shutdown. Owns the listener, reads
+/// every accepted socket, and owns the epoll instance; feeds the shared
+/// dispatch pool through `jobs` (whose drop, on any return, closes the
+/// queue) and maintains the `open` connection gauge that
 /// `RpcServer::open_conns` and the `rpc.conns_open` counter report.
 pub(crate) fn run_reactor(
     listener: TcpListener,
-    jobs: mpsc::SyncSender<DispatchJob>,
+    jobs: JobFeed,
     shared: Arc<ReactorShared>,
     shutdown: Arc<AtomicBool>,
     open: Arc<AtomicUsize>,
@@ -309,24 +478,41 @@ pub(crate) fn run_reactor(
         shutdown,
         open,
         cfg,
+        wakeups: metrics
+            .as_ref()
+            .map(|m| m.counter(counters::REACTOR_WAKEUPS)),
         metrics,
         conns: HashMap::new(),
         next_token: FIRST_CONN_TOKEN,
+        spans: Vec::new(),
     }
     .event_loop();
+}
+
+/// Where one complete frame sits in a connection's `rbuf`.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: usize,
+    len: usize,
+    id: u64,
+    head_len: usize,
 }
 
 struct Reactor {
     epoll: Epoll,
     listener: TcpListener,
-    jobs: mpsc::SyncSender<DispatchJob>,
+    jobs: JobFeed,
     shared: Arc<ReactorShared>,
     shutdown: Arc<AtomicBool>,
     open: Arc<AtomicUsize>,
     cfg: RpcConfig,
+    /// `rpc.reactor_wakeups`, resolved once: it counts every wake-up.
+    wakeups: Option<Arc<Counter>>,
     metrics: Option<Metrics>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
+    /// `pump`'s scratch list of the frames one parse pass found.
+    spans: Vec<Span>,
 }
 
 impl Reactor {
@@ -337,16 +523,15 @@ impl Reactor {
                 Ok(n) => n,
                 Err(_) => return,
             };
-            if let Some(m) = &self.metrics {
-                m.counter(counters::REACTOR_WAKEUPS).inc();
+            if let Some(wakeups) = &self.wakeups {
+                wakeups.inc();
             }
             if self.shutdown.load(Ordering::Relaxed) {
-                // Dropping the sockets severs them: in-flight client
-                // calls surface connection-reset transport errors.
-                self.conns.clear();
-                self.open.store(0, Ordering::Relaxed);
-                if let Some(m) = &self.metrics {
-                    m.counter(counters::CONNS_OPEN).set(0);
+                // Severing the sockets fails every in-flight client call
+                // with a connection reset; workers drop what they answer.
+                let tokens: Vec<u64> = self.conns.keys().copied().collect();
+                for token in tokens {
+                    self.close(token);
                 }
                 return;
             }
@@ -358,7 +543,7 @@ impl Reactor {
                     _ => self.conn_event(token, mask),
                 }
             }
-            self.apply_completions();
+            self.apply_rings();
         }
     }
 
@@ -390,18 +575,23 @@ impl Reactor {
                             m.counter(counters::CONNS_PEAK).record_peak(n as u64);
                         }
                     }
+                    let out = Arc::new(ConnOut {
+                        token,
+                        stream,
+                        reactor: Arc::clone(&self.shared),
+                        write: Mutex::new(WriteQueue::default()),
+                        inflight: AtomicUsize::new(0),
+                        parked: AtomicBool::new(false),
+                        read_closed: AtomicBool::new(false),
+                    });
                     self.conns.insert(
                         token,
                         Conn {
-                            stream,
+                            out,
                             rbuf: Vec::new(),
-                            wq: VecDeque::new(),
-                            wpos: 0,
-                            inflight: 0,
                             interest,
                             rejecting,
                             closing: false,
-                            read_closed: false,
                         },
                     );
                 }
@@ -426,37 +616,36 @@ impl Reactor {
         }
     }
 
-    /// Moves socket bytes into the connection's read buffer, then
-    /// parses and dispatches whatever complete frames arrived.
+    /// Reads socket bytes straight into the connection's read buffer,
+    /// then parses and dispatches whatever complete frames arrived. A
+    /// full buffer that already holds a whole frame stops the reads: the
+    /// frames go first, and level-triggered `EPOLLIN` brings the reactor
+    /// back for the rest.
     fn readable(&mut self, token: u64) {
-        let mut dead = false;
-        {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            let mut chunk = [0u8; READ_CHUNK];
-            loop {
-                match (&conn.stream).read(&mut chunk) {
-                    Ok(0) => {
-                        conn.read_closed = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.rbuf.extend_from_slice(&chunk[..n]);
-                        conn.reserve_for_head_frame();
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        let fd = conn.out.stream.as_raw_fd();
+        loop {
+            if conn.rbuf.len() == conn.rbuf.capacity() {
+                if conn.head_frame_decidable() {
+                    break;
+                }
+                conn.rbuf.reserve(READ_RESERVE);
+            }
+            match read_into_spare(fd, &mut conn.rbuf) {
+                Ok(0) => {
+                    conn.out.read_closed.store(true, Ordering::SeqCst);
+                    break;
+                }
+                Ok(_) => conn.reserve_for_head_frame(),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.close(token);
+                    return;
                 }
             }
-        }
-        if dead {
-            self.close(token);
-            return;
         }
         self.pump(token);
     }
@@ -464,24 +653,27 @@ impl Reactor {
     /// Parses complete frames out of `rbuf` (up to the in-flight cap)
     /// and hands them to the dispatch pool; answers a rejecting
     /// connection's first frame with Busy. Called on readability and
-    /// again whenever responses drain (unparking must re-parse frames
-    /// that were already buffered, not wait for new readiness).
+    /// again whenever a worker un-parks the connection (its buffered
+    /// frames must dispatch without waiting for new socket readiness).
     fn pump(&mut self, token: u64) {
         let cap = self.cfg.max_inflight_per_conn.max(1);
         let max_conns = self.cfg.max_conns as u64;
         let active = self.open.load(Ordering::Relaxed) as u64;
         let prefix = wire::FRAME_PREFIX_BYTES as usize;
-
-        let (burst, action) = {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            let mut burst: Vec<wire::Frame> = Vec::new();
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        loop {
+            let inflight = conn.out.inflight.load(Ordering::SeqCst);
+            let spans = &mut self.spans;
+            spans.clear();
             let mut consumed = 0usize;
             let mut action = PumpAction::None;
+            let mut at_cap = false;
             while !conn.closing {
-                if !conn.rejecting && conn.inflight + burst.len() >= cap {
-                    break; // parked: interest update below drops EPOLLIN
+                if !conn.rejecting && inflight + spans.len() >= cap {
+                    at_cap = true;
+                    break;
                 }
                 let b = &conn.rbuf[consumed..];
                 if b.len() < prefix {
@@ -493,202 +685,182 @@ impl Reactor {
                     action = PumpAction::Close;
                     break;
                 };
-                let total = prefix + head_len + payload_len;
-                if b.len() < total {
+                let len = prefix + head_len + payload_len;
+                if b.len() < len {
                     break;
                 }
                 if conn.rejecting {
-                    consumed += total;
+                    consumed += len;
                     let busy = Response::Busy { active, max_conns };
                     let mut reply = Vec::new();
                     if wire::append_frame(&mut reply, id, &busy, &[]).is_err() {
                         action = PumpAction::Close;
                     } else {
-                        conn.wq.push_back(Bytes::from(reply));
+                        conn.out.write.lock().push([Bytes::from(reply)]);
                         conn.closing = true;
                         action = PumpAction::Reject;
                     }
                     break;
                 }
-                let frame = Bytes::copy_from_slice(&b[..total]);
-                consumed += total;
-                burst.push(wire::Frame::from_parts(frame, id, head_len));
+                spans.push(Span {
+                    start: consumed,
+                    len,
+                    id,
+                    head_len,
+                });
+                consumed += len;
             }
-            conn.rbuf.drain(..consumed);
-            // A batch frame is far larger than a read: do not keep its
-            // buffer around between frames.
-            if conn.rbuf.is_empty() && conn.rbuf.capacity() > READ_CHUNK {
-                conn.rbuf = Vec::new();
-            }
-            conn.inflight += burst.len();
-            (burst, action)
-        };
 
-        match action {
-            PumpAction::Close => {
-                self.close(token);
-                return;
+            // Complete frames of 64 KiB or more leave as slices of the
+            // buffer they were read into, and only the incomplete tail is
+            // copied to a fresh one; below that, copying the frames out
+            // is the cheaper move.
+            let burst: Vec<wire::Frame> = if consumed >= wire::COALESCE_PAYLOAD_BYTES {
+                let tail = conn.rbuf[consumed..].to_vec();
+                let read = Bytes::from(std::mem::replace(&mut conn.rbuf, tail));
+                conn.reserve_for_head_frame();
+                spans
+                    .iter()
+                    .map(|s| {
+                        let frame = read.slice(s.start..s.start + s.len);
+                        wire::Frame::from_parts(frame, s.id, s.head_len)
+                    })
+                    .collect()
+            } else {
+                let burst = spans
+                    .iter()
+                    .map(|s| {
+                        let frame = Bytes::copy_from_slice(&conn.rbuf[s.start..s.start + s.len]);
+                        wire::Frame::from_parts(frame, s.id, s.head_len)
+                    })
+                    .collect();
+                conn.rbuf.drain(..consumed);
+                // A batch frame is far larger than a read: do not keep
+                // its buffer around between frames.
+                if conn.rbuf.is_empty() && conn.rbuf.capacity() > KEPT_READ_BYTES {
+                    conn.rbuf = Vec::new();
+                }
+                burst
+            };
+
+            match action {
+                PumpAction::Close => {
+                    self.close(token);
+                    return;
+                }
+                PumpAction::Reject => {
+                    if let Some(m) = &self.metrics {
+                        m.counter(counters::ADMISSION_REJECTS).inc();
+                    }
+                    self.flush(token);
+                    return;
+                }
+                PumpAction::None => {}
             }
-            PumpAction::Reject => {
-                if let Some(m) = &self.metrics {
-                    m.counter(counters::ADMISSION_REJECTS).inc();
+            if !burst.is_empty() {
+                conn.out.inflight.fetch_add(burst.len(), Ordering::SeqCst);
+                self.jobs.dispatch_burst(&conn.out, burst);
+            }
+            // Park, then look again: a worker that cut the count before
+            // `parked` was up did not see it, and will not ring.
+            if at_cap {
+                conn.out.parked.store(true, Ordering::SeqCst);
+                if conn.out.inflight.load(Ordering::SeqCst) < cap
+                    && conn.out.parked.swap(false, Ordering::SeqCst)
+                {
+                    continue;
                 }
             }
-            PumpAction::None => {}
+            break;
         }
-
-        // Hand off in batches of at most `MAX_DISPATCH_BATCH`: one
-        // worker wakeup and one response write per burst, not per
-        // request.
-        let mut iter = burst.into_iter();
-        loop {
-            let chunk: Vec<_> = iter.by_ref().take(MAX_DISPATCH_BATCH).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            let sink = ResponseSink {
-                token,
-                shared: Arc::clone(&self.shared),
-            };
-            if dispatch_burst(&self.jobs, &sink, chunk).is_err() {
-                self.close(token);
-                return;
-            }
-        }
-        self.flush(token);
+        self.settle(token);
     }
 
-    /// Writes as much of `wbuf` as the socket accepts, then settles the
-    /// interest mask and closes the connection if it is finished.
+    /// Writes as much of the write queue as the socket accepts (on
+    /// `EPOLLOUT`, or for a Busy answer), then settles the connection.
     fn flush(&mut self, token: u64) {
-        let mut dead = false;
-        {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            while !conn.wq.is_empty() {
-                // One gathered write over the head of the queue; the
-                // front buffer resumes where the last write stopped.
-                let front = &conn.wq[0][conn.wpos..];
-                let wrote = if conn.wq.len() == 1 {
-                    (&conn.stream).write(front)
-                } else {
-                    let slices: Vec<io::IoSlice<'_>> = std::iter::once(front)
-                        .chain(conn.wq.iter().skip(1).map(|chunk| chunk.as_ref()))
-                        .take(MAX_WRITE_SLICES)
-                        .map(io::IoSlice::new)
-                        .collect();
-                    (&conn.stream).write_vectored(&slices)
-                };
-                match wrote {
-                    Ok(0) => {
-                        dead = true;
-                        break;
-                    }
-                    Ok(mut n) => {
-                        while let Some(front) = conn.wq.front() {
-                            let left = front.len() - conn.wpos;
-                            if n < left {
-                                conn.wpos += n;
-                                break;
-                            }
-                            n -= left;
-                            conn.wpos = 0;
-                            conn.wq.pop_front();
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-        }
+        let Some(conn) = self.conns.get(&token) else {
+            return;
+        };
+        let dead = conn.out.write.lock().flush(&conn.out.stream).is_err();
         if dead {
             self.close(token);
             return;
         }
-        self.update_interest(token);
-        self.maybe_close_finished(token);
+        self.settle(token);
     }
 
-    /// Re-registers the connection's epoll interest when it changed:
-    /// `EPOLLIN` unless parked/closing/EOF, `EPOLLOUT` only while
-    /// response bytes are queued.
-    fn update_interest(&mut self, token: u64) {
-        let cap = self.cfg.max_inflight_per_conn.max(1);
+    /// Re-registers the connection's epoll interest where it changed —
+    /// `EPOLLIN` unless parked, closing or EOF'd, `EPOLLRDHUP` until EOF
+    /// (level-triggered, it would fire on every wait after), `EPOLLOUT`
+    /// only while response bytes are queued — and closes the connection
+    /// if it has nothing left to do: a Busy answer fully on the wire, or
+    /// an EOF'd peer whose responses all drained.
+    fn settle(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let parked = !conn.rejecting && conn.inflight >= cap;
-        let mut want = sys::EPOLLRDHUP;
-        if !parked && !conn.closing && !conn.read_closed {
-            want |= sys::EPOLLIN;
+        let flushed = conn.out.flushed();
+        let read_closed = conn.out.read_closed.load(Ordering::SeqCst);
+        let mut want = 0;
+        if !read_closed {
+            want |= sys::EPOLLRDHUP;
+            if !conn.out.parked.load(Ordering::SeqCst) && !conn.closing {
+                want |= sys::EPOLLIN;
+            }
         }
-        if !conn.flushed() {
+        if !flushed {
             want |= sys::EPOLLOUT;
         }
         if want != conn.interest
             && self
                 .epoll
-                .modify(conn.stream.as_raw_fd(), token, want)
+                .modify(conn.out.stream.as_raw_fd(), token, want)
                 .is_ok()
         {
             conn.interest = want;
         }
-    }
-
-    /// Closes a connection that has nothing left to do: a Busy answer
-    /// fully on the wire, or an EOF'd peer whose responses all drained.
-    fn maybe_close_finished(&mut self, token: u64) {
-        let done = match self.conns.get(&token) {
-            Some(conn) => {
-                (conn.closing && conn.flushed())
-                    || (conn.read_closed && conn.flushed() && conn.inflight == 0)
-            }
-            None => return,
-        };
+        let done = flushed
+            && (conn.closing || (read_closed && conn.out.inflight.load(Ordering::SeqCst) == 0));
         if done {
             self.close(token);
         }
     }
 
-    /// Applies queued worker completions: response bytes join their
-    /// connection's write buffer, in-flight counts drop, and previously
-    /// parked connections get re-pumped (their buffered frames dispatch
-    /// without waiting for new socket readiness).
-    fn apply_completions(&mut self) {
-        let batch = std::mem::take(&mut *self.shared.completions.lock());
-        for c in batch {
-            if c.sever {
-                self.close(c.token);
-                continue;
+    /// Serves the workers' rings: severs what they could not answer, and
+    /// re-pumps (un-parked connections dispatch their buffered frames),
+    /// re-arms (`EPOLLOUT` for a remainder) or closes (an EOF'd
+    /// connection that drained) the rest.
+    fn apply_rings(&mut self) {
+        let rings = std::mem::take(&mut *self.shared.rings.lock());
+        for Ring { token, sever } in rings {
+            if sever {
+                self.close(token);
+            } else {
+                self.pump(token);
             }
-            let Some(conn) = self.conns.get_mut(&c.token) else {
-                // The connection died while its batch was in dispatch;
-                // the response has nowhere to go.
-                continue;
-            };
-            conn.inflight = conn.inflight.saturating_sub(c.responses);
-            // An empty buffer at the front would read as "wrote 0".
-            conn.wq
-                .extend(c.frames.into_iter().filter(|chunk| !chunk.is_empty()));
-            self.flush(c.token);
-            self.pump(c.token);
         }
     }
 
-    /// Removes and drops a connection (closing the socket deregisters
-    /// it from epoll) and settles the open-connections gauge.
+    /// Removes a connection: marks its write side closed so workers
+    /// drop their deliveries, deregisters it, shuts the socket down
+    /// (a worker may still hold it open) and settles the
+    /// open-connections gauge.
     fn close(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            if !conn.rejecting {
-                let n = self.open.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
-                if let Some(m) = &self.metrics {
-                    m.counter(counters::CONNS_OPEN).set(n as u64);
-                }
+        let Some(conn) = self.conns.remove(&token) else {
+            return;
+        };
+        {
+            let mut queue = conn.out.write.lock();
+            queue.closed = true;
+            queue.wq.clear();
+        }
+        let _ = self.epoll.delete(conn.out.stream.as_raw_fd());
+        let _ = conn.out.stream.shutdown(Shutdown::Both);
+        if !conn.rejecting {
+            let n = self.open.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
+            if let Some(m) = &self.metrics {
+                m.counter(counters::CONNS_OPEN).set(n as u64);
             }
         }
     }

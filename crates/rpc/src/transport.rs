@@ -28,6 +28,7 @@
 use crate::proto::{Request, Response};
 use crate::services::Service;
 use crate::wire::{self, as_slices, Frame};
+use atomio_simgrid::metrics::Counter;
 use atomio_simgrid::Metrics;
 use atomio_types::{Error, Result, TransportErrorKind};
 use bytes::Bytes;
@@ -91,16 +92,34 @@ pub mod counters {
     pub const REACTOR_WAKEUPS: &str = "rpc.reactor_wakeups";
 }
 
-/// Counts one round trip. Every transport funnels through this with the
-/// byte totals returned by the frame codec — request and response frames
-/// both include their out-of-band payload bytes — so [`Loopback`] and
-/// [`MuxTransport`] report identical totals for identical workloads
-/// (pinned by `tests/transport_equivalence.rs`).
-fn record(metrics: &Option<Metrics>, tx: u64, rx: u64) {
-    if let Some(m) = metrics {
-        m.counter(counters::MESSAGES).inc();
-        m.counter(counters::BYTES_TX).add(tx);
-        m.counter(counters::BYTES_RX).add(rx);
+/// The counters every round trip bumps, resolved from the registry once
+/// per transport: a lookup by name is a map search under a lock plus an
+/// `Arc` clone, too dear to pay per call.
+#[derive(Debug, Clone)]
+struct CallCounters {
+    messages: Arc<Counter>,
+    bytes_tx: Arc<Counter>,
+    bytes_rx: Arc<Counter>,
+}
+
+impl CallCounters {
+    fn new(metrics: &Metrics) -> Self {
+        CallCounters {
+            messages: metrics.counter(counters::MESSAGES),
+            bytes_tx: metrics.counter(counters::BYTES_TX),
+            bytes_rx: metrics.counter(counters::BYTES_RX),
+        }
+    }
+
+    /// Counts one round trip. Every transport funnels through this with
+    /// the byte totals returned by the frame codec — request and response
+    /// frames both include their out-of-band payload bytes — so
+    /// [`Loopback`] and [`MuxTransport`] report identical totals for
+    /// identical workloads (pinned by `tests/transport_equivalence.rs`).
+    fn record(&self, tx: u64, rx: u64) {
+        self.messages.inc();
+        self.bytes_tx.add(tx);
+        self.bytes_rx.add(rx);
     }
 }
 
@@ -195,7 +214,7 @@ pub fn dial(
 #[derive(Debug)]
 pub struct Loopback {
     service: Arc<dyn Service>,
-    metrics: Option<Metrics>,
+    counters: Option<CallCounters>,
     next_id: AtomicU64,
 }
 
@@ -203,7 +222,7 @@ impl Clone for Loopback {
     fn clone(&self) -> Self {
         Loopback {
             service: Arc::clone(&self.service),
-            metrics: self.metrics.clone(),
+            counters: self.counters.clone(),
             next_id: AtomicU64::new(self.next_id.load(Ordering::Relaxed)),
         }
     }
@@ -214,14 +233,14 @@ impl Loopback {
     pub fn new(service: Arc<dyn Service>) -> Self {
         Loopback {
             service,
-            metrics: None,
+            counters: None,
             next_id: AtomicU64::new(0),
         }
     }
 
     /// Publishes per-RPC counters into `metrics`.
     pub fn with_metrics(mut self, metrics: Metrics) -> Self {
-        self.metrics = Some(metrics);
+        self.counters = Some(CallCounters::new(&metrics));
         self
     }
 
@@ -232,7 +251,9 @@ impl Loopback {
         let (response, out) = self.service.handle_vectored(request, body);
         let (response, body, rx) = through_a_frame(id, &response, &as_slices(&out))
             .map_err(|e| protocol_error("response", &e))?;
-        record(&self.metrics, tx, rx);
+        if let Some(counters) = &self.counters {
+            counters.record(tx, rx);
+        }
         Ok((response, body))
     }
 }
@@ -417,6 +438,14 @@ fn mux_reader_loop(stream: TcpStream, conn: Arc<MuxConn>, addr: SocketAddr) {
     }
 }
 
+/// [`CallCounters`] plus the mux transport's own per-call counters.
+#[derive(Debug)]
+struct MuxCounters {
+    call: CallCounters,
+    inflight_peak: Arc<Counter>,
+    queue_time: Arc<Counter>,
+}
+
 /// A multiplexed transport: a pool of persistent connections to one
 /// endpoint, shared by any number of concurrent callers.
 ///
@@ -438,7 +467,11 @@ fn mux_reader_loop(stream: TcpStream, conn: Arc<MuxConn>, addr: SocketAddr) {
 pub struct MuxTransport {
     addr: SocketAddr,
     cfg: RpcConfig,
+    /// For the dial path's counters ([`counters::RETRIES`],
+    /// [`counters::POOL_CONNS`]).
     metrics: Option<Metrics>,
+    /// The per-call counters, resolved once.
+    counters: Option<MuxCounters>,
     /// Pool slots, each lazily holding a live connection.
     slots: Vec<Mutex<Option<Arc<MuxConn>>>>,
     /// Calls currently in flight per slot (drives first-fit selection).
@@ -461,6 +494,7 @@ impl MuxTransport {
             addr,
             cfg,
             metrics: None,
+            counters: None,
             slots: (0..pool).map(|_| Mutex::new(None)).collect(),
             slot_inflight: (0..pool).map(|_| AtomicU64::new(0)).collect(),
             next_slot: AtomicUsize::new(0),
@@ -471,6 +505,11 @@ impl MuxTransport {
 
     /// Publishes per-RPC counters into `metrics`.
     pub fn with_metrics(mut self, metrics: Metrics) -> Self {
+        self.counters = Some(MuxCounters {
+            call: CallCounters::new(&metrics),
+            inflight_peak: metrics.counter(counters::INFLIGHT_PEAK),
+            queue_time: metrics.counter(counters::MUX_QUEUE_TIME),
+        });
         self.metrics = Some(metrics);
         self
     }
@@ -568,8 +607,8 @@ impl MuxTransport {
         let call = Arc::new(CallSlot::default());
         conn.pending.lock().insert(id, Arc::clone(&call));
         let depth = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(m) = &self.metrics {
-            m.counter(counters::INFLIGHT_PEAK).record_peak(depth);
+        if let Some(counters) = &self.counters {
+            counters.inflight_peak.record_peak(depth);
         }
         // Every exit below must release the in-flight slot exactly once.
         let release = |this: &Self| {
@@ -593,8 +632,9 @@ impl MuxTransport {
                     .map(|()| head + payload_len as u64)
             })
         };
-        if let Some(m) = &self.metrics {
-            m.counter(counters::MUX_QUEUE_TIME)
+        if let Some(counters) = &self.counters {
+            counters
+                .queue_time
                 .add(enqueued.elapsed().as_nanos() as u64);
         }
         let tx = match wrote {
@@ -628,7 +668,9 @@ impl MuxTransport {
                 release(self);
                 let frame = result?;
                 let response = self.response_of(&frame)?;
-                record(&self.metrics, tx, frame.wire_bytes);
+                if let Some(counters) = &self.counters {
+                    counters.call.record(tx, frame.wire_bytes);
+                }
                 return Ok((response, frame.payload));
             }
             let now = Instant::now();

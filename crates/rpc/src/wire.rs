@@ -107,12 +107,18 @@ fn version_mismatch(peer: u8) -> io::Error {
     )
 }
 
-/// Payloads up to this size are coalesced into the prefix+header buffer
-/// so the whole frame leaves in ONE `write` call — with `TCP_NODELAY`
-/// every write is a packet, and per-syscall cost dominates small frames.
-/// Larger payloads leave as one gathered write of the caller's own
-/// buffers, to avoid the copy.
-pub(crate) const COALESCE_PAYLOAD_BYTES: usize = 256 * 1024;
+/// The one coalescing threshold, for requests and responses alike.
+/// Payloads up to this size are copied into the prefix+header buffer so
+/// the whole frame leaves in ONE `write` call — with `TCP_NODELAY` every
+/// write is a packet, and per-syscall cost dominates small frames.
+/// Larger payloads leave as one gathered write of the sender's own
+/// buffers: a copy of them costs more than the syscall it saves, and a
+/// second copy per in-flight frame is what a small server's resident set
+/// is made of. The server's reactor uses the same bound the other way
+/// round: complete frames adding up to this much are handed over as
+/// slices of the buffer they were read into, smaller ones are copied
+/// out.
+pub(crate) const COALESCE_PAYLOAD_BYTES: usize = 64 * 1024;
 
 /// Appends one whole frame to `out` — what a writer whose sink *is* a
 /// byte buffer (a response burst, a write queue, the loopback) calls, so
