@@ -25,7 +25,7 @@
 //! Run: `cargo run -p atomio-bench --release --bin exp12_namespace`
 
 use atomio_bench::{ExperimentReport, Row};
-use atomio_core::slot_for_blob;
+use atomio_core::{shard_of, slot_for_blob};
 use atomio_meta::NodeKey;
 use atomio_rpc::{
     Loopback, RemoteVersionManager, Service, SlotRoutedTransport, Transport, VersionService,
@@ -171,9 +171,8 @@ fn main() {
 
     // Slot balance of the blob population (why 4 shards split evenly).
     let mut per_shard = [0u64; 4];
-    let map = atomio_core::SlotMap::uniform(4);
     for blob in 0..BLOBS {
-        per_shard[map.group_of(slot_for_blob(blob)).unwrap()] += 1;
+        per_shard[shard_of(slot_for_blob(blob), 4)] += 1;
     }
     report.note(format!(
         "blob balance across 4 shards: {per_shard:?} of {BLOBS}"

@@ -22,8 +22,8 @@
 //!    survive until the drainer passes it.
 //!
 //! The first two are computed server-side by
-//! [`VersionOracle::gc_floor`]; the third is a host-side clamp applied
-//! here, where the log lives.
+//! [`VersionOracle::gc_floor`](atomio_version::VersionOracle::gc_floor);
+//! the third is a host-side clamp applied here, where the log lives.
 //!
 //! **Why collection can run concurrently with live writers.** A pass
 //! first marks everything reachable from versions `>= floor` (where

@@ -52,6 +52,6 @@ pub mod wal;
 pub use blob::{Blob, ReadVersion};
 pub use config::{CommitMode, StoreConfig, TransportMode};
 pub use gc::{collect_below, GcCoordinator, GcPassReport, GcReport};
-pub use routing::{slot_for_blob, slot_for_name, SlotMap, SlotRange, SLOT_COUNT};
+pub use routing::{shard_of, slot_for_blob, slot_for_name, SLOT_COUNT};
 pub use store::{Store, VersionOracleFactory};
 pub use wal::WriteAheadLog;

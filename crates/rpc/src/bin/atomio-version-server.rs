@@ -23,10 +23,12 @@
 //! accepted as a no-op.
 //!
 //! `--shard I/N` pins this server to shard `I` of an `N`-way hash-slot
-//! map: it serves only blobs whose slot it owns and refuses the rest
-//! with a typed `WrongShard` redirect. Run one process per shard (same
-//! `N`, distinct `I`) and point clients at the full set via a
-//! slot-routed transport.
+//! split: it serves only blobs whose slot it owns and refuses the rest
+//! with a typed `WrongShard`. Run one process per shard (same `N`,
+//! distinct `I`) and point clients at the full set, in shard order, via
+//! a slot-routed transport. The split is fixed for the life of the
+//! deployment: restarting a shard with the same flag and `--data-dir`
+//! brings back exactly its slots.
 //!
 //! Example: `atomio-version-server 127.0.0.1:7422 --shard 0/4 --data-dir /var/lib/atomio --fsync group:8`
 

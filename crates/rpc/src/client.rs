@@ -15,8 +15,8 @@
 //! real transport, latency is real, so simulated device charging would
 //! double-count. Infallible interface methods (`has_chunk`, counters)
 //! degrade to neutral values on transport failure — the fallible data
-//! path is where typed [`Error::Transport`](atomio_types::Error::Transport)
-//! values surface and drive the provider manager's failover.
+//! path is where typed [`Error::Transport`] values surface and drive
+//! the provider manager's failover.
 
 use crate::proto::{Request, Response};
 use crate::transport::{unexpected, Transport};

@@ -14,15 +14,13 @@
 //! have built ([`assert_ranges_are_valid`]): the services do arithmetic
 //! on them.
 
-use crate::proto::{BlobExport, Request, Response};
+use crate::proto::{Request, Response};
 use crate::samples;
 use crate::wire::{self, PayloadCursor};
-use atomio_core::SlotRange;
 use atomio_meta::{LeafEntry, Node, NodeBody, NodeKey, WriteSummary};
 use atomio_types::{
     BlobId, ByteRange, ChunkId, Error, ExtentList, ProviderId, TransportErrorKind, VersionId,
 };
-use atomio_version::PublishRecord;
 use bytes::Bytes;
 use proptest::prelude::*;
 use serde::{Decode, Encode};
@@ -122,9 +120,6 @@ fn heap_per_input_byte() -> f64 {
         ratio::<Node>(0) + leaf,
         ratio::<NodeKey>(0),
         ratio::<ByteRange>(0),
-        ratio::<SlotRange>(0),
-        ratio::<u16>(0),
-        ratio::<BlobExport>(0) + ratio::<PublishRecord>(0) + ratio::<ByteRange>(0),
         // Responses; an `Error` holds at most one `String`.
         ratio::<Outcome<u64>>(0) + string,
         ratio::<Outcome<(u64, u64)>>(0) + string,

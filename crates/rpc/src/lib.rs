@@ -38,8 +38,7 @@
 //!   [`client::BATCH_FRAME_BYTES`] of payload), not one per chunk.
 //! * [`routed`] — [`SlotRoutedTransport`], a [`Transport`] that fans
 //!   version-manager calls out across `--shard i/N` version servers by
-//!   hash slot, chasing `WrongShard` redirects through map refreshes;
-//!   plus [`handoff_slots`], the online slot-migration coordinator.
+//!   hash slot, with the slot-to-shard split fixed at deploy time.
 //!
 //! Assembling a socket-backed store is three lines per substrate:
 //! [`dial`] the server addresses, wrap the transports in the remote
@@ -61,8 +60,8 @@ pub mod wire;
 
 pub use cli::{run_server_binary, serve_forever, server_usage, ServerArgs};
 pub use client::{RemoteMetaStore, RemoteProvider, RemoteVersionManager};
-pub use proto::{BlobExport, Request, Response, PROTOCOL_VERSION};
-pub use routed::{handoff_slots, handoff_slots_with_budget, SlotRoutedTransport};
+pub use proto::{Request, Response, PROTOCOL_VERSION};
+pub use routed::SlotRoutedTransport;
 pub use server::RpcServer;
 pub use services::{MetaService, ProviderService, Service, VersionService};
 pub use transport::{counters, dial, Loopback, MuxTransport, RpcConfig, RpcMode, Transport};
@@ -335,7 +334,7 @@ mod tests {
             let expected: &[&str] = match format!("{request:?}").as_str() {
                 "Ping" => &["provider", "meta", "version"],
                 tag if tag.starts_with("Meta") => &["meta"],
-                tag if tag.starts_with("Vm") || tag.starts_with("SlotMap") => &["version"],
+                tag if tag.starts_with("Vm") => &["version"],
                 _ => &["provider"],
             };
             assert_eq!(homes, expected, "{request:?}");
@@ -539,7 +538,7 @@ mod tests {
     #[test]
     fn mux_version_mismatch_is_typed() {
         use std::io::{Read as _, Write as _};
-        // A fake peer that answers any frame with the prefix of a v3
+        // A fake peer that answers any frame with the prefix of a v4
         // frame — the protocol before this one.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -554,7 +553,7 @@ mod tests {
             let mut rest = vec![0u8; head + body];
             s.read_exact(&mut rest).unwrap();
             let mut junk = [0u8; 17];
-            junk[0] = 3;
+            junk[0] = 4;
             s.write_all(&junk).unwrap();
             // Hold the socket open until the client has seen the frame.
             std::thread::sleep(std::time::Duration::from_millis(200));

@@ -3,310 +3,50 @@
 //! [`SlotRoutedTransport`] implements [`Transport`] over a fleet of
 //! per-shard transports: every version-manager request carries a blob id
 //! ([`Request::vm_blob`]), the blob hashes to a slot
-//! ([`slot_for_blob`]), and the client's [`SlotMap`] names the shard
-//! that owns it. Because the routing lives *under* the [`Transport`]
-//! seam, [`crate::client::RemoteVersionManager`] — and everything above
-//! it — runs unchanged against 1 shard or 16.
+//! ([`slot_for_blob`]), and [`shard_of`] names the shard that owns it —
+//! the same function each `--shard i/N` server checks ownership with.
+//! Because the routing lives *under* the [`Transport`] seam,
+//! [`crate::client::RemoteVersionManager`] — and everything above it —
+//! runs unchanged against 1 shard or 16.
 //!
-//! Stale maps self-heal: a shard that does not own a slot answers
-//! [`Error::WrongShard`] with its map epoch; the router refetches the
-//! map from every shard, adopts the highest epoch, and retries. During
-//! an online handoff ([`handoff_slots`]) the moving slots are frozen —
-//! then sealed — on the old owner, so the retry loop also rides out the
-//! short window in which neither map nor freeze has settled — bounded,
-//! then the typed error surfaces to the caller.
+//! The shard map is fixed at deploy time, so there is nothing to
+//! refresh: an [`Error::WrongShard`](atomio_types::Error::WrongShard)
+//! reply means this router's shard list disagrees with the servers'
+//! `--shard` flags, and it reaches the caller as it came.
 
-use crate::proto::{BlobExport, Request, Response};
-use crate::transport::{unexpected, Transport};
-use atomio_core::{slot_for_blob, SlotMap};
-use atomio_types::{Error, Result};
+use crate::proto::{Request, Response};
+use crate::transport::Transport;
+use atomio_core::{shard_of, slot_for_blob};
+use atomio_types::Result;
 use bytes::Bytes;
-use parking_lot::RwLock;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// How many times a routed call chases `WrongShard` redirects before
-/// surfacing the error. Each retry refreshes the map and backs off
-/// [`RETRY_BACKOFF`], so the budget comfortably covers a slot handoff.
-const MAX_REDIRECTS: usize = 100;
-
-/// Pause between redirect retries while a handoff settles.
-const RETRY_BACKOFF: Duration = Duration::from_millis(2);
-
-/// Default wall-clock budget [`handoff_slots`] spends waiting for
-/// granted-but-unpublished tickets to publish before sealing the moving
-/// slots. Sized for this repo's core workload — large checkpoint
-/// uploads can hold a ticket for many seconds — and overridable via
-/// [`handoff_slots_with_budget`]. Tickets still outstanding when the
-/// budget lapses are abandoned: the slots are sealed, so their eventual
-/// publishes are refused typed rather than silently lost.
-pub const DEFAULT_DRAIN_BUDGET: Duration = Duration::from_secs(30);
-
-/// Pause between drain polls during a handoff.
-const DRAIN_POLL_INTERVAL: Duration = Duration::from_millis(10);
 
 /// A [`Transport`] that routes each version-manager call to the shard
 /// owning the blob's hash slot.
 ///
-/// Requests without a routing key (metadata ops, `Ping`, the slot-map
-/// control plane) go to shard 0 — callers wanting a specific shard
-/// should hold that shard's transport directly.
+/// Requests without a routing key (metadata ops, `Ping`) go to shard 0 —
+/// callers wanting a specific shard should hold that shard's transport
+/// directly.
 #[derive(Debug)]
 pub struct SlotRoutedTransport {
     shards: Vec<Arc<dyn Transport>>,
-    map: RwLock<SlotMap>,
 }
 
 impl SlotRoutedTransport {
-    /// Builds a router over one transport per shard, assuming the
-    /// uniform slot split every `--shard i/N` server boots with. A
-    /// deployment mid-handoff corrects itself on the first
-    /// `WrongShard` redirect.
+    /// Builds a router over one transport per shard, in shard order:
+    /// `shards[i]` must reach the server started with `--shard i/N`,
+    /// where `N` is `shards.len()`.
     pub fn new(shards: Vec<Arc<dyn Transport>>) -> Self {
         assert!(!shards.is_empty(), "a routed transport needs shards");
-        let map = SlotMap::uniform(shards.len());
-        SlotRoutedTransport {
-            shards,
-            map: RwLock::new(map),
-        }
-    }
-
-    /// The router's current belief about slot ownership.
-    pub fn slot_map(&self) -> SlotMap {
-        self.map.read().clone()
-    }
-
-    /// Adopts `map` if its epoch is not older than the current one.
-    pub fn install(&self, map: SlotMap) {
-        let mut cur = self.map.write();
-        if map.epoch >= cur.epoch {
-            *cur = map;
-        }
-    }
-
-    /// The per-shard transports, indexed by group.
-    pub fn shards(&self) -> &[Arc<dyn Transport>] {
-        &self.shards
-    }
-
-    /// Refetches the slot map from every reachable shard and adopts the
-    /// highest epoch seen. Unreachable shards are skipped: during a
-    /// shard outage the survivors still agree on the map.
-    pub fn refresh(&self) -> SlotMap {
-        for shard in &self.shards {
-            if let Ok((Response::SlotMapInfo { map }, _)) = shard.call(&Request::SlotMapGet, &[]) {
-                self.install(map);
-            }
-        }
-        self.slot_map()
-    }
-
-    /// The shard transport owning `blob` under the current map:
-    /// `Ok(None)` while the blob's slot is unassigned (mid-handoff,
-    /// worth retrying after a refresh), `Err` when the map routes the
-    /// slot to a shard this router has no transport for (a permanent
-    /// configuration mismatch — `reassign` can grow the group count
-    /// past the dialed fleet — that no amount of retrying fixes).
-    fn route(&self, blob: u64) -> Result<Option<Arc<dyn Transport>>> {
-        let slot = slot_for_blob(blob);
-        let Some(group) = self.map.read().group_of(slot) else {
-            return Ok(None);
-        };
-        match self.shards.get(group) {
-            Some(shard) => Ok(Some(Arc::clone(shard))),
-            None => Err(Error::Internal(format!(
-                "slot {slot} is owned by shard {group} but this router only dials {} shards — \
-                 no transport for shard {group}",
-                self.shards.len()
-            ))),
-        }
+        SlotRoutedTransport { shards }
     }
 }
 
 impl Transport for SlotRoutedTransport {
     fn call(&self, request: &Request, payload: &[u8]) -> Result<(Response, Bytes)> {
-        let Some(blob) = request.vm_blob() else {
-            return self.shards[0].call(request, payload);
-        };
-        let mut last: Option<(Response, Bytes)> = None;
-        for attempt in 0..MAX_REDIRECTS {
-            if attempt > 0 {
-                std::thread::sleep(RETRY_BACKOFF);
-                self.refresh();
-            }
-            let target = match self.route(blob) {
-                Ok(Some(target)) => target,
-                // Unassigned slot: a handoff is mid-flight; refresh and
-                // retry until the reassigned map lands.
-                Ok(None) => continue,
-                // Routed past the dialed fleet: fail fast — burning the
-                // redirect budget cannot conjure the missing transport.
-                Err(error) => return Ok((Response::Fail { error }, Bytes::new())),
-            };
-            let reply = target.call(request, payload)?;
-            // A server-side refusal arrives as a transport-level `Ok`
-            // carrying `Fail`; only `WrongShard` means "re-route".
-            if let (
-                Response::Fail {
-                    error: Error::WrongShard { .. },
-                },
-                _,
-            ) = &reply
-            {
-                last = Some(reply);
-                continue;
-            }
-            return Ok(reply);
-        }
-        // Redirect budget exhausted: surface the shard's typed refusal.
-        Ok(last.unwrap_or((
-            Response::Fail {
-                error: Error::Internal(format!(
-                    "slot {} unassigned after {MAX_REDIRECTS} map refreshes",
-                    slot_for_blob(blob)
-                )),
-            },
-            Bytes::new(),
-        )))
+        let shard = request
+            .vm_blob()
+            .map_or(0, |blob| shard_of(slot_for_blob(blob), self.shards.len()));
+        self.shards[shard].call(request, payload)
     }
-}
-
-/// Moves `slots` to shard `to` across a live fleet — the online
-/// membership-change protocol — with the default
-/// [`DEFAULT_DRAIN_BUDGET`]:
-///
-/// 1. Compute the reassigned map (epoch + 1).
-/// 2. **Freeze** the moving slots on every current owner: new tickets
-///    are refused with [`Error::WrongShard`] at the *new* epoch, but
-///    in-flight publishes still land.
-/// 3. **Drain**: poll each owner until no granted-but-unpublished
-///    tickets remain in the moving slots, up to the drain budget.
-/// 4. **Seal** the moving slots on each owner (`VmSealSlots`): from
-///    here publishes are refused too, and the RPC returns only after
-///    every in-flight publish has landed — so nothing can slip into a
-///    slot between the export below and the map install. Tickets still
-///    outstanding are abandoned: their writers' publishes are refused
-///    typed (never silently dropped), and a retry against the new
-///    owner — which does not know the ticket — fails typed as well.
-/// 5. **Export** the published prefix (version chains + retention) of
-///    every blob in the moving slots and **import** it on the new
-///    owner. Import is idempotent, so a crashed-and-repeated handoff
-///    replays harmlessly.
-/// 6. **Install** the reassigned map everywhere — new owner first, so
-///    redirected clients find it serving before the old owner thaws.
-///
-/// Snapshot leases are deliberately *not* migrated: they are
-/// TTL-bounded, so readers re-acquire against the new owner and the old
-/// grants lapse on their own.
-///
-/// Returns the installed map.
-///
-/// # Errors
-/// Any transport failure or typed refusal from the fleet aborts the
-/// handoff; the caller can retry (every step is idempotent) or reassert
-/// the old map at a fresh epoch ([`SlotMap::bump_epoch`]) to thaw.
-pub fn handoff_slots(
-    shards: &[Arc<dyn Transport>],
-    map: &SlotMap,
-    slots: &[u16],
-    to: usize,
-) -> Result<SlotMap> {
-    handoff_slots_with_budget(shards, map, slots, to, DEFAULT_DRAIN_BUDGET)
-}
-
-/// [`handoff_slots`] with an explicit drain budget: how long to wait
-/// for in-flight tickets to publish before sealing the moving slots and
-/// abandoning the stragglers. Deployments whose writers hold tickets
-/// across long uploads should size this past their slowest commit.
-pub fn handoff_slots_with_budget(
-    shards: &[Arc<dyn Transport>],
-    map: &SlotMap,
-    slots: &[u16],
-    to: usize,
-    drain_budget: Duration,
-) -> Result<SlotMap> {
-    let next = map.reassign(slots, to);
-    let owners: Vec<(usize, Vec<u16>)> = (0..shards.len())
-        .filter(|g| *g != to)
-        .map(|g| {
-            let owned: Vec<u16> = slots.iter().copied().filter(|s| map.owns(g, *s)).collect();
-            (g, owned)
-        })
-        .filter(|(_, owned)| !owned.is_empty())
-        .collect();
-
-    // Freeze + drain each losing shard. The freeze RPC is idempotent
-    // and returns the pending-grant count, so it doubles as the poll.
-    let drain_polls = (drain_budget.as_millis() / DRAIN_POLL_INTERVAL.as_millis()).max(1) as usize;
-    for (g, owned) in &owners {
-        for poll in 0..drain_polls {
-            let request = Request::VmFreezeSlots {
-                slots: owned.clone(),
-                epoch: next.epoch,
-            };
-            match shards[*g].call(&request, &[])? {
-                (Response::Count { value: 0 }, _) => break,
-                (Response::Count { .. }, _) if poll + 1 < drain_polls => {
-                    std::thread::sleep(DRAIN_POLL_INTERVAL)
-                }
-                // Budget exhausted with grants outstanding: fall through
-                // to the seal, which abandons them typed.
-                (Response::Count { .. }, _) => {}
-                (other, _) => return Err(unexpected("Count", other)),
-            }
-        }
-    }
-
-    // Seal: the losing shards now refuse publishes in the moving slots
-    // as well, so the export below is a consistent final snapshot — an
-    // acked publish is either in it or was never acked.
-    for (g, owned) in &owners {
-        let request = Request::VmSealSlots {
-            slots: owned.clone(),
-            epoch: next.epoch,
-        };
-        match shards[*g].call(&request, &[])? {
-            (Response::Count { .. }, _) => {}
-            (other, _) => return Err(unexpected("Count", other)),
-        }
-    }
-
-    // Export from the losing shards, import on the gaining shard.
-    for (g, owned) in &owners {
-        let request = Request::VmExportSlots {
-            slots: owned.clone(),
-        };
-        let blobs: Vec<BlobExport> = match shards[*g].call(&request, &[])? {
-            (Response::SlotExport { blobs }, _) => blobs,
-            (other, _) => return Err(unexpected("SlotExport", other)),
-        };
-        if blobs.is_empty() {
-            continue;
-        }
-        match shards[to].call(&Request::VmImportBlobs { blobs }, &[])? {
-            (Response::Count { .. }, _) => {}
-            (Response::Fail { error }, _) => return Err(error),
-            (other, _) => return Err(unexpected("Count", other)),
-        }
-    }
-
-    // Install the reassigned map: gaining shard first, then the rest
-    // (installing thaws any freeze at or below the new epoch).
-    let install = Request::SlotMapInstall { map: next.clone() };
-    match shards[to].call(&install, &[])? {
-        (Response::Unit, _) => {}
-        (Response::Fail { error }, _) => return Err(error),
-        (other, _) => return Err(unexpected("Unit", other)),
-    }
-    for (g, shard) in shards.iter().enumerate() {
-        if g == to {
-            continue;
-        }
-        match shard.call(&install, &[])? {
-            (Response::Unit, _) => {}
-            (Response::Fail { error }, _) => return Err(error),
-            (other, _) => return Err(unexpected("Unit", other)),
-        }
-    }
-    Ok(next)
 }

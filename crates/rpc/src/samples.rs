@@ -1,5 +1,5 @@
-//! Test support: at least one sample of every wire message, all 37
-//! [`Request`] and 20 [`Response`] variants in declaration order (60
+//! Test support: at least one sample of every wire message, all 31
+//! [`Request`] and 18 [`Response`] variants in declaration order (51
 //! samples). The round-trip tests and the golden byte table in
 //! [`crate::proto`] and the decoder properties in [`crate::fuzz`] all
 //! walk these two lists, so a new variant is covered by all three once it
@@ -8,14 +8,13 @@
 //! The golden table pins the *encoding* of exactly these values: changing
 //! a sample changes its row, so add samples rather than editing them.
 
-use crate::proto::{BlobExport, Request, Response};
-use atomio_core::SlotMap;
+use crate::proto::{Request, Response};
 use atomio_meta::{LeafEntry, Node, NodeBody, NodeKey, WriteSummary};
 use atomio_types::{
     BlobId, ByteRange, ChunkId, Error, ExtentList, ProviderId, RetentionPolicy, TransportErrorKind,
     VersionId,
 };
-use atomio_version::{GcFloor, LeaseGrant, PublishRecord, SnapshotRecord, Ticket};
+use atomio_version::{GcFloor, LeaseGrant, SnapshotRecord, Ticket};
 use std::sync::Arc;
 
 /// The value-tree encoding of a null inside `depth` one-element arrays:
@@ -60,20 +59,6 @@ fn nodes() -> Vec<Node> {
             },
         },
     ]
-}
-
-fn blob_exports() -> Vec<BlobExport> {
-    vec![BlobExport {
-        blob: 9,
-        versions: vec![PublishRecord {
-            version: VersionId::new(1),
-            root: Some(key(9, 1, 64)),
-            size: 64,
-            capacity: 64,
-            extents: ExtentList::from_pairs([(0u64, 64u64)]),
-        }],
-        retention: RetentionPolicy::KeepLast(3),
-    }]
 }
 
 pub(crate) fn requests() -> Vec<Request> {
@@ -174,22 +159,6 @@ pub(crate) fn requests() -> Vec<Request> {
         },
         Request::VmLeaseRelease { blob: 1, lease: 9 },
         Request::VmGcFloor { blob: 1 },
-        Request::SlotMapGet,
-        Request::SlotMapInstall {
-            map: SlotMap::uniform(4),
-        },
-        Request::VmFreezeSlots {
-            slots: vec![0, 7, 1023],
-            epoch: 2,
-        },
-        Request::VmSealSlots {
-            slots: vec![0, 7],
-            epoch: 2,
-        },
-        Request::VmExportSlots { slots: vec![5, 6] },
-        Request::VmImportBlobs {
-            blobs: blob_exports(),
-        },
     ]
 }
 
@@ -271,19 +240,12 @@ pub(crate) fn responses() -> Vec<Response> {
                 lease_expirations: 1,
             },
         },
-        Response::SlotMapInfo {
-            map: SlotMap::uniform(4).reassign(&[1, 2, 900], 3),
-        },
-        Response::SlotExport {
-            blobs: blob_exports(),
-        },
-        Response::SlotExport { blobs: vec![] },
         Response::Busy {
             active: 1024,
             max_conns: 1024,
         },
         Response::Fail {
-            error: Error::WrongShard { epoch: 3, slot: 77 },
+            error: Error::WrongShard { slot: 77 },
         },
         Response::Fail {
             error: Error::Transport {

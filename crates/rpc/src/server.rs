@@ -12,7 +12,7 @@
 //!
 //! The reactor feeds one dispatch pool shared by all connections
 //! ([`crate::RpcConfig::server_workers`], default 4) through a
-//! [`JobQueue`]: pushing a job never blocks the reactor and wakes exactly
+//! `JobQueue`: pushing a job never blocks the reactor and wakes exactly
 //! one idle worker. Requests from one multiplexed client dispatch
 //! concurrently, and the worker that ran a batch writes its responses to
 //! the connection itself, in **completion** order, tagged with the

@@ -8,8 +8,8 @@
 //! * [`ProviderService`] hosts a fleet of chunk stores (chunk ops).
 //! * [`MetaService`] hosts metadata shards (node ops) and nothing else.
 //! * [`VersionService`] hosts one lazily-created [`VersionManager`] per
-//!   blob (ticket, publish, snapshot, lease and slot-handoff ops) and is
-//!   the only service that answers them.
+//!   blob (ticket, publish, snapshot and lease ops) and is the only
+//!   service that answers them.
 //!
 //! `Ping` is answered by all three; any other request sent to a role
 //! that is not its home draws a typed [`Error::Unsupported`].
@@ -19,9 +19,9 @@
 //! `arrival` instants clients pass through the protocol therefore echo
 //! back unchanged, keeping remote and in-process bookkeeping aligned.
 
-use crate::proto::{BlobExport, Request, Response};
+use crate::proto::{Request, Response};
 use crate::wire::{self, PayloadCursor};
-use atomio_core::{slot_for_blob, SlotMap};
+use atomio_core::{shard_of, slot_for_blob};
 use atomio_meta::{node_store_for, LocalNodeStore, TreeConfig, WriteSummary};
 use atomio_provider::{chunk_store_for, ChunkStore, DataProvider};
 use atomio_simgrid::{ClientNics, CostModel, FaultInjector};
@@ -31,8 +31,8 @@ use atomio_types::{
 };
 use atomio_version::{version_manager_for, Ticket, VersionManager};
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Maps one request (plus out-of-band payload) to one response (plus
@@ -310,7 +310,7 @@ impl Service for ProviderService {
 
 /// Hosts per-blob version managers behind the version RPCs — the third
 /// server role, mirroring BlobSeer's standalone version manager, and the
-/// only service that answers a `Vm*` or slot-map request. The
+/// only service that answers a `Vm*` request. The
 /// `atomio-version-server` binary wraps exactly this service.
 #[derive(Debug)]
 pub struct VersionService {
@@ -319,31 +319,10 @@ pub struct VersionService {
     retention: RetentionPolicy,
     lease_ttl_cap_ms: u64,
     vms: Mutex<HashMap<u64, Arc<VersionManager>>>,
-    /// This server's group in the slot map, or `None` for an unsharded
-    /// deployment (every slot is served, no ownership checks).
-    shard: Option<usize>,
-    /// The slot map this server believes in. Requests for blobs whose
-    /// slot this shard does not own are refused with
-    /// [`Error::WrongShard`] carrying the map's epoch.
-    map: RwLock<SlotMap>,
-    /// Per-slot handoff state, keyed by slot so concurrent handoffs
-    /// moving disjoint slot sets off this shard merge instead of
-    /// clobbering each other. A *frozen* slot refuses new tickets
-    /// (typed) but publishes of already-granted tickets still land so
-    /// the handoff can drain; a *sealed* slot refuses publishes too, so
-    /// the export that follows cannot miss a late-landing version.
-    /// Entries are cleared when a map at (or past) their epoch installs.
-    frozen: RwLock<BTreeMap<u16, SlotFreeze>>,
-}
-
-/// One slot's handoff state (see [`VersionService::frozen`]).
-#[derive(Debug, Clone, Copy)]
-struct SlotFreeze {
-    /// The epoch the reassigned map will carry — returned in the
-    /// [`Error::WrongShard`] refusals so clients refetch past it.
-    epoch: u64,
-    /// Escalated: publishes are refused as well as tickets.
-    sealed: bool,
+    /// `(i, n)` when this server is shard `i` of an `n`-way fleet, or
+    /// `None` for an unsharded deployment (every slot is served, no
+    /// ownership checks).
+    shard: Option<(usize, usize)>,
 }
 
 /// Largest lease TTL a server grants by default (10 minutes): a crashed
@@ -370,82 +349,29 @@ impl VersionService {
             lease_ttl_cap_ms: DEFAULT_LEASE_TTL_CAP_MS,
             vms: Mutex::new(HashMap::new()),
             shard: None,
-            map: RwLock::new(SlotMap::single()),
-            frozen: RwLock::new(BTreeMap::new()),
         }
     }
 
     /// Makes this service shard `shard` of an `of`-way deployment (the
-    /// binaries' `--shard I/N` flag): it starts from the uniform
-    /// `of`-group slot map, serves only the slots its group owns, and
-    /// answers everything else with [`Error::WrongShard`] so stale
-    /// clients refetch the map and re-route.
+    /// binaries' `--shard I/N` flag): it serves only the blobs whose
+    /// slot [`shard_of`] assigns to `shard` and answers everything else
+    /// with [`Error::WrongShard`].
     pub fn with_shard(mut self, shard: usize, of: usize) -> Self {
         assert!(shard < of, "shard index {shard} out of {of}");
-        self.shard = Some(shard);
-        self.map = RwLock::new(SlotMap::uniform(of));
+        self.shard = Some((shard, of));
         self
     }
 
-    /// The slot map this server currently believes in.
-    pub fn slot_map(&self) -> SlotMap {
-        self.map.read().clone()
-    }
-
-    /// Ownership gate: `Ok` when this server serves `blob`'s slot.
-    fn owned(&self, blob: u64) -> Result<()> {
-        let Some(group) = self.shard else {
-            return Ok(());
-        };
-        let slot = slot_for_blob(blob);
-        let map = self.map.read();
-        if !map.owns(group, slot) {
-            return Err(Error::WrongShard {
-                epoch: map.epoch,
-                slot,
-            });
-        }
-        Ok(())
-    }
-
-    /// Gate for state-creating calls (tickets, retention changes): also
-    /// refused while the blob's slot is frozen for a handoff, so the
-    /// drain converges and the export cannot miss trailing state.
-    fn ticket_gate(&self, blob: u64) -> Result<()> {
-        self.owned(blob)?;
-        let slot = slot_for_blob(blob);
-        if let Some(f) = self.frozen.read().get(&slot) {
-            return Err(Error::WrongShard {
-                epoch: f.epoch,
-                slot,
-            });
-        }
-        Ok(())
-    }
-
     /// [`Self::vm`] behind the ownership check — the dispatch path for
-    /// every per-blob RPC except imports (which install state this
-    /// server does not own *yet*).
+    /// every per-blob RPC.
     fn vm_owned(&self, blob: u64) -> Result<Arc<VersionManager>> {
-        self.owned(blob)?;
+        if let Some((shard, of)) = self.shard {
+            let slot = slot_for_blob(blob);
+            if shard_of(slot, of) != shard {
+                return Err(Error::WrongShard { slot });
+            }
+        }
         self.vm(blob)
-    }
-
-    /// [`Self::vm`] behind the ownership *and* freeze checks.
-    fn vm_ticket(&self, blob: u64) -> Result<Arc<VersionManager>> {
-        self.ticket_gate(blob)?;
-        self.vm(blob)
-    }
-
-    /// Granted-but-unpublished tickets across the hosted blobs whose
-    /// slot is in `set` — the drain gauge for a handoff coordinator.
-    fn pending_grants_in(&self, set: &BTreeSet<u16>) -> u64 {
-        self.vms
-            .lock()
-            .iter()
-            .filter(|(blob, _)| set.contains(&slot_for_blob(**blob)))
-            .map(|(_, vm)| vm.pending_grants())
-            .sum()
     }
 
     /// Sets the deployment's default retention policy (the binaries'
@@ -514,35 +440,18 @@ impl Service for VersionService {
                 extents,
                 known,
             } => granted(
-                self.vm_ticket(blob)
+                self.vm_owned(blob)
                     .and_then(|vm| vm.ticket_local(&extents, known as usize)),
             ),
             VmTicketAppend { blob, len, known } => granted(
-                self.vm_ticket(blob)
+                self.vm_owned(blob)
                     .and_then(|vm| vm.ticket_append_local(len, known as usize)),
             ),
-            VmPublish { blob, ticket, root } => {
-                // The freeze read-guard is held across the publish so a
-                // concurrent `VmSealSlots` (which takes the write lock)
-                // is a true barrier: once the seal RPC returns, every
-                // in-flight publish has either landed — visible to the
-                // export that follows — or is refused below. Without
-                // this, a publish could pass the gate, the seal + export
-                // could run, and the publish would then mutate state the
-                // export already missed while still acking the writer.
-                let frozen = self.frozen.read();
-                let slot = slot_for_blob(blob);
-                let result = match frozen.get(&slot) {
-                    Some(f) if f.sealed => Err(Error::WrongShard {
-                        epoch: f.epoch,
-                        slot,
-                    }),
-                    _ => self
-                        .vm_owned(blob)
-                        .and_then(|vm| vm.publish_local(ticket, root)),
-                };
-                reply(result.map(|()| Response::Unit))
-            }
+            VmPublish { blob, ticket, root } => reply(
+                self.vm_owned(blob)
+                    .and_then(|vm| vm.publish_local(ticket, root))
+                    .map(|()| Response::Unit),
+            ),
             VmIsPublished { blob, version } => {
                 reply(self.vm_owned(blob).map(|vm| Response::Flag {
                     value: vm.is_published(version),
@@ -557,7 +466,7 @@ impl Service for VersionService {
                     .map(|record| Response::Snapshot { record }),
             ),
             VmSetRetention { blob, policy } => reply(
-                self.vm_ticket(blob)
+                self.vm_owned(blob)
                     .and_then(|vm| vm.set_retention_local(policy))
                     .map(|()| Response::Unit),
             ),
@@ -593,103 +502,6 @@ impl Service for VersionService {
             VmGcFloor { blob } => reply(self.vm_owned(blob).map(|vm| Response::GcFloor {
                 info: vm.gc_floor_local(Self::now_ms()),
             })),
-            SlotMapGet => reply(Ok(Response::SlotMapInfo {
-                map: self.map.read().clone(),
-            })),
-            SlotMapInstall { map } => {
-                // The map write-guard is released before touching the
-                // freeze state: publishes take `frozen` then `map` (read
-                // side), so holding both write locks here would invert
-                // the order and deadlock.
-                let installed_epoch = {
-                    let mut cur = self.map.write();
-                    if map.epoch < cur.epoch {
-                        return reply(Err(Error::Internal(format!(
-                            "slot map epoch regressed: have {}, offered {}",
-                            cur.epoch, map.epoch
-                        ))));
-                    }
-                    *cur = map;
-                    cur.epoch
-                };
-                // Thaw every per-slot freeze the new map supersedes;
-                // freezes for a yet-higher epoch stay in force.
-                self.frozen.write().retain(|_, f| f.epoch > installed_epoch);
-                reply(Ok(Response::Unit))
-            }
-            VmFreezeSlots { slots, epoch } => {
-                let set: BTreeSet<u16> = slots.into_iter().collect();
-                // Pending grants across the frozen slots: the coordinator
-                // repeats this (idempotent) call until the count is zero.
-                let pending = self.pending_grants_in(&set);
-                // Merge per slot so two handoffs moving disjoint sets off
-                // this shard cannot thaw each other mid-drain; a re-freeze
-                // of a slot keeps any seal already in force.
-                let mut frozen = self.frozen.write();
-                for slot in set {
-                    let f = frozen.entry(slot).or_insert(SlotFreeze {
-                        epoch,
-                        sealed: false,
-                    });
-                    f.epoch = f.epoch.max(epoch);
-                }
-                drop(frozen);
-                reply(Ok(Response::Count { value: pending }))
-            }
-            VmSealSlots { slots, epoch } => {
-                let set: BTreeSet<u16> = slots.into_iter().collect();
-                {
-                    // Taking the write lock waits out every in-flight
-                    // publish (they hold the read side across
-                    // `publish_local`), so when this RPC returns the
-                    // sealed slots are immutable: landed publishes are
-                    // visible to the export, later ones are refused.
-                    let mut frozen = self.frozen.write();
-                    for slot in &set {
-                        let f = frozen.entry(*slot).or_insert(SlotFreeze {
-                            epoch,
-                            sealed: true,
-                        });
-                        f.epoch = f.epoch.max(epoch);
-                        f.sealed = true;
-                    }
-                }
-                // Grants still outstanding are abandoned: their eventual
-                // publishes draw `WrongShard` and fail typed on the new
-                // owner, which never granted the ticket.
-                reply(Ok(Response::Count {
-                    value: self.pending_grants_in(&set),
-                }))
-            }
-            VmExportSlots { slots } => {
-                let set: BTreeSet<u16> = slots.into_iter().collect();
-                let vms: Vec<(u64, Arc<VersionManager>)> = self
-                    .vms
-                    .lock()
-                    .iter()
-                    .filter(|(blob, _)| set.contains(&slot_for_blob(**blob)))
-                    .map(|(blob, vm)| (*blob, Arc::clone(vm)))
-                    .collect();
-                let blobs = vms
-                    .into_iter()
-                    .map(|(blob, vm)| {
-                        let (versions, retention) = vm.export_published();
-                        BlobExport {
-                            blob,
-                            versions,
-                            retention,
-                        }
-                    })
-                    .collect();
-                reply(Ok(Response::SlotExport { blobs }))
-            }
-            VmImportBlobs { blobs } => {
-                let applied = blobs.iter().try_fold(0u64, |applied, b| {
-                    let vm = self.vm(b.blob)?;
-                    Ok(applied + vm.import_published(&b.versions, b.retention)?)
-                });
-                reply(applied.map(|value| Response::Count { value }))
-            }
             _ => unsupported("chunk/metadata op sent to a version server"),
         }
     }

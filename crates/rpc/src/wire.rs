@@ -19,12 +19,12 @@
 //!
 //! The header is the request or response (see [`crate::proto`]) in the
 //! positional binary codec the `Encode` / `Decode` derives generate —
-//! encoded in place into the frame buffer ([`append_frame_head`]), and
+//! encoded in place into the frame buffer (`append_frame_head`), and
 //! decoded by the receiver straight from the frame's bytes. Chunk
 //! payloads travel **out of band** in the payload section, never through
 //! the header.
 //!
-//! ## Header layout (protocol v4)
+//! ## Header layout (protocol v4 and on)
 //!
 //! No tags per value and no field names: the message type says what
 //! comes next, field by field in declaration order.
@@ -74,9 +74,10 @@ pub const MAX_HEADER_BYTES: u32 = 16 << 20;
 pub const MAX_PAYLOAD_BYTES: u32 = 256 << 20;
 /// Fixed frame prefix: version (1) + request id (8) + two lengths (4+4).
 pub const FRAME_PREFIX_BYTES: u64 = 17;
-/// Deepest container nesting [`decode_value`] follows: 32 levels of its
-/// recursion are a few KiB of stack.
-const MAX_DEPTH: usize = 32;
+/// Deepest container nesting [`decode_value`] follows: four times the
+/// deepest request, and 28 levels of its recursion are a few KiB of
+/// stack.
+const MAX_DEPTH: usize = 28;
 /// Most bytes [`read_frame`] reserves for a section on its declared
 /// length alone; past that the buffer doubles as bytes actually arrive.
 /// The data plane's own frame budget, so every frame its batching forms
@@ -484,7 +485,7 @@ impl Cursor<'_> {
 
 /// Writes one frame whose header is a value tree, tagged with
 /// `request_id`; returns the bytes put on the wire. A payload of up to
-/// [`COALESCE_PAYLOAD_BYTES`] leaves in the same single `write` as the
+/// `COALESCE_PAYLOAD_BYTES` leaves in the same single `write` as the
 /// head. Benchmark-only, see ROADMAP item 1c.
 pub fn write_frame(
     w: &mut impl Write,
@@ -622,21 +623,20 @@ mod tests {
     }
 
     #[test]
-    fn a_v3_frame_is_rejected_before_decoding() {
-        // A whole v3 `Ping`: the value-tree header `{"t": "Ping"}`.
-        let mut v3 = vec![3u8];
-        v3.extend_from_slice(&7u64.to_be_bytes());
-        v3.extend_from_slice(&19u32.to_be_bytes());
-        v3.extend_from_slice(&0u32.to_be_bytes());
-        v3.extend_from_slice(&[7, 1, 0, 0, 0, 1, 0, 0, 0, b't', 5, 4, 0, 0, 0]);
-        v3.extend_from_slice(b"Ping");
-        let read = read_frame_bytes(&mut v3.as_slice()).unwrap_err();
-        let split = split_frame(Bytes::from(v3)).unwrap_err();
+    fn a_v4_frame_is_rejected_before_decoding() {
+        // A whole v4 `Ping`: its header is the one tag byte 0.
+        let mut v4 = vec![4u8];
+        v4.extend_from_slice(&7u64.to_be_bytes());
+        v4.extend_from_slice(&1u32.to_be_bytes());
+        v4.extend_from_slice(&0u32.to_be_bytes());
+        v4.push(0);
+        let read = read_frame_bytes(&mut v4.as_slice()).unwrap_err();
+        let split = split_frame(Bytes::from(v4)).unwrap_err();
         for err in [read, split] {
             assert_eq!(err.kind(), io::ErrorKind::Unsupported);
             assert!(
                 err.to_string()
-                    .contains("peer speaks v3, this build speaks v4"),
+                    .contains("peer speaks v4, this build speaks v5"),
                 "{err}"
             );
         }

@@ -73,11 +73,10 @@ pub enum Error {
     /// a retained snapshot to continue.
     LeaseExpired { lease: u64, version: VersionId },
     /// A slot-routed request landed on a shard that does not own the
-    /// blob's slot (the client's `SlotMap` is stale, or the slot is
-    /// mid-handoff). The payload carries the server's map epoch and the
-    /// rejected slot so the client can refetch the map and re-route;
-    /// nothing was executed, so the retry is safe.
-    WrongShard { epoch: u64, slot: u16 },
+    /// blob's slot: the client's shard list disagrees with the servers'
+    /// `--shard i/N` flags. Nothing was executed; the payload names the
+    /// rejected slot.
+    WrongShard { slot: u16 },
     /// A transport-level failure talking to a remote service. The kind
     /// distinguishes causes so retry policy can branch (a timeout is worth
     /// retrying on the same endpoint; connection-refused is not).
@@ -183,9 +182,7 @@ impl fmt::Display for Error {
             Error::LeaseExpired { lease, version } => {
                 write!(f, "lease {lease} on snapshot {version} has expired")
             }
-            Error::WrongShard { epoch, slot } => {
-                write!(f, "slot {slot} is not served here (map epoch {epoch})")
-            }
+            Error::WrongShard { slot } => write!(f, "slot {slot} is not served here"),
             Error::Transport { kind, detail } => {
                 write!(f, "transport failure ({kind}): {detail}")
             }
@@ -250,10 +247,7 @@ impl Decode for Error {
                 lease: d(r)?,
                 version: d(r)?,
             },
-            17 => Error::WrongShard {
-                epoch: d(r)?,
-                slot: d(r)?,
-            },
+            17 => Error::WrongShard { slot: d(r)? },
             18 => Error::Transport {
                 kind: d(r)?,
                 detail: d::<String>(r)?,
@@ -333,7 +327,7 @@ mod tests {
                 lease: 11,
                 version: VersionId::new(3),
             },
-            Error::WrongShard { epoch: 7, slot: 42 },
+            Error::WrongShard { slot: 42 },
             Error::Transport {
                 kind: TransportErrorKind::Timeout,
                 detail: "read deadline".into(),

@@ -25,8 +25,7 @@
 //! directly. [`VersionOracle`] is the participant-taking surface the
 //! blob path is written against; the manager's impl of it adds the
 //! simulated cost of an in-process call, in one place. A published
-//! version is one record type, [`PublishRecord`], on the publish log
-//! and on the wire alike.
+//! version is one record type, [`PublishRecord`], on the publish log.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -25,7 +25,6 @@ use atomio_types::record::{
 };
 use atomio_types::{Error, ExtentList, FsyncPolicy, Result, RetentionPolicy, VersionId};
 use parking_lot::Mutex;
-use serde::{Decode, Deserialize, Encode, Serialize};
 use std::path::PathBuf;
 
 /// Log record: one published snapshot.
@@ -45,11 +44,9 @@ const REC_LEASE_RELEASE: u8 = 4;
 const VERSION_TAG: u64 = 0x7665_7273;
 
 /// One published version, whole: its snapshot plus the extents of its
-/// history row — everything a manager needs to resume serving it. *The*
-/// record of a published version: the publish log stores it (in the
-/// binary form below) and a slot handoff carries it on the wire (through
-/// the derived positional codec, so the field order is wire format).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Encode, Decode)]
+/// history row — everything a manager needs to resume serving it. The
+/// publish log stores it in the binary form below.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublishRecord {
     /// The snapshot's version.
     pub version: VersionId,

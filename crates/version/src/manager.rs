@@ -11,11 +11,10 @@
 //! each method is one private `charge` (an RPC round trip plus a
 //! meta-op of manager CPU) followed by the participant-free call.
 //!
-//! A published version is described by one record type on the log and
-//! on the wire, [`PublishRecord`]; one function assembles it from
-//! manager state (for the log append and for a handoff export) and one
-//! function installs it into manager state (for log replay and for a
-//! handoff import).
+//! A published version is described by one record type on the publish
+//! log, [`PublishRecord`]; one function assembles it from manager state
+//! (for the log append) and one function installs it into manager state
+//! (for log replay).
 
 use crate::lease::{LeaseGrant, LeaseManager};
 use crate::log::{PublishLog, PublishRecord};
@@ -189,8 +188,7 @@ impl VersionManager {
         }
         st.leases.reserve_ids(replay.max_lease_id);
         for rec in replay.publishes {
-            // Already on the log it came from: nothing to append.
-            Self::install(&history, &mut st, None, rec)?;
+            Self::install(&history, &mut st, rec)?;
         }
         Ok(VersionManager {
             state: Mutex::new(st),
@@ -298,10 +296,10 @@ impl VersionManager {
 
     /// The history delta a grant of `v` returns: the rows after `known`,
     /// ending with `v`'s own. It starts at that row at the latest — a
-    /// client whose mirror ran past it (its grant of `v` abandoned by a
-    /// slot handoff, `v` granted again by the new owner) must still find
-    /// its row last — and stops there, whatever later grants appended
-    /// since the state lock was released.
+    /// client whose mirror ran past it (a restarted durable manager
+    /// rolled back its unpublished grant of `v` and grants `v` again) must
+    /// still find its row last — and stops there, whatever later grants
+    /// appended since the state lock was released.
     fn grant_delta(&self, known: usize, v: VersionId) -> Vec<WriteSummary> {
         if known == KNOWS_EVERY_ROW {
             return Vec::new();
@@ -354,7 +352,7 @@ impl VersionManager {
 
     /// The record of a published (or publishing) version: its snapshot
     /// plus the extents of its history row. The only place one is
-    /// assembled from manager state — for the log and for an export.
+    /// assembled from manager state, for the log.
     fn record_of(&self, snapshot: SnapshotRecord) -> PublishRecord {
         PublishRecord {
             version: snapshot.version,
@@ -371,28 +369,14 @@ impl VersionManager {
 
     /// Installs one published version into manager state — history row,
     /// ticket size, snapshot, `next` / `published` — and is the only
-    /// code that does, for log replay and for a handoff import alike.
-    /// With a `log`, the record is appended to it after the checks and
-    /// before it becomes visible (the invariant [`Self::publish_local`]
-    /// keeps).
+    /// code that does, for log replay.
     ///
     /// # Errors
     /// [`Error::Internal`], with nothing changed, unless `rec` is the
-    /// version right after a published prefix with no grant outstanding
-    /// and its tree capacity is no smaller than its predecessor's (what
-    /// [`VersionHistory::append`] asserts).
-    fn install(
-        history: &VersionHistory,
-        st: &mut VmState,
-        log: Option<&PublishLog>,
-        rec: PublishRecord,
-    ) -> Result<()> {
-        if st.next > st.published {
-            return Err(Error::Internal(format!(
-                "install of {} into a manager with outstanding grants",
-                rec.version
-            )));
-        }
+    /// version right after the published prefix and its tree capacity is
+    /// no smaller than its predecessor's (what [`VersionHistory::append`]
+    /// asserts).
+    fn install(history: &VersionHistory, st: &mut VmState, rec: PublishRecord) -> Result<()> {
         if rec.version.raw() != st.published + 1 {
             return Err(Error::Internal(format!(
                 "published prefix ends at v{}, next record is {}",
@@ -408,9 +392,6 @@ impl VersionManager {
                 "capacity shrinks at {}",
                 rec.version
             )));
-        }
-        if let Some(log) = log {
-            log.append(&rec)?;
         }
         history.append(WriteSummary {
             version: rec.version,
@@ -483,61 +464,6 @@ impl VersionManager {
             published: st.published,
             parked: st.pending.len(),
         }
-    }
-
-    /// Versions granted but not yet in the dense published prefix.
-    /// A slot handoff drains a frozen blob by polling this to zero.
-    pub fn pending_grants(&self) -> u64 {
-        let st = self.state.lock();
-        st.next - st.published
-    }
-
-    /// Exports the full published prefix plus the retention policy —
-    /// everything a new shard needs to serve this blob verbatim after a
-    /// slot handoff. Leases deliberately stay behind: they are pins held
-    /// against *this* manager and lapse by TTL; readers re-acquire on
-    /// the new owner.
-    pub fn export_published(&self) -> (Vec<PublishRecord>, RetentionPolicy) {
-        let st = self.state.lock();
-        let records = st.snapshots.iter().map(|s| self.record_of(*s)).collect();
-        (records, st.retention)
-    }
-
-    /// Installs an exported published prefix verbatim (the receiving
-    /// half of a slot handoff). Idempotent: records at or below the
-    /// current published version are skipped, so replaying the same
-    /// export twice is a no-op — a pure duplicate replay also leaves the
-    /// retention policy untouched, so a late re-delivered handoff cannot
-    /// clobber a policy clients set on this owner after the first
-    /// import. Returns how many versions were applied.
-    ///
-    /// # Errors
-    /// [`Error::Internal`] when the records leave a gap above the
-    /// current prefix or shrink the tree capacity, or when this manager
-    /// already handed out grants (imports only target a manager that has
-    /// never ticketed — the coordinator installs the map on the new
-    /// owner before any client can route writes at it).
-    pub fn import_published(
-        &self,
-        records: &[PublishRecord],
-        retention: RetentionPolicy,
-    ) -> Result<u64> {
-        let mut st = self.state.lock();
-        let prefix_was_empty = st.published == 0;
-        let mut applied = 0u64;
-        for rec in records {
-            if rec.version.raw() <= st.published {
-                continue; // double-replay idempotence
-            }
-            Self::install(&self.history, &mut st, self.log.as_ref(), rec.clone())?;
-            self.published.notify_all();
-            applied += 1;
-        }
-        if applied > 0 || prefix_was_empty {
-            st.retention = retention;
-            self.logged(|log| log.append_retention(retention))?;
-        }
-        Ok(applied)
     }
 
     // -----------------------------------------------------------------
@@ -1196,85 +1122,6 @@ mod tests {
             m.lease_release(p, g.lease).unwrap();
             assert_eq!(m.gc_floor(p).unwrap().floor, VersionId::new(3));
         });
-    }
-
-    #[test]
-    fn export_import_replays_the_published_prefix_verbatim() {
-        let src = vm();
-        run_actors(1, |_, p| {
-            for k in 0..4u64 {
-                let t = src.ticket(p, &extents(&[(k * 64, 64)])).unwrap();
-                src.publish(p, t, root_for(t)).unwrap();
-            }
-            src.set_retention(p, RetentionPolicy::KeepLast(2)).unwrap();
-            // A granted-but-unpublished ticket is NOT part of the export.
-            src.ticket(p, &extents(&[(512, 64)])).unwrap();
-        });
-        assert_eq!(src.pending_grants(), 1);
-        let (records, retention) = src.export_published();
-        assert_eq!(records.len(), 4);
-
-        let dst = vm();
-        assert_eq!(dst.import_published(&records, retention).unwrap(), 4);
-        assert_eq!(dst.retention(), RetentionPolicy::KeepLast(2));
-        assert_eq!(dst.stats().published, 4);
-        assert_eq!(dst.history().len(), 4);
-        // Double replay is a no-op (handoff idempotence) — and it must
-        // not clobber a retention policy set on the new owner after the
-        // first import landed.
-        dst.set_retention_local(RetentionPolicy::KeepLast(9))
-            .unwrap();
-        assert_eq!(dst.import_published(&records, retention).unwrap(), 0);
-        assert_eq!(dst.stats().published, 4);
-        assert_eq!(dst.retention(), RetentionPolicy::KeepLast(9));
-        run_actors(1, |_, p| {
-            for v in 1..=4u64 {
-                assert_eq!(
-                    dst.snapshot(p, VersionId::new(v)).unwrap(),
-                    src.snapshot(p, VersionId::new(v)).unwrap(),
-                    "snapshot v{v} must survive the handoff bit-identically"
-                );
-            }
-            // The new owner resumes ticketing exactly where the prefix
-            // ends: the next grant is v5 at the recovered tail.
-            let (t, ext) = dst.ticket_append(p, 16).unwrap();
-            assert_eq!(t.version, VersionId::new(5));
-            assert_eq!(ext.covering_range().offset, 4 * 64);
-        });
-        // Gapped records are refused.
-        let fresh = vm();
-        assert!(fresh.import_published(&records[1..], retention).is_err());
-        // A manager with its own grants refuses imports outright.
-        run_actors(1, |_, p| {
-            let busy = vm();
-            busy.ticket(p, &extents(&[(0, 64)])).unwrap();
-            assert!(busy.import_published(&records, retention).is_err());
-        });
-    }
-
-    #[test]
-    fn import_refuses_a_shrinking_capacity() {
-        // What a `VmImportBlobs` frame can carry: dense versions whose
-        // capacity goes down. Refused typed, at the offending record,
-        // with the records before it installed and nothing after.
-        let record = |v: u64, capacity: u64| PublishRecord {
-            version: VersionId::new(v),
-            root: None,
-            size: 64,
-            capacity,
-            extents: extents(&[(0, 64)]),
-        };
-        let dst = vm();
-        let outcome = dst.import_published(
-            &[record(1, 128), record(2, 64), record(3, 128)],
-            RetentionPolicy::KeepAll,
-        );
-        assert!(matches!(outcome, Err(Error::Internal(_))), "{outcome:?}");
-        assert_eq!(dst.stats().published, 1);
-        assert_eq!(dst.history().len(), 1);
-        // The manager still serves: the next grant follows the prefix.
-        let (t, _, _) = dst.ticket_append_local(8, 0).unwrap();
-        assert_eq!((t.version, t.capacity), (VersionId::new(2), 128));
     }
 
     #[test]

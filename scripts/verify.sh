@@ -4,7 +4,8 @@
 #   2. the workspace test suite (tier-1's root tests + every crate's)
 #   3. re-runs of the socket suites under the environments in the table
 #      below (thread contention, disk backend, sharded version fleet)
-#   4. formatting, and lints on every target the gate compiles
+#   4. formatting, lints on every target the gate compiles, and the
+#      docs with every rustdoc warning (a dead intra-doc link) an error
 #   5. every virtual-time experiment regenerated and compared byte for
 #      byte with results/ (scripts/check_results.sh)
 #
@@ -56,6 +57,9 @@ cargo fmt --check
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== cargo doc --workspace --no-deps (rustdoc warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 if [[ "${VERIFY_BENCH:-0}" == "1" ]]; then
     # wallbench/ is its own cargo workspace, so `cargo test --workspace`

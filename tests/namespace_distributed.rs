@@ -2,7 +2,7 @@
 //! version-service fleet must be invisible to every observable the
 //! single-oracle deployment defines.
 //!
-//! Three arms:
+//! Two arms:
 //!
 //! 1. **Randomized multi-tenant property test** — N tenants each drive a
 //!    seeded create/write/read/delete interleaving over their own
@@ -15,19 +15,16 @@
 //!    fails exactly the blobs in its slots with typed transport errors;
 //!    the other shards keep serving; a fresh process on the same port
 //!    recovers that shard's published prefix from its publish logs
-//!    (Disk backend) and the granted-but-unpublished ticket stays
-//!    invisible.
-//! 3. **SlotMap edge cases** — a stale client map self-heals through
-//!    `WrongShard` redirect-and-retry; a fully drained shard (empty slot
-//!    range) keeps answering typed refusals without serving; an online
-//!    handoff drains in-flight grants, and replaying the export twice is
-//!    idempotent.
+//!    (Disk backend), the granted-but-unpublished ticket stays
+//!    invisible, and the restarted shard serves exactly its
+//!    `--shard i/N` slots. A router whose shard list disagrees with the
+//!    servers' flags gets a typed `WrongShard`, never a retry.
 
-use atomio::core::{slot_for_blob, ReadVersion, SlotMap, Store, StoreConfig};
+use atomio::core::{shard_of, slot_for_blob, ReadVersion, Store, StoreConfig};
 use atomio::meta::NodeKey;
 use atomio::rpc::{
-    dial, handoff_slots, handoff_slots_with_budget, Loopback, RemoteVersionManager, RpcConfig,
-    RpcMode, RpcServer, Service, SlotRoutedTransport, Transport, VersionService,
+    dial, Loopback, RemoteVersionManager, Request, Response, RpcConfig, RpcMode, RpcServer,
+    Service, SlotRoutedTransport, Transport, VersionService,
 };
 use atomio::simgrid::clock::run_actors_on;
 use atomio::simgrid::SimClock;
@@ -36,6 +33,7 @@ use atomio::types::{BackendConfig, BlobId, ByteRange, Error, ExtentList, Version
 use atomio::version::VersionOracle;
 use bytes::Bytes;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const CHUNK: u64 = 512;
@@ -266,7 +264,6 @@ fn killing_one_shard_fails_only_its_slots_and_recovers_on_the_same_port() {
     let tmp = TempDir::new("atomio-shard-kill");
     let backend = BackendConfig::disk(tmp.path());
     let mut fleet = tcp_fleet(4, &backend);
-    let map = SlotMap::uniform(4);
 
     // Two published versions on each of 32 blobs, slot-routed.
     let blobs: Vec<u64> = (0..32).collect();
@@ -275,7 +272,7 @@ fn killing_one_shard_fails_only_its_slots_and_recovers_on_the_same_port() {
         publish_once(&vm, b);
         publish_once(&vm, b);
     }
-    let on_victim = |b: u64| map.group_of(slot_for_blob(b)) == Some(1);
+    let on_victim = |b: u64| shard_of(slot_for_blob(b), 4) == 1;
     let victims: Vec<u64> = blobs.iter().copied().filter(|b| on_victim(*b)).collect();
     let survivors: Vec<u64> = blobs.iter().copied().filter(|b| !on_victim(*b)).collect();
     assert!(
@@ -337,365 +334,83 @@ fn killing_one_shard_fails_only_its_slots_and_recovers_on_the_same_port() {
         );
         assert!(!vm.is_published(VersionId::new(3)).unwrap());
     }
-    // The recovered shard reissues the rolled-back number and the
-    // pipeline is healthy again.
+    // Asked directly, the restarted `1/4` serves exactly its own slots:
+    // every survivor draws a typed refusal naming its slot.
+    let direct: Arc<dyn Transport> = Arc::new(Loopback::new(
+        Arc::clone(&fleet.services[1]) as Arc<dyn Service>
+    ));
+    for &b in &survivors {
+        let vm = RemoteVersionManager::new(b, Arc::clone(&direct));
+        let wrong = Error::WrongShard {
+            slot: slot_for_blob(b),
+        };
+        assert_eq!(
+            vm.latest(&p),
+            Err(wrong.clone()),
+            "blob {b} is not shard 1's"
+        );
+        assert_eq!(vm.ticket_append(&p, CHUNK).map(drop), Err(wrong));
+    }
+    for &b in &victims {
+        let vm = RemoteVersionManager::new(b, Arc::clone(&direct));
+        assert_eq!(vm.latest(&p).unwrap().version, VersionId::new(2));
+    }
+    // The recovered shard reissues the rolled-back number — to a client
+    // whose mirror already holds the row of the grant it rolled back —
+    // and the pipeline is healthy again.
     assert_eq!(publish_once(&doomed, doomed_blob), VersionId::new(3));
 }
 
-#[test]
-fn stale_client_maps_self_heal_through_wrong_shard_redirects() {
-    let p = SimClock::new().register();
-    let fleet = loopback_fleet(2);
-    let map = SlotMap::uniform(2);
-    let routed = Arc::new(SlotRoutedTransport::new(vec![
-        Arc::new(Loopback::new(
-            Arc::clone(&fleet.services[0]) as Arc<dyn Service>
-        )) as Arc<dyn Transport>,
-        Arc::new(Loopback::new(
-            Arc::clone(&fleet.services[1]) as Arc<dyn Service>
-        )) as Arc<dyn Transport>,
-    ]));
+/// Counts the calls that pass through to the transport it wraps.
+#[derive(Debug)]
+struct Counting {
+    inner: Arc<dyn Transport>,
+    calls: AtomicUsize,
+}
 
-    // A blob owned by shard 1 under the uniform map.
-    let blob = (0..u64::MAX)
-        .find(|b| map.group_of(slot_for_blob(*b)) == Some(1))
-        .unwrap();
-
-    // Membership change behind the client's back: every slot of shard 1
-    // moves to shard 0, installed on both servers at epoch 2.
-    let next = map.reassign(&map.slots_of(1), 0);
-    for service in &fleet.services {
-        let (resp, _) = Loopback::new(Arc::clone(service) as Arc<dyn Service>)
-            .call(
-                &atomio::rpc::Request::SlotMapInstall { map: next.clone() },
-                &[],
-            )
-            .unwrap();
-        assert!(matches!(resp, atomio::rpc::Response::Unit));
+impl Transport for Counting {
+    fn call(&self, request: &Request, payload: &[u8]) -> atomio::types::Result<(Response, Bytes)> {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        self.inner.call(request, payload)
     }
-
-    // The router still believes the uniform map, so its first attempt
-    // lands on shard 1, draws `WrongShard { epoch: 2 }`, refreshes, and
-    // retries against shard 0 — invisible to the caller.
-    let vm = RemoteVersionManager::new(blob, routed.clone() as Arc<dyn Transport>);
-    assert_eq!(publish_once(&vm, blob), VersionId::new(1));
-    assert_eq!(routed.slot_map().epoch, 2, "redirect refreshed the map");
-
-    // Shard 1 now owns the empty slot range: it answers — with typed
-    // refusals — rather than serving stale state.
-    assert!(next.slots_of(1).is_empty());
-    let direct = RemoteVersionManager::new(
-        blob,
-        Arc::new(Loopback::new(
-            Arc::clone(&fleet.services[1]) as Arc<dyn Service>
-        )) as Arc<dyn Transport>,
-    );
-    assert!(
-        matches!(direct.latest(&p), Err(Error::WrongShard { epoch: 2, .. })),
-        "a drained shard refuses with its installed epoch"
-    );
 }
 
 #[test]
-fn online_handoff_drains_grants_and_double_replay_is_idempotent() {
+fn a_router_over_the_wrong_shard_count_fails_typed_on_the_first_call() {
     let p = SimClock::new().register();
-    let fleet = loopback_fleet(2);
-    let transports: Vec<Arc<dyn Transport>> = fleet
-        .services
+    let fleet = loopback_fleet(4);
+    let shards: Vec<Arc<Counting>> = fleet.services[..2]
         .iter()
-        .map(|s| Arc::new(Loopback::new(Arc::clone(s) as Arc<dyn Service>)) as Arc<dyn Transport>)
-        .collect();
-    let map = SlotMap::uniform(2);
-
-    // Three blobs on shard 1, two published versions each, plus one
-    // ticket still in flight when the handoff starts.
-    let moving_blobs: Vec<u64> = (0..u64::MAX)
-        .filter(|b| map.group_of(slot_for_blob(*b)) == Some(1))
-        .take(3)
-        .collect();
-    for &b in &moving_blobs {
-        let vm = RemoteVersionManager::new(b, Arc::clone(&fleet.transport));
-        publish_once(&vm, b);
-        publish_once(&vm, b);
-    }
-    let straggler_blob = moving_blobs[0];
-    let straggler = RemoteVersionManager::new(straggler_blob, Arc::clone(&fleet.transport));
-    let (t3, _) = straggler.ticket_append(&p, CHUNK).unwrap();
-
-    // The in-flight writer publishes while the coordinator is freezing
-    // and draining — the freeze blocks new tickets, not this publish.
-    let publisher = std::thread::spawn({
-        let root = NodeKey::new(
-            BlobId::new(straggler_blob),
-            t3.version,
-            ByteRange::new(0, t3.capacity),
-        );
-        move || {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            let p = SimClock::new().register();
-            straggler.publish(&p, t3, root).unwrap();
-        }
-    });
-    let moving = map.slots_of(1);
-    let next = handoff_slots(&transports, &map, &moving, 0).expect("handoff");
-    publisher.join().unwrap();
-    assert_eq!(next.epoch, 2);
-    assert!(next.slots_of(1).is_empty());
-
-    // The drained publish migrated with the rest of the prefix: the new
-    // owner serves v3 of the straggler and v2 of the others.
-    for &b in &moving_blobs {
-        let vm = RemoteVersionManager::new(b, Arc::clone(&fleet.transport));
-        let want = if b == straggler_blob { 3 } else { 2 };
-        assert_eq!(vm.latest(&p).unwrap().version, VersionId::new(want));
-        // And the chain keeps growing on the new owner.
-        assert_eq!(publish_once(&vm, b), VersionId::new(want + 1));
-    }
-
-    // Double replay: exporting the (now thawed-and-empty) source again
-    // and re-importing applies nothing — the import skips versions at
-    // or below the destination's published head.
-    let export = transports[1]
-        .call(
-            &atomio::rpc::Request::VmExportSlots {
-                slots: moving.clone(),
-            },
-            &[],
-        )
-        .unwrap();
-    let atomio::rpc::Response::SlotExport { blobs } = export.0 else {
-        panic!("expected SlotExport, got {:?}", export.0);
-    };
-    let replayed = transports[0]
-        .call(&atomio::rpc::Request::VmImportBlobs { blobs }, &[])
-        .unwrap();
-    match replayed.0 {
-        atomio::rpc::Response::Count { value } => {
-            assert_eq!(value, 0, "double replay applies no versions")
-        }
-        other => panic!("expected Count, got {other:?}"),
-    }
-    drop(fleet.servers);
-}
-
-/// A writer that holds its ticket past the drain budget cannot be
-/// silently dropped by the handoff: the moving slots are sealed before
-/// the export, so the straggler's publish is *refused* (typed) and the
-/// version is absent everywhere — never acked-then-vanished.
-#[test]
-fn handoff_seals_slots_so_an_abandoned_straggler_fails_typed_not_silently() {
-    let p = SimClock::new().register();
-    let fleet = loopback_fleet(2);
-    let transports: Vec<Arc<dyn Transport>> = fleet
-        .services
-        .iter()
-        .map(|s| Arc::new(Loopback::new(Arc::clone(s) as Arc<dyn Service>)) as Arc<dyn Transport>)
-        .collect();
-    let map = SlotMap::uniform(2);
-
-    let blob = (0..u64::MAX)
-        .find(|b| map.group_of(slot_for_blob(*b)) == Some(1))
-        .unwrap();
-    let vm = RemoteVersionManager::new(blob, Arc::clone(&fleet.transport));
-    publish_once(&vm, blob);
-    publish_once(&vm, blob);
-    // The straggler: granted before the handoff, never published while
-    // it runs, held far past the (tiny) drain budget.
-    let (t3, _) = vm.ticket_append(&p, CHUNK).unwrap();
-
-    let moving = map.slots_of(1);
-    let next = handoff_slots_with_budget(
-        &transports,
-        &map,
-        &moving,
-        0,
-        std::time::Duration::from_millis(30),
-    )
-    .expect("handoff proceeds past an undrained ticket");
-    assert_eq!(next.epoch, 2);
-
-    // The abandoned ticket's publish is refused — the new owner never
-    // granted it — and v3 exists nowhere.
-    let err = vm
-        .publish(
-            &p,
-            t3,
-            NodeKey::new(
-                BlobId::new(blob),
-                t3.version,
-                ByteRange::new(0, t3.capacity),
-            ),
-        )
-        .unwrap_err();
-    assert!(
-        matches!(err, Error::Internal(_)),
-        "abandoned straggler fails typed, got {err:?}"
-    );
-    assert_eq!(vm.latest(&p).unwrap().version, VersionId::new(2));
-    assert!(!vm.is_published(VersionId::new(3)).unwrap());
-    // The chain resumes cleanly on the new owner, reissuing v3.
-    assert_eq!(publish_once(&vm, blob), VersionId::new(3));
-}
-
-/// `VmSealSlots` escalates a freeze: publishes in the sealed slots are
-/// refused with `WrongShard`, so the post-seal export is a consistent
-/// final snapshot of the moving slots.
-#[test]
-fn sealed_slots_refuse_publishes_with_wrong_shard() {
-    let p = SimClock::new().register();
-    let fleet = loopback_fleet(2);
-    let shard1: Arc<dyn Transport> = Arc::new(Loopback::new(
-        Arc::clone(&fleet.services[1]) as Arc<dyn Service>
-    ));
-    let map = SlotMap::uniform(2);
-    let blob = (0..u64::MAX)
-        .find(|b| map.group_of(slot_for_blob(*b)) == Some(1))
-        .unwrap();
-    let vm = RemoteVersionManager::new(blob, Arc::clone(&fleet.transport));
-    publish_once(&vm, blob);
-    let (t2, _) = vm.ticket_append(&p, CHUNK).unwrap();
-
-    let slot = slot_for_blob(blob);
-    let sealed = shard1
-        .call(
-            &atomio::rpc::Request::VmSealSlots {
-                slots: vec![slot],
-                epoch: 2,
-            },
-            &[],
-        )
-        .unwrap();
-    match sealed.0 {
-        atomio::rpc::Response::Count { value } => {
-            assert_eq!(value, 1, "the in-flight grant is reported as abandoned")
-        }
-        other => panic!("expected Count, got {other:?}"),
-    }
-
-    // Both the held ticket's publish and fresh tickets are refused
-    // typed on the sealed shard.
-    let direct = RemoteVersionManager::new(blob, Arc::clone(&shard1));
-    let err = direct
-        .publish(
-            &p,
-            t2,
-            NodeKey::new(
-                BlobId::new(blob),
-                t2.version,
-                ByteRange::new(0, t2.capacity),
-            ),
-        )
-        .unwrap_err();
-    assert!(
-        matches!(err, Error::WrongShard { epoch: 2, .. }),
-        "publish into a sealed slot draws WrongShard, got {err:?}"
-    );
-    assert!(matches!(
-        direct.ticket_append(&p, CHUNK),
-        Err(Error::WrongShard { epoch: 2, .. })
-    ));
-    // Reads still serve (the seal freezes mutation, not visibility) and
-    // the sealed state exports exactly the published prefix.
-    assert_eq!(direct.latest(&p).unwrap().version, VersionId::new(1));
-
-    // Installing the reassigned map thaws the seal.
-    let next = map.reassign(&[slot], 0);
-    let (resp, _) = shard1
-        .call(&atomio::rpc::Request::SlotMapInstall { map: next }, &[])
-        .unwrap();
-    assert!(matches!(resp, atomio::rpc::Response::Unit));
-    drop(fleet.servers);
-}
-
-/// Freezes merge per slot: a second handoff freezing a *disjoint* slot
-/// set off the same shard must not thaw the first one's slots mid-drain
-/// (the old all-or-nothing freeze state clobbered them).
-#[test]
-fn disjoint_concurrent_freezes_merge_instead_of_clobbering() {
-    let p = SimClock::new().register();
-    let fleet = loopback_fleet(2);
-    let shard1: Arc<dyn Transport> = Arc::new(Loopback::new(
-        Arc::clone(&fleet.services[1]) as Arc<dyn Service>
-    ));
-    let map = SlotMap::uniform(2);
-    let mut owned = map.slots_of(1).into_iter();
-    let slot_a = owned.next().unwrap();
-    let slot_b = owned.next().unwrap();
-
-    for (slots, epoch) in [(vec![slot_a], 2u64), (vec![slot_b], 2u64)] {
-        let (resp, _) = shard1
-            .call(&atomio::rpc::Request::VmFreezeSlots { slots, epoch }, &[])
-            .unwrap();
-        assert!(matches!(resp, atomio::rpc::Response::Count { .. }));
-    }
-
-    // Both handoffs' slots stay frozen: tickets in slot_a are still
-    // refused after slot_b's freeze landed.
-    for slot in [slot_a, slot_b] {
-        let blob = (0..u64::MAX).find(|b| slot_for_blob(*b) == slot).unwrap();
-        let direct = RemoteVersionManager::new(blob, Arc::clone(&shard1));
-        assert!(
-            matches!(
-                direct.ticket_append(&p, CHUNK),
-                Err(Error::WrongShard { epoch: 2, .. })
-            ),
-            "slot {slot} must remain frozen"
-        );
-    }
-
-    // A map install at the freeze epoch thaws both entries.
-    let (resp, _) = shard1
-        .call(
-            &atomio::rpc::Request::SlotMapInstall {
-                map: map.bump_epoch(),
-            },
-            &[],
-        )
-        .unwrap();
-    assert!(matches!(resp, atomio::rpc::Response::Unit));
-    let blob_a = (0..u64::MAX).find(|b| slot_for_blob(*b) == slot_a).unwrap();
-    let direct = RemoteVersionManager::new(blob_a, Arc::clone(&shard1));
-    direct
-        .ticket_append(&p, CHUNK)
-        .expect("thawed slot grants again");
-    drop(fleet.servers);
-}
-
-/// A map that routes a slot to a shard the router has no transport for
-/// is a permanent configuration mismatch: the router fails fast with an
-/// error naming the missing shard instead of burning its full
-/// redirect-retry budget on a misleading "unassigned" message.
-#[test]
-fn slot_routed_to_an_undialed_shard_fails_fast_with_a_named_shard() {
-    let p = SimClock::new().register();
-    let fleet = loopback_fleet(2);
-    let routed = Arc::new(SlotRoutedTransport::new(
-        fleet
-            .services
-            .iter()
-            .map(|s| {
-                Arc::new(Loopback::new(Arc::clone(s) as Arc<dyn Service>)) as Arc<dyn Transport>
+        .map(|s| {
+            Arc::new(Counting {
+                inner: Arc::new(Loopback::new(Arc::clone(s) as Arc<dyn Service>)),
+                calls: AtomicUsize::new(0),
             })
+        })
+        .collect();
+    // A client that believes in two shards, over the first two of four.
+    let routed: Arc<dyn Transport> = Arc::new(SlotRoutedTransport::new(
+        shards
+            .iter()
+            .map(|s| Arc::clone(s) as Arc<dyn Transport>)
             .collect(),
     ));
-    let map = SlotMap::uniform(2);
-    let blob = 7u64;
-    let slot = slot_for_blob(blob);
-    routed.install(map.reassign(&[slot], 5));
+    // A blob the two-way split sends to shard 1, which the four-way
+    // deployment does not let shard 1 own.
+    let blob = (0..u64::MAX)
+        .find(|b| {
+            let slot = slot_for_blob(*b);
+            shard_of(slot, 2) == 1 && shard_of(slot, 4) != 1
+        })
+        .unwrap();
 
-    let vm = RemoteVersionManager::new(blob, routed.clone() as Arc<dyn Transport>);
-    let started = std::time::Instant::now();
-    let err = vm.latest(&p).unwrap_err();
-    let Error::Internal(msg) = &err else {
-        panic!("expected a typed Internal error, got {err:?}");
-    };
-    assert!(
-        msg.contains("shard 5"),
-        "the error names the missing shard: {msg}"
+    let vm = RemoteVersionManager::new(blob, routed);
+    assert_eq!(
+        vm.latest(&p),
+        Err(Error::WrongShard {
+            slot: slot_for_blob(blob)
+        })
     );
-    assert!(
-        started.elapsed() < std::time::Duration::from_millis(100),
-        "fail-fast must not burn the 100-retry redirect budget"
-    );
-    drop(fleet.servers);
+    let calls = shards.iter().map(|s| s.calls.load(Ordering::SeqCst));
+    assert_eq!(calls.collect::<Vec<_>>(), [0, 1], "one call, no retry");
 }
