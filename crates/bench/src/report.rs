@@ -296,22 +296,14 @@ impl SpeedupBand {
     }
 }
 
-/// Extracts the write-ahead-log statistics (`wal.*` namespace) from a
-/// metrics registry as flat entries, sorted by name. Counters pass
-/// through; duration stats flatten to `_mean_us`/`_max_us` microsecond
-/// entries and value stats to `_mean`/`_peak`, keeping the report's
-/// `stats` block a uniform name→u64 table. Empty when the run never
-/// used a WAL — Direct-mode reports (e7a–e and earlier) stay
-/// byte-identical.
-pub fn wal_stat_entries(metrics: &atomio_simgrid::Metrics) -> Vec<StatEntry> {
-    namespaced_stat_entries(metrics, "wal.")
-}
-
 /// Extracts the reclamation statistics (`gc.*` namespace — passes,
 /// versions retired, chunks/nodes evicted, bytes reclaimed, pass times,
-/// live-lease gauge) from a metrics registry, flattened exactly like
-/// [`wal_stat_entries`]. Empty when the run never ran a collector, so
-/// GC-less reports (everything before E10) stay byte-identical.
+/// live-lease gauge) from a metrics registry as flat entries, sorted by
+/// name. Counters pass through; duration stats flatten to
+/// `_mean_us`/`_max_us` microsecond entries and value stats to
+/// `_mean`/`_peak`, keeping the report's `stats` block a uniform
+/// name→u64 table. Empty when the run never ran a collector, so GC-less
+/// reports (everything before E10) stay byte-identical.
 pub fn gc_stat_entries(metrics: &atomio_simgrid::Metrics) -> Vec<StatEntry> {
     namespaced_stat_entries(metrics, "gc.")
 }
@@ -477,44 +469,15 @@ mod tests {
     }
 
     #[test]
-    fn wal_stat_entries_flatten_and_filter() {
-        let metrics = atomio_simgrid::Metrics::new();
-        metrics.counter("wal.appends").add(7);
-        metrics.counter("core.writes").add(9); // filtered out
-        metrics
-            .time_stat("wal.append_time")
-            .record(std::time::Duration::from_micros(40));
-        metrics
-            .time_stat("wal.append_time")
-            .record(std::time::Duration::from_micros(20));
-        metrics.value_stat("wal.bytes_pending").record(1000);
-        metrics.value_stat("wal.bytes_pending").record(3000);
-        let stats = wal_stat_entries(&metrics);
-        let get = |n: &str| stats.iter().find(|s| s.name == n).map(|s| s.value);
-        assert_eq!(get("wal.appends"), Some(7));
-        assert_eq!(get("wal.append_time_mean_us"), Some(30));
-        assert_eq!(get("wal.append_time_max_us"), Some(40));
-        assert_eq!(get("wal.bytes_pending_mean"), Some(2000));
-        assert_eq!(get("wal.bytes_pending_peak"), Some(3000));
-        assert!(get("core.writes").is_none());
-        let names: Vec<&str> = stats.iter().map(|s| s.name.as_str()).collect();
-        let mut sorted = names.clone();
-        sorted.sort_unstable();
-        assert_eq!(names, sorted, "entries sorted by name");
-        // A WAL-less run contributes nothing: empty-stats omission keeps
-        // committed Direct-mode reports byte-identical.
-        assert!(wal_stat_entries(&atomio_simgrid::Metrics::new()).is_empty());
-    }
-
-    #[test]
-    fn gc_stat_entries_share_the_wal_flattening() {
+    fn gc_stat_entries_flatten_and_filter() {
         let metrics = atomio_simgrid::Metrics::new();
         metrics.counter("gc.versions_retired").add(5);
         metrics.counter("gc.bytes_reclaimed").add(4096);
-        metrics.counter("wal.appends").add(2); // other namespace
+        metrics.counter("core.writes").add(2); // other namespace
         metrics
             .time_stat("gc.pass_time")
             .record(std::time::Duration::from_micros(80));
+        metrics.value_stat("gc.leases_active").record(1);
         metrics.value_stat("gc.leases_active").record(3);
         let stats = gc_stat_entries(&metrics);
         let get = |n: &str| stats.iter().find(|s| s.name == n).map(|s| s.value);
@@ -522,8 +485,13 @@ mod tests {
         assert_eq!(get("gc.bytes_reclaimed"), Some(4096));
         assert_eq!(get("gc.pass_time_mean_us"), Some(80));
         assert_eq!(get("gc.pass_time_max_us"), Some(80));
+        assert_eq!(get("gc.leases_active_mean"), Some(2));
         assert_eq!(get("gc.leases_active_peak"), Some(3));
-        assert!(get("wal.appends").is_none());
+        assert!(get("core.writes").is_none());
+        let names: Vec<&str> = stats.iter().map(|s| s.name.as_str()).collect();
+        let mut sorted = names.clone();
+        sorted.sort_unstable();
+        assert_eq!(names, sorted, "entries sorted by name");
         // A GC-less run contributes nothing: empty-stats omission keeps
         // every committed pre-E10 report byte-identical.
         assert!(gc_stat_entries(&atomio_simgrid::Metrics::new()).is_empty());

@@ -16,8 +16,6 @@
 //!    its own version, which preserves MPI semantics ("when the call
 //!    returns, the data is visible").
 
-use crate::config::CommitMode;
-use crate::wal::WriteAheadLog;
 use atomio_meta::{
     LeafEntry, NodeCache, NodeStore, TreeBuilder, TreeConfig, TreeReader, VersionHistory,
 };
@@ -29,7 +27,6 @@ use atomio_types::{BlobId, ByteRange, ChunkGeometry, Error, ExtentList, Result, 
 use atomio_version::{LeaseGrant, SnapshotRecord, VersionOracle};
 use bytes::Bytes;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Which snapshot a read targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,8 +51,6 @@ struct BlobInner {
     metrics: Metrics,
     /// Client-side cache of immutable tree nodes (None when disabled).
     node_cache: Option<NodeCache>,
-    /// Host-side write-ahead log (Some iff `CommitMode::Logged`).
-    wal: Option<Arc<WriteAheadLog>>,
 }
 
 /// A handle to one blob (shared file). Cheap to clone; all clones see the
@@ -83,8 +78,6 @@ impl Blob {
         // same history the oracle appends grants to — for a remote
         // oracle that is its client-side mirror.
         let history = Arc::clone(vm.history());
-        let wal = (config.commit_mode == CommitMode::Logged)
-            .then(|| Arc::new(WriteAheadLog::new(config.wal_capacity, metrics.clone())));
         Blob {
             inner: Arc::new(BlobInner {
                 id,
@@ -97,7 +90,6 @@ impl Blob {
                 config,
                 metrics,
                 node_cache,
-                wal,
             }),
         }
     }
@@ -140,41 +132,13 @@ impl Blob {
     /// style). `payload` holds the regions' bytes packed in file order
     /// and must be exactly `extents.total_len()` long.
     ///
-    /// Returns the snapshot version the write produced. In
-    /// [`CommitMode::Direct`] that snapshot is published when the call
-    /// returns; in [`CommitMode::Logged`] the write was appended to the
-    /// host-side write-ahead log (blocking, in virtual time, while the
-    /// log is over capacity) and the returned version is the one the
-    /// background drainer will publish for it — call [`Blob::wal_sync`]
-    /// for a durability barrier.
+    /// Returns the snapshot version the write produced, which is
+    /// published when the call returns.
     pub fn write_list(
         &self,
         p: &Participant,
         extents: &ExtentList,
         payload: Bytes,
-    ) -> Result<VersionId> {
-        self.write_list_inner(p, extents, payload, true)
-    }
-
-    /// Like [`Blob::write_list`], but when the write-ahead log is over
-    /// capacity this returns the typed [`Error::Busy`] instead of
-    /// blocking. In [`CommitMode::Direct`] it is identical to
-    /// `write_list`.
-    pub fn try_write_list(
-        &self,
-        p: &Participant,
-        extents: &ExtentList,
-        payload: Bytes,
-    ) -> Result<VersionId> {
-        self.write_list_inner(p, extents, payload, false)
-    }
-
-    fn write_list_inner(
-        &self,
-        p: &Participant,
-        extents: &ExtentList,
-        payload: Bytes,
-        block: bool,
     ) -> Result<VersionId> {
         let inner = &self.inner;
         if extents.is_empty() {
@@ -186,30 +150,18 @@ impl Blob {
                 actual: payload.len() as u64,
             });
         }
-        match inner.config.commit_mode {
-            CommitMode::Direct => {
-                // 1. Ticket.
-                let ticket = inner.vm.ticket(p, extents)?;
-                self.commit_write(p, ticket, extents, payload)
-            }
-            CommitMode::Logged => self.wal_append(p, extents, payload, block),
-        }
+        // 1. Ticket.
+        let ticket = inner.vm.ticket(p, extents)?;
+        self.commit_write(p, ticket, extents, payload)
     }
 
     /// Atomically appends `payload` at the end of the blob. The append
     /// position is assigned atomically with the version number, so
     /// concurrent appenders get disjoint back-to-back regions. Returns
     /// the snapshot version and the offset the data landed at.
-    ///
-    /// Not available in [`CommitMode::Logged`]: the log's version
-    /// prediction requires every write to flow through it, and an append
-    /// position cannot be known before its ticket is granted.
     pub fn append(&self, p: &Participant, payload: Bytes) -> Result<(VersionId, u64)> {
         if payload.is_empty() {
             return Err(Error::EmptyAccess);
-        }
-        if self.inner.wal.is_some() {
-            return Err(Error::Unsupported("append in CommitMode::Logged"));
         }
         let (ticket, extents) = self.inner.vm.ticket_append(p, payload.len() as u64)?;
         let offset = extents.covering_range().offset;
@@ -338,160 +290,6 @@ impl Blob {
     pub fn write(&self, p: &Participant, offset: u64, payload: Bytes) -> Result<VersionId> {
         let extents = ExtentList::single(ByteRange::new(offset, payload.len() as u64));
         self.write_list(p, &extents, payload)
-    }
-
-    // ------------------------------------------------------------------
-    // Write-ahead log (CommitMode::Logged)
-    // ------------------------------------------------------------------
-
-    /// The blob's write-ahead log (`Some` iff the store runs in
-    /// [`CommitMode::Logged`]). Exposed for drain actors, stats, and the
-    /// pause/close test hooks.
-    pub fn wal(&self) -> Option<&Arc<WriteAheadLog>> {
-        self.inner.wal.as_ref()
-    }
-
-    fn wal_handle(&self) -> Result<&Arc<WriteAheadLog>> {
-        self.inner
-            .wal
-            .as_ref()
-            .ok_or(Error::Unsupported("WAL requires CommitMode::Logged"))
-    }
-
-    /// The Logged-mode ack path: append to the log at host-memory speed
-    /// and predict the version the drainer will be granted. The
-    /// prediction holds because grants are dense, the drainer tickets in
-    /// append order, and a Logged blob has a single writer while its log
-    /// is open.
-    fn wal_append(
-        &self,
-        p: &Participant,
-        extents: &ExtentList,
-        payload: Bytes,
-        block: bool,
-    ) -> Result<VersionId> {
-        let inner = &self.inner;
-        let wal = self.wal_handle()?;
-        let start = p.now();
-        let history = &inner.history;
-        let attempt = || {
-            wal.try_append(extents.clone(), payload.clone(), p.now_ns(), || {
-                history.len() as u64
-            })
-        };
-        let seq = if block {
-            p.wait_until(wal.changed(), || match attempt() {
-                Ok(seq) => Some(Ok(seq)),
-                Err(Error::Busy { .. }) => None,
-                Err(e) => Some(Err(e)),
-            })?
-        } else {
-            attempt()?
-        };
-        p.sleep(inner.config.cost.host_append(payload.len() as u64));
-        inner
-            .metrics
-            .time_stat("wal.append_time")
-            .record(p.now() - start);
-        Ok(VersionId::new(wal.expected_version(seq)))
-    }
-
-    /// Replays the oldest pending log entry through the normal commit
-    /// pipeline: ticket, transfer, metadata build, publish. Returns
-    /// `Ok(None)` when the log is empty or paused.
-    ///
-    /// A failure while acquiring the ticket (e.g. the version server is
-    /// down) leaves the entry in the log and returns the typed error —
-    /// retrying later continues with **no hole**. A failure after the
-    /// ticket is granted consumes the entry: the commit pipeline
-    /// materializes the version as a tombstone, the error is recorded
-    /// sticky on the log (surfaced by [`Blob::wal_sync`]), and draining
-    /// continues. (As in Direct mode, a crash *inside* the tombstone
-    /// path itself would leave the publication pipeline wedged; the log
-    /// narrows that window but cannot remove it.)
-    pub fn wal_drain_one(&self, p: &Participant) -> Result<Option<VersionId>> {
-        let wal = self.wal_handle()?;
-        let Some(entry) = wal.peek_front() else {
-            return Ok(None);
-        };
-        let ticket = self.inner.vm.ticket(p, &entry.extents)?;
-        let expected = wal.expected_version(entry.seq);
-        if ticket.version.raw() != expected {
-            return Err(Error::Internal(format!(
-                "WAL replay order violated: entry {} granted version {} (expected {expected}); \
-                 a Logged blob must have a single writer while its log is open",
-                entry.seq,
-                ticket.version.raw()
-            )));
-        }
-        let version = ticket.version;
-        match self.commit_write(p, ticket, &entry.extents, entry.payload.clone()) {
-            Ok(v) => {
-                wal.complete_front(entry.seq, p.now_ns());
-                Ok(Some(v))
-            }
-            Err(e) => {
-                wal.fail_front(entry.seq, e, p.now_ns());
-                Ok(Some(version))
-            }
-        }
-    }
-
-    /// The background drain actor's main loop: replays log entries in
-    /// append order until the log is [closed](WriteAheadLog::close) *and*
-    /// empty, backing off (virtual time) while the log is idle or the
-    /// backend is unreachable. Transport errors are retried — counted in
-    /// `wal.drain_retries` — so a killed-and-restarted service resumes
-    /// the drain with no hole. Returns the number of entries drained.
-    ///
-    /// This back-off is a timed wait, not an [`atomio_simgrid::Event`]:
-    /// besides appends it waits on server restarts and on
-    /// [`WriteAheadLog::pause`] / `resume` calls from test threads that
-    /// are not participants, none of which notify.
-    pub fn wal_drain(&self, p: &Participant) -> Result<u64> {
-        const BACKOFF_MIN: Duration = Duration::from_micros(10);
-        const BACKOFF_MAX: Duration = Duration::from_millis(10);
-        let wal = Arc::clone(self.wal_handle()?);
-        let mut drained = 0u64;
-        let mut backoff = BACKOFF_MIN;
-        loop {
-            match self.wal_drain_one(p) {
-                Ok(Some(_)) => {
-                    drained += 1;
-                    backoff = BACKOFF_MIN;
-                }
-                Ok(None) => {
-                    if wal.is_closed() && wal.depth() == 0 {
-                        return Ok(drained);
-                    }
-                    p.sleep(backoff);
-                    backoff = (backoff * 2).min(BACKOFF_MAX);
-                }
-                Err(Error::Transport { .. }) => {
-                    self.inner.metrics.counter("wal.drain_retries").inc();
-                    p.sleep(backoff);
-                    backoff = (backoff * 2).min(BACKOFF_MAX);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Durability barrier: blocks (virtual time) until every write
-    /// appended to the log so far has drained, then surfaces the first
-    /// replay failure, if any. Requires a running drain actor (see
-    /// [`Blob::wal_drain`]). In [`CommitMode::Direct`] writes are
-    /// durable when they return, so this is a no-op.
-    pub fn wal_sync(&self, p: &Participant) -> Result<()> {
-        let Some(wal) = self.inner.wal.as_ref() else {
-            return Ok(());
-        };
-        let target = wal.appended_seq();
-        p.wait_until(wal.changed(), || wal.drained_through(target).then_some(()));
-        match wal.first_drain_error() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1065,148 +863,6 @@ mod tests {
         assert_eq!(s.metrics().counter("core.bytes_written").get(), 3);
         assert_eq!(s.metrics().counter("core.reads").get(), 1);
         assert_eq!(s.metrics().counter("core.bytes_read").get(), 3);
-    }
-
-    #[test]
-    fn logged_writes_ack_early_and_drain_to_the_same_state() {
-        let s = Store::new(
-            StoreConfig::default()
-                .with_zero_cost()
-                .with_chunk_size(64)
-                .with_data_providers(4)
-                .with_meta_shards(2)
-                .with_commit_mode(crate::CommitMode::Logged),
-        );
-        let blob = s.create_blob();
-        let blob_ref = &blob;
-        let (results, _) = run_actors(2, move |i, p| {
-            if i == 0 {
-                // Writer: predicted versions come back dense, at memory
-                // speed, before anything is published.
-                let mut versions = Vec::new();
-                for k in 0..5u64 {
-                    let v = blob_ref
-                        .write(p, k * 32, Bytes::from(vec![k as u8 + 1; 32]))
-                        .unwrap();
-                    versions.push(v.raw());
-                }
-                // Durability barrier, then the data is readable.
-                blob_ref.wal_sync(p).unwrap();
-                for k in 0..5u64 {
-                    let got = blob_ref.read(p, k * 32, 32).unwrap();
-                    assert_eq!(got, vec![k as u8 + 1; 32], "region {k} after sync");
-                }
-                blob_ref.wal().unwrap().close();
-                versions
-            } else {
-                let drained = blob_ref.wal_drain(p).unwrap();
-                vec![drained]
-            }
-        });
-        assert_eq!(results[0], vec![1, 2, 3, 4, 5], "predicted versions dense");
-        assert_eq!(results[1], vec![5], "drainer replayed every entry");
-        assert_eq!(s.metrics().counter("wal.appends").get(), 5);
-        assert_eq!(s.metrics().counter("wal.drained").get(), 5);
-    }
-
-    #[test]
-    fn logged_backpressure_blocks_writer_until_drain_frees_space() {
-        // Capacity of two 32-byte entries: the writer must stall on the
-        // third append until the drainer catches up — and every write
-        // still lands, in order.
-        let s = Store::new(
-            StoreConfig::default()
-                .with_zero_cost()
-                .with_chunk_size(64)
-                .with_data_providers(4)
-                .with_meta_shards(2)
-                .with_commit_mode(crate::CommitMode::Logged)
-                .with_wal_capacity(64),
-        );
-        let blob = s.create_blob();
-        let blob_ref = &blob;
-        let n = 10u64;
-        run_actors(2, move |i, p| {
-            if i == 0 {
-                for k in 0..n {
-                    blob_ref
-                        .write(p, 0, Bytes::from(vec![k as u8 + 1; 32]))
-                        .unwrap();
-                }
-                blob_ref.wal_sync(p).unwrap();
-                // Last write wins: the drain preserved append order.
-                assert_eq!(blob_ref.read(p, 0, 32).unwrap(), vec![n as u8; 32]);
-                blob_ref.wal().unwrap().close();
-            } else {
-                assert_eq!(blob_ref.wal_drain(p).unwrap(), n);
-            }
-        });
-        assert!(
-            s.metrics().counter("wal.busy_rejections").get() > 0,
-            "the writer never hit backpressure — capacity too generous for the test"
-        );
-        assert!(s.metrics().counter("wal.depth_peak").get() <= 3);
-    }
-
-    #[test]
-    fn try_write_list_surfaces_busy_without_a_drainer() {
-        let s = Store::new(
-            StoreConfig::default()
-                .with_zero_cost()
-                .with_chunk_size(64)
-                .with_data_providers(4)
-                .with_meta_shards(2)
-                .with_commit_mode(crate::CommitMode::Logged)
-                .with_wal_capacity(64),
-        );
-        let blob = s.create_blob();
-        run_actors(1, |_, p| {
-            let ext = ExtentList::single(ByteRange::new(0, 64));
-            blob.try_write_list(p, &ext, Bytes::from(vec![1u8; 64]))
-                .unwrap();
-            let err = blob
-                .try_write_list(p, &ext, Bytes::from(vec![2u8; 64]))
-                .unwrap_err();
-            assert!(
-                matches!(err, Error::Busy { capacity: 64, .. }),
-                "expected Busy, got {err:?}"
-            );
-            // Draining inline frees the space and the retry succeeds.
-            let v = blob.wal_drain_one(p).unwrap();
-            assert_eq!(v, Some(VersionId::new(1)));
-            blob.try_write_list(p, &ext, Bytes::from(vec![2u8; 64]))
-                .unwrap();
-        });
-    }
-
-    #[test]
-    fn append_is_unsupported_in_logged_mode() {
-        let s = Store::new(
-            StoreConfig::default()
-                .with_zero_cost()
-                .with_chunk_size(64)
-                .with_commit_mode(crate::CommitMode::Logged),
-        );
-        let blob = s.create_blob();
-        run_actors(1, |_, p| {
-            assert!(matches!(
-                blob.append(p, Bytes::from_static(b"x")),
-                Err(Error::Unsupported(_))
-            ));
-        });
-    }
-
-    #[test]
-    fn direct_mode_has_no_wal() {
-        let s = store();
-        let blob = s.create_blob();
-        assert!(blob.wal().is_none());
-        run_actors(1, |_, p| {
-            // wal_sync is a no-op barrier in Direct mode...
-            blob.wal_sync(p).unwrap();
-            // ...but the drain entry points are typed errors.
-            assert!(matches!(blob.wal_drain_one(p), Err(Error::Unsupported(_))));
-        });
     }
 
     #[test]

@@ -20,25 +20,6 @@ pub enum TransportMode {
     Tcp,
 }
 
-/// How [`crate::Blob::write_list`] acknowledges a write (E8 ablation
-/// knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CommitMode {
-    /// The full commit pipeline runs before the call returns: ticket,
-    /// data transfer, metadata build, publish. The default, and the mode
-    /// every committed benchmark result was produced under.
-    #[default]
-    Direct,
-    /// The write is appended to the host-side write-ahead log
-    /// ([`crate::wal::WriteAheadLog`]) and acknowledged at memory speed;
-    /// a background drainer replays log entries through the same commit
-    /// pipeline strictly in append order, so the version oracle observes
-    /// exactly the sequence the application saw. Requires a drain actor
-    /// (see [`crate::Blob::wal_drain`]) and assumes this client is the
-    /// blob's only writer while the log is open.
-    Logged,
-}
-
 /// Configuration of a versioning store deployment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreConfig {
@@ -61,13 +42,6 @@ pub struct StoreConfig {
     pub transport_mode: TransportMode,
     /// Client-side metadata cache size in nodes (0 disables caching).
     pub meta_cache_nodes: usize,
-    /// Write acknowledgement mode (E8 ablation knob).
-    pub commit_mode: CommitMode,
-    /// Byte capacity of the host-side write-ahead log in
-    /// [`CommitMode::Logged`]; appends beyond it backpressure (block or
-    /// return a typed `Busy`) until the drainer falls below the log's
-    /// low-water mark.
-    pub wal_capacity: u64,
     /// Default snapshot retention policy applied to every blob at
     /// creation (a blob can still override it per-blob through its
     /// version oracle). [`RetentionPolicy::KeepAll`] — the default —
@@ -98,8 +72,6 @@ impl Default for StoreConfig {
             cost: CostModel::grid5000(),
             transport_mode: TransportMode::Loopback,
             meta_cache_nodes: 4096,
-            commit_mode: CommitMode::Direct,
-            wal_capacity: 64 * 1024 * 1024,
             retention: RetentionPolicy::KeepAll,
             backend: BackendConfig::Memory,
             seed: 0x5EED,
@@ -163,18 +135,6 @@ impl StoreConfig {
         self
     }
 
-    /// Sets the write acknowledgement mode.
-    pub fn with_commit_mode(mut self, mode: CommitMode) -> Self {
-        self.commit_mode = mode;
-        self
-    }
-
-    /// Sets the write-ahead log capacity in bytes (Logged mode only).
-    pub fn with_wal_capacity(mut self, bytes: u64) -> Self {
-        self.wal_capacity = bytes;
-        self
-    }
-
     /// Sets the default snapshot retention policy stamped onto every
     /// blob at creation.
     pub fn with_retention(mut self, policy: RetentionPolicy) -> Self {
@@ -210,8 +170,6 @@ mod tests {
         assert_eq!(c.replication, 1);
         assert_eq!(c.transport_mode, TransportMode::Loopback);
         assert_eq!(c.meta_cache_nodes, 4096);
-        assert_eq!(c.commit_mode, CommitMode::Direct);
-        assert_eq!(c.wal_capacity, 64 * 1024 * 1024);
         assert_eq!(c.retention, RetentionPolicy::KeepAll);
         assert_eq!(c.backend, BackendConfig::Memory);
     }
@@ -227,8 +185,6 @@ mod tests {
             .with_allocation(AllocationStrategy::LeastLoaded)
             .with_transport_mode(TransportMode::Tcp)
             .with_meta_cache(0)
-            .with_commit_mode(CommitMode::Logged)
-            .with_wal_capacity(1 << 20)
             .with_retention(RetentionPolicy::KeepLast(2))
             .with_backend(BackendConfig::disk("/tmp/x"))
             .with_seed(7);
@@ -240,8 +196,6 @@ mod tests {
         assert_eq!(c.allocation, AllocationStrategy::LeastLoaded);
         assert_eq!(c.transport_mode, TransportMode::Tcp);
         assert_eq!(c.meta_cache_nodes, 0);
-        assert_eq!(c.commit_mode, CommitMode::Logged);
-        assert_eq!(c.wal_capacity, 1 << 20);
         assert_eq!(c.retention, RetentionPolicy::KeepLast(2));
         assert!(c.backend.is_disk());
         assert_eq!(c.seed, 7);

@@ -6,7 +6,7 @@
 //! subtrees and backlink chains keep old chunks alive exactly as long
 //! as a live snapshot can still read them.
 //!
-//! The floor is the minimum of three constraints:
+//! The floor is the minimum of two constraints:
 //!
 //! 1. **Retention policy** ([`atomio_types::RetentionPolicy`], stored
 //!    and durably logged at the version manager): how much history the
@@ -16,14 +16,9 @@
 //!    version — and everything above it — is pinned until the lease is
 //!    released or expires. A crashed reader unpins automatically at
 //!    expiry; nothing blocks on it.
-//! 3. **WAL drain base** ([`crate::WriteAheadLog::drain_base_version`]):
-//!    in [`crate::CommitMode::Logged`] the oldest pending log entry
-//!    replays against snapshot `base + consumed`, so that version must
-//!    survive until the drainer passes it.
 //!
-//! The first two are computed server-side by
-//! [`VersionOracle::gc_floor`](atomio_version::VersionOracle::gc_floor);
-//! the third is a host-side clamp applied here, where the log lives.
+//! Both are computed server-side by
+//! [`VersionOracle::gc_floor`](atomio_version::VersionOracle::gc_floor).
 //!
 //! **Why collection can run concurrently with live writers.** A pass
 //! first marks everything reachable from versions `>= floor` (where
@@ -66,20 +61,8 @@ impl GcReport {
     }
 }
 
-/// Clamps `keep_from` by the host-side WAL drain base: in Logged mode
-/// the oldest pending entry's tree is built against snapshot
-/// `base + consumed`, which must therefore stay readable.
-fn clamp_to_wal(blob: &Blob, keep_from: VersionId) -> VersionId {
-    match blob.wal().and_then(|w| w.drain_base_version()) {
-        Some(base) => keep_from.min(VersionId::new(base)),
-        None => keep_from,
-    }
-}
-
 /// Retires every published version **strictly below** `keep_from`,
-/// keeping all state reachable from versions `>= keep_from`. In
-/// [`crate::CommitMode::Logged`] the cutoff is additionally clamped to
-/// the WAL's drain base so pending entries are never undercut.
+/// keeping all state reachable from versions `>= keep_from`.
 ///
 /// Retired versions become unreadable ([`atomio_types::Error::MetadataNodeMissing`]);
 /// retained versions are untouched. One-shot: walking an
@@ -87,7 +70,6 @@ fn clamp_to_wal(blob: &Blob, keep_from: VersionId) -> VersionId {
 /// repeated collection must go through [`GcCoordinator`], which tracks
 /// the swept cursor.
 pub fn collect_below(p: &Participant, blob: &Blob, keep_from: VersionId) -> Result<GcReport> {
-    let keep_from = clamp_to_wal(blob, keep_from);
     collect_range(p, blob, VersionId::new(1), keep_from)
 }
 
@@ -196,8 +178,8 @@ fn collect_range(
 pub struct GcPassReport {
     /// What the pass reclaimed.
     pub report: GcReport,
-    /// The reclamation floor the pass collected up to (after the WAL
-    /// clamp and the per-pass cap).
+    /// The reclamation floor the pass collected up to (after the
+    /// per-pass cap).
     pub swept_below: VersionId,
     /// Live leases at the version manager when the floor was computed.
     pub leases_active: u64,
@@ -209,11 +191,11 @@ pub struct GcPassReport {
 /// concurrently with live writers and readers.
 ///
 /// Each pass asks the version oracle for the current floor
-/// (`min(retention, oldest live lease)`), clamps it by the host-side
-/// WAL drain base, caps the work at [`GcCoordinator::with_pass_cap`]
-/// versions, and collects from its persistent cursor up to the capped
-/// floor. The cursor guarantees no version is walked twice, so passes
-/// can run back-to-back or on a timer, interleaved freely with writes.
+/// (`min(retention, oldest live lease)`), caps the work at
+/// [`GcCoordinator::with_pass_cap`] versions, and collects from its
+/// persistent cursor up to the capped floor. The cursor guarantees no
+/// version is walked twice, so passes can run back-to-back or on a
+/// timer, interleaved freely with writes.
 ///
 /// Records `gc.*` metrics on the store's registry: pass counts and
 /// timing, versions/nodes/chunks/bytes reclaimed, live-lease gauge and
@@ -264,9 +246,8 @@ impl GcCoordinator {
         let metrics = blob.metrics().clone();
         let start = p.now();
         let info = blob.version_manager().gc_floor(p)?;
-        let floor = clamp_to_wal(&blob, info.floor);
         // Work cap: retire at most `pass_cap` versions this pass.
-        let target = floor.min(VersionId::new(
+        let target = info.floor.min(VersionId::new(
             self.swept_below.raw().saturating_add(self.pass_cap),
         ));
         // The oracle's floor is never above its latest, so the capped
@@ -434,46 +415,6 @@ mod tests {
         run_actors(1, |_, p| {
             let report = collect_below(p, &blob, VersionId::new(5)).unwrap();
             assert_eq!(report, GcReport::default());
-        });
-    }
-
-    #[test]
-    fn logged_mode_clamps_collection_to_the_wal_drain_base() {
-        // Regression: in CommitMode::Logged the oldest pending log entry
-        // replays against snapshot `base + consumed`; a collector asked
-        // to retire past it must be clamped or the drain would rebuild
-        // against evicted metadata.
-        let s = Store::new(
-            StoreConfig::default()
-                .with_zero_cost()
-                .with_chunk_size(64)
-                .with_data_providers(4)
-                .with_commit_mode(crate::CommitMode::Logged),
-        );
-        let blob = s.create_blob();
-        run_actors(1, |_, p| {
-            // Drain v1..v3 inline, then leave two entries pending.
-            for k in 0..3u64 {
-                blob.write(p, 0, Bytes::from(vec![k as u8 + 1; 64]))
-                    .unwrap();
-                blob.wal_drain_one(p).unwrap();
-            }
-            blob.write(p, 0, Bytes::from(vec![9u8; 64])).unwrap();
-            blob.write(p, 0, Bytes::from(vec![10u8; 64])).unwrap();
-            assert_eq!(blob.wal().unwrap().drain_base_version(), Some(3));
-
-            // Ask to retire everything below v99: the WAL clamp must hold
-            // the line at v3 (= base + consumed), not latest.
-            let report = collect_below(p, &blob, VersionId::new(99)).unwrap();
-            assert_eq!(report.versions_retired, 2, "only v1 and v2 retired");
-
-            // The pending entries drain cleanly against the kept base...
-            blob.wal_drain_one(p).unwrap().unwrap();
-            blob.wal_drain_one(p).unwrap().unwrap();
-            assert!(blob.wal().unwrap().first_drain_error().is_none());
-            assert_eq!(blob.read(p, 0, 64).unwrap(), vec![10u8; 64]);
-            // ...and with the queue empty the clamp disengages.
-            assert_eq!(blob.wal().unwrap().drain_base_version(), None);
         });
     }
 

@@ -47,11 +47,9 @@ pub mod gc;
 pub mod namespace;
 pub mod routing;
 pub mod store;
-pub mod wal;
 
 pub use blob::{Blob, ReadVersion};
-pub use config::{CommitMode, StoreConfig, TransportMode};
+pub use config::{StoreConfig, TransportMode};
 pub use gc::{collect_below, GcCoordinator, GcPassReport, GcReport};
 pub use routing::{shard_of, slot_for_blob, slot_for_name, SLOT_COUNT};
 pub use store::{Store, VersionOracleFactory};
-pub use wal::WriteAheadLog;

@@ -41,10 +41,13 @@ use serde::{Decode, Deserialize, Encode, Serialize};
 ///   [`Response::Busy`] and [`Response::Fail`], and
 ///   [`Error::WrongShard`] loses its map epoch: a shard's slots are
 ///   fixed by its `--shard i/N` flag.
+/// * **v6** — same frame layout; [`Error`] loses its `Busy` variant,
+///   which only the removed host-side write-ahead log raised, so the
+///   tags of `AdmissionRejected` through `Internal` shift down by one.
 ///
 /// Peers must match exactly: the frame reader rejects any other value
 /// before decoding a single header byte.
-pub const PROTOCOL_VERSION: u8 = 5;
+pub const PROTOCOL_VERSION: u8 = 6;
 
 /// One RPC request. Data-provider ops carry the target provider id so a
 /// single server process can host a whole fleet; `arrival` carries the
@@ -455,9 +458,9 @@ mod tests {
 
     /// `(variant, encoded length, chunk_checksum of the encoding)` of
     /// every sample in [`samples`], requests then responses, as protocol
-    /// v4 first encoded them — save the `Busy` and `Fail` rows, as v5
-    /// did. A row that fails means bytes moved on the wire: that is a
-    /// `PROTOCOL_VERSION` bump, not a table refresh.
+    /// v4 first encoded them — save the `Busy` row, as v5 did, and the
+    /// `Fail` rows, as v6 did. A row that fails means bytes moved on
+    /// the wire: that is a `PROTOCOL_VERSION` bump, not a table refresh.
     const GOLDEN: &[(&str, usize, u64)] = &[
         ("Ping", 1, 0x30eb33fab282f8e7),
         ("PutChunk", 25, 0x2ec2947a0ccaf214),
@@ -508,8 +511,8 @@ mod tests {
         ("Lease", 25, 0xf825f1a8195d9f34),
         ("GcFloor", 25, 0x50babe45c3d24931),
         ("Busy", 17, 0xb53c13704dba4001),
-        ("Fail", 4, 0xdde25ea87041b365),
-        ("Fail", 21, 0xca73f4b7a9d5bc60),
+        ("Fail", 4, 0x12f6c990f73e9810),
+        ("Fail", 21, 0xcb48e346e018a984),
     ];
 
     /// Three of those encodings in full, same provenance.

@@ -81,15 +81,6 @@ impl CostModel {
         self.msg_latency * 2
     }
 
-    /// Time to append `bytes` into a host-memory buffer (the write-ahead
-    /// log's ack path). Host memory is modeled at 64× the NIC bandwidth —
-    /// the rough memcpy/GbE ratio of each hardware generation — so the
-    /// price scales with the rest of the model and stays zero under
-    /// [`CostModel::zero`].
-    pub fn host_append(&self, bytes: u64) -> Duration {
-        Self::at_rate(bytes, self.net_bandwidth.saturating_mul(64))
-    }
-
     fn at_rate(bytes: u64, rate: u64) -> Duration {
         if rate == 0 || bytes == 0 {
             Duration::ZERO
@@ -116,15 +107,6 @@ mod tests {
         assert_eq!(m.net_transfer(1 << 30), Duration::ZERO);
         assert_eq!(m.disk_transfer(1 << 30), Duration::ZERO);
         assert_eq!(m.rpc_round_trip(), Duration::ZERO);
-        assert_eq!(m.host_append(1 << 30), Duration::ZERO);
-    }
-
-    #[test]
-    fn host_append_is_memory_speed() {
-        let m = CostModel::grid5000();
-        // 64x the NIC: appending is far cheaper than shipping the bytes.
-        assert_eq!(m.host_append(64 << 20), m.net_transfer(1 << 20));
-        assert!(m.host_append(1 << 20) < m.rpc_round_trip() * 2);
     }
 
     #[test]

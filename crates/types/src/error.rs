@@ -53,14 +53,6 @@ pub enum Error {
     Unsupported(&'static str),
     /// Replication could not reach the requested number of replicas.
     InsufficientReplicas { wanted: usize, placed: usize },
-    /// A bounded host-side resource (e.g. the write-ahead log) is at
-    /// capacity and rejected the request; retrying after the backlog
-    /// drains below its low-water mark will succeed.
-    Busy {
-        resource: String,
-        pending_bytes: u64,
-        capacity: u64,
-    },
     /// A server at its connection cap (`max_conns`) refused this
     /// connection at admission: the request was answered with a typed
     /// busy response and the connection closed, instead of queueing
@@ -167,14 +159,6 @@ impl fmt::Display for Error {
             Error::InsufficientReplicas { wanted, placed } => {
                 write!(f, "placed {placed} of {wanted} replicas")
             }
-            Error::Busy {
-                resource,
-                pending_bytes,
-                capacity,
-            } => write!(
-                f,
-                "{resource} is busy: {pending_bytes} of {capacity} bytes pending"
-            ),
             Error::AdmissionRejected { active, max_conns } => write!(
                 f,
                 "server refused the connection: {active} of {max_conns} connections active"
@@ -234,25 +218,20 @@ impl Decode for Error {
                 wanted: d(r)?,
                 placed: d(r)?,
             },
-            14 => Error::Busy {
-                resource: d::<String>(r)?,
-                pending_bytes: d(r)?,
-                capacity: d(r)?,
-            },
-            15 => Error::AdmissionRejected {
+            14 => Error::AdmissionRejected {
                 active: d(r)?,
                 max_conns: d(r)?,
             },
-            16 => Error::LeaseExpired {
+            15 => Error::LeaseExpired {
                 lease: d(r)?,
                 version: d(r)?,
             },
-            17 => Error::WrongShard { slot: d(r)? },
-            18 => Error::Transport {
+            16 => Error::WrongShard { slot: d(r)? },
+            17 => Error::Transport {
                 kind: d(r)?,
                 detail: d::<String>(r)?,
             },
-            19 => Error::Internal(d::<String>(r)?),
+            18 => Error::Internal(d::<String>(r)?),
             tag => return Err(DeError::unknown_variant("Error", tag)),
         })
     }
@@ -314,11 +293,6 @@ mod tests {
                 wanted: 3,
                 placed: 1,
             },
-            Error::Busy {
-                resource: "wal".into(),
-                pending_bytes: 4096,
-                capacity: 1024,
-            },
             Error::AdmissionRejected {
                 active: 1024,
                 max_conns: 1024,
@@ -366,7 +340,7 @@ mod tests {
             Error::Internal("remote Unsupported: resize".into())
         );
         // Past the last variant.
-        assert!(serde::decode_exact::<Error>(&[20]).is_err());
+        assert!(serde::decode_exact::<Error>(&[19]).is_err());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Per-blob version retention policy: how much history the reclamation
 //! subsystem must preserve regardless of leases.
 //!
-//! Retention is one of the three inputs to the GC floor — the collector
-//! reclaims strictly below `min(retention floor, oldest live lease, WAL
-//! base version)` — and is the only one an operator sets directly:
+//! Retention is one of the two inputs to the GC floor — the collector
+//! reclaims strictly below `min(retention floor, oldest live lease)` —
+//! and is the only one an operator sets directly:
 //! `StoreConfig::with_retention` for in-process deployments, `--retention
 //! POLICY` on the version-capable server binaries.
 
@@ -23,7 +23,7 @@ pub enum RetentionPolicy {
     /// snapshot is always retained).
     KeepLast(u64),
     /// Keep every version strictly above `v`: versions `<= v` are
-    /// eligible for collection once no lease or WAL entry pins them.
+    /// eligible for collection once no lease pins them.
     KeepAbove(VersionId),
 }
 

@@ -211,10 +211,7 @@ impl VersionManager {
     ///
     /// **Grant-order invariant:** versions are granted densely, in the
     /// order ticket requests reach the manager, however far publication
-    /// lags. A caller that serializes its ticket calls therefore knows
-    /// each grant in advance — the property `atomio-core`'s
-    /// write-ahead-log drainer relies on to replay logged writes under
-    /// their predicted versions.
+    /// lags.
     ///
     /// # Errors
     /// [`Error::EmptyAccess`] for an empty extent list;
@@ -542,8 +539,7 @@ impl VersionManager {
     /// The reclamation floor as this manager sees it: the minimum of
     /// the retention floor (relative to the latest published snapshot)
     /// and the oldest live lease. The collector may retire versions
-    /// strictly below it; the caller must still clamp by any WAL base
-    /// version it holds — the manager cannot see host-side logs.
+    /// strictly below it.
     pub fn gc_floor_local(&self, now_ms: u64) -> GcFloor {
         let mut st = self.state.lock();
         let latest = VersionId::new(st.published);
@@ -761,9 +757,9 @@ mod tests {
 
     #[test]
     fn serialized_ticket_calls_are_granted_in_call_order() {
-        // The WAL-drainer contract: a single caller issuing tickets one
-        // at a time can predict every grant as `history.len() + k`,
-        // however far publication lags.
+        // The grant-order invariant: a single caller issuing tickets one
+        // at a time is granted dense versions in call order, however far
+        // publication lags.
         let m = vm();
         run_actors(1, |_, p| {
             let mut publish_backlog = Vec::new();

@@ -75,8 +75,8 @@ pub trait VersionOracle: Send + Sync + std::fmt::Debug {
     /// Releases a lease (idempotent).
     fn lease_release(&self, p: &Participant, lease: u64) -> Result<()>;
 
-    /// The manager-side reclamation floor: `min(retention floor, oldest
-    /// live lease)`. Callers still clamp by any host-side WAL base.
+    /// The reclamation floor: `min(retention floor, oldest live
+    /// lease)`.
     fn gc_floor(&self, p: &Participant) -> Result<GcFloor>;
 }
 

@@ -7,14 +7,7 @@
 //! to the shared checkpoint file — neighbouring slabs overlap in the
 //! halo regions, so every dump is a concurrent overlapping write.
 
-use atomio_core::Blob;
-use atomio_mpiio::comm::Communicator;
-use atomio_simgrid::clock::run_actors_on;
-use atomio_simgrid::{CostModel, SimClock};
-use atomio_types::stamp::WriteStamp;
-use atomio_types::{ByteRange, ClientId, ExtentList};
-use bytes::Bytes;
-use std::time::Duration;
+use atomio_types::{ByteRange, ExtentList};
 
 /// Generator for halo-extended slab checkpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,100 +72,6 @@ impl CheckpointWorkload {
     }
 }
 
-/// Outcome of [`run_checkpoint_burst`]: the perceived (barrier-ack)
-/// latency of an iterative checkpoint run versus its end-to-end
-/// durability time.
-#[derive(Debug, Clone, Copy)]
-pub struct BurstOutcome {
-    /// Virtual time until the last iteration's barrier acked (every rank
-    /// past its final write).
-    pub ack_elapsed: Duration,
-    /// Virtual time until every logged write had drained to the backend
-    /// (equals [`BurstOutcome::ack_elapsed`] in `CommitMode::Direct`,
-    /// where writes are durable when they return).
-    pub durable_elapsed: Duration,
-    /// Worst single-iteration barrier-to-barrier ack latency across all
-    /// ranks — the stall a simulation's compute loop actually perceives.
-    pub iter_ack_max: Duration,
-    /// Payload bytes written over the whole run.
-    pub total_bytes: u64,
-    /// Iterations executed.
-    pub iterations: u64,
-}
-
-impl BurstOutcome {
-    /// How far durability trails the last ack: the drain lag the
-    /// write-ahead log trades for its memory-speed barriers.
-    pub fn drain_lag(&self) -> Duration {
-        self.durable_elapsed.saturating_sub(self.ack_elapsed)
-    }
-}
-
-/// Drives `iterations` checkpoint dumps of `workload` against `blob`,
-/// with an MPI-style barrier between iterations, and measures barrier-ack
-/// latency versus durability lag.
-///
-/// Every rank runs as one virtual-clock actor; when the blob runs in
-/// `CommitMode::Logged` an extra actor runs [`Blob::wal_drain`] as the
-/// background drainer, and rank 0 finishes with a [`Blob::wal_sync`]
-/// durability barrier before closing the log. The inter-iteration
-/// barrier itself is free (zero-cost communicator), so the measured ack
-/// latency isolates the write path — the quantity the E8 ablation
-/// compares across commit modes.
-pub fn run_checkpoint_burst(
-    clock: &SimClock,
-    blob: &Blob,
-    workload: &CheckpointWorkload,
-    iterations: u64,
-) -> BurstOutcome {
-    assert!(iterations > 0, "need at least one iteration");
-    let n = workload.ranks;
-    let logged = blob.wal().is_some();
-    let actors = n + usize::from(logged);
-    let comm = Communicator::new(n, CostModel::zero());
-    let start = clock.now();
-    let results = run_actors_on(clock, actors, |i, p| {
-        if i == n {
-            // The background drainer (Logged mode only): replays log
-            // entries until rank 0 closes the log after its final sync.
-            blob.wal_drain(p).expect("drain failed");
-            return (Duration::ZERO, Duration::ZERO, Duration::ZERO);
-        }
-        let extents = workload.extents_for(i);
-        let mut iter_ack_max = Duration::ZERO;
-        for iter in 0..iterations {
-            comm.barrier(p);
-            let t0 = p.now();
-            let stamp = WriteStamp::new(ClientId::new(i as u64), iter);
-            let payload = Bytes::from(stamp.payload_for(&extents));
-            blob.write_list(p, &extents, payload)
-                .unwrap_or_else(|e| panic!("rank {i} iteration {iter} failed: {e}"));
-            comm.barrier(p);
-            iter_ack_max = iter_ack_max.max(p.now() - t0);
-        }
-        let ack_done = p.now() - start;
-        let durable_done = if i == 0 {
-            blob.wal_sync(p).expect("drain reported a replay failure");
-            if let Some(wal) = blob.wal() {
-                wal.close();
-            }
-            p.now() - start
-        } else {
-            ack_done
-        };
-        (iter_ack_max, ack_done, durable_done)
-    });
-    let ranks = &results[..n];
-    let ack_elapsed = ranks.iter().map(|r| r.1).max().unwrap();
-    BurstOutcome {
-        ack_elapsed,
-        durable_elapsed: ranks.iter().map(|r| r.2).max().unwrap().max(ack_elapsed),
-        iter_ack_max: ranks.iter().map(|r| r.0).max().unwrap(),
-        total_bytes: iterations * (0..n).map(|r| workload.bytes_for(r)).sum::<u64>(),
-        iterations,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,74 +126,5 @@ mod tests {
     #[should_panic(expected = "halo larger")]
     fn oversized_halo_rejected() {
         let _ = CheckpointWorkload::new(2, 10, 4, 11);
-    }
-
-    mod burst {
-        use super::super::*;
-        use atomio_core::{CommitMode, Store, StoreConfig};
-
-        fn store(mode: CommitMode, cost: CostModel) -> Store {
-            Store::new(
-                StoreConfig::default()
-                    .with_cost(cost)
-                    .with_chunk_size(4096)
-                    .with_data_providers(4)
-                    .with_meta_shards(2)
-                    .with_commit_mode(mode),
-            )
-        }
-
-        #[test]
-        fn logged_acks_faster_and_drains_to_the_same_bytes() {
-            // Disjoint slabs (halo 0) make the final state deterministic,
-            // so Direct and Logged runs must land bit-identical bytes.
-            let w = CheckpointWorkload::new(4, 512, 8, 0);
-            let iters = 3u64;
-
-            let run = |mode| {
-                let s = store(mode, CostModel::grid5000());
-                let blob = s.create_blob();
-                let clock = SimClock::new();
-                let out = run_checkpoint_burst(&clock, &blob, &w, iters);
-                let state = atomio_simgrid::clock::run_actors_on(&clock, 1, |_, p| {
-                    blob.read(p, 0, w.file_bytes()).unwrap()
-                })
-                .pop()
-                .unwrap();
-                (out, state)
-            };
-            let (direct, direct_state) = run(CommitMode::Direct);
-            let (logged, logged_state) = run(CommitMode::Logged);
-
-            assert_eq!(direct_state, logged_state, "drained state must match");
-            assert_eq!(direct.total_bytes, logged.total_bytes);
-            assert!(
-                logged.iter_ack_max < direct.iter_ack_max,
-                "logged barrier ack {:?} not faster than direct {:?}",
-                logged.iter_ack_max,
-                direct.iter_ack_max
-            );
-            // Direct is durable at ack; Logged trades a drain lag for it.
-            assert_eq!(direct.drain_lag(), Duration::ZERO);
-            assert!(logged.durable_elapsed >= logged.ack_elapsed);
-        }
-
-        #[test]
-        fn burst_handles_overlapping_halos() {
-            let w = CheckpointWorkload::new(3, 256, 8, 16);
-            assert!(w.has_overlap());
-            let s = store(CommitMode::Logged, CostModel::zero());
-            let blob = s.create_blob();
-            let clock = SimClock::new();
-            let out = run_checkpoint_burst(&clock, &blob, &w, 2);
-            assert_eq!(out.iterations, 2);
-            // Every dump drained: 3 ranks × 2 iterations.
-            assert_eq!(s.metrics().counter("wal.drained").get(), 6);
-            assert_eq!(
-                s.metrics().counter("core.writes").get(),
-                6,
-                "drainer replayed each entry exactly once"
-            );
-        }
     }
 }

@@ -32,7 +32,7 @@ pub mod pc;
 pub mod tile;
 pub mod verify;
 
-pub use checkpoint::{run_checkpoint_burst, BurstOutcome, CheckpointWorkload};
+pub use checkpoint::CheckpointWorkload;
 pub use harness::{run_checkpoint_with_gc, run_write_round, GcLoadOutcome, GcMode, RoundOutcome};
 pub use overlap::OverlapWorkload;
 pub use tile::TileWorkload;

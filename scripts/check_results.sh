@@ -19,7 +19,6 @@ runs=(
     "exp6_read_scalability|e6a e6b"
     "exp7_ablation|e7a e7c"
     "exp8_producer_consumer|e8"
-    "exp8_wal|e8a"
     "exp9_two_phase|e9"
     "exp10_gc|e10"
     "exp10_meta_cache|e10mc"
@@ -27,7 +26,6 @@ runs=(
 )
 # Committed but never compared, one row each: file | why.
 never=(
-    "e8b|wall-clock arm of exp8_wal (real sockets): moves with the host on every run"
     "e9d|wall-clock arm of exp9_durability (real fsyncs): moves with the host on every run"
     "e12|wall-clock arm of exp12_namespace (real sockets): moves with the host on every run"
 )

@@ -39,7 +39,6 @@ reruns=(
     "rpc unit suite under thread contention||-p atomio-rpc -- --test-threads=16"
     "distributed atomicity, disk backend|ATOMIO_DISK=1|--test distributed_atomicity"
     "transport equivalence, disk backend|ATOMIO_DISK=1|--test transport_equivalence"
-    "WAL drain equivalence, disk backend|ATOMIO_DISK=1|--test wal_equivalence"
     "lease-based GC incl. lease/retention crash recovery, disk backend|ATOMIO_DISK=1|--test gc_distributed"
     "distributed atomicity, 4-shard version fleet|ATOMIO_SHARDS=4|--test distributed_atomicity"
     "distributed atomicity, 4-shard fleet of disk-backed version services|ATOMIO_SHARDS=4 ATOMIO_DISK=1|--test distributed_atomicity"

@@ -328,7 +328,14 @@ fn run_overlapping_writers(
     let extents_ref = &extents;
     run_actors_on(&clock, ranks, move |rank, p| {
         let payload = Bytes::from(stamps_ref[rank].payload_for(&extents_ref[rank]));
-        blob_ref.write_list(p, &extents_ref[rank], payload).unwrap();
+        let v = blob_ref.write_list(p, &extents_ref[rank], payload).unwrap();
+        // An acknowledged write is visible when it returns. On the
+        // socket deployments this asks the version service itself, not
+        // the client's mirror.
+        assert!(
+            blob_ref.version_manager().is_published(v).unwrap(),
+            "rank {rank}: {v} acknowledged but not published"
+        );
     });
 
     let full = ExtentList::single(ByteRange::new(0, workload.dataset_bytes()));
