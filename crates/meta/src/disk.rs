@@ -14,20 +14,21 @@
 //! A node's log file is chosen by the **same hash** that picks its
 //! in-memory shard, so every record affecting one key lands in one file
 //! in operation order; a batch frames everything bound for one shard
-//! into one buffer and appends it once. Nodes are immutable (idempotent
+//! into one buffer and appends it once. A NODE body is the positional
+//! encoding of the [`Node`], an EVICT body that of its [`NodeKey`] — the
+//! bytes the wire carries them in. Nodes are immutable (idempotent
 //! re-puts are filtered by a logged-key set, conflicts never reach the
 //! log), so recovery is a pure replay: feed surviving `NODE` records
 //! back through [`MetaStore::put_batch_local`] and apply `EVICT`s in
 //! order.
 
-use crate::node::{LeafEntry, Node, NodeBody, NodeKey};
+use crate::node::{Node, NodeKey};
 use crate::store::{LocalNodeStore, MetaStore, NodeStore};
 use atomio_simgrid::{ClientNics, CostModel, Participant};
-use atomio_types::record::{
-    encode_record, load_or_init_superblock, scan_records, ByteReader, RecordLog,
-};
-use atomio_types::{BlobId, ChunkId, Error, FsyncPolicy, ProviderId, Result, VersionId};
+use atomio_types::record::{encode_record, load_or_init_superblock, scan_records, RecordLog};
+use atomio_types::{Error, FsyncPolicy, Result};
 use parking_lot::Mutex;
+use serde::{decode_exact, Encode};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -61,8 +62,8 @@ fn replay_shard(bytes: &[u8], store: &MetaStore, logged: &mut HashSet<NodeKey>) 
     for rec in &scan.records {
         match rec.kind {
             REC_NODE => {
-                let node =
-                    decode_node(&rec.body).ok_or_else(|| malformed("malformed node record"))?;
+                let node: Node = decode_exact(&rec.body)
+                    .map_err(|e| malformed(&format!("malformed node record: {e}")))?;
                 let key = node.key;
                 store
                     .put_batch_local(vec![node])
@@ -71,10 +72,8 @@ fn replay_shard(bytes: &[u8], store: &MetaStore, logged: &mut HashSet<NodeKey>) 
                 logged.insert(key);
             }
             REC_EVICT => {
-                let mut r = ByteReader::new(&rec.body);
-                let key = decode_key(&mut r)
-                    .filter(|_| r.done())
-                    .ok_or_else(|| malformed("malformed evict record"))?;
+                let key: NodeKey = decode_exact(&rec.body)
+                    .map_err(|e| malformed(&format!("malformed evict record: {e}")))?;
                 store.evict(key);
                 logged.remove(&key);
             }
@@ -151,20 +150,24 @@ impl DiskNodeStore {
         self.inner.client_nics()
     }
 
-    /// Appends `records` — `(key, framed record)` pairs — to their
-    /// shards' logs: everything bound for one shard goes into one buffer
-    /// and one append, so a batch costs one write (and at most one sync)
-    /// per touched shard however many records it carries. On failure
-    /// returns the error with the keys whose shard's append failed.
-    fn append_per_shard(
+    /// Frames one `kind` record per item of `bodies` — encoded straight
+    /// into the buffer of the shard `key` routes it to — and appends each
+    /// touched shard's buffer once, so a batch costs one write (and at
+    /// most one sync) per touched shard however many records it carries.
+    /// On failure returns the error with the keys whose shard's append
+    /// failed.
+    fn append_per_shard<T: Encode>(
         &self,
-        records: &[(NodeKey, Vec<u8>)],
+        kind: u8,
+        bodies: &[T],
+        key: impl Fn(&T) -> NodeKey,
     ) -> std::result::Result<(), (Error, Vec<NodeKey>)> {
         let mut buffers: Vec<(Vec<u8>, Vec<NodeKey>)> = vec![Default::default(); self.logs.len()];
-        for (key, framed) in records {
-            let (buffer, keys) = &mut buffers[self.inner.shard_index(*key)];
-            buffer.extend_from_slice(framed);
-            keys.push(*key);
+        for body in bodies {
+            let key = key(body);
+            let (buffer, keys) = &mut buffers[self.inner.shard_index(key)];
+            encode_record(buffer, kind, body);
+            keys.push(key);
         }
         let mut failed: Option<(Error, Vec<NodeKey>)> = None;
         for (log, (buffer, keys)) in self.logs.iter().zip(buffers) {
@@ -179,27 +182,36 @@ impl DiskNodeStore {
     }
 
     /// Runs a put through the in-memory store, then logs what it newly
-    /// accepted (conflicts and already-logged keys are skipped). A log
-    /// I/O failure downgrades accepted slots to errors: a node that is
-    /// not durable was not stored.
+    /// accepted: only nodes that were accepted and not logged before are
+    /// encoded, read back from the store (nodes are immutable, so an
+    /// accepted node is exactly what the store holds). A log I/O failure
+    /// downgrades accepted slots to errors: a node that is not durable
+    /// was not stored.
     fn put_and_log(
         &self,
         nodes: Vec<Node>,
         put: impl FnOnce(&MetaStore, Vec<Node>) -> Vec<Result<()>>,
     ) -> Vec<Result<()>> {
-        let records: Vec<(NodeKey, Vec<u8>)> = nodes
-            .iter()
-            .map(|n| (n.key, encode_record(REC_NODE, &encode_node(n))))
-            .collect();
+        let keys: Vec<NodeKey> = nodes.iter().map(|n| n.key).collect();
         let outcomes = put(&self.inner, nodes);
         let mut logged = self.logged.lock();
-        let accepted: Vec<(NodeKey, Vec<u8>)> = records
+        let fresh: Vec<NodeKey> = keys
             .into_iter()
             .zip(&outcomes)
-            .filter(|((key, _), outcome)| outcome.is_ok() && logged.insert(*key))
-            .map(|(record, _)| record)
+            .filter(|(key, outcome)| outcome.is_ok() && logged.insert(*key))
+            .map(|(key, _)| key)
             .collect();
-        let Err((e, lost)) = self.append_per_shard(&accepted) else {
+        let mut stored = Vec::with_capacity(fresh.len());
+        for (key, node) in fresh.iter().zip(self.inner.get_batch_local(&fresh)) {
+            match node {
+                Ok(node) => stored.push(node),
+                // Evicted between its put and this lock: nothing to log.
+                Err(_) => {
+                    logged.remove(key);
+                }
+            }
+        }
+        let Err((e, lost)) = self.append_per_shard(REC_NODE, &stored, |n| n.key) else {
             return outcomes;
         };
         // The nodes are in RAM but not durable: forget they were logged
@@ -245,14 +257,14 @@ impl NodeStore for DiskNodeStore {
     fn evict_batch(&self, keys: &[NodeKey]) -> u64 {
         let mut logged = self.logged.lock();
         let mut present = HashSet::new();
-        let records: Vec<(NodeKey, Vec<u8>)> = keys
+        let victims: Vec<NodeKey> = keys
             .iter()
-            .filter(|key| self.inner.contains(**key) && present.insert(**key))
-            .map(|key| (*key, encode_record(REC_EVICT, &encode_key(*key))))
+            .copied()
+            .filter(|key| self.inner.contains(*key) && present.insert(*key))
             .collect();
         // An eviction that cannot reach disk must not drop the node from
         // RAM — it would resurrect on replay.
-        if let Err((_, lost)) = self.append_per_shard(&records) {
+        if let Err((_, lost)) = self.append_per_shard(REC_EVICT, &victims, |key| *key) {
             present.retain(|key| !lost.contains(key));
         }
         for key in &present {
@@ -275,126 +287,6 @@ impl LocalNodeStore for DiskNodeStore {
     fn get_batch_local(&self, keys: &[NodeKey]) -> Vec<Result<Arc<Node>>> {
         self.inner.get_batch_local(keys)
     }
-}
-
-// ---------------------------------------------------------------------
-// Node codec. The rpc value codec lives above this crate, so the log
-// frames its own fixed-layout bytes (all integers big-endian).
-// ---------------------------------------------------------------------
-
-fn encode_key(key: NodeKey) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(NodeKey::WIRE_SIZE as usize);
-    push_key(&mut buf, key);
-    buf
-}
-
-/// Appends a node key's fixed 32-byte layout (blob, version, offset,
-/// length; big-endian). Shared with the version manager's publish log,
-/// which embeds root keys in its records.
-pub fn push_key(buf: &mut Vec<u8>, key: NodeKey) {
-    buf.extend_from_slice(&key.blob.raw().to_be_bytes());
-    buf.extend_from_slice(&key.version.raw().to_be_bytes());
-    buf.extend_from_slice(&key.range.offset.to_be_bytes());
-    buf.extend_from_slice(&key.range.len.to_be_bytes());
-}
-
-/// Appends an optional key: a presence byte, then [`push_key`] if set.
-pub fn push_opt_key(buf: &mut Vec<u8>, key: Option<NodeKey>) {
-    match key {
-        None => buf.push(0),
-        Some(k) => {
-            buf.push(1);
-            push_key(buf, k);
-        }
-    }
-}
-
-fn encode_node(node: &Node) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(node.wire_size() as usize + 16);
-    push_key(&mut buf, node.key);
-    match &node.body {
-        NodeBody::Inner { left, right } => {
-            buf.push(0);
-            push_opt_key(&mut buf, *left);
-            push_opt_key(&mut buf, *right);
-        }
-        NodeBody::Leaf { entries, backlink } => {
-            buf.push(1);
-            push_opt_key(&mut buf, *backlink);
-            buf.extend_from_slice(&(entries.len() as u32).to_be_bytes());
-            for e in entries {
-                buf.extend_from_slice(&e.file_range.offset.to_be_bytes());
-                buf.extend_from_slice(&e.file_range.len.to_be_bytes());
-                buf.extend_from_slice(&e.chunk.raw().to_be_bytes());
-                buf.extend_from_slice(&e.chunk_offset.to_be_bytes());
-                buf.extend_from_slice(&(e.homes.len() as u32).to_be_bytes());
-                for h in &e.homes {
-                    buf.extend_from_slice(&h.raw().to_be_bytes());
-                }
-            }
-        }
-    }
-    buf
-}
-
-/// Reads the 32-byte key layout written by [`push_key`].
-pub fn decode_key(r: &mut ByteReader<'_>) -> Option<NodeKey> {
-    Some(NodeKey::new(
-        BlobId::new(r.u64()?),
-        VersionId::new(r.u64()?),
-        r.range()?,
-    ))
-}
-
-/// Reads an optional key written by [`push_opt_key`].
-pub fn decode_opt_key(r: &mut ByteReader<'_>) -> Option<Option<NodeKey>> {
-    match r.u8()? {
-        0 => Some(None),
-        1 => Some(Some(decode_key(r)?)),
-        _ => None,
-    }
-}
-
-fn decode_node(body: &[u8]) -> Option<Node> {
-    let mut r = ByteReader::new(body);
-    let key = decode_key(&mut r)?;
-    let node_body = match r.u8()? {
-        0 => NodeBody::Inner {
-            left: decode_opt_key(&mut r)?,
-            right: decode_opt_key(&mut r)?,
-        },
-        1 => {
-            let backlink = decode_opt_key(&mut r)?;
-            // An entry is at least its five fixed fields, a home 8 bytes.
-            let count = r.count(36)?;
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                let file_range = r.range()?;
-                let chunk = ChunkId::new(r.u64()?);
-                let chunk_offset = r.u64()?;
-                let home_count = r.count(8)?;
-                let mut homes = Vec::with_capacity(home_count);
-                for _ in 0..home_count {
-                    homes.push(ProviderId::new(r.u64()?));
-                }
-                entries.push(LeafEntry {
-                    file_range,
-                    chunk,
-                    chunk_offset,
-                    homes,
-                });
-            }
-            NodeBody::Leaf { entries, backlink }
-        }
-        _ => return None,
-    };
-    if !r.done() {
-        return None;
-    }
-    Some(Node {
-        key,
-        body: node_body,
-    })
 }
 
 /// Builds one node store for `backend`: the in-memory [`MetaStore`] for
@@ -428,10 +320,11 @@ pub fn meta_log_path(dir: &Path, shard: usize) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::{LeafEntry, NodeBody};
     use atomio_simgrid::clock::run_actors;
     use atomio_types::record::append_record;
     use atomio_types::tempdir::TempDir;
-    use atomio_types::ByteRange;
+    use atomio_types::{BlobId, ByteRange, ChunkId, ProviderId, VersionId};
     use std::fs::OpenOptions;
     use std::io::Write;
 
@@ -468,25 +361,6 @@ mod tests {
                 right: None,
             },
         }
-    }
-
-    #[test]
-    fn node_codec_roundtrips() {
-        for node in [leaf(1, 0), leaf(2, 64), inner_node(3)] {
-            assert_eq!(decode_node(&encode_node(&node)), Some(node));
-        }
-        let empty_leaf = Node {
-            key: NodeKey::new(BlobId::new(1), VersionId::new(1), ByteRange::new(0, 64)),
-            body: NodeBody::Leaf {
-                entries: vec![],
-                backlink: None,
-            },
-        };
-        assert_eq!(decode_node(&encode_node(&empty_leaf)), Some(empty_leaf));
-        // Trailing garbage is rejected, not ignored.
-        let mut buf = encode_node(&leaf(1, 0));
-        buf.push(0);
-        assert_eq!(decode_node(&buf), None);
     }
 
     #[test]
@@ -684,17 +558,14 @@ mod tests {
 
         /// A NODE body laid out like a leaf, its lengths and counts
         /// whatever `fields` say: ranges that overflow, counts no file
-        /// could hold.
+        /// could hold. The key (blob, version, range) is its first 32
+        /// bytes; the tail stands where the entry's homes and the
+        /// backlink go.
         fn leaf_like(fields: &[u64], tail: &[u8]) -> Vec<u8> {
             let mut body = Vec::new();
-            for field in &fields[..4] {
-                body.extend_from_slice(&field.to_be_bytes());
-            }
-            body.extend_from_slice(&[1, 0]); // leaf, no backlink
-            body.extend_from_slice(&(fields[4] as u32).to_be_bytes());
-            for field in &fields[5..] {
-                body.extend_from_slice(&field.to_be_bytes());
-            }
+            (fields[0], fields[1], (fields[2], fields[3])).encode(&mut body);
+            (1u8, fields[4] as u32).encode(&mut body); // leaf, entry count
+            ((fields[5], fields[6]), fields[7], fields[8]).encode(&mut body);
             body.extend_from_slice(tail);
             body
         }
@@ -729,6 +600,19 @@ mod tests {
                     append_record(&mut log, *kind, body);
                 }
                 check(&log)?;
+                // A whole node or key with bytes after it is refused:
+                // the body decoders read every byte they are given.
+                let node = leaf(fields[0] % 8 + 1, 0);
+                let (mut node_body, mut key_body) = (Vec::new(), Vec::new());
+                node.encode(&mut node_body);
+                node.key.encode(&mut key_body);
+                for (kind, body) in [(REC_NODE, node_body), (REC_EVICT, key_body)] {
+                    let mut log = Vec::new();
+                    append_record(&mut log, kind, &[body, tail.clone()].concat());
+                    let store = MetaStore::new(2, CostModel::zero());
+                    let replayed = replay_shard(&log, &store, &mut HashSet::new());
+                    prop_assert_eq!(replayed.is_ok(), tail.is_empty());
+                }
             }
 
             #[test]
@@ -740,9 +624,9 @@ mod tests {
                 for (v, slot, put) in ops {
                     let node = if slot == 2 { inner_node(v) } else { leaf(v, slot * 64) };
                     if put {
-                        append_record(&mut log, REC_NODE, &encode_node(&node));
+                        encode_record(&mut log, REC_NODE, &node);
                     } else {
-                        append_record(&mut log, REC_EVICT, &encode_key(node.key));
+                        encode_record(&mut log, REC_EVICT, &node.key);
                     }
                 }
                 let store = MetaStore::new(2, CostModel::zero());

@@ -13,10 +13,12 @@
 //! Each part file is a [`RecordLog`] — create, recovery, append, sync,
 //! flush and the compaction rewrite are its. What is the table's own:
 //! chunks are hash-routed to a slot (`mix64(chunk) % slots`, the
-//! AmberBlob pre-sharded layout) and logged as a framed `PUT` record
-//! (chunk id, ingest checksum, payload length) followed by the raw
+//! AmberBlob pre-sharded layout) and logged as a framed `PUT` record —
+//! its body the positional encoding of `(chunk id, ingest checksum,
+//! payload length)`, a `(ChunkId, u64, u64)` — followed by the raw
 //! payload bytes **outside** the record frame; an eviction appends a
-//! `TOMBSTONE` record — payloads are immutable and never rewritten. A
+//! `TOMBSTONE` record whose body is the encoded `ChunkId` — payloads
+//! are immutable and never rewritten. A
 //! RAM index (chunk → slot, offset, length, checksum), rebuilt on open by
 //! replaying every slot, makes lookups O(1); reads `pread` straight at
 //! the payload. A crash inside a payload is a torn tail like any other.
@@ -31,13 +33,13 @@
 use crate::store::{ChunkStore, ChunkTable, DataProvider, Provider};
 use atomio_simgrid::{CostModel, FaultInjector};
 use atomio_types::record::{
-    append_record, load_or_init_superblock, read_record_at, ByteReader, RecordLog,
-    RECORD_HEADER_BYTES,
+    encode_record, load_or_init_superblock, read_record_at, RecordLog, RECORD_HEADER_BYTES,
 };
 use atomio_types::stamp::mix64;
 use atomio_types::{BackendConfig, ByteRange, ChunkId, Error, FsyncPolicy, ProviderId, Result};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
+use serde::decode_exact;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -48,10 +50,10 @@ use std::sync::Arc;
 /// reopened directories always use the count in their superblock.
 pub const DEFAULT_SLOTS: u32 = 8;
 
-/// Part-file record: a stored chunk (`chunk id | checksum |
-/// payload_len`), with the payload bytes following the record raw.
+/// Part-file record: a stored chunk, `(chunk id, checksum,
+/// payload_len)`, with the payload bytes following the record raw.
 const REC_PUT: u8 = 1;
-/// Part-file record: an eviction tombstone (`chunk id`).
+/// Part-file record: an eviction tombstone, the chunk id.
 const REC_TOMBSTONE: u8 = 2;
 
 /// Framed bytes of a PUT record excluding its payload: header plus the
@@ -89,7 +91,7 @@ struct IndexEntry {
     checksum: u64,
 }
 
-/// Per-slot eviction batch: concatenated tombstone frames plus the
+/// Per-slot eviction batch: concatenated tombstone records plus the
 /// removed index entries (kept for resurrection if the append fails).
 type SlotEvictBatch = (Vec<u8>, Vec<(ChunkId, IndexEntry)>);
 
@@ -99,15 +101,6 @@ struct Slot {
     /// File bytes occupied by live PUT records (frame + payload); the
     /// rest of the log is dead weight reclaimable by compaction.
     live_bytes: u64,
-}
-
-/// Appends one PUT record frame (the payload follows it, unframed).
-fn append_put(buf: &mut Vec<u8>, chunk: ChunkId, checksum: u64, len: u64) {
-    let mut body = [0u8; 24];
-    body[..8].copy_from_slice(&chunk.raw().to_be_bytes());
-    body[8..16].copy_from_slice(&checksum.to_be_bytes());
-    body[16..].copy_from_slice(&len.to_be_bytes());
-    append_record(buf, REC_PUT, &body);
 }
 
 /// What replaying one part file finds.
@@ -129,20 +122,20 @@ struct PartReplay {
 /// payload the file ends inside — and fails only on a whole,
 /// checksum-valid record it cannot read.
 fn replay_part(bytes: &[u8], slot: u32) -> Result<PartReplay> {
-    let malformed = |what: &str| Error::Internal(format!("part file of slot {slot}: {what}"));
+    let malformed = |what: String| Error::Internal(format!("part file of slot {slot}: {what}"));
+    // `raw + 1` of a logged id; an id without a successor cannot be tracked.
+    let seen = |chunk: ChunkId| {
+        let seen = chunk.raw().checked_add(1);
+        seen.ok_or_else(|| malformed("chunk id out of range".into()))
+    };
     let mut replay = PartReplay::default();
     let mut pos = 0usize;
     while let Some((rec, next)) = read_record_at(bytes, pos) {
-        let mut r = ByteReader::new(&rec.body);
-        let id = r.u64().ok_or_else(|| malformed("short record"))?;
-        let seen = id
-            .checked_add(1)
-            .ok_or_else(|| malformed("chunk id out of range"))?;
-        match rec.kind {
+        let seen = match rec.kind {
             REC_PUT => {
-                let (Some(checksum), Some(len), true) = (r.u64(), r.u64(), r.done()) else {
-                    return Err(malformed("malformed put record"));
-                };
+                let (chunk, checksum, len): (ChunkId, u64, u64) = decode_exact(&rec.body)
+                    .map_err(|e| malformed(format!("malformed put record: {e}")))?;
+                let seen = seen(chunk)?;
                 // The declared length is input: a payload the file does
                 // not hold whole is where the crash landed.
                 let end = usize::try_from(len).ok().and_then(|l| next.checked_add(l));
@@ -151,7 +144,7 @@ fn replay_part(bytes: &[u8], slot: u32) -> Result<PartReplay> {
                 };
                 // First write wins, matching the live path's
                 // duplicate-id rejection.
-                if let Entry::Vacant(e) = replay.index.entry(ChunkId::new(id)) {
+                if let Entry::Vacant(e) = replay.index.entry(chunk) {
                     e.insert(IndexEntry {
                         slot,
                         payload_offset: next as u64,
@@ -161,16 +154,19 @@ fn replay_part(bytes: &[u8], slot: u32) -> Result<PartReplay> {
                     replay.live += PUT_FRAME_BYTES + len;
                 }
                 pos = end;
+                seen
             }
-            REC_TOMBSTONE if r.done() => {
-                if let Some(old) = replay.index.remove(&ChunkId::new(id)) {
+            REC_TOMBSTONE => {
+                let chunk: ChunkId = decode_exact(&rec.body)
+                    .map_err(|e| malformed(format!("malformed tombstone: {e}")))?;
+                if let Some(old) = replay.index.remove(&chunk) {
                     replay.live -= PUT_FRAME_BYTES + old.len;
                 }
                 pos = next;
+                seen(chunk)?
             }
-            REC_TOMBSTONE => return Err(malformed("malformed tombstone")),
-            other => return Err(malformed(&format!("unknown record kind {other}"))),
-        }
+            other => return Err(malformed(format!("unknown record kind {other}"))),
+        };
         replay.max_seen = replay.max_seen.max(seen);
         replay.valid = pos as u64;
     }
@@ -255,7 +251,7 @@ impl SlotTable {
         let mut contents = Vec::with_capacity(slot.live_bytes as usize);
         let mut moved: Vec<(ChunkId, u64)> = Vec::with_capacity(live.len());
         for (chunk, entry) in &live {
-            append_put(&mut contents, *chunk, entry.checksum, entry.len);
+            encode_record(&mut contents, REC_PUT, &(*chunk, entry.checksum, entry.len));
             let at = contents.len();
             moved.push((*chunk, at as u64));
             contents.resize(at + entry.len as usize, 0);
@@ -302,7 +298,8 @@ impl ChunkTable for SlotTable {
             // Framed metadata record, then the raw payload out-of-frame
             // (see the module docs for why).
             let s = self.slot_of(chunk);
-            append_put(&mut buffers[s], chunk, checksum, data.len() as u64);
+            let body = (chunk, checksum, data.len() as u64);
+            encode_record(&mut buffers[s], REC_PUT, &body);
             let entry = IndexEntry {
                 slot: s as u32,
                 payload_offset: buffers[s].len() as u64,
@@ -403,7 +400,7 @@ impl ChunkTable for SlotTable {
                 continue;
             };
             let (framed, removed) = per_slot.entry(entry.slot).or_default();
-            append_record(framed, REC_TOMBSTONE, &chunk.raw().to_be_bytes());
+            encode_record(framed, REC_TOMBSTONE, &chunk);
             removed.push((chunk, entry));
         }
         let mut reclaimed = 0u64;
@@ -1115,12 +1112,12 @@ mod tests {
     #[test]
     fn huge_declared_payload_length_is_a_torn_tail_not_an_overflow() {
         let mut part = Vec::new();
-        append_put(&mut part, ChunkId::new(1), 0, 4);
+        encode_record(&mut part, REC_PUT, &(ChunkId::new(1), 0u64, 4u64));
         part.extend_from_slice(b"data");
         let whole = part.len() as u64;
         for len in [u64::MAX, u64::MAX - whole, 1 << 40, 5] {
             let mut torn = part.clone();
-            append_put(&mut torn, ChunkId::new(2), 0, len);
+            encode_record(&mut torn, REC_PUT, &(ChunkId::new(2), 0u64, len));
             torn.extend_from_slice(b"data");
             let replay = replay_part(&torn, 0).unwrap();
             assert_eq!(replay.valid, whole, "declared {len}");
@@ -1128,13 +1125,15 @@ mod tests {
         }
         // An id whose successor does not exist cannot be tracked.
         let mut bad = Vec::new();
-        append_put(&mut bad, ChunkId::new(u64::MAX), 0, 0);
+        encode_record(&mut bad, REC_PUT, &(ChunkId::new(u64::MAX), 0u64, 0u64));
         assert!(matches!(replay_part(&bad, 0), Err(Error::Internal(_))));
     }
 
     mod replay_props {
         use super::*;
+        use atomio_types::record::append_record;
         use proptest::prelude::*;
+        use serde::Encode;
 
         fn arb_bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
             proptest::collection::vec(any::<u8>(), 0..max)
@@ -1158,12 +1157,13 @@ mod tests {
             proptest::collection::vec(op, 1..8).prop_map(|ops| {
                 let mut part = Vec::new();
                 for (id, put, payload) in ops {
+                    let chunk = ChunkId::new(id);
                     if put {
-                        let sum = chunk_checksum(&payload);
-                        append_put(&mut part, ChunkId::new(id), sum, payload.len() as u64);
+                        let body = (chunk, chunk_checksum(&payload), payload.len() as u64);
+                        encode_record(&mut part, REC_PUT, &body);
                         part.extend_from_slice(&payload);
                     } else {
-                        append_record(&mut part, REC_TOMBSTONE, &id.to_be_bytes());
+                        encode_record(&mut part, REC_TOMBSTONE, &chunk);
                     }
                 }
                 part
@@ -1200,12 +1200,13 @@ mod tests {
             fn checksum_valid_garbage_reaches_the_body_decoders(
                 records in proptest::collection::vec((0u8..4, arb_bytes(40), arb_bytes(16)), 1..6),
                 puts in proptest::collection::vec((edgy_u64(), edgy_u64(), arb_bytes(16)), 0..4),
+                tail in arb_bytes(8),
             ) {
                 // Well-formed PUT bodies declaring whatever they like,
                 // then records of any kind and body.
                 let mut part = Vec::new();
                 for (id, len, payload) in &puts {
-                    append_put(&mut part, ChunkId::new(*id), 0, *len);
+                    encode_record(&mut part, REC_PUT, &(ChunkId::new(*id), 0u64, *len));
                     part.extend_from_slice(payload);
                 }
                 for (kind, body, payload) in &records {
@@ -1213,6 +1214,16 @@ mod tests {
                     part.extend_from_slice(payload);
                 }
                 check(&part)?;
+                // A whole body with bytes after it is refused: the body
+                // decoders read every byte they are given.
+                let (mut put, mut tombstone) = (Vec::new(), Vec::new());
+                (ChunkId::new(1), 0u64, 0u64).encode(&mut put);
+                ChunkId::new(1).encode(&mut tombstone);
+                for (kind, body) in [(REC_PUT, put), (REC_TOMBSTONE, tombstone)] {
+                    let mut part = Vec::new();
+                    append_record(&mut part, kind, &[body, tail.clone()].concat());
+                    prop_assert_eq!(replay_part(&part, 0).is_ok(), tail.is_empty());
+                }
             }
 
             #[test]

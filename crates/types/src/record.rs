@@ -8,12 +8,16 @@
 //! magic:u32 | kind:u8 | body_len:u32 | checksum:u64 | body bytes
 //! ```
 //!
-//! All integers are big-endian; the checksum covers `kind`, `body_len`,
-//! and the body. A **torn tail** (the crash landed mid-append) shows up
-//! as a record whose magic, length, or checksum does not hold:
-//! [`scan_records`] stops there and reports the valid prefix length, so
-//! recovery truncates the file back to the last whole record instead of
-//! failing — the SPDK-BlobStore-style load path.
+//! The header and the superblock body (see [`encode_superblock`]) are
+//! fixed big-endian framing; every other record body is the positional
+//! [`Encode`] of the type it carries, read back with
+//! [`decode_exact`](serde::decode_exact) — the codec the wire frames use.
+//! The checksum covers `kind`, `body_len`, and the body. A **torn tail**
+//! (the crash landed mid-append) shows up as a record whose magic,
+//! length, or checksum does not hold: [`scan_records`] stops there and
+//! reports the valid prefix length, so recovery truncates the file back
+//! to the last whole record instead of failing — the SPDK-BlobStore-style
+//! load path.
 //!
 //! [`RecordLog`] is the one place such a file is created, recovered,
 //! appended to, synced and rewritten; [`load_or_init_superblock`] sits
@@ -23,7 +27,8 @@
 
 use crate::backend::FsyncPolicy;
 use crate::stamp::mix64;
-use crate::{ByteRange, Error, Result};
+use crate::{Error, Result};
+use serde::Encode;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::os::unix::fs::FileExt;
@@ -56,20 +61,31 @@ fn record_checksum(kind: u8, body: &[u8]) -> u64 {
     acc
 }
 
-/// Appends one framed record to `buf`.
+/// The frame header of a record of `kind` carrying `body`.
+fn header(kind: u8, body: &[u8]) -> [u8; RECORD_HEADER_BYTES] {
+    let mut head = [0u8; RECORD_HEADER_BYTES];
+    head[0..4].copy_from_slice(&RECORD_MAGIC.to_be_bytes());
+    head[4] = kind;
+    head[5..9].copy_from_slice(&(body.len() as u32).to_be_bytes());
+    head[9..17].copy_from_slice(&record_checksum(kind, body).to_be_bytes());
+    head
+}
+
+/// Appends one framed record carrying the raw bytes `body` to `buf`.
 pub fn append_record(buf: &mut Vec<u8>, kind: u8, body: &[u8]) {
-    buf.extend_from_slice(&RECORD_MAGIC.to_be_bytes());
-    buf.push(kind);
-    buf.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    buf.extend_from_slice(&record_checksum(kind, body).to_be_bytes());
+    buf.extend_from_slice(&header(kind, body));
     buf.extend_from_slice(body);
 }
 
-/// Encodes one framed record as an owned buffer.
-pub fn encode_record(kind: u8, body: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(RECORD_HEADER_BYTES + body.len());
-    append_record(&mut buf, kind, body);
-    buf
+/// Appends one framed record whose body is the positional encoding of
+/// `body`, encoded straight into `buf` (the header is filled in once the
+/// body's length and checksum are known).
+pub fn encode_record<T: Encode + ?Sized>(buf: &mut Vec<u8>, kind: u8, body: &T) {
+    let start = buf.len();
+    buf.resize(start + RECORD_HEADER_BYTES, 0);
+    body.encode(buf);
+    let (head, body) = buf[start..].split_at_mut(RECORD_HEADER_BYTES);
+    head.copy_from_slice(&header(kind, body));
 }
 
 /// One record recovered by [`scan_records`].
@@ -176,7 +192,9 @@ pub fn decode_superblock(body: &[u8]) -> Option<(u32, u32, u64)> {
 }
 
 /// On-disk format version every disk backend stamps into its superblock.
-pub const FORMAT_VERSION: u32 = 1;
+/// v2 writes record bodies with the positional codec; a v1 directory
+/// (hand-packed big-endian bodies) is refused, not migrated.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Reads (validating) or writes the superblock of a backend directory,
 /// returning the directory's slot count. Shared by every disk backend —
@@ -190,8 +208,10 @@ pub const FORMAT_VERSION: u32 = 1;
 /// foreign superblock, or a format-version mismatch.
 pub fn load_or_init_superblock(path: &Path, slot_count: u32, tag: u64, role: &str) -> Result<u32> {
     if !path.exists() {
+        let mut framed = Vec::new();
         let body = encode_superblock(FORMAT_VERSION, slot_count, tag);
-        install(path, &encode_record(SUPERBLOCK_KIND, &body))?;
+        append_record(&mut framed, SUPERBLOCK_KIND, &body);
+        install(path, &framed)?;
         return Ok(slot_count);
     }
     let contents =
@@ -415,67 +435,6 @@ impl RecordLog {
     }
 }
 
-/// A bounds-checked cursor over a record body, for the hand-rolled
-/// fixed-layout codecs the disk backends use (the rpc value codec lives
-/// above these crates, so they frame their own bytes).
-#[derive(Debug)]
-pub struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    /// Starts reading at the front of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf, pos: 0 }
-    }
-
-    /// Reads `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        let bytes = self.buf.get(self.pos..self.pos.checked_add(n)?)?;
-        self.pos += n;
-        Some(bytes)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Option<u8> {
-        Some(self.bytes(1)?[0])
-    }
-
-    /// Reads a big-endian `u32`.
-    pub fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_be_bytes(self.bytes(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a big-endian `u64`.
-    pub fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_be_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-
-    /// Reads an `offset | len` pair as a range, refusing one whose end
-    /// overflows (which [`ByteRange::new`] would panic on).
-    pub fn range(&mut self) -> Option<ByteRange> {
-        let (offset, len) = (self.u64()?, self.u64()?);
-        offset.checked_add(len)?;
-        Some(ByteRange::new(offset, len))
-    }
-
-    /// Reads a `u32` element count, refusing one the rest of the buffer
-    /// cannot hold at `item_bytes` (the smallest encoding of one
-    /// element) each — so a corrupted count can never size an allocation
-    /// beyond the bytes actually on disk.
-    pub fn count(&mut self, item_bytes: usize) -> Option<usize> {
-        let count = self.u32()? as usize;
-        (count <= (self.buf.len() - self.pos) / item_bytes).then_some(count)
-    }
-
-    /// True when the whole buffer has been consumed — decoders check
-    /// this so trailing garbage is rejected, not ignored.
-    pub fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,38 +505,18 @@ mod tests {
         assert_eq!(scan.valid_len, 0);
     }
 
+    /// One framed record of raw `body` bytes, as an owned buffer.
+    fn framed(kind: u8, body: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        append_record(&mut buf, kind, body);
+        buf
+    }
+
     #[test]
     fn superblock_roundtrip() {
         let body = encode_superblock(1, 8, 42);
         assert_eq!(decode_superblock(&body), Some((1, 8, 42)));
         assert_eq!(decode_superblock(&body[..15]), None);
-    }
-
-    #[test]
-    fn byte_reader_bounds_checks() {
-        let mut r = ByteReader::new(&[1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3]);
-        assert_eq!(r.u8(), Some(1));
-        assert_eq!(r.u32(), Some(2));
-        assert_eq!(r.u64(), Some(3));
-        assert!(r.done());
-        assert_eq!(r.u8(), None);
-        assert_eq!(r.bytes(usize::MAX), None);
-    }
-
-    #[test]
-    fn byte_reader_refuses_overflowing_ranges_and_impossible_counts() {
-        let mut body = Vec::new();
-        body.extend_from_slice(&u64::MAX.to_be_bytes());
-        body.extend_from_slice(&1u64.to_be_bytes());
-        assert_eq!(ByteReader::new(&body).range(), None);
-        body[..8].copy_from_slice(&7u64.to_be_bytes());
-        assert_eq!(ByteReader::new(&body).range(), Some(ByteRange::new(7, 1)));
-        // Three 8-byte items declared, two present.
-        let mut counted = 3u32.to_be_bytes().to_vec();
-        counted.extend_from_slice(&[0; 16]);
-        assert_eq!(ByteReader::new(&counted).count(8), None);
-        counted[3] = 2;
-        assert_eq!(ByteReader::new(&counted).count(8), Some(2));
     }
 
     use crate::tempdir::TempDir;
@@ -591,7 +530,7 @@ mod tests {
     fn record_log_appends_at_the_end_and_recovers_the_whole_prefix() {
         let tmp = TempDir::new("atomio-recordlog");
         let path = tmp.path().join("x.log");
-        let (first, second) = (encode_record(1, b"first"), encode_record(2, b"second"));
+        let (first, second) = (framed(1, b"first"), framed(2, b"second"));
         {
             let mut log = RecordLog::open(&path, FsyncPolicy::PerPublish, whole_records).unwrap();
             assert!(log.is_empty());
@@ -603,7 +542,7 @@ mod tests {
             // Hard drop, then a crash mid-append: half a record.
         }
         let mut torn = std::fs::read(&path).unwrap();
-        torn.extend_from_slice(&encode_record(1, b"torn")[..9]);
+        torn.extend_from_slice(&framed(1, b"torn")[..9]);
         std::fs::write(&path, &torn).unwrap();
 
         let mut seen = 0;
@@ -627,7 +566,7 @@ mod tests {
     #[test]
     fn record_log_syncs_by_policy_and_counts_it() {
         let tmp = TempDir::new("atomio-recordlog");
-        let record = encode_record(1, b"r");
+        let record = framed(1, b"r");
         let open = |name: &str, policy| {
             RecordLog::open(tmp.path().join(name), policy, whole_records).unwrap()
         };
@@ -666,7 +605,7 @@ mod tests {
     fn replace_swaps_the_whole_log_and_a_leftover_staged_file_is_ignored() {
         let tmp = TempDir::new("atomio-recordlog");
         let path = tmp.path().join("x.log");
-        let (old, new) = (encode_record(1, &[7; 100]), encode_record(1, b"compacted"));
+        let (old, new) = (framed(1, &[7; 100]), framed(1, b"compacted"));
         let mut log = RecordLog::open(&path, FsyncPolicy::Deferred, whole_records).unwrap();
         log.append(&old).unwrap();
         log.append(&old).unwrap();
@@ -695,7 +634,7 @@ mod tests {
         // staged and never renamed into place.
         let tmp = TempDir::new("atomio-recordlog");
         let path = tmp.path().join("superblock");
-        let framed = encode_record(SUPERBLOCK_KIND, &encode_superblock(FORMAT_VERSION, 8, 42));
+        let framed = framed(SUPERBLOCK_KIND, &encode_superblock(FORMAT_VERSION, 8, 42));
         for torn in [&framed[..0], &framed[..framed.len() / 2]] {
             std::fs::write(tmp.path().join("superblock.staged"), torn).unwrap();
             assert_eq!(load_or_init_superblock(&path, 8, 42, "test"), Ok(8));
@@ -750,8 +689,6 @@ mod tests {
             if let Some((format, slots, tag)) = decode_superblock(&bytes) {
                 prop_assert_eq!(encode_superblock(format, slots, tag), bytes.clone());
             }
-            let mut r = ByteReader::new(&bytes);
-            let _ = (r.count(pos % 64 + 1), r.range(), r.bytes(pos), r.u8(), r.u32(), r.u64());
         }
 
         #[test]
@@ -798,7 +735,7 @@ mod tests {
             let kept = std::fs::read(&path).unwrap();
             prop_assert_eq!(kept.len() as u64, log.len());
             prop_assert!(!scan_records(&kept).truncated);
-            log.append(&encode_record(9, b"next")).unwrap();
+            log.append(&framed(9, b"next")).unwrap();
             drop(log);
             let scan = scan_records(&std::fs::read(&path).unwrap());
             prop_assert!(!scan.truncated);

@@ -19,8 +19,9 @@ pub enum RetentionPolicy {
     /// exactly those of the pre-GC store.
     #[default]
     KeepAll,
-    /// Keep the newest `n` published versions (`n >= 1`; the latest
-    /// snapshot is always retained).
+    /// Keep the newest `n` published versions. The latest snapshot is
+    /// always retained, so `KeepLast(0)` keeps what `KeepLast(1)` does
+    /// (the CLI spelling refuses 0; the wire and the publish log take it).
     KeepLast(u64),
     /// Keep every version strictly above `v`: versions `<= v` are
     /// eligible for collection once no lease pins them.

@@ -13,18 +13,19 @@
 //! Each record carries everything a fresh manager needs to resume:
 //! version, tree root, blob size, tree capacity, and the write's extent
 //! list (rebuilding the [`VersionHistory`](atomio_meta::VersionHistory)
-//! that later writers link their shadow trees against). The file itself
+//! that later writers link their shadow trees against). Every record body
+//! is the positional encoding of what it carries — a [`PublishRecord`],
+//! a [`RetentionPolicy`], a [`LeaseGrant`], or a released lease's id —
+//! so replay reads back exactly what the live path wrote. The file itself
 //! — create, recovery, append, fsync, flush — is a [`RecordLog`].
 
 use crate::lease::LeaseGrant;
-use atomio_meta::disk::{decode_opt_key, push_opt_key};
 use atomio_meta::NodeKey;
 pub use atomio_types::record::LogStats;
-use atomio_types::record::{
-    encode_record, load_or_init_superblock, scan_records, ByteReader, RecordLog,
-};
+use atomio_types::record::{encode_record, load_or_init_superblock, scan_records, RecordLog};
 use atomio_types::{Error, ExtentList, FsyncPolicy, Result, RetentionPolicy, VersionId};
 use parking_lot::Mutex;
+use serde::{decode_exact, Decode, Encode};
 use std::path::PathBuf;
 
 /// Log record: one published snapshot.
@@ -44,9 +45,9 @@ const REC_LEASE_RELEASE: u8 = 4;
 const VERSION_TAG: u64 = 0x7665_7273;
 
 /// One published version, whole: its snapshot plus the extents of its
-/// history row — everything a manager needs to resume serving it. The
-/// publish log stores it in the binary form below.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// history row — everything a manager needs to resume serving it. A
+/// publish log record's body is its positional encoding.
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub struct PublishRecord {
     /// The snapshot's version.
     pub version: VersionId,
@@ -59,92 +60,6 @@ pub struct PublishRecord {
     pub capacity: u64,
     /// The write's extents (rebuilds the write-summary history).
     pub extents: ExtentList,
-}
-
-fn encode_publish(rec: &PublishRecord) -> Vec<u8> {
-    let ranges = rec.extents.ranges();
-    let mut body = Vec::with_capacity(8 + 33 + 8 + 8 + 4 + 16 * ranges.len());
-    body.extend_from_slice(&rec.version.raw().to_be_bytes());
-    push_opt_key(&mut body, rec.root);
-    body.extend_from_slice(&rec.size.to_be_bytes());
-    body.extend_from_slice(&rec.capacity.to_be_bytes());
-    body.extend_from_slice(&(ranges.len() as u32).to_be_bytes());
-    for r in ranges {
-        body.extend_from_slice(&r.offset.to_be_bytes());
-        body.extend_from_slice(&r.len.to_be_bytes());
-    }
-    body
-}
-
-fn decode_publish(body: &[u8]) -> Option<PublishRecord> {
-    let mut r = ByteReader::new(body);
-    let version = VersionId::new(r.u64()?);
-    let root = decode_opt_key(&mut r)?;
-    let size = r.u64()?;
-    let capacity = r.u64()?;
-    let count = r.count(16)?;
-    let mut ranges = Vec::with_capacity(count);
-    for _ in 0..count {
-        ranges.push(r.range()?);
-    }
-    if !r.done() {
-        return None;
-    }
-    Some(PublishRecord {
-        version,
-        root,
-        size,
-        capacity,
-        extents: ExtentList::from_ranges(ranges),
-    })
-}
-
-fn encode_retention(policy: RetentionPolicy) -> Vec<u8> {
-    let (tag, value): (u8, u64) = match policy {
-        RetentionPolicy::KeepAll => (1, 0),
-        RetentionPolicy::KeepLast(n) => (2, n),
-        RetentionPolicy::KeepAbove(v) => (3, v.raw()),
-    };
-    let mut body = Vec::with_capacity(9);
-    body.push(tag);
-    body.extend_from_slice(&value.to_be_bytes());
-    body
-}
-
-fn decode_retention(body: &[u8]) -> Option<RetentionPolicy> {
-    let mut r = ByteReader::new(body);
-    let tag = r.u8()?;
-    let value = r.u64()?;
-    if !r.done() {
-        return None;
-    }
-    match tag {
-        1 => Some(RetentionPolicy::KeepAll),
-        2 if value > 0 => Some(RetentionPolicy::KeepLast(value)),
-        3 => Some(RetentionPolicy::KeepAbove(VersionId::new(value))),
-        _ => None,
-    }
-}
-
-fn encode_lease(grant: &LeaseGrant) -> Vec<u8> {
-    let mut body = Vec::with_capacity(24);
-    body.extend_from_slice(&grant.lease.to_be_bytes());
-    body.extend_from_slice(&grant.version.raw().to_be_bytes());
-    body.extend_from_slice(&grant.expires_at_ms.to_be_bytes());
-    body
-}
-
-fn decode_lease(body: &[u8]) -> Option<LeaseGrant> {
-    let mut r = ByteReader::new(body);
-    let grant = LeaseGrant {
-        lease: r.u64()?,
-        version: VersionId::new(r.u64()?),
-        expires_at_ms: r.u64()?,
-    };
-    if !r.done() {
-        return None;
-    }
-    Some(grant)
 }
 
 /// Everything a recovering version manager reads back out of the log:
@@ -171,28 +86,24 @@ pub struct LogReplay {
 /// (dense versions, capacity that never shrinks) is checked where they
 /// are installed into a manager.
 fn replay_log(bytes: &[u8]) -> Result<(LogReplay, u64)> {
+    fn body<T: Decode>(body: &[u8]) -> Result<T> {
+        decode_exact(body)
+            .map_err(|e| Error::Internal(format!("publish log: malformed record: {e}")))
+    }
     let scan = scan_records(bytes);
     let mut replay = LogReplay::default();
-    let malformed = || Error::Internal("publish log: malformed record".into());
     let mut live: std::collections::BTreeMap<u64, LeaseGrant> = Default::default();
     for rec in &scan.records {
         match rec.kind {
-            REC_PUBLISH => {
-                replay
-                    .publishes
-                    .push(decode_publish(&rec.body).ok_or_else(malformed)?);
-            }
-            REC_RETENTION => {
-                replay.retention = Some(decode_retention(&rec.body).ok_or_else(malformed)?);
-            }
+            REC_PUBLISH => replay.publishes.push(body(&rec.body)?),
+            REC_RETENTION => replay.retention = Some(body(&rec.body)?),
             REC_LEASE => {
-                let grant = decode_lease(&rec.body).ok_or_else(malformed)?;
+                let grant: LeaseGrant = body(&rec.body)?;
                 replay.max_lease_id = replay.max_lease_id.max(grant.lease);
                 live.insert(grant.lease, grant);
             }
             REC_LEASE_RELEASE => {
-                let mut r = ByteReader::new(&rec.body);
-                let lease = r.u64().filter(|_| r.done()).ok_or_else(malformed)?;
+                let lease: u64 = body(&rec.body)?;
                 replay.max_lease_id = replay.max_lease_id.max(lease);
                 live.remove(&lease);
             }
@@ -243,26 +154,27 @@ impl PublishLog {
 
     /// Appends one publish record, fsyncing per the log's policy.
     pub fn append(&self, rec: &PublishRecord) -> Result<()> {
-        self.append_framed(REC_PUBLISH, &encode_publish(rec))
+        self.append_framed(REC_PUBLISH, rec)
     }
 
     /// Logs a retention-policy change (last one wins on replay).
     pub fn append_retention(&self, policy: RetentionPolicy) -> Result<()> {
-        self.append_framed(REC_RETENTION, &encode_retention(policy))
+        self.append_framed(REC_RETENTION, &policy)
     }
 
     /// Logs a lease grant or renewal (the latest record per id wins).
     pub fn append_lease(&self, grant: &LeaseGrant) -> Result<()> {
-        self.append_framed(REC_LEASE, &encode_lease(grant))
+        self.append_framed(REC_LEASE, grant)
     }
 
     /// Logs an explicit lease release.
     pub fn append_lease_release(&self, lease: u64) -> Result<()> {
-        self.append_framed(REC_LEASE_RELEASE, &lease.to_be_bytes())
+        self.append_framed(REC_LEASE_RELEASE, &lease)
     }
 
-    fn append_framed(&self, kind: u8, body: &[u8]) -> Result<()> {
-        let framed = encode_record(kind, body);
+    fn append_framed(&self, kind: u8, body: &impl Encode) -> Result<()> {
+        let mut framed = Vec::new();
+        encode_record(&mut framed, kind, body);
         self.log.lock().append(&framed).map(|_| ())
     }
 
@@ -317,22 +229,48 @@ mod tests {
         }
     }
 
+    /// The positional encoding of `value`: a record body.
+    fn encoded(value: &impl Encode) -> Vec<u8> {
+        let mut body = Vec::new();
+        value.encode(&mut body);
+        body
+    }
+
     #[test]
     fn publish_records_roundtrip() {
-        for v in 1..=3 {
-            assert_eq!(decode_publish(&encode_publish(&rec(v))), Some(rec(v)));
-        }
         let rootless = PublishRecord {
             root: None,
             ..rec(1)
         };
+        let records = [rec(1), rec(2), rec(3), rootless];
+        let mut log = Vec::new();
+        for r in &records {
+            encode_record(&mut log, REC_PUBLISH, r);
+        }
+        let (replay, valid) = replay_log(&log).unwrap();
         assert_eq!(
-            decode_publish(&encode_publish(&rootless)),
-            Some(rootless.clone())
+            (replay.publishes, valid),
+            (records.to_vec(), log.len() as u64)
         );
-        let mut garbage = encode_publish(&rec(1));
-        garbage.push(0);
-        assert_eq!(decode_publish(&garbage), None);
+    }
+
+    #[test]
+    fn every_retention_policy_the_live_path_accepts_survives_a_restart() {
+        // `KeepLast(0)` floors like `KeepLast(1)`; a manager takes it, so
+        // its reopen must read it back.
+        for policy in [
+            RetentionPolicy::KeepLast(0),
+            RetentionPolicy::KeepAll,
+            RetentionPolicy::KeepAbove(VersionId::new(0)),
+        ] {
+            let tmp = TempDir::new("atomio-publog");
+            recover(tmp.path())
+                .unwrap()
+                .set_retention_local(policy)
+                .unwrap();
+            let vm = recover(tmp.path()).expect("reopen after set_retention");
+            assert_eq!(vm.retention(), policy);
+        }
     }
 
     #[test]
@@ -362,7 +300,7 @@ mod tests {
         }
         // Crash mid-append of v3: half a record at the tail.
         let mut framed = Vec::new();
-        append_record(&mut framed, REC_PUBLISH, &encode_publish(&rec(3)));
+        encode_record(&mut framed, REC_PUBLISH, &rec(3));
         framed.truncate(framed.len() - 7);
         let mut f = OpenOptions::new()
             .append(true)
@@ -516,15 +454,11 @@ mod tests {
         /// A PUBLISH body of version `version` whose key, sizes, extent
         /// count and extents are whatever `fields` say.
         fn publish_like(version: u64, fields: &[u64]) -> Vec<u8> {
-            let mut body = version.to_be_bytes().to_vec();
-            body.push(1);
-            for field in &fields[..6] {
-                body.extend_from_slice(&field.to_be_bytes());
-            }
-            body.extend_from_slice(&(fields[6] as u32).to_be_bytes());
-            for field in &fields[7..] {
-                body.extend_from_slice(&field.to_be_bytes());
-            }
+            let mut body = Vec::new();
+            let root = (fields[0], fields[1], (fields[2], fields[3]));
+            (version, 1u8, root).encode(&mut body); // a version with a root
+            (fields[4], fields[5], fields[6] as u32).encode(&mut body); // size, capacity, count
+            fields[7..].iter().for_each(|field| field.encode(&mut body));
             body
         }
 
@@ -540,6 +474,7 @@ mod tests {
                     (any::<bool>(), proptest::collection::vec(edgy_u64(), 7..12)), 1..4),
                 records in proptest::collection::vec((0u8..6, arb_bytes(40)), 0..4),
                 lease in (edgy_u64(), edgy_u64(), edgy_u64()),
+                tail in arb_bytes(8),
             ) {
                 let mut log = Vec::new();
                 for (i, (well_formed, fields)) in publishes.iter().enumerate() {
@@ -547,7 +482,7 @@ mod tests {
                     // path would never log, or one that may not decode.
                     let body = if *well_formed {
                         let (size, capacity) = (fields[4], fields[5]);
-                        encode_publish(&PublishRecord { size, capacity, ..rec(i as u64 + 1) })
+                        encoded(&PublishRecord { size, capacity, ..rec(i as u64 + 1) })
                     } else {
                         publish_like(i as u64 + 1, fields)
                     };
@@ -559,12 +494,26 @@ mod tests {
                     version: VersionId::new(lease.1),
                     expires_at_ms: lease.2,
                 };
-                append_record(&mut log, REC_LEASE, &encode_lease(&grant));
+                encode_record(&mut log, REC_LEASE, &grant);
                 check(&log)?;
                 for (kind, body) in &records {
                     append_record(&mut log, *kind, body);
                 }
                 check(&log)?;
+                // A whole body of any kind with bytes after it is
+                // refused: the body decoders read every byte they get.
+                let policy = RetentionPolicy::KeepLast(lease.0);
+                for (kind, body) in [
+                    (REC_PUBLISH, encoded(&rec(1))),
+                    (REC_RETENTION, encoded(&policy)),
+                    (REC_RETENTION, encoded(&RetentionPolicy::KeepAll)),
+                    (REC_LEASE, encoded(&grant)),
+                    (REC_LEASE_RELEASE, encoded(&lease.0)),
+                ] {
+                    let mut log = Vec::new();
+                    append_record(&mut log, kind, &[body, tail.clone()].concat());
+                    prop_assert_eq!(replay_log(&log).is_ok(), tail.is_empty());
+                }
             }
 
             #[test]
@@ -582,15 +531,14 @@ mod tests {
                     match op {
                         0 => {
                             version += 1;
-                            append_record(&mut log, REC_PUBLISH, &encode_publish(&rec(version)))
+                            encode_record(&mut log, REC_PUBLISH, &rec(version))
                         }
-                        1 => append_record(
-                            &mut log,
-                            REC_RETENTION,
-                            &encode_retention(RetentionPolicy::KeepLast(i as u64 + 1)),
-                        ),
-                        2 => append_record(&mut log, REC_LEASE, &encode_lease(&grant)),
-                        _ => append_record(&mut log, REC_LEASE_RELEASE, &grant.lease.to_be_bytes()),
+                        1 => {
+                            let policy = RetentionPolicy::KeepLast(i as u64);
+                            encode_record(&mut log, REC_RETENTION, &policy)
+                        }
+                        2 => encode_record(&mut log, REC_LEASE, &grant),
+                        _ => encode_record(&mut log, REC_LEASE_RELEASE, &grant.lease),
                     }
                 }
                 let whole = replay_log(&log).map(|(_, valid)| valid);
