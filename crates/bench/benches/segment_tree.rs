@@ -3,7 +3,7 @@
 
 use atomio_meta::history::WriteSummary;
 use atomio_meta::{
-    LeafEntry, MetaStore, NodeKey, NodeStore, TreeBuilder, TreeConfig, TreeReader, VersionHistory,
+    LeafEntry, MetaStore, NodeKey, NodeStore, TreeBuilder, TreeConfig, VersionHistory,
 };
 use atomio_simgrid::{CostModel, SimClock};
 use atomio_types::{BlobId, ByteRange, ChunkGeometry, ChunkId, ExtentList, ProviderId, VersionId};
@@ -143,8 +143,13 @@ fn bench_resolve(c: &mut Criterion) {
         let builder = TreeBuilder::new(BlobId::new(0), &fx.store, &fx.history, fx.config);
         let root = builder.build_update(&p, v, cap, &entries).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(regions), &regions, |b, _| {
-            let reader = TreeReader::new(&fx.store);
-            b.iter(|| black_box(reader.resolve(&p, Some(root), black_box(&ext)).unwrap()));
+            b.iter(|| {
+                black_box(
+                    fx.store
+                        .resolve(&p, Some(root), black_box(&ext), None)
+                        .unwrap(),
+                )
+            });
         });
     }
     group.finish();
@@ -170,11 +175,10 @@ fn bench_version_chain_reads(c: &mut Criterion) {
         let root = root.unwrap();
         let whole_leaf = ExtentList::single(ByteRange::new(0, LEAF));
         group.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, _| {
-            let reader = TreeReader::new(&fx.store);
             b.iter(|| {
                 black_box(
-                    reader
-                        .resolve(&p, Some(root), black_box(&whole_leaf))
+                    fx.store
+                        .resolve(&p, Some(root), black_box(&whole_leaf), None)
                         .unwrap(),
                 )
             });

@@ -16,9 +16,7 @@
 //!    its own version, which preserves MPI semantics ("when the call
 //!    returns, the data is visible").
 
-use atomio_meta::{
-    LeafEntry, NodeCache, NodeStore, TreeBuilder, TreeConfig, TreeReader, VersionHistory,
-};
+use atomio_meta::{LeafEntry, NodeCache, NodeStore, TreeBuilder, TreeConfig, VersionHistory};
 use atomio_provider::{GetRequest, ProviderManager};
 use atomio_simgrid::{Metrics, Participant};
 use atomio_types::ids::IdAllocator;
@@ -50,6 +48,8 @@ struct BlobInner {
     config: crate::StoreConfig,
     metrics: Metrics,
     /// Client-side cache of immutable tree nodes (None when disabled).
+    /// Only a client-walked resolve consults it; a remote metadata store
+    /// walks the tree on its server.
     node_cache: Option<NodeCache>,
 }
 
@@ -326,12 +326,10 @@ impl Blob {
             .counter("core.bytes_read")
             .add(extents.total_len());
 
-        let reader = match &inner.node_cache {
-            Some(cache) => TreeReader::with_cache(inner.meta.as_ref(), cache),
-            None => TreeReader::new(inner.meta.as_ref()),
-        };
         let resolve_start = p.now();
-        let pieces = reader.resolve(p, snap.root, extents)?;
+        let pieces = inner
+            .meta
+            .resolve(p, snap.root, extents, inner.node_cache.as_ref())?;
         inner
             .metrics
             .time_stat("core.meta_resolve_time")

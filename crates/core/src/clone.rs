@@ -20,7 +20,7 @@
 
 use crate::blob::Blob;
 use crate::store::Store;
-use atomio_meta::{LeafEntry, TreeReader};
+use atomio_meta::LeafEntry;
 use atomio_simgrid::Participant;
 use atomio_types::{ByteRange, Error, ExtentList, Result, VersionId};
 
@@ -42,8 +42,7 @@ impl Store {
 
         // Resolve the complete source snapshot to chunk references.
         let whole = ExtentList::single(ByteRange::new(0, snap.size));
-        let reader = TreeReader::new(source.meta_store().as_ref());
-        let pieces = reader.resolve(p, snap.root, &whole)?;
+        let pieces = source.meta_store().resolve(p, snap.root, &whole, None)?;
         let mut entries = Vec::new();
         let mut touched = Vec::new();
         for piece in pieces {

@@ -41,6 +41,8 @@ pub struct StoreConfig {
     /// How clients reach the provider and metadata services.
     pub transport_mode: TransportMode,
     /// Client-side metadata cache size in nodes (0 disables caching).
+    /// The cache serves the in-process tree walk only: a remote metadata
+    /// store resolves a read on its server and never consults it.
     pub meta_cache_nodes: usize,
     /// Default snapshot retention policy applied to every blob at
     /// creation (a blob can still override it per-blob through its

@@ -16,9 +16,11 @@
 //! on each shard as a **single list-request booking** via
 //! [`Resource::reserve_ns`] — the List-I/O lesson applied to metadata.
 
+use crate::cache::NodeCache;
 use crate::node::{Node, NodeKey};
+use crate::tree::{fetch_level, resolve_with, ResolvedPiece};
 use atomio_simgrid::{ClientNics, CostModel, Participant, Resource};
-use atomio_types::{stamp::mix64, Error, Result};
+use atomio_types::{stamp::mix64, Error, ExtentList, Result};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -49,6 +51,25 @@ pub trait NodeStore: Send + Sync + std::fmt::Debug {
         self.get_batch(p, &[key])
             .pop()
             .expect("one outcome per key")
+    }
+
+    /// Maps `extents` of the snapshot rooted at `root` onto stored
+    /// chunks and holes, sorted by file offset (see [`resolve_with`]).
+    ///
+    /// The default walks the tree on the client, one
+    /// [`Self::get_batch`] per level, taking `cache` hits for free and
+    /// caching the misses — BlobSeer's client-walked metadata. A remote
+    /// proxy overrides it with one request that the metadata server
+    /// answers by running the same walk where the nodes are, and ignores
+    /// `cache`.
+    fn resolve(
+        &self,
+        p: &Participant,
+        root: Option<NodeKey>,
+        extents: &ExtentList,
+        cache: Option<&NodeCache>,
+    ) -> Result<Vec<ResolvedPiece>> {
+        resolve_with(|keys| fetch_level(self, p, keys, cache), root, extents)
     }
 
     /// True if the node exists (free of simulated cost; for tests/GC).

@@ -4,20 +4,26 @@
 //! non-contiguous) write into a complete new tree for its version — with
 //! **no reads of other versions' nodes and no waiting**: every link to
 //! older content is computed from the shared [`VersionHistory`] thanks to
-//! deterministic [`NodeKey`]s. [`TreeReader::resolve`] maps a snapshot +
+//! deterministic [`NodeKey`]s. [`resolve_with`] maps a snapshot +
 //! extent list onto the stored chunks (or zero-fill holes).
 //!
 //! Construction is pure (zero virtual time): the builder stages the new
 //! version's nodes children-before-parents, then **commits them in one
 //! flush**, shard-parallel through [`NodeStore::put_batch`]. Reads are
-//! the mirror image: one [`NodeStore::get_batch`] per tree level.
+//! the mirror image: one level-order walk, which asks for each tree
+//! level at once — one [`NodeStore::get_batch`] per level on the client
+//! ([`NodeStore::resolve`]'s default), or one `get_batch_local` per level
+//! inside a metadata server that runs the walk for a remote client.
 
+use crate::cache::NodeCache;
 use crate::history::VersionHistory;
 use crate::node::{LeafEntry, Node, NodeBody, NodeKey};
 use crate::store::NodeStore;
 use atomio_simgrid::{Metrics, Participant};
 use atomio_types::{BlobId, ByteRange, ChunkId, Error, ExtentList, ProviderId, Result, VersionId};
+use serde::{Decode, Encode};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Static geometry of a blob's tree.
@@ -302,7 +308,7 @@ impl<'a> TreeBuilder<'a> {
 }
 
 /// Where one resolved byte range's data lives.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub struct PieceSource {
     /// Chunk holding the bytes.
     pub chunk: ChunkId,
@@ -314,7 +320,7 @@ pub struct PieceSource {
 
 /// One contiguous resolved piece of a read: either stored bytes or a hole
 /// (never-written bytes that read as zeros).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Encode, Decode)]
 pub struct ResolvedPiece {
     /// Absolute file range.
     pub file_range: ByteRange,
@@ -322,157 +328,152 @@ pub struct ResolvedPiece {
     pub source: Option<PieceSource>,
 }
 
-/// Reader-side tree traversal.
+/// Maps `extents` of the snapshot rooted at `root` onto stored chunks:
+/// the one tree walk, which [`NodeStore::resolve`]'s default runs on the
+/// client and a metadata server runs where the nodes are. Bytes outside
+/// the tree's capacity and never-written gaps come back as holes.
+/// Pieces are returned sorted by file offset, and tile `extents`
+/// exactly.
+///
+/// The walk is level-order: every pending node of a level — tree
+/// children *and* backlink hops alike — is asked of `fetch_level` at
+/// once, which answers one node per key, in order. The store's nodes
+/// may have come off the network, so the walk checks that it makes
+/// progress — each child covers exactly its half of a range at least two
+/// bytes long, each backlink the same leaf range at an older version —
+/// and fails typed on a tree that breaks the rule instead of walking it
+/// forever: it visits each stored node at most once.
+pub fn resolve_with(
+    mut fetch_level: impl FnMut(&[NodeKey]) -> Result<Vec<Arc<Node>>>,
+    root: Option<NodeKey>,
+    extents: &ExtentList,
+) -> Result<Vec<ResolvedPiece>> {
+    let mut out = Vec::new();
+    let inside = root.map_or_else(ExtentList::new, |root| extents.clip(root.range));
+    push_holes(&mut out, &extents.subtract(&inside));
+    let mut frontier: Vec<(NodeKey, ExtentList)> = match root {
+        Some(root) if !inside.is_empty() => vec![(root, inside)],
+        _ => Vec::new(),
+    };
+    while !frontier.is_empty() {
+        let keys: Vec<NodeKey> = frontier.iter().map(|(key, _)| *key).collect();
+        let nodes = fetch_level(&keys)?;
+        let mut next = Vec::new();
+        for (node, (key, want)) in nodes.iter().zip(frontier) {
+            visit(node, key, &want, &mut out, &mut next)?;
+        }
+        frontier = next;
+    }
+    out.sort_by_key(|piece| piece.file_range.offset);
+    Ok(out)
+}
+
+/// Fetches one traversal level through `store`: `cache` hits are free,
+/// all misses ship as **one** [`NodeStore::get_batch`] list-request and
+/// are cached.
+pub(crate) fn fetch_level(
+    store: &(impl NodeStore + ?Sized),
+    p: &Participant,
+    keys: &[NodeKey],
+    cache: Option<&NodeCache>,
+) -> Result<Vec<Arc<Node>>> {
+    let mut out: Vec<Option<Arc<Node>>> = vec![None; keys.len()];
+    let mut miss_idx = Vec::new();
+    let mut miss_keys = Vec::new();
+    for (i, &key) in keys.iter().enumerate() {
+        match cache.and_then(|c| c.get(key)) {
+            Some(node) => out[i] = Some(node),
+            None => {
+                miss_idx.push(i);
+                miss_keys.push(key);
+            }
+        }
+    }
+    if !miss_keys.is_empty() {
+        for (i, fetched) in miss_idx.into_iter().zip(store.get_batch(p, &miss_keys)) {
+            let node = fetched?;
+            if let Some(cache) = cache {
+                cache.insert(Arc::clone(&node));
+            }
+            out[i] = Some(node);
+        }
+    }
+    Ok(out.into_iter().map(|n| n.expect("slot filled")).collect())
+}
+
+/// The error for a stored tree the walk refuses to follow.
+fn malformed(key: NodeKey, why: &str) -> Error {
+    Error::Internal(format!("malformed tree at {key}: {why}"))
+}
+
+/// Resolves one fetched node against its wanted extents, emitting
+/// pieces/holes and queueing children or backlinks for the next level.
+fn visit(
+    node: &Node,
+    key: NodeKey,
+    want: &ExtentList,
+    out: &mut Vec<ResolvedPiece>,
+    next: &mut Vec<(NodeKey, ExtentList)>,
+) -> Result<()> {
+    debug_assert!(!want.is_empty());
+    match &node.body {
+        NodeBody::Inner { left, right } => {
+            if key.range.len < 2 {
+                return Err(malformed(key, "an inner node too small to split"));
+            }
+            let mid = key.range.offset + key.range.len / 2;
+            let (lo, hi) = key.range.split_at(mid);
+            for (half, link) in [(lo, left), (hi, right)] {
+                let sub = want.clip(half);
+                if sub.is_empty() {
+                    continue;
+                }
+                match link {
+                    Some(child) if child.range == half => next.push((*child, sub)),
+                    Some(_) => return Err(malformed(key, "a child off its half")),
+                    None => push_holes(out, &sub),
+                }
+            }
+        }
+        NodeBody::Leaf { entries, backlink } => {
+            let remaining = resolve_leaf(key, entries, want, out)?;
+            if !remaining.is_empty() {
+                match backlink {
+                    Some(older) if older.range == key.range && older.version < key.version => {
+                        next.push((*older, remaining))
+                    }
+                    Some(_) => return Err(malformed(key, "a backlink that is not older")),
+                    None => push_holes(out, &remaining),
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Reader-side traversals for version GC and repair tooling: every chunk
+/// and every node a snapshot reaches. A read resolves through
+/// [`NodeStore::resolve`] instead.
 #[derive(Debug)]
 pub struct TreeReader<'a> {
     store: &'a dyn NodeStore,
-    cache: Option<&'a crate::cache::NodeCache>,
 }
 
 impl<'a> TreeReader<'a> {
     /// Creates a reader over a store.
     pub fn new(store: &'a dyn NodeStore) -> Self {
-        TreeReader { store, cache: None }
+        TreeReader { store }
     }
 
-    /// Creates a reader that consults a client-side node cache first.
-    /// Cache hits are free of simulated cost (they never leave the
-    /// client); misses are fetched from the store and cached.
-    pub fn with_cache(store: &'a dyn NodeStore, cache: &'a crate::cache::NodeCache) -> Self {
-        TreeReader {
-            store,
-            cache: Some(cache),
-        }
-    }
-
-    fn fetch(&self, p: &Participant, key: NodeKey) -> Result<std::sync::Arc<Node>> {
-        if let Some(cache) = self.cache {
-            if let Some(node) = cache.get(key) {
-                return Ok(node);
-            }
-            let node = self.store.get(p, key)?;
-            cache.insert(std::sync::Arc::clone(&node));
-            return Ok(node);
-        }
-        self.store.get(p, key)
-    }
-
-    /// Fetches one traversal level: cache hits are free, all misses ship
-    /// as **one** [`NodeStore::get_batch`] list-request.
-    fn fetch_level(&self, p: &Participant, keys: &[NodeKey]) -> Result<Vec<std::sync::Arc<Node>>> {
-        let mut out: Vec<Option<std::sync::Arc<Node>>> = vec![None; keys.len()];
-        let mut miss_idx = Vec::new();
-        let mut miss_keys = Vec::new();
-        for (i, &key) in keys.iter().enumerate() {
-            match self.cache.and_then(|c| c.get(key)) {
-                Some(node) => out[i] = Some(node),
-                None => {
-                    miss_idx.push(i);
-                    miss_keys.push(key);
-                }
-            }
-        }
-        if !miss_keys.is_empty() {
-            for (i, fetched) in miss_idx
-                .into_iter()
-                .zip(self.store.get_batch(p, &miss_keys))
-            {
-                let node = fetched?;
-                if let Some(cache) = self.cache {
-                    cache.insert(std::sync::Arc::clone(&node));
-                }
-                out[i] = Some(node);
-            }
-        }
-        Ok(out.into_iter().map(|n| n.expect("slot filled")).collect())
-    }
-
-    /// Maps `extents` of the snapshot rooted at `root` onto stored
-    /// chunks. Bytes outside the tree's capacity and never-written gaps
-    /// come back as holes. Pieces are returned sorted by file offset.
+    /// [`NodeStore::resolve`] without a cache. Kept because
+    /// `wallbench/src/probes.rs` times it; new code calls the store.
     pub fn resolve(
         &self,
         p: &Participant,
         root: Option<NodeKey>,
         extents: &ExtentList,
     ) -> Result<Vec<ResolvedPiece>> {
-        let mut out = Vec::new();
-        match root {
-            None => push_holes(&mut out, extents),
-            Some(root) => {
-                let inside = extents.clip(root.range);
-                let outside = extents.subtract(&inside);
-                push_holes(&mut out, &outside);
-                if !inside.is_empty() {
-                    self.walk_levels(p, root, inside, &mut out)?;
-                }
-            }
-        }
-        out.sort_by_key(|piece| piece.file_range.offset);
-        Ok(out)
-    }
-
-    /// Level-order traversal: every pending node of a level — tree
-    /// children *and* backlink hops alike — is fetched in a single
-    /// batched list-request, applying the commit side's batching win
-    /// to reads.
-    fn walk_levels(
-        &self,
-        p: &Participant,
-        root: NodeKey,
-        want: ExtentList,
-        out: &mut Vec<ResolvedPiece>,
-    ) -> Result<()> {
-        let mut frontier: Vec<(NodeKey, ExtentList)> = vec![(root, want)];
-        while !frontier.is_empty() {
-            let keys: Vec<NodeKey> = frontier.iter().map(|(key, _)| *key).collect();
-            let nodes = self.fetch_level(p, &keys)?;
-            let mut next = Vec::new();
-            for (node, (key, want)) in nodes.into_iter().zip(frontier) {
-                self.visit(&node, key, &want, out, &mut next);
-            }
-            frontier = next;
-        }
-        Ok(())
-    }
-
-    /// Resolves one fetched node against its wanted extents, emitting
-    /// pieces/holes and queueing children or backlinks for the next
-    /// level.
-    fn visit(
-        &self,
-        node: &Node,
-        key: NodeKey,
-        want: &ExtentList,
-        out: &mut Vec<ResolvedPiece>,
-        next: &mut Vec<(NodeKey, ExtentList)>,
-    ) {
-        debug_assert!(!want.is_empty());
-        match &node.body {
-            NodeBody::Inner { left, right } => {
-                let mid = key.range.offset + key.range.len / 2;
-                let (lo, hi) = key.range.split_at(mid);
-                for (half, link) in [(lo, left), (hi, right)] {
-                    let sub = want.clip(half);
-                    if sub.is_empty() {
-                        continue;
-                    }
-                    match link {
-                        Some(child) => next.push((*child, sub)),
-                        None => push_holes(out, &sub),
-                    }
-                }
-            }
-            NodeBody::Leaf { entries, backlink } => {
-                let remaining = resolve_leaf(entries, want, out);
-                if !remaining.is_empty() {
-                    match backlink {
-                        Some(older) => next.push((*older, remaining)),
-                        None => push_holes(out, &remaining),
-                    }
-                }
-            }
-        }
+        self.store.resolve(p, root, extents, None)
     }
 
     /// Every chunk reachable from `root` (through subtree sharing and
@@ -501,7 +502,7 @@ impl<'a> TreeReader<'a> {
         if !visited.insert(key) {
             return Ok(());
         }
-        let node = self.fetch(p, key)?;
+        let node = self.store.get(p, key)?;
         match &node.body {
             NodeBody::Inner { left, right } => {
                 for link in [left, right].into_iter().flatten() {
@@ -539,21 +540,28 @@ impl<'a> TreeReader<'a> {
 /// returns the extents the leaf did not cover (to be satisfied by the
 /// backlink chain or read as holes).
 fn resolve_leaf(
+    key: NodeKey,
     entries: &[LeafEntry],
     want: &ExtentList,
     out: &mut Vec<ResolvedPiece>,
-) -> ExtentList {
+) -> Result<ExtentList> {
     let mut remaining = want.clone();
     for e in entries {
         let hit = remaining.clip(e.file_range);
         for &r in &hit {
-            let clipped = e.clip(r).expect("hit ranges intersect the entry");
+            // The piece's bytes must lie inside the `u64` range a chunk
+            // read can name.
+            let chunk_offset = e
+                .chunk_offset
+                .checked_add(r.offset - e.file_range.offset)
+                .filter(|start| start.checked_add(r.len).is_some())
+                .ok_or_else(|| malformed(key, "an entry past the end of its chunk"))?;
             out.push(ResolvedPiece {
-                file_range: clipped.file_range,
+                file_range: r,
                 source: Some(PieceSource {
-                    chunk: clipped.chunk,
-                    chunk_offset: clipped.chunk_offset,
-                    homes: clipped.homes,
+                    chunk: e.chunk,
+                    chunk_offset,
+                    homes: e.homes.clone(),
                 }),
             });
         }
@@ -562,7 +570,7 @@ fn resolve_leaf(
             break;
         }
     }
-    remaining
+    Ok(remaining)
 }
 
 fn push_holes(out: &mut Vec<ResolvedPiece>, holes: &ExtentList) {
@@ -647,11 +655,12 @@ mod tests {
             root: NodeKey,
             pairs: &[(u64, u64)],
         ) -> Vec<ResolvedPiece> {
-            TreeReader::new(&self.store)
+            self.store
                 .resolve(
                     p,
                     Some(root),
                     &ExtentList::from_pairs(pairs.iter().copied()),
+                    None,
                 )
                 .unwrap()
         }
@@ -847,8 +856,9 @@ mod tests {
     fn resolve_with_no_root_is_all_holes() {
         let fx = Fixture::new();
         run_actors(1, |_, p| {
-            let pieces = TreeReader::new(&fx.store)
-                .resolve(p, None, &ExtentList::from_pairs([(0u64, 128u64)]))
+            let pieces = fx
+                .store
+                .resolve(p, None, &ExtentList::from_pairs([(0u64, 128u64)]), None)
                 .unwrap();
             assert_eq!(pieces.len(), 1);
             assert!(pieces[0].source.is_none());
@@ -999,6 +1009,84 @@ mod tests {
             let pieces = fx.resolve(p, root, &[(0, 64)]);
             assert!(pieces.iter().all(|pc| pc.source.is_none()));
         });
+    }
+
+    /// Resolves `[0, 128)` under `root` over exactly `nodes`.
+    fn walk_over(nodes: Vec<Node>, root: NodeKey) -> Result<Vec<ResolvedPiece>> {
+        let table: HashMap<NodeKey, Arc<Node>> =
+            nodes.into_iter().map(|n| (n.key, Arc::new(n))).collect();
+        resolve_with(
+            |keys| {
+                keys.iter()
+                    .map(|k| table.get(k).cloned().ok_or(Error::MetadataNodeMissing(0)))
+                    .collect()
+            },
+            Some(root),
+            &ExtentList::from_pairs([(0u64, 128u64)]),
+        )
+    }
+
+    #[test]
+    fn a_tree_that_would_not_end_is_refused_typed() {
+        let blob = BlobId::new(0);
+        let key = |v: u64, offset: u64, len: u64| {
+            NodeKey::new(blob, VersionId::new(v), ByteRange::new(offset, len))
+        };
+        let leaf = |k: NodeKey, backlink: Option<NodeKey>| Node {
+            key: k,
+            body: NodeBody::Leaf {
+                entries: Vec::new(),
+                backlink,
+            },
+        };
+        let malformed = |result: Result<Vec<ResolvedPiece>>| matches!(result, Err(Error::Internal(msg)) if msg.starts_with("malformed tree"));
+        // An inner node that names itself as its own child.
+        let root = key(2, 0, 128);
+        let selfish = Node {
+            key: root,
+            body: NodeBody::Inner {
+                left: Some(root),
+                right: None,
+            },
+        };
+        assert!(malformed(walk_over(vec![selfish], root)));
+        // Two empty leaves backlinked to each other, and one backlinked
+        // to itself.
+        let (a, b) = (key(2, 0, 128), key(1, 0, 128));
+        assert!(malformed(walk_over(
+            vec![leaf(a, Some(b)), leaf(b, Some(a))],
+            a
+        )));
+        assert!(malformed(walk_over(vec![leaf(a, Some(a))], a)));
+        // An inner node too small to split.
+        let tiny = key(1, 0, 1);
+        let inner = Node {
+            key: tiny,
+            body: NodeBody::Inner {
+                left: None,
+                right: Some(tiny),
+            },
+        };
+        assert!(malformed(walk_over(vec![inner], tiny)));
+        // An entry whose chunk range would wrap.
+        let wraps = Node {
+            key: a,
+            body: NodeBody::Leaf {
+                entries: vec![LeafEntry {
+                    file_range: ByteRange::new(0, 128),
+                    chunk: ChunkId::new(1),
+                    chunk_offset: u64::MAX - 10,
+                    homes: vec![],
+                }],
+                backlink: None,
+            },
+        };
+        assert!(malformed(walk_over(vec![wraps], a)));
+        // A key the store lacks is the store's own typed error.
+        assert_eq!(
+            walk_over(vec![leaf(a, Some(b))], a),
+            Err(Error::MetadataNodeMissing(0))
+        );
     }
 
     #[test]

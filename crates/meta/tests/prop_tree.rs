@@ -8,7 +8,7 @@
 //! writers proceed without waiting).
 
 use atomio_meta::history::WriteSummary;
-use atomio_meta::{LeafEntry, MetaStore, NodeKey, TreeBuilder, TreeConfig, TreeReader};
+use atomio_meta::{LeafEntry, MetaStore, NodeKey, NodeStore, TreeBuilder, TreeConfig};
 use atomio_simgrid::clock::run_actors;
 use atomio_simgrid::CostModel;
 use atomio_types::{BlobId, ByteRange, ChunkGeometry, ChunkId, ExtentList, ProviderId, VersionId};
@@ -123,9 +123,9 @@ impl Harness {
         } else {
             Some(self.roots[v - 1])
         };
-        let reader = TreeReader::new(&self.store);
-        let pieces = reader
-            .resolve(p, root, &ExtentList::single(window))
+        let pieces = self
+            .store
+            .resolve(p, root, &ExtentList::single(window), None)
             .unwrap();
         let mut out = vec![0u8; window.len as usize];
         let mut covered = 0u64;

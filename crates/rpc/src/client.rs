@@ -4,7 +4,8 @@
 //!   `ProviderManager` built with `from_stores` routes chunk traffic
 //!   through a [`Transport`] instead of in-process providers.
 //! * [`RemoteMetaStore`] implements [`NodeStore`] for the tree builder
-//!   and reader.
+//!   and the read path; a read's resolve is one `MetaResolve` round
+//!   trip, walked on the metadata server.
 //! * [`RemoteVersionManager`] implements [`VersionOracle`] — and spells
 //!   its calls nowhere else — in front of a server-hosted version
 //!   manager, keeping a local [`VersionHistory`] mirror fed by the grant
@@ -21,7 +22,7 @@
 use crate::proto::{Request, Response};
 use crate::transport::{unexpected, Transport};
 use crate::wire::PayloadCursor;
-use atomio_meta::{Node, NodeKey, NodeStore, VersionHistory};
+use atomio_meta::{Node, NodeCache, NodeKey, NodeStore, ResolvedPiece, VersionHistory};
 use atomio_provider::ChunkStore;
 use atomio_simgrid::clock::SimTime;
 use atomio_simgrid::{CostModel, Participant, Resource};
@@ -312,7 +313,9 @@ impl ChunkStore for RemoteProvider {
 
 /// A [`NodeStore`] whose nodes live behind a transport. A transport
 /// failure on a batch fans out as one cloned error per item, so callers
-/// keep their one-outcome-per-input invariant.
+/// keep their one-outcome-per-input invariant. A resolve is one
+/// `MetaResolve` round trip: the server walks the tree, so the client
+/// node cache is never consulted.
 #[derive(Debug)]
 pub struct RemoteMetaStore {
     transport: Arc<dyn Transport>,
@@ -350,6 +353,26 @@ impl NodeStore for RemoteMetaStore {
         }
     }
 
+    fn resolve(
+        &self,
+        _p: &Participant,
+        root: Option<NodeKey>,
+        extents: &ExtentList,
+        _cache: Option<&NodeCache>,
+    ) -> Result<Vec<ResolvedPiece>> {
+        let request = Request::MetaResolve {
+            root,
+            extents: extents.clone(),
+        };
+        match self.transport.call(&request, &[])? {
+            (Response::Pieces { pieces }, _) => {
+                check_tiling(extents, &pieces)?;
+                Ok(pieces)
+            }
+            (other, _) => Err(unexpected("Pieces", other)),
+        }
+    }
+
     fn contains(&self, key: NodeKey) -> bool {
         matches!(
             self.transport.call(&Request::MetaContains { key }, &[]),
@@ -383,6 +406,38 @@ impl NodeStore for RemoteMetaStore {
             Ok((Response::Keys { keys }, _)) => keys,
             _ => Vec::new(),
         }
+    }
+}
+
+/// Checks that resolved pieces from a peer tile `extents` exactly —
+/// sorted, gap-free, none empty, each inside one extent — and that no
+/// stored piece's chunk range wraps: the read path indexes its buffer
+/// and names chunk ranges by them.
+pub(crate) fn check_tiling(extents: &ExtentList, pieces: &[ResolvedPiece]) -> Result<()> {
+    let refuse = |why: &str| Error::Transport {
+        kind: TransportErrorKind::Protocol,
+        detail: format!("resolve reply of {} pieces {why}", pieces.len()),
+    };
+    let mut pieces = pieces.iter();
+    for extent in extents {
+        let mut at = extent.offset;
+        while at < extent.end() {
+            let piece = pieces.next().ok_or_else(|| refuse("leaves a gap"))?;
+            let range = piece.file_range;
+            if range.offset != at || range.len == 0 || range.end() > extent.end() {
+                return Err(refuse("does not tile the extents"));
+            }
+            if let Some(src) = &piece.source {
+                if src.chunk_offset.checked_add(range.len).is_none() {
+                    return Err(refuse("names a chunk range that wraps"));
+                }
+            }
+            at = range.end();
+        }
+    }
+    match pieces.next() {
+        Some(_) => Err(refuse("runs past the extents")),
+        None => Ok(()),
     }
 }
 

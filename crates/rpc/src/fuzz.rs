@@ -12,12 +12,16 @@
 //! test binary's allocator — inside a budget ([`metered`]). And a range
 //! or an extent list that decodes at all is one its constructors would
 //! have built ([`assert_ranges_are_valid`]): the services do arithmetic
-//! on them.
+//! on them. The metadata server's tree walk gets the same treatment: a
+//! `MetaResolve` over any stored node set, cycles and misplaced links
+//! included, ends typed or in pieces that tile its extents.
 
+use crate::client::check_tiling;
 use crate::proto::{Request, Response};
 use crate::samples;
+use crate::services::{MetaService, Service};
 use crate::wire::{self, PayloadCursor};
-use atomio_meta::{LeafEntry, Node, NodeBody, NodeKey, WriteSummary};
+use atomio_meta::{LeafEntry, Node, NodeBody, NodeKey, ResolvedPiece, WriteSummary};
 use atomio_types::{
     BlobId, ByteRange, ChunkId, Error, ExtentList, ProviderId, TransportErrorKind, VersionId,
 };
@@ -126,6 +130,7 @@ fn heap_per_input_byte() -> f64 {
         ratio::<Outcome<()>>(0) + string,
         ratio::<Outcome<Node>>(0) + leaf.max(string),
         ratio::<WriteSummary>(summary_arc) + ratio::<ByteRange>(0),
+        ratio::<ResolvedPiece>(0) + ratio::<ProviderId>(0),
         string,
     ];
     chains.into_iter().fold(0.0, f64::max)
@@ -171,7 +176,7 @@ where
 fn assert_ranges_are_valid(request: &Request) {
     let fits = |range: &ByteRange| range.offset.checked_add(range.len).is_some();
     match request {
-        Request::VmTicket { extents, .. } => {
+        Request::VmTicket { extents, .. } | Request::MetaResolve { extents, .. } => {
             assert!(extents.ranges().iter().all(fits), "{extents:?}");
             let rebuilt = ExtentList::from_ranges(extents.ranges().iter().copied());
             assert_eq!(&rebuilt, extents);
@@ -294,6 +299,13 @@ fn a_declared_count_reserves_no_more_than_the_cap() {
     assert!(result.is_err());
     let outcome = size_of::<Result<Node, Error>>();
     assert!(peak <= cap * outcome + (64 << 10), "held {peak}");
+    // 882 352 resolved pieces declared, the first one's range overflows.
+    let pieces = Response::Pieces { pieces: vec![] };
+    let header = lying_header(&pieces, 1, ResolvedPiece::MIN_BYTES, 0xFF);
+    let (result, peak) = peak_during(|| wire::decode_header::<Response>(&header));
+    assert!(result.is_err());
+    let piece = size_of::<ResolvedPiece>();
+    assert!(peak <= cap * piece + (64 << 10), "held {peak}");
     // Nor does the value codec the benchmark's probes keep: an array (6)
     // or object (7) declaring 15 M items, the first already garbage.
     for container in [6u8, 7] {
@@ -352,6 +364,33 @@ fn a_huge_node_batch_decodes_in_a_small_multiple_of_its_size() {
     );
 }
 
+/// `(version, offset, len)` of the node keys the resolve property draws
+/// from: a dyadic tree over `[0, 256)` at two versions, plus ranges no
+/// builder makes.
+const KEYS: [(u64, u64, u64); 12] = [
+    (2, 0, 256),
+    (2, 0, 128),
+    (2, 128, 128),
+    (2, 0, 64),
+    (1, 0, 64),
+    (1, 0, 128),
+    (1, 128, 128),
+    (1, 64, 64),
+    (3, 0, 64),
+    (2, 0, 1),
+    (2, 5, 100),
+    (1, 0, 256),
+];
+
+fn universe_key(at: usize) -> NodeKey {
+    let (version, offset, len) = KEYS[at];
+    NodeKey::new(
+        BlobId::new(1),
+        VersionId::new(version),
+        ByteRange::new(offset, len),
+    )
+}
+
 /// `any::<u64>()`, bent toward the values sums overflow at.
 fn edgy_u64() -> impl Strategy<Value = u64> {
     (any::<u64>(), 0u64..4).prop_map(|(x, k)| match x % 4 {
@@ -405,6 +444,65 @@ proptest! {
         prop_assert_eq!(decoded.is_ok(), normalized, "{:?}", decoded);
         if let Ok(request) = decoded {
             assert_ranges_are_valid(&request);
+        }
+
+        // …and the metadata server's: a rootless resolve (tag, `None`,
+        // then the list's count at byte 2).
+        let mut header = vec![31, 0];
+        raw.encode(&mut header);
+        let decoded = wire::decode_header::<Request>(&header);
+        prop_assert_eq!(decoded.is_ok(), normalized, "{:?}", decoded);
+        if let Ok(request) = decoded {
+            assert_ranges_are_valid(&request);
+        }
+    }
+
+    #[test]
+    fn a_resolve_over_any_stored_tree_ends_typed_or_tiles_its_extents(
+        bodies in proptest::collection::vec(
+            (0usize..KEYS.len(), any::<bool>(), any::<u32>(), 0u64..3),
+            1..12,
+        ),
+        root in 0usize..KEYS.len(),
+        pairs in proptest::collection::vec((0u64..300, 1u64..80), 1..4),
+    ) {
+        // Nodes a peer could have put: any key, either body, links to any
+        // key — cycles, self-links and children off their half included.
+        let link = |pick: u8| (pick as usize % (KEYS.len() + 1)).checked_sub(1).map(universe_key);
+        let nodes: Vec<Node> = bodies
+            .iter()
+            .map(|&(at, inner, picks, entries)| {
+                let picks = picks.to_le_bytes();
+                let key = universe_key(at);
+                let body = if inner {
+                    NodeBody::Inner { left: link(picks[0]), right: link(picks[1]) }
+                } else {
+                    let entries = (0..entries)
+                        .map(|e| LeafEntry {
+                            file_range: ByteRange::new(key.range.offset + e * 8, 12),
+                            chunk: ChunkId::new(e),
+                            chunk_offset: if picks[2] > 200 { u64::MAX - e } else { e },
+                            homes: vec![ProviderId::new(0)],
+                        })
+                        .collect();
+                    NodeBody::Leaf { entries, backlink: link(picks[3]) }
+                };
+                Node { key, body }
+            })
+            .collect();
+        let service = MetaService::new(2);
+        // One node per key: the store refuses a second, different one.
+        let _ = service.store().put_batch_local(nodes);
+        let extents = ExtentList::from_pairs(pairs);
+        let request = Request::MetaResolve { root: Some(universe_key(root)), extents: extents.clone() };
+        match service.handle(request, Bytes::new()).0 {
+            Response::Pieces { pieces } => prop_assert!(check_tiling(&extents, &pieces).is_ok()),
+            Response::Fail { error } => prop_assert!(
+                matches!(&error, Error::MetadataNodeMissing(_))
+                    || matches!(&error, Error::Internal(m) if m.starts_with("malformed tree")),
+                "{error:?}"
+            ),
+            other => prop_assert!(false, "{other:?}"),
         }
     }
 

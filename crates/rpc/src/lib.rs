@@ -297,9 +297,10 @@ mod tests {
             assert_eq!(vm.latest(p).unwrap().version, ticket.version);
             assert_eq!(vm.snapshot(p, ticket.version).unwrap().root, Some(root));
 
-            // The published tree resolves back through the same store.
-            let reader = atomio_meta::TreeReader::new(&meta);
-            let pieces = reader.resolve(p, Some(root), &extents).unwrap();
+            // The published tree resolves back through the same store,
+            // walked on the server.
+            let pieces =
+                atomio_meta::NodeStore::resolve(&meta, p, Some(root), &extents, None).unwrap();
             assert_eq!(pieces.len(), 2);
         });
     }

@@ -10,8 +10,10 @@
 //! Unknown tags decode to an error instead of panicking, so protocol skew
 //! fails a single call, not the process.
 
-use atomio_meta::{Node, NodeKey, WriteSummary};
-use atomio_types::{ByteRange, ChunkId, Error, ProviderId, Result, RetentionPolicy, VersionId};
+use atomio_meta::{Node, NodeKey, ResolvedPiece, WriteSummary};
+use atomio_types::{
+    ByteRange, ChunkId, Error, ExtentList, ProviderId, Result, RetentionPolicy, VersionId,
+};
 use atomio_version::{GcFloor, LeaseGrant, SnapshotRecord, Ticket};
 use serde::{Decode, Deserialize, Encode, Serialize};
 
@@ -44,10 +46,15 @@ use serde::{Decode, Deserialize, Encode, Serialize};
 /// * **v6** — same frame layout; [`Error`] loses its `Busy` variant,
 ///   which only the removed host-side write-ahead log raised, so the
 ///   tags of `AdmissionRejected` through `Internal` shift down by one.
+/// * **v7** — same frame layout; [`Request::MetaResolve`] and
+///   [`Response::Pieces`] are appended, so a read resolves its metadata
+///   in one round trip: the metadata server walks the segment tree
+///   instead of the client fetching it one level per request. No
+///   existing tag moves.
 ///
 /// Peers must match exactly: the frame reader rejects any other value
 /// before decoding a single header byte.
-pub const PROTOCOL_VERSION: u8 = 6;
+pub const PROTOCOL_VERSION: u8 = 7;
 
 /// One RPC request. Data-provider ops carry the target provider id so a
 /// single server process can host a whole fleet; `arrival` carries the
@@ -269,6 +276,14 @@ pub enum Request {
         /// The blob to query.
         blob: u64,
     },
+    /// Resolve extents of a snapshot to chunk pieces and holes: the
+    /// server walks the tree rooted at `root` where the nodes are.
+    MetaResolve {
+        /// Root of the snapshot's tree (`None`: the empty snapshot).
+        root: Option<NodeKey>,
+        /// The extents to resolve.
+        extents: ExtentList,
+    },
 }
 
 impl Request {
@@ -393,6 +408,12 @@ pub enum Response {
         /// The error (its `&'static str` variants arrive as `Internal`).
         error: Error,
     },
+    /// A resolved read: pieces sorted by file offset, tiling the
+    /// requested extents exactly.
+    Pieces {
+        /// Stored pieces and holes.
+        pieces: Vec<ResolvedPiece>,
+    },
 }
 
 #[cfg(test)]
@@ -435,7 +456,7 @@ mod tests {
     fn requests_roundtrip() {
         assert_eq!(
             roundtrip_all(&samples::requests()),
-            31,
+            32,
             "a variant has no sample"
         );
     }
@@ -444,7 +465,7 @@ mod tests {
     fn responses_roundtrip() {
         assert_eq!(
             roundtrip_all(&samples::responses()),
-            18,
+            19,
             "a variant has no sample"
         );
     }
@@ -458,8 +479,9 @@ mod tests {
 
     /// `(variant, encoded length, chunk_checksum of the encoding)` of
     /// every sample in [`samples`], requests then responses, as protocol
-    /// v4 first encoded them — save the `Busy` row, as v5 did, and the
-    /// `Fail` rows, as v6 did. A row that fails means bytes moved on
+    /// v4 first encoded them — save the `Busy` row, as v5 did, the
+    /// `Fail` rows, as v6 did, and the `MetaResolve` and `Pieces` rows,
+    /// as v7 did. A row that fails means bytes moved on
     /// the wire: that is a `PROTOCOL_VERSION` bump, not a table refresh.
     const GOLDEN: &[(&str, usize, u64)] = &[
         ("Ping", 1, 0x30eb33fab282f8e7),
@@ -493,6 +515,7 @@ mod tests {
         ("VmLeaseRenew", 25, 0x544217aac22afc32),
         ("VmLeaseRelease", 17, 0x72b1cc165a6c9f6a),
         ("VmGcFloor", 9, 0x81535e736e2215b0),
+        ("MetaResolve", 70, 0x21c0eaee98fb8e5d),
         ("Pong", 1, 0x30eb33fab282f8e7),
         ("Unit", 1, 0x7bfd9893c82002b2),
         ("Done", 9, 0xf0d6ff8791865062),
@@ -513,6 +536,7 @@ mod tests {
         ("Busy", 17, 0xb53c13704dba4001),
         ("Fail", 4, 0x12f6c990f73e9810),
         ("Fail", 21, 0xcb48e346e018a984),
+        ("Pieces", 92, 0xd8368961cc4e5e1b),
     ];
 
     /// Three of those encodings in full, same provenance.
@@ -580,10 +604,10 @@ mod tests {
     #[test]
     fn unknown_tags_fail_cleanly() {
         // One past the last variant of each message.
-        let e = serde::decode_exact::<Request>(&[31]).unwrap_err();
-        assert_eq!(e.to_string(), "unknown Request tag 31");
-        let e = serde::decode_exact::<Response>(&[18]).unwrap_err();
-        assert_eq!(e.to_string(), "unknown Response tag 18");
+        let e = serde::decode_exact::<Request>(&[32]).unwrap_err();
+        assert_eq!(e.to_string(), "unknown Request tag 32");
+        let e = serde::decode_exact::<Response>(&[19]).unwrap_err();
+        assert_eq!(e.to_string(), "unknown Response tag 19");
         // So does a batch outcome that is neither `Ok` (0) nor `Err` (1).
         let put_batch = encoded(&Response::PutBatch {
             results: vec![Ok(5)],

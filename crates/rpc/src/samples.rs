@@ -1,5 +1,5 @@
-//! Test support: at least one sample of every wire message, all 31
-//! [`Request`] and 18 [`Response`] variants in declaration order (51
+//! Test support: at least one sample of every wire message, all 32
+//! [`Request`] and 19 [`Response`] variants in declaration order (53
 //! samples). The round-trip tests and the golden byte table in
 //! [`crate::proto`] and the decoder properties in [`crate::fuzz`] all
 //! walk these two lists, so a new variant is covered by all three once it
@@ -9,7 +9,7 @@
 //! a sample changes its row, so add samples rather than editing them.
 
 use crate::proto::{Request, Response};
-use atomio_meta::{LeafEntry, Node, NodeBody, NodeKey, WriteSummary};
+use atomio_meta::{LeafEntry, Node, NodeBody, NodeKey, PieceSource, ResolvedPiece, WriteSummary};
 use atomio_types::{
     BlobId, ByteRange, ChunkId, Error, ExtentList, ProviderId, RetentionPolicy, TransportErrorKind,
     VersionId,
@@ -159,6 +159,10 @@ pub(crate) fn requests() -> Vec<Request> {
         },
         Request::VmLeaseRelease { blob: 1, lease: 9 },
         Request::VmGcFloor { blob: 1 },
+        Request::MetaResolve {
+            root: Some(key(7, 3, 128)),
+            extents: ExtentList::from_pairs([(0u64, 48u64), (96, 64)]),
+        },
     ]
 }
 
@@ -252,6 +256,28 @@ pub(crate) fn responses() -> Vec<Response> {
                 kind: TransportErrorKind::Timeout,
                 detail: "read timed out".into(),
             },
+        },
+        // A stored piece with two homes, a hole, and a piece past the
+        // tree's capacity read as a hole.
+        Response::Pieces {
+            pieces: vec![
+                ResolvedPiece {
+                    file_range: ByteRange::new(0, 32),
+                    source: Some(PieceSource {
+                        chunk: ChunkId::new(9),
+                        chunk_offset: 16,
+                        homes: vec![ProviderId::new(1), ProviderId::new(2)],
+                    }),
+                },
+                ResolvedPiece {
+                    file_range: ByteRange::new(32, 16),
+                    source: None,
+                },
+                ResolvedPiece {
+                    file_range: ByteRange::new(128, 32),
+                    source: None,
+                },
+            ],
         },
     ]
 }

@@ -22,7 +22,9 @@
 use crate::proto::{Request, Response};
 use crate::wire::{self, PayloadCursor};
 use atomio_core::{shard_of, slot_for_blob};
-use atomio_meta::{node_store_for, LocalNodeStore, TreeConfig, WriteSummary};
+use atomio_meta::{
+    node_store_for, resolve_with, LocalNodeStore, NodeKey, ResolvedPiece, TreeConfig, WriteSummary,
+};
 use atomio_provider::{chunk_store_for, ChunkStore, DataProvider};
 use atomio_simgrid::{ClientNics, CostModel, FaultInjector};
 use atomio_types::{
@@ -32,6 +34,7 @@ use atomio_types::{
 use atomio_version::{version_manager_for, Ticket, VersionManager};
 use bytes::Bytes;
 use parking_lot::Mutex;
+use serde::Decode;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -72,6 +75,14 @@ fn reply(result: Result<Response>) -> (Response, Bytes) {
 
 fn unsupported(role: &'static str) -> (Response, Bytes) {
     reply(Err(Error::Unsupported(role)))
+}
+
+/// The typed refusal of a request whose answer could not fit one frame.
+fn past_the_frame_limit(detail: String) -> Error {
+    Error::Transport {
+        kind: TransportErrorKind::Protocol,
+        detail,
+    }
 }
 
 /// Hosts a fleet of chunk stores behind the chunk RPCs. The stores are
@@ -164,14 +175,11 @@ impl ProviderService {
             .try_fold(0u64, |sum, (_, _, range)| sum.checked_add(range.len))
             .is_some_and(|sum| sum <= wire::MAX_PAYLOAD_BYTES as u64);
         if !fits {
-            let error = Error::Transport {
-                kind: TransportErrorKind::Protocol,
-                detail: format!(
-                    "batch of {} ranges asks for more than the {}-byte frame payload limit",
-                    items.len(),
-                    wire::MAX_PAYLOAD_BYTES
-                ),
-            };
+            let error = past_the_frame_limit(format!(
+                "batch of {} ranges asks for more than the {}-byte frame payload limit",
+                items.len(),
+                wire::MAX_PAYLOAD_BYTES
+            ));
             return (Response::Fail { error }, Vec::new());
         }
         let mut parts = Vec::with_capacity(items.len());
@@ -544,6 +552,52 @@ impl MetaService {
     pub fn store(&self) -> &Arc<dyn LocalNodeStore> {
         &self.store
     }
+
+    /// Serves one `MetaResolve`: the client's tree walk ([`resolve_with`])
+    /// run over the hosted store, one `get_batch_local` per level. A key
+    /// the store lacks fails the call with its typed
+    /// [`Error::MetadataNodeMissing`]. The walk visits each stored node
+    /// at most once, and an answer that could not fit one frame is
+    /// refused typed, before the walk when the extent count alone says
+    /// so.
+    fn resolve(&self, root: Option<NodeKey>, extents: &ExtentList) -> Result<Vec<ResolvedPiece>> {
+        let limit = wire::MAX_HEADER_BYTES as usize;
+        // Every extent resolves to one piece at least.
+        let least = PIECES_HEAD_BYTES + extents.range_count() * ResolvedPiece::MIN_BYTES;
+        if least > limit {
+            return Err(past_the_frame_limit(format!(
+                "resolving {} extents answers with more than the {limit}-byte frame header limit",
+                extents.range_count()
+            )));
+        }
+        let pieces = resolve_with(
+            |keys| self.store.get_batch_local(keys).into_iter().collect(),
+            root,
+            extents,
+        )?;
+        let bytes = PIECES_HEAD_BYTES + pieces.iter().map(piece_wire_bytes).sum::<usize>();
+        if bytes > limit {
+            return Err(past_the_frame_limit(format!(
+                "{} resolved pieces encode to {bytes} bytes, past the {limit}-byte frame header limit",
+                pieces.len()
+            )));
+        }
+        Ok(pieces)
+    }
+}
+
+/// Encoded bytes of a [`Response::Pieces`] besides its pieces: the
+/// variant tag and the list's count.
+const PIECES_HEAD_BYTES: usize = 1 + 4;
+
+/// Encoded bytes of one resolved piece: its range and `Option` tag, plus
+/// the chunk id, chunk offset and homes of a stored piece.
+fn piece_wire_bytes(piece: &ResolvedPiece) -> usize {
+    16 + 1
+        + piece
+            .source
+            .as_ref()
+            .map_or(0, |s| 8 + 8 + 4 + 8 * s.homes.len())
 }
 
 impl Service for MetaService {
@@ -578,7 +632,66 @@ impl Service for MetaService {
             MetaListKeys => reply(Ok(Response::Keys {
                 keys: self.store.list_keys(),
             })),
+            MetaResolve { root, extents } => reply(
+                self.resolve(root, &extents)
+                    .map(|pieces| Response::Pieces { pieces }),
+            ),
             _ => unsupported("chunk/version op sent to a metadata server"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::samples;
+    use atomio_types::VersionId;
+    use serde::Encode;
+
+    #[test]
+    fn piece_wire_bytes_is_what_the_codec_writes() {
+        for response in samples::responses() {
+            if let Response::Pieces { pieces } = &response {
+                let mut bytes = Vec::new();
+                response.encode(&mut bytes);
+                let counted: usize = pieces.iter().map(piece_wire_bytes).sum();
+                assert_eq!(PIECES_HEAD_BYTES + counted, bytes.len());
+            }
+        }
+    }
+
+    #[test]
+    fn a_resolve_whose_reply_cannot_fit_a_frame_is_refused_before_the_walk() {
+        // A million one-byte extents fit a request frame (16 B each) but
+        // not the reply (17 B per piece at least). The root does not
+        // exist, so a walk would have failed `MetadataNodeMissing`.
+        let extents = ExtentList::from_pairs((0..1_000_000u64).map(|i| (2 * i, 1)));
+        let root = NodeKey::new(
+            BlobId::new(1),
+            VersionId::new(1),
+            ByteRange::new(0, 1 << 21),
+        );
+        let mut request = Vec::new();
+        Request::MetaResolve {
+            root: Some(root),
+            extents: extents.clone(),
+        }
+        .encode(&mut request);
+        assert!(request.len() <= wire::MAX_HEADER_BYTES as usize);
+        let refused = MetaService::new(1).resolve(Some(root), &extents);
+        assert!(
+            matches!(
+                &refused,
+                Err(Error::Transport { kind: TransportErrorKind::Protocol, detail })
+                    if detail.contains("frame header limit")
+            ),
+            "{refused:?}"
+        );
+        // A small list over the same missing root reaches the walk.
+        let small = ExtentList::from_pairs([(0u64, 1u64)]);
+        assert!(matches!(
+            MetaService::new(1).resolve(Some(root), &small),
+            Err(Error::MetadataNodeMissing(_))
+        ));
     }
 }

@@ -211,7 +211,7 @@ pub fn load_or_init_superblock(path: &Path, slot_count: u32, tag: u64, role: &st
         let mut framed = Vec::new();
         let body = encode_superblock(FORMAT_VERSION, slot_count, tag);
         append_record(&mut framed, SUPERBLOCK_KIND, &body);
-        install(path, &framed)?;
+        install(path, &framed)?.1?;
         return Ok(slot_count);
     }
     let contents =
@@ -244,7 +244,12 @@ pub fn load_or_init_superblock(path: &Path, slot_count: u32, tag: u64, role: &st
 /// old file (or none) or the new one, never a partial one; a leftover
 /// staged file is ignored by every reader and overwritten by the next
 /// call.
-fn install(path: &Path, contents: &[u8]) -> Result<()> {
+///
+/// Returns the new file, opened read-write before the rename so that no
+/// open can fail after it, beside the outcome of the directory sync:
+/// once the rename is done, the returned file is the one `path` names,
+/// whatever that sync says. An `Err` means `path` was left as it was.
+fn install(path: &Path, contents: &[u8]) -> Result<(File, Result<()>)> {
     let ctx = |what: &str| format!("{what} {}", path.display());
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     let dir = dir.unwrap_or(Path::new("."));
@@ -252,14 +257,21 @@ fn install(path: &Path, contents: &[u8]) -> Result<()> {
     let mut staged = path.as_os_str().to_owned();
     staged.push(".staged");
     let staged = PathBuf::from(staged);
-    let mut file = File::create(&staged).map_err(|e| Error::io(ctx("stage"), e))?;
+    let mut file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(&staged)
+        .map_err(|e| Error::io(ctx("stage"), e))?;
     file.write_all(contents)
         .and_then(|_| file.sync_data())
         .map_err(|e| Error::io(ctx("write staged"), e))?;
     std::fs::rename(&staged, path).map_err(|e| Error::io(ctx("rename staged over"), e))?;
-    File::open(dir)
+    let synced = File::open(dir)
         .and_then(|dir| dir.sync_all())
-        .map_err(|e| Error::io(ctx("sync directory of"), e))
+        .map_err(|e| Error::io(ctx("sync directory of"), e));
+    Ok((file, synced))
 }
 
 fn open_rw(path: &Path) -> Result<File> {
@@ -323,7 +335,7 @@ impl RecordLog {
     ) -> Result<Self> {
         let path = path.into();
         if !path.exists() {
-            install(&path, &[])?;
+            install(&path, &[])?.1?;
         }
         let mut log = RecordLog {
             file: open_rw(&path)?,
@@ -410,13 +422,16 @@ impl RecordLog {
 
     /// Replaces the whole log with `contents` (compaction), durably and
     /// atomically: a crash at any step leaves one complete log, the old
-    /// or the new.
+    /// or the new. The handle moves to the new file as soon as it has
+    /// replaced the old one — also when only the directory sync after the
+    /// rename fails, which is then the error returned — so appends never
+    /// go to a file no name points to.
     pub fn replace(&mut self, contents: &[u8]) -> Result<()> {
-        install(&self.path, contents)?;
-        self.file = open_rw(&self.path)?;
+        let (file, synced) = install(&self.path, contents)?;
+        self.file = file;
         self.len = contents.len() as u64;
         self.stats.unsynced = 0;
-        Ok(())
+        synced
     }
 
     /// Bytes in the log.
@@ -626,6 +641,28 @@ mod tests {
         log.replace(&new).unwrap();
         assert!(!staged.exists());
         assert_eq!(std::fs::read(&path).unwrap(), new);
+    }
+
+    #[test]
+    fn after_replace_the_handle_is_the_file_the_path_names() {
+        use std::os::unix::fs::MetadataExt;
+        let tmp = TempDir::new("atomio-recordlog");
+        let path = tmp.path().join("x.log");
+        let mut log = RecordLog::open(&path, FsyncPolicy::Deferred, whole_records).unwrap();
+        let inode = |log: &RecordLog| log.file.metadata().unwrap().ino();
+        let named = || std::fs::metadata(&path).unwrap().ino();
+        assert_eq!(inode(&log), named());
+        let before = inode(&log);
+        log.append(&framed(1, b"old")).unwrap();
+        log.replace(&framed(1, b"new")).unwrap();
+        assert_ne!(inode(&log), before, "the rename put a new file in place");
+        assert_eq!(inode(&log), named(), "the handle follows the name");
+        // And the handle reads and appends as the log's own.
+        log.append(&framed(1, b"after")).unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            [framed(1, b"new"), framed(1, b"after")].concat()
+        );
     }
 
     #[test]

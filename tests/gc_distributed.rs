@@ -19,12 +19,17 @@
 //! 3. **Crash durability**: killing the version server and rebuilding it
 //!    fresh from the Disk backend preserves both the blob's retention
 //!    policy and the live lease — the recovered floor is identical.
+//!
+//! Over TCP a read resolves its metadata in one `MetaResolve` round
+//! trip, walked on the metadata server: a resolve that reaches a
+//! collected node fails typed there too, and a lease that lapses between
+//! a read's renewal and its resolve still surfaces as `LeaseExpired`.
 
 use atomio::core::{GcCoordinator, ReadVersion, Store, StoreConfig, TransportMode};
 use atomio::provider::{chunk_store_for, ChunkStore, ProviderManager};
 use atomio::rpc::{
     dial, MetaService, ProviderService, RemoteMetaStore, RemoteProvider, RemoteVersionManager,
-    RpcConfig, RpcMode, RpcServer, Service, VersionService,
+    Request, Response, RpcConfig, RpcMode, RpcServer, Service, Transport, VersionService,
 };
 use atomio::simgrid::clock::run_actors_on;
 use atomio::simgrid::{CostModel, FaultInjector, SimClock};
@@ -37,8 +42,9 @@ use atomio::workloads::verify::{check_serializable_from, WriteRecord};
 use atomio::workloads::TileWorkload;
 use bytes::Bytes;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 const CHUNK: u64 = 4096;
 const SEED: u64 = 0x6C0A;
@@ -64,6 +70,47 @@ fn hosted_store(i: usize, backend: &BackendConfig) -> Arc<dyn ChunkStore> {
     .expect("open hosted chunk store")
 }
 
+type Hook = Box<dyn FnOnce() + Send>;
+
+/// The metadata transport, counting `MetaResolve` calls, with a hook a
+/// test can arm to run once just before the next one leaves: the moment
+/// between a read's lease renewal and its tree walk.
+struct BeforeResolve {
+    inner: Arc<dyn Transport>,
+    hook: Mutex<Option<Hook>>,
+    resolves: AtomicU64,
+}
+
+impl std::fmt::Debug for BeforeResolve {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BeforeResolve").finish_non_exhaustive()
+    }
+}
+
+impl BeforeResolve {
+    fn arm(&self, hook: impl FnOnce() + Send + 'static) {
+        *self.hook.lock().unwrap() = Some(Box::new(hook));
+    }
+
+    fn resolves(&self) -> u64 {
+        self.resolves.load(Ordering::SeqCst)
+    }
+}
+
+impl Transport for BeforeResolve {
+    fn call(&self, request: &Request, payload: &[u8]) -> atomio::types::Result<(Response, Bytes)> {
+        if let Request::MetaResolve { .. } = request {
+            self.resolves.fetch_add(1, Ordering::SeqCst);
+            // Taken before it runs: the hook's own calls pass straight on.
+            let hook = self.hook.lock().unwrap().take();
+            if let Some(hook) = hook {
+                hook();
+            }
+        }
+        self.inner.call(request, payload)
+    }
+}
+
 /// A three-service TCP deployment (subset of the harness in
 /// `distributed_atomicity.rs`), keeping the version endpoint so the
 /// crash test can rebuild a fresh service from the backend directory.
@@ -75,6 +122,7 @@ struct Deployment {
     backend: BackendConfig,
     _tmp: TempDir,
     store: Store,
+    meta: Arc<BeforeResolve>,
 }
 
 fn three_service_store(providers: usize, backend_of: BackendConfig) -> Deployment {
@@ -139,13 +187,19 @@ fn three_service_store(providers: usize, backend_of: BackendConfig) -> Deploymen
         Arc::new(FaultInjector::new(config.seed ^ 0xFA17)),
         config.seed,
     ));
-    let meta = Arc::new(RemoteMetaStore::new(meta_transport));
-    let store = Store::with_substrates(config, manager, meta).with_version_oracles(move |blob| {
-        Arc::new(RemoteVersionManager::new(
-            blob.raw(),
-            Arc::clone(&version_transport),
-        ))
+    let meta = Arc::new(BeforeResolve {
+        inner: meta_transport,
+        hook: Mutex::new(None),
+        resolves: AtomicU64::new(0),
     });
+    let remote_meta = Arc::new(RemoteMetaStore::new(Arc::clone(&meta) as Arc<dyn Transport>));
+    let store =
+        Store::with_substrates(config, manager, remote_meta).with_version_oracles(move |blob| {
+            Arc::new(RemoteVersionManager::new(
+                blob.raw(),
+                Arc::clone(&version_transport),
+            ))
+        });
 
     Deployment {
         _provider_servers: provider_servers,
@@ -155,6 +209,7 @@ fn three_service_store(providers: usize, backend_of: BackendConfig) -> Deploymen
         backend,
         _tmp: tmp,
         store,
+        meta,
     }
 }
 
@@ -335,6 +390,95 @@ fn lease_expiry_mid_read_is_a_typed_error_over_tcp() {
             },
             "expiry surfaces typed, never as torn bytes"
         );
+    });
+}
+
+/// Writes four whole overwrites of `[0, 2 × CHUNK)`: no node of v1 or
+/// v2 is shared with the two versions `KeepLast(2)` retains.
+fn four_whole_overwrites(blob: &atomio::core::Blob, p: &atomio::simgrid::Participant) {
+    for fill in [0x41u8, 0x42, 0x43, 0x44] {
+        blob.write(p, 0, Bytes::from(vec![fill; 2 * CHUNK as usize]))
+            .unwrap();
+    }
+}
+
+#[test]
+fn a_resolve_that_reaches_a_collected_node_fails_typed_over_tcp() {
+    let d = three_service_store(2, BackendConfig::Memory);
+    let blob = d.store.create_blob();
+    let (blob_ref, meta) = (&blob, d.store.meta());
+    let whole = ExtentList::single(ByteRange::new(0, 2 * CHUNK));
+    run_actors_on(&SimClock::new(), 1, |_, p| {
+        four_whole_overwrites(blob_ref, p);
+        let root = |v| {
+            blob_ref
+                .version_manager()
+                .snapshot(p, VersionId::new(v))
+                .unwrap()
+                .root
+        };
+        let (collected, retained) = (root(1), root(4));
+        assert!(meta.resolve(p, collected, &whole, None).is_ok());
+        let merged = GcCoordinator::new(blob_ref.clone())
+            .run_to_floor(p)
+            .unwrap();
+        assert_eq!(merged.report.versions_retired, 2);
+        let resolves = d.meta.resolves();
+        assert!(matches!(
+            meta.resolve(p, collected, &whole, None),
+            Err(Error::MetadataNodeMissing(_))
+        ));
+        assert_eq!(d.meta.resolves() - resolves, 1);
+        // The retained snapshot still resolves whole, every byte stored.
+        let pieces = meta.resolve(p, retained, &whole, None).unwrap();
+        assert!(pieces.iter().all(|piece| piece.source.is_some()));
+        let covered: u64 = pieces.iter().map(|piece| piece.file_range.len).sum();
+        assert_eq!(covered, 2 * CHUNK);
+    });
+}
+
+#[test]
+fn a_lease_that_lapses_before_the_resolve_is_a_typed_error_over_tcp() {
+    // A 200 ms lease, which `read_leased` renews (renewal never shortens
+    // a lease), then resolves. In between, the lease lapses in wall time
+    // and the collector reclaims the leased version: the resolve meets a
+    // collected root, and the read reports the lapse, typed.
+    let d = three_service_store(2, BackendConfig::Memory);
+    let blob = d.store.create_blob();
+    let blob_ref = &blob;
+    run_actors_on(&SimClock::new(), 1, |_, p| {
+        four_whole_overwrites(blob_ref, p);
+        let grant = blob_ref.lease_acquire(p, VersionId::new(1), 200).unwrap();
+        let collector = blob_ref.clone();
+        d.meta.arm(move || {
+            std::thread::sleep(Duration::from_millis(300));
+            let p = SimClock::new().register();
+            let merged = GcCoordinator::new(collector).run_to_floor(&p).unwrap();
+            assert_eq!(merged.lease_expirations, 1);
+            assert_eq!(merged.report.versions_retired, 2);
+        });
+        let cache = blob_ref
+            .node_cache()
+            .expect("the default store caches nodes");
+        let (resolves, lookups) = (d.meta.resolves(), cache.stats());
+        let err = blob_ref
+            .read_leased(
+                p,
+                &grant,
+                200,
+                &ExtentList::single(ByteRange::new(0, 2 * CHUNK)),
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            Error::LeaseExpired {
+                lease: grant.lease,
+                version: grant.version
+            }
+        );
+        assert!(d.meta.hook.lock().unwrap().is_none(), "the hook ran");
+        assert_eq!(d.meta.resolves() - resolves, 1, "one MetaResolve");
+        assert_eq!(cache.stats(), lookups, "the client did not walk");
     });
 }
 
