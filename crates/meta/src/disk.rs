@@ -246,14 +246,6 @@ impl NodeStore for DiskNodeStore {
         self.inner.contains(key)
     }
 
-    fn node_count(&self) -> usize {
-        self.inner.node_count()
-    }
-
-    fn evict(&self, key: NodeKey) {
-        self.evict_batch(&[key]);
-    }
-
     fn evict_batch(&self, keys: &[NodeKey]) -> u64 {
         let mut logged = self.logged.lock();
         let mut present = HashSet::new();

@@ -75,25 +75,20 @@ pub trait NodeStore: Send + Sync + std::fmt::Debug {
     /// True if the node exists (free of simulated cost; for tests/GC).
     fn contains(&self, key: NodeKey) -> bool;
 
-    /// Total nodes stored.
-    fn node_count(&self) -> usize;
+    /// Total nodes stored: by default, the length of [`Self::list_keys`].
+    fn node_count(&self) -> usize {
+        self.list_keys().len()
+    }
 
-    /// Removes a node (version GC). Missing keys are ignored.
-    fn evict(&self, key: NodeKey);
+    /// Removes a node (version GC): a batch of one. Missing keys are
+    /// ignored.
+    fn evict(&self, key: NodeKey) {
+        self.evict_batch(&[key]);
+    }
 
     /// Removes a batch of nodes, returning how many were present — the
-    /// GC sweep's unit of work. The default loops over [`Self::evict`];
-    /// remote proxies override it with a single batched RPC.
-    fn evict_batch(&self, keys: &[NodeKey]) -> u64 {
-        let mut evicted = 0;
-        for &key in keys {
-            if self.contains(key) {
-                evicted += 1;
-            }
-            self.evict(key);
-        }
-        evicted
-    }
+    /// GC sweep's unit of work (remote proxies: one request).
+    fn evict_batch(&self, keys: &[NodeKey]) -> u64;
 
     /// Every stored key, in unspecified order (for equivalence checks
     /// and GC sweeps).
@@ -320,12 +315,10 @@ impl NodeStore for MetaStore {
         self.shard_for(key).nodes.read().contains_key(&key)
     }
 
-    fn node_count(&self) -> usize {
-        self.shards.iter().map(|s| s.nodes.read().len()).sum()
-    }
-
-    fn evict(&self, key: NodeKey) {
-        self.shard_for(key).nodes.write().remove(&key);
+    fn evict_batch(&self, keys: &[NodeKey]) -> u64 {
+        keys.iter()
+            .filter(|&&key| self.shard_for(key).nodes.write().remove(&key).is_some())
+            .count() as u64
     }
 
     fn list_keys(&self) -> Vec<NodeKey> {

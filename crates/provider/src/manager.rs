@@ -876,9 +876,6 @@ mod tests {
         fn get_chunk_range_at(&self, a: u64, c: ChunkId, r: ByteRange) -> Result<(Bytes, u64)> {
             self.inner.get_chunk_range_at(a, c, r)
         }
-        fn has_chunk(&self, chunk: ChunkId) -> bool {
-            self.inner.has_chunk(chunk)
-        }
         fn chunk_count(&self) -> usize {
             self.inner.chunk_count()
         }

@@ -123,8 +123,11 @@ pub trait ChunkStore: Send + Sync + std::fmt::Debug {
             .collect()
     }
 
-    /// True if the chunk is present (no cost charged).
-    fn has_chunk(&self, chunk: ChunkId) -> bool;
+    /// True if the chunk is present (no cost charged): whether it has an
+    /// ingest checksum.
+    fn has_chunk(&self, chunk: ChunkId) -> bool {
+        self.checksum_of(chunk).is_some()
+    }
 
     /// Number of chunks held.
     fn chunk_count(&self) -> usize;
@@ -150,7 +153,8 @@ pub trait ChunkStore: Send + Sync + std::fmt::Debug {
 
     /// Flips one byte of a stored chunk in place, leaving the stored
     /// checksum stale — the bit-rot injection hook for integrity tests.
-    /// No-op when the chunk or offset is missing.
+    /// No-op when the chunk or offset is missing, and on remote proxies,
+    /// which hold no bytes (no request rewrites a stored chunk).
     fn corrupt_chunk(&self, chunk: ChunkId, byte: usize);
 
     /// Re-reads every chunk and verifies checksums, charging disk time
@@ -557,10 +561,6 @@ impl<T: ChunkTable> ChunkStore for Provider<T> {
             .zip(sent)
             .map(|(payload, sent)| payload.map(|data| (data, sent)))
             .collect()
-    }
-
-    fn has_chunk(&self, chunk: ChunkId) -> bool {
-        self.table.lookup(chunk).is_some()
     }
 
     fn chunk_count(&self) -> usize {

@@ -229,17 +229,6 @@ impl ChunkStore for RemoteProvider {
         outcomes
     }
 
-    fn has_chunk(&self, chunk: ChunkId) -> bool {
-        let request = Request::ProviderHasChunk {
-            provider: self.id,
-            chunk,
-        };
-        matches!(
-            self.call(&request, &[]),
-            Ok((Response::Flag { value: true }, _))
-        )
-    }
-
     fn chunk_count(&self) -> usize {
         let request = Request::ProviderChunkCount { provider: self.id };
         match self.call(&request, &[]) {
@@ -257,14 +246,7 @@ impl ChunkStore for RemoteProvider {
     }
 
     fn evict_chunk(&self, chunk: ChunkId) -> u64 {
-        let request = Request::ProviderEvictChunk {
-            provider: self.id,
-            chunk,
-        };
-        match self.call(&request, &[]) {
-            Ok((Response::Count { value }, _)) => value,
-            _ => 0,
-        }
+        self.evict_chunk_batch(&[chunk])
     }
 
     fn evict_chunk_batch(&self, chunks: &[ChunkId]) -> u64 {
@@ -289,14 +271,9 @@ impl ChunkStore for RemoteProvider {
         }
     }
 
-    fn corrupt_chunk(&self, chunk: ChunkId, byte: usize) {
-        let request = Request::ProviderCorruptChunk {
-            provider: self.id,
-            chunk,
-            byte: byte as u64,
-        };
-        let _ = self.call(&request, &[]);
-    }
+    /// A no-op: a proxy holds no bytes to flip, and no request changes
+    /// a stored chunk in place. Tests rot the hosted store they hold.
+    fn corrupt_chunk(&self, _chunk: ChunkId, _byte: usize) {}
 
     fn disk(&self) -> &Resource {
         &self.disk
@@ -374,21 +351,11 @@ impl NodeStore for RemoteMetaStore {
     }
 
     fn contains(&self, key: NodeKey) -> bool {
+        let request = Request::MetaGetBatch { keys: vec![key] };
         matches!(
-            self.transport.call(&Request::MetaContains { key }, &[]),
-            Ok((Response::Flag { value: true }, _))
+            self.transport.call(&request, &[]),
+            Ok((Response::NodeGets { results }, _)) if matches!(results[..], [Ok(_)])
         )
-    }
-
-    fn node_count(&self) -> usize {
-        match self.transport.call(&Request::MetaNodeCount, &[]) {
-            Ok((Response::Count { value }, _)) => value as usize,
-            _ => 0,
-        }
-    }
-
-    fn evict(&self, key: NodeKey) {
-        let _ = self.transport.call(&Request::MetaEvict { key }, &[]);
     }
 
     fn evict_batch(&self, keys: &[NodeKey]) -> u64 {

@@ -448,7 +448,8 @@ proptest! {
 
         // …and the metadata server's: a rootless resolve (tag, `None`,
         // then the list's count at byte 2).
-        let mut header = vec![31, 0];
+        let resolve = encoded(&Request::MetaResolve { root: None, extents: ExtentList::new() });
+        let mut header = resolve[..2].to_vec();
         raw.encode(&mut header);
         let decoded = wire::decode_header::<Request>(&header);
         prop_assert_eq!(decoded.is_ok(), normalized, "{:?}", decoded);

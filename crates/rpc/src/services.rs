@@ -25,7 +25,7 @@ use atomio_core::{shard_of, slot_for_blob};
 use atomio_meta::{
     node_store_for, resolve_with, LocalNodeStore, NodeKey, ResolvedPiece, TreeConfig, WriteSummary,
 };
-use atomio_provider::{chunk_store_for, ChunkStore, DataProvider};
+use atomio_provider::{chunk_store_for, ChunkStore};
 use atomio_simgrid::{ClientNics, CostModel, FaultInjector};
 use atomio_types::{
     BackendConfig, BlobId, ByteRange, ChunkId, Error, ExtentList, ProviderId, Result,
@@ -87,7 +87,7 @@ fn past_the_frame_limit(detail: String) -> Error {
 
 /// Hosts a fleet of chunk stores behind the chunk RPCs. The stores are
 /// whatever the deployment's [`BackendConfig`] selects: ephemeral
-/// in-memory [`DataProvider`]s or durable slot-sharded
+/// in-memory providers or durable slot-sharded
 /// [`DiskProvider`](atomio_provider::DiskProvider)s that recover their
 /// state when the server restarts over the same `--data-dir`.
 #[derive(Debug)]
@@ -125,19 +125,6 @@ impl ProviderService {
                 })
                 .collect::<Result<_>>()?,
         ))
-    }
-
-    /// Hosts caller-built in-memory providers (ids must be unique; any
-    /// cost model). Convenience over [`Self::from_stores`] for harnesses
-    /// that pre-load a [`DataProvider`]; new code should select the
-    /// backend through [`Self::with_backend`].
-    pub fn from_providers(providers: Vec<Arc<DataProvider>>) -> Self {
-        Self::from_stores(
-            providers
-                .into_iter()
-                .map(|p| p as Arc<dyn ChunkStore>)
-                .collect(),
-        )
     }
 
     /// Hosts caller-built chunk stores (ids must be unique).
@@ -273,11 +260,6 @@ impl Service for ProviderService {
                 let (response, parts) = self.get_range_batch(provider, &items);
                 (response, Bytes::from(parts.concat()))
             }
-            ProviderHasChunk { provider, chunk } => {
-                reply(self.provider(provider).map(|s| Response::Flag {
-                    value: s.has_chunk(chunk),
-                }))
-            }
             ProviderChunkCount { provider } => {
                 reply(self.provider(provider).map(|s| Response::Count {
                     value: s.chunk_count() as u64,
@@ -288,24 +270,11 @@ impl Service for ProviderService {
                     value: s.bytes_stored(),
                 }))
             }
-            ProviderEvictChunk { provider, chunk } => {
-                reply(self.provider(provider).map(|s| Response::Count {
-                    value: s.evict_chunk(chunk),
-                }))
-            }
             ProviderChecksumOf { provider, chunk } => {
                 reply(self.provider(provider).map(|s| Response::Checksum {
                     value: s.checksum_of(chunk),
                 }))
             }
-            ProviderCorruptChunk {
-                provider,
-                chunk,
-                byte,
-            } => reply(self.provider(provider).map(|s| {
-                s.corrupt_chunk(chunk, byte as usize);
-                Response::Unit
-            })),
             ProviderEvictBatch { provider, chunks } => {
                 reply(self.provider(provider).map(|s| Response::Count {
                     value: s.evict_chunk_batch(&chunks),
@@ -616,16 +585,6 @@ impl Service for MetaService {
                     .map(|r| r.map(|node| (*node).clone()))
                     .collect(),
             })),
-            MetaContains { key } => reply(Ok(Response::Flag {
-                value: self.store.contains(key),
-            })),
-            MetaNodeCount => reply(Ok(Response::Count {
-                value: self.store.node_count() as u64,
-            })),
-            MetaEvict { key } => {
-                self.store.evict(key);
-                reply(Ok(Response::Unit))
-            }
             MetaEvictBatch { keys } => reply(Ok(Response::Count {
                 value: self.store.evict_batch(&keys),
             })),
@@ -645,8 +604,105 @@ impl Service for MetaService {
 mod tests {
     use super::*;
     use crate::samples;
+    use atomio_meta::{Node, NodeBody};
+    use atomio_simgrid::SimClock;
     use atomio_types::VersionId;
     use serde::Encode;
+    use std::collections::HashSet;
+
+    /// Every chunk the samples name.
+    const SAMPLE_CHUNKS: [u64; 6] = [1, 2, 3, 5, 8, 9];
+
+    /// Four providers that each hold every chunk the samples name, and a
+    /// metadata store that holds every node they name.
+    fn preloaded() -> (ProviderService, MetaService) {
+        let providers = ProviderService::new(4);
+        for store in providers.providers() {
+            for raw in SAMPLE_CHUNKS {
+                let data = Bytes::from(vec![raw as u8; 64]);
+                store.put_chunk_at(0, ChunkId::new(raw), data).unwrap();
+            }
+        }
+        let empty_leaf = |(blob, version, len)| Node {
+            key: samples::key(blob, version, len),
+            body: NodeBody::Leaf {
+                entries: Vec::new(),
+                backlink: None,
+            },
+        };
+        let mut nodes = samples::nodes();
+        nodes.extend([(1, 2, 64), (7, 2, 64), (7, 1, 64)].map(empty_leaf));
+        let meta = MetaService::new(2);
+        let stored = meta.store().put_batch_local(nodes);
+        assert!(stored.iter().all(Result::is_ok));
+        (providers, meta)
+    }
+
+    #[test]
+    fn only_put_and_evict_requests_change_what_a_server_stores() {
+        // Per provider, `(chunk, len, checksum)` of each sample chunk it
+        // holds, its chunk count and a scrub; and the stored node keys.
+        let held = |providers: &ProviderService, meta: &MetaService| {
+            let p = SimClock::new().register();
+            let stores: Vec<_> = providers
+                .providers()
+                .iter()
+                .map(|store| {
+                    let entries: Vec<_> = SAMPLE_CHUNKS
+                        .map(ChunkId::new)
+                        .into_iter()
+                        .filter_map(|c| Some((c, store.chunk_len(c)?, store.checksum_of(c)?)))
+                        .collect();
+                    (entries, store.chunk_count(), store.scrub(&p))
+                })
+                .collect();
+            let keys: HashSet<NodeKey> = meta.store().list_keys().into_iter().collect();
+            (stores, keys)
+        };
+        let versions = VersionService::new(64);
+        let mut changed = Vec::new();
+        for request in samples::requests() {
+            // A fresh deployment each, so no request hides behind
+            // another's change.
+            let (providers, meta) = preloaded();
+            // Every variant is named, so a new request does not compile
+            // until it is classified here.
+            use Request::*;
+            let home: &dyn Service = match &request {
+                PutChunk { .. }
+                | PutChunkBatch { .. }
+                | ProviderEvictBatch { .. }
+                | MetaPutBatch { .. }
+                | MetaEvictBatch { .. } => continue,
+                Ping
+                | GetChunk { .. }
+                | GetChunkRange { .. }
+                | GetChunkRangeBatch { .. }
+                | ProviderChunkCount { .. }
+                | ProviderBytesStored { .. }
+                | ProviderChecksumOf { .. } => &providers,
+                MetaGetBatch { .. } | MetaListKeys | MetaResolve { .. } => &meta,
+                VmTicket { .. }
+                | VmTicketAppend { .. }
+                | VmPublish { .. }
+                | VmIsPublished { .. }
+                | VmLatest { .. }
+                | VmSnapshot { .. }
+                | VmSetRetention { .. }
+                | VmLeaseAcquire { .. }
+                | VmLeaseRenew { .. }
+                | VmLeaseRelease { .. }
+                | VmGcFloor { .. } => &versions,
+            };
+            let before = held(&providers, &meta);
+            let name = format!("{request:?}");
+            home.handle(request, Bytes::new());
+            if held(&providers, &meta) != before {
+                changed.push(name);
+            }
+        }
+        assert!(changed.is_empty(), "changed what is stored: {changed:?}");
+    }
 
     #[test]
     fn piece_wire_bytes_is_what_the_codec_writes() {

@@ -71,11 +71,6 @@ id_newtype!(
     "prov-"
 );
 id_newtype!(
-    /// Identifies a node of a copy-on-write metadata segment tree.
-    NodeId,
-    "mnode-"
-);
-id_newtype!(
     /// Identifies a client of the storage service (an MPI rank).
     ClientId,
     "client-"
@@ -159,7 +154,7 @@ impl From<u64> for VersionId {
 
 /// A process-wide monotonic id allocator.
 ///
-/// Services that mint fresh [`ChunkId`]s or [`NodeId`]s share one of these;
+/// Services that mint fresh [`ChunkId`]s or [`BlobId`]s share one of these;
 /// ids are unique across all threads for the life of the process.
 #[derive(Debug, Default)]
 pub struct IdAllocator {
@@ -193,12 +188,6 @@ impl IdAllocator {
         ChunkId(self.next_raw())
     }
 
-    /// Returns a fresh metadata node id.
-    #[inline]
-    pub fn next_node(&self) -> NodeId {
-        NodeId(self.next_raw())
-    }
-
     /// Returns a fresh blob id.
     #[inline]
     pub fn next_blob(&self) -> BlobId {
@@ -229,7 +218,6 @@ mod tests {
         assert_eq!(BlobId::new(7).to_string(), "blob-7");
         assert_eq!(ChunkId::new(3).to_string(), "chunk-3");
         assert_eq!(VersionId::new(9).to_string(), "v9");
-        assert_eq!(format!("{:?}", NodeId::new(4)), "mnode-4");
     }
 
     #[test]

@@ -29,6 +29,6 @@ pub use backend::{BackendConfig, FsyncPolicy};
 pub use chunk::{ChunkGeometry, ChunkKey, ChunkSpan};
 pub use error::{Error, Result, TransportErrorKind};
 pub use extent::ExtentList;
-pub use ids::{BlobId, ChunkId, ClientId, NodeId, ProviderId, VersionId};
+pub use ids::{BlobId, ChunkId, ClientId, ProviderId, VersionId};
 pub use range::ByteRange;
 pub use retention::RetentionPolicy;

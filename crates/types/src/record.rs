@@ -240,7 +240,9 @@ pub fn load_or_init_superblock(path: &Path, slot_count: u32, tag: u64, role: &st
 /// Makes `path` hold exactly `contents`, atomically and durably: the
 /// bytes are written aside (in `path`'s directory, created if need be)
 /// and synced, renamed over `path`, and the directory is synced so the
-/// new name survives a power loss. A crash at any step leaves either the
+/// new name survives a power loss — and so is the parent of each level
+/// of it this call created, so a fresh `slots/NNN/` cannot vanish with
+/// its log. A crash at any step leaves either the
 /// old file (or none) or the new one, never a partial one; a leftover
 /// staged file is ignored by every reader and overwritten by the next
 /// call.
@@ -251,9 +253,9 @@ pub fn load_or_init_superblock(path: &Path, slot_count: u32, tag: u64, role: &st
 /// whatever that sync says. An `Err` means `path` was left as it was.
 fn install(path: &Path, contents: &[u8]) -> Result<(File, Result<()>)> {
     let ctx = |what: &str| format!("{what} {}", path.display());
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let dir = dir.unwrap_or(Path::new("."));
-    std::fs::create_dir_all(dir).map_err(|e| Error::io(ctx("create directory of"), e))?;
+    let dir = parent_dir(path);
+    let created =
+        create_missing_levels(dir).map_err(|e| Error::io(ctx("create directory of"), e))?;
     let mut staged = path.as_os_str().to_owned();
     staged.push(".staged");
     let staged = PathBuf::from(staged);
@@ -268,10 +270,38 @@ fn install(path: &Path, contents: &[u8]) -> Result<(File, Result<()>)> {
         .and_then(|_| file.sync_data())
         .map_err(|e| Error::io(ctx("write staged"), e))?;
     std::fs::rename(&staged, path).map_err(|e| Error::io(ctx("rename staged over"), e))?;
-    let synced = File::open(dir)
-        .and_then(|dir| dir.sync_all())
+    // Innermost first, after the rename: on a journaling file system the
+    // first sync commits every entry created above and the rest are cheap.
+    let synced = std::iter::once(dir)
+        .chain(created.iter().map(|level| parent_dir(level)))
+        .try_for_each(|dir| File::open(dir)?.sync_all())
         .map_err(|e| Error::io(ctx("sync directory of"), e));
     Ok((file, synced))
+}
+
+/// The directory `path` sits in (`.` for a bare file name).
+fn parent_dir(path: &Path) -> &Path {
+    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
+    dir.unwrap_or(Path::new("."))
+}
+
+/// Creates the missing levels of `dir` one at a time, outermost first,
+/// and returns them innermost first. Each new entry is durable only once
+/// its parent is synced, which is the caller's to do.
+fn create_missing_levels(dir: &Path) -> std::io::Result<Vec<&Path>> {
+    let missing: Vec<&Path> = dir
+        .ancestors()
+        .take_while(|level| !level.as_os_str().is_empty() && !level.is_dir())
+        .collect();
+    for level in missing.iter().rev() {
+        if let Err(e) = std::fs::create_dir(level) {
+            // A concurrent creator may have won the race.
+            if !level.is_dir() {
+                return Err(e);
+            }
+        }
+    }
+    Ok(missing)
 }
 
 fn open_rw(path: &Path) -> Result<File> {
@@ -663,6 +693,21 @@ mod tests {
             std::fs::read(&path).unwrap(),
             [framed(1, b"new"), framed(1, b"after")].concat()
         );
+    }
+
+    #[test]
+    fn a_log_in_a_fresh_three_level_directory_reopens() {
+        let tmp = TempDir::new("atomio-recordlog");
+        let path = tmp.path().join("version/blob-7/slot/x.log");
+        let mut log = RecordLog::open(&path, FsyncPolicy::PerPublish, whole_records).unwrap();
+        log.append(&framed(1, b"kept")).unwrap();
+        drop(log);
+        let reopened = RecordLog::open(&path, FsyncPolicy::PerPublish, |bytes| {
+            assert_eq!(bytes, framed(1, b"kept"));
+            whole_records(bytes)
+        })
+        .unwrap();
+        assert_eq!(reopened.len(), framed(1, b"kept").len() as u64);
     }
 
     #[test]

@@ -62,11 +62,8 @@ impl NodeStore for LevelWalk {
     fn contains(&self, key: NodeKey) -> bool {
         self.0.contains(key)
     }
-    fn node_count(&self) -> usize {
-        self.0.node_count()
-    }
-    fn evict(&self, key: NodeKey) {
-        self.0.evict(key)
+    fn evict_batch(&self, keys: &[NodeKey]) -> u64 {
+        self.0.evict_batch(keys)
     }
     fn list_keys(&self) -> Vec<NodeKey> {
         self.0.list_keys()

@@ -63,9 +63,6 @@ impl ChunkStore for PerItem {
     ) -> Result<(Bytes, SimTime)> {
         self.0.get_chunk_range_at(arrival, chunk, range)
     }
-    fn has_chunk(&self, chunk: ChunkId) -> bool {
-        self.0.has_chunk(chunk)
-    }
     fn chunk_count(&self) -> usize {
         self.0.chunk_count()
     }

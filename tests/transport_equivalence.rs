@@ -324,9 +324,8 @@ fn transports_report_identical_byte_counters() {
 /// One service hosting all three roles, so a single transport endpoint
 /// can carry interleaved provider, metadata, **and** version traffic
 /// (the mux stress workload below). Ticket-grant traffic routes to a
-/// standalone [`VersionService`] — the same service the
-/// `atomio-version-server` binary wraps — not to the meta service's
-/// nested compatibility copy.
+/// standalone [`VersionService`], the same service the
+/// `atomio-version-server` binary wraps.
 #[derive(Debug)]
 struct TriService {
     provider: ProviderService,
@@ -337,36 +336,37 @@ struct TriService {
 impl Service for TriService {
     fn handle(&self, request: Request, payload: Bytes) -> (Response, Bytes) {
         use Request::*;
-        let chunk_op = matches!(
-            request,
+        // Every variant is named: a new request does not compile until
+        // it is given a home here.
+        let home: &dyn Service = match &request {
             PutChunk { .. }
-                | PutChunkBatch { .. }
-                | GetChunk { .. }
-                | GetChunkRange { .. }
-                | GetChunkRangeBatch { .. }
-                | ProviderHasChunk { .. }
-                | ProviderChunkCount { .. }
-                | ProviderBytesStored { .. }
-                | ProviderEvictChunk { .. }
-                | ProviderChecksumOf { .. }
-                | ProviderCorruptChunk { .. }
-        );
-        let version_op = matches!(
-            request,
+            | PutChunkBatch { .. }
+            | GetChunk { .. }
+            | GetChunkRange { .. }
+            | GetChunkRangeBatch { .. }
+            | ProviderChunkCount { .. }
+            | ProviderBytesStored { .. }
+            | ProviderChecksumOf { .. }
+            | ProviderEvictBatch { .. } => &self.provider,
+            Ping
+            | MetaPutBatch { .. }
+            | MetaGetBatch { .. }
+            | MetaEvictBatch { .. }
+            | MetaListKeys
+            | MetaResolve { .. } => &self.meta,
             VmTicket { .. }
-                | VmTicketAppend { .. }
-                | VmPublish { .. }
-                | VmIsPublished { .. }
-                | VmLatest { .. }
-                | VmSnapshot { .. }
-        );
-        if chunk_op {
-            self.provider.handle(request, payload)
-        } else if version_op {
-            self.versions.handle(request, payload)
-        } else {
-            self.meta.handle(request, payload)
-        }
+            | VmTicketAppend { .. }
+            | VmPublish { .. }
+            | VmIsPublished { .. }
+            | VmLatest { .. }
+            | VmSnapshot { .. }
+            | VmSetRetention { .. }
+            | VmLeaseAcquire { .. }
+            | VmLeaseRenew { .. }
+            | VmLeaseRelease { .. }
+            | VmGcFloor { .. } => &self.versions,
+        };
+        home.handle(request, payload)
     }
 }
 
@@ -470,10 +470,7 @@ fn mux_stress_state(
         (Response::Keys { keys }, _) => sorted_keys(keys),
         (other, _) => panic!("expected Keys, got {other:?}"),
     };
-    let count = match transport.call(&Request::MetaNodeCount, &[]).unwrap() {
-        (Response::Count { value }, _) => value as usize,
-        (other, _) => panic!("expected Count, got {other:?}"),
-    };
+    let count = keys.len();
     let provider = RemoteProvider::new(ProviderId::new(0), Arc::clone(transport));
     let p = SimClock::new().register();
     let mut latest = Vec::new();
