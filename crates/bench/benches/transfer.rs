@@ -1,129 +1,16 @@
-//! Microbenchmark of the chunk-transfer engine: serial vs. pipelined
-//! batch put/get through the provider manager at provider counts 1, 4,
-//! and 16.
-//!
-//! This measures the **host CPU cost** of driving the simulation (lock
-//! traffic, booking arithmetic, actor wake-ups); the simulated-time
-//! comparison between the two engines is experiment E7d.
-//!
-//! The `remote_*_256x2k` groups time the layer below the manager: one
+//! Microbenchmark of the layer below the provider manager: one
 //! provider's batch through `RemoteProvider` → `Loopback` (full wire
 //! codec) → `ProviderService` → a temp-dir `DiskProvider`, item by item
 //! against the batched trait methods — the criterion number next to
 //! `wallbench`'s `tile_write` / `tile_read`.
 
-use atomio_provider::{AllocationStrategy, ChunkStore, GetRequest, ProviderManager};
+use atomio_provider::ChunkStore;
 use atomio_rpc::{Loopback, ProviderService, RemoteProvider};
-use atomio_simgrid::clock::run_actors;
-use atomio_simgrid::{CostModel, FaultInjector};
 use atomio_types::tempdir::TempDir;
 use atomio_types::{BackendConfig, ByteRange, ChunkId, FsyncPolicy, ProviderId};
 use bytes::Bytes;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
-
-const CHUNKS: u64 = 32;
-const CHUNK_LEN: usize = 4 * 1024;
-
-fn fresh_manager(n: usize) -> Arc<ProviderManager> {
-    Arc::new(ProviderManager::new(
-        n,
-        CostModel::grid5000(),
-        AllocationStrategy::RoundRobin,
-        Arc::new(FaultInjector::default()),
-        7,
-    ))
-}
-
-fn items() -> Vec<(ChunkId, Bytes)> {
-    (0..CHUNKS)
-        .map(|i| (ChunkId::new(i), Bytes::from(vec![0u8; CHUNK_LEN])))
-        .collect()
-}
-
-fn bench_put(c: &mut Criterion) {
-    let mut group = c.benchmark_group("transfer_put");
-    for &n in &[1usize, 4, 16] {
-        group.bench_with_input(BenchmarkId::new("serial", n), &n, |b, &n| {
-            b.iter(|| {
-                let m = fresh_manager(n);
-                let items = items();
-                run_actors(1, |_, p| {
-                    for (chunk, data) in &items {
-                        m.put_replicated(p, *chunk, data, 1, 1).unwrap();
-                    }
-                });
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("pipelined", n), &n, |b, &n| {
-            b.iter(|| {
-                let m = fresh_manager(n);
-                let items = items();
-                run_actors(1, |_, p| {
-                    let outcomes = m.put_batch_replicated(p, &items, 1, 1);
-                    assert!(outcomes.iter().all(|o| o.is_ok()));
-                });
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Builds a loaded manager plus the read requests for its chunks.
-fn loaded_manager(n: usize) -> (Arc<ProviderManager>, Vec<GetRequest>) {
-    let m = fresh_manager(n);
-    let items = items();
-    let mc = Arc::clone(&m);
-    let (mut homes, _) = run_actors(1, move |_, p| {
-        mc.put_batch_replicated(p, &items, 1, 1)
-            .into_iter()
-            .map(|o| o.unwrap())
-            .collect::<Vec<Vec<ProviderId>>>()
-    });
-    let requests = homes
-        .pop()
-        .unwrap()
-        .into_iter()
-        .enumerate()
-        .map(|(i, homes)| GetRequest {
-            chunk: ChunkId::new(i as u64),
-            homes,
-            range: ByteRange::new(0, CHUNK_LEN as u64),
-        })
-        .collect();
-    (m, requests)
-}
-
-fn bench_get(c: &mut Criterion) {
-    let mut group = c.benchmark_group("transfer_get");
-    for &n in &[1usize, 4, 16] {
-        group.bench_with_input(BenchmarkId::new("serial", n), &n, |b, &n| {
-            b.iter_with_setup(
-                || loaded_manager(n),
-                |(m, requests)| {
-                    run_actors(1, move |_, p| {
-                        for req in &requests {
-                            m.get_with_failover(p, req.chunk, &req.homes, req.range)
-                                .unwrap();
-                        }
-                    });
-                },
-            )
-        });
-        group.bench_with_input(BenchmarkId::new("pipelined", n), &n, |b, &n| {
-            b.iter_with_setup(
-                || loaded_manager(n),
-                |(m, requests)| {
-                    run_actors(1, move |_, p| {
-                        let results = m.get_batch_with_failover(p, &requests);
-                        assert!(results.iter().all(|r| r.is_ok()));
-                    });
-                },
-            )
-        });
-    }
-    group.finish();
-}
 
 const TILE_CHUNKS: u64 = 256;
 const TILE_CHUNK_LEN: usize = 2 * 1024;
@@ -203,5 +90,5 @@ fn bench_remote(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_put, bench_get, bench_remote);
+criterion_group!(benches, bench_remote);
 criterion_main!(benches);

@@ -34,7 +34,8 @@ pub struct StoreConfig {
     /// Minimum replicas that must survive fault injection for a write to
     /// succeed.
     pub min_replicas: usize,
-    /// Chunk placement policy.
+    /// Chunk placement: round-robin, the only one. Kept because
+    /// `wallbench/src` passes it to `ProviderManager::from_stores`.
     pub allocation: AllocationStrategy,
     /// Simulated hardware prices.
     pub cost: CostModel,
@@ -113,12 +114,6 @@ impl StoreConfig {
         self
     }
 
-    /// Sets the allocation strategy.
-    pub fn with_allocation(mut self, strategy: AllocationStrategy) -> Self {
-        self.allocation = strategy;
-        self
-    }
-
     /// Sets the cost model.
     pub fn with_cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
@@ -184,7 +179,6 @@ mod tests {
             .with_data_providers(4)
             .with_meta_shards(2)
             .with_replication(3, 2)
-            .with_allocation(AllocationStrategy::LeastLoaded)
             .with_transport_mode(TransportMode::Tcp)
             .with_meta_cache(0)
             .with_retention(RetentionPolicy::KeepLast(2))
@@ -195,7 +189,6 @@ mod tests {
         assert_eq!(c.data_providers, 4);
         assert_eq!(c.meta_shards, 2);
         assert_eq!((c.replication, c.min_replicas), (3, 2));
-        assert_eq!(c.allocation, AllocationStrategy::LeastLoaded);
         assert_eq!(c.transport_mode, TransportMode::Tcp);
         assert_eq!(c.meta_cache_nodes, 0);
         assert_eq!(c.retention, RetentionPolicy::KeepLast(2));

@@ -34,7 +34,7 @@
 //! next step once versions, leases, and retention are first-class.)
 
 use crate::blob::Blob;
-use atomio_meta::TreeReader;
+use atomio_meta::reach;
 use atomio_simgrid::Participant;
 use atomio_types::{ChunkId, Error, ProviderId, Result, VersionId};
 use std::collections::{HashMap, HashSet};
@@ -89,65 +89,50 @@ fn collect_range(
     let vm = blob.version_manager();
     let latest = vm.latest(p)?.version;
     let keep_from = keep_from.min(latest); // never retire the latest snapshot
-    let reader = TreeReader::new(blob.meta_store().as_ref());
+    let meta = blob.meta_store().as_ref();
 
     let mut report = GcReport::default();
     if from >= keep_from {
         return Ok(report);
     }
 
-    // Mark: everything reachable from retained snapshots.
-    let mut live_nodes = HashSet::new();
-    let mut live_chunks: HashMap<ChunkId, Vec<ProviderId>> = HashMap::new();
+    // Mark: one walk from every retained root.
+    let mut roots = Vec::new();
     let mut v = keep_from;
     while v <= latest {
-        let snap = vm.snapshot(p, v)?;
-        live_nodes.extend(reader.reachable_nodes(p, snap.root)?);
-        live_chunks.extend(reader.referenced_chunks(p, snap.root)?);
+        roots.extend(vm.snapshot(p, v)?.root);
         v = v.successor();
     }
+    let live = reach(meta, p, &roots, &HashSet::new())?;
 
-    // Sweep: walk retired snapshots and evict what the retained set does
-    // not reach.
+    // Sweep: one walk per retired snapshot. It stops at live keys (all
+    // below them is live) and at keys an earlier walk of this pass
+    // swept, so each dead node is fetched once.
+    let mut skip = live.nodes;
     let mut dead_nodes = Vec::new();
-    let mut seen_nodes = HashSet::new();
     let mut dead_chunks: HashMap<ChunkId, Vec<ProviderId>> = HashMap::new();
     let mut v = from;
     while v < keep_from {
-        let snap = vm.snapshot(p, v)?;
+        let root = vm.snapshot(p, v)?.root;
+        v = v.successor();
         // A missing node below this snapshot means an earlier collector
         // (this one or a predecessor before a restart) already swept it:
         // skip rather than fail, making collection idempotent. Whatever
         // such a version shared with a retained snapshot is in the mark
         // set regardless, so skipping never strands live state.
-        let nodes = match reader.reachable_nodes(p, snap.root) {
-            Ok(nodes) => nodes,
-            Err(Error::MetadataNodeMissing(_)) => {
-                v = v.successor();
-                continue;
-            }
+        let swept = match reach(meta, p, root.as_slice(), &skip) {
+            Ok(swept) => swept,
+            Err(Error::MetadataNodeMissing(_)) => continue,
             Err(e) => return Err(e),
         };
-        let chunks = match reader.referenced_chunks(p, snap.root) {
-            Ok(chunks) => chunks,
-            Err(Error::MetadataNodeMissing(_)) => {
-                v = v.successor();
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        for key in nodes {
-            if !live_nodes.contains(&key) && seen_nodes.insert(key) {
-                dead_nodes.push(key);
-            }
-        }
-        for (chunk, homes) in chunks {
-            if !live_chunks.contains_key(&chunk) {
+        for (chunk, homes) in swept.chunks {
+            if !live.chunks.contains_key(&chunk) {
                 dead_chunks.insert(chunk, homes);
             }
         }
+        dead_nodes.extend(&swept.nodes);
+        skip.extend(swept.nodes);
         report.versions_retired += 1;
-        v = v.successor();
     }
     report.nodes_evicted = blob.meta_store().evict_batch(&dead_nodes);
     // Evicted nodes must not be resurrected from the client cache.

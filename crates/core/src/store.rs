@@ -78,14 +78,8 @@ impl Store {
     pub fn new_heterogeneous(config: StoreConfig, costs: Vec<CostModel>) -> Self {
         let faults = Arc::new(FaultInjector::new(config.seed ^ 0xFA17));
         let providers = Arc::new(
-            ProviderManager::with_backend(
-                &config.backend,
-                costs,
-                config.allocation,
-                Arc::clone(&faults),
-                config.seed,
-            )
-            .expect("open storage backend"),
+            ProviderManager::with_backend(&config.backend, costs, Arc::clone(&faults))
+                .expect("open storage backend"),
         );
         // Metadata and data traffic of one client contend for the same
         // simulated NIC: the meta store books on the provider registry.
@@ -218,27 +212,34 @@ impl Store {
 
     /// Scrubs every data provider and repairs corrupted chunks from
     /// healthy replicas, using the metadata trees of every published
-    /// snapshot to map chunks to their replica homes. Returns
-    /// `(corruptions_found, repaired)`.
+    /// snapshot to map chunks to their replica homes. A snapshot GC has
+    /// retired (its tree reaches a collected node) maps nothing: what it
+    /// shared with a retained snapshot is mapped through that one.
+    /// Returns `(corruptions_found, repaired)`.
     pub fn scrub_and_repair(
         &self,
         p: &atomio_simgrid::Participant,
     ) -> atomio_types::Result<(u64, u64)> {
-        use atomio_meta::TreeReader;
-        use atomio_types::{ChunkId, ProviderId, VersionId};
-        use std::collections::HashMap;
+        use atomio_types::{Error, VersionId};
+        use std::collections::HashSet;
 
-        // Gather chunk→homes from every published version of every blob.
-        let mut homes: HashMap<ChunkId, Vec<ProviderId>> = HashMap::new();
-        let reader = TreeReader::new(self.meta.as_ref());
+        // Gather chunk→homes from every published version of every blob,
+        // one walk per version, never fetching a node twice.
+        let mut seen = HashSet::new();
+        let mut homes = HashMap::new();
         let blobs: Vec<Blob> = self.blobs.read().values().cloned().collect();
         for blob in &blobs {
             let latest = blob.version_manager().latest(p)?.version;
             let mut v = VersionId::new(1);
             while v <= latest {
                 if let Ok(snap) = blob.version_manager().snapshot(p, v) {
-                    for (chunk, h) in reader.referenced_chunks(p, snap.root)? {
-                        homes.entry(chunk).or_insert(h);
+                    match atomio_meta::reach(self.meta.as_ref(), p, snap.root.as_slice(), &seen) {
+                        Ok(reached) => {
+                            homes.extend(reached.chunks);
+                            seen.extend(reached.nodes);
+                        }
+                        Err(Error::MetadataNodeMissing(_)) => {}
+                        Err(e) => return Err(e),
                     }
                 }
                 v = v.successor();

@@ -52,4 +52,6 @@ pub use disk::{node_store_for, DiskNodeStore};
 pub use history::{VersionHistory, WriteSummary};
 pub use node::{LeafEntry, Node, NodeBody, NodeKey};
 pub use store::{LocalNodeStore, MetaStore, NodeStore};
-pub use tree::{resolve_with, PieceSource, ResolvedPiece, TreeBuilder, TreeConfig, TreeReader};
+pub use tree::{
+    reach, resolve_with, PieceSource, Reached, ResolvedPiece, TreeBuilder, TreeConfig, TreeReader,
+};

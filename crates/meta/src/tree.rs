@@ -5,15 +5,18 @@
 //! **no reads of other versions' nodes and no waiting**: every link to
 //! older content is computed from the shared [`VersionHistory`] thanks to
 //! deterministic [`NodeKey`]s. [`resolve_with`] maps a snapshot +
-//! extent list onto the stored chunks (or zero-fill holes).
+//! extent list onto the stored chunks (or zero-fill holes), and
+//! [`reach`] lists every node and chunk a set of snapshots reaches, for
+//! version GC and repair.
 //!
 //! Construction is pure (zero virtual time): the builder stages the new
 //! version's nodes children-before-parents, then **commits them in one
 //! flush**, shard-parallel through [`NodeStore::put_batch`]. Reads are
-//! the mirror image: one level-order walk, which asks for each tree
-//! level at once — one [`NodeStore::get_batch`] per level on the client
-//! ([`NodeStore::resolve`]'s default), or one `get_batch_local` per level
-//! inside a metadata server that runs the walk for a remote client.
+//! the mirror image: a level-order walk, which asks for each tree level
+//! at once — one [`NodeStore::get_batch`] per level on the client
+//! ([`NodeStore::resolve`]'s default, and [`reach`]), or one
+//! `get_batch_local` per level inside a metadata server that runs the
+//! walk for a remote client.
 
 use crate::cache::NodeCache;
 use crate::history::VersionHistory;
@@ -451,16 +454,65 @@ fn visit(
     Ok(())
 }
 
-/// Reader-side traversals for version GC and repair tooling: every chunk
-/// and every node a snapshot reaches. A read resolves through
-/// [`NodeStore::resolve`] instead.
+/// Everything a [`reach`] walk visited.
+#[derive(Debug, Default)]
+pub struct Reached {
+    /// Every node key reached.
+    pub nodes: HashSet<NodeKey>,
+    /// Every chunk named by a reached leaf, with its replica homes.
+    pub chunks: HashMap<ChunkId, Vec<ProviderId>>,
+}
+
+/// Every node and chunk reachable from `roots` through child links and
+/// backlinks, not descending into a key in `skip`: the walk of version
+/// GC's mark and sweep and of store-wide repair. Everything below a
+/// node is reachable from it, so skipping a key the caller has already
+/// accounted for (a live node, one an earlier walk swept) loses nothing.
+///
+/// Like [`resolve_with`] the walk is level-order, and each level is one
+/// [`NodeStore::get_batch`]. Each key is fetched at most once. A key the
+/// store lacks fails the walk with the store's error.
+pub fn reach(
+    store: &(impl NodeStore + ?Sized),
+    p: &Participant,
+    roots: &[NodeKey],
+    skip: &HashSet<NodeKey>,
+) -> Result<Reached> {
+    let mut reached = Reached::default();
+    let mut level = roots.to_vec();
+    loop {
+        level.retain(|key| !skip.contains(key) && reached.nodes.insert(*key));
+        if level.is_empty() {
+            return Ok(reached);
+        }
+        let mut next = Vec::new();
+        for node in fetch_level(store, p, &level, None)? {
+            match &node.body {
+                NodeBody::Inner { left, right } => next.extend(left.iter().chain(right)),
+                NodeBody::Leaf { entries, backlink } => {
+                    for e in entries {
+                        reached
+                            .chunks
+                            .entry(e.chunk)
+                            .or_insert_with(|| e.homes.clone());
+                    }
+                    next.extend(backlink);
+                }
+            }
+        }
+        level = next;
+    }
+}
+
+/// [`NodeStore::resolve`] without a cache, behind a handle. Kept because
+/// `wallbench/src/probes.rs` builds one and times its `resolve`.
 #[derive(Debug)]
 pub struct TreeReader<'a> {
     store: &'a dyn NodeStore,
 }
 
 impl<'a> TreeReader<'a> {
-    /// Creates a reader over a store.
+    /// Creates a reader over a store. Kept for `wallbench/src/probes.rs`.
     pub fn new(store: &'a dyn NodeStore) -> Self {
         TreeReader { store }
     }
@@ -474,65 +526,6 @@ impl<'a> TreeReader<'a> {
         extents: &ExtentList,
     ) -> Result<Vec<ResolvedPiece>> {
         self.store.resolve(p, root, extents, None)
-    }
-
-    /// Every chunk reachable from `root` (through subtree sharing and
-    /// backlink chains), with its replica homes. Used by version GC and
-    /// by repair tooling.
-    pub fn referenced_chunks(
-        &self,
-        p: &Participant,
-        root: Option<NodeKey>,
-    ) -> Result<HashMap<ChunkId, Vec<ProviderId>>> {
-        let mut chunks = HashMap::new();
-        let mut visited = HashSet::new();
-        if let Some(root) = root {
-            self.collect(p, root, &mut visited, &mut chunks)?;
-        }
-        Ok(chunks)
-    }
-
-    fn collect(
-        &self,
-        p: &Participant,
-        key: NodeKey,
-        visited: &mut HashSet<NodeKey>,
-        chunks: &mut HashMap<ChunkId, Vec<ProviderId>>,
-    ) -> Result<()> {
-        if !visited.insert(key) {
-            return Ok(());
-        }
-        let node = self.store.get(p, key)?;
-        match &node.body {
-            NodeBody::Inner { left, right } => {
-                for link in [left, right].into_iter().flatten() {
-                    self.collect(p, *link, visited, chunks)?;
-                }
-            }
-            NodeBody::Leaf { entries, backlink } => {
-                for e in entries {
-                    chunks.entry(e.chunk).or_insert_with(|| e.homes.clone());
-                }
-                if let Some(older) = backlink {
-                    self.collect(p, *older, visited, chunks)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Every node key reachable from `root` (for GC of whole versions).
-    pub fn reachable_nodes(
-        &self,
-        p: &Participant,
-        root: Option<NodeKey>,
-    ) -> Result<HashSet<NodeKey>> {
-        let mut visited = HashSet::new();
-        let mut chunks = HashMap::new();
-        if let Some(root) = root {
-            self.collect(p, root, &mut visited, &mut chunks)?;
-        }
-        Ok(visited)
     }
 }
 
@@ -1090,30 +1083,36 @@ mod tests {
     }
 
     #[test]
-    fn referenced_chunks_walks_shared_and_backlinks() {
+    fn reach_walks_shared_subtrees_and_backlinks_and_stops_at_skipped_keys() {
         let fx = Fixture::new();
         run_actors(1, |_, p| {
-            let (_, _) = fx.write(p, &[(0, 64), (128, 64)]); // chunks 0,1
+            let (_, root1) = fx.write(p, &[(0, 64), (128, 64)]); // chunks 0,1
             let (_, root2) = fx.write(p, &[(16, 16)]); // chunk 2, partial leaf 0
-            let reader = TreeReader::new(&fx.store);
-            let chunks = reader.referenced_chunks(p, Some(root2)).unwrap();
-            // v2 references its own chunk 2, backlinked chunk 0, and the
-            // shared-subtree chunk 1.
-            let mut ids: Vec<u64> = chunks.keys().map(|c| c.raw()).collect();
-            ids.sort_unstable();
-            assert_eq!(ids, vec![0, 1, 2]);
-        });
-    }
-
-    #[test]
-    fn reachable_nodes_includes_all_levels() {
-        let fx = Fixture::new();
-        run_actors(1, |_, p| {
-            let (_, root) = fx.write(p, &[(0, 256)]); // cap 256: 4 leaves + 3 inners
-            let reader = TreeReader::new(&fx.store);
-            let nodes = reader.reachable_nodes(p, Some(root)).unwrap();
-            assert_eq!(nodes.len(), 7);
-            assert!(nodes.contains(&root));
+            let chunk_ids = |reached: &Reached| {
+                let mut ids: Vec<u64> = reached.chunks.keys().map(|c| c.raw()).collect();
+                ids.sort_unstable();
+                ids
+            };
+            let none = HashSet::new();
+            // v2 reaches its root, inner node and leaf, v1's leaf behind
+            // the backlink, and v1's shared right subtree (inner + leaf):
+            // its own chunk 2, backlinked chunk 0, shared chunk 1.
+            let v2 = reach(&fx.store, p, &[root2], &none).unwrap();
+            assert_eq!(v2.nodes.len(), 6);
+            assert_eq!(chunk_ids(&v2), vec![0, 1, 2]);
+            // Both roots at once: v1's five nodes plus v2's own three.
+            let both = reach(&fx.store, p, &[root1, root2, root1], &none).unwrap();
+            assert_eq!(both.nodes.len(), 8);
+            // With v1's nodes skipped, v2 reaches only what is its own.
+            let v1 = reach(&fx.store, p, &[root1], &none).unwrap();
+            let own = reach(&fx.store, p, &[root2], &v1.nodes).unwrap();
+            assert_eq!(own.nodes.len(), 3);
+            assert!(own.nodes.iter().all(|key| key.version == root2.version));
+            assert_eq!(chunk_ids(&own), vec![2]);
+            assert!(reach(&fx.store, p, &[root1], &v1.nodes)
+                .unwrap()
+                .nodes
+                .is_empty());
         });
     }
 }

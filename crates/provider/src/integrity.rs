@@ -125,7 +125,6 @@ pub struct RangeChecksum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manager::AllocationStrategy;
     use atomio_simgrid::clock::run_actors;
     use atomio_simgrid::{CostModel, FaultInjector};
     use bytes::Bytes;
@@ -150,13 +149,21 @@ mod tests {
     }
 
     fn mgr(n: usize) -> ProviderManager {
-        ProviderManager::new(
-            n,
-            CostModel::zero(),
-            AllocationStrategy::RoundRobin,
-            Arc::new(FaultInjector::default()),
-            7,
-        )
+        ProviderManager::new(n, CostModel::zero(), Arc::new(FaultInjector::default()))
+    }
+
+    /// Stores one chunk on `replicas` homes through a batch of one.
+    fn put_one(
+        m: &ProviderManager,
+        p: &Participant,
+        chunk: ChunkId,
+        data: Vec<u8>,
+        replicas: usize,
+    ) -> Vec<ProviderId> {
+        m.put_batch_replicated(p, &[(chunk, Bytes::from(data))], replicas, replicas)
+            .pop()
+            .expect("one outcome per chunk")
+            .expect("every home is up")
     }
 
     #[test]
@@ -183,9 +190,7 @@ mod tests {
     fn repair_restores_from_replica() {
         let m = mgr(3);
         run_actors(1, |_, p| {
-            let homes = m
-                .put_replicated(p, ChunkId::new(9), &Bytes::from(vec![7u8; 128]), 2, 2)
-                .unwrap();
+            let homes = put_one(&m, p, ChunkId::new(9), vec![7u8; 128], 2);
             let victim = homes[0];
             m.provider(victim)
                 .unwrap()
@@ -208,9 +213,7 @@ mod tests {
     fn repair_fails_without_healthy_replica() {
         let m = mgr(2);
         run_actors(1, |_, p| {
-            let homes = m
-                .put_replicated(p, ChunkId::new(1), &Bytes::from(vec![3u8; 32]), 1, 1)
-                .unwrap();
+            let homes = put_one(&m, p, ChunkId::new(1), vec![3u8; 32], 1);
             assert_eq!(homes.len(), 1, "unreplicated");
             m.provider(homes[0])
                 .unwrap()
@@ -228,9 +231,7 @@ mod tests {
         run_actors(1, |_, p| {
             let mut homes_map = std::collections::HashMap::new();
             for i in 0..8u64 {
-                let homes = m
-                    .put_replicated(p, ChunkId::new(i), &Bytes::from(vec![i as u8; 64]), 2, 2)
-                    .unwrap();
+                let homes = put_one(&m, p, ChunkId::new(i), vec![i as u8; 64], 2);
                 homes_map.insert(ChunkId::new(i), homes);
             }
             // Corrupt three chunks (one replica each).
@@ -253,13 +254,7 @@ mod tests {
     #[test]
     fn scrub_charges_disk_time() {
         let cost = CostModel::grid5000();
-        let m = ProviderManager::new(
-            1,
-            cost,
-            AllocationStrategy::RoundRobin,
-            Arc::new(FaultInjector::default()),
-            7,
-        );
+        let m = ProviderManager::new(1, cost, Arc::new(FaultInjector::default()));
         let (_, total) = run_actors(1, |_, p| {
             let prov = m.provider(ProviderId::new(0)).unwrap();
             prov.put_chunk(p, ChunkId::new(1), Bytes::from(vec![0u8; 1 << 20]))

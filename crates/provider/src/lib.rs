@@ -19,8 +19,7 @@
 //! files with crash recovery.
 //! Pick between them with [`chunk_store_for`] and a
 //! [`BackendConfig`](atomio_types::BackendConfig). [`ProviderManager`]
-//! routes chunk placements using a pluggable [`AllocationStrategy`] and
-//! handles replication; it moves a whole `write_list` / `read_list` as
+//! places chunks round-robin and handles replication; it moves a whole `write_list` / `read_list` as
 //! one batch per provider ([`ChunkStore::put_batch_at`] /
 //! [`ChunkStore::get_range_batch_at`]), which a store may serve in one
 //! frame or one append per slot — with per-item results either way.

@@ -1,29 +1,30 @@
 //! The provider manager: chunk placement and replication.
 //!
 //! BlobSeer's provider manager tracks participating data providers and
-//! assigns each new chunk a home according to an allocation strategy. The
-//! paper's striping principle ("a load-balancing allocation strategy that
-//! redirects write operations to different storage elements in a round
-//! robin fashion") corresponds to [`AllocationStrategy::RoundRobin`];
-//! [`AllocationStrategy::LeastLoaded`] and [`AllocationStrategy::Random`]
-//! are the obvious alternatives and are compared in the E7 ablation.
+//! assigns each new chunk a home. The paper's striping principle ("a
+//! load-balancing allocation strategy that redirects write operations
+//! to different storage elements in a round robin fashion") is the one
+//! placement: each chunk's primary is the next provider in rotation, its
+//! replicas the providers after it. E7c measured least-loaded and random
+//! placement against it; both lost or tied and are deleted (EXPERIMENTS,
+//! "Frozen verdicts"). Chunks move in batches only
+//! ([`ProviderManager::put_batch_replicated`] /
+//! [`ProviderManager::get_batch_with_failover`]).
 
 use crate::store::ChunkStore;
-use atomio_simgrid::{ClientNics, CostModel, DetRng, FaultInjector, Participant, Resource};
+use atomio_simgrid::{ClientNics, CostModel, FaultInjector, Participant, Resource};
 use atomio_types::{ByteRange, ChunkId, Error, ProviderId, Result};
 use bytes::Bytes;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// How new chunks are spread over providers.
+/// How new chunks are spread over providers: round-robin, the only
+/// placement. Kept because `wallbench/src` passes `StoreConfig::allocation`
+/// to [`ProviderManager::from_stores`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocationStrategy {
-    /// Strict rotation over providers (the paper's default).
+    /// Strict rotation over providers (the paper's choice).
     RoundRobin,
-    /// Place on the provider currently storing the fewest bytes.
-    LeastLoaded,
-    /// Uniform random placement (seeded, deterministic).
-    Random,
 }
 
 /// One chunk read in a [`ProviderManager::get_batch_with_failover`]
@@ -42,9 +43,7 @@ pub struct GetRequest {
 #[derive(Debug)]
 pub struct ProviderManager {
     providers: Vec<Arc<dyn ChunkStore>>,
-    strategy: AllocationStrategy,
     rr_cursor: AtomicU64,
-    rng: DetRng,
     faults: Arc<FaultInjector>,
     /// Per-client injection/reception NICs. Shared with the metadata
     /// store (see `Store::new_heterogeneous`) so a client's data and
@@ -56,33 +55,16 @@ pub struct ProviderManager {
 impl ProviderManager {
     /// Builds a fleet of `n` providers sharing one cost model and fault
     /// plane.
-    pub fn new(
-        n: usize,
-        cost: CostModel,
-        strategy: AllocationStrategy,
-        faults: Arc<FaultInjector>,
-        seed: u64,
-    ) -> Self {
+    pub fn new(n: usize, cost: CostModel, faults: Arc<FaultInjector>) -> Self {
         assert!(n > 0, "need at least one data provider");
-        Self::heterogeneous(vec![cost; n], strategy, faults, seed)
+        Self::heterogeneous(vec![cost; n], faults)
     }
 
     /// Builds a fleet with **per-provider hardware** (straggler studies,
     /// mixed HDD/SSD deployments): provider `i` gets `costs[i]`.
-    pub fn heterogeneous(
-        costs: Vec<CostModel>,
-        strategy: AllocationStrategy,
-        faults: Arc<FaultInjector>,
-        seed: u64,
-    ) -> Self {
-        Self::with_backend(
-            &atomio_types::BackendConfig::Memory,
-            costs,
-            strategy,
-            faults,
-            seed,
-        )
-        .expect("the memory backend opens nothing that can fail")
+    pub fn heterogeneous(costs: Vec<CostModel>, faults: Arc<FaultInjector>) -> Self {
+        Self::with_backend(&atomio_types::BackendConfig::Memory, costs, faults)
+            .expect("the memory backend opens nothing that can fail")
     }
 
     /// Builds a fleet whose storage substrate is chosen by `backend`:
@@ -97,9 +79,7 @@ impl ProviderManager {
     pub fn with_backend(
         backend: &atomio_types::BackendConfig,
         costs: Vec<CostModel>,
-        strategy: AllocationStrategy,
         faults: Arc<FaultInjector>,
-        seed: u64,
     ) -> Result<Self> {
         assert!(!costs.is_empty(), "need at least one data provider");
         let stores = costs
@@ -109,23 +89,28 @@ impl ProviderManager {
                 crate::disk::chunk_store_for(backend, ProviderId::new(i as u64), cost, &faults)
             })
             .collect::<Result<Vec<_>>>()?;
-        Ok(Self::from_stores(stores, strategy, faults, seed))
+        Ok(Self::over(stores, faults))
     }
 
     /// Builds a manager over an arbitrary fleet of chunk stores — the
     /// seam the TCP transport plugs into: pass `RemoteProvider` handles
     /// here and every placement, replication, and failover decision runs
-    /// unchanged over the wire.
+    /// unchanged over the wire. `_strategy` and `_seed` select nothing;
+    /// they are kept because `wallbench/src` passes them.
     ///
     /// # Panics
     /// Panics when `stores` is empty or when store `i` does not report
     /// id `i` (the manager addresses the fleet by vector slot).
     pub fn from_stores(
         stores: Vec<Arc<dyn ChunkStore>>,
-        strategy: AllocationStrategy,
+        _strategy: AllocationStrategy,
         faults: Arc<FaultInjector>,
-        seed: u64,
+        _seed: u64,
     ) -> Self {
+        Self::over(stores, faults)
+    }
+
+    fn over(stores: Vec<Arc<dyn ChunkStore>>, faults: Arc<FaultInjector>) -> Self {
         assert!(!stores.is_empty(), "need at least one data provider");
         for (i, store) in stores.iter().enumerate() {
             assert_eq!(
@@ -136,9 +121,7 @@ impl ProviderManager {
         }
         ProviderManager {
             providers: stores,
-            strategy,
             rr_cursor: AtomicU64::new(0),
-            rng: DetRng::new(seed),
             faults,
             client_nics: Arc::new(ClientNics::new()),
         }
@@ -161,123 +144,16 @@ impl ProviderManager {
         &self.providers
     }
 
-    /// Chooses a home provider for one new chunk.
-    pub fn allocate_one(&self) -> ProviderId {
-        self.allocate_one_planned(&[])
-    }
-
-    /// [`Self::allocate_one`] while a batch is being planned: `planned[i]`
-    /// bytes are already assigned to provider `i` by earlier items of the
-    /// batch and count as stored, so `LeastLoaded` spreads a batch the way
-    /// it spreads the same puts issued one by one.
-    fn allocate_one_planned(&self, planned: &[u64]) -> ProviderId {
-        match self.strategy {
-            AllocationStrategy::RoundRobin => {
-                let i = self.rr_cursor.fetch_add(1, Ordering::Relaxed);
-                ProviderId::new(i % self.providers.len() as u64)
-            }
-            AllocationStrategy::LeastLoaded => self
-                .providers
-                .iter()
-                .zip(planned.iter().chain(std::iter::repeat(&0)))
-                .min_by_key(|(p, planned)| p.bytes_stored() + **planned)
-                .map(|(p, _)| p.id())
-                .expect("fleet is non-empty"),
-            AllocationStrategy::Random => {
-                ProviderId::new(self.rng.next_below(self.providers.len() as u64))
-            }
-        }
-    }
-
-    /// Chooses `replicas` distinct providers for one new chunk, primary
-    /// first. Falls back to fewer when the fleet is smaller than the
-    /// requested replication factor.
-    pub fn allocate_replicas(&self, replicas: usize) -> Vec<ProviderId> {
-        self.allocate_replicas_planned(replicas, &[])
-    }
-
-    fn allocate_replicas_planned(&self, replicas: usize, planned: &[u64]) -> Vec<ProviderId> {
-        let n = self.providers.len();
-        let want = replicas.max(1).min(n);
-        let primary = self.allocate_one_planned(planned);
-        let mut out = Vec::with_capacity(want);
-        out.push(primary);
-        let mut next = primary.raw();
-        while out.len() < want {
-            next = (next + 1) % n as u64;
-            out.push(ProviderId::new(next));
-        }
-        out
-    }
-
-    /// Stores a chunk on `replicas` providers, attempting every allocated
-    /// home (primary first). The write succeeds when at least
-    /// `max(min_ok, 1)` placements survived fault injection — the primary
-    /// is not special: a write whose primary is down but whose secondary
-    /// took the data still meets a quorum of 1. Reports
-    /// [`Error::InsufficientReplicas`] when fewer than the quorum
-    /// survived.
-    pub fn put_replicated(
-        &self,
-        p: &Participant,
-        chunk: ChunkId,
-        data: &Bytes,
-        replicas: usize,
-        min_ok: usize,
-    ) -> Result<Vec<ProviderId>> {
-        let homes = self.allocate_replicas(replicas);
-        let mut placed = Vec::new();
-        for &home in &homes {
-            let prov = self.provider(home)?;
-            match prov.put_chunk(p, chunk, data.clone()) {
-                Ok(()) => placed.push(home),
-                // A dead home or an unreachable one (transport failure on
-                // the remote path) costs this copy only — the next home
-                // may still make quorum.
-                Err(Error::ProviderFailed(_) | Error::Transport { .. }) => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        if placed.len() < min_ok.max(1) {
-            return Err(Error::InsufficientReplicas {
-                wanted: min_ok.max(1),
-                placed: placed.len(),
-            });
-        }
-        Ok(placed)
-    }
-
-    /// Reads a chunk range, failing over across the replica homes in
-    /// order.
-    pub fn get_with_failover(
-        &self,
-        p: &Participant,
-        chunk: ChunkId,
-        homes: &[ProviderId],
-        range: atomio_types::ByteRange,
-    ) -> Result<Bytes> {
-        let mut last_err = Error::Internal(format!("no homes recorded for {chunk}"));
-        for &home in homes {
-            match self
-                .provider(home)
-                .and_then(|prov| prov.get_chunk_range(p, chunk, range))
-            {
-                Ok(data) => return Ok(data),
-                // Retriable per-home outcomes: the replica is down, lost
-                // the chunk, or is unreachable over the transport (the
-                // typed kind — timeout vs refused vs injected loss — is
-                // preserved in `last_err` for the caller's retry policy).
-                Err(
-                    e @ (Error::ProviderFailed(_)
-                    | Error::ChunkNotFound { .. }
-                    | Error::Transport { .. }),
-                ) => {
-                    last_err = e;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err)
+    /// Chooses `replicas` distinct homes for one new chunk, primary
+    /// first: the next provider in rotation, then the providers after
+    /// it. Fewer when the fleet is smaller than `replicas`; at least one.
+    fn plan_homes(&self, replicas: usize) -> Vec<ProviderId> {
+        let n = self.providers.len() as u64;
+        let want = replicas.clamp(1, n as usize) as u64;
+        let primary = self.rr_cursor.fetch_add(1, Ordering::Relaxed);
+        (0..want)
+            .map(|k| ProviderId::new((primary + k) % n))
+            .collect()
     }
 
     /// The injection/reception NIC of the calling client, created on
@@ -323,9 +199,10 @@ impl ProviderManager {
     /// 3. **Batch** — one [`ChunkStore::put_batch_at`] per provider: one
     ///    frame per remote provider, not one round trip per chunk.
     /// 4. **Scatter** — the per-copy outcomes go back to their chunks.
-    ///    Placement and quorum semantics are those of
-    ///    [`Self::put_replicated`], evaluated independently per chunk: a
-    ///    dead or unreachable home costs that copy only.
+    ///    Quorum is judged independently per chunk, and the primary is
+    ///    not special: a dead or unreachable home costs that copy only,
+    ///    so a chunk whose primary is down but whose secondary took the
+    ///    data still meets a quorum of 1.
     ///
     /// The caller sleeps exactly once, to the latest completion in the
     /// batch. Returns one outcome per input chunk, in order: the
@@ -354,14 +231,12 @@ impl ProviderManager {
         // Per chunk: its homes in allocation order, each with whether
         // its copy landed.
         let mut homes: Vec<Vec<(ProviderId, bool)>> = Vec::with_capacity(items.len());
-        let mut planned = vec![0u64; fleet];
         let mut groups: Vec<Vec<(u64, ChunkId, Bytes)>> = vec![Vec::new(); fleet];
         let mut copies: Vec<Vec<Copy>> = (0..fleet).map(|_| Vec::new()).collect();
         for (item, (chunk, data)) in items.iter().enumerate() {
-            let chunk_homes = self.allocate_replicas_planned(replicas, &planned);
+            let chunk_homes = self.plan_homes(replicas);
             for (rank, &home) in chunk_homes.iter().enumerate() {
-                // A home that is already down books nothing, mirroring
-                // the serial path's up-front liveness check.
+                // A home that is already down books nothing.
                 if self.faults.is_failed(home) {
                     continue;
                 }
@@ -378,7 +253,6 @@ impl ProviderManager {
                     rank,
                     inj_done,
                 });
-                planned[h] += data.len() as u64;
             }
             homes.push(chunk_homes.into_iter().map(|home| (home, false)).collect());
         }
@@ -445,8 +319,10 @@ impl ProviderManager {
     /// is settled the payloads cut through to the client's reception NIC,
     /// which serializes arrivals in request order, and the caller sleeps
     /// once, to the latest reception. Returns one outcome per request, in
-    /// order; per-request errors are those of
-    /// [`Self::get_with_failover`], and failed lookups book nothing.
+    /// order: the bytes, or the last home's retriable error (the replica
+    /// is down, lost the chunk, or is unreachable) when every home failed.
+    /// Other errors end a request at once, and failed lookups book
+    /// nothing.
     pub fn get_batch_with_failover(
         &self,
         p: &Participant,
@@ -550,51 +426,68 @@ mod tests {
     use crate::store::DataProvider;
     use atomio_simgrid::clock::run_actors;
 
-    fn mgr(n: usize, strategy: AllocationStrategy) -> ProviderManager {
-        ProviderManager::new(
-            n,
-            CostModel::zero(),
-            strategy,
-            Arc::new(FaultInjector::default()),
-            42,
-        )
+    fn mgr(n: usize) -> ProviderManager {
+        ProviderManager::new(n, CostModel::zero(), Arc::new(FaultInjector::default()))
+    }
+
+    fn mgr_with_faults(n: usize) -> (ProviderManager, Arc<FaultInjector>) {
+        let faults = Arc::new(FaultInjector::default());
+        let m = ProviderManager::new(n, CostModel::zero(), Arc::clone(&faults));
+        (m, faults)
+    }
+
+    /// Puts one chunk through a batch of one.
+    fn put_one(
+        m: &ProviderManager,
+        p: &Participant,
+        chunk: u64,
+        data: Vec<u8>,
+        replicas: usize,
+        min_ok: usize,
+    ) -> Result<Vec<ProviderId>> {
+        let items = [(ChunkId::new(chunk), Bytes::from(data))];
+        m.put_batch_replicated(p, &items, replicas, min_ok)
+            .pop()
+            .expect("one outcome per chunk")
+    }
+
+    /// Reads `[0, len)` of one chunk through a batch of one.
+    fn get_one(
+        m: &ProviderManager,
+        p: &Participant,
+        chunk: u64,
+        homes: &[ProviderId],
+        len: u64,
+    ) -> Result<Bytes> {
+        let request = GetRequest {
+            chunk: ChunkId::new(chunk),
+            homes: homes.to_vec(),
+            range: ByteRange::new(0, len),
+        };
+        m.get_batch_with_failover(p, &[request])
+            .pop()
+            .expect("one outcome per request")
     }
 
     #[test]
     fn round_robin_rotates() {
-        let m = mgr(4, AllocationStrategy::RoundRobin);
-        let homes: Vec<u64> = (0..8).map(|_| m.allocate_one().raw()).collect();
+        let m = mgr(4);
+        let items: Vec<(ChunkId, Bytes)> = (0..8)
+            .map(|i| (ChunkId::new(i), Bytes::from(vec![0u8; 4])))
+            .collect();
+        let (res, _) = run_actors(1, |_, p| m.put_batch_replicated(p, &items, 1, 1));
+        let homes: Vec<u64> = res[0]
+            .iter()
+            .map(|o| o.as_ref().unwrap()[0].raw())
+            .collect();
         assert_eq!(homes, vec![0, 1, 2, 3, 0, 1, 2, 3]);
     }
 
     #[test]
-    fn least_loaded_prefers_empty() {
-        let m = mgr(3, AllocationStrategy::LeastLoaded);
-        let (_, _) = run_actors(1, |_, p| {
-            // Load provider 0 with data.
-            m.provider(ProviderId::new(0))
-                .unwrap()
-                .put_chunk(p, ChunkId::new(100), Bytes::from(vec![0; 100]))
-                .unwrap();
-        });
-        let home = m.allocate_one();
-        assert_ne!(home, ProviderId::new(0));
-    }
-
-    #[test]
-    fn random_is_deterministic_and_in_range() {
-        let a = mgr(5, AllocationStrategy::Random);
-        let b = mgr(5, AllocationStrategy::Random);
-        let ha: Vec<u64> = (0..16).map(|_| a.allocate_one().raw()).collect();
-        let hb: Vec<u64> = (0..16).map(|_| b.allocate_one().raw()).collect();
-        assert_eq!(ha, hb, "same seed, same placement");
-        assert!(ha.iter().all(|&h| h < 5));
-    }
-
-    #[test]
     fn replicas_are_distinct() {
-        let m = mgr(4, AllocationStrategy::RoundRobin);
-        let homes = m.allocate_replicas(3);
+        let m = mgr(4);
+        let (res, _) = run_actors(1, |_, p| put_one(&m, p, 1, vec![0; 4], 3, 3));
+        let homes = res[0].clone().unwrap();
         assert_eq!(homes.len(), 3);
         let mut dedup = homes.clone();
         dedup.sort();
@@ -604,80 +497,47 @@ mod tests {
 
     #[test]
     fn replication_clamps_to_fleet_size() {
-        let m = mgr(2, AllocationStrategy::RoundRobin);
-        assert_eq!(m.allocate_replicas(5).len(), 2);
-        assert_eq!(m.allocate_replicas(0).len(), 1);
-    }
-
-    #[test]
-    fn put_replicated_places_copies() {
-        let m = mgr(3, AllocationStrategy::RoundRobin);
+        let m = mgr(2);
         let (res, _) = run_actors(1, |_, p| {
-            m.put_replicated(p, ChunkId::new(1), &Bytes::from(vec![7; 16]), 2, 2)
+            [
+                put_one(&m, p, 1, vec![0; 4], 5, 1),
+                put_one(&m, p, 2, vec![0; 4], 0, 1),
+            ]
         });
-        let homes = res[0].clone().unwrap();
-        assert_eq!(homes.len(), 2);
-        for h in &homes {
-            assert!(m.provider(*h).unwrap().has_chunk(ChunkId::new(1)));
-        }
+        let [five, zero] = &res[0];
+        assert_eq!(five.as_ref().unwrap().len(), 2);
+        assert_eq!(zero.as_ref().unwrap().len(), 1);
     }
 
     #[test]
     fn replicated_read_fails_over() {
-        let faults = Arc::new(FaultInjector::default());
-        let m = ProviderManager::new(
-            3,
-            CostModel::zero(),
-            AllocationStrategy::RoundRobin,
-            Arc::clone(&faults),
-            1,
-        );
+        let (m, faults) = mgr_with_faults(3);
         let (res, _) = run_actors(1, |_, p| {
-            let homes = m
-                .put_replicated(p, ChunkId::new(1), &Bytes::from(vec![9; 8]), 2, 2)
-                .unwrap();
+            let homes = put_one(&m, p, 1, vec![9; 8], 2, 2).unwrap();
             // Kill the primary; the read must come from the secondary.
             faults.fail_provider(homes[0]);
-            m.get_with_failover(p, ChunkId::new(1), &homes, ByteRange::new(0, 8))
+            get_one(&m, p, 1, &homes, 8)
         });
         assert_eq!(res[0].as_ref().unwrap().as_ref(), &[9u8; 8]);
     }
 
     #[test]
     fn unreplicated_read_fails_when_home_dies() {
-        let faults = Arc::new(FaultInjector::default());
-        let m = ProviderManager::new(
-            2,
-            CostModel::zero(),
-            AllocationStrategy::RoundRobin,
-            Arc::clone(&faults),
-            1,
-        );
+        let (m, faults) = mgr_with_faults(2);
         let (res, _) = run_actors(1, |_, p| {
-            let homes = m
-                .put_replicated(p, ChunkId::new(1), &Bytes::from(vec![9; 8]), 1, 1)
-                .unwrap();
+            let homes = put_one(&m, p, 1, vec![9; 8], 1, 1).unwrap();
             faults.fail_provider(homes[0]);
-            m.get_with_failover(p, ChunkId::new(1), &homes, ByteRange::new(0, 8))
+            get_one(&m, p, 1, &homes, 8)
         });
         assert!(matches!(res[0], Err(Error::ProviderFailed(_))));
     }
 
     #[test]
     fn insufficient_replicas_detected() {
-        let faults = Arc::new(FaultInjector::default());
-        let m = ProviderManager::new(
-            2,
-            CostModel::zero(),
-            AllocationStrategy::RoundRobin,
-            Arc::clone(&faults),
-            1,
-        );
+        let (m, faults) = mgr_with_faults(2);
         faults.fail_provider(ProviderId::new(0));
         faults.fail_provider(ProviderId::new(1));
-        let (res, _) = run_actors(1, |_, p| {
-            m.put_replicated(p, ChunkId::new(1), &Bytes::from(vec![1]), 2, 1)
-        });
+        let (res, _) = run_actors(1, |_, p| put_one(&m, p, 1, vec![1], 2, 1));
         assert_eq!(
             res[0],
             Err(Error::InsufficientReplicas {
@@ -688,31 +548,20 @@ mod tests {
     }
 
     #[test]
-    fn put_replicated_succeeds_without_primary_when_quorum_met() {
+    fn a_chunk_meets_quorum_without_its_primary() {
         // Pins the documented quorum rule: the primary is not special. A
         // dead primary with a live secondary still satisfies min_ok = 1.
-        let faults = Arc::new(FaultInjector::default());
-        let m = ProviderManager::new(
-            2,
-            CostModel::zero(),
-            AllocationStrategy::RoundRobin,
-            Arc::clone(&faults),
-            1,
-        );
-        // RoundRobin allocates provider 0 as the first primary.
+        let (m, faults) = mgr_with_faults(2);
+        // Round-robin allocates provider 0 as the first primary.
         faults.fail_provider(ProviderId::new(0));
-        let (res, _) = run_actors(1, |_, p| {
-            m.put_replicated(p, ChunkId::new(1), &Bytes::from(vec![3; 4]), 2, 1)
-        });
+        let (res, _) = run_actors(1, |_, p| put_one(&m, p, 1, vec![3; 4], 2, 1));
         assert_eq!(res[0], Ok(vec![ProviderId::new(1)]));
         assert!(m
             .provider(ProviderId::new(1))
             .unwrap()
             .has_chunk(ChunkId::new(1)));
         // The same write under min_ok = 2 is under quorum.
-        let (res, _) = run_actors(1, |_, p| {
-            m.put_replicated(p, ChunkId::new(2), &Bytes::from(vec![3; 4]), 2, 2)
-        });
+        let (res, _) = run_actors(1, |_, p| put_one(&m, p, 2, vec![3; 4], 2, 2));
         assert_eq!(
             res[0],
             Err(Error::InsufficientReplicas {
@@ -724,7 +573,7 @@ mod tests {
 
     #[test]
     fn batch_put_places_and_reports_per_chunk() {
-        let m = mgr(4, AllocationStrategy::RoundRobin);
+        let m = mgr(4);
         let items: Vec<(ChunkId, Bytes)> = (0..8)
             .map(|i| (ChunkId::new(i), Bytes::from(vec![i as u8; 16])))
             .collect();
@@ -742,14 +591,7 @@ mod tests {
 
     #[test]
     fn batch_put_quorum_failures_are_per_chunk() {
-        let faults = Arc::new(FaultInjector::default());
-        let m = ProviderManager::new(
-            2,
-            CostModel::zero(),
-            AllocationStrategy::RoundRobin,
-            Arc::clone(&faults),
-            1,
-        );
+        let (m, faults) = mgr_with_faults(2);
         // Provider 1 down: chunks whose only home is 1 fail, others land.
         faults.fail_provider(ProviderId::new(1));
         let items: Vec<(ChunkId, Bytes)> = (0..4)
@@ -757,7 +599,7 @@ mod tests {
             .collect();
         let (res, _) = run_actors(1, |_, p| m.put_batch_replicated(p, &items, 1, 1));
         let outcomes = &res[0];
-        // RoundRobin: chunks 0 and 2 land on provider 0; 1 and 3 on 1.
+        // Round-robin: chunks 0 and 2 land on provider 0; 1 and 3 on 1.
         assert_eq!(outcomes[0], Ok(vec![ProviderId::new(0)]));
         assert!(matches!(
             outcomes[1],
@@ -772,14 +614,7 @@ mod tests {
 
     #[test]
     fn batch_get_fails_over_per_request() {
-        let faults = Arc::new(FaultInjector::default());
-        let m = ProviderManager::new(
-            3,
-            CostModel::zero(),
-            AllocationStrategy::RoundRobin,
-            Arc::clone(&faults),
-            1,
-        );
+        let (m, faults) = mgr_with_faults(3);
         let (res, _) = run_actors(1, |_, p| {
             let items: Vec<(ChunkId, Bytes)> = (0..3)
                 .map(|i| (ChunkId::new(i), Bytes::from(vec![i as u8 + 1; 8])))
@@ -813,34 +648,12 @@ mod tests {
         // Chunk 3's primary is the last provider and its replica wraps
         // to provider 0: the outcome lists primary first (reads fail
         // over in that order), not fleet order.
-        let m = mgr(4, AllocationStrategy::RoundRobin);
+        let m = mgr(4);
         let items: Vec<(ChunkId, Bytes)> = (0..4)
             .map(|i| (ChunkId::new(i), Bytes::from(vec![0u8; 8])))
             .collect();
         let (res, _) = run_actors(1, |_, p| m.put_batch_replicated(p, &items, 2, 2));
         assert_eq!(res[0][3], Ok(vec![ProviderId::new(3), ProviderId::new(0)]));
-    }
-
-    #[test]
-    fn least_loaded_plans_a_batch_like_single_puts() {
-        // All homes of a batch are chosen before any byte lands; the
-        // plan must still count what it has already assigned.
-        let sizes = [900usize, 100, 500, 300, 700, 200, 400];
-        let single = mgr(3, AllocationStrategy::LeastLoaded);
-        let batched = mgr(3, AllocationStrategy::LeastLoaded);
-        let items: Vec<(ChunkId, Bytes)> = sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &len)| (ChunkId::new(i as u64), Bytes::from(vec![0u8; len])))
-            .collect();
-        let (one_by_one, _) = run_actors(1, |_, p| {
-            items
-                .iter()
-                .map(|(chunk, data)| single.put_replicated(p, *chunk, data, 2, 2))
-                .collect::<Vec<_>>()
-        });
-        let (in_one_batch, _) = run_actors(1, |_, p| batched.put_batch_replicated(p, &items, 2, 2));
-        assert_eq!(one_by_one[0], in_one_batch[0]);
     }
 
     /// Forwards to a [`DataProvider`], counting the batch calls.
@@ -960,82 +773,43 @@ mod tests {
     #[test]
     fn batch_put_timing_is_pipelined() {
         // One client, 8 chunks striped over 8 providers, grid5000 costs.
-        // Serial: 8 * (rpc + net + disk). Pipelined: injections serialize
-        // on the client NIC while disks drain in parallel, so the batch
-        // finishes at rpc + 8*net + disk exactly (no provider queues).
+        // One at a time would cost 8 * (rpc + net + disk). Pipelined:
+        // injections serialize on the client NIC while disks drain in
+        // parallel, so the batch finishes at rpc + 8*net + disk exactly
+        // (no provider queues).
         let cost = CostModel::grid5000();
         const LEN: u64 = 64 * 1024;
-        let m = Arc::new(ProviderManager::new(
-            8,
-            cost,
-            AllocationStrategy::RoundRobin,
-            Arc::new(FaultInjector::default()),
-            7,
-        ));
+        let m = ProviderManager::new(8, cost, Arc::new(FaultInjector::default()));
         let items: Vec<(ChunkId, Bytes)> = (0..8)
             .map(|i| (ChunkId::new(i), Bytes::from(vec![0u8; LEN as usize])))
             .collect();
-        let mc = Arc::clone(&m);
-        let (_, total) = run_actors(1, move |_, p| {
-            let outcomes = mc.put_batch_replicated(p, &items, 1, 1);
+        let (_, total) = run_actors(1, |_, p| {
+            let outcomes = m.put_batch_replicated(p, &items, 1, 1);
             assert!(outcomes.iter().all(|o| o.is_ok()));
         });
         let expected = cost.rpc_round_trip() + cost.net_transfer(LEN) * 8 + cost.disk_transfer(LEN);
         assert_eq!(total, expected);
-        let serial = (cost.rpc_round_trip() + cost.net_transfer(LEN) + cost.disk_transfer(LEN)) * 8;
+        let one_at_a_time =
+            (cost.rpc_round_trip() + cost.net_transfer(LEN) + cost.disk_transfer(LEN)) * 8;
         assert!(
-            total.as_secs_f64() * 2.0 < serial.as_secs_f64(),
-            "pipelined {total:?} not ahead of serial {serial:?}"
+            total.as_secs_f64() * 2.0 < one_at_a_time.as_secs_f64(),
+            "pipelined {total:?} not ahead of one at a time {one_at_a_time:?}"
         );
     }
 
     #[test]
-    fn batch_of_one_matches_serial_timing() {
+    fn a_batch_of_one_costs_one_round_trip_transfer_and_disk_each_way() {
+        // Nothing overlaps in a batch of one: the put pays rpc + net +
+        // disk, and the read of it back the same again.
         let cost = CostModel::grid5000();
         const LEN: u64 = 64 * 1024;
-        let serial = Arc::new(ProviderManager::new(
-            4,
-            cost,
-            AllocationStrategy::RoundRobin,
-            Arc::new(FaultInjector::default()),
-            7,
-        ));
-        let sm = Arc::clone(&serial);
-        let (_, t_serial) = run_actors(1, move |_, p| {
-            let homes = sm
-                .put_replicated(
-                    p,
-                    ChunkId::new(0),
-                    &Bytes::from(vec![0u8; LEN as usize]),
-                    1,
-                    1,
-                )
-                .unwrap();
-            sm.get_with_failover(p, ChunkId::new(0), &homes, ByteRange::new(0, LEN))
-                .unwrap();
+        let m = ProviderManager::new(4, cost, Arc::new(FaultInjector::default()));
+        let (_, total) = run_actors(1, |_, p| {
+            let homes = put_one(&m, p, 0, vec![0u8; LEN as usize], 1, 1).unwrap();
+            get_one(&m, p, 0, &homes, LEN).unwrap();
         });
-        let batched = Arc::new(ProviderManager::new(
-            4,
-            cost,
-            AllocationStrategy::RoundRobin,
-            Arc::new(FaultInjector::default()),
-            7,
-        ));
-        let bm = Arc::clone(&batched);
-        let (_, t_batched) = run_actors(1, move |_, p| {
-            let items = vec![(ChunkId::new(0), Bytes::from(vec![0u8; LEN as usize]))];
-            let homes = bm.put_batch_replicated(p, &items, 1, 1)[0].clone().unwrap();
-            let requests = vec![GetRequest {
-                chunk: ChunkId::new(0),
-                homes,
-                range: ByteRange::new(0, LEN),
-            }];
-            bm.get_batch_with_failover(p, &requests)[0].clone().unwrap();
-        });
-        assert_eq!(
-            t_serial, t_batched,
-            "a batch of one must cost the serial price"
-        );
+        let one_way = cost.rpc_round_trip() + cost.net_transfer(LEN) + cost.disk_transfer(LEN);
+        assert_eq!(total, one_way * 2);
     }
 
     #[test]
@@ -1047,12 +821,8 @@ mod tests {
             ..CostModel::grid5000()
         };
         let fast = CostModel::grid5000();
-        let m = ProviderManager::heterogeneous(
-            vec![slow, fast],
-            AllocationStrategy::RoundRobin,
-            Arc::new(FaultInjector::default()),
-            1,
-        );
+        let m =
+            ProviderManager::heterogeneous(vec![slow, fast], Arc::new(FaultInjector::default()));
         let durations: Vec<Duration> = atomio_simgrid::clock::run_actors(1, |_, p| {
             let mut out = Vec::new();
             for i in 0..2u64 {
@@ -1083,23 +853,9 @@ mod tests {
         // total times must be close to 8.
         let cost = CostModel::grid5000();
         let time_for = |nprov: usize| {
-            let m = Arc::new(ProviderManager::new(
-                nprov,
-                cost,
-                AllocationStrategy::RoundRobin,
-                Arc::new(FaultInjector::default()),
-                7,
-            ));
-            let mc = Arc::clone(&m);
-            let (_, total) = run_actors(8, move |i, p| {
-                mc.put_replicated(
-                    p,
-                    ChunkId::new(i as u64),
-                    &Bytes::from(vec![0u8; 1 << 20]),
-                    1,
-                    1,
-                )
-                .unwrap();
+            let m = ProviderManager::new(nprov, cost, Arc::new(FaultInjector::default()));
+            let (_, total) = run_actors(8, |i, p| {
+                put_one(&m, p, i as u64, vec![0u8; 1 << 20], 1, 1).unwrap();
             });
             total
         };

@@ -132,7 +132,7 @@ pub trait ChunkStore: Send + Sync + std::fmt::Debug {
     /// Number of chunks held.
     fn chunk_count(&self) -> usize;
 
-    /// Total payload bytes held (drives the `LeastLoaded` strategy).
+    /// Total payload bytes held.
     fn bytes_stored(&self) -> u64;
 
     /// Deletes a chunk (version garbage collection), returning the

@@ -17,7 +17,7 @@ runs=(
     "exp4_regions_sweep|e4"
     "exp5_overlap_sweep|e5"
     "exp6_read_scalability|e6a e6b"
-    "exp7_ablation|e7a e7c"
+    "exp7_ablation|e7a"
     "exp8_producer_consumer|e8"
     "exp9_two_phase|e9"
     "exp10_gc|e10"

@@ -195,3 +195,45 @@ fn end_to_end_scrub_heals_bit_rot() {
         assert_eq!(s.scrub_and_repair(p).unwrap(), (0, 0));
     });
 }
+
+#[test]
+fn scrub_after_gc_repairs_a_retained_chunk() {
+    use atomio::core::collect_below;
+    use atomio::types::{ChunkId, VersionId};
+    let s = Store::new(
+        StoreConfig::default()
+            .with_zero_cost()
+            .with_chunk_size(1024)
+            .with_data_providers(4)
+            .with_replication(2, 2)
+            .with_meta_cache(0),
+    );
+    let blob = s.create_blob();
+    let clock = SimClock::new();
+    run_actors_on(&clock, 1, |_, p| {
+        // Two whole overwrites: collecting below v2 evicts every node
+        // and chunk of v1, so v1's tree is gone from the store.
+        blob.write(p, 0, Bytes::from(vec![0x11u8; 4096])).unwrap();
+        blob.write(p, 0, Bytes::from(vec![0x22u8; 4096])).unwrap();
+        let report = collect_below(p, &blob, VersionId::new(2)).unwrap();
+        assert_eq!(report.versions_retired, 1);
+        assert_eq!(report.bytes_reclaimed, 2 * 4096);
+        // Rot one replica of a chunk v2 still holds.
+        let victim = s
+            .providers()
+            .providers()
+            .iter()
+            .find(|pr| pr.chunk_count() > 0)
+            .expect("v2's data is stored");
+        let chunk = (0..64)
+            .map(ChunkId::new)
+            .find(|&c| victim.has_chunk(c))
+            .expect("probed a chunk id");
+        victim.corrupt_chunk(chunk, 3);
+        // The retired v1 maps nothing; v2 maps the rotten chunk to its
+        // healthy replica.
+        assert_eq!(s.scrub_and_repair(p).unwrap(), (1, 1));
+        assert_eq!(blob.read(p, 0, 4096).unwrap(), vec![0x22u8; 4096]);
+        assert_eq!(s.scrub_and_repair(p).unwrap(), (0, 0));
+    });
+}

@@ -24,6 +24,8 @@
 //! trip, walked on the metadata server: a resolve that reaches a
 //! collected node fails typed there too, and a lease that lapses between
 //! a read's renewal and its resolve still surfaces as `LeaseExpired`.
+//! A collector walks trees on the client, one `MetaGetBatch` per tree
+//! level and walk.
 
 use atomio::core::{GcCoordinator, ReadVersion, Store, StoreConfig, TransportMode};
 use atomio::provider::{chunk_store_for, ChunkStore, ProviderManager};
@@ -72,13 +74,15 @@ fn hosted_store(i: usize, backend: &BackendConfig) -> Arc<dyn ChunkStore> {
 
 type Hook = Box<dyn FnOnce() + Send>;
 
-/// The metadata transport, counting `MetaResolve` calls, with a hook a
-/// test can arm to run once just before the next one leaves: the moment
-/// between a read's lease renewal and its tree walk.
+/// The metadata transport, counting `MetaResolve` and `MetaGetBatch`
+/// calls, with a hook a test can arm to run once just before the next
+/// `MetaResolve` leaves: the moment between a read's lease renewal and
+/// its tree walk.
 struct BeforeResolve {
     inner: Arc<dyn Transport>,
     hook: Mutex<Option<Hook>>,
     resolves: AtomicU64,
+    get_batches: AtomicU64,
 }
 
 impl std::fmt::Debug for BeforeResolve {
@@ -95,10 +99,17 @@ impl BeforeResolve {
     fn resolves(&self) -> u64 {
         self.resolves.load(Ordering::SeqCst)
     }
+
+    fn get_batches(&self) -> u64 {
+        self.get_batches.load(Ordering::SeqCst)
+    }
 }
 
 impl Transport for BeforeResolve {
     fn call(&self, request: &Request, payload: &[u8]) -> atomio::types::Result<(Response, Bytes)> {
+        if let Request::MetaGetBatch { .. } = request {
+            self.get_batches.fetch_add(1, Ordering::SeqCst);
+        }
         if let Request::MetaResolve { .. } = request {
             self.resolves.fetch_add(1, Ordering::SeqCst);
             // Taken before it runs: the hook's own calls pass straight on.
@@ -191,6 +202,7 @@ fn three_service_store(providers: usize, backend_of: BackendConfig) -> Deploymen
         inner: meta_transport,
         hook: Mutex::new(None),
         resolves: AtomicU64::new(0),
+        get_batches: AtomicU64::new(0),
     });
     let remote_meta = Arc::new(RemoteMetaStore::new(Arc::clone(&meta) as Arc<dyn Transport>));
     let store =
@@ -434,6 +446,49 @@ fn a_resolve_that_reaches_a_collected_node_fails_typed_over_tcp() {
         assert!(pieces.iter().all(|piece| piece.source.is_some()));
         let covered: u64 = pieces.iter().map(|piece| piece.file_range.len).sum();
         assert_eq!(covered, 2 * CHUNK);
+    });
+}
+
+#[test]
+fn a_gc_run_fetches_each_tree_level_in_one_round_trip_over_tcp() {
+    let d = three_service_store(2, BackendConfig::Memory);
+    let blob = d.store.create_blob();
+    let blob_ref = &blob;
+    let whole = 4 * CHUNK;
+    run_actors_on(&SimClock::new(), 1, |_, p| {
+        // Six whole overwrites of four leaves: each tree is a root, two
+        // inner nodes and four leaves — three levels, no backlinks.
+        const LEVELS: u64 = 3;
+        for fill in 0x51u8..0x57 {
+            blob_ref
+                .write(p, 0, Bytes::from(vec![fill; whole as usize]))
+                .unwrap();
+        }
+        let before = d.meta.get_batches();
+        let merged = GcCoordinator::new(blob_ref.clone())
+            .run_to_floor(p)
+            .unwrap();
+        let calls = d.meta.get_batches() - before;
+        let retired = merged.report.versions_retired;
+        assert_eq!(retired, 4, "KeepLast(2) retires v1..v4");
+        assert_eq!(merged.report.nodes_evicted, 4 * 7);
+        assert_eq!(merged.report.bytes_reclaimed, 4 * whole);
+        // One walk marks the retained pair and one walk sweeps each
+        // retired version, each a `MetaGetBatch` per level.
+        assert!(
+            calls <= LEVELS * (1 + retired),
+            "{calls} MetaGetBatch calls to collect {retired} versions"
+        );
+        for v in [5u64, 6] {
+            let got = blob_ref
+                .read_at(
+                    p,
+                    VersionId::new(v),
+                    &ExtentList::single(ByteRange::new(0, whole)),
+                )
+                .unwrap();
+            assert_eq!(got, vec![0x50 + v as u8; whole as usize]);
+        }
     });
 }
 

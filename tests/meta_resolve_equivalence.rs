@@ -10,7 +10,7 @@
 
 use atomio::core::{ReadVersion, Store, StoreConfig};
 use atomio::meta::{Node, NodeBody, NodeKey, NodeStore, ResolvedPiece};
-use atomio::provider::{AllocationStrategy, ProviderManager};
+use atomio::provider::ProviderManager;
 use atomio::rpc::{
     counters, dial, Loopback, MetaService, RemoteMetaStore, RpcConfig, RpcMode, RpcServer,
     Transport,
@@ -112,16 +112,11 @@ impl Deployment {
             .with_chunk_size(CHUNK)
             .with_data_providers(4)
             .with_seed(0x3E7A);
-        let providers = Arc::new(
-            ProviderManager::with_backend(
-                &BackendConfig::Memory,
-                vec![CostModel::zero(); 4],
-                AllocationStrategy::RoundRobin,
-                Arc::new(FaultInjector::new(0)),
-                config.seed,
-            )
-            .expect("open providers"),
-        );
+        let providers = Arc::new(ProviderManager::new(
+            4,
+            CostModel::zero(),
+            Arc::new(FaultInjector::new(0)),
+        ));
         let meta = Arc::new(RemoteMetaStore::new(transport));
         Deployment {
             store: Store::with_substrates(config, providers, Arc::clone(&meta) as _),
