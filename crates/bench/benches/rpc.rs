@@ -12,7 +12,7 @@
 //! share a CPU; pin the run (`taskset -c 0 cargo bench -p atomio-bench
 //! --bench rpc`) to price them the way the wall-clock benchmark does.
 
-use atomio_rpc::{MuxTransport, ProviderService, Request, RpcConfig, RpcServer, Transport};
+use atomio_rpc::{MuxTransport, ProviderService, Request, RpcServer, Transport};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -22,13 +22,7 @@ fn ping(c: &mut Criterion) {
     for callers in [1usize, 2] {
         let mut server =
             RpcServer::start("127.0.0.1:0", Arc::new(ProviderService::new(1))).unwrap();
-        let transport = MuxTransport::with_config(
-            server.local_addr(),
-            RpcConfig {
-                pool_conns: 1,
-                ..RpcConfig::default()
-            },
-        );
+        let transport = MuxTransport::new(server.local_addr());
         let ping = || transport.call(&Request::Ping, &[]).unwrap();
         let done = AtomicBool::new(false);
         std::thread::scope(|s| {

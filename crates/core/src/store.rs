@@ -83,14 +83,14 @@ impl Store {
         );
         // Metadata and data traffic of one client contend for the same
         // simulated NIC: the meta store books on the provider registry.
-        let meta: Arc<dyn NodeStore> = atomio_meta::node_store_for(
+        let meta = atomio_meta::node_store_for(
             &config.backend,
             config.meta_shards,
             config.cost,
             Arc::clone(providers.client_nic_registry()),
         )
         .expect("open metadata backend");
-        Self::with_substrates(config, providers, meta)
+        Self::with_substrates(config, providers, Arc::new(meta))
     }
 
     /// Assembles a store over caller-built substrates — the seam the

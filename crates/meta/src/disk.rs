@@ -1,9 +1,7 @@
-//! The durable metadata store: a [`MetaStore`] with per-shard node logs.
+//! The durable half of [`MetaStore`]: per-shard node logs.
 //!
-//! `DiskNodeStore` wraps the in-memory [`MetaStore`] — which keeps doing
-//! all virtual-time cost booking and serving every read, so lookup
-//! latency is backend-invariant — and mirrors each accepted node into a
-//! [`RecordLog`] on disk:
+//! [`MetaStore::open`] gives each shard its own [`RecordLog`], next to
+//! its node table and under its write lock (see [`crate::store`]):
 //!
 //! ```text
 //! <dir>/superblock            format version, shard count, role tag
@@ -11,25 +9,25 @@
 //! <dir>/shards/001/000.log    …
 //! ```
 //!
-//! A node's log file is chosen by the **same hash** that picks its
-//! in-memory shard, so every record affecting one key lands in one file
-//! in operation order; a batch frames everything bound for one shard
-//! into one buffer and appends it once. A NODE body is the positional
+//! A node's log is its shard's, chosen by the same hash, so every
+//! record affecting one key lands in one file in operation order. A put
+//! frames the batch's new nodes bound for one shard into one buffer and
+//! appends it once, before any of them is inserted; an evict appends its
+//! tombstones before it removes anything. A NODE body is the positional
 //! encoding of the [`Node`], an EVICT body that of its [`NodeKey`] — the
-//! bytes the wire carries them in. Nodes are immutable (idempotent
-//! re-puts are filtered by a logged-key set, conflicts never reach the
-//! log), so recovery is a pure replay: feed surviving `NODE` records
-//! back through [`MetaStore::put_batch_local`] and apply `EVICT`s in
-//! order.
+//! bytes the wire carries them in. Nodes are immutable and what is new
+//! is read off the shard's table (idempotent re-puts and conflicts never
+//! reach the log), so recovery is a pure replay: surviving `NODE`
+//! records go back through [`MetaStore::put_batch_local`] and `EVICT`s
+//! are applied in order, all before any shard has its log, so replay
+//! appends nothing.
 
 use crate::node::{Node, NodeKey};
-use crate::store::{LocalNodeStore, MetaStore, NodeStore};
-use atomio_simgrid::{ClientNics, CostModel, Participant};
+use crate::store::{MetaStore, NodeStore};
+use atomio_simgrid::{ClientNics, CostModel};
 use atomio_types::record::{encode_record, load_or_init_superblock, scan_records, RecordLog};
 use atomio_types::{Error, FsyncPolicy, Result};
-use parking_lot::Mutex;
 use serde::{decode_exact, Encode};
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -42,21 +40,15 @@ const REC_EVICT: u8 = 2;
 /// count is carried in the superblock's slot-count field.
 const META_TAG: u64 = 0x6D65_7461; // "meta"
 
-/// A [`MetaStore`] whose accepted nodes survive crashes: every put is
-/// mirrored into a per-shard append-only log and replayed on reopen.
-#[derive(Debug)]
-pub struct DiskNodeStore {
-    inner: MetaStore,
-    logs: Vec<Mutex<RecordLog>>,
-    /// Keys already in the log — idempotent re-puts of an immutable node
-    /// must not append a second record.
-    logged: Mutex<HashSet<NodeKey>>,
-}
+/// The durable metadata store is a [`MetaStore`] opened over a
+/// directory; the name stays only because the frozen benchmark sources
+/// (`wallbench/src/probes.rs`) call `DiskNodeStore::open`.
+pub type DiskNodeStore = MetaStore;
 
 /// Replays one shard log into `store`, returning the length of its
 /// whole-record prefix. Fails only on a whole, checksum-valid record it
 /// cannot read or apply.
-fn replay_shard(bytes: &[u8], store: &MetaStore, logged: &mut HashSet<NodeKey>) -> Result<u64> {
+fn replay_shard(bytes: &[u8], store: &MetaStore) -> Result<u64> {
     let malformed = |what: &str| Error::Internal(format!("meta store: {what}"));
     let scan = scan_records(bytes);
     for rec in &scan.records {
@@ -64,18 +56,15 @@ fn replay_shard(bytes: &[u8], store: &MetaStore, logged: &mut HashSet<NodeKey>) 
             REC_NODE => {
                 let node: Node = decode_exact(&rec.body)
                     .map_err(|e| malformed(&format!("malformed node record: {e}")))?;
-                let key = node.key;
                 store
                     .put_batch_local(vec![node])
                     .pop()
                     .expect("one outcome per node")?;
-                logged.insert(key);
             }
             REC_EVICT => {
                 let key: NodeKey = decode_exact(&rec.body)
                     .map_err(|e| malformed(&format!("malformed evict record: {e}")))?;
                 store.evict(key);
-                logged.remove(&key);
             }
             other => return Err(malformed(&format!("unknown record kind {other}"))),
         }
@@ -83,7 +72,38 @@ fn replay_shard(bytes: &[u8], store: &MetaStore, logged: &mut HashSet<NodeKey>) 
     Ok(scan.valid_len)
 }
 
-impl DiskNodeStore {
+/// Frames one `kind` record per body into one buffer and appends it to
+/// `log`: one write, and at most one sync, however many records. Appends
+/// nothing when there are none.
+fn append_records<'a, T: Encode + 'a>(
+    log: &mut RecordLog,
+    kind: u8,
+    bodies: impl IntoIterator<Item = &'a T>,
+) -> Result<()> {
+    let mut buffer = Vec::new();
+    for body in bodies {
+        encode_record(&mut buffer, kind, body);
+    }
+    if !buffer.is_empty() {
+        log.append(&buffer)?;
+    }
+    Ok(())
+}
+
+/// Logs a put's new nodes for one shard.
+pub(crate) fn log_nodes<'a>(
+    log: &mut RecordLog,
+    nodes: impl IntoIterator<Item = &'a Node>,
+) -> Result<()> {
+    append_records(log, REC_NODE, nodes)
+}
+
+/// Logs an evict's tombstones for one shard.
+pub(crate) fn log_evictions(log: &mut RecordLog, keys: &[NodeKey]) -> Result<()> {
+    append_records(log, REC_EVICT, keys)
+}
+
+impl MetaStore {
     /// Opens (creating or recovering) a durable store under `dir` with
     /// its own client-NIC registry.
     ///
@@ -102,7 +122,7 @@ impl DiskNodeStore {
     }
 
     /// [`Self::open`] booking client traffic on an existing NIC registry
-    /// (shared with the data path, as `MetaStore::with_client_nics`).
+    /// (shared with the data path, as [`Self::with_client_nics`]).
     pub fn open_with_client_nics(
         dir: impl Into<PathBuf>,
         shards: usize,
@@ -124,181 +144,39 @@ impl DiskNodeStore {
             )));
         }
 
-        let inner = MetaStore::with_client_nics(shards, cost, nics);
-        let mut logged = HashSet::new();
-        let mut logs = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let log = RecordLog::open(meta_log_path(&dir, s), fsync, |bytes| {
-                replay_shard(bytes, &inner, &mut logged)
-            })?;
-            logs.push(Mutex::new(log));
+        let mut store = MetaStore::with_client_nics(shards, cost, nics);
+        let logs = (0..shards)
+            .map(|s| RecordLog::open(meta_log_path(&dir, s), fsync, |b| replay_shard(b, &store)))
+            .collect::<Result<Vec<_>>>()?;
+        for (shard, log) in store.shards.iter_mut().zip(logs) {
+            *shard.log.get_mut() = Some(log);
         }
-        Ok(DiskNodeStore {
-            inner,
-            logs,
-            logged: Mutex::new(logged),
-        })
-    }
-
-    /// The wrapped in-memory store (cost model, shard loads, NICs).
-    pub fn inner(&self) -> &MetaStore {
-        &self.inner
-    }
-
-    /// The per-client NIC registry this store books traffic on.
-    pub fn client_nics(&self) -> &Arc<ClientNics> {
-        self.inner.client_nics()
-    }
-
-    /// Frames one `kind` record per item of `bodies` — encoded straight
-    /// into the buffer of the shard `key` routes it to — and appends each
-    /// touched shard's buffer once, so a batch costs one write (and at
-    /// most one sync) per touched shard however many records it carries.
-    /// On failure returns the error with the keys whose shard's append
-    /// failed.
-    fn append_per_shard<T: Encode>(
-        &self,
-        kind: u8,
-        bodies: &[T],
-        key: impl Fn(&T) -> NodeKey,
-    ) -> std::result::Result<(), (Error, Vec<NodeKey>)> {
-        let mut buffers: Vec<(Vec<u8>, Vec<NodeKey>)> = vec![Default::default(); self.logs.len()];
-        for body in bodies {
-            let key = key(body);
-            let (buffer, keys) = &mut buffers[self.inner.shard_index(key)];
-            encode_record(buffer, kind, body);
-            keys.push(key);
-        }
-        let mut failed: Option<(Error, Vec<NodeKey>)> = None;
-        for (log, (buffer, keys)) in self.logs.iter().zip(buffers) {
-            if buffer.is_empty() {
-                continue;
-            }
-            if let Err(e) = log.lock().append(&buffer) {
-                failed.get_or_insert((e, Vec::new())).1.extend(keys);
-            }
-        }
-        failed.map_or(Ok(()), Err)
-    }
-
-    /// Runs a put through the in-memory store, then logs what it newly
-    /// accepted: only nodes that were accepted and not logged before are
-    /// encoded, read back from the store (nodes are immutable, so an
-    /// accepted node is exactly what the store holds). A log I/O failure
-    /// downgrades accepted slots to errors: a node that is not durable
-    /// was not stored.
-    fn put_and_log(
-        &self,
-        nodes: Vec<Node>,
-        put: impl FnOnce(&MetaStore, Vec<Node>) -> Vec<Result<()>>,
-    ) -> Vec<Result<()>> {
-        let keys: Vec<NodeKey> = nodes.iter().map(|n| n.key).collect();
-        let outcomes = put(&self.inner, nodes);
-        let mut logged = self.logged.lock();
-        let fresh: Vec<NodeKey> = keys
-            .into_iter()
-            .zip(&outcomes)
-            .filter(|(key, outcome)| outcome.is_ok() && logged.insert(*key))
-            .map(|(key, _)| key)
-            .collect();
-        let mut stored = Vec::with_capacity(fresh.len());
-        for (key, node) in fresh.iter().zip(self.inner.get_batch_local(&fresh)) {
-            match node {
-                Ok(node) => stored.push(node),
-                // Evicted between its put and this lock: nothing to log.
-                Err(_) => {
-                    logged.remove(key);
-                }
-            }
-        }
-        let Err((e, lost)) = self.append_per_shard(REC_NODE, &stored, |n| n.key) else {
-            return outcomes;
-        };
-        // The nodes are in RAM but not durable: forget they were logged
-        // so a retry re-appends, and surface the error.
-        for key in lost {
-            logged.remove(&key);
-        }
-        let msg = format!("node log write failed: {e}");
-        outcomes
-            .into_iter()
-            .map(|o| o.and_then(|()| Err(Error::Internal(msg.clone()))))
-            .collect()
+        Ok(store)
     }
 
     /// Forces every shard log's outstanding appends to stable storage
-    /// (graceful shutdown under `Group`/`Deferred` fsync policies).
+    /// (graceful shutdown under `Group`/`Deferred` fsync policies). A
+    /// store in memory has nothing to flush.
     pub fn flush(&self) -> Result<()> {
-        self.logs.iter().try_for_each(|log| log.lock().flush())
+        (self.shards.iter())
+            .try_for_each(|shard| shard.log.lock().as_mut().map_or(Ok(()), RecordLog::flush))
     }
 }
 
-impl NodeStore for DiskNodeStore {
-    fn put_batch(&self, p: &Participant, nodes: Vec<Node>) -> Vec<Result<()>> {
-        self.put_and_log(nodes, |inner, nodes| inner.put_batch(p, nodes))
-    }
-
-    fn get_batch(&self, p: &Participant, keys: &[NodeKey]) -> Vec<Result<Arc<Node>>> {
-        self.inner.get_batch(p, keys)
-    }
-
-    fn contains(&self, key: NodeKey) -> bool {
-        self.inner.contains(key)
-    }
-
-    fn evict_batch(&self, keys: &[NodeKey]) -> u64 {
-        let mut logged = self.logged.lock();
-        let mut present = HashSet::new();
-        let victims: Vec<NodeKey> = keys
-            .iter()
-            .copied()
-            .filter(|key| self.inner.contains(*key) && present.insert(*key))
-            .collect();
-        // An eviction that cannot reach disk must not drop the node from
-        // RAM — it would resurrect on replay.
-        if let Err((_, lost)) = self.append_per_shard(REC_EVICT, &victims, |key| *key) {
-            present.retain(|key| !lost.contains(key));
-        }
-        for key in &present {
-            logged.remove(key);
-            self.inner.evict(*key);
-        }
-        present.len() as u64
-    }
-
-    fn list_keys(&self) -> Vec<NodeKey> {
-        self.inner.list_keys()
-    }
-}
-
-impl LocalNodeStore for DiskNodeStore {
-    fn put_batch_local(&self, nodes: Vec<Node>) -> Vec<Result<()>> {
-        self.put_and_log(nodes, |inner, nodes| inner.put_batch_local(nodes))
-    }
-
-    fn get_batch_local(&self, keys: &[NodeKey]) -> Vec<Result<Arc<Node>>> {
-        self.inner.get_batch_local(keys)
-    }
-}
-
-/// Builds one node store for `backend`: the in-memory [`MetaStore`] for
-/// `Memory`, a recovered [`DiskNodeStore`] under `<dir>/meta` for
-/// `Disk`. Both come back behind the participant-free
-/// [`LocalNodeStore`] surface network services dispatch into.
+/// Builds the node store for `backend`: in memory for `Memory`, opened
+/// (and recovered) under `<dir>/meta` for `Disk`.
 pub fn node_store_for(
     backend: &atomio_types::BackendConfig,
     shards: usize,
     cost: CostModel,
     nics: Arc<ClientNics>,
-) -> Result<Arc<dyn LocalNodeStore>> {
-    Ok(match backend {
-        atomio_types::BackendConfig::Memory => {
-            Arc::new(MetaStore::with_client_nics(shards, cost, nics))
+) -> Result<MetaStore> {
+    match backend {
+        atomio_types::BackendConfig::Memory => Ok(MetaStore::with_client_nics(shards, cost, nics)),
+        atomio_types::BackendConfig::Disk { dir, fsync } => {
+            MetaStore::open_with_client_nics(dir.join("meta"), shards, cost, nics, *fsync)
         }
-        atomio_types::BackendConfig::Disk { dir, fsync } => Arc::new(
-            DiskNodeStore::open_with_client_nics(dir.join("meta"), shards, cost, nics, *fsync)?,
-        ),
-    })
+    }
 }
 
 /// Path of shard `shard`'s node log under a store rooted at `dir`
@@ -317,6 +195,7 @@ mod tests {
     use atomio_types::record::append_record;
     use atomio_types::tempdir::TempDir;
     use atomio_types::{BlobId, ByteRange, ChunkId, ProviderId, VersionId};
+    use std::collections::HashSet;
     use std::fs::OpenOptions;
     use std::io::Write;
 
@@ -355,9 +234,24 @@ mod tests {
         }
     }
 
+    /// The kinds of the records `key`'s shard log holds for `key`, in
+    /// log order.
+    fn records_of(dir: &Path, store: &MetaStore, key: NodeKey) -> Vec<u8> {
+        let bytes = std::fs::read(meta_log_path(dir, store.shard_index(key))).unwrap();
+        let scan = scan_records(&bytes);
+        (scan.records.iter())
+            .filter(|rec| match rec.kind {
+                REC_NODE => decode_exact::<Node>(&rec.body).unwrap().key == key,
+                _ => decode_exact::<NodeKey>(&rec.body).unwrap() == key,
+            })
+            .map(|rec| rec.kind)
+            .collect()
+    }
+
     #[test]
     fn reopen_recovers_nodes_and_evictions() {
         let tmp = TempDir::new("atomio-diskmeta");
+        let twice = leaf(7, 128);
         {
             let store =
                 DiskNodeStore::open(tmp.path(), 4, CostModel::zero(), FsyncPolicy::PerPublish)
@@ -368,22 +262,42 @@ mod tests {
                     store.put(p, leaf(v, 64)).unwrap();
                     store.put(p, leaf(v, 0)).unwrap(); // idempotent re-put
                 }
+                // One key twice in a batch, re-put, evicted, put again:
+                // logged once per change to the table, no more.
+                let outcomes = store.put_batch(p, vec![twice.clone(), twice.clone()]);
+                assert!(outcomes.iter().all(|o| o.is_ok()));
+                store.put(p, twice.clone()).unwrap();
+                store.evict(twice.key);
+                store.put(p, twice.clone()).unwrap();
             });
             store.evict(leaf(2, 0).key);
+            assert_eq!(
+                records_of(tmp.path(), &store, twice.key),
+                [REC_NODE, REC_EVICT, REC_NODE]
+            );
             // Hard drop, no flush.
         }
         let store =
             DiskNodeStore::open(tmp.path(), 4, CostModel::zero(), FsyncPolicy::PerPublish).unwrap();
-        assert_eq!(store.node_count(), 9);
+        // Replay appended nothing.
+        assert_eq!(
+            records_of(tmp.path(), &store, twice.key),
+            [REC_NODE, REC_EVICT, REC_NODE]
+        );
+        assert_eq!(store.node_count(), 10);
         assert!(!store.contains(leaf(2, 0).key));
-        let (res, _) = run_actors(1, |_, p| store.get(p, leaf(3, 64).key));
-        assert_eq!(*res[0].as_ref().unwrap().as_ref(), leaf(3, 64));
+        let (res, _) = run_actors(1, |_, p| {
+            (store.get(p, leaf(3, 64).key), store.get(p, twice.key))
+        });
+        let (got, again) = &res[0];
+        assert_eq!(*got.as_ref().unwrap().as_ref(), leaf(3, 64));
+        assert_eq!(*again.as_ref().unwrap().as_ref(), twice);
         // The recovered store keeps accepting and stays idempotent.
         run_actors(1, |_, p| {
             store.put(p, leaf(3, 64)).unwrap();
             store.put(p, leaf(9, 0)).unwrap();
         });
-        assert_eq!(store.node_count(), 10);
+        assert_eq!(store.node_count(), 11);
     }
 
     #[test]
@@ -424,7 +338,8 @@ mod tests {
         let open =
             || DiskNodeStore::open(tmp.path(), 2, CostModel::zero(), FsyncPolicy::PerPublish);
         let totals = |store: &DiskNodeStore| {
-            let stats = store.logs.iter().map(|log| log.lock().stats());
+            let stats =
+                (store.shards.iter()).filter_map(|s| s.log.lock().as_ref().map(RecordLog::stats));
             stats.fold((0, 0), |(a, s), st| (a + st.appends, s + st.syncs))
         };
         {
@@ -534,17 +449,16 @@ mod tests {
         /// whole-record prefix that replays to the same store again.
         fn check(bytes: &[u8]) -> std::result::Result<(), TestCaseError> {
             let replay = |bytes: &[u8]| {
-                let (store, mut logged) = (MetaStore::new(2, CostModel::zero()), HashSet::new());
-                let valid = replay_shard(bytes, &store, &mut logged)?;
+                let store = MetaStore::new(2, CostModel::zero());
+                let valid = replay_shard(bytes, &store)?;
                 let keys: HashSet<NodeKey> = store.list_keys().into_iter().collect();
-                Ok::<_, Error>((valid, keys, logged))
+                Ok::<_, Error>((valid, keys))
             };
-            let Ok((valid, keys, logged)) = replay(bytes) else {
+            let Ok((valid, keys)) = replay(bytes) else {
                 return Ok(());
             };
             prop_assert!(valid as usize <= bytes.len());
-            prop_assert_eq!(&logged, &keys);
-            prop_assert_eq!(replay(&bytes[..valid as usize]), Ok((valid, keys, logged)));
+            prop_assert_eq!(replay(&bytes[..valid as usize]), Ok((valid, keys)));
             Ok(())
         }
 
@@ -602,7 +516,7 @@ mod tests {
                     let mut log = Vec::new();
                     append_record(&mut log, kind, &[body, tail.clone()].concat());
                     let store = MetaStore::new(2, CostModel::zero());
-                    let replayed = replay_shard(&log, &store, &mut HashSet::new());
+                    let replayed = replay_shard(&log, &store);
                     prop_assert_eq!(replayed.is_ok(), tail.is_empty());
                 }
             }
@@ -622,11 +536,11 @@ mod tests {
                     }
                 }
                 let store = MetaStore::new(2, CostModel::zero());
-                let whole = replay_shard(&log, &store, &mut HashSet::new());
+                let whole = replay_shard(&log, &store);
                 prop_assert_eq!(whole, Ok(log.len() as u64));
                 for cut in 0..log.len() {
                     let store = MetaStore::new(2, CostModel::zero());
-                    let valid = replay_shard(&log[..cut], &store, &mut HashSet::new());
+                    let valid = replay_shard(&log[..cut], &store);
                     prop_assert!(valid.is_ok_and(|valid| valid as usize <= cut));
                 }
                 let at = flip.0 % log.len();

@@ -51,7 +51,7 @@ pub use cache::NodeCache;
 pub use disk::{node_store_for, DiskNodeStore};
 pub use history::{VersionHistory, WriteSummary};
 pub use node::{LeafEntry, Node, NodeBody, NodeKey};
-pub use store::{LocalNodeStore, MetaStore, NodeStore};
+pub use store::{MetaStore, NodeStore};
 pub use tree::{
     reach, resolve_with, PieceSource, Reached, ResolvedPiece, TreeBuilder, TreeConfig, TreeReader,
 };

@@ -15,14 +15,25 @@
 //! serializes node payloads through the calling client's NIC, and lands
 //! on each shard as a **single list-request booking** via
 //! [`Resource::reserve_ns`] — the List-I/O lesson applied to metadata.
+//!
+//! **One store, either backend.** A shard owns its node table and, when
+//! the store was opened over a directory ([`MetaStore::open`], in
+//! [`crate::disk`]), its own node log. A put appends the batch's new
+//! nodes to each touched shard's log once and only then inserts them; an
+//! evict appends its tombstones before it removes anything. What is new
+//! is read off the shard's table, so the log never needs a second index.
+//! In memory the same path runs with no log. Virtual-time booking does
+//! not look at the backend, so lookup and commit latency are
+//! backend-invariant.
 
 use crate::cache::NodeCache;
 use crate::node::{Node, NodeKey};
 use crate::tree::{fetch_level, resolve_with, ResolvedPiece};
 use atomio_simgrid::{ClientNics, CostModel, Participant, Resource};
+use atomio_types::record::RecordLog;
 use atomio_types::{stamp::mix64, Error, ExtentList, Result};
-use parking_lot::RwLock;
-use std::collections::HashMap;
+use parking_lot::{Mutex, RwLock};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// The interface tree builders and readers consume to store and fetch
@@ -95,24 +106,11 @@ pub trait NodeStore: Send + Sync + std::fmt::Debug {
     fn list_keys(&self) -> Vec<NodeKey>;
 }
 
-/// A [`NodeStore`] that can also serve **participant-free** batch calls
-/// — the server-side halves network services dispatch into, where no
-/// simulated clock exists and the wire itself is the cost model.
-/// Implemented by [`MetaStore`] and its durable twin
-/// [`DiskNodeStore`](crate::disk::DiskNodeStore), which is what lets a
-/// metadata server host either backend behind one handler.
-pub trait LocalNodeStore: NodeStore {
-    /// Stores a batch without booking any simulated cost.
-    fn put_batch_local(&self, nodes: Vec<Node>) -> Vec<Result<()>>;
-
-    /// Fetches a batch without booking any simulated cost.
-    fn get_batch_local(&self, keys: &[NodeKey]) -> Vec<Result<Arc<Node>>>;
-}
-
-/// A hash-partitioned store of immutable tree nodes.
+/// A hash-partitioned store of immutable tree nodes, in memory or, when
+/// opened over a directory, with one node log per shard.
 #[derive(Debug)]
 pub struct MetaStore {
-    shards: Vec<Shard>,
+    pub(crate) shards: Vec<Shard>,
     cost: CostModel,
     /// Per-client NICs serializing batch injections/receptions — shared
     /// with the data path when the deployment wires it so (one client,
@@ -121,9 +119,38 @@ pub struct MetaStore {
 }
 
 #[derive(Debug)]
-struct Shard {
+pub(crate) struct Shard {
     cpu: Resource,
     nodes: RwLock<HashMap<NodeKey, Arc<Node>>>,
+    /// The shard's write lock, holding its node log on a disk backend
+    /// (`None` in memory). A put or an evict holds it across its look at
+    /// `nodes`, its append and its change to `nodes`, so every change is
+    /// logged once and in the order the table saw it. Lookups take only
+    /// `nodes`' read lock and never wait on the disk.
+    pub(crate) log: Mutex<Option<RecordLog>>,
+}
+
+impl Shard {
+    /// Removes those of `keys` (distinct, all routed here) this shard
+    /// holds, returning how many. Their tombstones are logged first, in
+    /// one append; if it fails, every node stays.
+    fn evict(&self, mut keys: Vec<NodeKey>) -> u64 {
+        if keys.is_empty() {
+            return 0;
+        }
+        let mut log = self.log.lock();
+        keys.retain(|key| self.nodes.read().contains_key(key));
+        if let Some(log) = log.as_mut() {
+            if crate::disk::log_evictions(log, &keys).is_err() {
+                return 0;
+            }
+        }
+        let mut nodes = self.nodes.write();
+        for key in &keys {
+            nodes.remove(key);
+        }
+        keys.len() as u64
+    }
 }
 
 impl MetaStore {
@@ -143,6 +170,7 @@ impl MetaStore {
                 .map(|i| Shard {
                     cpu: Resource::new(format!("meta-shard-{i}/cpu")),
                     nodes: RwLock::new(HashMap::new()),
+                    log: Mutex::new(None),
                 })
                 .collect(),
             cost,
@@ -169,22 +197,81 @@ impl MetaStore {
         &self.shards[self.shard_index(key)]
     }
 
-    /// Inserts one node into its shard's table (the zero-time half of a
-    /// put, applied after the batch's virtual time has been paid).
-    fn install(&self, node: Node) -> Result<()> {
-        let shard = self.shard_for(node.key);
-        let mut nodes = shard.nodes.write();
-        if let Some(existing) = nodes.get(&node.key) {
-            if **existing != node {
-                return Err(Error::Internal(format!(
+    /// Stores a batch without booking any simulated cost, one outcome
+    /// per node — the zero-time half of [`NodeStore::put_batch`], and what
+    /// a network server dispatches into (it has no simulated clock; the
+    /// wire itself is the cost model).
+    ///
+    /// The batch locks every shard it touches, in index order, for its
+    /// whole length. A node is new if neither its shard's table nor an
+    /// earlier node of the batch holds its key; a node equal to a held
+    /// one is an idempotent `Ok`, a different one a conflict. Each
+    /// touched shard with a log appends its new nodes in one write, and
+    /// the new nodes are inserted only once every append has returned:
+    /// if one fails, none of them becomes visible and each reports the
+    /// error.
+    pub fn put_batch_local(&self, nodes: Vec<Node>) -> Vec<Result<()>> {
+        let routes: Vec<usize> = nodes.iter().map(|n| self.shard_index(n.key)).collect();
+        let mut writers: Vec<_> = (self.shards.iter().enumerate())
+            .map(|(s, shard)| routes.contains(&s).then(|| shard.log.lock()))
+            .collect();
+        let mut outcomes = Vec::with_capacity(nodes.len());
+        // (outcome index, shard, node) of each new node, in batch order.
+        let mut fresh: Vec<(usize, usize, Node)> = Vec::new();
+        let mut staged: HashMap<NodeKey, usize> = HashMap::new();
+        for (node, s) in nodes.into_iter().zip(routes) {
+            let held = match staged.get(&node.key) {
+                Some(&j) => Some(fresh[j].2 == node),
+                None => (self.shards[s].nodes.read())
+                    .get(&node.key)
+                    .map(|held| **held == node),
+            };
+            outcomes.push(match held {
+                Some(true) => Ok(()),
+                Some(false) => Err(Error::Internal(format!(
                     "conflicting node published under {}",
                     node.key
-                )));
-            }
-            return Ok(());
+                ))),
+                None => {
+                    staged.insert(node.key, fresh.len());
+                    fresh.push((outcomes.len(), s, node));
+                    Ok(())
+                }
+            });
         }
-        nodes.insert(node.key, Arc::new(node));
-        Ok(())
+        let logged = writers.iter_mut().enumerate().try_for_each(|(s, writer)| {
+            match writer.as_deref_mut() {
+                Some(Some(log)) => {
+                    crate::disk::log_nodes(log, fresh.iter().filter(|f| f.1 == s).map(|f| &f.2))
+                }
+                _ => Ok(()),
+            }
+        });
+        if let Err(e) = logged {
+            let msg = format!("node log write failed: {e}");
+            for (i, _, _) in &fresh {
+                outcomes[*i] = Err(Error::Internal(msg.clone()));
+            }
+            return outcomes;
+        }
+        for (_, s, node) in fresh {
+            self.shards[s]
+                .nodes
+                .write()
+                .insert(node.key, Arc::new(node));
+        }
+        outcomes
+    }
+
+    /// Fetches a batch without booking any simulated cost.
+    pub fn get_batch_local(&self, keys: &[NodeKey]) -> Vec<Result<Arc<Node>>> {
+        keys.iter()
+            .map(|&key| {
+                self.shard_for(key).nodes.read().get(&key).cloned().ok_or(
+                    Error::MetadataNodeMissing(key.range.offset ^ key.version.raw()),
+                )
+            })
+            .collect()
     }
 
     /// Per-shard node counts (for distribution tests).
@@ -249,7 +336,7 @@ impl NodeStore for MetaStore {
         }
         p.sleep_until_ns(latest);
 
-        nodes.into_iter().map(|n| self.install(n)).collect()
+        self.put_batch_local(nodes)
     }
 
     /// Fetches a batch of nodes, shard-parallel — the canonical node
@@ -316,33 +403,22 @@ impl NodeStore for MetaStore {
     }
 
     fn evict_batch(&self, keys: &[NodeKey]) -> u64 {
-        keys.iter()
-            .filter(|&&key| self.shard_for(key).nodes.write().remove(&key).is_some())
-            .count() as u64
+        let mut groups: Vec<Vec<NodeKey>> = vec![Vec::new(); self.shards.len()];
+        let mut seen = HashSet::new();
+        for &key in keys {
+            if seen.insert(key) {
+                groups[self.shard_index(key)].push(key);
+            }
+        }
+        (groups.into_iter().zip(&self.shards))
+            .map(|(keys, shard)| shard.evict(keys))
+            .sum()
     }
 
     fn list_keys(&self) -> Vec<NodeKey> {
         self.shards
             .iter()
             .flat_map(|s| s.nodes.read().keys().copied().collect::<Vec<_>>())
-            .collect()
-    }
-}
-
-/// Participant-free entry points for network servers: a server thread
-/// has no simulated clock; the wire itself is the cost model.
-impl LocalNodeStore for MetaStore {
-    fn put_batch_local(&self, nodes: Vec<Node>) -> Vec<Result<()>> {
-        nodes.into_iter().map(|n| self.install(n)).collect()
-    }
-
-    fn get_batch_local(&self, keys: &[NodeKey]) -> Vec<Result<Arc<Node>>> {
-        keys.iter()
-            .map(|&key| {
-                self.shard_for(key).nodes.read().get(&key).cloned().ok_or(
-                    Error::MetadataNodeMissing(key.range.offset ^ key.version.raw()),
-                )
-            })
             .collect()
     }
 }

@@ -16,10 +16,10 @@
 //! * [`transport`] — how frames move: [`Loopback`] runs the full codec
 //!   in process (the default deployment; zero behavioral drift from the
 //!   pre-RPC stack); [`MuxTransport`], the socket transport, multiplexes
-//!   concurrent callers over a pool of persistent `std::net`
-//!   connections, demultiplexing responses by request id. Both report
-//!   identical byte counters for identical workloads; the serde-able
-//!   [`RpcConfig`] holds the socket side's tuning knobs.
+//!   concurrent callers over one persistent `std::net` connection per
+//!   server, demultiplexing responses by request id. Both report
+//!   identical byte counters for identical workloads; [`RpcConfig`]
+//!   holds the socket side's tuning knobs.
 //! * [`services`] — what a hosted role does with one request: the
 //!   [`Service`] trait and [`ProviderService`], [`MetaService`],
 //!   [`VersionService`].
@@ -457,7 +457,6 @@ mod tests {
             RpcServer::start("127.0.0.1:0", Arc::new(ProviderService::new(1))).unwrap();
         let metrics = atomio_simgrid::Metrics::new();
         let mux = MuxTransport::new(server.local_addr()).with_metrics(metrics.clone());
-        assert_eq!(mux.pool_size(), RpcConfig::default().pool_conns);
         let transport: Arc<dyn Transport> = Arc::new(mux);
         let provider = RemoteProvider::new(ProviderId::new(0), Arc::clone(&transport));
 
@@ -475,7 +474,7 @@ mod tests {
         assert_eq!(counters["rpc.messages"], 2);
         assert!(counters["rpc.bytes_tx"] > 0);
         assert!(counters["rpc.bytes_rx"] > 0);
-        // First-fit keeps sequential calls on one pool member: one dial.
+        // One connection per server: one dial.
         assert_eq!(counters["rpc.pool_conns"], 1);
         assert!(counters["rpc.inflight_peak"] >= 1);
 
@@ -526,13 +525,8 @@ mod tests {
         let counters: std::collections::HashMap<_, _> =
             metrics.counter_snapshot().into_iter().collect();
         assert_eq!(counters["rpc.messages"], 16 * 8 * 2);
-        // First-fit engages pool members as concurrency demands (how
-        // many depends on scheduling) and never dials past the pool.
-        let dialed = counters["rpc.pool_conns"];
-        assert!(
-            (1..=4).contains(&dialed),
-            "expected 1..=4 pool members dialed, got {dialed}"
-        );
+        // Sixteen callers, one connection: exactly one dial.
+        assert_eq!(counters["rpc.pool_conns"], 1);
         server.stop();
     }
 
@@ -751,20 +745,6 @@ mod tests {
     }
 
     #[test]
-    fn rpc_config_roundtrips_through_serde() {
-        use serde::{Deserialize as _, Serialize as _};
-        let cfg = RpcConfig {
-            pool_conns: 7,
-            server_workers: 3,
-            max_conns: 2048,
-            max_inflight_per_conn: 17,
-            ..RpcConfig::default()
-        };
-        let back = RpcConfig::from_value(&cfg.to_value()).unwrap();
-        assert_eq!(back, cfg);
-    }
-
-    #[test]
     fn over_max_conns_clients_get_a_typed_busy() {
         // max_conns = 0: every connection is over the cap.
         let cfg = RpcConfig {
@@ -800,13 +780,7 @@ mod tests {
                 .unwrap();
 
         // One admitted long-lived connection…
-        let admitted = MuxTransport::with_config(
-            server.local_addr(),
-            RpcConfig {
-                pool_conns: 1,
-                ..RpcConfig::default()
-            },
-        );
+        let admitted = MuxTransport::new(server.local_addr());
         let (r, _) = admitted.call(&Request::Ping, &[]).unwrap();
         assert!(matches!(r, Response::Pong));
 
@@ -883,8 +857,6 @@ mod tests {
         let transport: Arc<dyn Transport> = Arc::new(MuxTransport::with_config(
             server.local_addr(),
             RpcConfig {
-                pool_conns: 1,
-                mux_streams_per_conn: 64,
                 read_timeout: std::time::Duration::from_secs(10),
                 ..RpcConfig::default()
             },
@@ -951,8 +923,6 @@ mod tests {
         Arc::new(MuxTransport::with_config(
             addr,
             RpcConfig {
-                pool_conns: 1,
-                mux_streams_per_conn: 64,
                 read_timeout: std::time::Duration::from_secs(10),
                 ..RpcConfig::default()
             },
@@ -1196,7 +1166,7 @@ mod tests {
             RpcServer::start("127.0.0.1:0", Arc::new(ProviderService::new(1))).unwrap();
         let baseline = open_fds();
         // 200 connect/dispatch/disconnect churn cycles: each transport
-        // dials one pool connection and closes it when dropped.
+        // dials one connection and closes it when dropped.
         for _ in 0..200 {
             let t = MuxTransport::new(server.local_addr());
             let (r, _) = t.call(&Request::Ping, &[]).unwrap();
@@ -1217,14 +1187,8 @@ mod tests {
         use std::io::{Read as _, Write as _};
         let mut server =
             RpcServer::start("127.0.0.1:0", Arc::new(ProviderService::new(1))).unwrap();
-        // The bystander: one pooled connection that must keep serving.
-        let bystander = MuxTransport::with_config(
-            server.local_addr(),
-            RpcConfig {
-                pool_conns: 1,
-                ..RpcConfig::default()
-            },
-        );
+        // The bystander: one connection that must keep serving.
+        let bystander = MuxTransport::new(server.local_addr());
         let ping = || {
             let (r, _) = bystander.call(&Request::Ping, &[]).unwrap();
             assert!(matches!(r, Response::Pong));
@@ -1373,14 +1337,8 @@ mod tests {
             Some(metrics.clone()),
         )
         .unwrap();
-        // One admitted pooled connection fills the cap…
-        let admitted = MuxTransport::with_config(
-            server.local_addr(),
-            RpcConfig {
-                pool_conns: 1,
-                ..RpcConfig::default()
-            },
-        );
+        // One admitted connection fills the cap…
+        let admitted = MuxTransport::new(server.local_addr());
         admitted.call(&Request::Ping, &[]).unwrap();
         // …so the newcomer is admission-rejected.
         let newcomer = MuxTransport::new(server.local_addr());

@@ -23,7 +23,8 @@ use crate::proto::{Request, Response};
 use crate::wire::{self, PayloadCursor};
 use atomio_core::{shard_of, slot_for_blob};
 use atomio_meta::{
-    node_store_for, resolve_with, LocalNodeStore, NodeKey, ResolvedPiece, TreeConfig, WriteSummary,
+    node_store_for, resolve_with, MetaStore, NodeKey, NodeStore, ResolvedPiece, TreeConfig,
+    WriteSummary,
 };
 use atomio_provider::{chunk_store_for, ChunkStore};
 use atomio_simgrid::{ClientNics, CostModel, FaultInjector};
@@ -487,7 +488,7 @@ impl Service for VersionService {
 /// Hosts metadata shards behind the metadata RPCs.
 #[derive(Debug)]
 pub struct MetaService {
-    store: Arc<dyn LocalNodeStore>,
+    store: MetaStore,
 }
 
 impl MetaService {
@@ -518,7 +519,7 @@ impl MetaService {
     }
 
     /// The hosted metadata store.
-    pub fn store(&self) -> &Arc<dyn LocalNodeStore> {
+    pub fn store(&self) -> &MetaStore {
         &self.store
     }
 

@@ -10,20 +10,17 @@
 //!   the full wire codec, then handed to the [`Service`] directly. No
 //!   sockets, no real latency — the default deployment, and the one every
 //!   committed benchmark result was produced on.
-//! * [`MuxTransport`] — *the* socket transport: a pool of persistent
-//!   `std::net` connections per endpoint ([`RpcConfig::pool_conns`],
-//!   default 4). Writers enqueue encoded frames on a pool member; one
-//!   reader thread per connection demultiplexes responses by request id
-//!   into per-call wakeups, so any number of concurrent callers share
-//!   the pool with no head-of-line blocking. A frame too large to be
-//!   worth copying into the queue is gathered onto the socket by its
-//!   caller instead.
+//! * [`MuxTransport`] — *the* socket transport: one persistent
+//!   `std::net` connection per server. Writers enqueue encoded frames on
+//!   it; its reader thread demultiplexes responses by request id into
+//!   per-call wakeups, so any number of concurrent callers share it with
+//!   no head-of-line blocking. A frame too large to be worth copying
+//!   into the queue is gathered onto the socket by its caller instead.
 //!
 //! Mid-call failures are **not** silently retried (the ops are not all
 //! idempotent); they surface as typed [`Error::Transport`] values so the
 //! provider manager's failover policy decides. A connection failure
-//! fails only the calls in flight on that connection; the surviving pool
-//! members are unaffected and the dead slot redials on next use.
+//! fails every call in flight on it; the next call redials.
 
 use crate::proto::{Request, Response};
 use crate::services::Service;
@@ -33,11 +30,11 @@ use atomio_simgrid::Metrics;
 use atomio_types::{Error, Result, TransportErrorKind};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use serde::{Decode, Deserialize, Encode, Serialize};
+use serde::{Decode, Encode};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -69,11 +66,11 @@ pub mod counters {
     /// Peak concurrent in-flight calls on one mux transport
     /// (high-watermark, not a running sum).
     pub const INFLIGHT_PEAK: &str = "rpc.inflight_peak";
-    /// Pool connections dialed by mux transports (redials after a
-    /// severed connection count again).
+    /// Connections dialed by mux transports (redials after a severed
+    /// connection count again).
     pub const POOL_CONNS: &str = "rpc.pool_conns";
-    /// Nanoseconds callers spent queued behind a mux pool writer before
-    /// their frame hit the socket.
+    /// Nanoseconds callers spent queued behind a mux connection's writer
+    /// before their frame hit the socket.
     pub const MUX_QUEUE_TIME: &str = "rpc.mux_queue_time";
     /// Connections the server currently holds open (a gauge: rises on
     /// accept, falls on reap).
@@ -124,31 +121,26 @@ impl CallCounters {
 }
 
 /// Tuning knobs for the socket transport ([`MuxTransport`] reads the
-/// dial, timeout and pool fields) and the server-side dispatcher
+/// dial and timeout fields) and the server-side dispatcher
 /// (`server_workers`, `max_conns` and `max_inflight_per_conn`, which the
 /// server binaries' CLI flags set).
-/// Serde-able so a deployment can ship it inside a config file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RpcConfig {
     /// Per-attempt connect timeout.
     pub connect_timeout: Duration,
-    /// Per-call response deadline: how long a call waits for the pool
-    /// member's reader thread to deliver its response (the sockets
-    /// themselves carry no read timeout).
+    /// Per-call response deadline: how long a call waits for the
+    /// connection's reader thread to deliver its response (the socket
+    /// itself carries no read timeout).
     pub read_timeout: Duration,
-    /// Socket write timeout of the pool connections.
+    /// Socket write timeout of the connection.
     pub write_timeout: Duration,
     /// Connect attempts beyond the first before giving up.
     pub connect_retries: u32,
     /// First retry backoff; doubles per attempt.
     pub backoff: Duration,
-    /// Mux pool size: persistent connections per endpoint.
+    /// Read by nothing: a [`MuxTransport`] holds one connection. Kept
+    /// only because the frozen benchmark sources (`wallbench/src`) set it.
     pub pool_conns: usize,
-    /// Concurrent streams a mux pool member carries before the next
-    /// call engages the next pool slot. First-fit with this cap keeps
-    /// traffic concentrated (big write/dispatch bursts) at low
-    /// concurrency and spreads across the pool as callers grow.
-    pub mux_streams_per_conn: usize,
     /// Size of the server's shared dispatch worker pool.
     pub server_workers: usize,
     /// Admission cap: connections beyond this are accepted, answered
@@ -169,8 +161,7 @@ impl Default for RpcConfig {
             write_timeout: Duration::from_secs(2),
             connect_retries: 3,
             backoff: Duration::from_millis(10),
-            pool_conns: 4,
-            mux_streams_per_conn: 8,
+            pool_conns: 1,
             server_workers: 4,
             max_conns: 1024,
             max_inflight_per_conn: 64,
@@ -338,7 +329,7 @@ impl CallSlot {
     }
 }
 
-/// One pool member: a socket with a group-commit write queue and a
+/// One connection: a socket with a group-commit write queue and a
 /// reader thread that routes response frames to [`CallSlot`]s by id.
 #[derive(Debug)]
 struct MuxConn {
@@ -350,13 +341,13 @@ struct MuxConn {
     wqueue: Mutex<Vec<u8>>,
     /// In-flight calls by request id.
     pending: Mutex<HashMap<u64, Arc<CallSlot>>>,
-    /// Set once the connection failed; the pool slot redials on next use.
+    /// Set once the connection failed; the next call redials.
     dead: AtomicBool,
 }
 
 impl MuxConn {
     /// Marks the connection dead and fails every in-flight call with
-    /// `error`. Calls on other pool members are unaffected.
+    /// `error`.
     fn poison(&self, error: &Error) {
         self.dead.store(true, Ordering::Release);
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
@@ -446,23 +437,19 @@ struct MuxCounters {
     queue_time: Arc<Counter>,
 }
 
-/// A multiplexed transport: a pool of persistent connections to one
-/// endpoint, shared by any number of concurrent callers.
+/// A multiplexed transport: one persistent connection to one server,
+/// shared by any number of concurrent callers.
 ///
-/// Each call reserves a pool member — first-fit under a per-member
-/// stream cap ([`RpcConfig::mux_streams_per_conn`]), so traffic stays
-/// concentrated in large bursts until concurrency actually needs more
-/// sockets — registers a wakeup slot under a fresh request id, enqueues
-/// its frame on that member's write queue, and sleeps until the
-/// member's reader thread delivers the response matching its id: M
-/// callers keep up to M requests in flight over at most N sockets with
-/// no head-of-line blocking. Responses are matched by id, never by
-/// arrival order: ordering is guaranteed **per id only**.
+/// Each call registers a wakeup slot under a fresh request id, enqueues
+/// its frame on the connection's write queue, and sleeps until the
+/// reader thread delivers the response matching its id: M callers keep
+/// up to M requests in flight over one socket with no head-of-line
+/// blocking. Responses are matched by id, never by arrival order:
+/// ordering is guaranteed **per id only**.
 ///
-/// A connection failure fails exactly the calls in flight on that
-/// socket (typed [`Error::Transport`], feeding the provider manager's
-/// failover); the slot redials on next use and the surviving pool
-/// members never notice.
+/// A connection failure fails every call in flight on it (typed
+/// [`Error::Transport`], feeding the provider manager's failover); the
+/// next call redials.
 #[derive(Debug)]
 pub struct MuxTransport {
     addr: SocketAddr,
@@ -472,32 +459,26 @@ pub struct MuxTransport {
     metrics: Option<Metrics>,
     /// The per-call counters, resolved once.
     counters: Option<MuxCounters>,
-    /// Pool slots, each lazily holding a live connection.
-    slots: Vec<Mutex<Option<Arc<MuxConn>>>>,
-    /// Calls currently in flight per slot (drives first-fit selection).
-    slot_inflight: Vec<AtomicU64>,
-    next_slot: AtomicUsize,
+    /// The connection, dialed on first use and again after it died.
+    conn: Mutex<Option<Arc<MuxConn>>>,
     next_id: AtomicU64,
     inflight: AtomicU64,
 }
 
 impl MuxTransport {
-    /// Creates a lazy pool for `addr` (members dial on first use).
+    /// Creates a lazy transport for `addr` (it dials on first use).
     pub fn new(addr: SocketAddr) -> Self {
         Self::with_config(addr, RpcConfig::default())
     }
 
-    /// Creates a lazy pool with explicit tuning.
+    /// Creates a lazy transport with explicit tuning.
     pub fn with_config(addr: SocketAddr, cfg: RpcConfig) -> Self {
-        let pool = cfg.pool_conns.max(1);
         MuxTransport {
             addr,
             cfg,
             metrics: None,
             counters: None,
-            slots: (0..pool).map(|_| Mutex::new(None)).collect(),
-            slot_inflight: (0..pool).map(|_| AtomicU64::new(0)).collect(),
-            next_slot: AtomicUsize::new(0),
+            conn: Mutex::new(None),
             next_id: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
         }
@@ -519,45 +500,19 @@ impl MuxTransport {
         self.addr
     }
 
-    /// Number of pool slots.
-    pub fn pool_size(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Test hook: severs pool connection `i`'s socket if it is dialed.
-    /// In-flight calls on that member fail with a typed transport error;
-    /// the slot redials on next use.
-    pub fn sever_conn(&self, i: usize) {
-        if let Some(conn) = self.slots[i].lock().as_ref() {
+    /// Test hook: severs the connection's socket if it is dialed. Calls
+    /// in flight on it fail with a typed transport error; the next call
+    /// redials.
+    pub fn sever(&self) {
+        if let Some(conn) = self.conn.lock().as_ref() {
             let _ = conn.stream.shutdown(std::net::Shutdown::Both);
         }
     }
 
-    /// Reserves a pool slot for one call: first-fit over the slots,
-    /// skipping members already carrying
-    /// [`RpcConfig::mux_streams_per_conn`] streams. Concentrating calls
-    /// on the lowest busy slot keeps write/dispatch bursts large (one
-    /// syscall carries many frames) while extra members soak up higher
-    /// concurrency. Reservation is a `fetch_add` so two racing callers
-    /// can never both squeeze under a slot's cap. When every member is
-    /// saturated, calls overflow round-robin across the whole pool.
-    fn reserve_slot(&self) -> usize {
-        let cap = self.cfg.mux_streams_per_conn.max(1) as u64;
-        for (i, streams) in self.slot_inflight.iter().enumerate() {
-            if streams.fetch_add(1, Ordering::AcqRel) < cap {
-                return i;
-            }
-            streams.fetch_sub(1, Ordering::AcqRel);
-        }
-        let i = self.next_slot.fetch_add(1, Ordering::Relaxed) % self.slots.len();
-        self.slot_inflight[i].fetch_add(1, Ordering::AcqRel);
-        i
-    }
-
-    /// Returns the live connection in slot `i`, dialing if the slot is
-    /// empty or its previous tenant died.
-    fn conn_at(&self, i: usize) -> Result<Arc<MuxConn>> {
-        let mut slot = self.slots[i].lock();
+    /// Returns the live connection, dialing if there is none or the
+    /// previous one died.
+    fn conn(&self) -> Result<Arc<MuxConn>> {
+        let mut slot = self.conn.lock();
         if let Some(conn) = slot.as_ref() {
             if !conn.dead.load(Ordering::Acquire) {
                 return Ok(Arc::clone(conn));
@@ -566,7 +521,7 @@ impl MuxTransport {
         let stream = dial_socket(self.addr, &self.cfg, &self.metrics)?;
         // No socket read timeout: the reader blocks on the shared stream
         // indefinitely (per-call deadlines live in the waiters), but
-        // writes must not wedge the whole pool member.
+        // writes must not wedge the connection.
         stream
             .set_write_timeout(Some(self.cfg.write_timeout))
             .map_err(|e| transport_error("configure socket", &e))?;
@@ -595,14 +550,7 @@ impl MuxTransport {
 
     fn round_trip(&self, request: &Request, parts: &[&[u8]]) -> Result<(Response, Bytes)> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        let slot_idx = self.reserve_slot();
-        let conn = match self.conn_at(slot_idx) {
-            Ok(conn) => conn,
-            Err(e) => {
-                self.slot_inflight[slot_idx].fetch_sub(1, Ordering::AcqRel);
-                return Err(e);
-            }
-        };
+        let conn = self.conn()?;
 
         let call = Arc::new(CallSlot::default());
         conn.pending.lock().insert(id, Arc::clone(&call));
@@ -610,14 +558,13 @@ impl MuxTransport {
         if let Some(counters) = &self.counters {
             counters.inflight_peak.record_peak(depth);
         }
-        // Every exit below must release the in-flight slot exactly once.
+        // Every exit below must release the in-flight count exactly once.
         let release = |this: &Self| {
             this.inflight.fetch_sub(1, Ordering::Relaxed);
-            this.slot_inflight[slot_idx].fetch_sub(1, Ordering::AcqRel);
         };
 
-        // Encode off-lock. A small frame is enqueued whole on the pool
-        // member's write queue (the flush leader puts a burst of them on
+        // Encode off-lock. A small frame is enqueued whole on the
+        // connection's write queue (the flush leader puts a burst of them on
         // the wire at once); a large one goes out as a gathered write of
         // the caller's buffers, its payload never copied.
         let enqueued = Instant::now();
@@ -705,13 +652,11 @@ impl MuxTransport {
 }
 
 impl Drop for MuxTransport {
-    /// Closes the pool. Every member's reader thread holds its own
-    /// handle on the socket, so without the shutdown a dropped transport
-    /// would leave its connections open and its readers parked for good.
+    /// Closes the connection. Its reader thread holds its own handle on
+    /// the socket, so without the shutdown a dropped transport would
+    /// leave the connection open and its reader parked for good.
     fn drop(&mut self) {
-        for i in 0..self.slots.len() {
-            self.sever_conn(i);
-        }
+        self.sever();
     }
 }
 

@@ -17,7 +17,7 @@
 //! 2. **Deployment equivalence**: version sequence, stored bytes, and
 //!    the metadata node-key set are bit-identical to the Loopback run.
 //! 3. **Fault atomicity**: killing the version server mid-commit or
-//!    severing a mux pool member yields *typed* transport errors, and a
+//!    severing one client's connection yields *typed* transport errors, and a
 //!    granted-but-unpublished version is never readable — before or
 //!    after the server restarts (snapshot isolation across a crash).
 
@@ -619,7 +619,7 @@ fn disk_backed_deployment_recovers_fresh_services_with_published_versions_intact
 }
 
 /// A version service that answers slowly, guaranteeing grants are in
-/// flight when the fault test severs a pool connection.
+/// flight when the fault test severs a connection.
 #[derive(Debug)]
 struct SlowVersionService {
     inner: VersionService,
@@ -642,27 +642,25 @@ fn severing_a_pool_member_loses_one_grant_and_publication_stops_at_the_hole() {
     });
     let mut server = RpcServer::start("127.0.0.1:0", Arc::clone(&service) as Arc<dyn Service>)
         .expect("bind version server");
-    // One stream per pool member: four concurrent grants land on four
-    // distinct connections, so severing one kills exactly one call.
-    let cfg = RpcConfig {
-        mux_streams_per_conn: 1,
-        ..RpcConfig::default()
-    };
-    let mux = Arc::new(MuxTransport::with_config(server.local_addr(), cfg));
-    let vm = RemoteVersionManager::new(1, Arc::clone(&mux) as Arc<dyn atomio::rpc::Transport>);
+    // Three grants share one connection; the fourth goes over its own,
+    // so severing that one kills exactly one call.
+    let shared = Arc::new(MuxTransport::new(server.local_addr()));
+    let doomed = Arc::new(MuxTransport::new(server.local_addr()));
+    let vm = RemoteVersionManager::new(1, Arc::clone(&shared) as Arc<dyn atomio::rpc::Transport>);
 
     let results: Vec<Result<_, Error>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let mux = Arc::clone(&mux);
+        let handles: Vec<_> = [&shared, &shared, &shared, &doomed]
+            .map(|mux| {
+                let mux = Arc::clone(mux);
                 s.spawn(move || {
                     RemoteVersionManager::new(1, mux as Arc<dyn atomio::rpc::Transport>)
                         .ticket_append(&SimClock::new().register(), 64)
                 })
             })
+            .into_iter()
             .collect();
         std::thread::sleep(Duration::from_millis(40)); // all four in flight
-        mux.sever_conn(0);
+        doomed.sever();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
@@ -696,8 +694,8 @@ fn severing_a_pool_member_loses_one_grant_and_publication_stops_at_the_hole() {
         .collect();
     assert_eq!(lost.len(), 1);
 
-    // The surviving writers publish through the self-healing pool (the
-    // severed slot redials transparently)...
+    // The surviving writers publish over the connection that was not
+    // severed...
     for t in &granted {
         vm.publish(
             &p,

@@ -13,8 +13,8 @@
 //! never were: the last record of each log cut at *every* byte offset.
 
 use atomio::meta::{
-    disk::meta_log_path, DiskNodeStore, LeafEntry, LocalNodeStore, Node, NodeBody, NodeKey,
-    NodeStore, TreeConfig, VersionHistory,
+    disk::meta_log_path, DiskNodeStore, LeafEntry, Node, NodeBody, NodeKey, NodeStore, TreeConfig,
+    VersionHistory,
 };
 use atomio::provider::{ChunkStore, DiskProvider};
 use atomio::simgrid::{CostModel, FaultInjector};

@@ -525,7 +525,7 @@ fn mux_stress_matches_loopback_bit_for_bit() {
 }
 
 /// A service that answers slowly, so the fault test can guarantee calls
-/// are in flight when a pool connection is severed.
+/// are in flight when the connection is severed.
 #[derive(Debug)]
 struct SlowPing;
 
@@ -537,20 +537,12 @@ impl Service for SlowPing {
 }
 
 #[test]
-fn killing_one_pool_connection_fails_only_inflight_calls() {
+fn severing_the_connection_fails_every_inflight_call_then_redials() {
     let mut server = RpcServer::start("127.0.0.1:0", Arc::new(SlowPing)).expect("bind server");
-    // One stream per pool member: the four concurrent calls are forced
-    // onto four distinct connections (slot reservation is atomic, so
-    // racing callers can never share a capped slot).
-    let cfg = RpcConfig {
-        mux_streams_per_conn: 1,
-        ..RpcConfig::default()
-    };
-    let mux = Arc::new(MuxTransport::with_config(server.local_addr(), cfg));
-    assert_eq!(mux.pool_size(), 4);
+    let metrics = Metrics::new();
+    let mux = Arc::new(MuxTransport::new(server.local_addr()).with_metrics(metrics.clone()));
 
-    // First-fit under the 1-stream cap: the first four concurrent calls
-    // land on pool slots 0..3, one in-flight call per connection.
+    // Four concurrent calls share the transport's one connection.
     let results: Vec<Result<(Response, Bytes), Error>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..4)
             .map(|_| {
@@ -559,32 +551,28 @@ fn killing_one_pool_connection_fails_only_inflight_calls() {
             })
             .collect();
         std::thread::sleep(Duration::from_millis(40)); // all four in flight
-        mux.sever_conn(0);
+        mux.sever();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    let failed: Vec<&Error> = results.iter().filter_map(|r| r.as_ref().err()).collect();
-    assert_eq!(
-        failed.len(),
-        1,
-        "exactly the severed member's in-flight call fails: {results:?}"
-    );
-    assert!(
-        matches!(
-            failed[0],
-            Error::Transport {
-                kind: TransportErrorKind::ConnectionReset | TransportErrorKind::Timeout,
-                ..
-            }
-        ),
-        "typed transport error, got {:?}",
-        failed[0]
-    );
+    for result in &results {
+        assert!(
+            matches!(
+                result,
+                Err(Error::Transport {
+                    kind: TransportErrorKind::ConnectionReset | TransportErrorKind::Timeout,
+                    ..
+                })
+            ),
+            "every in-flight call fails typed: {results:?}"
+        );
+    }
+    assert_eq!(metrics.counter("rpc.pool_conns").get(), 1);
 
-    // The dead slot redials transparently: sequential calls first-fit
-    // onto slot 0 — the severed member — and every one succeeds.
+    // The next call redials, and every call after it is served.
     for _ in 0..5 {
         mux.call(&Request::Ping, &[]).unwrap();
     }
+    assert_eq!(metrics.counter("rpc.pool_conns").get(), 2);
     server.stop();
 }
