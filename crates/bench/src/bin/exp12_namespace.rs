@@ -47,10 +47,7 @@ const ROUNDS: u64 = 2;
 fn fleet(n: usize, routed: bool) -> Arc<dyn Transport> {
     let transports: Vec<Arc<dyn Transport>> = (0..n)
         .map(|i| {
-            let mut service = VersionService::new(CHUNK);
-            if n > 1 {
-                service = service.with_shard(i, n);
-            }
+            let service = VersionService::new(CHUNK).with_shard(i, n);
             Arc::new(Loopback::new(Arc::new(service) as Arc<dyn Service>)) as Arc<dyn Transport>
         })
         .collect();

@@ -27,20 +27,6 @@ pub struct Row {
     pub atomic_ok: Option<bool>,
 }
 
-/// Utilization of one simulated device (a provider NIC or disk, a
-/// client NIC) over an experiment run: where the virtual time went.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ResourceUsage {
-    /// Device name, e.g. `"p3/disk"` or `"client0/nic"`.
-    pub name: String,
-    /// Total service time charged, simulated seconds.
-    pub busy_s: f64,
-    /// Total queueing delay experienced by requests, simulated seconds.
-    pub queue_s: f64,
-    /// Requests served.
-    pub requests: u64,
-}
-
 /// One named scalar statistic attached to a report — counter-style
 /// bookkeeping that is not a sweep row, e.g. the per-RPC transport
 /// counters (`rpc.messages`, `rpc.bytes_tx`, ...).
@@ -70,9 +56,6 @@ pub struct ExperimentReport {
     pub rows: Vec<Row>,
     /// Free-form notes (parameters, cost model, observations).
     pub notes: Vec<String>,
-    /// Per-device utilization of a representative run (empty when not
-    /// collected).
-    pub resources: Vec<ResourceUsage>,
     /// Named counters from a representative run (empty when not
     /// collected) — e.g. wire-transport message/byte/retry totals.
     pub stats: Vec<StatEntry>,
@@ -86,7 +69,6 @@ impl Serialize for ExperimentReport {
             ("x_label".to_owned(), self.x_label.to_value()),
             ("rows".to_owned(), self.rows.to_value()),
             ("notes".to_owned(), self.notes.to_value()),
-            ("resources".to_owned(), self.resources.to_value()),
         ];
         if !self.stats.is_empty() {
             fields.push(("stats".to_owned(), self.stats.to_value()));
@@ -103,7 +85,6 @@ impl Deserialize for ExperimentReport {
             x_label: Deserialize::from_value(v.get_or_null("x_label"))?,
             rows: Deserialize::from_value(v.get_or_null("rows"))?,
             notes: Deserialize::from_value(v.get_or_null("notes"))?,
-            resources: Deserialize::from_value(v.get_or_null("resources"))?,
             stats: Deserialize::from_value(v.get_or_null("stats"))?,
         })
     }
@@ -118,7 +99,6 @@ impl ExperimentReport {
             x_label: x_label.to_owned(),
             rows: Vec::new(),
             notes: Vec::new(),
-            resources: Vec::new(),
             stats: Vec::new(),
         }
     }
@@ -214,21 +194,6 @@ impl ExperimentReport {
                 }
             }
             let _ = writeln!(out);
-        }
-        if !self.resources.is_empty() {
-            let _ = writeln!(out, "-- device utilization (representative run) --");
-            let _ = writeln!(
-                out,
-                "{:>14} | {:>10} | {:>10} | {:>8}",
-                "device", "busy s", "queued s", "requests"
-            );
-            for r in &self.resources {
-                let _ = writeln!(
-                    out,
-                    "{:>14} | {:>10.4} | {:>10.4} | {:>8}",
-                    r.name, r.busy_s, r.queue_s, r.requests
-                );
-            }
         }
         if !self.stats.is_empty() {
             let _ = writeln!(out, "-- counters (representative run) --");
@@ -408,40 +373,6 @@ mod tests {
         let r = sample();
         assert_eq!(r.xs(), vec![1, 8]);
         assert_eq!(r.backends(), vec!["versioning", "lustre-lock"]);
-    }
-
-    #[test]
-    fn resource_section_renders_and_roundtrips() {
-        let mut r = sample();
-        r.resources.push(ResourceUsage {
-            name: "p0/disk".into(),
-            busy_s: 1.25,
-            queue_s: 0.5,
-            requests: 64,
-        });
-        let table = r.render_table();
-        assert!(table.contains("device utilization"));
-        assert!(table.contains("p0/disk"));
-        let json = serde_json::to_string_pretty(&r).unwrap();
-        let loaded: ExperimentReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(loaded.resources.len(), 1);
-        assert_eq!(loaded.resources[0].requests, 64);
-    }
-
-    #[test]
-    fn reports_without_resources_still_parse() {
-        // Committed results predate the resources and stats sections;
-        // they must keep loading (the fields default to empty).
-        let json = r#"{
-            "id": "E0", "title": "t", "x_label": "x",
-            "rows": [], "notes": []
-        }"#;
-        let loaded: ExperimentReport = serde_json::from_str(json).unwrap();
-        assert!(loaded.resources.is_empty());
-        assert!(loaded.stats.is_empty());
-        let table = loaded.render_table();
-        assert!(!table.contains("device utilization"));
-        assert!(!table.contains("counters"));
     }
 
     #[test]

@@ -37,12 +37,12 @@ use std::sync::Arc;
 
 fn main() {
     run_server_binary("atomio-version-server", None, true, true, |args| {
-        let mut service = VersionService::with_backend(args.chunk_size, args.backend())
-            .with_retention(args.retention)
-            .with_lease_ttl_cap(args.lease_ttl_cap_ms);
-        if let Some((shard, of)) = args.shard {
-            service = service.with_shard(shard, of);
-        }
-        Arc::new(service)
+        let (shard, of) = args.shard;
+        Arc::new(
+            VersionService::with_backend(args.chunk_size, args.backend())
+                .with_retention(args.retention)
+                .with_lease_ttl_cap(args.lease_ttl_cap_ms)
+                .with_shard(shard, of),
+        )
     });
 }

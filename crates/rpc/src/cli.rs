@@ -38,9 +38,9 @@ pub struct ServerArgs {
     /// server only).
     pub lease_ttl_cap_ms: u64,
     /// `--shard I/N`: pin the version service to shard `I` of an
-    /// `N`-way slot map (version server only). `None` (the default)
-    /// serves every slot unchecked.
-    pub shard: Option<(usize, usize)>,
+    /// `N`-way slot map (version server only). The default `(0, 1)` is
+    /// the one shard of an unsharded fleet: it owns every slot.
+    pub shard: (usize, usize),
     /// Dispatcher and admission tuning assembled from the `--workers`,
     /// `--max-conns`, and `--max-inflight-per-conn` flags (defaults
     /// from [`RpcConfig::default`]).
@@ -84,7 +84,7 @@ impl ServerArgs {
             fsync: FsyncPolicy::default(),
             retention: RetentionPolicy::default(),
             lease_ttl_cap_ms: DEFAULT_LEASE_TTL_CAP_MS,
-            shard: None,
+            shard: (0, 1),
             cfg: RpcConfig::default(),
         };
         while let Some(flag) = args.next() {
@@ -113,7 +113,7 @@ impl ServerArgs {
                 if i >= n {
                     return Err(format!("bad {flag}: shard index {i} out of range for /{n}"));
                 }
-                parsed.shard = Some((i, n));
+                parsed.shard = (i, n);
             } else if flag == "--data-dir" {
                 parsed.data_dir = Some(PathBuf::from(&value));
             } else if flag == "--fsync" {

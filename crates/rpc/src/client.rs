@@ -51,8 +51,8 @@ impl RemoteProvider {
             id,
             transport,
             cost: CostModel::zero(),
-            // Idle placeholders: utilization reports skip resources with
-            // zero requests, so remote proxies stay out of them.
+            // Idle placeholders: the trait asks for simulated devices,
+            // which a remote proxy does not have.
             disk: Resource::new(format!("{id}/remote-disk")),
             nic: Resource::new(format!("{id}/remote-nic")),
         }

@@ -531,6 +531,29 @@ mod tests {
     }
 
     #[test]
+    fn the_first_call_after_a_server_restart_is_served() {
+        let _sockets = holding_sockets();
+        let service: Arc<dyn Service> = Arc::new(ProviderService::new(1));
+        let mut server = RpcServer::start("127.0.0.1:0", Arc::clone(&service)).unwrap();
+        let addr = server.local_addr();
+        let mux = MuxTransport::new(addr);
+        mux.call(&Request::Ping, &[]).unwrap();
+        // Each stop closes the client's connection from the server side;
+        // the call right after the rebind must notice the close and
+        // redial, not send on the dead socket.
+        for restart in 0..50 {
+            server.stop();
+            server = RpcServer::start(addr, Arc::clone(&service)).unwrap();
+            let result = mux.call(&Request::Ping, &[]);
+            assert!(
+                matches!(result, Ok((Response::Pong, _))),
+                "restart {restart}: {result:?}"
+            );
+        }
+        server.stop();
+    }
+
+    #[test]
     fn mux_version_mismatch_is_typed() {
         use std::io::{Read as _, Write as _};
         // A fake peer that answers any frame with the prefix of a v7
@@ -653,8 +676,12 @@ mod tests {
     #[test]
     fn server_args_parse_shard_flag() {
         let shard = |value: &str| parse_as(VERSION, "--shard", value).map(|args| args.shard);
-        assert_eq!(shard("2/4"), Ok(Some((2, 4))));
-        assert_eq!(shard("0/1"), Ok(Some((0, 1))));
+        assert_eq!(shard("2/4"), Ok((2, 4)));
+        assert_eq!(shard("0/1"), Ok((0, 1)));
+        // Without the flag the server is the one shard of an unsharded
+        // fleet.
+        let unflagged = parse_as(VERSION, "--chunk-size", "4096").unwrap();
+        assert_eq!(unflagged.shard, (0, 1));
         // Index must be in range, and the spelling is strictly I/N.
         assert!(shard("4/4").is_err());
         assert!(shard("2").is_err());

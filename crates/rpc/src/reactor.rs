@@ -66,10 +66,11 @@ use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Raw Linux epoll/eventfd bindings — just the entry points the reactor
+/// Raw Linux epoll/eventfd/poll bindings — just the entry points the
+/// reactor (and [`MuxTransport`](crate::MuxTransport)'s liveness check)
 /// needs, declared over `std::os::fd` instead of pulling a bindings crate
 /// into the vendored dependency set.
-mod sys {
+pub(crate) mod sys {
     // Interest/event bits (include/uapi/linux/eventpoll.h).
     pub const EPOLLIN: u32 = 0x001;
     pub const EPOLLOUT: u32 = 0x004;
@@ -82,6 +83,18 @@ mod sys {
     pub const EPOLL_CLOEXEC: i32 = 0x80000;
     pub const EFD_CLOEXEC: i32 = 0x80000;
     pub const EFD_NONBLOCK: i32 = 0x800;
+    // poll(2) event bits (include/uapi/asm-generic/poll.h).
+    pub const POLLERR: i16 = 0x008;
+    pub const POLLHUP: i16 = 0x010;
+    pub const POLLRDHUP: i16 = 0x2000;
+
+    /// Mirror of the kernel's `struct pollfd`.
+    #[repr(C)]
+    pub struct PollFd {
+        pub fd: i32,
+        pub events: i16,
+        pub revents: i16,
+    }
 
     /// Mirror of the kernel's `struct epoll_event`. On x86-64 the ABI
     /// packs the 32-bit event mask against the 64-bit data word (12
@@ -100,6 +113,7 @@ mod sys {
         pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
         pub fn eventfd(initval: u32, flags: i32) -> i32;
         pub fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
+        pub fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: i32) -> i32;
     }
 }
 

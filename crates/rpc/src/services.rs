@@ -297,10 +297,10 @@ pub struct VersionService {
     retention: RetentionPolicy,
     lease_ttl_cap_ms: u64,
     vms: Mutex<HashMap<u64, Arc<VersionManager>>>,
-    /// `(i, n)` when this server is shard `i` of an `n`-way fleet, or
-    /// `None` for an unsharded deployment (every slot is served, no
-    /// ownership checks).
-    shard: Option<(usize, usize)>,
+    /// `(i, n)`: this server is shard `i` of an `n`-way fleet and serves
+    /// the slots [`shard_of`] assigns to `i`. An unsharded server is
+    /// shard `(0, 1)`, which owns every slot.
+    shard: (usize, usize),
 }
 
 /// Largest lease TTL a server grants by default (10 minutes): a crashed
@@ -326,7 +326,7 @@ impl VersionService {
             retention: RetentionPolicy::default(),
             lease_ttl_cap_ms: DEFAULT_LEASE_TTL_CAP_MS,
             vms: Mutex::new(HashMap::new()),
-            shard: None,
+            shard: (0, 1),
         }
     }
 
@@ -336,18 +336,17 @@ impl VersionService {
     /// with [`Error::WrongShard`].
     pub fn with_shard(mut self, shard: usize, of: usize) -> Self {
         assert!(shard < of, "shard index {shard} out of {of}");
-        self.shard = Some((shard, of));
+        self.shard = (shard, of);
         self
     }
 
     /// [`Self::vm`] behind the ownership check — the dispatch path for
     /// every per-blob RPC.
     fn vm_owned(&self, blob: u64) -> Result<Arc<VersionManager>> {
-        if let Some((shard, of)) = self.shard {
-            let slot = slot_for_blob(blob);
-            if shard_of(slot, of) != shard {
-                return Err(Error::WrongShard { slot });
-            }
+        let (shard, of) = self.shard;
+        let slot = slot_for_blob(blob);
+        if shard_of(slot, of) != shard {
+            return Err(Error::WrongShard { slot });
         }
         self.vm(blob)
     }

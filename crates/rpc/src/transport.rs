@@ -34,6 +34,7 @@ use serde::{Decode, Encode};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -346,6 +347,23 @@ struct MuxConn {
 }
 
 impl MuxConn {
+    /// Whether the peer has closed or reset the socket: its FIN or RST
+    /// has arrived, though the reader thread may not have read the EOF
+    /// yet. One zero-timeout `poll`; a call written to such a socket
+    /// could only fail.
+    fn peer_closed(&self) -> bool {
+        use crate::reactor::sys;
+        let mut fd = sys::PollFd {
+            fd: self.stream.as_raw_fd(),
+            events: sys::POLLRDHUP,
+            revents: 0,
+        };
+        // SAFETY: `fd` is one initialized `pollfd` that outlives the
+        // call, and its descriptor is this connection's open socket.
+        let ready = unsafe { sys::poll(&mut fd, 1, 0) };
+        ready > 0 && fd.revents & (sys::POLLRDHUP | sys::POLLHUP | sys::POLLERR) != 0
+    }
+
     /// Marks the connection dead and fails every in-flight call with
     /// `error`.
     fn poison(&self, error: &Error) {
@@ -509,13 +527,19 @@ impl MuxTransport {
         }
     }
 
-    /// Returns the live connection, dialing if there is none or the
-    /// previous one died.
+    /// Returns the live connection, dialing if there is none, the
+    /// previous one died, or its peer has closed it (a restarted server:
+    /// the reader may not have seen the EOF yet). A connection dropped
+    /// for a peer close is only marked dead: its reader still delivers
+    /// any response that arrived before the close, then fails the rest.
     fn conn(&self) -> Result<Arc<MuxConn>> {
         let mut slot = self.conn.lock();
         if let Some(conn) = slot.as_ref() {
             if !conn.dead.load(Ordering::Acquire) {
-                return Ok(Arc::clone(conn));
+                if !conn.peer_closed() {
+                    return Ok(Arc::clone(conn));
+                }
+                conn.dead.store(true, Ordering::Release);
             }
         }
         let stream = dial_socket(self.addr, &self.cfg, &self.metrics)?;

@@ -2,8 +2,9 @@
 # The verification gate, offline, all of it on by default:
 #   1. release build of the workspace (tier-1's build + every binary)
 #   2. the workspace test suite (tier-1's root tests + every crate's)
-#   3. re-runs of the socket suites under the environments in the table
-#      below (thread contention, disk backend, sharded version fleet)
+#   3. re-runs in the table below (the rpc suite under thread
+#      contention); the socket suites' disk and sharded arms run inside
+#      step 2
 #   4. formatting, lints on every target the gate compiles, and the
 #      docs with every rustdoc warning (a dead intra-doc link) an error
 #   5. every virtual-time experiment regenerated and compared byte for
@@ -30,18 +31,8 @@ echo "== cargo test --workspace =="
 cargo test -q --offline --workspace
 
 # Re-runs, one per row: label | environment | cargo-test arguments.
-# ATOMIO_DISK=1 puts every hosted service (providers, meta shards,
-# version manager) on the durable disk backend in a fresh temp dir —
-# incl. the kill→restart→recover arms; ATOMIO_SHARDS=4 splits the
-# version manager across a 4-shard slot-routed fleet. Either way the
-# suites must see the same bytes, versions and metadata.
 reruns=(
     "rpc unit suite under thread contention||-p atomio-rpc -- --test-threads=16"
-    "distributed atomicity, disk backend|ATOMIO_DISK=1|--test distributed_atomicity"
-    "transport equivalence, disk backend|ATOMIO_DISK=1|--test transport_equivalence"
-    "lease-based GC incl. lease/retention crash recovery, disk backend|ATOMIO_DISK=1|--test gc_distributed"
-    "distributed atomicity, 4-shard version fleet|ATOMIO_SHARDS=4|--test distributed_atomicity"
-    "distributed atomicity, 4-shard fleet of disk-backed version services|ATOMIO_SHARDS=4 ATOMIO_DISK=1|--test distributed_atomicity"
 )
 for row in "${reruns[@]}"; do
     IFS='|' read -r label vars args <<<"$row"

@@ -147,8 +147,8 @@ fn storage_backend_history(backend: BackendConfig) -> (VersionId, Vec<Vec<u8>>, 
     let blob_ref = &blob;
     let w_ref = &w;
     // Sequential so both backends commit the same version chain; the
-    // concurrent case is covered above per lock strategy, and via
-    // `ATOMIO_DISK=1` reruns of the distributed suites.
+    // concurrent case is covered above per lock strategy, and by the
+    // disk arms of the distributed suites.
     run_actors_on(&clock, 1, move |_, p| {
         for rank in 0..w_ref.processes() {
             let ext = w_ref.extents_for(rank);

@@ -27,23 +27,18 @@
 //! A collector walks trees on the client, one `MetaGetBatch` per tree
 //! level and walk.
 
-use atomio::core::{GcCoordinator, ReadVersion, Store, StoreConfig, TransportMode};
-use atomio::provider::{chunk_store_for, ChunkStore, ProviderManager};
-use atomio::rpc::{
-    dial, MetaService, ProviderService, RemoteMetaStore, RemoteProvider, RemoteVersionManager,
-    Request, Response, RpcConfig, RpcMode, RpcServer, Service, Transport, VersionService,
-};
+mod common;
+
+use atomio::core::{GcCoordinator, ReadVersion, Store, StoreConfig};
+use atomio::rpc::{Request, Response, Transport};
 use atomio::simgrid::clock::run_actors_on;
-use atomio::simgrid::{CostModel, FaultInjector, SimClock};
+use atomio::simgrid::SimClock;
 use atomio::types::stamp::WriteStamp;
-use atomio::types::tempdir::TempDir;
-use atomio::types::{
-    BackendConfig, ByteRange, ClientId, Error, ExtentList, ProviderId, RetentionPolicy, VersionId,
-};
+use atomio::types::{ByteRange, ClientId, Error, ExtentList, RetentionPolicy, VersionId};
 use atomio::workloads::verify::{check_serializable_from, WriteRecord};
 use atomio::workloads::TileWorkload;
 use bytes::Bytes;
-use std::net::SocketAddr;
+use common::{Backend, Deployment, Layout, Role};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -52,6 +47,9 @@ const CHUNK: u64 = 4096;
 const SEED: u64 = 0x6C0A;
 const LEASE_TTL_MS: u64 = 60_000;
 
+/// The version service carries the config's retention as its
+/// deployment default, exactly as `atomio-version-server --retention
+/// keep-last:2` would.
 fn base_config(providers: usize) -> StoreConfig {
     StoreConfig::default()
         .with_zero_cost()
@@ -60,16 +58,6 @@ fn base_config(providers: usize) -> StoreConfig {
         .with_meta_shards(2)
         .with_seed(SEED)
         .with_retention(RetentionPolicy::KeepLast(2))
-}
-
-fn hosted_store(i: usize, backend: &BackendConfig) -> Arc<dyn ChunkStore> {
-    chunk_store_for(
-        backend,
-        ProviderId::new(i as u64),
-        CostModel::zero(),
-        &Arc::new(FaultInjector::new(0)),
-    )
-    .expect("open hosted chunk store")
 }
 
 type Hook = Box<dyn FnOnce() + Send>;
@@ -122,107 +110,24 @@ impl Transport for BeforeResolve {
     }
 }
 
-/// A three-service TCP deployment (subset of the harness in
-/// `distributed_atomicity.rs`), keeping the version endpoint so the
-/// crash test can rebuild a fresh service from the backend directory.
-struct Deployment {
-    _provider_servers: Vec<RpcServer>,
-    _meta_server: RpcServer,
-    version_server: RpcServer,
-    version_addr: SocketAddr,
-    backend: BackendConfig,
-    _tmp: TempDir,
-    store: Store,
-    meta: Arc<BeforeResolve>,
-}
-
-fn three_service_store(providers: usize, backend_of: BackendConfig) -> Deployment {
-    let tmp = TempDir::new("atomio-gc-dist");
-    let backend = match backend_of {
-        BackendConfig::Disk { .. } => BackendConfig::disk(tmp.path()),
-        BackendConfig::Memory => BackendConfig::Memory,
-    };
-    let config = base_config(providers).with_transport_mode(TransportMode::Tcp);
-
-    let mut provider_servers = Vec::new();
-    let mut stores: Vec<Arc<dyn ChunkStore>> = Vec::new();
-    for i in 0..providers {
-        let server = RpcServer::start(
-            "127.0.0.1:0",
-            Arc::new(ProviderService::from_stores(vec![hosted_store(
-                i, &backend,
-            )])),
-        )
-        .expect("bind provider server");
-        let transport = dial(
-            server.local_addr(),
-            RpcMode::Mux,
-            RpcConfig::default(),
-            None,
-        );
-        stores.push(Arc::new(RemoteProvider::new(
-            ProviderId::new(i as u64),
-            transport,
-        )));
-        provider_servers.push(server);
-    }
-
-    let meta_server = RpcServer::start(
-        "127.0.0.1:0",
-        Arc::new(
-            MetaService::with_backend(config.meta_shards, &backend).expect("open meta service"),
-        ),
-    )
-    .expect("bind meta server");
-    let meta_transport = dial(
-        meta_server.local_addr(),
-        RpcMode::Mux,
-        RpcConfig::default(),
-        None,
-    );
-
-    // The server carries the deployment-default retention, exactly as
-    // `atomio-version-server --retention keep-last:2` would.
-    let version_service: Arc<dyn Service> = Arc::new(
-        VersionService::with_backend(CHUNK, backend.clone())
-            .with_retention(RetentionPolicy::KeepLast(2)),
-    );
-    let version_server =
-        RpcServer::start("127.0.0.1:0", version_service).expect("bind version server");
-    let version_addr = version_server.local_addr();
-    let version_transport = dial(version_addr, RpcMode::Mux, RpcConfig::default(), None);
-
-    let manager = Arc::new(ProviderManager::from_stores(
-        stores,
-        config.allocation,
-        Arc::new(FaultInjector::new(config.seed ^ 0xFA17)),
-        config.seed,
-    ));
+/// The three-service TCP deployment with one version server, and its
+/// store over a [`BeforeResolve`]-wrapped metadata transport.
+fn three_service_store(
+    providers: usize,
+    backend: Backend,
+) -> (Deployment, Store, Arc<BeforeResolve>) {
+    let d = Deployment::start(base_config(providers), Layout::three_services(backend, 1));
     let meta = Arc::new(BeforeResolve {
-        inner: meta_transport,
+        inner: d.transport(Role::Meta),
         hook: Mutex::new(None),
         resolves: AtomicU64::new(0),
         get_batches: AtomicU64::new(0),
     });
-    let remote_meta = Arc::new(RemoteMetaStore::new(Arc::clone(&meta) as Arc<dyn Transport>));
-    let store =
-        Store::with_substrates(config, manager, remote_meta).with_version_oracles(move |blob| {
-            Arc::new(RemoteVersionManager::new(
-                blob.raw(),
-                Arc::clone(&version_transport),
-            ))
-        });
-
-    Deployment {
-        _provider_servers: provider_servers,
-        _meta_server: meta_server,
-        version_server,
-        version_addr,
-        backend,
-        _tmp: tmp,
-        store,
-        meta,
-    }
+    let store = d.assemble(
+        d.provider_stores(),
+        Some(Arc::clone(&meta) as Arc<dyn Transport>),
+    );
+    (d, store, meta)
 }
 
 /// The shared stress: two base snapshots, a lease pinning the second,
@@ -361,16 +266,16 @@ fn gc_runs_beside_nine_overlapping_writers_loopback() {
 
 #[test]
 fn gc_runs_beside_nine_overlapping_writers_tcp_mux() {
-    let d = three_service_store(4, BackendConfig::Memory);
-    gc_beside_nine_writers(&d.store);
+    let (_d, store, _meta) = three_service_store(4, Backend::Memory);
+    gc_beside_nine_writers(&store);
 }
 
 #[test]
 fn lease_expiry_mid_read_is_a_typed_error_over_tcp() {
     // Server-clock leases: a 20 ms TTL lapses in wall time while the
     // collector (correctly) treats the pin as gone and reclaims.
-    let d = three_service_store(2, BackendConfig::Memory);
-    let blob = d.store.create_blob();
+    let (_d, store, _meta) = three_service_store(2, Backend::Memory);
+    let blob = store.create_blob();
     let clock = SimClock::new();
     let blob_ref = &blob;
     run_actors_on(&clock, 1, move |_, p| {
@@ -416,9 +321,9 @@ fn four_whole_overwrites(blob: &atomio::core::Blob, p: &atomio::simgrid::Partici
 
 #[test]
 fn a_resolve_that_reaches_a_collected_node_fails_typed_over_tcp() {
-    let d = three_service_store(2, BackendConfig::Memory);
-    let blob = d.store.create_blob();
-    let (blob_ref, meta) = (&blob, d.store.meta());
+    let (_d, store, counted) = three_service_store(2, Backend::Memory);
+    let blob = store.create_blob();
+    let (blob_ref, meta) = (&blob, store.meta());
     let whole = ExtentList::single(ByteRange::new(0, 2 * CHUNK));
     run_actors_on(&SimClock::new(), 1, |_, p| {
         four_whole_overwrites(blob_ref, p);
@@ -435,12 +340,12 @@ fn a_resolve_that_reaches_a_collected_node_fails_typed_over_tcp() {
             .run_to_floor(p)
             .unwrap();
         assert_eq!(merged.report.versions_retired, 2);
-        let resolves = d.meta.resolves();
+        let resolves = counted.resolves();
         assert!(matches!(
             meta.resolve(p, collected, &whole, None),
             Err(Error::MetadataNodeMissing(_))
         ));
-        assert_eq!(d.meta.resolves() - resolves, 1);
+        assert_eq!(counted.resolves() - resolves, 1);
         // The retained snapshot still resolves whole, every byte stored.
         let pieces = meta.resolve(p, retained, &whole, None).unwrap();
         assert!(pieces.iter().all(|piece| piece.source.is_some()));
@@ -451,8 +356,8 @@ fn a_resolve_that_reaches_a_collected_node_fails_typed_over_tcp() {
 
 #[test]
 fn a_gc_run_fetches_each_tree_level_in_one_round_trip_over_tcp() {
-    let d = three_service_store(2, BackendConfig::Memory);
-    let blob = d.store.create_blob();
+    let (_d, store, meta) = three_service_store(2, Backend::Memory);
+    let blob = store.create_blob();
     let blob_ref = &blob;
     let whole = 4 * CHUNK;
     run_actors_on(&SimClock::new(), 1, |_, p| {
@@ -464,11 +369,11 @@ fn a_gc_run_fetches_each_tree_level_in_one_round_trip_over_tcp() {
                 .write(p, 0, Bytes::from(vec![fill; whole as usize]))
                 .unwrap();
         }
-        let before = d.meta.get_batches();
+        let before = meta.get_batches();
         let merged = GcCoordinator::new(blob_ref.clone())
             .run_to_floor(p)
             .unwrap();
-        let calls = d.meta.get_batches() - before;
+        let calls = meta.get_batches() - before;
         let retired = merged.report.versions_retired;
         assert_eq!(retired, 4, "KeepLast(2) retires v1..v4");
         assert_eq!(merged.report.nodes_evicted, 4 * 7);
@@ -498,14 +403,14 @@ fn a_lease_that_lapses_before_the_resolve_is_a_typed_error_over_tcp() {
     // a lease), then resolves. In between, the lease lapses in wall time
     // and the collector reclaims the leased version: the resolve meets a
     // collected root, and the read reports the lapse, typed.
-    let d = three_service_store(2, BackendConfig::Memory);
-    let blob = d.store.create_blob();
+    let (_d, store, meta) = three_service_store(2, Backend::Memory);
+    let blob = store.create_blob();
     let blob_ref = &blob;
     run_actors_on(&SimClock::new(), 1, |_, p| {
         four_whole_overwrites(blob_ref, p);
         let grant = blob_ref.lease_acquire(p, VersionId::new(1), 200).unwrap();
         let collector = blob_ref.clone();
-        d.meta.arm(move || {
+        meta.arm(move || {
             std::thread::sleep(Duration::from_millis(300));
             let p = SimClock::new().register();
             let merged = GcCoordinator::new(collector).run_to_floor(&p).unwrap();
@@ -515,7 +420,7 @@ fn a_lease_that_lapses_before_the_resolve_is_a_typed_error_over_tcp() {
         let cache = blob_ref
             .node_cache()
             .expect("the default store caches nodes");
-        let (resolves, lookups) = (d.meta.resolves(), cache.stats());
+        let (resolves, lookups) = (meta.resolves(), cache.stats());
         let err = blob_ref
             .read_leased(
                 p,
@@ -531,16 +436,16 @@ fn a_lease_that_lapses_before_the_resolve_is_a_typed_error_over_tcp() {
                 version: grant.version
             }
         );
-        assert!(d.meta.hook.lock().unwrap().is_none(), "the hook ran");
-        assert_eq!(d.meta.resolves() - resolves, 1, "one MetaResolve");
+        assert!(meta.hook.lock().unwrap().is_none(), "the hook ran");
+        assert_eq!(meta.resolves() - resolves, 1, "one MetaResolve");
         assert_eq!(cache.stats(), lookups, "the client did not walk");
     });
 }
 
 #[test]
 fn version_server_restart_preserves_leases_and_retention_on_disk() {
-    let mut d = three_service_store(2, BackendConfig::disk("unused"));
-    let blob = d.store.create_blob();
+    let (d, store, _meta) = three_service_store(2, Backend::Disk);
+    let blob = store.create_blob();
     let clock = SimClock::new();
     let blob_ref = &blob;
 
@@ -567,10 +472,11 @@ fn version_server_restart_preserves_leases_and_retention_on_disk() {
     .pop()
     .unwrap();
 
-    // Hard-stop the version server and rebuild a FRESH service from the
-    // on-disk publish log — deliberately without the deployment-default
-    // retention flag, so anything that survives came off the disk.
-    d.version_server.stop();
+    // Hard-stop the version server, then rebuild a FRESH service from
+    // the on-disk publish log. It carries the deployment default,
+    // KeepLast(2), so a recovered KeepLast(3) and a recovered lease can
+    // only have come off the disk.
+    d.kill(Role::Version(0));
     run_actors_on(&clock, 1, move |_, p| {
         // Down means typed transport errors, never stale answers.
         assert!(matches!(
@@ -578,11 +484,7 @@ fn version_server_restart_preserves_leases_and_retention_on_disk() {
             Error::Transport { .. }
         ));
     });
-    d.version_server = RpcServer::start(
-        d.version_addr,
-        Arc::new(VersionService::with_backend(CHUNK, d.backend.clone())) as Arc<dyn Service>,
-    )
-    .expect("rebind version server");
+    d.restart_fresh(Role::Version(0));
 
     run_actors_on(&clock, 1, move |_, p| {
         // The recovered floor: KeepLast(3) would allow up to v4, the
@@ -605,7 +507,8 @@ fn version_server_restart_preserves_leases_and_retention_on_disk() {
         );
 
         // Releasing the recovered lease (by its pre-crash id!) hands the
-        // floor to the recovered KeepLast(3): v1..v3 become collectable.
+        // floor to the recovered KeepLast(3): v1..v3 become collectable
+        // (the default KeepLast(2) would free v4 too).
         blob_ref.lease_release(p, grant.lease).unwrap();
         let merged = gc.run_to_floor(p).unwrap();
         assert_eq!(

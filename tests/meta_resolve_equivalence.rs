@@ -8,36 +8,21 @@
 //! round-trip pin keeps the per-level walk from silently coming back to
 //! the socket path.
 
+mod common;
+
 use atomio::core::{ReadVersion, Store, StoreConfig};
 use atomio::meta::{Node, NodeBody, NodeKey, NodeStore, ResolvedPiece};
-use atomio::provider::ProviderManager;
-use atomio::rpc::{
-    counters, dial, Loopback, MetaService, RemoteMetaStore, RpcConfig, RpcMode, RpcServer,
-    Transport,
-};
 use atomio::simgrid::clock::run_actors_on;
 use atomio::simgrid::rng::DetRng;
-use atomio::simgrid::{CostModel, FaultInjector, Metrics, Participant, SimClock};
+use atomio::simgrid::{Participant, SimClock};
 use atomio::types::stamp::WriteStamp;
-use atomio::types::tempdir::TempDir;
-use atomio::types::{BackendConfig, ByteRange, ClientId, ExtentList, Result, VersionId};
+use atomio::types::{ByteRange, ClientId, ExtentList, Result, VersionId};
 use atomio::workloads::TileWorkload;
 use bytes::Bytes;
+use common::{Backend, Deployment, Layout, Wire};
 use std::sync::Arc;
 
 const CHUNK: u64 = 1024;
-
-#[derive(Debug, Clone, Copy)]
-enum Wire {
-    Loopback,
-    Tcp,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Backend {
-    Memory,
-    Disk,
-}
 
 const ARMS: [(Wire, Backend); 4] = [
     (Wire::Loopback, Backend::Memory),
@@ -50,7 +35,7 @@ const ARMS: [(Wire, Backend); 4] = [
 /// `resolve` is the trait's client-walked default: the reference the
 /// server's walk must match, over the very same stored nodes.
 #[derive(Debug)]
-struct LevelWalk(Arc<RemoteMetaStore>);
+struct LevelWalk(Arc<dyn NodeStore>);
 
 impl NodeStore for LevelWalk {
     fn put_batch(&self, p: &Participant, nodes: Vec<Node>) -> Vec<Result<()>> {
@@ -71,65 +56,22 @@ impl NodeStore for LevelWalk {
 }
 
 /// A store whose metadata lives in a `MetaService` behind `wire`, with
-/// in-process providers and version managers: the meta transport's
-/// counters see metadata round trips only.
-struct Deployment {
-    store: Store,
-    meta: Arc<RemoteMetaStore>,
-    /// Client-side counters of the meta transport.
-    rpc: Metrics,
-    _server: Option<RpcServer>,
-    _tmp: TempDir,
-}
-
-impl Deployment {
-    fn new((wire, backend): (Wire, Backend)) -> Self {
-        let tmp = TempDir::new("atomio-meta-resolve");
-        let backend = match backend {
-            Backend::Memory => BackendConfig::Memory,
-            Backend::Disk => BackendConfig::disk(tmp.path()),
-        };
-        let service = Arc::new(MetaService::with_backend(2, &backend).expect("open meta service"));
-        let rpc = Metrics::new();
-        let (transport, server): (Arc<dyn Transport>, _) = match wire {
-            Wire::Loopback => (
-                Arc::new(Loopback::new(service).with_metrics(rpc.clone())),
-                None,
-            ),
-            Wire::Tcp => {
-                let server = RpcServer::start("127.0.0.1:0", service).expect("bind meta server");
-                let transport = dial(
-                    server.local_addr(),
-                    RpcMode::Mux,
-                    RpcConfig::default(),
-                    Some(rpc.clone()),
-                );
-                (transport, Some(server))
-            }
-        };
-        let config = StoreConfig::default()
-            .with_zero_cost()
-            .with_chunk_size(CHUNK)
-            .with_data_providers(4)
-            .with_seed(0x3E7A);
-        let providers = Arc::new(ProviderManager::new(
-            4,
-            CostModel::zero(),
-            Arc::new(FaultInjector::new(0)),
-        ));
-        let meta = Arc::new(RemoteMetaStore::new(transport));
-        Deployment {
-            store: Store::with_substrates(config, providers, Arc::clone(&meta) as _),
-            meta,
-            rpc,
-            _server: server,
-            _tmp: tmp,
-        }
-    }
-
-    fn round_trips(&self) -> u64 {
-        self.rpc.counter(counters::MESSAGES).get()
-    }
+/// in-process providers and version managers: the deployment's
+/// transport counters see metadata round trips only.
+fn deploy((wire, backend): (Wire, Backend)) -> (Deployment, Store) {
+    let config = StoreConfig::default()
+        .with_zero_cost()
+        .with_chunk_size(CHUNK)
+        .with_data_providers(4)
+        .with_meta_shards(2)
+        .with_seed(0x3E7A);
+    let layout = Layout {
+        meta: true,
+        ..Layout::new(wire, backend)
+    };
+    let d = Deployment::start(config, layout);
+    let store = d.store();
+    (d, store)
 }
 
 /// Up to four random, possibly overlapping ranges inside `[0, span)`,
@@ -149,9 +91,10 @@ fn random_extents(rng: &DetRng, span: u64) -> ExtentList {
 fn the_server_walk_returns_exactly_the_client_walk_pieces() {
     const SPAN: u64 = 16 * CHUNK;
     for arm in ARMS {
-        let d = Deployment::new(arm);
-        let reference = LevelWalk(Arc::clone(&d.meta));
-        let blob = d.store.create_blob();
+        let (d, store) = deploy(arm);
+        let meta = store.meta();
+        let reference = LevelWalk(Arc::clone(meta));
+        let blob = store.create_blob();
         let rng = DetRng::new(0x5EED);
         let clock = SimClock::new();
         run_actors_on(&clock, 1, |_, p| {
@@ -183,7 +126,7 @@ fn the_server_walk_returns_exactly_the_client_walk_pieces() {
                 reads.push(ExtentList::single(ByteRange::new(capacity - 7, 2 * CHUNK)));
                 for extents in &reads {
                     let before = d.round_trips();
-                    let served = d.meta.resolve(p, Some(root), extents, None).unwrap();
+                    let served = meta.resolve(p, Some(root), extents, None).unwrap();
                     assert_eq!(d.round_trips() - before, 1, "{arm:?} one round trip");
                     let walked = reference.resolve(p, Some(root), extents, None).unwrap();
                     assert_eq!(served, walked, "{arm:?} v{} {extents:?}", i + 1);
@@ -198,7 +141,7 @@ fn the_server_walk_returns_exactly_the_client_walk_pieces() {
             assert!(holes > 0 && past > 0 && stored > 0, "{arm:?}");
             // A rootless resolve is all holes on both sides.
             let extents = ExtentList::single(ByteRange::new(3, 100));
-            let served = d.meta.resolve(p, None, &extents, None).unwrap();
+            let served = meta.resolve(p, None, &extents, None).unwrap();
             assert_eq!(served, reference.resolve(p, None, &extents, None).unwrap());
             assert_eq!(
                 served,
@@ -210,8 +153,8 @@ fn the_server_walk_returns_exactly_the_client_walk_pieces() {
         });
         // The random writes did leave partly overwritten leaves, so the
         // reads above followed backlinks.
-        let keys = d.store.meta().list_keys();
-        let nodes = run_actors_on(&SimClock::new(), 1, |_, p| d.meta.get_batch(p, &keys))
+        let keys = meta.list_keys();
+        let nodes = run_actors_on(&SimClock::new(), 1, |_, p| meta.get_batch(p, &keys))
             .pop()
             .unwrap();
         let backlinks = nodes
@@ -228,6 +171,7 @@ fn the_server_walk_returns_exactly_the_client_walk_pieces() {
             })
             .count();
         assert!(backlinks > 0, "{arm:?} no leaf has a backlink");
+        d.prove_arm(&store);
     }
 }
 
@@ -237,8 +181,8 @@ fn a_tile_read_costs_one_meta_round_trip_and_no_cache_lookup() {
     // tree several levels deep.
     let tile = TileWorkload::new(2, 2, 64, 64, 1, 4, 4);
     for arm in ARMS {
-        let d = Deployment::new(arm);
-        let blob = d.store.create_blob();
+        let (d, store) = deploy(arm);
+        let blob = store.create_blob();
         let clock = SimClock::new();
         run_actors_on(&clock, 1, |_, p| {
             for rank in 0..tile.processes() {
@@ -263,5 +207,6 @@ fn a_tile_read_costs_one_meta_round_trip_and_no_cache_lookup() {
                 }
             }
         });
+        d.prove_arm(&store);
     }
 }

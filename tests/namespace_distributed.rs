@@ -20,18 +20,19 @@
 //!    `--shard i/N` slots. A router whose shard list disagrees with the
 //!    servers' flags gets a typed `WrongShard`, never a retry.
 
+mod common;
+
 use atomio::core::{shard_of, slot_for_blob, ReadVersion, Store, StoreConfig};
 use atomio::meta::NodeKey;
 use atomio::rpc::{
-    dial, Loopback, RemoteVersionManager, Request, Response, RpcConfig, RpcMode, RpcServer,
-    Service, SlotRoutedTransport, Transport, VersionService,
+    Loopback, RemoteVersionManager, Request, Response, SlotRoutedTransport, Transport,
 };
 use atomio::simgrid::clock::run_actors_on;
 use atomio::simgrid::SimClock;
-use atomio::types::tempdir::TempDir;
-use atomio::types::{BackendConfig, BlobId, ByteRange, Error, ExtentList, VersionId};
+use atomio::types::{BlobId, ByteRange, Error, ExtentList, VersionId};
 use atomio::version::VersionOracle;
 use bytes::Bytes;
+use common::{Backend, Deployment, Layout, Role, Wire};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -59,93 +60,21 @@ impl Rng {
     }
 }
 
-/// A version-service fleet of `n` shards plus the client transport that
-/// routes across it: plain for one shard, slot-routed for several. TCP
-/// fleets keep their servers alive in `_servers`.
-struct VersionFleet {
-    services: Vec<Arc<VersionService>>,
-    servers: Vec<RpcServer>,
-    transport: Arc<dyn Transport>,
-}
-
-fn loopback_fleet(n: usize) -> VersionFleet {
-    let services: Vec<Arc<VersionService>> = (0..n)
-        .map(|i| {
-            let mut s = VersionService::new(CHUNK);
-            if n > 1 {
-                s = s.with_shard(i, n);
-            }
-            Arc::new(s)
-        })
-        .collect();
-    let transports: Vec<Arc<dyn Transport>> = services
-        .iter()
-        .map(|s| Arc::new(Loopback::new(Arc::clone(s) as Arc<dyn Service>)) as Arc<dyn Transport>)
-        .collect();
-    let transport = routed_over(transports);
-    VersionFleet {
-        services,
-        servers: Vec::new(),
-        transport,
-    }
-}
-
-fn tcp_fleet(n: usize, backend: &BackendConfig) -> VersionFleet {
-    let services: Vec<Arc<VersionService>> = (0..n)
-        .map(|i| {
-            let mut s = VersionService::with_backend(CHUNK, backend.clone());
-            if n > 1 {
-                s = s.with_shard(i, n);
-            }
-            Arc::new(s)
-        })
-        .collect();
-    let servers: Vec<RpcServer> = services
-        .iter()
-        .map(|s| {
-            RpcServer::start("127.0.0.1:0", Arc::clone(s) as Arc<dyn Service>)
-                .expect("bind version shard")
-        })
-        .collect();
-    let transports: Vec<Arc<dyn Transport>> = servers
-        .iter()
-        .map(|srv| dial(srv.local_addr(), RpcMode::Mux, RpcConfig::default(), None))
-        .collect();
-    let transport = routed_over(transports);
-    VersionFleet {
-        services,
-        servers,
-        transport,
-    }
-}
-
-fn routed_over(transports: Vec<Arc<dyn Transport>>) -> Arc<dyn Transport> {
-    if transports.len() == 1 {
-        transports.into_iter().next().unwrap()
-    } else {
-        Arc::new(SlotRoutedTransport::new(transports))
-    }
-}
-
-/// A store whose data/metadata paths are in-process but whose version
-/// oracle is the fleet's (possibly slot-routed) transport — the seam
-/// under test, everything else held constant.
-fn store_over(fleet: &VersionFleet) -> Store {
-    let transport = Arc::clone(&fleet.transport);
-    Store::new(
-        StoreConfig::default()
-            .with_zero_cost()
-            .with_chunk_size(CHUNK)
-            .with_data_providers(2)
-            .with_meta_shards(2)
-            .with_seed(SEED),
-    )
-    .with_version_oracles(move |blob| {
-        Arc::new(RemoteVersionManager::new(
-            blob.raw(),
-            Arc::clone(&transport),
-        ))
-    })
+/// A version-service fleet of `shards` shards over `wire`, behind one
+/// slot-routed transport; data and metadata stay in the client's store
+/// — the seam under test, everything else held constant.
+fn fleet(wire: Wire, backend: Backend, shards: usize) -> Deployment {
+    let config = StoreConfig::default()
+        .with_zero_cost()
+        .with_chunk_size(CHUNK)
+        .with_data_providers(2)
+        .with_meta_shards(2)
+        .with_seed(SEED);
+    let layout = Layout {
+        version_shards: shards,
+        ..Layout::new(wire, backend)
+    };
+    Deployment::start(config, layout)
 }
 
 /// Drives the seeded multi-tenant interleaving and returns the final
@@ -222,7 +151,7 @@ fn run_multi_tenant(store: &Store) -> Vec<(String, u64, Vec<u8>)> {
 fn multi_tenant_namespace_is_bit_identical_across_shard_counts_and_transports() {
     // Reference: the single-oracle loopback fleet — behaviorally the
     // deployment every earlier test in this repo pinned down.
-    let reference = run_multi_tenant(&store_over(&loopback_fleet(1)));
+    let reference = run_multi_tenant(&fleet(Wire::Loopback, Backend::Memory, 1).store());
     assert!(
         !reference.is_empty(),
         "the seeded workload must leave files behind"
@@ -230,16 +159,15 @@ fn multi_tenant_namespace_is_bit_identical_across_shard_counts_and_transports() 
     // Version chains actually grew (multiple publishes per file).
     assert!(reference.iter().any(|(_, v, _)| *v > 1));
 
-    for (label, fleet) in [
-        ("loopback/4-shard", loopback_fleet(4)),
-        ("tcp-mux/1-shard", tcp_fleet(1, &BackendConfig::Memory)),
-        ("tcp-mux/4-shard", tcp_fleet(4, &BackendConfig::Memory)),
-    ] {
-        let got = run_multi_tenant(&store_over(&fleet));
+    for (wire, shards) in [(Wire::Loopback, 4), (Wire::Tcp, 1), (Wire::Tcp, 4)] {
+        let d = fleet(wire, Backend::Memory, shards);
+        let store = d.store();
+        let got = run_multi_tenant(&store);
         assert_eq!(
             got, reference,
-            "{label}: namespace, version chains, or bytes diverged"
+            "{wire:?}/{shards}-shard: namespace, version chains, or bytes diverged"
         );
+        d.prove_arm(&store);
     }
 }
 
@@ -261,14 +189,13 @@ fn publish_once(vm: &RemoteVersionManager, blob: u64) -> VersionId {
 #[test]
 fn killing_one_shard_fails_only_its_slots_and_recovers_on_the_same_port() {
     let p = SimClock::new().register();
-    let tmp = TempDir::new("atomio-shard-kill");
-    let backend = BackendConfig::disk(tmp.path());
-    let mut fleet = tcp_fleet(4, &backend);
+    let d = fleet(Wire::Tcp, Backend::Disk, 4);
+    let transport = d.version_transport();
 
     // Two published versions on each of 32 blobs, slot-routed.
     let blobs: Vec<u64> = (0..32).collect();
     for &b in &blobs {
-        let vm = RemoteVersionManager::new(b, Arc::clone(&fleet.transport));
+        let vm = RemoteVersionManager::new(b, Arc::clone(&transport));
         publish_once(&vm, b);
         publish_once(&vm, b);
     }
@@ -283,11 +210,10 @@ fn killing_one_shard_fails_only_its_slots_and_recovers_on_the_same_port() {
     // Mid-commit crash: a writer on a victim blob holds a granted
     // ticket when its shard dies; the publish fails typed.
     let doomed_blob = victims[0];
-    let doomed = RemoteVersionManager::new(doomed_blob, Arc::clone(&fleet.transport));
+    let doomed = RemoteVersionManager::new(doomed_blob, Arc::clone(&transport));
     let (t3, _) = doomed.ticket_append(&p, CHUNK).unwrap();
     assert_eq!(t3.version, VersionId::new(3));
-    let addr = fleet.servers[1].local_addr();
-    fleet.servers[1].stop();
+    d.kill(Role::Version(1));
     let err = doomed
         .publish(
             &p,
@@ -307,26 +233,23 @@ fn killing_one_shard_fails_only_its_slots_and_recovers_on_the_same_port() {
     // Blast radius is exactly shard 1's slots: victims fail typed,
     // survivors keep granting and publishing.
     for &b in &victims {
-        let vm = RemoteVersionManager::new(b, Arc::clone(&fleet.transport));
+        let vm = RemoteVersionManager::new(b, Arc::clone(&transport));
         assert!(
             matches!(vm.latest(&p), Err(Error::Transport { .. })),
             "blob {b} lives on the dead shard"
         );
     }
     for &b in &survivors {
-        let vm = RemoteVersionManager::new(b, Arc::clone(&fleet.transport));
+        let vm = RemoteVersionManager::new(b, Arc::clone(&transport));
         assert_eq!(vm.latest(&p).unwrap().version, VersionId::new(2));
         assert_eq!(publish_once(&vm, b), VersionId::new(3));
     }
 
     // Fresh process on the same port: the shard's publish logs bring
     // back every published version; the torn v3 grant never surfaces.
-    let recovered = Arc::new(VersionService::with_backend(CHUNK, backend.clone()).with_shard(1, 4));
-    fleet.servers[1] =
-        RpcServer::start(addr, Arc::clone(&recovered) as Arc<dyn Service>).expect("rebind shard 1");
-    fleet.services[1] = recovered;
+    d.restart_fresh(Role::Version(1));
     for &b in &victims {
-        let vm = RemoteVersionManager::new(b, Arc::clone(&fleet.transport));
+        let vm = RemoteVersionManager::new(b, Arc::clone(&transport));
         assert_eq!(
             vm.latest(&p).unwrap().version,
             VersionId::new(2),
@@ -336,9 +259,7 @@ fn killing_one_shard_fails_only_its_slots_and_recovers_on_the_same_port() {
     }
     // Asked directly, the restarted `1/4` serves exactly its own slots:
     // every survivor draws a typed refusal naming its slot.
-    let direct: Arc<dyn Transport> = Arc::new(Loopback::new(
-        Arc::clone(&fleet.services[1]) as Arc<dyn Service>
-    ));
+    let direct: Arc<dyn Transport> = Arc::new(Loopback::new(d.service(Role::Version(1))));
     for &b in &survivors {
         let vm = RemoteVersionManager::new(b, Arc::clone(&direct));
         let wrong = Error::WrongShard {
@@ -378,12 +299,11 @@ impl Transport for Counting {
 #[test]
 fn a_router_over_the_wrong_shard_count_fails_typed_on_the_first_call() {
     let p = SimClock::new().register();
-    let fleet = loopback_fleet(4);
-    let shards: Vec<Arc<Counting>> = fleet.services[..2]
-        .iter()
-        .map(|s| {
+    let d = fleet(Wire::Loopback, Backend::Memory, 4);
+    let shards: Vec<Arc<Counting>> = (0..2)
+        .map(|i| {
             Arc::new(Counting {
-                inner: Arc::new(Loopback::new(Arc::clone(s) as Arc<dyn Service>)),
+                inner: Arc::new(Loopback::new(d.service(Role::Version(i)))),
                 calls: AtomicUsize::new(0),
             })
         })

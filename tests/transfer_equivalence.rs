@@ -7,30 +7,25 @@
 //! under concurrent writers and the same fault semantics, and a
 //! round-trip pin keeps the per-chunk loop from silently coming back.
 
+mod common;
+
 use atomio::core::{ReadVersion, Store, StoreConfig};
-use atomio::meta::{MetaStore, Node};
+use atomio::meta::Node;
 use atomio::mpiio::adio::AdioDriver;
 use atomio::mpiio::drivers::VersioningDriver;
-use atomio::provider::{
-    AllocationStrategy, ChunkStore, DiskProvider, ProviderManager, ScrubReport,
-};
-use atomio::rpc::{
-    client::BATCH_FRAME_BYTES, counters, dial, Loopback, ProviderService, RemoteProvider,
-    RpcConfig, RpcMode, RpcServer, Transport,
-};
+use atomio::provider::{ChunkStore, ScrubReport};
+use atomio::rpc::client::BATCH_FRAME_BYTES;
 use atomio::simgrid::clock::run_actors_on;
-use atomio::simgrid::{
-    CostModel, FaultInjector, Metrics, Participant, Resource, SimClock, SimTime,
-};
+use atomio::simgrid::{CostModel, Participant, Resource, SimClock, SimTime};
 use atomio::types::stamp::WriteStamp;
-use atomio::types::tempdir::TempDir;
 use atomio::types::{
-    ByteRange, ChunkId, ClientId, Error, ExtentList, FsyncPolicy, ProviderId, Result, VersionId,
+    ByteRange, ChunkId, ClientId, Error, ExtentList, ProviderId, Result, VersionId,
 };
 use atomio::workloads::{run_write_round, CheckpointWorkload, OverlapWorkload, TileWorkload};
 use bytes::Bytes;
+use common::{sorted_keys, Backend, Deployment, Layout, Role, Wire};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Forwards every method of a chunk store except the two batch ones, so
@@ -98,11 +93,13 @@ impl ChunkStore for PerItem {
     }
 }
 
-/// Where the chunk stores of a deployment live.
+/// Where the chunk stores of a deployment live. Every plane stores on
+/// disk, a `DiskProvider` per provider, with fsyncs deferred: nothing
+/// here restarts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Plane {
-    /// `DiskProvider`s in process, on the grid5000 cost model: the arm
-    /// on which virtual completion times mean something.
+    /// The `DiskProvider`s in process, on the grid5000 cost model: the
+    /// arm on which virtual completion times mean something.
     Disk,
     /// `RemoteProvider` → `Loopback` → `ProviderService` → `DiskProvider`.
     Loopback,
@@ -113,115 +110,52 @@ enum Plane {
 const PLANES: [Plane; 3] = [Plane::Disk, Plane::Loopback, Plane::Tcp];
 const FLEET: usize = 4;
 
-struct Deployment {
+/// A store over a [`Deployment`] whose only hosted role is the data
+/// plane; metadata and versions stay in process, so the deployment's
+/// transport counters see data-plane round trips only.
+struct Deployed {
+    deployment: Deployment,
     store: Store,
-    /// The fault plane of the hosted `DiskProvider`s — the server side's,
-    /// which the client-side provider manager cannot see.
-    hosted_faults: Arc<FaultInjector>,
-    servers: Mutex<Vec<RpcServer>>,
-    /// Client-side counters of the data-plane transports.
-    rpc: Metrics,
-    _tmp: TempDir,
-}
-
-impl Deployment {
-    /// Takes provider `i` down behind the manager's back: its server is
-    /// stopped where there is one, its store refuses service otherwise.
-    fn kill_provider(&self, i: usize) {
-        match self.servers.lock().unwrap().get_mut(i) {
-            Some(server) => server.stop(),
-            None => self.hosted_faults.fail_provider(ProviderId::new(i as u64)),
-        }
-    }
-
-    fn round_trips(&self) -> u64 {
-        self.rpc.counter(counters::MESSAGES).get()
-    }
 }
 
 /// A `FLEET`-provider deployment on `plane` writing `replicas` copies
 /// with a quorum of `min_ok`; `per_item` wraps every store in
-/// [`PerItem`]. Metadata and versions stay in process, so the transport
-/// counters see data-plane round trips only.
+/// [`PerItem`].
 fn deploy(
     plane: Plane,
     (replicas, min_ok): (usize, usize),
     per_item: bool,
     chunk_size: u64,
-) -> Deployment {
-    let tmp = TempDir::new("atomio-batch-plane");
-    let rpc = Metrics::new();
-    let hosted_faults = Arc::new(FaultInjector::new(0));
+) -> Deployed {
     let config = StoreConfig::default()
         .with_chunk_size(chunk_size)
         .with_data_providers(FLEET)
         .with_replication(replicas, min_ok)
         .with_seed(0xBA7C);
-    let (config, cost) = match plane {
-        Plane::Disk => (config, CostModel::grid5000()),
-        _ => (config.with_zero_cost(), CostModel::zero()),
+    // The Disk plane hosts no role, so its wire goes unused.
+    let (config, wire) = match plane {
+        Plane::Disk => (config, Wire::Loopback),
+        Plane::Loopback => (config.with_zero_cost(), Wire::Loopback),
+        Plane::Tcp => (config.with_zero_cost(), Wire::Tcp),
     };
-    let mut servers = Vec::new();
-    let stores: Vec<Arc<dyn ChunkStore>> = (0..FLEET)
-        .map(|i| {
-            let id = ProviderId::new(i as u64);
-            let disk: Arc<dyn ChunkStore> = Arc::new(
-                DiskProvider::open(
-                    tmp.path().join(format!("provider-{i}")),
-                    id,
-                    cost,
-                    Arc::clone(&hosted_faults),
-                    FsyncPolicy::Deferred,
-                )
-                .expect("open disk provider"),
-            );
-            let hosted = |disk| Arc::new(ProviderService::from_stores(vec![disk]));
-            let store: Arc<dyn ChunkStore> = match plane {
-                Plane::Disk => disk,
-                Plane::Loopback => {
-                    let transport: Arc<dyn Transport> =
-                        Arc::new(Loopback::new(hosted(disk)).with_metrics(rpc.clone()));
-                    Arc::new(RemoteProvider::new(id, transport))
-                }
-                Plane::Tcp => {
-                    let server = RpcServer::start("127.0.0.1:0", hosted(disk))
-                        .expect("bind provider server");
-                    // No redial: a killed server answers every call with
-                    // an immediate refusal, the per-item reference's too.
-                    let cfg = RpcConfig {
-                        connect_retries: 0,
-                        ..RpcConfig::default()
-                    };
-                    let transport = dial(server.local_addr(), RpcMode::Mux, cfg, Some(rpc.clone()));
-                    servers.push(server);
-                    Arc::new(RemoteProvider::new(id, transport))
-                }
-            };
+    let layout = Layout {
+        providers: plane != Plane::Disk,
+        ..Layout::new(wire, Backend::DiskDeferred)
+    };
+    let deployment = Deployment::start(config, layout);
+    let stores = deployment
+        .provider_stores()
+        .into_iter()
+        .map(|store| {
             if per_item {
-                Arc::new(PerItem(store))
+                Arc::new(PerItem(store)) as Arc<dyn ChunkStore>
             } else {
                 store
             }
         })
         .collect();
-    let manager = Arc::new(ProviderManager::from_stores(
-        stores,
-        AllocationStrategy::RoundRobin,
-        Arc::new(FaultInjector::new(config.seed ^ 0xFA17)),
-        config.seed,
-    ));
-    let meta = Arc::new(MetaStore::with_client_nics(
-        config.meta_shards,
-        config.cost,
-        Arc::clone(manager.client_nic_registry()),
-    ));
-    Deployment {
-        store: Store::with_substrates(config, manager, meta),
-        hosted_faults,
-        servers: Mutex::new(servers),
-        rpc,
-        _tmp: tmp,
-    }
+    let store = deployment.assemble(stores, None);
+    Deployed { deployment, store }
 }
 
 const SMALL_CHUNK: u64 = 4096;
@@ -263,7 +197,7 @@ struct Observed {
 
 /// Writes every rank's extents in rank order, calls `between` (fault
 /// injection), then reads everything back.
-fn run(d: &Deployment, ranks: &[ExtentList], between: impl Fn() + Sync) -> Observed {
+fn run(d: &Deployed, ranks: &[ExtentList], between: impl Fn() + Sync) -> Observed {
     let blob = d.store.create_blob();
     let clock = SimClock::new();
     let blob_ref = &blob;
@@ -286,8 +220,7 @@ fn run(d: &Deployment, ranks: &[ExtentList], between: impl Fn() + Sync) -> Obser
     })
     .pop()
     .unwrap();
-    let mut keys = d.store.meta().list_keys();
-    keys.sort_by_key(|k| (k.blob, k.version, k.range.offset, k.range.len));
+    let keys = sorted_keys(d.store.meta().list_keys());
     let nodes = run_actors_on(&SimClock::new(), 1, |_, p| {
         d.store
             .meta()
@@ -369,10 +302,15 @@ fn a_provider_killed_between_put_and_get_fails_reads_over_in_a_second_round() {
                 let d = deploy(plane, (2, 2), per_item, SMALL_CHUNK);
                 let before_reads = AtomicU64::new(0);
                 let observed = run(&d, &ranks, || {
-                    d.kill_provider(2);
-                    before_reads.store(d.round_trips(), Ordering::Relaxed);
+                    // Behind the manager's back: the server stops where
+                    // there is one, the store refuses service otherwise.
+                    d.deployment.kill(Role::Provider(2));
+                    before_reads.store(d.deployment.round_trips(), Ordering::Relaxed);
                 });
-                (observed, d.round_trips() - before_reads.into_inner())
+                (
+                    observed,
+                    d.deployment.round_trips() - before_reads.into_inner(),
+                )
             };
             let ((batched, batched_trips), (reference, reference_trips)) =
                 (observe(false), observe(true));
@@ -445,14 +383,14 @@ fn a_tile_write_and_its_read_cost_one_round_trip_per_provider() {
         let payload = stamped(4, &tile);
         run_actors_on(&SimClock::new(), 1, |_, p| {
             blob.write_list(p, &tile, payload.clone()).unwrap();
-            let after_write = d.round_trips();
+            let after_write = d.deployment.round_trips();
             assert!(
                 (1..=(FLEET * replication) as u64).contains(&after_write),
                 "write_list of a tile cost {after_write} data-plane round trips"
             );
             let back = blob.read_list(p, ReadVersion::Latest, &tile).unwrap();
             assert_eq!(back, payload.as_ref());
-            let read = d.round_trips() - after_write;
+            let read = d.deployment.round_trips() - after_write;
             assert!(
                 (1..=FLEET as u64).contains(&read),
                 "read_list of a tile cost {read} data-plane round trips"
@@ -474,10 +412,10 @@ fn a_write_past_the_frame_budget_splits_into_whole_frames_per_provider() {
     let payload = stamped(0, &extents);
     run_actors_on(&SimClock::new(), 1, |_, p| {
         blob.write_list(p, &extents, payload.clone()).unwrap();
-        assert_eq!(d.round_trips(), FLEET as u64 * frames);
+        assert_eq!(d.deployment.round_trips(), FLEET as u64 * frames);
         let back = blob.read_list(p, ReadVersion::Latest, &extents).unwrap();
         assert_eq!(back, payload.as_ref());
-        assert_eq!(d.round_trips(), 2 * FLEET as u64 * frames);
+        assert_eq!(d.deployment.round_trips(), 2 * FLEET as u64 * frames);
     });
 }
 
@@ -517,14 +455,14 @@ fn replication_masks_provider_loss_in_both_modes() {
                 .unwrap();
             // Each provider in turn, not one fixed victim as above.
             for victim in (0..FLEET as u64).map(ProviderId::new) {
-                d.hosted_faults.fail_provider(victim);
+                d.deployment.hosted_faults.fail_provider(victim);
                 let got = blob
                     .read_list(p, ReadVersion::Latest, &ext)
                     .unwrap_or_else(|e| {
                         panic!("per_item={per_item}: lost data when {victim} died: {e}")
                     });
                 assert_eq!(got, vec![0x42u8; 10_240]);
-                d.hosted_faults.heal_provider(victim);
+                d.deployment.hosted_faults.heal_provider(victim);
             }
         });
     }

@@ -3,33 +3,34 @@
 //! `Loopback` transport or real localhost TCP sockets (the multiplexed
 //! `MuxTransport`, the one socket transport).
 //!
-//! The remote deployment spawns the RPC servers **in process** (same API
-//! the `atomio-provider-server` / `atomio-meta-server` binaries wrap) on
-//! ephemeral ports, assembles `RemoteProvider` / `RemoteMetaStore`
-//! proxies over the socket transports, and funnels them into
-//! `Store::with_substrates` — the exact seam a real multi-host
-//! deployment uses. Compared observables: read-back bytes, version
-//! numbers, the full metadata node-key set, and the `rpc.*` byte
-//! counters (both transports must account identical wire totals for
-//! identical workloads).
+//! The remote deployment is the in-process one of `common`: provider and
+//! metadata services (the ones the `atomio-provider-server` /
+//! `atomio-meta-server` binaries wrap) on ephemeral ports, reached
+//! through `RemoteProvider` / `RemoteMetaStore` proxies over the socket
+//! transport — the exact seam a real multi-host deployment uses. Every
+//! test runs on the memory and the disk backend. Compared observables:
+//! read-back bytes, version numbers, the full metadata node-key set, and
+//! the `rpc.*` byte counters (both transports must account identical
+//! wire totals for identical workloads).
 
-use atomio::core::{ReadVersion, Store, StoreConfig, TransportMode};
+mod common;
+
+use atomio::core::{ReadVersion, Store, StoreConfig};
 use atomio::meta::{LeafEntry, Node, NodeBody, NodeKey};
-use atomio::provider::{chunk_store_for, ChunkStore, ProviderManager};
+use atomio::provider::ChunkStore;
 use atomio::rpc::{
-    dial, Loopback, MetaService, MuxTransport, ProviderService, RemoteMetaStore, RemoteProvider,
-    RemoteVersionManager, Request, Response, RpcConfig, RpcMode, RpcServer, Service, Transport,
-    VersionService,
+    Loopback, MetaService, MuxTransport, ProviderService, RemoteProvider, RemoteVersionManager,
+    Request, Response, RpcServer, Service, Transport, VersionService,
 };
 use atomio::simgrid::clock::run_actors_on;
-use atomio::simgrid::{CostModel, FaultInjector, Metrics, SimClock};
+use atomio::simgrid::{Metrics, SimClock};
 use atomio::types::tempdir::TempDir;
 use atomio::types::{
-    BackendConfig, BlobId, ByteRange, ChunkId, Error, ExtentList, ProviderId, TransportErrorKind,
-    VersionId,
+    BlobId, ByteRange, ChunkId, Error, ExtentList, ProviderId, TransportErrorKind, VersionId,
 };
 use atomio::version::VersionOracle;
 use bytes::Bytes;
+use common::{backend_config, sorted_keys, Backend, Deployment, Layout, Role, Wire, BACKENDS};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -47,131 +48,16 @@ fn base_config(providers: usize) -> StoreConfig {
         .with_seed(SEED)
 }
 
-/// The hosted services' storage backend: in-memory by default, durable
-/// disk under `tmp` when `ATOMIO_DISK=1` — the equivalence suite then
-/// doubles as a Memory-vs-Disk equivalence proof over real sockets.
-fn env_backend(tmp: &TempDir) -> BackendConfig {
-    if std::env::var("ATOMIO_DISK").ok().as_deref() == Some("1") {
-        BackendConfig::disk(tmp.path())
-    } else {
-        BackendConfig::Memory
-    }
-}
-
-/// One server-hosted chunk store over the chosen backend.
-fn hosted_store(i: usize, backend: &BackendConfig) -> Arc<dyn ChunkStore> {
-    chunk_store_for(
-        backend,
-        ProviderId::new(i as u64),
-        CostModel::zero(),
-        &Arc::new(FaultInjector::new(0)),
-    )
-    .expect("open hosted chunk store")
-}
-
-/// A remote store plus the live servers backing it. One provider server
-/// per data provider, so the failover test can kill an exact replica set.
-struct RemoteDeployment {
-    provider_servers: Vec<RpcServer>,
-    _meta_server: RpcServer,
-    _tmp: TempDir,
-    store: Store,
-}
-
-fn remote_store(providers: usize) -> RemoteDeployment {
-    remote_store_with(providers, None)
-}
-
-fn remote_store_with(providers: usize, metrics: Option<Metrics>) -> RemoteDeployment {
-    let config = base_config(providers).with_transport_mode(TransportMode::Tcp);
-    let tmp = TempDir::new("atomio-transport");
-    let backend = env_backend(&tmp);
-
-    let mut provider_servers = Vec::new();
-    let mut stores: Vec<Arc<dyn ChunkStore>> = Vec::new();
-    for i in 0..providers {
-        let server = RpcServer::start(
-            "127.0.0.1:0",
-            Arc::new(ProviderService::from_stores(vec![hosted_store(
-                i, &backend,
-            )])),
-        )
-        .expect("bind provider server");
-        let transport = dial(
-            server.local_addr(),
-            RpcMode::Mux,
-            RpcConfig::default(),
-            metrics.clone(),
-        );
-        stores.push(Arc::new(RemoteProvider::new(
-            ProviderId::new(i as u64),
-            transport,
-        )));
-        provider_servers.push(server);
-    }
-
-    let meta_server = RpcServer::start(
-        "127.0.0.1:0",
-        Arc::new(
-            MetaService::with_backend(config.meta_shards, &backend).expect("open meta service"),
-        ),
-    )
-    .expect("bind meta server");
-    let meta_transport = dial(
-        meta_server.local_addr(),
-        RpcMode::Mux,
-        RpcConfig::default(),
-        metrics,
-    );
-
-    let manager = Arc::new(ProviderManager::from_stores(
-        stores,
-        config.allocation,
-        Arc::new(FaultInjector::new(config.seed ^ 0xFA17)),
-        config.seed,
-    ));
-    let meta = Arc::new(RemoteMetaStore::new(meta_transport));
-    let store = Store::with_substrates(config, manager, meta);
-
-    RemoteDeployment {
-        provider_servers,
-        _meta_server: meta_server,
-        _tmp: tmp,
-        store,
-    }
-}
-
-/// The same topology as [`remote_store_with`] over in-process `Loopback`
-/// transports: one hosted provider service per data provider plus one
-/// meta service, all publishing into one metrics registry. The baseline
-/// for the byte-counter parity check.
-fn loopback_rpc_store(providers: usize, metrics: Metrics) -> Store {
-    let config = base_config(providers);
-    let mut stores: Vec<Arc<dyn ChunkStore>> = Vec::new();
-    for i in 0..providers {
-        let transport: Arc<dyn Transport> = Arc::new(
-            Loopback::new(Arc::new(ProviderService::from_stores(vec![hosted_store(
-                i,
-                &BackendConfig::Memory,
-            )])))
-            .with_metrics(metrics.clone()),
-        );
-        stores.push(Arc::new(RemoteProvider::new(
-            ProviderId::new(i as u64),
-            transport,
-        )));
-    }
-    let meta_transport: Arc<dyn Transport> = Arc::new(
-        Loopback::new(Arc::new(MetaService::new(config.meta_shards))).with_metrics(metrics.clone()),
-    );
-    let manager = Arc::new(ProviderManager::from_stores(
-        stores,
-        config.allocation,
-        Arc::new(FaultInjector::new(config.seed ^ 0xFA17)),
-        config.seed,
-    ));
-    let meta = Arc::new(RemoteMetaStore::new(meta_transport));
-    Store::with_substrates(config, manager, meta)
+/// One provider service per data provider — so the failover test can
+/// kill an exact replica set — and one metadata service, reached over
+/// `wire`; the version managers stay in the client.
+fn deployment(wire: Wire, backend: Backend, providers: usize) -> Deployment {
+    let layout = Layout {
+        providers: true,
+        meta: true,
+        ..Layout::new(wire, backend)
+    };
+    Deployment::start(base_config(providers), layout)
 }
 
 /// A deterministic single-writer history: overlapping extents, partial
@@ -187,12 +73,6 @@ fn apply_history(blob: &atomio::core::Blob, p: &atomio::simgrid::Participant) {
     w(&[(3_000, 1), (8_191, 2), (16_384, 4_096)], 0x33);
     w(&[(96 * 1024, 8 * 1024)], 0x44);
     w(&[(0, 30_000), (20_000, 30_000)], 0x55);
-}
-
-fn sorted_keys(keys: Vec<NodeKey>) -> Vec<NodeKey> {
-    let mut keys = keys;
-    keys.sort_by_key(|k| (k.blob, k.version, k.range.offset, k.range.len));
-    keys
 }
 
 /// Runs the workload on one store and returns the observables.
@@ -226,67 +106,77 @@ fn observe(store: &Store) -> (VersionId, Vec<u8>, Vec<NodeKey>, usize) {
 fn replicated_reads_survive_a_killed_server() {
     // Two providers, one per server, replication 2: every chunk lives on
     // both, so any single server death leaves a full copy.
-    let mut remote = remote_store(2);
-    let blob = remote.store.create_blob();
-    let clock = SimClock::new();
-    let extents = ExtentList::single(ByteRange::new(0, FILE));
+    for backend in BACKENDS {
+        let remote = deployment(Wire::Tcp, backend, 2);
+        let store = remote.store();
+        let blob = store.create_blob();
+        let clock = SimClock::new();
+        let extents = ExtentList::single(ByteRange::new(0, FILE));
 
-    let blob_ref = &blob;
-    let ext_ref = &extents;
-    run_actors_on(&clock, 1, move |_, p| {
-        let payload = Bytes::from(vec![0xAB; FILE as usize]);
-        blob_ref.write_list(p, ext_ref, payload).unwrap();
-        let back = blob_ref.read_list(p, ReadVersion::Latest, ext_ref).unwrap();
-        assert!(back.iter().all(|&b| b == 0xAB), "pre-kill read intact");
-    });
+        let blob_ref = &blob;
+        let ext_ref = &extents;
+        run_actors_on(&clock, 1, move |_, p| {
+            let payload = Bytes::from(vec![0xAB; FILE as usize]);
+            blob_ref.write_list(p, ext_ref, payload).unwrap();
+            let back = blob_ref.read_list(p, ReadVersion::Latest, ext_ref).unwrap();
+            assert!(back.iter().all(|&b| b == 0xAB), "pre-kill read intact");
+        });
 
-    // Kill provider server 1: its connections sever, its port closes.
-    remote.provider_servers[1].stop();
+        // Kill provider server 1: its connections sever, its port closes.
+        remote.kill(Role::Provider(1));
 
-    let blob_ref = &blob;
-    let ext_ref = &extents;
-    run_actors_on(&clock, 1, move |_, p| {
-        let back = blob_ref.read_list(p, ReadVersion::Latest, ext_ref).unwrap();
+        run_actors_on(&clock, 1, move |_, p| {
+            let back = blob_ref.read_list(p, ReadVersion::Latest, ext_ref).unwrap();
+            assert!(
+                back.iter().all(|&b| b == 0xAB),
+                "{backend:?}: reads fail over to the surviving replica"
+            );
+        });
+
+        // The dead endpoint surfaces a *typed* transport error — the
+        // signal the failover policy branches on.
+        let proxy = RemoteProvider::new(ProviderId::new(1), remote.transport(Role::Provider(1)));
+        let err = proxy
+            .get_chunk_range_at(0, ChunkId::new(0), ByteRange::new(0, 1))
+            .unwrap_err();
+        use TransportErrorKind::*;
         assert!(
-            back.iter().all(|&b| b == 0xAB),
-            "reads fail over to the surviving replica"
+            matches!(
+                err,
+                Error::Transport {
+                    kind: ConnectionRefused | ConnectionReset | Timeout,
+                    ..
+                }
+            ),
+            "{backend:?}: expected a typed transport error, got {err:?}"
         );
-    });
-
-    // The dead endpoint surfaces a *typed* transport error — the signal
-    // the failover policy branches on.
-    let dead: Arc<dyn Transport> =
-        Arc::new(MuxTransport::new(remote.provider_servers[1].local_addr()));
-    let proxy = RemoteProvider::new(ProviderId::new(1), dead);
-    let err = proxy
-        .get_chunk_range_at(0, ChunkId::new(0), ByteRange::new(0, 1))
-        .unwrap_err();
-    match err {
-        Error::Transport { kind, .. } => {
-            use atomio::types::TransportErrorKind::*;
-            assert!(matches!(
-                kind,
-                ConnectionRefused | ConnectionReset | Timeout
-            ));
-        }
-        other => panic!("expected Error::Transport, got {other:?}"),
+        remote.prove_arm(&store);
     }
 }
 
 #[test]
 fn loopback_and_mux_produce_identical_state() {
     let loopback = Store::new(base_config(4));
-    let remote = remote_store(4);
-
     let (v_loop, bytes_loop, keys_loop, count_loop) = observe(&loopback);
-    let (v_mux, bytes_mux, keys_mux, count_mux) = observe(&remote.store);
-
-    assert_eq!(v_loop, v_mux, "same version sequence");
-    assert_eq!(bytes_loop, bytes_mux, "bit-identical stored bytes");
-    assert_eq!(keys_loop, keys_mux, "identical metadata node sets");
-    assert_eq!(count_loop, count_mux);
     assert_eq!(v_loop, VersionId::new(5));
-    drop(remote);
+
+    for backend in BACKENDS {
+        let remote = deployment(Wire::Tcp, backend, 4);
+        let store = remote.store();
+        let (v_mux, bytes_mux, keys_mux, count_mux) = observe(&store);
+
+        assert_eq!(v_loop, v_mux, "{backend:?}: same version sequence");
+        assert_eq!(
+            bytes_loop, bytes_mux,
+            "{backend:?}: bit-identical stored bytes"
+        );
+        assert_eq!(
+            keys_loop, keys_mux,
+            "{backend:?}: identical metadata node sets"
+        );
+        assert_eq!(count_loop, count_mux, "{backend:?}");
+        remote.prove_arm(&store);
+    }
 }
 
 /// Pulls the `rpc.*` accounting counters every transport must agree on.
@@ -300,25 +190,29 @@ fn wire_totals(metrics: &Metrics) -> (u64, u64, u64) {
 
 #[test]
 fn transports_report_identical_byte_counters() {
-    let m_loop = Metrics::new();
-    let m_mux = Metrics::new();
+    for backend in BACKENDS {
+        // The same topology over in-process `Loopback` transports and
+        // over sockets, each counting into its own registry.
+        let loopback = deployment(Wire::Loopback, backend, 4);
+        let mux = deployment(Wire::Tcp, backend, 4);
+        let (loopback_store, mux_store) = (loopback.store(), mux.store());
 
-    let loopback = loopback_rpc_store(4, m_loop.clone());
-    let mux = remote_store_with(4, Some(m_mux.clone()));
+        let state_loop = observe(&loopback_store);
+        let state_mux = observe(&mux_store);
+        assert_eq!(state_loop, state_mux, "{backend:?}");
 
-    let state_loop = observe(&loopback);
-    let state_mux = observe(&mux.store);
-    assert_eq!(state_loop, state_mux);
-
-    let totals_loop = wire_totals(&m_loop);
-    assert!(totals_loop.0 > 0, "workload produced RPC traffic");
-    assert_eq!(
-        totals_loop,
-        wire_totals(&m_mux),
-        "mux must account the same messages and bytes as Loopback"
-    );
-    assert_eq!(m_loop.counter("rpc.retries").get(), 0);
-    assert_eq!(m_mux.counter("rpc.retries").get(), 0);
+        let totals_loop = wire_totals(&loopback.rpc);
+        assert!(totals_loop.0 > 0, "workload produced RPC traffic");
+        assert_eq!(
+            totals_loop,
+            wire_totals(&mux.rpc),
+            "{backend:?}: mux must account the same messages and bytes as Loopback"
+        );
+        assert_eq!(loopback.rpc.counter("rpc.retries").get(), 0);
+        assert_eq!(mux.rpc.counter("rpc.retries").get(), 0);
+        loopback.prove_arm(&loopback_store);
+        mux.prove_arm(&mux_store);
+    }
 }
 
 /// One service hosting all three roles, so a single transport endpoint
@@ -370,11 +264,13 @@ impl Service for TriService {
     }
 }
 
-fn tri_service() -> Arc<TriService> {
+/// A tri-service storing on `backend`, rooted in `tmp` when on disk.
+fn tri_service(backend: Backend, tmp: &TempDir) -> Arc<TriService> {
+    let backend = backend_config(backend, tmp.path());
     Arc::new(TriService {
-        provider: ProviderService::new(1),
-        meta: MetaService::new(2),
-        versions: VersionService::new(CHUNK),
+        provider: ProviderService::with_backend(1, &backend).expect("open provider"),
+        meta: MetaService::with_backend(2, &backend).expect("open meta"),
+        versions: VersionService::with_backend(CHUNK, backend),
     })
 }
 
@@ -495,33 +391,47 @@ fn mux_stress_state(
 
 #[test]
 fn mux_stress_matches_loopback_bit_for_bit() {
-    let m_loop = Metrics::new();
-    let m_mux = Metrics::new();
+    for backend in BACKENDS {
+        let m_loop = Metrics::new();
+        let m_mux = Metrics::new();
 
-    let loopback: Arc<dyn Transport> =
-        Arc::new(Loopback::new(tri_service()).with_metrics(m_loop.clone()));
-    let state_loop = mux_stress_state(&loopback);
+        let loopback_dir = TempDir::new("atomio-stress-loopback");
+        let loopback: Arc<dyn Transport> = Arc::new(
+            Loopback::new(tri_service(backend, &loopback_dir)).with_metrics(m_loop.clone()),
+        );
+        let state_loop = mux_stress_state(&loopback);
 
-    // The socket arm gets its own fresh tri-service: the stress mutates
-    // server state, so the arms must not share a deployment.
-    let mut mux_server = RpcServer::start("127.0.0.1:0", tri_service()).expect("bind tri server");
-    let mux: Arc<dyn Transport> =
-        Arc::new(MuxTransport::new(mux_server.local_addr()).with_metrics(m_mux.clone()));
-    let state_mux = mux_stress_state(&mux);
+        // The socket arm gets its own fresh tri-service: the stress
+        // mutates server state, so the arms must not share a deployment.
+        let mux_dir = TempDir::new("atomio-stress-mux");
+        let mut mux_server = RpcServer::start("127.0.0.1:0", tri_service(backend, &mux_dir))
+            .expect("bind tri server");
+        let mux: Arc<dyn Transport> =
+            Arc::new(MuxTransport::new(mux_server.local_addr()).with_metrics(m_mux.clone()));
+        let state_mux = mux_stress_state(&mux);
 
-    assert_eq!(state_loop.0, state_mux.0, "identical node-key sets");
-    assert_eq!(state_loop.1, state_mux.1, "identical node counts");
-    assert_eq!(state_loop.2, state_mux.2, "identical version sequences");
-    assert_eq!(state_loop.3, state_mux.3, "bit-identical chunk bytes");
+        assert_eq!(
+            state_loop, state_mux,
+            "{backend:?}: node keys, node counts, version sequences or chunk bytes differ"
+        );
 
-    // And the byte accounting agrees even under 16-way interleaving of
-    // chunk, metadata, and ticket-grant traffic.
-    assert_eq!(wire_totals(&m_loop), wire_totals(&m_mux));
-    assert!(
-        m_mux.counter("rpc.inflight_peak").get() >= 2,
-        "stress actually ran concurrent in-flight calls"
-    );
-    mux_server.stop();
+        // And the byte accounting agrees even under 16-way interleaving
+        // of chunk, metadata, and ticket-grant traffic.
+        assert_eq!(wire_totals(&m_loop), wire_totals(&m_mux), "{backend:?}");
+        assert!(
+            m_mux.counter("rpc.inflight_peak").get() >= 2,
+            "stress actually ran concurrent in-flight calls"
+        );
+        mux_server.stop();
+        // Only the disk arm left publish logs behind.
+        for dir in [&loopback_dir, &mux_dir] {
+            assert_eq!(
+                dir.path().join("version").exists(),
+                backend == Backend::Disk,
+                "{backend:?}"
+            );
+        }
+    }
 }
 
 /// A service that answers slowly, so the fault test can guarantee calls
