@@ -4,19 +4,20 @@ use atomio_provider::AllocationStrategy;
 use atomio_simgrid::CostModel;
 use atomio_types::{BackendConfig, RetentionPolicy};
 
-/// How clients reach the provider and metadata services.
+/// A label for how clients reach the services. It selects nothing: the
+/// substrates a store is built over decide that ([`crate::Store::new`]
+/// is in process, [`crate::Store::with_substrates`] takes whatever
+/// `atomio-rpc` dialled). The enum, [`StoreConfig::transport_mode`] and
+/// [`StoreConfig::with_transport_mode`] exist only because the frozen
+/// wall-clock benchmark (`wallbench/src/deploy.rs`) sets
+/// `TransportMode::Tcp`; the next benchmark PR that stops setting it
+/// deletes all three.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportMode {
-    /// In-process calls with simulated virtual-time costs — the default,
-    /// and the mode every committed benchmark result was produced under.
+    /// In process (the default).
     #[default]
     Loopback,
-    /// Real sockets: services are hosted by the `atomio-provider-server`
-    /// and `atomio-meta-server` binaries and reached through
-    /// `atomio-rpc`'s socket transport (the multiplexed `MuxTransport`).
-    /// [`crate::Store::new`] cannot assemble this mode by itself (it has
-    /// no addresses to dial); `dial` the remote handles with
-    /// `atomio-rpc` and pass them to [`crate::Store::with_substrates`].
+    /// Over sockets.
     Tcp,
 }
 
@@ -39,7 +40,7 @@ pub struct StoreConfig {
     pub allocation: AllocationStrategy,
     /// Simulated hardware prices.
     pub cost: CostModel,
-    /// How clients reach the provider and metadata services.
+    /// Read by nothing (see [`TransportMode`]).
     pub transport_mode: TransportMode,
     /// Client-side metadata cache size in nodes (0 disables caching).
     /// The cache serves the in-process tree walk only: a remote metadata
@@ -56,7 +57,10 @@ pub struct StoreConfig {
     /// committed benchmark result was produced under) or durable
     /// slot-sharded logs with crash recovery ([`BackendConfig::Disk`]).
     pub backend: BackendConfig,
-    /// Seed for every random choice in the store.
+    /// Read by nothing: no choice in the store is random. Kept, with
+    /// [`Self::with_seed`], because the frozen wall-clock benchmark
+    /// (`wallbench/src`) sets and passes it; the next benchmark PR that
+    /// stops doing so deletes both.
     pub seed: u64,
 }
 
@@ -120,7 +124,8 @@ impl StoreConfig {
         self
     }
 
-    /// Sets the transport mode.
+    /// Sets [`Self::transport_mode`], which selects nothing (see
+    /// [`TransportMode`]).
     pub fn with_transport_mode(mut self, mode: TransportMode) -> Self {
         self.transport_mode = mode;
         self
@@ -147,7 +152,7 @@ impl StoreConfig {
         self
     }
 
-    /// Sets the seed.
+    /// Sets [`Self::seed`], which selects nothing.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self

@@ -47,21 +47,10 @@ impl std::fmt::Debug for Store {
 }
 
 impl Store {
-    /// Deploys a store.
-    ///
-    /// # Panics
-    /// Panics when `config.transport_mode` is
-    /// [`crate::config::TransportMode::Tcp`]: this constructor has no
-    /// server addresses to dial. Assemble the remote substrates with
-    /// `atomio-rpc` and hand them to [`Self::with_substrates`] instead.
+    /// Deploys a store, in process. A socket deployment dials its
+    /// remote substrates with `atomio-rpc` and hands them to
+    /// [`Self::with_substrates`].
     pub fn new(config: StoreConfig) -> Self {
-        assert_eq!(
-            config.transport_mode,
-            crate::config::TransportMode::Loopback,
-            "Store::new only assembles the in-process Loopback transport; \
-             for Tcp build remote handles with atomio-rpc and call \
-             Store::with_substrates"
-        );
         let costs = vec![config.cost; config.data_providers];
         Self::new_heterogeneous(config, costs)
     }
@@ -76,7 +65,7 @@ impl Store {
     /// recovered — a deployment that cannot reach its durable state must
     /// not come up empty and silently shed data.
     pub fn new_heterogeneous(config: StoreConfig, costs: Vec<CostModel>) -> Self {
-        let faults = Arc::new(FaultInjector::new(config.seed ^ 0xFA17));
+        let faults = Arc::new(FaultInjector::default());
         let providers = Arc::new(
             ProviderManager::with_backend(&config.backend, costs, Arc::clone(&faults))
                 .expect("open storage backend"),

@@ -4,7 +4,9 @@
 //! non-contiguous) write into a complete new tree for its version — with
 //! **no reads of other versions' nodes and no waiting**: every link to
 //! older content is computed from the shared [`VersionHistory`] thanks to
-//! deterministic [`NodeKey`]s. [`resolve_with`] maps a snapshot +
+//! deterministic [`NodeKey`]s. [`TreeBuilder::build_tombstone`] runs
+//! the same recursion for a write that failed, giving the same node set
+//! with empty leaves. [`resolve_with`] maps a snapshot +
 //! extent list onto the stored chunks (or zero-fill holes), and
 //! [`reach`] lists every node and chunk a set of snapshots reaches, for
 //! version GC and repair.
@@ -59,6 +61,33 @@ impl TreeConfig {
         leaves
             .checked_next_power_of_two()?
             .checked_mul(self.leaf_size)
+    }
+}
+
+/// What a write touched, as the tree recursion sees it: sorted,
+/// disjoint file ranges, and what a leaf they overlap stores.
+trait Touched: Sized {
+    fn file_range(&self) -> ByteRange;
+    fn leaf_entries(touched: &[Self]) -> Vec<LeafEntry>;
+}
+
+/// An update stores its entries.
+impl Touched for LeafEntry {
+    fn file_range(&self) -> ByteRange {
+        self.file_range
+    }
+    fn leaf_entries(touched: &[Self]) -> Vec<LeafEntry> {
+        touched.to_vec()
+    }
+}
+
+/// A tombstone touches the write's extents and stores nothing.
+impl Touched for ByteRange {
+    fn file_range(&self) -> ByteRange {
+        *self
+    }
+    fn leaf_entries(_: &[Self]) -> Vec<LeafEntry> {
+        Vec::new()
     }
 }
 
@@ -167,9 +196,10 @@ impl<'a> TreeBuilder<'a> {
     /// The write's summary is already visible in the history, so
     /// concurrent writers may have linked to `(v, range)` node keys for
     /// every range the summary advertises — those nodes must exist. A
-    /// tombstone creates exactly that node set, but with **empty leaf
-    /// entries backlinked to the previous toucher**, making the failed
-    /// write a semantic no-op: readers resolve straight through it.
+    /// tombstone is the update's recursion over the write's `extents`:
+    /// exactly that node set, but with **empty leaf entries backlinked to
+    /// the previous toucher**, making the failed write a semantic no-op:
+    /// readers resolve straight through it.
     pub fn build_tombstone(
         &self,
         p: &Participant,
@@ -182,43 +212,9 @@ impl<'a> TreeBuilder<'a> {
         }
         let root_range = ByteRange::new(0, capacity);
         let mut staged = Vec::new();
-        let root = self.build_tombstone_node(v, root_range, extents, &mut staged);
+        let root = self.build_node(v, root_range, extents.ranges(), &mut staged);
         self.flush(p, staged)?;
         Ok(root)
-    }
-
-    fn build_tombstone_node(
-        &self,
-        v: VersionId,
-        range: ByteRange,
-        extents: &ExtentList,
-        staged: &mut Vec<Node>,
-    ) -> NodeKey {
-        let key = NodeKey::new(self.blob, v, range);
-        let body = if range.len == self.config.leaf_size {
-            NodeBody::Leaf {
-                entries: Vec::new(),
-                backlink: self
-                    .history
-                    .latest_toucher(v, range)
-                    .map(|(u, _)| NodeKey::new(self.blob, u, range)),
-            }
-        } else {
-            let (lo, hi) = range.split_at(range.offset + range.len / 2);
-            let link = |half: ByteRange, staged: &mut Vec<Node>| -> Option<NodeKey> {
-                if !extents.overlaps_range(half) {
-                    self.link_for(v, half, staged)
-                } else {
-                    Some(self.build_tombstone_node(v, half, extents, staged))
-                }
-            };
-            NodeBody::Inner {
-                left: link(lo, staged),
-                right: link(hi, staged),
-            }
-        };
-        staged.push(Node { key, body });
-        key
     }
 
     fn leaf_range_of(&self, pos: u64) -> ByteRange {
@@ -226,18 +222,22 @@ impl<'a> TreeBuilder<'a> {
         ByteRange::new(start, self.config.leaf_size)
     }
 
-    fn build_node(
+    /// The one recursion behind both builds: a node for every range
+    /// `touched` overlaps, a link for every range it does not.
+    fn build_node<T: Touched>(
         &self,
         v: VersionId,
         range: ByteRange,
-        entries: &[LeafEntry],
+        touched: &[T],
         staged: &mut Vec<Node>,
     ) -> NodeKey {
-        debug_assert!(!entries.is_empty());
+        debug_assert!(!touched.is_empty());
         let key = NodeKey::new(self.blob, v, range);
         let body = if range.len == self.config.leaf_size {
+            let entries = T::leaf_entries(touched);
             // `build_update` checked the entries sorted and disjoint, so
-            // they cover the leaf iff each starts where the last ended.
+            // they cover the leaf iff each starts where the last ended (a
+            // tombstone's leaf has none, and keeps its backlink).
             let covered_to = entries.iter().try_fold(range.offset, |end, e| {
                 (e.file_range.offset == end).then(|| e.file_range.end())
             });
@@ -250,32 +250,29 @@ impl<'a> TreeBuilder<'a> {
                     .latest_toucher(v, range)
                     .map(|(u, _)| NodeKey::new(self.blob, u, range))
             };
-            NodeBody::Leaf {
-                entries: entries.to_vec(),
-                backlink,
-            }
+            NodeBody::Leaf { entries, backlink }
         } else {
             let (lo, hi) = range.split_at(range.offset + range.len / 2);
             NodeBody::Inner {
-                left: self.child_link(v, lo, entries, staged),
-                right: self.child_link(v, hi, entries, staged),
+                left: self.child_link(v, lo, touched, staged),
+                right: self.child_link(v, hi, touched, staged),
             }
         };
         staged.push(Node { key, body });
         key
     }
 
-    fn child_link(
+    fn child_link<T: Touched>(
         &self,
         v: VersionId,
         range: ByteRange,
-        entries: &[LeafEntry],
+        touched: &[T],
         staged: &mut Vec<Node>,
     ) -> Option<NodeKey> {
-        let lo = entries.partition_point(|e| e.file_range.end() <= range.offset);
-        let hi = entries.partition_point(|e| e.file_range.offset < range.end());
+        let lo = touched.partition_point(|t| t.file_range().end() <= range.offset);
+        let hi = touched.partition_point(|t| t.file_range().offset < range.end());
         if lo < hi {
-            Some(self.build_node(v, range, &entries[lo..hi], staged))
+            Some(self.build_node(v, range, &touched[lo..hi], staged))
         } else {
             self.link_for(v, range, staged)
         }

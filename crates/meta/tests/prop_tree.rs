@@ -5,15 +5,17 @@
 //! window through the corresponding tree must yield exactly the model's
 //! bytes — including when trees are *built in an arbitrary order* (the
 //! forward-reference/deterministic-key property that lets concurrent
-//! writers proceed without waiting).
+//! writers proceed without waiting). A failed write's tombstone must be
+//! the same node set as the write, with empty leaves that read through
+//! to the previous toucher.
 
 use atomio_meta::history::WriteSummary;
-use atomio_meta::{LeafEntry, MetaStore, NodeKey, NodeStore, TreeBuilder, TreeConfig};
+use atomio_meta::{LeafEntry, MetaStore, NodeBody, NodeKey, NodeStore, TreeBuilder, TreeConfig};
 use atomio_simgrid::clock::run_actors;
 use atomio_simgrid::CostModel;
 use atomio_types::{BlobId, ByteRange, ChunkGeometry, ChunkId, ExtentList, ProviderId, VersionId};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 const LEAF: u64 = 32;
@@ -212,5 +214,43 @@ proptest! {
             }
             Ok(())
         }).0.into_iter().collect::<Result<Vec<_>, _>>()?;
+    }
+
+    #[test]
+    fn a_tombstone_is_its_write_with_empty_leaves(
+        writes in proptest::collection::vec(arb_write(), 1..10),
+        pick in any::<usize>(),
+    ) {
+        let mut h = Harness::new();
+        let jobs = h.register(&writes);
+        let (v, cap, entries) = &jobs[pick % jobs.len()];
+        let extents = h.history.summary(*v).unwrap().extents;
+        // Each build gets its own store over the same history.
+        let tombstones = MetaStore::new(4, CostModel::zero());
+        run_actors(1, |_, p| {
+            TreeBuilder::new(BlobId::new(0), &h.store, &h.history, h.config)
+                .build_update(p, *v, *cap, entries)
+                .unwrap();
+            TreeBuilder::new(BlobId::new(0), &tombstones, &h.history, h.config)
+                .build_tombstone(p, *v, *cap, &extents)
+                .unwrap();
+        });
+        let keys = h.store.list_keys();
+        let key_set = |keys: Vec<NodeKey>| keys.into_iter().collect::<HashSet<_>>();
+        prop_assert_eq!(key_set(keys.clone()), key_set(tombstones.list_keys()));
+        let updated = h.store.get_batch_local(&keys);
+        for (update, tombstone) in updated.into_iter().zip(tombstones.get_batch_local(&keys)) {
+            let (update, tombstone) = (update.unwrap(), tombstone.unwrap());
+            match (&update.body, &tombstone.body) {
+                (NodeBody::Inner { .. }, _) => prop_assert_eq!(&update, &tombstone),
+                (NodeBody::Leaf { .. }, NodeBody::Leaf { entries, backlink }) => {
+                    let range = tombstone.key.range;
+                    let toucher = h.history.latest_toucher(*v, range);
+                    prop_assert!(entries.is_empty(), "tombstone leaf {} stores entries", range);
+                    prop_assert_eq!(*backlink, toucher.map(|(u, _)| NodeKey::new(BlobId::new(0), u, range)));
+                }
+                _ => prop_assert!(false, "{:?} is a leaf in the update only", update.key),
+            }
+        }
     }
 }

@@ -10,7 +10,6 @@
 //! notifies when a release grants queued requests; order is decided by
 //! the explicit queue, so fairness does not depend on wake-up order.
 
-use crate::interval::IntervalTree;
 use atomio_simgrid::{CostModel, Event, Metrics, Participant, Resource};
 use atomio_types::{ByteRange, ClientId};
 use parking_lot::Mutex;
@@ -48,36 +47,16 @@ fn conflicts(a: &LockReq, b: &LockReq) -> bool {
     a.kind.conflicts_with(b.kind) && a.range.overlaps(b.range)
 }
 
+/// Each granted lock is held once, in `granted`, and a conflict probe
+/// scans it: every driver holds one covering lock per rank, so no
+/// experiment has more than 64 locks granted at once.
 #[derive(Debug, Default)]
 struct LockTable {
     granted: Vec<LockReq>,
     queue: VecDeque<LockReq>,
-    /// Interval indexes over the granted set, by mode: a request
-    /// conflicts with a granted lock iff it overlaps the exclusive index,
-    /// or (being exclusive itself) overlaps the shared index. O(log n)
-    /// per conflict probe instead of scanning the grant table.
-    granted_shared: IntervalTree,
-    granted_exclusive: IntervalTree,
 }
 
 impl LockTable {
-    fn conflicts_with_granted(&self, req: &LockReq) -> bool {
-        match req.kind {
-            LockKind::Exclusive => {
-                self.granted_exclusive.overlaps(req.range)
-                    || self.granted_shared.overlaps(req.range)
-            }
-            LockKind::Shared => self.granted_exclusive.overlaps(req.range),
-        }
-    }
-
-    fn index_of(&mut self, kind: LockKind) -> &mut IntervalTree {
-        match kind {
-            LockKind::Shared => &mut self.granted_shared,
-            LockKind::Exclusive => &mut self.granted_exclusive,
-        }
-    }
-
     /// Grants every queued request that conflicts with no granted lock
     /// and no earlier-queued request (fair, no overtaking on conflict).
     /// Returns whether anything was granted.
@@ -86,14 +65,13 @@ impl LockTable {
         let mut still_waiting = VecDeque::new();
         let mut granted_any = false;
         for req in std::mem::take(&mut self.queue) {
-            let conflict_granted = self.conflicts_with_granted(&req);
+            let conflict_granted = self.granted.iter().any(|g| conflicts(g, &req));
             let conflict_earlier = blocked.iter().any(|w| conflicts(w, &req));
             if conflict_granted || conflict_earlier {
                 blocked.push(req.clone());
                 still_waiting.push_back(req);
             } else {
                 granted_any = true;
-                self.index_of(req.kind).insert(req.range, req.id);
                 self.granted.push(req);
             }
         }
@@ -211,8 +189,6 @@ impl LockManager {
             table.granted.len() + 1 == before,
             "unlock of a lock that is not granted"
         );
-        let removed = table.index_of(handle.kind).remove(handle.range, handle.id);
-        debug_assert!(removed, "grant table and interval index diverged");
         if table.promote() {
             drop(table);
             self.grants.notify_all();

@@ -16,7 +16,8 @@
 //!   behind serialized NIC/disk resources (same cost model as the
 //!   versioning backend's providers, so comparisons are fair).
 //! * [`LockManager`] — fair (no-overtake FIFO) extent locks with shared /
-//!   exclusive modes, granted concurrently when compatible.
+//!   exclusive modes, granted concurrently when compatible; a request's
+//!   conflicts are found by scanning the grant table.
 //! * [`PfsFile`] / [`ParallelFs`] — files striped round-robin over OSTs,
 //!   with raw (unlocked) `pwrite`/`pread` and POSIX-atomic variants that
 //!   take the proper extent lock.
@@ -26,10 +27,8 @@
 
 pub mod dlm;
 pub mod file;
-pub mod interval;
 pub mod ost;
 
 pub use dlm::{LockHandle, LockKind, LockManager};
 pub use file::{ParallelFs, PfsFile};
-pub use interval::IntervalTree;
 pub use ost::Ost;

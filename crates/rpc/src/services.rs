@@ -113,7 +113,7 @@ impl ProviderService {
     /// [`Error::Internal`] when a disk backend's directory cannot be
     /// opened or recovered.
     pub fn with_backend(count: usize, backend: &BackendConfig) -> Result<Self> {
-        let faults = Arc::new(FaultInjector::new(0));
+        let faults = Arc::new(FaultInjector::default());
         Ok(Self::from_stores(
             (0..count)
                 .map(|i| {

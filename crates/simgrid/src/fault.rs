@@ -1,37 +1,26 @@
-//! Deterministic fault injection for providers and messages.
+//! Deterministic fault injection for providers.
 //!
 //! The storage services consult a shared [`FaultInjector`] before serving
-//! requests. Tests use it to kill providers (checking that replication
-//! masks the failure and that unreplicated accesses fail cleanly) and to
-//! inject message-level failures with a seeded probability.
+//! requests. Tests use it to kill providers, checking that replication
+//! masks the failure and that unreplicated accesses fail cleanly.
 
 use atomio_types::ProviderId;
 use parking_lot::RwLock;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use crate::rng::DetRng;
 
 /// Shared fault state consulted by the simulated services.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FaultInjector {
     failed: RwLock<HashSet<ProviderId>>,
-    /// Probability (in 1/2^32 units) that a message-level fault fires.
-    msg_fault_p: AtomicU64,
-    rng: DetRng,
-    injected: AtomicU64,
 }
 
 impl FaultInjector {
-    /// A quiet injector (no failures) with the given RNG seed for message
-    /// faults.
-    pub fn new(seed: u64) -> Self {
-        FaultInjector {
-            failed: RwLock::new(HashSet::new()),
-            msg_fault_p: AtomicU64::new(0),
-            rng: DetRng::new(seed),
-            injected: AtomicU64::new(0),
-        }
+    /// A quiet injector (no failures). `_seed` selects nothing: the
+    /// parameter exists only because the frozen wall-clock benchmark
+    /// (`wallbench/src`) calls `FaultInjector::new(seed)`; the next
+    /// benchmark PR that stops passing it deletes it.
+    pub fn new(_seed: u64) -> Self {
+        Self::default()
     }
 
     /// Marks a provider as crashed: every subsequent request to it fails.
@@ -53,38 +42,6 @@ impl FaultInjector {
     pub fn failed_count(&self) -> usize {
         self.failed.read().len()
     }
-
-    /// Sets the per-message fault probability in `[0, 1]`.
-    pub fn set_message_fault_probability(&self, p: f64) {
-        let clamped = p.clamp(0.0, 1.0);
-        self.msg_fault_p
-            .store((clamped * u32::MAX as f64) as u64, Ordering::Relaxed);
-    }
-
-    /// Draws whether the next message faults (deterministic given the
-    /// seed and the draw sequence).
-    pub fn message_faults(&self) -> bool {
-        let p = self.msg_fault_p.load(Ordering::Relaxed);
-        if p == 0 {
-            return false;
-        }
-        let hit = (self.rng.next_u64() & 0xFFFF_FFFF) < p;
-        if hit {
-            self.injected.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
-    /// Total message faults injected so far.
-    pub fn injected_message_faults(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
-    }
-}
-
-impl Default for FaultInjector {
-    fn default() -> Self {
-        Self::new(0)
-    }
 }
 
 #[cfg(test)]
@@ -102,42 +59,5 @@ mod tests {
         f.heal_provider(p);
         assert!(!f.is_failed(p));
         assert_eq!(f.failed_count(), 0);
-    }
-
-    #[test]
-    fn zero_probability_never_faults() {
-        let f = FaultInjector::new(42);
-        for _ in 0..10_000 {
-            assert!(!f.message_faults());
-        }
-        assert_eq!(f.injected_message_faults(), 0);
-    }
-
-    #[test]
-    fn full_probability_always_faults() {
-        let f = FaultInjector::new(42);
-        f.set_message_fault_probability(1.0);
-        for _ in 0..100 {
-            assert!(f.message_faults());
-        }
-        assert_eq!(f.injected_message_faults(), 100);
-    }
-
-    #[test]
-    fn intermediate_probability_is_roughly_respected() {
-        let f = FaultInjector::new(7);
-        f.set_message_fault_probability(0.25);
-        let hits = (0..40_000).filter(|_| f.message_faults()).count();
-        let rate = hits as f64 / 40_000.0;
-        assert!((rate - 0.25).abs() < 0.02, "rate was {rate}");
-    }
-
-    #[test]
-    fn probability_clamps() {
-        let f = FaultInjector::new(7);
-        f.set_message_fault_probability(7.5);
-        assert!(f.message_faults());
-        f.set_message_fault_probability(-1.0);
-        assert!(!f.message_faults());
     }
 }

@@ -148,7 +148,7 @@ impl Deployment {
             local_providers: Vec::new(),
             versions: None,
             rpc: Metrics::new(),
-            hosted_faults: Arc::new(FaultInjector::new(0)),
+            hosted_faults: Arc::new(FaultInjector::default()),
             tmp,
         };
         let providers = d.config.data_providers;
@@ -288,7 +288,7 @@ impl Deployment {
         meta: Option<Arc<dyn Transport>>,
     ) -> Store {
         let config = self.config.clone();
-        let faults = Arc::new(FaultInjector::new(config.seed ^ 0xFA17));
+        let faults = Arc::new(FaultInjector::default());
         let manager =
             ProviderManager::from_stores(providers, config.allocation, faults, config.seed);
         let meta: Arc<dyn NodeStore> = match meta {
