@@ -55,7 +55,7 @@ pub struct StoreConfig {
     /// Storage substrate of every service: in-memory tables
     /// ([`BackendConfig::Memory`], the default and the substrate every
     /// committed benchmark result was produced under) or durable
-    /// slot-sharded logs with crash recovery ([`BackendConfig::Disk`]).
+    /// append-only logs with crash recovery ([`BackendConfig::Disk`]).
     pub backend: BackendConfig,
     /// Read by nothing: no choice in the store is random. Kept, with
     /// [`Self::with_seed`], because the frozen wall-clock benchmark

@@ -11,36 +11,16 @@
 //! unlink semantics.
 
 use crate::blob::Blob;
-use crate::routing::slot_for_name;
 use crate::store::Store;
 use atomio_types::{Error, Result};
 use parking_lot::RwLock;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-/// Number of independently-locked directory buckets. Paths route to a
-/// bucket by hash slot ([`slot_for_name`]), so a million-file namespace
-/// under concurrent create/open from many tenants contends on 1/16th of
-/// a lock instead of one global one.
-const NAMESPACE_BUCKETS: usize = 16;
-
-/// Path → blob directory. One per store; thread-safe.
-///
-/// Internally slot-sharded: each path lives in the bucket of its hash
-/// slot. Single-path operations lock one bucket; `rename` locks the two
-/// buckets involved in index order; `list` snapshots all buckets and
-/// merges.
-#[derive(Debug)]
-pub struct Namespace {
-    buckets: Vec<RwLock<BTreeMap<String, Blob>>>,
-}
-
-impl Default for Namespace {
-    fn default() -> Self {
-        Namespace {
-            buckets: (0..NAMESPACE_BUCKETS).map(|_| RwLock::default()).collect(),
-        }
-    }
-}
+/// Path → blob directory. One per store; thread-safe: one map under one
+/// lock, so every operation decides on the map as it is.
+#[derive(Debug, Default)]
+pub struct Namespace(RwLock<BTreeMap<String, Blob>>);
 
 /// Normalizes a path: requires a leading `/`, collapses repeated
 /// slashes, rejects empty and trailing-slash paths.
@@ -64,65 +44,49 @@ fn normalize(path: &str) -> Result<String> {
     Ok(out)
 }
 
-impl Namespace {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
+fn missing(path: &str) -> Error {
+    Error::Internal(format!("{path} does not exist"))
+}
 
-    fn bucket_index(&self, path: &str) -> usize {
-        usize::from(slot_for_name(path)) % self.buckets.len()
-    }
-
-    fn bucket(&self, path: &str) -> &RwLock<BTreeMap<String, Blob>> {
-        &self.buckets[self.bucket_index(path)]
-    }
-
-    fn insert(&self, path: String, blob: Blob) -> Result<Blob> {
-        let mut entries = self.bucket(&path).write();
-        if entries.contains_key(&path) {
-            return Err(Error::Internal(format!("{path} already exists")));
-        }
-        entries.insert(path, blob.clone());
-        Ok(blob)
-    }
-
-    fn get(&self, path: &str) -> Option<Blob> {
-        self.bucket(path).read().get(path).cloned()
-    }
+fn taken(path: &str) -> Error {
+    Error::Internal(format!("{path} already exists"))
 }
 
 impl Store {
-    /// Creates a new named file; fails if the path exists.
+    /// Creates a new named file; fails if the path exists, allocating
+    /// no blob then.
     pub fn create_file(&self, path: &str) -> Result<Blob> {
         let path = normalize(path)?;
-        self.namespace().insert(path, self.create_blob())
+        match self.namespace().0.write().entry(path) {
+            Entry::Occupied(e) => Err(taken(e.key())),
+            Entry::Vacant(e) => Ok(e.insert(self.create_blob()).clone()),
+        }
     }
 
     /// Opens an existing named file.
     pub fn open_file(&self, path: &str) -> Result<Blob> {
         let path = normalize(path)?;
-        self.namespace()
-            .get(&path)
-            .ok_or_else(|| Error::Internal(format!("{path} does not exist")))
+        let entries = self.namespace().0.read();
+        entries.get(&path).cloned().ok_or_else(|| missing(&path))
     }
 
-    /// Opens the file, creating it first if absent (MPI_MODE_CREATE).
+    /// Opens the file, creating it first if absent (MPI_MODE_CREATE):
+    /// concurrent callers on one new path all get the one blob.
     pub fn open_or_create_file(&self, path: &str) -> Result<Blob> {
         let path = normalize(path)?;
-        if let Some(blob) = self.namespace().get(&path) {
-            return Ok(blob);
-        }
-        self.namespace().insert(path, self.create_blob())
+        let mut entries = self.namespace().0.write();
+        Ok(entries
+            .entry(path)
+            .or_insert_with(|| self.create_blob())
+            .clone())
     }
 
     /// Removes a name. Live handles keep working; data is reclaimed by
     /// GC, not by unlink.
     pub fn unlink(&self, path: &str) -> Result<()> {
         let path = normalize(path)?;
-        match self.namespace().bucket(&path).write().remove(&path) {
-            Some(_) => Ok(()),
-            None => Err(Error::Internal(format!("{path} does not exist"))),
-        }
+        let removed = self.namespace().0.write().remove(&path);
+        removed.map(drop).ok_or_else(|| missing(&path))
     }
 
     /// Renames a file; fails if the source is missing or the target
@@ -130,63 +94,27 @@ impl Store {
     pub fn rename(&self, from: &str, to: &str) -> Result<()> {
         let from = normalize(from)?;
         let to = normalize(to)?;
-        let ns = self.namespace();
-        let (fi, ti) = (ns.bucket_index(&from), ns.bucket_index(&to));
-        if fi == ti {
-            let mut entries = ns.buckets[fi].write();
-            if entries.contains_key(&to) {
-                return Err(Error::Internal(format!("{to} already exists")));
-            }
-            return match entries.remove(&from) {
-                Some(blob) => {
-                    entries.insert(to, blob);
-                    Ok(())
-                }
-                None => Err(Error::Internal(format!("{from} does not exist"))),
-            };
+        let mut entries = self.namespace().0.write();
+        if entries.contains_key(&to) {
+            return Err(taken(&to));
         }
-        // Distinct buckets: lock in index order so concurrent renames in
-        // opposite directions cannot deadlock.
-        let (mut from_entries, mut to_entries) = if fi < ti {
-            let a = ns.buckets[fi].write();
-            let b = ns.buckets[ti].write();
-            (a, b)
-        } else {
-            let b = ns.buckets[ti].write();
-            let a = ns.buckets[fi].write();
-            (a, b)
-        };
-        if to_entries.contains_key(&to) {
-            return Err(Error::Internal(format!("{to} already exists")));
-        }
-        match from_entries.remove(&from) {
-            Some(blob) => {
-                to_entries.insert(to, blob);
-                Ok(())
-            }
-            None => Err(Error::Internal(format!("{from} does not exist"))),
-        }
+        let blob = entries.remove(&from).ok_or_else(|| missing(&from))?;
+        entries.insert(to, blob);
+        Ok(())
     }
 
     /// Lists paths with the given prefix, sorted.
     pub fn list(&self, prefix: &str) -> Vec<String> {
-        let ns = self.namespace();
-        let prefix = normalize(prefix).ok(); // "/" lists everything
-        let mut out: Vec<String> = Vec::new();
-        for bucket in &ns.buckets {
-            let entries = bucket.read();
-            match &prefix {
-                None => out.extend(entries.keys().cloned()),
-                Some(p) => out.extend(
-                    entries
-                        .range(p.clone()..)
-                        .take_while(|(k, _)| k.starts_with(p))
-                        .map(|(k, _)| k.clone()),
-                ),
-            }
+        let entries = self.namespace().0.read();
+        match normalize(prefix) {
+            // "/" lists everything.
+            Err(_) => entries.keys().cloned().collect(),
+            Ok(p) => entries
+                .range(p.clone()..)
+                .take_while(|(k, _)| k.starts_with(&p))
+                .map(|(k, _)| k.clone())
+                .collect(),
         }
-        out.sort_unstable();
-        out
     }
 }
 
@@ -195,6 +123,7 @@ mod tests {
     use crate::{Store, StoreConfig};
     use atomio_simgrid::clock::run_actors;
     use bytes::Bytes;
+    use std::sync::Barrier;
 
     fn store() -> Store {
         Store::new(StoreConfig::default().with_zero_cost().with_chunk_size(64))
@@ -214,11 +143,39 @@ mod tests {
     #[test]
     fn duplicate_create_fails_open_or_create_does_not() {
         let s = store();
-        s.create_file("/f").unwrap();
+        let f = s.create_file("/f").unwrap();
         assert!(s.create_file("/f").is_err());
+        // The refused create allocated no blob: the next one is f's
+        // successor.
+        let g = s.create_file("/g").unwrap();
+        assert_eq!(g.id().raw(), f.id().raw() + 1);
         let a = s.open_or_create_file("/f").unwrap();
-        let b = s.open_or_create_file("/g").unwrap();
+        let b = s.open_or_create_file("/h").unwrap();
+        assert_eq!(a.id(), f.id());
         assert_ne!(a.id(), b.id());
+    }
+
+    #[test]
+    fn concurrent_open_or_create_of_one_new_path_yields_one_blob() {
+        let s = store();
+        let start = Barrier::new(4);
+        for round in 0..300 {
+            let path = format!("/race/{round}");
+            let opened: Vec<_> = std::thread::scope(|scope| {
+                let open = || {
+                    start.wait();
+                    s.open_or_create_file(&path).map(|blob| blob.id())
+                };
+                let threads: Vec<_> = (0..4).map(|_| scope.spawn(open)).collect();
+                threads.into_iter().map(|t| t.join().unwrap()).collect()
+            });
+            // Every call succeeds, and all four get the same blob.
+            assert!(opened[0].is_ok(), "round {round}: {opened:?}");
+            assert!(
+                opened.iter().all(|got| *got == opened[0]),
+                "round {round}: {opened:?}"
+            );
+        }
     }
 
     #[test]

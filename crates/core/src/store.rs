@@ -126,7 +126,7 @@ impl Store {
             chunk_ids: Arc::new(IdAllocator::starting_at(first_free)),
             blob_ids: IdAllocator::new(),
             blobs: RwLock::new(HashMap::new()),
-            namespace: Namespace::new(),
+            namespace: Namespace::default(),
             config,
             oracles,
         }

@@ -1,27 +1,29 @@
-//! The on-disk chunk table: slot-sharded append-only part files.
+//! The on-disk chunk table: one append-only part file.
 //!
 //! [`DiskProvider`] is the one provider front ([`Provider`]) over a
-//! [`SlotTable`], which keeps every chunk payload on disk:
+//! [`PartTable`], which keeps every chunk payload on disk:
 //!
 //! ```text
 //! <dir>/superblock            one framed record: format version,
-//!                             slot count, provider id
-//! <dir>/slots/000/000.part    append-only record log of slot 0
-//! <dir>/slots/001/000.part    …
+//!                             slot count (always 1), provider id
+//! <dir>/slots/000/000.part    the append-only record log
 //! ```
 //!
-//! Each part file is a [`RecordLog`] — create, recovery, append, sync,
+//! The part file is a [`RecordLog`] — create, recovery, append, sync,
 //! flush and the compaction rewrite are its. What is the table's own:
-//! chunks are hash-routed to a slot (`mix64(chunk) % slots`, the
-//! AmberBlob pre-sharded layout) and logged as a framed `PUT` record —
-//! its body the positional encoding of `(chunk id, ingest checksum,
-//! payload length)`, a `(ChunkId, u64, u64)` — followed by the raw
-//! payload bytes **outside** the record frame; an eviction appends a
-//! `TOMBSTONE` record whose body is the encoded `ChunkId` — payloads
-//! are immutable and never rewritten. A
-//! RAM index (chunk → slot, offset, length, checksum), rebuilt on open by
-//! replaying every slot, makes lookups O(1); reads `pread` straight at
-//! the payload. A crash inside a payload is a torn tail like any other.
+//! a chunk is logged as a framed `PUT` record — its body the positional
+//! encoding of `(chunk id, ingest checksum, payload length)`, a
+//! `(ChunkId, u64, u64)` — followed by the raw payload bytes **outside**
+//! the record frame; an eviction appends a `TOMBSTONE` record whose body
+//! is the encoded `ChunkId` — payloads are immutable and never
+//! rewritten. A RAM index (chunk → offset, length, checksum), rebuilt on
+//! open by replaying the part file, makes lookups O(1); reads `pread`
+//! straight at the payload. A crash inside a payload is a torn tail like
+//! any other.
+//!
+//! The log, the index and the accounting sit under one `RwLock`: puts,
+//! evictions, compaction and flushes take it exclusively — so a batch is
+//! one append and at most one sync — and reads share it.
 //!
 //! Keeping the payload out of the record frame keeps the two integrity
 //! layers separate: frame checksums catch *torn appends* at recovery
@@ -35,20 +37,14 @@ use atomio_simgrid::{CostModel, FaultInjector};
 use atomio_types::record::{
     encode_record, load_or_init_superblock, read_record_at, RecordLog, RECORD_HEADER_BYTES,
 };
-use atomio_types::stamp::mix64;
 use atomio_types::{BackendConfig, ByteRange, ChunkId, Error, FsyncPolicy, ProviderId, Result};
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use serde::decode_exact;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::PathBuf;
 use std::sync::Arc;
-
-/// Default slot (shard directory) count for new provider directories;
-/// reopened directories always use the count in their superblock.
-pub const DEFAULT_SLOTS: u32 = 8;
 
 /// Part-file record: a stored chunk, `(chunk id, checksum,
 /// payload_len)`, with the payload bytes following the record raw.
@@ -60,21 +56,21 @@ const REC_TOMBSTONE: u8 = 2;
 /// 24-byte body (chunk id, checksum, payload length).
 const PUT_FRAME_BYTES: u64 = (RECORD_HEADER_BYTES + 24) as u64;
 
-/// Dead fraction at which a sweep's eviction batch compacts a slot's
-/// part file (see [`DiskProvider::compact`]).
+/// Dead fraction at which a sweep's eviction batch compacts the part
+/// file (see [`DiskProvider::compact`]).
 pub const COMPACT_DEAD_FRACTION: f64 = 0.5;
 
-/// Live-record bytes vs total file bytes of one slot — the accounting
+/// Live-record bytes vs total bytes of the part file — the accounting
 /// compaction decisions are made from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SlotUsage {
+pub struct PartUsage {
     /// Total part-file bytes.
     pub file_bytes: u64,
     /// Bytes belonging to live PUT records (frame + payload).
     pub live_bytes: u64,
 }
 
-impl SlotUsage {
+impl PartUsage {
     /// Bytes occupied by dead records: tombstoned puts, the tombstones
     /// themselves, and superseded duplicates.
     pub fn dead_bytes(&self) -> u64 {
@@ -84,29 +80,16 @@ impl SlotUsage {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct IndexEntry {
-    slot: u32,
-    /// Absolute offset of the payload bytes inside the slot's part file.
+    /// Absolute offset of the payload bytes inside the part file.
     payload_offset: u64,
     len: u64,
     checksum: u64,
 }
 
-/// Per-slot eviction batch: concatenated tombstone records plus the
-/// removed index entries (kept for resurrection if the append fails).
-type SlotEvictBatch = (Vec<u8>, Vec<(ChunkId, IndexEntry)>);
-
-#[derive(Debug)]
-struct Slot {
-    log: RecordLog,
-    /// File bytes occupied by live PUT records (frame + payload); the
-    /// rest of the log is dead weight reclaimable by compaction.
-    live_bytes: u64,
-}
-
-/// What replaying one part file finds.
+/// What replaying the part file finds.
 #[derive(Debug, Default, PartialEq)]
 struct PartReplay {
-    /// The slot's live chunks.
+    /// The live chunks.
     index: HashMap<ChunkId, IndexEntry>,
     /// Length of the whole-record prefix (a PUT counts with its payload).
     valid: u64,
@@ -116,13 +99,13 @@ struct PartReplay {
     max_seen: u64,
 }
 
-/// Replays the part file of slot `slot`. Records are walked by hand: a
-/// PUT is followed by its out-of-frame payload, which a generic record
-/// scan cannot step over. The walk stops at the first torn record — or
-/// payload the file ends inside — and fails only on a whole,
-/// checksum-valid record it cannot read.
-fn replay_part(bytes: &[u8], slot: u32) -> Result<PartReplay> {
-    let malformed = |what: String| Error::Internal(format!("part file of slot {slot}: {what}"));
+/// Replays the part file. Records are walked by hand: a PUT is followed
+/// by its out-of-frame payload, which a generic record scan cannot step
+/// over. The walk stops at the first torn record — or payload the file
+/// ends inside — and fails only on a whole, checksum-valid record it
+/// cannot read.
+fn replay_part(bytes: &[u8]) -> Result<PartReplay> {
+    let malformed = |what: String| Error::Internal(format!("part file: {what}"));
     // `raw + 1` of a logged id; an id without a successor cannot be tracked.
     let seen = |chunk: ChunkId| {
         let seen = chunk.raw().checked_add(1);
@@ -146,7 +129,6 @@ fn replay_part(bytes: &[u8], slot: u32) -> Result<PartReplay> {
                 // duplicate-id rejection.
                 if let Entry::Vacant(e) = replay.index.entry(chunk) {
                     e.insert(IndexEntry {
-                        slot,
                         payload_offset: next as u64,
                         len,
                         checksum,
@@ -173,167 +155,155 @@ fn replay_part(bytes: &[u8], slot: u32) -> Result<PartReplay> {
     Ok(replay)
 }
 
-/// The durable chunk table: one [`RecordLog`] part file per slot and the
-/// RAM index over them.
+/// Everything [`PartTable`]'s one lock guards.
 #[derive(Debug)]
-pub struct SlotTable {
-    dir: PathBuf,
-    slots: Vec<Mutex<Slot>>,
-    index: RwLock<HashMap<ChunkId, IndexEntry>>,
+struct Part {
+    log: RecordLog,
+    index: HashMap<ChunkId, IndexEntry>,
+    /// File bytes occupied by live PUT records (frame + payload); the
+    /// rest of the log is dead weight reclaimable by compaction.
+    live_bytes: u64,
     /// `raw + 1` of the highest chunk id ever logged (0 = none), counting
     /// tombstoned chunks too: ids are never reused, even across restarts.
-    max_chunk_seen: AtomicU64,
+    max_seen: u64,
 }
 
-impl SlotTable {
+/// The durable chunk table: one [`RecordLog`] part file and the RAM
+/// index over it.
+#[derive(Debug)]
+pub struct PartTable {
+    part: RwLock<Part>,
+}
+
+impl PartTable {
     /// Opens (creating or recovering) the table of provider `id` under
-    /// `dir`; `slot_count` applies to a new directory only.
-    fn open(dir: PathBuf, id: ProviderId, fsync: FsyncPolicy, slot_count: u32) -> Result<Self> {
-        assert!(slot_count > 0, "need at least one slot");
-        let slot_count = load_or_init_superblock(
-            &dir.join("superblock"),
-            slot_count,
-            id.raw(),
-            &format!("provider {id}"),
-        )?;
-        let mut slots = Vec::with_capacity(slot_count as usize);
-        let mut index = HashMap::new();
-        let mut max_seen = 0u64;
-        for s in 0..slot_count {
-            let part = dir.join("slots").join(format!("{s:03}")).join("000.part");
-            let mut replay = PartReplay::default();
-            let log = RecordLog::open(part, fsync, |bytes| {
-                replay = replay_part(bytes, s)?;
-                Ok(replay.valid)
-            })?;
-            index.extend(replay.index);
-            max_seen = max_seen.max(replay.max_seen);
-            slots.push(Mutex::new(Slot {
-                log,
-                live_bytes: replay.live,
-            }));
+    /// `dir`. A directory laid out in several slots is refused before
+    /// anything under it is touched.
+    fn open(dir: PathBuf, id: ProviderId, fsync: FsyncPolicy) -> Result<Self> {
+        let role = format!("provider {id}");
+        let slots = load_or_init_superblock(&dir.join("superblock"), 1, id.raw(), &role)?;
+        if slots != 1 {
+            return Err(Error::Internal(format!(
+                "{role}: directory holds {slots} slots, this build reads one part file"
+            )));
         }
-        Ok(SlotTable {
-            dir,
-            slots,
-            index: RwLock::new(index),
-            max_chunk_seen: AtomicU64::new(max_seen),
+        let mut replay = PartReplay::default();
+        let path = dir.join("slots").join("000").join("000.part");
+        let log = RecordLog::open(path, fsync, |bytes| {
+            replay = replay_part(bytes)?;
+            Ok(replay.valid)
+        })?;
+        let part = Part {
+            log,
+            index: replay.index,
+            live_bytes: replay.live,
+            max_seen: replay.max_seen,
+        };
+        Ok(PartTable {
+            part: RwLock::new(part),
         })
     }
 
-    fn slot_of(&self, chunk: ChunkId) -> usize {
-        (mix64(chunk.raw() ^ 0xD15C_51A7) % self.slots.len() as u64) as usize
-    }
-
     fn compact(&self, threshold: f64) -> Result<u64> {
-        let mut shed = 0u64;
-        for s in 0..self.slots.len() {
-            shed += self.compact_slot(s, threshold)?;
-        }
-        Ok(shed)
-    }
-
-    fn compact_slot(&self, s: usize, threshold: f64) -> Result<u64> {
-        let mut index = self.index.write();
-        let mut slot = self.slots[s].lock();
-        let old_len = slot.log.len();
-        let dead = old_len - slot.live_bytes;
+        let mut part = self.part.write();
+        let Part {
+            log,
+            index,
+            live_bytes,
+            ..
+        } = &mut *part;
+        let old_len = log.len();
+        let dead = old_len - *live_bytes;
         if dead == 0 || (dead as f64) < threshold * (old_len as f64) {
             return Ok(0);
         }
-        // Rebuild the slot's log from its live chunks, in file order.
-        let mut live: Vec<(ChunkId, IndexEntry)> = index
-            .iter()
-            .filter(|(_, e)| e.slot as usize == s)
-            .map(|(&c, &e)| (c, e))
-            .collect();
+        // Rebuild the log from the live chunks, in file order.
+        let mut live: Vec<(&ChunkId, &mut IndexEntry)> = index.iter_mut().collect();
         live.sort_unstable_by_key(|(_, e)| e.payload_offset);
-        let mut contents = Vec::with_capacity(slot.live_bytes as usize);
-        let mut moved: Vec<(ChunkId, u64)> = Vec::with_capacity(live.len());
+        let mut contents = Vec::with_capacity(*live_bytes as usize);
+        let mut moved = Vec::with_capacity(live.len());
         for (chunk, entry) in &live {
-            encode_record(&mut contents, REC_PUT, &(*chunk, entry.checksum, entry.len));
+            encode_record(
+                &mut contents,
+                REC_PUT,
+                &(**chunk, entry.checksum, entry.len),
+            );
             let at = contents.len();
-            moved.push((*chunk, at as u64));
+            moved.push(at as u64);
             contents.resize(at + entry.len as usize, 0);
-            slot.log
-                .read_exact_at(entry.payload_offset, &mut contents[at..])?;
+            log.read_exact_at(entry.payload_offset, &mut contents[at..])?;
         }
-        slot.log.replace(&contents)?;
-        slot.live_bytes = contents.len() as u64;
-        for (chunk, offset) in moved {
-            if let Some(e) = index.get_mut(&chunk) {
-                e.payload_offset = offset;
+        let replaced = log.replace(&contents);
+        // The handle moves to the new file also when only the directory
+        // sync after the rename fails: the index follows the handle.
+        if log.len() != old_len {
+            *live_bytes = log.len();
+            for ((_, entry), at) in live.into_iter().zip(moved) {
+                entry.payload_offset = at;
             }
         }
-        Ok(old_len - contents.len() as u64)
+        replaced.map(|()| old_len - log.len())
     }
 }
 
-impl ChunkTable for SlotTable {
-    /// All records bound for one slot are framed into one buffer and
-    /// appended with one write (and, when the fsync policy says so, one
-    /// sync): a batch costs one append per touched slot however many
-    /// chunks it carries, and a failed append fails the records of that
-    /// slot only.
+impl ChunkTable for PartTable {
+    /// Every record of the batch is framed into one buffer and appended
+    /// with one write (and, when the fsync policy says so, one sync): a
+    /// batch costs one append however many chunks it carries, and a
+    /// failed append fails every record it carried.
     fn install_batch(&self, items: &[(ChunkId, &Bytes, u64)]) -> Vec<Result<bool>> {
-        // Each slot's buffer is sized once, for exactly its records.
-        let mut sizes = vec![0usize; self.slots.len()];
-        for (chunk, data, _) in items {
-            sizes[self.slot_of(*chunk)] += PUT_FRAME_BYTES as usize + data.len();
-        }
-        let mut buffers: Vec<Vec<u8>> = sizes.into_iter().map(Vec::with_capacity).collect();
-        // Per slot: (item, index entry with its offset still relative to
-        // the slot's buffer).
-        let mut framed: Vec<Vec<(usize, ChunkId, IndexEntry)>> = vec![Vec::new(); self.slots.len()];
+        let size = items.iter().map(|(_, data, _)| data.len()).sum::<usize>()
+            + items.len() * PUT_FRAME_BYTES as usize;
+        let mut buffer = Vec::with_capacity(size);
+        // Index entries, their offsets still relative to the buffer.
+        let mut framed = Vec::with_capacity(items.len());
         let mut outcomes = Vec::with_capacity(items.len());
         let mut batch_ids = HashSet::new();
 
-        let mut index = self.index.write();
-        for (item, &(chunk, data, checksum)) in items.iter().enumerate() {
-            let fresh = !index.contains_key(&chunk) && batch_ids.insert(chunk);
+        let mut part = self.part.write();
+        for &(chunk, data, checksum) in items {
+            // Replay refuses an id without a successor: logging one would
+            // leave a directory that no longer opens.
+            if chunk.raw() == u64::MAX {
+                let refused = format!("chunk id {chunk} out of range");
+                outcomes.push(Err(Error::Internal(refused)));
+                continue;
+            }
+            let fresh = !part.index.contains_key(&chunk) && batch_ids.insert(chunk);
             outcomes.push(Ok(fresh));
             if !fresh {
                 continue;
             }
             // Framed metadata record, then the raw payload out-of-frame
             // (see the module docs for why).
-            let s = self.slot_of(chunk);
-            let body = (chunk, checksum, data.len() as u64);
-            encode_record(&mut buffers[s], REC_PUT, &body);
-            let entry = IndexEntry {
-                slot: s as u32,
-                payload_offset: buffers[s].len() as u64,
-                len: data.len() as u64,
-                checksum,
-            };
-            framed[s].push((item, chunk, entry));
-            buffers[s].extend_from_slice(data);
+            let len = data.len() as u64;
+            encode_record(&mut buffer, REC_PUT, &(chunk, checksum, len));
+            let payload_offset = buffer.len() as u64;
+            framed.push((
+                chunk,
+                IndexEntry {
+                    payload_offset,
+                    len,
+                    checksum,
+                },
+            ));
+            buffer.extend_from_slice(data);
         }
-        for (s, (buffer, framed)) in buffers.iter().zip(framed).enumerate() {
-            if framed.is_empty() {
-                continue;
+        if framed.is_empty() {
+            return outcomes;
+        }
+        match part.log.append(&buffer) {
+            Ok(at) => {
+                part.live_bytes += buffer.len() as u64;
+                for (chunk, mut entry) in framed {
+                    entry.payload_offset += at;
+                    part.max_seen = part.max_seen.max(chunk.raw() + 1);
+                    part.index.insert(chunk, entry);
+                }
             }
-            let appended = {
-                let mut slot = self.slots[s].lock();
-                let appended = slot.log.append(buffer);
-                if appended.is_ok() {
-                    slot.live_bytes += buffer.len() as u64;
-                }
-                appended
-            };
-            match appended {
-                Ok(at) => {
-                    for (_, chunk, mut entry) in framed {
-                        entry.payload_offset += at;
-                        index.insert(chunk, entry);
-                        self.max_chunk_seen
-                            .fetch_max(chunk.raw() + 1, Ordering::Relaxed);
-                    }
-                }
-                Err(e) => {
-                    for (item, ..) in framed {
-                        outcomes[item] = Err(e.clone());
-                    }
+            Err(e) => {
+                for outcome in outcomes.iter_mut().filter(|o| matches!(o, Ok(true))) {
+                    *outcome = Err(e.clone());
                 }
             }
         }
@@ -341,12 +311,12 @@ impl ChunkTable for SlotTable {
     }
 
     fn lookup(&self, chunk: ChunkId) -> Option<(u64, u64)> {
-        let index = self.index.read();
-        index.get(&chunk).map(|e| (e.len, e.checksum))
+        let part = self.part.read();
+        part.index.get(&chunk).map(|e| (e.len, e.checksum))
     }
 
     /// The admitted payloads are `pread` straight into one buffer the
-    /// returned slices share. The index is held (shared) for the whole
+    /// returned slices share. The lock is held (shared) for the whole
     /// batch, so a compaction cannot move a payload between its lookup
     /// and its read.
     fn read_batch(
@@ -354,74 +324,68 @@ impl ChunkTable for SlotTable {
         chunks: impl Iterator<Item = ChunkId>,
         mut admit: impl FnMut(usize, Option<u64>) -> Result<ByteRange>,
     ) -> Vec<Result<Bytes>> {
-        let index = self.index.read();
-        // Per item: the slot and file offset to read at, and where the
-        // bytes go in the shared buffer.
+        let part = self.part.read();
+        // Per item: the file offset to read at, and where the bytes go in
+        // the shared buffer.
         let mut total = 0usize;
-        let mut planned: Vec<Result<(u32, u64, std::ops::Range<usize>)>> = chunks
+        let mut planned: Vec<Result<(u64, std::ops::Range<usize>)>> = chunks
             .enumerate()
             .map(|(item, chunk)| {
-                let entry = index.get(&chunk);
+                let entry = part.index.get(&chunk);
                 let range = admit(item, entry.map(|e| e.len))?;
                 let entry = entry.expect("admitted, so held");
                 let at = total;
                 total += range.len as usize;
-                Ok((entry.slot, entry.payload_offset + range.offset, at..total))
+                Ok((entry.payload_offset + range.offset, at..total))
             })
             .collect();
         let mut buf = vec![0u8; total];
         for plan in &mut planned {
-            let Ok((slot, offset, at)) = plan else {
+            let Ok((offset, at)) = plan else {
                 continue;
             };
-            let slot = self.slots[*slot as usize].lock();
-            let read = slot.log.read_exact_at(*offset, &mut buf[at.clone()]);
-            if let Err(e) = read {
+            if let Err(e) = part.log.read_exact_at(*offset, &mut buf[at.clone()]) {
                 *plan = Err(e);
             }
         }
-        drop(index);
+        drop(part);
         let buf = Bytes::from(buf);
         planned
             .into_iter()
-            .map(|plan| plan.map(|(_, _, at)| buf.slice(at)))
+            .map(|plan| plan.map(|(_, at)| buf.slice(at)))
             .collect()
     }
 
-    /// Tombstones are grouped per slot, so the whole batch costs one
-    /// append (and at most one fsync) per touched slot instead of one per
-    /// chunk. The part-file bytes stay behind as *dead* (recovery replays
-    /// the tombstones too) until a compaction rewrites the slot.
+    /// The tombstones of the whole batch cost one append (and at most one
+    /// fsync) instead of one per chunk. The part-file bytes stay behind
+    /// as *dead* (recovery replays the tombstones too) until a compaction
+    /// rewrites the file.
     fn evict_batch(&self, chunks: &[ChunkId]) -> u64 {
-        let mut index = self.index.write();
-        let mut per_slot: HashMap<u32, SlotEvictBatch> = HashMap::new();
+        let mut part = self.part.write();
+        let mut framed = Vec::new();
+        let mut removed = Vec::new();
         for &chunk in chunks {
-            let Some(entry) = index.remove(&chunk) else {
-                continue;
-            };
-            let (framed, removed) = per_slot.entry(entry.slot).or_default();
-            encode_record(framed, REC_TOMBSTONE, &chunk);
-            removed.push((chunk, entry));
-        }
-        let mut reclaimed = 0u64;
-        for (s, (framed, removed)) in per_slot {
-            let mut slot = self.slots[s as usize].lock();
-            if slot.log.append(&framed).is_err() {
-                // An eviction that cannot reach disk must not pretend
-                // the chunks are gone: put this slot's entries back and
-                // report nothing reclaimed for them.
-                index.extend(removed);
-                continue;
-            }
-            for (_, entry) in &removed {
-                slot.live_bytes -= PUT_FRAME_BYTES + entry.len;
-                reclaimed += entry.len;
+            if let Some(entry) = part.index.remove(&chunk) {
+                encode_record(&mut framed, REC_TOMBSTONE, &chunk);
+                removed.push((chunk, entry));
             }
         }
+        if removed.is_empty() {
+            return 0;
+        }
+        if part.log.append(&framed).is_err() {
+            // An eviction that cannot reach disk must not pretend the
+            // chunks are gone: put the entries back and report nothing
+            // reclaimed.
+            part.index.extend(removed);
+            return 0;
+        }
+        let reclaimed: u64 = removed.iter().map(|(_, entry)| entry.len).sum();
+        part.live_bytes -= removed.len() as u64 * PUT_FRAME_BYTES + reclaimed;
         reclaimed
     }
 
-    /// A compaction failure leaves the slot valid, just uncompacted.
+    /// A compaction failure leaves the part file valid, just uncompacted.
     fn shed_dead(&self) {
         let _ = self.compact(COMPACT_DEAD_FRACTION);
     }
@@ -429,29 +393,31 @@ impl ChunkTable for SlotTable {
     /// Flips the byte **on disk**: the bit-rot injection exercises real
     /// media.
     fn flip_byte(&self, chunk: ChunkId, byte: usize) {
-        let index = self.index.read();
-        let Some(entry) = index.get(&chunk).filter(|e| (byte as u64) < e.len) else {
+        let part = self.part.write();
+        let Some(entry) = part.index.get(&chunk).filter(|e| (byte as u64) < e.len) else {
             return;
         };
-        let slot = self.slots[entry.slot as usize].lock();
         let at = entry.payload_offset + byte as u64;
         let mut b = [0u8; 1];
-        if slot.log.read_exact_at(at, &mut b).is_ok() {
-            let _ = slot.log.overwrite_at(at, &[b[0] ^ 0xFF]);
+        if part.log.read_exact_at(at, &mut b).is_ok() {
+            let _ = part.log.overwrite_at(at, &[b[0] ^ 0xFF]);
         }
     }
 
     fn entries(&self) -> Vec<(ChunkId, u64, u64)> {
-        let index = self.index.read();
-        index.iter().map(|(&c, e)| (c, e.len, e.checksum)).collect()
+        let part = self.part.read();
+        part.index
+            .iter()
+            .map(|(&c, e)| (c, e.len, e.checksum))
+            .collect()
     }
 
     fn count(&self) -> usize {
-        self.index.read().len()
+        self.part.read().index.len()
     }
 
     fn max_chunk_id(&self) -> Option<ChunkId> {
-        match self.max_chunk_seen.load(Ordering::Relaxed) {
+        match self.part.read().max_seen {
             0 => None,
             n => Some(ChunkId::new(n - 1)),
         }
@@ -459,17 +425,16 @@ impl ChunkTable for SlotTable {
 }
 
 /// One durable storage server: the same front, cost model and request
-/// semantics as [`DataProvider`], payloads in slot-sharded append-only
-/// part files.
-pub type DiskProvider = Provider<SlotTable>;
+/// semantics as [`DataProvider`], payloads in one append-only part file.
+pub type DiskProvider = Provider<PartTable>;
 
 impl DiskProvider {
-    /// Opens (creating or recovering) a provider rooted at `dir` with the
-    /// default slot count.
+    /// Opens (creating or recovering) a provider rooted at `dir`.
     ///
     /// # Errors
     /// [`Error::Internal`] on I/O failure or when `dir` holds another
-    /// provider's (or another format version's) state.
+    /// provider's state, another format version's, or a layout of
+    /// several slots.
     pub fn open(
         dir: impl Into<PathBuf>,
         id: ProviderId,
@@ -477,59 +442,31 @@ impl DiskProvider {
         faults: Arc<FaultInjector>,
         fsync: FsyncPolicy,
     ) -> Result<Self> {
-        Self::open_with_slots(dir, id, cost, faults, fsync, DEFAULT_SLOTS)
-    }
-
-    /// [`Self::open`] with an explicit slot count for new directories.
-    /// Reopened directories keep the slot count in their superblock —
-    /// routing must not change under existing part files.
-    pub fn open_with_slots(
-        dir: impl Into<PathBuf>,
-        id: ProviderId,
-        cost: CostModel,
-        faults: Arc<FaultInjector>,
-        fsync: FsyncPolicy,
-        slot_count: u32,
-    ) -> Result<Self> {
-        let table = SlotTable::open(dir.into(), id, fsync, slot_count)?;
+        let table = PartTable::open(dir.into(), id, fsync)?;
         Ok(Provider::over(table, id, cost, faults))
     }
 
-    /// Root directory of this provider's state.
-    pub fn dir(&self) -> &Path {
-        &self.table.dir
+    /// Live-vs-file byte accounting of the part file.
+    pub fn usage(&self) -> PartUsage {
+        let part = self.table.part.read();
+        PartUsage {
+            file_bytes: part.log.len(),
+            live_bytes: part.live_bytes,
+        }
     }
 
-    /// Per-slot live-vs-file byte accounting.
-    pub fn slot_usage(&self) -> Vec<SlotUsage> {
-        let slots = self.table.slots.iter().map(|s| s.lock());
-        slots
-            .map(|s| SlotUsage {
-                file_bytes: s.log.len(),
-                live_bytes: s.live_bytes,
-            })
-            .collect()
-    }
-
-    /// Total dead part-file bytes across all slots (reclaimable by
-    /// [`DiskProvider::compact`]).
-    pub fn dead_bytes(&self) -> u64 {
-        self.slot_usage().iter().map(|u| u.dead_bytes()).sum()
-    }
-
-    /// Rewrites every slot whose dead fraction is at least `threshold`
-    /// (`0.0..=1.0`), dropping tombstoned and superseded records from
-    /// the part file ([`RecordLog::replace`]: a crash at any point leaves
-    /// one complete, replayable log). Returns file bytes shed.
+    /// Rewrites the part file when its dead fraction is at least
+    /// `threshold` (`0.0..=1.0`), dropping tombstoned and superseded
+    /// records ([`RecordLog::replace`]: a crash at any point leaves one
+    /// complete, replayable log). Returns file bytes shed.
     pub fn compact(&self, threshold: f64) -> Result<u64> {
         self.table.compact(threshold)
     }
 
-    /// Forces every slot's outstanding appends to stable storage
-    /// (graceful shutdown under `Group`/`Deferred` fsync policies).
+    /// Forces outstanding appends to stable storage (graceful shutdown
+    /// under `Group`/`Deferred` fsync policies).
     pub fn flush(&self) -> Result<()> {
-        let mut slots = self.table.slots.iter();
-        slots.try_for_each(|s| s.lock().log.flush())
+        self.table.part.write().log.flush()
     }
 }
 
@@ -563,9 +500,14 @@ mod tests {
     use crate::integrity::chunk_checksum;
     use atomio_simgrid::clock::run_actors;
     use atomio_simgrid::SimTime;
-    use atomio_types::record::LogStats;
     use atomio_types::tempdir::TempDir;
     use std::fs::OpenOptions;
+    use std::path::Path;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+    fn part_path(dir: &Path) -> PathBuf {
+        dir.join("slots").join("000").join("000.part")
+    }
 
     fn open(dir: &Path) -> Arc<DiskProvider> {
         Arc::new(
@@ -634,23 +576,18 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_on_open() {
         let tmp = TempDir::new("atomio-diskprov");
-        let chunk_slot_path = {
+        {
             let prov = open(tmp.path());
             run_actors(1, |_, p| {
                 prov.put_chunk(p, ChunkId::new(1), Bytes::from(vec![9u8; 64]))
                     .unwrap();
             });
-            let s = prov.table.slot_of(ChunkId::new(2));
-            tmp.path()
-                .join("slots")
-                .join(format!("{s:03}"))
-                .join("000.part")
-        };
-        // Simulate a crash mid-append: garbage tail on chunk 2's slot.
+        }
+        // Simulate a crash mid-append: garbage tail on the part file.
         use std::io::Write as _;
         let mut f = OpenOptions::new()
             .append(true)
-            .open(&chunk_slot_path)
+            .open(part_path(tmp.path()))
             .unwrap();
         f.write_all(&atomio_types::record::RECORD_MAGIC.to_be_bytes())
             .unwrap();
@@ -806,14 +743,14 @@ mod tests {
                         .unwrap();
                 }
             });
-            let before: u64 = prov.slot_usage().iter().map(|u| u.file_bytes).sum();
+            let before = prov.usage().file_bytes;
             let victims: Vec<ChunkId> = (0..12).map(ChunkId::new).collect();
-            // The batch path auto-compacts slots past the dead-fraction
-            // threshold; force the rest with an explicit full pass.
+            // The batch path auto-compacts past the dead-fraction
+            // threshold; an explicit full pass then finds nothing left.
             prov.evict_chunk_batch(&victims);
             prov.compact(0.0).unwrap();
-            assert_eq!(prov.dead_bytes(), 0);
-            let after: u64 = prov.slot_usage().iter().map(|u| u.file_bytes).sum();
+            assert_eq!(prov.usage().dead_bytes(), 0);
+            let after = prov.usage().file_bytes;
             assert!(
                 after < before,
                 "compaction must shrink part files ({before} -> {after})"
@@ -824,7 +761,7 @@ mod tests {
         // The compacted layout is itself a valid, replayable log.
         let prov = open(tmp.path());
         assert_eq!(prov.chunk_count(), 4);
-        assert_eq!(prov.dead_bytes(), 0);
+        assert_eq!(prov.usage().dead_bytes(), 0);
         let (res, _) = run_actors(1, |_, p| prov.get_chunk(p, ChunkId::new(15)));
         assert_eq!(res[0].as_ref().unwrap().as_ref(), &[15u8; 256][..]);
     }
@@ -874,7 +811,7 @@ mod tests {
         assert_eq!(prov.chunk_count(), 68);
         assert_eq!(prov.bytes_stored(), 68 * 2048);
         assert_eq!(prov.max_chunk_id(), Some(ChunkId::new(67)));
-        assert_eq!(prov.dead_bytes(), 0, "refused items wrote nothing");
+        assert_eq!(prov.usage().dead_bytes(), 0, "refused items wrote nothing");
         // First write won: the stored 64 is the first batch's.
         let gets = prov.get_range_batch_at(&[
             (0, ChunkId::new(64), ByteRange::new(0, 2048)),
@@ -939,36 +876,34 @@ mod tests {
         assert_eq!(get_a, get_b);
         assert_eq!(batched.disk().busy_time(), looped.disk().busy_time());
         assert_eq!(batched.nic().busy_time(), looped.nic().busy_time());
-        assert_eq!(batched.slot_usage(), looped.slot_usage());
+        assert_eq!(batched.usage(), looped.usage());
     }
 
     #[test]
-    fn batch_put_appends_and_syncs_once_per_touched_slot() {
-        let stats = |prov: &DiskProvider| -> Vec<LogStats> {
-            let slots = prov.table.slots.iter();
-            slots.map(|s| s.lock().log.stats()).collect()
-        };
-        // Deferred never syncs: a 66-chunk batch is one append per
-        // touched slot, where the same chunks put one by one are 66.
+    fn batch_put_appends_and_syncs_once() {
+        let stats = |prov: &DiskProvider| prov.table.part.read().log.stats();
+        // Deferred never syncs: a 64-chunk batch is one append, where the
+        // same chunks put one by one are 64.
         let tmp = TempDir::new("atomio-diskprov");
         let prov = open_with(tmp.path(), CostModel::zero(), FsyncPolicy::Deferred);
-        prov.put_batch_at(&batch(0, 66, 2048));
+        assert!(prov
+            .put_batch_at(&batch(0, 64, 2048))
+            .iter()
+            .all(|r| r.is_ok()));
         let batched = stats(&prov);
-        assert!(batched.iter().all(|s| s.appends <= 1), "{batched:?}");
-        assert!(batched.iter().all(|s| s.syncs == 0), "{batched:?}");
-        for (arrival, chunk, data) in batch(100, 66, 2048) {
+        assert_eq!((batched.appends, batched.syncs), (1, 0), "{batched:?}");
+        for (arrival, chunk, data) in batch(100, 64, 2048) {
             prov.put_chunk_at(arrival, chunk, data).unwrap();
         }
-        let appends = |stats: &[LogStats]| stats.iter().map(|s| s.appends).sum::<u64>();
-        assert_eq!(appends(&stats(&prov)) - appends(&batched), 66);
-        // PerPublish syncs every append — so at most one sync per
-        // touched slot per batch — and leaves nothing unsynced behind.
+        assert_eq!(stats(&prov).appends - batched.appends, 64);
+        // PerPublish syncs every append — so one sync per batch — and
+        // leaves nothing unsynced behind.
         let tmp = TempDir::new("atomio-diskprov");
         let prov = open_with(tmp.path(), CostModel::zero(), FsyncPolicy::PerPublish);
-        prov.put_batch_at(&batch(0, 66, 2048));
+        prov.put_batch_at(&batch(0, 64, 2048));
         let synced = stats(&prov);
-        assert!(synced.iter().all(|s| s.syncs <= 1), "{synced:?}");
-        assert!(synced.iter().all(|s| s.unsynced == 0), "{synced:?}");
+        let counts = (synced.appends, synced.syncs, synced.unsynced);
+        assert_eq!(counts, (1, 1, 0), "{synced:?}");
     }
 
     #[test]
@@ -976,30 +911,20 @@ mod tests {
         let tmp = TempDir::new("atomio-diskprov");
         let acked = batch(0, 24, 512);
         let torn = batch(100, 48, 512);
-        let (slot, keep, part) = {
+        let record = PUT_FRAME_BYTES + 512;
+        let keep = {
             let prov = open_with(tmp.path(), CostModel::zero(), FsyncPolicy::Deferred);
             assert!(prov.put_batch_at(&acked).iter().all(|r| r.is_ok()));
-            let before = prov.slot_usage();
+            let before = prov.usage().file_bytes;
             assert!(prov.put_batch_at(&torn).iter().all(|r| r.is_ok()));
-            // Tear the slot that got the most records of the second
-            // batch, in the middle of that batch's single write: one
-            // whole record survives, the second loses its last byte.
-            let slot = (0..prov.table.slots.len())
-                .max_by_key(|&s| prov.slot_usage()[s].file_bytes - before[s].file_bytes)
-                .unwrap();
-            let record = PUT_FRAME_BYTES + 512;
-            assert!(prov.slot_usage()[slot].file_bytes - before[slot].file_bytes >= 2 * record);
-            let keep = before[slot].file_bytes + 2 * record - 1;
-            let part = tmp
-                .path()
-                .join("slots")
-                .join(format!("{slot:03}"))
-                .join("000.part");
-            (slot, keep, part)
+            assert_eq!(prov.usage().file_bytes - before, 48 * record);
+            // Tear the second batch's single write in its second record:
+            // one whole record survives, the second loses its last byte.
+            before + 2 * record - 1
         };
         OpenOptions::new()
             .write(true)
-            .open(&part)
+            .open(part_path(tmp.path()))
             .unwrap()
             .set_len(keep)
             .unwrap();
@@ -1012,44 +937,34 @@ mod tests {
                 .unwrap();
             assert_eq!(&got, data);
         }
-        // Of the torn batch the torn slot keeps exactly its first
-        // record; the other slots' writes were whole and keep theirs.
+        // Of the torn batch exactly its first record survives.
         let survivors: Vec<ChunkId> = torn
             .iter()
             .map(|(_, chunk, _)| *chunk)
             .filter(|chunk| prov.has_chunk(*chunk))
             .collect();
-        let in_torn_slot = |chunk: &&ChunkId| prov.table.slot_of(**chunk) == slot;
-        assert_eq!(survivors.iter().filter(in_torn_slot).count(), 1);
-        let lost = torn.len() - survivors.len();
-        assert_eq!(
-            lost,
-            torn.iter()
-                .filter(|(_, c, _)| prov.table.slot_of(*c) == slot)
-                .count()
-                - 1
-        );
-        // The accounting is what a rescan of the truncated files finds:
+        assert_eq!(survivors, vec![torn[0].1]);
+        // The accounting is what a rescan of the truncated file finds:
         // no dead bytes, and a second reopen changes nothing.
         let live = (acked.len() + survivors.len()) as u64;
         assert_eq!(prov.chunk_count() as u64, live);
         assert_eq!(prov.bytes_stored(), live * 512);
-        assert_eq!(prov.dead_bytes(), 0);
+        assert_eq!(prov.usage().dead_bytes(), 0);
         assert_eq!(
-            prov.slot_usage()[slot].file_bytes,
-            keep - (PUT_FRAME_BYTES + 512 - 1),
+            prov.usage().file_bytes,
+            keep - (record - 1),
             "the torn record is truncated away"
         );
-        let usage = prov.slot_usage();
+        let usage = prov.usage();
         drop(prov);
-        assert_eq!(open(tmp.path()).slot_usage(), usage);
+        assert_eq!(open(tmp.path()).usage(), usage);
     }
 
     #[test]
     fn live_byte_accounting_matches_across_install_evict_recovery() {
         let tmp = TempDir::new("atomio-diskprov");
         let expect_live = |prov: &DiskProvider, chunks: u64, payload: u64| {
-            let live: u64 = prov.slot_usage().iter().map(|u| u.live_bytes).sum();
+            let live = prov.usage().live_bytes;
             assert_eq!(live, chunks * PUT_FRAME_BYTES + payload);
         };
         {
@@ -1067,7 +982,7 @@ mod tests {
         let prov = open(tmp.path());
         expect_live(&prov, 9, 9 * 64);
         assert_eq!(
-            prov.dead_bytes(),
+            prov.usage().dead_bytes(),
             PUT_FRAME_BYTES + 64 + (RECORD_HEADER_BYTES as u64 + 8),
             "one dead PUT frame+payload plus its tombstone record"
         );
@@ -1076,15 +991,9 @@ mod tests {
     #[test]
     fn truncated_staged_compaction_file_leaves_the_part_file_unchanged() {
         let tmp = TempDir::new("atomio-diskprov");
-        let open_one_slot = || {
-            let faults = Arc::new(FaultInjector::default());
-            let (id, cost) = (ProviderId::new(0), CostModel::zero());
-            DiskProvider::open_with_slots(tmp.path(), id, cost, faults, FsyncPolicy::PerPublish, 1)
-                .unwrap()
-        };
-        let part = tmp.path().join("slots").join("000").join("000.part");
+        let part = part_path(tmp.path());
         {
-            let prov = open_one_slot();
+            let prov = open(tmp.path());
             prov.put_batch_at(&batch(0, 6, 100));
             prov.evict_chunk(ChunkId::new(2));
         }
@@ -1094,10 +1003,10 @@ mod tests {
         let staged = part.with_extension("part.staged");
         std::fs::write(&staged, &before[..before.len() / 3]).unwrap();
 
-        let prov = open_one_slot();
+        let prov = open(tmp.path());
         assert_eq!(std::fs::read(&part).unwrap(), before);
         assert_eq!(prov.chunk_count(), 5);
-        assert!(prov.dead_bytes() > 0);
+        assert!(prov.usage().dead_bytes() > 0);
         let (got, _) = prov
             .get_chunk_range_at(0, ChunkId::new(5), ByteRange::new(0, 100))
             .unwrap();
@@ -1106,7 +1015,129 @@ mod tests {
         assert!(prov.compact(0.0).unwrap() > 0);
         assert!(!staged.exists());
         drop(prov);
-        assert_eq!(open_one_slot().chunk_count(), 5);
+        assert_eq!(open(tmp.path()).chunk_count(), 5);
+    }
+
+    /// A payload no other chunk id has: its id's bytes, repeated to a
+    /// length that varies with the id.
+    fn payload(i: u64) -> Bytes {
+        let len = 64 + (i % 5) as usize * 48;
+        Bytes::from(
+            i.to_le_bytes()
+                .iter()
+                .copied()
+                .cycle()
+                .take(len)
+                .collect::<Vec<u8>>(),
+        )
+    }
+
+    /// Raises its flag when dropped — by a panic too, so no reader
+    /// outlives a failed writer.
+    struct RaiseOnDrop<'a>(&'a AtomicBool);
+
+    impl Drop for RaiseOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+
+    #[test]
+    fn reads_racing_puts_evictions_and_compaction_see_whole_chunks_or_typed_misses() {
+        const ROUNDS: u64 = 30;
+        const PER_ROUND: u64 = 16;
+        for fsync in [FsyncPolicy::PerPublish, FsyncPolicy::Deferred] {
+            let tmp = TempDir::new("atomio-diskprov");
+            let prov = open_with(tmp.path(), CostModel::zero(), fsync);
+            let put = |ids: std::ops::Range<u64>| {
+                let items: Vec<_> = ids.map(|i| (0, ChunkId::new(i), payload(i))).collect();
+                assert!(prov.put_batch_at(&items).iter().all(|r| r.is_ok()));
+            };
+            put(0..PER_ROUND);
+            // Chunks below `written` are stored; the writer evicts even
+            // ids only, so an odd one must always be read whole.
+            let written = AtomicU64::new(PER_ROUND);
+            let done = AtomicBool::new(false);
+            let (mut shed, mut reads) = (0, AtomicU64::new(0));
+            std::thread::scope(|scope| {
+                for reader in 0..3u64 {
+                    let (written, done, reads) = (&written, &done, &reads);
+                    let prov = &prov;
+                    scope.spawn(move || {
+                        let mut turn = reader;
+                        while !done.load(Ordering::Acquire) {
+                            let upto = written.load(Ordering::Acquire);
+                            let items: Vec<_> = (0..8)
+                                .map(|k| {
+                                    let i = (turn * 37 + k * 11) % upto;
+                                    let len = payload(i).len() as u64;
+                                    let range = ByteRange::new(k % 3, len - k % 3 - k % 2);
+                                    (0, ChunkId::new(i), range)
+                                })
+                                .collect();
+                            let got = prov.get_range_batch_at(&items);
+                            for ((_, chunk, range), got) in items.iter().zip(got) {
+                                let i = chunk.raw();
+                                match got {
+                                    Ok((bytes, _)) => {
+                                        let at = range.offset as usize;
+                                        let want = payload(i).slice(at..at + range.len as usize);
+                                        assert_eq!(bytes, want, "chunk {i} under {fsync:?}");
+                                    }
+                                    Err(Error::ChunkNotFound { .. }) if i % 2 == 0 => {}
+                                    Err(e) => panic!("chunk {i} under {fsync:?}: {e}"),
+                                }
+                            }
+                            reads.fetch_add(items.len() as u64, Ordering::Relaxed);
+                            turn += 3;
+                        }
+                    });
+                }
+                let _stop_readers = RaiseOnDrop(&done);
+                for round in 1..ROUNDS {
+                    put(round * PER_ROUND..(round + 1) * PER_ROUND);
+                    written.store((round + 1) * PER_ROUND, Ordering::Release);
+                    let start = (round - 1) * PER_ROUND;
+                    let evens: Vec<_> = (start..start + PER_ROUND)
+                        .filter(|i| i % 2 == 0)
+                        .map(ChunkId::new)
+                        .collect();
+                    assert_eq!(prov.evict_chunk_batch(&evens), {
+                        evens
+                            .iter()
+                            .map(|c| payload(c.raw()).len() as u64)
+                            .sum::<u64>()
+                    });
+                    if round % 4 == 0 {
+                        shed += prov.compact(0.0).unwrap();
+                    }
+                }
+            });
+            assert!(shed > 0, "the writer compacted");
+            assert!(*reads.get_mut() > 0, "the readers read");
+            // What survives is exactly the live state, and a reopen
+            // recovers it.
+            let last = (ROUNDS - 1) * PER_ROUND;
+            let live: Vec<u64> = (0..ROUNDS * PER_ROUND)
+                .filter(|i| i % 2 == 1 || *i >= last)
+                .collect();
+            let mut entries = prov.table.entries();
+            entries.sort_unstable();
+            let usage = prov.usage();
+            drop(prov);
+            let prov = open_with(tmp.path(), CostModel::zero(), fsync);
+            let mut reopened = prov.table.entries();
+            reopened.sort_unstable();
+            assert_eq!(reopened, entries);
+            assert_eq!(prov.usage(), usage);
+            let ids: Vec<u64> = entries.iter().map(|e| e.0.raw()).collect();
+            assert_eq!(ids, live);
+            for i in live {
+                let whole = ByteRange::new(0, payload(i).len() as u64);
+                let (got, _) = prov.get_chunk_range_at(0, ChunkId::new(i), whole).unwrap();
+                assert_eq!(got, payload(i));
+            }
+        }
     }
 
     #[test]
@@ -1119,14 +1150,19 @@ mod tests {
             let mut torn = part.clone();
             encode_record(&mut torn, REC_PUT, &(ChunkId::new(2), 0u64, len));
             torn.extend_from_slice(b"data");
-            let replay = replay_part(&torn, 0).unwrap();
+            let replay = replay_part(&torn).unwrap();
             assert_eq!(replay.valid, whole, "declared {len}");
             assert_eq!(replay.index.len(), 1);
         }
-        // An id whose successor does not exist cannot be tracked.
+        // An id whose successor does not exist cannot be tracked, so the
+        // live path refuses to log one and the directory still opens.
         let mut bad = Vec::new();
         encode_record(&mut bad, REC_PUT, &(ChunkId::new(u64::MAX), 0u64, 0u64));
-        assert!(matches!(replay_part(&bad, 0), Err(Error::Internal(_))));
+        assert!(matches!(replay_part(&bad), Err(Error::Internal(_))));
+        let tmp = TempDir::new("atomio-diskprov");
+        let put = open(tmp.path()).put_chunk_at(0, ChunkId::new(u64::MAX), Bytes::from("x"));
+        assert!(matches!(put, Err(Error::Internal(_))));
+        assert_eq!(open(tmp.path()).chunk_count(), 0);
     }
 
     mod replay_props {
@@ -1173,7 +1209,7 @@ mod tests {
         /// Whatever the bytes: a typed error, or a replay whose prefix,
         /// accounting and index all lie inside the file.
         fn check(bytes: &[u8]) -> std::result::Result<Option<PartReplay>, TestCaseError> {
-            let Ok(replay) = replay_part(bytes, 0) else {
+            let Ok(replay) = replay_part(bytes) else {
                 return Ok(None);
             };
             prop_assert!(replay.valid as usize <= bytes.len());
@@ -1185,7 +1221,7 @@ mod tests {
             }
             prop_assert_eq!(live, replay.live);
             // The prefix is whole: replaying it alone changes nothing.
-            let again = replay_part(&bytes[..replay.valid as usize], 0);
+            let again = replay_part(&bytes[..replay.valid as usize]);
             prop_assert_eq!(again.as_ref(), Ok(&replay));
             Ok(Some(replay))
         }
@@ -1222,7 +1258,7 @@ mod tests {
                 for (kind, body) in [(REC_PUT, put), (REC_TOMBSTONE, tombstone)] {
                     let mut part = Vec::new();
                     append_record(&mut part, kind, &[body, tail.clone()].concat());
-                    prop_assert_eq!(replay_part(&part, 0).is_ok(), tail.is_empty());
+                    prop_assert_eq!(replay_part(&part).is_ok(), tail.is_empty());
                 }
             }
 

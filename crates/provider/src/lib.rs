@@ -15,14 +15,14 @@
 //! serialized virtual-time resources from `atomio-simgrid`), a fault
 //! gate and the booking of every request, in front of a [`ChunkTable`].
 //! [`DataProvider`] is that front over an in-memory table;
-//! [`DiskProvider`] is the same front over slot-sharded append-only part
-//! files with crash recovery.
+//! [`DiskProvider`] is the same front over one append-only part file
+//! with crash recovery.
 //! Pick between them with [`chunk_store_for`] and a
 //! [`BackendConfig`](atomio_types::BackendConfig). [`ProviderManager`]
 //! places chunks round-robin and handles replication; it moves a whole `write_list` / `read_list` as
 //! one batch per provider ([`ChunkStore::put_batch_at`] /
 //! [`ChunkStore::get_range_batch_at`]), which a store may serve in one
-//! frame or one append per slot — with per-item results either way.
+//! frame or one append — with per-item results either way.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -6,7 +6,7 @@
 //! booking of every data method and the scrub loop. What it *holds* sits
 //! behind the zero-time [`ChunkTable`] interface, which has two
 //! implementations: [`MemTable`] (a `HashMap`; [`DataProvider`]) and the
-//! slot files of [`crate::disk`] ([`DiskProvider`](crate::DiskProvider)).
+//! part file of [`crate::disk`] ([`DiskProvider`](crate::DiskProvider)).
 //! Virtual time is therefore backend-invariant by construction.
 
 use crate::integrity::{chunk_checksum, ScrubReport};
@@ -101,7 +101,7 @@ pub trait ChunkStore: Send + Sync + std::fmt::Debug {
     /// items one by one through [`Self::put_chunk_at`], which *is* the
     /// semantics; stores override it only to do the same work cheaper
     /// (remote proxies: one frame; [`Provider`]: one table update — on
-    /// disk, one append per touched slot).
+    /// disk, one append).
     fn put_batch_at(&self, items: &[(SimTime, ChunkId, Bytes)]) -> Vec<Result<SimTime>> {
         items
             .iter()

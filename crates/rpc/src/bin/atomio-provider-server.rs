@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Without `--data-dir` chunks live in memory and vanish with the
-//! process; with it each provider keeps slot-sharded part files under
+//! process; with it each provider keeps one append-only part file under
 //! `PATH/provider-<id>` and recovers them on restart.
 //!
 //! One epoll reactor thread multiplexes every connection onto

@@ -88,7 +88,7 @@ fn past_the_frame_limit(detail: String) -> Error {
 
 /// Hosts a fleet of chunk stores behind the chunk RPCs. The stores are
 /// whatever the deployment's [`BackendConfig`] selects: ephemeral
-/// in-memory providers or durable slot-sharded
+/// in-memory providers or durable
 /// [`DiskProvider`](atomio_provider::DiskProvider)s that recover their
 /// state when the server restarts over the same `--data-dir`.
 #[derive(Debug)]

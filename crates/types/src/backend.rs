@@ -75,7 +75,7 @@ pub enum BackendConfig {
     /// and gone on restart.
     #[default]
     Memory,
-    /// Slot-sharded append-only files under `dir`, recovered by scan on
+    /// Append-only record logs under `dir`, recovered by scan on
     /// open. Each role carves its own subdirectory (see
     /// [`BackendConfig::subdir`]), so one `--data-dir` serves a whole
     /// co-located deployment without collisions.

@@ -241,7 +241,7 @@ fn torn_batch_appends_lose_only_the_unacknowledged_write() {
     let before: Vec<u64> = parts.iter().map(len_of).collect();
 
     // v4 is one 24-chunk write: each provider takes its share as one
-    // batch and appends it with one write per touched slot.
+    // batch and appends it with one write to its part file.
     let blob_ref = &blob;
     run_actors_on(&clock, 1, move |_, p| {
         blob_ref
@@ -292,17 +292,13 @@ fn torn_batch_appends_lose_only_the_unacknowledged_write() {
     assert_eq!(accounting(&again), recovered);
 }
 
-/// Every slot part file of every data provider under `dir`.
+/// The part file of every data provider under `dir`.
 fn part_files(dir: &Path) -> Vec<PathBuf> {
-    let mut parts = Vec::new();
-    for provider in 0..4 {
-        let slots = dir.join(format!("provider-{provider}")).join("slots");
-        for slot in std::fs::read_dir(slots).expect("slot directories") {
-            parts.push(slot.unwrap().path().join("000.part"));
-        }
-    }
-    parts.sort();
-    parts
+    let part = |provider| {
+        let dir = dir.join(format!("provider-{provider}"));
+        dir.join("slots").join("000").join("000.part")
+    };
+    (0..4).map(part).collect()
 }
 
 fn tear_one_byte(path: &Path) {

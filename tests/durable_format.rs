@@ -18,7 +18,7 @@ use atomio::meta::{
 };
 use atomio::provider::{ChunkStore, DiskProvider};
 use atomio::simgrid::{CostModel, FaultInjector};
-use atomio::types::record::FORMAT_VERSION;
+use atomio::types::record::{append_record, encode_superblock, FORMAT_VERSION, SUPERBLOCK_KIND};
 use atomio::types::tempdir::TempDir;
 use atomio::types::{
     BlobId, ByteRange, ChunkId, Error, ExtentList, FsyncPolicy, ProviderId, Result,
@@ -130,7 +130,7 @@ fn part_path(dir: &Path) -> PathBuf {
 fn try_open_provider(dir: &Path) -> Result<DiskProvider> {
     let faults = Arc::new(FaultInjector::default());
     let (id, cost) = (ProviderId::new(3), CostModel::zero());
-    DiskProvider::open_with_slots(dir, id, cost, faults, FsyncPolicy::PerPublish, 1)
+    DiskProvider::open(dir, id, cost, faults, FsyncPolicy::PerPublish)
 }
 
 fn open_provider(dir: &Path) -> DiskProvider {
@@ -382,6 +382,47 @@ fn format_v1_directories_are_refused_typed_and_left_as_they_were() {
         let log = std::fs::read((fixture.log_path)(tmp.path())).unwrap();
         assert_eq!(log, unhex(fixture.log_v1));
     }
+}
+
+/// Every entry under `dir`, by path, with a file's bytes (`None`: a
+/// directory).
+fn tree(dir: &Path) -> Vec<(PathBuf, Option<Vec<u8>>)> {
+    let mut entries = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            entries.extend(tree(&path));
+            entries.push((path, None));
+        } else {
+            let bytes = std::fs::read(&path).unwrap();
+            entries.push((path, Some(bytes)));
+        }
+    }
+    entries.sort();
+    entries
+}
+
+#[test]
+fn a_provider_directory_of_several_slots_is_refused_typed_and_left_as_it_was() {
+    // The layout a provider wrote by default before it kept one part
+    // file: eight slots, chunks routed among them by hash.
+    let tmp = TempDir::new("atomio-format");
+    let mut superblock = Vec::new();
+    append_record(
+        &mut superblock,
+        SUPERBLOCK_KIND,
+        &encode_superblock(FORMAT_VERSION, 8, 3),
+    );
+    std::fs::write(tmp.path().join("superblock"), superblock).unwrap();
+    let part = tmp.path().join("slots").join("003").join("000.part");
+    std::fs::create_dir_all(part.parent().unwrap()).unwrap();
+    std::fs::write(&part, unhex(PART)).unwrap();
+    let before = tree(tmp.path());
+    match try_open_provider(tmp.path()) {
+        Err(Error::Internal(msg)) => assert!(msg.contains("8 slots"), "{msg}"),
+        other => panic!("an 8-slot directory opened: {other:?}"),
+    }
+    assert_eq!(tree(tmp.path()), before);
 }
 
 #[test]
