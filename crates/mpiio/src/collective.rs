@@ -38,8 +38,9 @@ pub enum CollectiveStrategy {
     },
 }
 
-/// Executes the two-phase write for one rank. Returns once the rank's
-/// part of the collective (including any aggregation duty) is done.
+/// Executes the two-phase write for one rank. Returns once every rank
+/// has finished its part of the collective (including any aggregation
+/// duty), with this rank's own error if it had one.
 #[allow(clippy::too_many_arguments)] // mirrors the MPI call surface
 pub fn two_phase_write(
     p: &Participant,
@@ -51,29 +52,43 @@ pub fn two_phase_write(
     aggregators: usize,
     atomic: bool,
 ) -> Result<()> {
+    // Every rank holds the same strategy, so every rank refuses here,
+    // before any exchange.
     if aggregators == 0 {
         return Err(Error::CollectiveMismatch(
             "two-phase I/O needs at least one aggregator".into(),
         ));
     }
-    if payload.len() as u64 != extents.total_len() {
-        return Err(Error::BufferSizeMismatch {
+    // A rank whose buffer does not fill its extents still takes part,
+    // with nothing to write, so no other rank waits for it.
+    let refused = if payload.len() as u64 == extents.total_len() {
+        Ok(())
+    } else {
+        Err(Error::BufferSizeMismatch {
             expected: extents.total_len(),
             actual: payload.len() as u64,
-        });
-    }
+        })
+    };
+    let nothing = ExtentList::new();
+    let (extents, payload) = if refused.is_ok() {
+        (extents, payload)
+    } else {
+        (&nothing, &[][..])
+    };
 
     // Phase 0: exchange access metadata.
     let all_meta = comm.allgather(p, rank, encode_extents(extents));
-    let mut union = ExtentList::new();
-    for meta in &all_meta {
-        union = union.union(&decode_extents(meta)?);
-    }
+    let union = all_meta.iter().try_fold(ExtentList::new(), |union, meta| {
+        Ok(union.union(&decode_extents(meta)?))
+    });
 
     // Compute file domains: contiguous-ish splits of the union, owned by
-    // ranks 0..domains.len().
-    let n_agg = aggregators.min(comm.size());
-    let domains = union.partition(n_agg);
+    // ranks 0..domains.len(). A union that does not decode leaves no
+    // domains, and the exchange below runs empty.
+    let domains = match &union {
+        Ok(union) => union.partition(aggregators.min(comm.size())),
+        Err(_) => Vec::new(),
+    };
 
     // Phase 1: ship my pieces to the owning aggregators.
     let offsets: Vec<(ByteRange, u64)> = extents.with_buffer_offsets().collect();
@@ -97,119 +112,54 @@ pub fn two_phase_write(
     let inbox = comm.alltoallv(p, rank, outgoing);
 
     // Phase 2: aggregators assemble and write their domain.
-    if rank < domains.len() {
-        let domain = &domains[rank];
-        let mut buf = vec![0u8; domain.total_len() as usize];
-        let dom_offsets: Vec<(ByteRange, u64)> = domain.with_buffer_offsets().collect();
-        // Apply pieces in source-rank order: deterministic overlap
-        // resolution equal to the serial schedule rank 0, 1, 2, ...
-        for msg in inbox.iter() {
-            let mut cursor = 0usize;
-            while cursor < msg.len() {
-                let (piece, data, next) = decode_piece(msg, cursor)?;
-                let idx = dom_offsets.partition_point(|(r, _)| r.end() <= piece.offset);
-                let (outer, buf_off) = *dom_offsets
-                    .get(idx)
-                    .ok_or_else(|| Error::Internal("piece outside aggregator domain".into()))?;
-                if !outer.contains_range(piece) {
-                    return Err(Error::Internal(
-                        "piece crosses aggregator domain runs".into(),
-                    ));
-                }
-                let start = (buf_off + piece.offset - outer.offset) as usize;
-                buf[start..start + data.len()].copy_from_slice(data);
-                cursor = next;
-            }
-        }
-        driver.write_extents(
-            p,
-            ClientId::new(rank as u64),
-            domain,
-            Bytes::from(buf),
-            atomic,
-        )?;
-    }
+    let written = match domains.get(rank) {
+        Some(domain) => write_domain(p, rank, driver, domain, &inbox, atomic),
+        None => Ok(()),
+    };
 
-    // Everyone leaves together (write_at_all semantics).
+    // Everyone leaves together (write_at_all semantics), whatever failed.
     comm.barrier(p);
-    Ok(())
+    refused.and(union).and(written)
 }
 
-/// Executes the two-phase **read** for one rank: aggregators fetch their
-/// file domains with one large request each, then scatter the pieces
-/// every rank asked for (alltoallv); each rank assembles its own packed
-/// buffer. Returns the rank's bytes in file order.
-pub fn two_phase_read(
+/// An aggregator's phase 2: applies the pieces of `inbox` to its
+/// `domain` in source-rank order — deterministic overlap resolution equal
+/// to the serial schedule rank 0, 1, 2, ... — and writes the domain.
+fn write_domain(
     p: &Participant,
-    comm: &Communicator,
     rank: usize,
     driver: &Arc<dyn AdioDriver>,
-    extents: &ExtentList,
-    aggregators: usize,
+    domain: &ExtentList,
+    inbox: &[Vec<u8>],
     atomic: bool,
-) -> Result<Vec<u8>> {
-    if aggregators == 0 {
-        return Err(Error::CollectiveMismatch(
-            "two-phase I/O needs at least one aggregator".into(),
-        ));
-    }
-    // Phase 0: exchange access metadata.
-    let all_meta = comm.allgather(p, rank, encode_extents(extents));
-    let mut requests: Vec<ExtentList> = Vec::with_capacity(all_meta.len());
-    let mut union = ExtentList::new();
-    for meta in &all_meta {
-        let e = decode_extents(meta)?;
-        union = union.union(&e);
-        requests.push(e);
-    }
-    let n_agg = aggregators.min(comm.size());
-    let domains = union.partition(n_agg);
-
-    // Phase 1: aggregators read their domain and build per-rank replies.
-    let mut outgoing: Vec<Vec<u8>> = vec![Vec::new(); comm.size()];
-    if rank < domains.len() {
-        let domain = &domains[rank];
-        let data = driver.read_extents(p, ClientId::new(rank as u64), domain, atomic)?;
-        let dom_offsets: Vec<(ByteRange, u64)> = domain.with_buffer_offsets().collect();
-        for (dst, req) in requests.iter().enumerate() {
-            let wanted = req.intersection(domain);
-            if wanted.is_empty() {
-                continue;
-            }
-            let mut msg = Vec::new();
-            for &piece in &wanted {
-                let idx = dom_offsets.partition_point(|(r, _)| r.end() <= piece.offset);
-                let (outer, buf_off) = dom_offsets[idx];
-                debug_assert!(outer.contains_range(piece));
-                let start = (buf_off + piece.offset - outer.offset) as usize;
-                encode_piece(&mut msg, piece, &data[start..start + piece.len as usize]);
-            }
-            outgoing[dst] = msg;
-        }
-    }
-    let inbox = comm.alltoallv(p, rank, outgoing);
-
-    // Phase 2: assemble my packed buffer from the aggregators' pieces.
-    let mut out = vec![0u8; extents.total_len() as usize];
-    let my_offsets: Vec<(ByteRange, u64)> = extents.with_buffer_offsets().collect();
-    for msg in inbox.iter() {
+) -> Result<()> {
+    let mut buf = vec![0u8; domain.total_len() as usize];
+    let dom_offsets: Vec<(ByteRange, u64)> = domain.with_buffer_offsets().collect();
+    for msg in inbox {
         let mut cursor = 0usize;
         while cursor < msg.len() {
             let (piece, data, next) = decode_piece(msg, cursor)?;
-            let idx = my_offsets.partition_point(|(r, _)| r.end() <= piece.offset);
-            let (outer, buf_off) = *my_offsets
+            let idx = dom_offsets.partition_point(|(r, _)| r.end() <= piece.offset);
+            let (outer, buf_off) = *dom_offsets
                 .get(idx)
-                .ok_or_else(|| Error::Internal("piece outside my request".into()))?;
+                .ok_or_else(|| Error::Internal("piece outside aggregator domain".into()))?;
             if !outer.contains_range(piece) {
-                return Err(Error::Internal("piece crosses request runs".into()));
+                return Err(Error::Internal(
+                    "piece crosses aggregator domain runs".into(),
+                ));
             }
             let start = (buf_off + piece.offset - outer.offset) as usize;
-            out[start..start + data.len()].copy_from_slice(data);
+            buf[start..start + data.len()].copy_from_slice(data);
             cursor = next;
         }
     }
-    comm.barrier(p);
-    Ok(out)
+    driver.write_extents(
+        p,
+        ClientId::new(rank as u64),
+        domain,
+        Bytes::from(buf),
+        atomic,
+    )
 }
 
 // --- tiny wire format -----------------------------------------------------

@@ -233,18 +233,6 @@ impl Communicator {
         }
         inbox
     }
-
-    /// Splits this communicator's ranks into `groups` round-robin
-    /// sub-groups; returns the sub-communicator metadata (group id,
-    /// rank-in-group, group size) for `rank`. Used by collective
-    /// aggregation.
-    pub fn split_round_robin(&self, rank: usize, groups: usize) -> (usize, usize, usize) {
-        assert!(groups > 0 && rank < self.inner.size);
-        let group = rank % groups;
-        let rank_in_group = rank / groups;
-        let group_size = (self.inner.size - group).div_ceil(groups);
-        (group, rank_in_group, group_size)
-    }
 }
 
 #[cfg(test)]
@@ -363,20 +351,6 @@ mod tests {
         });
         // Each rank sends and receives 2 MiB over a ~110 MiB/s NIC.
         assert!(total > Duration::from_millis(30), "{total:?}");
-    }
-
-    #[test]
-    fn split_round_robin_covers_all() {
-        let comm = Communicator::new(10, CostModel::zero());
-        let mut counts = vec![0usize; 3];
-        for rank in 0..10 {
-            let (g, rig, gs) = comm.split_round_robin(rank, 3);
-            assert!(g < 3);
-            assert!(rig < gs);
-            counts[g] += 1;
-        }
-        assert_eq!(counts.iter().sum::<usize>(), 10);
-        assert_eq!(counts, vec![4, 3, 3]);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! view into an [`ExtentList`] — the representation the rest of the stack
 //! (and the paper's List-I/O-style backend API) consumes.
 //!
-//! Supported constructors mirror the MPI type-construction calls used by
-//! scientific codes: contiguous, vector/hvector, indexed, 2-D/N-D
-//! subarray (the mpi-tile-io pattern), struct, and resized.
+//! Supported constructors are the MPI type-construction calls the
+//! workloads build their file views from: vector, indexed, 2-D/N-D
+//! subarray (the mpi-tile-io pattern), and resized.
 
 use atomio_types::{ByteRange, Error, ExtentList, Result};
 use std::sync::Arc;
@@ -41,8 +41,6 @@ pub struct Datatype {
 enum Kind {
     /// `size` raw bytes (models MPI_BYTE, MPI_DOUBLE, ... by width).
     Elementary { size: u64 },
-    /// `count` copies of `elem`, tiled at `elem.extent()`.
-    Contiguous { count: u64, elem: Datatype },
     /// `count` blocks of `blocklen` elements, block starts `stride`
     /// **elements** apart.
     Vector {
@@ -51,20 +49,8 @@ enum Kind {
         stride: u64,
         elem: Datatype,
     },
-    /// Like `Vector` but the stride is in **bytes**.
-    Hvector {
-        count: u64,
-        blocklen: u64,
-        stride_bytes: u64,
-        elem: Datatype,
-    },
     /// Blocks of `(displacement, length)` in element units.
     Indexed {
-        blocks: Vec<(u64, u64)>,
-        elem: Datatype,
-    },
-    /// Blocks of `(byte displacement, length in elements)`.
-    Hindexed {
         blocks: Vec<(u64, u64)>,
         elem: Datatype,
     },
@@ -75,8 +61,6 @@ enum Kind {
         starts: Vec<u64>,
         elem: Datatype,
     },
-    /// Fields at explicit byte displacements.
-    Struct { fields: Vec<(u64, Datatype)> },
     /// Same data as `elem`, different extent (MPI_Type_create_resized).
     Resized { extent: u64, elem: Datatype },
 }
@@ -104,17 +88,6 @@ impl Datatype {
         Self::bytes(8).expect("8 > 0")
     }
 
-    /// `count` contiguous copies of `self`.
-    pub fn contiguous(&self, count: u64) -> Result<Self> {
-        if count == 0 {
-            return Err(Error::InvalidDatatype("zero-count contiguous".into()));
-        }
-        Ok(Self::wrap(Kind::Contiguous {
-            count,
-            elem: self.clone(),
-        }))
-    }
-
     /// MPI_Type_vector: `count` blocks of `blocklen` elements with block
     /// starts `stride` elements apart.
     pub fn vector(&self, count: u64, blocklen: u64, stride: u64) -> Result<Self> {
@@ -130,24 +103,6 @@ impl Datatype {
             count,
             blocklen,
             stride,
-            elem: self.clone(),
-        }))
-    }
-
-    /// MPI_Type_create_hvector: stride expressed in bytes.
-    pub fn hvector(&self, count: u64, blocklen: u64, stride_bytes: u64) -> Result<Self> {
-        if count == 0 || blocklen == 0 {
-            return Err(Error::InvalidDatatype("zero-size hvector".into()));
-        }
-        if stride_bytes < blocklen * self.extent() {
-            return Err(Error::InvalidDatatype(
-                "hvector byte stride smaller than block".into(),
-            ));
-        }
-        Ok(Self::wrap(Kind::Hvector {
-            count,
-            blocklen,
-            stride_bytes,
             elem: self.clone(),
         }))
     }
@@ -171,40 +126,6 @@ impl Datatype {
             prev_end = disp + len;
         }
         Ok(Self::wrap(Kind::Indexed {
-            blocks: blocks.to_vec(),
-            elem: self.clone(),
-        }))
-    }
-
-    /// MPI_Type_create_indexed_block: equal-length blocks at the given
-    /// element displacements (sorted, disjoint).
-    pub fn indexed_block(&self, blocklen: u64, displs: &[u64]) -> Result<Self> {
-        if blocklen == 0 {
-            return Err(Error::InvalidDatatype("zero-length block".into()));
-        }
-        let blocks: Vec<(u64, u64)> = displs.iter().map(|&d| (d, blocklen)).collect();
-        self.indexed(&blocks)
-    }
-
-    /// MPI_Type_create_hindexed: `(byte displacement, element count)`
-    /// blocks; displacements must be sorted and blocks disjoint.
-    pub fn hindexed(&self, blocks: &[(u64, u64)]) -> Result<Self> {
-        if blocks.is_empty() {
-            return Err(Error::InvalidDatatype("empty hindexed type".into()));
-        }
-        let mut prev_end = 0u64;
-        for &(disp, len) in blocks {
-            if len == 0 {
-                return Err(Error::InvalidDatatype("zero-length hindexed block".into()));
-            }
-            if disp < prev_end {
-                return Err(Error::InvalidDatatype(
-                    "hindexed blocks must be sorted and disjoint".into(),
-                ));
-            }
-            prev_end = disp + len * self.extent();
-        }
-        Ok(Self::wrap(Kind::Hindexed {
             blocks: blocks.to_vec(),
             elem: self.clone(),
         }))
@@ -234,26 +155,6 @@ impl Datatype {
         }))
     }
 
-    /// MPI_Type_create_struct: fields at explicit byte displacements
-    /// (sorted, non-overlapping).
-    pub fn structured(fields: &[(u64, Datatype)]) -> Result<Self> {
-        if fields.is_empty() {
-            return Err(Error::InvalidDatatype("empty struct type".into()));
-        }
-        let mut prev_end = 0u64;
-        for (disp, ty) in fields {
-            if *disp < prev_end {
-                return Err(Error::InvalidDatatype(
-                    "struct fields must be sorted and disjoint".into(),
-                ));
-            }
-            prev_end = disp + ty.extent();
-        }
-        Ok(Self::wrap(Kind::Struct {
-            fields: fields.to_vec(),
-        }))
-    }
-
     /// MPI_Type_create_resized: same data, new extent (for tiling with
     /// padding).
     pub fn resized(&self, extent: u64) -> Result<Self> {
@@ -272,24 +173,16 @@ impl Datatype {
     pub fn size(&self) -> u64 {
         match &*self.inner {
             Kind::Elementary { size } => *size,
-            Kind::Contiguous { count, elem } => count * elem.size(),
             Kind::Vector {
                 count,
                 blocklen,
                 elem,
                 ..
-            }
-            | Kind::Hvector {
-                count,
-                blocklen,
-                elem,
-                ..
             } => count * blocklen * elem.size(),
-            Kind::Indexed { blocks, elem } | Kind::Hindexed { blocks, elem } => {
+            Kind::Indexed { blocks, elem } => {
                 blocks.iter().map(|&(_, len)| len).sum::<u64>() * elem.size()
             }
             Kind::Subarray { subsizes, elem, .. } => subsizes.iter().product::<u64>() * elem.size(),
-            Kind::Struct { fields } => fields.iter().map(|(_, t)| t.size()).sum(),
             Kind::Resized { elem, .. } => elem.size(),
         }
     }
@@ -299,32 +192,17 @@ impl Datatype {
     fn span(&self) -> u64 {
         match &*self.inner {
             Kind::Elementary { size } => *size,
-            Kind::Contiguous { count, elem } => (count - 1) * elem.extent() + elem.span(),
             Kind::Vector {
                 count,
                 blocklen,
                 stride,
                 elem,
             } => ((count - 1) * stride + (blocklen - 1)) * elem.extent() + elem.span(),
-            Kind::Hvector {
-                count,
-                blocklen,
-                stride_bytes,
-                elem,
-            } => (count - 1) * stride_bytes + (blocklen - 1) * elem.extent() + elem.span(),
             Kind::Indexed { blocks, elem } => {
                 let &(disp, len) = blocks.last().expect("validated non-empty");
                 (disp + len - 1) * elem.extent() + elem.span()
             }
-            Kind::Hindexed { blocks, elem } => {
-                let &(disp, len) = blocks.last().expect("validated non-empty");
-                disp + (len - 1) * elem.extent() + elem.span()
-            }
             Kind::Subarray { sizes, elem, .. } => sizes.iter().product::<u64>() * elem.extent(),
-            Kind::Struct { fields } => {
-                let (disp, ty) = fields.last().expect("validated non-empty");
-                disp + ty.span()
-            }
             Kind::Resized { elem, .. } => elem.span(),
         }
     }
@@ -346,62 +224,13 @@ impl Datatype {
         ExtentList::from_ranges(ranges)
     }
 
-    /// MPI_Pack: gathers one instance's bytes from `src` (a memory
-    /// buffer laid out with this type's typemap) into a packed buffer.
-    ///
-    /// # Errors
-    /// `src` must cover the type's span.
-    pub fn pack(&self, src: &[u8]) -> Result<Vec<u8>> {
-        if (src.len() as u64) < self.span() {
-            return Err(Error::InvalidDatatype(format!(
-                "pack source holds {} bytes but the type spans {}",
-                src.len(),
-                self.span()
-            )));
-        }
-        let map = self.flatten();
-        let mut out = Vec::with_capacity(self.size() as usize);
-        for r in &map {
-            out.extend_from_slice(&src[r.offset as usize..r.end() as usize]);
-        }
-        Ok(out)
-    }
-
-    /// MPI_Unpack: scatters a packed buffer back into `dst` according to
-    /// this type's typemap. Bytes in the gaps of the typemap are left
-    /// untouched.
-    pub fn unpack(&self, packed: &[u8], dst: &mut [u8]) -> Result<()> {
-        if packed.len() as u64 != self.size() {
-            return Err(Error::InvalidDatatype(format!(
-                "unpack source holds {} bytes but the type carries {}",
-                packed.len(),
-                self.size()
-            )));
-        }
-        if (dst.len() as u64) < self.span() {
-            return Err(Error::InvalidDatatype(format!(
-                "unpack target holds {} bytes but the type spans {}",
-                dst.len(),
-                self.span()
-            )));
-        }
-        let mut cursor = 0usize;
-        for r in &self.flatten() {
-            dst[r.offset as usize..r.end() as usize]
-                .copy_from_slice(&packed[cursor..cursor + r.len as usize]);
-            cursor += r.len as usize;
-        }
-        Ok(())
-    }
-
     /// True when one instance is a single gapless run whose extent equals
-    /// its size — the common case (elementary types, packed contiguous),
+    /// its size — the common case (elementary types),
     /// which lets flattening emit whole blocks instead of per-element
     /// ranges.
     fn is_dense(&self) -> bool {
         match &*self.inner {
             Kind::Elementary { .. } => true,
-            Kind::Contiguous { elem, .. } => elem.is_dense(),
             Kind::Resized { extent, elem } => elem.is_dense() && *extent == elem.size(),
             _ => false,
         }
@@ -410,15 +239,6 @@ impl Datatype {
     fn emit(&self, base: u64, out: &mut Vec<ByteRange>) {
         match &*self.inner {
             Kind::Elementary { size } => out.push(ByteRange::new(base, *size)),
-            Kind::Contiguous { count, elem } => {
-                if elem.is_dense() {
-                    out.push(ByteRange::new(base, count * elem.size()));
-                    return;
-                }
-                for i in 0..*count {
-                    elem.emit(base + i * elem.extent(), out);
-                }
-            }
             Kind::Vector {
                 count,
                 blocklen,
@@ -439,26 +259,6 @@ impl Datatype {
                     }
                 }
             }
-            Kind::Hvector {
-                count,
-                blocklen,
-                stride_bytes,
-                elem,
-            } => {
-                let dense = elem.is_dense();
-                for i in 0..*count {
-                    if dense {
-                        out.push(ByteRange::new(
-                            base + i * stride_bytes,
-                            blocklen * elem.size(),
-                        ));
-                        continue;
-                    }
-                    for j in 0..*blocklen {
-                        elem.emit(base + i * stride_bytes + j * elem.extent(), out);
-                    }
-                }
-            }
             Kind::Indexed { blocks, elem } => {
                 let dense = elem.is_dense();
                 for &(disp, len) in blocks {
@@ -471,18 +271,6 @@ impl Datatype {
                     }
                     for j in 0..len {
                         elem.emit(base + (disp + j) * elem.extent(), out);
-                    }
-                }
-            }
-            Kind::Hindexed { blocks, elem } => {
-                let dense = elem.is_dense();
-                for &(disp, len) in blocks {
-                    if dense {
-                        out.push(ByteRange::new(base + disp, len * elem.size()));
-                        continue;
-                    }
-                    for j in 0..len {
-                        elem.emit(base + disp + j * elem.extent(), out);
                     }
                 }
             }
@@ -535,11 +323,6 @@ impl Datatype {
                     }
                 }
             }
-            Kind::Struct { fields } => {
-                for (disp, ty) in fields {
-                    ty.emit(base + disp, out);
-                }
-            }
             Kind::Resized { elem, .. } => elem.emit(base, out),
         }
     }
@@ -563,7 +346,8 @@ mod tests {
         assert_eq!(d.size(), 8);
         assert_eq!(d.extent(), 8);
         assert_eq!(ranges(&d), vec![(0, 8)]);
-        let c = d.contiguous(4).unwrap();
+        // One block of 4 doubles: MPI_Type_contiguous as a vector.
+        let c = d.vector(1, 4, 4).unwrap();
         assert_eq!(c.size(), 32);
         assert_eq!(c.extent(), 32);
         assert_eq!(ranges(&c), vec![(0, 32)], "contiguous runs coalesce");
@@ -573,7 +357,6 @@ mod tests {
     fn zero_sizes_rejected() {
         assert!(Datatype::bytes(0).is_err());
         let d = Datatype::double();
-        assert!(d.contiguous(0).is_err());
         assert!(d.vector(0, 1, 1).is_err());
         assert!(d.vector(1, 0, 1).is_err());
         assert!(d.indexed(&[]).is_err());
@@ -590,14 +373,6 @@ mod tests {
         assert_eq!(v.extent(), (2 * 4 + 1) * 8 + 8);
         // Overlapping stride is rejected.
         assert!(Datatype::double().vector(2, 4, 2).is_err());
-    }
-
-    #[test]
-    fn hvector_byte_strides() {
-        let v = Datatype::bytes(4).unwrap().hvector(2, 3, 100).unwrap();
-        assert_eq!(v.size(), 24);
-        assert_eq!(ranges(&v), vec![(0, 12), (100, 12)]);
-        assert!(Datatype::bytes(4).unwrap().hvector(2, 3, 10).is_err());
     }
 
     #[test]
@@ -663,27 +438,14 @@ mod tests {
     }
 
     #[test]
-    fn struct_fields() {
-        let header = Datatype::bytes(4).unwrap();
-        let body = Datatype::bytes(8).unwrap().contiguous(2).unwrap();
-        let t = Datatype::structured(&[(0, header), (8, body)]).unwrap();
-        assert_eq!(t.size(), 20);
-        assert_eq!(ranges(&t), vec![(0, 4), (8, 16)]);
-        assert!(Datatype::structured(&[]).is_err());
-        let a = Datatype::bytes(4).unwrap();
-        let b = Datatype::bytes(4).unwrap();
-        assert!(Datatype::structured(&[(2, a), (0, b)]).is_err());
-    }
-
-    #[test]
     fn resized_changes_extent_only() {
         let t = Datatype::bytes(4).unwrap();
         let r = t.resized(16).unwrap();
         assert_eq!(r.size(), 4);
         assert_eq!(r.extent(), 16);
         assert_eq!(ranges(&r), vec![(0, 4)]);
-        // Tiling via contiguous uses the new extent: gaps appear.
-        let tiled = r.contiguous(3).unwrap();
+        // Tiling via a vector uses the new extent: gaps appear.
+        let tiled = r.vector(3, 1, 1).unwrap();
         assert_eq!(ranges(&tiled), vec![(0, 4), (16, 4), (32, 4)]);
         assert!(t.resized(2).is_err());
     }
@@ -695,85 +457,18 @@ mod tests {
             .unwrap()
             .subarray(&[4, 4], &[2, 2], &[0, 0])
             .unwrap(); // extent 16, data at (0,2),(4,2)
-        let two = tile.hvector(2, 1, 100).unwrap();
-        assert_eq!(ranges(&two), vec![(0, 2), (4, 2), (100, 2), (104, 2)]);
-    }
-
-    #[test]
-    fn hindexed_blocks() {
-        let t = Datatype::bytes(4)
-            .unwrap()
-            .hindexed(&[(0, 2), (100, 1)])
-            .unwrap();
-        assert_eq!(t.size(), 12);
-        assert_eq!(ranges(&t), vec![(0, 8), (100, 4)]);
-        assert!(Datatype::bytes(4)
-            .unwrap()
-            .hindexed(&[(8, 1), (0, 1)])
-            .is_err());
-        assert!(Datatype::bytes(4)
-            .unwrap()
-            .hindexed(&[(0, 3), (8, 1)])
-            .is_err());
-        assert!(Datatype::bytes(4).unwrap().hindexed(&[]).is_err());
-    }
-
-    #[test]
-    fn indexed_block_equal_lengths() {
-        let t = Datatype::bytes(2)
-            .unwrap()
-            .indexed_block(3, &[0, 10, 20])
-            .unwrap();
-        assert_eq!(t.size(), 18);
-        assert_eq!(ranges(&t), vec![(0, 6), (20, 6), (40, 6)]);
-        assert!(Datatype::bytes(2).unwrap().indexed_block(0, &[0]).is_err());
-    }
-
-    #[test]
-    fn pack_unpack_roundtrip() {
-        let t = Datatype::bytes(2)
-            .unwrap()
-            .indexed(&[(0, 2), (5, 1), (10, 2)])
-            .unwrap();
-        // Memory layout: data at elements 0-1, 5, 10-11 of 2-byte elems.
-        let mut mem = vec![0u8; t.span() as usize];
-        for (i, b) in mem.iter_mut().enumerate() {
-            *b = i as u8;
-        }
-        let packed = t.pack(&mem).unwrap();
-        assert_eq!(packed.len() as u64, t.size());
-        assert_eq!(&packed[..4], &[0, 1, 2, 3]);
-        assert_eq!(&packed[4..6], &[10, 11]);
-        // Unpack into a fresh buffer: gaps stay untouched.
-        let mut dst = vec![0xFFu8; t.span() as usize];
-        t.unpack(&packed, &mut dst).unwrap();
-        assert_eq!(&dst[..4], &[0, 1, 2, 3]);
-        assert_eq!(dst[4], 0xFF, "gap untouched");
-        assert_eq!(&dst[10..12], &[10, 11]);
-        // Size mismatches error.
-        assert!(t.unpack(&packed[1..], &mut dst).is_err());
-        assert!(t.pack(&mem[..3]).is_err());
-        let mut small = vec![0u8; 3];
-        assert!(t.unpack(&packed, &mut small).is_err());
+        let two = tile.vector(2, 1, 6).unwrap(); // tiles 6 extents apart
+        assert_eq!(ranges(&two), vec![(0, 2), (4, 2), (96, 2), (100, 2)]);
     }
 
     #[test]
     fn flatten_size_invariant() {
         // For a few representative types, flatten().total_len() == size().
         let types = [
-            Datatype::double().contiguous(7).unwrap(),
             Datatype::double().vector(5, 3, 9).unwrap(),
             Datatype::bytes(3)
                 .unwrap()
                 .indexed(&[(0, 1), (4, 2), (9, 5)])
-                .unwrap(),
-            Datatype::bytes(5)
-                .unwrap()
-                .hindexed(&[(0, 2), (50, 3)])
-                .unwrap(),
-            Datatype::bytes(2)
-                .unwrap()
-                .indexed_block(4, &[0, 8, 16])
                 .unwrap(),
             Datatype::bytes(2)
                 .unwrap()

@@ -1,48 +1,16 @@
-//! The MPI file handle: views, pointers, atomic mode, independent and
-//! collective data access.
+//! The MPI file handle: views, atomic mode, independent and collective
+//! data access.
 
 use crate::adio::AdioDriver;
-use crate::collective::{two_phase_read, two_phase_write, CollectiveStrategy};
+use crate::collective::{two_phase_write, CollectiveStrategy};
 use crate::comm::Communicator;
 use crate::view::FileView;
 use atomio_simgrid::Participant;
-use atomio_types::{ClientId, Error, Result};
+use atomio_types::{ClientId, Error, ExtentList, Result};
 use bytes::Bytes;
 use parking_lot::RwLock;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// The shared file pointer of one open group (MPI maintains one shared
-/// pointer per collective open, distinct from the individual pointers).
-/// Create one and hand a clone to every rank's [`File::open_shared`].
-#[derive(Debug, Clone, Default)]
-pub struct SharedPointer {
-    /// Offset in etypes.
-    offset: Arc<AtomicU64>,
-}
-
-impl SharedPointer {
-    /// A shared pointer at offset zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current offset in etypes.
-    pub fn position(&self) -> u64 {
-        self.offset.load(Ordering::SeqCst)
-    }
-
-    /// Atomically claims `etypes` at the pointer, returning the start.
-    fn claim(&self, etypes: u64) -> u64 {
-        self.offset.fetch_add(etypes, Ordering::SeqCst)
-    }
-
-    /// Sets the pointer (MPI_File_seek_shared; callers are responsible
-    /// for the standard's requirement that this be collective).
-    pub fn seek(&self, offset_etypes: u64) {
-        self.offset.store(offset_etypes, Ordering::SeqCst);
-    }
-}
 
 /// Open mode (subset of MPI_MODE_*).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,9 +24,9 @@ pub enum OpenMode {
 /// One rank's handle on a shared file (MPI_File).
 ///
 /// All ranks of the communicator share the driver (the file); each rank
-/// holds its own view, file pointer, and atomic-mode flag (MPI specifies
-/// atomic mode per file handle; calling [`File::set_atomic`] on every
-/// rank, as applications do, gives the collective behaviour).
+/// holds its own view and atomic-mode flag (MPI specifies atomic mode per
+/// file handle; calling [`File::set_atomic`] on every rank, as
+/// applications do, gives the collective behaviour).
 #[derive(Debug)]
 pub struct File {
     driver: Arc<dyn AdioDriver>,
@@ -69,11 +37,6 @@ pub struct File {
     view: RwLock<FileView>,
     atomic: AtomicBool,
     collective: RwLock<CollectiveStrategy>,
-    /// Individual file pointer, in etype units.
-    pointer: AtomicU64,
-    /// Group-wide shared pointer (present when opened via
-    /// [`File::open_shared`]).
-    shared: Option<SharedPointer>,
 }
 
 impl File {
@@ -94,23 +57,7 @@ impl File {
             view: RwLock::new(FileView::contiguous_bytes()),
             atomic: AtomicBool::new(false),
             collective: RwLock::new(CollectiveStrategy::Independent),
-            pointer: AtomicU64::new(0),
-            shared: None,
         }
-    }
-
-    /// Opens with a group-wide shared file pointer: every rank of the
-    /// open group must pass a clone of the same [`SharedPointer`].
-    pub fn open_shared(
-        comm: Communicator,
-        rank: usize,
-        driver: Arc<dyn AdioDriver>,
-        mode: OpenMode,
-        shared: SharedPointer,
-    ) -> Self {
-        let mut f = Self::open(comm, rank, driver, mode);
-        f.shared = Some(shared);
-        f
     }
 
     /// This rank within the communicator.
@@ -123,11 +70,9 @@ impl File {
         &self.driver
     }
 
-    /// Sets the file view (MPI_File_set_view); resets the file pointer,
-    /// as the standard requires.
+    /// Sets the file view (MPI_File_set_view).
     pub fn set_view(&self, view: FileView) {
         *self.view.write() = view;
-        self.pointer.store(0, Ordering::Relaxed);
     }
 
     /// The current view.
@@ -168,10 +113,6 @@ impl File {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Independent data access
-    // ------------------------------------------------------------------
-
     /// MPI_File_write_at: writes `buf` through the view at an explicit
     /// view offset (in etypes).
     pub fn write_at(&self, p: &Participant, offset_etypes: u64, buf: &[u8]) -> Result<()> {
@@ -202,148 +143,10 @@ impl File {
             .read_extents(p, self.client, &extents, self.is_atomic())
     }
 
-    /// MPI_File_write: writes at the individual file pointer and
-    /// advances it.
-    pub fn write(&self, p: &Participant, buf: &[u8]) -> Result<()> {
-        let etype = self.view.read().etype_size;
-        if !(buf.len() as u64).is_multiple_of(etype) {
-            return Err(Error::InvalidDatatype(
-                "write length is not a whole number of etypes".into(),
-            ));
-        }
-        let offset = self
-            .pointer
-            .fetch_add(buf.len() as u64 / etype, Ordering::Relaxed);
-        self.write_at(p, offset, buf)
-    }
-
-    /// MPI_File_read: reads at the individual pointer and advances it.
-    pub fn read(&self, p: &Participant, len: u64) -> Result<Vec<u8>> {
-        let etype = self.view.read().etype_size;
-        if !len.is_multiple_of(etype) {
-            return Err(Error::InvalidDatatype(
-                "read length is not a whole number of etypes".into(),
-            ));
-        }
-        let offset = self.pointer.fetch_add(len / etype, Ordering::Relaxed);
-        self.read_at(p, offset, len)
-    }
-
-    /// MPI_File_seek (absolute, in etypes).
-    pub fn seek(&self, offset_etypes: u64) {
-        self.pointer.store(offset_etypes, Ordering::Relaxed);
-    }
-
-    /// MPI_File_write_shared: writes at the group's shared file pointer,
-    /// atomically claiming the region — concurrent callers never
-    /// overlap. Non-deterministic order (like the standard's).
-    pub fn write_shared(&self, p: &Participant, buf: &[u8]) -> Result<()> {
-        let shared = self
-            .shared
-            .as_ref()
-            .ok_or(Error::InvalidMode("shared-pointer access"))?;
-        let etype = self.view.read().etype_size;
-        if !(buf.len() as u64).is_multiple_of(etype) {
-            return Err(Error::InvalidDatatype(
-                "write length is not a whole number of etypes".into(),
-            ));
-        }
-        let offset = shared.claim(buf.len() as u64 / etype);
-        self.write_at(p, offset, buf)
-    }
-
-    /// MPI_File_read_shared.
-    pub fn read_shared(&self, p: &Participant, len: u64) -> Result<Vec<u8>> {
-        let shared = self
-            .shared
-            .as_ref()
-            .ok_or(Error::InvalidMode("shared-pointer access"))?;
-        let etype = self.view.read().etype_size;
-        if !len.is_multiple_of(etype) {
-            return Err(Error::InvalidDatatype(
-                "read length is not a whole number of etypes".into(),
-            ));
-        }
-        let offset = shared.claim(len / etype);
-        self.read_at(p, offset, len)
-    }
-
-    /// MPI_File_write_ordered: collective write at the shared pointer in
-    /// **rank order** — rank r's data lands immediately after the data of
-    /// ranks 0..r, regardless of arrival timing. All ranks must call it;
-    /// empty buffers are allowed.
-    pub fn write_ordered(&self, p: &Participant, buf: &[u8]) -> Result<()> {
-        let shared = self
-            .shared
-            .as_ref()
-            .ok_or(Error::InvalidMode("shared-pointer access"))?;
-        let etype = self.view.read().etype_size;
-        if !(buf.len() as u64).is_multiple_of(etype) {
-            return Err(Error::InvalidDatatype(
-                "write length is not a whole number of etypes".into(),
-            ));
-        }
-        let my_etypes = buf.len() as u64 / etype;
-        // Read the base BEFORE the allgather: the gather is a sync point,
-        // so every rank observes the same pointer value (rank 0 only
-        // advances it after the gather completes).
-        let base = shared.position();
-        // Exchange sizes; compute this rank's slot by prefix sum.
-        let sizes = self
-            .comm
-            .allgather(p, self.rank, my_etypes.to_le_bytes().to_vec());
-        let decoded: Vec<u64> = sizes
-            .iter()
-            .map(|b| u64::from_le_bytes(b[..8].try_into().expect("8 bytes")))
-            .collect();
-        let my_start = base + decoded[..self.rank].iter().sum::<u64>();
-        let result = if buf.is_empty() {
-            Ok(())
-        } else {
-            self.write_at(p, my_start, buf)
-        };
-        // Rank 0 advances the shared pointer past everyone, once.
-        if self.rank == 0 {
-            shared.seek(base + decoded.iter().sum::<u64>());
-        }
-        self.comm.barrier(p);
-        result
-    }
-
-    /// Writes a *non-contiguous memory buffer* described by `mem_type`
-    /// (ROMIO handles memory-side datatypes by packing — MPI_Pack — and
-    /// then streaming the packed bytes through the file view).
-    pub fn write_at_typed(
-        &self,
-        p: &Participant,
-        offset_etypes: u64,
-        mem_type: &crate::Datatype,
-        mem_buf: &[u8],
-    ) -> Result<()> {
-        let packed = mem_type.pack(mem_buf)?;
-        self.write_at(p, offset_etypes, &packed)
-    }
-
-    /// Reads into a *non-contiguous memory buffer* described by
-    /// `mem_type` (the packed file data is scattered via MPI_Unpack).
-    pub fn read_at_typed(
-        &self,
-        p: &Participant,
-        offset_etypes: u64,
-        mem_type: &crate::Datatype,
-        mem_buf: &mut [u8],
-    ) -> Result<()> {
-        let packed = self.read_at(p, offset_etypes, mem_type.size())?;
-        mem_type.unpack(&packed, mem_buf)
-    }
-
-    // ------------------------------------------------------------------
-    // Collective data access
-    // ------------------------------------------------------------------
-
     /// MPI_File_write_at_all: collective write. Every rank of the
     /// communicator must call it; ranks with nothing to write pass an
-    /// empty buffer.
+    /// empty buffer. Whatever fails on the way, no rank returns before
+    /// every rank has taken part, and each rank gets only its own error.
     pub fn write_at_all(&self, p: &Participant, offset_etypes: u64, buf: &[u8]) -> Result<()> {
         match self.collective_strategy() {
             CollectiveStrategy::Independent => {
@@ -357,45 +160,29 @@ impl File {
                 result
             }
             CollectiveStrategy::TwoPhase { aggregators } => {
-                self.check_writable()?;
-                let extents = self
-                    .view
-                    .read()
-                    .extents_for(offset_etypes, buf.len() as u64)?;
-                two_phase_write(
+                // A rank whose own access is refused still takes part,
+                // with nothing to write, so no other rank waits for it.
+                let refused = self.check_writable().and_then(|()| {
+                    self.view
+                        .read()
+                        .extents_for(offset_etypes, buf.len() as u64)
+                });
+                let nothing = ExtentList::new();
+                let (extents, buf) = match &refused {
+                    Ok(extents) => (extents, buf),
+                    Err(_) => (&nothing, &[][..]),
+                };
+                let written = two_phase_write(
                     p,
                     &self.comm,
                     self.rank,
                     &self.driver,
-                    &extents,
+                    extents,
                     buf,
                     aggregators,
                     self.is_atomic(),
-                )
-            }
-        }
-    }
-
-    /// MPI_File_read_at_all: collective read.
-    pub fn read_at_all(&self, p: &Participant, offset_etypes: u64, len: u64) -> Result<Vec<u8>> {
-        match self.collective_strategy() {
-            CollectiveStrategy::Independent => {
-                self.comm.barrier(p);
-                let result = self.read_at(p, offset_etypes, len);
-                self.comm.barrier(p);
-                result
-            }
-            CollectiveStrategy::TwoPhase { aggregators } => {
-                let extents = self.view.read().extents_for(offset_etypes, len)?;
-                two_phase_read(
-                    p,
-                    &self.comm,
-                    self.rank,
-                    &self.driver,
-                    &extents,
-                    aggregators,
-                    self.is_atomic(),
-                )
+                );
+                refused.and(written)
             }
         }
     }
@@ -429,21 +216,6 @@ mod tests {
             f.write_at(p, 100, b"payload").unwrap();
             assert_eq!(f.read_at(p, 100, 7).unwrap(), b"payload");
             assert_eq!(f.size(p), 107);
-        });
-    }
-
-    #[test]
-    fn file_pointer_advances() {
-        let (driver, comm) = shared_file(1);
-        let f = File::open(comm, 0, driver, OpenMode::ReadWrite);
-        run_actors(1, |_, p| {
-            f.write(p, b"aaaa").unwrap();
-            f.write(p, b"bbbb").unwrap();
-            f.seek(0);
-            assert_eq!(f.read(p, 8).unwrap(), b"aaaabbbb");
-            // Pointer resets on set_view.
-            f.set_view(FileView::contiguous_bytes());
-            assert_eq!(f.read(p, 4).unwrap(), b"aaaa");
         });
     }
 
@@ -511,47 +283,24 @@ mod tests {
             } else {
                 fref[i].write_at_all(p, 0, b"").unwrap();
             }
-            // All ranks collectively read the full region afterwards.
-            let got = fref[i].read_at_all(p, 0, 12).unwrap();
+            // write_at_all's closing barrier: every block has landed.
+            let got = fref[i].read_at(p, 0, 12).unwrap();
             assert_eq!(&got, b"000011112222");
         });
     }
 
     #[test]
     fn two_phase_collective_matches_rank_order_replay() {
-        use crate::collective::CollectiveStrategy;
         use atomio_types::stamp::WriteStamp;
         // 4 ranks with heavily overlapping strided views; two-phase must
-        // produce exactly the serial schedule rank0, rank1, rank2, rank3.
-        let (driver, comm) = shared_file(4);
-        let files: Vec<File> = (0..4)
-            .map(|r| File::open(comm.clone(), r, Arc::clone(&driver), OpenMode::ReadWrite))
-            .collect();
-        let extents: Vec<atomio_types::ExtentList> = (0..4u64)
-            .map(|r| {
-                atomio_types::ExtentList::from_pairs((0..6u64).map(|k| (k * 256 + r * 96, 128u64)))
-            })
+        // produce exactly the serial schedule rank0, rank1, rank2, rank3,
+        // whatever the number of aggregators (5 is clamped to the 4 ranks).
+        let extents: Vec<ExtentList> = (0..4u64)
+            .map(|r| ExtentList::from_pairs((0..6u64).map(|k| (k * 256 + r * 96, 128u64))))
             .collect();
         let stamps: Vec<WriteStamp> = (0..4)
-            .map(|r| WriteStamp::new(atomio_types::ClientId::new(r), 5))
+            .map(|r| WriteStamp::new(ClientId::new(r), 5))
             .collect();
-        let fref = &files;
-        let eref = &extents;
-        let sref = &stamps;
-        run_actors(4, move |i, p| {
-            fref[i].set_atomic(true);
-            fref[i].set_collective(CollectiveStrategy::TwoPhase { aggregators: 2 });
-            // Views: identity byte views; address extents via indexed
-            // writes is awkward, so write each extent set through a
-            // custom view-less path: set an indexed filetype matching
-            // the extent list.
-            let pairs: Vec<(u64, u64)> =
-                eref[i].ranges().iter().map(|r| (r.offset, r.len)).collect();
-            let ft = Datatype::bytes(1).unwrap().indexed(&pairs).unwrap();
-            fref[i].set_view(FileView::new(0, 1, ft).unwrap());
-            let payload = sref[i].payload_for(&eref[i]);
-            fref[i].write_at_all(p, 0, &payload).unwrap();
-        });
         // Model: apply in rank order.
         let end = extents
             .iter()
@@ -564,38 +313,35 @@ mod tests {
                 stamps[i].fill_range(r.offset, &mut model[r.offset as usize..r.end() as usize]);
             }
         }
-        run_actors(1, |_, p| {
-            let whole = File::open(comm.clone(), 0, Arc::clone(&driver), OpenMode::ReadWrite);
-            let got = whole.read_at(p, 0, end).unwrap();
-            assert_eq!(got, model, "two-phase result is not the rank-order replay");
-        });
-    }
-
-    #[test]
-    fn two_phase_collective_read_matches_independent() {
-        use crate::collective::CollectiveStrategy;
-        let (driver, comm) = shared_file(4);
-        let files: Vec<File> = (0..4)
-            .map(|r| File::open(comm.clone(), r, Arc::clone(&driver), OpenMode::ReadWrite))
-            .collect();
-        // Populate with a known pattern through rank 0.
-        run_actors(1, |_, p| {
-            let data: Vec<u8> = (0..4096u64).map(|i| (i % 251) as u8).collect();
-            files[0].write_at(p, 0, &data).unwrap();
-        });
-        // Each rank reads a strided slice both ways; results must agree.
-        let fref = &files;
-        run_actors(4, move |i, p| {
-            let ft = Datatype::bytes(64).unwrap().resized(256).unwrap();
-            fref[i].set_view(FileView::new(i as u64 * 64, 1, ft).unwrap());
-            fref[i].set_collective(CollectiveStrategy::Independent);
-            let independent = fref[i].read_at_all(p, 0, 640).unwrap();
-            fref[i].set_collective(CollectiveStrategy::TwoPhase { aggregators: 2 });
-            let two_phase = fref[i].read_at_all(p, 0, 640).unwrap();
-            assert_eq!(independent, two_phase, "rank {i}");
-            // Spot-check content: first byte of rank i's view.
-            assert_eq!(two_phase[0], ((i as u64 * 64) % 251) as u8);
-        });
+        for aggregators in 1..=5 {
+            let (driver, comm) = shared_file(4);
+            let files: Vec<File> = (0..4)
+                .map(|r| File::open(comm.clone(), r, Arc::clone(&driver), OpenMode::ReadWrite))
+                .collect();
+            let fref = &files;
+            let eref = &extents;
+            let sref = &stamps;
+            run_actors(4, move |i, p| {
+                fref[i].set_atomic(true);
+                fref[i].set_collective(CollectiveStrategy::TwoPhase { aggregators });
+                // Each rank's view is an indexed filetype matching its
+                // extent list.
+                let pairs: Vec<(u64, u64)> =
+                    eref[i].ranges().iter().map(|r| (r.offset, r.len)).collect();
+                let ft = Datatype::bytes(1).unwrap().indexed(&pairs).unwrap();
+                fref[i].set_view(FileView::new(0, 1, ft).unwrap());
+                let payload = sref[i].payload_for(&eref[i]);
+                fref[i].write_at_all(p, 0, &payload).unwrap();
+            });
+            run_actors(1, |_, p| {
+                let whole = File::open(comm.clone(), 0, Arc::clone(&driver), OpenMode::ReadWrite);
+                let got = whole.read_at(p, 0, end).unwrap();
+                assert_eq!(
+                    got, model,
+                    "{aggregators} aggregators: not the rank-order replay"
+                );
+            });
+        }
     }
 
     #[test]
@@ -622,6 +368,110 @@ mod tests {
         });
     }
 
+    /// Fails every write from one client; passes everything else through.
+    #[derive(Debug)]
+    struct FailingWrites {
+        inner: Arc<dyn AdioDriver>,
+        fail: ClientId,
+    }
+
+    impl AdioDriver for FailingWrites {
+        fn write_extents(
+            &self,
+            p: &Participant,
+            client: ClientId,
+            extents: &ExtentList,
+            payload: Bytes,
+            atomic: bool,
+        ) -> Result<()> {
+            if client == self.fail {
+                return Err(Error::Internal("injected write failure".into()));
+            }
+            self.inner
+                .write_extents(p, client, extents, payload, atomic)
+        }
+
+        fn read_extents(
+            &self,
+            p: &Participant,
+            client: ClientId,
+            extents: &ExtentList,
+            atomic: bool,
+        ) -> Result<Vec<u8>> {
+            self.inner.read_extents(p, client, extents, atomic)
+        }
+
+        fn file_size(&self, p: &Participant) -> u64 {
+            self.inner.file_size(p)
+        }
+
+        fn name(&self) -> &'static str {
+            "failing-writes"
+        }
+    }
+
+    /// One `TwoPhase { aggregators: 3 }` `write_at_all` on three ranks:
+    /// rank `i` owns every third 4-byte etype of the file and writes
+    /// `bufs[i]`. The ranks run on their own thread, so a rank that never
+    /// returns fails the test instead of hanging it.
+    fn two_phase_round(driver: Arc<dyn AdioDriver>, bufs: [&'static [u8]; 3]) -> Vec<Result<()>> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let comm = Communicator::new(3, CostModel::zero());
+            let files: Vec<File> = (0..3)
+                .map(|r| File::open(comm.clone(), r, Arc::clone(&driver), OpenMode::ReadWrite))
+                .collect();
+            let (results, _) = run_actors(3, |i, p| {
+                let ft = Datatype::bytes(4).unwrap().resized(12).unwrap();
+                files[i].set_view(FileView::new(i as u64 * 4, 4, ft).unwrap());
+                files[i].set_collective(CollectiveStrategy::TwoPhase { aggregators: 3 });
+                files[i].write_at_all(p, 0, bufs[i])
+            });
+            let _ = tx.send(results);
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(20))
+            .expect("a rank never left write_at_all")
+    }
+
+    #[test]
+    fn no_rank_leaves_a_two_phase_write_before_the_others() {
+        let read = |driver: &Arc<dyn AdioDriver>, at: u64, len: u64| {
+            let whole = File::open(
+                Communicator::new(1, CostModel::zero()),
+                0,
+                Arc::clone(driver),
+                OpenMode::ReadWrite,
+            );
+            run_actors(1, |_, p| whole.read_at(p, at, len).unwrap())
+                .0
+                .remove(0)
+        };
+
+        // The aggregator of the first file domain fails its write: only
+        // rank 0 sees the error, and the other domains are written.
+        let (store, _) = shared_file(3);
+        let failing: Arc<dyn AdioDriver> = Arc::new(FailingWrites {
+            inner: Arc::clone(&store),
+            fail: ClientId::new(0),
+        });
+        let results = two_phase_round(failing, [b"aaaa", b"bbbb", b"cccc"]);
+        assert!(matches!(results[0], Err(Error::Internal(_))), "{results:?}");
+        assert_eq!(results[1..], [Ok(()), Ok(())]);
+        assert_eq!(read(&store, 4, 8), b"bbbbcccc");
+
+        // Rank 1's buffer is not a whole number of etypes: it is refused,
+        // still aggregates the others' bytes, and they land.
+        let (store, _) = shared_file(3);
+        let results = two_phase_round(Arc::clone(&store), [b"aaaa", b"bbbbbb", b"cccc"]);
+        assert!(
+            matches!(results[1], Err(Error::InvalidDatatype(_))),
+            "{results:?}"
+        );
+        assert_eq!((&results[0], &results[2]), (&Ok(()), &Ok(())));
+        assert_eq!(read(&store, 0, 4), b"aaaa");
+        assert_eq!(read(&store, 8, 4), b"cccc");
+    }
+
     #[test]
     fn two_phase_zero_aggregators_rejected() {
         use crate::collective::CollectiveStrategy;
@@ -633,132 +483,6 @@ mod tests {
                 f.write_at_all(p, 0, b"data"),
                 Err(Error::CollectiveMismatch(_))
             ));
-        });
-    }
-
-    #[test]
-    fn shared_pointer_claims_disjoint_regions() {
-        use super::SharedPointer;
-        let (driver, comm) = shared_file(4);
-        let sp = SharedPointer::new();
-        let files: Vec<File> = (0..4)
-            .map(|r| {
-                File::open_shared(
-                    comm.clone(),
-                    r,
-                    Arc::clone(&driver),
-                    OpenMode::ReadWrite,
-                    sp.clone(),
-                )
-            })
-            .collect();
-        let fref = &files;
-        run_actors(4, move |i, p| {
-            // Each rank writes 8 bytes of its own fill via the shared
-            // pointer, twice.
-            for _ in 0..2 {
-                fref[i].write_shared(p, &[b'a' + i as u8; 8]).unwrap();
-            }
-        });
-        assert_eq!(sp.position(), 64);
-        run_actors(1, |_, p| {
-            let data = files[0].read_at(p, 0, 64).unwrap();
-            // Every 8-byte cell is uniform (no interleaving) and each
-            // rank shows up exactly twice.
-            let mut counts = [0usize; 4];
-            for cell in data.chunks(8) {
-                assert!(cell.iter().all(|&b| b == cell[0]), "torn cell");
-                counts[(cell[0] - b'a') as usize] += 1;
-            }
-            assert_eq!(counts, [2, 2, 2, 2]);
-        });
-    }
-
-    #[test]
-    fn write_ordered_is_rank_ordered() {
-        use super::SharedPointer;
-        let (driver, comm) = shared_file(3);
-        let sp = SharedPointer::new();
-        let files: Vec<File> = (0..3)
-            .map(|r| {
-                File::open_shared(
-                    comm.clone(),
-                    r,
-                    Arc::clone(&driver),
-                    OpenMode::ReadWrite,
-                    sp.clone(),
-                )
-            })
-            .collect();
-        let fref = &files;
-        run_actors(3, move |i, p| {
-            // Variable sizes; rank 1 contributes nothing in round 2.
-            p.sleep(std::time::Duration::from_micros((3 - i as u64) * 50));
-            let payload = vec![b'A' + i as u8; (i + 1) * 2];
-            fref[i].write_ordered(p, &payload).unwrap();
-            let payload2 = if i == 1 {
-                vec![]
-            } else {
-                vec![b'x' + i as u8; 2]
-            };
-            fref[i].write_ordered(p, &payload2).unwrap();
-        });
-        run_actors(1, |_, p| {
-            let data = files[0].read_at(p, 0, 16).unwrap();
-            // Round 1: A*2, B*4, C*6 in rank order; round 2: x*2, z*2.
-            assert_eq!(&data, b"AABBBBCCCCCCxxzz");
-        });
-        assert_eq!(sp.position(), 16);
-    }
-
-    #[test]
-    fn shared_ops_require_shared_open() {
-        let (driver, comm) = shared_file(1);
-        let f = File::open(comm, 0, driver, OpenMode::ReadWrite);
-        run_actors(1, |_, p| {
-            assert_eq!(
-                f.write_shared(p, b"x").unwrap_err(),
-                Error::InvalidMode("shared-pointer access")
-            );
-            assert_eq!(
-                f.read_shared(p, 1).unwrap_err(),
-                Error::InvalidMode("shared-pointer access")
-            );
-            assert_eq!(
-                f.write_ordered(p, b"x").unwrap_err(),
-                Error::InvalidMode("shared-pointer access")
-            );
-        });
-    }
-
-    #[test]
-    fn typed_memory_io_roundtrips() {
-        // Memory buffer with a strided layout (e.g. a column of a
-        // row-major matrix): 4 doubles every 32 bytes.
-        let (driver, comm) = shared_file(1);
-        let f = File::open(comm, 0, driver, OpenMode::ReadWrite);
-        let mem_type = Datatype::bytes(8).unwrap().hvector(4, 1, 32).unwrap();
-        let mut mem = vec![0u8; mem_type.flatten().covering_range().end() as usize + 24];
-        for (i, b) in mem.iter_mut().enumerate() {
-            *b = (i % 251) as u8;
-        }
-        run_actors(1, |_, p| {
-            f.write_at_typed(p, 0, &mem_type, &mem).unwrap();
-            // The file holds the packed column contiguously.
-            let on_disk = f.read_at(p, 0, 32).unwrap();
-            let expected: Vec<u8> = (0..4)
-                .flat_map(|i| mem[i * 32..i * 32 + 8].to_vec())
-                .collect();
-            assert_eq!(on_disk, expected);
-            // Scatter it back into a fresh strided buffer.
-            let mut back = vec![0xEEu8; mem.len()];
-            f.read_at_typed(p, 0, &mem_type, &mut back).unwrap();
-            for i in 0..4 {
-                assert_eq!(&back[i * 32..i * 32 + 8], &mem[i * 32..i * 32 + 8]);
-                if i < 3 {
-                    assert!(back[i * 32 + 8..(i + 1) * 32].iter().all(|&b| b == 0xEE));
-                }
-            }
         });
     }
 

@@ -1,10 +1,14 @@
 //! # atomio-mpiio
 //!
 //! The MPI-I/O layer: a ROMIO-style implementation of the parts of
-//! MPI-2 I/O that the paper's evaluation exercises — derived datatypes,
-//! file views, independent and collective access, **atomic mode**, and
-//! the ADIO driver abstraction through which different storage backends
-//! plug in.
+//! MPI-2 I/O that the paper's evaluation exercises — derived datatypes
+//! (vector, indexed, subarray, resized), file views, explicit-offset
+//! reads and writes, the collective write [`File::write_at_all`]
+//! (independent or two-phase), **atomic mode**, and the ADIO driver
+//! abstraction through which different storage backends plug in.
+//!
+//! Nothing else of MPI-2 I/O is here: no individual or shared file
+//! pointers, no typed memory buffers, no collective read.
 //!
 //! Four ADIO drivers implement the four concurrency-control strategies
 //! the paper discusses:
@@ -35,5 +39,5 @@ pub use adio::AdioDriver;
 pub use collective::CollectiveStrategy;
 pub use comm::Communicator;
 pub use datatype::Datatype;
-pub use file::{File, OpenMode, SharedPointer};
+pub use file::{File, OpenMode};
 pub use view::FileView;

@@ -79,47 +79,11 @@ proptest! {
             blocks.push((at, 1 + d % 3));
             at += 1 + d % 3 + d;
         }
-        let base = Datatype::bytes(elem).unwrap().contiguous(count).unwrap();
+        let base = Datatype::bytes(elem).unwrap().vector(count, 1, 1).unwrap();
         let t = base.indexed(&blocks).unwrap();
         prop_assert_eq!(t.flatten().total_len(), t.size());
         // Extent covers every flattened byte.
         prop_assert!(t.flatten().covering_range().end() <= t.extent());
-    }
-
-    #[test]
-    fn pack_unpack_identity(
-        elem in 1u64..8,
-        displs in proptest::collection::vec(0u64..5, 1..6),
-        seed in any::<u64>(),
-    ) {
-        let mut blocks = Vec::new();
-        let mut at = 0u64;
-        for d in &displs {
-            blocks.push((at, 1 + d % 3));
-            at += 1 + d % 3 + d + 1;
-        }
-        let t = Datatype::bytes(elem).unwrap().indexed(&blocks).unwrap();
-        let span = t.flatten().covering_range().end();
-        let mut mem = vec![0u8; span as usize];
-        let mut x = seed | 1;
-        for b in mem.iter_mut() {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            *b = (x >> 56) as u8;
-        }
-        let packed = t.pack(&mem).unwrap();
-        prop_assert_eq!(packed.len() as u64, t.size());
-        let mut back = vec![0u8; span as usize];
-        t.unpack(&packed, &mut back).unwrap();
-        // Bytes inside the typemap round-trip; gap bytes stay zero.
-        for r in &t.flatten() {
-            prop_assert_eq!(&back[r.offset as usize..r.end() as usize],
-                            &mem[r.offset as usize..r.end() as usize]);
-        }
-        let holes = ExtentList::single(atomio_types::ByteRange::new(0, span))
-            .subtract(&t.flatten());
-        for r in &holes {
-            prop_assert!(back[r.offset as usize..r.end() as usize].iter().all(|&b| b == 0));
-        }
     }
 
     #[test]
