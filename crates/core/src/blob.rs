@@ -5,9 +5,10 @@
 //! 1. **Ticket** — one RPC to the version manager assigns the snapshot
 //!    version and records the write summary (so concurrent writers can
 //!    link to this write's future metadata).
-//! 2. **Data transfer** — every leaf-aligned piece becomes a fresh
-//!    immutable chunk placed by the provider manager. Transfers of
-//!    concurrent writers overlap freely: no locks, no waiting.
+//! 2. **Data transfer** — the write's leaf-aligned pieces are packed,
+//!    in payload order, into fresh immutable chunks of at most one leaf
+//!    each, placed by the provider manager. Transfers of concurrent
+//!    writers overlap freely: no locks, no waiting.
 //! 3. **Metadata build** — a complete copy-on-write tree is constructed
 //!    from the write summaries alone (see `atomio-meta`), again with no
 //!    coordination.
@@ -194,56 +195,44 @@ impl Blob {
         .with_metrics(inner.metrics.clone());
 
         let attempt = || -> Result<atomio_meta::NodeKey> {
-            // 2. Data transfer: one immutable chunk per leaf-aligned
-            //    piece. The piece list is assembled first (pre-sized from
-            //    the extent/leaf count, so nothing reallocates
-            //    mid-transfer), then booked as one batch.
+            // 2. Data transfer: the write's leaf-aligned pieces, packed
+            //    in payload order into chunks of at most one leaf (see
+            //    `pack`), booked as one batch. A chunk is a zero-copy
+            //    slice of the payload.
             let transfer_start = p.now();
-            let leaf_count: usize = extents
-                .with_buffer_offsets()
-                .map(|(range, _)| {
-                    if range.len == 0 {
-                        0
-                    } else {
-                        (inner.geometry.chunk_index(range.end() - 1)
-                            - inner.geometry.chunk_index(range.offset)
-                            + 1) as usize
-                    }
+            let packing = pack(inner.geometry, extents);
+            let puts: Vec<(atomio_types::ChunkId, Bytes)> = packing
+                .runs
+                .iter()
+                .map(|run| {
+                    let bytes = payload.slice(run.offset as usize..run.end() as usize);
+                    (inner.chunk_ids.next_chunk(), bytes)
                 })
-                .sum();
-            let mut spans: Vec<ByteRange> = Vec::with_capacity(leaf_count);
-            let mut puts: Vec<(atomio_types::ChunkId, Bytes)> = Vec::with_capacity(leaf_count);
-            let mut cursor = 0u64;
-            for (range, _buf_off) in extents.with_buffer_offsets() {
-                for span in inner.geometry.split_range(range) {
-                    let slice = payload.slice(
-                        (cursor + (span.absolute.offset - range.offset)) as usize
-                            ..(cursor + (span.absolute.end() - range.offset)) as usize,
-                    );
-                    spans.push(span.absolute);
-                    puts.push((inner.chunk_ids.next_chunk(), slice));
-                }
-                cursor += range.len;
-            }
+                .collect();
             inner
                 .metrics
                 .value_stat("core.transfer_depth")
                 .record(puts.len() as u64);
-            let outcomes = inner.providers.put_batch_replicated(
-                p,
-                &puts,
-                inner.config.replication,
-                inner.config.min_replicas,
-            );
-            let mut entries = Vec::with_capacity(puts.len());
-            for ((outcome, (chunk, _)), &span) in outcomes.into_iter().zip(&puts).zip(&spans) {
-                entries.push(LeafEntry {
-                    file_range: span,
-                    chunk: *chunk,
-                    chunk_offset: 0,
-                    homes: outcome?,
-                });
-            }
+            let homes = inner
+                .providers
+                .put_batch_replicated(
+                    p,
+                    &puts,
+                    inner.config.replication,
+                    inner.config.min_replicas,
+                )
+                .into_iter()
+                .collect::<Result<Vec<_>>>()?;
+            let entries: Vec<LeafEntry> = packing
+                .pieces
+                .iter()
+                .map(|&(file_range, run, chunk_offset)| LeafEntry {
+                    file_range,
+                    chunk: puts[run].0,
+                    chunk_offset,
+                    homes: homes[run].clone(),
+                })
+                .collect();
             inner
                 .metrics
                 .time_stat("core.transfer_time")
@@ -356,12 +345,24 @@ impl Blob {
         let mut targets: Vec<usize> = Vec::with_capacity(pieces.len());
         for piece in &pieces {
             let Some(src) = &piece.source else { continue };
+            let dst = dst_of(piece.file_range);
+            // Consecutive pieces of one packed chunk that land
+            // back to back in the buffer are one fetch.
+            if let (Some(last), Some(&last_dst)) = (requests.last_mut(), targets.last()) {
+                if last.chunk == src.chunk
+                    && last.range.end() == src.chunk_offset
+                    && last_dst + last.range.len as usize == dst
+                {
+                    last.range.len += piece.file_range.len;
+                    continue;
+                }
+            }
             requests.push(GetRequest {
                 chunk: src.chunk,
                 homes: src.homes.clone(),
                 range: ByteRange::new(src.chunk_offset, piece.file_range.len),
             });
-            targets.push(dst_of(piece.file_range));
+            targets.push(dst);
         }
         inner
             .metrics
@@ -519,33 +520,6 @@ impl Blob {
     // Internals exposed to sibling modules
     // ------------------------------------------------------------------
 
-    /// Commits a snapshot whose data chunks already exist (blob cloning):
-    /// tickets `extents`, builds the tree from the given entries, and
-    /// publishes. Entries must be leaf-aligned for *this* blob's
-    /// geometry — true for clones because source and clone share the
-    /// store's chunk size.
-    pub(crate) fn adopt_entries(
-        &self,
-        p: &Participant,
-        extents: &ExtentList,
-        mut entries: Vec<LeafEntry>,
-    ) -> Result<VersionId> {
-        let inner = &self.inner;
-        entries.sort_by_key(|e| e.file_range.offset);
-        let ticket = inner.vm.ticket(p, extents)?;
-        let builder = TreeBuilder::new(
-            inner.id,
-            inner.meta.as_ref(),
-            &inner.history,
-            TreeConfig::new(inner.geometry.chunk_size()),
-        )
-        .with_metrics(inner.metrics.clone());
-        let root = builder.build_update(p, ticket.version, ticket.capacity, &entries)?;
-        inner.vm.publish(p, ticket, root)?;
-        inner.vm.wait_published(p, ticket.version)?;
-        Ok(ticket.version)
-    }
-
     pub(crate) fn meta_store(&self) -> &Arc<dyn NodeStore> {
         &self.inner.meta
     }
@@ -563,6 +537,44 @@ impl Blob {
     pub fn node_cache(&self) -> Option<&NodeCache> {
         self.inner.node_cache.as_ref()
     }
+}
+
+/// A write's leaf-aligned pieces packed into chunks.
+#[derive(Debug)]
+struct Packing {
+    /// The payload range each chunk stores, in payload order.
+    runs: Vec<ByteRange>,
+    /// Per piece, in payload order: its file range, the index of its
+    /// run, and its offset inside that run's chunk.
+    pieces: Vec<(ByteRange, usize, u64)>,
+}
+
+/// Cuts `extents` into leaf-aligned pieces and packs consecutive pieces,
+/// in payload order, into runs of at most one leaf (`chunk_size`) of
+/// bytes: a run closes when the next piece would take it past a leaf.
+/// Consecutive pieces are consecutive in the payload, so each run is
+/// one slice of it; no piece straddles two runs, and a whole-leaf piece
+/// is its own run at offset 0.
+fn pack(geometry: ChunkGeometry, extents: &ExtentList) -> Packing {
+    let mut packing = Packing {
+        runs: Vec::new(),
+        pieces: Vec::new(),
+    };
+    for (range, buf_off) in extents.with_buffer_offsets() {
+        for span in geometry.split_range(range) {
+            let piece = span.absolute;
+            let at = buf_off + (piece.offset - range.offset);
+            match packing.runs.last_mut() {
+                Some(run) if run.len + piece.len <= geometry.chunk_size() => run.len += piece.len,
+                _ => packing.runs.push(ByteRange::new(at, piece.len)),
+            }
+            let run = packing.runs.len() - 1;
+            packing
+                .pieces
+                .push((piece, run, at - packing.runs[run].offset));
+        }
+    }
+    packing
 }
 
 #[cfg(test)]
@@ -881,5 +893,66 @@ mod tests {
             let got = blob.read(p, 0, 4).unwrap();
             assert_eq!(got, b"safe");
         });
+    }
+
+    #[test]
+    fn pack_fills_leaf_sized_chunks_and_reassembles_the_payload() {
+        const LEAF: u64 = 64;
+        let g = ChunkGeometry::new(LEAF);
+        let cases = [
+            // Sub-leaf pieces, a whole leaf between partial ones, a run
+            // that ends mid-leaf, a piece longer than the rest of a run.
+            ExtentList::from_pairs([
+                (10u64, 20u64),
+                (40, 30),
+                (128, 64),
+                (200, 5),
+                (256, 128),
+                (400, 100),
+            ]),
+            // Tile-like rows: 16 B every 40 B, some straddling a leaf.
+            ExtentList::from_ranges((0..50u64).map(|i| ByteRange::new(i * 40, 16))),
+            // One contiguous range: partial, whole leaves, partial.
+            ExtentList::single(ByteRange::new(3, 1000)),
+        ];
+        for extents in &cases {
+            let payload: Vec<u8> = (0..extents.total_len())
+                .map(|i| (i * 7 % 251) as u8)
+                .collect();
+            let packing = pack(g, extents);
+            // The runs tile the payload in order, each at most one leaf.
+            let mut at = 0;
+            for run in &packing.runs {
+                assert_eq!(run.offset, at);
+                assert!((1..=LEAF).contains(&run.len), "run {run:?}");
+                at = run.end();
+            }
+            assert_eq!(at, extents.total_len());
+            let end = extents.covering_range().end() as usize;
+            let mut expected = vec![0u8; end];
+            for (r, off) in extents.with_buffer_offsets() {
+                expected[r.offset as usize..r.end() as usize]
+                    .copy_from_slice(&payload[off as usize..(off + r.len) as usize]);
+            }
+            let mut got = vec![0u8; end];
+            let mut first_of_run = vec![None; packing.runs.len()];
+            for &(piece, run, off) in &packing.pieces {
+                let chunk = packing.runs[run];
+                assert!(off + piece.len <= chunk.len, "{piece:?} straddles");
+                assert_eq!(g.chunk_index(piece.offset), g.chunk_index(piece.end() - 1));
+                if piece.len == LEAF {
+                    assert_eq!((off, chunk.len), (0, LEAF), "a whole leaf is its own chunk");
+                }
+                first_of_run[run].get_or_insert(piece.len);
+                let bytes = &payload[chunk.offset as usize..chunk.end() as usize];
+                got[piece.offset as usize..piece.end() as usize]
+                    .copy_from_slice(&bytes[off as usize..(off + piece.len) as usize]);
+            }
+            assert_eq!(got, expected);
+            // A run closes only when the next piece would overflow it.
+            for (run, next) in packing.runs.iter().zip(&first_of_run[1..]) {
+                assert!(run.len + next.unwrap() > LEAF, "{run:?} closed early");
+            }
+        }
     }
 }

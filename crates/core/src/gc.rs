@@ -298,7 +298,7 @@ mod tests {
     use super::*;
     use crate::{Store, StoreConfig};
     use atomio_simgrid::clock::run_actors;
-    use atomio_types::{Error, ExtentList, RetentionPolicy};
+    use atomio_types::{BackendConfig, Error, ExtentList, RetentionPolicy};
     use bytes::Bytes;
 
     fn store() -> Store {
@@ -532,5 +532,54 @@ mod tests {
             let pass = gc.run_pass(p).unwrap();
             assert_eq!(pass.report, GcReport::default());
         });
+    }
+
+    #[test]
+    fn a_packed_chunk_lives_while_any_of_its_pieces_is_reachable() {
+        let tmp = atomio_types::tempdir::TempDir::new("atomio-gc-packed");
+        for backend in [BackendConfig::Memory, BackendConfig::disk(tmp.path())] {
+            let s = Store::new(
+                StoreConfig::default()
+                    .with_zero_cost()
+                    .with_chunk_size(64)
+                    .with_data_providers(4)
+                    .with_backend(backend),
+            );
+            let stored = || -> usize {
+                s.providers()
+                    .providers()
+                    .iter()
+                    .map(|pr| pr.chunk_count())
+                    .sum()
+            };
+            let rows = ExtentList::from_pairs([(8u64, 16u64), (72, 16)]);
+            let blob = s.create_blob();
+            run_actors(1, |_, p| {
+                let mut gc = GcCoordinator::new(blob.clone());
+                blob.set_retention(p, RetentionPolicy::KeepLast(1)).unwrap();
+                // 1. Two sub-leaf rows in leaves 0 and 1: one chunk.
+                blob.write_list(p, &rows, Bytes::from(vec![1u8; 32]))
+                    .unwrap();
+                assert_eq!(stored(), 1);
+                // 2. Leaf 0 (row 0 with it) is overwritten whole, so
+                //    the retained tree no longer reaches v1's leaf 0.
+                blob.write(p, 0, Bytes::from(vec![2u8; 64])).unwrap();
+                // 3. v1 is retired, but its chunk still backs row 1.
+                let pass = gc.run_to_floor(p).unwrap();
+                assert_eq!(pass.report.versions_retired, 1);
+                assert_eq!(pass.report.chunks_evicted, 0);
+                assert_eq!(stored(), 2);
+                let both = blob.read_at(p, VersionId::new(2), &rows).unwrap();
+                assert_eq!(both, [[2u8; 16], [1u8; 16]].concat());
+                // 4. Row 1's leaf goes too: the chunk is unreachable.
+                blob.write(p, 64, Bytes::from(vec![3u8; 64])).unwrap();
+                let pass = gc.run_to_floor(p).unwrap();
+                assert_eq!(pass.report.chunks_evicted, 1);
+                assert_eq!(pass.report.bytes_reclaimed, 32);
+                assert_eq!(stored(), 2);
+                let both = blob.read(p, 0, 128).unwrap();
+                assert_eq!(both, [[2u8; 64], [3u8; 64]].concat());
+            });
+        }
     }
 }

@@ -41,7 +41,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod blob;
-pub mod clone;
 pub mod config;
 pub mod gc;
 pub mod namespace;

@@ -8,6 +8,11 @@
 //! must evict exactly the node keys and chunk ids the model computes
 //! from the store as it stood before the pass, and every retained
 //! version must read back equal to the replay of the writes.
+//!
+//! A write packs its pieces into leaf-sized chunks, so the pieces of a
+//! multi-row write share chunks across leaves: the exact-eviction
+//! property covers packing too, since a chunk is evicted only when no
+//! retained version reaches any of its pieces.
 
 use atomio_core::{GcCoordinator, Store, StoreConfig};
 use atomio_meta::{Node, NodeBody, NodeKey};

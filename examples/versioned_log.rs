@@ -1,19 +1,21 @@
 //! A shared event log built on the versioning store's extensions:
 //! the **namespace** (open files by path), **atomic appends** (BlobSeer's
 //! APPEND primitive — concurrent appenders get disjoint, back-to-back
-//! regions with no coordination), and **cloning** (fork a consistent
-//! snapshot of the log for offline analysis while producers keep
-//! appending).
+//! regions with no coordination), and **snapshot leases** (pin a
+//! consistent snapshot of the log for offline analysis while producers
+//! keep appending).
 //!
 //! Run: `cargo run --release --example versioned_log`
 
 use atomio::core::{Store, StoreConfig};
 use atomio::simgrid::clock::run_actors_on;
 use atomio::simgrid::SimClock;
+use atomio::types::ExtentList;
 use bytes::Bytes;
 
 const PRODUCERS: usize = 6;
 const EVENTS_PER_PRODUCER: usize = 5;
+const LEASE_TTL_MS: u64 = 60_000;
 
 fn main() {
     let store = Store::new(
@@ -46,24 +48,25 @@ fn main() {
         all.len()
     );
 
-    // === Phase 2: fork the log for analysis; producers keep going. ===
+    // === Phase 2: pin the log for analysis; producers keep going. ===
     run_actors_on(&clock, 1 + PRODUCERS, |actor, p| {
         if actor == 0 {
-            let frozen = store
-                .clone_blob(p, &log, log.latest(p).unwrap().version)
-                .expect("clone the log snapshot");
-            let size = frozen.latest(p).unwrap().size;
-            let bytes = frozen.read(p, 0, size).unwrap();
+            let grant = log.lease_latest(p, LEASE_TTL_MS).expect("lease the log");
+            let size = log.size_at(p, grant.version).unwrap();
+            let whole = ExtentList::from_pairs([(0, size)]);
+            let bytes = log.read_leased(p, &grant, LEASE_TTL_MS, &whole).unwrap();
+            log.lease_release(p, grant.lease).unwrap();
             let text = String::from_utf8(bytes).unwrap();
             let lines: Vec<&str> = text.lines().collect();
             assert_eq!(lines.len(), PRODUCERS * EVENTS_PER_PRODUCER);
             println!(
-                "analysis fork sees a frozen, complete log of {} lines (first: {:?})",
+                "analysis reads a frozen, complete log of {} lines at {} (first: {:?})",
                 lines.len(),
+                grant.version,
                 lines[0]
             );
         } else {
-            // Producers append MORE while the analyst reads the fork.
+            // Producers append MORE while the analyst reads the pinned snapshot.
             let i = actor - 1;
             for k in EVENTS_PER_PRODUCER..EVENTS_PER_PRODUCER + 2 {
                 let line = format!("producer={i} event={k} | late\n");
@@ -77,7 +80,7 @@ fn main() {
         let text = String::from_utf8(log.read(p, 0, final_size).unwrap()).unwrap();
         let total = text.lines().count();
         assert_eq!(total, PRODUCERS * (EVENTS_PER_PRODUCER + 2));
-        println!("live log has grown to {total} lines; the analysis fork is unaffected");
+        println!("live log has grown to {total} lines; the pinned snapshot is unaffected");
     });
 
     // Namespace niceties.

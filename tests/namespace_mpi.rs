@@ -1,5 +1,5 @@
 //! Namespace + MPI integration: open a shared file by path, run a
-//! collective job over it, fork a snapshot for analysis, rename the
+//! collective job over it, pin a snapshot for analysis, rename the
 //! output into an archive — the adoption-path workflow end to end.
 
 use atomio::core::{Store, StoreConfig};
@@ -45,18 +45,18 @@ fn full_job_lifecycle_over_named_files() {
         f.write_at_all(p, 0, &payload).unwrap();
     });
 
-    // 3. Analysis forks the finished snapshot by path + version.
+    // 3. Analysis pins the finished snapshot by path, under a lease.
     run_actors_on(&clock, 1, |_, p| {
         let source = store.open_file("/jobs/climate/out.dat").unwrap();
-        let frozen = store
-            .clone_blob(p, &source, source.latest(p).unwrap().version)
-            .unwrap();
-        // The fork holds the complete dataset.
-        assert_eq!(frozen.latest(p).unwrap().size, workload.dataset_bytes());
+        let grant = source.lease_latest(p, 60_000).unwrap();
+        // The snapshot holds the complete dataset.
+        assert_eq!(
+            source.size_at(p, grant.version).unwrap(),
+            workload.dataset_bytes()
+        );
         let all = ExtentList::from_pairs([(0u64, workload.dataset_bytes())]);
-        let data = frozen
-            .read_at(p, frozen.latest(p).unwrap().version, &all)
-            .unwrap();
+        let data = source.read_leased(p, &grant, 60_000, &all).unwrap();
+        source.lease_release(p, grant.lease).unwrap();
         assert_eq!(data.len() as u64, workload.dataset_bytes());
         // Some rank's stamp appears at the dataset start (rank 0 owns it
         // unless a ghost neighbour won the corner — accept either).

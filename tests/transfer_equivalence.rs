@@ -368,8 +368,9 @@ fn a_rejected_item_fails_alone_in_its_batch() {
 #[test]
 fn a_tile_write_and_its_read_cost_one_round_trip_per_provider() {
     // The paper's §VI tile: 256 extents of 2 KiB, ghost-extended, which
-    // the 64 KiB leaf geometry cuts into some 264 chunks. However many,
-    // the data plane pays per provider, not per chunk.
+    // the 64 KiB leaf geometry cuts into 264 leaf-aligned pieces. The
+    // write packs them into 8 leaf-sized chunks, the read fetches those
+    // 8 ranges, and the data plane pays per provider, not per chunk.
     let tile = TileWorkload::new(3, 3, 256, 256, 8, 8, 8).extents_for(4);
     assert_eq!(tile.range_count(), 256);
     for replication in [1, 2] {
@@ -381,6 +382,7 @@ fn a_tile_write_and_its_read_cost_one_round_trip_per_provider() {
         );
         let blob = d.store.create_blob();
         let payload = stamped(4, &tile);
+        let depth = d.store.metrics().value_stat("core.transfer_depth");
         run_actors_on(&SimClock::new(), 1, |_, p| {
             blob.write_list(p, &tile, payload.clone()).unwrap();
             let after_write = d.deployment.round_trips();
@@ -388,6 +390,7 @@ fn a_tile_write_and_its_read_cost_one_round_trip_per_provider() {
                 (1..=(FLEET * replication) as u64).contains(&after_write),
                 "write_list of a tile cost {after_write} data-plane round trips"
             );
+            let written = depth.sum();
             let back = blob.read_list(p, ReadVersion::Latest, &tile).unwrap();
             assert_eq!(back, payload.as_ref());
             let read = d.deployment.round_trips() - after_write;
@@ -395,7 +398,17 @@ fn a_tile_write_and_its_read_cost_one_round_trip_per_provider() {
                 (1..=FLEET as u64).contains(&read),
                 "read_list of a tile cost {read} data-plane round trips"
             );
+            assert_eq!(depth.sum() - written, 8, "the read fetches 8 ranges");
         });
+        // Counted after the round-trip pins: each count is a request.
+        let stored: usize = d
+            .store
+            .providers()
+            .providers()
+            .iter()
+            .map(|store| store.chunk_count())
+            .sum();
+        assert_eq!(stored, 8 * replication, "the tile packs into 8 chunks");
     }
 }
 
