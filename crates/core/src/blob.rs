@@ -364,10 +364,11 @@ impl Blob {
             });
             targets.push(dst);
         }
-        inner
-            .metrics
-            .value_stat("core.transfer_depth")
-            .record(requests.len() as u64);
+        // `core.transfer_depth` pools both directions' batch sizes (the
+        // benchmark reads it); `core.fetch_depth` is the read's own.
+        for stat in ["core.transfer_depth", "core.fetch_depth"] {
+            inner.metrics.value_stat(stat).record(requests.len() as u64);
+        }
         let transfer_start = p.now();
         let results = inner.providers.get_batch_with_failover(p, &requests);
         for (result, &dst) in results.into_iter().zip(&targets) {

@@ -85,7 +85,7 @@ fn append_records<'a, T: Encode + 'a>(
         encode_record(&mut buffer, kind, body);
     }
     if !buffer.is_empty() {
-        log.append(&buffer)?;
+        log.append(&[&buffer])?;
     }
     Ok(())
 }

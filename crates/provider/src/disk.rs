@@ -247,16 +247,18 @@ impl PartTable {
 }
 
 impl ChunkTable for PartTable {
-    /// Every record of the batch is framed into one buffer and appended
-    /// with one write (and, when the fsync policy says so, one sync): a
-    /// batch costs one append however many chunks it carries, and a
-    /// failed append fails every record it carried.
+    /// Only the PUT frames of the batch are encoded, into one small
+    /// buffer; the log appends them with the payloads between them in one
+    /// gathered write (and, when the fsync policy says so, one sync), so
+    /// no payload is copied. A batch costs one append however many
+    /// chunks it carries, and a failed append fails every record it
+    /// carried.
     fn install_batch(&self, items: &[(ChunkId, &Bytes, u64)]) -> Vec<Result<bool>> {
-        let size = items.iter().map(|(_, data, _)| data.len()).sum::<usize>()
-            + items.len() * PUT_FRAME_BYTES as usize;
-        let mut buffer = Vec::with_capacity(size);
-        // Index entries, their offsets still relative to the buffer.
+        let mut frames = Vec::with_capacity(items.len() * PUT_FRAME_BYTES as usize);
+        // Index entries with their payloads, offsets still relative to
+        // the start of the append.
         let mut framed = Vec::with_capacity(items.len());
+        let mut size = 0u64;
         let mut outcomes = Vec::with_capacity(items.len());
         let mut batch_ids = HashSet::new();
 
@@ -277,25 +279,29 @@ impl ChunkTable for PartTable {
             // Framed metadata record, then the raw payload out-of-frame
             // (see the module docs for why).
             let len = data.len() as u64;
-            encode_record(&mut buffer, REC_PUT, &(chunk, checksum, len));
-            let payload_offset = buffer.len() as u64;
-            framed.push((
-                chunk,
-                IndexEntry {
-                    payload_offset,
-                    len,
-                    checksum,
-                },
-            ));
-            buffer.extend_from_slice(data);
+            encode_record(&mut frames, REC_PUT, &(chunk, checksum, len));
+            size += PUT_FRAME_BYTES;
+            let entry = IndexEntry {
+                payload_offset: size,
+                len,
+                checksum,
+            };
+            framed.push((chunk, entry, data));
+            size += len;
         }
         if framed.is_empty() {
             return outcomes;
         }
-        match part.log.append(&buffer) {
+        debug_assert_eq!(frames.len(), framed.len() * PUT_FRAME_BYTES as usize);
+        let frames = frames.chunks_exact(PUT_FRAME_BYTES as usize);
+        let parts: Vec<&[u8]> = frames
+            .zip(&framed)
+            .flat_map(|(frame, (_, _, data))| [frame, data.as_ref()])
+            .collect();
+        match part.log.append(&parts) {
             Ok(at) => {
-                part.live_bytes += buffer.len() as u64;
-                for (chunk, mut entry) in framed {
+                part.live_bytes += size;
+                for (chunk, mut entry, _) in framed {
                     entry.payload_offset += at;
                     part.max_seen = part.max_seen.max(chunk.raw() + 1);
                     part.index.insert(chunk, entry);
@@ -373,7 +379,7 @@ impl ChunkTable for PartTable {
         if removed.is_empty() {
             return 0;
         }
-        if part.log.append(&framed).is_err() {
+        if part.log.append(&[&framed]).is_err() {
             // An eviction that cannot reach disk must not pretend the
             // chunks are gone: put the entries back and report nothing
             // reclaimed.

@@ -10,35 +10,16 @@
 
 use crate::manager::ProviderManager;
 use atomio_simgrid::Participant;
-use atomio_types::stamp::mix64;
+use atomio_types::stamp::checksum;
 use atomio_types::{ByteRange, ChunkId, Error, ProviderId, Result};
 
-/// Checksum of a chunk payload: four interleaved 64-bit mix lanes,
-/// folded at the end (not crypto; this models CRC-grade integrity
-/// checking). A single rolling lane is a serial multiply chain that
-/// caps ingest at a few hundred MB/s per core; four independent lanes
-/// keep the multipliers pipelined. Each lane is a bijective chain, so
-/// any single-bit flip still avalanches into the fold.
+/// Seed of every chunk's ingest checksum.
+const CHUNK_SEED: u64 = 0xC0FF_EE00_D15C_0B0E;
+
+/// Checksum of a chunk payload, computed at ingest and checked by scrub
+/// and repair: [`checksum`] under the chunk seed.
 pub fn chunk_checksum(data: &[u8]) -> u64 {
-    const SEED: u64 = 0xC0FF_EE00_D15C_0B0E;
-    let mut lanes = [
-        SEED ^ (data.len() as u64),
-        SEED.rotate_left(16),
-        SEED.rotate_left(32),
-        SEED.rotate_left(48),
-    ];
-    let mut blocks = data.chunks_exact(32);
-    for block in &mut blocks {
-        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-            *lane = mix64(*lane ^ u64::from_le_bytes(word.try_into().unwrap()));
-        }
-    }
-    for (i, block) in blocks.remainder().chunks(8).enumerate() {
-        let mut word = [0u8; 8];
-        word[..block.len()].copy_from_slice(block);
-        lanes[i] = mix64(lanes[i] ^ u64::from_le_bytes(word));
-    }
-    mix64(lanes[0] ^ mix64(lanes[1] ^ mix64(lanes[2] ^ lanes[3])))
+    checksum(CHUNK_SEED, data)
 }
 
 /// Result of scrubbing one provider.

@@ -556,7 +556,7 @@ mod tests {
     #[test]
     fn mux_version_mismatch_is_typed() {
         use std::io::{Read as _, Write as _};
-        // A fake peer that answers any frame with the prefix of a v7
+        // A fake peer that answers any frame with the prefix of a v8
         // frame — the protocol before this one.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -571,7 +571,7 @@ mod tests {
             let mut rest = vec![0u8; head + body];
             s.read_exact(&mut rest).unwrap();
             let mut junk = [0u8; 17];
-            junk[0] = 7;
+            junk[0] = 8;
             s.write_all(&junk).unwrap();
             // Hold the socket open until the client has seen the frame.
             std::thread::sleep(std::time::Duration::from_millis(200));

@@ -57,10 +57,14 @@ use serde::{Decode, Deserialize, Encode, Serialize};
 ///   the sixth was a fault-injection hook that let any peer flip a
 ///   stored chunk's byte. The tags of the requests after each shift
 ///   down; no response moves.
+/// * **v9** — same frames, same bytes; the chunk checksum
+///   [`Response::Checksum`] carries is computed by the striped
+///   `atomio_types::stamp::checksum`, so a v8 peer would judge every
+///   healthy replica of a v9 provider rotten.
 ///
 /// Peers must match exactly: the frame reader rejects any other value
 /// before decoding a single header byte.
-pub const PROTOCOL_VERSION: u8 = 8;
+pub const PROTOCOL_VERSION: u8 = 9;
 
 /// One RPC request. Data-provider ops carry the target provider id so a
 /// single server process can host a whole fleet; `arrival` carries the
@@ -391,7 +395,7 @@ pub enum Response {
 mod tests {
     use super::*;
     use crate::samples;
-    use atomio_provider::chunk_checksum;
+    use atomio_types::stamp::mix64;
     use std::collections::BTreeSet;
 
     fn encoded(sample: &impl Encode) -> Vec<u8> {
@@ -448,7 +452,33 @@ mod tests {
         }
     }
 
-    /// `(variant, encoded length, chunk_checksum of the encoding)` of
+    /// The fingerprint the golden rows were taken with: the chunk
+    /// checksum of protocols v4 to v8 (four interleaved `mix64` lanes),
+    /// frozen here so that the rows outlive a change of the stored-byte
+    /// checksum.
+    fn fingerprint(data: &[u8]) -> u64 {
+        const SEED: u64 = 0xC0FF_EE00_D15C_0B0E;
+        let mut lanes = [
+            SEED ^ (data.len() as u64),
+            SEED.rotate_left(16),
+            SEED.rotate_left(32),
+            SEED.rotate_left(48),
+        ];
+        let mut blocks = data.chunks_exact(32);
+        for block in &mut blocks {
+            for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                *lane = mix64(*lane ^ u64::from_le_bytes(word.try_into().unwrap()));
+            }
+        }
+        for (i, block) in blocks.remainder().chunks(8).enumerate() {
+            let mut word = [0u8; 8];
+            word[..block.len()].copy_from_slice(block);
+            lanes[i] = mix64(lanes[i] ^ u64::from_le_bytes(word));
+        }
+        mix64(lanes[0] ^ mix64(lanes[1] ^ mix64(lanes[2] ^ lanes[3])))
+    }
+
+    /// `(variant, encoded length, fingerprint of the encoding)` of
     /// every sample in [`samples`], requests then responses, as protocol
     /// v4 first encoded them — save the `Busy` row, as v5 did, the
     /// `Fail` rows, as v6 did, and the `MetaResolve` and `Pieces` rows,
@@ -528,7 +558,7 @@ mod tests {
         assert_eq!(variant(sample), name);
         let bytes = encoded(sample);
         assert_eq!(
-            (bytes.len(), chunk_checksum(&bytes)),
+            (bytes.len(), fingerprint(&bytes)),
             (len, checksum),
             "the encoding of {name} moved: {sample:?}"
         );

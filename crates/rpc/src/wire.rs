@@ -623,20 +623,20 @@ mod tests {
     }
 
     #[test]
-    fn a_v7_frame_is_rejected_before_decoding() {
-        // A whole v7 `Ping`: its header is the one tag byte 0.
-        let mut v7 = vec![7u8];
-        v7.extend_from_slice(&7u64.to_be_bytes());
-        v7.extend_from_slice(&1u32.to_be_bytes());
-        v7.extend_from_slice(&0u32.to_be_bytes());
-        v7.push(0);
-        let read = read_frame_bytes(&mut v7.as_slice()).unwrap_err();
-        let split = split_frame(Bytes::from(v7)).unwrap_err();
+    fn a_v8_frame_is_rejected_before_decoding() {
+        // A whole v8 `Ping`: its header is the one tag byte 0.
+        let mut v8 = vec![8u8];
+        v8.extend_from_slice(&7u64.to_be_bytes());
+        v8.extend_from_slice(&1u32.to_be_bytes());
+        v8.extend_from_slice(&0u32.to_be_bytes());
+        v8.push(0);
+        let read = read_frame_bytes(&mut v8.as_slice()).unwrap_err();
+        let split = split_frame(Bytes::from(v8)).unwrap_err();
         for err in [read, split] {
             assert_eq!(err.kind(), io::ErrorKind::Unsupported);
             assert!(
                 err.to_string()
-                    .contains("peer speaks v7, this build speaks v8"),
+                    .contains("peer speaks v8, this build speaks v9"),
                 "{err}"
             );
         }

@@ -26,11 +26,11 @@
 //! substrate") is made here once.
 
 use crate::backend::FsyncPolicy;
-use crate::stamp::mix64;
+use crate::stamp::checksum;
 use crate::{Error, Result};
 use serde::Encode;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
@@ -44,21 +44,11 @@ pub const RECORD_MAGIC: u32 = 0x6169_6F72;
 /// not trigger a huge allocation during a recovery scan).
 pub const MAX_RECORD_BODY: usize = 64 * 1024 * 1024;
 
-/// Checksum of one record: the header fields and body folded through the
-/// same multiply–xor mixer the chunk checksums use.
-fn record_checksum(kind: u8, body: &[u8]) -> u64 {
-    let mut acc = mix64(0x5EED_1065 ^ ((kind as u64) << 32) ^ body.len() as u64);
-    let mut words = body.chunks_exact(8);
-    for word in &mut words {
-        acc = mix64(acc ^ u64::from_le_bytes(word.try_into().unwrap()));
-    }
-    let rest = words.remainder();
-    if !rest.is_empty() {
-        let mut word = [0u8; 8];
-        word[..rest.len()].copy_from_slice(rest);
-        acc = mix64(acc ^ u64::from_le_bytes(word));
-    }
-    acc
+/// Seed of the checksum of a record of `kind`: a frame's checksum is
+/// [`checksum`] of its body under this seed, which folds in the body's
+/// length too.
+fn frame_seed(kind: u8) -> u64 {
+    0x5EED_1065 ^ ((kind as u64) << 32)
 }
 
 /// The frame header of a record of `kind` carrying `body`.
@@ -67,7 +57,7 @@ fn header(kind: u8, body: &[u8]) -> [u8; RECORD_HEADER_BYTES] {
     head[0..4].copy_from_slice(&RECORD_MAGIC.to_be_bytes());
     head[4] = kind;
     head[5..9].copy_from_slice(&(body.len() as u32).to_be_bytes());
-    head[9..17].copy_from_slice(&record_checksum(kind, body).to_be_bytes());
+    head[9..17].copy_from_slice(&checksum(frame_seed(kind), body).to_be_bytes());
     head
 }
 
@@ -128,12 +118,12 @@ pub fn read_record_at(bytes: &[u8], pos: usize) -> Option<(ScannedRecord, usize)
     }
     let kind = rest[4];
     let body_len = u32::from_be_bytes(rest[5..9].try_into().unwrap()) as usize;
-    let checksum = u64::from_be_bytes(rest[9..17].try_into().unwrap());
+    let stored = u64::from_be_bytes(rest[9..17].try_into().unwrap());
     if body_len > MAX_RECORD_BODY || rest.len() < RECORD_HEADER_BYTES + body_len {
         return None;
     }
     let body = &rest[RECORD_HEADER_BYTES..RECORD_HEADER_BYTES + body_len];
-    if record_checksum(kind, body) != checksum {
+    if checksum(frame_seed(kind), body) != stored {
         return None;
     }
     Some((
@@ -192,9 +182,10 @@ pub fn decode_superblock(body: &[u8]) -> Option<(u32, u32, u64)> {
 }
 
 /// On-disk format version every disk backend stamps into its superblock.
-/// v2 writes record bodies with the positional codec; a v1 directory
-/// (hand-packed big-endian bodies) is refused, not migrated.
-pub const FORMAT_VERSION: u32 = 2;
+/// v2 writes record bodies with the positional codec; v3 keeps v2's
+/// layout but computes frame and ingest checksums with the striped
+/// [`checksum`]. A v1 or v2 directory is refused, not migrated.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Reads (validating) or writes the superblock of a backend directory,
 /// returning the directory's slot count. Shared by every disk backend —
@@ -304,6 +295,27 @@ fn create_missing_levels(dir: &Path) -> std::io::Result<Vec<&Path>> {
     Ok(missing)
 }
 
+/// Writes every byte of `slices` to `file` from offset `at` on: one
+/// seek, then gathered writes, looping on short ones.
+fn write_all_vectored_at(
+    mut file: &File,
+    at: u64,
+    mut slices: &mut [IoSlice<'_>],
+) -> std::io::Result<()> {
+    file.seek(SeekFrom::Start(at))?;
+    // Drops the leading empty slices: an append of no bytes writes none.
+    IoSlice::advance_slices(&mut slices, 0);
+    while !slices.is_empty() {
+        match file.write_vectored(slices) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut slices, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 fn open_rw(path: &Path) -> Result<File> {
     OpenOptions::new()
         .read(true)
@@ -318,7 +330,7 @@ fn open_rw(path: &Path) -> Result<File> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LogStats {
     /// Appends issued (one per [`RecordLog::append`] call, however many
-    /// records the buffer framed).
+    /// records or parts it carried).
     pub appends: u64,
     /// `fdatasync` calls issued by appends and flushes.
     pub syncs: u64,
@@ -395,16 +407,17 @@ impl RecordLog {
         Error::io(format!("{what} {}", self.path.display()), err)
     }
 
-    /// Appends `bytes` — one framed record or a whole batch of them —
-    /// with one positional write at the end of the log, then at most one
+    /// Appends `parts`, in order — one framed record, a whole batch of
+    /// them, or a batch's frames with their payloads between — with one
+    /// gathered write at the end of the log, then at most one
     /// `fdatasync`, when the policy says one is due. Returns the offset
-    /// the bytes landed at.
-    pub fn append(&mut self, bytes: &[u8]) -> Result<u64> {
+    /// the first part landed at. A failed append leaves the log's length
+    /// where it was, so the next one lands on the same record boundary.
+    pub fn append(&mut self, parts: &[&[u8]]) -> Result<u64> {
         let at = self.len;
-        self.file
-            .write_all_at(bytes, at)
-            .map_err(|e| self.io("append to", e))?;
-        self.len += bytes.len() as u64;
+        let mut slices: Vec<IoSlice<'_>> = parts.iter().map(|part| IoSlice::new(part)).collect();
+        write_all_vectored_at(&self.file, at, &mut slices).map_err(|e| self.io("append to", e))?;
+        self.len += parts.iter().map(|part| part.len() as u64).sum::<u64>();
         self.stats.appends += 1;
         self.stats.unsynced += 1;
         self.stats.unsynced_peak = self.stats.unsynced_peak.max(self.stats.unsynced);
@@ -579,8 +592,8 @@ mod tests {
         {
             let mut log = RecordLog::open(&path, FsyncPolicy::PerPublish, whole_records).unwrap();
             assert!(log.is_empty());
-            assert_eq!(log.append(&first).unwrap(), 0);
-            assert_eq!(log.append(&second).unwrap(), first.len() as u64);
+            assert_eq!(log.append(&[&first]).unwrap(), 0);
+            assert_eq!(log.append(&[&second]).unwrap(), first.len() as u64);
             let mut back = vec![0u8; second.len()];
             log.read_exact_at(first.len() as u64, &mut back).unwrap();
             assert_eq!(back, second);
@@ -600,7 +613,7 @@ mod tests {
         assert_eq!(log.len(), (first.len() + second.len()) as u64);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), log.len());
         // The tail is gone: the next append lands on a record boundary.
-        log.append(&first).unwrap();
+        log.append(&[&first]).unwrap();
         drop(log);
         assert_eq!(
             scan_records(&std::fs::read(&path).unwrap()).records.len(),
@@ -617,7 +630,7 @@ mod tests {
         };
         let mut group = open("group", FsyncPolicy::Group(4));
         for _ in 0..10 {
-            group.append(&record).unwrap();
+            group.append(&[&record]).unwrap();
         }
         let expect = LogStats {
             appends: 10,
@@ -633,8 +646,8 @@ mod tests {
         let mut deferred = open("deferred", FsyncPolicy::Deferred);
         let mut per_append = open("per-append", FsyncPolicy::PerPublish);
         for _ in 0..10 {
-            deferred.append(&record).unwrap();
-            per_append.append(&record).unwrap();
+            deferred.append(&[&record]).unwrap();
+            per_append.append(&[&record]).unwrap();
         }
         assert_eq!(
             (deferred.stats().syncs, deferred.stats().unsynced_peak),
@@ -647,16 +660,57 @@ mod tests {
     }
 
     #[test]
+    fn a_gathered_append_writes_what_its_concatenation_writes() {
+        let tmp = TempDir::new("atomio-recordlog");
+        // 64 chunks as a provider batch lays them out (a frame, then the
+        // payload out of frame), and 600 to pass the kernel's cap on
+        // slices per write (1024), which leaves a short write to finish.
+        for chunks in [64usize, 600] {
+            let frames: Vec<Vec<u8>> = (0..chunks).map(|i| framed(1, &i.to_be_bytes())).collect();
+            let payloads: Vec<Vec<u8>> = (0..chunks).map(|i| vec![i as u8; i * 37 % 700]).collect();
+            let parts: Vec<&[u8]> = frames
+                .iter()
+                .zip(&payloads)
+                .flat_map(|(frame, payload)| [&frame[..], &payload[..]])
+                .collect();
+            let open = |name: String| {
+                RecordLog::open(
+                    tmp.path().join(name),
+                    FsyncPolicy::PerPublish,
+                    whole_records,
+                )
+                .unwrap()
+            };
+            let mut gathered = open(format!("gathered-{chunks}"));
+            let mut concatenated = open(format!("concatenated-{chunks}"));
+            for log in [&mut gathered, &mut concatenated] {
+                log.append(&[b"lead"]).unwrap();
+            }
+            assert_eq!(gathered.append(&parts).unwrap(), 4);
+            assert_eq!(concatenated.append(&[&parts.concat()]).unwrap(), 4);
+            assert_eq!(gathered.len(), concatenated.len());
+            assert_eq!(
+                gathered.stats(),
+                concatenated.stats(),
+                "one append, one sync"
+            );
+            let on_disk = |log: &RecordLog| std::fs::read(&log.path).unwrap();
+            assert_eq!(on_disk(&gathered), on_disk(&concatenated));
+            assert_eq!(on_disk(&gathered).len() as u64, gathered.len());
+        }
+    }
+
+    #[test]
     fn replace_swaps_the_whole_log_and_a_leftover_staged_file_is_ignored() {
         let tmp = TempDir::new("atomio-recordlog");
         let path = tmp.path().join("x.log");
         let (old, new) = (framed(1, &[7; 100]), framed(1, b"compacted"));
         let mut log = RecordLog::open(&path, FsyncPolicy::Deferred, whole_records).unwrap();
-        log.append(&old).unwrap();
-        log.append(&old).unwrap();
+        log.append(&[&old]).unwrap();
+        log.append(&[&old]).unwrap();
         log.replace(&new).unwrap();
         assert_eq!((log.len(), log.stats().unsynced), (new.len() as u64, 0));
-        assert_eq!(log.append(&old).unwrap(), new.len() as u64);
+        assert_eq!(log.append(&[&old]).unwrap(), new.len() as u64);
         drop(log);
         let rewritten = std::fs::read(&path).unwrap();
         assert_eq!(rewritten, [new.clone(), old].concat());
@@ -683,12 +737,12 @@ mod tests {
         let named = || std::fs::metadata(&path).unwrap().ino();
         assert_eq!(inode(&log), named());
         let before = inode(&log);
-        log.append(&framed(1, b"old")).unwrap();
+        log.append(&[&framed(1, b"old")]).unwrap();
         log.replace(&framed(1, b"new")).unwrap();
         assert_ne!(inode(&log), before, "the rename put a new file in place");
         assert_eq!(inode(&log), named(), "the handle follows the name");
         // And the handle reads and appends as the log's own.
-        log.append(&framed(1, b"after")).unwrap();
+        log.append(&[&framed(1, b"after")]).unwrap();
         assert_eq!(
             std::fs::read(&path).unwrap(),
             [framed(1, b"new"), framed(1, b"after")].concat()
@@ -700,7 +754,7 @@ mod tests {
         let tmp = TempDir::new("atomio-recordlog");
         let path = tmp.path().join("version/blob-7/slot/x.log");
         let mut log = RecordLog::open(&path, FsyncPolicy::PerPublish, whole_records).unwrap();
-        log.append(&framed(1, b"kept")).unwrap();
+        log.append(&[&framed(1, b"kept")]).unwrap();
         drop(log);
         let reopened = RecordLog::open(&path, FsyncPolicy::PerPublish, |bytes| {
             assert_eq!(bytes, framed(1, b"kept"));
@@ -817,7 +871,7 @@ mod tests {
             let kept = std::fs::read(&path).unwrap();
             prop_assert_eq!(kept.len() as u64, log.len());
             prop_assert!(!scan_records(&kept).truncated);
-            log.append(&framed(9, b"next")).unwrap();
+            log.append(&[&framed(9, b"next")]).unwrap();
             drop(log);
             let scan = scan_records(&std::fs::read(&path).unwrap());
             prop_assert!(!scan.truncated);

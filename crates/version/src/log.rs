@@ -175,7 +175,7 @@ impl PublishLog {
     fn append_framed(&self, kind: u8, body: &impl Encode) -> Result<()> {
         let mut framed = Vec::new();
         encode_record(&mut framed, kind, body);
-        self.log.lock().append(&framed).map(|_| ())
+        self.log.lock().append(&[&framed]).map(|_| ())
     }
 
     /// Forces outstanding appends to stable storage (graceful shutdown

@@ -1,13 +1,16 @@
 //! The on-disk format, pinned: the bytes below were written by the tree
-//! that introduced format v2 — record bodies in the positional codec the
-//! wire uses — by exactly the operations `write_*` perform. They must
-//! open under this tree to the state those operations built, and the
-//! same operations must write the same bytes on a fresh directory.
-//! `FORMAT_VERSION` moves if and only if this file has to.
+//! that introduced format v3 — v2's layout, with frame and ingest
+//! checksums computed by the striped `checksum` — by exactly the
+//! operations `write_*` perform. They must open under this tree to the
+//! state those operations built, and the same operations must write the
+//! same bytes on a fresh directory. `FORMAT_VERSION` moves if and only
+//! if this file has to.
 //!
-//! The `*_V1` bytes are what the same operations wrote in format v1
-//! (hand-packed big-endian bodies, written at ed000f2): each role refuses
-//! them, typed, and leaves them as they were.
+//! The `*_V2` bytes are what the same operations wrote in format v2
+//! (record bodies in the positional codec, checksums of four `mix64`
+//! lanes, written at d682a57), and the `*_V1` bytes what they wrote in
+//! format v1 (hand-packed big-endian bodies, written at ed000f2): each
+//! role refuses both, typed, and leaves them as they were.
 //!
 //! Plus the torn-tail test the per-backend ones (one cut point each)
 //! never were: the last record of each log cut at *every* byte offset.
@@ -30,22 +33,66 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const PROVIDER_SUPERBLOCK: &str = concat!(
-    "61696f720000000010b68753fc79797867000000020000000100000000000000",
+    "61696f72000000001088418c0e5351238a000000030000000100000000000000",
     "03",
 );
 /// Two puts and a tombstone in a one-slot provider.
 const PART: &str = concat!(
+    "61696f7201000000187586eac3b18f7c320700000000000000b5d84bb8354083",
+    "91050000000000000068656c6c6f61696f72010000001854bea36b914662a009",
+    "000000000000004d9eb4f80e49cac7080000000000000061746f6d696f212161",
+    "696f7202000000086e298db0131c5d880700000000000000",
+);
+const META_SUPERBLOCK: &str = concat!(
+    "61696f720000000010edaa9cbec3ec736f0000000300000001000000006d6574",
+    "61",
+);
+/// A leaf, an inner node and an evict in a one-shard store.
+const META_LOG: &str = concat!(
+    "61696f72010000007aec7a250fb479fc7d020000000000000002000000000000",
+    "0000000000000000004000000000000000010100000008000000000000001000",
+    "0000000000000900000000000000040000000000000002000000030000000000",
+    "0000010000000000000001020000000000000001000000000000000000000000",
+    "000000400000000000000061696f720100000043534271239e3ad2e002000000",
+    "0000000002000000000000000000000000000000800000000000000000010200",
+    "0000000000000200000000000000000000000000000040000000000000000061",
+    "696f7202000000208e0381b18448f5a502000000000000000200000000000000",
+    "00000000000000004000000000000000",
+);
+const VERSION_SUPERBLOCK: &str = concat!(
+    "61696f7200000000102ff9110216025499000000030000000100000000766572",
+    "73",
+);
+/// Two publishes, a retention change, a lease and its release.
+const PUBLISH_LOG: &str = concat!(
+    "61696f72010000005d23987e51dc35b8c0010000000000000001020000000000",
+    "0000010000000000000000000000000000000001000000000000880000000000",
+    "0000000100000000000002000000000000000000000040000000000000008000",
+    "000000000000080000000000000061696f72010000004dc1dc4f2724be3bb002",
+    "0000000000000001020000000000000002000000000000000000000000000000",
+    "0001000000000000ec0000000000000000010000000000000100000088000000",
+    "00000000640000000000000061696f720200000009db9f76494e17cf55010300",
+    "00000000000061696f720300000018524822ea960eb856010000000000000002",
+    "00000000000000701700000000000061696f720400000008b3725f06175a9dd3",
+    "0100000000000000",
+);
+
+// The same operations in format v2, as the tree at d682a57 wrote them.
+const PROVIDER_SUPERBLOCK_V2: &str = concat!(
+    "61696f720000000010b68753fc79797867000000020000000100000000000000",
+    "03",
+);
+const PART_V2: &str = concat!(
     "61696f7201000000183d12dad640cea86e07000000000000007375bca4c171d5",
     "62050000000000000068656c6c6f61696f720100000018839dfe3a5bf1ddda09",
     "0000000000000088a4b2902caebf8b080000000000000061746f6d696f212161",
     "696f7202000000086e298db0131c5d880700000000000000",
 );
-const META_SUPERBLOCK: &str = concat!(
+const META_SUPERBLOCK_V2: &str = concat!(
     "61696f720000000010698db30fb025a4620000000200000001000000006d6574",
     "61",
 );
-/// A leaf, an inner node and an evict in a one-shard store.
-const META_LOG: &str = concat!(
+const META_LOG_V2: &str = concat!(
     "61696f72010000007a66c62ae22e710024020000000000000002000000000000",
     "0000000000000000004000000000000000010100000008000000000000001000",
     "0000000000000900000000000000040000000000000002000000030000000000",
@@ -56,12 +103,11 @@ const META_LOG: &str = concat!(
     "696f7202000000208e0381b18448f5a502000000000000000200000000000000",
     "00000000000000004000000000000000",
 );
-const VERSION_SUPERBLOCK: &str = concat!(
+const VERSION_SUPERBLOCK_V2: &str = concat!(
     "61696f72000000001000d587f05b4ed720000000020000000100000000766572",
     "73",
 );
-/// Two publishes, a retention change, a lease and its release.
-const PUBLISH_LOG: &str = concat!(
+const PUBLISH_LOG_V2: &str = concat!(
     "61696f72010000005dbf17bba9391fd4eb010000000000000001020000000000",
     "0000010000000000000000000000000000000001000000000000880000000000",
     "0000000100000000000002000000000000000000000040000000000000008000",
@@ -260,13 +306,13 @@ fn check_version(dir: &Path) {
 }
 
 /// One backend's fixture: its two files as written at the parent commit
-/// (and in format v1), the operations that wrote them, and the state
-/// they must recover to.
+/// (and in the formats before it), the operations that wrote them, and
+/// the state they must recover to.
 struct Fixture {
     superblock: &'static str,
     log: &'static str,
-    superblock_v1: &'static str,
-    log_v1: &'static str,
+    /// `(format version, superblock, log)` of each refused format.
+    refused: [(u32, &'static str, &'static str); 2],
     log_path: fn(&Path) -> PathBuf,
     write: fn(&Path),
     check: fn(&Path),
@@ -280,8 +326,10 @@ const FIXTURES: [Fixture; 3] = [
     Fixture {
         superblock: PROVIDER_SUPERBLOCK,
         log: PART,
-        superblock_v1: PROVIDER_SUPERBLOCK_V1,
-        log_v1: PART_V1,
+        refused: [
+            (1, PROVIDER_SUPERBLOCK_V1, PART_V1),
+            (2, PROVIDER_SUPERBLOCK_V2, PART_V2),
+        ],
         log_path: part_path,
         write: write_provider,
         check: check_provider,
@@ -294,8 +342,10 @@ const FIXTURES: [Fixture; 3] = [
     Fixture {
         superblock: META_SUPERBLOCK,
         log: META_LOG,
-        superblock_v1: META_SUPERBLOCK_V1,
-        log_v1: META_LOG_V1,
+        refused: [
+            (1, META_SUPERBLOCK_V1, META_LOG_V1),
+            (2, META_SUPERBLOCK_V2, META_LOG_V2),
+        ],
         log_path: |dir| meta_log_path(dir, 0),
         write: write_meta,
         check: check_meta,
@@ -309,8 +359,10 @@ const FIXTURES: [Fixture; 3] = [
     Fixture {
         superblock: VERSION_SUPERBLOCK,
         log: PUBLISH_LOG,
-        superblock_v1: VERSION_SUPERBLOCK_V1,
-        log_v1: PUBLISH_LOG_V1,
+        refused: [
+            (1, VERSION_SUPERBLOCK_V1, PUBLISH_LOG_V1),
+            (2, VERSION_SUPERBLOCK_V2, PUBLISH_LOG_V2),
+        ],
         log_path: |dir| dir.join("publish.log"),
         write: write_version,
         check: check_version,
@@ -346,7 +398,7 @@ fn reopen(fixture: &Fixture, dir: &Path) {
 
 #[test]
 fn bytes_written_at_the_parent_commit_open_to_the_state_they_recorded() {
-    assert_eq!(FORMAT_VERSION, 2);
+    assert_eq!(FORMAT_VERSION, 3);
     for fixture in &FIXTURES {
         let tmp = TempDir::new("atomio-format");
         plant(fixture, tmp.path());
@@ -360,27 +412,29 @@ fn bytes_written_at_the_parent_commit_open_to_the_state_they_recorded() {
 #[test]
 fn format_v1_directories_are_refused_typed_and_left_as_they_were() {
     for fixture in &FIXTURES {
-        // v2 moved no record boundary: only the byte order inside bodies
-        // changed (and a `KeepAll` retention record would shrink, but the
-        // fixture logs `KeepLast`).
-        assert_eq!(
-            unhex(fixture.superblock_v1).len(),
-            unhex(fixture.superblock).len()
-        );
-        assert_eq!(unhex(fixture.log_v1).len(), unhex(fixture.log).len());
-        let tmp = TempDir::new("atomio-format");
-        plant_bytes(fixture, tmp.path(), fixture.superblock_v1, fixture.log_v1);
-        match (fixture.open)(tmp.path()) {
-            Err(Error::Internal(msg)) => assert!(
-                msg.ends_with("on-disk format v1, this build speaks v2"),
-                "{msg}"
-            ),
-            other => panic!("a v1 directory opened: {other:?}"),
+        for (format, superblock_bytes, log_bytes) in fixture.refused {
+            // No format moved a record boundary: v2 changed only the byte
+            // order inside bodies (and a `KeepAll` retention record would
+            // shrink, but the fixture logs `KeepLast`), v3 only checksums.
+            assert_eq!(
+                unhex(superblock_bytes).len(),
+                unhex(fixture.superblock).len()
+            );
+            assert_eq!(unhex(log_bytes).len(), unhex(fixture.log).len());
+            let tmp = TempDir::new("atomio-format");
+            plant_bytes(fixture, tmp.path(), superblock_bytes, log_bytes);
+            match (fixture.open)(tmp.path()) {
+                Err(Error::Internal(msg)) => assert!(
+                    msg.ends_with(&format!("on-disk format v{format}, this build speaks v3")),
+                    "{msg}"
+                ),
+                other => panic!("a v{format} directory opened: {other:?}"),
+            }
+            let superblock = std::fs::read(tmp.path().join("superblock")).unwrap();
+            assert_eq!(superblock, unhex(superblock_bytes));
+            let log = std::fs::read((fixture.log_path)(tmp.path())).unwrap();
+            assert_eq!(log, unhex(log_bytes));
         }
-        let superblock = std::fs::read(tmp.path().join("superblock")).unwrap();
-        assert_eq!(superblock, unhex(fixture.superblock_v1));
-        let log = std::fs::read((fixture.log_path)(tmp.path())).unwrap();
-        assert_eq!(log, unhex(fixture.log_v1));
     }
 }
 

@@ -382,7 +382,7 @@ fn a_tile_write_and_its_read_cost_one_round_trip_per_provider() {
         );
         let blob = d.store.create_blob();
         let payload = stamped(4, &tile);
-        let depth = d.store.metrics().value_stat("core.transfer_depth");
+        let fetches = d.store.metrics().value_stat("core.fetch_depth");
         run_actors_on(&SimClock::new(), 1, |_, p| {
             blob.write_list(p, &tile, payload.clone()).unwrap();
             let after_write = d.deployment.round_trips();
@@ -390,7 +390,6 @@ fn a_tile_write_and_its_read_cost_one_round_trip_per_provider() {
                 (1..=(FLEET * replication) as u64).contains(&after_write),
                 "write_list of a tile cost {after_write} data-plane round trips"
             );
-            let written = depth.sum();
             let back = blob.read_list(p, ReadVersion::Latest, &tile).unwrap();
             assert_eq!(back, payload.as_ref());
             let read = d.deployment.round_trips() - after_write;
@@ -398,7 +397,11 @@ fn a_tile_write_and_its_read_cost_one_round_trip_per_provider() {
                 (1..=FLEET as u64).contains(&read),
                 "read_list of a tile cost {read} data-plane round trips"
             );
-            assert_eq!(depth.sum() - written, 8, "the read fetches 8 ranges");
+            assert_eq!(
+                (fetches.count(), fetches.sum()),
+                (1, 8),
+                "one read batch fetches 8 ranges"
+            );
         });
         // Counted after the round-trip pins: each count is a request.
         let stored: usize = d
