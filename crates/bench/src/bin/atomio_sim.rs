@@ -75,12 +75,11 @@ fn backend_by_name(name: &str) -> Backend {
     match name {
         "versioning" => Backend::Versioning,
         "lustre-lock" => Backend::LustreLock,
-        "whole-file-lock" => Backend::WholeFileLock,
         "conflict-detect" => Backend::ConflictDetect,
         "no-lock" => Backend::NoLock,
         other => {
             eprintln!("unknown backend {other}; run `atomio_sim backends`");
-            std::process::exit(2);
+            usage()
         }
     }
 }

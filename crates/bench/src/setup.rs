@@ -6,9 +6,7 @@
 
 use atomio_core::{Store, StoreConfig};
 use atomio_mpiio::adio::AdioDriver;
-use atomio_mpiio::drivers::{
-    ConflictDetectDriver, LockingDriver, VersioningDriver, WholeFileDriver,
-};
+use atomio_mpiio::drivers::{ConflictDetectDriver, LockingDriver, VersioningDriver};
 use atomio_pfs::ParallelFs;
 use atomio_simgrid::{CostModel, Metrics};
 use std::sync::Arc;
@@ -20,8 +18,6 @@ pub enum Backend {
     Versioning,
     /// Lustre-style covering byte-range locks.
     LustreLock,
-    /// Whole-file locking at the MPI-I/O layer (Ross et al.).
-    WholeFileLock,
     /// Overlap detection, locking only on conflict (Sehrish et al.).
     ConflictDetect,
     /// PVFS-style: no locks, no atomicity — the raw-bandwidth bound.
@@ -30,19 +26,17 @@ pub enum Backend {
 
 impl Backend {
     /// All backends, in report order.
-    pub const ALL: [Backend; 5] = [
+    pub const ALL: [Backend; 4] = [
         Backend::Versioning,
         Backend::LustreLock,
-        Backend::WholeFileLock,
         Backend::ConflictDetect,
         Backend::NoLock,
     ];
 
     /// The atomic-mode backends the paper's headline compares.
-    pub const ATOMIC: [Backend; 4] = [
+    pub const ATOMIC: [Backend; 3] = [
         Backend::Versioning,
         Backend::LustreLock,
-        Backend::WholeFileLock,
         Backend::ConflictDetect,
     ];
 
@@ -51,7 +45,6 @@ impl Backend {
         match self {
             Backend::Versioning => "versioning",
             Backend::LustreLock => "lustre-lock",
-            Backend::WholeFileLock => "whole-file-lock",
             Backend::ConflictDetect => "conflict-detect",
             Backend::NoLock => "no-lock (no atomicity)",
         }
@@ -74,8 +67,6 @@ pub struct BenchConfig {
     pub chunk_size: u64,
     /// Hardware prices.
     pub cost: CostModel,
-    /// Seed for placement randomness.
-    pub seed: u64,
 }
 
 impl Default for BenchConfig {
@@ -87,7 +78,6 @@ impl Default for BenchConfig {
             meta_shards: 4,
             chunk_size: 256 * 1024,
             cost: CostModel::grid5000(),
-            seed: 0xBE7C,
         }
     }
 }
@@ -104,8 +94,7 @@ impl BenchConfig {
                         .with_cost(self.cost)
                         .with_chunk_size(self.chunk_size)
                         .with_data_providers(self.servers)
-                        .with_meta_shards(self.meta_shards)
-                        .with_seed(self.seed),
+                        .with_meta_shards(self.meta_shards),
                 );
                 let metrics = store.metrics().clone();
                 (
@@ -118,16 +107,6 @@ impl BenchConfig {
                 let fs = ParallelFs::new(self.servers, self.cost, metrics.clone());
                 (
                     Arc::new(LockingDriver::new(Arc::new(
-                        fs.create_file(self.chunk_size),
-                    ))),
-                    metrics,
-                )
-            }
-            Backend::WholeFileLock => {
-                let metrics = Metrics::new();
-                let fs = ParallelFs::new(self.servers, self.cost, metrics.clone());
-                (
-                    Arc::new(WholeFileDriver::new(Arc::new(
                         fs.create_file(self.chunk_size),
                     ))),
                     metrics,

@@ -26,6 +26,14 @@ pub struct WriteSummary {
     pub capacity: u64,
 }
 
+impl WriteSummary {
+    /// The bytes its derived [`Encode`] writes: version and capacity,
+    /// the extent count and 16 per range.
+    pub fn encoded_len(&self) -> usize {
+        8 + 8 + 4 + 16 * self.extents.range_count()
+    }
+}
+
 /// Append-only, shared history of write summaries for one blob.
 ///
 /// Version `k` (k ≥ 1) lives at index `k - 1`; version 0 is the implicit
@@ -92,6 +100,17 @@ impl VersionHistory {
         let rows = &self.rows.read().summaries;
         let upto = upto.min(rows.len());
         rows[known.min(upto)..upto].to_vec()
+    }
+
+    /// The encoded bytes of what [`Self::summaries_between`] returns for
+    /// the same arguments, visiting only those rows.
+    pub fn encoded_len_between(&self, known: usize, upto: usize) -> usize {
+        let rows = &self.rows.read().summaries;
+        let upto = upto.min(rows.len());
+        rows[known.min(upto)..upto]
+            .iter()
+            .map(WriteSummary::encoded_len)
+            .sum()
     }
 
     /// Merges a delta obtained from [`Self::summaries_between`] — on a
@@ -261,12 +280,17 @@ mod tests {
         h.append(summary(2, &[(100, 10), (200, 4)], 128));
         h.append(summary(3, &[(50, 10)], 128));
 
-        // Wire roundtrip preserves every field.
+        // Wire roundtrip preserves every field, in the bytes reckoned.
         for s in h.summaries_between(0, 3) {
             let mut bytes = Vec::new();
             s.encode(&mut bytes);
+            assert_eq!(bytes.len(), s.encoded_len());
             assert_eq!(serde::decode_exact(&bytes), Ok(s));
         }
+        let mut delta = Vec::new();
+        h.summaries_between(1, 3).encode(&mut delta);
+        assert_eq!(delta.len(), 4 + h.encoded_len_between(1, 3));
+        assert_eq!(h.encoded_len_between(3, 99), 0);
 
         // A mirror absorbing overlapping deltas converges without gaps.
         let mirror = VersionHistory::new();

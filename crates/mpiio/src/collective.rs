@@ -25,6 +25,12 @@ use bytes::Bytes;
 use std::sync::Arc;
 
 /// How collective data access is performed.
+///
+/// Independent is the default because two-phase loses on the versioning
+/// driver at every scale E9 measures (0.45×–0.60× of independent, 4 to
+/// 64 processes): the versioning write already packs a rank's pieces
+/// into leaf-sized chunks, so the exchange is pure cost. It pays on the
+/// locking baseline (10–46×), whose aggregated file domains are disjoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CollectiveStrategy {
     /// Every rank writes its own pieces (barrier-synchronized).

@@ -10,9 +10,15 @@
 //! paid by *every* write — the "unnecessary overhead ... for
 //! non-overlapping concurrent I/O" the paper quotes as this approach's
 //! acknowledged weakness.
+//!
+//! The transfers themselves are [`LockingDriver`]'s: a lock-free write is
+//! its non-atomic write, a conflicting one its atomic write (covering
+//! lock, the writes, unlock), and a read its read. This driver adds only
+//! the coordinator.
 
 use crate::adio::AdioDriver;
-use atomio_pfs::{LockKind, PfsFile};
+use crate::drivers::LockingDriver;
+use atomio_pfs::PfsFile;
 use atomio_simgrid::{CostModel, Event, Participant, Resource};
 use atomio_types::{ClientId, ExtentList, Result};
 use bytes::Bytes;
@@ -29,7 +35,7 @@ struct ActiveWrite {
 /// ADIO driver with overlap detection.
 #[derive(Debug, Clone)]
 pub struct ConflictDetectDriver {
-    file: Arc<PfsFile>,
+    locking: LockingDriver,
     cost: CostModel,
     coordinator: Arc<Coordinator>,
 }
@@ -49,7 +55,7 @@ impl ConflictDetectDriver {
     /// Wraps a PFS file with a conflict-detection coordinator.
     pub fn new(file: Arc<PfsFile>, cost: CostModel) -> Self {
         ConflictDetectDriver {
-            file,
+            locking: LockingDriver::new(file),
             cost,
             coordinator: Arc::new(Coordinator {
                 cpu: Resource::new("conflict-coordinator/cpu"),
@@ -83,7 +89,9 @@ impl AdioDriver for ConflictDetectDriver {
     ) -> Result<()> {
         if !atomic {
             // Non-atomic mode skips detection entirely.
-            return write_raw(&self.file, p, extents, &payload);
+            return self
+                .locking
+                .write_extents(p, client, extents, payload, false);
         }
         // Register with the coordinator (the per-op detection overhead).
         p.sleep(self.cost.rpc_round_trip());
@@ -103,13 +111,8 @@ impl AdioDriver for ConflictDetectDriver {
             conflicts
         };
 
-        let result = if conflicting.is_empty() {
-            // No overlap with any in-flight write: proceed lock-free.
-            self.coordinator
-                .lock_free_writes
-                .fetch_add(1, Ordering::Relaxed);
-            write_raw(&self.file, p, extents, &payload)
-        } else {
+        let locked = !conflicting.is_empty();
+        if locked {
             // Wait for the earlier conflicting writes to retire, then
             // write under the covering lock.
             self.coordinator
@@ -122,14 +125,15 @@ impl AdioDriver for ConflictDetectDriver {
                     .all(|id| !active.iter().any(|w| w.id == *id))
                     .then_some(())
             });
-            let handle =
-                self.file
-                    .locks()
-                    .lock(p, client, extents.covering_range(), LockKind::Exclusive);
-            let r = write_raw(&self.file, p, extents, &payload);
-            self.file.locks().unlock(p, handle);
-            r
-        };
+        } else {
+            // No overlap with any in-flight write: proceed lock-free.
+            self.coordinator
+                .lock_free_writes
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        let result = self
+            .locking
+            .write_extents(p, client, extents, payload, locked);
 
         // Deregister.
         self.coordinator.active.lock().retain(|w| w.id != my_id);
@@ -144,48 +148,16 @@ impl AdioDriver for ConflictDetectDriver {
         extents: &ExtentList,
         atomic: bool,
     ) -> Result<Vec<u8>> {
-        let handle = atomic.then(|| {
-            self.file
-                .locks()
-                .lock(p, client, extents.covering_range(), LockKind::Shared)
-        });
-        let mut out = vec![0u8; extents.total_len() as usize];
-        let mut result = Ok(());
-        for (range, buf_off) in extents.with_buffer_offsets() {
-            match self.file.pread(p, range.offset, range.len) {
-                Ok(data) => {
-                    out[buf_off as usize..(buf_off + range.len) as usize].copy_from_slice(&data)
-                }
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        if let Some(h) = handle {
-            self.file.locks().unlock(p, h);
-        }
-        result.map(|()| out)
+        self.locking.read_extents(p, client, extents, atomic)
     }
 
-    fn file_size(&self, _p: &Participant) -> u64 {
-        self.file.size()
+    fn file_size(&self, p: &Participant) -> u64 {
+        self.locking.file_size(p)
     }
 
     fn name(&self) -> &'static str {
         "conflict-detect"
     }
-}
-
-fn write_raw(file: &PfsFile, p: &Participant, extents: &ExtentList, payload: &Bytes) -> Result<()> {
-    for (range, buf_off) in extents.with_buffer_offsets() {
-        file.pwrite(
-            p,
-            range.offset,
-            &payload[buf_off as usize..(buf_off + range.len) as usize],
-        )?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

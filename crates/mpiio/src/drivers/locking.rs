@@ -25,11 +25,6 @@ impl LockingDriver {
     pub fn new(file: Arc<PfsFile>) -> Self {
         LockingDriver { file }
     }
-
-    /// The underlying file (for lock-statistics assertions).
-    pub fn file(&self) -> &Arc<PfsFile> {
-        &self.file
-    }
 }
 
 impl AdioDriver for LockingDriver {

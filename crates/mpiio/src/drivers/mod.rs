@@ -3,9 +3,7 @@
 pub mod conflict;
 pub mod locking;
 pub mod versioning;
-pub mod whole_file;
 
 pub use conflict::ConflictDetectDriver;
 pub use locking::LockingDriver;
 pub use versioning::VersioningDriver;
-pub use whole_file::WholeFileDriver;

@@ -10,14 +10,14 @@
 //! Nothing else of MPI-2 I/O is here: no individual or shared file
 //! pointers, no typed memory buffers, no collective read.
 //!
-//! Four ADIO drivers implement the four concurrency-control strategies
-//! the paper discusses:
+//! Three ADIO drivers implement the concurrency-control strategies the
+//! paper compares (a whole-file lock, the fourth it discusses, equalled
+//! the covering byte-range lock in every measured row and was deleted):
 //!
 //! | driver | strategy | paper reference |
 //! |---|---|---|
 //! | [`drivers::VersioningDriver`] | native non-contiguous atomic writes on the versioning store | the proposal (§IV–V) |
 //! | [`drivers::LockingDriver`] | covering byte-range lock on a POSIX-like PFS | Lustre/GPFS baseline (§III) |
-//! | [`drivers::WholeFileDriver`] | whole-file lock at the MPI-I/O layer | Ross et al., CCGRID'05 \[8\] |
 //! | [`drivers::ConflictDetectDriver`] | overlap detection, lock only on conflict | Sehrish et al., EuroPVM/MPI'09 \[9\] |
 //!
 //! "MPI processes" are simulated ranks: OS threads registered on the

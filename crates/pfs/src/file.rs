@@ -1,9 +1,10 @@
-//! Files striped over OSTs, with raw and POSIX-atomic access paths.
+//! Files striped over OSTs, with raw access paths and a per-file lock
+//! service.
 
-use crate::dlm::{LockKind, LockManager};
+use crate::dlm::LockManager;
 use crate::ost::{FileId, Ost};
 use atomio_simgrid::{CostModel, FaultInjector, Metrics, Participant};
-use atomio_types::{ByteRange, ChunkGeometry, ClientId, Result};
+use atomio_types::{ByteRange, ChunkGeometry, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -22,16 +23,6 @@ impl ParallelFs {
     /// Deploys a file system with `osts` storage targets.
     pub fn new(osts: usize, cost: CostModel, metrics: Metrics) -> Self {
         let faults = Arc::new(FaultInjector::default());
-        Self::with_faults(osts, cost, metrics, faults)
-    }
-
-    /// Deploys with an external fault plane.
-    pub fn with_faults(
-        osts: usize,
-        cost: CostModel,
-        metrics: Metrics,
-        faults: Arc<FaultInjector>,
-    ) -> Self {
         Self::heterogeneous(vec![cost; osts], cost, metrics, faults)
     }
 
@@ -90,9 +81,8 @@ impl ParallelFs {
 ///
 /// `pwrite`/`pread` are **raw**: they move bytes without any locking (the
 /// PVFS-like mode — fast, but concurrent overlapping writes can tear).
-/// `posix_pwrite`/`posix_pread` take the covering extent lock for the
-/// duration of the transfer, giving POSIX per-call atomicity the way
-/// Lustre clients do.
+/// Atomicity is the caller's: an MPI-I/O driver takes the file's
+/// [`LockManager`] extent lock around its transfer.
 #[derive(Debug)]
 pub struct PfsFile {
     id: FileId,
@@ -113,9 +103,8 @@ impl PfsFile {
         self.geometry
     }
 
-    /// The file's lock service — used directly by MPI-I/O drivers that
-    /// lock at a granularity other than one call (covering range of a
-    /// non-contiguous request, whole file, ...).
+    /// The file's lock service — used by MPI-I/O drivers, which lock
+    /// the covering range of a whole non-contiguous request.
     pub fn locks(&self) -> &Arc<LockManager> {
         &self.locks
     }
@@ -157,55 +146,12 @@ impl PfsFile {
         }
         Ok(out)
     }
-
-    /// POSIX-atomic positional write: takes the exclusive extent lock
-    /// covering the call's range for the duration of the transfer.
-    pub fn posix_pwrite(
-        &self,
-        p: &Participant,
-        client: ClientId,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<()> {
-        if data.is_empty() {
-            return Ok(());
-        }
-        let handle = self.locks.lock(
-            p,
-            client,
-            ByteRange::new(offset, data.len() as u64),
-            LockKind::Exclusive,
-        );
-        let result = self.pwrite(p, offset, data);
-        self.locks.unlock(p, handle);
-        result
-    }
-
-    /// POSIX-atomic positional read (shared extent lock).
-    pub fn posix_pread(
-        &self,
-        p: &Participant,
-        client: ClientId,
-        offset: u64,
-        len: u64,
-    ) -> Result<Vec<u8>> {
-        if len == 0 {
-            return Ok(Vec::new());
-        }
-        let handle = self
-            .locks
-            .lock(p, client, ByteRange::new(offset, len), LockKind::Shared);
-        let result = self.pread(p, offset, len);
-        self.locks.unlock(p, handle);
-        result
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use atomio_simgrid::clock::run_actors;
-    use std::time::Duration;
 
     fn fs(osts: usize, cost: CostModel) -> ParallelFs {
         ParallelFs::new(osts, cost, Metrics::new())
@@ -243,11 +189,6 @@ mod tests {
             f.pwrite(p, 5, b"").unwrap();
             assert_eq!(f.size(), 0);
             assert_eq!(f.pread(p, 5, 0).unwrap(), Vec::<u8>::new());
-            f.posix_pwrite(p, ClientId::new(0), 5, b"").unwrap();
-            assert_eq!(
-                f.posix_pread(p, ClientId::new(0), 5, 0).unwrap(),
-                Vec::<u8>::new()
-            );
         });
     }
 
@@ -282,57 +223,5 @@ mod tests {
         let t8 = time_with(8);
         let ratio = t1.as_secs_f64() / t8.as_secs_f64();
         assert!(ratio > 5.0, "striping speedup only {ratio:.2}");
-    }
-
-    #[test]
-    fn posix_pwrite_serializes_overlaps() {
-        let fs = fs(4, CostModel::grid5000());
-        let f = Arc::new(fs.create_file(64 * 1024));
-        let fc = Arc::clone(&f);
-        let cost = CostModel::grid5000();
-        let (_, total) = run_actors(4, move |i, p| {
-            // All four writers hit the same 1 MiB range.
-            fc.posix_pwrite(p, ClientId::new(i as u64), 0, &vec![i as u8; 1 << 20])
-                .unwrap();
-        });
-        // Each transfer is lock-serialized: at least 4× the single disk
-        // time for 1 MiB spread over 16 stripes/4 OSTs (4 stripes per OST
-        // serialized on its disk).
-        let per_write_disk = cost.disk_transfer(64 * 1024).as_secs_f64() * 4.0;
-        assert!(
-            total.as_secs_f64() >= per_write_disk * 4.0 * 0.9,
-            "locking did not serialize: {total:?}"
-        );
-        let _ = Duration::ZERO;
-    }
-
-    #[test]
-    fn raw_pwrite_overlaps_do_not_serialize() {
-        let cost = CostModel::grid5000();
-        let serialized = {
-            let fs = fs(4, cost);
-            let f = Arc::new(fs.create_file(64 * 1024));
-            let fc = Arc::clone(&f);
-            run_actors(4, move |i, p| {
-                fc.posix_pwrite(p, ClientId::new(i as u64), 0, &vec![i as u8; 1 << 20])
-                    .unwrap();
-            })
-            .1
-        };
-        let raw = {
-            let fs = fs(4, cost);
-            let f = Arc::new(fs.create_file(64 * 1024));
-            let fc = Arc::clone(&f);
-            run_actors(4, move |i, p| {
-                fc.pwrite(p, 0, &vec![i as u8; 1 << 20]).unwrap();
-            })
-            .1
-        };
-        // Raw (PVFS-like) mode is markedly faster than lock-serialized
-        // mode under full overlap... at the price of atomicity.
-        assert!(
-            serialized.as_secs_f64() > raw.as_secs_f64() * 2.0,
-            "expected lock serialization cost: raw {raw:?} vs locked {serialized:?}"
-        );
     }
 }

@@ -19,8 +19,9 @@
 //!   exclusive modes, granted concurrently when compatible; a request's
 //!   conflicts are found by scanning the grant table.
 //! * [`PfsFile`] / [`ParallelFs`] — files striped round-robin over OSTs,
-//!   with raw (unlocked) `pwrite`/`pread` and POSIX-atomic variants that
-//!   take the proper extent lock.
+//!   with raw (unlocked) `pwrite`/`pread` and a per-file
+//!   [`LockManager`]; an MPI-I/O driver takes its extent lock around a
+//!   transfer.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -553,7 +553,7 @@ impl VersionOracle for RemoteVersionManager {
     /// participants of the same clock. On a one-participant clock (one
     /// clock per client, as a socket deployment runs) every sleep returns
     /// at once and the loop sends `VmIsPublished` back to back until the
-    /// version is visible. ROADMAP item 4a deletes the loop by parking
+    /// version is visible. ROADMAP item 8(a) deletes the loop by parking
     /// `VmPublish` server-side.
     fn wait_published(&self, p: &Participant, version: VersionId) -> Result<()> {
         const FIRST_NS: u64 = 20_000;

@@ -1352,6 +1352,56 @@ mod tests {
     }
 
     #[test]
+    fn a_grant_whose_reply_would_pass_the_frame_limit_is_refused_and_never_issued() {
+        // A row encodes to 20 bytes plus 16 per range, and a grant's reply
+        // adds 29: three rows of 349 000 ranges and a grantee's own 1 569
+        // come to 3 bytes under the header limit, one range more to 13 over.
+        let spread = |n: u64| atomio_types::ExtentList::from_pairs((0..n).map(|i| (2 * i, 1)));
+        let transport = loopback(VersionService::new(64));
+        let p = atomio_simgrid::SimClock::new().register();
+        let publish = |vm: &RemoteVersionManager, ticket: atomio_version::Ticket| {
+            let blob = atomio_types::BlobId::new(1);
+            let root =
+                atomio_meta::NodeKey::new(blob, ticket.version, ByteRange::new(0, ticket.capacity));
+            vm.publish(&p, ticket, root).unwrap();
+        };
+        let writer = RemoteVersionManager::new(1, Arc::clone(&transport));
+        for _ in 0..3 {
+            let ticket = writer.ticket(&p, &spread(349_000)).unwrap();
+            publish(&writer, ticket);
+        }
+
+        // A fresh mirror asks for every row: the reply could not be
+        // framed, so the grant is refused, typed, and nothing is issued.
+        let late = RemoteVersionManager::new(1, Arc::clone(&transport));
+        let refused = late.ticket(&p, &spread(1_570));
+        assert!(
+            matches!(
+                refused,
+                Err(Error::Transport {
+                    kind: TransportErrorKind::Protocol,
+                    ..
+                })
+            ),
+            "got {refused:?}"
+        );
+        assert_eq!(late.history().len(), 0);
+
+        // The next version is still v4: a grant one range smaller fits
+        // to the byte, and its publish is visible at once.
+        let fits = RemoteVersionManager::new(1, Arc::clone(&transport));
+        let ticket = fits.ticket(&p, &spread(1_569)).unwrap();
+        assert_eq!(ticket.version, VersionId::new(4));
+        assert_eq!(fits.history().len(), 4);
+        publish(&fits, ticket);
+        assert!(writer.is_published(ticket.version).unwrap());
+        let ticket = writer.ticket(&p, &spread(1)).unwrap();
+        assert_eq!(ticket.version, VersionId::new(5));
+        publish(&writer, ticket);
+        assert!(fits.is_published(ticket.version).unwrap());
+    }
+
+    #[test]
     fn server_metrics_report_connection_counters() {
         let metrics = atomio_simgrid::Metrics::new();
         let mut server = RpcServer::start_with_metrics(

@@ -69,7 +69,7 @@ use serde::{Decode, Encode, Value};
 use std::io::{self, IoSlice, Read, Write};
 
 /// Upper bound on an encoded header (a request/response).
-pub const MAX_HEADER_BYTES: u32 = 16 << 20;
+pub use atomio_types::MAX_HEADER_BYTES;
 /// Upper bound on a frame payload (chunk data).
 pub const MAX_PAYLOAD_BYTES: u32 = 256 << 20;
 /// Fixed frame prefix: version (1) + request id (8) + two lengths (4+4).

@@ -32,3 +32,8 @@ pub use extent::ExtentList;
 pub use ids::{BlobId, ChunkId, ClientId, ProviderId, VersionId};
 pub use range::ByteRange;
 pub use retention::RetentionPolicy;
+
+/// Upper bound on an encoded message header: the largest request or
+/// reply one wire frame carries. `atomio-rpc`'s frame codec enforces it,
+/// and the version manager refuses a grant whose reply would pass it.
+pub const MAX_HEADER_BYTES: u32 = 16 << 20;

@@ -23,7 +23,8 @@ use atomio_meta::history::WriteSummary;
 use atomio_meta::{NodeKey, TreeConfig, VersionHistory};
 use atomio_simgrid::{CostModel, Event, Participant, Resource};
 use atomio_types::{
-    BackendConfig, BlobId, ByteRange, Error, ExtentList, Result, RetentionPolicy, VersionId,
+    BackendConfig, BlobId, ByteRange, Error, ExtentList, Result, RetentionPolicy,
+    TransportErrorKind, VersionId, MAX_HEADER_BYTES,
 };
 use parking_lot::Mutex;
 use serde::{Decode, Deserialize, Encode, Serialize};
@@ -96,6 +97,11 @@ const BLOB_TOO_LARGE: Error =
 /// `known` for a caller that shares the manager's own history and so
 /// needs no delta back from a grant.
 const KNOWS_EVERY_ROW: usize = usize::MAX;
+
+/// Encoded bytes of a grant's reply besides its delta rows: the reply's
+/// variant tag, the ticket's three `u64`s and the rows' count. A test in
+/// `atomio-rpc` holds the reckoning to the codec's bytes at the limit.
+const GRANT_HEAD_BYTES: usize = 1 + 3 * 8 + 4;
 
 #[derive(Debug, Default)]
 struct VmState {
@@ -216,7 +222,10 @@ impl VersionManager {
     /// # Errors
     /// [`Error::EmptyAccess`] for an empty extent list;
     /// [`Error::Unsupported`] when the write ends past the largest tree
-    /// capacity. Nothing is granted and no state changes either way.
+    /// capacity; a typed [`TransportErrorKind::Protocol`] error when the
+    /// delta's reply would pass [`MAX_HEADER_BYTES`], so a grant that
+    /// could not reach its caller is never issued. Nothing is granted and
+    /// no state changes in any of these cases.
     pub fn ticket_local(
         &self,
         extents: &ExtentList,
@@ -248,7 +257,8 @@ impl VersionManager {
     /// The one grant path: a single lock-held step that nothing but its
     /// input can refuse. The sizes may come straight off the wire, so
     /// the append tail, the covering end and the capacity are computed
-    /// checked, all before any state or history row changes.
+    /// checked, and the reply's bytes are reckoned, all before any state
+    /// or history row changes.
     fn grant(
         &self,
         shape: TicketShape<'_>,
@@ -274,35 +284,50 @@ impl VersionManager {
             TicketShape::Explicit(e) => e.clone(),
             TicketShape::Append(_) => ExtentList::single(ByteRange::from_bounds(prev_size, end)),
         };
-        let size = prev_size.max(end);
-        st.next += 1;
-        st.ticket_sizes.push(size);
-        self.history.append(WriteSummary {
+        // The row keeps an exact-size copy: an append's list was built
+        // by `insert` and holds spare capacity, for as long as the
+        // history lives.
+        let own = WriteSummary {
             version: v,
             extents: Arc::new(extents.clone()),
             capacity,
-        });
+        };
+        // The delta is the rows after `known`, ending with the grantee's
+        // own. It starts at that row at the latest: a client whose mirror
+        // ran past it (a restarted durable manager rolled back its
+        // unpublished grant of `v` and grants `v` again) must still find
+        // its row last.
+        let from = (known != KNOWS_EVERY_ROW).then(|| known.min(st.next as usize));
+        if let Some(from) = from {
+            let reply = GRANT_HEAD_BYTES
+                + self.history.encoded_len_between(from, st.next as usize)
+                + own.encoded_len();
+            let limit = MAX_HEADER_BYTES as usize;
+            if reply > limit {
+                return Err(Error::Transport {
+                    kind: TransportErrorKind::Protocol,
+                    detail: format!(
+                        "granting {v} answers with {reply} bytes of history after row {from}, past the {limit}-byte frame header limit"
+                    ),
+                });
+            }
+        }
+        let size = prev_size.max(end);
+        st.next += 1;
+        st.ticket_sizes.push(size);
+        self.history.append(own);
         drop(st);
         let ticket = Ticket {
             version: v,
             capacity,
             size,
         };
-        Ok((ticket, extents, self.grant_delta(known, v)))
-    }
-
-    /// The history delta a grant of `v` returns: the rows after `known`,
-    /// ending with `v`'s own. It starts at that row at the latest — a
-    /// client whose mirror ran past it (a restarted durable manager
-    /// rolled back its unpublished grant of `v` and grants `v` again) must
-    /// still find its row last — and stops there, whatever later grants
-    /// appended since the state lock was released.
-    fn grant_delta(&self, known: usize, v: VersionId) -> Vec<WriteSummary> {
-        if known == KNOWS_EVERY_ROW {
-            return Vec::new();
-        }
-        let own = v.raw() as usize;
-        self.history.summaries_between(known.min(own - 1), own)
+        // The delta stops at the grantee's row, whatever later grants
+        // appended since the state lock was released.
+        let delta = from.map_or_else(Vec::new, |from| {
+            self.history.summaries_between(from, v.raw() as usize)
+        });
+        Ok((ticket, extents, delta))
     }
 
     /// Reports the completed tree build of `ticket`'s version. The
@@ -919,20 +944,19 @@ mod tests {
     }
 
     #[test]
-    fn a_grant_delta_ends_with_the_grantees_row_when_later_rows_landed() {
-        // v3 is appended after v2's grant, before v2's delta is read.
+    fn a_grant_delta_runs_from_the_callers_rows_to_the_grantees_own() {
         let m = vm();
-        for k in 0..3u64 {
-            m.ticket_local(&extents(&[(k * 64, 64)]), 0).unwrap();
-        }
-        let v2 = VersionId::new(2);
-        let rows = |delta: Vec<WriteSummary>| -> Vec<u64> {
+        let rows = |known: usize| -> Vec<u64> {
+            let (_, _, delta) = m.ticket_local(&extents(&[(0, 64)]), known).unwrap();
             delta.iter().map(|s| s.version.raw()).collect()
         };
-        assert_eq!(rows(m.grant_delta(0, v2)), [1, 2]);
-        // A mirror already past v2 still gets v2's row, and only it.
-        assert_eq!(rows(m.grant_delta(3, v2)), [2]);
-        assert!(m.grant_delta(KNOWS_EVERY_ROW, v2).is_empty());
+        assert_eq!(rows(0), [1]);
+        assert_eq!(rows(0), [1, 2]);
+        // A mirror already past the grantee's row (a restarted durable
+        // manager grants a rolled-back version again) still gets that
+        // row, and only it.
+        assert_eq!(rows(9), [3]);
+        assert!(rows(KNOWS_EVERY_ROW).is_empty());
     }
 
     #[test]

@@ -82,7 +82,6 @@ fn concurrent_disjoint_workload_is_backend_independent() {
     let reference = final_state(Backend::Versioning, &extents, false);
     for backend in [
         Backend::LustreLock,
-        Backend::WholeFileLock,
         Backend::ConflictDetect,
         Backend::NoLock,
     ] {
@@ -100,7 +99,6 @@ fn sequential_overlapping_workload_is_backend_independent() {
     let reference = final_state(Backend::Versioning, &extents, true);
     for backend in [
         Backend::LustreLock,
-        Backend::WholeFileLock,
         Backend::ConflictDetect,
         Backend::NoLock,
     ] {
