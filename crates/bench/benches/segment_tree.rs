@@ -143,13 +143,7 @@ fn bench_resolve(c: &mut Criterion) {
         let builder = TreeBuilder::new(BlobId::new(0), &fx.store, &fx.history, fx.config);
         let root = builder.build_update(&p, v, cap, &entries).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(regions), &regions, |b, _| {
-            b.iter(|| {
-                black_box(
-                    fx.store
-                        .resolve(&p, Some(root), black_box(&ext), None)
-                        .unwrap(),
-                )
-            });
+            b.iter(|| black_box(fx.store.resolve(&p, Some(root), black_box(&ext)).unwrap()));
         });
     }
     group.finish();
@@ -178,7 +172,7 @@ fn bench_version_chain_reads(c: &mut Criterion) {
             b.iter(|| {
                 black_box(
                     fx.store
-                        .resolve(&p, Some(root), black_box(&whole_leaf), None)
+                        .resolve(&p, Some(root), black_box(&whole_leaf))
                         .unwrap(),
                 )
             });

@@ -17,7 +17,7 @@
 //!    its own version, which preserves MPI semantics ("when the call
 //!    returns, the data is visible").
 
-use atomio_meta::{LeafEntry, NodeCache, NodeStore, TreeBuilder, TreeConfig, VersionHistory};
+use atomio_meta::{LeafEntry, NodeStore, TreeBuilder, TreeConfig, VersionHistory};
 use atomio_provider::{GetRequest, ProviderManager};
 use atomio_simgrid::{Metrics, Participant};
 use atomio_types::ids::IdAllocator;
@@ -26,6 +26,23 @@ use atomio_types::{BlobId, ByteRange, ChunkGeometry, Error, ExtentList, Result, 
 use atomio_version::{LeaseGrant, SnapshotRecord, VersionOracle};
 use bytes::Bytes;
 use std::sync::Arc;
+
+/// The client node cache, deleted: a read walks the tree the same way
+/// every time (or asks the metadata server to). The type has no values,
+/// so [`Blob::node_cache`] always answers `None`. It and that method
+/// exist only because the frozen wall-clock benchmark
+/// (`wallbench/src/workloads.rs`) reads `node_cache()` and its
+/// `stats()`; the next benchmark PR that stops reading them deletes
+/// both, with [`crate::StoreConfig::with_meta_cache`].
+#[derive(Debug)]
+pub enum NodeCache {}
+
+impl NodeCache {
+    /// Never called: there is no value to call it on.
+    pub fn stats(&self) -> (u64, u64) {
+        match *self {}
+    }
+}
 
 /// Which snapshot a read targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -48,10 +65,6 @@ struct BlobInner {
     chunk_ids: Arc<IdAllocator>,
     config: crate::StoreConfig,
     metrics: Metrics,
-    /// Client-side cache of immutable tree nodes (None when disabled).
-    /// Only a client-walked resolve consults it; a remote metadata store
-    /// walks the tree on its server.
-    node_cache: Option<NodeCache>,
 }
 
 /// A handle to one blob (shared file). Cheap to clone; all clones see the
@@ -73,8 +86,6 @@ impl Blob {
         config: crate::StoreConfig,
         metrics: Metrics,
     ) -> Self {
-        let node_cache =
-            (config.meta_cache_nodes > 0).then(|| NodeCache::new(config.meta_cache_nodes));
         // The tree builder and `changed_extents` read summaries from the
         // same history the oracle appends grants to — for a remote
         // oracle that is its client-side mirror.
@@ -90,7 +101,6 @@ impl Blob {
                 chunk_ids,
                 config,
                 metrics,
-                node_cache,
             }),
         }
     }
@@ -316,9 +326,7 @@ impl Blob {
             .add(extents.total_len());
 
         let resolve_start = p.now();
-        let pieces = inner
-            .meta
-            .resolve(p, snap.root, extents, inner.node_cache.as_ref())?;
+        let pieces = inner.meta.resolve(p, snap.root, extents)?;
         inner
             .metrics
             .time_stat("core.meta_resolve_time")
@@ -533,10 +541,9 @@ impl Blob {
         &self.inner.metrics
     }
 
-    /// The client-side node cache, if enabled (exposed for stats and for
-    /// GC invalidation).
+    /// Always `None` (see [`NodeCache`]).
     pub fn node_cache(&self) -> Option<&NodeCache> {
-        self.inner.node_cache.as_ref()
+        None
     }
 }
 
@@ -754,48 +761,65 @@ mod tests {
         assert_eq!(vs, (1..=n as u64).collect::<Vec<_>>());
     }
 
+    use atomio_meta::{MetaStore, Node, NodeKey};
+
+    /// A [`MetaStore`] that records the keys of every `get_batch`.
+    #[derive(Debug)]
+    struct RecordingMeta {
+        inner: MetaStore,
+        gets: parking_lot::Mutex<Vec<Vec<NodeKey>>>,
+    }
+
+    impl NodeStore for RecordingMeta {
+        fn put_batch(&self, p: &Participant, nodes: Vec<Node>) -> Vec<Result<()>> {
+            self.inner.put_batch(p, nodes)
+        }
+
+        fn get_batch(&self, p: &Participant, keys: &[NodeKey]) -> Vec<Result<Arc<Node>>> {
+            self.gets.lock().push(keys.to_vec());
+            self.inner.get_batch(p, keys)
+        }
+
+        fn contains(&self, key: NodeKey) -> bool {
+            self.inner.contains(key)
+        }
+
+        fn evict_batch(&self, keys: &[NodeKey]) -> u64 {
+            self.inner.evict_batch(keys)
+        }
+
+        fn list_keys(&self) -> Vec<NodeKey> {
+            self.inner.list_keys()
+        }
+    }
+
     #[test]
-    fn node_cache_accelerates_repeated_reads() {
-        // With the grid5000 cost model, the second identical read must be
-        // cheaper than the first: the tree traversal hits the client
-        // cache instead of the metadata shards.
-        let s = Store::new(
-            StoreConfig::default()
-                .with_chunk_size(64)
-                .with_data_providers(4)
-                .with_meta_cache(1024),
+    fn a_second_read_of_a_snapshot_walks_the_tree_again() {
+        use atomio_simgrid::CostModel;
+        let meta = Arc::new(RecordingMeta {
+            inner: MetaStore::new(2, CostModel::zero()),
+            gets: Default::default(),
+        });
+        let providers = ProviderManager::new(4, CostModel::zero(), Default::default());
+        let s = Store::with_substrates(
+            StoreConfig::default().with_zero_cost().with_chunk_size(64),
+            Arc::new(providers),
+            Arc::clone(&meta) as Arc<dyn NodeStore>,
         );
         let blob = s.create_blob();
         run_actors(1, |_, p| {
             blob.write(p, 0, Bytes::from(vec![1u8; 1024])).unwrap();
+            meta.gets.lock().clear();
             let ext = ExtentList::from_pairs([(0u64, 1024u64)]);
-            let t0 = p.now();
-            blob.read_list(p, ReadVersion::Latest, &ext).unwrap();
-            let cold = p.now() - t0;
-            let t1 = p.now();
-            blob.read_list(p, ReadVersion::Latest, &ext).unwrap();
-            let warm = p.now() - t1;
-            assert!(warm < cold, "warm {warm:?} vs cold {cold:?}");
-        });
-        let cache = blob.node_cache().expect("cache enabled");
-        let (hits, misses) = cache.stats();
-        assert!(hits > 0, "no cache hits recorded");
-        assert!(misses > 0);
-    }
-
-    #[test]
-    fn cache_disabled_when_configured_off() {
-        let s = Store::new(
-            StoreConfig::default()
-                .with_zero_cost()
-                .with_chunk_size(64)
-                .with_meta_cache(0),
-        );
-        let blob = s.create_blob();
-        assert!(blob.node_cache().is_none());
-        run_actors(1, |_, p| {
-            blob.write(p, 0, Bytes::from_static(b"x")).unwrap();
-            assert_eq!(blob.read(p, 0, 1).unwrap(), b"x");
+            let reads: Vec<_> = (0..2)
+                .map(|_| {
+                    blob.read_list(p, ReadVersion::Latest, &ext).unwrap();
+                    std::mem::take(&mut *meta.gets.lock())
+                })
+                .collect();
+            // 16 leaves under a root: one batch per level.
+            assert_eq!(reads[0].len(), 5);
+            assert_eq!(reads[0], reads[1]);
         });
     }
 

@@ -42,10 +42,6 @@ pub struct StoreConfig {
     pub cost: CostModel,
     /// Read by nothing (see [`TransportMode`]).
     pub transport_mode: TransportMode,
-    /// Client-side metadata cache size in nodes (0 disables caching).
-    /// The cache serves the in-process tree walk only: a remote metadata
-    /// store resolves a read on its server and never consults it.
-    pub meta_cache_nodes: usize,
     /// Default snapshot retention policy applied to every blob at
     /// creation (a blob can still override it per-blob through its
     /// version oracle). [`RetentionPolicy::KeepAll`] — the default —
@@ -78,7 +74,6 @@ impl Default for StoreConfig {
             allocation: AllocationStrategy::RoundRobin,
             cost: CostModel::grid5000(),
             transport_mode: TransportMode::Loopback,
-            meta_cache_nodes: 4096,
             retention: RetentionPolicy::KeepAll,
             backend: BackendConfig::Memory,
             seed: 0x5EED,
@@ -131,9 +126,11 @@ impl StoreConfig {
         self
     }
 
-    /// Sets the client-side metadata cache size (0 disables caching).
-    pub fn with_meta_cache(mut self, nodes: usize) -> Self {
-        self.meta_cache_nodes = nodes;
+    /// Selects nothing: the client node cache is deleted (see
+    /// [`crate::Blob::node_cache`]). Kept because the frozen wall-clock
+    /// benchmark (`wallbench/src/deploy.rs`) calls it; the next
+    /// benchmark PR that stops calling it deletes it.
+    pub fn with_meta_cache(self, _nodes: usize) -> Self {
         self
     }
 
@@ -171,7 +168,6 @@ mod tests {
         assert_eq!(c.data_providers, 16);
         assert_eq!(c.replication, 1);
         assert_eq!(c.transport_mode, TransportMode::Loopback);
-        assert_eq!(c.meta_cache_nodes, 4096);
         assert_eq!(c.retention, RetentionPolicy::KeepAll);
         assert_eq!(c.backend, BackendConfig::Memory);
     }
@@ -185,7 +181,6 @@ mod tests {
             .with_meta_shards(2)
             .with_replication(3, 2)
             .with_transport_mode(TransportMode::Tcp)
-            .with_meta_cache(0)
             .with_retention(RetentionPolicy::KeepLast(2))
             .with_backend(BackendConfig::disk("/tmp/x"))
             .with_seed(7);
@@ -195,9 +190,18 @@ mod tests {
         assert_eq!(c.meta_shards, 2);
         assert_eq!((c.replication, c.min_replicas), (3, 2));
         assert_eq!(c.transport_mode, TransportMode::Tcp);
-        assert_eq!(c.meta_cache_nodes, 0);
         assert_eq!(c.retention, RetentionPolicy::KeepLast(2));
         assert!(c.backend.is_disk());
         assert_eq!(c.seed, 7);
+    }
+
+    #[test]
+    fn with_meta_cache_selects_nothing() {
+        for nodes in [0, 1, 4096] {
+            assert_eq!(
+                StoreConfig::default().with_meta_cache(nodes),
+                StoreConfig::default()
+            );
+        }
     }
 }

@@ -135,12 +135,6 @@ fn collect_range(
         report.versions_retired += 1;
     }
     report.nodes_evicted = blob.meta_store().evict_batch(&dead_nodes);
-    // Evicted nodes must not be resurrected from the client cache.
-    if report.nodes_evicted > 0 {
-        if let Some(cache) = blob.node_cache() {
-            cache.clear();
-        }
-    }
     // Group evictions per provider and issue one batch each — a single
     // RPC per provider in a remote deployment.
     let mut per_provider: HashMap<ProviderId, Vec<ChunkId>> = HashMap::new();

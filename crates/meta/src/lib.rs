@@ -40,14 +40,12 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod cache;
 pub mod disk;
 pub mod history;
 pub mod node;
 pub mod store;
 pub mod tree;
 
-pub use cache::NodeCache;
 pub use disk::{node_store_for, DiskNodeStore};
 pub use history::{VersionHistory, WriteSummary};
 pub use node::{LeafEntry, Node, NodeBody, NodeKey};

@@ -26,9 +26,8 @@
 //! not look at the backend, so lookup and commit latency are
 //! backend-invariant.
 
-use crate::cache::NodeCache;
 use crate::node::{Node, NodeKey};
-use crate::tree::{fetch_level, resolve_with, ResolvedPiece};
+use crate::tree::{resolve_with, ResolvedPiece};
 use atomio_simgrid::{ClientNics, CostModel, Participant, Resource};
 use atomio_types::record::RecordLog;
 use atomio_types::{stamp::mix64, Error, ExtentList, Result};
@@ -68,19 +67,21 @@ pub trait NodeStore: Send + Sync + std::fmt::Debug {
     /// chunks and holes, sorted by file offset (see [`resolve_with`]).
     ///
     /// The default walks the tree on the client, one
-    /// [`Self::get_batch`] per level, taking `cache` hits for free and
-    /// caching the misses — BlobSeer's client-walked metadata. A remote
-    /// proxy overrides it with one request that the metadata server
-    /// answers by running the same walk where the nodes are, and ignores
-    /// `cache`.
+    /// [`Self::get_batch`] per level — BlobSeer's client-walked
+    /// metadata. A remote proxy overrides it with one request that the
+    /// metadata server answers by running the same walk where the nodes
+    /// are.
     fn resolve(
         &self,
         p: &Participant,
         root: Option<NodeKey>,
         extents: &ExtentList,
-        cache: Option<&NodeCache>,
     ) -> Result<Vec<ResolvedPiece>> {
-        resolve_with(|keys| fetch_level(self, p, keys, cache), root, extents)
+        resolve_with(
+            |keys| self.get_batch(p, keys).into_iter().collect(),
+            root,
+            extents,
+        )
     }
 
     /// True if the node exists (free of simulated cost; for tests/GC).

@@ -20,7 +20,6 @@
 //! `get_batch_local` per level inside a metadata server that runs the
 //! walk for a remote client.
 
-use crate::cache::NodeCache;
 use crate::history::VersionHistory;
 use crate::node::{LeafEntry, Node, NodeBody, NodeKey};
 use crate::store::NodeStore;
@@ -336,7 +335,7 @@ pub struct ResolvedPiece {
 /// exactly.
 ///
 /// The walk is level-order: every pending node of a level — tree
-/// children *and* backlink hops alike — is asked of `fetch_level` at
+/// children *and* backlink hops alike — is asked of `get_batch` at
 /// once, which answers one node per key, in order. The store's nodes
 /// may have come off the network, so the walk checks that it makes
 /// progress — each child covers exactly its half of a range at least two
@@ -344,7 +343,7 @@ pub struct ResolvedPiece {
 /// and fails typed on a tree that breaks the rule instead of walking it
 /// forever: it visits each stored node at most once.
 pub fn resolve_with(
-    mut fetch_level: impl FnMut(&[NodeKey]) -> Result<Vec<Arc<Node>>>,
+    mut get_batch: impl FnMut(&[NodeKey]) -> Result<Vec<Arc<Node>>>,
     root: Option<NodeKey>,
     extents: &ExtentList,
 ) -> Result<Vec<ResolvedPiece>> {
@@ -357,7 +356,7 @@ pub fn resolve_with(
     };
     while !frontier.is_empty() {
         let keys: Vec<NodeKey> = frontier.iter().map(|(key, _)| *key).collect();
-        let nodes = fetch_level(&keys)?;
+        let nodes = get_batch(&keys)?;
         let mut next = Vec::new();
         for (node, (key, want)) in nodes.iter().zip(frontier) {
             visit(node, key, &want, &mut out, &mut next)?;
@@ -366,39 +365,6 @@ pub fn resolve_with(
     }
     out.sort_by_key(|piece| piece.file_range.offset);
     Ok(out)
-}
-
-/// Fetches one traversal level through `store`: `cache` hits are free,
-/// all misses ship as **one** [`NodeStore::get_batch`] list-request and
-/// are cached.
-pub(crate) fn fetch_level(
-    store: &(impl NodeStore + ?Sized),
-    p: &Participant,
-    keys: &[NodeKey],
-    cache: Option<&NodeCache>,
-) -> Result<Vec<Arc<Node>>> {
-    let mut out: Vec<Option<Arc<Node>>> = vec![None; keys.len()];
-    let mut miss_idx = Vec::new();
-    let mut miss_keys = Vec::new();
-    for (i, &key) in keys.iter().enumerate() {
-        match cache.and_then(|c| c.get(key)) {
-            Some(node) => out[i] = Some(node),
-            None => {
-                miss_idx.push(i);
-                miss_keys.push(key);
-            }
-        }
-    }
-    if !miss_keys.is_empty() {
-        for (i, fetched) in miss_idx.into_iter().zip(store.get_batch(p, &miss_keys)) {
-            let node = fetched?;
-            if let Some(cache) = cache {
-                cache.insert(Arc::clone(&node));
-            }
-            out[i] = Some(node);
-        }
-    }
-    Ok(out.into_iter().map(|n| n.expect("slot filled")).collect())
 }
 
 /// The error for a stored tree the walk refuses to follow.
@@ -483,8 +449,8 @@ pub fn reach(
             return Ok(reached);
         }
         let mut next = Vec::new();
-        for node in fetch_level(store, p, &level, None)? {
-            match &node.body {
+        for node in store.get_batch(p, &level) {
+            match &node?.body {
                 NodeBody::Inner { left, right } => next.extend(left.iter().chain(right)),
                 NodeBody::Leaf { entries, backlink } => {
                     for e in entries {
@@ -501,7 +467,7 @@ pub fn reach(
     }
 }
 
-/// [`NodeStore::resolve`] without a cache, behind a handle. Kept because
+/// [`NodeStore::resolve`] behind a handle. Kept because
 /// `wallbench/src/probes.rs` builds one and times its `resolve`.
 #[derive(Debug)]
 pub struct TreeReader<'a> {
@@ -514,15 +480,15 @@ impl<'a> TreeReader<'a> {
         TreeReader { store }
     }
 
-    /// [`NodeStore::resolve`] without a cache. Kept because
-    /// `wallbench/src/probes.rs` times it; new code calls the store.
+    /// [`NodeStore::resolve`]. Kept because `wallbench/src/probes.rs`
+    /// times it; new code calls the store.
     pub fn resolve(
         &self,
         p: &Participant,
         root: Option<NodeKey>,
         extents: &ExtentList,
     ) -> Result<Vec<ResolvedPiece>> {
-        self.store.resolve(p, root, extents, None)
+        self.store.resolve(p, root, extents)
     }
 }
 
@@ -650,7 +616,6 @@ mod tests {
                     p,
                     Some(root),
                     &ExtentList::from_pairs(pairs.iter().copied()),
-                    None,
                 )
                 .unwrap()
         }
@@ -848,7 +813,7 @@ mod tests {
         run_actors(1, |_, p| {
             let pieces = fx
                 .store
-                .resolve(p, None, &ExtentList::from_pairs([(0u64, 128u64)]), None)
+                .resolve(p, None, &ExtentList::from_pairs([(0u64, 128u64)]))
                 .unwrap();
             assert_eq!(pieces.len(), 1);
             assert!(pieces[0].source.is_none());

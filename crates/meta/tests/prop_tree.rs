@@ -127,7 +127,7 @@ impl Harness {
         };
         let pieces = self
             .store
-            .resolve(p, root, &ExtentList::single(window), None)
+            .resolve(p, root, &ExtentList::single(window))
             .unwrap();
         let mut out = vec![0u8; window.len as usize];
         let mut covered = 0u64;

@@ -22,7 +22,7 @@
 use crate::proto::{Request, Response};
 use crate::transport::{unexpected, Transport};
 use crate::wire::PayloadCursor;
-use atomio_meta::{Node, NodeCache, NodeKey, NodeStore, ResolvedPiece, VersionHistory};
+use atomio_meta::{Node, NodeKey, NodeStore, ResolvedPiece, VersionHistory};
 use atomio_provider::ChunkStore;
 use atomio_simgrid::clock::SimTime;
 use atomio_simgrid::{CostModel, Participant, Resource};
@@ -291,8 +291,7 @@ impl ChunkStore for RemoteProvider {
 /// A [`NodeStore`] whose nodes live behind a transport. A transport
 /// failure on a batch fans out as one cloned error per item, so callers
 /// keep their one-outcome-per-input invariant. A resolve is one
-/// `MetaResolve` round trip: the server walks the tree, so the client
-/// node cache is never consulted.
+/// `MetaResolve` round trip: the server walks the tree.
 #[derive(Debug)]
 pub struct RemoteMetaStore {
     transport: Arc<dyn Transport>,
@@ -335,7 +334,6 @@ impl NodeStore for RemoteMetaStore {
         _p: &Participant,
         root: Option<NodeKey>,
         extents: &ExtentList,
-        _cache: Option<&NodeCache>,
     ) -> Result<Vec<ResolvedPiece>> {
         let request = Request::MetaResolve {
             root,

@@ -299,8 +299,7 @@ mod tests {
 
             // The published tree resolves back through the same store,
             // walked on the server.
-            let pieces =
-                atomio_meta::NodeStore::resolve(&meta, p, Some(root), &extents, None).unwrap();
+            let pieces = atomio_meta::NodeStore::resolve(&meta, p, Some(root), &extents).unwrap();
             assert_eq!(pieces.len(), 2);
         });
     }

@@ -51,18 +51,6 @@ impl CostModel {
         }
     }
 
-    /// A faster cluster (10 GbE, SSD-backed) used to check that the
-    /// qualitative results are not an artifact of one hardware point.
-    pub fn fast_cluster() -> Self {
-        CostModel {
-            msg_latency: Duration::from_micros(20),
-            net_bandwidth: 1100 * 1024 * 1024,
-            disk_bandwidth: 450 * 1024 * 1024,
-            disk_seek: Duration::from_micros(60),
-            meta_op: Duration::from_micros(10),
-        }
-    }
-
     /// Time for `bytes` to cross one NIC (zero if bandwidth is unlimited).
     pub fn net_transfer(&self, bytes: u64) -> Duration {
         Self::at_rate(bytes, self.net_bandwidth)
@@ -133,15 +121,6 @@ mod tests {
         assert!(net > Duration::from_millis(8) && net < Duration::from_millis(11));
         let disk = m.disk_transfer(1024 * 1024);
         assert!(disk > Duration::from_millis(13) && disk < Duration::from_millis(17));
-    }
-
-    #[test]
-    fn fast_cluster_is_faster() {
-        let g = CostModel::grid5000();
-        let f = CostModel::fast_cluster();
-        assert!(f.net_transfer(1 << 20) < g.net_transfer(1 << 20));
-        assert!(f.disk_transfer(1 << 20) < g.disk_transfer(1 << 20));
-        assert!(f.rpc_round_trip() < g.rpc_round_trip());
     }
 
     #[test]

@@ -80,11 +80,15 @@ impl ExtentList {
         Self { ranges: Vec::new() }
     }
 
-    /// A set holding a single range (empty input yields the empty set).
+    /// A set holding a single range (empty input yields the empty set),
+    /// allocated to hold exactly that range.
     pub fn single(range: ByteRange) -> Self {
-        let mut list = Self::new();
-        list.insert(range);
-        list
+        let ranges = if range.is_empty() {
+            Vec::new()
+        } else {
+            vec![range]
+        };
+        Self { ranges }
     }
 
     /// Builds a normalized set from arbitrary (possibly overlapping,
@@ -480,6 +484,16 @@ mod tests {
         for p in [0, 9, 20, 39, 50, 69, 80, 1000] {
             assert!(!list.contains(p), "{p}");
         }
+    }
+
+    #[test]
+    fn single_holds_exactly_its_range() {
+        let one = ExtentList::single(r(3, 9));
+        assert_eq!(one.ranges(), &[r(3, 9)]);
+        assert_eq!(one.ranges.capacity(), 1);
+        let none = ExtentList::single(ByteRange::empty());
+        assert!(none.is_empty());
+        assert_eq!(none.ranges.capacity(), 0);
     }
 
     #[test]

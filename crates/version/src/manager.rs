@@ -284,9 +284,8 @@ impl VersionManager {
             TicketShape::Explicit(e) => e.clone(),
             TicketShape::Append(_) => ExtentList::single(ByteRange::from_bounds(prev_size, end)),
         };
-        // The row keeps an exact-size copy: an append's list was built
-        // by `insert` and holds spare capacity, for as long as the
-        // history lives.
+        // `extents` goes back to the caller; the row keeps its own copy,
+        // exact-size like every clone, for as long as the history lives.
         let own = WriteSummary {
             version: v,
             extents: Arc::new(extents.clone()),

@@ -21,7 +21,6 @@ runs=(
     "exp8_producer_consumer|e8"
     "exp9_two_phase|e9"
     "exp10_gc|e10"
-    "exp10_meta_cache|e10mc"
     "exp12_stragglers|e12st"
 )
 # Committed but never compared, one row each: file | why.

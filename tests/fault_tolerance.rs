@@ -167,8 +167,7 @@ fn end_to_end_scrub_heals_bit_rot() {
             .with_zero_cost()
             .with_chunk_size(1024)
             .with_data_providers(4)
-            .with_replication(2, 2)
-            .with_meta_cache(0),
+            .with_replication(2, 2),
     );
     let blob = s.create_blob();
     let clock = SimClock::new();
@@ -205,8 +204,7 @@ fn scrub_after_gc_repairs_a_retained_chunk() {
             .with_zero_cost()
             .with_chunk_size(1024)
             .with_data_providers(4)
-            .with_replication(2, 2)
-            .with_meta_cache(0),
+            .with_replication(2, 2),
     );
     let blob = s.create_blob();
     let clock = SimClock::new();

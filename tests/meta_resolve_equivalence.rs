@@ -126,9 +126,9 @@ fn the_server_walk_returns_exactly_the_client_walk_pieces() {
                 reads.push(ExtentList::single(ByteRange::new(capacity - 7, 2 * CHUNK)));
                 for extents in &reads {
                     let before = d.round_trips();
-                    let served = meta.resolve(p, Some(root), extents, None).unwrap();
+                    let served = meta.resolve(p, Some(root), extents).unwrap();
                     assert_eq!(d.round_trips() - before, 1, "{arm:?} one round trip");
-                    let walked = reference.resolve(p, Some(root), extents, None).unwrap();
+                    let walked = reference.resolve(p, Some(root), extents).unwrap();
                     assert_eq!(served, walked, "{arm:?} v{} {extents:?}", i + 1);
                     holes += served.iter().filter(|pc| pc.source.is_none()).count();
                     stored += served.iter().filter(|pc| pc.source.is_some()).count();
@@ -141,8 +141,8 @@ fn the_server_walk_returns_exactly_the_client_walk_pieces() {
             assert!(holes > 0 && past > 0 && stored > 0, "{arm:?}");
             // A rootless resolve is all holes on both sides.
             let extents = ExtentList::single(ByteRange::new(3, 100));
-            let served = meta.resolve(p, None, &extents, None).unwrap();
-            assert_eq!(served, reference.resolve(p, None, &extents, None).unwrap());
+            let served = meta.resolve(p, None, &extents).unwrap();
+            assert_eq!(served, reference.resolve(p, None, &extents).unwrap());
             assert_eq!(
                 served,
                 vec![ResolvedPiece {
@@ -191,7 +191,6 @@ fn a_tile_read_costs_one_meta_round_trip_and_no_cache_lookup() {
                 blob.write_list(p, &extents, Bytes::from(stamp.payload_for(&extents)))
                     .unwrap();
             }
-            let cache = blob.node_cache().expect("the default store caches nodes");
             for rank in 0..tile.processes() {
                 for v in 1..=tile.processes() as u64 {
                     // Each version's share of the rank's tile: the
@@ -199,11 +198,10 @@ fn a_tile_read_costs_one_meta_round_trip_and_no_cache_lookup() {
                     let v = VersionId::new(v);
                     let size = blob.version_manager().snapshot(p, v).unwrap().size;
                     let extents = tile.extents_for(rank).clip(ByteRange::new(0, size));
-                    let (trips, lookups) = (d.round_trips(), cache.stats());
+                    let trips = d.round_trips();
                     let read = blob.read_list(p, ReadVersion::At(v), &extents).unwrap();
                     assert_eq!(read.len() as u64, extents.total_len());
                     assert_eq!(d.round_trips() - trips, 1, "{arm:?} rank {rank} {v}");
-                    assert_eq!(cache.stats(), lookups, "{arm:?}: the client walked");
                 }
             }
         });
